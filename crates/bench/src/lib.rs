@@ -9,6 +9,8 @@
 //! runs) instead of an external benchmarking crate so the workspace builds
 //! with no network access; see README "Hermetic build".
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 
 use stcc::{Scheme, SimConfig, Simulation};

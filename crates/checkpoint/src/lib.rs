@@ -22,6 +22,8 @@
 //! structural validation (element counts against the rebuilt
 //! configuration) at the call site.
 
+#![forbid(unsafe_code)]
+
 use std::error::Error;
 use std::fmt;
 

@@ -45,6 +45,8 @@
 //! # Ok::<(), stcc::SimError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod aimd;
 mod alo;
 mod bbr;

@@ -42,6 +42,8 @@
 //! assert_eq!(plan.snapshot_fate(64), SnapshotFate::Lost);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use core::fmt;
 
 /// Stateless SplitMix64 finalizer over a counter: the source of every fault

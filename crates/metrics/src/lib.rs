@@ -24,6 +24,8 @@
 //! assert_eq!(lat.max(), Some(30));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod latency;
 mod series;
 mod summary;

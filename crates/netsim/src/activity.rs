@@ -51,11 +51,6 @@ impl NodeSet {
     }
 
     #[inline]
-    pub fn remove(&mut self, node: usize) {
-        self.words[node >> 6] &= !(1u64 << (node & 63));
-    }
-
-    #[inline]
     pub fn contains(&self, node: usize) -> bool {
         self.words[node >> 6] >> (node & 63) & 1 == 1
     }
@@ -66,9 +61,9 @@ impl NodeSet {
         self.words.fill(0);
     }
 
-    /// The backing words, mutably — the parallel shard-local apply wraps
-    /// them in an atomic view because one word packs 64 nodes and shard
-    /// boundaries are not word-aligned (see `crate::shard::AtomicBits`).
+    /// The backing words, mutably — the apply views update them with
+    /// atomic bit operations, because one word packs 64 nodes and shard
+    /// boundaries are not word-aligned (see `crate::shard::Cells`).
     #[inline]
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
@@ -80,7 +75,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_remove_contains_across_word_boundaries() {
+    fn insert_contains_across_word_boundaries() {
         let mut s = NodeSet::new(130);
         assert_eq!(s.word_count(), 3);
         for n in [0, 1, 63, 64, 65, 127, 128, 129] {
@@ -91,9 +86,6 @@ mod tests {
         assert_eq!(s.word(0), 1 | 2 | 1 << 63);
         assert_eq!(s.word(1), 1 | 2 | 1 << 63);
         assert_eq!(s.word(2), 0b11);
-        s.remove(64);
-        assert!(!s.contains(64));
-        assert!(s.contains(65));
         s.clear();
         assert_eq!(s.word(0) | s.word(1) | s.word(2), 0);
     }

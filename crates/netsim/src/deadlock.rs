@@ -57,9 +57,10 @@ impl Network {
             .front(idx)
             .expect("candidate VC has a blocked header")
             .packet;
-        self.set_assign(idx, Assign::Recovery);
+        let view = self.apply_ctx();
+        let (node, f) = (idx / view.fpn, idx % view.fpn);
+        view.set_assign(node, f, Assign::Recovery);
         self.vc_blocked[idx] = 0;
-        let node = idx / (self.torus().channels_per_node() * self.config().vcs);
         let dst = self.packets.get(pid).dst;
         // The scratch vector is kept at diameter+1 capacity, so building the
         // path allocates nothing in steady state.
@@ -128,12 +129,16 @@ impl Network {
                 debug_assert!(matches!(self.vc_assign[src], Assign::Recovery));
                 if !self.vc_bufs.is_empty(src) && self.vc_bufs.front_ready_at(src) <= now {
                     debug_assert_eq!(self.vc_bufs.front_packet(src), job.packet);
-                    let mut flit = self.vc_bufs.pop_front(src);
-                    if flit.idx + 1 == self.packets.get(flit.packet).len {
-                        self.set_assign(src, Assign::None);
+                    let view = self.apply_ctx();
+                    let (node, f) = (src / view.fpn, src % view.fpn);
+                    let mut flit = view.vc_bufs.pop_front(src);
+                    if flit.idx + 1 == view.packets.packet(flit.packet).len {
+                        view.set_assign(node, f, Assign::None);
                         job.tail_in = true;
                     }
-                    self.note_vc_popped(src);
+                    let mut full_delta = 0;
+                    view.note_vc_popped(node, f, &mut full_delta);
+                    self.full_buffers = self.full_buffers.wrapping_add_signed(full_delta);
                     flit.ready_at = now + 1;
                     self.dl_bufs.push_back(entry, flit);
                     self.last_progress_at = now;

@@ -33,7 +33,11 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// A Bernoulli source at `load`% per node-cycle, uniform destinations.
-fn source(seed: u64, nodes: usize, load: u64) -> impl FnMut(u64, usize) -> Option<usize> {
+pub(crate) fn source(
+    seed: u64,
+    nodes: usize,
+    load: u64,
+) -> impl FnMut(u64, usize) -> Option<usize> {
     move |now, node| {
         let r = mix(seed ^ mix(now) ^ mix(node as u64).rotate_left(17));
         (r % 100 < load).then(|| {
@@ -45,6 +49,27 @@ fn source(seed: u64, nodes: usize, load: u64) -> impl FnMut(u64, usize) -> Optio
             }
         })
     }
+}
+
+/// The 16-node recovery configuration the crate's unit tests poke at.
+pub(crate) fn small_cfg() -> NetConfig {
+    NetConfig {
+        radix: 4,
+        dimensions: 2,
+        ..NetConfig::small(DeadlockMode::Recovery { timeout: 8 })
+    }
+}
+
+/// A saturated [`small_cfg`] network stopped mid-run, the starvation
+/// machinery and token queue demonstrably hot. Deterministic: every call
+/// builds the same network.
+pub(crate) fn hot_net() -> Network {
+    let mut net = Network::new(small_cfg()).unwrap();
+    net.run(1_500, &mut source(1, 16, 60), &mut NoControl);
+    let report = net.audit();
+    assert!(report.is_clean(), "hot_net is not clean: {report}");
+    assert!(net.packets.live() > 0, "hot_net drained: nothing to poke");
+    net
 }
 
 /// Asserts every future-observable field of the two networks is equal.

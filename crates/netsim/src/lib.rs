@@ -44,6 +44,8 @@
 //! # Ok::<(), wormsim::ConfigError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 mod activity;
 mod audit;
 mod config;
@@ -56,6 +58,9 @@ mod network;
 mod packet;
 mod ring;
 mod routing;
+// The one module allowed `unsafe`: the checked raw cells, the per-shard
+// view constructor and the worker pool's job slot.
+#[allow(unsafe_code)]
 mod shard;
 mod snapshot;
 mod wheel;

@@ -6,12 +6,12 @@ use crate::packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore};
 use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, IdRing};
 use crate::routing::RouteTables;
 use crate::shard::{
-    ApplyCtx, AtomicBits, Job, Pass, PhaseStats, RacySlice, RouteOp, ShardPlan, ShardStage,
-    SharedSlice, SwitchOp, WorkerPool,
+    ApplyCtx, Cells, Pass, PhaseStats, RouteOp, ShardPlan, ShardStage, SwitchOp, WorkerPool,
 };
 use crate::wheel::TimerWheel;
 use faults::{FaultPlan, FaultPlanError};
 use kncube::{Dir, NodeId, Torus};
+use std::sync::atomic::Ordering;
 
 /// Capacity of each per-router Disha deadlock buffer, in flits. Two slots
 /// allow the recovery path to stream at full rate despite the 2-cycle hop
@@ -149,7 +149,7 @@ pub struct Network {
     /// bit `f` of `vc_unrouted[node]` iff `vc_assign` is `None`/`AwaitToken`
     /// (a routing requester), of `vc_switchable[node]` iff
     /// `Out`/`Delivery` (a switch candidate). `Recovery` is in neither.
-    /// Maintained solely by [`Network::set_assign`].
+    /// Maintained solely by [`ApplyCtx::set_assign`].
     pub(crate) vc_unrouted: Vec<u64>,
     /// See [`Network::vc_unrouted`].
     pub(crate) vc_switchable: Vec<u64>,
@@ -168,7 +168,7 @@ pub struct Network {
     pub(crate) srcq_nodes: NodeSet,
     /// Scratch: nodes whose injection was admitted this cycle (rewritten
     /// by `decide_injection` every cycle, never serialized).
-    allow_nodes: NodeSet,
+    pub(crate) allow_nodes: NodeSet,
     /// Starvation-deadline timer wheel (disabled in avoidance mode).
     pub(crate) wheel: TimerWheel,
     /// Test-only: route the starvation stage through the reference full
@@ -279,7 +279,6 @@ impl Network {
     pub fn set_shards(&mut self, shards: usize) {
         let nodes = self.torus.node_count();
         let mut plan = ShardPlan::new(shards, nodes, self.d * self.v, self.d + 1);
-        plan.rebuild_census(&self.vc_full);
         if plan.shards() > 1 {
             plan.pool = Some(WorkerPool::new(plan.shards()));
         }
@@ -508,65 +507,6 @@ impl Network {
         self.d * self.v + 1 // input VCs + injection interface
     }
 
-    /// Marks input VC `idx` (global index) non-empty in the worklist (both
-    /// levels) and updates its full-buffer occupancy bit. Call after
-    /// pushing a flit into its buffer.
-    #[inline]
-    pub(crate) fn note_vc_filled(&mut self, idx: usize) {
-        let fpn = self.d * self.v;
-        let (node, bit) = (idx / fpn, 1u64 << (idx % fpn));
-        self.vc_busy[node] |= bit;
-        self.busy_nodes.insert(node);
-        let full = u64::from(self.vc_bufs.len(idx) >= self.depth);
-        self.vc_full[node] |= full << (idx % fpn);
-        self.full_buffers += full as u32;
-        self.plan.full_count[self.plan.node_shard[node] as usize] += full as u32;
-    }
-
-    /// Clears input VC `idx` from the worklists if its buffer is now empty
-    /// and updates its full-buffer occupancy bit. Call after popping a
-    /// flit from it.
-    #[inline]
-    pub(crate) fn note_vc_popped(&mut self, idx: usize) {
-        let empty = self.vc_bufs.is_empty(idx);
-        let fpn = self.d * self.v;
-        let (node, f) = (idx / fpn, idx % fpn);
-        self.vc_busy[node] &= !(u64::from(empty) << f);
-        if self.vc_busy[node] == 0 {
-            self.busy_nodes.remove(node);
-        }
-        // A pop always leaves the buffer below capacity: clear the
-        // occupancy bit and debit the census by what it previously held.
-        let was_full = self.vc_full[node] >> f & 1;
-        self.vc_full[node] &= !(1u64 << f);
-        self.full_buffers -= was_full as u32;
-        self.plan.full_count[self.plan.node_shard[node] as usize] -= was_full as u32;
-    }
-
-    /// Sets `vc_assign[idx]` while keeping the assignment bit-planes
-    /// (`vc_unrouted`/`vc_switchable`) in sync. Every assignment write in
-    /// the pipeline goes through here.
-    #[inline]
-    pub(crate) fn set_assign(&mut self, idx: usize, a: Assign) {
-        self.vc_assign[idx] = a;
-        let fpn = self.d * self.v;
-        let (node, bit) = (idx / fpn, 1u64 << (idx % fpn));
-        match a {
-            Assign::None | Assign::AwaitToken => {
-                self.vc_unrouted[node] |= bit;
-                self.vc_switchable[node] &= !bit;
-            }
-            Assign::Out { .. } | Assign::Delivery => {
-                self.vc_unrouted[node] &= !bit;
-                self.vc_switchable[node] |= bit;
-            }
-            Assign::Recovery => {
-                self.vc_unrouted[node] &= !bit;
-                self.vc_switchable[node] &= !bit;
-            }
-        }
-    }
-
     /// Rebuilds every derived structure — the node summaries, the
     /// assignment and occupancy bit-planes — from the authoritative state
     /// they summarize. Called after a checkpoint restore, which serializes
@@ -600,77 +540,6 @@ impl Network {
             self.vc_switchable[node] = switchable;
             self.vc_full[node] = full;
         }
-        self.plan.rebuild_census(&self.vc_full);
-    }
-
-    /// Debug-only audit that every derived structure — both worklist
-    /// levels, the occupancy and assignment bit-planes, and the census —
-    /// agrees with the ground truth exactly.
-    #[cfg(debug_assertions)]
-    fn debug_check_worklist(&self) {
-        let fpn = self.d * self.v;
-        let mut census = 0u32;
-        for (node, &mask) in self.vc_busy.iter().enumerate() {
-            for f in 0..fpn {
-                let idx = node * fpn + f;
-                let busy = !self.vc_bufs.is_empty(idx);
-                debug_assert_eq!(
-                    mask >> f & 1 == 1,
-                    busy,
-                    "worklist out of sync at node {node} feeder {f}"
-                );
-                debug_assert_eq!(
-                    self.vc_full[node] >> f & 1 == 1,
-                    self.vc_bufs.len(idx) >= self.depth,
-                    "occupancy plane out of sync at node {node} feeder {f}"
-                );
-                let (unrouted, switchable) = match self.vc_assign[idx] {
-                    Assign::None | Assign::AwaitToken => (true, false),
-                    Assign::Out { .. } | Assign::Delivery => (false, true),
-                    Assign::Recovery => (false, false),
-                };
-                debug_assert_eq!(
-                    self.vc_unrouted[node] >> f & 1 == 1,
-                    unrouted,
-                    "unrouted plane out of sync at node {node} feeder {f}"
-                );
-                debug_assert_eq!(
-                    self.vc_switchable[node] >> f & 1 == 1,
-                    switchable,
-                    "switchable plane out of sync at node {node} feeder {f}"
-                );
-            }
-            census += self.vc_full[node].count_ones();
-            debug_assert_eq!(
-                self.busy_nodes.contains(node),
-                mask != 0,
-                "busy summary out of sync at node {node}"
-            );
-            debug_assert_eq!(
-                self.inj_nodes.contains(node),
-                self.inj[node].active.is_some(),
-                "injection summary out of sync at node {node}"
-            );
-            debug_assert_eq!(
-                self.srcq_nodes.contains(node),
-                !self.source_q.is_empty(node),
-                "source-queue summary out of sync at node {node}"
-            );
-        }
-        debug_assert_eq!(census, self.full_buffers, "census out of sync");
-        for s in 0..self.plan.shards() {
-            let range = &self.vc_full[self.plan.bounds[s]..self.plan.bounds[s + 1]];
-            debug_assert_eq!(
-                range.iter().map(|w| w.count_ones()).sum::<u32>(),
-                self.plan.full_count[s],
-                "shard {s} census out of sync"
-            );
-            let stage = &self.plan.stages[s];
-            debug_assert_eq!(
-                stage.staged_total, stage.applied_total,
-                "shard {s} mailbox out of sync"
-            );
-        }
     }
 
     // ------------------------------------------------------------------
@@ -699,7 +568,12 @@ impl Network {
         }
         self.switch_phase(now);
         #[cfg(debug_assertions)]
-        self.debug_check_worklist();
+        {
+            let mut violations = Vec::new();
+            self.audit_worklists(&mut violations);
+            self.audit_shards(&mut violations);
+            debug_assert!(violations.is_empty(), "{violations:?}");
+        }
         self.now = now + 1;
     }
 
@@ -770,44 +644,10 @@ impl Network {
 
     /// Routing + VC allocation: each router's central arbiter routes at
     /// most one header per cycle, demand-slotted round-robin over
-    /// requesters. Runs as a parallel decide over the shard partition
-    /// followed by a sequential apply barrier (see [`crate::shard`]); with
-    /// one shard the decide runs inline on the caller's thread — the same
-    /// staged code path, so every shard count computes the same function.
+    /// requesters. Runs as a decide over the shard partition followed by
+    /// the staged apply (see [`Network::run_pass`]).
     fn route_phase(&mut self, now: u64) {
-        if self.plan.shards() == 1 {
-            let mut stages = std::mem::take(&mut self.plan.stages);
-            let t0 = self.phase_stats.as_ref().map(|_| std::time::Instant::now());
-            self.route_decide(
-                now,
-                self.plan.bounds[0],
-                self.plan.bounds[1],
-                &mut stages[0],
-            );
-            let t1 = t0.map(|_| std::time::Instant::now());
-            self.apply_route_ops(now, &mut stages[0]);
-            if let (Some(t0), Some(t1)) = (t0, t1) {
-                let st = self.phase_stats.as_mut().expect("timed implies enabled");
-                st.decide_ns += (t1 - t0).as_nanos() as u64;
-                st.apply_ns += t1.elapsed().as_nanos() as u64;
-            }
-            self.plan.stages = stages;
-        } else if !self.idle_route() {
-            self.parallel_phase(now, Pass::Route);
-        }
-    }
-
-    /// Whether no router has anything to arbitrate (skips the thread
-    /// fan-out on idle cycles; one OR per 64 nodes).
-    fn idle_route(&self) -> bool {
-        (0..self.busy_nodes.word_count())
-            .all(|w| (self.busy_nodes.word(w) | self.allow_nodes.word(w)) == 0)
-    }
-
-    /// See [`Network::idle_route`], for the switch phase.
-    fn idle_switch(&self) -> bool {
-        (0..self.busy_nodes.word_count())
-            .all(|w| (self.busy_nodes.word(w) | self.inj_nodes.word(w)) == 0)
+        self.run_pass(now, Pass::Route);
     }
 
     /// The route stage's read-only decide: arbitrates every router in
@@ -815,8 +655,8 @@ impl Network {
     /// run concurrently with other shards' decides: every input it reads
     /// (`out_alloc` claims, `route_rr`, `vc_blocked`, buffer fronts,
     /// `escaped`) is written only by the staged ops of the node that owns
-    /// it, and those writes are deferred to the barrier — so the decision
-    /// for each node is exactly the sequential reference's.
+    /// it, and those writes are deferred to the apply — so the decision
+    /// for each node is the same under every partition.
     pub(crate) fn route_decide(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
         let fpn = self.feeders_per_node();
         let inj_feeder = self.d * self.v;
@@ -824,9 +664,6 @@ impl Network {
             DeadlockMode::Recovery { timeout } => timeout,
             DeadlockMode::Avoidance => u64::MAX,
         };
-        // With one shard nothing is classified (`plan.stages` is taken out
-        // during a parallel pass, so the shard count comes from `bounds`).
-        let split = self.plan.bounds.len() > 2;
         let staged_before = stage.route_ops.len();
         let tail_before = stage.route_tail.len();
         let mut requests: [u16; 64] = [0; 64];
@@ -932,13 +769,8 @@ impl Network {
                             let pid = self.vc_bufs.front_packet(idx);
                             if now.saturating_sub(self.packets.get(pid).last_move) >= timeout {
                                 // Token-queue commits are globally
-                                // FIFO-ordered: a boundary op when sharded.
-                                let op = RouteOp::Suspect { idx: idx as u32 };
-                                if split {
-                                    stage.route_tail.push(op);
-                                } else {
-                                    stage.route_ops.push(op);
-                                }
+                                // FIFO-ordered: a boundary op.
+                                stage.route_tail.push(idx as u32);
                                 continue;
                             }
                         }
@@ -951,38 +783,17 @@ impl Network {
             + (stage.route_tail.len() - tail_before) as u64;
     }
 
-    /// Applies one shard's staged route ops in staging (ascending-node)
-    /// order, and folds its counter deltas into the global counters.
-    fn apply_route_ops(&mut self, now: u64, stage: &mut ShardStage) {
-        let inj_feeder = self.d * self.v;
-        self.counters.stage_route_visits += stage.route_visits;
-        stage.route_visits = 0;
-        stage.applied_total += stage.route_ops.len() as u64;
-        for i in 0..stage.route_ops.len() {
-            match stage.route_ops[i] {
-                RouteOp::Rr { node, cursor } => {
-                    self.route_rr[node as usize] = usize::from(cursor);
-                }
-                RouteOp::Win {
-                    node,
-                    feeder,
-                    assign,
-                } => {
-                    self.apply_route(now, node as usize, usize::from(feeder), assign, inj_feeder);
-                }
-                RouteOp::Blocked { idx } => self.vc_blocked[idx as usize] += 1,
-                RouteOp::Suspect { idx } => self.commit_suspect(idx as usize),
-            }
-        }
-        stage.route_ops.clear();
+    /// Commits a suspected-deadlocked VC to the recovery token queue (what
+    /// the starvation stage does to a header that trips; a staged suspect
+    /// takes the same two steps in [`ApplyCtx::tail`] and
+    /// [`Network::fold_stage`]).
+    fn commit_suspect(&mut self, idx: usize) {
+        self.apply_ctx().suspect(idx);
+        self.enqueue_suspect(idx);
     }
 
-    /// Commits a suspected-deadlocked VC to the recovery token queue (the
-    /// apply of a staged [`RouteOp::Suspect`]; shared between the inline
-    /// single-shard apply and the sharded barrier's sequential tail).
-    fn commit_suspect(&mut self, idx: usize) {
-        self.set_assign(idx, Assign::AwaitToken);
-        self.vc_blocked[idx] = 0;
+    /// The global half of committing a suspect: its token-queue entry.
+    fn enqueue_suspect(&mut self, idx: usize) {
         if !self.vc_queued[idx] {
             self.vc_queued[idx] = true;
             self.token_queue.push_back(0, idx as u32);
@@ -1018,7 +829,7 @@ impl Network {
     ///
     /// Fires the due bucket of the deadline timer wheel ([`TimerWheel`])
     /// instead of scanning every busy VC. Enrollment happens where the
-    /// only trip-enabling transition happens — [`Self::apply_route`]
+    /// only trip-enabling transition happens — [`ApplyCtx::route_win`]
     /// assigning an output VC — and a due entry that no longer satisfies
     /// the predicate is either dropped (header gone: any successor
     /// re-enrolls through routing) or re-parked at the earliest cycle the
@@ -1062,7 +873,7 @@ impl Network {
     /// gone), or re-park at the next cycle the predicate could hold.
     fn recheck_starved_head(&mut self, now: u64, timeout: u64, idx: usize) {
         let Assign::Out { port, vc: ovc } = self.vc_assign[idx] else {
-            return; // header delivered/recovered/demoted: re-enrolls via apply_route
+            return; // header delivered/recovered/demoted: re-enrolls via route_win
         };
         if self.vc_bufs.is_empty(idx) || self.vc_bufs.front_idx(idx) != 0 {
             return; // header already departed on its output VC
@@ -1075,13 +886,7 @@ impl Network {
             let oidx = self.vc_idx(node, usize::from(port), usize::from(ovc));
             debug_assert!(self.out_alloc[oidx]);
             self.out_alloc[oidx] = false;
-            self.set_assign(idx, Assign::AwaitToken);
-            self.vc_blocked[idx] = 0;
-            if !self.vc_queued[idx] {
-                self.vc_queued[idx] = true;
-                self.token_queue.push_back(0, idx as u32);
-            }
-            self.counters.recovery_timeouts += 1;
+            self.commit_suspect(idx);
         } else {
             // The worm progressed (or the header is in flight): the
             // predicate cannot hold before both the staleness window
@@ -1134,159 +939,125 @@ impl Network {
         let oidx = self.vc_idx(node, usize::from(port), usize::from(ovc));
         debug_assert!(self.out_alloc[oidx]);
         self.out_alloc[oidx] = false;
-        self.set_assign(idx, Assign::AwaitToken);
-        self.vc_blocked[idx] = 0;
-        if !self.vc_queued[idx] {
-            self.vc_queued[idx] = true;
-            self.token_queue.push_back(0, idx as u32);
-        }
-        self.counters.recovery_timeouts += 1;
-    }
-
-    /// Performs the allocation tail of a staged routing win: output-VC
-    /// claim, escape marking, and the injection start or VC assignment +
-    /// timer-wheel enrollment. The decision itself (`assign`) was made by
-    /// [`Network::route_decide`] over pre-phase state.
-    fn apply_route(
-        &mut self,
-        now: u64,
-        node: NodeId,
-        feeder: usize,
-        assign: Assign,
-        inj_feeder: usize,
-    ) {
-        let (pid, is_inj) = if feeder == inj_feeder {
-            (self.source_q.front(node), true)
-        } else {
-            let idx = self.vc_idx(node, 0, 0) + feeder;
-            (self.vc_bufs.front_packet(idx), false)
-        };
-        if let Assign::Out { port, vc } = assign {
-            let oidx = self.vc_idx(node, usize::from(port), usize::from(vc));
-            debug_assert!(!self.out_alloc[oidx], "allocating an owned VC");
-            self.out_alloc[oidx] = true;
-            if usize::from(vc) < self.cfg.escape_vcs() {
-                self.escaped[pid as usize] = true;
-                self.counters.escape_allocations += 1;
-            }
-        }
-        if is_inj {
-            let id = self.source_q.pop_front(node);
-            debug_assert_eq!(id, pid);
-            if self.source_q.is_empty(node) {
-                self.srcq_nodes.remove(node);
-            }
-            self.inj_nodes.insert(node);
-            self.inj[node] = InjState {
-                active: Some(id),
-                sent: 0,
-                assign,
-                routed_at: now,
-            };
-        } else {
-            let idx = self.vc_idx(node, 0, 0) + feeder;
-            self.set_assign(idx, assign);
-            self.vc_routed_at[idx] = now;
-            self.vc_blocked[idx] = 0;
-            // An input VC granted an output VC is the only thing the
-            // starvation stage can ever trip on: enroll it in the timer
-            // wheel at the earliest scan cycle the predicate could hold
-            // (the worm must sit motionless for a full timeout first).
-            if matches!(assign, Assign::Out { .. }) {
-                if let DeadlockMode::Recovery { timeout } = self.cfg.deadlock {
-                    let last_move = self.packets.get(pid).last_move;
-                    let d = (last_move + timeout)
-                        .next_multiple_of(timeout)
-                        .max(now.next_multiple_of(timeout));
-                    self.wheel.schedule(idx, d);
-                }
-            }
-        }
+        self.commit_suspect(idx);
     }
 
     /// Switch + link traversal: each output channel (network ports and the
     /// delivery channel) moves at most one flit per cycle, round-robin over
-    /// the input VCs assigned to it. Parallel decide over the shard
-    /// partition, then a sequential apply barrier moving the flits in
-    /// ascending-node order — see [`Network::route_phase`].
+    /// the input VCs assigned to it. Decide over the shard partition, then
+    /// the staged apply — see [`Network::run_pass`].
     fn switch_phase(&mut self, now: u64) {
-        if self.plan.shards() == 1 {
-            let mut stages = std::mem::take(&mut self.plan.stages);
-            let t0 = self.phase_stats.as_ref().map(|_| std::time::Instant::now());
-            self.switch_decide(
-                now,
-                self.plan.bounds[0],
-                self.plan.bounds[1],
-                &mut stages[0],
-            );
-            let t1 = t0.map(|_| std::time::Instant::now());
-            self.apply_switch_ops(now, &mut stages[0]);
-            if let (Some(t0), Some(t1)) = (t0, t1) {
-                let st = self.phase_stats.as_mut().expect("timed implies enabled");
-                st.decide_ns += (t1 - t0).as_nanos() as u64;
-                st.apply_ns += t1.elapsed().as_nanos() as u64;
-            }
-            self.plan.stages = stages;
-        } else if !self.idle_switch() {
-            self.parallel_phase(now, Pass::Switch);
-        }
+        self.run_pass(now, Pass::Switch);
     }
 
-    /// Executes one sharded pass — parallel decide, parallel shard-local
-    /// apply, then the sequential boundary tail — through the persistent
-    /// worker pool. Per-cycle cost beyond the sequential path is a handful
-    /// of atomic ticket operations; no threads are spawned here (see
-    /// [`crate::shard::WorkerPool`]).
-    fn parallel_phase(&mut self, now: u64, kind: Pass) {
-        let mut stages = std::mem::take(&mut self.plan.stages);
-        let mut pool = self
-            .plan
-            .pool
-            .take()
-            .expect("sharded network has a worker pool");
-        let mut stats = self.phase_stats.take();
-        let shards = stages.len();
-        // Every pointer the participants use — the shared decide reads and
-        // the shard-local apply views — derives from this one raw borrow,
-        // so none invalidates another; the pool's decide→apply barrier
-        // keeps reads and writes of any location apart in time.
-        let net: *mut Network = self;
-        let job = Job {
-            kind,
-            net: net.cast_const(),
-            // SAFETY: `net` is this exclusive borrow; the views it hands
-            // out are used only during `pool.run`, which this thread
-            // outwaits.
-            ctx: unsafe { (*net).apply_ctx() },
-            stages: stages.as_mut_ptr(),
-            shards,
-            now,
+    /// Executes one pass: decide per shard, local apply per shard through
+    /// a view of that shard's node range, then the sequential boundary
+    /// tail. With one shard the caller's thread runs decide and apply
+    /// inline over the whole-network view; otherwise the persistent
+    /// worker pool's participants claim them (see
+    /// [`crate::shard::WorkerPool`]) — the same code either way.
+    fn run_pass(&mut self, now: u64, kind: Pass) {
+        // Nothing to do unless some router holds a flit or — to route — an
+        // admitted injection, to switch an active one (one OR per 64 nodes).
+        let also = match kind {
+            Pass::Route => &self.allow_nodes,
+            Pass::Switch => &self.inj_nodes,
         };
-        pool.run(job, stats.as_deref_mut());
-        // Sequential barrier tail in ascending shard (= ascending node)
-        // order: fold each shard's counter deltas, then apply its boundary
-        // ops — which reproduces the reference's global ascending-node
-        // order for the FIFO-ordered structures at any shard count.
-        let t0 = stats.as_ref().map(|_| std::time::Instant::now());
-        for (s, stage) in stages.iter_mut().enumerate() {
-            match kind {
-                Pass::Route => self.fold_route_stage(stage),
-                Pass::Switch => self.fold_switch_stage(now, s, stage),
+        if (0..also.word_count()).all(|w| (self.busy_nodes.word(w) | also.word(w)) == 0) {
+            return;
+        }
+        let mut stages = std::mem::take(&mut self.plan.stages);
+        let mut stats = self.phase_stats.take();
+        let pooled = if let Some(mut pool) = self.plan.pool.take() {
+            pool.run(self, kind, now, &mut stages, stats.as_deref_mut());
+            self.plan.pool = Some(pool);
+            true
+        } else {
+            let t0 = stats.as_ref().map(|_| std::time::Instant::now());
+            self.decide(kind, now, 0, self.torus.node_count(), &mut stages[0]);
+            if let (Some(st), Some(t0)) = (stats.as_deref_mut(), t0) {
+                st.decide_ns += t0.elapsed().as_nanos() as u64;
             }
+            false
+        };
+        // Sequential from here, in ascending shard (= ascending node)
+        // order — which visits the FIFO-ordered structures in global
+        // ascending-node order at any shard count: the view half of the
+        // boundary ops (after the one shard's local apply, if no pool ran
+        // it), then the global half and the deltas.
+        let t0 = stats.as_ref().map(|_| std::time::Instant::now());
+        if stages.iter().any(ShardStage::has_ops) {
+            let view = self.apply_ctx();
+            for stage in &mut stages {
+                if !pooled {
+                    view.apply(kind, now, stage);
+                }
+                view.tail(kind, now, stage);
+            }
+        }
+        for stage in &mut stages {
+            self.fold_stage(kind, now, stage);
         }
         if let (Some(st), Some(t0)) = (stats.as_deref_mut(), t0) {
             st.apply_ns += t0.elapsed().as_nanos() as u64;
         }
         self.phase_stats = stats;
         self.plan.stages = stages;
-        self.plan.pool = Some(pool);
     }
 
-    /// Builds the raw apply views over this network's state (valid until
-    /// any of the underlying storage moves or reallocates — i.e. for the
-    /// current pass only; `generate` may grow `packets`/`escaped` between
-    /// cycles, so the context is rebuilt per dispatch).
-    fn apply_ctx(&mut self) -> ApplyCtx {
+    /// Folds one shard's results of a pass once its ops are applied: the
+    /// deltas to global scalars, and the global half of its boundary ops —
+    /// suspects join the token queue, delivered flits are consumed — in
+    /// staging order.
+    pub(crate) fn fold_stage(&mut self, kind: Pass, now: u64, stage: &mut ShardStage) {
+        match kind {
+            Pass::Route => {
+                let c = &mut self.counters;
+                c.stage_route_visits += std::mem::take(&mut stage.route_visits);
+                c.escape_allocations += std::mem::take(&mut stage.escape_allocs);
+                for idx in stage.route_tail.drain(..) {
+                    self.enqueue_suspect(idx as usize);
+                }
+            }
+            Pass::Switch => {
+                let c = &mut self.counters;
+                c.stage_switch_visits += std::mem::take(&mut stage.switch_visits);
+                c.hotspot_stall_cycles += std::mem::take(&mut stage.hotspot_stalls);
+                c.link_stall_cycles += std::mem::take(&mut stage.link_stalls);
+                c.injected_packets += std::mem::take(&mut stage.injected);
+                let full_delta = std::mem::take(&mut stage.full_delta);
+                self.full_buffers = self.full_buffers.wrapping_add_signed(full_delta);
+                if std::mem::take(&mut stage.progressed) {
+                    self.last_progress_at = now;
+                }
+                for flit in stage.delivered.drain(..) {
+                    self.deliver_flit(now, flit, false);
+                }
+            }
+        }
+    }
+
+    /// One shard's decide of `kind` over the nodes `lo..hi`.
+    pub(crate) fn decide(
+        &self,
+        kind: Pass,
+        now: u64,
+        lo: usize,
+        hi: usize,
+        stage: &mut ShardStage,
+    ) {
+        match kind {
+            Pass::Route => self.route_decide(now, lo, hi, stage),
+            Pass::Switch => self.switch_decide(now, lo, hi, stage),
+        }
+    }
+
+    /// The whole-network apply view. The exclusive borrow is what makes it
+    /// safe: nothing else can touch the state while the view lives.
+    /// (Rebuilt per use — `generate` may grow `packets`/`escaped` between
+    /// cycles.)
+    #[inline]
+    pub(crate) fn apply_ctx(&mut self) -> ApplyCtx<'_> {
         let recovery_timeout = match self.cfg.deadlock {
             DeadlockMode::Recovery { timeout } => timeout,
             DeadlockMode::Avoidance => 0,
@@ -1300,76 +1071,27 @@ impl Network {
             escape_vcs: self.cfg.escape_vcs(),
             hop_latency: self.cfg.hop_latency,
             recovery_timeout,
-            route_rr: RacySlice::new(&mut self.route_rr),
-            out_rr: RacySlice::new(&mut self.out_rr),
-            vc_assign: RacySlice::new(&mut self.vc_assign),
-            vc_routed_at: RacySlice::new(&mut self.vc_routed_at),
-            vc_blocked: RacySlice::new(&mut self.vc_blocked),
-            out_alloc: RacySlice::new(&mut self.out_alloc),
-            inj: RacySlice::new(&mut self.inj),
-            escaped: RacySlice::new(&mut self.escaped),
-            vc_busy: RacySlice::new(&mut self.vc_busy),
-            vc_unrouted: RacySlice::new(&mut self.vc_unrouted),
-            vc_switchable: RacySlice::new(&mut self.vc_switchable),
-            vc_full: RacySlice::new(&mut self.vc_full),
-            busy_nodes: AtomicBits::new(self.busy_nodes.words_mut()),
-            inj_nodes: AtomicBits::new(self.inj_nodes.words_mut()),
-            srcq_nodes: AtomicBits::new(self.srcq_nodes.words_mut()),
+            route_rr: Cells::new(&mut self.route_rr),
+            out_rr: Cells::new(&mut self.out_rr),
+            vc_assign: Cells::new(&mut self.vc_assign),
+            vc_routed_at: Cells::new(&mut self.vc_routed_at),
+            vc_blocked: Cells::new(&mut self.vc_blocked),
+            out_alloc: Cells::new(&mut self.out_alloc),
+            inj: Cells::new(&mut self.inj),
+            escaped: Cells::new(&mut self.escaped),
+            vc_busy: Cells::new(&mut self.vc_busy),
+            vc_unrouted: Cells::new(&mut self.vc_unrouted),
+            vc_switchable: Cells::new(&mut self.vc_switchable),
+            vc_full: Cells::new(&mut self.vc_full),
+            busy_nodes: Cells::new(self.busy_nodes.words_mut()),
+            inj_nodes: Cells::new(self.inj_nodes.words_mut()),
+            srcq_nodes: Cells::new(self.srcq_nodes.words_mut()),
             vc_bufs: self.vc_bufs.view(),
             source_q: self.source_q.view(),
             packets: self.packets.view(),
             wheel: self.wheel.view(),
-            downstream: SharedSlice::new(self.tables.downstream_raw()),
+            downstream: self.tables.downstream_raw(),
         }
-    }
-
-    /// Folds one shard's route-pass results after the parallel barrier:
-    /// counter deltas, then the boundary ops (recovery suspects, globally
-    /// FIFO-ordered through the token queue).
-    fn fold_route_stage(&mut self, stage: &mut ShardStage) {
-        self.counters.stage_route_visits += stage.route_visits;
-        self.counters.escape_allocations += stage.escape_allocs;
-        stage.route_visits = 0;
-        stage.escape_allocs = 0;
-        stage.applied_total += stage.route_tail.len() as u64;
-        for i in 0..stage.route_tail.len() {
-            let RouteOp::Suspect { idx } = stage.route_tail[i] else {
-                unreachable!("route boundary ops are suspects")
-            };
-            self.commit_suspect(idx as usize);
-        }
-        stage.route_tail.clear();
-    }
-
-    /// Folds one shard's switch-pass results after the parallel barrier:
-    /// counter and census deltas, then the boundary ops (deliveries and
-    /// cross-shard handoffs) through the ordinary sequential move path.
-    fn fold_switch_stage(&mut self, now: u64, s: usize, stage: &mut ShardStage) {
-        let inj_feeder = self.d * self.v;
-        let nports = self.d + 1;
-        self.counters.stage_switch_visits += stage.switch_visits;
-        self.counters.hotspot_stall_cycles += stage.hotspot_stalls;
-        self.counters.link_stall_cycles += stage.link_stalls;
-        self.counters.injected_packets += stage.injected;
-        stage.switch_visits = 0;
-        stage.hotspot_stalls = 0;
-        stage.link_stalls = 0;
-        stage.injected = 0;
-        self.full_buffers = self.full_buffers.wrapping_add_signed(stage.full_delta);
-        self.plan.full_count[s] = self.plan.full_count[s].wrapping_add_signed(stage.full_delta);
-        stage.full_delta = 0;
-        if stage.progressed {
-            self.last_progress_at = now;
-            stage.progressed = false;
-        }
-        stage.applied_total += stage.switch_tail.len() as u64;
-        for i in 0..stage.switch_tail.len() {
-            let SwitchOp { node, port, pick } = stage.switch_tail[i];
-            let (node, port, pick) = (node as usize, usize::from(port), usize::from(pick));
-            self.out_rr[node * nports + port] = pick + 1;
-            self.move_flit(now, node, pick, inj_feeder);
-        }
-        stage.switch_tail.clear();
     }
 
     /// The switch stage's read-only decide over `lo..hi`. Every per-port
@@ -1384,7 +1106,7 @@ impl Network {
     /// below capacity pre-phase still has room at apply time.
     pub(crate) fn switch_decide(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
         let inj_feeder = self.d * self.v;
-        let split = self.plan.bounds.len() > 2; // see route_decide
+        let own_vcs = lo * inj_feeder..hi * inj_feeder;
         let nports = self.d + 1; // network ports + delivery
                                  // Per-port candidate buckets, hoisted out of the node loop: zeroing
                                  // ~2 KiB per node per cycle dominated idle-router cost. Only
@@ -1410,6 +1132,9 @@ impl Network {
                 // intersection prunes unrouted and recovering worms before
                 // any per-VC state is touched.
                 counts[..nports].fill(0);
+                // Feeders whose move is local: an `Out` hop into an input
+                // VC of this shard's own node range.
+                let mut local = 0u64;
                 let base = self.vc_idx(node, 0, 0);
                 let mut mask = self.vc_busy[node] & self.vc_switchable[node];
                 while mask != 0 {
@@ -1432,6 +1157,7 @@ impl Network {
                         if self.vc_bufs.len(didx) >= self.depth {
                             continue; // no credit
                         }
+                        local |= u64::from(own_vcs.contains(&didx)) << f;
                     }
                     buckets[port][counts[port]] = f as u16;
                     counts[port] += 1;
@@ -1450,6 +1176,7 @@ impl Network {
                             Assign::Out { port, vc } => {
                                 let didx =
                                     self.downstream_idx(node, usize::from(port), usize::from(vc));
+                                local |= u64::from(own_vcs.contains(&didx)) << inj_feeder;
                                 self.vc_bufs.len(didx) < self.depth
                             }
                             _ => true,
@@ -1496,126 +1223,16 @@ impl Network {
                     // parallel phase; deliveries (globally FIFO-ordered
                     // records and packet releases) and cross-shard
                     // handoffs defer to the sequential tail.
-                    if split && !self.switch_op_is_local(&op, lo, hi, inj_feeder) {
-                        stage.switch_tail.push(op);
-                    } else {
+                    if local >> pick & 1 == 1 {
                         stage.switch_ops.push(op);
+                    } else {
+                        stage.switch_tail.push(op);
                     }
                 }
             }
         }
         stage.staged_total += (stage.switch_ops.len() - staged_before) as u64
             + (stage.switch_tail.len() - tail_before) as u64;
-    }
-
-    /// Whether a staged switch move writes only state of nodes in
-    /// `lo..hi` — i.e. it is an `Out` hop whose downstream input VC
-    /// belongs to a node of the staging shard. (The source node is in
-    /// range by construction; delivery moves touch the global delivery
-    /// ring and packet store, so they are never local.)
-    fn switch_op_is_local(&self, op: &SwitchOp, lo: usize, hi: usize, inj_feeder: usize) -> bool {
-        let (node, pick) = (op.node as usize, usize::from(op.pick));
-        let assign = if pick == inj_feeder {
-            self.inj[node].assign
-        } else {
-            self.vc_assign[self.vc_idx(node, 0, 0) + pick]
-        };
-        match assign {
-            Assign::Out { port, vc } => {
-                let didx = self.downstream_idx(node, usize::from(port), usize::from(vc));
-                (lo..hi).contains(&(didx / (self.d * self.v)))
-            }
-            Assign::Delivery => false,
-            Assign::None | Assign::AwaitToken | Assign::Recovery => {
-                unreachable!("staged move from unassigned feeder")
-            }
-        }
-    }
-
-    /// Applies one shard's staged switch ops in staging order: bumps the
-    /// output channel's round-robin cursor and moves the flit.
-    fn apply_switch_ops(&mut self, now: u64, stage: &mut ShardStage) {
-        let inj_feeder = self.d * self.v;
-        let nports = self.d + 1;
-        self.counters.stage_switch_visits += stage.switch_visits;
-        self.counters.hotspot_stall_cycles += stage.hotspot_stalls;
-        self.counters.link_stall_cycles += stage.link_stalls;
-        stage.switch_visits = 0;
-        stage.hotspot_stalls = 0;
-        stage.link_stalls = 0;
-        stage.applied_total += stage.switch_ops.len() as u64;
-        for i in 0..stage.switch_ops.len() {
-            let SwitchOp { node, port, pick } = stage.switch_ops[i];
-            let (node, port, pick) = (node as usize, usize::from(port), usize::from(pick));
-            self.out_rr[node * nports + port] = pick + 1;
-            self.move_flit(now, node, pick, inj_feeder);
-        }
-        stage.switch_ops.clear();
-    }
-
-    /// Moves one flit from feeder `f` of `node` along its assignment.
-    fn move_flit(&mut self, now: u64, node: NodeId, f: usize, inj_feeder: usize) {
-        let (flit, assign, is_tail) = if f == inj_feeder {
-            let inj = &mut self.inj[node];
-            let pid = inj.active.expect("injection feeder has active packet");
-            let idx = inj.sent;
-            inj.sent += 1;
-            let len = self.packets.get(pid).len;
-            let is_tail = inj.sent == len;
-            if idx == 0 {
-                self.packets.get_mut(pid).injected_at = now;
-                self.counters.injected_packets += 1;
-            }
-            let assign = inj.assign;
-            if is_tail {
-                self.inj[node] = InjState::idle();
-                self.inj_nodes.remove(node);
-            }
-            (
-                Flit {
-                    packet: pid,
-                    idx,
-                    ready_at: now,
-                },
-                assign,
-                is_tail,
-            )
-        } else {
-            let idx = self.vc_idx(node, 0, 0) + f;
-            let flit = self.vc_bufs.pop_front(idx);
-            let assign = self.vc_assign[idx];
-            let is_tail = flit.idx + 1 == self.packets.get(flit.packet).len;
-            if is_tail {
-                self.set_assign(idx, Assign::None);
-            }
-            self.note_vc_popped(idx);
-            (flit, assign, is_tail)
-        };
-
-        self.packets.get_mut(flit.packet).last_move = now;
-        self.last_progress_at = now;
-        match assign {
-            Assign::Out { port, vc } => {
-                let oidx = self.vc_idx(node, usize::from(port), usize::from(vc));
-                let didx = self.tables.downstream(oidx);
-                if is_tail {
-                    debug_assert!(self.out_alloc[oidx]);
-                    self.out_alloc[oidx] = false;
-                }
-                self.vc_bufs.push_back(
-                    didx,
-                    Flit {
-                        ready_at: now + self.cfg.hop_latency,
-                        ..flit
-                    },
-                );
-                self.note_vc_filled(didx);
-            }
-            Assign::Delivery => self.deliver_flit(now, flit, false),
-            Assign::None | Assign::AwaitToken | Assign::Recovery => {
-                unreachable!("move_flit called on unassigned feeder")
-            }
-        }
     }
 
     /// Whether a fault plan currently stalls `node`'s delivery channel
@@ -1654,6 +1271,282 @@ impl Network {
             self.counters.recovered_packets += u64::from(via_recovery);
             self.packets.release(flit.packet);
         }
+    }
+}
+
+/// The route/switch state transition, written once over the checked view:
+/// a pool participant runs it on its shard's node range, the caller's
+/// thread on the whole network (the single-shard apply, the boundary tail,
+/// the starvation and recovery stages). Every write lands inside the
+/// view's range or panics.
+impl ApplyCtx<'_> {
+    /// Sets the assignment of input VC `f` of `node` while keeping the
+    /// assignment bit-planes (`vc_unrouted`/`vc_switchable`) in sync. Every
+    /// assignment write in the pipeline goes through here.
+    #[inline]
+    pub(crate) fn set_assign(&self, node: NodeId, f: usize, a: Assign) {
+        self.vc_assign.set(node * self.fpn + f, a);
+        let bit = 1u64 << f;
+        let (unrouted, switchable) = (self.vc_unrouted.get(node), self.vc_switchable.get(node));
+        let (unrouted, switchable) = match a {
+            Assign::None | Assign::AwaitToken => (unrouted | bit, switchable & !bit),
+            Assign::Out { .. } | Assign::Delivery => (unrouted & !bit, switchable | bit),
+            Assign::Recovery => (unrouted & !bit, switchable & !bit),
+        };
+        self.vc_unrouted.set(node, unrouted);
+        self.vc_switchable.set(node, switchable);
+    }
+
+    /// Marks input VC `f` of `node` non-empty in the worklist (both
+    /// levels) and updates its full-buffer occupancy bit, crediting the
+    /// census through `full_delta`. Call after pushing a flit into its
+    /// buffer.
+    #[inline]
+    pub(crate) fn note_vc_filled(&self, node: NodeId, f: usize, full_delta: &mut i32) {
+        self.vc_busy.set(node, self.vc_busy.get(node) | 1u64 << f);
+        self.busy_nodes.insert_bit(node);
+        let full = u64::from(self.vc_bufs.len(node * self.fpn + f) >= self.depth);
+        self.vc_full.set(node, self.vc_full.get(node) | full << f);
+        *full_delta += full as i32;
+    }
+
+    /// Clears input VC `f` of `node` from the worklists if its buffer is
+    /// now empty and updates its full-buffer occupancy bit. Call after
+    /// popping a flit from it.
+    #[inline]
+    pub(crate) fn note_vc_popped(&self, node: NodeId, f: usize, full_delta: &mut i32) {
+        let empty = self.vc_bufs.len(node * self.fpn + f) == 0;
+        let busy = self.vc_busy.get(node) & !(u64::from(empty) << f);
+        self.vc_busy.set(node, busy);
+        if busy == 0 {
+            self.busy_nodes.remove_bit(node);
+        }
+        // A pop always leaves the buffer below capacity: clear the
+        // occupancy bit and debit the census by what it previously held.
+        let full = self.vc_full.get(node);
+        self.vc_full.set(node, full & !(1u64 << f));
+        *full_delta -= (full >> f & 1) as i32;
+    }
+
+    /// Applies one shard's local ops of `kind` in staging (ascending-node)
+    /// order.
+    pub(crate) fn apply(&self, kind: Pass, now: u64, stage: &mut ShardStage) {
+        match kind {
+            Pass::Route => {
+                stage.applied_total += stage.route_ops.len() as u64;
+                for i in 0..stage.route_ops.len() {
+                    match stage.route_ops[i] {
+                        RouteOp::Rr { node, cursor } => {
+                            self.route_rr.set(node as usize, usize::from(cursor));
+                        }
+                        RouteOp::Win {
+                            node,
+                            feeder,
+                            assign,
+                        } => self.route_win(now, node as usize, usize::from(feeder), assign, stage),
+                        RouteOp::Blocked { idx } => {
+                            let idx = idx as usize;
+                            self.vc_blocked.set(idx, self.vc_blocked.get(idx) + 1);
+                        }
+                    }
+                }
+                stage.route_ops.clear();
+            }
+            Pass::Switch => {
+                stage.applied_total += stage.switch_ops.len() as u64;
+                for i in 0..stage.switch_ops.len() {
+                    let (flit, dest) = self.take(now, stage.switch_ops[i], stage);
+                    let didx = dest.expect("deliveries are boundary ops");
+                    self.put(now, didx, flit, &mut stage.full_delta);
+                }
+                stage.switch_ops.clear();
+            }
+        }
+    }
+
+    /// The view half of one shard's boundary ops, in staging order:
+    /// suspects lose their assignment; cross-shard handoffs move, and the
+    /// flits of delivery moves are taken and set aside. The global half is
+    /// [`Network::fold_stage`]'s.
+    pub(crate) fn tail(&self, kind: Pass, now: u64, stage: &mut ShardStage) {
+        match kind {
+            Pass::Route => {
+                stage.applied_total += stage.route_tail.len() as u64;
+                for &idx in &stage.route_tail {
+                    self.suspect(idx as usize);
+                }
+            }
+            Pass::Switch => {
+                stage.applied_total += stage.switch_tail.len() as u64;
+                for i in 0..stage.switch_tail.len() {
+                    let (flit, dest) = self.take(now, stage.switch_tail[i], stage);
+                    match dest {
+                        Some(didx) => self.put(now, didx, flit, &mut stage.full_delta),
+                        None => stage.delivered.push(flit),
+                    }
+                }
+                stage.switch_tail.clear();
+            }
+        }
+    }
+
+    /// The view half of committing a suspected-deadlocked VC to recovery:
+    /// it waits for the token, its blocked count restarts.
+    pub(crate) fn suspect(&self, idx: usize) {
+        self.set_assign(idx / self.fpn, idx % self.fpn, Assign::AwaitToken);
+        self.vc_blocked.set(idx, 0);
+    }
+
+    /// Performs the allocation tail of a staged routing win: output-VC
+    /// claim, escape marking, and the injection start or VC assignment +
+    /// timer-wheel enrollment. The decision itself (`assign`) was made by
+    /// [`Network::route_decide`] over pre-phase state.
+    fn route_win(
+        &self,
+        now: u64,
+        node: NodeId,
+        feeder: usize,
+        assign: Assign,
+        stage: &mut ShardStage,
+    ) {
+        let idx = node * self.fpn + feeder;
+        let is_inj = feeder == self.fpn;
+        let pid = if is_inj {
+            self.source_q.front(node)
+        } else {
+            self.vc_bufs.front_packet(idx)
+        };
+        if let Assign::Out { port, vc } = assign {
+            let oidx = (node * self.d + usize::from(port)) * self.v + usize::from(vc);
+            debug_assert!(!self.out_alloc.get(oidx), "allocating an owned VC");
+            self.out_alloc.set(oidx, true);
+            if usize::from(vc) < self.escape_vcs {
+                // At most one routing win per packet per cycle.
+                self.escaped
+                    .atomic(pid as usize)
+                    .store(true, Ordering::Relaxed);
+                stage.escape_allocs += 1;
+            }
+        }
+        if is_inj {
+            let id = self.source_q.pop_front(node);
+            debug_assert_eq!(id, pid);
+            if self.source_q.is_empty(node) {
+                self.srcq_nodes.remove_bit(node);
+            }
+            self.inj_nodes.insert_bit(node);
+            self.inj.set(
+                node,
+                InjState {
+                    active: Some(id),
+                    sent: 0,
+                    assign,
+                    routed_at: now,
+                },
+            );
+        } else {
+            self.set_assign(node, feeder, assign);
+            self.vc_routed_at.set(idx, now);
+            self.vc_blocked.set(idx, 0);
+            // An input VC granted an output VC is the only thing the
+            // starvation stage can ever trip on: enroll it in the timer
+            // wheel at the earliest scan cycle the predicate could hold
+            // (the worm must sit motionless for a full timeout first).
+            if matches!(assign, Assign::Out { .. }) && self.recovery_timeout > 0 {
+                let timeout = self.recovery_timeout;
+                let last_move = self.packets.packet(pid).last_move.load(Ordering::Relaxed);
+                let d = (last_move + timeout)
+                    .next_multiple_of(timeout)
+                    .max(now.next_multiple_of(timeout));
+                self.wheel.schedule(idx, d);
+            }
+        }
+    }
+
+    /// The source half of a staged flit move: bumps the output channel's
+    /// round-robin cursor, takes the flit off feeder `pick` of `node`
+    /// (releasing the feeder's assignment and output VC behind a tail) and
+    /// stamps the packet. Returns the flit and the downstream input VC it
+    /// is headed for — `None` for the delivery channel. Everything written
+    /// is state of `node`.
+    pub(crate) fn take(
+        &self,
+        now: u64,
+        op: SwitchOp,
+        stage: &mut ShardStage,
+    ) -> (Flit, Option<usize>) {
+        let (node, f) = (op.node as usize, usize::from(op.pick));
+        self.out_rr
+            .set(node * self.nports + usize::from(op.port), f + 1);
+        let (flit, assign, is_tail) = if f == self.fpn {
+            let mut inj = self.inj.get(node);
+            let pid = inj.active.expect("injection feeder has active packet");
+            let packet = self.packets.packet(pid);
+            let idx = inj.sent;
+            inj.sent += 1;
+            let is_tail = inj.sent == packet.len;
+            if idx == 0 {
+                packet.injected_at.store(now, Ordering::Relaxed);
+                stage.injected += 1;
+            }
+            let assign = inj.assign;
+            if is_tail {
+                inj = InjState::idle();
+                self.inj_nodes.remove_bit(node);
+            }
+            self.inj.set(node, inj);
+            (
+                Flit {
+                    packet: pid,
+                    idx,
+                    ready_at: now,
+                },
+                assign,
+                is_tail,
+            )
+        } else {
+            let idx = node * self.fpn + f;
+            let flit = self.vc_bufs.pop_front(idx);
+            let assign = self.vc_assign.get(idx);
+            let is_tail = flit.idx + 1 == self.packets.packet(flit.packet).len;
+            if is_tail {
+                self.set_assign(node, f, Assign::None);
+            }
+            self.note_vc_popped(node, f, &mut stage.full_delta);
+            (flit, assign, is_tail)
+        };
+        self.packets
+            .packet(flit.packet)
+            .last_move
+            .store(now, Ordering::Relaxed);
+        stage.progressed = true;
+        match assign {
+            Assign::Out { port, vc } => {
+                let oidx = (node * self.d + usize::from(port)) * self.v + usize::from(vc);
+                if is_tail {
+                    debug_assert!(self.out_alloc.get(oidx));
+                    self.out_alloc.set(oidx, false);
+                }
+                (flit, Some(self.downstream[oidx] as usize))
+            }
+            Assign::Delivery => (flit, None),
+            Assign::None | Assign::AwaitToken | Assign::Recovery => {
+                unreachable!("staged move from unassigned feeder")
+            }
+        }
+    }
+
+    /// The downstream half of a flit move: `flit` arrives in input VC
+    /// `didx` one hop latency from `now`.
+    pub(crate) fn put(&self, now: u64, didx: usize, flit: Flit, full_delta: &mut i32) {
+        self.vc_bufs.push_back(
+            didx,
+            Flit {
+                ready_at: now + self.hop_latency,
+                ..flit
+            },
+        );
+        self.note_vc_filled(didx / self.fpn, didx % self.fpn, full_delta);
     }
 }
 

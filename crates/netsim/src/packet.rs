@@ -1,3 +1,6 @@
+use std::sync::atomic::AtomicU64;
+
+use crate::shard::Cells;
 use kncube::NodeId;
 
 /// Identifier of an in-flight packet (an index into the packet store; slots
@@ -136,13 +139,11 @@ impl PacketStore {
         &self.free
     }
 
-    /// Raw shared-mutable view over the slot array for the parallel
-    /// shard-local apply (see [`PacketsView`] for the field-level rules).
-    pub(crate) fn view(&mut self) -> PacketsView {
-        PacketsView {
-            slots: self.slots.as_mut_ptr(),
-            len: self.slots.len(),
-        }
+    /// The slot array as checked cells, for the apply views
+    /// ([`crate::shard::ApplyCtx`]), which reach a packet only through
+    /// [`Cells::packet`].
+    pub(crate) fn view(&mut self) -> Cells<'_, PacketInfo> {
+        Cells::new(&mut self.slots)
     }
 
     /// Serializes the whole store — live slots, recycled slots and the free
@@ -208,63 +209,19 @@ impl PacketStore {
     }
 }
 
-/// Raw view into a [`PacketStore`]'s slot array for the parallel
-/// shard-local apply.
-///
-/// # Safety contract (per field)
-///
-/// * `len` / `dst` — immutable during a cycle (written only at `alloc`,
-///   which runs sequentially): plain reads are race-free.
-/// * `injected_at` — written exactly once, by the op of the packet's
-///   unique source node: plain write.
-/// * `last_move` — several flits of one worm can move at different
-///   routers (different shards) in the same cycle, all stamping the same
-///   current cycle: written with an atomic store so the benign same-value
-///   race is defined behavior.
-/// * everything else is off-limits to the parallel phase (delivery and
-///   release are boundary ops, applied sequentially).
+/// What a route/switch pass may touch of one in-flight packet (built by
+/// [`Cells::packet`]): its immutable length and its two stamps. Delivery
+/// accounting and release are boundary work, done sequentially through
+/// [`PacketStore`] itself.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PacketsView {
-    slots: *mut PacketInfo,
-    len: usize,
-}
-
-// SAFETY: see the field-level contract above.
-unsafe impl Send for PacketsView {}
-unsafe impl Sync for PacketsView {}
-
-impl PacketsView {
-    /// Packet length in flits (immutable during a cycle).
-    #[inline]
-    pub(crate) unsafe fn len_of(&self, id: PacketId) -> u16 {
-        debug_assert!((id as usize) < self.len);
-        (*self.slots.add(id as usize)).len
-    }
-
-    /// `last_move`, plainly — sound only in the route phase, where no
-    /// concurrent writer exists (flits move in the switch phase).
-    #[inline]
-    pub(crate) unsafe fn last_move_plain(&self, id: PacketId) -> u64 {
-        debug_assert!((id as usize) < self.len);
-        (*self.slots.add(id as usize)).last_move
-    }
-
-    /// Stamps `last_move = now` atomically (same-value stores from
-    /// multiple shards are expected; see the struct docs).
-    #[inline]
-    pub(crate) unsafe fn set_last_move(&self, id: PacketId, now: u64) {
-        debug_assert!((id as usize) < self.len);
-        let field = &raw mut (*self.slots.add(id as usize)).last_move;
-        std::sync::atomic::AtomicU64::from_ptr(field)
-            .store(now, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Stamps the injection cycle (unique writer: the source node's op).
-    #[inline]
-    pub(crate) unsafe fn set_injected_at(&self, id: PacketId, now: u64) {
-        debug_assert!((id as usize) < self.len);
-        (*self.slots.add(id as usize)).injected_at = now;
-    }
+pub(crate) struct PacketCell<'a> {
+    /// [`PacketInfo::len`].
+    pub len: u16,
+    /// [`PacketInfo::last_move`]. Several flits of one worm can move at
+    /// routers of different shards in one cycle, all storing that cycle.
+    pub last_move: &'a AtomicU64,
+    /// [`PacketInfo::injected_at`], stored once, by the source node's op.
+    pub injected_at: &'a AtomicU64,
 }
 
 #[cfg(test)]

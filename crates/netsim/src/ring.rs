@@ -23,6 +23,19 @@
 //! `VecDeque`s they replaced, so simulation results are bit-identical.
 
 use crate::packet::{DeliveredRecord, Flit, PacketId};
+use crate::shard::Cells;
+
+/// Position `i` past `head` in a circular buffer of `cap` slots
+/// (`head < cap`, `i <= cap`).
+#[inline]
+fn wrap(cap: u32, head: u32, i: u32) -> u32 {
+    let pos = head + i;
+    if pos >= cap {
+        pos - cap
+    } else {
+        pos
+    }
+}
 
 /// Structure-of-arrays arena of `rings` fixed-capacity flit FIFOs.
 #[derive(Debug, Clone)]
@@ -54,11 +67,7 @@ impl FlitRings {
     #[inline]
     fn slot(&self, r: usize, i: u32) -> usize {
         debug_assert!(i < self.len[r], "ring position out of range");
-        let mut pos = self.head[r] + i;
-        if pos >= self.cap {
-            pos -= self.cap;
-        }
-        r * self.cap as usize + pos as usize
+        r * self.cap as usize + wrap(self.cap, self.head[r], i) as usize
     }
 
     /// Number of flits currently in ring `r`.
@@ -72,7 +81,7 @@ impl FlitRings {
         self.len[r] == 0
     }
 
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn is_full(&self, r: usize) -> bool {
         self.len[r] == self.cap
     }
@@ -120,30 +129,13 @@ impl FlitRings {
     /// before pushing, exactly as they did with the bounded `VecDeque`s.
     #[inline]
     pub(crate) fn push_back(&mut self, r: usize, f: Flit) {
-        debug_assert!(!self.is_full(r), "flit ring overflow");
-        let mut pos = self.head[r] + self.len[r];
-        if pos >= self.cap {
-            pos -= self.cap;
-        }
-        let s = r * self.cap as usize + pos as usize;
-        self.packet[s] = f.packet;
-        self.idx[s] = f.idx;
-        self.ready[s] = f.ready_at;
-        self.len[r] += 1;
+        self.view().push_back(r, f);
     }
 
     /// Removes and returns the front flit of ring `r`.
     #[inline]
     pub(crate) fn pop_front(&mut self, r: usize) -> Flit {
-        debug_assert!(self.len[r] != 0, "pop from empty flit ring");
-        let f = self.get(r, 0);
-        let mut h = self.head[r] + 1;
-        if h >= self.cap {
-            h = 0;
-        }
-        self.head[r] = h;
-        self.len[r] -= 1;
-        f
+        self.view().pop_front(r)
     }
 
     /// Empties ring `r`, resetting its head to slot 0.
@@ -153,108 +145,92 @@ impl FlitRings {
         self.len[r] = 0;
     }
 
-    /// Raw shared-mutable view over the arena for the parallel shard-local
-    /// apply ([`crate::shard::ApplyCtx`]). Valid while the arena is neither
-    /// moved nor reallocated; see [`FlitRingsView`] for the aliasing rule.
-    pub(crate) fn view(&mut self) -> FlitRingsView {
+    /// The arena as checked cells owning every ring — what the mutators
+    /// above and the apply views ([`crate::shard::ApplyCtx`]) write through.
+    #[inline]
+    pub(crate) fn view(&mut self) -> FlitRingsView<'_> {
         FlitRingsView {
             cap: self.cap,
-            rings: self.head.len(),
-            head: self.head.as_mut_ptr(),
-            len: self.len.as_mut_ptr(),
-            packet: self.packet.as_mut_ptr(),
-            idx: self.idx.as_mut_ptr(),
-            ready: self.ready.as_mut_ptr(),
+            head: Cells::new(&mut self.head),
+            len: Cells::new(&mut self.len),
+            packet: Cells::new(&mut self.packet),
+            idx: Cells::new(&mut self.idx),
+            ready: Cells::new(&mut self.ready),
         }
     }
 }
 
-/// Raw view into a [`FlitRings`] arena, used by the sharded apply phase to
-/// mutate rings through a shared context. Mirrors the safe push/pop logic
-/// exactly.
-///
-/// # Safety contract
-///
-/// During a parallel apply, each ring `r` is touched by at most one thread
-/// (the shard-ownership discipline of [`crate::shard::ApplyCtx`]): a ring's
-/// popper is the node that owns it and a concurrent pusher into the same
-/// ring only exists for cross-shard handoffs, which are deferred to the
-/// sequential tail. All methods are `unsafe`: the caller asserts exclusive
-/// access to ring `r` for the duration of the call.
+/// A [`FlitRings`] arena as checked cells over a range of its rings: the
+/// one implementation of its mutators. Touching a ring outside the range
+/// panics.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FlitRingsView {
+pub(crate) struct FlitRingsView<'a> {
     cap: u32,
-    rings: usize,
-    head: *mut u32,
-    len: *mut u32,
-    packet: *mut PacketId,
-    idx: *mut u16,
-    ready: *mut u64,
+    head: Cells<'a, u32>,
+    len: Cells<'a, u32>,
+    packet: Cells<'a, PacketId>,
+    idx: Cells<'a, u16>,
+    ready: Cells<'a, u64>,
 }
 
-// SAFETY: the pointers target one arena partitioned by ring ownership; the
-// per-ring exclusivity contract above makes cross-thread use sound.
-unsafe impl Send for FlitRingsView {}
-unsafe impl Sync for FlitRingsView {}
-
-impl FlitRingsView {
-    #[inline]
-    unsafe fn slot(&self, r: usize, i: u32) -> usize {
-        debug_assert!(r < self.rings);
-        debug_assert!(i < *self.len.add(r), "ring position out of range");
-        let mut pos = *self.head.add(r) + i;
-        if pos >= self.cap {
-            pos -= self.cap;
+impl FlitRingsView<'_> {
+    /// The same arena owning only rings `lo..hi`.
+    pub(crate) fn narrow(self, lo: usize, hi: usize) -> Self {
+        let cap = self.cap as usize;
+        FlitRingsView {
+            cap: self.cap,
+            head: self.head.narrow(lo, hi),
+            len: self.len.narrow(lo, hi),
+            packet: self.packet.narrow(lo * cap, hi * cap),
+            idx: self.idx.narrow(lo * cap, hi * cap),
+            ready: self.ready.narrow(lo * cap, hi * cap),
         }
-        r * self.cap as usize + pos as usize
     }
 
-    /// See [`FlitRings::front_packet`].
     #[inline]
-    pub(crate) unsafe fn front_packet(&self, r: usize) -> PacketId {
-        *self.packet.add(self.slot(r, 0))
-    }
-
-    /// See [`FlitRings::pop_front`].
-    #[inline]
-    pub(crate) unsafe fn pop_front(&self, r: usize) -> Flit {
-        debug_assert!(*self.len.add(r) != 0, "pop from empty flit ring");
-        let s = self.slot(r, 0);
-        let f = Flit {
-            packet: *self.packet.add(s),
-            idx: *self.idx.add(s),
-            ready_at: *self.ready.add(s),
-        };
-        let mut h = *self.head.add(r) + 1;
-        if h >= self.cap {
-            h = 0;
-        }
-        *self.head.add(r) = h;
-        *self.len.add(r) -= 1;
-        f
-    }
-
-    /// See [`FlitRings::push_back`].
-    #[inline]
-    pub(crate) unsafe fn push_back(&self, r: usize, f: Flit) {
-        debug_assert!(r < self.rings);
-        debug_assert!(*self.len.add(r) < self.cap, "flit ring overflow");
-        let mut pos = *self.head.add(r) + *self.len.add(r);
-        if pos >= self.cap {
-            pos -= self.cap;
-        }
-        let s = r * self.cap as usize + pos as usize;
-        *self.packet.add(s) = f.packet;
-        *self.idx.add(s) = f.idx;
-        *self.ready.add(s) = f.ready_at;
-        *self.len.add(r) += 1;
+    fn slot(&self, r: usize, i: u32) -> usize {
+        r * self.cap as usize + wrap(self.cap, self.head.get(r), i) as usize
     }
 
     /// See [`FlitRings::len`].
     #[inline]
-    pub(crate) unsafe fn len(&self, r: usize) -> usize {
-        debug_assert!(r < self.rings);
-        *self.len.add(r) as usize
+    pub(crate) fn len(&self, r: usize) -> usize {
+        self.len.get(r) as usize
+    }
+
+    /// See [`FlitRings::front_packet`].
+    #[inline]
+    pub(crate) fn front_packet(&self, r: usize) -> PacketId {
+        debug_assert!(self.len.get(r) != 0, "front of empty flit ring");
+        self.packet.get(self.slot(r, 0))
+    }
+
+    /// See [`FlitRings::push_back`].
+    #[inline]
+    pub(crate) fn push_back(&self, r: usize, f: Flit) {
+        let len = self.len.get(r);
+        debug_assert!(len < self.cap, "flit ring overflow");
+        let s = self.slot(r, len);
+        self.packet.set(s, f.packet);
+        self.idx.set(s, f.idx);
+        self.ready.set(s, f.ready_at);
+        self.len.set(r, len + 1);
+    }
+
+    /// See [`FlitRings::pop_front`].
+    #[inline]
+    pub(crate) fn pop_front(&self, r: usize) -> Flit {
+        let len = self.len.get(r);
+        debug_assert!(len != 0, "pop from empty flit ring");
+        let s = self.slot(r, 0);
+        let f = Flit {
+            packet: self.packet.get(s),
+            idx: self.idx.get(s),
+            ready_at: self.ready.get(s),
+        };
+        self.head.set(r, wrap(self.cap, self.head.get(r), 1));
+        self.len.set(r, len - 1);
+        f
     }
 }
 
@@ -298,11 +274,7 @@ impl IdRing {
     #[inline]
     pub(crate) fn get(&self, r: usize, i: usize) -> u32 {
         debug_assert!((i as u32) < self.len[r], "ring position out of range");
-        let mut pos = self.head[r] + i as u32;
-        if pos >= self.cap {
-            pos -= self.cap;
-        }
-        self.data[r * self.cap as usize + pos as usize]
+        self.data[r * self.cap as usize + wrap(self.cap, self.head[r], i as u32) as usize]
     }
 
     /// The front entry of ring `r` (ring must be non-empty).
@@ -314,26 +286,13 @@ impl IdRing {
     /// Appends `v` to ring `r`.
     #[inline]
     pub(crate) fn push_back(&mut self, r: usize, v: u32) {
-        debug_assert!(!self.is_full(r), "id ring overflow");
-        let mut pos = self.head[r] + self.len[r];
-        if pos >= self.cap {
-            pos -= self.cap;
-        }
-        self.data[r * self.cap as usize + pos as usize] = v;
-        self.len[r] += 1;
+        self.view().push_back(r, v);
     }
 
     /// Removes and returns the front entry of ring `r`.
     #[inline]
     pub(crate) fn pop_front(&mut self, r: usize) -> u32 {
-        let v = self.front(r);
-        let mut h = self.head[r] + 1;
-        if h >= self.cap {
-            h = 0;
-        }
-        self.head[r] = h;
-        self.len[r] -= 1;
-        v
+        self.view().pop_front(r)
     }
 
     /// Empties ring `r`, resetting its head to slot 0.
@@ -343,61 +302,72 @@ impl IdRing {
         self.len[r] = 0;
     }
 
-    /// Raw shared-mutable view; same contract as [`FlitRings::view`].
-    pub(crate) fn view(&mut self) -> IdRingView {
+    /// The arena as checked cells owning every ring; see
+    /// [`FlitRings::view`].
+    #[inline]
+    pub(crate) fn view(&mut self) -> IdRingView<'_> {
         IdRingView {
             cap: self.cap,
-            rings: self.head.len(),
-            head: self.head.as_mut_ptr(),
-            len: self.len.as_mut_ptr(),
-            data: self.data.as_mut_ptr(),
+            head: Cells::new(&mut self.head),
+            len: Cells::new(&mut self.len),
+            data: Cells::new(&mut self.data),
         }
     }
 }
 
-/// Raw view into an [`IdRing`] arena for the parallel shard-local apply.
-/// Same per-ring exclusivity contract as [`FlitRingsView`].
+/// An [`IdRing`] arena as checked cells over a range of its rings; see
+/// [`FlitRingsView`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct IdRingView {
+pub(crate) struct IdRingView<'a> {
     cap: u32,
-    rings: usize,
-    head: *mut u32,
-    len: *mut u32,
-    data: *mut u32,
+    head: Cells<'a, u32>,
+    len: Cells<'a, u32>,
+    data: Cells<'a, u32>,
 }
 
-// SAFETY: see `FlitRingsView`.
-unsafe impl Send for IdRingView {}
-unsafe impl Sync for IdRingView {}
-
-impl IdRingView {
-    /// See [`IdRing::front`].
-    #[inline]
-    pub(crate) unsafe fn front(&self, r: usize) -> u32 {
-        debug_assert!(r < self.rings);
-        debug_assert!(*self.len.add(r) != 0, "front of empty id ring");
-        let pos = *self.head.add(r);
-        *self.data.add(r * self.cap as usize + pos as usize)
-    }
-
-    /// See [`IdRing::pop_front`].
-    #[inline]
-    pub(crate) unsafe fn pop_front(&self, r: usize) -> u32 {
-        let v = self.front(r);
-        let mut h = *self.head.add(r) + 1;
-        if h >= self.cap {
-            h = 0;
+impl IdRingView<'_> {
+    /// The same arena owning only rings `lo..hi`.
+    pub(crate) fn narrow(self, lo: usize, hi: usize) -> Self {
+        let cap = self.cap as usize;
+        IdRingView {
+            cap: self.cap,
+            head: self.head.narrow(lo, hi),
+            len: self.len.narrow(lo, hi),
+            data: self.data.narrow(lo * cap, hi * cap),
         }
-        *self.head.add(r) = h;
-        *self.len.add(r) -= 1;
-        v
     }
 
     /// See [`IdRing::is_empty`].
     #[inline]
-    pub(crate) unsafe fn is_empty(&self, r: usize) -> bool {
-        debug_assert!(r < self.rings);
-        *self.len.add(r) == 0
+    pub(crate) fn is_empty(&self, r: usize) -> bool {
+        self.len.get(r) == 0
+    }
+
+    /// See [`IdRing::front`].
+    #[inline]
+    pub(crate) fn front(&self, r: usize) -> u32 {
+        debug_assert!(!self.is_empty(r), "front of empty id ring");
+        self.data
+            .get(r * self.cap as usize + self.head.get(r) as usize)
+    }
+
+    /// See [`IdRing::push_back`].
+    #[inline]
+    pub(crate) fn push_back(&self, r: usize, v: u32) {
+        let len = self.len.get(r);
+        debug_assert!(len < self.cap, "id ring overflow");
+        let pos = wrap(self.cap, self.head.get(r), len);
+        self.data.set(r * self.cap as usize + pos as usize, v);
+        self.len.set(r, len + 1);
+    }
+
+    /// See [`IdRing::pop_front`].
+    #[inline]
+    pub(crate) fn pop_front(&self, r: usize) -> u32 {
+        let v = self.front(r);
+        self.head.set(r, wrap(self.cap, self.head.get(r), 1));
+        self.len.set(r, self.len.get(r) - 1);
+        v
     }
 }
 
@@ -645,6 +615,13 @@ mod tests {
             drop(d);
             assert_eq!(ring.len(), 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn a_ring_outside_the_views_range_panics() {
+        let mut arena = FlitRings::new(4, 2);
+        arena.view().narrow(0, 2).push_back(3, flit(1));
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Intra-simulation sharding: the shard plan, per-shard op staging, and
-//! the persistent worker pool that executes the parallel phases.
+//! Intra-simulation sharding: the shard plan, per-shard op staging, the
+//! checked raw-cell views the apply phase writes through, and the
+//! persistent worker pool that executes the parallel phases.
 //!
 //! One [`crate::Network`] is stepped across a fixed set of *shards* —
 //! contiguous node ranges — with a deterministic per-cycle barrier. The
-//! route and switch stages each split into phases:
+//! route and switch stages each split into phases, at **every** shard
+//! count:
 //!
 //! 1. **Decide** (parallel): every shard scans its own node range of the
 //!    *pre-phase* network state through a shared `&Network` borrow and
@@ -14,27 +16,33 @@
 //!    touches another shard, or globally FIFO-ordered structures like the
 //!    recovery token queue or the delivery ring).
 //! 2. **Apply, local** (parallel): each shard applies its own local ops
-//!    through a raw [`ApplyCtx`] view — shard-disjoint arrays with plain
-//!    writes, word-shared bitsets with atomic bit ops. Local ops of
+//!    through an [`ApplyCtx`] view of its node range. Local ops of
 //!    different shards touch disjoint state (or commute exactly — see the
-//!    safety notes on [`ApplyCtx`]), so the result is independent of
-//!    execution order and bit-identical to the sequential reference.
+//!    view contract on [`ApplyCtx`]), so the result is independent of
+//!    execution order.
 //! 3. **Apply, boundary tail** (sequential): the caller's thread applies
 //!    the boundary ops in canonical order — ascending shard, and within a
-//!    shard in staging (ascending node) order — and folds the per-shard
-//!    counter deltas. Because shards are contiguous ascending ranges, the
-//!    tail reproduces the reference's global ascending-node order for the
-//!    globally ordered structures, for *any* shard count.
+//!    shard in staging (ascending node) order — through a whole-network
+//!    view, and folds the per-shard counter deltas. Because shards are
+//!    contiguous ascending ranges, the tail visits the globally ordered
+//!    structures in global ascending-node order for *any* shard count.
 //!
-//! The phases are executed by a [`WorkerPool`] of `S - 1` long-lived
-//! threads plus the caller's thread, rendezvousing through an epoch-style
-//! ticket barrier (atomics + park/unpark, no mutex, no per-cycle thread
-//! spawns). Shards are *claimed*, not assigned: any participant may
-//! execute any shard's decide or local apply, because the result depends
-//! only on the shard id. On a single-core host the workers park and the
-//! caller claims every ticket inline, so the barrier degenerates to a
-//! handful of uncontended atomic operations per phase — which is what
-//! keeps `--shards 2` within a few percent of `--shards 1` there.
+//! With one shard the caller's thread runs the three phases inline over a
+//! whole-network view; with more, a [`WorkerPool`] of `S - 1` long-lived
+//! threads plus the caller's thread claim the decide and local-apply
+//! tickets, rendezvousing through an epoch-style ticket barrier (atomics +
+//! park/unpark, no per-cycle thread spawns). Shards are *claimed*, not
+//! assigned: any participant may execute any shard's decide or local
+//! apply, because the result depends only on the shard id. On a
+//! single-core host the workers park and the caller claims every ticket
+//! inline, so the barrier degenerates to a handful of uncontended atomic
+//! operations per phase.
+//!
+//! This is the one module of the crate allowed to contain `unsafe`: the
+//! [`Cells`] accessors, the lifetime-erasing per-shard view constructor
+//! [`ApplyCtx::shard`], and the pool's job slot. Everything built on them —
+//! the ring, wheel and packet views, the whole state transition — is safe
+//! code that panics on an index outside its view's range.
 //!
 //! The plan is runtime-only configuration: it is never serialized and
 //! never enters a checkpoint fingerprint, so a snapshot taken at S shards
@@ -42,20 +50,23 @@
 //! their per-cycle worst case, keeping the steady-state cycle pipeline
 //! allocation-free (see `tests/zero_alloc.rs`).
 
+use std::any::Any;
+use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::network::{Assign, InjState, Network};
-use crate::packet::{Flit, PacketsView};
+use crate::packet::{Flit, PacketCell, PacketId, PacketInfo};
 use crate::ring::{FlitRingsView, IdRingView};
 use crate::wheel::TimerWheelView;
 
 /// One staged routing-stage decision. Ops are applied in staging order,
 /// which per node is: the arbiter cursor update, the winner's allocation
-/// (if it routed), then blocked-cycle accounting per losing requester —
-/// the exact write order of the sequential reference implementation.
+/// (if it routed), then blocked-cycle accounting per losing requester.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RouteOp {
     /// Demand-slotted round-robin cursor update of `node`'s arbiter.
@@ -70,10 +81,6 @@ pub(crate) enum RouteOp {
     },
     /// A losing (or unroutable) requester accrues one blocked cycle.
     Blocked { idx: u32 },
-    /// A requester tripped Disha's suspicion predicate: commit it to the
-    /// recovery token queue. Always a boundary op (the token queue is a
-    /// single global FIFO).
-    Suspect { idx: u32 },
 }
 
 /// One staged switch-stage decision: output channel `port` of `node`
@@ -86,24 +93,28 @@ pub(crate) struct SwitchOp {
 }
 
 /// Per-shard staging buffer: the mailbox decisions travel through between
-/// the parallel decide phase and the (parallel local + sequential
-/// boundary) apply. With one shard nothing is classified: every op goes
-/// into the main vectors and is applied inline in staging order.
+/// the decide phase and the (local + boundary) apply, and the sink of the
+/// apply's deltas to global scalars.
 #[derive(Debug, Default)]
 pub(crate) struct ShardStage {
     /// Local ops staged by this shard's route decide, in node order.
     pub route_ops: Vec<RouteOp>,
-    /// Boundary route ops (recovery suspects), applied in the sequential
-    /// tail in staging order.
-    pub route_tail: Vec<RouteOp>,
+    /// Boundary route ops: the input VCs of requesters that tripped Disha's
+    /// suspicion predicate, committed to the recovery token queue (a
+    /// single global FIFO) by the sequential tail in staging order.
+    pub route_tail: Vec<u32>,
     /// Local ops staged by this shard's switch decide, in (node, port)
     /// order: moves whose downstream VC lies in this shard's own range.
     pub switch_ops: Vec<SwitchOp>,
     /// Boundary switch ops: deliveries (global delivery-ring FIFO and
     /// packet release order) and cross-shard flit handoffs.
     pub switch_tail: Vec<SwitchOp>,
+    /// Flits the tail took off delivery moves, consumed at their
+    /// destination once the tail's view is released (empty between
+    /// passes).
+    pub delivered: Vec<Flit>,
     /// Routers this shard's route decide visited (counter delta, folded
-    /// into [`crate::counters::Counters`] at the barrier).
+    /// into [`crate::counters::Counters`] after the pass).
     pub route_visits: u64,
     /// Routers this shard's switch decide visited.
     pub switch_visits: u64,
@@ -111,11 +122,9 @@ pub(crate) struct ShardStage {
     /// cycle (counter deltas).
     pub link_stalls: u64,
     pub hotspot_stalls: u64,
-    /// Parallel-apply deltas, folded sequentially at the barrier: escape
+    /// Apply deltas, folded sequentially after the pass: escape
     /// allocations and injected packets (counter sums), the net change to
-    /// the full-buffer census (a local op's census change always lands in
-    /// its own shard, so one delta serves both the global count and the
-    /// per-shard census), and whether any flit moved (advances
+    /// the full-buffer census, and whether any flit moved (advances
     /// `last_progress_at`).
     pub escape_allocs: u64,
     pub injected: u64,
@@ -123,40 +132,42 @@ pub(crate) struct ShardStage {
     pub progressed: bool,
     /// Cumulative ops ever staged into / applied from this buffer
     /// (local + boundary). The audit's mailbox-conservation invariant:
-    /// between cycles the two are equal and all four op vectors are
-    /// empty — every staged decision was applied, none invented.
+    /// between cycles the two are equal and all op vectors are empty —
+    /// every staged decision was applied, none invented.
     pub staged_total: u64,
     pub applied_total: u64,
 }
 
 impl ShardStage {
-    fn with_capacity(route_cap: usize, switch_cap: usize) -> Self {
+    /// Whether any staged op awaits its apply.
+    pub fn has_ops(&self) -> bool {
+        !(self.route_ops.is_empty()
+            && self.route_tail.is_empty()
+            && self.switch_ops.is_empty()
+            && self.switch_tail.is_empty())
+    }
+
+    fn with_capacity(route_cap: usize, switch_cap: usize, span: usize) -> Self {
         ShardStage {
             route_ops: Vec::with_capacity(route_cap),
             route_tail: Vec::with_capacity(route_cap),
             switch_ops: Vec::with_capacity(switch_cap),
             switch_tail: Vec::with_capacity(switch_cap),
+            delivered: Vec::with_capacity(span),
             ..ShardStage::default()
         }
     }
 }
 
 /// The shard partition of one network: contiguous node ranges, the
-/// node→shard map, the per-shard full-buffer census, the per-shard op
-/// buffers and (when sharded) the persistent worker pool. Runtime-only:
-/// never serialized, never fingerprinted.
+/// per-shard op buffers and (when sharded) the persistent worker pool.
+/// Runtime-only: never serialized, never fingerprinted.
 #[derive(Debug)]
 pub(crate) struct ShardPlan {
     /// Shard `s` owns nodes `bounds[s]..bounds[s + 1]`. Ascending,
     /// `bounds[0] == 0`, last element == node count, every range
     /// non-empty.
     pub bounds: Vec<usize>,
-    /// Which shard owns each node (inverse of `bounds`).
-    pub node_shard: Vec<u32>,
-    /// Per-shard count of completely full input VC buffers. Maintained
-    /// incrementally alongside the global census; the network-wide
-    /// `full_buffers` equals the fixed-order sum over shards.
-    pub full_count: Vec<u32>,
     /// Per-shard decision mailboxes.
     pub stages: Vec<ShardStage>,
     /// Persistent workers executing the parallel phases (`None` with one
@@ -175,32 +186,24 @@ impl ShardPlan {
     /// `fpn` is input-VC feeders per node (`d * v`), `nports` output
     /// channels per node (`d + 1`); both size the worst-case per-cycle op
     /// capacity: a router stages at most `fpn + 2` route ops (cursor +
-    /// winner + one blocked entry per input feeder) and `nports` switch
-    /// ops (one flit per output channel). No worker pool is attached
-    /// here — `Network::set_shards` does that, so plan construction in
-    /// tests stays thread-free.
+    /// winner + one blocked entry per input feeder), `nports` switch
+    /// ops (one flit per output channel) and one delivery. No worker pool
+    /// is attached here — `Network::set_shards` does that, so plan
+    /// construction in tests stays thread-free.
     pub fn new(shards: usize, nodes: usize, fpn: usize, nports: usize) -> Self {
         let shards = shards.clamp(1, nodes.max(1));
         let mut bounds = Vec::with_capacity(shards + 1);
         for s in 0..=shards {
             bounds.push(s * nodes / shards);
         }
-        let mut node_shard = vec![0u32; nodes];
-        for s in 0..shards {
-            for owner in &mut node_shard[bounds[s]..bounds[s + 1]] {
-                *owner = s as u32;
-            }
-        }
         let stages = (0..shards)
             .map(|s| {
                 let span = bounds[s + 1] - bounds[s];
-                ShardStage::with_capacity(span * (fpn + 2), span * nports)
+                ShardStage::with_capacity(span * (fpn + 2), span * nports, span)
             })
             .collect();
         ShardPlan {
             bounds,
-            node_shard,
-            full_count: vec![0; shards],
             stages,
             pool: None,
         }
@@ -210,149 +213,183 @@ impl ShardPlan {
     pub fn shards(&self) -> usize {
         self.stages.len()
     }
-
-    /// Recomputes the per-shard census from the occupancy bit-planes
-    /// (after a restore or a re-partition).
-    pub fn rebuild_census(&mut self, vc_full: &[u64]) {
-        for (s, count) in self.full_count.iter_mut().enumerate() {
-            *count = vc_full[self.bounds[s]..self.bounds[s + 1]]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Raw apply views
+// Checked raw cells and the apply view
 // ---------------------------------------------------------------------
 
-/// Raw shared-mutable slice for the parallel shard-local apply. All
-/// accesses are `unsafe`: the caller asserts that index `i` belongs to
-/// state its shard owns exclusively during the apply phase.
+/// A borrowed slice seen as raw cells: pointer, length, and the index
+/// range this handle *owns*. Plain [`Cells::get`]/[`Cells::set`] panic
+/// outside the owned range; indices owned by nobody in particular (bitset
+/// words straddling a shard edge, packet-id-indexed fields) are reached
+/// through the relaxed-atomic accessors instead. A handle is neither
+/// `Send` nor `Sync`: on one thread, any number of copies over one borrow
+/// are as harmless as `&[Cell<T>]`, and the only way a copy reaches
+/// another thread is the pool's job slot, under [`ApplyCtx::shard`]'s
+/// contract.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RacySlice<T> {
+pub(crate) struct Cells<'a, T> {
     ptr: *mut T,
     len: usize,
+    /// Owned indices are `lo .. lo + span`.
+    lo: usize,
+    span: usize,
+    _borrow: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: sound under ApplyCtx's shard-ownership discipline.
-unsafe impl<T> Send for RacySlice<T> {}
-unsafe impl<T> Sync for RacySlice<T> {}
-
-impl<T: Copy> RacySlice<T> {
-    pub(crate) fn new(s: &mut [T]) -> Self {
-        RacySlice {
+impl<'a, T: Copy> Cells<'a, T> {
+    /// Cells over all of `s`, owning every index.
+    pub(crate) fn new(s: &'a mut [T]) -> Self {
+        Cells {
             ptr: s.as_mut_ptr(),
             len: s.len(),
+            lo: 0,
+            span: s.len(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// The same cells owning only `lo..hi`, a sub-range of what `self`
+    /// owns.
+    pub(crate) fn narrow(self, lo: usize, hi: usize) -> Self {
+        assert!(
+            self.lo <= lo && lo <= hi && hi <= self.lo + self.span,
+            "narrowing {lo}..{hi} escapes the owned range"
+        );
+        Cells {
+            lo,
+            span: hi - lo,
+            ..self
         }
     }
 
     #[inline]
-    pub(crate) unsafe fn get(&self, i: usize) -> T {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i)
+    fn owned(&self, i: usize) -> *mut T {
+        if i.wrapping_sub(self.lo) >= self.span {
+            not_owned(i, self.lo, self.span);
+        }
+        self.ptr.wrapping_add(i)
     }
 
     #[inline]
-    pub(crate) unsafe fn set(&self, i: usize, v: T) {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) = v;
+    fn shared(&self, i: usize) -> *mut T {
+        assert!(i < self.len, "index {i} is out of bounds ({})", self.len);
+        self.ptr.wrapping_add(i)
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> T {
+        // SAFETY: `owned` bounds-checked `i` (owned ranges lie inside
+        // `0..len`), the borrow `'a` keeps the storage alive, and no other
+        // thread touches an index this handle owns (see the struct docs).
+        unsafe { *self.owned(i) }
+    }
+
+    #[inline]
+    pub(crate) fn set(&self, i: usize, v: T) {
+        // SAFETY: as in `get`.
+        unsafe { *self.owned(i) = v }
     }
 }
 
-/// Raw read-only slice (the precomputed downstream table; immutable for
-/// the lifetime of the network, so shared reads are always sound).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SharedSlice<T> {
-    ptr: *const T,
-    len: usize,
+/// The ownership check's failure path, kept out of line: the check sits on
+/// every plain access of the apply hot path.
+#[cold]
+#[inline(never)]
+fn not_owned(i: usize, lo: usize, span: usize) -> ! {
+    panic!(
+        "index {i} is outside the view's owned range {lo}..{}",
+        lo + span
+    )
 }
 
-// SAFETY: read-only over immutable data.
-unsafe impl<T> Send for SharedSlice<T> {}
-unsafe impl<T> Sync for SharedSlice<T> {}
+impl Cells<'_, u64> {
+    /// Word `w`, whoever owns it, as an atomic.
+    #[inline]
+    pub(crate) fn atomic(&self, w: usize) -> &AtomicU64 {
+        // SAFETY: `shared` bounds-checked `w`; `u64` storage is
+        // `AtomicU64`-aligned on every 64-bit target; words reached this
+        // way are never accessed plainly while a pass runs.
+        unsafe { AtomicU64::from_ptr(self.shared(w)) }
+    }
 
-impl<T: Copy> SharedSlice<T> {
-    pub(crate) fn new(s: &[T]) -> Self {
-        SharedSlice {
-            ptr: s.as_ptr(),
-            len: s.len(),
+    /// Sets bit `i` of the bitset these words pack. One word packs 64
+    /// nodes and shard edges are not word-aligned, so the update is an
+    /// atomic RMW (which commutes bit-for-bit) — skipped when the bit,
+    /// which only its owner's ops change, already reads set.
+    #[inline]
+    pub(crate) fn insert_bit(&self, i: usize) {
+        let (word, bit) = (self.atomic(i >> 6), 1u64 << (i & 63));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
         }
     }
 
+    /// Clears bit `i`; see [`Cells::insert_bit`].
     #[inline]
-    pub(crate) unsafe fn get(&self, i: usize) -> T {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i)
-    }
-}
-
-/// Atomic bit view over a node bitset ([`crate::activity::NodeSet`]).
-/// One word packs 64 nodes and shard boundaries are not word-aligned, so
-/// summary-bit updates from adjacent shards can share a word: they go
-/// through atomic RMWs, which commute bit-for-bit.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AtomicBits {
-    ptr: *mut u64,
-    words: usize,
-}
-
-// SAFETY: all accesses are atomic RMWs.
-unsafe impl Send for AtomicBits {}
-unsafe impl Sync for AtomicBits {}
-
-impl AtomicBits {
-    pub(crate) fn new(words: &mut [u64]) -> Self {
-        AtomicBits {
-            ptr: words.as_mut_ptr(),
-            words: words.len(),
+    pub(crate) fn remove_bit(&self, i: usize) {
+        let (word, bit) = (self.atomic(i >> 6), 1u64 << (i & 63));
+        if word.load(Ordering::Relaxed) & bit != 0 {
+            word.fetch_and(!bit, Ordering::Relaxed);
         }
     }
+}
 
+impl Cells<'_, bool> {
+    /// Flag `i`, whoever owns it, as an atomic.
     #[inline]
-    unsafe fn word(&self, w: usize) -> &AtomicU64 {
-        debug_assert!(w < self.words);
-        AtomicU64::from_ptr(self.ptr.add(w))
-    }
-
-    #[inline]
-    pub(crate) unsafe fn insert(&self, node: usize) {
-        self.word(node >> 6)
-            .fetch_or(1u64 << (node & 63), Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) unsafe fn remove(&self, node: usize) {
-        self.word(node >> 6)
-            .fetch_and(!(1u64 << (node & 63)), Ordering::Relaxed);
+    pub(crate) fn atomic(&self, i: usize) -> &AtomicBool {
+        // SAFETY: as in `Cells::<u64>::atomic`.
+        unsafe { AtomicBool::from_ptr(self.shared(i)) }
     }
 }
 
-/// Raw decomposition of one `&mut Network` for the parallel shard-local
-/// apply, built by `Network::apply_ctx` just before a dispatch.
+impl Cells<'_, PacketInfo> {
+    /// The fields of packet `id` a pass may touch. Packet ids are not
+    /// range-owned — several flits of one worm can move in different
+    /// shards in one cycle — so the stamps are atomics; `len` is written
+    /// only when a packet is generated, never during a pass.
+    #[inline]
+    pub(crate) fn packet(&self, id: PacketId) -> PacketCell<'_> {
+        let p = self.shared(id as usize);
+        // SAFETY: `shared` bounds-checked `id`; the field projections
+        // create no reference to the whole slot, and the two stamps are
+        // only ever accessed atomically while a pass runs.
+        unsafe {
+            PacketCell {
+                len: (*p).len,
+                last_move: AtomicU64::from_ptr(&raw mut (*p).last_move),
+                injected_at: AtomicU64::from_ptr(&raw mut (*p).injected_at),
+            }
+        }
+    }
+}
+
+/// A view of the network state the route/switch transition writes, over
+/// one node range: what `Network::apply_ctx` builds for the whole network
+/// from `&mut Network`, and what [`ApplyCtx::shard`] narrows to one
+/// shard. The transition itself (`impl ApplyCtx` in `network.rs`) is safe
+/// code over these accessors.
 ///
-/// # Safety discipline (who may write what)
+/// # The view contract
 ///
-/// * **Shard-disjoint state** — everything indexed by node or by input/
-///   output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routed_at`,
+/// * **Owned-range plain access** — everything indexed by node or by
+///   input/output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routed_at`,
 ///   `vc_blocked`, `out_alloc`, `inj`, the per-node `vc_*` bit-plane
-///   words, the flit/source rings, wheel deadlines): local ops only ever
-///   touch entries of their own shard's node range (that is the
-///   *definition* of a local op), so plain reads/writes through
-///   [`RacySlice`] never race.
-/// * **Word-shared summaries** (`busy_nodes`, `inj_nodes`, `srcq_nodes`,
-///   wheel bucket words): updated with atomic bit RMWs ([`AtomicBits`],
-///   [`TimerWheelView`]), which commute.
-/// * **`escaped[pid]`** — at most one routing win per packet per cycle:
-///   unique-writer byte store.
-/// * **`packets`** — see [`PacketsView`] for the field-level rules.
-/// * **Global scalars** (counters, `full_buffers`, the per-shard census,
-///   `last_progress_at`) are *not* in the view: local applies accumulate
-///   deltas in their own [`ShardStage`], folded sequentially after the
-///   barrier.
+///   words, the flit and source rings, wheel deadlines, the downstream
+///   table). An index outside the view's node range panics.
+/// * **Relaxed atomics** — state no node range owns: the node-summary
+///   bitsets and wheel bucket words (64 nodes/VCs per word, shard edges
+///   unaligned; each bit is changed only by its owner's ops), and the
+///   packet-id-indexed `escaped` flags and `last_move`/`injected_at`
+///   stamps (one writer per cycle, or several writing the same value).
+/// * **Deferred to the tail** — everything globally ordered or global:
+///   the token queue, the delivery ring and packet release, and the
+///   scalars (`counters`, `full_buffers`, `last_progress_at`), which a
+///   view reaches only as [`ShardStage`] deltas folded after the pass.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ApplyCtx {
+pub(crate) struct ApplyCtx<'a> {
     pub d: usize,
     pub v: usize,
     /// Input-VC feeders per node (`d * v`); the injection feeder's index.
@@ -364,258 +401,66 @@ pub(crate) struct ApplyCtx {
     pub hop_latency: u64,
     /// Disha detection timeout; 0 in avoidance mode (no wheel).
     pub recovery_timeout: u64,
-    pub route_rr: RacySlice<usize>,
-    pub out_rr: RacySlice<usize>,
-    pub vc_assign: RacySlice<Assign>,
-    pub vc_routed_at: RacySlice<u64>,
-    pub vc_blocked: RacySlice<u64>,
-    pub out_alloc: RacySlice<bool>,
-    pub inj: RacySlice<InjState>,
-    pub escaped: RacySlice<bool>,
-    pub vc_busy: RacySlice<u64>,
-    pub vc_unrouted: RacySlice<u64>,
-    pub vc_switchable: RacySlice<u64>,
-    pub vc_full: RacySlice<u64>,
-    pub busy_nodes: AtomicBits,
-    pub inj_nodes: AtomicBits,
-    pub srcq_nodes: AtomicBits,
-    pub vc_bufs: FlitRingsView,
-    pub source_q: IdRingView,
-    pub packets: PacketsView,
-    pub wheel: TimerWheelView,
-    pub downstream: SharedSlice<u32>,
+    pub route_rr: Cells<'a, usize>,
+    pub out_rr: Cells<'a, usize>,
+    pub vc_assign: Cells<'a, Assign>,
+    pub vc_routed_at: Cells<'a, u64>,
+    pub vc_blocked: Cells<'a, u64>,
+    pub out_alloc: Cells<'a, bool>,
+    pub inj: Cells<'a, InjState>,
+    pub escaped: Cells<'a, bool>,
+    pub vc_busy: Cells<'a, u64>,
+    pub vc_unrouted: Cells<'a, u64>,
+    pub vc_switchable: Cells<'a, u64>,
+    pub vc_full: Cells<'a, u64>,
+    pub busy_nodes: Cells<'a, u64>,
+    pub inj_nodes: Cells<'a, u64>,
+    pub srcq_nodes: Cells<'a, u64>,
+    pub vc_bufs: FlitRingsView<'a>,
+    pub source_q: IdRingView<'a>,
+    pub packets: Cells<'a, PacketInfo>,
+    pub wheel: TimerWheelView<'a>,
+    pub downstream: &'a [u32],
 }
 
-impl ApplyCtx {
-    /// Mirror of `Network::set_assign` over the raw view (plain writes:
-    /// the bit-plane words are per-node and shard-owned).
-    #[inline]
-    unsafe fn set_assign_local(&self, idx: usize, a: Assign) {
-        self.vc_assign.set(idx, a);
-        let (node, bit) = (idx / self.fpn, 1u64 << (idx % self.fpn));
-        let (unrouted, switchable) = (self.vc_unrouted, self.vc_switchable);
-        match a {
-            Assign::None | Assign::AwaitToken => {
-                unrouted.set(node, unrouted.get(node) | bit);
-                switchable.set(node, switchable.get(node) & !bit);
-            }
-            Assign::Out { .. } | Assign::Delivery => {
-                unrouted.set(node, unrouted.get(node) & !bit);
-                switchable.set(node, switchable.get(node) | bit);
-            }
-            Assign::Recovery => {
-                unrouted.set(node, unrouted.get(node) & !bit);
-                switchable.set(node, switchable.get(node) & !bit);
-            }
-        }
-    }
-
-    /// Mirror of `Network::note_vc_filled`; census changes become stage
-    /// deltas (the pushed-into VC is in the stage's own shard — that is
-    /// what made the op local).
-    #[inline]
-    unsafe fn note_vc_filled_local(&self, idx: usize, stage: &mut ShardStage) {
-        let (node, f) = (idx / self.fpn, idx % self.fpn);
-        self.vc_busy.set(node, self.vc_busy.get(node) | 1u64 << f);
-        self.busy_nodes.insert(node);
-        let full = u64::from(self.vc_bufs.len(idx) >= self.depth);
-        self.vc_full.set(node, self.vc_full.get(node) | full << f);
-        stage.full_delta += full as i32;
-    }
-
-    /// Mirror of `Network::note_vc_popped`.
-    #[inline]
-    unsafe fn note_vc_popped_local(&self, idx: usize, stage: &mut ShardStage) {
-        let empty = self.vc_bufs.len(idx) == 0;
-        let (node, f) = (idx / self.fpn, idx % self.fpn);
-        let busy = self.vc_busy.get(node) & !(u64::from(empty) << f);
-        self.vc_busy.set(node, busy);
-        if busy == 0 {
-            self.busy_nodes.remove(node);
-        }
-        let was_full = self.vc_full.get(node) >> f & 1;
-        self.vc_full
-            .set(node, self.vc_full.get(node) & !(1u64 << f));
-        stage.full_delta -= was_full as i32;
-    }
-
-    /// Applies one shard's local route ops (mirror of the sequential
-    /// `Network::apply_route_ops`, minus the boundary `Suspect` arm).
+impl ApplyCtx<'_> {
+    /// `whole` narrowed to the nodes `lo..hi`, detached from the borrow it
+    /// was built under so that it can cross to a pool participant.
     ///
     /// # Safety
     ///
-    /// Caller holds the unique apply ticket for this shard; every op in
-    /// `stage.route_ops` writes only shard-owned state (see the struct
-    /// docs).
-    pub(crate) unsafe fn apply_route_ops_local(&self, now: u64, stage: &mut ShardStage) {
-        stage.applied_total += stage.route_ops.len() as u64;
-        for i in 0..stage.route_ops.len() {
-            match stage.route_ops[i] {
-                RouteOp::Rr { node, cursor } => {
-                    self.route_rr.set(node as usize, usize::from(cursor));
-                }
-                RouteOp::Win {
-                    node,
-                    feeder,
-                    assign,
-                } => {
-                    self.apply_route_win_local(
-                        now,
-                        node as usize,
-                        usize::from(feeder),
-                        assign,
-                        stage,
-                    );
-                }
-                RouteOp::Blocked { idx } => {
-                    let idx = idx as usize;
-                    self.vc_blocked.set(idx, self.vc_blocked.get(idx) + 1);
-                }
-                RouteOp::Suspect { .. } => unreachable!("suspects are boundary ops"),
-            }
-        }
-        stage.route_ops.clear();
-    }
-
-    /// Mirror of `Network::apply_route` over the raw view.
-    unsafe fn apply_route_win_local(
-        &self,
-        now: u64,
-        node: usize,
-        feeder: usize,
-        assign: Assign,
-        stage: &mut ShardStage,
-    ) {
-        let base = node * self.fpn;
-        let (pid, is_inj) = if feeder == self.fpn {
-            (self.source_q.front(node), true)
-        } else {
-            (self.vc_bufs.front_packet(base + feeder), false)
+    /// The storage `whole` was built over must stay alive and unmoved for
+    /// as long as the returned view is used; views in use at the same time
+    /// must cover disjoint node ranges; and no decide — no reader of the
+    /// same state through `&Network` — may run while any of them is used.
+    pub(crate) unsafe fn shard(whole: &ApplyCtx<'_>, lo: usize, hi: usize) -> ApplyCtx<'static> {
+        let vcs = lo * whole.fpn..hi * whole.fpn;
+        let view = ApplyCtx {
+            route_rr: whole.route_rr.narrow(lo, hi),
+            out_rr: whole.out_rr.narrow(lo * whole.nports, hi * whole.nports),
+            vc_assign: whole.vc_assign.narrow(vcs.start, vcs.end),
+            vc_routed_at: whole.vc_routed_at.narrow(vcs.start, vcs.end),
+            vc_blocked: whole.vc_blocked.narrow(vcs.start, vcs.end),
+            out_alloc: whole.out_alloc.narrow(vcs.start, vcs.end),
+            inj: whole.inj.narrow(lo, hi),
+            vc_busy: whole.vc_busy.narrow(lo, hi),
+            vc_unrouted: whole.vc_unrouted.narrow(lo, hi),
+            vc_switchable: whole.vc_switchable.narrow(lo, hi),
+            vc_full: whole.vc_full.narrow(lo, hi),
+            vc_bufs: whole.vc_bufs.narrow(vcs.start, vcs.end),
+            source_q: whole.source_q.narrow(lo, hi),
+            wheel: whole.wheel.narrow(vcs.start, vcs.end),
+            // Owned by no node range: atomic access only.
+            escaped: whole.escaped.narrow(0, 0),
+            busy_nodes: whole.busy_nodes.narrow(0, 0),
+            inj_nodes: whole.inj_nodes.narrow(0, 0),
+            srcq_nodes: whole.srcq_nodes.narrow(0, 0),
+            packets: whole.packets.narrow(0, 0),
+            ..*whole
         };
-        if let Assign::Out { port, vc } = assign {
-            let oidx = (node * self.d + usize::from(port)) * self.v + usize::from(vc);
-            debug_assert!(!self.out_alloc.get(oidx), "allocating an owned VC");
-            self.out_alloc.set(oidx, true);
-            if usize::from(vc) < self.escape_vcs {
-                self.escaped.set(pid as usize, true);
-                stage.escape_allocs += 1;
-            }
-        }
-        if is_inj {
-            let id = self.source_q.pop_front(node);
-            debug_assert_eq!(id, pid);
-            if self.source_q.is_empty(node) {
-                self.srcq_nodes.remove(node);
-            }
-            self.inj_nodes.insert(node);
-            self.inj.set(
-                node,
-                InjState {
-                    active: Some(id),
-                    sent: 0,
-                    assign,
-                    routed_at: now,
-                },
-            );
-        } else {
-            let idx = base + feeder;
-            self.set_assign_local(idx, assign);
-            self.vc_routed_at.set(idx, now);
-            self.vc_blocked.set(idx, 0);
-            if matches!(assign, Assign::Out { .. }) && self.recovery_timeout > 0 {
-                let timeout = self.recovery_timeout;
-                // Safe plain read: no flit moves during the route phase.
-                let last_move = self.packets.last_move_plain(pid);
-                let d = (last_move + timeout)
-                    .next_multiple_of(timeout)
-                    .max(now.next_multiple_of(timeout));
-                self.wheel.schedule(idx, d);
-            }
-        }
-    }
-
-    /// Applies one shard's local switch ops (mirror of the sequential
-    /// `Network::apply_switch_ops`, minus deliveries and cross-shard
-    /// handoffs, which are boundary ops).
-    ///
-    /// # Safety
-    ///
-    /// Caller holds the unique apply ticket for this shard; every move's
-    /// source *and* downstream VC lie in this shard's node range.
-    pub(crate) unsafe fn apply_switch_ops_local(&self, now: u64, stage: &mut ShardStage) {
-        stage.applied_total += stage.switch_ops.len() as u64;
-        for i in 0..stage.switch_ops.len() {
-            let SwitchOp { node, port, pick } = stage.switch_ops[i];
-            let (node, port, pick) = (node as usize, usize::from(port), usize::from(pick));
-            self.out_rr.set(node * self.nports + port, pick + 1);
-            self.move_flit_local(now, node, pick, stage);
-        }
-        stage.switch_ops.clear();
-    }
-
-    /// Mirror of `Network::move_flit` for local (same-shard `Out`) moves.
-    unsafe fn move_flit_local(&self, now: u64, node: usize, f: usize, stage: &mut ShardStage) {
-        let (flit, assign, is_tail) = if f == self.fpn {
-            let mut inj = self.inj.get(node);
-            let pid = inj.active.expect("injection feeder has active packet");
-            let idx = inj.sent;
-            inj.sent += 1;
-            let is_tail = inj.sent == self.packets.len_of(pid);
-            if idx == 0 {
-                self.packets.set_injected_at(pid, now);
-                stage.injected += 1;
-            }
-            let assign = inj.assign;
-            if is_tail {
-                self.inj.set(node, InjState::idle());
-                self.inj_nodes.remove(node);
-            } else {
-                self.inj.set(node, inj);
-            }
-            (
-                Flit {
-                    packet: pid,
-                    idx,
-                    ready_at: now,
-                },
-                assign,
-                is_tail,
-            )
-        } else {
-            let idx = node * self.fpn + f;
-            let flit = self.vc_bufs.pop_front(idx);
-            let assign = self.vc_assign.get(idx);
-            let is_tail = flit.idx + 1 == self.packets.len_of(flit.packet);
-            if is_tail {
-                self.set_assign_local(idx, Assign::None);
-            }
-            self.note_vc_popped_local(idx, stage);
-            (flit, assign, is_tail)
-        };
-
-        self.packets.set_last_move(flit.packet, now);
-        stage.progressed = true;
-        match assign {
-            Assign::Out { port, vc } => {
-                let oidx = (node * self.d + usize::from(port)) * self.v + usize::from(vc);
-                let didx = self.downstream.get(oidx) as usize;
-                if is_tail {
-                    debug_assert!(self.out_alloc.get(oidx));
-                    self.out_alloc.set(oidx, false);
-                }
-                self.vc_bufs.push_back(
-                    didx,
-                    Flit {
-                        ready_at: now + self.hop_latency,
-                        ..flit
-                    },
-                );
-                self.note_vc_filled_local(didx, stage);
-            }
-            Assign::Delivery | Assign::None | Assign::AwaitToken | Assign::Recovery => {
-                unreachable!("deliveries and cross-shard handoffs are boundary ops")
-            }
-        }
+        // SAFETY: only the lifetime changes; the caller keeps the storage
+        // alive (see above).
+        unsafe { std::mem::transmute::<ApplyCtx<'_>, ApplyCtx<'static>>(view) }
     }
 }
 
@@ -630,19 +475,25 @@ pub(crate) enum Pass {
     Switch,
 }
 
+/// The two ticketed phases of a pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Decide,
+    Apply,
+}
+
 /// One dispatched pass: everything a participant needs to claim and
 /// execute shard work. Published into the pool's job slot before the
 /// tickets open; all pointers are valid for the duration of the pass
-/// (the coordinator blocks in `WorkerPool::run` until every ticket is
-/// claimed and completed).
+/// (the coordinator stays in `WorkerPool::run` until every ticket is
+/// claimed and completed, or every worker has been joined).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Job {
-    pub kind: Pass,
-    pub net: *const Network,
-    pub ctx: ApplyCtx,
-    pub stages: *mut ShardStage,
-    pub shards: usize,
-    pub now: u64,
+struct Job {
+    kind: Pass,
+    net: *const Network,
+    whole: ApplyCtx<'static>,
+    stages: *mut ShardStage,
+    now: u64,
 }
 
 /// Wall-clock split of the cycle pipeline's phases, accumulated only
@@ -667,6 +518,7 @@ pub struct PhaseStats {
 /// done-counter — so every read is ordered after the write it observes,
 /// and the coordinator's end-of-pass `Acquire` wait orders all reads
 /// before the next overwrite.
+#[derive(Debug)]
 struct PoolShared {
     /// Shard count, fixed for the pool's lifetime (the pool is rebuilt on
     /// re-partition).
@@ -682,21 +534,57 @@ struct PoolShared {
     /// Local applies completed this pass (the coordinator's completion
     /// condition).
     apply_done: AtomicUsize,
-    /// Tells workers to exit (checked in the wait loop and before
-    /// parking).
+    /// Tells workers to exit and barrier waits to give up: set when the
+    /// pool is dropped and when a participant panics.
     shutdown: AtomicBool,
+    /// The first panic caught on any participant, re-raised on the
+    /// coordinator once every worker is joined.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Per-worker parked flags, so a dispatch can skip the unpark syscall
     /// for workers that are spinning (and, on a single-core host, skip
     /// waking parked workers at all outside rare probes).
     parked: Vec<AtomicBool>,
 }
 
-use std::cell::UnsafeCell;
-
-// SAFETY: the job slot's access protocol is documented on the struct;
-// everything else is atomic.
+// SAFETY: the job slot — whose pointers and views make it neither — is
+// accessed only under the ticket protocol documented on the struct, which
+// orders every read after the write it observes and gives each ticket
+// holder a shard (stage + node range) nobody else touches; everything else
+// is atomic or behind the mutex.
 unsafe impl Sync for PoolShared {}
 unsafe impl Send for PoolShared {}
+
+impl PoolShared {
+    /// Spin-then-yield wait for a completion counter to reach the shard
+    /// count; `false` if the pass was abandoned instead (a participant
+    /// panicked, or the pool is shutting down), in which case the counter
+    /// will never get there.
+    fn wait(&self, counter: &AtomicUsize) -> bool {
+        let mut spins = 0u32;
+        while counter.load(Ordering::Acquire) < self.shards {
+            if self.shutdown.load(Ordering::Acquire) {
+                return false;
+            }
+            spins += 1;
+            if spins < WAIT_SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+
+    /// Records a participant's panic (the first one wins) and abandons
+    /// the pass.
+    fn record_panic(&self, payload: Box<dyn Any + Send>) {
+        self.panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(payload);
+        self.shutdown.store(true, Ordering::Release);
+    }
+}
 
 /// Iterations a worker spins on the ticket counter before parking.
 const SPIN_LIMIT: u32 = 1 << 14;
@@ -712,6 +600,7 @@ const WAIT_SPINS: u32 = 128;
 /// shard plan, plus the caller's thread as a full participant. See the
 /// module docs for the protocol. Dropping the pool shuts the workers
 /// down and joins them.
+#[derive(Debug)]
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -719,16 +608,6 @@ pub(crate) struct WorkerPool {
     /// stay parked (the coordinator inlines all work) except for probes.
     multi: bool,
     dispatches: u64,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .field("multi", &self.multi)
-            .field("dispatches", &self.dispatches)
-            .finish()
-    }
 }
 
 impl WorkerPool {
@@ -746,6 +625,7 @@ impl WorkerPool {
             apply_next: AtomicUsize::new(shards),
             apply_done: AtomicUsize::new(shards),
             shutdown: AtomicBool::new(false),
+            panic: Mutex::new(None),
             parked: (0..workers).map(|_| AtomicBool::new(false)).collect(),
         });
         let handles = (0..workers)
@@ -768,134 +648,189 @@ impl WorkerPool {
         }
     }
 
-    /// Executes one pass to completion: publishes `job`, opens the
-    /// tickets, wakes workers per the host policy, participates from the
-    /// caller's thread, and returns once every shard's decide and local
-    /// apply have landed. The sequential boundary tail is the caller's
-    /// job afterwards.
-    pub(crate) fn run(&mut self, job: Job, stats: Option<&mut PhaseStats>) {
+    /// Executes one pass over `net` to completion: publishes the job,
+    /// opens the tickets, wakes workers per the host policy, participates
+    /// from the caller's thread, and returns once every shard's decide
+    /// and local apply have landed. The sequential boundary tail is the
+    /// caller's job afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, after joining every worker, the first panic of any
+    /// participant's decide or local apply. The pass is then half
+    /// applied: the network must not be stepped again.
+    pub(crate) fn run(
+        &mut self,
+        net: &mut Network,
+        kind: Pass,
+        now: u64,
+        stages: &mut [ShardStage],
+        stats: Option<&mut PhaseStats>,
+    ) {
+        self.publish(net, kind, now, stages);
+        self.shared.apply_next.store(0, Ordering::Release);
+        self.shared.decide_next.store(0, Ordering::SeqCst);
+        self.wake();
         let sh = &*self.shared;
-        debug_assert_eq!(job.shards, sh.shards);
+        let outcome = catch_unwind(AssertUnwindSafe(|| coordinate(sh, stats)));
+        self.close(outcome);
+    }
+
+    /// Writes the pass into the job slot and zeroes the completion
+    /// counters; the tickets stay closed.
+    fn publish(&mut self, net: &mut Network, kind: Pass, now: u64, stages: &mut [ShardStage]) {
+        let sh = &*self.shared;
+        debug_assert_eq!(stages.len(), sh.shards);
+        // Every pointer the participants use — the shared decide reads and
+        // the apply views — derives from this one raw borrow, so none
+        // invalidates another; the decide→apply barrier keeps reads and
+        // writes of any location apart in time.
+        let net: *mut Network = net;
+        let job = Job {
+            kind,
+            net: net.cast_const(),
+            // SAFETY: `net` is the caller's exclusive borrow, which
+            // outlives the pass; the view is used only by ticket holders,
+            // whom `run` outwaits (or joins) before returning.
+            whole: unsafe { (*net).apply_ctx() },
+            stages: stages.as_mut_ptr(),
+            now,
+        };
         // SAFETY: tickets are exhausted and the previous pass's Acquire
         // wait ordered every reader before now — nobody can touch the
-        // slot until the ticket counters below reopen it.
+        // slot until the ticket counters reopen it.
         unsafe { (*sh.job.get()).write(job) };
         sh.apply_done.store(0, Ordering::Relaxed);
         sh.decide_done.store(0, Ordering::Relaxed);
-        sh.apply_next.store(0, Ordering::Release);
-        sh.decide_next.store(0, Ordering::SeqCst);
+    }
+
+    /// Unparks parked workers, if this host can run them beside the
+    /// caller (or it is time to re-probe that).
+    fn wake(&mut self) {
         self.dispatches += 1;
         if self.multi || self.dispatches.is_multiple_of(WAKE_PROBE) {
             for (w, h) in self.handles.iter().enumerate() {
-                if sh.parked[w].load(Ordering::SeqCst) {
+                if self.shared.parked[w].load(Ordering::SeqCst) {
                     h.thread().unpark();
                 }
             }
         }
-        match stats {
-            None => {
-                participate(sh);
-                wait_count(&sh.apply_done, sh.shards);
-            }
-            Some(st) => {
-                let t0 = std::time::Instant::now();
-                decide_claims(sh);
-                let t1 = std::time::Instant::now();
-                wait_count(&sh.decide_done, sh.shards);
-                let t2 = std::time::Instant::now();
-                apply_claims(sh);
-                let t3 = std::time::Instant::now();
-                wait_count(&sh.apply_done, sh.shards);
-                let t4 = std::time::Instant::now();
-                st.decide_ns += (t1 - t0).as_nanos() as u64;
-                st.barrier_ns += ((t2 - t1) + (t4 - t3)).as_nanos() as u64;
-                st.apply_ns += (t3 - t2).as_nanos() as u64;
-            }
+    }
+
+    /// Ends a pass: returns if it completed, otherwise joins every worker
+    /// (none may outlive the borrows the job points into) and re-raises
+    /// the panic that abandoned it.
+    fn close(&mut self, outcome: std::thread::Result<bool>) {
+        match outcome {
+            Ok(true) => return,
+            Ok(false) => {}
+            Err(payload) => self.shared.record_panic(payload),
+        }
+        self.join();
+        let payload = self
+            .shared
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("an abandoned pass recorded the panic that abandoned it");
+        resume_unwind(payload);
+    }
+
+    /// Shuts the workers down and joins them.
+    fn join(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        for h in self.handles.drain(..) {
+            h.thread().unpark();
+            // A worker's panic is already recorded in `shared.panic`.
+            let _ = h.join();
         }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for h in &self.handles {
-            h.thread().unpark();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.join();
     }
 }
 
-/// Spin-then-yield wait for a completion counter to reach `target`.
-fn wait_count(counter: &AtomicUsize, target: usize) {
-    let mut spins = 0u32;
-    while counter.load(Ordering::Acquire) < target {
-        spins += 1;
-        if spins < WAIT_SPINS {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
+/// The coordinator's share of a pass; `false` if it was abandoned.
+fn coordinate(sh: &PoolShared, stats: Option<&mut PhaseStats>) -> bool {
+    let Some(st) = stats else {
+        return participate(sh) && sh.wait(&sh.apply_done);
+    };
+    let t0 = std::time::Instant::now();
+    let mut ok = claim_tickets(sh, Phase::Decide);
+    let t1 = std::time::Instant::now();
+    ok = ok && sh.wait(&sh.decide_done);
+    let t2 = std::time::Instant::now();
+    ok = ok && claim_tickets(sh, Phase::Apply);
+    let t3 = std::time::Instant::now();
+    ok = ok && sh.wait(&sh.apply_done);
+    let t4 = std::time::Instant::now();
+    st.decide_ns += (t1 - t0).as_nanos() as u64;
+    st.barrier_ns += ((t2 - t1) + (t4 - t3)).as_nanos() as u64;
+    st.apply_ns += (t3 - t2).as_nanos() as u64;
+    ok
 }
 
-/// Claims and executes decide tickets until they run out.
-fn decide_claims(sh: &PoolShared) {
+/// Claims and executes `phase` tickets until they run out; `false` if
+/// the pass was abandoned. An apply winner first waits for every decide
+/// to land — the decide→apply barrier. (The wait sits *inside* the loop
+/// so that a straggler from a previous pass that claims into a fresh
+/// pass still honors the new pass's barrier.)
+fn claim_tickets(sh: &PoolShared, phase: Phase) -> bool {
+    let (next, done) = match phase {
+        Phase::Decide => (&sh.decide_next, &sh.decide_done),
+        Phase::Apply => (&sh.apply_next, &sh.apply_done),
+    };
     loop {
-        let t = sh.decide_next.fetch_add(1, Ordering::AcqRel);
+        let t = next.fetch_add(1, Ordering::AcqRel);
         if t >= sh.shards {
-            return;
+            return true;
         }
-        // SAFETY: the winning RMW above reads from (or after) the
-        // coordinator's ticket-opening store, which was released after
-        // the job write — see `PoolShared`.
-        let job = unsafe { (*sh.job.get()).assume_init() };
-        let net = unsafe { &*job.net };
-        let (lo, hi) = (net.plan.bounds[t], net.plan.bounds[t + 1]);
-        // SAFETY: ticket `t` is won exactly once per pass: exclusive.
-        let stage = unsafe { &mut *job.stages.add(t) };
-        match job.kind {
-            Pass::Route => net.route_decide(job.now, lo, hi, stage),
-            Pass::Switch => net.switch_decide(job.now, lo, hi, stage),
+        if phase == Phase::Apply && !sh.wait(&sh.decide_done) {
+            return false;
         }
-        sh.decide_done.fetch_add(1, Ordering::AcqRel);
+        execute(sh, phase, t);
+        done.fetch_add(1, Ordering::AcqRel);
     }
 }
 
-/// Claims and executes local-apply tickets until they run out. A winner
-/// first waits for every decide to land — the decide→apply barrier.
-/// (The wait sits *inside* the loop so that a straggler from a previous
-/// pass that claims into a fresh pass still honors the new pass's
-/// barrier.)
-fn apply_claims(sh: &PoolShared) {
-    loop {
-        let t = sh.apply_next.fetch_add(1, Ordering::AcqRel);
-        if t >= sh.shards {
-            return;
+/// The work of ticket `t` of `phase`: shard `t`'s decide or local apply.
+fn execute(sh: &PoolShared, phase: Phase, t: usize) {
+    // SAFETY: the RMW that won ticket `t` reads from (or after) the
+    // coordinator's ticket-opening store, which was released after the job
+    // write — see `PoolShared`. The ticket is won exactly once per pass,
+    // so the stage is exclusive; and for an apply ticket the barrier
+    // ordered it after the stage's decide writer. `net` is only read — by
+    // the decides, and for the plan's bounds, which no pass writes.
+    let (job, net, stage) = unsafe {
+        let job = (*sh.job.get()).assume_init_ref();
+        (job, &*job.net, &mut *job.stages.add(t))
+    };
+    let (lo, hi) = (net.plan.bounds[t], net.plan.bounds[t + 1]);
+    match phase {
+        Phase::Decide => net.decide(job.kind, job.now, lo, hi, stage),
+        Phase::Apply => {
+            // SAFETY: the plan's ranges are disjoint, `run` keeps the
+            // network borrowed until the pass is over, and every decide
+            // has landed (the barrier in `claim_tickets`).
+            let view = unsafe { ApplyCtx::shard(&job.whole, lo, hi) };
+            view.apply(job.kind, job.now, stage);
         }
-        wait_count(&sh.decide_done, sh.shards);
-        // SAFETY: as in `decide_claims`; additionally the barrier above
-        // orders this read/`&mut` after the decide writer released it.
-        let job = unsafe { (*sh.job.get()).assume_init() };
-        let stage = unsafe { &mut *job.stages.add(t) };
-        match job.kind {
-            Pass::Route => unsafe { job.ctx.apply_route_ops_local(job.now, stage) },
-            Pass::Switch => unsafe { job.ctx.apply_switch_ops_local(job.now, stage) },
-        }
-        sh.apply_done.fetch_add(1, Ordering::AcqRel);
     }
 }
 
 /// One full pass from any participant's perspective.
-fn participate(sh: &PoolShared) {
-    decide_claims(sh);
-    apply_claims(sh);
+fn participate(sh: &PoolShared) -> bool {
+    claim_tickets(sh, Phase::Decide) && claim_tickets(sh, Phase::Apply)
 }
 
 /// A worker's life: spin on the ticket counter, participate when a pass
 /// opens, park after a quiet spell (announce-then-recheck so a wake is
-/// never lost), exit on shutdown.
+/// never lost), exit on shutdown — or on a panic in its own ticket, which
+/// it hands to the coordinator.
 fn worker_loop(sh: &PoolShared, me: usize) {
     let mut spins: u32 = 0;
     loop {
@@ -904,7 +839,9 @@ fn worker_loop(sh: &PoolShared, me: usize) {
         }
         if sh.decide_next.load(Ordering::SeqCst) < sh.shards {
             spins = 0;
-            participate(sh);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| participate(sh))) {
+                sh.record_panic(payload);
+            }
             continue;
         }
         spins += 1;
@@ -926,6 +863,8 @@ fn worker_loop(sh: &PoolShared, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::NoControl;
+    use crate::difftest::{small_cfg, source};
 
     #[test]
     fn partition_covers_all_nodes_exactly_once() {
@@ -941,10 +880,6 @@ mod tests {
                         "empty shard {s} of {shards} over {nodes} nodes"
                     );
                 }
-                for (node, &s) in plan.node_shard.iter().enumerate() {
-                    let s = s as usize;
-                    assert!((plan.bounds[s]..plan.bounds[s + 1]).contains(&node));
-                }
             }
         }
     }
@@ -956,13 +891,6 @@ mod tests {
         // are not vacuous.
         let plan = ShardPlan::new(4, 64, 8, 5);
         assert_eq!(plan.bounds, vec![0, 16, 32, 48, 64]);
-    }
-
-    #[test]
-    fn census_rebuild_sums_ranges() {
-        let mut plan = ShardPlan::new(2, 4, 8, 5);
-        plan.rebuild_census(&[0b11, 0b1, 0, 0b111]);
-        assert_eq!(plan.full_count, vec![3, 3]);
     }
 
     #[test]
@@ -980,5 +908,212 @@ mod tests {
             assert_eq!(pool.handles.len(), 3);
             drop(pool);
         }
+    }
+
+    const NODES: usize = 16;
+
+    fn small_net() -> Network {
+        Network::new(small_cfg()).unwrap()
+    }
+
+    /// The saturated mid-run network, stepped on to a cycle whose route
+    /// decide has something to stage, ready for a hand-driven pass.
+    fn hot_net() -> Network {
+        let mut net = crate::difftest::hot_net();
+        let mut src = source(1, NODES, 60);
+        loop {
+            // The injection allowance is per-cycle scratch of the cycle
+            // that just ended; a decide outside `cycle` must not act on it.
+            net.allow_nodes.clear();
+            let mut st = stage();
+            net.decide(Pass::Route, net.now, 0, NODES, &mut st);
+            if !st.route_ops.is_empty() {
+                return net;
+            }
+            net.cycle(&mut src, &mut NoControl);
+        }
+    }
+
+    fn stage() -> ShardStage {
+        ShardStage::with_capacity(1024, 1024, NODES)
+    }
+
+    /// Whether `op` moves a flit to another router (not a delivery).
+    fn is_hop(net: &Network, op: &SwitchOp) -> bool {
+        let (node, pick, fpn) = (
+            op.node as usize,
+            usize::from(op.pick),
+            net.vc_assign.len() / NODES,
+        );
+        let assign = if pick == fpn {
+            net.inj[node].assign
+        } else {
+            net.vc_assign[node * fpn + pick]
+        };
+        matches!(assign, Assign::Out { .. })
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn switch_op_into_a_foreign_vc_panics() {
+        let mut net = hot_net();
+        let (now, mut st) = (net.now, stage());
+        net.decide(Pass::Switch, now, 0, NODES / 2, &mut st);
+        // A cross-shard handoff, misfiled as a local op.
+        let op = *st
+            .switch_tail
+            .iter()
+            .find(|op| is_hop(&net, op))
+            .expect("vacuous: no flit crosses the shard edge this cycle");
+        st.switch_ops.clear();
+        st.switch_ops.push(op);
+        // SAFETY: one view, used on this thread while `net` is borrowed.
+        let view = unsafe { ApplyCtx::shard(&net.apply_ctx(), 0, NODES / 2) };
+        view.apply(Pass::Switch, now, &mut st);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn route_win_for_a_foreign_node_panics() {
+        let mut net = small_net();
+        let mut st = stage();
+        st.route_ops.push(RouteOp::Win {
+            node: NODES as u32 - 1,
+            feeder: 0,
+            assign: Assign::Delivery,
+        });
+        // SAFETY: one view, used on this thread while `net` is borrowed.
+        let view = unsafe { ApplyCtx::shard(&net.apply_ctx(), 0, NODES / 2) };
+        view.apply(Pass::Route, 0, &mut st);
+    }
+
+    fn saved(net: &Network) -> Vec<u8> {
+        let mut enc = checkpoint::Enc::new();
+        net.save_state(&mut enc);
+        enc.into_vec()
+    }
+
+    /// "Same code", independent of the pool: one route and one switch
+    /// pass applied through the whole-network view, and through a pair of
+    /// half-network views (in descending order, for good measure), leave
+    /// identical networks.
+    #[test]
+    fn whole_view_and_shard_views_compute_the_same_pass() {
+        let (mut whole, mut halves) = (hot_net(), hot_net());
+        assert_eq!(saved(&whole), saved(&halves));
+        let now = whole.now;
+        let mid = NODES / 2;
+        for kind in [Pass::Route, Pass::Switch] {
+            let mut st = stage();
+            whole.decide(kind, now, 0, NODES, &mut st);
+            assert!(st.staged_total > 0, "vacuous: nothing staged");
+            let view = whole.apply_ctx();
+            view.apply(kind, now, &mut st);
+            view.tail(kind, now, &mut st);
+            whole.fold_stage(kind, now, &mut st);
+
+            let (mut lo, mut hi) = (stage(), stage());
+            halves.decide(kind, now, 0, mid, &mut lo);
+            halves.decide(kind, now, mid, NODES, &mut hi);
+            assert!(
+                kind == Pass::Route || lo.switch_tail.iter().any(|op| is_hop(&halves, op)),
+                "vacuous: no cross-shard handoff"
+            );
+            let view = halves.apply_ctx();
+            // SAFETY: disjoint ranges, both used on this thread while
+            // `halves` is borrowed and no decide runs.
+            let (v_lo, v_hi) = unsafe {
+                (
+                    ApplyCtx::shard(&view, 0, mid),
+                    ApplyCtx::shard(&view, mid, NODES),
+                )
+            };
+            v_hi.apply(kind, now, &mut hi);
+            v_lo.apply(kind, now, &mut lo);
+            view.tail(kind, now, &mut lo);
+            view.tail(kind, now, &mut hi);
+            halves.fold_stage(kind, now, &mut lo);
+            halves.fold_stage(kind, now, &mut hi);
+        }
+        assert_eq!(saved(&whole), saved(&halves));
+        for net in [&whole, &halves] {
+            let report = net.audit();
+            assert!(report.is_clean(), "{report}");
+        }
+    }
+
+    /// Runs `f` on its own thread and re-raises its panic here — or fails
+    /// if it has not finished within a minute.
+    fn within_a_minute(f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(f));
+            let _ = tx.send(());
+            if let Err(payload) = outcome {
+                resume_unwind(payload);
+            }
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the pass hung instead of panicking");
+        if let Err(payload) = thread.join() {
+            resume_unwind(payload);
+        }
+    }
+
+    /// A two-shard network taken apart for a hand-driven pass, with a
+    /// mis-owned op planted in shard `poisoned`'s local route ops: a
+    /// cursor update for a node of the other shard.
+    fn poisoned_pass(poisoned: usize) -> (Network, WorkerPool, Vec<ShardStage>) {
+        let mut net = small_net();
+        net.set_shards(2);
+        let mut pool = net.plan.pool.take().unwrap();
+        pool.multi = true; // wake the worker even on a one-core host
+        let mut stages = std::mem::take(&mut net.plan.stages);
+        let foreign = net.plan.bounds[1 - poisoned] as u32;
+        stages[poisoned].route_ops.push(RouteOp::Rr {
+            node: foreign,
+            cursor: 0,
+        });
+        (net, pool, stages)
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn mis_owned_op_on_a_worker_ticket_panics_the_coordinator() {
+        within_a_minute(|| {
+            let (mut net, mut pool, mut stages) = poisoned_pass(1);
+            pool.publish(&mut net, Pass::Route, 0, &mut stages);
+            pool.shared.apply_next.store(0, Ordering::Release);
+            pool.shared.decide_next.store(0, Ordering::SeqCst);
+            pool.wake();
+            // The coordinator claims nothing: every ticket is the worker's.
+            let done = pool.shared.wait(&pool.shared.apply_done);
+            pool.close(Ok(done));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn mis_owned_op_on_a_coordinator_ticket_panics_past_a_waiting_worker() {
+        within_a_minute(|| {
+            let (mut net, mut pool, mut stages) = poisoned_pass(0);
+            pool.publish(&mut net, Pass::Route, 0, &mut stages);
+            let sh = Arc::clone(&pool.shared);
+            // This thread holds both of shard 0's tickets; the worker gets
+            // shard 1's, and sits at the decide→apply barrier until shard
+            // 0's decide lands — which it never does.
+            sh.apply_next.store(1, Ordering::Release);
+            sh.decide_next.store(1, Ordering::SeqCst);
+            pool.wake();
+            while sh.apply_next.load(Ordering::Acquire) < 2 {
+                std::thread::yield_now();
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                execute(&sh, Phase::Apply, 0);
+                true
+            }));
+            assert!(outcome.is_err(), "the mis-owned op was applied");
+            pool.close(outcome);
+        });
     }
 }

@@ -386,6 +386,7 @@ impl Network {
 mod tests {
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
+    use crate::difftest::small_cfg;
     use crate::Network;
     use checkpoint::{Dec, Enc};
 
@@ -397,14 +398,6 @@ mod tests {
                 let nodes = 16usize;
                 (node + nodes / 2) % nodes
             })
-        }
-    }
-
-    fn small_cfg() -> NetConfig {
-        NetConfig {
-            radix: 4,
-            dimensions: 2,
-            ..NetConfig::small(DeadlockMode::Recovery { timeout: 8 })
         }
     }
 

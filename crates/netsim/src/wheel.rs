@@ -37,6 +37,8 @@
 //! and rebuilt on restore, making the byte format independent of bucket
 //! occupancy history (mirroring the ring arenas' position independence).
 
+use crate::shard::Cells;
+
 /// Timer wheel over all input-VC indices. Disabled (zero-footprint) for
 /// deadlock-avoidance networks, which have no starvation stage.
 #[derive(Debug, Clone)]
@@ -155,64 +157,59 @@ impl TimerWheel {
     /// deadline overwrite makes it stale, and the fire loop discards it.
     #[inline]
     pub fn schedule(&mut self, idx: usize, deadline: u64) {
-        debug_assert!(self.timeout > 0, "scheduling on a disabled wheel");
-        debug_assert!(deadline.is_multiple_of(self.timeout));
-        self.deadline[idx] = deadline;
-        let slot = self.slot_of(deadline);
-        self.bits[slot * self.words + (idx >> 6)] |= 1u64 << (idx & 63);
+        self.view().schedule(idx, deadline);
     }
 
-    /// Raw shared-mutable view for the parallel shard-local apply (see
-    /// [`crate::shard::ApplyCtx`]). Deadlines are per-VC and shard-owned
-    /// (plain writes); bucket bitset words straddle shard boundaries, so
-    /// the view ORs them atomically.
-    pub(crate) fn view(&mut self) -> TimerWheelView {
+    /// The wheel as checked cells owning every VC's deadline — what
+    /// [`TimerWheel::schedule`] and the apply views
+    /// ([`crate::shard::ApplyCtx`]) enroll through.
+    #[inline]
+    pub(crate) fn view(&mut self) -> TimerWheelView<'_> {
         TimerWheelView {
             timeout: self.timeout,
             slots: self.slots,
             words: self.words,
-            bits: self.bits.as_mut_ptr(),
-            deadline: self.deadline.as_mut_ptr(),
-            n_vcs: self.deadline.len(),
+            bits: Cells::new(&mut self.bits),
+            deadline: Cells::new(&mut self.deadline),
         }
     }
 }
 
-/// Raw view into a [`TimerWheel`] for the parallel shard-local apply.
-///
-/// # Safety contract
-///
-/// `schedule` may run concurrently from several shard workers: the
-/// per-VC `deadline` entry is written plainly (each VC has exactly one
-/// owning shard), while the bucket bitset word — shared across shard
-/// boundaries — is set with an atomic OR, commuting with concurrent
-/// enrollments into the same word.
+/// A [`TimerWheel`] as checked cells over a range of its VCs: the one
+/// implementation of enrollment. Deadlines are per-VC, so plain writes
+/// inside the owned range; bucket words pack 64 VCs and straddle shard
+/// edges, so their bits are set atomically.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TimerWheelView {
+pub(crate) struct TimerWheelView<'a> {
     timeout: u64,
     slots: usize,
     words: usize,
-    bits: *mut u64,
-    deadline: *mut u64,
-    n_vcs: usize,
+    bits: Cells<'a, u64>,
+    deadline: Cells<'a, u64>,
 }
 
-// SAFETY: deadline writes are shard-disjoint, bucket words atomic.
-unsafe impl Send for TimerWheelView {}
-unsafe impl Sync for TimerWheelView {}
+impl TimerWheelView<'_> {
+    /// The same wheel owning only the deadlines of VCs `lo..hi` (a
+    /// disabled wheel has none to own).
+    pub(crate) fn narrow(self, lo: usize, hi: usize) -> Self {
+        if self.timeout == 0 {
+            return self;
+        }
+        TimerWheelView {
+            bits: self.bits.narrow(0, 0),
+            deadline: self.deadline.narrow(lo, hi),
+            ..self
+        }
+    }
 
-impl TimerWheelView {
-    /// See [`TimerWheel::schedule`]; caller owns VC `idx`'s shard.
+    /// See [`TimerWheel::schedule`].
     #[inline]
-    pub(crate) unsafe fn schedule(&self, idx: usize, deadline: u64) {
+    pub(crate) fn schedule(&self, idx: usize, deadline: u64) {
         debug_assert!(self.timeout > 0, "scheduling on a disabled wheel");
         debug_assert!(deadline.is_multiple_of(self.timeout));
-        debug_assert!(idx < self.n_vcs);
-        *self.deadline.add(idx) = deadline;
+        self.deadline.set(idx, deadline);
         let slot = ((deadline / self.timeout) as usize) % self.slots;
-        let word = self.bits.add(slot * self.words + (idx >> 6));
-        let word = std::sync::atomic::AtomicU64::from_ptr(word);
-        word.fetch_or(1u64 << (idx & 63), std::sync::atomic::Ordering::Relaxed);
+        self.bits.insert_bit(slot * self.words * 64 + idx);
     }
 }
 

@@ -43,6 +43,8 @@
 //! assert!(sb.estimate(200) > 10.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod gather;
 mod quantize;
 pub mod width;

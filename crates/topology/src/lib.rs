@@ -23,6 +23,8 @@
 //! # Ok::<(), kncube::TopologyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod coords;
 mod error;
 mod torus;

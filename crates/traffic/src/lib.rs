@@ -35,6 +35,8 @@
 //! # Ok::<(), traffic::TrafficError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod pattern;
 mod process;
 mod rng;

@@ -16,8 +16,10 @@
 #  13. chaos smoke       (fixed-seed chaos trials at random shard counts,
 #                         kill/resume determinism)
 #  14. campaign smoke    (orchestrator retry/quarantine + kill/resume)
-#  15. tiny bench gate   (always on: 64-node preset, >50% regression fails)
-#  16. paper bench gate  (opt-in: STCC_BENCH_GATE=1, >15% regression fails)
+#  15. thread sanitizer  (shard + bit-identity tests and the barrier stress
+#                         under TSan; needs nightly, loud skip otherwise)
+#  16. tiny bench gate   (always on: 64-node preset, >50% regression fails)
+#  17. paper bench gate  (opt-in: STCC_BENCH_GATE=1, >15% regression fails)
 # Everything is hermetic — no network access is required (see README,
 # "Hermetic build"). Each step reports its wall time.
 set -eu
@@ -148,8 +150,7 @@ step "audited sweep (STCC_AUDIT=256 vs golden)" audited_sweep
 # First audited fig2 sweeps stepping every simulation across 4 and then 8
 # shards — byte-compared to the same golden the unsharded runs match, with
 # the audit's shard invariants (mailbox conservation including the
-# boundary tails, partition disjointness, per-shard census) scanning every
-# 256 cycles. Then the kill-and-resume pattern at STCC_SHARDS=8: a journal
+# boundary tails, partition disjointness) scanning every 256 cycles. Then the kill-and-resume pattern at STCC_SHARDS=8: a journal
 # written by an unsharded run earlier in this script is interchangeable
 # with a sharded one, and vice versa, even at the widest shard count the
 # chaos harness draws.
@@ -300,6 +301,36 @@ EOF
     fi
 }
 step "campaign smoke (retry/quarantine, kill/resume determinism)" campaign_gate
+
+# Thread sanitizer: the sharded apply writes one network from several
+# threads through range-checked views (DESIGN.md §4d); the range checks
+# catch a mis-owned index, TSan catches a missing barrier or a plain access
+# that should have been atomic. Runs netsim's shard and bit-identity unit
+# tests and the 10 K-cycle eight-shard barrier stress with the workspace
+# crates instrumented (the prebuilt std is not, hence the two suppressions
+# for libtest's own result channel in scripts/tsan.supp).
+# The /proc thread-count probe is skipped: TSan runs a thread of its own.
+# Any report from simulator code fails the step. Needs a nightly toolchain
+# with the TSan runtime for this host.
+tsan_gate() (
+    target=x86_64-unknown-linux-gnu
+    export RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer"
+    export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp halt_on_error=1"
+    export CARGO_TARGET_DIR=target/tsan
+    cargo +nightly test --offline --target $target -p wormsim --lib -- \
+        shard bit_identical
+    cargo +nightly test --offline --target $target -p stcc --test shard_pool -- \
+        --skip no_worker_thread_outlives
+)
+if [ "$(uname -sm)" = "Linux x86_64" ] &&
+    cargo +nightly --version >/dev/null 2>&1 &&
+    ls "$(rustc +nightly --print sysroot)"/lib/rustlib/x86_64-unknown-linux-gnu/lib/librustc*_rt.tsan.a \
+        >/dev/null 2>&1; then
+    step "thread sanitizer (shard + bit-identity tests, barrier stress)" tsan_gate
+else
+    echo "=== !!! SKIPPED: thread sanitizer leg — needs Linux x86_64, \`cargo +nightly\`"
+    echo "=== !!!          and its TSan runtime; the sharded apply is NOT race-checked here"
+fi
 
 # Perf regression gates. The tiny (64-node) gate always runs: it takes a
 # few seconds and its 50% tolerance only has to catch order-of-magnitude
