@@ -8,10 +8,10 @@
 //!
 //! * [`Enc`] / [`Dec`] — little-endian primitive writers/readers with
 //!   typed, non-panicking decode errors ([`CheckpointError`]),
-//! * [`seal`] / [`open`] — a self-describing container: magic, format
-//!   version, a caller-supplied *configuration fingerprint* (so a snapshot
-//!   is never restored into a simulation built from a different
-//!   configuration), payload length and a CRC-32 integrity check,
+//! * [`seal`] / [`seal_with`] / [`open`] — a self-describing container:
+//!   magic, format version, a caller-supplied *configuration fingerprint*
+//!   (so a snapshot is never restored into a simulation built from a
+//!   different configuration), payload length and a CRC-32 integrity check,
 //! * [`fnv1a64`] / [`crc32`] — the hash functions used for fingerprints
 //!   and integrity.
 //!
@@ -164,6 +164,29 @@ impl Enc {
         self.u8(u8::from(v));
     }
 
+    /// Reserves room for at least `additional` more bytes, so an array
+    /// writer grows the buffer at most once however many elements follow.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Writes every element as [`Enc::u64`] would, after one `reserve`.
+    pub fn u64s(&mut self, vs: &[u64]) {
+        self.reserve(vs.len() * 8);
+        for &v in vs {
+            self.u64(v);
+        }
+    }
+
+    /// Writes every element as [`Enc::bool`] would, growing at most once.
+    pub fn bools(&mut self, vs: &[bool]) {
+        self.buf.extend(vs.iter().map(|&v| u8::from(v)));
+    }
+
     /// Writes an `Option<u64>` as a presence byte plus the value.
     pub fn opt_u64(&mut self, v: Option<u64>) {
         self.bool(v.is_some());
@@ -174,6 +197,14 @@ impl Enc {
     pub fn opt_f64(&mut self, v: Option<f64>) {
         self.bool(v.is_some());
         self.f64(v.unwrap_or(0.0));
+    }
+}
+
+fn bool_of(byte: u8) -> Result<bool, CheckpointError> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CheckpointError::Corrupt("bool out of range")),
     }
 }
 
@@ -270,11 +301,50 @@ impl<'a> Dec<'a> {
     /// [`CheckpointError::Truncated`] on a short stream;
     /// [`CheckpointError::Corrupt`] on a byte other than 0 or 1.
     pub fn bool(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Corrupt("bool out of range")),
+        bool_of(self.u8()?)
+    }
+
+    /// Reads `n` values written by [`Enc::u64s`] (or `n` calls of
+    /// [`Enc::u64`]) with one bounds check. Allocates only once the stream
+    /// is known to hold all of them.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] at the first element that does not
+    /// fit — the offset `n` calls of [`Dec::u64`] would report.
+    pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, CheckpointError> {
+        let whole = self.remaining() / 8;
+        if n > whole {
+            return Err(CheckpointError::Truncated {
+                at: self.pos + whole * 8,
+            });
         }
+        Ok(self
+            .take(n * 8)?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("len 8")))
+            .collect())
+    }
+
+    /// Reads `n` values written by [`Enc::bools`] (or `n` calls of
+    /// [`Enc::bool`]). Allocates no more than the stream holds.
+    ///
+    /// # Errors
+    ///
+    /// What `n` calls of [`Dec::bool`] would report: the first byte other
+    /// than 0 or 1 is [`CheckpointError::Corrupt`]; a stream that ends
+    /// first is [`CheckpointError::Truncated`] at its end.
+    pub fn bools(&mut self, n: usize) -> Result<Vec<bool>, CheckpointError> {
+        let have = n.min(self.remaining());
+        let out = self
+            .take(have)?
+            .iter()
+            .map(|&b| bool_of(b))
+            .collect::<Result<Vec<bool>, _>>()?;
+        if have < n {
+            return Err(CheckpointError::Truncated { at: self.pos });
+        }
+        Ok(out)
     }
 
     /// Reads an `Option<u64>` written by [`Enc::opt_u64`].
@@ -323,34 +393,95 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
+/// The reflected CRC-32 polynomial (IEEE 802.3).
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by `k`
+/// zero bytes, so eight table reads advance the register over eight input
+/// bytes with no dependency between the reads.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY * (crc & 1));
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let low = crc & 1;
-            crc >>= 1;
-            crc ^= 0xedb8_8320 * low;
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][(hi >> 8 & 0xff) as usize]
+            ^ t[1][(hi >> 16 & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
+}
+
+/// Bytes of container before the payload: magic, version, fingerprint,
+/// payload length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
+
+/// Builds a sealed container in one buffer: the header, whatever `write`
+/// encodes as the payload, then the CRC-32 of everything prior.
+/// `payload_hint` pre-sizes the buffer; a hint at or above the payload's
+/// length means the buffer never regrows (a low one costs only a regrow).
+#[must_use]
+pub fn seal_with(fingerprint: u64, payload_hint: usize, write: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc {
+        buf: Vec::with_capacity(HEADER_LEN + payload_hint + 4),
+    };
+    e.bytes(&MAGIC);
+    e.u32(VERSION);
+    e.u64(fingerprint);
+    e.u64(0); // payload length, known once `write` returns
+    write(&mut e);
+    let len = (e.buf.len() - HEADER_LEN) as u64;
+    e.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&e.buf);
+    e.u32(crc);
+    e.buf
 }
 
 /// Wraps `payload` in the versioned container: magic, [`VERSION`],
 /// `fingerprint`, payload length, payload, CRC-32 of everything prior.
 #[must_use]
 pub fn seal(fingerprint: u64, payload: &[u8]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(&MAGIC);
-    e.u32(VERSION);
-    e.u64(fingerprint);
-    e.usize(payload.len());
-    e.buf.extend_from_slice(payload);
-    let crc = crc32(&e.buf);
-    e.u32(crc);
-    e.into_vec()
+    seal_with(fingerprint, payload.len(), |e| e.bytes(payload))
 }
 
 /// Reads the configuration fingerprint out of a sealed container without
@@ -461,6 +592,44 @@ mod tests {
         assert!(matches!(d.bool(), Err(CheckpointError::Corrupt(_))));
     }
 
+    /// The bit-at-a-time definition the tables are derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY * (crc & 1));
+            }
+        }
+        !crc
+    }
+
+    fn random_bytes(n: usize, seed: u64) -> Vec<u8> {
+        let mut rng = traffic::SimRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(n + 8);
+        while out.len() < n {
+            out.extend_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        out.truncate(n);
+        out
+    }
+
+    #[test]
+    fn table_crc_matches_bitwise_reference() {
+        // Every length across the 8-byte step and its tail, at every
+        // alignment of the slice start.
+        let buf = random_bytes(80, 1);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {offset} len {len}");
+            }
+        }
+        let big = random_bytes(1 << 20, 2);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+        assert_eq!(crc32(&big[3..]), crc32_bitwise(&big[3..]));
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE test vector.
@@ -499,6 +668,107 @@ mod tests {
         let n = sealed.len();
         sealed[n - 10] ^= 1; // flip a payload bit
         assert_eq!(open(&sealed, 42), Err(CheckpointError::BadChecksum));
+    }
+
+    /// The container layout, spelled out: any change to it is a format
+    /// change and must bump [`VERSION`].
+    #[test]
+    fn seal_matches_hand_assembled_container() {
+        let payload = b"some payload bytes";
+        let mut want = b"STCCKPT\0".to_vec();
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
+        want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        want.extend_from_slice(payload);
+        let crc = crc32_bitwise(&want);
+        want.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(seal(0x0123_4567_89ab_cdef, payload), want);
+        // The in-place writer produces the same bytes whatever its hint.
+        for hint in [0, payload.len(), 1 << 12] {
+            let sealed = seal_with(0x0123_4567_89ab_cdef, hint, |e| {
+                e.u16(u16::from_le_bytes([payload[0], payload[1]]));
+                e.bytes(&payload[2..]);
+            });
+            assert_eq!(sealed, want, "hint {hint}");
+        }
+        assert_eq!(seal(9, b""), seal_with(9, 0, |_| {}));
+    }
+
+    #[test]
+    fn open_rejects_every_single_bit_flip() {
+        let sealed = seal(42, b"tiny payload");
+        assert!(open(&sealed, 42).is_ok());
+        for bit in 0..sealed.len() * 8 {
+            let mut bad = sealed.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(open(&bad, 42).is_err(), "bit {bit} flipped unnoticed");
+        }
+    }
+
+    #[test]
+    fn slice_helpers_write_the_per_element_bytes() {
+        let words = [0u64, 1, u64::MAX, 0x0102_0304_0506_0708, 7];
+        let flags = [true, false, false, true, true, false];
+        let mut one_by_one = Enc::new();
+        for &w in &words {
+            one_by_one.u64(w);
+        }
+        for &f in &flags {
+            one_by_one.bool(f);
+        }
+        let mut sliced = Enc::new();
+        sliced.u64s(&words);
+        sliced.bools(&flags);
+        let bytes = sliced.into_vec();
+        assert_eq!(bytes, one_by_one.into_vec());
+
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.u64s(words.len()).unwrap(), words);
+        assert_eq!(d.bools(flags.len()).unwrap(), flags);
+        d.finish().unwrap();
+    }
+
+    #[test]
+    fn slice_helpers_fail_where_the_per_element_loop_fails() {
+        fn looped<'a, T>(
+            d: &mut Dec<'a>,
+            n: usize,
+            read: impl Fn(&mut Dec<'a>) -> Result<T, CheckpointError>,
+        ) -> Result<Vec<T>, CheckpointError> {
+            (0..n).map(|_| read(d)).collect()
+        }
+        let mut e = Enc::new();
+        e.u8(0xee); // a leading byte, so offsets are not multiples of 8
+        e.u64s(&[1, 2, 3]);
+        let words = e.into_vec();
+        for cut in 0..words.len() {
+            let short = &words[..cut.max(1)];
+            let (mut a, mut b) = (Dec::new(short), Dec::new(short));
+            a.u8().unwrap();
+            b.u8().unwrap();
+            let want = looped(&mut b, 3, Dec::u64);
+            assert!(matches!(want, Err(CheckpointError::Truncated { .. })));
+            assert_eq!(a.u64s(3), want, "stream cut at {cut}");
+        }
+        // A count no stream could hold fails typed, before any allocation.
+        assert_eq!(
+            Dec::new(&words).u64s(usize::MAX),
+            Err(CheckpointError::Truncated { at: 24 })
+        );
+
+        let flags = [1u8, 0, 1, 1];
+        for cut in 0..flags.len() {
+            let short = &flags[..cut];
+            let want = looped(&mut Dec::new(short), 4, Dec::bool);
+            assert_eq!(want, Err(CheckpointError::Truncated { at: cut }));
+            assert_eq!(Dec::new(short).bools(4), want, "stream cut at {cut}");
+        }
+        // A bad byte ahead of the cut wins, as it does one element at a time.
+        let bad = [1u8, 2, 0];
+        let want = looped(&mut Dec::new(&bad), 4, Dec::bool);
+        assert!(matches!(want, Err(CheckpointError::Corrupt(_))));
+        assert_eq!(Dec::new(&bad).bools(4), want);
+        assert_eq!(Dec::new(&bad).bools(usize::MAX), want);
     }
 
     #[test]

@@ -292,9 +292,11 @@ impl FaultReport {
 #[derive(Debug)]
 pub struct Simulation {
     cfg: SimConfig,
-    // Kept for the checkpoint fingerprint: a snapshot from a faulted run
-    // must not restore into a fault-free one (or vice versa).
-    faults: Option<FaultPlan>,
+    /// Hash of `cfg` and the installed fault plan, sealed into every
+    /// checkpoint: a snapshot restores only into the configuration that
+    /// took it, and one from a faulted run never into a fault-free one (or
+    /// vice versa).
+    fingerprint: u64,
     net: Network,
     runner: WorkloadRunner,
     ctl: Control,
@@ -376,8 +378,8 @@ impl Simulation {
         let runner = WorkloadRunner::new(&cfg.workload, nodes, cfg.seed)?;
         let ctl = cfg.scheme.build();
         Ok(Simulation {
+            fingerprint: Self::fingerprint(&cfg, None),
             cfg,
-            faults: None,
             net,
             runner,
             ctl,
@@ -406,9 +408,9 @@ impl Simulation {
     /// ([`SimError::Faults`]).
     pub fn with_faults(cfg: SimConfig, plan: FaultPlan) -> Result<Self, SimError> {
         let mut sim = Simulation::new(cfg)?;
+        sim.fingerprint = Self::fingerprint(&sim.cfg, Some(&plan));
         sim.net.install_faults(plan.clone())?;
-        sim.ctl.set_faults(plan.clone());
-        sim.faults = Some(plan);
+        sim.ctl.set_faults(plan);
         Ok(sim)
     }
 
@@ -574,26 +576,25 @@ impl Simulation {
             let report = self.net.audit();
             assert!(report.is_clean(), "pre-checkpoint {report}");
         }
-        let mut enc = checkpoint::Enc::new();
-        self.net.save_state(&mut enc);
-        self.runner.save_state(&mut enc);
-        self.ctl.save_state(&mut enc);
-        self.net_latency.save_state(&mut enc);
-        self.total_latency.save_state(&mut enc);
-        enc.u64(self.base_delivered_flits);
-        enc.u64(self.base_delivered_packets);
-        enc.u64(self.base_recovered);
-        enc.u64(self.base_throttled);
-        enc.bool(self.warmup_snapped);
-        // Fixed length (one count per node): restore knows it from the
-        // rebuilt topology, so no length prefix is needed.
-        for &v in &self.src_delivered {
-            enc.u64(v);
-        }
-        checkpoint::seal(
-            Self::fingerprint(&self.cfg, self.faults.as_ref()),
-            &enc.into_vec(),
-        )
+        // The network is all but a few KB of the payload: its bound, the
+        // two per-node arrays and slack for the controller and statistics
+        // size the container once.
+        let hint = self.net.state_len_bound() + 16 * self.src_delivered.len() + 4096;
+        checkpoint::seal_with(self.fingerprint, hint, |enc| {
+            self.net.save_state(enc);
+            self.runner.save_state(enc);
+            self.ctl.save_state(enc);
+            self.net_latency.save_state(enc);
+            self.total_latency.save_state(enc);
+            enc.u64(self.base_delivered_flits);
+            enc.u64(self.base_delivered_packets);
+            enc.u64(self.base_recovered);
+            enc.u64(self.base_throttled);
+            enc.bool(self.warmup_snapped);
+            // Fixed length (one count per node): restore knows it from the
+            // rebuilt topology, so no length prefix is needed.
+            enc.u64s(&self.src_delivered);
+        })
     }
 
     /// Rebuilds a simulation from `cfg` (+ optional fault plan) and restores
@@ -616,7 +617,7 @@ impl Simulation {
             Some(plan) => Simulation::with_faults(cfg, plan)?,
             None => Simulation::new(cfg)?,
         };
-        let payload = checkpoint::open(bytes, Self::fingerprint(&sim.cfg, sim.faults.as_ref()))?;
+        let payload = checkpoint::open(bytes, sim.fingerprint)?;
         let mut dec = checkpoint::Dec::new(payload);
         sim.net.restore_state(&mut dec)?;
         sim.runner.restore_state(&mut dec)?;
@@ -628,9 +629,7 @@ impl Simulation {
         sim.base_recovered = dec.u64()?;
         sim.base_throttled = dec.u64()?;
         sim.warmup_snapped = dec.bool()?;
-        for v in &mut sim.src_delivered {
-            *v = dec.u64()?;
-        }
+        sim.src_delivered = dec.u64s(sim.src_delivered.len())?;
         dec.finish()?;
         // A restore boundary is always audited, flag or no flag: the codec
         // validates structure (counts, tags, ranges) but only the invariant

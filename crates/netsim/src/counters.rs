@@ -88,10 +88,13 @@ impl Counters {
         self.generated_packets - self.delivered_packets
     }
 
+    /// Bytes [`Counters::save_state`] writes: sixteen `u64` counters.
+    pub(crate) const ENCODED_LEN: usize = 16 * 8;
+
     /// Serializes every counter into `enc` (for checkpointing). Field
     /// order is part of the checkpoint format.
     pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        for v in [
+        enc.u64s(&[
             self.generated_packets,
             self.refused_generations,
             self.injected_packets,
@@ -108,9 +111,7 @@ impl Counters {
             self.stage_starvation_checks,
             self.stage_switch_visits,
             self.stage_drain_steps,
-        ] {
-            enc.u64(v);
-        }
+        ]);
     }
 
     /// Reads counters serialized with [`Counters::save_state`].

@@ -23,6 +23,11 @@ pub struct Flit {
     pub ready_at: u64,
 }
 
+impl Flit {
+    /// Bytes of one serialized flit: packet id, index, ready cycle.
+    pub(crate) const ENCODED_LEN: usize = 4 + 2 + 8;
+}
+
 /// Metadata of an in-flight packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketInfo {
@@ -42,6 +47,12 @@ pub struct PacketInfo {
     /// Cycle any flit of this packet last moved (drives Disha's
     /// whole-worm-inactive deadlock detection).
     pub last_move: u64,
+}
+
+impl PacketInfo {
+    /// Bytes of one serialized slot: the seven fields in declaration
+    /// order, node ids as `u64`.
+    pub(crate) const ENCODED_LEN: usize = 4 * 8 + 2 * 2 + 8;
 }
 
 /// Record emitted when a packet's tail is consumed at its destination.
@@ -149,8 +160,10 @@ impl PacketStore {
     /// Serializes the whole store — live slots, recycled slots and the free
     /// list order (which determines future id assignment) — into `enc`.
     pub fn save_state(&self, enc: &mut checkpoint::Enc) {
+        enc.reserve(self.encoded_len());
         enc.usize(self.slots.len());
         for p in &self.slots {
+            let at = enc.len();
             enc.usize(p.src);
             enc.usize(p.dst);
             enc.u64(p.generated_at);
@@ -158,11 +171,17 @@ impl PacketStore {
             enc.u16(p.len);
             enc.u16(p.delivered_flits);
             enc.u64(p.last_move);
+            debug_assert_eq!(enc.len() - at, PacketInfo::ENCODED_LEN);
         }
         enc.usize(self.free.len());
         for &id in &self.free {
             enc.u32(id);
         }
+    }
+
+    /// Bytes [`PacketStore::save_state`] writes for the current store.
+    pub(crate) fn encoded_len(&self) -> usize {
+        8 + self.slots.len() * PacketInfo::ENCODED_LEN + 8 + self.free.len() * 4
     }
 
     /// Reads a store serialized with [`PacketStore::save_state`].
@@ -176,8 +195,8 @@ impl PacketStore {
     ) -> Result<Self, checkpoint::CheckpointError> {
         let nslots = dec.usize()?;
         // A hostile count cannot force an allocation beyond what the stream
-        // could actually satisfy: each slot costs 44 payload bytes.
-        let mut slots = Vec::with_capacity(nslots.min(dec.remaining() / 44));
+        // could actually satisfy.
+        let mut slots = Vec::with_capacity(nslots.min(dec.remaining() / PacketInfo::ENCODED_LEN));
         for _ in 0..nslots {
             slots.push(PacketInfo {
                 src: dec.usize()?,

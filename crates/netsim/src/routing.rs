@@ -69,17 +69,7 @@ impl RouteTables {
             }
         }
         let (mesh_next, productive) = if nodes <= limit {
-            let mut mesh_next = vec![NO_HOP; nodes * nodes];
-            let mut productive = vec![0u16; nodes * nodes];
-            for cur in 0..nodes {
-                for dst in 0..nodes {
-                    if let Some((dim, dir)) = mesh_dor_hop_dyn(torus, cur, dst) {
-                        mesh_next[cur * nodes + dst] = port_of(dim, dir) as u8;
-                    }
-                    productive[cur * nodes + dst] = productive_mask_dyn(torus, cur, dst);
-                }
-            }
-            (mesh_next, productive)
+            DimRows::build(torus).compose(torus)
         } else {
             (Vec::new(), Vec::new())
         };
@@ -108,6 +98,85 @@ impl RouteTables {
     #[inline]
     fn has_pair_tables(&self) -> bool {
         !self.productive.is_empty()
+    }
+}
+
+/// The routing functions of one dimension, for every pair of coordinates
+/// in it: `k × k` entries per dimension instead of one per node pair.
+/// Both routing functions decide dimension by dimension from that
+/// dimension's two coordinates alone, so these rows hold everything the
+/// all-pairs tables do.
+struct DimRows {
+    k: usize,
+    /// `productive[(dim * k + a) * k + b]` — [`productive_mask_dyn`] between
+    /// two nodes at coordinates `a` and `b` in `dim`, equal elsewhere.
+    productive: Vec<u16>,
+    /// `mesh_next[(dim * k + a) * k + b]` — [`mesh_dor_hop_dyn`]'s port
+    /// between the same two nodes, [`NO_HOP`] when `a == b`.
+    mesh_next: Vec<u8>,
+}
+
+impl DimRows {
+    /// Asks the `*_dyn` functions about the `k` nodes along each axis
+    /// through node 0.
+    fn build(torus: &Torus) -> Self {
+        let (k, n) = (torus.radix(), torus.dimensions());
+        let mut productive = Vec::with_capacity(n * k * k);
+        let mut mesh_next = Vec::with_capacity(n * k * k);
+        let mut stride = 1; // dimension 0 is the least-significant digit
+        for _ in 0..n {
+            for a in 0..k {
+                for b in 0..k {
+                    let (cur, dst) = (a * stride, b * stride);
+                    productive.push(productive_mask_dyn(torus, cur, dst));
+                    mesh_next.push(
+                        mesh_dor_hop_dyn(torus, cur, dst)
+                            .map_or(NO_HOP, |(dim, dir)| port_of(dim, dir) as u8),
+                    );
+                }
+            }
+            stride *= k;
+        }
+        DimRows {
+            k,
+            productive,
+            mesh_next,
+        }
+    }
+
+    /// The all-pairs `(mesh_next, productive)` tables: the productive mask
+    /// of a pair is the union of its per-dimension masks, its mesh hop the
+    /// hop of the lowest unaligned dimension. Each node's coordinates are
+    /// decoded once, not once per pair.
+    fn compose(&self, torus: &Torus) -> (Vec<u8>, Vec<u16>) {
+        let (k, n, nodes) = (self.k, torus.dimensions(), torus.node_count());
+        // digits[node * n + dim]: the node's coordinate in `dim`.
+        let mut digits = Vec::with_capacity(nodes * n);
+        for node in 0..nodes {
+            digits.extend(torus.coords(node).iter().map(usize::from));
+        }
+        let mut mesh_next = Vec::with_capacity(nodes * nodes);
+        let mut productive = Vec::with_capacity(nodes * nodes);
+        let mut rows = [0usize; kncube::MAX_DIMS];
+        for ca in digits.chunks_exact(n) {
+            for (dim, row) in rows[..n].iter_mut().enumerate() {
+                *row = (dim * k + ca[dim]) * k;
+            }
+            for cb in digits.chunks_exact(n) {
+                let mut mask = 0u16;
+                let mut hop = NO_HOP;
+                for dim in (0..n).rev() {
+                    let at = rows[dim] + cb[dim];
+                    mask |= self.productive[at];
+                    if self.mesh_next[at] != NO_HOP {
+                        hop = self.mesh_next[at];
+                    }
+                }
+                mesh_next.push(hop);
+                productive.push(mask);
+            }
+        }
+        (mesh_next, productive)
     }
 }
 
@@ -324,8 +393,17 @@ mod tests {
     /// precomputed mesh next hop and productive-port mask must agree with
     /// the coordinate computation everywhere, and the downstream table must
     /// agree with the topology's neighbor function for every output VC.
+    /// The pair tables are composed from per-dimension rows, so the shapes
+    /// where a dimension-by-dimension composition could go wrong are here
+    /// too: three dimensions, an odd radix (no tie), and radix 2 (every
+    /// unaligned dimension ties, and both directions reach one neighbor).
     #[test]
     fn route_tables_match_dynamic_everywhere() {
+        let shaped = |radix, dimensions| NetConfig {
+            radix,
+            dimensions,
+            ..NetConfig::small(DeadlockMode::Avoidance)
+        };
         let cfgs = [
             NetConfig {
                 radix: 4,
@@ -333,6 +411,11 @@ mod tests {
             },
             NetConfig::small(DeadlockMode::Avoidance),
             NetConfig::paper(DeadlockMode::Avoidance),
+            shaped(4, 3),
+            shaped(5, 3),
+            shaped(7, 2),
+            shaped(2, 2),
+            shaped(2, 3),
         ];
         for cfg in cfgs {
             let vcs = cfg.vcs;

@@ -30,6 +30,12 @@ use checkpoint::{CheckpointError, Dec, Enc};
 
 use crate::counters::Counters;
 
+/// Most bytes [`enc_assign`] writes (the `Out` variant's tag, port, VC).
+const ASSIGN_MAX_LEN: usize = 3;
+
+/// Bytes of one serialized [`crate::packet::DeliveredRecord`].
+const DELIVERY_ENCODED_LEN: usize = 5 * 8 + 2 + 1;
+
 fn enc_assign(enc: &mut Enc, a: Assign) {
     match a {
         Assign::None => enc.u8(0),
@@ -59,9 +65,11 @@ fn dec_assign(dec: &mut Dec<'_>) -> Result<Assign, CheckpointError> {
 }
 
 fn enc_flit(enc: &mut Enc, f: Flit) {
+    let at = enc.len();
     enc.u32(f.packet);
     enc.u16(f.idx);
     enc.u64(f.ready_at);
+    debug_assert_eq!(enc.len() - at, Flit::ENCODED_LEN);
 }
 
 fn dec_flit(dec: &mut Dec<'_>) -> Result<Flit, CheckpointError> {
@@ -79,6 +87,11 @@ fn enc_flit_ring(enc: &mut Enc, rings: &FlitRings, r: usize) {
     for i in 0..rings.len(r) {
         enc_flit(enc, rings.get(r, i));
     }
+}
+
+/// Bytes [`enc_flit_ring`] writes for ring `r`.
+fn flit_ring_len(rings: &FlitRings, r: usize) -> usize {
+    8 + rings.len(r) * Flit::ENCODED_LEN
 }
 
 /// Decodes a flit queue into ring `r` of a (freshly reset) arena.
@@ -99,8 +112,40 @@ fn dec_flit_ring(
 }
 
 impl Network {
+    /// An upper bound on the bytes [`Network::save_state`] writes for the
+    /// current state, so a caller can size its buffer once. Exact but for
+    /// the routing assignments (one per input VC and injection interface),
+    /// which are counted at their widest.
+    #[must_use]
+    pub fn state_len_bound(&self) -> usize {
+        let nodes = self.inj.len();
+        let n_vcs = self.vc_assign.len();
+        let vc_flits: usize = (0..n_vcs).map(|r| flit_ring_len(&self.vc_bufs, r)).sum();
+        let dl_flits: usize = (0..nodes).map(|r| flit_ring_len(&self.dl_bufs, r)).sum();
+        let queued: usize = (0..nodes).map(|n| 8 + 4 * self.source_q.len(n)).sum();
+        let recovery = self
+            .recovery
+            .as_ref()
+            .map_or(0, |job| 4 + 8 + 8 * job.path.len() + 8 + 1);
+        (3 * 8 + 4 + Counters::ENCODED_LEN)
+            + (8 + vc_flits + n_vcs * (ASSIGN_MAX_LEN + 8 + 8 + 1))
+            + self.out_alloc.len()
+            + nodes * (1 + 4 + 2 + ASSIGN_MAX_LEN + 8)
+            + queued
+            + self.packets.encoded_len()
+            + (8 + self.escaped.len())
+            + dl_flits
+            + (1 + recovery)
+            + 8 * (self.route_rr.len() + self.out_rr.len() + self.vc_busy.len())
+            + (8 + 8 * self.wheel.len())
+            + (8 + 8 * self.token_queue.len(0))
+            + (8 + self.deliveries.len() * DELIVERY_ENCODED_LEN)
+    }
+
     /// Serializes the complete mutable state into `enc`.
     pub fn save_state(&self, enc: &mut Enc) {
+        let start = enc.len();
+        enc.reserve(self.state_len_bound());
         enc.u64(self.now);
         enc.u64(self.last_delivery_at);
         enc.u64(self.last_progress_at);
@@ -116,9 +161,7 @@ impl Network {
             enc.u64(self.vc_blocked[idx]);
             enc.bool(self.vc_queued[idx]);
         }
-        for &b in &self.out_alloc {
-            enc.bool(b);
-        }
+        enc.bools(&self.out_alloc);
         for inj in &self.inj {
             enc.bool(inj.active.is_some());
             enc.u32(inj.active.unwrap_or(0));
@@ -134,9 +177,7 @@ impl Network {
         }
         self.packets.save_state(enc);
         enc.usize(self.escaped.len());
-        for &b in &self.escaped {
-            enc.bool(b);
-        }
+        enc.bools(&self.escaped);
         for node in 0..self.inj.len() {
             enc_flit_ring(enc, &self.dl_bufs, node);
         }
@@ -159,17 +200,13 @@ impl Network {
         for &c in &self.out_rr {
             enc.usize(c);
         }
-        for &m in &self.vc_busy {
-            enc.u64(m);
-        }
+        enc.u64s(&self.vc_busy);
         // Starvation timer wheel: only the authoritative deadline array is
         // serialized (empty for deadlock-avoidance networks); bucket
         // occupancy is derived and rebuilt on restore, so the byte format
         // is independent of how far the wheel has revolved.
         enc.usize(self.wheel.len());
-        for idx in 0..self.wheel.len() {
-            enc.u64(self.wheel.deadline(idx));
-        }
+        enc.u64s(self.wheel.deadlines());
         enc.usize(self.token_queue.len(0));
         for i in 0..self.token_queue.len(0) {
             enc.usize(self.token_queue.get(0, i) as usize);
@@ -185,6 +222,12 @@ impl Network {
             enc.u16(d.len);
             enc.bool(d.recovered);
         }
+        let (written, bound) = (enc.len() - start, self.state_len_bound());
+        let narrow_assigns = self.vc_assign.len() + self.inj.len();
+        debug_assert!(
+            written <= bound && bound - written <= (ASSIGN_MAX_LEN - 1) * narrow_assigns,
+            "state_len_bound {bound} out of step with the {written} bytes written"
+        );
     }
 
     /// Restores state captured with [`Network::save_state`] into a network
@@ -223,10 +266,7 @@ impl Network {
             vc_blocked.push(dec.u64()?);
             vc_queued.push(dec.bool()?);
         }
-        let mut out_alloc = Vec::with_capacity(n_vcs);
-        for _ in 0..n_vcs {
-            out_alloc.push(dec.bool()?);
-        }
+        let out_alloc = dec.bools(n_vcs)?;
         let mut inj = Vec::with_capacity(nodes);
         for _ in 0..nodes {
             let some = dec.bool()?;
@@ -254,13 +294,9 @@ impl Network {
         if n_escaped > u32::MAX as usize {
             return Err(CheckpointError::Corrupt("escape flag count implausible"));
         }
-        // Bound the reservation by what the stream can actually deliver
-        // (one byte per flag), so a hostile count cannot OOM before the
-        // decode loop hits `Truncated`.
-        let mut escaped = Vec::with_capacity(n_escaped.min(dec.remaining()));
-        for _ in 0..n_escaped {
-            escaped.push(dec.bool()?);
-        }
+        // `Dec::bools` allocates no more than the stream holds, so a
+        // hostile count cannot OOM before the decode hits `Truncated`.
+        let escaped = dec.bools(n_escaped)?;
         let mut dl_bufs = FlitRings::new(nodes, crate::network::DL_DEPTH);
         for node in 0..nodes {
             dec_flit_ring(dec, &mut dl_bufs, node, crate::network::DL_DEPTH)?;
@@ -301,10 +337,7 @@ impl Network {
         for _ in 0..n_out_rr {
             out_rr.push(dec.usize()?);
         }
-        let mut vc_busy = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            vc_busy.push(dec.u64()?);
-        }
+        let vc_busy = dec.u64s(nodes)?;
         if dec.usize()? != self.wheel.len() {
             return Err(CheckpointError::Corrupt("timer-wheel entry count mismatch"));
         }
@@ -312,13 +345,12 @@ impl Network {
             crate::config::DeadlockMode::Recovery { timeout } => timeout,
             crate::config::DeadlockMode::Avoidance => 1, // wheel is empty
         };
-        let mut wheel_deadlines = Vec::with_capacity(self.wheel.len());
-        for _ in 0..self.wheel.len() {
-            let d = dec.u64()?;
-            if d != u64::MAX && !d.is_multiple_of(wheel_timeout) {
-                return Err(CheckpointError::Corrupt("wheel deadline not a scan cycle"));
-            }
-            wheel_deadlines.push(d);
+        let wheel_deadlines = dec.u64s(self.wheel.len())?;
+        if wheel_deadlines
+            .iter()
+            .any(|&d| d != u64::MAX && !d.is_multiple_of(wheel_timeout))
+        {
+            return Err(CheckpointError::Corrupt("wheel deadline not a scan cycle"));
         }
         let n_tok = dec.usize()?;
         if n_tok > n_vcs {

@@ -123,6 +123,13 @@ impl TimerWheel {
         self.deadline[idx]
     }
 
+    /// Every VC's deadline, indexed like [`TimerWheel::deadline`] (the
+    /// array a checkpoint serializes).
+    #[inline]
+    pub fn deadlines(&self) -> &[u64] {
+        &self.deadline
+    }
+
     /// Scan period (0 when disabled). The audit layer checks every
     /// enrolled deadline is a multiple of it.
     #[inline]

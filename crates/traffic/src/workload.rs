@@ -298,13 +298,9 @@ impl WorkloadRunner {
     /// into `enc`. The workload and node count are configuration and are
     /// not written; restore into a runner built from the same workload.
     pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        for w in self.rng.state() {
-            enc.u64(w);
-        }
+        enc.u64s(&self.rng.state());
         enc.usize(self.next_gen.len());
-        for &t in &self.next_gen {
-            enc.u64(t);
-        }
+        enc.u64s(&self.next_gen);
         enc.usize(self.cur_phase);
         enc.u64(self.phase_start);
     }
@@ -329,10 +325,7 @@ impl WorkloadRunner {
                 "workload node count mismatch",
             ));
         }
-        let mut next_gen = vec![0u64; self.nodes];
-        for t in &mut next_gen {
-            *t = dec.u64()?;
-        }
+        let next_gen = dec.u64s(self.nodes)?;
         let cur_phase = dec.usize()?;
         if cur_phase >= self.workload.phases.len() {
             return Err(checkpoint::CheckpointError::Corrupt(

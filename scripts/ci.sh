@@ -18,8 +18,10 @@
 #  14. campaign smoke    (orchestrator retry/quarantine + kill/resume)
 #  15. thread sanitizer  (shard + bit-identity tests and the barrier stress
 #                         under TSan; needs nightly, loud skip otherwise)
-#  16. tiny bench gate   (always on: 64-node preset, >50% regression fails)
-#  17. paper bench gate  (opt-in: STCC_BENCH_GATE=1, >15% regression fails)
+#  16. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
+#                         tenth of their length, every verification on)
+#  17. tiny bench gate   (always on: 64-node preset, >50% regression fails)
+#  18. paper bench gate  (opt-in: STCC_BENCH_GATE=1, >15% regression fails)
 # Everything is hermetic — no network access is required (see README,
 # "Hermetic build"). Each step reports its wall time.
 set -eu
@@ -331,6 +333,15 @@ else
     echo "=== !!! SKIPPED: thread sanitizer leg — needs Linux x86_64, \`cargo +nightly\`"
     echo "=== !!!          and its TSan runtime; the sharded apply is NOT race-checked here"
 fi
+
+# The repo benchmark (BENCHMARK.json, benchmark/README.md) at a tenth of
+# its length: builds the benchmark crate against this checkout's public
+# API and runs all six workloads with every verification on — final
+# checkpoints against their reference runs, the traced driver's counters
+# against the untraced run's, the sweep against its golden CSV. It judges
+# no timing here; it fails (non-zero exit) if a verification does, or if
+# the benchmark no longer compiles against the simulator.
+step "repo benchmark (--quick, verifications only)" bash benchmark/run.sh --quick
 
 # Perf regression gates. The tiny (64-node) gate always runs: it takes a
 # few seconds and its 50% tolerance only has to catch order-of-magnitude
