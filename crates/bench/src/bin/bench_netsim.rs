@@ -16,56 +16,33 @@
 //! it unconditionally (with a generous tolerance — it only has to catch
 //! order-of-magnitude cliffs on a shared 1-core host). The full paper
 //! gate stays opt-in via `STCC_BENCH_GATE=1`. `big` is the 64-ary 3-cube
-//! (262,144 nodes) — the first preset past `TABLE_NODE_LIMIT`, stepping
-//! on the dynamic routing fallback; it exists for `--out` records, not
-//! for gating.
+//! (262,144 nodes), routed from the same per-dimension rows as every
+//! other preset; it exists for `--out` records, not for gating.
 //!
-//! v2 baselines added the per-stage work-share breakdown of the saturated
-//! run (inject/route/starvation/switch/drain, in percent); v3 added the
-//! shard-scaling rows (`saturated_cycles_per_sec@shards=1/2/4` — the same
-//! saturated workload stepped across 1/2/4 threads). Those are
-//! informational: `--gate` prints the drift but never fails on them, and
-//! accepts v1/v2 baselines that lack them entirely. v4 adds the
-//! decide/apply/barrier time split of a sharded cycle
-//! (`phase_*_ns_per_cycle@shards=2`, informational) and one new *gated*
-//! metric: `shard_overhead_ratio`, the shards=2 / shards=1 saturated
-//! throughput ratio, checked against an **absolute** floor of 0.9 rather
-//! than against the baseline — the persistent worker pool must keep a
-//! second shard essentially free even on a single-core host. The JSON is
-//! hand-rolled and hand-parsed — one metric per line, no dependencies —
-//! keeping the build hermetic.
+//! One schema (v4), one parser. The gated rows are the idle and saturated
+//! rates, the checkpoint codec times and `shard_overhead_ratio` — the
+//! shards=2 / shards=1 saturated throughput ratio, which says whether the
+//! persistent worker pool keeps a second shard affordable on this host —
+//! each against the committed baseline with the one `--tolerance`. The
+//! per-stage work shares of the saturated run, the shard-scaling rows
+//! (`saturated_cycles_per_sec@shards=1/2/4`) and the decide/apply/barrier
+//! time split of a sharded cycle (`phase_*_ns_per_cycle@shards=2`) are
+//! informational: `--gate` prints their drift but never fails on them.
+//! The JSON is hand-rolled and hand-parsed — one metric per line, no
+//! dependencies — keeping the build hermetic.
 
 use bench::harness::{BenchConfig, Group};
 use std::hint::black_box;
 use std::process::ExitCode;
 use wormsim::{DeadlockMode, NetConfig, Network, NoControl};
 
-/// Schema tag written into new baseline files. v4 adds the gated
-/// `shard_overhead_ratio` (absolute floor, see [`SHARD_OVERHEAD_FLOOR`])
-/// and the informational `phase_*_ns_per_cycle@shards=2` time split.
+/// Schema tag of a baseline file: the one `--out` writes and the only one
+/// `--gate` reads.
 const SCHEMA_V4: &str = "stcc-bench-netsim-v4";
-
-/// Previous schema, still accepted by `--gate` (no shard-overhead ratio
-/// or phase split; the ratio still gates on its absolute floor).
-const SCHEMA_V3: &str = "stcc-bench-netsim-v3";
-
-/// Older schema, still accepted by `--gate` (no shard rows).
-const SCHEMA_V2: &str = "stcc-bench-netsim-v2";
-
-/// Oldest schema, still accepted by `--gate` (no stage shares either).
-const SCHEMA_V1: &str = "stcc-bench-netsim-v1";
 
 /// Largest tolerated regression per metric (fraction; `--tolerance`
 /// overrides).
 const DEFAULT_TOLERANCE: f64 = 0.15;
-
-/// Absolute floor for `shard_overhead_ratio`: stepping the saturated
-/// workload at two shards must stay within 10% of the single-shard rate
-/// even when both shards share one core. Unlike every other gated metric
-/// this is not relative to the baseline — a fleet-wide slowdown that
-/// preserves the ratio passes, a pool regression that taxes only the
-/// sharded path fails no matter what the baseline recorded.
-const SHARD_OVERHEAD_FLOOR: f64 = 0.9;
 
 /// Which network the baseline measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,11 +51,9 @@ enum Preset {
     Paper,
     /// An 8-ary 2-cube (64 nodes) — fast enough for an always-on CI gate.
     Tiny,
-    /// A 64-ary 3-cube (262,144 nodes): two orders of magnitude past
-    /// `TABLE_NODE_LIMIT`, so every routing decision takes the dynamic
-    /// fallback. One VC and short packets keep the arenas in memory;
-    /// measurements use fewer, shorter samples and skip the checkpoint
-    /// metrics.
+    /// A 64-ary 3-cube (262,144 nodes). One VC and short packets keep the
+    /// arenas in memory; measurements use fewer, shorter samples and skip
+    /// the checkpoint metrics.
     Big,
 }
 
@@ -127,15 +102,12 @@ impl Preset {
 
 /// One measured metric: name, value, and whether bigger is better
 /// (throughputs) or worse (latencies). Informational metrics (the stage
-/// shares, the phase split) are written to baselines but never gated. A
-/// metric with a `floor` gates against that absolute value instead of the
-/// baseline — and therefore gates even when the baseline predates it.
+/// shares, the phase split) are written to baselines but never gated.
 struct Metric {
     name: &'static str,
     value: f64,
     higher_is_better: bool,
     informational: bool,
-    floor: Option<f64>,
 }
 
 fn measure(preset: Preset) -> Vec<Metric> {
@@ -265,14 +237,12 @@ fn measure(preset: Preset) -> Vec<Metric> {
             value: by_name("idle").units_per_second().unwrap(),
             higher_is_better: true,
             informational: false,
-            floor: None,
         },
         Metric {
             name: "saturated_cycles_per_sec",
             value: saturated,
             higher_is_better: true,
             informational: false,
-            floor: None,
         },
     ];
     if preset != Preset::Big {
@@ -281,14 +251,12 @@ fn measure(preset: Preset) -> Vec<Metric> {
             value: by_name("ckpt_serialize").median_ns,
             higher_is_better: false,
             informational: false,
-            floor: None,
         });
         metrics.push(Metric {
             name: "ckpt_restore_ns",
             value: by_name("ckpt_restore").median_ns,
             higher_is_better: false,
             informational: false,
-            floor: None,
         });
     }
     metrics.push(Metric {
@@ -296,7 +264,6 @@ fn measure(preset: Preset) -> Vec<Metric> {
         value: saturated_s2 / saturated,
         higher_is_better: true,
         informational: false,
-        floor: Some(SHARD_OVERHEAD_FLOOR),
     });
     metrics.extend([
         Metric {
@@ -304,77 +271,66 @@ fn measure(preset: Preset) -> Vec<Metric> {
             value: saturated,
             higher_is_better: true,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "saturated_cycles_per_sec@shards=2",
             value: saturated_s2,
             higher_is_better: true,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "saturated_cycles_per_sec@shards=4",
             value: by_name("saturated@shards=4").units_per_second().unwrap(),
             higher_is_better: true,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "stage_share_inject_pct",
             value: share(stages.inject),
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "stage_share_route_pct",
             value: share(stages.route),
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "stage_share_starvation_pct",
             value: share(stages.starvation),
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "stage_share_switch_pct",
             value: share(stages.switch),
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "stage_share_drain_pct",
             value: share(stages.drain),
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "phase_decide_ns_per_cycle@shards=2",
             value: phase_split[0],
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "phase_apply_ns_per_cycle@shards=2",
             value: phase_split[1],
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
         Metric {
             name: "phase_barrier_ns_per_cycle@shards=2",
             value: phase_split[2],
             higher_is_better: false,
             informational: true,
-            floor: None,
         },
     ]);
     metrics
@@ -416,9 +372,7 @@ fn parse_string<'j>(json: &'j str, key: &str) -> Option<&'j str> {
 }
 
 /// Compares a fresh measurement against a baseline value; returns an error
-/// line when it regressed beyond `tolerance`. A metric with an absolute
-/// floor ignores the baseline (shown for drift context only) and fails
-/// exactly when the measured value falls below the floor.
+/// line when it regressed beyond `tolerance`.
 fn check(m: &Metric, baseline: f64, tolerance: f64) -> Result<String, String> {
     let ratio = m.value / baseline;
     let line = format!(
@@ -428,13 +382,6 @@ fn check(m: &Metric, baseline: f64, tolerance: f64) -> Result<String, String> {
         m.value,
         (ratio - 1.0) * 100.0
     );
-    if let Some(floor) = m.floor {
-        return if m.value < floor {
-            Err(format!("{line}  REGRESSED: below absolute floor {floor}"))
-        } else {
-            Ok(line)
-        };
-    }
     let (regressed, direction) = if m.higher_is_better {
         (ratio < 1.0 - tolerance, "slower")
     } else {
@@ -522,16 +469,13 @@ fn main() -> ExitCode {
                 }
             };
             let schema = parse_string(&baseline, "schema").unwrap_or("");
-            if ![SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4].contains(&schema) {
+            if schema != SCHEMA_V4 {
                 eprintln!(
-                    "bench_netsim: {path} is not a {SCHEMA_V1}/{SCHEMA_V2}/{SCHEMA_V3}/{SCHEMA_V4} \
-                     baseline"
+                    "bench_netsim: {path} is not a {SCHEMA_V4} baseline; regenerate it with --out"
                 );
                 return ExitCode::FAILURE;
             }
-            // v1 baselines predate presets and were always measured on the
-            // paper network.
-            let base_preset = parse_string(&baseline, "preset").unwrap_or("paper");
+            let base_preset = parse_string(&baseline, "preset").unwrap_or("");
             if base_preset != cli.preset.label() {
                 eprintln!(
                     "bench_netsim: {path} was measured on preset '{base_preset}', \
@@ -551,7 +495,7 @@ fn main() -> ExitCode {
                 let base = parse_metric(&baseline, m.name);
                 if m.informational {
                     // Stage shares drift with the measured workload; show
-                    // them, never fail on them (and v1 baselines lack them).
+                    // them, never fail on them.
                     match base {
                         Some(b) => println!(
                             "{:<36} baseline {:>14.3}  now {:>14.3}  (informational)",
@@ -565,24 +509,6 @@ fn main() -> ExitCode {
                     continue;
                 }
                 let Some(base) = base else {
-                    // A floor-gated metric carries its pass bar with it, so
-                    // pre-v4 baselines that lack the row still gate it.
-                    if let Some(floor) = m.floor {
-                        if m.value < floor {
-                            eprintln!(
-                                "{:<36} {:>23} now {:>14.3}  REGRESSED: below absolute \
-                                 floor {floor}",
-                                m.name, "-", m.value
-                            );
-                            failed = true;
-                        } else {
-                            println!(
-                                "{:<36} {:>23} now {:>14.3}  (floor {floor})",
-                                m.name, "-", m.value
-                            );
-                        }
-                        continue;
-                    }
                     eprintln!("{:<36} missing from baseline", m.name);
                     failed = true;
                     continue;
@@ -617,17 +543,6 @@ mod tests {
             value,
             higher_is_better,
             informational: false,
-            floor: None,
-        }
-    }
-
-    fn floored(value: f64, floor: f64) -> Metric {
-        Metric {
-            name: "shard_overhead_ratio",
-            value,
-            higher_is_better: true,
-            informational: false,
-            floor: Some(floor),
         }
     }
 
@@ -671,17 +586,11 @@ mod tests {
         assert!(check(&metric("l", 500.0, false), base, tol).is_ok());
         // A looser tolerance admits what the default rejects.
         assert!(check(&metric("t", 800.0, true), base, 0.5).is_ok());
-    }
-
-    #[test]
-    fn floor_metrics_gate_on_the_absolute_value_not_the_baseline() {
-        // Above the floor passes even far below the recorded baseline;
-        // below the floor fails even when it beats the baseline. No
-        // tolerance ever widens the floor.
-        assert!(check(&floored(0.95, 0.9), 2.0, DEFAULT_TOLERANCE).is_ok());
-        assert!(check(&floored(0.85, 0.9), 0.5, DEFAULT_TOLERANCE).is_err());
-        assert!(check(&floored(0.85, 0.9), 0.5, 10.0).is_err());
-        assert!(check(&floored(0.9, 0.9), 0.9, DEFAULT_TOLERANCE).is_ok());
+        // The shard-overhead ratio is a row like any other: judged against
+        // the host's own recorded ratio, not an absolute bar.
+        let ratio = |v| metric("shard_overhead_ratio", v, true);
+        assert!(check(&ratio(0.55), 0.564, tol).is_ok());
+        assert!(check(&ratio(0.95), 1.2, tol).is_err());
     }
 
     #[test]
@@ -707,29 +616,5 @@ mod tests {
         assert!(parse_cli(&args(&["--preset", "huge", "--out", "x"])).is_none());
         assert!(parse_cli(&args(&["--tolerance", "-1", "--out", "x"])).is_none());
         assert!(parse_cli(&args(&["x.json"])).is_none());
-    }
-
-    #[test]
-    fn v1_baselines_still_parse() {
-        let v1 =
-            "{\n  \"schema\": \"stcc-bench-netsim-v1\",\n  \"idle_cycles_per_sec\": 603936.9\n}\n";
-        assert_eq!(parse_string(v1, "schema"), Some(SCHEMA_V1));
-        assert_eq!(parse_string(v1, "preset"), None);
-        assert_eq!(parse_metric(v1, "idle_cycles_per_sec"), Some(603_936.9));
-    }
-
-    #[test]
-    fn v2_baselines_still_parse() {
-        let v2 = "{\n  \"schema\": \"stcc-bench-netsim-v2\",\n  \"preset\": \"tiny\",\n  \
-                  \"saturated_cycles_per_sec\": 128311.1\n}\n";
-        assert_eq!(parse_string(v2, "schema"), Some(SCHEMA_V2));
-        assert_eq!(parse_string(v2, "preset"), Some("tiny"));
-        assert_eq!(
-            parse_metric(v2, "saturated_cycles_per_sec"),
-            Some(128_311.1)
-        );
-        // A v2 baseline has no shard rows: the gate treats them as
-        // informational and must simply show '-' rather than fail.
-        assert_eq!(parse_metric(v2, "saturated_cycles_per_sec@shards=4"), None);
     }
 }

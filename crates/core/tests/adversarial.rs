@@ -53,6 +53,36 @@ fn snapshot() -> (SimConfig, Vec<u8>) {
     (cfg, snap)
 }
 
+/// Byte offsets, in a simulation payload (which the network state opens),
+/// of the routing assignment of input VC 0 and of node 0's injection
+/// interface.
+fn first_assignments(payload: &[u8], net: &NetConfig) -> (usize, usize) {
+    let mut dec = checkpoint::Dec::new(payload);
+    let at = |dec: &checkpoint::Dec<'_>| payload.len() - dec.remaining();
+    let skip = |dec: &mut checkpoint::Dec<'_>, bytes: usize| {
+        for _ in 0..bytes {
+            dec.u8().unwrap();
+        }
+    };
+    // Clock, two progress markers, the census, sixteen counters.
+    skip(&mut dec, 3 * 8 + 4 + 16 * 8);
+    let n_vcs = dec.usize().unwrap();
+    assert_eq!(n_vcs, net.total_vc_buffers());
+    let mut vc_assign = None;
+    for _ in 0..n_vcs {
+        let flits = dec.usize().unwrap();
+        skip(&mut dec, flits * (4 + 2 + 8));
+        vc_assign.get_or_insert(at(&dec));
+        if dec.u8().unwrap() == 1 {
+            skip(&mut dec, 2); // port, VC
+        }
+        skip(&mut dec, 8 + 8 + 1); // routed-at, blocked count, queued flag
+    }
+    skip(&mut dec, n_vcs); // output-VC allocation flags
+    skip(&mut dec, 1 + 4 + 2); // node 0's injection: active, packet, sent
+    (vc_assign.unwrap(), at(&dec))
+}
+
 #[test]
 fn container_rejects_every_truncation_and_bit_flip() {
     let (_, snap) = snapshot();
@@ -109,6 +139,30 @@ fn restore_survives_payload_mutations_without_panicking() {
             Err(_) => typed += 1,
         }
     }
+    // Hand-built: an assignment naming an output the router does not
+    // have — a port past `d` on an input VC, a VC past `v` on an injection
+    // interface. Restore rebuilds the switch plane from the assignments, so
+    // these must die in the decoder, not reach it.
+    let (vc_assign, inj_assign) = first_assignments(&payload, &cfg.net);
+    let (d, v) = (2 * cfg.net.dimensions as u8, cfg.net.vcs as u8);
+    for (at, out) in [(vc_assign, [1, d, 0]), (inj_assign, [1, 0, v])] {
+        let old_len = if payload[at] == 1 { 3 } else { 1 };
+        let mut built = payload[..at].to_vec();
+        built.extend_from_slice(&out);
+        built.extend_from_slice(&payload[at + old_len..]);
+        let outcome = Simulation::restore(cfg.clone(), None, &checkpoint::seal(fp, &built));
+        assert!(
+            matches!(
+                outcome,
+                Err(SimError::Checkpoint(checkpoint::CheckpointError::Corrupt(
+                    _
+                )))
+            ),
+            "out-of-range assignment {out:?} at byte {at}: {:?}",
+            outcome.err()
+        );
+    }
+
     assert!(typed > 0, "sweep never hit a structural decoder error");
     assert!(audited > 0, "sweep never hit the restore-boundary audit");
     // `clean` may be zero; benign bytes (e.g. latency-stat accumulators)

@@ -8,7 +8,8 @@
 //!   on the exact bytes of an uninterrupted single-shard run.
 //! * **Teardown** — no worker thread outlives its pool: `set_shards`
 //!   rebuilds the plan (joining the old workers first) and dropping the
-//!   simulation joins the last pool, verified with a thread-count probe.
+//!   simulation joins the last pool, verified by counting the process's
+//!   `stcc-shard-*` threads.
 
 use std::sync::Mutex;
 
@@ -66,30 +67,30 @@ fn barrier_stress_audited_eight_shard_run_survives_interruption() {
     );
 }
 
+/// Live shard-worker threads of this process: those the pool named
+/// `stcc-shard-<n>`. (Counting every thread would count libtest's own,
+/// which come and go underneath the probe.)
 #[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .unwrap()
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("/proc/self/status has a Threads: line")
-        .trim()
-        .parse()
-        .unwrap()
+fn worker_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task is readable")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("stcc-shard"))
+        .count()
 }
 
-/// Re-reads the thread count until it drops to `target` (or a generous
-/// deadline passes): joins are synchronous, but the harness's own test
-/// threads come and go underneath the probe.
+/// Re-reads the worker count until it drops to zero (or a generous
+/// deadline passes): joins are synchronous, but a joined thread's `/proc`
+/// entry may outlive the join by a moment.
 #[cfg(target_os = "linux")]
-fn settle(target: usize) -> usize {
-    let mut n = thread_count();
+fn settled_worker_count() -> usize {
+    let mut n = worker_count();
     for _ in 0..200 {
-        if n <= target {
+        if n == 0 {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
-        n = thread_count();
+        n = worker_count();
     }
     n
 }
@@ -98,22 +99,24 @@ fn settle(target: usize) -> usize {
 #[cfg(target_os = "linux")]
 fn no_worker_thread_outlives_the_simulation() {
     let _g = LOCK.lock().unwrap();
-    let baseline = thread_count();
+    assert_eq!(settled_worker_count(), 0, "workers alive before any pool");
 
     let mut sim = Simulation::new(cfg(0.05)).unwrap();
     sim.set_shards(4);
     for _ in 0..64 {
         sim.step();
     }
-    assert!(
-        thread_count() >= baseline + 3,
+    assert_eq!(
+        worker_count(),
+        3,
         "four shards must spawn three persistent workers"
     );
 
     // Replacing the plan joins the old pool before anything else runs.
     sim.set_shards(1);
-    assert!(
-        settle(baseline) <= baseline,
+    assert_eq!(
+        settled_worker_count(),
+        0,
         "set_shards(1) left worker threads behind"
     );
 
@@ -121,9 +124,11 @@ fn no_worker_thread_outlives_the_simulation() {
     for _ in 0..64 {
         sim.step();
     }
+    assert_eq!(worker_count(), 3);
     drop(sim);
-    assert!(
-        settle(baseline) <= baseline,
+    assert_eq!(
+        settled_worker_count(),
+        0,
         "dropping the simulation left worker threads behind"
     );
 }

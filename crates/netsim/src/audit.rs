@@ -19,6 +19,7 @@
 //! with a minimized repro instead of a bare panic.
 
 use crate::network::{Assign, Network};
+use crate::plane::{inj_movable_at, Slot};
 use core::fmt;
 
 /// Which invariant a violation broke. One variant per independently
@@ -34,6 +35,9 @@ pub enum AuditKind {
     UnroutedBit,
     /// `vc_switchable` plane vs. the actual assignment.
     SwitchableBit,
+    /// Switch-plane slot or `movable_at` vs. the assignment, ring front
+    /// and routing timestamp it summarizes.
+    SwitchPlane,
     /// `busy_nodes` summary vs. the per-node worklist word.
     BusySummary,
     /// `inj_nodes` summary vs. the injection interfaces.
@@ -78,6 +82,7 @@ impl AuditKind {
             AuditKind::OccupancyBit => "occupancy-bit",
             AuditKind::UnroutedBit => "unrouted-bit",
             AuditKind::SwitchableBit => "switchable-bit",
+            AuditKind::SwitchPlane => "switch-plane",
             AuditKind::BusySummary => "busy-summary",
             AuditKind::InjSummary => "inj-summary",
             AuditKind::SrcqSummary => "srcq-summary",
@@ -175,11 +180,36 @@ impl Network {
         }
     }
 
-    /// Worklist bits, assignment/occupancy bit-planes, node summaries and
-    /// the census. (Debug builds also run this, with
+    /// Worklist bits, assignment/occupancy bit-planes, the switch plane,
+    /// node summaries and the census. (Debug builds also run this, with
     /// [`Network::audit_shards`], after every cycle.)
+    ///
+    /// The switch plane is checked where the switch decide can come to
+    /// read it — the slot of every switchable input VC, the `movable_at`
+    /// of those that hold a flit, both for every active injection; the
+    /// rest of it is stale by design ([`crate::plane`]).
     pub(crate) fn audit_worklists(&self, v: &mut Vec<AuditViolation>) {
-        let fpn = self.torus().channels_per_node() * self.config().vcs;
+        let (d, vcs) = (self.torus().channels_per_node(), self.config().vcs);
+        let fpn = d * vcs;
+        // An impossible output has no slot (and is `audit_out_alloc`'s to
+        // report).
+        let slot_of = |node: usize, a: Assign| match a {
+            Assign::Out { port, vc } if usize::from(port) >= d || usize::from(vc) >= vcs => None,
+            a => self.slot_of(node, a),
+        };
+        // What index `at` of the plane gets wrong, given what it must hold
+        // (formatted only on a mismatch: debug builds run this every cycle
+        // under the zero-allocation gate).
+        let plane_diff = |at: usize, slot: Slot, movable_at: Option<u64>| {
+            let (s, t) = (self.plane.slot(at), self.plane.movable_at(at));
+            if s != slot {
+                Some(format!("slot {s:?}, expected {slot:?}"))
+            } else if movable_at.is_some_and(|m| m != t) {
+                Some(format!("movable_at {t}, expected {movable_at:?}"))
+            } else {
+                None
+            }
+        };
         let depth = self.config().buf_depth;
         let mut census = 0u32;
         for (node, &mask) in self.vc_busy.iter().enumerate() {
@@ -230,6 +260,31 @@ impl Network {
                             self.vc_switchable[node] >> f & 1,
                             self.vc_assign[idx]
                         ),
+                    });
+                }
+                if let Some(slot) = slot_of(node, self.vc_assign[idx]) {
+                    let at = node * (fpn + 1) + f;
+                    if let Some(diff) = plane_diff(at, slot, self.vc_front_movable_at(idx)) {
+                        v.push(AuditViolation {
+                            kind: AuditKind::SwitchPlane,
+                            detail: format!("node {node} feeder {f}: {diff}"),
+                        });
+                    }
+                }
+            }
+            let inj = &self.inj[node];
+            if inj.active.is_some() {
+                let diff = match slot_of(node, inj.assign) {
+                    Some(slot) => {
+                        let movable_at = Some(inj_movable_at(inj.routed_at));
+                        plane_diff(node * (fpn + 1) + fpn, slot, movable_at)
+                    }
+                    None => Some(format!("active but assigned {:?}", inj.assign)),
+                };
+                if let Some(diff) = diff {
+                    v.push(AuditViolation {
+                        kind: AuditKind::SwitchPlane,
+                        detail: format!("injector {node}: {diff}"),
                     });
                 }
             }
@@ -800,6 +855,44 @@ mod tests {
             .expect("no node with two busy VCs in a saturated net");
         net.vc_busy[node] &= !(1u64 << f);
         assert_exactly(&net, AuditKind::WorklistBit);
+    }
+
+    /// Desyncs the switch plane three ways — the port of a busy routed
+    /// VC's slot, its `movable_at`, and an active injection's slot — each
+    /// from a fresh network.
+    #[test]
+    fn detects_switch_plane_desync() {
+        let fpn = hot_net().vc_assign.len() / 16;
+        let vc_at = |net: &Network| {
+            (0..net.vc_busy.len())
+                .find_map(|n| {
+                    let m = net.vc_busy[n] & net.vc_switchable[n];
+                    (m != 0).then(|| n * (fpn + 1) + m.trailing_zeros() as usize)
+                })
+                .expect("no busy routed VC in a saturated net")
+        };
+        let wrong_port = |slot: Slot| Slot::new(slot.port() ^ 1, slot.dnode(), slot.dbit());
+
+        let mut net = hot_net();
+        let at = vc_at(&net);
+        let slot = net.plane.slot(at);
+        net.plane.view().set_slot(at, wrong_port(slot));
+        assert_exactly(&net, AuditKind::SwitchPlane);
+
+        let mut net = hot_net();
+        let at = vc_at(&net);
+        let movable_at = net.plane.movable_at(at);
+        net.plane.view().set_movable_at(at, movable_at + 1);
+        assert_exactly(&net, AuditKind::SwitchPlane);
+
+        let mut net = hot_net();
+        let node = (0..net.inj.len())
+            .find(|&n| net.inj[n].active.is_some())
+            .expect("no active injection in a saturated net");
+        let at = node * (fpn + 1) + fpn;
+        let slot = net.plane.slot(at);
+        net.plane.view().set_slot(at, wrong_port(slot));
+        assert_exactly(&net, AuditKind::SwitchPlane);
     }
 
     #[test]

@@ -11,6 +11,10 @@ pub const MAX_BUF_DEPTH: usize = 1 << 16;
 /// would be an absurd allocation.
 pub const MAX_SOURCE_QUEUE_CAP: usize = 1 << 20;
 
+/// Largest supported network, in nodes: the switch plane names a
+/// downstream router in 21 bits of a packed `u32`.
+pub const MAX_NODES: usize = 1 << 21;
+
 /// How the network deals with deadlock among fully adaptive channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlockMode {
@@ -99,7 +103,12 @@ impl NetConfig {
     ///
     /// Returns [`ConfigError`] describing the first violated constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.torus().map_err(ConfigError::Topology)?;
+        let torus = self.torus().map_err(ConfigError::Topology)?;
+        if torus.node_count() > MAX_NODES {
+            return Err(ConfigError::TooManyNodes {
+                nodes: torus.node_count(),
+            });
+        }
         if self.vcs == 0 || self.vcs > 8 {
             return Err(ConfigError::BadVcCount { vcs: self.vcs });
         }
@@ -176,6 +185,11 @@ impl NetConfig {
 pub enum ConfigError {
     /// The torus parameters are invalid.
     Topology(TopologyError),
+    /// The network is capped at [`MAX_NODES`] nodes.
+    TooManyNodes {
+        /// The rejected node count.
+        nodes: usize,
+    },
     /// VC count must be in `1..=8`.
     BadVcCount {
         /// The rejected VC count.
@@ -217,6 +231,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::Topology(e) => write!(f, "invalid topology: {e}"),
+            ConfigError::TooManyNodes { nodes } => {
+                write!(f, "{nodes} nodes exceed the supported {MAX_NODES}")
+            }
             ConfigError::BadVcCount { vcs } => write!(f, "vc count must be 1..=8, got {vcs}"),
             ConfigError::AvoidanceNeedsAdaptiveVc => {
                 f.write_str("deadlock avoidance needs at least 2 VCs (1 escape + 1 adaptive)")
@@ -272,6 +289,22 @@ mod tests {
     #[test]
     fn validation_rejects_bad_configs() {
         let base = NetConfig::paper(DeadlockMode::Avoidance);
+        assert!(matches!(
+            NetConfig {
+                radix: 16,
+                dimensions: 6,
+                ..base.clone()
+            }
+            .validate(),
+            Err(ConfigError::TooManyNodes { nodes }) if nodes == 1 << 24
+        ));
+        assert!(NetConfig {
+            radix: 128,
+            dimensions: 3,
+            ..base.clone()
+        }
+        .validate()
+        .is_ok());
         assert!(matches!(
             NetConfig {
                 vcs: 0,

@@ -56,6 +56,7 @@ mod deadlock;
 mod difftest;
 mod network;
 mod packet;
+mod plane;
 mod ring;
 mod routing;
 // The one module allowed `unsafe`: the checked raw cells, the per-shard
@@ -66,7 +67,9 @@ mod snapshot;
 mod wheel;
 
 pub use audit::{AuditKind, AuditReport, AuditViolation};
-pub use config::{ConfigError, DeadlockMode, NetConfig, MAX_BUF_DEPTH, MAX_SOURCE_QUEUE_CAP};
+pub use config::{
+    ConfigError, DeadlockMode, NetConfig, MAX_BUF_DEPTH, MAX_NODES, MAX_SOURCE_QUEUE_CAP,
+};
 pub use control::{CongestionControl, NoControl};
 pub use counters::{Counters, StageCycles};
 pub use network::Network;

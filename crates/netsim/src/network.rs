@@ -3,6 +3,7 @@ use crate::config::{DeadlockMode, NetConfig};
 use crate::control::CongestionControl;
 use crate::counters::Counters;
 use crate::packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore};
+use crate::plane::{inj_movable_at, rr_pick, vc_movable_at, Slot, SwitchPlane};
 use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, IdRing};
 use crate::routing::RouteTables;
 use crate::shard::{
@@ -126,7 +127,7 @@ pub struct Network {
     /// `max_path` so granting the token never allocates in steady state.
     pub(crate) path_scratch: Vec<NodeId>,
 
-    /// Precomputed next-hop / productive-port / downstream-index tables.
+    /// Precomputed per-dimension routing rows and output-VC slots.
     pub(crate) tables: RouteTables,
 
     /// Demand-slotted round-robin cursor of each router's routing arbiter.
@@ -153,6 +154,10 @@ pub struct Network {
     pub(crate) vc_unrouted: Vec<u64>,
     /// See [`Network::vc_unrouted`].
     pub(crate) vc_switchable: Vec<u64>,
+    /// Per-feeder output port, credit bit and earliest move cycle: what
+    /// the switch decide reads instead of chasing `vc_assign`, the ring
+    /// fronts and `vc_routed_at` ([`crate::plane`]). Derived state.
+    pub(crate) plane: SwitchPlane,
     /// Occupancy bit-planes: bit `f` of `vc_full[node]` iff input VC
     /// `node*d*v + f` is completely full. `full_buffers` (the side-band's
     /// census input) is the popcount sum of these planes, maintained
@@ -250,6 +255,7 @@ impl Network {
             vc_busy: vec![0; nodes],
             vc_unrouted: vec![all_feeders; nodes],
             vc_switchable: vec![0; nodes],
+            plane: SwitchPlane::new(nodes, d * v),
             vc_full: vec![0; nodes],
             busy_nodes: NodeSet::new(nodes),
             inj_nodes: NodeSet::new(nodes),
@@ -497,22 +503,43 @@ impl Network {
 
     /// The downstream input VC fed by output VC `(port, vc)` of `node`
     /// (precomputed; see [`RouteTables`]).
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn downstream_idx(&self, node: NodeId, port: usize, vc: usize) -> usize {
-        self.tables.downstream(self.vc_idx(node, port, vc))
+        let a = Assign::Out {
+            port: port as u8,
+            vc: vc as u8,
+        };
+        let slot = self.slot_of(node, a).expect("an output VC has a slot");
+        slot.dnode() * self.d * self.v + slot.dbit()
     }
 
+    /// The switch-plane slot of a feeder of `node` assigned `a` (`None`
+    /// unless `a` is switchable).
     #[inline]
-    fn feeders_per_node(&self) -> usize {
-        self.d * self.v + 1 // input VCs + injection interface
+    pub(crate) fn slot_of(&self, node: NodeId, a: Assign) -> Option<Slot> {
+        Slot::of(self.tables.out_slots(), self.d, self.v, node, a)
+    }
+
+    /// The switch plane's `movable_at` of input VC `idx`, if it holds a
+    /// flit.
+    pub(crate) fn vc_front_movable_at(&self, idx: usize) -> Option<u64> {
+        let front = self.vc_bufs.front(idx)?;
+        Some(vc_movable_at(
+            front.idx,
+            front.ready_at,
+            self.vc_routed_at[idx],
+        ))
     }
 
     /// Rebuilds every derived structure — the node summaries, the
-    /// assignment and occupancy bit-planes — from the authoritative state
-    /// they summarize. Called after a checkpoint restore, which serializes
-    /// only the ground truth (buffers, assignments, queues).
+    /// assignment and occupancy bit-planes, the switch plane — from the
+    /// authoritative state they summarize. Called after a checkpoint
+    /// restore, which serializes only the ground truth (buffers,
+    /// assignments, queues).
     pub(crate) fn rebuild_derived(&mut self) {
         let fpn = self.d * self.v;
+        let mut plane = SwitchPlane::new(self.vc_busy.len(), fpn);
+        let view = plane.view();
         self.busy_nodes.clear();
         self.inj_nodes.clear();
         self.srcq_nodes.clear();
@@ -535,11 +562,23 @@ impl Network {
                     Assign::Recovery => {}
                 }
                 full |= u64::from(self.vc_bufs.len(idx) >= self.depth) << f;
+                if let Some(slot) = self.slot_of(node, self.vc_assign[idx]) {
+                    view.set_slot(node * (fpn + 1) + f, slot);
+                }
+                if let Some(at) = self.vc_front_movable_at(idx) {
+                    view.set_movable_at(node * (fpn + 1) + f, at);
+                }
             }
+            let inj = &self.inj[node];
+            if let Some(slot) = self.slot_of(node, inj.assign) {
+                view.set_slot(node * (fpn + 1) + fpn, slot);
+            }
+            view.set_movable_at(node * (fpn + 1) + fpn, inj_movable_at(inj.routed_at));
             self.vc_unrouted[node] = unrouted;
             self.vc_switchable[node] = switchable;
             self.vc_full[node] = full;
         }
+        self.plane = plane;
     }
 
     // ------------------------------------------------------------------
@@ -658,7 +697,6 @@ impl Network {
     /// it, and those writes are deferred to the apply — so the decision
     /// for each node is the same under every partition.
     pub(crate) fn route_decide(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
-        let fpn = self.feeders_per_node();
         let inj_feeder = self.d * self.v;
         let timeout = match self.cfg.deadlock {
             DeadlockMode::Recovery { timeout } => timeout,
@@ -666,7 +704,6 @@ impl Network {
         };
         let staged_before = stage.route_ops.len();
         let tail_before = stage.route_tail.len();
-        let mut requests: [u16; 64] = [0; 64];
         // Only routers with buffered flits or an admitted injection can
         // have anything to arbitrate.
         for w in (lo >> 6)..hi.div_ceil(64) {
@@ -684,9 +721,9 @@ impl Network {
                     continue;
                 }
                 stage.route_visits += 1;
-                // Gather routing requests from occupied input VCs
-                // (ascending feeder order, same as a full scan).
-                let mut nreq = 0usize;
+                // Gather routing requests from occupied input VCs into a
+                // requester bitmask.
+                let mut requests = u64::from(allow) << inj_feeder;
                 let base = self.vc_idx(node, 0, 0);
                 let mut mask = cand;
                 while mask != 0 {
@@ -699,26 +736,16 @@ impl Network {
                     // path, so a transiently congested packet resumes
                     // normal routing when a channel frees. Truly
                     // deadlocked packets never see a free channel.
-                    if self.vc_bufs.front_idx(idx) == 0 && self.vc_bufs.front_ready_at(idx) <= now {
-                        requests[nreq] = f as u16;
-                        nreq += 1;
-                    }
+                    let requesting =
+                        self.vc_bufs.front_idx(idx) == 0 && self.vc_bufs.front_ready_at(idx) <= now;
+                    requests |= u64::from(requesting) << f;
                 }
-                if allow {
-                    requests[nreq] = inj_feeder as u16;
-                    nreq += 1;
-                }
-                if nreq == 0 {
+                if requests == 0 {
                     continue;
                 }
-                // Demand-slotted RR: pick the first requester at or after
-                // the cursor position.
-                let cursor = self.route_rr[node] % fpn;
-                let winner = *requests[..nreq]
-                    .iter()
-                    .find(|&&f| usize::from(f) >= cursor)
-                    .unwrap_or(&requests[0]);
-                let winner = usize::from(winner);
+                // Demand-slotted RR: the first requester at or after the
+                // cursor position.
+                let winner = rr_pick(requests, self.route_rr[node]);
                 stage.route_ops.push(RouteOp::Rr {
                     node: node as u32,
                     cursor: (winner + 1) as u8,
@@ -747,12 +774,12 @@ impl Network {
 
                 // Blocked-cycle accounting for every input-VC requester
                 // that did not end up routed this cycle (drives Disha
-                // detection).
-                for &f in &requests[..nreq] {
-                    let f = usize::from(f);
-                    if f == inj_feeder {
-                        continue; // queued packets hold no resources: not deadlockable
-                    }
+                // detection). Queued packets hold no resources — not
+                // deadlockable — so the injection feeder is masked out.
+                let mut blocked = requests & !(1u64 << inj_feeder);
+                while blocked != 0 {
+                    let f = blocked.trailing_zeros() as usize;
+                    blocked &= blocked - 1;
                     let idx = base + f;
                     if routed && f == winner {
                         // The winner's blocked-counter reset is part of
@@ -1090,108 +1117,68 @@ impl Network {
             source_q: self.source_q.view(),
             packets: self.packets.view(),
             wheel: self.wheel.view(),
-            downstream: self.tables.downstream_raw(),
+            plane: self.plane.view(),
+            out_slots: self.tables.out_slots(),
         }
     }
 
     /// The switch stage's read-only decide over `lo..hi`. Every per-port
-    /// arbitration input (candidate masks, assignments, `out_rr` cursors,
-    /// fronts) is node-local; the one cross-node read — downstream buffer
-    /// occupancy for the credit check — uses *pre-phase* occupancy, i.e.
-    /// credit freed by a pop this same cycle becomes usable next cycle
-    /// (credit return takes a cycle). That makes the decision a pure
-    /// function of pre-phase state, identical for every shard count, and
-    /// keeps the apply overflow-free: each downstream VC has exactly one
-    /// upstream owner moving at most one flit per cycle, so a buffer seen
-    /// below capacity pre-phase still has room at apply time.
+    /// arbitration input (the switch plane's slots and move cycles, the
+    /// candidate masks, `out_rr` cursors) is node-local; the one cross-node
+    /// read — the downstream VC's occupancy bit, for the credit check —
+    /// uses *pre-phase* occupancy, i.e. credit freed by a pop this same
+    /// cycle becomes usable next cycle (credit return takes a cycle). That
+    /// makes the decision a pure function of pre-phase state, identical
+    /// for every shard count, and keeps the apply overflow-free: each
+    /// downstream VC has exactly one upstream owner moving at most one
+    /// flit per cycle, so a buffer seen below capacity pre-phase still has
+    /// room at apply time.
     pub(crate) fn switch_decide(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
-        let inj_feeder = self.d * self.v;
-        let own_vcs = lo * inj_feeder..hi * inj_feeder;
+        let fpn = self.d * self.v;
         let nports = self.d + 1; // network ports + delivery
-                                 // Per-port candidate buckets, hoisted out of the node loop: zeroing
-                                 // ~2 KiB per node per cycle dominated idle-router cost. Only
-                                 // `counts` needs resetting; stale `buckets` entries are never read.
-        let mut buckets: [[u16; 64]; 17] = [[0; 64]; 17];
-        let mut counts = [0usize; 17];
-        debug_assert!(nports <= 17 && self.feeders_per_node() <= 64);
         let staged_before = stage.switch_ops.len();
         let tail_before = stage.switch_tail.len();
+        // Per-output-channel candidate masks over this router's feeders
+        // (sized by the slot's 5-bit port field). Every word a router sets
+        // is taken back to zero when its channel is arbitrated.
+        let mut cands = [0u64; 32];
         // Only routers with buffered flits or an active injection can move
         // anything. Routers made busy mid-phase by a downstream push are
         // not visited: the pushed flit is not ready before
         // `now + hop_latency` and its VC is unrouted, so a visit would do
         // nothing.
         for w in (lo >> 6)..hi.div_ceil(64) {
-            let mut nword =
-                (self.busy_nodes.word(w) | self.inj_nodes.word(w)) & range_word_mask(w, lo, hi);
+            let inj_word = self.inj_nodes.word(w);
+            let mut nword = (self.busy_nodes.word(w) | inj_word) & range_word_mask(w, lo, hi);
             while nword != 0 {
-                let node = (w << 6) | nword.trailing_zeros() as usize;
+                let b = nword.trailing_zeros() as usize;
+                let node = (w << 6) | b;
                 nword &= nword - 1;
                 stage.switch_visits += 1;
-                // Bucket ready feeders by output port. The bit-plane
-                // intersection prunes unrouted and recovering worms before
-                // any per-VC state is touched.
-                counts[..nports].fill(0);
-                // Feeders whose move is local: an `Out` hop into an input
-                // VC of this shard's own node range.
-                let mut local = 0u64;
-                let base = self.vc_idx(node, 0, 0);
-                let mut mask = self.vc_busy[node] & self.vc_switchable[node];
+                // The feeders that hold a routed worm's flit: the
+                // bit-plane intersection prunes unrouted and recovering
+                // worms, and an active injection is always routed.
+                let mut mask =
+                    (self.vc_busy[node] & self.vc_switchable[node]) | (inj_word >> b & 1) << fpn;
+                // A feeder is a candidate for its output channel when its
+                // front flit may move this cycle and the downstream buffer
+                // (never full, for the delivery channel) has credit.
+                let base = node * (fpn + 1);
+                let mut ports = 0u32;
                 while mask != 0 {
                     let f = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    let idx = base + f;
-                    let assign = self.vc_assign[idx];
-                    let port = match assign {
-                        Assign::Out { port, .. } => usize::from(port),
-                        Assign::Delivery => self.d,
-                        Assign::None | Assign::AwaitToken | Assign::Recovery => continue,
-                    };
-                    if self.vc_bufs.front_ready_at(idx) > now
-                        || (self.vc_bufs.front_idx(idx) == 0 && self.vc_routed_at[idx] >= now)
-                    {
-                        continue;
-                    }
-                    if let Assign::Out { port, vc: ovc } = assign {
-                        let didx = self.downstream_idx(node, usize::from(port), usize::from(ovc));
-                        if self.vc_bufs.len(didx) >= self.depth {
-                            continue; // no credit
-                        }
-                        local |= u64::from(own_vcs.contains(&didx)) << f;
-                    }
-                    buckets[port][counts[port]] = f as u16;
-                    counts[port] += 1;
-                }
-                // Injection feeder.
-                let inj = self.inj[node];
-                if let Some(pid) = inj.active {
-                    let port = match inj.assign {
-                        Assign::Out { port, .. } => Some(usize::from(port)),
-                        Assign::Delivery => Some(self.d),
-                        _ => None,
-                    };
-                    if let Some(port) = port {
-                        let header_wait = inj.sent == 0 && inj.routed_at >= now;
-                        let credit_ok = match inj.assign {
-                            Assign::Out { port, vc } => {
-                                let didx =
-                                    self.downstream_idx(node, usize::from(port), usize::from(vc));
-                                local |= u64::from(own_vcs.contains(&didx)) << inj_feeder;
-                                self.vc_bufs.len(didx) < self.depth
-                            }
-                            _ => true,
-                        };
-                        if !header_wait && credit_ok && inj.sent < self.packets.get(pid).len {
-                            buckets[port][counts[port]] = inj_feeder as u16;
-                            counts[port] += 1;
-                        }
-                    }
+                    let slot = self.plane.slot(base + f);
+                    let ok = (self.plane.movable_at(base + f) <= now)
+                        & (self.vc_full[slot.dnode()] >> slot.dbit() & 1 == 0);
+                    cands[slot.port()] |= u64::from(ok) << f;
+                    ports |= u32::from(ok) << slot.port();
                 }
                 // One flit per output channel, RR over its candidates.
-                for port in 0..nports {
-                    if counts[port] == 0 {
-                        continue;
-                    }
+                while ports != 0 {
+                    let port = ports.trailing_zeros() as usize;
+                    ports &= ports - 1;
+                    let feeders = std::mem::take(&mut cands[port]);
                     // A faulted output moves nothing this cycle: a stalled
                     // link (network port) or a hot, non-consuming node
                     // (delivery port). Stall-cycles count only when a flit
@@ -1207,12 +1194,7 @@ impl Network {
                             continue;
                         }
                     }
-                    let cands = &buckets[port][..counts[port]];
-                    let cursor = self.out_rr[node * nports + port] % self.feeders_per_node();
-                    let pick = *cands
-                        .iter()
-                        .find(|&&f| usize::from(f) >= cursor)
-                        .unwrap_or(&cands[0]);
+                    let pick = rr_pick(feeders, self.out_rr[node * nports + port]);
                     let op = SwitchOp {
                         node: node as u32,
                         port: port as u8,
@@ -1223,7 +1205,8 @@ impl Network {
                     // parallel phase; deliveries (globally FIFO-ordered
                     // records and packet releases) and cross-shard
                     // handoffs defer to the sequential tail.
-                    if local >> pick & 1 == 1 {
+                    let dnode = self.plane.slot(base + pick).dnode();
+                    if port != self.d && lo <= dnode && dnode < hi {
                         stage.switch_ops.push(op);
                     } else {
                         stage.switch_tail.push(op);
@@ -1281,11 +1264,15 @@ impl Network {
 /// view's range or panics.
 impl ApplyCtx<'_> {
     /// Sets the assignment of input VC `f` of `node` while keeping the
-    /// assignment bit-planes (`vc_unrouted`/`vc_switchable`) in sync. Every
-    /// assignment write in the pipeline goes through here.
+    /// assignment bit-planes (`vc_unrouted`/`vc_switchable`) and the switch
+    /// plane's slot in sync. Every assignment write in the pipeline goes
+    /// through here.
     #[inline]
     pub(crate) fn set_assign(&self, node: NodeId, f: usize, a: Assign) {
         self.vc_assign.set(node * self.fpn + f, a);
+        if let Some(slot) = self.slot_of(node, a) {
+            self.plane.set_slot(node * (self.fpn + 1) + f, slot);
+        }
         let bit = 1u64 << f;
         let (unrouted, switchable) = (self.vc_unrouted.get(node), self.vc_switchable.get(node));
         let (unrouted, switchable) = match a {
@@ -1297,25 +1284,38 @@ impl ApplyCtx<'_> {
         self.vc_switchable.set(node, switchable);
     }
 
-    /// Marks input VC `f` of `node` non-empty in the worklist (both
-    /// levels) and updates its full-buffer occupancy bit, crediting the
-    /// census through `full_delta`. Call after pushing a flit into its
-    /// buffer.
+    /// The switch-plane slot of a feeder of `node` assigned `a` (`None`
+    /// unless `a` is switchable).
     #[inline]
-    pub(crate) fn note_vc_filled(&self, node: NodeId, f: usize, full_delta: &mut i32) {
+    fn slot_of(&self, node: NodeId, a: Assign) -> Option<Slot> {
+        Slot::of(self.out_slots, self.d, self.v, node, a)
+    }
+
+    /// Marks input VC `f` of `node` — now holding `len` flits — non-empty
+    /// in the worklist (both levels) and updates its full-buffer occupancy
+    /// bit, crediting the census through `full_delta`. Call after pushing
+    /// a flit into its buffer.
+    #[inline]
+    fn note_vc_filled(&self, node: NodeId, f: usize, len: usize, full_delta: &mut i32) {
         self.vc_busy.set(node, self.vc_busy.get(node) | 1u64 << f);
         self.busy_nodes.insert_bit(node);
-        let full = u64::from(self.vc_bufs.len(node * self.fpn + f) >= self.depth);
+        let full = u64::from(len >= self.depth);
         self.vc_full.set(node, self.vc_full.get(node) | full << f);
         *full_delta += full as i32;
     }
 
     /// Clears input VC `f` of `node` from the worklists if its buffer is
-    /// now empty and updates its full-buffer occupancy bit. Call after
-    /// popping a flit from it.
+    /// now empty — else points the switch plane at its new front flit —
+    /// and updates its full-buffer occupancy bit. Call after popping a
+    /// flit from it.
     #[inline]
     pub(crate) fn note_vc_popped(&self, node: NodeId, f: usize, full_delta: &mut i32) {
-        let empty = self.vc_bufs.len(node * self.fpn + f) == 0;
+        let idx = node * self.fpn + f;
+        let empty = self.vc_bufs.len(idx) == 0;
+        if !empty {
+            self.plane
+                .set_movable_at(node * (self.fpn + 1) + f, self.vc_bufs.front_ready_at(idx));
+        }
         let busy = self.vc_busy.get(node) & !(u64::from(empty) << f);
         self.vc_busy.set(node, busy);
         if busy == 0 {
@@ -1356,8 +1356,8 @@ impl ApplyCtx<'_> {
                 stage.applied_total += stage.switch_ops.len() as u64;
                 for i in 0..stage.switch_ops.len() {
                     let (flit, dest) = self.take(now, stage.switch_ops[i], stage);
-                    let didx = dest.expect("deliveries are boundary ops");
-                    self.put(now, didx, flit, &mut stage.full_delta);
+                    let dest = dest.expect("deliveries are boundary ops");
+                    self.put(now, dest, flit, &mut stage.full_delta);
                 }
                 stage.switch_ops.clear();
             }
@@ -1381,7 +1381,7 @@ impl ApplyCtx<'_> {
                 for i in 0..stage.switch_tail.len() {
                     let (flit, dest) = self.take(now, stage.switch_tail[i], stage);
                     match dest {
-                        Some(didx) => self.put(now, didx, flit, &mut stage.full_delta),
+                        Some(dest) => self.put(now, dest, flit, &mut stage.full_delta),
                         None => stage.delivered.push(flit),
                     }
                 }
@@ -1410,6 +1410,7 @@ impl ApplyCtx<'_> {
         stage: &mut ShardStage,
     ) {
         let idx = node * self.fpn + feeder;
+        let at = node * (self.fpn + 1) + feeder;
         let is_inj = feeder == self.fpn;
         let pid = if is_inj {
             self.source_q.front(node)
@@ -1444,6 +1445,8 @@ impl ApplyCtx<'_> {
                     routed_at: now,
                 },
             );
+            let slot = self.slot_of(node, assign).expect("a win is switchable");
+            self.plane.set_slot(at, slot);
         } else {
             self.set_assign(node, feeder, assign);
             self.vc_routed_at.set(idx, now);
@@ -1461,92 +1464,97 @@ impl ApplyCtx<'_> {
                 self.wheel.schedule(idx, d);
             }
         }
+        // The winner's header was ready to request routing (an injection's
+        // flits always are): the 1-cycle routing delay is all that holds it.
+        self.plane.set_movable_at(at, now + 1);
     }
 
     /// The source half of a staged flit move: bumps the output channel's
     /// round-robin cursor, takes the flit off feeder `pick` of `node`
     /// (releasing the feeder's assignment and output VC behind a tail) and
     /// stamps the packet. Returns the flit and the downstream input VC it
-    /// is headed for — `None` for the delivery channel. Everything written
-    /// is state of `node`.
+    /// is headed for, as the (node, feeder) its slot names — `None` for
+    /// the delivery channel. Everything written is state of `node`.
     pub(crate) fn take(
         &self,
         now: u64,
         op: SwitchOp,
         stage: &mut ShardStage,
-    ) -> (Flit, Option<usize>) {
+    ) -> (Flit, Option<(NodeId, usize)>) {
         let (node, f) = (op.node as usize, usize::from(op.pick));
         self.out_rr
             .set(node * self.nports + usize::from(op.port), f + 1);
-        let (flit, assign, is_tail) = if f == self.fpn {
+        let slot = self.plane.slot(node * (self.fpn + 1) + f);
+        debug_assert_eq!(slot.port(), usize::from(op.port), "stale switch-plane slot");
+        let flit = if f == self.fpn {
             let mut inj = self.inj.get(node);
             let pid = inj.active.expect("injection feeder has active packet");
             let packet = self.packets.packet(pid);
             let idx = inj.sent;
             inj.sent += 1;
-            let is_tail = inj.sent == packet.len;
             if idx == 0 {
                 packet.injected_at.store(now, Ordering::Relaxed);
                 stage.injected += 1;
             }
-            let assign = inj.assign;
-            if is_tail {
+            if inj.sent == packet.len {
+                self.release_output(node, inj.assign);
                 inj = InjState::idle();
                 self.inj_nodes.remove_bit(node);
             }
             self.inj.set(node, inj);
-            (
-                Flit {
-                    packet: pid,
-                    idx,
-                    ready_at: now,
-                },
-                assign,
-                is_tail,
-            )
+            Flit {
+                packet: pid,
+                idx,
+                ready_at: now,
+            }
         } else {
             let idx = node * self.fpn + f;
             let flit = self.vc_bufs.pop_front(idx);
-            let assign = self.vc_assign.get(idx);
-            let is_tail = flit.idx + 1 == self.packets.packet(flit.packet).len;
-            if is_tail {
+            if flit.idx + 1 == self.packets.packet(flit.packet).len {
+                self.release_output(node, self.vc_assign.get(idx));
                 self.set_assign(node, f, Assign::None);
             }
             self.note_vc_popped(node, f, &mut stage.full_delta);
-            (flit, assign, is_tail)
+            flit
         };
         self.packets
             .packet(flit.packet)
             .last_move
             .store(now, Ordering::Relaxed);
         stage.progressed = true;
-        match assign {
-            Assign::Out { port, vc } => {
-                let oidx = (node * self.d + usize::from(port)) * self.v + usize::from(vc);
-                if is_tail {
-                    debug_assert!(self.out_alloc.get(oidx));
-                    self.out_alloc.set(oidx, false);
-                }
-                (flit, Some(self.downstream[oidx] as usize))
-            }
-            Assign::Delivery => (flit, None),
-            Assign::None | Assign::AwaitToken | Assign::Recovery => {
-                unreachable!("staged move from unassigned feeder")
-            }
+        let dest = (slot.port() != self.d).then(|| (slot.dnode(), slot.dbit()));
+        (flit, dest)
+    }
+
+    /// Frees the output VC a worm assigned `a` held, once its tail has
+    /// left `node` (a delivery holds none).
+    #[inline]
+    fn release_output(&self, node: NodeId, a: Assign) {
+        if let Assign::Out { port, vc } = a {
+            let oidx = (node * self.d + usize::from(port)) * self.v + usize::from(vc);
+            debug_assert!(self.out_alloc.get(oidx));
+            self.out_alloc.set(oidx, false);
         }
     }
 
     /// The downstream half of a flit move: `flit` arrives in input VC
-    /// `didx` one hop latency from `now`.
-    pub(crate) fn put(&self, now: u64, didx: usize, flit: Flit, full_delta: &mut i32) {
-        self.vc_bufs.push_back(
-            didx,
-            Flit {
-                ready_at: now + self.hop_latency,
-                ..flit
-            },
-        );
-        self.note_vc_filled(didx / self.fpn, didx % self.fpn, full_delta);
+    /// `f` of `node` one hop latency from `now`.
+    pub(crate) fn put(
+        &self,
+        now: u64,
+        (node, f): (NodeId, usize),
+        flit: Flit,
+        full_delta: &mut i32,
+    ) {
+        let (didx, ready_at) = (node * self.fpn + f, now + self.hop_latency);
+        self.vc_bufs.push_back(didx, Flit { ready_at, ..flit });
+        let len = self.vc_bufs.len(didx);
+        if len == 1 {
+            // The arrival is the ring's new front.
+            self.plane
+                .set_movable_at(node * (self.fpn + 1) + f, ready_at);
+        }
+        self.note_vc_filled(node, f, len, full_delta);
     }
 }
 
@@ -1595,34 +1603,51 @@ mod tests {
     /// Stepping under saturating random traffic must produce bit-identical
     /// state for every shard count: the decide phases are pure functions
     /// of pre-phase state and the barrier applies in ascending-node order
-    /// regardless of the partition.
+    /// regardless of the partition. Recovery exercises the token queue and
+    /// the wheel; avoidance the escape VCs, and (with most traffic
+    /// delivered rather than recovered) the delivery slot's bit-63 credit
+    /// encoding at nodes on both sides of unaligned shard edges.
     #[test]
     fn stepping_is_bit_identical_across_shard_counts() {
-        let cfg = NetConfig {
-            radix: 4,
-            dimensions: 3,
-            ..NetConfig::small(DeadlockMode::Recovery { timeout: 8 })
-        };
-        let run = |shards: usize| {
-            let mut net = Network::new(cfg.clone()).unwrap();
-            net.set_shards(shards);
-            assert_eq!(net.shards(), shards);
-            let nodes = net.torus().node_count();
-            let mut src = move |now: u64, node: usize| {
-                let mut x = (now + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (node as u64) << 17;
-                x ^= x >> 29;
-                (x % 100 < 55).then(|| (x >> 32) as usize % nodes)
+        for deadlock in [
+            DeadlockMode::Recovery { timeout: 8 },
+            DeadlockMode::Avoidance,
+        ] {
+            let cfg = NetConfig {
+                radix: 4,
+                dimensions: 3,
+                ..NetConfig::small(deadlock)
             };
-            net.run(1_200, &mut src, &mut NoControl);
-            let mut enc = checkpoint::Enc::new();
-            net.save_state(&mut enc);
-            let delivered = net.counters().delivered_packets;
-            (enc.into_vec(), delivered)
-        };
-        let (base, delivered) = run(1);
-        assert!(delivered > 0, "vacuous: nothing was delivered");
-        for shards in [2usize, 3, 4, 7, 8] {
-            assert_eq!(run(shards).0, base, "shards={shards} diverged from 1");
+            let run = |shards: usize| {
+                let mut net = Network::new(cfg.clone()).unwrap();
+                net.set_shards(shards);
+                assert_eq!(net.shards(), shards);
+                let nodes = net.torus().node_count();
+                let mut src = move |now: u64, node: usize| {
+                    let mut x = (now + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (node as u64) << 17;
+                    x ^= x >> 29;
+                    (x % 100 < 55).then(|| (x >> 32) as usize % nodes)
+                };
+                net.run(1_200, &mut src, &mut NoControl);
+                let mut enc = checkpoint::Enc::new();
+                net.save_state(&mut enc);
+                let c = net.counters();
+                (enc.into_vec(), c.delivered_packets, c.escape_allocations)
+            };
+            let (base, delivered, escapes) = run(1);
+            assert!(delivered > 0, "vacuous: nothing was delivered");
+            assert_eq!(
+                escapes > 0,
+                deadlock == DeadlockMode::Avoidance,
+                "vacuous: escape VCs unused under avoidance"
+            );
+            for shards in [2usize, 3, 4, 7, 8] {
+                assert_eq!(
+                    run(shards).0,
+                    base,
+                    "{deadlock:?}: shards={shards} diverged from 1"
+                );
+            }
         }
     }
 

@@ -205,6 +205,13 @@ impl FlitRingsView<'_> {
         self.packet.get(self.slot(r, 0))
     }
 
+    /// See [`FlitRings::front_ready_at`].
+    #[inline]
+    pub(crate) fn front_ready_at(&self, r: usize) -> u64 {
+        debug_assert!(self.len.get(r) != 0, "front of empty flit ring");
+        self.ready.get(self.slot(r, 0))
+    }
+
     /// See [`FlitRings::push_back`].
     #[inline]
     pub(crate) fn push_back(&self, r: usize, f: Flit) {

@@ -61,6 +61,7 @@ use std::thread::JoinHandle;
 
 use crate::network::{Assign, InjState, Network};
 use crate::packet::{Flit, PacketCell, PacketId, PacketInfo};
+use crate::plane::{Slot, SwitchPlaneView};
 use crate::ring::{FlitRingsView, IdRingView};
 use crate::wheel::TimerWheelView;
 
@@ -377,8 +378,9 @@ impl Cells<'_, PacketInfo> {
 /// * **Owned-range plain access** — everything indexed by node or by
 ///   input/output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routed_at`,
 ///   `vc_blocked`, `out_alloc`, `inj`, the per-node `vc_*` bit-plane
-///   words, the flit and source rings, wheel deadlines, the downstream
-///   table). An index outside the view's node range panics.
+///   words, the switch plane's slots and move cycles, the flit and source
+///   rings, wheel deadlines). An index outside the view's node range
+///   panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets and wheel bucket words (64 nodes/VCs per word, shard edges
 ///   unaligned; each bit is changed only by its owner's ops), and the
@@ -420,7 +422,10 @@ pub(crate) struct ApplyCtx<'a> {
     pub source_q: IdRingView<'a>,
     pub packets: Cells<'a, PacketInfo>,
     pub wheel: TimerWheelView<'a>,
-    pub downstream: &'a [u32],
+    pub plane: SwitchPlaneView<'a>,
+    /// [`crate::routing::RouteTables`]' slots of every output VC
+    /// (read-only).
+    pub out_slots: &'a [Slot],
 }
 
 impl ApplyCtx<'_> {
@@ -450,6 +455,9 @@ impl ApplyCtx<'_> {
             vc_bufs: whole.vc_bufs.narrow(vcs.start, vcs.end),
             source_q: whole.source_q.narrow(lo, hi),
             wheel: whole.wheel.narrow(vcs.start, vcs.end),
+            plane: whole
+                .plane
+                .narrow(lo * (whole.fpn + 1), hi * (whole.fpn + 1)),
             // Owned by no node range: atomic access only.
             escaped: whole.escaped.narrow(0, 0),
             busy_nodes: whole.busy_nodes.narrow(0, 0),

@@ -50,13 +50,19 @@ fn enc_assign(enc: &mut Enc, a: Assign) {
     }
 }
 
-fn dec_assign(dec: &mut Dec<'_>) -> Result<Assign, CheckpointError> {
+/// Decodes an assignment on a router with `d` network ports of `v` VCs
+/// each. An `Out` naming a port or VC the router does not have is rejected
+/// here: restore indexes the output-slot table with it.
+fn dec_assign(dec: &mut Dec<'_>, d: usize, v: usize) -> Result<Assign, CheckpointError> {
     Ok(match dec.u8()? {
         0 => Assign::None,
-        1 => Assign::Out {
-            port: dec.u8()?,
-            vc: dec.u8()?,
-        },
+        1 => {
+            let (port, vc) = (dec.u8()?, dec.u8()?);
+            if usize::from(port) >= d || usize::from(vc) >= v {
+                return Err(CheckpointError::Corrupt("assigned output out of range"));
+            }
+            Assign::Out { port, vc }
+        }
         2 => Assign::Delivery,
         3 => Assign::AwaitToken,
         4 => Assign::Recovery,
@@ -244,6 +250,7 @@ impl Network {
         let nodes = self.torus().node_count();
         let n_vcs = self.vc_assign.len();
         let depth = self.config().buf_depth;
+        let (d, v) = (self.torus().channels_per_node(), self.config().vcs);
 
         let now = dec.u64()?;
         let last_delivery_at = dec.u64()?;
@@ -261,7 +268,7 @@ impl Network {
         let mut vc_queued = Vec::with_capacity(n_vcs);
         for idx in 0..n_vcs {
             dec_flit_ring(dec, &mut vc_bufs, idx, depth)?;
-            vc_assign.push(dec_assign(dec)?);
+            vc_assign.push(dec_assign(dec, d, v)?);
             vc_routed_at.push(dec.u64()?);
             vc_blocked.push(dec.u64()?);
             vc_queued.push(dec.bool()?);
@@ -274,7 +281,7 @@ impl Network {
             inj.push(InjState {
                 active: some.then_some(id),
                 sent: dec.u16()?,
-                assign: dec_assign(dec)?,
+                assign: dec_assign(dec, d, v)?,
                 routed_at: dec.u64()?,
             });
         }

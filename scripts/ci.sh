@@ -16,8 +16,9 @@
 #  13. chaos smoke       (fixed-seed chaos trials at random shard counts,
 #                         kill/resume determinism)
 #  14. campaign smoke    (orchestrator retry/quarantine + kill/resume)
-#  15. thread sanitizer  (shard + bit-identity tests and the barrier stress
-#                         under TSan; needs nightly, loud skip otherwise)
+#  15. thread sanitizer  (shard + bit-identity tests, the barrier stress and
+#                         pool teardown under TSan; needs nightly, loud skip
+#                         otherwise)
 #  16. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
 #                         tenth of their length, every verification on)
 #  17. tiny bench gate   (always on: 64-node preset, >50% regression fails)
@@ -311,7 +312,6 @@ step "campaign smoke (retry/quarantine, kill/resume determinism)" campaign_gate
 # tests and the 10 K-cycle eight-shard barrier stress with the workspace
 # crates instrumented (the prebuilt std is not, hence the two suppressions
 # for libtest's own result channel in scripts/tsan.supp).
-# The /proc thread-count probe is skipped: TSan runs a thread of its own.
 # Any report from simulator code fails the step. Needs a nightly toolchain
 # with the TSan runtime for this host.
 tsan_gate() (
@@ -321,8 +321,7 @@ tsan_gate() (
     export CARGO_TARGET_DIR=target/tsan
     cargo +nightly test --offline --target $target -p wormsim --lib -- \
         shard bit_identical
-    cargo +nightly test --offline --target $target -p stcc --test shard_pool -- \
-        --skip no_worker_thread_outlives
+    cargo +nightly test --offline --target $target -p stcc --test shard_pool
 )
 if [ "$(uname -sm)" = "Linux x86_64" ] &&
     cargo +nightly --version >/dev/null 2>&1 &&
