@@ -25,9 +25,12 @@
 //! persistent worker pool keeps a second shard affordable on this host —
 //! each against the committed baseline with the one `--tolerance`. The
 //! per-stage work shares of the saturated run, the shard-scaling rows
-//! (`saturated_cycles_per_sec@shards=1/2/4`) and the decide/apply/barrier
-//! time split of a sharded cycle (`phase_*_ns_per_cycle@shards=2`) are
-//! informational: `--gate` prints their drift but never fails on them.
+//! (`saturated_cycles_per_sec@shards=1/2/4`), the decide/apply/barrier
+//! time split of a sharded cycle (`phase_*_ns_per_cycle@shards=2`) and the
+//! worker pool's tallies over that split run (`pool_*@shards=2`: shards
+//! claimed by their home participant or by another, worker parks and
+//! unparks) are informational: `--gate` prints their drift but never
+//! fails on them.
 //! The JSON is hand-rolled and hand-parsed — one metric per line, no
 //! dependencies — keeping the build hermetic.
 
@@ -142,7 +145,7 @@ fn measure(preset: Preset) -> Vec<Metric> {
     // re-partitioned in place — the v3 shard-scaling rows. The unsharded
     // measurement doubles as the `@shards=1` row; results are bit-identical
     // at every shard count, so the rows differ only in wall-clock.
-    let (stages, phase_split) = {
+    let (stages, phase_split, pool_tallies) = {
         let mut net = Network::new(preset.net(DeadlockMode::PAPER_RECOVERY)).unwrap();
         let nodes = net.torus().node_count();
         let mut x = 0usize;
@@ -165,8 +168,8 @@ fn measure(preset: Preset) -> Vec<Metric> {
             });
         }
         // v4 phase split: where a two-shard saturated cycle spends its
-        // time — parallel decide, parallel apply + sequential boundary
-        // tail, or waiting on the epoch barrier. Timed outside the
+        // time — parallel decide, parallel apply + sequential handoff
+        // tail, or in the claim protocol and its barriers. Timed outside the
         // benchmark samples above so the instrumentation (two `Instant`
         // reads per phase) never pollutes the throughput rows.
         net.set_shards(2);
@@ -185,6 +188,9 @@ fn measure(preset: Preset) -> Vec<Metric> {
                 per_cycle(ps.apply_ns),
                 per_cycle(ps.barrier_ns),
             ],
+            // The pool's tallies over the split run: who claimed the
+            // shards, and how often a worker slept and was woken.
+            [ps.home_claims, ps.stolen_claims, ps.parks, ps.unparks],
         )
     };
 
@@ -333,6 +339,20 @@ fn measure(preset: Preset) -> Vec<Metric> {
             informational: true,
         },
     ]);
+    let [home, stolen, parks, unparks] = pool_tallies;
+    for (name, tally, higher_is_better) in [
+        ("pool_home_claims@shards=2", home, true),
+        ("pool_stolen_claims@shards=2", stolen, false),
+        ("pool_parks@shards=2", parks, false),
+        ("pool_unparks@shards=2", unparks, false),
+    ] {
+        metrics.push(Metric {
+            name,
+            value: tally as f64,
+            higher_is_better,
+            informational: true,
+        });
+    }
     metrics
 }
 

@@ -735,20 +735,23 @@ impl Network {
             let stage = &self.plan.stages[s];
             if stage.staged_total != stage.applied_total
                 || stage.has_ops()
+                || !stage.parked.is_empty()
                 || !stage.delivered.is_empty()
             {
                 v.push(AuditViolation {
                     kind: AuditKind::MailboxConservation,
                     detail: format!(
-                        "shard {s}: staged {} vs applied {}, {} route + {} switch local \
-                         op(s), {} route + {} switch boundary op(s) and {} delivered \
-                         flit(s) left in the mailbox",
+                        "shard {s}: staged {} vs applied {}; left in the mailbox: {} route \
+                         op(s), {} suspect(s), {} local hop(s), {} delivery(ies), {} \
+                         handoff(s), {} parked and {} delivered flit(s)",
                         stage.staged_total,
                         stage.applied_total,
                         stage.route_ops.len(),
+                        stage.suspects.len(),
                         stage.switch_ops.len(),
-                        stage.route_tail.len(),
-                        stage.switch_tail.len(),
+                        stage.deliveries.len(),
+                        stage.handoffs.len(),
+                        stage.parked.len(),
                         stage.delivered.len()
                     ),
                 });
@@ -787,6 +790,8 @@ mod tests {
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
     use crate::difftest::{hot_net, source};
+    use crate::packet::Flit;
+    use crate::shard::{Parked, ShardStage, SwitchOp};
     use std::collections::BTreeSet;
 
     fn drive(net: &mut Network, seed: u64, load: u64, cycles: u64) {
@@ -971,13 +976,39 @@ mod tests {
     }
 
     #[test]
-    fn detects_leftover_boundary_op() {
-        let mut net = hot_net();
-        net.set_shards(2);
-        // A boundary op stranded in a tail buffer — the sequential fold
-        // missed it — must trip the same conservation audit as a local one.
-        net.plan.stages[1].route_tail.push(0);
-        assert_exactly(&net, AuditKind::MailboxConservation);
+    fn detects_leftovers_in_the_mailbox() {
+        let flit = Flit {
+            packet: 0,
+            idx: 0,
+            ready_at: 0,
+        };
+        let op = SwitchOp {
+            node: 0,
+            port: 0,
+            pick: 0,
+        };
+        // A suspect or a delivery nobody applied; a flit the parallel
+        // apply took off its feeder that the sequential tail never put
+        // downstream, or the fold never consumed: each must trip the same
+        // conservation audit as a drifting count.
+        let strands: [&dyn Fn(&mut ShardStage); 4] = [
+            &|st| st.suspects.push(0),
+            &|st| st.deliveries.push(op),
+            &|st| {
+                st.parked.push(Parked {
+                    node: 0,
+                    feeder: 0,
+                    flit,
+                });
+            },
+            &|st| st.delivered.push(flit),
+        ];
+        for strand in strands {
+            let mut net = hot_net();
+            net.set_shards(2);
+            strand(&mut net.plan.stages[1]);
+            assert_exactly(&net, AuditKind::MailboxConservation);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::plane::{inj_movable_at, rr_pick, vc_movable_at, Slot, SwitchPlane};
 use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, IdRing};
 use crate::routing::RouteTables;
 use crate::shard::{
-    ApplyCtx, Cells, Pass, PhaseStats, RouteOp, ShardPlan, ShardStage, SwitchOp, WorkerPool,
+    ApplyCtx, Cells, Parked, Pass, PhaseStats, RouteOp, ShardPlan, ShardStage, SwitchOp, WorkerPool,
 };
 use crate::wheel::TimerWheel;
 use faults::{FaultPlan, FaultPlanError};
@@ -282,11 +282,16 @@ impl Network {
     /// in canonical ascending-node order regardless of the partition. The
     /// partition is runtime-only configuration — never serialized, so a
     /// checkpoint moves freely between shard counts. Call between cycles.
+    ///
+    /// The shards are stepped by `min(shards, available cores)` threads,
+    /// the caller's among them: more shards than cores buys no more
+    /// threads, and on one core the caller's thread steps every shard.
     pub fn set_shards(&mut self, shards: usize) {
         let nodes = self.torus.node_count();
         let mut plan = ShardPlan::new(shards, nodes, self.d * self.v, self.d + 1);
         if plan.shards() > 1 {
-            plan.pool = Some(WorkerPool::new(plan.shards()));
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            plan.pool = Some(WorkerPool::new(plan.shards(), cores));
         }
         // Replacing the plan drops any previous pool, which shuts down and
         // joins its workers — no worker thread ever outlives the partition
@@ -305,6 +310,9 @@ impl Network {
     /// it never affects simulation results.
     pub fn set_phase_stats(&mut self, enabled: bool) {
         self.phase_stats = enabled.then(|| Box::new(PhaseStats::default()));
+        if let Some(pool) = &mut self.plan.pool {
+            pool.reset_tallies();
+        }
     }
 
     /// The accumulated phase split, if enabled.
@@ -702,8 +710,7 @@ impl Network {
             DeadlockMode::Recovery { timeout } => timeout,
             DeadlockMode::Avoidance => u64::MAX,
         };
-        let staged_before = stage.route_ops.len();
-        let tail_before = stage.route_tail.len();
+        let staged_before = stage.route_ops.len() + stage.suspects.len();
         // Only routers with buffered flits or an admitted injection can
         // have anything to arbitrate.
         for w in (lo >> 6)..hi.div_ceil(64) {
@@ -795,9 +802,9 @@ impl Network {
                         if self.vc_blocked[idx] + 1 >= timeout {
                             let pid = self.vc_bufs.front_packet(idx);
                             if now.saturating_sub(self.packets.get(pid).last_move) >= timeout {
-                                // Token-queue commits are globally
-                                // FIFO-ordered: a boundary op.
-                                stage.route_tail.push(idx as u32);
+                                // The token-queue commit is globally
+                                // FIFO-ordered: the fold's.
+                                stage.suspects.push(idx as u32);
                                 continue;
                             }
                         }
@@ -806,13 +813,12 @@ impl Network {
                 }
             }
         }
-        stage.staged_total += (stage.route_ops.len() - staged_before) as u64
-            + (stage.route_tail.len() - tail_before) as u64;
+        stage.staged_total += (stage.route_ops.len() + stage.suspects.len() - staged_before) as u64;
     }
 
     /// Commits a suspected-deadlocked VC to the recovery token queue (what
     /// the starvation stage does to a header that trips; a staged suspect
-    /// takes the same two steps in [`ApplyCtx::tail`] and
+    /// takes the same two steps in [`ApplyCtx::apply`] and
     /// [`Network::fold_stage`]).
     fn commit_suspect(&mut self, idx: usize) {
         self.apply_ctx().suspect(idx);
@@ -977,12 +983,12 @@ impl Network {
         self.run_pass(now, Pass::Switch);
     }
 
-    /// Executes one pass: decide per shard, local apply per shard through
-    /// a view of that shard's node range, then the sequential boundary
-    /// tail. With one shard the caller's thread runs decide and apply
-    /// inline over the whole-network view; otherwise the persistent
-    /// worker pool's participants claim them (see
-    /// [`crate::shard::WorkerPool`]) — the same code either way.
+    /// Executes one pass: decide per shard, apply per shard through a view
+    /// of that shard's node range, then the sequential tail. With one
+    /// shard the caller's thread runs decide and apply inline over the
+    /// whole-network view; otherwise the persistent worker pool's
+    /// participants run them (see [`crate::shard::WorkerPool`]) — the same
+    /// code either way.
     fn run_pass(&mut self, now: u64, kind: Pass) {
         // Nothing to do unless some router holds a flit or — to route — an
         // admitted injection, to switch an active one (one OR per 64 nodes).
@@ -995,31 +1001,31 @@ impl Network {
         }
         let mut stages = std::mem::take(&mut self.plan.stages);
         let mut stats = self.phase_stats.take();
-        let pooled = if let Some(mut pool) = self.plan.pool.take() {
+        if let Some(mut pool) = self.plan.pool.take() {
             pool.run(self, kind, now, &mut stages, stats.as_deref_mut());
             self.plan.pool = Some(pool);
-            true
         } else {
             let t0 = stats.as_ref().map(|_| std::time::Instant::now());
             self.decide(kind, now, 0, self.torus.node_count(), &mut stages[0]);
-            if let (Some(st), Some(t0)) = (stats.as_deref_mut(), t0) {
-                st.decide_ns += t0.elapsed().as_nanos() as u64;
+            let t1 = stats.as_ref().map(|_| std::time::Instant::now());
+            if stages[0].has_ops() {
+                self.apply_ctx().apply(kind, now, &mut stages[0]);
             }
-            false
-        };
+            if let (Some(st), Some(t0), Some(t1)) = (stats.as_deref_mut(), t0, t1) {
+                st.decide_ns += (t1 - t0).as_nanos() as u64;
+                st.apply_ns += t1.elapsed().as_nanos() as u64;
+            }
+        }
         // Sequential from here, in ascending shard (= ascending node)
         // order — which visits the FIFO-ordered structures in global
-        // ascending-node order at any shard count: the view half of the
-        // boundary ops (after the one shard's local apply, if no pool ran
-        // it), then the global half and the deltas.
+        // ascending-node order at any shard count: the downstream half of
+        // the handoffs, then the global half of each shard's results and
+        // its deltas.
         let t0 = stats.as_ref().map(|_| std::time::Instant::now());
-        if stages.iter().any(ShardStage::has_ops) {
+        if stages.iter().any(|stage| !stage.parked.is_empty()) {
             let view = self.apply_ctx();
             for stage in &mut stages {
-                if !pooled {
-                    view.apply(kind, now, stage);
-                }
-                view.tail(kind, now, stage);
+                view.tail(now, stage);
             }
         }
         for stage in &mut stages {
@@ -1033,16 +1039,16 @@ impl Network {
     }
 
     /// Folds one shard's results of a pass once its ops are applied: the
-    /// deltas to global scalars, and the global half of its boundary ops —
-    /// suspects join the token queue, delivered flits are consumed — in
-    /// staging order.
+    /// deltas to global scalars, and the global half of its suspects and
+    /// deliveries — suspects join the token queue, delivered flits are
+    /// consumed — in staging order.
     pub(crate) fn fold_stage(&mut self, kind: Pass, now: u64, stage: &mut ShardStage) {
         match kind {
             Pass::Route => {
                 let c = &mut self.counters;
                 c.stage_route_visits += std::mem::take(&mut stage.route_visits);
                 c.escape_allocations += std::mem::take(&mut stage.escape_allocs);
-                for idx in stage.route_tail.drain(..) {
+                for idx in stage.suspects.drain(..) {
                     self.enqueue_suspect(idx as usize);
                 }
             }
@@ -1136,8 +1142,7 @@ impl Network {
     pub(crate) fn switch_decide(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
         let fpn = self.d * self.v;
         let nports = self.d + 1; // network ports + delivery
-        let staged_before = stage.switch_ops.len();
-        let tail_before = stage.switch_tail.len();
+        let staged_before = stage.switch_ops.len() + stage.deliveries.len() + stage.handoffs.len();
         // Per-output-channel candidate masks over this router's feeders
         // (sized by the slot's 5-bit port field). Every word a router sets
         // is taken back to zero when its channel is arbitrated.
@@ -1200,22 +1205,26 @@ impl Network {
                         port: port as u8,
                         pick: pick as u8,
                     };
-                    // Classify the move: a hop whose downstream VC lies in
-                    // this shard's own node range is applied in the
-                    // parallel phase; deliveries (globally FIFO-ordered
-                    // records and packet releases) and cross-shard
-                    // handoffs defer to the sequential tail.
+                    // Classify the move by where its downstream half
+                    // lands: nowhere (a delivery: the flit is consumed, in
+                    // global FIFO order, by the fold), in this shard's own
+                    // node range (a local hop), or in another shard's (a
+                    // handoff: the sequential tail `put`s it).
                     let dnode = self.plane.slot(base + pick).dnode();
-                    if port != self.d && lo <= dnode && dnode < hi {
+                    if port == self.d {
+                        stage.deliveries.push(op);
+                    } else if lo <= dnode && dnode < hi {
                         stage.switch_ops.push(op);
                     } else {
-                        stage.switch_tail.push(op);
+                        stage.handoffs.push(op);
                     }
                 }
             }
         }
-        stage.staged_total += (stage.switch_ops.len() - staged_before) as u64
-            + (stage.switch_tail.len() - tail_before) as u64;
+        stage.staged_total += (stage.switch_ops.len()
+            + stage.deliveries.len()
+            + stage.handoffs.len()
+            - staged_before) as u64;
     }
 
     /// Whether a fault plan currently stalls `node`'s delivery channel
@@ -1259,7 +1268,7 @@ impl Network {
 
 /// The route/switch state transition, written once over the checked view:
 /// a pool participant runs it on its shard's node range, the caller's
-/// thread on the whole network (the single-shard apply, the boundary tail,
+/// thread on the whole network (the single-shard apply, the handoff tail,
 /// the starvation and recovery stages). Every write lands inside the
 /// view's range or panics.
 impl ApplyCtx<'_> {
@@ -1328,12 +1337,15 @@ impl ApplyCtx<'_> {
         *full_delta -= (full >> f & 1) as i32;
     }
 
-    /// Applies one shard's local ops of `kind` in staging (ascending-node)
-    /// order.
+    /// Applies one shard's ops of `kind`, each list in staging
+    /// (ascending-node) order: everything that writes the shard's own
+    /// state. Suspects lose their assignment; local hops move; the flits of
+    /// deliveries and handoffs are taken off their feeders and set aside —
+    /// for [`Network::fold_stage`] and [`ApplyCtx::tail`].
     pub(crate) fn apply(&self, kind: Pass, now: u64, stage: &mut ShardStage) {
         match kind {
             Pass::Route => {
-                stage.applied_total += stage.route_ops.len() as u64;
+                stage.applied_total += (stage.route_ops.len() + stage.suspects.len()) as u64;
                 for i in 0..stage.route_ops.len() {
                     match stage.route_ops[i] {
                         RouteOp::Rr { node, cursor } => {
@@ -1351,42 +1363,47 @@ impl ApplyCtx<'_> {
                     }
                 }
                 stage.route_ops.clear();
-            }
-            Pass::Switch => {
-                stage.applied_total += stage.switch_ops.len() as u64;
-                for i in 0..stage.switch_ops.len() {
-                    let (flit, dest) = self.take(now, stage.switch_ops[i], stage);
-                    let dest = dest.expect("deliveries are boundary ops");
-                    self.put(now, dest, flit, &mut stage.full_delta);
-                }
-                stage.switch_ops.clear();
-            }
-        }
-    }
-
-    /// The view half of one shard's boundary ops, in staging order:
-    /// suspects lose their assignment; cross-shard handoffs move, and the
-    /// flits of delivery moves are taken and set aside. The global half is
-    /// [`Network::fold_stage`]'s.
-    pub(crate) fn tail(&self, kind: Pass, now: u64, stage: &mut ShardStage) {
-        match kind {
-            Pass::Route => {
-                stage.applied_total += stage.route_tail.len() as u64;
-                for &idx in &stage.route_tail {
+                for &idx in &stage.suspects {
                     self.suspect(idx as usize);
                 }
             }
             Pass::Switch => {
-                stage.applied_total += stage.switch_tail.len() as u64;
-                for i in 0..stage.switch_tail.len() {
-                    let (flit, dest) = self.take(now, stage.switch_tail[i], stage);
-                    match dest {
-                        Some(dest) => self.put(now, dest, flit, &mut stage.full_delta),
-                        None => stage.delivered.push(flit),
-                    }
+                stage.applied_total += (stage.switch_ops.len() + stage.deliveries.len()) as u64;
+                for i in 0..stage.switch_ops.len() {
+                    let (flit, dest) = self.take(now, stage.switch_ops[i], stage);
+                    let dest = dest.expect("a hop has a downstream VC");
+                    self.put(now, dest, flit, &mut stage.full_delta);
                 }
-                stage.switch_tail.clear();
+                stage.switch_ops.clear();
+                // Their own loop: as a second arm of the hop loop above
+                // they cost the single-shard switch stage ~10%.
+                for i in 0..stage.deliveries.len() {
+                    let (flit, _) = self.take(now, stage.deliveries[i], stage);
+                    stage.delivered.push(flit);
+                }
+                stage.deliveries.clear();
+                for i in 0..stage.handoffs.len() {
+                    let (flit, dest) = self.take(now, stage.handoffs[i], stage);
+                    let (node, feeder) = dest.expect("a hop has a downstream VC");
+                    stage.parked.push(Parked {
+                        node: node as u32,
+                        feeder: feeder as u8,
+                        flit,
+                    });
+                }
+                stage.handoffs.clear();
             }
+        }
+    }
+
+    /// The downstream half of one shard's handoffs, in staging order: the
+    /// flits its apply parked arrive in their — another shard's — input
+    /// VCs.
+    pub(crate) fn tail(&self, now: u64, stage: &mut ShardStage) {
+        stage.applied_total += stage.parked.len() as u64;
+        for Parked { node, feeder, flit } in stage.parked.drain(..) {
+            let dest = (node as usize, usize::from(feeder));
+            self.put(now, dest, flit, &mut stage.full_delta);
         }
     }
 
@@ -1606,9 +1623,28 @@ mod tests {
     /// regardless of the partition. Recovery exercises the token queue and
     /// the wheel; avoidance the escape VCs, and (with most traffic
     /// delivered rather than recovered) the delivery slot's bit-63 credit
-    /// encoding at nodes on both sides of unaligned shard edges.
+    /// encoding at nodes on both sides of unaligned shard edges. The fault
+    /// plan stalls a delivery channel and a link next to shard edges, so
+    /// deliveries and handoffs are withheld in the decide and `take`n by
+    /// the shards' own applies around them. Seven and eight shards are
+    /// more than most hosts' cores give threads to.
     #[test]
     fn stepping_is_bit_identical_across_shard_counts() {
+        use faults::{HotspotFault, LinkFault};
+        let plan = FaultPlan {
+            hotspots: vec![HotspotFault {
+                node: 31,
+                start: 300,
+                end: 700,
+            }],
+            links: vec![LinkFault {
+                node: 32,
+                port: 5,
+                start: 500,
+                end: 900,
+            }],
+            ..FaultPlan::none(3)
+        };
         for deadlock in [
             DeadlockMode::Recovery { timeout: 8 },
             DeadlockMode::Avoidance,
@@ -1620,6 +1656,7 @@ mod tests {
             };
             let run = |shards: usize| {
                 let mut net = Network::new(cfg.clone()).unwrap();
+                net.install_faults(plan.clone()).unwrap();
                 net.set_shards(shards);
                 assert_eq!(net.shards(), shards);
                 let nodes = net.torus().node_count();
@@ -1631,13 +1668,16 @@ mod tests {
                 net.run(1_200, &mut src, &mut NoControl);
                 let mut enc = checkpoint::Enc::new();
                 net.save_state(&mut enc);
-                let c = net.counters();
-                (enc.into_vec(), c.delivered_packets, c.escape_allocations)
+                (enc.into_vec(), *net.counters())
             };
-            let (base, delivered, escapes) = run(1);
-            assert!(delivered > 0, "vacuous: nothing was delivered");
+            let (base, c) = run(1);
+            assert!(c.delivered_packets > 0, "vacuous: nothing was delivered");
+            assert!(
+                c.hotspot_stall_cycles > 0 && c.link_stall_cycles > 0,
+                "vacuous: the faults stalled nothing"
+            );
             assert_eq!(
-                escapes > 0,
+                c.escape_allocations > 0,
                 deadlock == DeadlockMode::Avoidance,
                 "vacuous: escape VCs unused under avoidance"
             );

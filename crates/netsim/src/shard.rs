@@ -10,33 +10,42 @@
 //! 1. **Decide** (parallel): every shard scans its own node range of the
 //!    *pre-phase* network state through a shared `&Network` borrow and
 //!    stages its decisions as typed ops into its own [`ShardStage`]
-//!    buffer. Nothing is mutated, so workers never race. Each op is
-//!    classified at staging time as **local** (every write target lands
-//!    inside the staging shard's own node range) or **boundary** (it
-//!    touches another shard, or globally FIFO-ordered structures like the
-//!    recovery token queue or the delivery ring).
-//! 2. **Apply, local** (parallel): each shard applies its own local ops
-//!    through an [`ApplyCtx`] view of its node range. Local ops of
-//!    different shards touch disjoint state (or commute exactly — see the
-//!    view contract on [`ApplyCtx`]), so the result is independent of
-//!    execution order.
-//! 3. **Apply, boundary tail** (sequential): the caller's thread applies
-//!    the boundary ops in canonical order — ascending shard, and within a
-//!    shard in staging (ascending node) order — through a whole-network
-//!    view, and folds the per-shard counter deltas. Because shards are
-//!    contiguous ascending ranges, the tail visits the globally ordered
-//!    structures in global ascending-node order for *any* shard count.
+//!    buffer. Nothing is mutated, so workers never race. A flit move is
+//!    classified at staging time by where its downstream half lands: a
+//!    **local hop** (downstream VC inside the staging shard's own node
+//!    range), a **delivery** (no downstream VC; the flit is consumed at
+//!    its destination) or a **handoff** (downstream VC in another shard).
+//! 2. **Apply** (parallel): each shard applies its own ops through an
+//!    [`ApplyCtx`] view of its node range — everything that writes only
+//!    the shard's own state. That is all of a route op and of a local hop,
+//!    and the *source* half (`take`) of a delivery and of a handoff; the
+//!    taken flits are set aside in the stage (`delivered`, `parked`).
+//!    Ops of different shards touch disjoint state (or commute exactly —
+//!    see the view contract on [`ApplyCtx`]), so the result is independent
+//!    of execution order.
+//! 3. **Tail** (sequential): the caller's thread `put`s the parked
+//!    handoffs into their downstream VCs through a whole-network view and
+//!    folds each shard's deltas and globally ordered results — suspects
+//!    into the token queue, delivered flits into the delivery ring — in
+//!    ascending shard order, within a shard in staging (ascending node)
+//!    order. Because shards are contiguous ascending ranges, that visits
+//!    the globally ordered structures in global ascending-node order for
+//!    *any* shard count.
 //!
 //! With one shard the caller's thread runs the three phases inline over a
-//! whole-network view; with more, a [`WorkerPool`] of `S - 1` long-lived
-//! threads plus the caller's thread claim the decide and local-apply
-//! tickets, rendezvousing through an epoch-style ticket barrier (atomics +
-//! park/unpark, no per-cycle thread spawns). Shards are *claimed*, not
-//! assigned: any participant may execute any shard's decide or local
-//! apply, because the result depends only on the shard id. On a
-//! single-core host the workers park and the caller claims every ticket
-//! inline, so the barrier degenerates to a handful of uncontended atomic
-//! operations per phase.
+//! whole-network view; with more, a [`WorkerPool`] executes decide and
+//! apply. Its participants — the caller's thread (the *coordinator*,
+//! participant 0) plus `min(S, cores) − 1` long-lived worker threads —
+//! each have a *home run* of shards, a contiguous slice of `0..S`. A
+//! participant claims its home shards first and sweeps the other shards
+//! only after finishing its own; one claim covers a shard's decide *and*
+//! its apply. In steady state every shard is therefore decided and
+//! applied by the same thread pass after pass and its state never leaves
+//! that core's caches, while a parked, late or preempted worker never
+//! stalls a pass: whoever is running sweeps up what nobody claimed. The
+//! result depends only on the shard id, never on who ran it. The claim
+//! protocol ([`Board`]) is a handful of atomics and park/unpark — no
+//! per-cycle thread spawns, no lock on the hot path.
 //!
 //! This is the one module of the crate allowed to contain `unsafe`: the
 //! [`Cells`] accessors, the lifetime-erasing per-shard view constructor
@@ -55,7 +64,7 @@ use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
@@ -93,26 +102,42 @@ pub(crate) struct SwitchOp {
     pub pick: u8,
 }
 
+/// A handoff whose source half has been applied: `flit`, taken off its
+/// feeder by the source shard, waits for the sequential tail to `put` it
+/// into input VC `feeder` of `node` — another shard's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Parked {
+    pub node: u32,
+    pub feeder: u8,
+    pub flit: Flit,
+}
+
 /// Per-shard staging buffer: the mailbox decisions travel through between
-/// the decide phase and the (local + boundary) apply, and the sink of the
-/// apply's deltas to global scalars.
+/// the decide phase and the apply, what the apply sets aside for the
+/// sequential tail, and the sink of the apply's deltas to global scalars.
 #[derive(Debug, Default)]
 pub(crate) struct ShardStage {
-    /// Local ops staged by this shard's route decide, in node order.
+    /// Ops staged by this shard's route decide, in node order.
     pub route_ops: Vec<RouteOp>,
-    /// Boundary route ops: the input VCs of requesters that tripped Disha's
-    /// suspicion predicate, committed to the recovery token queue (a
-    /// single global FIFO) by the sequential tail in staging order.
-    pub route_tail: Vec<u32>,
-    /// Local ops staged by this shard's switch decide, in (node, port)
+    /// The input VCs of requesters that tripped Disha's suspicion
+    /// predicate. The apply demotes them to `AwaitToken`; the fold commits
+    /// them to the recovery token queue (a single global FIFO) in staging
+    /// order.
+    pub suspects: Vec<u32>,
+    /// Local hops staged by this shard's switch decide, in (node, port)
     /// order: moves whose downstream VC lies in this shard's own range.
     pub switch_ops: Vec<SwitchOp>,
-    /// Boundary switch ops: deliveries (global delivery-ring FIFO and
-    /// packet release order) and cross-shard flit handoffs.
-    pub switch_tail: Vec<SwitchOp>,
-    /// Flits the tail took off delivery moves, consumed at their
-    /// destination once the tail's view is released (empty between
-    /// passes).
+    /// Moves onto a delivery channel. The apply takes the flit off its
+    /// feeder into `delivered`.
+    pub deliveries: Vec<SwitchOp>,
+    /// Moves whose downstream VC belongs to another shard. The apply takes
+    /// the flit off its feeder into `parked`.
+    pub handoffs: Vec<SwitchOp>,
+    /// Taken handoffs awaiting the tail's `put` (empty between passes).
+    pub parked: Vec<Parked>,
+    /// Flits taken off delivery moves, consumed at their destination by
+    /// the fold — the global delivery-ring FIFO and packet release order
+    /// (empty between passes).
     pub delivered: Vec<Flit>,
     /// Routers this shard's route decide visited (counter delta, folded
     /// into [`crate::counters::Counters`] after the pass).
@@ -131,10 +156,11 @@ pub(crate) struct ShardStage {
     pub injected: u64,
     pub full_delta: i32,
     pub progressed: bool,
-    /// Cumulative ops ever staged into / applied from this buffer
-    /// (local + boundary). The audit's mailbox-conservation invariant:
-    /// between cycles the two are equal and all op vectors are empty —
-    /// every staged decision was applied, none invented.
+    /// Cumulative ops ever staged into / applied from this buffer, each
+    /// counted once (a handoff when the tail completes it). The audit's
+    /// mailbox-conservation invariant: between cycles the two are equal
+    /// and every vector is empty — every staged decision was applied, none
+    /// invented.
     pub staged_total: u64,
     pub applied_total: u64,
 }
@@ -143,17 +169,25 @@ impl ShardStage {
     /// Whether any staged op awaits its apply.
     pub fn has_ops(&self) -> bool {
         !(self.route_ops.is_empty()
-            && self.route_tail.is_empty()
+            && self.suspects.is_empty()
             && self.switch_ops.is_empty()
-            && self.switch_tail.is_empty())
+            && self.deliveries.is_empty()
+            && self.handoffs.is_empty())
     }
 
-    fn with_capacity(route_cap: usize, switch_cap: usize, span: usize) -> Self {
+    /// A stage for a shard of `span` nodes with `fpn` input-VC feeders and
+    /// `nports` output channels each, every buffer at its per-cycle worst
+    /// case: a router stages at most `fpn + 2` route ops (cursor, winner,
+    /// and one blocked entry or suspect per input feeder), one flit move
+    /// per output channel and one delivery.
+    fn with_capacity(span: usize, fpn: usize, nports: usize) -> Self {
         ShardStage {
-            route_ops: Vec::with_capacity(route_cap),
-            route_tail: Vec::with_capacity(route_cap),
-            switch_ops: Vec::with_capacity(switch_cap),
-            switch_tail: Vec::with_capacity(switch_cap),
+            route_ops: Vec::with_capacity(span * (fpn + 2)),
+            suspects: Vec::with_capacity(span * fpn),
+            switch_ops: Vec::with_capacity(span * nports),
+            deliveries: Vec::with_capacity(span),
+            handoffs: Vec::with_capacity(span * nports),
+            parked: Vec::with_capacity(span * nports),
             delivered: Vec::with_capacity(span),
             ..ShardStage::default()
         }
@@ -185,10 +219,8 @@ impl ShardPlan {
     /// workers mask bitset words at range edges).
     ///
     /// `fpn` is input-VC feeders per node (`d * v`), `nports` output
-    /// channels per node (`d + 1`); both size the worst-case per-cycle op
-    /// capacity: a router stages at most `fpn + 2` route ops (cursor +
-    /// winner + one blocked entry per input feeder), `nports` switch
-    /// ops (one flit per output channel) and one delivery. No worker pool
+    /// channels per node (`d + 1`); both size the stages' worst-case
+    /// per-cycle capacity ([`ShardStage::with_capacity`]). No worker pool
     /// is attached here — `Network::set_shards` does that, so plan
     /// construction in tests stays thread-free.
     pub fn new(shards: usize, nodes: usize, fpn: usize, nports: usize) -> Self {
@@ -198,10 +230,7 @@ impl ShardPlan {
             bounds.push(s * nodes / shards);
         }
         let stages = (0..shards)
-            .map(|s| {
-                let span = bounds[s + 1] - bounds[s];
-                ShardStage::with_capacity(span * (fpn + 2), span * nports, span)
-            })
+            .map(|s| ShardStage::with_capacity(bounds[s + 1] - bounds[s], fpn, nports))
             .collect();
         ShardPlan {
             bounds,
@@ -386,10 +415,13 @@ impl Cells<'_, PacketInfo> {
 ///   unaligned; each bit is changed only by its owner's ops), and the
 ///   packet-id-indexed `escaped` flags and `last_move`/`injected_at`
 ///   stamps (one writer per cycle, or several writing the same value).
-/// * **Deferred to the tail** — everything globally ordered or global:
-///   the token queue, the delivery ring and packet release, and the
-///   scalars (`counters`, `full_buffers`, `last_progress_at`), which a
-///   view reaches only as [`ShardStage`] deltas folded after the pass.
+/// * **Deferred to the tail** — a handoff's `put` (its downstream VC is
+///   another shard's: the source shard's view `take`s, the tail's whole
+///   view `put`s), and everything globally ordered or global: the token
+///   queue, the delivery ring and packet release, and the scalars
+///   (`counters`, `full_buffers`, `last_progress_at`), which a view
+///   reaches only as [`ShardStage`] lists and deltas folded after the
+///   pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ApplyCtx<'a> {
     pub d: usize,
@@ -483,18 +515,18 @@ pub(crate) enum Pass {
     Switch,
 }
 
-/// The two ticketed phases of a pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The two phases of a pass a claimed shard goes through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Phase {
     Decide,
     Apply,
 }
 
-/// One dispatched pass: everything a participant needs to claim and
-/// execute shard work. Published into the pool's job slot before the
-/// tickets open; all pointers are valid for the duration of the pass
-/// (the coordinator stays in `WorkerPool::run` until every ticket is
-/// claimed and completed, or every worker has been joined).
+/// One dispatched pass: everything a participant needs to execute shard
+/// work. Published into the pool's job slot before the pass opens; all
+/// pointers are valid for the duration of the pass (the coordinator stays
+/// in `WorkerPool::run` until every shard is applied, or every worker has
+/// been joined).
 #[derive(Debug, Clone, Copy)]
 struct Job {
     kind: Pass,
@@ -504,44 +536,281 @@ struct Job {
     now: u64,
 }
 
-/// Wall-clock split of the cycle pipeline's phases, accumulated only
-/// when explicitly enabled (`Network::set_phase_stats`) — the hot path
-/// pays one branch per phase otherwise. Informational: feeds the bench's
-/// `decide/apply/barrier` time-split metrics, never simulation results.
+/// Wall-clock split of the cycle pipeline's phases and the pool's claim
+/// and park tallies, accumulated only when explicitly enabled
+/// (`Network::set_phase_stats`) — the hot path pays one branch per phase
+/// otherwise. Informational: feeds the bench's `decide/apply/barrier`
+/// time-split metrics, never simulation results.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseStats {
     /// Nanoseconds the caller's thread spent in decide work.
     pub decide_ns: u64,
-    /// Nanoseconds spent applying (local ops, boundary tails, folds).
+    /// Nanoseconds spent applying (shard ops, handoff tails, folds).
     pub apply_ns: u64,
-    /// Nanoseconds spent waiting on the ticket barrier for other
-    /// participants (zero when the caller claims every ticket itself).
+    /// Nanoseconds the caller's thread spent in the claim protocol, mostly
+    /// waiting on its barriers for other participants (next to nothing
+    /// when the caller claims every shard itself).
     pub barrier_ns: u64,
+    /// Shards claimed by the participant whose home run they belong to
+    /// (one claim covers a shard's decide and its apply).
+    pub home_claims: u64,
+    /// Shards swept up by some other participant.
+    pub stolen_claims: u64,
+    /// Times a worker went to sleep after a quiet spell.
+    pub parks: u64,
+    /// Times a dispatch woke a sleeping worker.
+    pub unparks: u64,
+}
+
+/// Low bits of a claim word naming the claimant; the pass number sits
+/// above them.
+const ID_BITS: u32 = 16;
+
+/// The shared words of the claim protocol — who runs which shard of which
+/// pass, and the two barriers of a pass.
+///
+/// Passes are numbered from 1. The coordinator *opens* pass `e` by moving
+/// `epoch` on to `e` (after publishing the job). A participant that reads
+/// `epoch == e` claims shard `s` for pass `e` by swapping `claims[s]` from
+/// a tag of an earlier pass to `e << ID_BITS | me`; tags only grow, so
+/// exactly one participant wins each shard of each pass, and a straggler
+/// still holding an older `e` wins nothing. The winner runs the shard's
+/// decide, bumps `decided`, and — once `decided` reaches `e · shards`, the
+/// decide→apply barrier — runs the shard's apply and bumps `applied`. The
+/// pass is complete at `applied == e · shards`; only then may the
+/// coordinator publish the next job.
+///
+/// Each participant walks the shards in its own *sweep order*: its home
+/// run first, then the rest, ascending and wrapping. All of the protocol's
+/// decisions are in [`Board::step`], which the pool's participants and the
+/// exhaustive interleaving test both drive.
+#[derive(Debug)]
+struct Board {
+    shards: usize,
+    participants: usize,
+    epoch: AtomicU64,
+    claims: Box<[AtomicU64]>,
+    decided: AtomicU64,
+    applied: AtomicU64,
+}
+
+/// One participant's place in the protocol. Plain data: everything shared
+/// is on the [`Board`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Cursor {
+    me: usize,
+    /// The pass this participant last joined (0: none yet).
+    pass: u64,
+    /// Position in the sweep order.
+    at: usize,
+    /// Shards claimed this pass whose apply has not been reported yet.
+    owed: usize,
+    state: State,
+}
+
+/// What a participant does at its next [`Board::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum State {
+    /// Nothing to do until the epoch moves on.
+    Idle,
+    /// Look at the claim word of the shard at `at`.
+    Peek,
+    /// Try to replace the stale tag `seen` of the shard at `at`.
+    Grab { seen: u64 },
+    /// Report that shard's decide as landed.
+    Decided,
+    /// Wait for every decide of the pass.
+    Barrier,
+    /// Look for the next shard carrying this participant's tag.
+    Scan,
+    /// Report that shard's apply as landed.
+    Applied,
+    /// Coordinator only: wait for every apply of the pass.
+    Finish,
+}
+
+/// What the caller of [`Board::step`] must do before stepping again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Action {
+    /// Execute this phase of this shard.
+    Run(Phase, usize),
+    /// Nothing; step again.
+    Next,
+    /// The step found its barrier closed and changed nothing.
+    Wait,
+    /// The participant is idle: its part of the last pass it saw is over
+    /// and (for the coordinator) the pass complete.
+    Idle,
+}
+
+impl Board {
+    fn new(shards: usize, participants: usize) -> Self {
+        assert!(shards >= 1 && (1..=1 << ID_BITS).contains(&participants));
+        Board {
+            shards,
+            participants,
+            epoch: AtomicU64::new(0),
+            claims: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            decided: AtomicU64::new(0),
+            applied: AtomicU64::new(0),
+        }
+    }
+
+    /// First shard of participant `p`'s home run (`p == participants`: one
+    /// past the last run).
+    fn home_lo(&self, p: usize) -> usize {
+        p * self.shards / self.participants
+    }
+
+    /// Whether shard `s` lies in participant `p`'s home run.
+    fn is_home(&self, p: usize, s: usize) -> bool {
+        self.home_lo(p) <= s && s < self.home_lo(p + 1)
+    }
+
+    /// The shard at position `at` of participant `p`'s sweep order.
+    fn shard_at(&self, p: usize, at: usize) -> usize {
+        (self.home_lo(p) + at) % self.shards
+    }
+
+    /// A participant that has joined no pass yet.
+    fn cursor(&self, me: usize) -> Cursor {
+        assert!(me < self.participants);
+        Cursor {
+            me,
+            pass: 0,
+            at: 0,
+            owed: 0,
+            state: State::Idle,
+        }
+    }
+
+    /// Opens the next pass. Coordinator only, with the previous pass
+    /// complete and the job slot written.
+    fn open(&self) {
+        // SeqCst for the park handshake (see `worker_loop`); as a release
+        // store it also publishes the job and everything the coordinator
+        // did to the network since the last pass.
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The participants that claimed pass `pass`'s shards, as (home
+    /// claims, stolen claims). Coordinator only, with the pass complete.
+    fn claim_split(&self, pass: u64) -> (u64, u64) {
+        let mut home = 0;
+        for (s, claim) in self.claims.iter().enumerate() {
+            let tag = claim.load(Ordering::Relaxed);
+            debug_assert_eq!(tag >> ID_BITS, pass);
+            let owner = (tag & ((1 << ID_BITS) - 1)) as usize;
+            home += u64::from(self.is_home(owner, s));
+        }
+        (home, self.shards as u64 - home)
+    }
+
+    /// Advances participant `c` by one transition — at most one access to
+    /// the shared words — and says what it must do before the next.
+    ///
+    /// A participant holding a claim must keep stepping until it is idle
+    /// again; one that holds none may stop, or fall arbitrarily far
+    /// behind, at any point without stalling anybody.
+    fn step(&self, c: &mut Cursor) -> Action {
+        let shard = self.shard_at(c.me, c.at);
+        let tag = c.pass << ID_BITS | c.me as u64;
+        let target = c.pass * self.shards as u64;
+        // Where a participant goes once it owes the pass nothing more.
+        let rest = if c.me == 0 {
+            State::Finish
+        } else {
+            State::Idle
+        };
+        match c.state {
+            State::Idle => {
+                // Acquire: a participant that joins pass `e` sees the job
+                // published for it, and all the coordinator did before.
+                let epoch = self.epoch.load(Ordering::Acquire);
+                if epoch == c.pass {
+                    return Action::Idle;
+                }
+                (c.pass, c.at, c.state) = (epoch, 0, State::Peek);
+            }
+            State::Peek if c.at == self.shards => {
+                c.state = if c.owed == 0 { rest } else { State::Barrier };
+            }
+            State::Peek => {
+                let seen = self.claims[shard].load(Ordering::Relaxed);
+                if seen >> ID_BITS < c.pass {
+                    c.state = State::Grab { seen };
+                } else {
+                    c.at += 1;
+                }
+            }
+            State::Grab { seen } => {
+                let won = self.claims[shard]
+                    .compare_exchange(seen, tag, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok();
+                if won {
+                    c.owed += 1;
+                    c.state = State::Decided;
+                    return Action::Run(Phase::Decide, shard);
+                }
+                c.at += 1;
+                c.state = State::Peek;
+            }
+            State::Decided => {
+                // Release: the barrier's acquire load orders this decide's
+                // reads of the network, and its writes to the stage,
+                // before every apply.
+                self.decided.fetch_add(1, Ordering::Release);
+                c.at += 1;
+                c.state = State::Peek;
+            }
+            State::Barrier => {
+                if self.decided.load(Ordering::Acquire) < target {
+                    return Action::Wait;
+                }
+                (c.at, c.state) = (0, State::Scan);
+            }
+            State::Scan if c.owed == 0 => c.state = rest,
+            State::Scan => {
+                // Tags of this pass are final: nobody overwrites one before
+                // the next pass opens, which waits for this apply.
+                if self.claims[shard].load(Ordering::Relaxed) == tag {
+                    c.state = State::Applied;
+                    return Action::Run(Phase::Apply, shard);
+                }
+                c.at += 1;
+            }
+            State::Applied => {
+                // Release: the coordinator's acquire load in `Finish`
+                // orders this apply's writes before its sequential tail.
+                self.applied.fetch_add(1, Ordering::Release);
+                c.owed -= 1;
+                c.at += 1;
+                c.state = State::Scan;
+            }
+            State::Finish => {
+                if self.applied.load(Ordering::Acquire) < target {
+                    return Action::Wait;
+                }
+                c.state = State::Idle;
+            }
+        }
+        Action::Next
+    }
 }
 
 /// Shared state of one worker pool. The job slot is protected by the
-/// ticket protocol, not a lock: participants may read it only between
-/// winning a ticket (an `AcqRel` RMW on a counter the coordinator reset
-/// with `Release` *after* writing the slot) and bumping the matching
-/// done-counter — so every read is ordered after the write it observes,
-/// and the coordinator's end-of-pass `Acquire` wait orders all reads
-/// before the next overwrite.
+/// claim protocol, not a lock: a participant may read it only while it
+/// holds a claim of the current pass whose apply it has not reported yet.
+/// It won that claim after an acquire load of the epoch the coordinator
+/// stored *after* writing the slot, so the read is ordered after the
+/// write; and the coordinator overwrites the slot only once the pass is
+/// complete — every claim's apply reported, observed with `Acquire` — so
+/// every read is ordered before the next write.
 #[derive(Debug)]
 struct PoolShared {
-    /// Shard count, fixed for the pool's lifetime (the pool is rebuilt on
-    /// re-partition).
-    shards: usize,
+    board: Board,
     /// The current pass (see the struct docs for the access protocol).
     job: UnsafeCell<MaybeUninit<Job>>,
-    /// Decide tickets: `fetch_add` < `shards` wins that shard's decide.
-    decide_next: AtomicUsize,
-    /// Decides completed this pass.
-    decide_done: AtomicUsize,
-    /// Local-apply tickets.
-    apply_next: AtomicUsize,
-    /// Local applies completed this pass (the coordinator's completion
-    /// condition).
-    apply_done: AtomicUsize,
     /// Tells workers to exit and barrier waits to give up: set when the
     /// pool is dropped and when a participant panics.
     shutdown: AtomicBool,
@@ -549,40 +818,21 @@ struct PoolShared {
     /// coordinator once every worker is joined.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Per-worker parked flags, so a dispatch can skip the unpark syscall
-    /// for workers that are spinning (and, on a single-core host, skip
-    /// waking parked workers at all outside rare probes).
+    /// for workers that are spinning.
     parked: Vec<AtomicBool>,
+    /// Times a worker parked since the tally was last taken.
+    parks: AtomicU64,
 }
 
 // SAFETY: the job slot — whose pointers and views make it neither — is
-// accessed only under the ticket protocol documented on the struct, which
-// orders every read after the write it observes and gives each ticket
+// accessed only under the claim protocol documented on the struct, which
+// orders every read after the write it observes and gives each claim
 // holder a shard (stage + node range) nobody else touches; everything else
 // is atomic or behind the mutex.
 unsafe impl Sync for PoolShared {}
 unsafe impl Send for PoolShared {}
 
 impl PoolShared {
-    /// Spin-then-yield wait for a completion counter to reach the shard
-    /// count; `false` if the pass was abandoned instead (a participant
-    /// panicked, or the pool is shutting down), in which case the counter
-    /// will never get there.
-    fn wait(&self, counter: &AtomicUsize) -> bool {
-        let mut spins = 0u32;
-        while counter.load(Ordering::Acquire) < self.shards {
-            if self.shutdown.load(Ordering::Acquire) {
-                return false;
-            }
-            spins += 1;
-            if spins < WAIT_SPINS {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        true
-    }
-
     /// Records a participant's panic (the first one wins) and abandons
     /// the pass.
     fn record_panic(&self, payload: Box<dyn Any + Send>) {
@@ -594,101 +844,101 @@ impl PoolShared {
     }
 }
 
-/// Iterations a worker spins on the ticket counter before parking.
+/// Iterations a worker spins on the epoch before parking.
 const SPIN_LIMIT: u32 = 1 << 14;
-/// On a single-core host parked workers are not woken per dispatch (the
-/// coordinator claims every ticket faster than a futex wake); they are
-/// re-probed this often in case the core count was misdetected or grows.
-const WAKE_PROBE: u64 = 4096;
-/// Spins before a barrier wait starts yielding the CPU (on one core the
-/// claiming participant needs the timeslice to finish).
+/// Spins before a barrier wait starts yielding the CPU (when participants
+/// outnumber free cores, the one holding the claim needs the timeslice to
+/// finish).
 const WAIT_SPINS: u32 = 128;
 
-/// `S - 1` persistent worker threads executing parallel passes for one
-/// shard plan, plus the caller's thread as a full participant. See the
-/// module docs for the protocol. Dropping the pool shuts the workers
-/// down and joins them.
+/// The persistent worker threads executing parallel passes for one shard
+/// plan, plus the caller's thread as a full participant. See the module
+/// docs for the protocol. Dropping the pool shuts the workers down and
+/// joins them.
 #[derive(Debug)]
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
-    /// Whether this host has more than one core: if not, parked workers
-    /// stay parked (the coordinator inlines all work) except for probes.
-    multi: bool,
-    dispatches: u64,
+    /// The caller's thread's place in the protocol (participant 0).
+    cursor: Cursor,
 }
 
 impl WorkerPool {
-    /// Spawns a pool for `shards` shards (`shards - 1` workers; the
-    /// caller's thread is the remaining participant).
-    pub(crate) fn new(shards: usize) -> Self {
+    /// Spawns a pool for `shards` shards run by `participants` threads
+    /// (clamped to `1..=shards`): the caller's plus `participants - 1`
+    /// workers. The partition — and so every result — depends on `shards`
+    /// alone; `participants` only sets how many threads share the work.
+    pub(crate) fn new(shards: usize, participants: usize) -> Self {
         debug_assert!(shards > 1);
-        let workers = shards - 1;
+        let participants = participants.clamp(1, shards.min(1 << ID_BITS));
         let shared = Arc::new(PoolShared {
-            shards,
+            board: Board::new(shards, participants),
             job: UnsafeCell::new(MaybeUninit::uninit()),
-            // Exhausted until the first dispatch opens the tickets.
-            decide_next: AtomicUsize::new(shards),
-            decide_done: AtomicUsize::new(shards),
-            apply_next: AtomicUsize::new(shards),
-            apply_done: AtomicUsize::new(shards),
             shutdown: AtomicBool::new(false),
             panic: Mutex::new(None),
-            parked: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            parked: (1..participants).map(|_| AtomicBool::new(false)).collect(),
+            parks: AtomicU64::new(0),
         });
-        let handles = (0..workers)
-            .map(|w| {
+        let handles = (1..participants)
+            .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("stcc-shard-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .name(format!("stcc-shard-{}", me - 1))
+                    .spawn(move || worker_loop(&shared, me))
                     .expect("spawn shard worker")
             })
             .collect();
-        let multi = std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(false);
+        let cursor = shared.board.cursor(0);
         WorkerPool {
             shared,
             handles,
-            multi,
-            dispatches: 0,
+            cursor,
         }
     }
 
+    /// Forgets the park tally so far (the phase stats start from zero).
+    pub(crate) fn reset_tallies(&mut self) {
+        self.shared.parks.store(0, Ordering::Relaxed);
+    }
+
     /// Executes one pass over `net` to completion: publishes the job,
-    /// opens the tickets, wakes workers per the host policy, participates
-    /// from the caller's thread, and returns once every shard's decide
-    /// and local apply have landed. The sequential boundary tail is the
-    /// caller's job afterwards.
+    /// opens the pass, wakes sleeping workers, participates from the
+    /// caller's thread, and returns once every shard's decide and apply
+    /// have landed. The sequential tail is the caller's job afterwards.
     ///
     /// # Panics
     ///
     /// Re-raises, after joining every worker, the first panic of any
-    /// participant's decide or local apply. The pass is then half
-    /// applied: the network must not be stepped again.
+    /// participant's decide or apply. The pass is then half applied: the
+    /// network must not be stepped again.
     pub(crate) fn run(
         &mut self,
         net: &mut Network,
         kind: Pass,
         now: u64,
         stages: &mut [ShardStage],
-        stats: Option<&mut PhaseStats>,
+        mut stats: Option<&mut PhaseStats>,
     ) {
         self.publish(net, kind, now, stages);
-        self.shared.apply_next.store(0, Ordering::Release);
-        self.shared.decide_next.store(0, Ordering::SeqCst);
-        self.wake();
-        let sh = &*self.shared;
-        let outcome = catch_unwind(AssertUnwindSafe(|| coordinate(sh, stats)));
+        let unparks = self.open();
+        let (sh, cursor) = (&*self.shared, &mut self.cursor);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            participate(sh, cursor, stats.as_deref_mut())
+        }));
+        if let (Some(st), Ok(true)) = (stats, &outcome) {
+            let (home, stolen) = sh.board.claim_split(cursor.pass);
+            st.home_claims += home;
+            st.stolen_claims += stolen;
+            st.parks += sh.parks.swap(0, Ordering::Relaxed);
+            st.unparks += unparks;
+        }
         self.close(outcome);
     }
 
-    /// Writes the pass into the job slot and zeroes the completion
-    /// counters; the tickets stay closed.
+    /// Writes the pass into the job slot; the pass stays closed.
     fn publish(&mut self, net: &mut Network, kind: Pass, now: u64, stages: &mut [ShardStage]) {
         let sh = &*self.shared;
-        debug_assert_eq!(stages.len(), sh.shards);
+        debug_assert_eq!(stages.len(), sh.board.shards);
         // Every pointer the participants use — the shared decide reads and
         // the apply views — derives from this one raw borrow, so none
         // invalidates another; the decide→apply barrier keeps reads and
@@ -698,31 +948,33 @@ impl WorkerPool {
             kind,
             net: net.cast_const(),
             // SAFETY: `net` is the caller's exclusive borrow, which
-            // outlives the pass; the view is used only by ticket holders,
+            // outlives the pass; the view is used only by claim holders,
             // whom `run` outwaits (or joins) before returning.
             whole: unsafe { (*net).apply_ctx() },
             stages: stages.as_mut_ptr(),
             now,
         };
-        // SAFETY: tickets are exhausted and the previous pass's Acquire
-        // wait ordered every reader before now — nobody can touch the
-        // slot until the ticket counters reopen it.
+        // SAFETY: the previous pass is complete, so nobody holds a claim;
+        // nobody can win one — and with it the right to read the slot —
+        // until `open` moves the epoch on.
         unsafe { (*sh.job.get()).write(job) };
-        sh.apply_done.store(0, Ordering::Relaxed);
-        sh.decide_done.store(0, Ordering::Relaxed);
     }
 
-    /// Unparks parked workers, if this host can run them beside the
-    /// caller (or it is time to re-probe that).
-    fn wake(&mut self) {
-        self.dispatches += 1;
-        if self.multi || self.dispatches.is_multiple_of(WAKE_PROBE) {
-            for (w, h) in self.handles.iter().enumerate() {
-                if self.shared.parked[w].load(Ordering::SeqCst) {
-                    h.thread().unpark();
-                }
+    /// Opens the published pass and unparks the workers that sleep;
+    /// returns how many it woke.
+    fn open(&mut self) -> u64 {
+        self.shared.board.open();
+        let mut unparks = 0;
+        for (h, parked) in self.handles.iter().zip(&self.shared.parked) {
+            // Taking the flag down here, not when the worker finally runs,
+            // makes it one wake-up call per sleep: a worker can take many
+            // passes' time to get back on a core.
+            if parked.load(Ordering::SeqCst) && parked.swap(false, Ordering::SeqCst) {
+                h.thread().unpark();
+                unparks += 1;
             }
         }
+        unparks
     }
 
     /// Ends a pass: returns if it completed, otherwise joins every worker
@@ -762,57 +1014,60 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The coordinator's share of a pass; `false` if it was abandoned.
-fn coordinate(sh: &PoolShared, stats: Option<&mut PhaseStats>) -> bool {
-    let Some(st) = stats else {
-        return participate(sh) && sh.wait(&sh.apply_done);
-    };
-    let t0 = std::time::Instant::now();
-    let mut ok = claim_tickets(sh, Phase::Decide);
-    let t1 = std::time::Instant::now();
-    ok = ok && sh.wait(&sh.decide_done);
-    let t2 = std::time::Instant::now();
-    ok = ok && claim_tickets(sh, Phase::Apply);
-    let t3 = std::time::Instant::now();
-    ok = ok && sh.wait(&sh.apply_done);
-    let t4 = std::time::Instant::now();
-    st.decide_ns += (t1 - t0).as_nanos() as u64;
-    st.barrier_ns += ((t2 - t1) + (t4 - t3)).as_nanos() as u64;
-    st.apply_ns += (t3 - t2).as_nanos() as u64;
-    ok
-}
-
-/// Claims and executes `phase` tickets until they run out; `false` if
-/// the pass was abandoned. An apply winner first waits for every decide
-/// to land — the decide→apply barrier. (The wait sits *inside* the loop
-/// so that a straggler from a previous pass that claims into a fresh
-/// pass still honors the new pass's barrier.)
-fn claim_tickets(sh: &PoolShared, phase: Phase) -> bool {
-    let (next, done) = match phase {
-        Phase::Decide => (&sh.decide_next, &sh.decide_done),
-        Phase::Apply => (&sh.apply_next, &sh.apply_done),
-    };
+/// Steps participant `cur` until it is idle: joins the open pass, if it
+/// has not yet, and sees its claims through. `false` if the pass was
+/// abandoned instead (a participant panicked, or the pool is shutting
+/// down), in which case its barriers will never open. With `stats`, the
+/// time goes to the phase it was spent in.
+fn participate(sh: &PoolShared, cur: &mut Cursor, mut stats: Option<&mut PhaseStats>) -> bool {
+    let mut clock = stats.is_some().then(std::time::Instant::now);
+    let mut spins = 0u32;
     loop {
-        let t = next.fetch_add(1, Ordering::AcqRel);
-        if t >= sh.shards {
-            return true;
+        let action = sh.board.step(cur);
+        match action {
+            Action::Run(phase, shard) => {
+                spins = 0;
+                debug_assert_eq!(
+                    sh.board.claims[shard].load(Ordering::Relaxed),
+                    cur.pass << ID_BITS | cur.me as u64,
+                    "running a shard another participant claimed"
+                );
+                execute(sh, phase, shard);
+            }
+            Action::Next => {}
+            Action::Wait => {
+                if sh.shutdown.load(Ordering::Acquire) {
+                    return false;
+                }
+                spins += 1;
+                if spins < WAIT_SPINS {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            Action::Idle => return true,
         }
-        if phase == Phase::Apply && !sh.wait(&sh.decide_done) {
-            return false;
+        if let (Some(st), Some(since)) = (stats.as_deref_mut(), clock.as_mut()) {
+            let now = std::time::Instant::now();
+            let ns = (now - *since).as_nanos() as u64;
+            *since = now;
+            match action {
+                Action::Run(Phase::Decide, _) => st.decide_ns += ns,
+                Action::Run(Phase::Apply, _) => st.apply_ns += ns,
+                _ => st.barrier_ns += ns,
+            }
         }
-        execute(sh, phase, t);
-        done.fetch_add(1, Ordering::AcqRel);
     }
 }
 
-/// The work of ticket `t` of `phase`: shard `t`'s decide or local apply.
+/// `phase` of shard `t`: its decide, or its apply.
 fn execute(sh: &PoolShared, phase: Phase, t: usize) {
-    // SAFETY: the RMW that won ticket `t` reads from (or after) the
-    // coordinator's ticket-opening store, which was released after the job
-    // write — see `PoolShared`. The ticket is won exactly once per pass,
-    // so the stage is exclusive; and for an apply ticket the barrier
-    // ordered it after the stage's decide writer. `net` is only read — by
-    // the decides, and for the plan's bounds, which no pass writes.
+    // SAFETY: the caller holds shard `t`'s claim of the current pass (see
+    // `PoolShared` for why that orders this read of the slot). The claim
+    // is won exactly once per pass, so the stage is exclusive. `net` is
+    // only read — by the decides, and for the plan's bounds, which no pass
+    // writes.
     let (job, net, stage) = unsafe {
         let job = (*sh.job.get()).assume_init_ref();
         (job, &*job.net, &mut *job.stages.add(t))
@@ -823,33 +1078,30 @@ fn execute(sh: &PoolShared, phase: Phase, t: usize) {
         Phase::Apply => {
             // SAFETY: the plan's ranges are disjoint, `run` keeps the
             // network borrowed until the pass is over, and every decide
-            // has landed (the barrier in `claim_tickets`).
+            // has landed (the board's decide→apply barrier).
             let view = unsafe { ApplyCtx::shard(&job.whole, lo, hi) };
             view.apply(job.kind, job.now, stage);
         }
     }
 }
 
-/// One full pass from any participant's perspective.
-fn participate(sh: &PoolShared) -> bool {
-    claim_tickets(sh, Phase::Decide) && claim_tickets(sh, Phase::Apply)
-}
-
-/// A worker's life: spin on the ticket counter, participate when a pass
-/// opens, park after a quiet spell (announce-then-recheck so a wake is
-/// never lost), exit on shutdown — or on a panic in its own ticket, which
-/// it hands to the coordinator.
+/// A worker's life: spin on the epoch, participate when a pass opens, park
+/// after a quiet spell (announce-then-recheck so a wake is never lost),
+/// exit on shutdown — or on a panic in its own claim, which it hands to
+/// the coordinator.
 fn worker_loop(sh: &PoolShared, me: usize) {
+    let mut cur = sh.board.cursor(me);
     let mut spins: u32 = 0;
     loop {
         if sh.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if sh.decide_next.load(Ordering::SeqCst) < sh.shards {
+        let seen = cur.pass;
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| participate(sh, &mut cur, None))) {
+            sh.record_panic(payload);
+        }
+        if cur.pass != seen {
             spins = 0;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| participate(sh))) {
-                sh.record_panic(payload);
-            }
             continue;
         }
         spins += 1;
@@ -857,13 +1109,14 @@ fn worker_loop(sh: &PoolShared, me: usize) {
             std::hint::spin_loop();
             continue;
         }
-        sh.parked[me].store(true, Ordering::SeqCst);
-        if sh.decide_next.load(Ordering::SeqCst) >= sh.shards
-            && !sh.shutdown.load(Ordering::Acquire)
+        let parked = &sh.parked[me - 1];
+        parked.store(true, Ordering::SeqCst);
+        if sh.board.epoch.load(Ordering::SeqCst) == cur.pass && !sh.shutdown.load(Ordering::Acquire)
         {
+            sh.parks.fetch_add(1, Ordering::Relaxed);
             std::thread::park();
         }
-        sh.parked[me].store(false, Ordering::SeqCst);
+        parked.store(false, Ordering::SeqCst);
         spins = 0;
     }
 }
@@ -873,6 +1126,7 @@ mod tests {
     use super::*;
     use crate::control::NoControl;
     use crate::difftest::{small_cfg, source};
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn partition_covers_all_nodes_exactly_once() {
@@ -910,22 +1164,286 @@ mod tests {
     #[test]
     fn pool_tears_down_cleanly_without_a_dispatch() {
         // Spawn-and-drop must join promptly even if no pass ever ran
-        // (workers are parked or spinning on exhausted tickets).
+        // (workers are parked or spinning on the epoch).
         for _ in 0..3 {
-            let pool = WorkerPool::new(4);
+            let pool = WorkerPool::new(4, 4);
             assert_eq!(pool.handles.len(), 3);
             drop(pool);
         }
     }
 
+    #[test]
+    fn participants_never_outnumber_shards() {
+        assert_eq!(WorkerPool::new(4, 64).handles.len(), 3);
+        assert_eq!(WorkerPool::new(8, 2).handles.len(), 1);
+        assert_eq!(WorkerPool::new(8, 1).handles.len(), 0);
+    }
+
+    #[test]
+    fn home_runs_partition_the_shards_and_lead_each_sweep() {
+        for shards in 1..=9usize {
+            for participants in 1..=4usize {
+                let board = Board::new(shards, participants);
+                let mut owners = vec![0usize; shards];
+                for p in 0..participants {
+                    let sweep: Vec<usize> = (0..shards).map(|at| board.shard_at(p, at)).collect();
+                    let home = board.home_lo(p + 1) - board.home_lo(p);
+                    for (at, &s) in sweep.iter().enumerate() {
+                        assert_eq!(
+                            board.is_home(p, s),
+                            at < home,
+                            "{p} of {participants}: {sweep:?}"
+                        );
+                        owners[s] += usize::from(at < home);
+                    }
+                    let mut sorted = sweep.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, (0..shards).collect::<Vec<_>>());
+                }
+                assert_eq!(
+                    owners,
+                    vec![1; shards],
+                    "{shards} shards, {participants} participants"
+                );
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The claim protocol, exhaustively
+    // -----------------------------------------------------------------
+
+    /// The protocol's shared words plus every participant's cursor — one
+    /// node of the schedule graph — and the referee's notes on the pass
+    /// under way.
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct World {
+        /// `epoch`, `decided`, `applied`, then the claim words.
+        words: Vec<u64>,
+        cursors: Vec<Cursor>,
+        /// The pass whose job sits in the job slot.
+        job: u64,
+        /// Passes the coordinator has yet to open.
+        to_open: u64,
+        /// Per shard of the open pass: decide started, apply started.
+        started: Vec<(bool, bool)>,
+        /// Per participant: the phase it is executing, from the step that
+        /// returned it to the participant's next step.
+        running: Vec<Option<Phase>>,
+    }
+
+    impl World {
+        fn new(shards: usize, participants: usize, passes: u64) -> World {
+            let board = Board::new(shards, participants);
+            World {
+                words: vec![0; 3 + shards],
+                cursors: (0..participants).map(|p| board.cursor(p)).collect(),
+                job: 0,
+                to_open: passes,
+                started: vec![(false, false); shards],
+                running: vec![None; participants],
+            }
+        }
+
+        fn board(&self) -> Board {
+            let board = Board::new(self.words.len() - 3, self.cursors.len());
+            board.epoch.store(self.words[0], Ordering::Relaxed);
+            board.decided.store(self.words[1], Ordering::Relaxed);
+            board.applied.store(self.words[2], Ordering::Relaxed);
+            for (claim, &word) in board.claims.iter().zip(&self.words[3..]) {
+                claim.store(word, Ordering::Relaxed);
+            }
+            board
+        }
+
+        fn keep(&mut self, board: &Board) {
+            self.words[0] = board.epoch.load(Ordering::Relaxed);
+            self.words[1] = board.decided.load(Ordering::Relaxed);
+            self.words[2] = board.applied.load(Ordering::Relaxed);
+            for (word, claim) in self.words[3..].iter_mut().zip(board.claims.iter()) {
+                *word = claim.load(Ordering::Relaxed);
+            }
+        }
+
+        /// Whether the coordinator is between passes (or done).
+        fn between_passes(&self) -> bool {
+            self.cursors[0].state == State::Idle && self.cursors[0].pass == self.words[0]
+        }
+
+        fn finished(&self) -> bool {
+            self.between_passes() && self.to_open == 0
+        }
+
+        /// Whether participant `p` is one the pass cannot complete without:
+        /// the coordinator, or a holder of a claim.
+        fn needed(&self, p: usize) -> bool {
+            p == 0 || self.cursors[p].owed > 0
+        }
+
+        /// The world after participant `p`'s next transition — `None` if
+        /// that changes nothing (an idle step, a closed barrier) — checked
+        /// against everything the pool relies on.
+        fn after(&self, p: usize) -> Option<World> {
+            let mut next = self.clone();
+            let board = self.board();
+            let shards = self.started.len();
+            if p == 0 && self.between_passes() {
+                if self.to_open == 0 {
+                    return None;
+                }
+                // `WorkerPool::publish` then `open`: the slot is written
+                // while nobody may read it, the pass behind it complete.
+                assert!(
+                    self.running.iter().all(Option::is_none),
+                    "job overwritten under a reader"
+                );
+                assert!(self.cursors.iter().all(|c| c.owed == 0));
+                if self.job > 0 {
+                    assert!(
+                        self.started.iter().all(|&s| s == (true, true)),
+                        "pass left incomplete"
+                    );
+                }
+                next.job += 1;
+                next.to_open -= 1;
+                next.started.fill((false, false));
+                board.open();
+                next.keep(&board);
+                return Some(next);
+            }
+            let action = board.step(&mut next.cursors[p]);
+            next.keep(&board);
+            next.running[p] = None;
+            if let Action::Run(phase, shard) = action {
+                let pass = next.cursors[p].pass;
+                assert_eq!(
+                    pass, self.job,
+                    "participant {p} reads the job of another pass"
+                );
+                assert_eq!(pass, self.words[0], "participant {p} runs a closed pass");
+                next.running[p] = Some(phase);
+                let (decide, apply) = &mut next.started[shard];
+                match phase {
+                    Phase::Decide => {
+                        assert!(!*decide, "shard {shard} decided twice");
+                        assert!(self.started.iter().all(|s| !s.1), "a decide after an apply");
+                        *decide = true;
+                    }
+                    Phase::Apply => {
+                        assert!(!*apply, "shard {shard} applied twice");
+                        assert!(
+                            self.started.iter().all(|s| s.0)
+                                && !self.running.contains(&Some(Phase::Decide)),
+                            "shard {shard} applied before the last decide landed"
+                        );
+                        assert_eq!(self.words[1], pass * shards as u64);
+                        *apply = true;
+                    }
+                }
+            }
+            (next != *self).then_some(next)
+        }
+    }
+
+    /// Walks every schedule of `passes` passes over `shards` shards by
+    /// `participants` participants — every interleaving of their
+    /// transitions, sequentially consistent — asserting the protocol's
+    /// safety in each transition ([`World::after`]) and its liveness in
+    /// each state: some *needed* participant can always move (so the ones
+    /// that hold no claim may sleep through a pass, or never wake at all),
+    /// and no schedule revisits a state (so moving means getting closer to
+    /// done). Returns the number of states.
+    fn explore(shards: usize, participants: usize, passes: u64) -> usize {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            Open,
+            Closed,
+        }
+        let mut marks: HashMap<World, Mark> = HashMap::new();
+        let mut finals = HashSet::new();
+        let start = World::new(shards, participants, passes);
+        // Depth first, with the path's worlds marked `Open`: an edge into
+        // an open world is a cycle.
+        let mut path = vec![(start.clone(), 0usize)];
+        marks.insert(start, Mark::Open);
+        while let Some((world, p)) = path.last_mut() {
+            if *p == participants {
+                if world.finished() {
+                    finals.insert(world.words.clone());
+                }
+                *marks.get_mut(world).unwrap() = Mark::Closed;
+                path.pop();
+                continue;
+            }
+            let mover = *p;
+            *p += 1;
+            if mover == 0 && !world.finished() {
+                assert!(
+                    (0..participants).any(|q| world.needed(q) && world.after(q).is_some()),
+                    "stuck: nobody the pass needs can move"
+                );
+            }
+            let Some(next) = world.after(mover) else {
+                continue;
+            };
+            match marks.get(&next) {
+                Some(Mark::Open) => panic!("a schedule loops"),
+                Some(Mark::Closed) => {}
+                None => {
+                    marks.insert(next.clone(), Mark::Open);
+                    path.push((next, 0));
+                }
+            }
+        }
+        // Every schedule ends with the same count of landed decides and
+        // applies, whoever claimed what.
+        assert!(!finals.is_empty());
+        for words in &finals {
+            assert_eq!(
+                words[..3],
+                [passes, passes * shards as u64, passes * shards as u64]
+            );
+        }
+        marks.len()
+    }
+
+    #[test]
+    fn every_schedule_of_one_pass_decides_and_applies_each_shard_once() {
+        for participants in 1..=3 {
+            for shards in 1..=3 {
+                let states = explore(shards, participants, 1);
+                assert!(states > shards * participants, "vacuous: {states} states");
+            }
+        }
+    }
+
+    /// Two passes back to back: every way a participant can fall behind —
+    /// join pass 1 and doze off before claiming, or half way through its
+    /// sweep, and wake up in pass 2 or after it — must leave it without a
+    /// claim of the pass it missed and without a look at the job slot.
+    #[test]
+    fn a_straggler_from_the_previous_pass_wins_nothing() {
+        for participants in 2..=3 {
+            for shards in 1..=3 {
+                explore(shards, participants, 2);
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The view contract
+    // -----------------------------------------------------------------
+
     const NODES: usize = 16;
+    const MID: usize = NODES / 2;
 
     fn small_net() -> Network {
         Network::new(small_cfg()).unwrap()
     }
 
     /// The saturated mid-run network, stepped on to a cycle whose route
-    /// decide has something to stage, ready for a hand-driven pass.
+    /// decide has something to stage and whose switch decide moves flits
+    /// of every class out of the upper half, ready for a hand-driven pass.
     fn hot_net() -> Network {
         let mut net = crate::difftest::hot_net();
         let mut src = source(1, NODES, 60);
@@ -933,9 +1451,14 @@ mod tests {
             // The injection allowance is per-cycle scratch of the cycle
             // that just ended; a decide outside `cycle` must not act on it.
             net.allow_nodes.clear();
-            let mut st = stage();
-            net.decide(Pass::Route, net.now, 0, NODES, &mut st);
-            if !st.route_ops.is_empty() {
+            let (mut route, mut switch) = (stage(), stage());
+            net.decide(Pass::Route, net.now, 0, NODES, &mut route);
+            net.decide(Pass::Switch, net.now, MID, NODES, &mut switch);
+            if !(route.route_ops.is_empty()
+                || switch.switch_ops.is_empty()
+                || switch.deliveries.is_empty()
+                || switch.handoffs.is_empty())
+            {
                 return net;
             }
             net.cycle(&mut src, &mut NoControl);
@@ -943,22 +1466,37 @@ mod tests {
     }
 
     fn stage() -> ShardStage {
-        ShardStage::with_capacity(1024, 1024, NODES)
+        ShardStage::with_capacity(NODES, 64, 8)
     }
 
-    /// Whether `op` moves a flit to another router (not a delivery).
-    fn is_hop(net: &Network, op: &SwitchOp) -> bool {
-        let (node, pick, fpn) = (
-            op.node as usize,
-            usize::from(op.pick),
-            net.vc_assign.len() / NODES,
-        );
-        let assign = if pick == fpn {
-            net.inj[node].assign
-        } else {
-            net.vc_assign[node * fpn + pick]
-        };
-        matches!(assign, Assign::Out { .. })
+    /// The view of `net`'s nodes `lo..hi`, for use on this thread.
+    fn view_of(net: &mut Network, lo: usize, hi: usize) -> ApplyCtx<'static> {
+        // SAFETY: the tests use the view while `net` is alive and not
+        // otherwise touched, beside views of disjoint ranges only.
+        unsafe { ApplyCtx::shard(&net.apply_ctx(), lo, hi) }
+    }
+
+    /// The upper half's switch decide, keeping only the list `keep` picks,
+    /// applied through the lower half's view.
+    fn apply_upper_ops_through_the_lower_view(keep: fn(&mut ShardStage) -> &mut Vec<SwitchOp>) {
+        let mut net = hot_net();
+        let (now, mut st, mut kept) = (net.now, stage(), stage());
+        net.decide(Pass::Switch, now, MID, NODES, &mut st);
+        std::mem::swap(keep(&mut st), keep(&mut kept));
+        assert!(kept.has_ops(), "vacuous: nothing staged");
+        view_of(&mut net, 0, MID).apply(Pass::Switch, now, &mut kept);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn delivery_take_for_a_foreign_node_panics() {
+        apply_upper_ops_through_the_lower_view(|st| &mut st.deliveries);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn handoff_take_for_a_foreign_node_panics() {
+        apply_upper_ops_through_the_lower_view(|st| &mut st.handoffs);
     }
 
     #[test]
@@ -966,18 +1504,13 @@ mod tests {
     fn switch_op_into_a_foreign_vc_panics() {
         let mut net = hot_net();
         let (now, mut st) = (net.now, stage());
-        net.decide(Pass::Switch, now, 0, NODES / 2, &mut st);
-        // A cross-shard handoff, misfiled as a local op.
-        let op = *st
-            .switch_tail
-            .iter()
-            .find(|op| is_hop(&net, op))
-            .expect("vacuous: no flit crosses the shard edge this cycle");
-        st.switch_ops.clear();
+        net.decide(Pass::Switch, now, MID, NODES, &mut st);
+        // A cross-shard handoff, misfiled as a local hop: the `take` is in
+        // range, the `put` is not.
+        let op = st.handoffs[0];
+        let mut st = stage();
         st.switch_ops.push(op);
-        // SAFETY: one view, used on this thread while `net` is borrowed.
-        let view = unsafe { ApplyCtx::shard(&net.apply_ctx(), 0, NODES / 2) };
-        view.apply(Pass::Switch, now, &mut st);
+        view_of(&mut net, MID, NODES).apply(Pass::Switch, now, &mut st);
     }
 
     #[test]
@@ -990,9 +1523,7 @@ mod tests {
             feeder: 0,
             assign: Assign::Delivery,
         });
-        // SAFETY: one view, used on this thread while `net` is borrowed.
-        let view = unsafe { ApplyCtx::shard(&net.apply_ctx(), 0, NODES / 2) };
-        view.apply(Pass::Route, 0, &mut st);
+        view_of(&mut net, 0, MID).apply(Pass::Route, 0, &mut st);
     }
 
     fn saved(net: &Network) -> Vec<u8> {
@@ -1003,45 +1534,43 @@ mod tests {
 
     /// "Same code", independent of the pool: one route and one switch
     /// pass applied through the whole-network view, and through a pair of
-    /// half-network views (in descending order, for good measure), leave
+    /// half-network views (in descending order, for good measure) that
+    /// take their handoffs and leave the whole view only the puts, leave
     /// identical networks.
     #[test]
     fn whole_view_and_shard_views_compute_the_same_pass() {
         let (mut whole, mut halves) = (hot_net(), hot_net());
         assert_eq!(saved(&whole), saved(&halves));
         let now = whole.now;
-        let mid = NODES / 2;
         for kind in [Pass::Route, Pass::Switch] {
             let mut st = stage();
             whole.decide(kind, now, 0, NODES, &mut st);
             assert!(st.staged_total > 0, "vacuous: nothing staged");
+            assert!(st.handoffs.is_empty(), "one shard hands nothing off");
             let view = whole.apply_ctx();
             view.apply(kind, now, &mut st);
-            view.tail(kind, now, &mut st);
+            view.tail(now, &mut st);
             whole.fold_stage(kind, now, &mut st);
+            assert_eq!(st.staged_total, st.applied_total);
 
             let (mut lo, mut hi) = (stage(), stage());
-            halves.decide(kind, now, 0, mid, &mut lo);
-            halves.decide(kind, now, mid, NODES, &mut hi);
-            assert!(
-                kind == Pass::Route || lo.switch_tail.iter().any(|op| is_hop(&halves, op)),
-                "vacuous: no cross-shard handoff"
-            );
+            halves.decide(kind, now, 0, MID, &mut lo);
+            halves.decide(kind, now, MID, NODES, &mut hi);
+            let crossing = lo.handoffs.len() + hi.handoffs.len();
+            assert!(kind == Pass::Route || crossing > 0, "vacuous: no handoff");
+            view_of(&mut halves, MID, NODES).apply(kind, now, &mut hi);
+            view_of(&mut halves, 0, MID).apply(kind, now, &mut lo);
+            // The half views took every handoff off its feeder; all that
+            // is left for the whole view is to put them downstream.
+            assert!(!(lo.has_ops() || hi.has_ops()));
+            assert_eq!(lo.parked.len() + hi.parked.len(), crossing);
             let view = halves.apply_ctx();
-            // SAFETY: disjoint ranges, both used on this thread while
-            // `halves` is borrowed and no decide runs.
-            let (v_lo, v_hi) = unsafe {
-                (
-                    ApplyCtx::shard(&view, 0, mid),
-                    ApplyCtx::shard(&view, mid, NODES),
-                )
-            };
-            v_hi.apply(kind, now, &mut hi);
-            v_lo.apply(kind, now, &mut lo);
-            view.tail(kind, now, &mut lo);
-            view.tail(kind, now, &mut hi);
-            halves.fold_stage(kind, now, &mut lo);
-            halves.fold_stage(kind, now, &mut hi);
+            view.tail(now, &mut lo);
+            view.tail(now, &mut hi);
+            for st in [&mut lo, &mut hi] {
+                halves.fold_stage(kind, now, st);
+                assert_eq!(st.staged_total, st.applied_total);
+            }
         }
         assert_eq!(saved(&whole), saved(&halves));
         for net in [&whole, &halves] {
@@ -1049,6 +1578,10 @@ mod tests {
             assert!(report.is_clean(), "{report}");
         }
     }
+
+    // -----------------------------------------------------------------
+    // Panics in the pool
+    // -----------------------------------------------------------------
 
     /// Runs `f` on its own thread and re-raises its panic here — or fails
     /// if it has not finished within a minute.
@@ -1068,14 +1601,14 @@ mod tests {
         }
     }
 
-    /// A two-shard network taken apart for a hand-driven pass, with a
-    /// mis-owned op planted in shard `poisoned`'s local route ops: a
-    /// cursor update for a node of the other shard.
+    /// A two-shard network taken apart for a hand-driven pass by a
+    /// coordinator and one worker (whatever the host's core count), with a
+    /// mis-owned op planted in shard `poisoned`'s route ops: a cursor
+    /// update for a node of the other shard.
     fn poisoned_pass(poisoned: usize) -> (Network, WorkerPool, Vec<ShardStage>) {
         let mut net = small_net();
         net.set_shards(2);
-        let mut pool = net.plan.pool.take().unwrap();
-        pool.multi = true; // wake the worker even on a one-core host
+        let pool = WorkerPool::new(2, 2);
         let mut stages = std::mem::take(&mut net.plan.stages);
         let foreign = net.plan.bounds[1 - poisoned] as u32;
         stages[poisoned].route_ops.push(RouteOp::Rr {
@@ -1087,33 +1620,37 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
-    fn mis_owned_op_on_a_worker_ticket_panics_the_coordinator() {
+    fn mis_owned_op_on_a_worker_claim_panics_the_coordinator() {
         within_a_minute(|| {
             let (mut net, mut pool, mut stages) = poisoned_pass(1);
             pool.publish(&mut net, Pass::Route, 0, &mut stages);
-            pool.shared.apply_next.store(0, Ordering::Release);
-            pool.shared.decide_next.store(0, Ordering::SeqCst);
-            pool.wake();
-            // The coordinator claims nothing: every ticket is the worker's.
-            let done = pool.shared.wait(&pool.shared.apply_done);
-            pool.close(Ok(done));
+            pool.open();
+            // The coordinator claims nothing: every shard is the worker's.
+            let sh = Arc::clone(&pool.shared);
+            while !sh.shutdown.load(Ordering::Acquire) {
+                assert!(
+                    sh.board.applied.load(Ordering::Acquire) < 2,
+                    "the mis-owned op was applied"
+                );
+                std::thread::yield_now();
+            }
+            pool.close(Ok(false));
         });
     }
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
-    fn mis_owned_op_on_a_coordinator_ticket_panics_past_a_waiting_worker() {
+    fn mis_owned_op_on_a_coordinator_claim_panics_past_a_waiting_worker() {
         within_a_minute(|| {
             let (mut net, mut pool, mut stages) = poisoned_pass(0);
             pool.publish(&mut net, Pass::Route, 0, &mut stages);
             let sh = Arc::clone(&pool.shared);
-            // This thread holds both of shard 0's tickets; the worker gets
-            // shard 1's, and sits at the decide→apply barrier until shard
-            // 0's decide lands — which it never does.
-            sh.apply_next.store(1, Ordering::Release);
-            sh.decide_next.store(1, Ordering::SeqCst);
-            pool.wake();
-            while sh.apply_next.load(Ordering::Acquire) < 2 {
+            // This thread holds shard 0's claim of the pass about to open;
+            // the worker gets shard 1's, and sits at the decide→apply
+            // barrier until shard 0's decide lands — which it never does.
+            sh.board.claims[0].store(1 << ID_BITS, Ordering::Relaxed);
+            pool.open();
+            while sh.board.decided.load(Ordering::Acquire) < 1 {
                 std::thread::yield_now();
             }
             let outcome = catch_unwind(AssertUnwindSafe(|| {

@@ -71,8 +71,8 @@ fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize) {
     let mut net = Network::new(cfg).expect("valid config");
     // Worker-pool spawn and per-shard op-buffer allocation are one-time
     // costs paid here, before the warmup; the sharded steady state —
-    // ticket barriers, parallel decides and applies, park/unpark — must
-    // then be exactly as allocation-free as the inline path.
+    // claims and barriers, parallel decides and applies, park/unpark —
+    // must then be exactly as allocation-free as the inline path.
     net.set_shards(shards);
     let mut src = saturating_source(nodes);
     for c in 0..20_000u64 {
@@ -126,8 +126,10 @@ fn steady_state_cycles_never_allocate() {
         1,
     );
     // Sharded stepping (the `STCC_SHARDS=4` configuration): the persistent
-    // worker pool's dispatch/claim/park cycle and the split local/boundary
-    // apply must allocate nothing once the pool is up.
+    // worker pool's dispatch/claim/park cycle and the apply's hop,
+    // delivery, handoff and parked lists (preallocated per shard at one
+    // per node, or one per node and output channel) must allocate nothing
+    // once the pool is up.
     assert_zero_alloc_steady_state(
         "recovery@shards=4",
         NetConfig {

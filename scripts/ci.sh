@@ -12,13 +12,17 @@
 #  10. kill-and-resume   (SIGKILL a sweep mid-run, finish it with --resume)
 #  11. audited sweep     (STCC_AUDIT=256 fig2 run must still match golden)
 #  12. shard gate        (STCC_SHARDS=4 and =8 audited sweeps vs golden,
-#                         plus a SIGKILL + --resume smoke at STCC_SHARDS=8)
+#                         each leg's wall time printed, plus a SIGKILL +
+#                         --resume smoke at STCC_SHARDS=8; then the pool's
+#                         shard-affinity test in a release build)
 #  13. chaos smoke       (fixed-seed chaos trials at random shard counts,
 #                         kill/resume determinism)
 #  14. campaign smoke    (orchestrator retry/quarantine + kill/resume)
-#  15. thread sanitizer  (shard + bit-identity tests, the barrier stress and
-#                         pool teardown under TSan; needs nightly, loud skip
-#                         otherwise)
+#  15. thread sanitizer  (netsim's shard tests — the claim protocol's
+#                         exhaustive schedules, the view-contract panics, the
+#                         pool's panic paths — and bit-identity tests, the
+#                         barrier stress and pool teardown under TSan; needs
+#                         nightly, loud skip otherwise)
 #  16. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
 #                         tenth of their length, every verification on)
 #  17. tiny bench gate   (always on: 64-node preset, >50% regression fails)
@@ -152,8 +156,11 @@ step "audited sweep (STCC_AUDIT=256 vs golden)" audited_sweep
 # Shard gate: intra-network sharding must not change a single output byte.
 # First audited fig2 sweeps stepping every simulation across 4 and then 8
 # shards — byte-compared to the same golden the unsharded runs match, with
-# the audit's shard invariants (mailbox conservation including the
-# boundary tails, partition disjointness) scanning every 256 cycles. Then the kill-and-resume pattern at STCC_SHARDS=8: a journal
+# the audit's shard invariants (mailbox conservation including the parked
+# handoffs, partition disjointness) scanning every 256 cycles. Each leg
+# prints its wall time: a pool runs min(shards, cores) threads, so eight
+# shards must not cost a multiple of four. Then the kill-and-resume
+# pattern at STCC_SHARDS=8: a journal
 # written by an unsharded run earlier in this script is interchangeable
 # with a sharded one, and vice versa, even at the widest shard count the
 # chaos harness draws.
@@ -161,8 +168,10 @@ shard_gate() {
     out=target/ci-shards
     for shards in 4 8; do
         rm -rf "$out"
-        STCC_SHARDS=$shards STCC_AUDIT=256 cargo run --release -q -p experiments --bin fig2 -- \
+        leg_start=$(date +%s%N)
+        STCC_SHARDS=$shards STCC_AUDIT=256 target/release/fig2 \
             --scale tiny --net small --jobs 2 --out "$out" >/dev/null
+        echo "  (STCC_SHARDS=$shards leg: $((($(date +%s%N) - leg_start) / 1000000)) ms)"
         cmp "$out/fig2.tiny.csv" crates/experiments/tests/golden/fig2.tiny.csv
     done
 
@@ -191,6 +200,13 @@ shard_gate() {
     cmp "$out/fig4.tiny.csv" crates/experiments/tests/golden/fig4.tiny.csv
 }
 step "shard gate (STCC_SHARDS=4/8 vs golden, resume at STCC_SHARDS=8)" shard_gate
+
+# Shard affinity: with a core per participant, a shard must be claimed by
+# its home participant pass after pass. A timing property, so it is judged
+# in an optimised build (the debug run above lists it as ignored); skips
+# itself, loudly, on a one-core host.
+step "shard affinity (release build)" \
+    cargo test --release -q -p stcc --test shard_pool -- --nocapture
 
 # Chaos smoke: a short fixed-seed slice of the chaos harness — random
 # configs × patterns × fault storms, per-trial audits, a mid-trial
@@ -308,9 +324,11 @@ step "campaign smoke (retry/quarantine, kill/resume determinism)" campaign_gate
 # Thread sanitizer: the sharded apply writes one network from several
 # threads through range-checked views (DESIGN.md §4d); the range checks
 # catch a mis-owned index, TSan catches a missing barrier or a plain access
-# that should have been atomic. Runs netsim's shard and bit-identity unit
-# tests and the 10 K-cycle eight-shard barrier stress with the workspace
-# crates instrumented (the prebuilt std is not, hence the two suppressions
+# that should have been atomic. Runs netsim's shard unit tests (the claim
+# protocol walked through every schedule, the view contract's panics for
+# foreign hops, deliveries and handoffs, the pool's panic paths), its
+# bit-identity tests across shard counts, and the 10 K-cycle eight-shard
+# barrier stress with the workspace crates instrumented (the prebuilt std is not, hence the two suppressions
 # for libtest's own result channel in scripts/tsan.supp).
 # Any report from simulator code fails the step. Needs a nightly toolchain
 # with the TSan runtime for this host.
