@@ -9,26 +9,66 @@
 //! regenerate after a deliberate format change (a `VERSION` bump), step the
 //! same configuration until `now() >= 1500 && recovery_active() &&
 //! token_queue_len() > 0` and write `checkpoint()` out.
+//!
+//! The four `small_<scheme>_c2501.v2.ckpt` fixtures pin the other
+//! side-band controllers' state layouts. They were written at commit
+//! f33879a — the last build in which `aimd`, `decbit`, `bbr` and `static`
+//! each carried a hand-written codec — from the same configuration with
+//! only the scheme swapped, stepped to cycle 2501: off the gather grid, off
+//! every decision period, and past at least one decision of every law. To
+//! regenerate, step [`cfg`] with that scheme to cycle 2501 and write
+//! `checkpoint()` out.
 
 use sideband::SidebandConfig;
-use stcc::{Scheme, SimConfig, Simulation, TuneConfig};
+use stcc::{Scheme, SimConfig, Simulation};
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
 
-const FIXTURE: &[u8] = include_bytes!("fixtures/small_recovery_c1588.v2.ckpt");
-const FIXTURE_CYCLE: u64 = 1588;
+/// One parent-written container: the scheme it was taken under and the
+/// cycle it was taken at.
+struct Fixture {
+    scheme: &'static str,
+    bytes: &'static [u8],
+    cycle: u64,
+}
 
-fn cfg() -> SimConfig {
+const FIXTURES: &[Fixture] = &[
+    Fixture {
+        scheme: "tune",
+        bytes: include_bytes!("fixtures/small_recovery_c1588.v2.ckpt"),
+        cycle: 1588,
+    },
+    Fixture {
+        scheme: "aimd",
+        bytes: include_bytes!("fixtures/small_aimd_c2501.v2.ckpt"),
+        cycle: 2501,
+    },
+    Fixture {
+        scheme: "decbit",
+        bytes: include_bytes!("fixtures/small_decbit_c2501.v2.ckpt"),
+        cycle: 2501,
+    },
+    Fixture {
+        scheme: "bbr",
+        bytes: include_bytes!("fixtures/small_bbr_c2501.v2.ckpt"),
+        cycle: 2501,
+    },
+    Fixture {
+        scheme: "static-12",
+        bytes: include_bytes!("fixtures/small_static12_c2501.v2.ckpt"),
+        cycle: 2501,
+    },
+];
+
+fn cfg(scheme: &str) -> SimConfig {
+    let sideband = SidebandConfig {
+        radix: 8,
+        ..SidebandConfig::paper()
+    };
     SimConfig {
         net: NetConfig::small(DeadlockMode::PAPER_RECOVERY),
         workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.02)),
-        scheme: Scheme::Tuned(TuneConfig {
-            sideband: SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-            ..TuneConfig::paper()
-        }),
+        scheme: Scheme::by_name(scheme, &sideband).expect("fixture scheme resolves"),
         cycles: 4_000,
         warmup: 500,
         seed: 13,
@@ -37,30 +77,54 @@ fn cfg() -> SimConfig {
 
 #[test]
 fn parent_written_checkpoint_restores_and_reserialises_byte_equal() {
-    let sim = Simulation::restore(cfg(), None, FIXTURE).expect("fixture restores");
-    assert_eq!(sim.now(), FIXTURE_CYCLE);
-    assert!(sim.audit().is_clean());
-    // Not a vacuous state: the recovery path is mid-drain.
-    assert!(sim.network().recovery_active());
-    assert!(sim.network().token_queue_len() > 0);
-    assert_eq!(sim.checkpoint(), FIXTURE, "codec no longer writes v2 bytes");
+    for f in FIXTURES {
+        let sim = Simulation::restore(cfg(f.scheme), None, f.bytes).expect("fixture restores");
+        assert_eq!(sim.now(), f.cycle, "{}", f.scheme);
+        assert!(sim.audit().is_clean(), "{}", f.scheme);
+        if f.scheme == "tune" {
+            // Not a vacuous state: the recovery path is mid-drain.
+            assert!(sim.network().recovery_active());
+            assert!(sim.network().token_queue_len() > 0);
+        } else {
+            // Not a vacuous state: the law has decided at least once
+            // (`static` never decides; its gate and side-band are pinned).
+            let decided = sim.controller_counters().decisions > 0;
+            assert_eq!(decided, f.scheme != "static-12", "{}", f.scheme);
+        }
+        assert_eq!(
+            sim.checkpoint(),
+            f.bytes,
+            "{}: codec no longer writes v2 bytes",
+            f.scheme
+        );
+    }
 }
 
 #[test]
 fn this_build_writes_the_parent_checkpoint() {
-    let mut sim = Simulation::new(cfg()).unwrap();
-    while sim.now() < FIXTURE_CYCLE {
-        sim.step();
+    for f in FIXTURES {
+        let mut sim = Simulation::new(cfg(f.scheme)).unwrap();
+        while sim.now() < f.cycle {
+            sim.step();
+        }
+        assert_eq!(sim.checkpoint(), f.bytes, "{}", f.scheme);
     }
-    assert_eq!(sim.checkpoint(), FIXTURE);
 }
 
 #[test]
 fn parent_written_checkpoint_runs_on_like_an_uninterrupted_run() {
-    let mut resumed = Simulation::restore(cfg(), None, FIXTURE).expect("fixture restores");
-    resumed.run_to_end();
-    let mut straight = Simulation::new(cfg()).unwrap();
-    straight.run_to_end();
-    assert_eq!(resumed.checkpoint(), straight.checkpoint());
-    assert_eq!(resumed.summary().unwrap(), straight.summary().unwrap());
+    for f in FIXTURES {
+        let mut resumed =
+            Simulation::restore(cfg(f.scheme), None, f.bytes).expect("fixture restores");
+        resumed.run_to_end();
+        let mut straight = Simulation::new(cfg(f.scheme)).unwrap();
+        straight.run_to_end();
+        assert_eq!(resumed.checkpoint(), straight.checkpoint(), "{}", f.scheme);
+        assert_eq!(
+            resumed.summary().unwrap(),
+            straight.summary().unwrap(),
+            "{}",
+            f.scheme
+        );
+    }
 }
