@@ -9,7 +9,7 @@ use experiments::figures::fig2;
 use experiments::runner::Pool;
 use experiments::{NetPreset, Scale, SweepCtx};
 use sideband::SidebandConfig;
-use stcc::{Scheme, SimConfig, Simulation};
+use stcc::{Controller, Scheme, SimConfig, Simulation};
 use std::hint::black_box;
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};

@@ -1,7 +1,6 @@
-use crate::{Controller, ControllerCounters};
-use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig};
-use wormsim::{CongestionControl, Network};
+use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use checkpoint::{CheckpointError, Dec, Enc};
+use sideband::{SidebandConfig, Snapshot};
 
 /// Configuration of the AIMD injection-threshold controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,316 +51,150 @@ impl AimdConfig {
 /// side-band census, same gate as [`crate::SelfTuned`] — only the threshold
 /// update rule differs, which is exactly the comparison the controller zoo
 /// exists to make.
-#[derive(Debug, Clone)]
-pub struct AimdControl {
-    cfg: AimdConfig,
-    sideband: Sideband,
-    state: Option<AimdState>,
-}
+pub type AimdControl = SidebandDriven<AimdLaw>;
 
-#[derive(Debug, Clone)]
-struct AimdState {
+/// The AIMD control law behind [`AimdControl`].
+#[derive(Debug, Clone, Default)]
+pub struct AimdLaw {
     total_buffers: f64,
     threshold: f64,
     add: f64,
     snaps_in_period: u32,
     period_tput: u64,
     prev_period_tput: Option<u64>,
-    throttling_now: bool,
-    last_snapshot_seen: Option<u64>,
-    last_good_threshold: f64,
-    frozen: bool,
-    rejected_seen: u64,
     periods: u64,
     raises: u64,
     cuts: u64,
-    watchdog_trips: u64,
-    watchdog_rearms: u64,
 }
 
-impl AimdControl {
-    /// Creates a controller; buffer-count-dependent state initializes on the
-    /// first [`CongestionControl::on_cycle`] call.
-    #[must_use]
-    pub fn new(cfg: AimdConfig) -> Self {
-        AimdControl {
-            sideband: Sideband::new(cfg.sideband.clone()),
-            cfg,
-            state: None,
-        }
-    }
-
-    /// The current threshold, in full buffers (`None` before the first
-    /// cycle).
-    #[must_use]
-    pub fn threshold(&self) -> Option<f64> {
-        self.state.as_ref().map(|s| s.threshold)
-    }
-
-    /// Whether injection is currently blocked network-wide.
-    #[must_use]
-    pub fn throttling(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.throttling_now)
-    }
-
-    /// Installs a fault plan on the underlying side-band.
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.sideband.set_faults(plan);
-    }
-
-    /// Whether the staleness watchdog has currently frozen the controller.
-    #[must_use]
-    pub fn watchdog_active(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.frozen)
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &AimdConfig {
-        &self.cfg
-    }
-
-    /// Read access to the underlying side-band model.
-    #[must_use]
-    pub fn sideband(&self) -> &Sideband {
-        &self.sideband
-    }
-
-    /// Serializes the controller state (side-band + AIMD) into `enc`.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        self.sideband.save_state(enc);
-        enc.bool(self.state.is_some());
-        if let Some(st) = &self.state {
-            enc.f64(st.total_buffers);
-            enc.f64(st.threshold);
-            enc.f64(st.add);
-            enc.u32(st.snaps_in_period);
-            enc.u64(st.period_tput);
-            enc.opt_u64(st.prev_period_tput);
-            enc.bool(st.throttling_now);
-            enc.opt_u64(st.last_snapshot_seen);
-            enc.f64(st.last_good_threshold);
-            enc.bool(st.frozen);
-            enc.u64(st.rejected_seen);
-            enc.u64(st.periods);
-            enc.u64(st.raises);
-            enc.u64(st.cuts);
-            enc.u64(st.watchdog_trips);
-            enc.u64(st.watchdog_rearms);
-        }
-    }
-
-    /// Restores state captured with [`AimdControl::save_state`] into a
-    /// controller built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated or
-    /// structurally invalid stream.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        self.sideband.restore_state(dec)?;
-        self.state = if dec.bool()? {
-            Some(AimdState {
-                total_buffers: dec.f64()?,
-                threshold: dec.f64()?,
-                add: dec.f64()?,
-                snaps_in_period: dec.u32()?,
-                period_tput: dec.u64()?,
-                prev_period_tput: dec.opt_u64()?,
-                throttling_now: dec.bool()?,
-                last_snapshot_seen: dec.opt_u64()?,
-                last_good_threshold: dec.f64()?,
-                frozen: dec.bool()?,
-                rejected_seen: dec.u64()?,
-                periods: dec.u64()?,
-                raises: dec.u64()?,
-                cuts: dec.u64()?,
-                watchdog_trips: dec.u64()?,
-                watchdog_rearms: dec.u64()?,
-            })
-        } else {
-            None
-        };
-        Ok(())
-    }
-
-    fn state_for(cfg: &AimdConfig, total_buffers: f64) -> AimdState {
-        AimdState {
-            total_buffers,
-            threshold: cfg.initial_threshold_frac * total_buffers,
-            add: cfg.additive_frac * total_buffers,
-            snaps_in_period: 0,
-            period_tput: 0,
-            prev_period_tput: None,
-            throttling_now: false,
-            last_snapshot_seen: None,
-            last_good_threshold: cfg.initial_threshold_frac * total_buffers,
-            frozen: false,
-            rejected_seen: 0,
-            periods: 0,
-            raises: 0,
-            cuts: 0,
-            watchdog_trips: 0,
-            watchdog_rearms: 0,
-        }
-    }
-
+impl AimdLaw {
     /// One AIMD decision (runs once per tuning period): additive raise when
     /// throughput held up, multiplicative cut when it dropped.
-    fn tune(cfg: &AimdConfig, st: &mut AimdState) {
-        let tput = st.period_tput;
-        st.periods += 1;
-        let congested = st
+    fn tune(&mut self, cfg: &AimdConfig) {
+        let tput = self.period_tput;
+        self.periods += 1;
+        let congested = self
             .prev_period_tput
             .is_some_and(|prev| (tput as f64) < cfg.drop_fraction * prev as f64);
         if congested {
-            st.threshold *= cfg.cut_factor;
-            st.cuts += 1;
+            self.threshold *= cfg.cut_factor;
+            self.cuts += 1;
         } else {
-            st.threshold += st.add;
-            st.raises += 1;
+            self.threshold += self.add;
+            self.raises += 1;
         }
-        st.threshold = st.threshold.clamp(st.add, st.total_buffers);
-        st.prev_period_tput = Some(tput);
-        Self::reset_period(st);
+        self.threshold = self.threshold.clamp(self.add, self.total_buffers);
+        self.prev_period_tput = Some(tput);
+        self.reset_period();
     }
 
-    fn reset_period(st: &mut AimdState) {
-        st.period_tput = 0;
-        st.snaps_in_period = 0;
+    fn reset_period(&mut self) {
+        self.period_tput = 0;
+        self.snaps_in_period = 0;
     }
 }
 
-impl CongestionControl for AimdControl {
-    fn on_cycle(&mut self, now: u64, net: &Network) {
-        self.state
-            .get_or_insert_with(|| Self::state_for(&self.cfg, f64::from(net.total_vc_buffers())));
-        Controller::observe_census(
-            self,
-            now,
-            net.full_buffer_count(),
-            net.delivered_flits_cum(),
-        );
+impl Law for AimdLaw {
+    type Config = AimdConfig;
+    const NAME: &'static str = "aimd";
+
+    fn sideband_config(cfg: &AimdConfig) -> &SidebandConfig {
+        &cfg.sideband
     }
 
-    fn allow_injection(&mut self, _now: u64, _node: usize, _dst: usize, _net: &Network) -> bool {
-        !self.throttling()
+    fn watchdog_gathers(cfg: &AimdConfig) -> u32 {
+        cfg.watchdog_gathers
     }
 
-    fn throttled_recently(&self) -> bool {
-        self.throttling()
+    fn size(&mut self, cfg: &AimdConfig, total_buffers: f64) {
+        self.total_buffers = total_buffers;
+        self.threshold = cfg.initial_threshold_frac * total_buffers;
+        self.add = cfg.additive_frac * total_buffers;
     }
 
-    fn name(&self) -> &'static str {
-        "aimd"
+    fn threshold(&self, _cfg: &AimdConfig) -> f64 {
+        self.threshold
     }
-}
 
-impl Controller for AimdControl {
-    fn observe_census(&mut self, now: u64, census: u32, delivered_cum: u64) {
-        let st = self.state.get_or_insert_with(|| {
-            Self::state_for(&self.cfg, f64::from(self.sideband.max_full_buffers()))
-        });
-
-        self.sideband.on_cycle(now, census, delivered_cum);
-
-        if let Some(snap) = self.sideband.latest() {
-            if st.last_snapshot_seen != Some(snap.taken_at) {
-                st.last_snapshot_seen = Some(snap.taken_at);
-                if st.frozen {
-                    st.frozen = false;
-                    st.watchdog_rearms += 1;
-                    st.prev_period_tput = None;
-                    st.rejected_seen = self.sideband.stats().rejected();
-                    Self::reset_period(st);
-                }
-                st.period_tput += u64::from(snap.delivered_flits);
-                st.snaps_in_period += 1;
-                if st.snaps_in_period >= self.cfg.tune_gathers {
-                    Self::tune(&self.cfg, st);
-                    let rejected = self.sideband.stats().rejected();
-                    if rejected == st.rejected_seen {
-                        st.last_good_threshold = st.threshold;
-                    }
-                    st.rejected_seen = rejected;
-                }
-            }
+    fn on_snapshot(&mut self, cfg: &AimdConfig, snap: Snapshot) -> bool {
+        self.period_tput += u64::from(snap.delivered_flits);
+        self.snaps_in_period += 1;
+        let period_complete = self.snaps_in_period >= cfg.tune_gathers;
+        if period_complete {
+            self.tune(cfg);
         }
+        period_complete
+    }
 
-        if !st.frozen
-            && self.cfg.watchdog_gathers > 0
-            && self.sideband.gathers_overdue(now) >= u64::from(self.cfg.watchdog_gathers)
-        {
-            st.frozen = true;
-            st.watchdog_trips += 1;
-            st.threshold = st.last_good_threshold;
-            st.prev_period_tput = None;
-            Self::reset_period(st);
+    /// Period throughput is not comparable across an outage: the period
+    /// clock restarts on either side of it.
+    fn on_trip(&mut self, last_good: f64) {
+        self.threshold = last_good;
+        self.on_rearm();
+    }
+
+    fn on_rearm(&mut self) {
+        self.prev_period_tput = None;
+        self.reset_period();
+    }
+
+    fn tally(&self) -> ControllerCounters {
+        ControllerCounters {
+            decisions: self.periods,
+            raises: self.raises,
+            cuts: self.cuts,
+            ..ControllerCounters::default()
         }
-
-        st.throttling_now = !st.frozen && self.sideband.estimate(now) > st.threshold;
     }
 
-    fn throttling(&self) -> bool {
-        AimdControl::throttling(self)
+    fn save(&self, frame: &Frame, enc: &mut Enc) {
+        enc.f64(self.total_buffers);
+        enc.f64(self.threshold);
+        enc.f64(self.add);
+        enc.u32(self.snaps_in_period);
+        enc.u64(self.period_tput);
+        enc.opt_u64(self.prev_period_tput);
+        frame.save_gate(enc);
+        frame.save_watchdog(enc);
+        enc.u64(self.periods);
+        enc.u64(self.raises);
+        enc.u64(self.cuts);
+        frame.save_counters(enc);
     }
 
-    fn threshold(&self) -> Option<f64> {
-        AimdControl::threshold(self)
-    }
-
-    fn set_faults(&mut self, plan: FaultPlan) {
-        AimdControl::set_faults(self, plan);
-    }
-
-    fn sideband(&self) -> Option<&Sideband> {
-        Some(AimdControl::sideband(self))
-    }
-
-    fn watchdog_active(&self) -> bool {
-        AimdControl::watchdog_active(self)
-    }
-
-    fn counters(&self) -> ControllerCounters {
-        self.state
-            .as_ref()
-            .map_or_else(ControllerCounters::default, |st| ControllerCounters {
-                decisions: st.periods,
-                raises: st.raises,
-                cuts: st.cuts,
-                resets: 0,
-                watchdog_trips: st.watchdog_trips,
-                watchdog_rearms: st.watchdog_rearms,
-            })
-    }
-
-    fn save_state(&self, enc: &mut checkpoint::Enc) {
-        AimdControl::save_state(self, enc);
-    }
-
-    fn restore_state(
+    fn restore(
         &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        AimdControl::restore_state(self, dec)
+        _cfg: &AimdConfig,
+        frame: &mut Frame,
+        dec: &mut Dec<'_>,
+    ) -> Result<(), CheckpointError> {
+        self.total_buffers = dec.f64()?;
+        self.threshold = dec.f64()?;
+        self.add = dec.f64()?;
+        self.snaps_in_period = dec.u32()?;
+        self.period_tput = dec.u64()?;
+        self.prev_period_tput = dec.opt_u64()?;
+        frame.restore_gate(dec)?;
+        frame.restore_watchdog(dec)?;
+        self.periods = dec.u64()?;
+        self.raises = dec.u64()?;
+        self.cuts = dec.u64()?;
+        frame.restore_counters(dec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faults::SidebandFaults;
-    use wormsim::{DeadlockMode, NetConfig};
 
     fn cfg() -> AimdConfig {
         AimdConfig::paper()
     }
 
-    fn state(total: f64) -> AimdState {
-        AimdControl::state_for(&cfg(), total)
+    fn state(total: f64) -> AimdLaw {
+        let mut law = AimdLaw::default();
+        law.size(&cfg(), total);
+        law
     }
 
     #[test]
@@ -381,7 +214,7 @@ mod tests {
             st.threshold = 1000.0;
             st.prev_period_tput = Some(1000);
             st.period_tput = tput;
-            AimdControl::tune(&c, &mut st);
+            st.tune(&c);
             if expects_cut {
                 assert_eq!(st.threshold, 500.0, "tput={tput}: multiplicative cut");
                 assert_eq!((st.cuts, st.raises), (1, 0));
@@ -404,9 +237,9 @@ mod tests {
         st.threshold = 2048.0;
         st.prev_period_tput = Some(1000);
         st.period_tput = 0;
-        AimdControl::tune(&c, &mut st);
+        st.tune(&c);
         assert_eq!(st.threshold, 1024.0);
-        AimdControl::tune(&c, &mut st); // 0 == 0.75·0: not a further drop → raise
+        st.tune(&c); // 0 == 0.75·0: not a further drop → raise
         assert!((st.threshold - (1024.0 + st.add)).abs() < 1e-9);
     }
 
@@ -418,7 +251,7 @@ mod tests {
         let mut st = state(3072.0);
         st.period_tput = 0;
         let before = st.threshold;
-        AimdControl::tune(&c, &mut st);
+        st.tune(&c);
         assert!((st.threshold - before - st.add).abs() < 1e-9);
         assert_eq!(st.raises, 1);
     }
@@ -430,64 +263,12 @@ mod tests {
         st.threshold = st.add; // at the floor
         st.prev_period_tput = Some(1000);
         st.period_tput = 0;
-        AimdControl::tune(&c, &mut st);
+        st.tune(&c);
         assert_eq!(st.threshold, st.add, "floor holds under repeated cuts");
         st.threshold = 3072.0;
         st.prev_period_tput = Some(1);
         st.period_tput = 1;
-        AimdControl::tune(&c, &mut st);
+        st.tune(&c);
         assert_eq!(st.threshold, 3072.0, "ceiling holds under repeated raises");
-    }
-
-    fn small_cfg() -> AimdConfig {
-        AimdConfig {
-            sideband: SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-            ..AimdConfig::paper()
-        }
-    }
-
-    fn flood(ctl: &mut AimdControl, cycles: u64) {
-        let mut net = Network::new(NetConfig::small(DeadlockMode::PAPER_RECOVERY)).unwrap();
-        let nodes = net.torus().node_count();
-        let mut i = 0usize;
-        let mut source = move |_now: u64, node: usize| {
-            i = i.wrapping_add(node + 1);
-            Some((node + 1 + i) % nodes)
-        };
-        for _ in 0..cycles {
-            net.cycle(&mut source, ctl);
-        }
-    }
-
-    #[test]
-    fn watchdog_trips_on_blackout_and_fails_open() {
-        let mut ctl = AimdControl::new(small_cfg());
-        ctl.set_faults(FaultPlan::sideband_only(
-            11,
-            SidebandFaults {
-                loss_rate: 1.0,
-                ..SidebandFaults::none()
-            },
-        ));
-        flood(&mut ctl, 5_000);
-        assert!(ctl.watchdog_active(), "outage never ends");
-        assert!(!ctl.throttling(), "a frozen controller fails open");
-        let c = Controller::counters(&ctl);
-        assert_eq!(c.watchdog_trips, 1);
-        assert_eq!(c.decisions, 0, "no aggregates, no periods");
-    }
-
-    #[test]
-    fn fault_free_run_tunes_and_stays_armed() {
-        let mut ctl = AimdControl::new(small_cfg());
-        flood(&mut ctl, 10_000);
-        let c = Controller::counters(&ctl);
-        assert_eq!(c.watchdog_trips, 0);
-        assert!(!ctl.watchdog_active());
-        assert!(c.decisions > 0);
-        assert_eq!(c.decisions, c.raises + c.cuts, "every period decides");
     }
 }

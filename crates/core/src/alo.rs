@@ -28,24 +28,6 @@ impl AloControl {
     pub fn new() -> Self {
         AloControl::default()
     }
-
-    /// Serializes the controller state into `enc` (for checkpointing).
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        enc.bool(self.throttled_last_cycle);
-    }
-
-    /// Restores state captured with [`AloControl::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated stream.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        self.throttled_last_cycle = dec.bool()?;
-        Ok(())
-    }
 }
 
 impl CongestionControl for AloControl {
@@ -99,14 +81,15 @@ impl Controller for AloControl {
     // ALO is locally informed: no census feed, no side-band, no global
     // gate. Only the checkpoint walkers carry state.
     fn save_state(&self, enc: &mut checkpoint::Enc) {
-        AloControl::save_state(self, enc);
+        enc.bool(self.throttled_last_cycle);
     }
 
     fn restore_state(
         &mut self,
         dec: &mut checkpoint::Dec<'_>,
     ) -> Result<(), checkpoint::CheckpointError> {
-        AloControl::restore_state(self, dec)
+        self.throttled_last_cycle = dec.bool()?;
+        Ok(())
     }
 }
 

@@ -1,7 +1,6 @@
-use crate::{Controller, ControllerCounters};
-use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig};
-use wormsim::{CongestionControl, Network};
+use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use checkpoint::{CheckpointError, Dec, Enc};
+use sideband::{SidebandConfig, Snapshot};
 
 /// Configuration of the BBR-flavored delivery-rate controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,15 +92,11 @@ struct RateSample {
 /// more in-flight buffers buy more delivery rate — if they do, the max
 /// filter adopts the new operating point), then lowered below it to drain
 /// the queues the probe built.
-#[derive(Debug, Clone)]
-pub struct BbrControl {
-    cfg: BbrConfig,
-    sideband: Sideband,
-    state: Option<BbrState>,
-}
+pub type BbrControl = SidebandDriven<BbrLaw>;
 
-#[derive(Debug, Clone)]
-struct BbrState {
+/// The BBR-flavored control law behind [`BbrControl`].
+#[derive(Debug, Clone, Default)]
+pub struct BbrLaw {
     total_buffers: f64,
     floor: f64,
     /// Delivery-rate samples observed (drives the gain cycle).
@@ -109,305 +104,150 @@ struct BbrState {
     /// Windowed-max filter: samples in rate-decreasing order, front = max.
     filter: Vec<RateSample>,
     threshold: f64,
-    throttling_now: bool,
-    last_snapshot_seen: Option<u64>,
-    last_good_threshold: f64,
-    frozen: bool,
-    rejected_seen: u64,
     probes: u64,
     drains: u64,
-    watchdog_trips: u64,
-    watchdog_rearms: u64,
 }
 
-impl BbrControl {
-    /// Creates a controller; buffer-count-dependent state initializes on
-    /// the first [`CongestionControl::on_cycle`] call.
-    #[must_use]
-    pub fn new(cfg: BbrConfig) -> Self {
-        BbrControl {
-            sideband: Sideband::new(cfg.sideband.clone()),
-            cfg,
-            state: None,
-        }
-    }
-
-    /// The current threshold, in full buffers (`None` before the first
-    /// cycle).
-    #[must_use]
-    pub fn threshold(&self) -> Option<f64> {
-        self.state.as_ref().map(|s| s.threshold)
-    }
-
-    /// Whether injection is currently blocked network-wide.
-    #[must_use]
-    pub fn throttling(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.throttling_now)
-    }
-
-    /// Installs a fault plan on the underlying side-band.
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.sideband.set_faults(plan);
-    }
-
-    /// Whether the staleness watchdog has currently frozen the controller.
-    #[must_use]
-    pub fn watchdog_active(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.frozen)
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &BbrConfig {
-        &self.cfg
-    }
-
-    /// Read access to the underlying side-band model.
-    #[must_use]
-    pub fn sideband(&self) -> &Sideband {
-        &self.sideband
-    }
-
-    /// Serializes the controller state (side-band + filter) into `enc`.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        self.sideband.save_state(enc);
-        enc.bool(self.state.is_some());
-        if let Some(st) = &self.state {
-            enc.f64(st.total_buffers);
-            enc.f64(st.floor);
-            enc.u64(st.seq);
-            enc.u32(st.filter.len() as u32);
-            for s in &st.filter {
-                enc.u64(s.seq);
-                enc.u32(s.rate);
-                enc.u32(s.census);
-            }
-            enc.f64(st.threshold);
-            enc.bool(st.throttling_now);
-            enc.opt_u64(st.last_snapshot_seen);
-            enc.f64(st.last_good_threshold);
-            enc.bool(st.frozen);
-            enc.u64(st.rejected_seen);
-            enc.u64(st.probes);
-            enc.u64(st.drains);
-            enc.u64(st.watchdog_trips);
-            enc.u64(st.watchdog_rearms);
-        }
-    }
-
-    /// Restores state captured with [`BbrControl::save_state`] into a
-    /// controller built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated or
-    /// structurally invalid stream.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        self.sideband.restore_state(dec)?;
-        self.state = if dec.bool()? {
-            let total_buffers = dec.f64()?;
-            let floor = dec.f64()?;
-            let seq = dec.u64()?;
-            let len = dec.u32()?;
-            let mut filter = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                filter.push(RateSample {
-                    seq: dec.u64()?,
-                    rate: dec.u32()?,
-                    census: dec.u32()?,
-                });
-            }
-            Some(BbrState {
-                total_buffers,
-                floor,
-                seq,
-                filter,
-                threshold: dec.f64()?,
-                throttling_now: dec.bool()?,
-                last_snapshot_seen: dec.opt_u64()?,
-                last_good_threshold: dec.f64()?,
-                frozen: dec.bool()?,
-                rejected_seen: dec.u64()?,
-                probes: dec.u64()?,
-                drains: dec.u64()?,
-                watchdog_trips: dec.u64()?,
-                watchdog_rearms: dec.u64()?,
-            })
-        } else {
-            None
-        };
-        Ok(())
-    }
-
-    fn state_for(cfg: &BbrConfig, total_buffers: f64) -> BbrState {
-        let floor = cfg.initial_threshold_frac * total_buffers;
-        BbrState {
-            total_buffers,
-            floor,
-            seq: 0,
-            filter: Vec::new(),
-            threshold: floor,
-            throttling_now: false,
-            last_snapshot_seen: None,
-            last_good_threshold: floor,
-            frozen: false,
-            rejected_seen: 0,
-            probes: 0,
-            drains: 0,
-            watchdog_trips: 0,
-            watchdog_rearms: 0,
-        }
-    }
-
+impl BbrLaw {
     /// Folds one delivery-rate sample into the max filter and recomputes
     /// the threshold from the filtered operating point and the phase gain.
-    fn sample(cfg: &BbrConfig, st: &mut BbrState, rate: u32, census: u32) {
-        let seq = st.seq;
-        st.seq += 1;
+    fn sample(&mut self, cfg: &BbrConfig, rate: u32, census: u32) {
+        let seq = self.seq;
+        self.seq += 1;
         // Expire samples older than the filter window, then maintain the
         // rate-decreasing deque invariant (ties go to the newer sample, so
         // the operating point tracks current conditions).
         let horizon = u64::from(cfg.filter_gathers.max(1));
-        st.filter.retain(|s| s.seq + horizon > seq);
-        while st.filter.last().is_some_and(|s| s.rate <= rate) {
-            st.filter.pop();
+        self.filter.retain(|s| s.seq + horizon > seq);
+        while self.filter.last().is_some_and(|s| s.rate <= rate) {
+            self.filter.pop();
         }
-        st.filter.push(RateSample { seq, rate, census });
+        self.filter.push(RateSample { seq, rate, census });
 
         let gain = bbr_phase_gain(seq, cfg);
         if cfg.cycle_gathers > 0 {
             match seq % u64::from(cfg.cycle_gathers) {
-                0 => st.probes += 1,
-                1 => st.drains += 1,
+                0 => self.probes += 1,
+                1 => self.drains += 1,
                 _ => {}
             }
         }
-        let operating_point = f64::from(st.filter[0].census);
-        st.threshold = (gain * operating_point).max(st.floor).min(st.total_buffers);
+        let operating_point = f64::from(self.filter[0].census);
+        self.threshold = (gain * operating_point)
+            .max(self.floor)
+            .min(self.total_buffers);
     }
 }
 
-impl CongestionControl for BbrControl {
-    fn on_cycle(&mut self, now: u64, net: &Network) {
-        self.state
-            .get_or_insert_with(|| Self::state_for(&self.cfg, f64::from(net.total_vc_buffers())));
-        Controller::observe_census(
-            self,
-            now,
-            net.full_buffer_count(),
-            net.delivered_flits_cum(),
-        );
+impl Law for BbrLaw {
+    type Config = BbrConfig;
+    const NAME: &'static str = "bbr";
+
+    fn sideband_config(cfg: &BbrConfig) -> &SidebandConfig {
+        &cfg.sideband
     }
 
-    fn allow_injection(&mut self, _now: u64, _node: usize, _dst: usize, _net: &Network) -> bool {
-        !self.throttling()
+    fn watchdog_gathers(cfg: &BbrConfig) -> u32 {
+        cfg.watchdog_gathers
     }
 
-    fn throttled_recently(&self) -> bool {
-        self.throttling()
+    fn size(&mut self, cfg: &BbrConfig, total_buffers: f64) {
+        self.total_buffers = total_buffers;
+        self.floor = cfg.initial_threshold_frac * total_buffers;
+        self.threshold = self.floor;
     }
 
-    fn name(&self) -> &'static str {
-        "bbr"
+    fn threshold(&self, _cfg: &BbrConfig) -> f64 {
+        self.threshold
     }
-}
 
-impl Controller for BbrControl {
-    fn observe_census(&mut self, now: u64, census: u32, delivered_cum: u64) {
-        let st = self.state.get_or_insert_with(|| {
-            Self::state_for(&self.cfg, f64::from(self.sideband.max_full_buffers()))
-        });
+    /// Every snapshot is one rate sample, and every sample re-derives the
+    /// threshold.
+    fn on_snapshot(&mut self, cfg: &BbrConfig, snap: Snapshot) -> bool {
+        self.sample(cfg, snap.delivered_flits, snap.full_buffers);
+        true
+    }
 
-        self.sideband.on_cycle(now, census, delivered_cum);
+    fn on_trip(&mut self, last_good: f64) {
+        self.threshold = last_good;
+    }
 
-        if let Some(snap) = self.sideband.latest() {
-            if st.last_snapshot_seen != Some(snap.taken_at) {
-                st.last_snapshot_seen = Some(snap.taken_at);
-                if st.frozen {
-                    // Rate samples spanning the outage are garbage: re-arm
-                    // with an empty filter at the restored threshold.
-                    st.frozen = false;
-                    st.watchdog_rearms += 1;
-                    st.filter.clear();
-                    st.rejected_seen = self.sideband.stats().rejected();
-                }
-                Self::sample(&self.cfg, st, snap.delivered_flits, snap.full_buffers);
-                let rejected = self.sideband.stats().rejected();
-                if rejected == st.rejected_seen {
-                    st.last_good_threshold = st.threshold;
-                }
-                st.rejected_seen = rejected;
-            }
+    /// Rate samples spanning the outage are garbage: re-arm with an empty
+    /// filter at the restored threshold.
+    fn on_rearm(&mut self) {
+        self.filter.clear();
+    }
+
+    fn tally(&self) -> ControllerCounters {
+        ControllerCounters {
+            decisions: self.seq,
+            raises: self.probes,
+            cuts: self.drains,
+            ..ControllerCounters::default()
         }
+    }
 
-        if !st.frozen
-            && self.cfg.watchdog_gathers > 0
-            && self.sideband.gathers_overdue(now) >= u64::from(self.cfg.watchdog_gathers)
-        {
-            st.frozen = true;
-            st.watchdog_trips += 1;
-            st.threshold = st.last_good_threshold;
+    fn save(&self, frame: &Frame, enc: &mut Enc) {
+        enc.f64(self.total_buffers);
+        enc.f64(self.floor);
+        enc.u64(self.seq);
+        enc.u32(self.filter.len() as u32);
+        for s in &self.filter {
+            enc.u64(s.seq);
+            enc.u32(s.rate);
+            enc.u32(s.census);
         }
-
-        st.throttling_now = !st.frozen && self.sideband.estimate(now) > st.threshold;
+        enc.f64(self.threshold);
+        frame.save_gate(enc);
+        frame.save_watchdog(enc);
+        enc.u64(self.probes);
+        enc.u64(self.drains);
+        frame.save_counters(enc);
     }
 
-    fn throttling(&self) -> bool {
-        BbrControl::throttling(self)
-    }
-
-    fn threshold(&self) -> Option<f64> {
-        BbrControl::threshold(self)
-    }
-
-    fn set_faults(&mut self, plan: FaultPlan) {
-        BbrControl::set_faults(self, plan);
-    }
-
-    fn sideband(&self) -> Option<&Sideband> {
-        Some(BbrControl::sideband(self))
-    }
-
-    fn watchdog_active(&self) -> bool {
-        BbrControl::watchdog_active(self)
-    }
-
-    fn counters(&self) -> ControllerCounters {
-        self.state
-            .as_ref()
-            .map_or_else(ControllerCounters::default, |st| ControllerCounters {
-                decisions: st.seq,
-                raises: st.probes,
-                cuts: st.drains,
-                resets: 0,
-                watchdog_trips: st.watchdog_trips,
-                watchdog_rearms: st.watchdog_rearms,
-            })
-    }
-
-    fn save_state(&self, enc: &mut checkpoint::Enc) {
-        BbrControl::save_state(self, enc);
-    }
-
-    fn restore_state(
+    fn restore(
         &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        BbrControl::restore_state(self, dec)
+        cfg: &BbrConfig,
+        frame: &mut Frame,
+        dec: &mut Dec<'_>,
+    ) -> Result<(), CheckpointError> {
+        self.total_buffers = dec.f64()?;
+        self.floor = dec.f64()?;
+        self.seq = dec.u64()?;
+        let len = dec.u32()?;
+        if len > cfg.filter_gathers.max(1) {
+            return Err(CheckpointError::Corrupt("bbr filter past its bound"));
+        }
+        self.filter.clear();
+        for _ in 0..len {
+            self.filter.push(RateSample {
+                seq: dec.u64()?,
+                rate: dec.u32()?,
+                census: dec.u32()?,
+            });
+        }
+        self.threshold = dec.f64()?;
+        frame.restore_gate(dec)?;
+        frame.restore_watchdog(dec)?;
+        self.probes = dec.u64()?;
+        self.drains = dec.u64()?;
+        frame.restore_counters(dec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faults::SidebandFaults;
-    use wormsim::{DeadlockMode, NetConfig};
 
     fn cfg() -> BbrConfig {
         BbrConfig::paper()
+    }
+
+    /// The law sized for the paper's 3072-buffer network.
+    fn state(cfg: &BbrConfig) -> BbrLaw {
+        let mut law = BbrLaw::default();
+        law.size(cfg, 3072.0);
+        law
     }
 
     /// BBR's gain cycle: probe on sample 0 of each cycle, drain on sample
@@ -442,24 +282,24 @@ mod tests {
     #[test]
     fn max_filter_tracks_operating_point() {
         let c = cfg();
-        let mut st = BbrControl::state_for(&c, 3072.0);
+        let mut st = state(&c);
         // Cruise-phase sample indices would complicate the gain; use
         // sample 2 (gain 1.0) by discarding the first two.
-        BbrControl::sample(&c, &mut st, 10, 100);
-        BbrControl::sample(&c, &mut st, 50, 300);
-        BbrControl::sample(&c, &mut st, 20, 900);
+        st.sample(&c, 10, 100);
+        st.sample(&c, 50, 300);
+        st.sample(&c, 20, 900);
         // Max rate is 50 at census 300: the cruise threshold sits there.
         assert_eq!(st.filter[0].rate, 50);
         assert_eq!(st.threshold, 300.0);
         // A tie replaces the older sample (newer census wins).
-        BbrControl::sample(&c, &mut st, 50, 400);
+        st.sample(&c, 50, 400);
         assert_eq!(st.threshold, 400.0);
         // Age the max out of the eight-sample window: the best survivor
         // (rate 20, census 900) becomes the operating point. The last
         // sample lands on seq 11, a cruise phase, so the threshold sits
         // exactly at the surviving census.
         for _ in 0..8 {
-            BbrControl::sample(&c, &mut st, 20, 900);
+            st.sample(&c, 20, 900);
         }
         assert_eq!(st.filter[0].rate, 20);
         assert_eq!(st.threshold, 900.0);
@@ -470,75 +310,23 @@ mod tests {
     #[test]
     fn gains_scale_the_operating_point() {
         let c = cfg();
-        let mut st = BbrControl::state_for(&c, 3072.0);
-        BbrControl::sample(&c, &mut st, 100, 800); // seq 0: probe
+        let mut st = state(&c);
+        st.sample(&c, 100, 800); // seq 0: probe
         assert_eq!(st.threshold, 800.0 * c.probe_gain);
         assert_eq!(st.probes, 1);
-        BbrControl::sample(&c, &mut st, 100, 800); // seq 1: drain (tie, newer)
+        st.sample(&c, 100, 800); // seq 1: drain (tie, newer)
         assert_eq!(st.threshold, 800.0 * c.drain_gain);
         assert_eq!(st.drains, 1);
-        BbrControl::sample(&c, &mut st, 100, 800); // seq 2: cruise
+        st.sample(&c, 100, 800); // seq 2: cruise
         assert_eq!(st.threshold, 800.0);
     }
 
     #[test]
     fn threshold_floor_holds() {
         let c = cfg();
-        let mut st = BbrControl::state_for(&c, 3072.0);
+        let mut st = state(&c);
         st.seq = 2; // cruise phase
-        BbrControl::sample(&c, &mut st, 5, 0); // idle network: census 0
+        st.sample(&c, 5, 0); // idle network: census 0
         assert_eq!(st.threshold, st.floor, "floor backstops a zero census");
-    }
-
-    fn small_cfg() -> BbrConfig {
-        BbrConfig {
-            sideband: SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-            ..BbrConfig::paper()
-        }
-    }
-
-    fn flood(ctl: &mut BbrControl, cycles: u64) {
-        let mut net = Network::new(NetConfig::small(DeadlockMode::PAPER_RECOVERY)).unwrap();
-        let nodes = net.torus().node_count();
-        let mut i = 0usize;
-        let mut source = move |_now: u64, node: usize| {
-            i = i.wrapping_add(node + 1);
-            Some((node + 1 + i) % nodes)
-        };
-        for _ in 0..cycles {
-            net.cycle(&mut source, ctl);
-        }
-    }
-
-    #[test]
-    fn watchdog_trips_on_blackout_and_fails_open() {
-        let mut ctl = BbrControl::new(small_cfg());
-        ctl.set_faults(FaultPlan::sideband_only(
-            11,
-            SidebandFaults {
-                loss_rate: 1.0,
-                ..SidebandFaults::none()
-            },
-        ));
-        flood(&mut ctl, 5_000);
-        assert!(ctl.watchdog_active());
-        assert!(!ctl.throttling(), "a frozen controller fails open");
-        let c = Controller::counters(&ctl);
-        assert_eq!(c.watchdog_trips, 1);
-        assert_eq!(c.decisions, 0, "no aggregates, no rate samples");
-    }
-
-    #[test]
-    fn fault_free_run_samples_and_probes() {
-        let mut ctl = BbrControl::new(small_cfg());
-        flood(&mut ctl, 10_000);
-        let c = Controller::counters(&ctl);
-        assert_eq!(c.watchdog_trips, 0);
-        assert!(c.decisions > 16, "one sample per gather");
-        assert!(c.raises >= 2, "probe phases recur");
-        assert!(c.cuts >= 2, "drain phases recur");
     }
 }

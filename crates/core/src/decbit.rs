@@ -1,7 +1,7 @@
-use crate::{Controller, ControllerCounters};
-use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig};
-use wormsim::{CongestionControl, Network};
+use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use checkpoint::{CheckpointError, Dec, Enc};
+use sideband::{Sideband, SidebandConfig, Snapshot};
+use wormsim::Network;
 
 /// Configuration of the DEC-bit-style controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,71 +52,23 @@ impl DecBitConfig {
 /// feedback, which is exactly what makes it a useful rival — it reacts to
 /// congestion *extent* (how many nodes are hot), not *depth* (how full the
 /// hot ones are).
-#[derive(Debug, Clone)]
-pub struct DecBitControl {
-    cfg: DecBitConfig,
-    sideband: Sideband,
+pub type DecBitControl = SidebandDriven<DecBitLaw>;
+
+/// The DEC-bit control law behind [`DecBitControl`].
+#[derive(Debug, Clone, Default)]
+pub struct DecBitLaw {
     /// Congested-node counts of the last `window_gathers` snapshots,
     /// oldest first.
     window: Vec<u32>,
-    throttling_now: bool,
-    last_snapshot_seen: Option<u64>,
-    frozen: bool,
+    /// The filter's verdict on the current window: the gate. Moves only
+    /// when the window does (a new snapshot, or a trip emptying it).
+    congested: bool,
     snapshots: u64,
     congested_verdicts: u64,
     clear_verdicts: u64,
-    watchdog_trips: u64,
-    watchdog_rearms: u64,
 }
 
-impl DecBitControl {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new(cfg: DecBitConfig) -> Self {
-        DecBitControl {
-            sideband: Sideband::new(cfg.sideband.clone()),
-            cfg,
-            window: Vec::new(),
-            throttling_now: false,
-            last_snapshot_seen: None,
-            frozen: false,
-            snapshots: 0,
-            congested_verdicts: 0,
-            clear_verdicts: 0,
-            watchdog_trips: 0,
-            watchdog_rearms: 0,
-        }
-    }
-
-    /// Whether injection is currently blocked network-wide.
-    #[must_use]
-    pub fn throttling(&self) -> bool {
-        self.throttling_now
-    }
-
-    /// Installs a fault plan on the underlying side-band.
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.sideband.set_faults(plan);
-    }
-
-    /// Whether the staleness watchdog has currently frozen the controller.
-    #[must_use]
-    pub fn watchdog_active(&self) -> bool {
-        self.frozen
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &DecBitConfig {
-        &self.cfg
-    }
-
-    /// Read access to the underlying side-band model.
-    #[must_use]
-    pub fn sideband(&self) -> &Sideband {
-        &self.sideband
-    }
-
+impl DecBitLaw {
     /// The window-filter decision: congested iff the average congested-node
     /// count over the window is at or above `congested_fraction` of all
     /// nodes. An empty window (start-up, post-outage) is never congested.
@@ -128,175 +80,114 @@ impl DecBitControl {
         let avg = window.iter().map(|&c| f64::from(c)).sum::<f64>() / window.len() as f64;
         avg >= congested_fraction * node_count
     }
+}
 
-    /// Serializes the controller state (side-band + filter window) into
-    /// `enc`.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        self.sideband.save_state(enc);
-        enc.u32(self.window.len() as u32);
-        for &c in &self.window {
-            enc.u32(c);
-        }
-        enc.bool(self.throttling_now);
-        enc.opt_u64(self.last_snapshot_seen);
-        enc.bool(self.frozen);
-        enc.u64(self.snapshots);
-        enc.u64(self.congested_verdicts);
-        enc.u64(self.clear_verdicts);
-        enc.u64(self.watchdog_trips);
-        enc.u64(self.watchdog_rearms);
+impl Law for DecBitLaw {
+    type Config = DecBitConfig;
+    const NAME: &'static str = "decbit";
+    const SIZED_BY_BUFFERS: bool = false;
+
+    fn sideband_config(cfg: &DecBitConfig) -> &SidebandConfig {
+        &cfg.sideband
     }
 
-    /// Restores state captured with [`DecBitControl::save_state`] into a
-    /// controller built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated or
-    /// structurally invalid stream.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        self.sideband.restore_state(dec)?;
-        let len = dec.u32()?;
+    fn watchdog_gathers(cfg: &DecBitConfig) -> u32 {
+        cfg.watchdog_gathers
+    }
+
+    /// Each node's congestion bit: any completely full VC buffer at that
+    /// node. The census shipped over the side-band is the count of set bits.
+    fn census(net: &Network) -> u32 {
+        let planes = net.full_buffer_planes();
+        planes.iter().filter(|&&plane| plane != 0).count() as u32
+    }
+
+    /// In this law's census units (congested nodes).
+    fn threshold(&self, cfg: &DecBitConfig) -> f64 {
+        cfg.congested_fraction * f64::from(cfg.node_count())
+    }
+
+    /// Slides the window and takes a verdict. The threshold is fixed, so
+    /// there is never a new one for the scaffold to remember.
+    fn on_snapshot(&mut self, cfg: &DecBitConfig, snap: Snapshot) -> bool {
+        self.window.push(snap.full_buffers);
+        let max = cfg.window_gathers.max(1) as usize;
+        if self.window.len() > max {
+            self.window.drain(..self.window.len() - max);
+        }
+        self.snapshots += 1;
+        let nodes = f64::from(cfg.node_count());
+        self.congested = Self::window_congested(&self.window, cfg.congested_fraction, nodes);
+        if self.congested {
+            self.congested_verdicts += 1;
+        } else {
+            self.clear_verdicts += 1;
+        }
+        false
+    }
+
+    /// Feedback bits stopped arriving: the window is fiction. Discard it;
+    /// it refills from scratch after the re-arm (pre-outage bits are not
+    /// comparable).
+    fn on_trip(&mut self, _last_good: f64) {
         self.window.clear();
-        for _ in 0..len {
-            self.window.push(dec.u32()?);
-        }
-        self.throttling_now = dec.bool()?;
-        self.last_snapshot_seen = dec.opt_u64()?;
-        self.frozen = dec.bool()?;
-        self.snapshots = dec.u64()?;
-        self.congested_verdicts = dec.u64()?;
-        self.clear_verdicts = dec.u64()?;
-        self.watchdog_trips = dec.u64()?;
-        self.watchdog_rearms = dec.u64()?;
-        Ok(())
-    }
-}
-
-impl CongestionControl for DecBitControl {
-    fn on_cycle(&mut self, now: u64, net: &Network) {
-        // Each node's congestion bit: any completely full VC buffer at that
-        // node. The census shipped over the side-band is the count of set
-        // bits.
-        let congested_nodes = net
-            .full_buffer_planes()
-            .iter()
-            .filter(|&&plane| plane != 0)
-            .count() as u32;
-        Controller::observe_census(self, now, congested_nodes, net.delivered_flits_cum());
+        self.congested = false;
     }
 
-    fn allow_injection(&mut self, _now: u64, _node: usize, _dst: usize, _net: &Network) -> bool {
-        !self.throttling_now
+    fn gate(&self, _cfg: &DecBitConfig, _sideband: &Sideband, _now: u64) -> bool {
+        self.congested
     }
 
-    fn throttled_recently(&self) -> bool {
-        self.throttling_now
-    }
-
-    fn name(&self) -> &'static str {
-        "decbit"
-    }
-}
-
-impl Controller for DecBitControl {
-    fn observe_census(&mut self, now: u64, census: u32, delivered_cum: u64) {
-        self.sideband.on_cycle(now, census, delivered_cum);
-
-        if let Some(snap) = self.sideband.latest() {
-            if self.last_snapshot_seen != Some(snap.taken_at) {
-                self.last_snapshot_seen = Some(snap.taken_at);
-                if self.frozen {
-                    // Real feedback is back: re-arm and refill the window
-                    // from scratch (pre-outage bits are not comparable).
-                    self.frozen = false;
-                    self.watchdog_rearms += 1;
-                }
-                self.window.push(snap.full_buffers);
-                let max = self.cfg.window_gathers.max(1) as usize;
-                if self.window.len() > max {
-                    self.window.drain(..self.window.len() - max);
-                }
-                self.snapshots += 1;
-                let congested = Self::window_congested(
-                    &self.window,
-                    self.cfg.congested_fraction,
-                    f64::from(self.cfg.node_count()),
-                );
-                if congested {
-                    self.congested_verdicts += 1;
-                } else {
-                    self.clear_verdicts += 1;
-                }
-                self.throttling_now = congested;
-            }
-        }
-
-        if !self.frozen
-            && self.cfg.watchdog_gathers > 0
-            && self.sideband.gathers_overdue(now) >= u64::from(self.cfg.watchdog_gathers)
-        {
-            // Feedback bits stopped arriving: the window is fiction. Fail
-            // open and discard it.
-            self.frozen = true;
-            self.watchdog_trips += 1;
-            self.window.clear();
-            self.throttling_now = false;
-        }
-    }
-
-    fn throttling(&self) -> bool {
-        DecBitControl::throttling(self)
-    }
-
-    fn threshold(&self) -> Option<f64> {
-        // In this controller's census units (congested nodes).
-        Some(self.cfg.congested_fraction * f64::from(self.cfg.node_count()))
-    }
-
-    fn set_faults(&mut self, plan: FaultPlan) {
-        DecBitControl::set_faults(self, plan);
-    }
-
-    fn sideband(&self) -> Option<&Sideband> {
-        Some(DecBitControl::sideband(self))
-    }
-
-    fn watchdog_active(&self) -> bool {
-        DecBitControl::watchdog_active(self)
-    }
-
-    fn counters(&self) -> ControllerCounters {
+    fn tally(&self) -> ControllerCounters {
         ControllerCounters {
             decisions: self.snapshots,
             raises: self.clear_verdicts,
             cuts: self.congested_verdicts,
-            resets: 0,
-            watchdog_trips: self.watchdog_trips,
-            watchdog_rearms: self.watchdog_rearms,
+            ..ControllerCounters::default()
         }
     }
 
-    fn save_state(&self, enc: &mut checkpoint::Enc) {
-        DecBitControl::save_state(self, enc);
+    fn save(&self, frame: &Frame, enc: &mut Enc) {
+        enc.u32(self.window.len() as u32);
+        for &c in &self.window {
+            enc.u32(c);
+        }
+        frame.save_gate(enc);
+        enc.bool(frame.frozen);
+        enc.u64(self.snapshots);
+        enc.u64(self.congested_verdicts);
+        enc.u64(self.clear_verdicts);
+        frame.save_counters(enc);
     }
 
-    fn restore_state(
+    fn restore(
         &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        DecBitControl::restore_state(self, dec)
+        cfg: &DecBitConfig,
+        frame: &mut Frame,
+        dec: &mut Dec<'_>,
+    ) -> Result<(), CheckpointError> {
+        let len = dec.u32()?;
+        if len > cfg.window_gathers.max(1) {
+            return Err(CheckpointError::Corrupt("decbit window past its bound"));
+        }
+        self.window = (0..len).map(|_| dec.u32()).collect::<Result<_, _>>()?;
+        frame.restore_gate(dec)?;
+        // An armed gate is the verdict; a frozen one is open over an
+        // emptied window, whose verdict is also "clear".
+        self.congested = frame.throttling_now;
+        frame.frozen = dec.bool()?;
+        self.snapshots = dec.u64()?;
+        self.congested_verdicts = dec.u64()?;
+        self.clear_verdicts = dec.u64()?;
+        frame.restore_counters(dec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faults::SidebandFaults;
-    use wormsim::{DeadlockMode, NetConfig};
+    use crate::scaffold::tests::{flood, small_sideband};
+    use crate::Controller;
 
     /// The 50% congested-bit boundary is inclusive: an average of exactly
     /// half the nodes congested throttles; one bit-count less over the
@@ -305,65 +196,33 @@ mod tests {
     fn fifty_percent_boundary_is_inclusive() {
         let nodes = 64.0;
         // Window of 4 averaging exactly 32 (= 50% of 64): congested.
-        assert!(DecBitControl::window_congested(
-            &[32, 32, 32, 32],
-            0.5,
-            nodes
-        ));
-        assert!(DecBitControl::window_congested(&[0, 64, 0, 64], 0.5, nodes));
+        assert!(DecBitLaw::window_congested(&[32, 32, 32, 32], 0.5, nodes));
+        assert!(DecBitLaw::window_congested(&[0, 64, 0, 64], 0.5, nodes));
         // One congested-node observation fewer: average 31.75 < 32, clear.
-        assert!(!DecBitControl::window_congested(
-            &[32, 32, 32, 31],
-            0.5,
-            nodes
-        ));
-        assert!(!DecBitControl::window_congested(
-            &[31, 33, 32, 31],
-            0.5,
-            nodes
-        ));
+        assert!(!DecBitLaw::window_congested(&[32, 32, 32, 31], 0.5, nodes));
+        assert!(!DecBitLaw::window_congested(&[31, 33, 32, 31], 0.5, nodes));
     }
 
     #[test]
     fn empty_window_is_never_congested() {
-        assert!(!DecBitControl::window_congested(&[], 0.5, 64.0));
+        assert!(!DecBitLaw::window_congested(&[], 0.5, 64.0));
     }
 
     #[test]
     fn average_not_latest_decides() {
         // Latest snapshot fully congested, but the window average is still
         // below half: the filter must smooth the spike away.
-        assert!(!DecBitControl::window_congested(&[0, 0, 0, 64], 0.5, 64.0));
+        assert!(!DecBitLaw::window_congested(&[0, 0, 0, 64], 0.5, 64.0));
         // Three of four at the boundary with one clear snapshot: 48 ≥ 32.
-        assert!(DecBitControl::window_congested(&[64, 64, 64, 0], 0.5, 64.0));
-    }
-
-    fn small_cfg() -> DecBitConfig {
-        DecBitConfig {
-            sideband: SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-            ..DecBitConfig::paper()
-        }
-    }
-
-    fn flood(ctl: &mut DecBitControl, cycles: u64) {
-        let mut net = Network::new(NetConfig::small(DeadlockMode::PAPER_RECOVERY)).unwrap();
-        let nodes = net.torus().node_count();
-        let mut i = 0usize;
-        let mut source = move |_now: u64, node: usize| {
-            i = i.wrapping_add(node + 1);
-            Some((node + 1 + i) % nodes)
-        };
-        for _ in 0..cycles {
-            net.cycle(&mut source, ctl);
-        }
+        assert!(DecBitLaw::window_congested(&[64, 64, 64, 0], 0.5, 64.0));
     }
 
     #[test]
     fn throttles_a_flooded_network() {
-        let mut ctl = DecBitControl::new(small_cfg());
+        let mut ctl = DecBitControl::new(DecBitConfig {
+            sideband: small_sideband(),
+            ..DecBitConfig::paper()
+        });
         flood(&mut ctl, 10_000);
         let c = Controller::counters(&ctl);
         assert!(c.decisions > 0);
@@ -371,23 +230,5 @@ mod tests {
             c.cuts > 0,
             "a sustained flood must congest a majority of nodes"
         );
-    }
-
-    #[test]
-    fn watchdog_trips_on_blackout_and_fails_open() {
-        let mut ctl = DecBitControl::new(small_cfg());
-        ctl.set_faults(FaultPlan::sideband_only(
-            11,
-            SidebandFaults {
-                loss_rate: 1.0,
-                ..SidebandFaults::none()
-            },
-        ));
-        flood(&mut ctl, 5_000);
-        assert!(ctl.watchdog_active());
-        assert!(!ctl.throttling(), "a frozen controller fails open");
-        let c = Controller::counters(&ctl);
-        assert_eq!(c.watchdog_trips, 1);
-        assert_eq!(c.decisions, 0, "no aggregates, no verdicts");
     }
 }

@@ -16,12 +16,20 @@
 //!    throughput seen so far and forgets a stale maximum after `r`
 //!    consecutive corrections.
 //!
-//! Alongside the paper's scheme this crate implements its comparison
-//! points: [`wormsim::NoControl`] (the `Base` curves), the locally-estimated
-//! [`AloControl`] of Baydal et al., and fixed-threshold throttling
-//! ([`StaticThreshold`], Figure 5), and a [`Simulation`] facade that wires a
-//! network, a workload and a policy together and measures what the paper
-//! plots.
+//! The two mechanisms are two pieces of code. The first — the gather, the
+//! estimate-vs-threshold gate, the staleness watchdog that fails open when
+//! aggregates stop arriving, and the checkpoint framing — is the scaffold
+//! [`SidebandDriven`], written once. The second is a [`Law`]: [`TuneLaw`]
+//! for the paper's scheme, and one law file each for its globally informed
+//! comparison points — fixed-threshold throttling ([`StaticThreshold`],
+//! Figure 5) and the rivals [`AimdControl`], [`DecBitControl`] and
+//! [`BbrControl`]. Every controller type here is `SidebandDriven<SomeLaw>`
+//! and is driven through the [`Controller`] trait.
+//!
+//! The locally informed comparison points are [`wormsim::NoControl`] (the
+//! `Base` curves) and the [`AloControl`] of Baydal et al.; a [`Simulation`]
+//! facade wires a network, a workload and a policy together and measures
+//! what the paper plots.
 //!
 //! # Quick start
 //!
@@ -52,30 +60,32 @@ mod alo;
 mod bbr;
 mod controller;
 mod decbit;
+mod scaffold;
 mod scheme;
 mod sim;
 mod statik;
 mod tuned;
 
-pub use aimd::{AimdConfig, AimdControl};
+pub use aimd::{AimdConfig, AimdControl, AimdLaw};
 pub use alo::AloControl;
-pub use bbr::{bbr_phase_gain, BbrConfig, BbrControl};
+pub use bbr::{bbr_phase_gain, BbrConfig, BbrControl, BbrLaw};
 pub use controller::{Controller, ControllerCounters};
-pub use decbit::{DecBitConfig, DecBitControl};
+pub use decbit::{DecBitConfig, DecBitControl, DecBitLaw};
+pub use scaffold::{Frame, Law, SidebandDriven};
 pub use scheme::{Control, Scheme};
 pub use sim::{
     BudgetKind, FaultReport, LivelockDiag, RunGuard, SimConfig, SimError, Simulation, SummaryError,
     DEFAULT_LIVELOCK_WINDOW,
 };
-pub use statik::StaticThreshold;
-pub use tuned::{decide, SelfTuned, TuneAction, TuneConfig};
+pub use statik::{StaticConfig, StaticLaw, StaticThreshold};
+pub use tuned::{decide, SelfTuned, TuneAction, TuneConfig, TuneLaw};
 // The audit layer's types, so `SimError::Audit` and `Simulation::audit`
 // are usable without importing `wormsim` directly.
 pub use wormsim::{AuditKind, AuditReport, AuditViolation, PhaseStats};
 
 /// Convenience re-exports for downstream users.
 pub mod prelude {
-    pub use crate::{Scheme, SimConfig, Simulation, TuneConfig};
+    pub use crate::{Controller, Scheme, SimConfig, Simulation, TuneConfig};
     pub use traffic::{Pattern, Process, Workload};
     pub use wormsim::{DeadlockMode, NetConfig};
 }

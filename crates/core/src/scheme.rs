@@ -1,9 +1,9 @@
 use crate::{
     AimdConfig, AimdControl, AloControl, BbrConfig, BbrControl, Controller, ControllerCounters,
-    DecBitConfig, DecBitControl, SelfTuned, StaticThreshold, TuneConfig,
+    DecBitConfig, DecBitControl, SelfTuned, StaticConfig, StaticThreshold, TuneConfig,
 };
 use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig, SidebandStats};
+use sideband::{Sideband, SidebandConfig};
 use wormsim::{CongestionControl, Network, NoControl};
 
 /// A congestion-control scheme selector: the paper's configurations plus
@@ -104,7 +104,10 @@ impl Scheme {
             Scheme::Static {
                 threshold,
                 sideband,
-            } => Control::Static(StaticThreshold::new(*threshold, sideband.clone())),
+            } => Control::Static(StaticThreshold::new(StaticConfig {
+                threshold: *threshold,
+                sideband: sideband.clone(),
+            })),
             Scheme::Tuned(cfg) => Control::Tuned(SelfTuned::new(cfg.clone())),
             Scheme::Aimd(cfg) => Control::Aimd(AimdControl::new(cfg.clone())),
             Scheme::DecBit(cfg) => Control::DecBit(DecBitControl::new(cfg.clone())),
@@ -139,7 +142,7 @@ pub enum Control {
 /// Applies one expression to whichever controller this `Control` holds.
 /// Every [`CongestionControl`] and [`Controller`] hook dispatches through
 /// this, so registering a controller means adding one enum variant and one
-/// macro arm-list entry.
+/// macro arm-list entry (DESIGN.md §6 has the whole recipe).
 macro_rules! for_each_control {
     ($self:expr, $c:pat => $body:expr) => {
         match $self {
@@ -164,18 +167,6 @@ impl Control {
         }
     }
 
-    /// Installs a side-band fault plan. A no-op for the locally informed
-    /// schemes (`Base`, `Alo`), which have no side-band to fault.
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        for_each_control!(self, c => Controller::set_faults(c, plan));
-    }
-
-    /// Side-band fault/rejection counters, if this scheme has a side-band.
-    #[must_use]
-    pub fn sideband_stats(&self) -> Option<SidebandStats> {
-        for_each_control!(self, c => Controller::sideband_stats(c))
-    }
-
     fn variant_tag(&self) -> u8 {
         match self {
             Control::Base(_) => 0,
@@ -186,33 +177,6 @@ impl Control {
             Control::DecBit(_) => 5,
             Control::Bbr(_) => 6,
         }
-    }
-
-    /// Serializes the controller state into `enc` (for checkpointing). The
-    /// stream records the variant so a restore into a controller built from
-    /// a different [`Scheme`] fails loudly rather than silently misreading.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        enc.u8(self.variant_tag());
-        for_each_control!(self, c => Controller::save_state(c, enc));
-    }
-
-    /// Restores state captured with [`Control::save_state`] into a controller
-    /// built from the same [`Scheme`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] if the recorded variant does
-    /// not match this controller or the stream is truncated/invalid.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        if dec.u8()? != self.variant_tag() {
-            return Err(checkpoint::CheckpointError::Corrupt(
-                "controller variant does not match the scheme",
-            ));
-        }
-        for_each_control!(self, c => Controller::restore_state(c, dec))
     }
 }
 
@@ -254,8 +218,10 @@ impl Controller for Control {
         for_each_control!(self, c => Controller::threshold(c))
     }
 
+    /// A no-op for the locally informed schemes (`Base`, `Alo`), which have
+    /// no side-band to fault.
     fn set_faults(&mut self, plan: FaultPlan) {
-        Control::set_faults(self, plan);
+        for_each_control!(self, c => Controller::set_faults(c, plan));
     }
 
     fn sideband(&self) -> Option<&Sideband> {
@@ -270,15 +236,26 @@ impl Controller for Control {
         for_each_control!(self, c => Controller::counters(c))
     }
 
+    /// The stream records the variant so a restore into a controller built
+    /// from a different [`Scheme`] fails loudly rather than silently
+    /// misreading.
     fn save_state(&self, enc: &mut checkpoint::Enc) {
-        Control::save_state(self, enc);
+        enc.u8(self.variant_tag());
+        for_each_control!(self, c => Controller::save_state(c, enc));
     }
 
+    /// Also fails with [`checkpoint::CheckpointError::Corrupt`] if the
+    /// recorded variant does not match this controller.
     fn restore_state(
         &mut self,
         dec: &mut checkpoint::Dec<'_>,
     ) -> Result<(), checkpoint::CheckpointError> {
-        Control::restore_state(self, dec)
+        if dec.u8()? != self.variant_tag() {
+            return Err(checkpoint::CheckpointError::Corrupt(
+                "controller variant does not match the scheme",
+            ));
+        }
+        for_each_control!(self, c => Controller::restore_state(c, dec))
     }
 }
 

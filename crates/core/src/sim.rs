@@ -876,7 +876,7 @@ mod tests {
         sim.run_to_end();
         let t = sim.tuned().expect("tuned scheme");
         assert!(t.threshold().unwrap() > 0.0);
-        assert!(t.tune_events() > 10);
+        assert!(t.counters().decisions > 10);
     }
 
     #[test]

@@ -1,7 +1,15 @@
-use crate::Controller;
-use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig};
-use wormsim::{CongestionControl, Network};
+use crate::{Frame, Law, SidebandDriven};
+use checkpoint::{CheckpointError, Dec, Enc};
+use sideband::{SidebandConfig, Snapshot};
+
+/// Configuration of the fixed-threshold throttle.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StaticConfig {
+    /// The fixed threshold, in full buffers.
+    pub threshold: u32,
+    /// Side-band gather network parameters.
+    pub sideband: SidebandConfig,
+}
 
 /// Globally informed throttling with a **fixed** threshold — the
 /// "Static Threshold" configurations of Figure 5.
@@ -12,177 +20,74 @@ use wormsim::{CongestionControl, Network};
 /// 250 (8% occupancy, good for uniform random) and 50 (1.6%, good for
 /// butterfly) to show that no single static value suits all communication
 /// patterns.
-#[derive(Debug, Clone)]
-pub struct StaticThreshold {
-    threshold: f64,
-    sideband: Sideband,
-    throttling_now: bool,
-}
+pub type StaticThreshold = SidebandDriven<StaticLaw>;
 
-impl StaticThreshold {
-    /// A fixed-threshold throttle (threshold in full buffers) using the
-    /// given side-band configuration.
-    #[must_use]
-    pub fn new(threshold: u32, sideband: SidebandConfig) -> Self {
-        StaticThreshold {
-            threshold: f64::from(threshold),
-            sideband: Sideband::new(sideband),
-            throttling_now: false,
-        }
+/// The degenerate law behind [`StaticThreshold`]: no state, no decisions,
+/// no watchdog (its checkpoint is the side-band plus the gate bit).
+#[derive(Debug, Clone, Default)]
+pub struct StaticLaw;
+
+impl Law for StaticLaw {
+    type Config = StaticConfig;
+    const NAME: &'static str = "static";
+    const SIZED_BY_BUFFERS: bool = false;
+
+    fn sideband_config(cfg: &StaticConfig) -> &SidebandConfig {
+        &cfg.sideband
     }
 
-    /// The fixed threshold, in full buffers.
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
+    fn threshold(&self, cfg: &StaticConfig) -> f64 {
+        f64::from(cfg.threshold)
     }
 
-    /// Whether injection is currently blocked network-wide.
-    #[must_use]
-    pub fn throttling(&self) -> bool {
-        self.throttling_now
+    fn on_snapshot(&mut self, _cfg: &StaticConfig, _snap: Snapshot) -> bool {
+        false
     }
 
-    /// Installs a fault plan on the underlying side-band (loss, delay and
-    /// corruption of every gather).
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.sideband.set_faults(plan);
+    fn save(&self, frame: &Frame, enc: &mut Enc) {
+        enc.bool(frame.throttling_now);
     }
 
-    /// Read access to the underlying side-band model.
-    #[must_use]
-    pub fn sideband(&self) -> &Sideband {
-        &self.sideband
-    }
-
-    /// Serializes the controller state (side-band + gate) into `enc`. The
-    /// threshold is configuration and is not written.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        self.sideband.save_state(enc);
-        enc.bool(self.throttling_now);
-    }
-
-    /// Restores state captured with [`StaticThreshold::save_state`] into a
-    /// controller built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated or
-    /// structurally invalid stream.
-    pub fn restore_state(
+    fn restore(
         &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        self.sideband.restore_state(dec)?;
-        self.throttling_now = dec.bool()?;
+        _cfg: &StaticConfig,
+        frame: &mut Frame,
+        dec: &mut Dec<'_>,
+    ) -> Result<(), CheckpointError> {
+        frame.throttling_now = dec.bool()?;
         Ok(())
-    }
-}
-
-impl CongestionControl for StaticThreshold {
-    fn on_cycle(&mut self, now: u64, net: &Network) {
-        Controller::observe_census(
-            self,
-            now,
-            net.full_buffer_count(),
-            net.delivered_flits_cum(),
-        );
-    }
-
-    fn allow_injection(&mut self, _now: u64, _node: usize, _dst: usize, _net: &Network) -> bool {
-        !self.throttling_now
-    }
-
-    fn throttled_recently(&self) -> bool {
-        self.throttling_now
-    }
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
-}
-
-impl Controller for StaticThreshold {
-    fn observe_census(&mut self, now: u64, census: u32, delivered_cum: u64) {
-        self.sideband.on_cycle(now, census, delivered_cum);
-        self.throttling_now = self.sideband.estimate(now) > self.threshold;
-    }
-
-    fn throttling(&self) -> bool {
-        StaticThreshold::throttling(self)
-    }
-
-    fn threshold(&self) -> Option<f64> {
-        Some(StaticThreshold::threshold(self))
-    }
-
-    fn set_faults(&mut self, plan: FaultPlan) {
-        StaticThreshold::set_faults(self, plan);
-    }
-
-    fn sideband(&self) -> Option<&Sideband> {
-        Some(StaticThreshold::sideband(self))
-    }
-
-    fn save_state(&self, enc: &mut checkpoint::Enc) {
-        StaticThreshold::save_state(self, enc);
-    }
-
-    fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        StaticThreshold::restore_state(self, dec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaffold::tests::{flood, small_sideband};
+    use crate::Controller;
     use wormsim::{DeadlockMode, NetConfig, Network};
+
+    fn small(threshold: u32) -> StaticThreshold {
+        StaticThreshold::new(StaticConfig {
+            threshold,
+            sideband: small_sideband(),
+        })
+    }
 
     #[test]
     fn gates_when_estimate_exceeds_threshold() {
-        // Overload a small network with no control, then check a static
-        // throttle (fed the same cycles) would be gating.
-        let cfg = NetConfig::small(DeadlockMode::PAPER_RECOVERY);
-        let mut net = Network::new(cfg).unwrap();
-        let mut ctl = StaticThreshold::new(
-            2,
-            SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-        );
-        let nodes = net.torus().node_count();
-        let mut i = 0usize;
-        let mut source = move |_now: u64, node: usize| {
-            i = i.wrapping_add(node + 1);
-            Some((node + 1 + i) % nodes)
-        };
-        let mut ever_throttled = false;
-        for _ in 0..5_000 {
-            net.cycle(&mut source, &mut ctl);
-            ever_throttled |= ctl.throttling();
-        }
+        let mut ctl = small(2);
+        let net = flood(&mut ctl, 5_000);
         assert!(
-            ever_throttled,
+            net.counters().throttled_injections > 0,
             "threshold of 2 full buffers must trip under flood"
         );
-        assert!(net.counters().throttled_injections > 0);
     }
 
     #[test]
     fn never_throttles_an_idle_network() {
         let cfg = NetConfig::small(DeadlockMode::Avoidance);
         let mut net = Network::new(cfg).unwrap();
-        let mut ctl = StaticThreshold::new(
-            50,
-            SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-        );
+        let mut ctl = small(50);
         let mut source = |_now: u64, _node: usize| None;
         for _ in 0..2_000 {
             net.cycle(&mut source, &mut ctl);

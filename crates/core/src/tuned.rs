@@ -1,7 +1,6 @@
-use crate::{Controller, ControllerCounters};
-use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig};
-use wormsim::{CongestionControl, Network};
+use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use checkpoint::{CheckpointError, Dec, Enc};
+use sideband::{SidebandConfig, Snapshot};
 
 /// The action the tuning decision table prescribes for one tuning period.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,21 +98,15 @@ impl TuneConfig {
     }
 }
 
-/// The paper's self-tuned, globally informed source throttle.
-///
-/// Plug into [`wormsim::Network::cycle`] as the congestion-control policy.
-/// All nodes share the same (side-band-delayed) view and threshold, so one
-/// instance controls the whole network, exactly as the paper's replicated
-/// per-node state would.
-#[derive(Debug, Clone)]
-pub struct SelfTuned {
-    cfg: TuneConfig,
-    sideband: Sideband,
-    state: Option<TunerState>,
-}
+/// The paper's self-tuned, globally informed source throttle: the
+/// [`TuneLaw`] hill-climb behind the shared side-band scaffold.
+pub type SelfTuned = SidebandDriven<TuneLaw>;
 
-#[derive(Debug, Clone)]
-struct TunerState {
+/// The paper's control law (§4): once per tuning period, Table 1 moves one
+/// threshold on global throughput feedback, and the local-maximum-avoidance
+/// rule of §4.2 restores the conditions of the best period seen.
+#[derive(Debug, Clone, Default)]
+pub struct TuneLaw {
     total_buffers: f64,
     threshold: f64,
     inc: f64,
@@ -127,253 +120,38 @@ struct TunerState {
     prev_period_tput: Option<u64>,
     throttled_cycles_this_period: u64,
     cycles_this_period: u64,
-    throttling_now: bool,
-    /// `taken_at` of the newest snapshot already folded into the period.
-    last_snapshot_seen: Option<u64>,
     // -- local-maximum avoidance (§4.2) --
     max_tput: u64,
     n_max: f64,
     t_max: f64,
     consecutive_resets: u32,
-    // -- graceful degradation (staleness watchdog) --
-    /// Threshold after the most recent tuning period with no observed
-    /// side-band rejections: the value restored when the watchdog trips.
-    last_good_threshold: f64,
-    /// Watchdog tripped: tuning frozen, throttling suspended until a valid
-    /// aggregate arrives.
-    frozen: bool,
-    /// Side-band rejection count already accounted for (for per-period
-    /// cleanliness checks).
-    rejected_seen: u64,
     // -- instrumentation --
     tune_events: u64,
     increments: u64,
     decrements: u64,
     resets: u64,
-    watchdog_trips: u64,
-    watchdog_rearms: u64,
 }
 
-impl SelfTuned {
-    /// Creates a controller; buffer-count-dependent state initializes on the
-    /// first [`CongestionControl::on_cycle`] call.
-    #[must_use]
-    pub fn new(cfg: TuneConfig) -> Self {
-        SelfTuned {
-            sideband: Sideband::new(cfg.sideband.clone()),
-            cfg,
-            state: None,
-        }
-    }
-
-    /// The current threshold, in full buffers (`None` before the first
-    /// cycle).
-    #[must_use]
-    pub fn threshold(&self) -> Option<f64> {
-        self.state.as_ref().map(|s| s.threshold)
-    }
-
-    /// Whether injection is currently blocked network-wide.
-    #[must_use]
-    pub fn throttling(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.throttling_now)
-    }
-
-    /// The remembered best-period throughput (flits per tuning period).
-    #[must_use]
-    pub fn max_throughput(&self) -> Option<u64> {
-        self.state.as_ref().map(|s| s.max_tput)
-    }
-
-    /// The remembered `(T_max, N_max)` pair of the best period.
-    #[must_use]
-    pub fn max_anchor(&self) -> Option<(f64, f64)> {
-        self.state.as_ref().map(|s| (s.t_max, s.n_max))
-    }
-
-    /// Number of tuning decisions taken so far.
-    #[must_use]
-    pub fn tune_events(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.tune_events)
-    }
-
-    /// Number of local-maximum-avoidance resets taken so far.
-    #[must_use]
-    pub fn resets(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.resets)
-    }
-
-    /// Installs a fault plan on the underlying side-band (loss, delay and
-    /// corruption of every gather; see [`faults::SidebandFaults`]).
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.sideband.set_faults(plan);
-    }
-
-    /// Whether the staleness watchdog has currently frozen tuning (stale
-    /// estimate distrusted, throttling suspended, threshold at
-    /// last-known-good).
-    #[must_use]
-    pub fn watchdog_active(&self) -> bool {
-        self.state.as_ref().is_some_and(|s| s.frozen)
-    }
-
-    /// Number of times the staleness watchdog has tripped.
-    #[must_use]
-    pub fn watchdog_trips(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.watchdog_trips)
-    }
-
-    /// Number of times a valid aggregate re-armed a tripped watchdog.
-    #[must_use]
-    pub fn watchdog_rearms(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.watchdog_rearms)
-    }
-
-    /// The threshold the watchdog would restore: the value after the most
-    /// recent tuning period that observed no side-band rejections.
-    #[must_use]
-    pub fn last_good_threshold(&self) -> Option<f64> {
-        self.state.as_ref().map(|s| s.last_good_threshold)
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &TuneConfig {
-        &self.cfg
-    }
-
-    /// Read access to the underlying side-band model.
-    #[must_use]
-    pub fn sideband(&self) -> &Sideband {
-        &self.sideband
-    }
-
-    /// Serializes the controller state (side-band + tuner) into `enc`. The
-    /// [`TuneConfig`] is not written — restore rebuilds from configuration.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        self.sideband.save_state(enc);
-        enc.bool(self.state.is_some());
-        if let Some(st) = &self.state {
-            enc.f64(st.total_buffers);
-            enc.f64(st.threshold);
-            enc.f64(st.inc);
-            enc.f64(st.dec);
-            enc.u32(st.snaps_in_period);
-            enc.u64(st.period_tput);
-            enc.f64(st.period_full_sum);
-            enc.opt_u64(st.prev_period_tput);
-            enc.u64(st.throttled_cycles_this_period);
-            enc.u64(st.cycles_this_period);
-            enc.bool(st.throttling_now);
-            enc.opt_u64(st.last_snapshot_seen);
-            enc.u64(st.max_tput);
-            enc.f64(st.n_max);
-            enc.f64(st.t_max);
-            enc.u32(st.consecutive_resets);
-            enc.f64(st.last_good_threshold);
-            enc.bool(st.frozen);
-            enc.u64(st.rejected_seen);
-            enc.u64(st.tune_events);
-            enc.u64(st.increments);
-            enc.u64(st.decrements);
-            enc.u64(st.resets);
-            enc.u64(st.watchdog_trips);
-            enc.u64(st.watchdog_rearms);
-        }
-    }
-
-    /// Restores state captured with [`SelfTuned::save_state`] into a
-    /// controller built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated or
-    /// structurally invalid stream.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        self.sideband.restore_state(dec)?;
-        self.state = if dec.bool()? {
-            Some(TunerState {
-                total_buffers: dec.f64()?,
-                threshold: dec.f64()?,
-                inc: dec.f64()?,
-                dec: dec.f64()?,
-                snaps_in_period: dec.u32()?,
-                period_tput: dec.u64()?,
-                period_full_sum: dec.f64()?,
-                prev_period_tput: dec.opt_u64()?,
-                throttled_cycles_this_period: dec.u64()?,
-                cycles_this_period: dec.u64()?,
-                throttling_now: dec.bool()?,
-                last_snapshot_seen: dec.opt_u64()?,
-                max_tput: dec.u64()?,
-                n_max: dec.f64()?,
-                t_max: dec.f64()?,
-                consecutive_resets: dec.u32()?,
-                last_good_threshold: dec.f64()?,
-                frozen: dec.bool()?,
-                rejected_seen: dec.u64()?,
-                tune_events: dec.u64()?,
-                increments: dec.u64()?,
-                decrements: dec.u64()?,
-                resets: dec.u64()?,
-                watchdog_trips: dec.u64()?,
-                watchdog_rearms: dec.u64()?,
-            })
-        } else {
-            None
-        };
-        Ok(())
-    }
-
-    fn state_for(cfg: &TuneConfig, total_buffers: f64) -> TunerState {
-        TunerState {
-            total_buffers,
-            threshold: cfg.initial_threshold_frac * total_buffers,
-            inc: cfg.increment_frac * total_buffers,
-            dec: cfg.decrement_frac * total_buffers,
-            snaps_in_period: 0,
-            period_tput: 0,
-            period_full_sum: 0.0,
-            prev_period_tput: None,
-            throttled_cycles_this_period: 0,
-            cycles_this_period: 0,
-            throttling_now: false,
-            last_snapshot_seen: None,
-            max_tput: 0,
-            n_max: 0.0,
-            t_max: 0.0,
-            consecutive_resets: 0,
-            last_good_threshold: cfg.initial_threshold_frac * total_buffers,
-            frozen: false,
-            rejected_seen: 0,
-            tune_events: 0,
-            increments: 0,
-            decrements: 0,
-            resets: 0,
-            watchdog_trips: 0,
-            watchdog_rearms: 0,
-        }
-    }
-
+impl TuneLaw {
     /// One tuning decision (runs once per tuning period).
     /// `period_full_buffers` is the period-average full-buffer count.
-    fn tune(cfg: &TuneConfig, st: &mut TunerState, period_full_buffers: f64) {
-        let tput = st.period_tput;
-        st.tune_events += 1;
+    fn tune(&mut self, cfg: &TuneConfig, period_full_buffers: f64) {
+        let tput = self.period_tput;
+        self.tune_events += 1;
 
         // Track the conditions of the best period seen (§4.2).
-        if tput > st.max_tput {
-            st.max_tput = tput;
-            st.n_max = period_full_buffers;
-            st.t_max = st.threshold;
+        if tput > self.max_tput {
+            self.max_tput = tput;
+            self.n_max = period_full_buffers;
+            self.t_max = self.threshold;
         }
 
         let significant_drop_below_max = cfg.avoid_local_maxima
-            && st.max_tput > 0
-            && (tput as f64) < cfg.reset_fraction * st.max_tput as f64;
+            && self.max_tput > 0
+            && (tput as f64) < cfg.reset_fraction * self.max_tput as f64;
+        let drop = self
+            .prev_period_tput
+            .is_some_and(|prev| (tput as f64) < cfg.drop_fraction * prev as f64);
 
         if significant_drop_below_max {
             // Recreate the conditions of the best period. If even that value
@@ -387,190 +165,169 @@ impl SelfTuned {
             // decision table's first row ("a drop in bandwidth always
             // decrements") so a knot that the anchor itself cannot clear
             // still ratchets the threshold downwards.
-            st.threshold = st.threshold.min(st.t_max.min(st.n_max));
-            let drop = st
-                .prev_period_tput
-                .is_some_and(|prev| (tput as f64) < cfg.drop_fraction * prev as f64);
+            self.threshold = self.threshold.min(self.t_max.min(self.n_max));
             if drop {
-                st.threshold -= st.dec;
-                st.decrements += 1;
+                self.threshold -= self.dec;
+                self.decrements += 1;
             }
-            st.resets += 1;
-            st.consecutive_resets += 1;
-            if st.consecutive_resets >= cfg.max_stale_resets {
-                st.max_tput = 0;
-                st.consecutive_resets = 0;
+            self.resets += 1;
+            self.consecutive_resets += 1;
+            if self.consecutive_resets >= cfg.max_stale_resets {
+                self.max_tput = 0;
+                self.consecutive_resets = 0;
             }
         } else {
-            st.consecutive_resets = 0;
-            let drop = st
-                .prev_period_tput
-                .is_some_and(|prev| (tput as f64) < cfg.drop_fraction * prev as f64);
+            self.consecutive_resets = 0;
             // "Currently throttling" = the gate was closed for most of the
             // period; a few throttled cycles at the stability boundary do
             // not count (otherwise the optimistic increment ratchets the
             // threshold into saturation).
-            let throttling = st.cycles_this_period > 0
-                && st.throttled_cycles_this_period * 2 >= st.cycles_this_period;
+            let throttling = self.cycles_this_period > 0
+                && self.throttled_cycles_this_period * 2 >= self.cycles_this_period;
             match decide(drop, throttling) {
                 TuneAction::Decrement => {
-                    st.threshold -= st.dec;
-                    st.decrements += 1;
+                    self.threshold -= self.dec;
+                    self.decrements += 1;
                 }
                 TuneAction::Increment => {
-                    st.threshold += st.inc;
-                    st.increments += 1;
+                    self.threshold += self.inc;
+                    self.increments += 1;
                 }
                 TuneAction::NoChange => {}
             }
         }
-        st.threshold = st.threshold.clamp(st.inc, st.total_buffers);
-        st.prev_period_tput = Some(tput);
-        Self::reset_period(st);
+        self.threshold = self.threshold.clamp(self.inc, self.total_buffers);
+        self.prev_period_tput = Some(tput);
+        self.reset_period();
     }
 
     /// Clears the per-tuning-period accumulators.
-    fn reset_period(st: &mut TunerState) {
-        st.period_tput = 0;
-        st.period_full_sum = 0.0;
-        st.snaps_in_period = 0;
-        st.throttled_cycles_this_period = 0;
-        st.cycles_this_period = 0;
+    fn reset_period(&mut self) {
+        self.period_tput = 0;
+        self.period_full_sum = 0.0;
+        self.snaps_in_period = 0;
+        self.throttled_cycles_this_period = 0;
+        self.cycles_this_period = 0;
     }
 }
 
-impl CongestionControl for SelfTuned {
-    fn on_cycle(&mut self, now: u64, net: &Network) {
-        // Buffer-dependent state initializes from the network's own count;
-        // the synthetic-census path (`observe_census` with no network) uses
-        // the side-band configuration's identical formula instead.
-        self.state
-            .get_or_insert_with(|| Self::state_for(&self.cfg, f64::from(net.total_vc_buffers())));
-        Controller::observe_census(
-            self,
-            now,
-            net.full_buffer_count(),
-            net.delivered_flits_cum(),
-        );
+impl Law for TuneLaw {
+    type Config = TuneConfig;
+    const NAME: &'static str = "tune";
+
+    fn sideband_config(cfg: &TuneConfig) -> &SidebandConfig {
+        &cfg.sideband
     }
 
-    fn allow_injection(&mut self, _now: u64, _node: usize, _dst: usize, _net: &Network) -> bool {
-        !self.throttling()
+    fn watchdog_gathers(cfg: &TuneConfig) -> u32 {
+        cfg.watchdog_gathers
     }
 
-    fn throttled_recently(&self) -> bool {
-        self.throttling()
+    fn size(&mut self, cfg: &TuneConfig, total_buffers: f64) {
+        self.total_buffers = total_buffers;
+        self.threshold = cfg.initial_threshold_frac * total_buffers;
+        self.inc = cfg.increment_frac * total_buffers;
+        self.dec = cfg.decrement_frac * total_buffers;
     }
 
-    fn name(&self) -> &'static str {
-        "tune"
+    fn threshold(&self, _cfg: &TuneConfig) -> f64 {
+        self.threshold
     }
-}
 
-impl Controller for SelfTuned {
-    fn observe_census(&mut self, now: u64, census: u32, delivered_cum: u64) {
-        let st = self.state.get_or_insert_with(|| {
-            Self::state_for(&self.cfg, f64::from(self.sideband.max_full_buffers()))
-        });
-
-        self.sideband.on_cycle(now, census, delivered_cum);
-
-        // Fold newly visible gather windows into the tuning period.
-        if let Some(snap) = self.sideband.latest() {
-            if st.last_snapshot_seen != Some(snap.taken_at) {
-                st.last_snapshot_seen = Some(snap.taken_at);
-                if st.frozen {
-                    // A valid aggregate ends the outage: re-arm tuning from
-                    // scratch at the restored threshold. The pre-outage
-                    // period throughput is not comparable across the gap.
-                    st.frozen = false;
-                    st.watchdog_rearms += 1;
-                    st.prev_period_tput = None;
-                    st.rejected_seen = self.sideband.stats().rejected();
-                    Self::reset_period(st);
-                }
-                st.period_tput += u64::from(snap.delivered_flits);
-                st.period_full_sum += f64::from(snap.full_buffers);
-                st.snaps_in_period += 1;
-                if st.snaps_in_period >= self.cfg.tune_gathers {
-                    let avg_full = st.period_full_sum / f64::from(st.snaps_in_period);
-                    Self::tune(&self.cfg, st, avg_full);
-                    // A period during which receivers rejected nothing is
-                    // trustworthy: remember where it left the threshold as
-                    // the watchdog's fallback point.
-                    let rejected = self.sideband.stats().rejected();
-                    if rejected == st.rejected_seen {
-                        st.last_good_threshold = st.threshold;
-                    }
-                    st.rejected_seen = rejected;
-                }
-            }
+    /// Folds the gather window into the tuning period; decides when the
+    /// period is complete.
+    fn on_snapshot(&mut self, cfg: &TuneConfig, snap: Snapshot) -> bool {
+        self.period_tput += u64::from(snap.delivered_flits);
+        self.period_full_sum += f64::from(snap.full_buffers);
+        self.snaps_in_period += 1;
+        let period_complete = self.snaps_in_period >= cfg.tune_gathers;
+        if period_complete {
+            let avg_full = self.period_full_sum / f64::from(self.snaps_in_period);
+            self.tune(cfg, avg_full);
         }
+        period_complete
+    }
 
-        // Staleness watchdog: when aggregates stop arriving for
-        // `watchdog_gathers` consecutive gathers, the estimate is fiction.
-        // Freeze tuning, fall back to the last-known-good threshold, and
-        // fail open (stop throttling) until real data returns.
-        if !st.frozen
-            && self.cfg.watchdog_gathers > 0
-            && self.sideband.gathers_overdue(now) >= u64::from(self.cfg.watchdog_gathers)
-        {
-            st.frozen = true;
-            st.watchdog_trips += 1;
-            st.threshold = st.last_good_threshold;
-            st.prev_period_tput = None;
-            Self::reset_period(st);
-        }
+    /// The pre-outage period throughput is not comparable across the gap:
+    /// tuning restarts from scratch on either side of it.
+    fn on_trip(&mut self, last_good: f64) {
+        self.threshold = last_good;
+        self.on_rearm();
+    }
 
-        st.throttling_now = !st.frozen && self.sideband.estimate(now) > st.threshold;
-        st.cycles_this_period += 1;
-        if st.throttling_now {
-            st.throttled_cycles_this_period += 1;
+    fn on_rearm(&mut self) {
+        self.prev_period_tput = None;
+        self.reset_period();
+    }
+
+    /// Table 1's "throttling?" column: counts the period's gate-closed
+    /// cycles.
+    fn note_gate(&mut self, closed: bool) {
+        self.cycles_this_period += 1;
+        self.throttled_cycles_this_period += u64::from(closed);
+    }
+
+    fn tally(&self) -> ControllerCounters {
+        ControllerCounters {
+            decisions: self.tune_events,
+            raises: self.increments,
+            cuts: self.decrements,
+            resets: self.resets,
+            ..ControllerCounters::default()
         }
     }
 
-    fn throttling(&self) -> bool {
-        SelfTuned::throttling(self)
+    fn save(&self, frame: &Frame, enc: &mut Enc) {
+        enc.f64(self.total_buffers);
+        enc.f64(self.threshold);
+        enc.f64(self.inc);
+        enc.f64(self.dec);
+        enc.u32(self.snaps_in_period);
+        enc.u64(self.period_tput);
+        enc.f64(self.period_full_sum);
+        enc.opt_u64(self.prev_period_tput);
+        enc.u64(self.throttled_cycles_this_period);
+        enc.u64(self.cycles_this_period);
+        frame.save_gate(enc);
+        enc.u64(self.max_tput);
+        enc.f64(self.n_max);
+        enc.f64(self.t_max);
+        enc.u32(self.consecutive_resets);
+        frame.save_watchdog(enc);
+        enc.u64(self.tune_events);
+        enc.u64(self.increments);
+        enc.u64(self.decrements);
+        enc.u64(self.resets);
+        frame.save_counters(enc);
     }
 
-    fn threshold(&self) -> Option<f64> {
-        SelfTuned::threshold(self)
-    }
-
-    fn set_faults(&mut self, plan: FaultPlan) {
-        SelfTuned::set_faults(self, plan);
-    }
-
-    fn sideband(&self) -> Option<&Sideband> {
-        Some(SelfTuned::sideband(self))
-    }
-
-    fn watchdog_active(&self) -> bool {
-        SelfTuned::watchdog_active(self)
-    }
-
-    fn counters(&self) -> ControllerCounters {
-        self.state
-            .as_ref()
-            .map_or_else(ControllerCounters::default, |st| ControllerCounters {
-                decisions: st.tune_events,
-                raises: st.increments,
-                cuts: st.decrements,
-                resets: st.resets,
-                watchdog_trips: st.watchdog_trips,
-                watchdog_rearms: st.watchdog_rearms,
-            })
-    }
-
-    fn save_state(&self, enc: &mut checkpoint::Enc) {
-        SelfTuned::save_state(self, enc);
-    }
-
-    fn restore_state(
+    fn restore(
         &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        SelfTuned::restore_state(self, dec)
+        _cfg: &TuneConfig,
+        frame: &mut Frame,
+        dec: &mut Dec<'_>,
+    ) -> Result<(), CheckpointError> {
+        self.total_buffers = dec.f64()?;
+        self.threshold = dec.f64()?;
+        self.inc = dec.f64()?;
+        self.dec = dec.f64()?;
+        self.snaps_in_period = dec.u32()?;
+        self.period_tput = dec.u64()?;
+        self.period_full_sum = dec.f64()?;
+        self.prev_period_tput = dec.opt_u64()?;
+        self.throttled_cycles_this_period = dec.u64()?;
+        self.cycles_this_period = dec.u64()?;
+        frame.restore_gate(dec)?;
+        self.max_tput = dec.u64()?;
+        self.n_max = dec.f64()?;
+        self.t_max = dec.f64()?;
+        self.consecutive_resets = dec.u32()?;
+        frame.restore_watchdog(dec)?;
+        self.tune_events = dec.u64()?;
+        self.increments = dec.u64()?;
+        self.decrements = dec.u64()?;
+        self.resets = dec.u64()?;
+        frame.restore_counters(dec)
     }
 }
 
@@ -582,8 +339,10 @@ mod tests {
         TuneConfig::paper()
     }
 
-    fn state(total: f64) -> TunerState {
-        SelfTuned::state_for(&cfg(), total)
+    fn state(total: f64) -> TuneLaw {
+        let mut law = TuneLaw::default();
+        law.size(&cfg(), total);
+        law
     }
 
     #[test]
@@ -631,7 +390,7 @@ mod tests {
             st.max_tput = st.period_tput;
             st.cycles_this_period = 96;
             st.throttled_cycles_this_period = if throttling { 96 } else { 0 };
-            SelfTuned::tune(&c, &mut st, 100.0);
+            st.tune(&c, 100.0);
             assert!(
                 (st.threshold - (1000.0 + delta)).abs() < 1e-9,
                 "row (drop={drop}, throttling={throttling}): expected delta {delta}, \
@@ -654,7 +413,7 @@ mod tests {
             st.max_tput = 1000;
             st.n_max = 2000.0; // anchor above threshold: reset can't lower it
             st.t_max = 2000.0;
-            SelfTuned::tune(&c, &mut st, 100.0);
+            st.tune(&c, 100.0);
             let moved = (st.threshold - 1000.0).abs() > 1e-9;
             assert_eq!(moved, is_drop, "tput={tput}: drop must be strict <");
         }
@@ -673,7 +432,7 @@ mod tests {
             st.max_tput = 1000;
             st.cycles_this_period = 96;
             st.throttled_cycles_this_period = throttled;
-            SelfTuned::tune(&c, &mut st, 100.0);
+            st.tune(&c, 100.0);
             let incremented = st.threshold > 1000.0;
             assert_eq!(
                 incremented, expects_increment,
@@ -697,7 +456,7 @@ mod tests {
             st.period_tput = tput;
             // No prev period: the decision table sees "no drop" either way.
             st.prev_period_tput = None;
-            SelfTuned::tune(&c, &mut st, 100.0);
+            st.tune(&c, 100.0);
             assert_eq!(st.resets, u64::from(expects_reset), "tput={tput}");
             if expects_reset {
                 assert_eq!(st.threshold, 400.0, "reset to min(t_max, n_max)");
@@ -714,7 +473,7 @@ mod tests {
         st.throttled_cycles_this_period = 96;
         st.cycles_this_period = 96;
         let before = st.threshold;
-        SelfTuned::tune(&c, &mut st, 100.0);
+        st.tune(&c, 100.0);
         assert!((st.threshold - before - st.inc).abs() < 1e-9);
     }
 
@@ -726,7 +485,7 @@ mod tests {
         st.max_tput = 0; // no remembered max yet
         st.prev_period_tput = Some(1000);
         st.period_tput = 700; // < 75% of 1000, but not < 50% (no reset)
-        SelfTuned::tune(&c, &mut st, 100.0);
+        st.tune(&c, 100.0);
         assert!((st.threshold - (500.0 - st.dec)).abs() < 1e-9);
     }
 
@@ -739,7 +498,7 @@ mod tests {
         // Keep the max consistent so the reset path stays quiet.
         st.max_tput = 1000;
         let before = st.threshold;
-        SelfTuned::tune(&c, &mut st, 100.0);
+        st.tune(&c, 100.0);
         assert_eq!(st.threshold, before);
     }
 
@@ -752,7 +511,7 @@ mod tests {
         st.n_max = 260.0;
         st.threshold = 900.0;
         st.period_tput = 300; // far below the remembered max
-        SelfTuned::tune(&c, &mut st, 100.0);
+        st.tune(&c, 100.0);
         assert_eq!(st.threshold, 260.0, "min(t_max, n_max)");
         assert!(st.threshold <= 900.0, "resets never raise the threshold");
         assert_eq!(st.consecutive_resets, 1);
@@ -768,7 +527,7 @@ mod tests {
         st.n_max = 400.0;
         for i in 1..=c.max_stale_resets {
             st.period_tput = 100;
-            SelfTuned::tune(&c, &mut st, 100.0);
+            st.tune(&c, 100.0);
             if i < c.max_stale_resets {
                 assert_eq!(st.consecutive_resets, i);
                 assert_eq!(st.max_tput, 10_000);
@@ -786,11 +545,11 @@ mod tests {
         st.t_max = 500.0;
         st.n_max = 400.0;
         st.period_tput = 100;
-        SelfTuned::tune(&c, &mut st, 50.0);
+        st.tune(&c, 50.0);
         assert_eq!(st.consecutive_resets, 1);
         // A record-breaking period updates the max and avoids the reset.
         st.period_tput = 2000;
-        SelfTuned::tune(&c, &mut st, 220.0);
+        st.tune(&c, 220.0);
         assert_eq!(st.consecutive_resets, 0);
         assert_eq!(st.max_tput, 2000);
         assert_eq!(st.n_max, 220.0);
@@ -804,7 +563,7 @@ mod tests {
         st.max_tput = 0;
         st.prev_period_tput = Some(1000);
         st.period_tput = 0; // catastrophic drop
-        SelfTuned::tune(&c, &mut st, 0.0);
+        st.tune(&c, 0.0);
         assert_eq!(st.threshold, st.inc, "floor holds");
         st.threshold = 3072.0;
         st.prev_period_tput = Some(1);
@@ -812,67 +571,26 @@ mod tests {
         st.max_tput = 1;
         st.throttled_cycles_this_period = 96;
         st.cycles_this_period = 96;
-        SelfTuned::tune(&c, &mut st, 0.0);
+        st.tune(&c, 0.0);
         assert_eq!(st.threshold, 3072.0, "ceiling holds");
     }
 
     // -- staleness watchdog (graceful degradation) --
 
-    use faults::SidebandFaults;
-    use wormsim::{DeadlockMode, NetConfig};
-
-    /// Drives `ctl` against a flooded small network for `cycles` cycles.
-    fn flood(ctl: &mut SelfTuned, cycles: u64) {
-        let mut net = Network::new(NetConfig::small(DeadlockMode::PAPER_RECOVERY)).unwrap();
-        let nodes = net.torus().node_count();
-        let mut i = 0usize;
-        let mut source = move |_now: u64, node: usize| {
-            i = i.wrapping_add(node + 1);
-            Some((node + 1 + i) % nodes)
-        };
-        for _ in 0..cycles {
-            net.cycle(&mut source, ctl);
-        }
-    }
-
-    fn small_tune_cfg() -> TuneConfig {
-        TuneConfig {
-            sideband: SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-            ..TuneConfig::paper()
-        }
-    }
-
-    #[test]
-    fn watchdog_trips_on_blackout_and_fails_open() {
-        let mut ctl = SelfTuned::new(small_tune_cfg());
-        ctl.set_faults(FaultPlan::sideband_only(
-            11,
-            SidebandFaults {
-                loss_rate: 1.0,
-                ..SidebandFaults::none()
-            },
-        ));
-        flood(&mut ctl, 5_000);
-        assert_eq!(ctl.watchdog_trips(), 1, "one outage, one trip");
-        assert!(ctl.watchdog_active(), "outage never ends");
-        assert_eq!(ctl.watchdog_rearms(), 0);
-        assert!(!ctl.throttling(), "a frozen controller fails open");
-        assert_eq!(ctl.tune_events(), 0, "no aggregates, no tuning");
-        // With no tuning ever observed, the fallback is the initial value.
-        assert_eq!(ctl.threshold(), ctl.last_good_threshold());
-        assert!(ctl.sideband().stats().lost_snapshots > 100);
-        assert!(ctl.sideband().latest().is_none(), "nothing ever arrived");
-    }
+    use crate::scaffold::tests::{flood, small_sideband};
+    use crate::Controller;
+    use faults::{FaultPlan, SidebandFaults};
 
     #[test]
     fn watchdog_rearms_when_data_returns() {
         // Every gather is delayed by up to 50 gather periods: long silences
         // trip the watchdog, and each late arrival then re-arms it.
-        let mut ctl = SelfTuned::new(small_tune_cfg());
-        let period = ctl.config().sideband.gather_period();
+        let sideband = small_sideband();
+        let period = sideband.gather_period();
+        let mut ctl = SelfTuned::new(TuneConfig {
+            sideband,
+            ..TuneConfig::paper()
+        });
         ctl.set_faults(FaultPlan::sideband_only(
             5,
             SidebandFaults {
@@ -882,24 +600,15 @@ mod tests {
             },
         ));
         flood(&mut ctl, 20_000);
-        assert!(ctl.watchdog_trips() >= 1, "long delays look like outages");
+        let c = ctl.counters();
+        assert!(c.watchdog_trips >= 1, "long delays look like outages");
         assert!(
-            ctl.watchdog_rearms() >= 1,
+            c.watchdog_rearms >= 1,
             "late aggregates must re-arm the watchdog ({} trips, {} re-arms)",
-            ctl.watchdog_trips(),
-            ctl.watchdog_rearms()
+            c.watchdog_trips,
+            c.watchdog_rearms
         );
-        assert!(ctl.watchdog_rearms() <= ctl.watchdog_trips());
-    }
-
-    #[test]
-    fn fault_free_watchdog_stays_quiet() {
-        let mut ctl = SelfTuned::new(small_tune_cfg());
-        flood(&mut ctl, 10_000);
-        assert_eq!(ctl.watchdog_trips(), 0);
-        assert_eq!(ctl.watchdog_rearms(), 0);
-        assert!(!ctl.watchdog_active());
-        assert!(ctl.tune_events() > 0);
+        assert!(c.watchdog_rearms <= c.watchdog_trips);
     }
 
     #[test]
@@ -913,7 +622,7 @@ mod tests {
         st.prev_period_tput = Some(1000);
         st.period_tput = 900; // below max but not a 25% period drop
         let before = st.threshold;
-        SelfTuned::tune(&c, &mut st, 50.0);
+        st.tune(&c, 50.0);
         assert_eq!(st.threshold, before, "hill-climbing only: no reset");
         assert_eq!(st.resets, 0);
     }

@@ -15,7 +15,8 @@
 //!    must be caught by the restore-boundary invariant audit
 //!    (`SimError::Audit`); genuinely benign mutations may succeed.
 
-use stcc::{Scheme, SimConfig, SimError, Simulation};
+use sideband::SidebandConfig;
+use stcc::{BbrConfig, Controller, DecBitConfig, Scheme, SimConfig, SimError, Simulation};
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
 
@@ -29,6 +30,10 @@ fn mix(mut z: u64) -> u64 {
 /// A tiny (16-node) mid-traffic snapshot, small enough for every-byte
 /// sweeps to stay fast.
 fn snapshot() -> (SimConfig, Vec<u8>) {
+    snapshot_under(Scheme::Base)
+}
+
+fn snapshot_under(scheme: Scheme) -> (SimConfig, Vec<u8>) {
     let cfg = SimConfig {
         net: NetConfig {
             radix: 4,
@@ -40,7 +45,7 @@ fn snapshot() -> (SimConfig, Vec<u8>) {
             ..NetConfig::small(DeadlockMode::Recovery { timeout: 8 })
         },
         workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.1)),
-        scheme: Scheme::Base,
+        scheme,
         cycles: 2_000,
         warmup: 200,
         seed: 3,
@@ -81,6 +86,54 @@ fn first_assignments(payload: &[u8], net: &NetConfig) -> (usize, usize) {
     skip(&mut dec, n_vcs); // output-VC allocation flags
     skip(&mut dec, 1 + 4 + 2); // node 0's injection: active, packet, sent
     (vc_assign.unwrap(), at(&dec))
+}
+
+/// Hand-built: snapshots under the two laws whose state carries a
+/// length-prefixed list, with that length overwritten by `len`. Yields the
+/// configuration and the re-sealed container.
+fn hostile_list_lengths(len: impl Fn(u32) -> u32) -> Vec<(SimConfig, Vec<u8>)> {
+    let sideband = SidebandConfig {
+        radix: 4,
+        vcs: 2,
+        ..SidebandConfig::paper()
+    };
+    let bbr = BbrConfig {
+        sideband: sideband.clone(),
+        ..BbrConfig::paper()
+    };
+    let decbit = DecBitConfig {
+        sideband,
+        ..DecBitConfig::paper()
+    };
+    // (scheme, the list's capacity, bytes between the side-band state and
+    // the length: BBR's state flag, two f64s and the sample counter).
+    let cases = [
+        (Scheme::Bbr(bbr.clone()), bbr.filter_gathers, 1 + 3 * 8),
+        (Scheme::DecBit(decbit.clone()), decbit.window_gathers, 0),
+    ];
+    let mut built = Vec::new();
+    for (scheme, capacity, law_head) in cases {
+        let (cfg, snap) = snapshot_under(scheme);
+        let fp = checkpoint::peek_fingerprint(&snap).unwrap();
+        let mut payload = checkpoint::open(&snap, fp).unwrap().to_vec();
+        // Find the controller's bytes inside the payload by re-serialising
+        // the controller of the restored simulation on its own.
+        let sim = Simulation::restore(cfg.clone(), None, &snap).unwrap();
+        let (mut ctl, mut sb) = (checkpoint::Enc::new(), checkpoint::Enc::new());
+        sim.controller().save_state(&mut ctl);
+        sim.controller().sideband().unwrap().save_state(&mut sb);
+        let (ctl, sb) = (ctl.into_vec(), sb.into_vec());
+        let at = payload
+            .windows(ctl.len())
+            .position(|w| w == ctl)
+            .expect("controller bytes are in the payload");
+        let len_at = at + 1 + sb.len() + law_head; // 1: the variant tag
+        let old = u32::from_le_bytes(payload[len_at..len_at + 4].try_into().unwrap());
+        assert!((1..=capacity).contains(&old), "not the length field");
+        payload[len_at..len_at + 4].copy_from_slice(&len(capacity).to_le_bytes());
+        built.push((cfg, checkpoint::seal(fp, &payload)));
+    }
+    built
 }
 
 #[test]
@@ -161,6 +214,27 @@ fn restore_survives_payload_mutations_without_panicking() {
             "out-of-range assignment {out:?} at byte {at}: {:?}",
             outcome.err()
         );
+    }
+
+    // Hand-built: a filter or window length past what the configuration
+    // allows — one entry too many, and the 64 GB `u32::MAX` entries would
+    // ask for — behind a valid CRC. It must be refused before anything is
+    // allocated for it.
+    for len in [|capacity: u32| capacity + 1, |_| u32::MAX] {
+        for (cfg, sealed) in hostile_list_lengths(len) {
+            let outcome = Simulation::restore(cfg.clone(), None, &sealed);
+            assert!(
+                matches!(
+                    outcome,
+                    Err(SimError::Checkpoint(checkpoint::CheckpointError::Corrupt(
+                        _
+                    )))
+                ),
+                "{}: hostile list length: {:?}",
+                cfg.scheme.label(),
+                outcome.err()
+            );
+        }
     }
 
     assert!(typed > 0, "sweep never hit a structural decoder error");

@@ -1,7 +1,6 @@
 //! Ad-hoc probe: windowed throughput over time for one configuration.
 //! Usage: `probe <scheme> <rate> <recovery|avoidance> <cycles>`
 use experiments::try_run_series;
-use stcc::Simulation;
 use stcc::{Scheme, SimConfig};
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
@@ -38,36 +37,6 @@ fn main() {
         warmup: cycles / 6,
         seed: 42,
     };
-    if std::env::var("PROBE_TUNER_DEBUG").is_ok() {
-        let mut sim = match Simulation::new(cfg.clone()) {
-            Ok(sim) => sim,
-            Err(e) => bail(&format!("bad configuration: {e}")),
-        };
-        let mut last = 0u64;
-        while sim.now() < cfg.cycles {
-            sim.step();
-            if sim.now().is_multiple_of(2000) {
-                let cum = sim.network().delivered_flits_cum();
-                let tput = (cum - last) as f64 / (2000.0 * 256.0);
-                last = cum;
-                if let Some(t) = sim.tuned() {
-                    let (tm, nm) = t.max_anchor().unwrap_or((f64::NAN, f64::NAN));
-                    println!(
-                        "t={} tput={:.4} full={} thr={:.0} max={} tmax={:.0} nmax={:.0} resets={}",
-                        sim.now(),
-                        tput,
-                        sim.network().full_buffer_count(),
-                        t.threshold().unwrap_or(f64::NAN),
-                        t.max_throughput().unwrap_or(0),
-                        tm,
-                        nm,
-                        t.resets()
-                    );
-                }
-            }
-        }
-        return;
-    }
     let r = match try_run_series(cfg, 4000) {
         Ok(r) => r,
         Err(e) => bail(&format!("{e}")),

@@ -3,8 +3,8 @@ use crate::Scale;
 use faults::FaultPlan;
 use sideband::SidebandConfig;
 use simstats::{GaugeSeries, RunSummary, WindowSeries};
+use stcc::{Controller, RunGuard, TuneConfig};
 use stcc::{FaultReport, LivelockDiag, Scheme, SimConfig, Simulation, DEFAULT_LIVELOCK_WINDOW};
-use stcc::{RunGuard, TuneConfig};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -10,7 +10,7 @@
 //! cargo run --release --example custom_pattern
 //! ```
 
-use stcc::{AloControl, SelfTuned, TuneConfig};
+use stcc::{AloControl, Controller, SelfTuned, TuneConfig};
 use traffic::SimRng;
 use wormsim::{CongestionControl, DeadlockMode, NetConfig, Network, NoControl};
 

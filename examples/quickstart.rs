@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.threshold().unwrap_or(f64::NAN),
             sim.network().total_vc_buffers()
         );
-        println!("tuning decisions     : {}", t.tune_events());
+        println!("tuning decisions     : {}", t.counters().decisions);
     }
     Ok(())
 }

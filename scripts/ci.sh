@@ -5,7 +5,9 @@
 #   3. rustdoc audit     (broken intra-doc links are errors)
 #   4. tier-1 verify     (cargo build --release && cargo test -q)
 #   5. workspace tests   (incl. the golden determinism suite)
-#   6. conformance       (every controller through the shared battery)
+#   6. conformance       (every controller through the shared battery, and
+#                         the one-scaffold gate: the watchdog lives in
+#                         scaffold.rs only; law file sizes printed)
 #   7. zero-alloc gate   (steady-state cycles make no heap allocations)
 #   8. controller smoke  (fig_controllers tiny sweep must match golden)
 #   9. parallel smoke    (a --jobs 4 sweep through the runner)
@@ -76,6 +78,23 @@ step "workspace tests" cargo test --workspace -q
 # workspace run too; named so a conformance break is unmistakable.
 step "controller conformance" \
     cargo test -q -p stcc --test controller_conformance
+
+# One scaffold: the staleness watchdog and its counters are written once,
+# in crates/core/src/scaffold.rs. A law file that grows its own copy fails
+# here. Also prints what each law costs (lines above its test module).
+one_scaffold() {
+    src=crates/core/src
+    if grep -nE 'gathers_overdue\(|watchdog_trips \+=|watchdog_rearms \+=' \
+        "$src"/*.rs | grep -v "^$src/scaffold.rs:"; then
+        echo "watchdog logic outside $src/scaffold.rs (see DESIGN.md §6)" >&2
+        return 1
+    fi
+    for law in statik decbit aimd bbr tuned; do
+        awk -v f="$law.rs" '/^#\[cfg\(test\)\]/ { exit } { n++ }
+            END { printf "  %-10s %4d non-test lines\n", f, n }' "$src/$law.rs"
+    done
+}
+step "one scaffold (watchdog only in scaffold.rs)" one_scaffold
 
 # Zero-allocation gate: after warmup, saturated simulation cycles (in both
 # deadlock modes, drains included) must perform zero heap allocations. The
