@@ -433,7 +433,7 @@ impl Simulation {
         }
         let runner = &mut self.runner;
         self.net
-            .cycle(&mut |t, node| runner.poll(t, node), &mut self.ctl);
+            .cycle_from(&mut |t, offer| runner.arrivals(t, offer), &mut self.ctl);
         let warmup = self.cfg.warmup;
         for rec in self.net.drain_deliveries() {
             if rec.generated_at >= warmup {

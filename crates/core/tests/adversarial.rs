@@ -17,7 +17,7 @@
 
 use sideband::SidebandConfig;
 use stcc::{BbrConfig, Controller, DecBitConfig, Scheme, SimConfig, SimError, Simulation};
-use traffic::{Pattern, Process, Workload};
+use traffic::{Pattern, Process, Workload, WorkloadRunner};
 use wormsim::{DeadlockMode, NetConfig};
 
 fn mix(mut z: u64) -> u64 {
@@ -243,4 +243,95 @@ fn restore_survives_payload_mutations_without_panicking() {
     // usually exist, but nothing guarantees the seed hits one.
     let total = typed + audited + clean;
     assert_eq!(total as usize, payload.len());
+}
+
+/// `WorkloadRunner::restore_state` is all-or-nothing and refuses state no
+/// run produces. Three hand-built payloads — cut short inside its last
+/// field, a dead generator, phase tracking the schedule cannot produce —
+/// each fail typed and leave the runner exactly as it was: same bytes, same
+/// arrivals from there on.
+#[test]
+fn workload_restore_commits_nothing_on_failure() {
+    const NODES: usize = 16;
+    let wl = Workload::bursty(100, 50, 5);
+    let save = |r: &WorkloadRunner| {
+        let mut enc = checkpoint::Enc::new();
+        r.save_state(&mut enc);
+        enc.into_vec()
+    };
+    // The donor is inside the second phase; the victim still in the first.
+    let mut donor = WorkloadRunner::new(&wl, NODES, 5).unwrap();
+    for now in 0..150 {
+        donor.arrivals(now, |_, _| {});
+    }
+    let good = save(&donor);
+    let (phase_at, start_at) = (good.len() - 16, good.len() - 8);
+    assert_eq!(
+        good[phase_at..],
+        [1u64.to_le_bytes(), 100u64.to_le_bytes()].concat()
+    );
+    let with = |at: usize, bytes: &[u8]| {
+        let mut built = good.clone();
+        built[at..at + bytes.len()].copy_from_slice(bytes);
+        built
+    };
+    use checkpoint::CheckpointError::{Corrupt, Truncated};
+    let cases = [
+        (
+            "cut inside the phase start",
+            good[..good.len() - 3].to_vec(),
+            false,
+        ),
+        ("all-zero generator", with(0, &[0; 32]), true),
+        (
+            "phase 1 cannot start at 150",
+            with(start_at, &150u64.to_le_bytes()),
+            true,
+        ),
+        (
+            "cycle 100 is phase 1's, not 3's",
+            with(phase_at, &3u64.to_le_bytes()),
+            true,
+        ),
+        (
+            "phase past the schedule",
+            with(phase_at, &9u64.to_le_bytes()),
+            true,
+        ),
+    ];
+    let mut victim = WorkloadRunner::new(&wl, NODES, 8).unwrap();
+    for now in 0..40 {
+        victim.arrivals(now, |_, _| {});
+    }
+    let before = save(&victim);
+    for (what, bytes, corrupt) in cases {
+        let outcome = victim.restore_state(&mut checkpoint::Dec::new(&bytes));
+        match outcome {
+            Err(Corrupt(_)) if corrupt => {}
+            Err(Truncated { .. }) if !corrupt => {}
+            other => panic!("{what}: {other:?}"),
+        }
+        assert_eq!(
+            save(&victim),
+            before,
+            "{what}: a failed restore wrote state"
+        );
+    }
+    let mut untouched = WorkloadRunner::new(&wl, NODES, 8).unwrap();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for now in 0..140 {
+        if now < 40 {
+            untouched.arrivals(now, |_, _| {});
+        } else {
+            victim.arrivals(now, |node, dst| got.push((now, node, dst)));
+            untouched.arrivals(now, |node, dst| want.push((now, node, dst)));
+        }
+    }
+    assert!(!want.is_empty(), "vacuous: nothing generated");
+    assert_eq!(got, want);
+    // And the pristine payload still restores.
+    victim
+        .restore_state(&mut checkpoint::Dec::new(&good))
+        .unwrap();
+    assert_eq!(save(&victim), good);
 }

@@ -2,14 +2,15 @@
 //! reference full scan decision-for-decision.
 //!
 //! Two networks with identical configuration are driven by identical
-//! traffic; one runs the production [`TimerWheel`](crate::wheel::TimerWheel)
-//! path, the other is switched to the kept-verbatim reference scan
-//! (`Network::detect_starved_heads_scan`) via the test-only
-//! `starvation_reference_scan` flag. After every cycle, all state that any
+//! traffic; one steps through the production pipeline and its
+//! [`TimerWheel`](crate::wheel::TimerWheel), the other through
+//! [`cycle_with_scan`] — the same stages with the oracle kept here, the
+//! full scan the wheel replaced ([`detect_starved_heads_scan`]), in the
+//! starvation stage's place. After every cycle, all state that any
 //! future cycle can observe must be equal — assignments, token-queue order,
 //! output allocations, buffers, counters. Only two things are allowed to
 //! differ: the wheel's own bookkeeping (the scan network enrolls through
-//! `try_route` but never drains, so its deadlines go stale) and the
+//! `route_win` but never drains, so its deadlines go stale) and the
 //! `stage_starvation_checks` counter (the scan path doesn't count wheel
 //! evaluations).
 //!
@@ -20,7 +21,7 @@
 use crate::config::{DeadlockMode, NetConfig};
 use crate::control::NoControl;
 use crate::counters::Counters;
-use crate::network::Network;
+use crate::network::{Assign, Network};
 use faults::{FaultPlan, LinkFault, SidebandFaults};
 
 /// SplitMix64: a pure hash of (seed, now, node) so both networks see the
@@ -70,6 +71,67 @@ pub(crate) fn hot_net() -> Network {
     assert!(report.is_clean(), "hot_net is not clean: {report}");
     assert!(net.packets.live() > 0, "hot_net drained: nothing to poke");
     net
+}
+
+/// The oracle: the full-scan starvation stage the timer wheel replaced,
+/// kept verbatim. Walks every busy VC each scan cycle and applies the same
+/// predicate and actions as `Network::starvation_stage`.
+fn detect_starved_heads_scan(net: &mut Network, now: u64, timeout: u64) {
+    if timeout == 0 || !now.is_multiple_of(timeout) {
+        return;
+    }
+    for node in 0..net.vc_busy.len() {
+        let mut mask = net.vc_busy[node];
+        while mask != 0 {
+            let f = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            check_starved_head(net, now, timeout, node, net.vc_idx(node, 0, 0) + f);
+        }
+    }
+}
+
+/// One VC's starved-head check of [`detect_starved_heads_scan`].
+fn check_starved_head(net: &mut Network, now: u64, timeout: u64, node: usize, idx: usize) {
+    let Assign::Out { port, vc: ovc } = net.vc_assign[idx] else {
+        return;
+    };
+    if net.vc_bufs.is_empty(idx) {
+        return;
+    }
+    if net.vc_bufs.front_idx(idx) != 0 || net.vc_bufs.front_ready_at(idx) > now {
+        return;
+    }
+    let pid = net.vc_bufs.front_packet(idx);
+    if now.saturating_sub(net.packets.get(pid).last_move) < timeout {
+        return;
+    }
+    let oidx = net.vc_idx(node, usize::from(port), usize::from(ovc));
+    debug_assert!(net.out_alloc[oidx]);
+    net.out_alloc[oidx] = false;
+    net.commit_suspect(idx);
+}
+
+/// One cycle of an uncontrolled recovery-mode network with the oracle in
+/// the starvation stage's place: the stage sequence of
+/// `Network::cycle_from`, restated. A stage added there and not here shows
+/// up as a divergence below.
+fn cycle_with_scan(
+    net: &mut Network,
+    source: &mut dyn FnMut(u64, usize) -> Option<usize>,
+    timeout: u64,
+) {
+    let now = net.now;
+    for node in 0..net.vc_busy.len() {
+        if let Some(dst) = source(now, node) {
+            net.offer(now, node, dst);
+        }
+    }
+    net.decide_injection(now, &mut NoControl);
+    net.route_phase(now);
+    detect_starved_heads_scan(net, now, timeout);
+    net.recovery_stage(now);
+    net.switch_phase(now);
+    net.now = now + 1;
 }
 
 /// Asserts every future-observable field of the two networks is equal.
@@ -155,12 +217,11 @@ fn drive_pair_with(
         wheel_net.install_faults(plan.clone()).unwrap();
         scan_net.install_faults(plan).unwrap();
     }
-    scan_net.starvation_reference_scan = true;
     let mut src_w = source(seed, nodes, load);
     let mut src_s = source(seed, nodes, load);
     for c in 0..cycles {
         wheel_net.cycle(&mut src_w, &mut NoControl);
-        scan_net.cycle(&mut src_s, &mut NoControl);
+        cycle_with_scan(&mut scan_net, &mut src_s, timeout);
         assert_observably_equal(&wheel_net, &scan_net, c);
     }
     // Both must also report the same deliveries, in the same order.

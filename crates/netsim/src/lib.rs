@@ -23,6 +23,13 @@
 //! [`Network::delivered_flits_cum`]) plus the local state the ALO baseline
 //! inspects ([`Network::output_vc_allocated`]).
 //!
+//! Traffic enters once per cycle: [`Network::cycle_from`] asks its source
+//! for the cycle's arrivals in one pass (an [`Offer`] call per generated
+//! packet, nodes ascending — `traffic::WorkloadRunner::arrivals` is the
+//! matching source), so generation costs the cycle's traffic rather than a
+//! call per node. [`Network::cycle`] / [`Network::run`] adapt a per-node
+//! source closure onto the same entry.
+//!
 //! # Examples
 //!
 //! Run light uniform traffic with no congestion control and watch every
@@ -72,6 +79,6 @@ pub use config::{
 };
 pub use control::{CongestionControl, NoControl};
 pub use counters::{Counters, StageCycles};
-pub use network::Network;
+pub use network::{Network, Offer};
 pub use packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore};
 pub use shard::PhaseStats;

@@ -71,16 +71,22 @@ pub(crate) struct RecoveryJob {
     pub tail_in: bool,
 }
 
+/// What a cycle's arrival pass calls once per newly generated packet:
+/// `offer(node, dst)` enqueues a packet from `node` for `dst` (see
+/// [`Network::cycle_from`]).
+pub type Offer<'a> = dyn FnMut(NodeId, NodeId) + 'a;
+
 /// The simulated wormhole network: all router state, flat for speed.
 ///
-/// All per-cycle queues live in flat structure-of-arrays arenas allocated
+/// All per-cycle queues live in flat arenas allocated
 /// once at construction ([`crate::ring`]), and routing decisions come from
 /// tables precomputed at construction ([`RouteTables`]), so the steady-state
 /// cycle pipeline performs **zero heap allocations** — a counting test
 /// allocator enforces this (`tests/zero_alloc.rs`), and DESIGN.md
 /// ("Simulator memory layout") documents the invariants.
 ///
-/// Drive it with [`Network::cycle`]; read results with
+/// Drive it with [`Network::cycle_from`] (or [`Network::cycle`], its
+/// per-node-closure adapter); read results with
 /// [`Network::drain_deliveries`] and [`Network::counters`].
 #[derive(Debug)]
 pub struct Network {
@@ -96,7 +102,7 @@ pub struct Network {
     /// capacity floor kept on `path_scratch`.
     pub(crate) max_path: usize,
 
-    /// Edge buffers of every input VC, one flat SoA arena indexed by
+    /// Edge buffers of every input VC, one flat arena indexed by
     /// `(node * d + port) * v + vc` (ring `r` holds VC `r`'s flits).
     pub(crate) vc_bufs: FlitRings,
     /// Routing assignment of the packet at the front of each input VC.
@@ -176,10 +182,6 @@ pub struct Network {
     pub(crate) allow_nodes: NodeSet,
     /// Starvation-deadline timer wheel (disabled in avoidance mode).
     pub(crate) wheel: TimerWheel,
-    /// Test-only: route the starvation stage through the reference full
-    /// scan instead of the timer wheel (differential testing).
-    #[cfg(test)]
-    pub(crate) starvation_reference_scan: bool,
     /// Delivered-packet records awaiting [`Network::drain_deliveries`]; a
     /// consumer draining every gather period bounds this at O(period).
     pub(crate) deliveries: DeliveryRing,
@@ -262,8 +264,6 @@ impl Network {
             srcq_nodes: NodeSet::new(nodes),
             allow_nodes: NodeSet::new(nodes),
             wheel,
-            #[cfg(test)]
-            starvation_reference_scan: false,
             deliveries: DeliveryRing::default(),
             token_queue: IdRing::new(1, n_vcs),
             last_delivery_at: 0,
@@ -593,24 +593,39 @@ impl Network {
     // The cycle pipeline
     // ------------------------------------------------------------------
 
-    /// Advances the network by one cycle.
-    ///
-    /// `source(now, node)` is polled once per node and returns the
-    /// destination of a newly generated packet, if any; `ctl` is the
+    /// Advances the network by one cycle, fed the cycle's arrivals in one
+    /// pass: `arrivals(now, offer)` calls `offer(node, dst)` once per newly
+    /// generated packet — nodes strictly ascending, so at most one packet
+    /// per node per cycle — and the pipeline stages then run. `ctl` is the
     /// congestion-control policy (use [`crate::NoControl`] for the paper's
-    /// `Base`).
-    pub fn cycle(
+    /// `Base`). The cost of generation is the caller's loop plus one call
+    /// per *arrival*, not one per node (`traffic::WorkloadRunner::arrivals`
+    /// is the matching source).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an offered node or destination is out of range (and, in
+    /// debug builds, if nodes are not offered in strictly ascending order).
+    pub fn cycle_from(
         &mut self,
-        source: &mut dyn FnMut(u64, NodeId) -> Option<NodeId>,
+        arrivals: &mut dyn FnMut(u64, &mut Offer<'_>),
         ctl: &mut dyn CongestionControl,
     ) {
         let now = self.now;
-        self.generate(now, source);
+        let mut prev = None;
+        arrivals(now, &mut |node, dst| {
+            debug_assert!(
+                prev < Some(node),
+                "node {node} offered after node {prev:?}: arrivals must ascend within a cycle"
+            );
+            prev = Some(node);
+            self.offer(now, node, dst);
+        });
         ctl.on_cycle(now, self);
         self.decide_injection(now, ctl);
         self.route_phase(now);
         if let DeadlockMode::Recovery { timeout } = self.cfg.deadlock {
-            self.starvation_dispatch(now, timeout);
+            self.starvation_stage(now, timeout);
             self.recovery_stage(now);
         }
         self.switch_phase(now);
@@ -622,6 +637,26 @@ impl Network {
             debug_assert!(violations.is_empty(), "{violations:?}");
         }
         self.now = now + 1;
+    }
+
+    /// Advances the network by one cycle, polling a per-node source: the
+    /// closure-shaped adapter of [`Network::cycle_from`]. `source(now,
+    /// node)` is called once per node, ascending, and returns the
+    /// destination of a newly generated packet, if any.
+    pub fn cycle(
+        &mut self,
+        source: &mut dyn FnMut(u64, NodeId) -> Option<NodeId>,
+        ctl: &mut dyn CongestionControl,
+    ) {
+        let nodes = self.torus.node_count();
+        let mut poll_all = |now: u64, offer: &mut Offer<'_>| {
+            for node in 0..nodes {
+                if let Some(dst) = source(now, node) {
+                    offer(node, dst);
+                }
+            }
+        };
+        self.cycle_from(&mut poll_all, ctl);
     }
 
     /// Runs `cycles` cycles (convenience wrapper over [`Network::cycle`]).
@@ -636,40 +671,41 @@ impl Network {
         }
     }
 
-    fn generate(&mut self, now: u64, source: &mut dyn FnMut(u64, NodeId) -> Option<NodeId>) {
+    /// Enqueues a packet generated at `now` by `node` for `dst` in
+    /// `node`'s source queue, or counts it refused when the queue is full.
+    pub(crate) fn offer(&mut self, now: u64, node: NodeId, dst: NodeId) {
         let nodes = self.torus.node_count();
-        for node in 0..nodes {
-            let Some(dst) = source(now, node) else {
-                continue;
-            };
-            assert!(
-                dst < nodes,
-                "traffic source produced destination {dst} out of range"
-            );
-            if self.source_q.is_full(node) {
-                self.counters.refused_generations += 1;
-                continue;
-            }
-            let id = self.packets.alloc(PacketInfo {
-                src: node,
-                dst,
-                generated_at: now,
-                injected_at: u64::MAX,
-                len: self.packet_len,
-                delivered_flits: 0,
-                last_move: now,
-            });
-            if self.escaped.len() <= id as usize {
-                self.escaped.resize(id as usize + 1, false);
-            }
-            self.escaped[id as usize] = false;
-            self.source_q.push_back(node, id);
-            self.srcq_nodes.insert(node);
-            self.counters.generated_packets += 1;
+        assert!(
+            node < nodes,
+            "traffic source produced a packet at node {node} out of range"
+        );
+        assert!(
+            dst < nodes,
+            "traffic source produced destination {dst} out of range"
+        );
+        if self.source_q.is_full(node) {
+            self.counters.refused_generations += 1;
+            return;
         }
+        let id = self.packets.alloc(PacketInfo {
+            src: node,
+            dst,
+            generated_at: now,
+            injected_at: u64::MAX,
+            len: self.packet_len,
+            delivered_flits: 0,
+            last_move: now,
+        });
+        if self.escaped.len() <= id as usize {
+            self.escaped.resize(id as usize + 1, false);
+        }
+        self.escaped[id as usize] = false;
+        self.source_q.push_back(node, id);
+        self.srcq_nodes.insert(node);
+        self.counters.generated_packets += 1;
     }
 
-    fn decide_injection(&mut self, now: u64, ctl: &mut dyn CongestionControl) {
+    pub(crate) fn decide_injection(&mut self, now: u64, ctl: &mut dyn CongestionControl) {
         self.allow_nodes.clear();
         // Only consult the gate where a new packet could actually start: a
         // non-empty source queue behind an idle injection interface.
@@ -693,7 +729,7 @@ impl Network {
     /// most one header per cycle, demand-slotted round-robin over
     /// requesters. Runs as a decide over the shard partition followed by
     /// the staged apply (see [`Network::run_pass`]).
-    fn route_phase(&mut self, now: u64) {
+    pub(crate) fn route_phase(&mut self, now: u64) {
         self.run_pass(now, Pass::Route);
     }
 
@@ -820,7 +856,7 @@ impl Network {
     /// the starvation stage does to a header that trips; a staged suspect
     /// takes the same two steps in [`ApplyCtx::apply`] and
     /// [`Network::fold_stage`]).
-    fn commit_suspect(&mut self, idx: usize) {
+    pub(crate) fn commit_suspect(&mut self, idx: usize) {
         self.apply_ctx().suspect(idx);
         self.enqueue_suspect(idx);
     }
@@ -832,24 +868,6 @@ impl Network {
             self.token_queue.push_back(0, idx as u32);
         }
         self.counters.recovery_timeouts += 1;
-    }
-
-    /// Starved-head detection: timer wheel in production; tests may switch
-    /// a network to the reference full scan for differential checking.
-    #[cfg(not(test))]
-    #[inline]
-    fn starvation_dispatch(&mut self, now: u64, timeout: u64) {
-        self.starvation_stage(now, timeout);
-    }
-
-    /// See the `#[cfg(not(test))]` twin.
-    #[cfg(test)]
-    fn starvation_dispatch(&mut self, now: u64, timeout: u64) {
-        if self.starvation_reference_scan {
-            self.detect_starved_heads_scan(now, timeout);
-        } else {
-            self.starvation_stage(now, timeout);
-        }
     }
 
     /// Detects deadlocked worms whose header is *routed* but has been
@@ -866,9 +884,8 @@ impl Network {
     /// assigning an output VC — and a due entry that no longer satisfies
     /// the predicate is either dropped (header gone: any successor
     /// re-enrolls through routing) or re-parked at the earliest cycle the
-    /// predicate could next hold. `tests/` prove this wheel matches the
-    /// reference scan ([`Self::detect_starved_heads_scan`])
-    /// decision-for-decision under random traffic.
+    /// predicate could next hold. `difftest.rs` proves this wheel matches
+    /// the full scan it replaced decision-for-decision under random traffic.
     fn starvation_stage(&mut self, now: u64, timeout: u64) {
         if !now.is_multiple_of(timeout) {
             return;
@@ -932,54 +949,11 @@ impl Network {
         }
     }
 
-    /// The reference full-scan implementation the timer wheel replaced,
-    /// kept verbatim for differential testing: walks every busy VC each
-    /// scan cycle and applies the same predicate and actions.
-    #[cfg(test)]
-    pub(crate) fn detect_starved_heads_scan(&mut self, now: u64, timeout: u64) {
-        if timeout == 0 || !now.is_multiple_of(timeout) {
-            return;
-        }
-        let fpn = self.d * self.v;
-        for node in 0..self.torus.node_count() {
-            let mut mask = self.vc_busy[node];
-            while mask != 0 {
-                let f = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                self.check_starved_head(now, timeout, node * fpn + f);
-            }
-        }
-    }
-
-    /// One VC's starved-head check (reference-scan path only; see
-    /// [`Self::detect_starved_heads_scan`]).
-    #[cfg(test)]
-    fn check_starved_head(&mut self, now: u64, timeout: u64, idx: usize) {
-        let Assign::Out { port, vc: ovc } = self.vc_assign[idx] else {
-            return;
-        };
-        if self.vc_bufs.is_empty(idx) {
-            return;
-        }
-        if self.vc_bufs.front_idx(idx) != 0 || self.vc_bufs.front_ready_at(idx) > now {
-            return;
-        }
-        let pid = self.vc_bufs.front_packet(idx);
-        if now.saturating_sub(self.packets.get(pid).last_move) < timeout {
-            return;
-        }
-        let node = idx / (self.d * self.v);
-        let oidx = self.vc_idx(node, usize::from(port), usize::from(ovc));
-        debug_assert!(self.out_alloc[oidx]);
-        self.out_alloc[oidx] = false;
-        self.commit_suspect(idx);
-    }
-
     /// Switch + link traversal: each output channel (network ports and the
     /// delivery channel) moves at most one flit per cycle, round-robin over
     /// the input VCs assigned to it. Decide over the shard partition, then
     /// the staged apply — see [`Network::run_pass`].
-    fn switch_phase(&mut self, now: u64) {
+    pub(crate) fn switch_phase(&mut self, now: u64) {
         self.run_pass(now, Pass::Switch);
     }
 
@@ -1087,7 +1061,7 @@ impl Network {
 
     /// The whole-network apply view. The exclusive borrow is what makes it
     /// safe: nothing else can touch the state while the view lives.
-    /// (Rebuilt per use — `generate` may grow `packets`/`escaped` between
+    /// (Rebuilt per use — `offer` may grow `packets`/`escaped` between
     /// cycles.)
     #[inline]
     pub(crate) fn apply_ctx(&mut self) -> ApplyCtx<'_> {
@@ -1503,7 +1477,9 @@ impl ApplyCtx<'_> {
             .set(node * self.nports + usize::from(op.port), f + 1);
         let slot = self.plane.slot(node * (self.fpn + 1) + f);
         debug_assert_eq!(slot.port(), usize::from(op.port), "stale switch-plane slot");
-        let flit = if f == self.fpn {
+        // One `packets.packet` lookup per move: the tail test and the
+        // `last_move` stamp share it.
+        let (flit, packet) = if f == self.fpn {
             let mut inj = self.inj.get(node);
             let pid = inj.active.expect("injection feeder has active packet");
             let packet = self.packets.packet(pid);
@@ -1519,25 +1495,24 @@ impl ApplyCtx<'_> {
                 self.inj_nodes.remove_bit(node);
             }
             self.inj.set(node, inj);
-            Flit {
+            let flit = Flit {
                 packet: pid,
                 idx,
                 ready_at: now,
-            }
+            };
+            (flit, packet)
         } else {
             let idx = node * self.fpn + f;
             let flit = self.vc_bufs.pop_front(idx);
-            if flit.idx + 1 == self.packets.packet(flit.packet).len {
+            let packet = self.packets.packet(flit.packet);
+            if flit.idx + 1 == packet.len {
                 self.release_output(node, self.vc_assign.get(idx));
                 self.set_assign(node, f, Assign::None);
             }
             self.note_vc_popped(node, f, &mut stage.full_delta);
-            flit
+            (flit, packet)
         };
-        self.packets
-            .packet(flit.packet)
-            .last_move
-            .store(now, Ordering::Relaxed);
+        packet.last_move.store(now, Ordering::Relaxed);
         stage.progressed = true;
         let dest = (slot.port() != self.d).then(|| (slot.dnode(), slot.dbit()));
         (flit, dest)

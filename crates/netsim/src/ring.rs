@@ -6,12 +6,11 @@
 //! allocated once at [`Network`](crate::Network) construction:
 //!
 //! * [`FlitRings`] — all flit edge buffers of one family (the input VCs, or
-//!   the Disha deadlock buffers) as a structure-of-arrays arena: one flat
-//!   array per flit field (`packet`, `idx`, `ready_at`) plus flat head/len
-//!   cursors. Ring `r` owns slots `r * cap .. (r + 1) * cap`. A scan that
-//!   only polls `ready_at` (the common case in the switch stage) touches a
-//!   single densely packed array instead of striding over heap-scattered
-//!   `VecDeque`s.
+//!   the Disha deadlock buffers) as one flat arena of 14-byte slots — a
+//!   whole [`Flit`] each — plus one `head | len << 32` cursor word per
+//!   ring. Ring `r` owns slots `r * cap .. (r + 1) * cap`. Every access the
+//!   pipeline makes is a whole-flit pop, push or front peek, so a flit move
+//!   touches one slot line and one cursor word per ring (DESIGN.md §4b).
 //! * [`IdRing`] — the same shape for `u32` payloads (source queues of
 //!   `PacketId`, the recovery token queue of VC indices).
 //! * [`DeliveryRing`] — the drained delivery-record queue. Capacity grows
@@ -37,88 +36,135 @@ fn wrap(cap: u32, head: u32, i: u32) -> u32 {
     }
 }
 
-/// Structure-of-arrays arena of `rings` fixed-capacity flit FIFOs.
+/// One slot of a [`FlitRings`] arena: a [`Flit`], widest field first and
+/// packed to 2-byte alignment so a slot is the 14 bytes its fields add up
+/// to (the natural layout pads it to 16). Fields are only ever copied out,
+/// never borrowed — a reference into a packed struct may be misaligned.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct FlitSlot {
+    ready: u64,
+    packet: PacketId,
+    idx: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<FlitSlot>() == 14);
+
+impl FlitSlot {
+    const EMPTY: FlitSlot = FlitSlot {
+        ready: 0,
+        packet: 0,
+        idx: 0,
+    };
+
+    #[inline]
+    fn of(f: Flit) -> Self {
+        FlitSlot {
+            ready: f.ready_at,
+            packet: f.packet,
+            idx: f.idx,
+        }
+    }
+
+    #[inline]
+    fn flit(self) -> Flit {
+        Flit {
+            packet: self.packet,
+            idx: self.idx,
+            ready_at: self.ready,
+        }
+    }
+}
+
+/// A ring's cursor word: `head | len << 32`.
+#[inline]
+fn cursor(head: u32, len: u32) -> u64 {
+    u64::from(head) | u64::from(len) << 32
+}
+
+#[inline]
+fn head_of(cursor: u64) -> u32 {
+    cursor as u32
+}
+
+#[inline]
+fn len_of(cursor: u64) -> u32 {
+    (cursor >> 32) as u32
+}
+
+/// Arena of `rings` fixed-capacity flit FIFOs: one slot array and one
+/// cursor word per ring.
 #[derive(Debug, Clone)]
 pub(crate) struct FlitRings {
     cap: u32,
-    head: Vec<u32>,
-    len: Vec<u32>,
-    packet: Vec<PacketId>,
-    idx: Vec<u16>,
-    ready: Vec<u64>,
+    /// Per ring, `head | len << 32`.
+    cursors: Vec<u64>,
+    slots: Vec<FlitSlot>,
 }
 
 impl FlitRings {
     /// An arena of `rings` empty rings of `cap` flits each.
     pub(crate) fn new(rings: usize, cap: usize) -> Self {
         let cap32 = u32::try_from(cap).expect("ring capacity fits u32");
-        let slots = rings * cap;
         FlitRings {
             cap: cap32,
-            head: vec![0; rings],
-            len: vec![0; rings],
-            packet: vec![0; slots],
-            idx: vec![0; slots],
-            ready: vec![0; slots],
+            cursors: vec![0; rings],
+            slots: vec![FlitSlot::EMPTY; rings * cap],
         }
     }
 
-    /// Slot index of logical position `i` of ring `r`.
+    /// The slot at logical position `i` of ring `r`.
     #[inline]
-    fn slot(&self, r: usize, i: u32) -> usize {
-        debug_assert!(i < self.len[r], "ring position out of range");
-        r * self.cap as usize + wrap(self.cap, self.head[r], i) as usize
+    fn slot(&self, r: usize, i: u32) -> FlitSlot {
+        let c = self.cursors[r];
+        debug_assert!(i < len_of(c), "ring position out of range");
+        self.slots[r * self.cap as usize + wrap(self.cap, head_of(c), i) as usize]
     }
 
     /// Number of flits currently in ring `r`.
     #[inline]
     pub(crate) fn len(&self, r: usize) -> usize {
-        self.len[r] as usize
+        len_of(self.cursors[r]) as usize
     }
 
     #[inline]
     pub(crate) fn is_empty(&self, r: usize) -> bool {
-        self.len[r] == 0
+        len_of(self.cursors[r]) == 0
     }
 
     #[cfg(test)]
     pub(crate) fn is_full(&self, r: usize) -> bool {
-        self.len[r] == self.cap
+        len_of(self.cursors[r]) == self.cap
     }
 
     /// The front flit of ring `r`, if any.
     #[inline]
     pub(crate) fn front(&self, r: usize) -> Option<Flit> {
-        (self.len[r] != 0).then(|| self.get(r, 0))
+        (!self.is_empty(r)).then(|| self.get(r, 0))
     }
 
     /// `ready_at` of the front flit (ring must be non-empty).
     #[inline]
     pub(crate) fn front_ready_at(&self, r: usize) -> u64 {
-        self.ready[self.slot(r, 0)]
+        self.slot(r, 0).ready
     }
 
     /// `idx` of the front flit (ring must be non-empty).
     #[inline]
     pub(crate) fn front_idx(&self, r: usize) -> u16 {
-        self.idx[self.slot(r, 0)]
+        self.slot(r, 0).idx
     }
 
     /// Owning packet of the front flit (ring must be non-empty).
     #[inline]
     pub(crate) fn front_packet(&self, r: usize) -> PacketId {
-        self.packet[self.slot(r, 0)]
+        self.slot(r, 0).packet
     }
 
     /// The flit at logical position `i` (0 = front) of ring `r`.
     #[inline]
     pub(crate) fn get(&self, r: usize, i: usize) -> Flit {
-        let s = self.slot(r, i as u32);
-        Flit {
-            packet: self.packet[s],
-            idx: self.idx[s],
-            ready_at: self.ready[s],
-        }
+        self.slot(r, i as u32).flit()
     }
 
     /// Appends `f` to ring `r`.
@@ -141,8 +187,7 @@ impl FlitRings {
     /// Empties ring `r`, resetting its head to slot 0.
     #[cfg(test)]
     pub(crate) fn reset(&mut self, r: usize) {
-        self.head[r] = 0;
-        self.len[r] = 0;
+        self.cursors[r] = 0;
     }
 
     /// The arena as checked cells owning every ring — what the mutators
@@ -151,11 +196,8 @@ impl FlitRings {
     pub(crate) fn view(&mut self) -> FlitRingsView<'_> {
         FlitRingsView {
             cap: self.cap,
-            head: Cells::new(&mut self.head),
-            len: Cells::new(&mut self.len),
-            packet: Cells::new(&mut self.packet),
-            idx: Cells::new(&mut self.idx),
-            ready: Cells::new(&mut self.ready),
+            cursors: Cells::new(&mut self.cursors),
+            slots: Cells::new(&mut self.slots),
         }
     }
 }
@@ -166,11 +208,8 @@ impl FlitRings {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlitRingsView<'a> {
     cap: u32,
-    head: Cells<'a, u32>,
-    len: Cells<'a, u32>,
-    packet: Cells<'a, PacketId>,
-    idx: Cells<'a, u16>,
-    ready: Cells<'a, u64>,
+    cursors: Cells<'a, u64>,
+    slots: Cells<'a, FlitSlot>,
 }
 
 impl FlitRingsView<'_> {
@@ -179,64 +218,56 @@ impl FlitRingsView<'_> {
         let cap = self.cap as usize;
         FlitRingsView {
             cap: self.cap,
-            head: self.head.narrow(lo, hi),
-            len: self.len.narrow(lo, hi),
-            packet: self.packet.narrow(lo * cap, hi * cap),
-            idx: self.idx.narrow(lo * cap, hi * cap),
-            ready: self.ready.narrow(lo * cap, hi * cap),
+            cursors: self.cursors.narrow(lo, hi),
+            slots: self.slots.narrow(lo * cap, hi * cap),
         }
     }
 
+    /// The front slot of ring `r`, whose cursor word is `c`.
     #[inline]
-    fn slot(&self, r: usize, i: u32) -> usize {
-        r * self.cap as usize + wrap(self.cap, self.head.get(r), i) as usize
+    fn front_slot(&self, r: usize, c: u64) -> FlitSlot {
+        debug_assert!(len_of(c) != 0, "front of empty flit ring");
+        self.slots.get(r * self.cap as usize + head_of(c) as usize)
     }
 
     /// See [`FlitRings::len`].
     #[inline]
     pub(crate) fn len(&self, r: usize) -> usize {
-        self.len.get(r) as usize
+        len_of(self.cursors.get(r)) as usize
     }
 
     /// See [`FlitRings::front_packet`].
     #[inline]
     pub(crate) fn front_packet(&self, r: usize) -> PacketId {
-        debug_assert!(self.len.get(r) != 0, "front of empty flit ring");
-        self.packet.get(self.slot(r, 0))
+        self.front_slot(r, self.cursors.get(r)).packet
     }
 
     /// See [`FlitRings::front_ready_at`].
     #[inline]
     pub(crate) fn front_ready_at(&self, r: usize) -> u64 {
-        debug_assert!(self.len.get(r) != 0, "front of empty flit ring");
-        self.ready.get(self.slot(r, 0))
+        self.front_slot(r, self.cursors.get(r)).ready
     }
 
     /// See [`FlitRings::push_back`].
     #[inline]
     pub(crate) fn push_back(&self, r: usize, f: Flit) {
-        let len = self.len.get(r);
+        let c = self.cursors.get(r);
+        let (head, len) = (head_of(c), len_of(c));
         debug_assert!(len < self.cap, "flit ring overflow");
-        let s = self.slot(r, len);
-        self.packet.set(s, f.packet);
-        self.idx.set(s, f.idx);
-        self.ready.set(s, f.ready_at);
-        self.len.set(r, len + 1);
+        let pos = wrap(self.cap, head, len);
+        self.slots
+            .set(r * self.cap as usize + pos as usize, FlitSlot::of(f));
+        self.cursors.set(r, cursor(head, len + 1));
     }
 
     /// See [`FlitRings::pop_front`].
     #[inline]
     pub(crate) fn pop_front(&self, r: usize) -> Flit {
-        let len = self.len.get(r);
-        debug_assert!(len != 0, "pop from empty flit ring");
-        let s = self.slot(r, 0);
-        let f = Flit {
-            packet: self.packet.get(s),
-            idx: self.idx.get(s),
-            ready_at: self.ready.get(s),
-        };
-        self.head.set(r, wrap(self.cap, self.head.get(r), 1));
-        self.len.set(r, len - 1);
+        let c = self.cursors.get(r);
+        debug_assert!(len_of(c) != 0, "pop from empty flit ring");
+        let f = self.front_slot(r, c).flit();
+        self.cursors
+            .set(r, cursor(wrap(self.cap, head_of(c), 1), len_of(c) - 1));
         f
     }
 }
@@ -629,6 +660,71 @@ mod tests {
     fn a_ring_outside_the_views_range_panics() {
         let mut arena = FlitRings::new(4, 2);
         arena.view().narrow(0, 2).push_back(3, flit(1));
+    }
+
+    /// A one-slot ring is full after one push and wraps on every one.
+    #[test]
+    fn a_ring_of_capacity_one_wraps_every_push() {
+        let mut arena = FlitRings::new(2, 1);
+        for step in 0..5 {
+            assert!(arena.is_empty(1) && arena.front(1).is_none());
+            arena.push_back(1, flit(step));
+            assert!(arena.is_full(1));
+            assert_eq!(arena.len(1), 1);
+            assert_eq!(arena.front(1), Some(flit(step)));
+            assert_eq!(arena.pop_front(1), flit(step));
+        }
+        assert!(arena.is_empty(0), "the neighbour ring was never touched");
+    }
+
+    /// The arena's last ring wraps inside its own slots — the last slot of
+    /// the array, then back to the ring's first — and never into a
+    /// neighbour's.
+    #[test]
+    fn the_last_ring_wraps_within_the_arena() {
+        let (rings, cap) = (3, 3);
+        let mut arena = FlitRings::new(rings, cap);
+        let last = rings - 1;
+        arena.push_back(last - 1, flit(77));
+        for step in 0..2 {
+            arena.push_back(last, flit(step));
+        }
+        arena.pop_front(last);
+        arena.pop_front(last); // head = 2: the array's final slot
+        for step in 10..13 {
+            arena.push_back(last, flit(step));
+        }
+        assert!(arena.is_full(last));
+        // A narrowed view owning only the last ring reaches all of it.
+        let view = arena.view().narrow(last, rings);
+        assert_eq!(view.len(last), cap);
+        assert_eq!(view.front_packet(last), flit(10).packet);
+        assert_eq!(view.front_ready_at(last), flit(10).ready_at);
+        for step in 10..13 {
+            assert_eq!(view.pop_front(last), flit(step));
+        }
+        assert_eq!(arena.get(last - 1, 0), flit(77));
+        assert_eq!(arena.len(last - 1), 1);
+    }
+
+    /// Every field survives a slot at its extreme value: `u64::MAX` is the
+    /// "never ready" cycle and must not be truncated by the packing.
+    #[test]
+    fn extreme_field_values_round_trip_through_a_slot() {
+        let mut arena = FlitRings::new(1, 2);
+        let extreme = Flit {
+            packet: PacketId::MAX,
+            idx: u16::MAX,
+            ready_at: u64::MAX,
+        };
+        arena.push_back(0, extreme);
+        arena.push_back(0, flit(3));
+        assert_eq!(arena.front_ready_at(0), u64::MAX);
+        assert_eq!(arena.front_idx(0), u16::MAX);
+        assert_eq!(arena.front_packet(0), PacketId::MAX);
+        assert_eq!(arena.view().front_ready_at(0), u64::MAX);
+        assert_eq!(arena.pop_front(0), extreme);
+        assert_eq!(arena.pop_front(0), flit(3));
     }
 
     #[test]

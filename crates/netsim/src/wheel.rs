@@ -1,7 +1,7 @@
 //! Deadline timer wheel for Disha starvation detection.
 //!
-//! The reference behavior (kept, test-only, as `detect_starved_heads_scan`
-//! in `network.rs`) walks every busy VC each `timeout` cycles looking for a
+//! The reference behavior (kept as the oracle `detect_starved_heads_scan`
+//! in `difftest.rs`) walks every busy VC each `timeout` cycles looking for a
 //! routed-but-credit-starved header. This wheel makes that O(candidates):
 //! when a header is *routed* to an output VC — the only transition that can
 //! create a starvable head — the VC is enrolled with the earliest scan

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wormsim::{DeadlockMode, NetConfig, Network, NoControl};
+use wormsim::{DeadlockMode, NetConfig, Network, NoControl, Offer};
 
 struct CountingAlloc;
 
@@ -66,7 +66,7 @@ fn saturating_source(nodes: usize) -> impl FnMut(u64, usize) -> Option<usize> {
 /// drained every 32 cycles during measurement — the drain itself must be
 /// allocation-free too — and every 64 during warmup, so the delivery
 /// ring's warmed capacity upper-bounds any measurement-window backlog.
-fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize) {
+fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, batched: bool) {
     let nodes = cfg.node_count();
     let mut net = Network::new(cfg).expect("valid config");
     // Worker-pool spawn and per-shard op-buffer allocation are one-time
@@ -75,8 +75,24 @@ fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize) {
     // must then be exactly as allocation-free as the inline path.
     net.set_shards(shards);
     let mut src = saturating_source(nodes);
+    // One cycle through the entry under test: the per-node closure, or the
+    // batched one fed the same source's arrivals in one pass.
+    let mut cycle = |net: &mut Network| {
+        if batched {
+            let mut arrivals = |now: u64, offer: &mut Offer<'_>| {
+                for node in 0..nodes {
+                    if let Some(dst) = src(now, node) {
+                        offer(node, dst);
+                    }
+                }
+            };
+            net.cycle_from(&mut arrivals, &mut NoControl);
+        } else {
+            net.cycle(&mut src, &mut NoControl);
+        }
+    };
     for c in 0..20_000u64 {
-        net.cycle(&mut src, &mut NoControl);
+        cycle(&mut net);
         if c.is_multiple_of(64) {
             net.drain_deliveries().for_each(drop);
         }
@@ -85,7 +101,7 @@ fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize) {
 
     let before = alloc_calls();
     for c in 0..4_000u64 {
-        net.cycle(&mut src, &mut NoControl);
+        cycle(&mut net);
         if c.is_multiple_of(32) {
             net.drain_deliveries().for_each(drop);
         }
@@ -114,16 +130,19 @@ fn steady_state_cycles_never_allocate() {
             ..NetConfig::small(DeadlockMode::PAPER_RECOVERY)
         },
         1,
+        false,
     );
     // Duato avoidance: exercises escape-channel allocation and the sticky
-    // escape flags.
+    // escape flags — stepped through the batched arrival entry
+    // (`Network::cycle_from`), the one `Simulation::step` uses.
     assert_zero_alloc_steady_state(
-        "avoidance",
+        "avoidance, batched arrivals",
         NetConfig {
             source_queue_cap: 4,
             ..NetConfig::small(DeadlockMode::Avoidance)
         },
         1,
+        true,
     );
     // Sharded stepping (the `STCC_SHARDS=4` configuration): the persistent
     // worker pool's dispatch/claim/park cycle and the apply's hop,
@@ -137,5 +156,6 @@ fn steady_state_cycles_never_allocate() {
             ..NetConfig::small(DeadlockMode::PAPER_RECOVERY)
         },
         4,
+        false,
     );
 }

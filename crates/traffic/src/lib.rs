@@ -13,7 +13,14 @@
 //!   few standard extras useful for extensions),
 //! * [`Process`] — packet generation processes (Bernoulli and periodic),
 //! * [`Workload`] / [`WorkloadRunner`] — phase schedules and their per-node
-//!   runtime state, polled once per node per cycle by the simulator.
+//!   runtime state. The simulator asks the runner once per cycle for that
+//!   cycle's arrivals ([`WorkloadRunner::arrivals`]: one pass over the
+//!   nodes, one callback per generated packet, nodes ascending);
+//!   [`WorkloadRunner::poll`] is the same draw one node at a time, for
+//!   drivers shaped as a per-node source closure. Both consume the one
+//!   seeded [`SimRng`] in the same order — per node, the generation draw,
+//!   then the destination draw only if the node generates — so they are
+//!   interchangeable cycle by cycle.
 //!
 //! # Examples
 //!
@@ -25,11 +32,7 @@
 //! let mut runner = WorkloadRunner::new(&wl, 256, 0xC0FFEE)?;
 //! let mut generated = 0;
 //! for cycle in 0..1000 {
-//!     for node in 0..256 {
-//!         if runner.poll(cycle, node).is_some() {
-//!             generated += 1;
-//!         }
-//!     }
+//!     runner.arrivals(cycle, |_node, _dst| generated += 1);
 //! }
 //! assert!(generated > 0);
 //! # Ok::<(), traffic::TrafficError>(())

@@ -160,8 +160,46 @@ impl Workload {
     }
 }
 
-/// Runtime state of a [`Workload`] over all nodes: polled once per node per
-/// cycle; deterministic for a given seed.
+/// `2⁵³`: the number of equally likely values of a 53-bit draw.
+const DRAW_SPAN: u64 = 1 << 53;
+
+/// The integer form of a Bernoulli rate: a 53-bit draw `x` fires iff
+/// `x < bernoulli_thresh(rate)`. That is *exactly* `x·2⁻⁵³ < rate`, i.e.
+/// [`SimRng::random`]` < rate`: a 53-bit integer converts to `f64` without
+/// rounding, both power-of-two scalings are exact (even of a subnormal
+/// rate, scaled *up*), so `x·2⁻⁵³ < rate ⇔ x < rate·2⁵³ ⇔ x < ⌈rate·2⁵³⌉`
+/// for integer `x`. A validated rate lies in `[0, 1]`; the clamp keeps an
+/// unvalidated one from firing more (or less) than always (or never).
+fn bernoulli_thresh(rate: f64) -> u64 {
+    // `as` saturates: a negative or NaN product becomes 0.
+    ((rate * DRAW_SPAN as f64).ceil() as u64).min(DRAW_SPAN)
+}
+
+/// One Bernoulli draw: whether a node generates this cycle. Consumes
+/// exactly one `next_u64`.
+#[inline]
+fn bernoulli_fires(rng: &mut SimRng, thresh: u64) -> bool {
+    rng.next_u64() >> 11 < thresh
+}
+
+/// One periodic check: whether the node whose next generation time is
+/// `*next` generates at `now`, advancing the timer if so.
+#[inline]
+fn periodic_fires(next: &mut u64, now: u64, interval: u64) -> bool {
+    if now < *next {
+        return false;
+    }
+    *next += interval;
+    // If the caller skipped cycles, do not build up a backlog.
+    if *next <= now {
+        *next = now + interval;
+    }
+    true
+}
+
+/// Runtime state of a [`Workload`] over all nodes: asked once per cycle for
+/// that cycle's arrivals ([`WorkloadRunner::arrivals`]); deterministic for a
+/// given seed.
 #[derive(Debug, Clone)]
 pub struct WorkloadRunner {
     workload: Workload,
@@ -173,6 +211,9 @@ pub struct WorkloadRunner {
     cur_phase: usize,
     /// Cycle at which `cur_phase` started.
     phase_start: u64,
+    /// [`bernoulli_thresh`] of `cur_phase`'s rate (0 unless it is
+    /// Bernoulli). Derived from `cur_phase`, never serialized.
+    thresh: u64,
 }
 
 impl WorkloadRunner {
@@ -191,14 +232,25 @@ impl WorkloadRunner {
             next_gen: vec![0; nodes],
             cur_phase: usize::MAX,
             phase_start: 0,
+            thresh: 0,
         };
         runner.enter_phase(0, 0);
         Ok(runner)
     }
 
-    fn enter_phase(&mut self, phase: usize, start: u64) {
+    /// Points the phase tracking (and what is derived from it) at `phase`,
+    /// which started at `start`, leaving the per-node timers alone.
+    fn set_phase(&mut self, phase: usize, start: u64) {
         self.cur_phase = phase;
         self.phase_start = start;
+        self.thresh = match self.workload.phases[phase].process {
+            Process::Bernoulli { rate } => bernoulli_thresh(rate),
+            Process::Periodic { .. } | Process::Silent => 0,
+        };
+    }
+
+    fn enter_phase(&mut self, phase: usize, start: u64) {
+        self.set_phase(phase, start);
         if let Process::Periodic { interval } = self.workload.phases[phase].process {
             // Random phase offsets so nodes do not generate in lockstep.
             for slot in &mut self.next_gen {
@@ -215,8 +267,49 @@ impl WorkloadRunner {
         }
     }
 
+    /// Every packet generated at cycle `now`, as `sink(node, destination)`
+    /// calls in strictly ascending node order — at most one per node. The
+    /// cost is one draw (Bernoulli) or one compare (periodic) per node and
+    /// one `sink` call per *arrival*; the phase lookup and the process
+    /// dispatch happen once.
+    ///
+    /// The stream contract: per node, in node order, the generation draw
+    /// (Bernoulli only) and then — only if the node generates — the
+    /// destination draw, all from the one [`SimRng`]. That is the order
+    /// [`WorkloadRunner::poll`] over `0..nodes` consumes it in, so the two
+    /// entries are interchangeable cycle by cycle.
+    ///
+    /// Call with nondecreasing `now`, once per cycle, for deterministic
+    /// replay.
+    pub fn arrivals(&mut self, now: u64, mut sink: impl FnMut(NodeId, NodeId)) {
+        self.sync_phase(now);
+        let phase = &self.workload.phases[self.cur_phase];
+        let (pattern, nodes, rng) = (&phase.pattern, self.nodes, &mut self.rng);
+        match phase.process {
+            Process::Bernoulli { .. } => {
+                let thresh = self.thresh;
+                for node in 0..nodes {
+                    if bernoulli_fires(rng, thresh) {
+                        sink(node, pattern.destination(node, nodes, rng));
+                    }
+                }
+            }
+            Process::Periodic { interval } => {
+                for (node, next) in self.next_gen.iter_mut().enumerate() {
+                    if periodic_fires(next, now, interval) {
+                        sink(node, pattern.destination(node, nodes, rng));
+                    }
+                }
+            }
+            Process::Silent => {}
+        }
+    }
+
     /// Polls node `node` at cycle `now`: returns the destination of a newly
-    /// generated packet, if any.
+    /// generated packet, if any. The per-node form of
+    /// [`WorkloadRunner::arrivals`], for drivers shaped as a per-node
+    /// source closure; a stepping loop should ask for the cycle's arrivals
+    /// instead.
     ///
     /// Callers must poll nodes `0..nodes` in order within a cycle, and cycles
     /// in nondecreasing order, for deterministic replay.
@@ -231,26 +324,13 @@ impl WorkloadRunner {
         }
         let phase = &self.workload.phases[self.cur_phase];
         let generate = match phase.process {
-            Process::Bernoulli { rate } => self.rng.random() < rate,
+            Process::Bernoulli { .. } => bernoulli_fires(&mut self.rng, self.thresh),
             Process::Periodic { interval } => {
-                if now >= self.next_gen[node] {
-                    self.next_gen[node] += interval;
-                    // If the caller skipped cycles, do not build up a backlog.
-                    if self.next_gen[node] <= now {
-                        self.next_gen[node] = now + interval;
-                    }
-                    true
-                } else {
-                    false
-                }
+                periodic_fires(&mut self.next_gen[node], now, interval)
             }
             Process::Silent => false,
         };
-        if generate {
-            Some(phase.pattern.destination(node, self.nodes, &mut self.rng))
-        } else {
-            None
-        }
+        generate.then(|| phase.pattern.destination(node, self.nodes, &mut self.rng))
     }
 
     /// The workload being run.
@@ -259,19 +339,19 @@ impl WorkloadRunner {
         &self.workload
     }
 
-    /// The earliest cycle `>= now` at which polling could have any effect:
-    /// generate a packet, consume RNG state, or cross a phase boundary.
-    /// `u64::MAX` means never (a silent tail phase).
+    /// The earliest cycle `>= now` at which asking for arrivals could have
+    /// any effect: generate a packet, consume RNG state, or cross a phase
+    /// boundary. `u64::MAX` means never (a silent tail phase).
     ///
     /// This is the workload's half of the quiescence fast-forward
     /// contract: a driver may jump from `now` straight to the returned
-    /// cycle without polling the ones in between, because every skipped
-    /// poll would have returned `None` *and left the runner's state —
-    /// including the RNG — untouched*. Bernoulli processes consume RNG
-    /// state on every poll, so they report `now` (nothing is skippable);
-    /// periodic processes are skippable up to their earliest per-node
-    /// generation time; phase transitions re-seed per-node timers, so the
-    /// answer is always clamped to the current phase's end.
+    /// cycle without asking about the ones in between, because every
+    /// skipped cycle would have produced nothing *and left the runner's
+    /// state — including the RNG — untouched*. Bernoulli processes consume
+    /// one draw per node every cycle, so they report `now` (nothing is
+    /// skippable); periodic processes are skippable up to their earliest
+    /// per-node generation time; phase transitions re-seed per-node
+    /// timers, so the answer is always clamped to the current phase's end.
     #[must_use]
     pub fn next_arrival(&self, now: u64) -> u64 {
         let (phase, start) = self.workload.phase_at(now);
@@ -306,36 +386,49 @@ impl WorkloadRunner {
     }
 
     /// Restores state captured with [`WorkloadRunner::save_state`] into a
-    /// runner built from the same workload and node count.
+    /// runner built from the same workload and node count. All or nothing:
+    /// on an error the runner is exactly as it was.
     ///
     /// # Errors
     ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated stream or a
-    /// shape mismatch against this runner's configuration.
+    /// Returns a [`checkpoint::CheckpointError`] on a truncated stream, a
+    /// shape mismatch against this runner's configuration, a generator
+    /// state no seed produces (all zero: it would emit zeros forever, and
+    /// every Bernoulli node would fire every cycle), or phase tracking the
+    /// workload's schedule cannot produce.
     pub fn restore_state(
         &mut self,
         dec: &mut checkpoint::Dec<'_>,
     ) -> Result<(), checkpoint::CheckpointError> {
+        use checkpoint::CheckpointError::Corrupt;
         let mut s = [0u64; 4];
         for w in &mut s {
             *w = dec.u64()?;
         }
         if dec.usize()? != self.nodes {
-            return Err(checkpoint::CheckpointError::Corrupt(
-                "workload node count mismatch",
-            ));
+            return Err(Corrupt("workload node count mismatch"));
         }
         let next_gen = dec.u64s(self.nodes)?;
         let cur_phase = dec.usize()?;
+        let phase_start = dec.u64()?;
+        if s == [0; 4] {
+            return Err(Corrupt("workload generator state is all zero"));
+        }
         if cur_phase >= self.workload.phases.len() {
-            return Err(checkpoint::CheckpointError::Corrupt(
-                "workload phase index out of range",
-            ));
+            return Err(Corrupt("workload phase index out of range"));
+        }
+        // `phase_at` maps every cycle of a phase to the same pair, so the
+        // phase's first cycle names the only start that pairs with it — and
+        // names another phase altogether when this one can never be current
+        // (zero duration, or past a saturated schedule). `(0, 0)` is what
+        // `new` starts from before the first cycle, whatever the schedule.
+        let pair = (cur_phase, phase_start);
+        if pair != (0, 0) && self.workload.phase_at(phase_start) != pair {
+            return Err(Corrupt("workload phase tracking matches no schedule"));
         }
         self.rng = SimRng::from_state(s);
         self.next_gen = next_gen;
-        self.cur_phase = cur_phase;
-        self.phase_start = dec.u64()?;
+        self.set_phase(cur_phase, phase_start);
         Ok(())
     }
 }
@@ -521,6 +614,168 @@ mod tests {
         // A runner that has not yet synced into the phase at `now` cannot
         // skip anything.
         assert_eq!(r.next_arrival(1_500), 1_500);
+    }
+
+    fn saved(r: &WorkloadRunner) -> Vec<u8> {
+        let mut enc = checkpoint::Enc::new();
+        r.save_state(&mut enc);
+        enc.into_vec()
+    }
+
+    /// The stream is pinned, not assumed: for every process × pattern —
+    /// phase edges mid-run, a checkpoint → restore in the middle — the
+    /// batched entry yields the `(cycle, node, dst)` sequence of the
+    /// per-node poll and leaves the generator in the same state.
+    #[test]
+    fn stream_arrivals_match_per_node_polls() {
+        const NODES: usize = 16;
+        let processes = [
+            Process::bernoulli(0.1),
+            Process::periodic(7),
+            Process::Silent,
+        ];
+        let mut workloads = vec![Workload::bursty(40, 9, 2)];
+        for process in processes {
+            for pattern in Pattern::names()
+                .iter()
+                .map(|n| Pattern::by_name(n).unwrap())
+            {
+                let phase = |duration| Phase {
+                    duration,
+                    pattern: pattern.clone(),
+                    process,
+                };
+                let other = Phase {
+                    duration: 23,
+                    pattern: Pattern::UniformRandom,
+                    process: if matches!(process, Process::Bernoulli { .. }) {
+                        Process::periodic(5)
+                    } else {
+                        Process::bernoulli(0.3)
+                    },
+                };
+                workloads.push(Workload::phased(vec![phase(37), other, phase(u64::MAX)]));
+            }
+        }
+        for wl in &workloads {
+            let mut batched = WorkloadRunner::new(wl, NODES, 21).unwrap();
+            let mut polled = batched.clone();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for now in 0..130u64 {
+                if now == 50 || now == 90 {
+                    // Inside the second and the third phase: each side
+                    // resumes from the *other's* checkpoint, in a runner
+                    // that has seen a different stream and phase.
+                    let (b, p) = (saved(&batched), saved(&polled));
+                    assert_eq!(b, p, "{wl:?}: checkpoints diverged at {now}");
+                    batched = WorkloadRunner::new(wl, NODES, 99).unwrap();
+                    polled = batched.clone();
+                    batched
+                        .restore_state(&mut checkpoint::Dec::new(&p))
+                        .unwrap();
+                    polled.restore_state(&mut checkpoint::Dec::new(&b)).unwrap();
+                }
+                batched.arrivals(now, |node, dst| got.push((now, node, dst)));
+                for node in 0..NODES {
+                    if let Some(dst) = polled.poll(now, node) {
+                        want.push((now, node, dst));
+                    }
+                }
+                assert_eq!(got, want, "{wl:?}: arrivals diverged at {now}");
+                assert_eq!(
+                    batched.rng.state(),
+                    polled.rng.state(),
+                    "{wl:?}: generator position diverged at {now}"
+                );
+            }
+            assert!(!got.is_empty(), "{wl:?}: vacuous, nothing generated");
+        }
+    }
+
+    /// Today's `f64` Bernoulli compare, kept as the reference the integer
+    /// threshold is exact against.
+    fn f64_fires(rng: &mut SimRng, rate: f64) -> bool {
+        rng.random() < rate
+    }
+
+    #[test]
+    fn bernoulli_threshold_is_exactly_the_f64_compare() {
+        let rates = [
+            0.0,
+            f64::MIN_POSITIVE,
+            0.001,
+            0.1,
+            1.0 / 3.0,
+            0.5,
+            1.0 - f64::EPSILON / 2.0, // 1 − 2⁻⁵³
+            1.0,
+        ];
+        for rate in rates {
+            let thresh = bernoulli_thresh(rate);
+            assert!(thresh <= DRAW_SPAN);
+            // At and around the threshold, and at both ends of the draw's
+            // range: `SimRng::random`'s own conversion of the draw `x`.
+            let xs = [
+                Some(0),
+                thresh.checked_sub(1),
+                Some(thresh),
+                Some(thresh + 1),
+                Some(DRAW_SPAN - 1),
+            ];
+            for x in xs.into_iter().flatten().filter(|&x| x < DRAW_SPAN) {
+                let reference = (x as f64 * (1.0 / DRAW_SPAN as f64)) < rate;
+                assert_eq!(x < thresh, reference, "rate {rate:e}, draw {x}");
+            }
+            // And along a real stream, draw for draw.
+            let mut a = SimRng::seed_from_u64(17);
+            let mut b = a.clone();
+            for i in 0..20_000 {
+                assert_eq!(
+                    bernoulli_fires(&mut a, thresh),
+                    f64_fires(&mut b, rate),
+                    "rate {rate:e}, draw #{i}"
+                );
+            }
+            assert_eq!(a, b);
+        }
+        assert_eq!(bernoulli_thresh(0.0), 0);
+        assert_eq!(bernoulli_thresh(f64::MIN_POSITIVE), 1);
+        assert_eq!(bernoulli_thresh(0.5), DRAW_SPAN / 2);
+        assert_eq!(bernoulli_thresh(1.0 - f64::EPSILON / 2.0), DRAW_SPAN - 1);
+        assert_eq!(bernoulli_thresh(1.0), DRAW_SPAN);
+        // Unvalidated rates clamp to never/always.
+        assert_eq!(bernoulli_thresh(-0.5), 0);
+        assert_eq!(bernoulli_thresh(f64::NAN), 0);
+        assert_eq!(bernoulli_thresh(7.0), DRAW_SPAN);
+    }
+
+    /// A runner checkpointed before its first cycle restores even when the
+    /// schedule never makes phase 0 current (a zero-length first phase).
+    #[test]
+    fn a_fresh_runner_round_trips_past_an_empty_first_phase() {
+        let phase = |duration, process| Phase {
+            duration,
+            pattern: Pattern::UniformRandom,
+            process,
+        };
+        let wl = Workload::phased(vec![
+            phase(0, Process::periodic(3)),
+            phase(u64::MAX, Process::bernoulli(0.2)),
+        ]);
+        assert_eq!(wl.phase_at(0), (1, 0));
+        let fresh = WorkloadRunner::new(&wl, 8, 4).unwrap();
+        let bytes = saved(&fresh);
+        let mut restored = WorkloadRunner::new(&wl, 8, 5).unwrap();
+        restored
+            .restore_state(&mut checkpoint::Dec::new(&bytes))
+            .unwrap();
+        let (mut a, mut b) = (fresh, restored);
+        for now in 0..50 {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            a.arrivals(now, |n, d| want.push((n, d)));
+            b.arrivals(now, |n, d| got.push((n, d)));
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

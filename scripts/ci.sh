@@ -4,7 +4,10 @@
 #   2. lints             (cargo clippy, warnings are errors)
 #   3. rustdoc audit     (broken intra-doc links are errors)
 #   4. tier-1 verify     (cargo build --release && cargo test -q)
-#   5. workspace tests   (incl. the golden determinism suite)
+#   5. workspace tests   (incl. the golden determinism suite; its named
+#                         step also pins the traffic stream — batched
+#                         arrivals == per-node polls — and greps that no
+#                         stepping loop polls per node)
 #   6. conformance       (every controller through the shared battery, and
 #                         the one-scaffold gate: the watchdog lives in
 #                         scaffold.rs only; law file sizes printed)
@@ -104,7 +107,24 @@ step "zero-alloc steady state" cargo test -q -p wormsim --test zero_alloc
 # Golden determinism: fig2/fig4/fig5 must match the committed snapshots
 # byte-for-byte at --jobs 1, 2 and 8 (already part of the workspace run;
 # kept as an explicit named gate so a failure is unmistakable).
-step "golden determinism" cargo test -q -p experiments --test golden
+#
+# The goldens rest on the traffic stream: the batched arrival entry the
+# simulator steps through (`WorkloadRunner::arrivals`) must consume the RNG
+# draw for draw like the per-node `poll` the goldens were recorded with, and
+# its integer Bernoulli threshold must be exactly the `f64` compare.
+golden_determinism() {
+    cargo test -q -p traffic --lib -- \
+        stream_arrivals_match_per_node_polls bernoulli_threshold_is_exactly
+    cargo test -q -p experiments --test golden
+}
+step "golden determinism" golden_determinism
+
+# A per-node poll must not creep back into a stepping loop: tests and the
+# `Network::cycle` adapter's callers are the only places `.poll(` belongs.
+no_per_node_poll() {
+    ! grep -rn '\.poll(' crates/core/src/sim.rs crates/experiments/src
+}
+step "no per-node poll in a stepping loop" no_per_node_poll
 
 # Controller-zoo smoke: the head-to-head binary end to end (CLI, runner,
 # CSV emission) at a job count the golden suite doesn't use; the output
