@@ -34,7 +34,13 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 ///
 /// v2: network payloads gained the per-stage work counters and the
 /// starvation timer-wheel deadline array.
-pub const VERSION: u32 = 2;
+///
+/// v3: no layout change — the workload's `next_gen` array changed meaning.
+/// It is now every node's next-packet deadline under every process
+/// (Bernoulli sources draw geometric gaps into it); a v2 writer left it
+/// unused under Bernoulli, so a v2 snapshot would resume a different
+/// stream and is refused.
+pub const VERSION: u32 = 3;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -676,7 +682,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&3u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);

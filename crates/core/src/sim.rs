@@ -455,9 +455,9 @@ impl Simulation {
     /// A jump is legal only when every party certifies the skipped cycles
     /// are no-ops: the network is quiescent (nothing buffered, queued or
     /// recovering — so every pipeline stage would do nothing), the
-    /// workload's next effective poll is in the future
-    /// ([`WorkloadRunner::next_arrival`]; Bernoulli workloads return `now`
-    /// and never skip, because polling consumes RNG state), and the
+    /// workload's next arrival is in the future
+    /// ([`WorkloadRunner::next_arrival`], exact for Bernoulli and periodic
+    /// sources alike: the earliest per-node deadline), and the
     /// controller does not need its per-cycle hook
     /// ([`wormsim::CongestionControl::next_wakeup`]; the side-band schemes
     /// keep the conservative default). The jump is additionally clamped to
@@ -909,45 +909,54 @@ mod tests {
 
     /// On an avoidance network (no timer wheel) the fast-forwarded run
     /// must be *byte-identical* to the stepped run: the skipped cycles are
-    /// provable no-ops.
+    /// provable no-ops. Under a Bernoulli source too — its arrivals are
+    /// deadlines like a periodic one's, so idle stretches are skippable.
     #[test]
     fn fast_forward_is_cycle_exact() {
-        let wl = Workload::phased(vec![
-            Phase {
-                duration: 3_000,
-                pattern: Pattern::UniformRandom,
-                process: Process::Silent,
-            },
-            Phase {
-                duration: u64::MAX,
-                pattern: Pattern::UniformRandom,
-                process: Process::periodic(700),
-            },
-        ]);
-        let cfg = SimConfig {
-            net: NetConfig::small(DeadlockMode::Avoidance),
-            workload: wl,
-            scheme: Scheme::Base,
-            cycles: 30_000,
-            warmup: 1_000,
-            seed: 5,
+        let phase = |duration, process| Phase {
+            duration,
+            pattern: Pattern::UniformRandom,
+            process,
         };
-        let mut ff = Simulation::new(cfg.clone()).unwrap();
-        // Cycle 0 of the silent opening phase is skippable (up to the
-        // warm-up boundary) — the test is not vacuous.
-        assert_eq!(ff.fast_forward_target(), Some(1_000));
-        ff.run_to_end();
-        let mut stepped = Simulation::new(cfg).unwrap();
-        while stepped.now() < 30_000 {
-            stepped.step();
+        let workloads = [
+            Workload::phased(vec![
+                phase(3_000, Process::Silent),
+                phase(u64::MAX, Process::periodic(700)),
+            ]),
+            // 64 nodes at 2·10⁻⁴: a packet every ~80 cycles, each gone in
+            // ~20 — most cycles are idle. Then a busier phase.
+            Workload::phased(vec![
+                phase(20_000, Process::bernoulli(0.0002)),
+                phase(u64::MAX, Process::bernoulli(0.002)),
+            ]),
+        ];
+        for wl in workloads {
+            let cfg = SimConfig {
+                net: NetConfig::small(DeadlockMode::Avoidance),
+                workload: wl,
+                scheme: Scheme::Base,
+                cycles: 30_000,
+                warmup: 1_000,
+                seed: 5,
+            };
+            let mut ff = Simulation::new(cfg.clone()).unwrap();
+            // Not vacuous: cycle 0 is already skippable — to the first
+            // arrival, or to the warm-up boundary under the silent opening.
+            let first = ff.fast_forward_target().expect("cycle 0 is skippable");
+            assert!(first > 1 && first <= 1_000, "first jump to {first}");
+            ff.run_to_end();
+            let mut stepped = Simulation::new(cfg).unwrap();
+            while stepped.now() < 30_000 {
+                stepped.step();
+            }
+            assert_eq!(ff.checkpoint(), stepped.checkpoint());
+            let s = ff.summary().unwrap();
+            assert!(s.delivered_flits > 0, "vacuous: nothing was delivered");
+            assert_eq!(
+                s.delivered_flits,
+                stepped.summary().unwrap().delivered_flits
+            );
         }
-        assert_eq!(ff.checkpoint(), stepped.checkpoint());
-        let s = ff.summary().unwrap();
-        assert!(s.delivered_flits > 0, "vacuous: nothing was delivered");
-        assert_eq!(
-            s.delivered_flits,
-            stepped.summary().unwrap().delivered_flits
-        );
     }
 
     /// In recovery mode a stepped run performs timer-wheel bookkeeping

@@ -298,6 +298,12 @@ fn workload_restore_commits_nothing_on_failure() {
             with(phase_at, &9u64.to_le_bytes()),
             true,
         ),
+        (
+            // Node 0's deadline follows the generator and the node count.
+            "a deadline from before phase 1 began",
+            with(32 + 8, &99u64.to_le_bytes()),
+            true,
+        ),
     ];
     let mut victim = WorkloadRunner::new(&wl, NODES, 8).unwrap();
     for now in 0..40 {

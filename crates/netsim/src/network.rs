@@ -1466,6 +1466,7 @@ impl ApplyCtx<'_> {
     /// stamps the packet. Returns the flit and the downstream input VC it
     /// is headed for, as the (node, feeder) its slot names — `None` for
     /// the delivery channel. Everything written is state of `node`.
+    #[inline(always)]
     pub(crate) fn take(
         &self,
         now: u64,
@@ -1531,6 +1532,7 @@ impl ApplyCtx<'_> {
 
     /// The downstream half of a flit move: `flit` arrives in input VC
     /// `f` of `node` one hop latency from `now`.
+    #[inline(always)]
     pub(crate) fn put(
         &self,
         now: u64,

@@ -14,6 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use traffic::{Pattern, Phase, Process, Workload, WorkloadRunner};
 use wormsim::{DeadlockMode, NetConfig, Network, NoControl, Offer};
 
 struct CountingAlloc;
@@ -61,12 +62,34 @@ fn saturating_source(nodes: usize) -> impl FnMut(u64, usize) -> Option<usize> {
     }
 }
 
+/// The workload runner as a saturating source: 1 000-cycle phases
+/// alternating a Bernoulli and a periodic process, so the measurement
+/// window crosses phase entries (every deadline re-drawn, the wheel
+/// rebuilt) as well as the wheel scan, the gap sampler and the re-file.
+fn saturating_runner(nodes: usize) -> WorkloadRunner {
+    let phases = (0..40)
+        .map(|i| Phase {
+            duration: 1_000,
+            pattern: Pattern::UniformRandom,
+            process: if i % 2 == 0 {
+                Process::bernoulli(0.4)
+            } else {
+                Process::periodic(3)
+            },
+        })
+        .collect();
+    WorkloadRunner::new(&Workload::phased(phases), nodes, 0x5EED).expect("valid workload")
+}
+
 /// Warms `net` to its steady-state memory high-water, then runs `measure`
 /// more cycles asserting not a single allocator call. Deliveries are
 /// drained every 32 cycles during measurement — the drain itself must be
 /// allocation-free too — and every 64 during warmup, so the delivery
 /// ring's warmed capacity upper-bounds any measurement-window backlog.
-fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, batched: bool) {
+/// `from_runner` steps through the batched arrival entry fed by a
+/// [`WorkloadRunner`] (what `Simulation::step` does) instead of the
+/// per-node closure.
+fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, from_runner: bool) {
     let nodes = cfg.node_count();
     let mut net = Network::new(cfg).expect("valid config");
     // Worker-pool spawn and per-shard op-buffer allocation are one-time
@@ -75,17 +98,10 @@ fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, ba
     // must then be exactly as allocation-free as the inline path.
     net.set_shards(shards);
     let mut src = saturating_source(nodes);
-    // One cycle through the entry under test: the per-node closure, or the
-    // batched one fed the same source's arrivals in one pass.
+    let mut runner = saturating_runner(nodes);
     let mut cycle = |net: &mut Network| {
-        if batched {
-            let mut arrivals = |now: u64, offer: &mut Offer<'_>| {
-                for node in 0..nodes {
-                    if let Some(dst) = src(now, node) {
-                        offer(node, dst);
-                    }
-                }
-            };
+        if from_runner {
+            let mut arrivals = |now: u64, offer: &mut Offer<'_>| runner.arrivals(now, offer);
             net.cycle_from(&mut arrivals, &mut NoControl);
         } else {
             net.cycle(&mut src, &mut NoControl);
@@ -134,9 +150,10 @@ fn steady_state_cycles_never_allocate() {
     );
     // Duato avoidance: exercises escape-channel allocation and the sticky
     // escape flags — stepped through the batched arrival entry
-    // (`Network::cycle_from`), the one `Simulation::step` uses.
+    // (`Network::cycle_from`) from the workload runner's arrival path, as
+    // `Simulation::step` does.
     assert_zero_alloc_steady_state(
-        "avoidance, batched arrivals",
+        "avoidance, runner arrivals",
         NetConfig {
             source_queue_cap: 4,
             ..NetConfig::small(DeadlockMode::Avoidance)

@@ -13,14 +13,18 @@
 //!   few standard extras useful for extensions),
 //! * [`Process`] — packet generation processes (Bernoulli and periodic),
 //! * [`Workload`] / [`WorkloadRunner`] — phase schedules and their per-node
-//!   runtime state. The simulator asks the runner once per cycle for that
-//!   cycle's arrivals ([`WorkloadRunner::arrivals`]: one pass over the
-//!   nodes, one callback per generated packet, nodes ascending);
-//!   [`WorkloadRunner::poll`] is the same draw one node at a time, for
+//!   runtime state. Every process runs as per-node *deadlines* (the paper's
+//!   "regeneration interval"): a node that comes due draws its destination
+//!   and then the gap to its next packet — the interval of a periodic
+//!   process, a geometric variate (integer-only, platform-exact) for a
+//!   Bernoulli one. The simulator asks the runner once per cycle for that
+//!   cycle's arrivals ([`WorkloadRunner::arrivals`]: one slot of a deadline
+//!   wheel, one callback per generated packet, nodes ascending);
+//!   [`WorkloadRunner::poll`] is the same body one node at a time, for
 //!   drivers shaped as a per-node source closure. Both consume the one
-//!   seeded [`SimRng`] in the same order — per node, the generation draw,
-//!   then the destination draw only if the node generates — so they are
-//!   interchangeable cycle by cycle.
+//!   seeded [`SimRng`] in the same order, so they are interchangeable cycle
+//!   by cycle, and [`WorkloadRunner::next_arrival`] names exactly the
+//!   cycles an idle driver may skip.
 //!
 //! # Examples
 //!
@@ -40,9 +44,11 @@
 
 #![forbid(unsafe_code)]
 
+mod gaps;
 mod pattern;
 mod process;
 mod rng;
+mod wheel;
 mod workload;
 
 pub use pattern::{bits_for_nodes, Pattern};

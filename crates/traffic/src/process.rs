@@ -6,7 +6,8 @@ use crate::TrafficError;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Process {
     /// Generate a packet each cycle with independent probability `rate`
-    /// (packets/node/cycle).
+    /// (packets/node/cycle). Run as the equivalent geometric inter-arrival
+    /// gaps: one draw per packet, not one per cycle.
     Bernoulli {
         /// Packets per node per cycle, in `[0, 1]`.
         rate: f64,

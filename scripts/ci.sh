@@ -5,9 +5,11 @@
 #   3. rustdoc audit     (broken intra-doc links are errors)
 #   4. tier-1 verify     (cargo build --release && cargo test -q)
 #   5. workspace tests   (incl. the golden determinism suite; its named
-#                         step also pins the traffic stream — batched
-#                         arrivals == per-node polls — and greps that no
-#                         stepping loop polls per node)
+#                         step first pins the traffic stream — wheel-driven
+#                         arrivals == per-node polls, the geometric gap
+#                         sampler's exact cases and fit — then greps that no
+#                         stepping loop polls per node and that no libm
+#                         call sits on the stream)
 #   6. conformance       (every controller through the shared battery, and
 #                         the one-scaffold gate: the watchdog lives in
 #                         scaffold.rs only; law file sizes printed)
@@ -108,13 +110,16 @@ step "zero-alloc steady state" cargo test -q -p wormsim --test zero_alloc
 # byte-for-byte at --jobs 1, 2 and 8 (already part of the workspace run;
 # kept as an explicit named gate so a failure is unmistakable).
 #
-# The goldens rest on the traffic stream: the batched arrival entry the
-# simulator steps through (`WorkloadRunner::arrivals`) must consume the RNG
-# draw for draw like the per-node `poll` the goldens were recorded with, and
-# its integer Bernoulli threshold must be exactly the `f64` compare.
+# The goldens rest on the traffic stream, so it is pinned first: the
+# wheel-driven arrival entry the simulator steps through
+# (`WorkloadRunner::arrivals`) must consume the RNG draw for draw like the
+# per-node `poll` and like a driver that skips to `next_arrival`, and the
+# integer-only geometric gap sampler must hit its exact cases, its survival
+# boundaries and its distribution.
 golden_determinism() {
     cargo test -q -p traffic --lib -- \
-        stream_arrivals_match_per_node_polls bernoulli_threshold_is_exactly
+        stream_arrivals_match_per_node_polls gaps:: wheel:: \
+        bernoulli_arrival_rate_matches_each_phase
     cargo test -q -p experiments --test golden
 }
 step "golden determinism" golden_determinism
@@ -125,6 +130,22 @@ no_per_node_poll() {
     ! grep -rn '\.poll(' crates/core/src/sim.rs crates/experiments/src
 }
 step "no per-node poll in a stepping loop" no_per_node_poll
+
+# The traffic stream must be bit-identical on every platform, and libm's
+# transcendentals are not correctly rounded: none may appear in
+# `crates/traffic/src` outside a file's `#[cfg(test)]` module (tests check
+# the integer sampler *against* `powf`; `offered_rate` and the like only
+# divide).
+no_libm_on_the_stream() {
+    for f in crates/traffic/src/*.rs; do
+        if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E '\.(ln|exp|powf|powi)\(|\.log'; then
+            echo "transcendental on the traffic stream path (see DESIGN.md §4c)" >&2
+            return 1
+        fi
+    done
+}
+step "no libm call in crates/traffic/src" no_libm_on_the_stream
 
 # Controller-zoo smoke: the head-to-head binary end to end (CLI, runner,
 # CSV emission) at a job count the golden suite doesn't use; the output
