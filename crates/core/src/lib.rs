@@ -74,8 +74,8 @@ pub use decbit::{DecBitConfig, DecBitControl, DecBitLaw};
 pub use scaffold::{Frame, Law, SidebandDriven};
 pub use scheme::{Control, Scheme};
 pub use sim::{
-    BudgetKind, FaultReport, LivelockDiag, RunGuard, SimConfig, SimError, Simulation, SummaryError,
-    DEFAULT_LIVELOCK_WINDOW,
+    BudgetKind, FaultReport, LivelockDiag, Observer, RunGuard, SimConfig, SimError, Simulation,
+    SummaryError, DEFAULT_LIVELOCK_WINDOW,
 };
 pub use statik::{StaticConfig, StaticLaw, StaticThreshold};
 pub use tuned::{decide, SelfTuned, TuneAction, TuneConfig, TuneLaw};

@@ -2,9 +2,11 @@ use crate::scheme::{Control, Scheme};
 use crate::{Controller, SelfTuned};
 use checkpoint::CheckpointError;
 use core::fmt;
+use core::ops::ControlFlow;
 use faults::{FaultPlan, FaultPlanError};
 use sideband::SidebandStats;
 use simstats::{LatencyStats, RunSummary};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 use traffic::{TrafficError, Workload, WorkloadRunner};
 use wormsim::{AuditReport, ConfigError, CongestionControl, NetConfig, Network, PhaseStats};
@@ -55,6 +57,12 @@ pub enum SimError {
         /// Which budget was exhausted.
         kind: BudgetKind,
     },
+    /// A guarded run saw its cancellation flag raised
+    /// ([`RunGuard::cancel`]) and stopped between cycles.
+    Cancelled {
+        /// Simulation cycle at which the run stopped.
+        at_cycle: u64,
+    },
     /// A checkpoint could not be restored (only from
     /// [`Simulation::restore`]).
     Checkpoint(CheckpointError),
@@ -80,6 +88,7 @@ impl fmt::Display for SimError {
             SimError::DeadlineExceeded { at_cycle, kind } => {
                 write!(f, "{kind} budget exhausted at cycle {at_cycle}")
             }
+            SimError::Cancelled { at_cycle } => write!(f, "cancelled at cycle {at_cycle}"),
             SimError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             SimError::Audit(report) => write!(f, "{report}"),
         }
@@ -94,6 +103,7 @@ impl std::error::Error for SimError {
             SimError::WarmupTooLong { .. }
             | SimError::Livelock(_)
             | SimError::DeadlineExceeded { .. }
+            | SimError::Cancelled { .. }
             | SimError::Audit(_) => None,
             SimError::Faults(e) => Some(e),
             SimError::Checkpoint(e) => Some(e),
@@ -180,14 +190,32 @@ impl fmt::Display for LivelockDiag {
     }
 }
 
-/// Soft limits for a guarded run ([`Simulation::run_to_end_guarded`]).
+impl LivelockDiag {
+    /// Captures `net`'s state at the moment its no-progress `window`
+    /// expired — the one place a diagnosis is assembled.
+    fn capture(net: &Network, window: u64) -> Self {
+        LivelockDiag {
+            cycle: net.now(),
+            window,
+            live_packets: net.live_packets(),
+            full_buffers: net.full_buffer_count(),
+            token_queue: net.token_queue_len(),
+            recovery_active: net.recovery_active(),
+            last_progress_at: net.last_progress_at(),
+            last_delivery_at: net.last_delivery_at(),
+            delivered_packets: net.counters().delivered_packets,
+        }
+    }
+}
+
+/// Soft limits for a guarded run ([`Simulation::run_guarded`]).
 ///
 /// The default guard watches only for livelock, with a window generous
 /// enough (200 000 cycles) that even a deeply saturated-but-functioning
 /// network never trips it: the Disha drain moves at least one flit per
 /// recovery step, and any functioning configuration delivers far more often
 /// than that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunGuard {
     /// Declare [`SimError::Livelock`] when live packets exist but no flit
     /// has moved anywhere for this many cycles (`None` disables).
@@ -197,17 +225,38 @@ pub struct RunGuard {
     pub max_cycles: Option<u64>,
     /// Wall-clock deadline, checked every 1024 cycles (`None` disables).
     pub deadline: Option<Instant>,
+    /// Cooperative cancellation: a flag someone else raises (a signal
+    /// handler, say), polled alongside the deadline; once it reads `true`
+    /// the run ends with [`SimError::Cancelled`] (`None` disables).
+    pub cancel: Option<&'static AtomicBool>,
 }
+
+impl RunGuard {
+    /// The guard that never trips.
+    pub const NONE: RunGuard = RunGuard {
+        livelock_window: None,
+        max_cycles: None,
+        deadline: None,
+        cancel: None,
+    };
+}
+
+/// A per-cycle observer of [`Simulation::run_guarded`]: called after every
+/// cycle, it may stop the run by breaking with a `B`.
+pub type Observer<'a, B> = &'a mut dyn FnMut(&Simulation) -> ControlFlow<B>;
 
 /// Default no-progress window (cycles) before declaring a livelock.
 pub const DEFAULT_LIVELOCK_WINDOW: u64 = 200_000;
+
+/// How many cycles pass between two looks at the wall clock and the
+/// cancellation flag.
+const POLL_EVERY: u64 = 1024;
 
 impl Default for RunGuard {
     fn default() -> Self {
         RunGuard {
             livelock_window: Some(DEFAULT_LIVELOCK_WINDOW),
-            max_cycles: None,
-            deadline: None,
+            ..RunGuard::NONE
         }
     }
 }
@@ -311,55 +360,14 @@ pub struct Simulation {
     /// Packets delivered per source node during the measured window (for
     /// Jain's fairness index).
     src_delivered: Vec<u64>,
-    /// Invariant-audit cadence in cycles (`None` = off). Resolved from
-    /// `STCC_AUDIT` at construction; the chaos harness overrides it
-    /// programmatically via [`Simulation::set_audit_every`].
+    /// Invariant-audit cadence in cycles (`None` = off; see
+    /// [`Simulation::set_audit_every`]).
     audit_every: Option<u64>,
 }
 
-/// Parses `STCC_AUDIT`: unset, empty or `0` disables the audit; any
-/// positive integer `N` audits every `N` cycles (`1` = every cycle).
-/// Anything else warns once (per process) and disables.
-fn audit_cadence() -> Option<u64> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    match std::env::var("STCC_AUDIT") {
-        Ok(v) if v.is_empty() || v == "0" => None,
-        Ok(v) => match v.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                WARNED.call_once(|| {
-                    eprintln!("ignoring STCC_AUDIT={v} (want a cycle cadence, e.g. STCC_AUDIT=64)");
-                });
-                None
-            }
-        },
-        Err(_) => None,
-    }
-}
-
-/// Parses `STCC_SHARDS`: unset, empty, `0` or `1` steps the network
-/// unsharded; any larger integer `N` shards the step loop across `N`
-/// threads (results are bit-identical for any value). Anything else
-/// warns once (per process) and falls back to 1.
-fn shards_from_env() -> usize {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    match std::env::var("STCC_SHARDS") {
-        Ok(v) if v.is_empty() || v == "0" => 1,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => {
-                WARNED.call_once(|| {
-                    eprintln!("ignoring STCC_SHARDS={v} (want a thread count, e.g. STCC_SHARDS=4)");
-                });
-                1
-            }
-        },
-        Err(_) => 1,
-    }
-}
-
 impl Simulation {
-    /// Builds the simulation.
+    /// Builds the simulation: unsharded, unaudited, and from `cfg` alone —
+    /// construction consults nothing outside its arguments.
     ///
     /// # Errors
     ///
@@ -372,8 +380,7 @@ impl Simulation {
                 cycles: cfg.cycles,
             });
         }
-        let mut net = Network::new(cfg.net.clone())?;
-        net.set_shards(shards_from_env());
+        let net = Network::new(cfg.net.clone())?;
         let nodes = net.torus().node_count();
         let runner = WorkloadRunner::new(&cfg.workload, nodes, cfg.seed)?;
         let ctl = cfg.scheme.build();
@@ -391,7 +398,7 @@ impl Simulation {
             base_throttled: 0,
             warmup_snapped: false,
             src_delivered: vec![0; nodes],
-            audit_every: audit_cadence(),
+            audit_every: None,
         })
     }
 
@@ -481,80 +488,85 @@ impl Simulation {
     }
 
     /// Runs until `cfg.cycles` cycles have elapsed, fast-forwarding over
-    /// provably empty stretches (see [`Simulation::fast_forward_target`]).
+    /// provably empty stretches (see [`Simulation::fast_forward_target`]):
+    /// [`Simulation::run_guarded`] with nothing guarding and nothing
+    /// observing.
     pub fn run_to_end(&mut self) {
-        while self.net.now() < self.cfg.cycles {
-            if let Some(to) = self.fast_forward_target() {
-                self.net.fast_forward(to);
-                continue;
-            }
-            self.step();
-        }
+        let end = self.run_guarded::<core::convert::Infallible>(&RunGuard::NONE, None);
+        debug_assert!(end.is_ok(), "an empty guard cannot trip");
     }
 
-    /// Runs until `cfg.cycles` cycles have elapsed, or until `guard`
-    /// declares a livelock or an exhausted budget.
+    /// The one stepping loop: runs until `cfg.cycles` cycles have elapsed,
+    /// until `guard` declares a livelock, an exhausted budget or a
+    /// cancellation, or until `observer` breaks.
     ///
-    /// A guarded run that completes is bit-identical to
-    /// [`Simulation::run_to_end`]: the guard only observes.
+    /// `observer`, when installed, is called after *every* cycle — so
+    /// nothing is fast-forwarded and no cycle goes unseen — and may stop
+    /// the run by returning [`ControlFlow::Break`], which comes back as
+    /// `Ok(Break(_))`. Without one the loop skips provably empty stretches,
+    /// which is cycle-exact. Either way a run that completes
+    /// (`Ok(Continue(()))`) is bit-identical to [`Simulation::run_to_end`]:
+    /// guard and observer only watch.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Livelock`] (with a [`LivelockDiag`]) when live
-    /// packets exist but no flit has moved for the guard's window, or
+    /// packets exist but no flit has moved for the guard's window,
     /// [`SimError::DeadlineExceeded`] when the cycle budget or wall-clock
-    /// deadline runs out first.
-    pub fn run_to_end_guarded(&mut self, guard: &RunGuard) -> Result<(), SimError> {
+    /// deadline runs out first, or [`SimError::Cancelled`] once the
+    /// guard's flag is up.
+    pub fn run_guarded<B>(
+        &mut self,
+        guard: &RunGuard,
+        mut observer: Option<Observer<'_, B>>,
+    ) -> Result<ControlFlow<B>, SimError> {
         let mut stepped: u64 = 0;
+        let mut next_poll: u64 = 0;
         while self.net.now() < self.cfg.cycles {
-            if let Some(max) = guard.max_cycles {
-                if stepped >= max {
-                    return Err(SimError::DeadlineExceeded {
-                        at_cycle: self.net.now(),
-                        kind: BudgetKind::Cycles,
-                    });
-                }
+            let at_cycle = self.net.now();
+            if guard.max_cycles.is_some_and(|max| stepped >= max) {
+                return Err(SimError::DeadlineExceeded {
+                    at_cycle,
+                    kind: BudgetKind::Cycles,
+                });
             }
-            if let Some(deadline) = guard.deadline {
-                if stepped.is_multiple_of(1024) && Instant::now() >= deadline {
+            if stepped >= next_poll {
+                next_poll = stepped + POLL_EVERY;
+                if guard.cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
+                    return Err(SimError::Cancelled { at_cycle });
+                }
+                if guard.deadline.is_some_and(|d| Instant::now() >= d) {
                     return Err(SimError::DeadlineExceeded {
-                        at_cycle: self.net.now(),
+                        at_cycle,
                         kind: BudgetKind::WallClock,
                     });
                 }
             }
-            if let Some(to) = self.fast_forward_target() {
-                // Skipped cycles still count against the cycle budget (the
-                // guard limits simulated time, not work performed), and a
-                // quiescent network cannot be livelocked, so the guard
-                // checks below stay equivalent to stepping.
-                stepped = stepped.saturating_add(to - self.net.now());
-                self.net.fast_forward(to);
-                continue;
+            if observer.is_none() {
+                if let Some(to) = self.fast_forward_target() {
+                    // Skipped cycles still count against the cycle budget
+                    // (the guard limits simulated time, not work
+                    // performed), and a quiescent network cannot be
+                    // livelocked, so the checks stay equivalent to stepping.
+                    stepped = stepped.saturating_add(to - at_cycle);
+                    self.net.fast_forward(to);
+                    continue;
+                }
             }
             self.step();
             stepped += 1;
+            if let Some(observe) = observer.as_mut() {
+                if let ControlFlow::Break(b) = observe(self) {
+                    return Ok(ControlFlow::Break(b));
+                }
+            }
             if let Some(window) = guard.livelock_window {
                 if self.net.livelocked(window) {
-                    return Err(SimError::Livelock(self.livelock_diag(window)));
+                    return Err(SimError::Livelock(LivelockDiag::capture(&self.net, window)));
                 }
             }
         }
-        Ok(())
-    }
-
-    fn livelock_diag(&self, window: u64) -> LivelockDiag {
-        LivelockDiag {
-            cycle: self.net.now(),
-            window,
-            live_packets: self.net.live_packets(),
-            full_buffers: self.net.full_buffer_count(),
-            token_queue: self.net.token_queue_len(),
-            recovery_active: self.net.recovery_active(),
-            last_progress_at: self.net.last_progress_at(),
-            last_delivery_at: self.net.last_delivery_at(),
-            delivered_packets: self.net.counters().delivered_packets,
-        }
+        Ok(ControlFlow::Continue(()))
     }
 
     fn fingerprint(cfg: &SimConfig, faults: Option<&FaultPlan>) -> u64 {
@@ -655,8 +667,8 @@ impl Simulation {
         self.net.audit()
     }
 
-    /// Overrides the `STCC_AUDIT` cadence: audit every `every` cycles
-    /// during [`Simulation::step`] and at every checkpoint (`None` = off).
+    /// Sets the audit cadence: audit every `every` cycles during
+    /// [`Simulation::step`] and at every checkpoint (`None` = off).
     /// A cadence audit failure panics — the simulator found itself in a
     /// state it can't explain, and nothing downstream is trustworthy.
     pub fn set_audit_every(&mut self, every: Option<u64>) {
@@ -669,8 +681,8 @@ impl Simulation {
         self.audit_every
     }
 
-    /// Overrides the `STCC_SHARDS` step-loop shard count (clamped to
-    /// `[1, nodes]` by the network). Results are bit-identical for any
+    /// Sets the step-loop shard count (clamped to `[1, nodes]` by the
+    /// network; a fresh simulation steps unsharded). Results are bit-identical for any
     /// value; call between steps.
     pub fn set_shards(&mut self, shards: usize) {
         self.net.set_shards(shards);
@@ -1031,7 +1043,7 @@ mod tests {
         let mut a = Simulation::new(cfg.clone()).unwrap();
         a.run_to_end();
         let mut b = Simulation::new(cfg).unwrap();
-        b.run_to_end_guarded(&RunGuard::default()).unwrap();
+        guarded(&mut b, &RunGuard::default()).unwrap();
         assert_eq!(a.checkpoint(), b.checkpoint());
     }
 
@@ -1226,6 +1238,12 @@ mod tests {
 
     // -- guarded runs --
 
+    /// The single loop with a guard and no observer.
+    fn guarded(sim: &mut Simulation, guard: &RunGuard) -> Result<(), SimError> {
+        sim.run_guarded::<core::convert::Infallible>(guard, None)
+            .map(|_| ())
+    }
+
     /// The guard only observes: a guarded run that completes is bit-identical
     /// to an unguarded one.
     #[test]
@@ -1234,7 +1252,7 @@ mod tests {
         let mut a = Simulation::new(cfg.clone()).unwrap();
         a.run_to_end();
         let mut b = Simulation::new(cfg).unwrap();
-        b.run_to_end_guarded(&RunGuard::default()).unwrap();
+        guarded(&mut b, &RunGuard::default()).unwrap();
         assert_eq!(a.checkpoint(), b.checkpoint());
     }
 
@@ -1269,7 +1287,7 @@ mod tests {
             livelock_window: Some(3_000),
             ..RunGuard::default()
         };
-        match sim.run_to_end_guarded(&guard) {
+        match guarded(&mut sim, &guard) {
             Err(SimError::Livelock(d)) => {
                 assert!(d.live_packets > 0, "a livelock needs stuck packets");
                 assert!(d.cycle.saturating_sub(d.last_progress_at) >= 3_000);
@@ -1290,7 +1308,7 @@ mod tests {
             ..RunGuard::default()
         };
         assert_eq!(
-            sim.run_to_end_guarded(&guard),
+            guarded(&mut sim, &guard),
             Err(SimError::DeadlineExceeded {
                 at_cycle: 100,
                 kind: BudgetKind::Cycles
@@ -1308,11 +1326,78 @@ mod tests {
             ..RunGuard::default()
         };
         assert!(matches!(
-            sim.run_to_end_guarded(&guard),
+            guarded(&mut sim, &guard),
             Err(SimError::DeadlineExceeded {
                 kind: BudgetKind::WallClock,
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn raised_cancel_flag_stops_the_run() {
+        static FLAG: AtomicBool = AtomicBool::new(true);
+        let mut sim = Simulation::new(ckpt_cfg(0.02)).unwrap();
+        let guard = RunGuard {
+            cancel: Some(&FLAG),
+            ..RunGuard::default()
+        };
+        assert_eq!(
+            guarded(&mut sim, &guard),
+            Err(SimError::Cancelled { at_cycle: 0 })
+        );
+    }
+
+    /// An installed observer sees every cycle — the idle ones a bare run
+    /// would have skipped included — can stop the run, and changes nothing:
+    /// the observed run ends in the fast-forwarded run's exact state.
+    #[test]
+    fn observer_sees_every_cycle_and_none_is_skipped() {
+        let cfg = SimConfig {
+            net: NetConfig::small(DeadlockMode::Avoidance),
+            workload: Workload::phased(vec![
+                Phase {
+                    duration: 3_000,
+                    pattern: Pattern::UniformRandom,
+                    process: Process::Silent,
+                },
+                Phase {
+                    duration: u64::MAX,
+                    pattern: Pattern::UniformRandom,
+                    process: Process::periodic(700),
+                },
+            ]),
+            scheme: Scheme::Base,
+            cycles: 10_000,
+            warmup: 1_000,
+            seed: 5,
+        };
+        let mut ff = Simulation::new(cfg.clone()).unwrap();
+        assert!(
+            ff.fast_forward_target().is_some(),
+            "vacuous: nothing to skip"
+        );
+        ff.run_to_end();
+
+        let mut seen = 0u64;
+        let mut count = |sim: &Simulation| {
+            seen += 1;
+            assert_eq!(sim.now(), seen, "a cycle went unobserved");
+            ControlFlow::<()>::Continue(())
+        };
+        let mut observed = Simulation::new(cfg.clone()).unwrap();
+        let end = observed.run_guarded(&RunGuard::default(), Some(&mut count));
+        assert_eq!(end, Ok(ControlFlow::Continue(())));
+        assert_eq!(seen, 10_000);
+        assert_eq!(observed.checkpoint(), ff.checkpoint());
+
+        let mut stop_at_7 = |sim: &Simulation| match sim.now() {
+            7 => ControlFlow::Break("seven"),
+            _ => ControlFlow::Continue(()),
+        };
+        let mut stopped = Simulation::new(cfg).unwrap();
+        let end = stopped.run_guarded(&RunGuard::default(), Some(&mut stop_at_7));
+        assert_eq!(end, Ok(ControlFlow::Break("seven")));
+        assert_eq!(stopped.now(), 7);
     }
 }

@@ -16,7 +16,7 @@
 //! |------|---------|
 //! | 0    | every job completed |
 //! | 1    | internal/IO failure (ledger, report write) |
-//! | 2    | usage error (bad flags) |
+//! | 2    | usage error (bad flags, malformed `STCC_*` value) |
 //! | 3    | manifest failed to load or validate |
 //! | 4    | campaign completed but quarantined at least one job |
 //! | 130  | interrupted by SIGINT/SIGTERM (resume with `--resume`) |
@@ -24,6 +24,7 @@
 use experiments::campaign::{
     manifest::Manifest, orchestrate, worker_main, CampaignOpts, EXIT_MANIFEST, EXIT_USAGE,
 };
+use experiments::RuntimeOptions;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: campaign --manifest FILE [--out DIR] [--resume] [--workers N]";
@@ -84,8 +85,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
+    // Orchestrator and worker alike resolve the environment up front: a
+    // malformed value is a usage error here, not a quarantined job later.
+    let parsed = parse_args(std::env::args().skip(1))
+        .and_then(|args| Ok((args, RuntimeOptions::from_env()?)));
+    let (args, opts) = match parsed {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(EXIT_USAGE);
@@ -107,7 +112,7 @@ fn main() {
     };
     if let Some(idx) = args.job {
         // Hidden worker mode: run exactly one job in this process.
-        std::process::exit(worker_main(&manifest, idx, args.attempt));
+        std::process::exit(worker_main(&manifest, idx, args.attempt, opts));
     }
     let opts = CampaignOpts {
         manifest: args.manifest,

@@ -335,9 +335,8 @@ fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Trial, Box<(Tria
             format!("scenario rejected by validation: {e}"),
         ))
     })?;
-    // The harness audits manually so a violation yields a repro line, not a
-    // panic; make sure an ambient STCC_AUDIT doesn't double up.
-    sim.set_audit_every(None);
+    // The harness audits manually (`step_audited`), so a violation yields a
+    // repro line, not a panic.
     sim.set_shards(t.shards.0);
 
     let mid = t.cfg.cycles / 2;
@@ -351,7 +350,6 @@ fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Trial, Box<(Tria
         Ok(s) => s,
         Err(e) => return fail(t, format!("restore of own checkpoint failed: {e}")),
     };
-    twin.set_audit_every(None);
     twin.set_shards(t.shards.1);
     // Bounce the original's shard count mid-trial: the persistent worker
     // pool must tear down (join its workers) and rebuild cleanly with

@@ -1,6 +1,6 @@
 //! Ad-hoc probe: windowed throughput over time for one configuration.
 //! Usage: `probe <scheme> <rate> <recovery|avoidance> <cycles>`
-use experiments::try_run_series;
+use experiments::{Pool, RuntimeOptions, SweepCtx};
 use stcc::{Scheme, SimConfig};
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
@@ -37,7 +37,9 @@ fn main() {
         warmup: cycles / 6,
         seed: 42,
     };
-    let r = match try_run_series(cfg, 4000) {
+    let opts = RuntimeOptions::from_env().unwrap_or_else(|msg| bail(&msg));
+    let ctx = SweepCtx::bare(Pool::new(1)).with_options(opts);
+    let r = match ctx.try_run_series(cfg, 4000) {
         Ok(r) => r,
         Err(e) => bail(&format!("{e}")),
     };

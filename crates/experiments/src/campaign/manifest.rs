@@ -112,8 +112,9 @@ pub struct Manifest {
     pub cycle_budget: Option<u64>,
     /// Concurrent worker processes.
     pub workers: usize,
-    /// Step-loop shard count inside every worker (`STCC_SHARDS` for the
-    /// worker processes; results are bit-identical for any value).
+    /// Step-loop shard count inside every worker (overrides the worker's
+    /// own `RuntimeOptions::shards`; results are bit-identical for any
+    /// value).
     pub shards: usize,
     /// The scenarios, in manifest order.
     pub scenarios: Vec<Scenario>,

@@ -26,9 +26,9 @@ pub mod backoff;
 pub mod manifest;
 
 use crate::journal::{FailureKind, Journal};
-use crate::runner::{JobBudget, JobError, Pool};
+use crate::runner::{JobError, Pool};
 use crate::table::fnum;
-use crate::{steady_config, try_run_point_instrumented, NetPreset, Scale, Table};
+use crate::{steady_config, JobBudget, NetPreset, RuntimeOptions, Scale, SweepCtx, Table};
 use faults::{FaultPlan, HotspotFault, LinkFault, SidebandFaults};
 use manifest::{FaultSpec, Manifest};
 use stcc::Scheme;
@@ -196,7 +196,7 @@ pub fn fault_plan(spec: &JobSpec, campaign_seed: u64) -> Option<FaultPlan> {
 /// The metric cells a worker reports for one completed job, already
 /// formatted (formatting happens worker-side so a replayed ledger row is
 /// byte-identical to a fresh one).
-fn run_job_metrics(spec: &JobSpec, m: &Manifest) -> Result<Vec<String>, JobError> {
+fn run_job_metrics(spec: &JobSpec, m: &Manifest, ctx: &SweepCtx) -> Result<Vec<String>, JobError> {
     let sideband = spec.net.sideband();
     let scheme = Scheme::by_name(&spec.scheme, &sideband)
         .ok_or_else(|| JobError::Failed(format!("unresolvable scheme '{}'", spec.scheme)))?;
@@ -216,7 +216,7 @@ fn run_job_metrics(spec: &JobSpec, m: &Manifest) -> Result<Vec<String>, JobError
         plan.validate(net.node_count(), 2 * net.dimensions)
             .map_err(|e| JobError::Failed(format!("bad fault plan ({}): {e}", spec.label())))?;
     }
-    let (p, f) = try_run_point_instrumented(cfg, plan)?;
+    let (p, f) = ctx.try_run_point_instrumented(cfg, plan)?;
     let c = f.controller;
     Ok(vec![
         fnum(p.tput_flits),
@@ -230,38 +230,16 @@ fn run_job_metrics(spec: &JobSpec, m: &Manifest) -> Result<Vec<String>, JobError
     ])
 }
 
-/// Parses the crash-test rig `STCC_CAMPAIGN_FAIL` (comma-separated
-/// `scenario:<k>` / `scenario:all` entries): whether this attempt of this
-/// job must crash (plain `exit(7)`, no protocol line — simulating a dying
-/// worker). Keyed on the `--attempt` argument, so the rig is fully
-/// deterministic: `flaky:2` crashes attempts 0 and 1 and lets attempt 2
-/// succeed, in every run and every resume.
-fn rigged_to_crash(scenario: &str, attempt: u32) -> bool {
-    let Ok(rig) = std::env::var("STCC_CAMPAIGN_FAIL") else {
-        return false;
-    };
-    for entry in rig.split(',') {
-        let Some((id, upto)) = entry.trim().split_once(':') else {
-            continue;
-        };
-        if id != scenario {
-            continue;
-        }
-        if upto == "all" {
-            return true;
-        }
-        if let Ok(k) = upto.parse::<u32>() {
-            return attempt < k;
-        }
-    }
-    false
-}
-
 /// The hidden `--job` mode: runs one job in this process and speaks the
 /// one-line stdout protocol (`STCC-JOB-OK <crc> <cells>` or
 /// `STCC-JOB-ERR <kind> <message>`). Returns the process exit code.
+///
+/// `opts` is the worker's own environment, resolved; the manifest it was
+/// handed overrides what it is authoritative for — the shard count and the
+/// per-job budget (results are bit-identical at any shard count, so that
+/// only sets the thread layout).
 #[must_use]
-pub fn worker_main(m: &Manifest, job_idx: u64, attempt: u32) -> i32 {
+pub fn worker_main(m: &Manifest, job_idx: u64, attempt: u32, opts: RuntimeOptions) -> i32 {
     let jobs = expand(m);
     let Some(spec) = jobs.iter().find(|j| j.idx == job_idx) else {
         println!(
@@ -270,24 +248,24 @@ pub fn worker_main(m: &Manifest, job_idx: u64, attempt: u32) -> i32 {
         );
         return EXIT_WORKER_FAILED;
     };
-    if rigged_to_crash(&spec.scenario, attempt) {
-        // Crash-test rig: die like a real defect would — no marker line.
+    if opts.crash_rig.crashes(&spec.scenario, attempt) {
+        // Crash-test rig (`STCC_CAMPAIGN_FAIL`): die like a real defect
+        // would — plain `exit(7)`, no protocol line.
         std::process::exit(7);
     }
-    // The manifest's `shards` key is authoritative for every job: publish
-    // it before the pool (and its simulations) exist. Results are
-    // bit-identical for any value, so this only sets the thread layout.
-    std::env::set_var("STCC_SHARDS", m.shards.to_string());
-    let budget = JobBudget {
-        wall: (m.timeout_s > 0).then(|| Duration::from_secs(m.timeout_s)),
-        cycles: m.cycle_budget,
-    };
-    // A single-worker pool publishes the budget to this thread so the run
-    // guard inside the simulation enforces it cooperatively.
-    let pool = Pool::new(1).with_budget(budget);
-    let outcome = pool
+    let ctx = SweepCtx::bare(Pool::new(1)).with_options(RuntimeOptions {
+        shards: m.shards,
+        budget: JobBudget {
+            wall: (m.timeout_s > 0).then(|| Duration::from_secs(m.timeout_s)),
+            cycles: m.cycle_budget,
+        },
+        ..opts
+    });
+    // Through the (single-worker) pool so a panic comes back typed.
+    let outcome = ctx
+        .pool()
         .try_run(vec![spec.clone()], JobSpec::label, |spec| {
-            run_job_metrics(&spec, m)
+            run_job_metrics(&spec, m, &ctx)
         })
         .map(|mut v| v.pop().expect("one job in, one result out"));
     match outcome {
@@ -334,7 +312,6 @@ fn supervise_attempt(
         .arg(spec.idx.to_string())
         .arg("--attempt")
         .arg(attempt.to_string())
-        .env("STCC_SHARDS", m.shards.to_string())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn();
@@ -946,19 +923,6 @@ rates = [0.01]
         // A different campaign seed draws a different storm.
         let p3 = fault_plan(&spec, m.seed + 1).unwrap();
         assert_ne!(p1, p3);
-    }
-
-    #[test]
-    fn crash_rig_is_keyed_on_attempt() {
-        // The rig reads the environment; set it only for this check.
-        std::env::set_var("STCC_CAMPAIGN_FAIL", "flaky:2,doomed:all");
-        assert!(rigged_to_crash("flaky", 0));
-        assert!(rigged_to_crash("flaky", 1));
-        assert!(!rigged_to_crash("flaky", 2));
-        assert!(rigged_to_crash("doomed", 0));
-        assert!(rigged_to_crash("doomed", 99));
-        assert!(!rigged_to_crash("steady", 0));
-        std::env::remove_var("STCC_CAMPAIGN_FAIL");
     }
 
     #[test]

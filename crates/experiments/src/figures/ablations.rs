@@ -13,7 +13,7 @@
 
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
-use crate::{try_run_point, Scale, SweepCtx, Table};
+use crate::{Scale, SweepCtx, Table};
 use sideband::{Estimator, Quantizer, SidebandConfig};
 use stcc::{Scheme, SimConfig, TuneConfig};
 use traffic::{Pattern, Process, Workload};
@@ -23,6 +23,7 @@ use wormsim::{DeadlockMode, NetConfig};
 const RATE: f64 = 0.056;
 
 fn run_tuned(
+    ctx: &SweepCtx,
     tune: TuneConfig,
     mode: DeadlockMode,
     scale: Scale,
@@ -36,7 +37,7 @@ fn run_tuned(
         warmup: scale.warmup(),
         seed,
     };
-    try_run_point(cfg).map(|r| (r.tput_flits, r.latency))
+    ctx.try_run_point(cfg).map(|r| (r.tput_flits, r.latency))
 }
 
 /// X1 — estimator comparison, both deadlock modes.
@@ -68,7 +69,7 @@ pub fn extrapolation(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> 
         |(mode, mode_name, est, est_name)| {
             let mut tune = TuneConfig::paper();
             tune.sideband.estimator = est;
-            let (tput, lat) = run_tuned(tune, mode, scale, 0xAB1)?;
+            let (tput, lat) = run_tuned(ctx, tune, mode, scale, 0xAB1)?;
             Ok::<_, JobError>(vec![vec![
                 mode_name.to_owned(),
                 est_name.to_owned(),
@@ -100,7 +101,7 @@ pub fn tuning_period(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> 
                 ..TuneConfig::paper()
             };
             let period = tune.tune_period();
-            let (tput, lat) = run_tuned(tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB2)?;
+            let (tput, lat) = run_tuned(ctx, tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB2)?;
             Ok::<_, JobError>(vec![vec![period.to_string(), fnum(tput), fnum(lat)]])
         },
     )?;
@@ -133,7 +134,7 @@ pub fn increments(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
                 decrement_frac: dec,
                 ..TuneConfig::paper()
             };
-            let (tput, lat) = run_tuned(tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB3)?;
+            let (tput, lat) = run_tuned(ctx, tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB3)?;
             Ok::<_, JobError>(vec![vec![
                 fnum(inc * 100.0),
                 fnum(dec * 100.0),
@@ -162,7 +163,7 @@ pub fn sideband_bits(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> 
         |(bits, quant)| {
             let mut tune = TuneConfig::paper();
             tune.sideband.quantizer = quant;
-            let (tput, lat) = run_tuned(tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB4)?;
+            let (tput, lat) = run_tuned(ctx, tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB4)?;
             Ok::<_, JobError>(vec![vec![bits.to_string(), fnum(tput), fnum(lat)]])
         },
     )?;
@@ -193,7 +194,7 @@ pub fn hop_delay(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
                 sideband,
                 ..TuneConfig::paper()
             };
-            let (tput, lat) = run_tuned(tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB5)?;
+            let (tput, lat) = run_tuned(ctx, tune, DeadlockMode::PAPER_RECOVERY, scale, 0xAB5)?;
             Ok::<_, JobError>(vec![vec![
                 h.to_string(),
                 g.to_string(),

@@ -10,7 +10,7 @@
 
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
-use crate::{steady_config, sweep_rates_for, try_run_point, NetPreset, Scale, SweepCtx, Table};
+use crate::{steady_config, sweep_rates_for, NetPreset, Scale, SweepCtx, Table};
 use stcc::Scheme;
 use traffic::Pattern;
 use wormsim::DeadlockMode;
@@ -49,26 +49,8 @@ pub fn roster(net: NetPreset) -> Vec<Scheme> {
     schemes
 }
 
-/// Runs the head-to-head on the paper network.
-///
-/// # Errors
-///
-/// Returns the first failing sweep point.
-pub fn generate(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
-    generate_on(NetPreset::Paper, scale, ctx)
-}
-
-/// Runs the head-to-head on a chosen network preset with the full roster.
-///
-/// # Errors
-///
-/// Returns the first failing sweep point.
-pub fn generate_on(net: NetPreset, scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
-    generate_filtered(net, scale, ctx, &roster(net))
-}
-
-/// Runs the head-to-head over an explicit scheme list (the binary's
-/// `--controllers` filter).
+/// Runs the head-to-head over an explicit scheme list: [`roster`], or the
+/// `--controllers` filter.
 ///
 /// # Errors
 ///
@@ -114,7 +96,7 @@ pub fn generate_filtered(
                 scale,
                 0xC0_2200 + i as u64,
             );
-            let r = try_run_point(cfg)?;
+            let r = ctx.try_run_point(cfg)?;
             Ok::<_, JobError>(vec![vec![
                 pattern.name().to_owned(),
                 scheme.label(),

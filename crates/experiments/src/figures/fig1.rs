@@ -8,7 +8,7 @@
 
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
-use crate::{steady_config, sweep_rates_for, try_run_point, Scale, SweepCtx, Table};
+use crate::{steady_config, sweep_rates_for, Scale, SweepCtx, Table};
 use stcc::Scheme;
 use traffic::Pattern;
 use wormsim::{DeadlockMode, NetConfig};
@@ -49,7 +49,7 @@ pub fn generate(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
                 scale,
                 0xF16_0001 + i as u64,
             );
-            let r = try_run_point(cfg)?;
+            let r = ctx.try_run_point(cfg)?;
             Ok::<_, JobError>(vec![vec![
                 pattern.name().to_owned(),
                 fnum(rate),

@@ -15,17 +15,8 @@ use stcc::{Scheme, Simulation};
 use traffic::Pattern;
 use wormsim::DeadlockMode;
 
-/// Runs the Figure 2 sweep (deadlock recovery, uniform random, base) on
-/// the paper network.
-///
-/// # Errors
-///
-/// Returns the first failing sweep point.
-pub fn generate(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
-    generate_on(NetPreset::Paper, scale, ctx)
-}
-
-/// Runs the Figure 2 sweep on a chosen network preset.
+/// Runs the Figure 2 sweep (deadlock recovery, uniform random, base) on a
+/// chosen network preset.
 ///
 /// # Errors
 ///
@@ -54,14 +45,15 @@ pub fn generate_on(net: NetPreset, scale: Scale, ctx: &SweepCtx) -> Result<Table
                 0xF16_0002 + i as u64,
             );
             let warmup = cfg.warmup;
-            let mut sim = Simulation::new(cfg)
-                .map_err(|e| JobError::Failed(format!("bad fig2 config: {e}")))?;
+            let label = format!("fig2 base @ {rate}");
+            let mut sim = ctx.simulation(cfg, None, &label)?;
             let mut occupancy = GaugeSeries::new();
-            crate::run::drive(&mut sim, &format!("fig2 base @ {rate}"), |sim| {
+            let mut sample = |sim: &Simulation| {
                 if sim.now() >= warmup && sim.now().is_multiple_of(256) {
                     occupancy.sample(sim.now(), f64::from(sim.network().full_buffer_count()));
                 }
-            })?;
+            };
+            ctx.drive(&mut sim, &label, Some(&mut sample))?;
             let s = sim
                 .summary()
                 .map_err(|e| JobError::Failed(format!("fig2 summary: {e}")))?;

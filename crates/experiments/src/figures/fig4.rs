@@ -16,7 +16,7 @@
 
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
-use crate::{try_run_series, NetPreset, Scale, SweepCtx, Table};
+use crate::{NetPreset, Scale, SweepCtx, Table};
 use stcc::{Scheme, SimConfig, TuneConfig};
 use traffic::{Pattern, Process, Workload};
 use wormsim::DeadlockMode;
@@ -45,17 +45,8 @@ pub fn sim_config(net: NetPreset, scale: Scale, avoid: bool) -> SimConfig {
     }
 }
 
-/// Runs the two Figure 4 traces (threshold and throughput vs time) on the
-/// paper network.
-///
-/// # Errors
-///
-/// Returns the first failing trace.
-pub fn generate(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
-    generate_on(NetPreset::Paper, scale, ctx)
-}
-
-/// Runs the two Figure 4 traces on a chosen network preset.
+/// Runs the two Figure 4 traces (threshold and throughput vs time) on a
+/// chosen network preset.
 ///
 /// # Errors
 ///
@@ -74,7 +65,7 @@ pub fn generate_on(net: NetPreset, scale: Scale, ctx: &SweepCtx) -> Result<Table
         variants,
         |&(_, name)| format!("fig4 {name}"),
         |(avoid, name)| {
-            let r = try_run_series(sim_config(net, scale, avoid), window)?;
+            let r = ctx.try_run_series(sim_config(net, scale, avoid), window)?;
             let thresholds: Vec<_> = r.threshold.points().to_vec();
             Ok::<_, JobError>(
                 r.tput

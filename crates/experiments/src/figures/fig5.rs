@@ -8,26 +8,13 @@
 
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
-use crate::{steady_config, sweep_rates_for, try_run_point, NetPreset, Scale, SweepCtx, Table};
+use crate::{steady_config, sweep_rates_for, NetPreset, Scale, SweepCtx, Table};
 use stcc::Scheme;
 use traffic::Pattern;
 use wormsim::DeadlockMode;
 
-/// The paper's static thresholds (in full buffers; 8% and 1.6% of 3072).
-/// Other presets rescale these: see [`NetPreset::static_thresholds`].
-pub const STATIC_THRESHOLDS: [u32; 2] = [250, 50];
-
-/// Runs the Figure 5 sweeps on the paper network, fanned across `ctx`'s
-/// pool.
-///
-/// # Errors
-///
-/// Returns the first failing sweep point.
-pub fn generate(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
-    generate_on(NetPreset::Paper, scale, ctx)
-}
-
-/// Runs the Figure 5 sweeps on a chosen network preset.
+/// Runs the Figure 5 sweeps on a chosen network preset, fanned across
+/// `ctx`'s pool.
 ///
 /// # Errors
 ///
@@ -76,7 +63,7 @@ pub fn generate_on(net: NetPreset, scale: Scale, ctx: &SweepCtx) -> Result<Table
                 scale,
                 0xF16_0005 + i as u64,
             );
-            let r = try_run_point(cfg)?;
+            let r = ctx.try_run_point(cfg)?;
             Ok::<_, JobError>(vec![vec![
                 pattern.name().to_owned(),
                 scheme.label(),

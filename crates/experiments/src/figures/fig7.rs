@@ -10,7 +10,7 @@
 use crate::figures::fig6;
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
-use crate::{try_run_series, Scale, SweepCtx, Table};
+use crate::{Scale, SweepCtx, Table};
 use stcc::{Scheme, SimConfig};
 use wormsim::{DeadlockMode, NetConfig};
 
@@ -64,7 +64,7 @@ pub fn generate(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
                 warmup: scale.bursty_phase() / 2,
                 seed: 0xF16_0007,
             };
-            let r = try_run_series(cfg, window)?;
+            let r = ctx.try_run_series(cfg, window)?;
             Ok::<_, JobError>(
                 r.tput
                     .normalized(r.nodes)
@@ -111,7 +111,7 @@ pub fn latency_summary(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError
                 warmup: scale.bursty_phase() / 2,
                 seed: 0xF16_0007,
             };
-            let r = try_run_series(cfg, cycles / 8)?;
+            let r = ctx.try_run_series(cfg, cycles / 8)?;
             Ok::<_, JobError>(vec![vec![
                 mode_name.to_owned(),
                 scheme.label(),

@@ -15,7 +15,7 @@
 
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
-use crate::{steady_config, try_run_point_with_faults, NetPreset, Scale, SweepCtx, Table};
+use crate::{steady_config, NetPreset, Scale, SweepCtx, Table};
 use faults::{FaultPlan, SidebandFaults};
 use stcc::Scheme;
 use traffic::Pattern;
@@ -31,12 +31,6 @@ pub fn loss_rates() -> Vec<f64> {
 /// throttling (or its faulted absence) is what decides the outcome.
 pub const LOAD: f64 = 0.028;
 
-/// The three compared schemes on the paper network.
-#[must_use]
-pub fn schemes() -> Vec<Scheme> {
-    schemes_on(NetPreset::Paper)
-}
-
 /// The three compared schemes, with the static threshold and side-band
 /// radix matched to the preset's topology.
 #[must_use]
@@ -51,17 +45,8 @@ pub fn schemes_on(net: NetPreset) -> Vec<Scheme> {
     ]
 }
 
-/// Runs the resilience sweep (deadlock recovery, uniform random) on the
-/// paper network, fanned across `ctx`'s pool.
-///
-/// # Errors
-///
-/// Returns the first failing sweep point.
-pub fn generate(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> {
-    generate_on(NetPreset::Paper, scale, ctx)
-}
-
-/// Runs the resilience sweep on a chosen network preset.
+/// Runs the resilience sweep (deadlock recovery, uniform random) on a
+/// chosen network preset, fanned across `ctx`'s pool.
 ///
 /// # Errors
 ///
@@ -108,7 +93,7 @@ pub fn generate_on(net: NetPreset, scale: Scale, ctx: &SweepCtx) -> Result<Table
                     ..SidebandFaults::none()
                 },
             );
-            let (p, f) = try_run_point_with_faults(cfg, plan)?;
+            let (p, f) = ctx.try_run_point_instrumented(cfg, Some(plan))?;
             let sb = f.sideband.unwrap_or_default();
             Ok::<_, JobError>(vec![vec![
                 fnum(loss),

@@ -1,138 +1,17 @@
-use crate::runner::{active_budget, JobError};
-use crate::Scale;
+use crate::runner::{JobError, Pool};
+use crate::{Scale, SweepCtx};
+use core::ops::ControlFlow;
 use faults::FaultPlan;
 use sideband::SidebandConfig;
 use simstats::{GaugeSeries, RunSummary, WindowSeries};
-use stcc::{Controller, RunGuard, TuneConfig};
-use stcc::{FaultReport, LivelockDiag, Scheme, SimConfig, Simulation, DEFAULT_LIVELOCK_WINDOW};
-use std::path::{Path, PathBuf};
+use stcc::{Controller, FaultReport, Observer, RunGuard, Scheme, SimConfig, SimError};
+use stcc::{Simulation, TuneConfig};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use std::{fs, io};
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
-
-/// The [`RunGuard`] for the job running on this worker thread: the default
-/// livelock window (overridable via `STCC_LIVELOCK_WINDOW`; `0` disables)
-/// plus whatever cycle/wall-clock budget the pool published
-/// ([`crate::runner::JobBudget`]).
-fn job_guard() -> RunGuard {
-    let (deadline, max_cycles) = active_budget();
-    let livelock_window = std::env::var("STCC_LIVELOCK_WINDOW")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(Some(DEFAULT_LIVELOCK_WINDOW), |w| (w > 0).then_some(w));
-    RunGuard {
-        livelock_window,
-        max_cycles,
-        deadline,
-    }
-}
-
-/// Checkpoint cadence from the environment: write a snapshot every
-/// `STCC_CKPT_EVERY` cycles (0/unset disables) into `STCC_CKPT_DIR`
-/// (default `checkpoints/`).
-fn ckpt_cadence() -> Option<(u64, PathBuf)> {
-    let every = std::env::var("STCC_CKPT_EVERY").ok()?.parse::<u64>().ok()?;
-    if every == 0 {
-        return None;
-    }
-    let dir =
-        std::env::var("STCC_CKPT_DIR").map_or_else(|_| PathBuf::from("checkpoints"), PathBuf::from);
-    Some((every, dir))
-}
-
-fn livelock_diag(sim: &Simulation, window: u64) -> LivelockDiag {
-    let net = sim.network();
-    LivelockDiag {
-        cycle: sim.now(),
-        window,
-        live_packets: net.live_packets(),
-        full_buffers: net.full_buffer_count(),
-        token_queue: net.token_queue_len(),
-        recovery_active: net.recovery_active(),
-        last_progress_at: net.last_progress_at(),
-        last_delivery_at: net.last_delivery_at(),
-        delivered_packets: net.counters().delivered_packets,
-    }
-}
-
-/// Atomically writes this job's snapshot (one file per job, keyed by a hash
-/// of its label; overwritten at every cadence point). The temp name is
-/// unique per process and writer so that two jobs whose labels collide
-/// (e.g. fig4's two tuner variants share a point label) can never
-/// interleave bytes in one temp file — each rename publishes a complete
-/// snapshot, last writer wins.
-fn write_checkpoint(dir: &Path, label: &str, sim: &Simulation) -> io::Result<()> {
-    static WRITER: AtomicU64 = AtomicU64::new(0);
-    fs::create_dir_all(dir)?;
-    let key = checkpoint::fnv1a64(label.as_bytes());
-    let tmp = dir.join(format!(
-        "ckpt-{key:016x}.{}-{}.tmp",
-        std::process::id(),
-        WRITER.fetch_add(1, Ordering::Relaxed)
-    ));
-    fs::write(&tmp, sim.checkpoint())?;
-    fs::rename(&tmp, dir.join(format!("ckpt-{key:016x}.bin")))
-}
-
-/// Steps `sim` to its configured end under the worker's [`RunGuard`],
-/// calling `after_step` after every cycle (series sampling), honoring the
-/// `STCC_CKPT_EVERY` checkpoint cadence and bailing promptly on SIGINT.
-///
-/// A guarded drive that completes is bit-identical to
-/// [`Simulation::run_to_end`]: the guard and the checkpoints only observe.
-pub(crate) fn drive(
-    sim: &mut Simulation,
-    label: &str,
-    mut after_step: impl FnMut(&mut Simulation),
-) -> Result<(), JobError> {
-    let guard = job_guard();
-    let cadence = ckpt_cadence();
-    let cycles = sim.config().cycles;
-    let mut stepped: u64 = 0;
-    while sim.now() < cycles {
-        if let Some(max) = guard.max_cycles {
-            if stepped >= max {
-                return Err(JobError::TimedOut(format!(
-                    "{label}: cycle budget ({max}) exhausted at cycle {}",
-                    sim.now()
-                )));
-            }
-        }
-        if stepped.is_multiple_of(1024) {
-            if crate::sigint::interrupted() {
-                return Err(JobError::Interrupted);
-            }
-            if let Some(deadline) = guard.deadline {
-                if Instant::now() >= deadline {
-                    return Err(JobError::TimedOut(format!(
-                        "{label}: wall-clock budget exhausted at cycle {}",
-                        sim.now()
-                    )));
-                }
-            }
-        }
-        sim.step();
-        stepped += 1;
-        after_step(sim);
-        if let Some(window) = guard.livelock_window {
-            if sim.network().livelocked(window) {
-                return Err(JobError::TimedOut(format!(
-                    "{label}: livelock: {}",
-                    livelock_diag(sim, window)
-                )));
-            }
-        }
-        if let Some((every, dir)) = &cadence {
-            if sim.now().is_multiple_of(*every) && sim.now() < cycles {
-                write_checkpoint(dir, label, sim)
-                    .map_err(|e| JobError::Failed(format!("{label}: checkpoint write: {e}")))?;
-            }
-        }
-    }
-    Ok(())
-}
 
 /// The measurements of one sweep point, in the units the paper plots.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,134 +36,216 @@ pub struct PointResult {
     pub fairness: f64,
 }
 
-/// Runs one simulation (guarded; see [`drive`]) and condenses its summary.
-///
-/// # Errors
-///
-/// Returns a typed [`JobError`] naming the offending point on an invalid
-/// configuration, a summary taken before warm-up, a tripped
-/// livelock/budget guard ([`JobError::TimedOut`]) or SIGINT
-/// ([`JobError::Interrupted`]); the error crosses
-/// [`crate::runner::Pool`] worker threads untouched.
-pub fn try_run_point(cfg: SimConfig) -> Result<PointResult, JobError> {
-    let label = point_label(&cfg);
-    let mut sim = Simulation::new(cfg)
+/// Time-resolved measurements of one run (Figures 4 and 7).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeriesResult {
+    /// Window width used for the throughput series, in cycles.
+    pub window: u64,
+    /// Node count (for normalization).
+    pub nodes: usize,
+    /// Delivered flits per window.
+    pub tput: WindowSeries,
+    /// Self-tuner threshold samples (empty for other schemes).
+    pub threshold: GaugeSeries,
+    /// Full-buffer census samples (one per window).
+    pub full_buffers: GaugeSeries,
+    /// Mean network latency over the whole run (cycles).
+    pub latency: f64,
+    /// Mean end-to-end latency over the whole run (cycles).
+    pub latency_total: f64,
+    /// Packets recovered via the deadlock network.
+    pub recovered: u64,
+}
+
+/// Atomically writes this job's snapshot (one file per job, keyed by a hash
+/// of its label; overwritten at every cadence point). The temp name is
+/// unique per process and writer so that two jobs whose labels collide
+/// (e.g. fig4's two tuner variants share a point label) can never
+/// interleave bytes in one temp file — each rename publishes a complete
+/// snapshot, last writer wins.
+fn write_checkpoint(dir: &Path, label: &str, sim: &Simulation) -> io::Result<()> {
+    static WRITER: AtomicU64 = AtomicU64::new(0);
+    fs::create_dir_all(dir)?;
+    let key = checkpoint::fnv1a64(label.as_bytes());
+    let tmp = dir.join(format!(
+        "ckpt-{key:016x}.{}-{}.tmp",
+        std::process::id(),
+        WRITER.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::write(&tmp, sim.checkpoint())?;
+    fs::rename(&tmp, dir.join(format!("ckpt-{key:016x}.bin")))
+}
+
+impl SweepCtx {
+    /// Builds one simulation of this sweep — under a fault plan when one is
+    /// given — with the context's shard count and audit cadence applied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JobError::Failed`] naming `label` on an invalid
+    /// configuration or fault plan.
+    pub fn simulation(
+        &self,
+        cfg: SimConfig,
+        plan: Option<FaultPlan>,
+        label: &str,
+    ) -> Result<Simulation, JobError> {
+        let mut sim = match plan {
+            Some(plan) => Simulation::with_faults(cfg, plan),
+            None => Simulation::new(cfg),
+        }
         .map_err(|e| JobError::Failed(format!("bad experiment ({label}): {e}")))?;
-    drive(&mut sim, &label, |_| {})?;
-    report_stage_stats(&label, &sim);
-    let s = sim
-        .summary()
-        .map_err(|e| JobError::Failed(format!("summary failed ({label}): {e}")))?;
-    Ok(condense(&s))
+        sim.set_shards(self.options().shards);
+        sim.set_audit_every(self.options().audit_every);
+        Ok(sim)
+    }
+
+    /// Runs `sim` to its configured end through
+    /// [`Simulation::run_guarded`], supplying what the harness adds to that
+    /// loop: the guard from the context's options (watchdog window, job
+    /// budget) with SIGINT as its cancellation flag, `sample` after every
+    /// cycle (series sampling), the checkpoint cadence, and the
+    /// [`SimError`] → [`JobError`] mapping.
+    ///
+    /// With neither a sampler nor a cadence nothing observes the cycles and
+    /// the loop may fast-forward. A drive that completes is bit-identical to
+    /// [`Simulation::run_to_end`] either way.
+    pub(crate) fn drive(
+        &self,
+        sim: &mut Simulation,
+        label: &str,
+        mut sample: Option<&mut dyn FnMut(&Simulation)>,
+    ) -> Result<(), JobError> {
+        let opts = self.options();
+        let guard = RunGuard {
+            livelock_window: opts.livelock_window,
+            max_cycles: opts.budget.cycles,
+            deadline: opts.budget.wall.map(|w| Instant::now() + w),
+            cancel: Some(crate::sigint::flag()),
+        };
+        let cycles = sim.config().cycles;
+        let observed = sample.is_some() || opts.checkpoint.is_some();
+        let mut observe = |sim: &Simulation| {
+            if let Some(sample) = sample.as_mut() {
+                sample(sim);
+            }
+            if let Some((every, dir)) = &opts.checkpoint {
+                if sim.now().is_multiple_of(*every) && sim.now() < cycles {
+                    if let Err(e) = write_checkpoint(dir, label, sim) {
+                        return ControlFlow::Break(JobError::Failed(format!(
+                            "{label}: checkpoint write: {e}"
+                        )));
+                    }
+                }
+            }
+            ControlFlow::Continue(())
+        };
+        let observer: Option<Observer<'_, JobError>> =
+            if observed { Some(&mut observe) } else { None };
+        match sim.run_guarded(&guard, observer) {
+            Ok(ControlFlow::Continue(())) => Ok(()),
+            Ok(ControlFlow::Break(e)) => Err(e),
+            Err(SimError::Cancelled { .. }) => Err(JobError::Interrupted),
+            Err(e) => Err(JobError::TimedOut(format!("{label}: {e}"))),
+        }
+    }
+
+    /// Runs one simulation (guarded; see [`SweepCtx::drive`]) and condenses
+    /// its summary.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`JobError`] naming the offending point on an invalid
+    /// configuration, a summary taken before warm-up, a tripped
+    /// livelock/budget guard ([`JobError::TimedOut`]) or SIGINT
+    /// ([`JobError::Interrupted`]); the error crosses
+    /// [`crate::runner::Pool`] worker threads untouched.
+    pub fn try_run_point(&self, cfg: SimConfig) -> Result<PointResult, JobError> {
+        self.try_run_point_instrumented(cfg, None).map(|(p, _)| p)
+    }
+
+    /// Runs one simulation — under a fault plan when one is given — and
+    /// condenses its summary together with the run's fault/degradation
+    /// report (which carries the controller's full decision counters even
+    /// on a fault-free run).
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`JobError`] naming the offending point on an invalid
+    /// configuration or fault plan, a tripped guard, or SIGINT.
+    pub fn try_run_point_instrumented(
+        &self,
+        cfg: SimConfig,
+        plan: Option<FaultPlan>,
+    ) -> Result<(PointResult, FaultReport), JobError> {
+        let label = point_label(&cfg);
+        let mut sim = self.simulation(cfg, plan, &label)?;
+        self.drive(&mut sim, &label, None)?;
+        let report = sim.fault_report();
+        let s = sim
+            .summary()
+            .map_err(|e| JobError::Failed(format!("summary failed ({label}): {e}")))?;
+        Ok((condense(&s), report))
+    }
+
+    /// Runs one simulation collecting windowed time series (no warm-up
+    /// exclusion on the series; the latency means respect the configured
+    /// warm-up).
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`JobError`] naming the offending point on an invalid
+    /// configuration, a summary taken before warm-up, a tripped guard, or
+    /// SIGINT.
+    pub fn try_run_series(&self, cfg: SimConfig, window: u64) -> Result<SeriesResult, JobError> {
+        let label = point_label(&cfg);
+        let mut sim = self.simulation(cfg, None, &label)?;
+        let nodes = sim.network().torus().node_count();
+        let mut tput = WindowSeries::new(window);
+        let mut threshold = GaugeSeries::new();
+        let mut full = GaugeSeries::new();
+        let mut last_flits = 0u64;
+        let mut sample = |sim: &Simulation| {
+            let now = sim.now() - 1;
+            let cum = sim.network().delivered_flits_cum();
+            tput.add(now, cum - last_flits);
+            last_flits = cum;
+            if now.is_multiple_of(window) {
+                if let Some(t) = sim.tuned() {
+                    if let Some(v) = t.threshold() {
+                        threshold.sample(now, v);
+                    }
+                }
+                full.sample(now, f64::from(sim.network().full_buffer_count()));
+            }
+        };
+        self.drive(&mut sim, &label, Some(&mut sample))?;
+        let s = sim
+            .summary()
+            .map_err(|e| JobError::Failed(format!("summary failed ({label}): {e}")))?;
+        Ok(SeriesResult {
+            window,
+            nodes,
+            tput,
+            threshold,
+            full_buffers: full,
+            latency: s.network_latency.mean().unwrap_or(f64::NAN),
+            latency_total: s.total_latency.mean().unwrap_or(f64::NAN),
+            recovered: s.recovered_packets,
+        })
+    }
 }
 
-/// Runs one simulation and condenses its summary.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration (the harness constructs only valid
-/// ones; the error message names the offender). Worker code should prefer
-/// [`try_run_point`].
-#[must_use]
-pub fn run_point(cfg: SimConfig) -> PointResult {
-    try_run_point(cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs one simulation — under a fault plan when one is given — and
-/// condenses its summary together with the run's fault/degradation report
-/// (which carries the controller's full decision counters even on a
-/// fault-free run).
+/// [`SweepCtx::try_run_point_instrumented`] under default runtime options.
 ///
 /// # Errors
 ///
-/// Returns a typed [`JobError`] naming the offending point on an invalid
-/// configuration or fault plan, a tripped guard, or SIGINT.
+/// As the method.
 pub fn try_run_point_instrumented(
     cfg: SimConfig,
     plan: Option<FaultPlan>,
 ) -> Result<(PointResult, FaultReport), JobError> {
-    let label = point_label(&cfg);
-    let mut sim = match plan {
-        Some(plan) => Simulation::with_faults(cfg, plan),
-        None => Simulation::new(cfg),
-    }
-    .map_err(|e| JobError::Failed(format!("bad experiment ({label}): {e}")))?;
-    drive(&mut sim, &label, |_| {})?;
-    report_stage_stats(&label, &sim);
-    let report = sim.fault_report();
-    let s = sim
-        .summary()
-        .map_err(|e| JobError::Failed(format!("summary failed ({label}): {e}")))?;
-    Ok((condense(&s), report))
-}
-
-/// Runs one simulation under an installed fault plan and condenses its
-/// summary together with the run's fault/degradation counters.
-///
-/// # Errors
-///
-/// Returns a typed [`JobError`] naming the offending point on an invalid
-/// configuration or fault plan, a tripped guard, or SIGINT.
-pub fn try_run_point_with_faults(
-    cfg: SimConfig,
-    plan: FaultPlan,
-) -> Result<(PointResult, FaultReport), JobError> {
-    try_run_point_instrumented(cfg, Some(plan))
-}
-
-/// Runs one simulation under an installed fault plan and condenses its
-/// summary together with the run's fault/degradation counters.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration or fault plan (the harness constructs
-/// only valid ones). Worker code should prefer
-/// [`try_run_point_with_faults`].
-#[must_use]
-pub fn run_point_with_faults(cfg: SimConfig, plan: FaultPlan) -> (PointResult, FaultReport) {
-    try_run_point_with_faults(cfg, plan).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Whether per-stage work-share reporting is on (`STCC_STAGE_STATS=1`).
-///
-/// Unset, empty and `0` disable it; anything else is reported (once per
-/// run, to stderr) and treated as off rather than silently accepted.
-fn stage_stats_enabled(label: &str) -> bool {
-    match std::env::var("STCC_STAGE_STATS") {
-        Ok(v) if v == "1" => true,
-        Ok(v) if v.is_empty() || v == "0" => false,
-        Ok(v) => {
-            eprintln!("stage-stats ({label}): ignoring STCC_STAGE_STATS={v} (expected 0 or 1)");
-            false
-        }
-        Err(_) => false,
-    }
-}
-
-/// Prints the finished run's per-stage work breakdown
-/// ([`wormsim::StageCycles`]) to stderr when `STCC_STAGE_STATS=1`.
-/// Diagnostics only: the shares never enter a figure's CSV.
-fn report_stage_stats(label: &str, sim: &Simulation) {
-    if !stage_stats_enabled(label) {
-        return;
-    }
-    let stages = sim.network().counters().stage_cycles();
-    let total = stages.total();
-    if total == 0 {
-        eprintln!("stage-stats ({label}): no stage work recorded");
-        return;
-    }
-    let share = |v: u64| 100.0 * (v as f64) / (total as f64);
-    eprintln!(
-        "stage-stats ({label}): inject {:.1}% route {:.1}% starvation {:.1}% \
-         switch {:.1}% drain {:.1}% ({total} visits over {} cycles)",
-        share(stages.inject),
-        share(stages.route),
-        share(stages.starvation),
-        share(stages.switch),
-        share(stages.drain),
-        sim.now()
-    );
+    SweepCtx::bare(Pool::new(1)).try_run_point_instrumented(cfg, plan)
 }
 
 pub(crate) fn point_label(cfg: &SimConfig) -> String {
@@ -309,103 +270,17 @@ fn condense(s: &RunSummary) -> PointResult {
     }
 }
 
-/// Time-resolved measurements of one run (Figures 4 and 7).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesResult {
-    /// Window width used for the throughput series, in cycles.
-    pub window: u64,
-    /// Node count (for normalization).
-    pub nodes: usize,
-    /// Delivered flits per window.
-    pub tput: WindowSeries,
-    /// Self-tuner threshold samples (empty for other schemes).
-    pub threshold: GaugeSeries,
-    /// Full-buffer census samples (one per window).
-    pub full_buffers: GaugeSeries,
-    /// Mean network latency over the whole run (cycles).
-    pub latency: f64,
-    /// Mean end-to-end latency over the whole run (cycles).
-    pub latency_total: f64,
-    /// Packets recovered via the deadlock network.
-    pub recovered: u64,
-}
-
-/// Runs one simulation collecting windowed time series (no warm-up
-/// exclusion on the series; the latency means respect the configured
-/// warm-up).
-///
-/// # Errors
-///
-/// Returns a typed [`JobError`] naming the offending point on an invalid
-/// configuration, a summary taken before warm-up, a tripped guard, or
-/// SIGINT.
-pub fn try_run_series(cfg: SimConfig, window: u64) -> Result<SeriesResult, JobError> {
-    let label = point_label(&cfg);
-    let mut sim = Simulation::new(cfg)
-        .map_err(|e| JobError::Failed(format!("bad experiment ({label}): {e}")))?;
-    let nodes = sim.network().torus().node_count();
-    let mut tput = WindowSeries::new(window);
-    let mut threshold = GaugeSeries::new();
-    let mut full = GaugeSeries::new();
-    let mut last_flits = 0u64;
-    drive(&mut sim, &label, |sim| {
-        let now = sim.now() - 1;
-        let cum = sim.network().delivered_flits_cum();
-        tput.add(now, cum - last_flits);
-        last_flits = cum;
-        if now.is_multiple_of(window) {
-            if let Some(t) = sim.tuned() {
-                if let Some(v) = t.threshold() {
-                    threshold.sample(now, v);
-                }
-            }
-            full.sample(now, f64::from(sim.network().full_buffer_count()));
-        }
-    })?;
-    report_stage_stats(&label, &sim);
-    let s = sim
-        .summary()
-        .map_err(|e| JobError::Failed(format!("summary failed ({label}): {e}")))?;
-    Ok(SeriesResult {
-        window,
-        nodes,
-        tput,
-        threshold,
-        full_buffers: full,
-        latency: s.network_latency.mean().unwrap_or(f64::NAN),
-        latency_total: s.total_latency.mean().unwrap_or(f64::NAN),
-        recovered: s.recovered_packets,
-    })
-}
-
-/// Runs one simulation collecting windowed time series.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration. Worker code should prefer
-/// [`try_run_series`].
-#[must_use]
-pub fn run_series(cfg: SimConfig, window: u64) -> SeriesResult {
-    try_run_series(cfg, window).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The injection-rate sweep of the paper's load/throughput plots
-/// (log-spaced from 0.001 to 0.1 packets/node/cycle).
-#[must_use]
-pub fn sweep_rates() -> Vec<f64> {
-    vec![
-        0.001, 0.0015, 0.002, 0.003, 0.005, 0.007, 0.010, 0.014, 0.020, 0.028, 0.040, 0.056, 0.080,
-        0.100,
-    ]
-}
-
-/// The sweep actually run at a given scale: the full 14 points at paper
+/// The injection-rate sweep of the paper's load/throughput plots: the full
+/// 14 log-spaced points from 0.001 to 0.1 packets/node/cycle at paper
 /// scale, a 9-point subset otherwise (wall-clock economy on one core; the
 /// subset still brackets the saturation cliff).
 #[must_use]
 pub fn sweep_rates_for(scale: Scale) -> Vec<f64> {
     match scale {
-        Scale::Paper => sweep_rates(),
+        Scale::Paper => vec![
+            0.001, 0.0015, 0.002, 0.003, 0.005, 0.007, 0.010, 0.014, 0.020, 0.028, 0.040, 0.056,
+            0.080, 0.100,
+        ],
         Scale::Reduced => {
             vec![
                 0.001, 0.002, 0.005, 0.010, 0.014, 0.020, 0.028, 0.056, 0.100,
@@ -514,5 +389,62 @@ pub fn steady_config(
         cycles: scale.cycles(),
         warmup: scale.warmup(),
         seed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{JobBudget, RuntimeOptions};
+
+    fn tiny_cfg() -> SimConfig {
+        crate::figures::fig4::sim_config(NetPreset::Small, Scale::Tiny, true)
+    }
+
+    fn ctx(opts: RuntimeOptions) -> SweepCtx {
+        SweepCtx::bare(Pool::new(1)).with_options(opts)
+    }
+
+    #[test]
+    fn budget_in_the_options_times_the_job_out() {
+        let budgeted = ctx(RuntimeOptions {
+            budget: JobBudget {
+                wall: None,
+                cycles: Some(100),
+            },
+            ..RuntimeOptions::default()
+        });
+        match budgeted.try_run_point(tiny_cfg()) {
+            Err(JobError::TimedOut(msg)) => {
+                assert!(msg.contains("cycle budget exhausted at cycle 100"), "{msg}");
+            }
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+    }
+
+    /// The checkpoint cadence only observes: same result with it on, and
+    /// the snapshot it leaves restores into the configuration that wrote it.
+    #[test]
+    fn checkpoint_cadence_observes_without_perturbing() {
+        let dir = std::env::temp_dir().join("stcc-run-test-cadence");
+        let _ = fs::remove_dir_all(&dir);
+        let plain = ctx(RuntimeOptions::default())
+            .try_run_point(tiny_cfg())
+            .unwrap();
+        let snapped = ctx(RuntimeOptions {
+            checkpoint: Some((2_000, dir.clone())),
+            audit_every: Some(500),
+            shards: 2,
+            ..RuntimeOptions::default()
+        })
+        .try_run_point(tiny_cfg())
+        .unwrap();
+        assert_eq!(plain, snapped);
+        let files: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap()).collect();
+        assert_eq!(files.len(), 1, "one snapshot per job label, no temp left");
+        let bytes = fs::read(files[0].path()).unwrap();
+        let restored = Simulation::restore(tiny_cfg(), None, &bytes).unwrap();
+        assert_eq!(restored.now(), 4_000, "last cadence point before the end");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -17,11 +17,9 @@
 //! committed reference CSVs must match byte-for-byte at `--jobs 1`, `2`
 //! and `8`.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Why one job of a sweep produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,8 +29,8 @@ pub enum JobError {
     /// The job panicked; the payload is the panic message.
     Panicked(String),
     /// The job's watchdog fired: a livelocked simulation or an exhausted
-    /// cycle/wall-clock budget (see [`JobBudget`]); the payload is the
-    /// diagnostic.
+    /// cycle/wall-clock budget (see [`crate::JobBudget`]); the payload is
+    /// the diagnostic.
     TimedOut(String),
     /// The sweep was interrupted (SIGINT) before this job ran; completed
     /// points are journaled, so the sweep can be resumed with `--resume`.
@@ -58,43 +56,6 @@ impl From<String> for JobError {
     }
 }
 
-/// Per-job soft deadlines, enforced cooperatively by the guarded run
-/// helpers (`try_run_point` & friends) on whichever worker thread picks the
-/// job up.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobBudget {
-    /// Wall-clock limit per job, measured from when a worker starts it.
-    pub wall: Option<Duration>,
-    /// Simulated-cycle limit per job.
-    pub cycles: Option<u64>,
-}
-
-impl JobBudget {
-    /// The unlimited budget.
-    #[must_use]
-    pub fn none() -> Self {
-        JobBudget::default()
-    }
-
-    fn is_none(&self) -> bool {
-        self.wall.is_none() && self.cycles.is_none()
-    }
-}
-
-thread_local! {
-    // (wall-clock deadline, remaining-cycle budget) of the job currently
-    // running on this worker thread.
-    static ACTIVE_BUDGET: Cell<(Option<Instant>, Option<u64>)> = const { Cell::new((None, None)) };
-}
-
-/// The deadline and cycle budget of the job currently running on this
-/// thread (both `None` outside a budgeted [`Pool::run`]). Guarded
-/// simulation helpers fold this into their [`stcc::RunGuard`].
-#[must_use]
-pub fn active_budget() -> (Option<Instant>, Option<u64>) {
-    ACTIVE_BUDGET.with(Cell::get)
-}
-
 /// A sweep-level error: which labelled point failed, and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepError {
@@ -117,7 +78,6 @@ impl std::error::Error for SweepError {}
 pub struct Pool {
     jobs: usize,
     progress: bool,
-    budget: JobBudget,
 }
 
 impl Pool {
@@ -127,22 +87,7 @@ impl Pool {
         Pool {
             jobs: jobs.max(1),
             progress: false,
-            budget: JobBudget::none(),
         }
-    }
-
-    /// A pool sized from the environment: `STCC_JOBS` if set and positive,
-    /// else the machine's available parallelism, else 1.
-    #[must_use]
-    pub fn from_env() -> Pool {
-        let jobs = std::env::var("STCC_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        Pool::new(jobs)
     }
 
     /// Enables per-job progress lines on stderr (`[k/n] label`).
@@ -150,21 +95,6 @@ impl Pool {
     pub fn with_progress(mut self, on: bool) -> Pool {
         self.progress = on;
         self
-    }
-
-    /// Sets per-job soft deadlines. The budget is published to the worker
-    /// thread ([`active_budget`]) for the duration of each job; the guarded
-    /// simulation helpers turn it into [`JobError::TimedOut`].
-    #[must_use]
-    pub fn with_budget(mut self, budget: JobBudget) -> Pool {
-        self.budget = budget;
-        self
-    }
-
-    /// The per-job budget.
-    #[must_use]
-    pub fn budget(&self) -> JobBudget {
-        self.budget
     }
 
     /// The worker count.
@@ -215,10 +145,6 @@ impl Pool {
                         .expect("job cell lock")
                         .take()
                         .expect("each job index is claimed once");
-                    if !self.budget.is_none() {
-                        let deadline = self.budget.wall.map(|w| Instant::now() + w);
-                        ACTIVE_BUDGET.with(|b| b.set((deadline, self.budget.cycles)));
-                    }
                     let outcome = match catch_unwind(AssertUnwindSafe(|| work(job))) {
                         Ok(Ok(r)) => Ok(r),
                         Ok(Err(e)) => Err(e.into()),
@@ -227,9 +153,6 @@ impl Pool {
                         // real payload behind a second indirection.
                         Err(payload) => Err(JobError::Panicked(panic_message(&*payload))),
                     };
-                    if !self.budget.is_none() {
-                        ACTIVE_BUDGET.with(|b| b.set((None, None)));
-                    }
                     *slots[i].lock().expect("result slot lock") = Some(outcome);
                     let k = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if self.progress {
@@ -273,12 +196,6 @@ impl Pool {
         E: Into<JobError>,
     {
         self.run(jobs, label, work).into_iter().collect()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Pool {
-        Pool::from_env()
     }
 }
 
@@ -392,25 +309,5 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.error, JobError::TimedOut("wedged".into()));
-    }
-
-    #[test]
-    fn budget_is_published_to_the_worker_thread() {
-        let pool = Pool::new(1).with_budget(JobBudget {
-            wall: Some(std::time::Duration::from_secs(3600)),
-            cycles: Some(42),
-        });
-        let seen = pool
-            .try_run(
-                vec![()],
-                |()| "b".to_owned(),
-                |()| Ok::<_, String>(active_budget()),
-            )
-            .unwrap();
-        let (deadline, cycles) = seen[0];
-        assert!(deadline.is_some(), "wall budget becomes a deadline");
-        assert_eq!(cycles, Some(42));
-        // Cleared once the job is done.
-        assert_eq!(active_budget(), (None, None));
     }
 }

@@ -40,6 +40,13 @@ pub fn install() {
     }
 }
 
+/// The flag itself, for a run guard to poll
+/// ([`stcc::RunGuard::cancel`]).
+#[must_use]
+pub(crate) fn flag() -> &'static AtomicBool {
+    &INTERRUPTED
+}
+
 /// Whether a SIGINT or SIGTERM has been received since [`install`].
 #[must_use]
 pub fn interrupted() -> bool {

@@ -1,5 +1,5 @@
-//! Resumable sweep execution: a [`Pool`] plus an optional journal of
-//! completed points.
+//! Resumable sweep execution: a [`Pool`], the run's [`RuntimeOptions`] and
+//! an optional journal of completed points.
 //!
 //! Figure modules render their final row strings *inside* the worker
 //! closure and fan out through [`SweepCtx::try_run_rows`]; each finished
@@ -11,15 +11,17 @@
 
 use crate::journal::{FailureKind, Journal, JournalLoad, Rows};
 use crate::runner::{JobError, Pool, SweepError};
+use crate::RuntimeOptions;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Execution context of one sweep binary: worker pool, resume state and the
-/// journal of completed points.
+/// Execution context of one sweep binary: worker pool, runtime options,
+/// resume state and the journal of completed points.
 #[derive(Debug)]
 pub struct SweepCtx {
     pool: Pool,
+    opts: RuntimeOptions,
     journal: Option<Mutex<Journal>>,
     done: BTreeMap<u64, Rows>,
     retried: usize,
@@ -27,11 +29,13 @@ pub struct SweepCtx {
 }
 
 impl SweepCtx {
-    /// A journal-less context (tests and library callers): every job runs.
+    /// A journal-less context with default options (tests and library
+    /// callers): every job runs.
     #[must_use]
     pub fn bare(pool: Pool) -> SweepCtx {
         SweepCtx {
             pool,
+            opts: RuntimeOptions::default(),
             journal: None,
             done: BTreeMap::new(),
             retried: 0,
@@ -46,6 +50,7 @@ impl SweepCtx {
     pub fn with_journal(pool: Pool, journal: Journal, load: JournalLoad) -> SweepCtx {
         SweepCtx {
             pool,
+            opts: RuntimeOptions::default(),
             journal: Some(Mutex::new(journal)),
             done: load.done,
             retried: load.failed.len(),
@@ -53,10 +58,24 @@ impl SweepCtx {
         }
     }
 
+    /// Replaces the runtime options every simulation of this sweep runs
+    /// under (shards, audit and checkpoint cadence, watchdog, budget).
+    #[must_use]
+    pub fn with_options(mut self, opts: RuntimeOptions) -> SweepCtx {
+        self.opts = opts;
+        self
+    }
+
     /// The worker pool.
     #[must_use]
     pub fn pool(&self) -> &Pool {
         &self.pool
+    }
+
+    /// The runtime options.
+    #[must_use]
+    pub fn options(&self) -> &RuntimeOptions {
+        &self.opts
     }
 
     /// Number of journaled (already completed) jobs this context resumed

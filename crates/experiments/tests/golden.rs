@@ -1,5 +1,5 @@
 //! Golden snapshot tests: the committed `tests/golden/*.tiny.csv` files
-//! are the reference outputs of fig2/fig4/fig5/fig_controllers/resilience
+//! are the reference outputs of `fig` fig2/fig4/fig5/controllers/resilience
 //! on the small network preset (8-ary 2-cube) at tiny scale. Each test re-simulates and
 //! asserts the CSV rendering is **byte-identical** to the snapshot —
 //! at `--jobs 1`, `2` and `8`, and across two runs at the same seed —
@@ -8,33 +8,53 @@
 //! Regenerate after an intentional simulator change with:
 //!
 //! ```text
-//! for f in fig2 fig4 fig5 fig_controllers resilience; do
-//!   cargo run --release -p experiments --bin $f -- \
+//! for f in fig2 fig4 fig5 controllers resilience; do
+//!   cargo run --release -p experiments --bin fig -- $f \
 //!     --scale tiny --net small --out crates/experiments/tests/golden
 //! done
 //! ```
 
-use experiments::figures::{controllers, fig2, fig4, fig5, resilience};
-use experiments::runner::{Pool, SweepError};
-use experiments::{NetPreset, Scale, SweepCtx, Table};
+use experiments::figures::{Figure, REGISTRY};
+use experiments::runner::Pool;
+use experiments::{Cli, NetPreset, RuntimeOptions, Scale, SweepCtx};
+use std::path::PathBuf;
 
-fn golden(name: &str) -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()))
+/// The command line every golden was recorded with.
+fn tiny() -> Cli {
+    Cli {
+        scale: Scale::Tiny,
+        net: Some(NetPreset::Small),
+        ..Cli::default()
+    }
 }
 
-fn check(
-    name: &str,
-    job_counts: &[usize],
-    generate: impl Fn(&SweepCtx) -> Result<Table, SweepError>,
-) {
-    let want = golden(name);
+fn golden_path(fig: &Figure) -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{}.tiny.csv", fig.stem))
+}
+
+fn golden(fig: &Figure) -> String {
+    std::fs::read_to_string(golden_path(fig)).expect("committed golden")
+}
+
+/// The registry rows that have a committed golden.
+fn with_golden() -> Vec<&'static Figure> {
+    let figs: Vec<_> = REGISTRY
+        .iter()
+        .filter(|f| golden_path(f).exists())
+        .collect();
+    assert_eq!(figs.len(), 5, "a golden CSV lost its registry row");
+    figs
+}
+
+fn check(name: &str, job_counts: &[usize]) {
+    let fig = experiments::figures::find(name).expect("registered figure");
+    let want = golden(fig);
     for &jobs in job_counts {
         let ctx = SweepCtx::bare(Pool::new(jobs));
-        let t = generate(&ctx).unwrap_or_else(|e| panic!("{name} @ jobs={jobs}: {e}"));
+        let t =
+            (fig.generate)(&tiny(), &ctx).unwrap_or_else(|e| panic!("{name} @ jobs={jobs}: {e}"));
         assert_eq!(
             t.to_csv(),
             want,
@@ -45,43 +65,34 @@ fn check(
 
 #[test]
 fn fig2_matches_golden_at_every_job_count() {
-    check("fig2.tiny.csv", &[1, 2, 8], |ctx| {
-        fig2::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-    });
+    check("fig2", &[1, 2, 8]);
 }
 
 #[test]
 fn fig4_matches_golden_at_every_job_count() {
-    check("fig4.tiny.csv", &[1, 2, 8], |ctx| {
-        fig4::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-    });
+    check("fig4", &[1, 2, 8]);
 }
 
 #[test]
 fn fig5_matches_golden_at_every_job_count() {
-    check("fig5.tiny.csv", &[1, 8], |ctx| {
-        fig5::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-    });
+    check("fig5", &[1, 8]);
 }
 
 #[test]
 fn controllers_matches_golden_at_every_job_count() {
-    check("fig_controllers.tiny.csv", &[1, 2, 8], |ctx| {
-        controllers::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-    });
+    check("controllers", &[1, 2, 8]);
 }
 
 #[test]
 fn resilience_matches_golden_at_every_job_count() {
-    check("resilience.tiny.csv", &[1, 2, 8], |ctx| {
-        resilience::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-    });
+    check("resilience", &[1, 2, 8]);
 }
 
 #[test]
 fn two_runs_same_seed_are_identical() {
+    let fig2 = experiments::figures::find("fig2").expect("registered figure");
     let run = || {
-        fig2::generate_on(NetPreset::Small, Scale::Tiny, &SweepCtx::bare(Pool::new(8)))
+        (fig2.generate)(&tiny(), &SweepCtx::bare(Pool::new(8)))
             .expect("fig2 tiny sweep")
             .to_csv()
     };
@@ -90,44 +101,26 @@ fn two_runs_same_seed_are_identical() {
 
 /// Shard invariance, end to end: every figure's tiny CSV must be
 /// byte-identical to the committed golden when each simulation steps
-/// across 1, 2, 4 or 8 intra-network shards (`STCC_SHARDS`, the analogue of
-/// the `--jobs` axis above). The env var is process-global; tests in this
-/// binary run concurrently, but any value another thread reads still
-/// produces identical bytes — that's the invariant itself — so the races
-/// are benign. Values are restored to "1" (not unset) to keep the
-/// variable's lifetime simple.
+/// across 1, 2, 4 or 8 intra-network shards — the `--shards` option, handed
+/// to the sweep context the way the binary hands it, the analogue of the
+/// `--jobs` axis above.
 #[test]
 fn every_figure_matches_golden_at_every_shard_count() {
-    type Generate = fn(&SweepCtx) -> Result<Table, SweepError>;
-    let figures: &[(&str, Generate)] = &[
-        ("fig2.tiny.csv", |ctx| {
-            fig2::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-        }),
-        ("fig4.tiny.csv", |ctx| {
-            fig4::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-        }),
-        ("fig5.tiny.csv", |ctx| {
-            fig5::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-        }),
-        ("fig_controllers.tiny.csv", |ctx| {
-            controllers::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-        }),
-        ("resilience.tiny.csv", |ctx| {
-            resilience::generate_on(NetPreset::Small, Scale::Tiny, ctx)
-        }),
-    ];
     for shards in [1usize, 2, 4, 8] {
-        std::env::set_var("STCC_SHARDS", shards.to_string());
-        for (name, generate) in figures {
-            let want = golden(name);
-            let ctx = SweepCtx::bare(Pool::new(2));
-            let t = generate(&ctx).unwrap_or_else(|e| panic!("{name} @ shards={shards}: {e}"));
+        for fig in with_golden() {
+            let want = golden(fig);
+            let ctx = SweepCtx::bare(Pool::new(2)).with_options(RuntimeOptions {
+                shards,
+                ..RuntimeOptions::default()
+            });
+            let t = (fig.generate)(&tiny(), &ctx)
+                .unwrap_or_else(|e| panic!("{} @ shards={shards}: {e}", fig.name));
             assert_eq!(
                 t.to_csv(),
                 want,
-                "{name} differs from golden snapshot at shards={shards}"
+                "{} differs from golden snapshot at shards={shards}",
+                fig.name
             );
         }
     }
-    std::env::set_var("STCC_SHARDS", "1");
 }

@@ -3,37 +3,40 @@
 #   1. formatting        (cargo fmt --check)
 #   2. lints             (cargo clippy, warnings are errors)
 #   3. rustdoc audit     (broken intra-doc links are errors)
-#   4. tier-1 verify     (cargo build --release && cargo test -q)
-#   5. workspace tests   (incl. the golden determinism suite; its named
+#   4. one front door    (grep gate: the process environment is read in one
+#                         file — crates/experiments/src/options.rs — and
+#                         written nowhere; crates/core never names std::env)
+#   5. tier-1 verify     (cargo build --release && cargo test -q)
+#   6. workspace tests   (incl. the golden determinism suite; its named
 #                         step first pins the traffic stream — wheel-driven
 #                         arrivals == per-node polls, the geometric gap
 #                         sampler's exact cases and fit — then greps that no
 #                         stepping loop polls per node and that no libm
 #                         call sits on the stream)
-#   6. conformance       (every controller through the shared battery, and
+#   7. conformance       (every controller through the shared battery, and
 #                         the one-scaffold gate: the watchdog lives in
 #                         scaffold.rs only; law file sizes printed)
-#   7. zero-alloc gate   (steady-state cycles make no heap allocations)
-#   8. controller smoke  (fig_controllers tiny sweep must match golden)
-#   9. parallel smoke    (a --jobs 4 sweep through the runner)
-#  10. kill-and-resume   (SIGKILL a sweep mid-run, finish it with --resume)
-#  11. audited sweep     (STCC_AUDIT=256 fig2 run must still match golden)
-#  12. shard gate        (STCC_SHARDS=4 and =8 audited sweeps vs golden,
-#                         each leg's wall time printed, plus a SIGKILL +
-#                         --resume smoke at STCC_SHARDS=8; then the pool's
-#                         shard-affinity test in a release build)
-#  13. chaos smoke       (fixed-seed chaos trials at random shard counts,
+#   8. zero-alloc gate   (steady-state cycles make no heap allocations)
+#   9. controller smoke  (`fig controllers` tiny sweep must match golden)
+#  10. parallel smoke    (a --jobs 4 sweep through the runner)
+#  11. kill-and-resume   (SIGKILL a sweep mid-run, finish it with --resume)
+#  12. audited sweep     (STCC_AUDIT=256 `fig fig2` run must still match golden)
+#  13. shard gate        (STCC_SHARDS=4 and =8 audited sweeps vs golden,
+#                         each leg's wall time printed, plus a SIGKILL at
+#                         STCC_SHARDS=8 resumed with --shards 8; then the
+#                         pool's shard-affinity test in a release build)
+#  14. chaos smoke       (fixed-seed chaos trials at random shard counts,
 #                         kill/resume determinism)
-#  14. campaign smoke    (orchestrator retry/quarantine + kill/resume)
-#  15. thread sanitizer  (netsim's shard tests — the claim protocol's
+#  15. campaign smoke    (orchestrator retry/quarantine + kill/resume)
+#  16. thread sanitizer  (netsim's shard tests — the claim protocol's
 #                         exhaustive schedules, the view-contract panics, the
 #                         pool's panic paths — and bit-identity tests, the
 #                         barrier stress and pool teardown under TSan; needs
 #                         nightly, loud skip otherwise)
-#  16. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
+#  17. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
 #                         tenth of their length, every verification on)
-#  17. tiny bench gate   (always on: 64-node preset, >50% regression fails)
-#  18. paper bench gate  (opt-in: STCC_BENCH_GATE=1, >15% regression fails)
+#  18. tiny bench gate   (always on: 64-node preset, >50% regression fails)
+#  19. paper bench gate  (opt-in: STCC_BENCH_GATE=1, >15% regression fails)
 # Everything is hermetic — no network access is required (see README,
 # "Hermetic build"). Each step reports its wall time.
 set -eu
@@ -65,9 +68,33 @@ rustdoc_audit() {
 }
 step "rustdoc audit" rustdoc_audit
 
+# One front door: a run's configuration is a value (`RuntimeOptions`),
+# resolved once from argv and the STCC_* variables and passed down. So the
+# process environment may be read in at most one non-test source file, and
+# written nowhere — not in tests either, which run on parallel threads.
+# `benchmark/` is its own workspace and keeps its own scrub.
+one_front_door() {
+    readers=$(grep -rlE 'env::vars?(_os)?\b' crates/*/src src | sort)
+    if [ "$(printf '%s\n' "$readers" | grep -c .)" -gt 1 ]; then
+        echo "the process environment is read in more than one file:" >&2
+        printf '%s\n' "$readers" >&2
+        return 1
+    fi
+    echo "  (environment read in: ${readers:-nowhere})"
+    if grep -rnE '\b(set_var|remove_var)\b' crates src tests; then
+        echo "the process environment is written (see README, \"Runtime options\")" >&2
+        return 1
+    fi
+    if grep -rn 'std::env\|env::' crates/core/src; then
+        echo "crates/core must not touch std::env at all" >&2
+        return 1
+    fi
+}
+step "one front door (env read in one file, written in none)" one_front_door
+
 step "tier-1: build" cargo build --release
 
-# The gates below invoke target/release/{fig4,chaos,bench_netsim} directly;
+# The gates below invoke target/release/{fig,chaos,bench_netsim} directly;
 # the root-package build above only guarantees the libraries, so build every
 # workspace binary explicitly rather than trusting leftovers.
 step "release binaries" cargo build --release --workspace
@@ -153,16 +180,16 @@ step "no libm call in crates/traffic/src" no_libm_on_the_stream
 controllers_smoke() {
     out=target/ci-controllers
     rm -rf "$out"
-    cargo run --release -q -p experiments --bin fig_controllers -- \
+    cargo run --release -q -p experiments --bin fig -- controllers \
         --scale tiny --net small --jobs 4 --out "$out" >/dev/null
     cmp "$out/fig_controllers.tiny.csv" \
         crates/experiments/tests/golden/fig_controllers.tiny.csv
 }
-step "controller zoo smoke (fig_controllers vs golden)" controllers_smoke
+step "controller zoo smoke (fig controllers vs golden)" controllers_smoke
 
 # Parallel smoke: one real sweep binary through the runner at --jobs 4.
 step "parallel smoke (--jobs 4)" \
-    cargo run --release -q -p experiments --bin fig2 -- \
+    cargo run --release -q -p experiments --bin fig -- fig2 \
     --scale tiny --net small --jobs 4 --out target/ci-smoke
 
 # Kill-and-resume: start the tiny fig4 sweep, SIGKILL it as soon as its
@@ -173,8 +200,8 @@ step "parallel smoke (--jobs 4)" \
 resume_gate() {
     out=target/ci-resume
     rm -rf "$out"
-    bin=target/release/fig4
-    "$bin" --scale tiny --net small --jobs 1 --out "$out" >/dev/null 2>&1 &
+    bin=target/release/fig
+    "$bin" fig4 --scale tiny --net small --jobs 1 --out "$out" >/dev/null 2>&1 &
     pid=$!
     for _ in $(seq 1 500); do
         if [ -f "$out/fig4.tiny.journal" ] &&
@@ -192,7 +219,7 @@ resume_gate() {
         echo "  (sweep finished before the kill; resume runs fresh)"
     fi
     wait "$pid" 2>/dev/null || true
-    "$bin" --scale tiny --net small --jobs 1 --out "$out" --resume >/dev/null
+    "$bin" fig4 --scale tiny --net small --jobs 1 --out "$out" --resume >/dev/null
     cmp "$out/fig4.tiny.csv" crates/experiments/tests/golden/fig4.tiny.csv
     if [ -f "$out/fig4.tiny.journal" ]; then
         echo "journal not cleaned up after a successful sweep" >&2
@@ -207,7 +234,7 @@ step "kill-and-resume smoke" resume_gate
 audited_sweep() {
     out=target/ci-audit
     rm -rf "$out"
-    STCC_AUDIT=256 cargo run --release -q -p experiments --bin fig2 -- \
+    STCC_AUDIT=256 cargo run --release -q -p experiments --bin fig -- fig2 \
         --scale tiny --net small --jobs 2 --out "$out" >/dev/null
     cmp "$out/fig2.tiny.csv" crates/experiments/tests/golden/fig2.tiny.csv
 }
@@ -229,14 +256,14 @@ shard_gate() {
     for shards in 4 8; do
         rm -rf "$out"
         leg_start=$(date +%s%N)
-        STCC_SHARDS=$shards STCC_AUDIT=256 target/release/fig2 \
+        STCC_SHARDS=$shards STCC_AUDIT=256 target/release/fig fig2 \
             --scale tiny --net small --jobs 2 --out "$out" >/dev/null
         echo "  (STCC_SHARDS=$shards leg: $((($(date +%s%N) - leg_start) / 1000000)) ms)"
         cmp "$out/fig2.tiny.csv" crates/experiments/tests/golden/fig2.tiny.csv
     done
 
-    bin=target/release/fig4
-    STCC_SHARDS=8 "$bin" --scale tiny --net small --jobs 1 --out "$out" \
+    bin=target/release/fig
+    STCC_SHARDS=8 "$bin" fig4 --scale tiny --net small --jobs 1 --out "$out" \
         >/dev/null 2>&1 &
     pid=$!
     for _ in $(seq 1 500); do
@@ -255,11 +282,11 @@ shard_gate() {
         echo "  (sharded sweep finished before the kill; resume runs fresh)"
     fi
     wait "$pid" 2>/dev/null || true
-    STCC_SHARDS=8 "$bin" --scale tiny --net small --jobs 1 --out "$out" --resume \
+    "$bin" fig4 --shards 8 --scale tiny --net small --jobs 1 --out "$out" --resume \
         >/dev/null
     cmp "$out/fig4.tiny.csv" crates/experiments/tests/golden/fig4.tiny.csv
 }
-step "shard gate (STCC_SHARDS=4/8 vs golden, resume at STCC_SHARDS=8)" shard_gate
+step "shard gate (STCC_SHARDS=4/8 vs golden, resume at --shards 8)" shard_gate
 
 # Shard affinity: with a core per participant, a shard must be claimed by
 # its home participant pass after pass. A timing property, so it is judged
