@@ -3,14 +3,14 @@
 /// The paper runs every experiment for 600 000 cycles and discards the first
 /// 100 000. That is `Scale::Paper`; the reduced scales keep the same warm-up
 /// fraction and are used where wall-clock time matters (this reproduction's
-/// recorded runs, and the Criterion benches).
+/// recorded runs, CI smoke sweeps and the golden tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// 600 000 cycles, 100 000 warm-up (the paper's setting).
     Paper,
     /// 150 000 cycles, 25 000 warm-up.
     Reduced,
-    /// 24 000 cycles, 4 000 warm-up (CI/bench smoke runs).
+    /// 24 000 cycles, 4 000 warm-up (smoke runs).
     Smoke,
     /// 6 000 cycles, 1 000 warm-up (golden snapshot tests; pair with the
     /// small network preset so the suite re-simulates in seconds).

@@ -310,9 +310,6 @@ impl Network {
     /// it never affects simulation results.
     pub fn set_phase_stats(&mut self, enabled: bool) {
         self.phase_stats = enabled.then(|| Box::new(PhaseStats::default()));
-        if let Some(pool) = &mut self.plan.pool {
-            pool.reset_tallies();
-        }
     }
 
     /// The accumulated phase split, if enabled.

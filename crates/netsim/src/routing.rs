@@ -36,7 +36,9 @@ const NO_HOP: u8 = 0xFF;
 ///   it feeds as (node, feeder), replacing a coordinate decomposition
 ///   (`div`/`mod` per dimension) on every flit hop.
 ///
-/// The `*_dyn` functions are the rows' builder and the tests' oracle.
+/// The `*_dyn` functions are private to this module: the rows' builder
+/// and the tests' oracle are their only callers, so no second hot path can
+/// grow on them.
 #[derive(Debug)]
 pub(crate) struct RouteTables {
     k: usize,
@@ -120,7 +122,7 @@ impl RouteTables {
 /// wraparound link): the escape routing function, computed from
 /// coordinates. [`Network::mesh_next_port`] serves the same answer from the
 /// precomputed rows.
-pub(crate) fn mesh_dor_hop_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> Option<(usize, Dir)> {
+fn mesh_dor_hop_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> Option<(usize, Dir)> {
     let ca = torus.coords(cur);
     let cb = torus.coords(dst);
     for dim in 0..torus.dimensions() {
@@ -139,7 +141,7 @@ pub(crate) fn mesh_dor_hop_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> Optio
 /// Productive-port bitmask computed from coordinates;
 /// [`Network::productive_mask`] serves the same answer from the precomputed
 /// rows.
-pub(crate) fn productive_mask_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> u16 {
+fn productive_mask_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> u16 {
     let mut mask = 0u16;
     for (dim, dir) in torus.productive_hops(cur, dst).iter() {
         mask |= 1 << port_of(dim, dir);

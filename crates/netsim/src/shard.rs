@@ -537,10 +537,10 @@ struct Job {
 }
 
 /// Wall-clock split of the cycle pipeline's phases and the pool's claim
-/// and park tallies, accumulated only when explicitly enabled
+/// tallies, accumulated only when explicitly enabled
 /// (`Network::set_phase_stats`) — the hot path pays one branch per phase
-/// otherwise. Informational: feeds the bench's `decide/apply/barrier`
-/// time-split metrics, never simulation results.
+/// otherwise. Informational: feeds the repo benchmark's
+/// `netsim.phase_*` metrics, never simulation results.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseStats {
     /// Nanoseconds the caller's thread spent in decide work.
@@ -556,10 +556,6 @@ pub struct PhaseStats {
     pub home_claims: u64,
     /// Shards swept up by some other participant.
     pub stolen_claims: u64,
-    /// Times a worker went to sleep after a quiet spell.
-    pub parks: u64,
-    /// Times a dispatch woke a sleeping worker.
-    pub unparks: u64,
 }
 
 /// Low bits of a claim word naming the claimant; the pass number sits
@@ -820,8 +816,6 @@ struct PoolShared {
     /// Per-worker parked flags, so a dispatch can skip the unpark syscall
     /// for workers that are spinning.
     parked: Vec<AtomicBool>,
-    /// Times a worker parked since the tally was last taken.
-    parks: AtomicU64,
 }
 
 // SAFETY: the job slot — whose pointers and views make it neither — is
@@ -877,7 +871,6 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             panic: Mutex::new(None),
             parked: (1..participants).map(|_| AtomicBool::new(false)).collect(),
-            parks: AtomicU64::new(0),
         });
         let handles = (1..participants)
             .map(|me| {
@@ -894,11 +887,6 @@ impl WorkerPool {
             handles,
             cursor,
         }
-    }
-
-    /// Forgets the park tally so far (the phase stats start from zero).
-    pub(crate) fn reset_tallies(&mut self) {
-        self.shared.parks.store(0, Ordering::Relaxed);
     }
 
     /// Executes one pass over `net` to completion: publishes the job,
@@ -920,7 +908,7 @@ impl WorkerPool {
         mut stats: Option<&mut PhaseStats>,
     ) {
         self.publish(net, kind, now, stages);
-        let unparks = self.open();
+        self.open();
         let (sh, cursor) = (&*self.shared, &mut self.cursor);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             participate(sh, cursor, stats.as_deref_mut())
@@ -929,8 +917,6 @@ impl WorkerPool {
             let (home, stolen) = sh.board.claim_split(cursor.pass);
             st.home_claims += home;
             st.stolen_claims += stolen;
-            st.parks += sh.parks.swap(0, Ordering::Relaxed);
-            st.unparks += unparks;
         }
         self.close(outcome);
     }
@@ -960,21 +946,17 @@ impl WorkerPool {
         unsafe { (*sh.job.get()).write(job) };
     }
 
-    /// Opens the published pass and unparks the workers that sleep;
-    /// returns how many it woke.
-    fn open(&mut self) -> u64 {
+    /// Opens the published pass and unparks the workers that sleep.
+    fn open(&mut self) {
         self.shared.board.open();
-        let mut unparks = 0;
         for (h, parked) in self.handles.iter().zip(&self.shared.parked) {
             // Taking the flag down here, not when the worker finally runs,
             // makes it one wake-up call per sleep: a worker can take many
             // passes' time to get back on a core.
             if parked.load(Ordering::SeqCst) && parked.swap(false, Ordering::SeqCst) {
                 h.thread().unpark();
-                unparks += 1;
             }
         }
-        unparks
     }
 
     /// Ends a pass: returns if it completed, otherwise joins every worker
@@ -1113,7 +1095,6 @@ fn worker_loop(sh: &PoolShared, me: usize) {
         parked.store(true, Ordering::SeqCst);
         if sh.board.epoch.load(Ordering::SeqCst) == cur.pass && !sh.shutdown.load(Ordering::Acquire)
         {
-            sh.parks.fetch_add(1, Ordering::Relaxed);
             std::thread::park();
         }
         parked.store(false, Ordering::SeqCst);

@@ -50,8 +50,8 @@ fn alloc_calls() -> u64 {
 }
 
 /// A saturating deterministic uniform-random source (every node offers a
-/// packet most cycles), identical to the bench harness's pattern. The
-/// closure captures only a `u64` seed: polling it never allocates.
+/// packet most cycles). The closure captures only a `u64` seed: polling it
+/// never allocates.
 fn saturating_source(nodes: usize) -> impl FnMut(u64, usize) -> Option<usize> {
     let mut x = 0x5EED_0BAD_F00Du64;
     move |_now, node| {

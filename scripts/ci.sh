@@ -6,37 +6,42 @@
 #   4. one front door    (grep gate: the process environment is read in one
 #                         file — crates/experiments/src/options.rs — and
 #                         written nowhere; crates/core never names std::env)
-#   5. tier-1 verify     (cargo build --release && cargo test -q)
-#   6. workspace tests   (incl. the golden determinism suite; its named
+#   5. one measurement   (grep gate: no name of the deleted second bench
+#                         stack survives outside CHANGES.md, ISSUE.md and
+#                         benchmark/)
+#   6. tier-1 verify     (cargo build --release && cargo test -q)
+#   7. workspace tests   (incl. the golden determinism suite; its named
 #                         step first pins the traffic stream — wheel-driven
 #                         arrivals == per-node polls, the geometric gap
 #                         sampler's exact cases and fit — then greps that no
 #                         stepping loop polls per node and that no libm
 #                         call sits on the stream)
-#   7. conformance       (every controller through the shared battery, and
+#   8. conformance       (every controller through the shared battery, and
 #                         the one-scaffold gate: the watchdog lives in
 #                         scaffold.rs only; law file sizes printed)
-#   8. zero-alloc gate   (steady-state cycles make no heap allocations)
-#   9. controller smoke  (`fig controllers` tiny sweep must match golden)
-#  10. parallel smoke    (a --jobs 4 sweep through the runner)
-#  11. kill-and-resume   (SIGKILL a sweep mid-run, finish it with --resume)
-#  12. audited sweep     (STCC_AUDIT=256 `fig fig2` run must still match golden)
-#  13. shard gate        (STCC_SHARDS=4 and =8 audited sweeps vs golden,
+#   9. zero-alloc gate   (steady-state cycles make no heap allocations)
+#  10. controller smoke  (`fig controllers` tiny sweep must match golden)
+#  11. parallel smoke    (a --jobs 4 sweep through the runner)
+#  12. kill-and-resume   (SIGKILL a sweep mid-run, finish it with --resume)
+#  13. audited sweep     (STCC_AUDIT=256 `fig fig2` run must still match golden)
+#  14. shard gate        (STCC_SHARDS=4 and =8 audited sweeps vs golden,
 #                         each leg's wall time printed, plus a SIGKILL at
 #                         STCC_SHARDS=8 resumed with --shards 8; then the
 #                         pool's shard-affinity test in a release build)
-#  14. chaos smoke       (fixed-seed chaos trials at random shard counts,
+#  15. chaos smoke       (fixed-seed chaos trials at random shard counts,
 #                         kill/resume determinism)
-#  15. campaign smoke    (orchestrator retry/quarantine + kill/resume)
-#  16. thread sanitizer  (netsim's shard tests — the claim protocol's
+#  16. campaign smoke    (orchestrator retry/quarantine + kill/resume)
+#  17. thread sanitizer  (netsim's shard tests — the claim protocol's
 #                         exhaustive schedules, the view-contract panics, the
 #                         pool's panic paths — and bit-identity tests, the
 #                         barrier stress and pool teardown under TSan; needs
 #                         nightly, loud skip otherwise)
-#  17. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
+#  18. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
 #                         tenth of their length, every verification on)
-#  18. tiny bench gate   (always on: 64-node preset, >50% regression fails)
-#  19. paper bench gate  (opt-in: STCC_BENCH_GATE=1, >15% regression fails)
+#  19. same-host perf    (the baseline commit's benchmark against this
+#                         tree's in 5 alternating pairs of sat_tune and
+#                         light_tune; a median beyond its BENCHMARK.json
+#                         bound, a fail line or a failed op fails)
 # Everything is hermetic — no network access is required (see README,
 # "Hermetic build"). Each step reports its wall time.
 set -eu
@@ -92,9 +97,28 @@ one_front_door() {
 }
 step "one front door (env read in one file, written in none)" one_front_door
 
+# One measurement system: `benchmark/` (BENCHMARK.json) is the only bench
+# stack, and the same-host gate at the end of this script the only perf
+# gate. No name of the deleted second stack — its crate, binary, baseline
+# files, opt-in variable, the `cargo` bench subcommand — may come back.
+# CHANGES.md keeps the history; ISSUE.md is the request text; `benchmark/`
+# belongs to its own PRs (its README's last section is owed by ROADMAP
+# item 2). The bracketed letters keep the pattern from matching itself.
+one_measurement_system() {
+    status=0
+    git grep --untracked -nIE \
+        'bench[_]netsim|BENCH[_]netsim|STCC[_]BENCH_GATE|cargo [b]ench|crates/[b]ench' \
+        -- . ':!CHANGES.md' ':!ISSUE.md' ':!benchmark/' || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "a deleted bench-stack name is back (see above), or git grep failed" >&2
+        return 1
+    fi
+}
+step "one measurement system (no second bench stack)" one_measurement_system
+
 step "tier-1: build" cargo build --release
 
-# The gates below invoke target/release/{fig,chaos,bench_netsim} directly;
+# The gates below invoke target/release/{fig,chaos,campaign} directly;
 # the root-package build above only guarantees the libraries, so build every
 # workspace binary explicitly rather than trusting leftovers.
 step "release binaries" cargo build --release --workspace
@@ -447,18 +471,124 @@ fi
 # the benchmark no longer compiles against the simulator.
 step "repo benchmark (--quick, verifications only)" bash benchmark/run.sh --quick
 
-# Perf regression gates. The tiny (64-node) gate always runs: it takes a
-# few seconds and its 50% tolerance only has to catch order-of-magnitude
-# cliffs, so it stays stable across hosts and a noisy shared core. The
-# paper-preset gate is opt-in because the committed BENCH_netsim.json was
-# measured on one specific host: any headline metric >15% worse fails.
-step "bench gate (tiny preset, vs BENCH_netsim_tiny.json)" \
-    cargo run --release -q -p bench --bin bench_netsim -- \
-    --preset tiny --tolerance 0.5 --gate BENCH_netsim_tiny.json
-if [ "${STCC_BENCH_GATE:-0}" = "1" ]; then
-    step "bench gate (paper preset, vs BENCH_netsim.json)" \
-        cargo run --release -q -p bench --bin bench_netsim -- \
-        --gate BENCH_netsim.json
-fi
+# Same-host perf gate: the baseline commit's benchmark against this tree's,
+# in alternating pairs on one host — no committed number from another
+# machine decides. Baseline: HEAD while the tree has uncommitted changes,
+# else HEAD~1, `git archive`d into target/bench-baseline/ and built by its
+# own run.sh into its own target dir; this side reuses the step above's
+# build. sat_tune and light_tune read steady to a few % at 0.5 s; 5 pairs
+# each, who goes first flipping every pair.
+
+# Judges the runs <dir>/<base|change>.<workload>.<pair>: fails on a `fail`
+# line, a failed op, or a change median worse than the base's by more than
+# the bound BENCHMARK.json gives that end-to-end metric. Prints all pairs.
+perf_compare() {
+    awk '
+        function fmt(x) { return x == "" ? "-" : x >= 1000 ? sprintf("%.0f", x) : sprintf("%.4g", x) }
+        function median(list,   a, n, i, j, x) {
+            n = split(list, a, " ")
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] + 0 > a[j] + 0; j--) { x = a[j]; a[j] = a[j - 1]; a[j - 1] = x }
+            return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+        }
+        FNR == NR {
+            if (/"end_to_end"/) e2e = 1
+            if (/"per_layer"/) e2e = 0
+            gsub(/[",]/, "")
+            if (e2e && $1 == "name:") order[++m] = name = $2
+            if (e2e && $1 == "better:") better[name] = $2
+            if (e2e && $1 == "bound:") bound[name] = $2
+            next
+        }
+        FNR == 1 {
+            k = split(FILENAME, path, "/"); split(path[k], f, ".")
+            side = f[1]; w = f[2]; pair = f[3]
+            if (!(w in runs)) ws[++nw] = w
+            runs[w]++
+        }
+        $1 == "fail" || ($1 == "ops" && $3 > 0) { print "  FAIL " side " " w " pair " pair ": " $0; bad = 1 }
+        $1 == "metric" && ($2 in bound) { vals[side, w, $2] = vals[side, w, $2] " " $3 }
+        END {
+            for (i = 1; i <= nw; i++) for (j = 1; j <= m; j++) {
+                w = ws[i]; name = order[j]; line = ""
+                nb = split(vals["base", w, name], b, " "); nc = split(vals["change", w, name], c, " ")
+                for (p = 1; p <= nb || p <= nc; p++) line = line " " fmt(b[p]) "/" fmt(c[p])
+                printf "  %-10s %-29s base/change:%s\n", w, name, line
+                if (nb != nc || nb + nc < runs[w]) { print "  FAIL " w " " name ": missing from some runs"; bad = 1; continue }
+                mb = median(vals["base", w, name]); mc = median(vals["change", w, name])
+                loss = better[name] == "higher" ? mb - mc : mc - mb
+                verdict = sprintf("%+.1f%%, bound %g%%", mb ? 100 * (mc - mb) / mb : 0, 100 * bound[name])
+                if (loss > bound[name] * (mb < 0 ? -mb : mb)) { verdict = "REGRESSION " w " " name ": " verdict; bad = 1 }
+                printf "  %-10s %-29s median %s -> %s (%s)\n", w, name, fmt(mb), fmt(mc), verdict
+            }
+            exit bad
+        }
+    ' BENCHMARK.json "$1"/*
+}
+
+# perf_compare on canned runs first: identical sides pass, a change side
+# 30 % slower on sim_cycles_per_s fails naming it, a `fail` line fails.
+perf_compare_selftest() {
+    t=target/perf-gate-selftest
+    rm -rf "$t" && mkdir -p "$t/same" "$t/slow" "$t/failed"
+    printf 'metric %s\n' 'setup_s 0.2 s' 'sim_cycles_per_s 16000 cycles/s' 'host_ns_per_flit 900 ns/flit' \
+        'accepted_flits_per_node_cycle 0.23 flits/node/cycle' 'net_latency_cycles 110 cycles' 'peak_rss_mb 5.3 MB' >"$t/run"
+    for f in {same,slow,failed}/{base,change}.sat_tune.{1,2,3}; do cp "$t/run" "$t/$f"; done
+    sed -i 's/ 16000 / 11200 /' "$t"/slow/change.*
+    echo 'fail final checkpoint differs' >>"$t/failed/change.sat_tune.2"
+    expect() { # <exit status> <case> <line the verdict must print>
+        status=0
+        perf_compare "$t/$2" >"$t/$2.out" || status=$?
+        if [ "$status" -ne "$1" ] || ! grep -q "$3" "$t/$2.out"; then
+            echo "perf_compare misjudged the canned '$2' runs:" >&2 && cat "$t/$2.out" >&2 && return 1
+        fi
+    }
+    expect 0 same 'median 16000 -> 16000'
+    expect 1 slow 'REGRESSION sat_tune sim_cycles_per_s'
+    expect 1 failed 'FAIL change sat_tune pair 2'
+}
+
+# One run in the driver's form: perf_run <base|change> <workload>.
+perf_run() {
+    if [ "$1" = base ]; then
+        CARGO_TARGET_DIR=$PWD/target/bench-baseline/target bash target/bench-baseline/tree/benchmark/run.sh \
+            --workload "$2" --seed 7 --seconds 0.5 --trace 0
+    else
+        bash benchmark/run.sh --workload "$2" --seed 7 --seconds 0.5 --trace 0
+    fi
+}
+
+perf_gate() {
+    perf_compare_selftest
+    ref=HEAD~1
+    if [ -n "$(git status --porcelain)" ]; then ref=HEAD; fi
+    if ! base=$(git rev-parse -q --verify "$ref^{commit}") ||
+        ! git cat-file -e "$base:benchmark/run.sh" 2>/dev/null; then
+        echo "=== !!! SKIPPED: same-host perf gate — $ref missing or without benchmark/run.sh; speed NOT judged"
+        return 0
+    fi
+    echo "  (baseline $ref = $base)"
+    dir=target/bench-baseline
+    if [ "$(cat "$dir/commit" 2>/dev/null)" != "$base" ]; then
+        rm -rf "$dir" && mkdir -p "$dir/tree"
+        git archive "$base" | tar -x -C "$dir/tree"
+        echo "$base" >"$dir/commit"
+    fi
+    # Build both sides (a run builds first) before anything is timed.
+    for side in base change; do perf_run $side sat_tune >/dev/null; done
+    runs=target/perf-gate
+    rm -rf "$runs" && mkdir -p "$runs"
+    for w in sat_tune light_tune; do
+        for pair in 1 2 3 4 5; do
+            sides="base change" && [ $((pair % 2)) -eq 1 ] || sides="change base"
+            for side in $sides; do
+                out=$runs/$side.$w.$pair
+                perf_run "$side" "$w" >"$out" || echo "fail exit status $?" >>"$out"
+            done
+        done
+    done
+    perf_compare "$runs"
+}
+step "same-host perf gate (baseline commit vs this tree, 5 pairs)" perf_gate
 
 echo "CI green."
