@@ -106,9 +106,8 @@ fn cores() -> usize {
 }
 
 /// Home-first claiming keeps a shard on one thread: over 5 000 cycles at
-/// two shards, at least 99 % of the claims (one claim covers a shard's
-/// decide *and* its apply, so the two always run on the same participant)
-/// are made by the shard's home participant. The rest are what the
+/// two shards, at least 99 % of the claims (one claim runs a shard's whole
+/// pass) are made by the shard's home participant. The rest are what the
 /// coordinator sweeps up while the worker is off its core. That is the
 /// host's doing, not the protocol's — a burst of other load, or a
 /// scheduler that starts both threads on one core and takes its time to
@@ -133,7 +132,7 @@ fn claims_stay_home_when_there_is_a_core_per_participant() {
         );
         return;
     }
-    // The paper's 256-node torus, saturated: a shard's decide takes long
+    // The paper's 256-node torus, saturated: a shard's pass takes long
     // enough that a worker a cache miss behind the coordinator still gets
     // to its home shard first. The first thousand cycles give the
     // scheduler time to put the two threads on a core each.

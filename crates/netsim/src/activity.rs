@@ -61,7 +61,13 @@ impl NodeSet {
         self.words.fill(0);
     }
 
-    /// The backing words, mutably — the apply views update them with
+    /// The backing words.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The backing words, mutably — the pass views update them with
     /// atomic bit operations, because one word packs 64 nodes and shard
     /// boundaries are not word-aligned (see `crate::shard::Cells`).
     #[inline]

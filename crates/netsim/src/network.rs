@@ -6,9 +6,7 @@ use crate::packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore};
 use crate::plane::{inj_movable_at, rr_pick, vc_movable_at, Slot, SwitchPlane};
 use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, IdRing};
 use crate::routing::RouteTables;
-use crate::shard::{
-    ApplyCtx, Cells, Parked, Pass, PhaseStats, RouteOp, ShardPlan, ShardStage, SwitchOp, WorkerPool,
-};
+use crate::shard::{ApplyCtx, Cells, Parked, Pass, PhaseStats, ShardPlan, ShardStage, WorkerPool};
 use crate::wheel::TimerWheel;
 use faults::{FaultPlan, FaultPlanError};
 use kncube::{Dir, NodeId, Torus};
@@ -161,7 +159,7 @@ pub struct Network {
     /// See [`Network::vc_unrouted`].
     pub(crate) vc_switchable: Vec<u64>,
     /// Per-feeder output port, credit bit and earliest move cycle: what
-    /// the switch decide reads instead of chasing `vc_assign`, the ring
+    /// the switch pass reads instead of chasing `vc_assign`, the ring
     /// fronts and `vc_routed_at` ([`crate::plane`]). Derived state.
     pub(crate) plane: SwitchPlane,
     /// Occupancy bit-planes: bit `f` of `vc_full[node]` iff input VC
@@ -196,14 +194,14 @@ pub struct Network {
     /// Scheduled link/hotspot faults (`None` = fault-free network; the hot
     /// path is untouched until a non-quiet plan is installed).
     faults: Option<FaultPlan>,
-    /// Opt-in decide/apply/barrier wall-clock split ([`PhaseStats`];
-    /// `None` = off, the default — the cycle pipeline then pays one branch
-    /// per phase). Runtime-only instrumentation, never serialized.
+    /// Opt-in pass/protocol wall-clock split ([`PhaseStats`]; `None` =
+    /// off, the default — the cycle pipeline then pays one branch per
+    /// pass). Runtime-only instrumentation, never serialized.
     phase_stats: Option<Box<PhaseStats>>,
-    /// Shard partition + per-shard decision mailboxes for parallel
-    /// stepping ([`crate::shard`]). Runtime-only configuration: never
-    /// serialized, never fingerprinted — a checkpoint taken at S shards
-    /// restores at any S′ by construction.
+    /// Shard partition, per-shard pass outputs and per-pass copies for
+    /// parallel stepping ([`crate::shard`]). Runtime-only configuration:
+    /// never serialized, never fingerprinted — a checkpoint taken at S
+    /// shards restores at any S′ by construction.
     pub(crate) plan: ShardPlan,
 }
 
@@ -277,11 +275,12 @@ impl Network {
 
     /// Re-partitions the network into `shards` contiguous node ranges for
     /// parallel stepping (clamped to `[1, nodes]`). Results are
-    /// bit-identical for every shard count: the parallel decide phases
-    /// read only pre-phase state and the barrier applies staged decisions
-    /// in canonical ascending-node order regardless of the partition. The
-    /// partition is runtime-only configuration — never serialized, so a
-    /// checkpoint moves freely between shard counts. Call between cycles.
+    /// bit-identical for every shard count: no router's pass reads what
+    /// another router's pass of the same cycle writes, and the sequential
+    /// tail commits globally ordered results in ascending-node order
+    /// regardless of the partition. The partition is runtime-only
+    /// configuration — never serialized, so a checkpoint moves freely
+    /// between shard counts. Call between cycles.
     ///
     /// The shards are stepped by `min(shards, available cores)` threads,
     /// the caller's among them: more shards than cores buys no more
@@ -724,134 +723,15 @@ impl Network {
 
     /// Routing + VC allocation: each router's central arbiter routes at
     /// most one header per cycle, demand-slotted round-robin over
-    /// requesters. Runs as a decide over the shard partition followed by
-    /// the staged apply (see [`Network::run_pass`]).
+    /// requesters ([`ApplyCtx::route_pass`], over the shard partition —
+    /// see [`Network::run_pass`]).
     pub(crate) fn route_phase(&mut self, now: u64) {
         self.run_pass(now, Pass::Route);
     }
 
-    /// The route stage's read-only decide: arbitrates every router in
-    /// `lo..hi` over *pre-phase* state and stages the decisions. Safe to
-    /// run concurrently with other shards' decides: every input it reads
-    /// (`out_alloc` claims, `route_rr`, `vc_blocked`, buffer fronts,
-    /// `escaped`) is written only by the staged ops of the node that owns
-    /// it, and those writes are deferred to the apply — so the decision
-    /// for each node is the same under every partition.
-    pub(crate) fn route_decide(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
-        let inj_feeder = self.d * self.v;
-        let timeout = match self.cfg.deadlock {
-            DeadlockMode::Recovery { timeout } => timeout,
-            DeadlockMode::Avoidance => u64::MAX,
-        };
-        let staged_before = stage.route_ops.len() + stage.suspects.len();
-        // Only routers with buffered flits or an admitted injection can
-        // have anything to arbitrate.
-        for w in (lo >> 6)..hi.div_ceil(64) {
-            let mut nword =
-                (self.busy_nodes.word(w) | self.allow_nodes.word(w)) & range_word_mask(w, lo, hi);
-            while nword != 0 {
-                let node = (w << 6) | nword.trailing_zeros() as usize;
-                nword &= nword - 1;
-                // Requesters are busy VCs still awaiting an assignment; the
-                // bit-plane intersection prunes already-routed worms
-                // without touching their per-VC state.
-                let cand = self.vc_busy[node] & self.vc_unrouted[node];
-                let allow = self.allow_nodes.contains(node);
-                if cand == 0 && !allow {
-                    continue;
-                }
-                stage.route_visits += 1;
-                // Gather routing requests from occupied input VCs into a
-                // requester bitmask.
-                let mut requests = u64::from(allow) << inj_feeder;
-                let base = self.vc_idx(node, 0, 0);
-                let mut mask = cand;
-                while mask != 0 {
-                    let f = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let idx = base + f;
-                    // Unrouted headers request routing; suspected
-                    // (token-queued) headers keep requesting too — only
-                    // capturing the token commits a packet to the recovery
-                    // path, so a transiently congested packet resumes
-                    // normal routing when a channel frees. Truly
-                    // deadlocked packets never see a free channel.
-                    let requesting =
-                        self.vc_bufs.front_idx(idx) == 0 && self.vc_bufs.front_ready_at(idx) <= now;
-                    requests |= u64::from(requesting) << f;
-                }
-                if requests == 0 {
-                    continue;
-                }
-                // Demand-slotted RR: the first requester at or after the
-                // cursor position.
-                let winner = rr_pick(requests, self.route_rr[node]);
-                stage.route_ops.push(RouteOp::Rr {
-                    node: node as u32,
-                    cursor: (winner + 1) as u8,
-                });
-
-                // Routing decision for the winner.
-                let pid = if winner == inj_feeder {
-                    self.source_q.front(node)
-                } else {
-                    self.vc_bufs.front_packet(base + winner)
-                };
-                let dst = self.packets.get(pid).dst;
-                let assign = if dst == node {
-                    Some(Assign::Delivery)
-                } else {
-                    self.choose_output(node, dst, pid)
-                };
-                let routed = assign.is_some();
-                if let Some(assign) = assign {
-                    stage.route_ops.push(RouteOp::Win {
-                        node: node as u32,
-                        feeder: winner as u8,
-                        assign,
-                    });
-                }
-
-                // Blocked-cycle accounting for every input-VC requester
-                // that did not end up routed this cycle (drives Disha
-                // detection). Queued packets hold no resources — not
-                // deadlockable — so the injection feeder is masked out.
-                let mut blocked = requests & !(1u64 << inj_feeder);
-                while blocked != 0 {
-                    let f = blocked.trailing_zeros() as usize;
-                    blocked &= blocked - 1;
-                    let idx = base + f;
-                    if routed && f == winner {
-                        // The winner's blocked-counter reset is part of
-                        // the `Win` apply.
-                    } else if self.vc_assign[idx] == Assign::None {
-                        // Disha suspicion: the header has starved for
-                        // `timeout` cycles AND no flit of the whole worm
-                        // has moved for `timeout` cycles (transient
-                        // contention keeps body flits crawling and does
-                        // not trip this). A suspected packet queues for
-                        // the recovery token but keeps retrying normal
-                        // routing until the token is captured.
-                        if self.vc_blocked[idx] + 1 >= timeout {
-                            let pid = self.vc_bufs.front_packet(idx);
-                            if now.saturating_sub(self.packets.get(pid).last_move) >= timeout {
-                                // The token-queue commit is globally
-                                // FIFO-ordered: the fold's.
-                                stage.suspects.push(idx as u32);
-                                continue;
-                            }
-                        }
-                        stage.route_ops.push(RouteOp::Blocked { idx: idx as u32 });
-                    }
-                }
-            }
-        }
-        stage.staged_total += (stage.route_ops.len() + stage.suspects.len() - staged_before) as u64;
-    }
-
     /// Commits a suspected-deadlocked VC to the recovery token queue (what
-    /// the starvation stage does to a header that trips; a staged suspect
-    /// takes the same two steps in [`ApplyCtx::apply`] and
+    /// the starvation stage does to a header that trips; a route pass's
+    /// suspect takes the same two steps in [`ApplyCtx::route_pass`] and
     /// [`Network::fold_stage`]).
     pub(crate) fn commit_suspect(&mut self, idx: usize) {
         self.apply_ctx().suspect(idx);
@@ -948,51 +828,38 @@ impl Network {
 
     /// Switch + link traversal: each output channel (network ports and the
     /// delivery channel) moves at most one flit per cycle, round-robin over
-    /// the input VCs assigned to it. Decide over the shard partition, then
-    /// the staged apply — see [`Network::run_pass`].
+    /// the input VCs assigned to it ([`ApplyCtx::switch_pass`], over the
+    /// shard partition — see [`Network::run_pass`]).
     pub(crate) fn switch_phase(&mut self, now: u64) {
         self.run_pass(now, Pass::Switch);
     }
 
-    /// Executes one pass: decide per shard, apply per shard through a view
-    /// of that shard's node range, then the sequential tail. With one
-    /// shard the caller's thread runs decide and apply inline over the
-    /// whole-network view; otherwise the persistent worker pool's
-    /// participants run them (see [`crate::shard::WorkerPool`]) — the same
-    /// code either way.
+    /// Runs one stage as a pass per shard through a view of that shard's
+    /// node range, then the sequential tail. With one shard the caller's
+    /// thread runs the pass inline over the whole-network view; otherwise
+    /// the persistent worker pool's participants run the shards' passes
+    /// (see [`crate::shard::WorkerPool`]) — the same code either way.
     fn run_pass(&mut self, now: u64, kind: Pass) {
-        // Nothing to do unless some router holds a flit or — to route — an
-        // admitted injection, to switch an active one (one OR per 64 nodes).
-        let also = match kind {
-            Pass::Route => &self.allow_nodes,
-            Pass::Switch => &self.inj_nodes,
-        };
-        if (0..also.word_count()).all(|w| (self.busy_nodes.word(w) | also.word(w)) == 0) {
+        if !self.take_pass_copies(kind) {
             return;
         }
         let mut stages = std::mem::take(&mut self.plan.stages);
         let mut stats = self.phase_stats.take();
+        let mut clock = stats.as_ref().map(|_| std::time::Instant::now());
         if let Some(mut pool) = self.plan.pool.take() {
             pool.run(self, kind, now, &mut stages, stats.as_deref_mut());
             self.plan.pool = Some(pool);
+            // `run` booked the caller's share of the pass itself.
+            clock = clock.map(|_| std::time::Instant::now());
         } else {
-            let t0 = stats.as_ref().map(|_| std::time::Instant::now());
-            self.decide(kind, now, 0, self.torus.node_count(), &mut stages[0]);
-            let t1 = stats.as_ref().map(|_| std::time::Instant::now());
-            if stages[0].has_ops() {
-                self.apply_ctx().apply(kind, now, &mut stages[0]);
-            }
-            if let (Some(st), Some(t0), Some(t1)) = (stats.as_deref_mut(), t0, t1) {
-                st.decide_ns += (t1 - t0).as_nanos() as u64;
-                st.apply_ns += t1.elapsed().as_nanos() as u64;
-            }
+            let nodes = self.torus.node_count();
+            self.apply_ctx().pass(kind, now, 0, nodes, &mut stages[0]);
         }
         // Sequential from here, in ascending shard (= ascending node)
         // order — which visits the FIFO-ordered structures in global
         // ascending-node order at any shard count: the downstream half of
         // the handoffs, then the global half of each shard's results and
         // its deltas.
-        let t0 = stats.as_ref().map(|_| std::time::Instant::now());
         if stages.iter().any(|stage| !stage.parked.is_empty()) {
             let view = self.apply_ctx();
             for stage in &mut stages {
@@ -1002,17 +869,37 @@ impl Network {
         for stage in &mut stages {
             self.fold_stage(kind, now, stage);
         }
-        if let (Some(st), Some(t0)) = (stats.as_deref_mut(), t0) {
-            st.apply_ns += t0.elapsed().as_nanos() as u64;
+        if let (Some(st), Some(since)) = (stats.as_deref_mut(), clock) {
+            st.apply_ns += since.elapsed().as_nanos() as u64;
         }
         self.phase_stats = stats;
         self.plan.stages = stages;
     }
 
-    /// Folds one shard's results of a pass once its ops are applied: the
-    /// deltas to global scalars, and the global half of its suspects and
-    /// deliveries — suspects join the token queue, delivered flits are
-    /// consumed — in staging order.
+    /// Takes the copies a pass reads in place of state it also writes: the
+    /// routers to visit — those holding a flit, plus an admitted injection
+    /// to route or an active one to switch — and, for the switch pass, the
+    /// credit words. `false` (and no credit copy) when no router has
+    /// anything to do (one OR per 64 nodes).
+    pub(crate) fn take_pass_copies(&mut self, kind: Pass) -> bool {
+        let also = match kind {
+            Pass::Route => &self.allow_nodes,
+            Pass::Switch => &self.inj_nodes,
+        };
+        let mut any = 0;
+        for (w, visit) in self.plan.visit.iter_mut().enumerate() {
+            *visit = self.busy_nodes.word(w) | also.word(w);
+            any |= *visit;
+        }
+        if any != 0 && kind == Pass::Switch {
+            self.plan.credit.copy_from_slice(&self.vc_full);
+        }
+        any != 0
+    }
+
+    /// Folds one shard's results of a pass: the deltas to global scalars,
+    /// and the global half of its suspects and deliveries — suspects join
+    /// the token queue, delivered flits are consumed — in pass order.
     pub(crate) fn fold_stage(&mut self, kind: Pass, now: u64, stage: &mut ShardStage) {
         match kind {
             Pass::Route => {
@@ -1041,25 +928,9 @@ impl Network {
         }
     }
 
-    /// One shard's decide of `kind` over the nodes `lo..hi`.
-    pub(crate) fn decide(
-        &self,
-        kind: Pass,
-        now: u64,
-        lo: usize,
-        hi: usize,
-        stage: &mut ShardStage,
-    ) {
-        match kind {
-            Pass::Route => self.route_decide(now, lo, hi, stage),
-            Pass::Switch => self.switch_decide(now, lo, hi, stage),
-        }
-    }
-
-    /// The whole-network apply view. The exclusive borrow is what makes it
-    /// safe: nothing else can touch the state while the view lives.
-    /// (Rebuilt per use — `offer` may grow `packets`/`escaped` between
-    /// cycles.)
+    /// The whole-network view. The exclusive borrow is what makes it safe:
+    /// nothing else can touch the state while the view lives. (Rebuilt
+    /// per use — `offer` may grow `packets`/`escaped` between cycles.)
     #[inline]
     pub(crate) fn apply_ctx(&mut self) -> ApplyCtx<'_> {
         let recovery_timeout = match self.cfg.deadlock {
@@ -1095,107 +966,12 @@ impl Network {
             packets: self.packets.view(),
             wheel: self.wheel.view(),
             plane: self.plane.view(),
-            out_slots: self.tables.out_slots(),
+            visit: &self.plan.visit,
+            credit: &self.plan.credit,
+            allow: self.allow_nodes.words(),
+            tables: &self.tables,
+            faults: self.faults.as_ref(),
         }
-    }
-
-    /// The switch stage's read-only decide over `lo..hi`. Every per-port
-    /// arbitration input (the switch plane's slots and move cycles, the
-    /// candidate masks, `out_rr` cursors) is node-local; the one cross-node
-    /// read — the downstream VC's occupancy bit, for the credit check —
-    /// uses *pre-phase* occupancy, i.e. credit freed by a pop this same
-    /// cycle becomes usable next cycle (credit return takes a cycle). That
-    /// makes the decision a pure function of pre-phase state, identical
-    /// for every shard count, and keeps the apply overflow-free: each
-    /// downstream VC has exactly one upstream owner moving at most one
-    /// flit per cycle, so a buffer seen below capacity pre-phase still has
-    /// room at apply time.
-    pub(crate) fn switch_decide(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
-        let fpn = self.d * self.v;
-        let nports = self.d + 1; // network ports + delivery
-        let staged_before = stage.switch_ops.len() + stage.deliveries.len() + stage.handoffs.len();
-        // Per-output-channel candidate masks over this router's feeders
-        // (sized by the slot's 5-bit port field). Every word a router sets
-        // is taken back to zero when its channel is arbitrated.
-        let mut cands = [0u64; 32];
-        // Only routers with buffered flits or an active injection can move
-        // anything. Routers made busy mid-phase by a downstream push are
-        // not visited: the pushed flit is not ready before
-        // `now + hop_latency` and its VC is unrouted, so a visit would do
-        // nothing.
-        for w in (lo >> 6)..hi.div_ceil(64) {
-            let inj_word = self.inj_nodes.word(w);
-            let mut nword = (self.busy_nodes.word(w) | inj_word) & range_word_mask(w, lo, hi);
-            while nword != 0 {
-                let b = nword.trailing_zeros() as usize;
-                let node = (w << 6) | b;
-                nword &= nword - 1;
-                stage.switch_visits += 1;
-                // The feeders that hold a routed worm's flit: the
-                // bit-plane intersection prunes unrouted and recovering
-                // worms, and an active injection is always routed.
-                let mut mask =
-                    (self.vc_busy[node] & self.vc_switchable[node]) | (inj_word >> b & 1) << fpn;
-                // A feeder is a candidate for its output channel when its
-                // front flit may move this cycle and the downstream buffer
-                // (never full, for the delivery channel) has credit.
-                let base = node * (fpn + 1);
-                let mut ports = 0u32;
-                while mask != 0 {
-                    let f = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let slot = self.plane.slot(base + f);
-                    let ok = (self.plane.movable_at(base + f) <= now)
-                        & (self.vc_full[slot.dnode()] >> slot.dbit() & 1 == 0);
-                    cands[slot.port()] |= u64::from(ok) << f;
-                    ports |= u32::from(ok) << slot.port();
-                }
-                // One flit per output channel, RR over its candidates.
-                while ports != 0 {
-                    let port = ports.trailing_zeros() as usize;
-                    ports &= ports - 1;
-                    let feeders = std::mem::take(&mut cands[port]);
-                    // A faulted output moves nothing this cycle: a stalled
-                    // link (network port) or a hot, non-consuming node
-                    // (delivery port). Stall-cycles count only when a flit
-                    // was ready.
-                    if let Some(plan) = &self.faults {
-                        if port == self.d {
-                            if plan.delivery_down(node, now) {
-                                stage.hotspot_stalls += 1;
-                                continue;
-                            }
-                        } else if plan.link_down(node, port, now) {
-                            stage.link_stalls += 1;
-                            continue;
-                        }
-                    }
-                    let pick = rr_pick(feeders, self.out_rr[node * nports + port]);
-                    let op = SwitchOp {
-                        node: node as u32,
-                        port: port as u8,
-                        pick: pick as u8,
-                    };
-                    // Classify the move by where its downstream half
-                    // lands: nowhere (a delivery: the flit is consumed, in
-                    // global FIFO order, by the fold), in this shard's own
-                    // node range (a local hop), or in another shard's (a
-                    // handoff: the sequential tail `put`s it).
-                    let dnode = self.plane.slot(base + pick).dnode();
-                    if port == self.d {
-                        stage.deliveries.push(op);
-                    } else if lo <= dnode && dnode < hi {
-                        stage.switch_ops.push(op);
-                    } else {
-                        stage.handoffs.push(op);
-                    }
-                }
-            }
-        }
-        stage.staged_total += (stage.switch_ops.len()
-            + stage.deliveries.len()
-            + stage.handoffs.len()
-            - staged_before) as u64;
     }
 
     /// Whether a fault plan currently stalls `node`'s delivery channel
@@ -1237,12 +1013,219 @@ impl Network {
     }
 }
 
-/// The route/switch state transition, written once over the checked view:
-/// a pool participant runs it on its shard's node range, the caller's
-/// thread on the whole network (the single-shard apply, the handoff tail,
-/// the starvation and recovery stages). Every write lands inside the
-/// view's range or panics.
+/// The route and switch passes and the state transition under them,
+/// written once over the checked view: a pool participant runs a pass on
+/// its shard's node range, the caller's thread on the whole network (the
+/// single-shard pass, the handoff tail, the starvation and recovery
+/// stages). Every access lands inside the view's range or panics.
 impl ApplyCtx<'_> {
+    /// One shard's pass of `kind` over the routers `lo..hi` of this view.
+    pub(crate) fn pass(&self, kind: Pass, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
+        match kind {
+            Pass::Route => self.route_pass(now, lo, hi, stage),
+            Pass::Switch => self.switch_pass(now, lo, hi, stage),
+        }
+    }
+
+    /// The route stage over the routers `lo..hi`, ascending: each router's
+    /// central arbiter picks at most one header, demand-slotted
+    /// round-robin over its requesters, and at once performs the
+    /// allocation, the cursor update and the blocked-cycle accounting.
+    ///
+    /// The outcome is the same for every partition and router order,
+    /// because nothing a router reads is written by another router's pass:
+    /// its requester fronts, `route_rr`, `vc_blocked`, `vc_assign` and its
+    /// own outputs' `out_alloc` are its own; the visit copy, the cycle's
+    /// injection allowances and packet destinations are written by no
+    /// pass; and the `escaped` flag and `last_move` stamp it reads belong
+    /// to a packet whose header it holds, which no other router routes (and
+    /// `last_move` changes only in the switch and recovery stages).
+    pub(crate) fn route_pass(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
+        let inj_feeder = self.fpn;
+        let timeout = match self.recovery_timeout {
+            0 => u64::MAX,
+            t => t,
+        };
+        for w in (lo >> 6)..hi.div_ceil(64) {
+            let mut nword = self.visit[w] & range_word_mask(w, lo, hi);
+            while nword != 0 {
+                let b = nword.trailing_zeros() as usize;
+                let node = (w << 6) | b;
+                nword &= nword - 1;
+                // Requesters are busy VCs still awaiting an assignment; the
+                // bit-plane intersection prunes already-routed worms
+                // without touching their per-VC state.
+                let cand = self.vc_busy.get(node) & self.vc_unrouted.get(node);
+                let allow = self.allow[w] >> b & 1 == 1;
+                if cand == 0 && !allow {
+                    continue;
+                }
+                stage.route_visits += 1;
+                // Gather routing requests from occupied input VCs into a
+                // requester bitmask.
+                let mut requests = u64::from(allow) << inj_feeder;
+                let base = node * self.fpn;
+                let mut mask = cand;
+                while mask != 0 {
+                    let f = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    // Unrouted headers request routing; suspected
+                    // (token-queued) headers keep requesting too — only
+                    // capturing the token commits a packet to the recovery
+                    // path, so a transiently congested packet resumes
+                    // normal routing when a channel frees. Truly
+                    // deadlocked packets never see a free channel.
+                    let front = self.vc_bufs.front(base + f);
+                    requests |= u64::from(front.idx == 0 && front.ready_at <= now) << f;
+                }
+                if requests == 0 {
+                    continue;
+                }
+                // Demand-slotted RR: the first requester at or after the
+                // cursor position.
+                let winner = rr_pick(requests, self.route_rr.get(node));
+                self.route_rr.set(node, winner + 1);
+
+                // Routing decision for the winner.
+                let pid = if winner == inj_feeder {
+                    self.source_q.front(node)
+                } else {
+                    self.vc_bufs.front_packet(base + winner)
+                };
+                let dst = self.packets.packet(pid).dst;
+                let assign = if dst == node {
+                    Some(Assign::Delivery)
+                } else {
+                    self.choose_output(node, dst, pid)
+                };
+                if let Some(assign) = assign {
+                    self.route_win(now, node, winner, assign, stage);
+                }
+
+                // Blocked-cycle accounting for every input-VC requester
+                // that did not end up routed this cycle (drives Disha
+                // detection). Queued packets hold no resources — not
+                // deadlockable — so the injection feeder is masked out.
+                let routed = u64::from(assign.is_some()) << winner;
+                let mut blocked = requests & !(1u64 << inj_feeder) & !routed;
+                while blocked != 0 {
+                    let f = blocked.trailing_zeros() as usize;
+                    blocked &= blocked - 1;
+                    let idx = base + f;
+                    if self.vc_assign.get(idx) != Assign::None {
+                        continue;
+                    }
+                    // Disha suspicion: the header has starved for
+                    // `timeout` cycles AND no flit of the whole worm has
+                    // moved for `timeout` cycles (transient contention
+                    // keeps body flits crawling and does not trip this). A
+                    // suspected packet queues for the recovery token but
+                    // keeps retrying normal routing until the token is
+                    // captured; the token-queue commit is globally
+                    // FIFO-ordered, the fold's.
+                    let starved = self.vc_blocked.get(idx) + 1;
+                    if starved >= timeout {
+                        let packet = self.packets.packet(self.vc_bufs.front_packet(idx));
+                        if now.saturating_sub(packet.last_move.load(Ordering::Relaxed)) >= timeout {
+                            self.suspect(idx);
+                            stage.suspects.push(idx as u32);
+                            continue;
+                        }
+                    }
+                    self.vc_blocked.set(idx, starved);
+                }
+            }
+        }
+    }
+
+    /// The switch stage over the routers `lo..hi`, ascending: every output
+    /// channel of a router moves at most one flit, round-robin over the
+    /// feeders that are candidates for it, and the move is made at once —
+    /// a local hop `put` downstream, a delivery set aside for the fold, a
+    /// handoff parked for the tail.
+    ///
+    /// A feeder is a candidate when its front flit may move this cycle and
+    /// the downstream buffer has credit *as the pass found it*: the credit
+    /// copy, never the live `vc_full` a router visited earlier may just
+    /// have popped (credit return takes a cycle). Every other read is the
+    /// router's own state (switch-plane entries, candidate masks, `out_rr`
+    /// cursors) or the visit copy. A flit pushed this pass is not ready
+    /// before `now + hop_latency` (validated ≥ 1), so it is never a
+    /// candidate this pass, and the visit copy keeps a router a push made
+    /// busy unvisited. The moves are overflow-free: each downstream VC has
+    /// one upstream output channel moving at most one flit a cycle, so a
+    /// buffer with credit in the copy still has room.
+    pub(crate) fn switch_pass(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
+        let fpn = self.fpn;
+        // Per-output-channel candidate masks over this router's feeders
+        // (sized by the slot's 5-bit port field). Every word a router sets
+        // is taken back to zero when its channel is arbitrated.
+        let mut cands = [0u64; 32];
+        for w in (lo >> 6)..hi.div_ceil(64) {
+            // A router's injection bit changes only in its own pass, so the
+            // word is exact for every router of this shard not yet visited.
+            let inj_word = self.inj_nodes.atomic(w).load(Ordering::Relaxed);
+            let mut nword = self.visit[w] & range_word_mask(w, lo, hi);
+            while nword != 0 {
+                let b = nword.trailing_zeros() as usize;
+                let node = (w << 6) | b;
+                nword &= nword - 1;
+                stage.switch_visits += 1;
+                // The feeders that hold a routed worm's flit: the
+                // bit-plane intersection prunes unrouted and recovering
+                // worms, and an active injection is always routed.
+                let mut mask = (self.vc_busy.get(node) & self.vc_switchable.get(node))
+                    | (inj_word >> b & 1) << fpn;
+                let base = node * (fpn + 1);
+                let mut ports = 0u32;
+                while mask != 0 {
+                    let f = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let slot = self.plane.slot(base + f);
+                    let ok = (self.plane.movable_at(base + f) <= now)
+                        & (self.credit[slot.dnode()] >> slot.dbit() & 1 == 0);
+                    cands[slot.port()] |= u64::from(ok) << f;
+                    ports |= u32::from(ok) << slot.port();
+                }
+                // One flit per output channel, RR over its candidates.
+                while ports != 0 {
+                    let port = ports.trailing_zeros() as usize;
+                    ports &= ports - 1;
+                    let feeders = std::mem::take(&mut cands[port]);
+                    // A faulted output moves nothing this cycle: a stalled
+                    // link (network port) or a hot, non-consuming node
+                    // (delivery port). Stall-cycles count only when a flit
+                    // was ready.
+                    if let Some(plan) = self.faults {
+                        if port == self.d {
+                            if plan.delivery_down(node, now) {
+                                stage.hotspot_stalls += 1;
+                                continue;
+                            }
+                        } else if plan.link_down(node, port, now) {
+                            stage.link_stalls += 1;
+                            continue;
+                        }
+                    }
+                    let pick = rr_pick(feeders, self.out_rr.get(node * self.nports + port));
+                    let (flit, slot) = self.take(now, node, port, pick, stage);
+                    let (dnode, dbit) = (slot.dnode(), slot.dbit());
+                    if port == self.d {
+                        stage.delivered.push(flit);
+                    } else if lo <= dnode && dnode < hi {
+                        self.put(now, (dnode, dbit), flit, &mut stage.full_delta);
+                    } else {
+                        stage.parked.push(Parked {
+                            node: dnode as u32,
+                            feeder: dbit as u8,
+                            flit,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
     /// Sets the assignment of input VC `f` of `node` while keeping the
     /// assignment bit-planes (`vc_unrouted`/`vc_switchable`) and the switch
     /// plane's slot in sync. Every assignment write in the pipeline goes
@@ -1268,7 +1251,7 @@ impl ApplyCtx<'_> {
     /// unless `a` is switchable).
     #[inline]
     fn slot_of(&self, node: NodeId, a: Assign) -> Option<Slot> {
-        Slot::of(self.out_slots, self.d, self.v, node, a)
+        Slot::of(self.tables.out_slots(), self.d, self.v, node, a)
     }
 
     /// Marks input VC `f` of `node` — now holding `len` flits — non-empty
@@ -1308,70 +1291,10 @@ impl ApplyCtx<'_> {
         *full_delta -= (full >> f & 1) as i32;
     }
 
-    /// Applies one shard's ops of `kind`, each list in staging
-    /// (ascending-node) order: everything that writes the shard's own
-    /// state. Suspects lose their assignment; local hops move; the flits of
-    /// deliveries and handoffs are taken off their feeders and set aside —
-    /// for [`Network::fold_stage`] and [`ApplyCtx::tail`].
-    pub(crate) fn apply(&self, kind: Pass, now: u64, stage: &mut ShardStage) {
-        match kind {
-            Pass::Route => {
-                stage.applied_total += (stage.route_ops.len() + stage.suspects.len()) as u64;
-                for i in 0..stage.route_ops.len() {
-                    match stage.route_ops[i] {
-                        RouteOp::Rr { node, cursor } => {
-                            self.route_rr.set(node as usize, usize::from(cursor));
-                        }
-                        RouteOp::Win {
-                            node,
-                            feeder,
-                            assign,
-                        } => self.route_win(now, node as usize, usize::from(feeder), assign, stage),
-                        RouteOp::Blocked { idx } => {
-                            let idx = idx as usize;
-                            self.vc_blocked.set(idx, self.vc_blocked.get(idx) + 1);
-                        }
-                    }
-                }
-                stage.route_ops.clear();
-                for &idx in &stage.suspects {
-                    self.suspect(idx as usize);
-                }
-            }
-            Pass::Switch => {
-                stage.applied_total += (stage.switch_ops.len() + stage.deliveries.len()) as u64;
-                for i in 0..stage.switch_ops.len() {
-                    let (flit, dest) = self.take(now, stage.switch_ops[i], stage);
-                    let dest = dest.expect("a hop has a downstream VC");
-                    self.put(now, dest, flit, &mut stage.full_delta);
-                }
-                stage.switch_ops.clear();
-                // Their own loop: as a second arm of the hop loop above
-                // they cost the single-shard switch stage ~10%.
-                for i in 0..stage.deliveries.len() {
-                    let (flit, _) = self.take(now, stage.deliveries[i], stage);
-                    stage.delivered.push(flit);
-                }
-                stage.deliveries.clear();
-                for i in 0..stage.handoffs.len() {
-                    let (flit, dest) = self.take(now, stage.handoffs[i], stage);
-                    let (node, feeder) = dest.expect("a hop has a downstream VC");
-                    stage.parked.push(Parked {
-                        node: node as u32,
-                        feeder: feeder as u8,
-                        flit,
-                    });
-                }
-                stage.handoffs.clear();
-            }
-        }
-    }
-
-    /// The downstream half of one shard's handoffs, in staging order: the
-    /// flits its apply parked arrive in their — another shard's — input
+    /// The downstream half of one shard's handoffs, in pass order: the
+    /// flits its pass parked arrive in their — another shard's — input
     /// VCs.
     pub(crate) fn tail(&self, now: u64, stage: &mut ShardStage) {
-        stage.applied_total += stage.parked.len() as u64;
         for Parked { node, feeder, flit } in stage.parked.drain(..) {
             let dest = (node as usize, usize::from(feeder));
             self.put(now, dest, flit, &mut stage.full_delta);
@@ -1385,10 +1308,10 @@ impl ApplyCtx<'_> {
         self.vc_blocked.set(idx, 0);
     }
 
-    /// Performs the allocation tail of a staged routing win: output-VC
-    /// claim, escape marking, and the injection start or VC assignment +
-    /// timer-wheel enrollment. The decision itself (`assign`) was made by
-    /// [`Network::route_decide`] over pre-phase state.
+    /// Performs the allocation of a routing win: output-VC claim, escape
+    /// marking, and the injection start or VC assignment + timer-wheel
+    /// enrollment. The decision itself (`assign`) was made by
+    /// [`ApplyCtx::route_pass`] just before.
     fn route_win(
         &self,
         now: u64,
@@ -1457,24 +1380,24 @@ impl ApplyCtx<'_> {
         self.plane.set_movable_at(at, now + 1);
     }
 
-    /// The source half of a staged flit move: bumps the output channel's
-    /// round-robin cursor, takes the flit off feeder `pick` of `node`
+    /// The source half of a flit move: bumps the round-robin cursor of
+    /// output channel `port` of `node`, takes the flit off feeder `f`
     /// (releasing the feeder's assignment and output VC behind a tail) and
-    /// stamps the packet. Returns the flit and the downstream input VC it
-    /// is headed for, as the (node, feeder) its slot names — `None` for
-    /// the delivery channel. Everything written is state of `node`.
+    /// stamps the packet. Returns the flit and the feeder's switch-plane
+    /// slot, which names where the flit is headed. Everything written is
+    /// state of `node`.
     #[inline(always)]
-    pub(crate) fn take(
+    fn take(
         &self,
         now: u64,
-        op: SwitchOp,
+        node: NodeId,
+        port: usize,
+        f: usize,
         stage: &mut ShardStage,
-    ) -> (Flit, Option<(NodeId, usize)>) {
-        let (node, f) = (op.node as usize, usize::from(op.pick));
-        self.out_rr
-            .set(node * self.nports + usize::from(op.port), f + 1);
+    ) -> (Flit, Slot) {
+        self.out_rr.set(node * self.nports + port, f + 1);
         let slot = self.plane.slot(node * (self.fpn + 1) + f);
-        debug_assert_eq!(slot.port(), usize::from(op.port), "stale switch-plane slot");
+        debug_assert_eq!(slot.port(), port, "stale switch-plane slot");
         // One `packets.packet` lookup per move: the tail test and the
         // `last_move` stamp share it.
         let (flit, packet) = if f == self.fpn {
@@ -1512,8 +1435,7 @@ impl ApplyCtx<'_> {
         };
         packet.last_move.store(now, Ordering::Relaxed);
         stage.progressed = true;
-        let dest = (slot.port() != self.d).then(|| (slot.dnode(), slot.dbit()));
-        (flit, dest)
+        (flit, slot)
     }
 
     /// Frees the output VC a worm assigned `a` held, once its tail has
@@ -1550,8 +1472,8 @@ impl ApplyCtx<'_> {
 }
 
 /// Mask selecting the bits of bitset word `w` whose node indices fall in
-/// `lo..hi`. Shard ranges are not word-aligned, so the decide phases trim
-/// the first and last word of their range with this.
+/// `lo..hi`. Shard ranges are not word-aligned, so the passes trim the
+/// first and last word of their range with this.
 #[inline]
 #[must_use]
 fn range_word_mask(w: usize, lo: usize, hi: usize) -> u64 {
@@ -1592,16 +1514,16 @@ mod tests {
     use crate::control::NoControl;
 
     /// Stepping under saturating random traffic must produce bit-identical
-    /// state for every shard count: the decide phases are pure functions
-    /// of pre-phase state and the barrier applies in ascending-node order
-    /// regardless of the partition. Recovery exercises the token queue and
-    /// the wheel; avoidance the escape VCs, and (with most traffic
-    /// delivered rather than recovered) the delivery slot's bit-63 credit
-    /// encoding at nodes on both sides of unaligned shard edges. The fault
-    /// plan stalls a delivery channel and a link next to shard edges, so
-    /// deliveries and handoffs are withheld in the decide and `take`n by
-    /// the shards' own applies around them. Seven and eight shards are
-    /// more than most hosts' cores give threads to.
+    /// state for every shard count: no router's pass reads what another's
+    /// writes, and the tail commits in ascending-node order regardless of
+    /// the partition. Recovery exercises the token queue and the wheel;
+    /// avoidance the escape VCs, and (with most traffic delivered rather
+    /// than recovered) the delivery slot's bit-63 credit encoding at nodes
+    /// on both sides of unaligned shard edges. The fault plan stalls a
+    /// delivery channel and a link next to shard edges, so deliveries and
+    /// handoffs are withheld by the pass and `take`n by the shards' own
+    /// passes around them. Seven and eight shards are more than most
+    /// hosts' cores give threads to.
     #[test]
     fn stepping_is_bit_identical_across_shard_counts() {
         use faults::{HotspotFault, LinkFault};
@@ -1662,6 +1584,71 @@ mod tests {
                     "{deadlock:?}: shards={shards} diverged from 1"
                 );
             }
+        }
+    }
+
+    /// Credit freed by a pop is usable the next cycle, whatever order the
+    /// routers are visited in. In a 4-ary 2-cube, node 9 streams a packet
+    /// into node 5, one hop down in y, while a hotspot holds 5's delivery
+    /// channel: the worm fills 5's input VC and still has flits to send.
+    /// The cycle the hotspot lifts, 5 — visited first, as the lower index —
+    /// pops that full VC, and 9 must not move into it before the next
+    /// cycle. At two shards the routers sit on opposite sides of the edge
+    /// (`0..8 | 8..16`): once with the coordinator running both shards in
+    /// ascending order, once with a worker beside it.
+    #[test]
+    fn credit_freed_by_a_pop_is_usable_only_next_cycle() {
+        use faults::HotspotFault;
+        const UP: usize = 9;
+        const DOWN: usize = 5;
+        const LIFT: u64 = 40;
+        let cfg = NetConfig {
+            radix: 4,
+            dimensions: 2,
+            ..NetConfig::small(DeadlockMode::Avoidance)
+        };
+        for (shards, participants) in [(1, 1), (2, 1), (2, 2)] {
+            let mut net = Network::new(cfg.clone()).unwrap();
+            let hotspots = vec![HotspotFault {
+                node: DOWN,
+                start: 0,
+                end: LIFT,
+            }];
+            let plan = FaultPlan {
+                hotspots,
+                ..FaultPlan::none(0)
+            };
+            net.install_faults(plan).unwrap();
+            net.set_shards(shards);
+            if shards > 1 {
+                assert!(net.plan.bounds[1] <= UP && DOWN < net.plan.bounds[1]);
+                net.plan.pool = Some(WorkerPool::new(shards, participants));
+            }
+            let mut one = Some(DOWN);
+            let mut src = move |_: u64, node: usize| if node == UP { one.take() } else { None };
+            net.run(LIFT, &mut src, &mut NoControl);
+            let fpn = net.d * net.v;
+            let vc = (DOWN * fpn..(DOWN + 1) * fpn)
+                .find(|&idx| !net.vc_bufs.is_empty(idx))
+                .expect("the worm reached DOWN");
+            assert_eq!(net.vc_bufs.len(vc), net.depth, "DOWN's input VC is full");
+            let sent = net.inj[UP].sent;
+            assert!(sent < net.packet_len, "UP has flits left to send");
+
+            let case = format!("{shards} shard(s), {participants} participant(s)");
+            net.cycle(&mut src, &mut NoControl);
+            assert_eq!(net.counters.delivered_flits, 1, "{case}: DOWN pops");
+            assert_eq!(
+                net.inj[UP].sent, sent,
+                "{case}: UP moved on credit freed this cycle"
+            );
+            assert_eq!(net.vc_bufs.len(vc), net.depth - 1, "{case}");
+            net.cycle(&mut src, &mut NoControl);
+            assert_eq!(
+                net.inj[UP].sent,
+                sent + 1,
+                "{case}: UP moves on the credit next cycle"
+            );
         }
     }
 

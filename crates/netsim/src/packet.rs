@@ -150,7 +150,7 @@ impl PacketStore {
         &self.free
     }
 
-    /// The slot array as checked cells, for the apply views
+    /// The slot array as checked cells, for the pass views
     /// ([`crate::shard::ApplyCtx`]), which reach a packet only through
     /// [`Cells::packet`].
     pub(crate) fn view(&mut self) -> Cells<'_, PacketInfo> {
@@ -229,13 +229,15 @@ impl PacketStore {
 }
 
 /// What a route/switch pass may touch of one in-flight packet (built by
-/// [`Cells::packet`]): its immutable length and its two stamps. Delivery
-/// accounting and release are boundary work, done sequentially through
-/// [`PacketStore`] itself.
+/// [`Cells::packet`]): its immutable length and destination and its two
+/// stamps. Delivery accounting and release are boundary work, done
+/// sequentially through [`PacketStore`] itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PacketCell<'a> {
     /// [`PacketInfo::len`].
     pub len: u16,
+    /// [`PacketInfo::dst`].
+    pub dst: NodeId,
     /// [`PacketInfo::last_move`]. Several flits of one worm can move at
     /// routers of different shards in one cycle, all storing that cycle.
     pub last_move: &'a AtomicU64,

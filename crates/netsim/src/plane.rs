@@ -1,4 +1,4 @@
-//! The switch plane: everything the switch stage's decide needs to know
+//! The switch plane: everything the switch pass's arbitration needs to know
 //! about a feeder, packed beside the other bit-planes so that arbitrating a
 //! router is a handful of loads and no data-dependent branch per VC.
 //!
@@ -25,12 +25,12 @@
 //! `movable_at = now + 1`), `take` (the new front after a pop) and `put`
 //! (a push into an empty ring).
 //!
-//! It is also **stale by design** wherever decide cannot look: the slot of
-//! a VC that is not switchable (unrouted, awaiting the token, recovering)
-//! keeps its previous worm's value, as does that of an idle injection
-//! interface, and the `movable_at` of an empty ring is whatever its last
-//! front left. Decide reads index `i` only under a set `vc_busy &
-//! vc_switchable` bit or an active injection, and the audit
+//! It is also **stale by design** wherever arbitration cannot look: the
+//! slot of a VC that is not switchable (unrouted, awaiting the token,
+//! recovering) keeps its previous worm's value, as does that of an idle
+//! injection interface, and the `movable_at` of an empty ring is whatever
+//! its last front left. The switch pass reads index `i` only under a set
+//! `vc_busy & vc_switchable` bit or an active injection, and the audit
 //! ([`crate::AuditKind::SwitchPlane`]) checks exactly those.
 //!
 //! [`Network::rebuild_derived`]: crate::Network
@@ -161,8 +161,8 @@ impl SwitchPlane {
         self.movable_at[i]
     }
 
-    /// The plane as checked cells owning every index — what the apply
-    /// views ([`crate::shard::ApplyCtx`]) write through.
+    /// The plane as checked cells owning every index — what the pass
+    /// views ([`crate::shard::ApplyCtx`]) work through.
     #[inline]
     pub(crate) fn view(&mut self) -> SwitchPlaneView<'_> {
         SwitchPlaneView {
@@ -192,6 +192,11 @@ impl SwitchPlaneView<'_> {
     #[inline]
     pub(crate) fn slot(&self, i: usize) -> Slot {
         self.slot.get(i)
+    }
+
+    #[inline]
+    pub(crate) fn movable_at(&self, i: usize) -> u64 {
+        self.movable_at.get(i)
     }
 
     #[inline]

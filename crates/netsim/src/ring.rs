@@ -191,7 +191,7 @@ impl FlitRings {
     }
 
     /// The arena as checked cells owning every ring — what the mutators
-    /// above and the apply views ([`crate::shard::ApplyCtx`]) write through.
+    /// above and the pass views ([`crate::shard::ApplyCtx`]) write through.
     #[inline]
     pub(crate) fn view(&mut self) -> FlitRingsView<'_> {
         FlitRingsView {
@@ -234,6 +234,12 @@ impl FlitRingsView<'_> {
     #[inline]
     pub(crate) fn len(&self, r: usize) -> usize {
         len_of(self.cursors.get(r)) as usize
+    }
+
+    /// The front flit of ring `r` (ring must be non-empty).
+    #[inline]
+    pub(crate) fn front(&self, r: usize) -> Flit {
+        self.front_slot(r, self.cursors.get(r)).flit()
     }
 
     /// See [`FlitRings::front_packet`].

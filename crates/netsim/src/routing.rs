@@ -2,16 +2,18 @@
 //! escape channels or full adaptivity, per the deadlock mode), backed by
 //! next-hop tables precomputed once at network construction.
 
-use crate::network::{dim_dir_of, port_of, Assign, Network};
+use crate::network::{dim_dir_of, port_of, Assign};
 use crate::packet::PacketId;
 use crate::plane::Slot;
+use crate::shard::ApplyCtx;
 use kncube::{Dir, NodeId, Torus};
+use std::sync::atomic::Ordering;
 
 /// Sentinel in the mesh next-hop rows for equal coordinates (no hop in
 /// that dimension).
 const NO_HOP: u8 = 0xFF;
 
-/// Routing lookup tables, built once per [`Network`].
+/// Routing lookup tables, built once per [`crate::Network`].
 ///
 /// Both routing functions decide dimension by dimension from that
 /// dimension's two coordinates alone, so a pair of nodes is routed from
@@ -116,12 +118,40 @@ impl RouteTables {
             .enumerate()
             .map(move |(dim, (&a, &b))| (dim * k + usize::from(a)) * k + usize::from(b))
     }
+
+    /// Bitmask of productive output ports from `node` towards `dst`: the
+    /// union of the per-dimension rows' masks.
+    #[inline]
+    pub(crate) fn productive_mask(&self, node: NodeId, dst: NodeId) -> u16 {
+        self.row_entries(node, dst)
+            .fold(0, |mask, at| mask | self.productive[at])
+    }
+
+    /// Output port of the mesh dimension-order hop from `cur` towards
+    /// `dst` — the hop of the lowest unaligned dimension — `None` when
+    /// `cur == dst`.
+    #[inline]
+    pub(crate) fn mesh_next_port(&self, cur: NodeId, dst: NodeId) -> Option<usize> {
+        self.row_entries(cur, dst)
+            .map(|at| self.mesh_next[at])
+            .find(|&p| p != NO_HOP)
+            .map(usize::from)
+    }
+
+    /// Dimension-order next hop on the *mesh* sub-network (never crosses a
+    /// wraparound link): the escape routing function. (The hot path uses
+    /// [`RouteTables::mesh_next_port`] directly; this `(dim, dir)` view
+    /// exists for the routing tests.)
+    #[cfg(test)]
+    pub(crate) fn mesh_dor_hop(&self, cur: NodeId, dst: NodeId) -> Option<(usize, Dir)> {
+        self.mesh_next_port(cur, dst).map(dim_dir_of)
+    }
 }
 
 /// Dimension-order next hop on the *mesh* sub-network (never crosses a
 /// wraparound link): the escape routing function, computed from
-/// coordinates. [`Network::mesh_next_port`] serves the same answer from the
-/// precomputed rows.
+/// coordinates. [`RouteTables::mesh_next_port`] serves the same answer from
+/// the precomputed rows.
 fn mesh_dor_hop_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> Option<(usize, Dir)> {
     let ca = torus.coords(cur);
     let cb = torus.coords(dst);
@@ -139,8 +169,8 @@ fn mesh_dor_hop_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> Option<(usize, D
 }
 
 /// Productive-port bitmask computed from coordinates;
-/// [`Network::productive_mask`] serves the same answer from the precomputed
-/// rows.
+/// [`RouteTables::productive_mask`] serves the same answer from the
+/// precomputed rows.
 fn productive_mask_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> u16 {
     let mut mask = 0u16;
     for (dim, dir) in torus.productive_hops(cur, dst).iter() {
@@ -149,9 +179,11 @@ fn productive_mask_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> u16 {
     mask
 }
 
-impl Network {
+impl ApplyCtx<'_> {
     /// Chooses an output virtual channel for a header at `node` destined for
-    /// `dst` (`dst != node`; local delivery is handled by the caller).
+    /// `dst` (`dst != node`; local delivery is handled by the caller). Reads
+    /// `node`'s own output allocations and the escape flag of packet `pid`,
+    /// whose header this router holds.
     ///
     /// Policy, following the paper's §5.1 configurations:
     ///
@@ -169,36 +201,21 @@ impl Network {
     /// Returns `None` when no candidate channel is free this cycle.
     pub(crate) fn choose_output(&self, node: NodeId, dst: NodeId, pid: PacketId) -> Option<Assign> {
         debug_assert_ne!(node, dst);
-        let escape_vcs = self.config().escape_vcs();
-        let sticky_escaped = escape_vcs > 0 && self.escaped[pid as usize];
+        let escape_vcs = self.escape_vcs;
+        let free =
+            |port: usize, vc: usize| !self.out_alloc.get((node * self.d + port) * self.v + vc);
+        let sticky_escaped =
+            escape_vcs > 0 && self.escaped.atomic(pid as usize).load(Ordering::Relaxed);
 
         if !sticky_escaped {
             // First free adaptive VC in fixed (dimension, direction, VC)
             // order — ascending set bits of the productive-port mask visit
             // dimensions in exactly the order `productive_hops` yields them.
-            let mut mask = self.productive_mask(node, dst);
+            let mut mask = self.tables.productive_mask(node, dst);
             while mask != 0 {
                 let port = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                for vc in escape_vcs..self.config().vcs {
-                    let oidx = self.vc_idx(node, port, vc);
-                    if !self.out_alloc[oidx] {
-                        return Some(Assign::Out {
-                            port: port as u8,
-                            vc: vc as u8,
-                        });
-                    }
-                }
-            }
-        }
-
-        if escape_vcs > 0 {
-            let port = self
-                .mesh_next_port(node, dst)
-                .expect("mesh DOR hop exists whenever node != dst");
-            for vc in 0..escape_vcs {
-                let oidx = self.vc_idx(node, port, vc);
-                if !self.out_alloc[oidx] {
+                if let Some(vc) = (escape_vcs..self.v).find(|&vc| free(port, vc)) {
                     return Some(Assign::Out {
                         port: port as u8,
                         vc: vc as u8,
@@ -206,37 +223,20 @@ impl Network {
                 }
             }
         }
+
+        if escape_vcs > 0 {
+            let port = self
+                .tables
+                .mesh_next_port(node, dst)
+                .expect("mesh DOR hop exists whenever node != dst");
+            if let Some(vc) = (0..escape_vcs).find(|&vc| free(port, vc)) {
+                return Some(Assign::Out {
+                    port: port as u8,
+                    vc: vc as u8,
+                });
+            }
+        }
         None
-    }
-
-    /// Bitmask of productive output ports from `node` towards `dst`: the
-    /// union of the per-dimension rows' masks.
-    #[inline]
-    pub(crate) fn productive_mask(&self, node: NodeId, dst: NodeId) -> u16 {
-        let t = &self.tables;
-        t.row_entries(node, dst)
-            .fold(0, |mask, at| mask | t.productive[at])
-    }
-
-    /// Output port of the mesh dimension-order hop from `cur` towards
-    /// `dst` — the hop of the lowest unaligned dimension — `None` when
-    /// `cur == dst`.
-    #[inline]
-    pub(crate) fn mesh_next_port(&self, cur: NodeId, dst: NodeId) -> Option<usize> {
-        let t = &self.tables;
-        t.row_entries(cur, dst)
-            .map(|at| t.mesh_next[at])
-            .find(|&p| p != NO_HOP)
-            .map(usize::from)
-    }
-
-    /// Dimension-order next hop on the *mesh* sub-network (never crosses a
-    /// wraparound link): the escape routing function. (The hot path uses
-    /// [`Network::mesh_next_port`] directly; this `(dim, dir)` view exists
-    /// for the routing tests.)
-    #[cfg(test)]
-    pub(crate) fn mesh_dor_hop(&self, cur: NodeId, dst: NodeId) -> Option<(usize, Dir)> {
-        self.mesh_next_port(cur, dst).map(dim_dir_of)
     }
 }
 
@@ -253,12 +253,12 @@ mod tests {
         let net = Network::new(NetConfig::small(DeadlockMode::Avoidance)).unwrap();
         // Node 0 to node 7 (same row): torus-minimal is one hop Minus (wrap),
         // but the mesh escape must walk +x without wrapping.
-        let (dim, dir) = net.mesh_dor_hop(0, 7).unwrap();
+        let (dim, dir) = net.tables.mesh_dor_hop(0, 7).unwrap();
         assert_eq!((dim, dir), (0, Dir::Plus));
         // And from 7 back to 0 it walks -x.
-        let (dim, dir) = net.mesh_dor_hop(7, 0).unwrap();
+        let (dim, dir) = net.tables.mesh_dor_hop(7, 0).unwrap();
         assert_eq!((dim, dir), (0, Dir::Minus));
-        assert_eq!(net.mesh_dor_hop(5, 5), None);
+        assert_eq!(net.tables.mesh_dor_hop(5, 5), None);
     }
 
     #[test]
@@ -269,7 +269,7 @@ mod tests {
             for dst in 0..t.node_count() {
                 let mut cur = src;
                 let mut steps = 0;
-                while let Some((dim, dir)) = net.mesh_dor_hop(cur, dst) {
+                while let Some((dim, dir)) = net.tables.mesh_dor_hop(cur, dst) {
                     cur = t.neighbor(cur, dim, dir);
                     steps += 1;
                     assert!(steps < 100, "mesh DOR walk diverged");
@@ -319,19 +319,19 @@ mod tests {
             for cur in 0..nodes {
                 for dst in 0..nodes {
                     assert_eq!(
-                        net.mesh_dor_hop(cur, dst),
+                        net.tables.mesh_dor_hop(cur, dst),
                         mesh_dor_hop_dyn(&t, cur, dst),
                         "mesh table diverges at ({cur}, {dst}), k={}",
                         t.radix()
                     );
                     assert_eq!(
-                        net.productive_mask(cur, dst),
+                        net.tables.productive_mask(cur, dst),
                         productive_mask_dyn(&t, cur, dst),
                         "productive table diverges at ({cur}, {dst}), k={}",
                         t.radix()
                     );
                     // Mask bit order must reproduce the HopSet hop order.
-                    let mut mask = net.productive_mask(cur, dst);
+                    let mut mask = net.tables.productive_mask(cur, dst);
                     let mut from_mask = Vec::new();
                     while mask != 0 {
                         let port = mask.trailing_zeros() as usize;

@@ -1,51 +1,47 @@
-//! Intra-simulation sharding: the shard plan, per-shard op staging, the
-//! checked raw-cell views the apply phase writes through, and the
-//! persistent worker pool that executes the parallel phases.
+//! Intra-simulation sharding: the shard plan, the per-shard pass output,
+//! the checked raw-cell views a pass works through, and the persistent
+//! worker pool that runs the passes.
 //!
 //! One [`crate::Network`] is stepped across a fixed set of *shards* —
-//! contiguous node ranges — with a deterministic per-cycle barrier. The
-//! route and switch stages each split into phases, at **every** shard
-//! count:
+//! contiguous node ranges. The route and switch stages each run as a
+//! **pass** and a **tail**, at every shard count:
 //!
-//! 1. **Decide** (parallel): every shard scans its own node range of the
-//!    *pre-phase* network state through a shared `&Network` borrow and
-//!    stages its decisions as typed ops into its own [`ShardStage`]
-//!    buffer. Nothing is mutated, so workers never race. A flit move is
-//!    classified at staging time by where its downstream half lands: a
-//!    **local hop** (downstream VC inside the staging shard's own node
-//!    range), a **delivery** (no downstream VC; the flit is consumed at
-//!    its destination) or a **handoff** (downstream VC in another shard).
-//! 2. **Apply** (parallel): each shard applies its own ops through an
-//!    [`ApplyCtx`] view of its node range — everything that writes only
-//!    the shard's own state. That is all of a route op and of a local hop,
-//!    and the *source* half (`take`) of a delivery and of a handoff; the
-//!    taken flits are set aside in the stage (`delivered`, `parked`).
-//!    Ops of different shards touch disjoint state (or commute exactly —
-//!    see the view contract on [`ApplyCtx`]), so the result is independent
-//!    of execution order.
-//! 3. **Tail** (sequential): the caller's thread `put`s the parked
+//! 1. **Pass** (parallel): each shard visits the routers of its own node
+//!    range in ascending order through an [`ApplyCtx`] view of that range,
+//!    and each router arbitrates and then at once performs what it
+//!    decided. Nothing a router's arbitration reads is written by another
+//!    router's pass: its own state, plus what the view contract lists as
+//!    read-only — among it two copies `Network::run_pass` takes before the
+//!    pass opens, the routers to visit and the switch pass's credit words.
+//!    So the outcome is the same for every partition and every order in
+//!    which shards run, and no shard ever waits for another inside a pass.
+//!    A flit move goes by where its downstream half lands: a **local hop**
+//!    (downstream VC in the shard's own range) is `put` at once, a
+//!    **delivery** is set aside in the stage (`delivered`), and a
+//!    **handoff** (downstream VC in another shard) is taken off its feeder
+//!    and parked (`parked`).
+//! 2. **Tail** (sequential): the caller's thread `put`s the parked
 //!    handoffs into their downstream VCs through a whole-network view and
 //!    folds each shard's deltas and globally ordered results — suspects
 //!    into the token queue, delivered flits into the delivery ring — in
-//!    ascending shard order, within a shard in staging (ascending node)
+//!    ascending shard order, within a shard in pass (ascending node)
 //!    order. Because shards are contiguous ascending ranges, that visits
 //!    the globally ordered structures in global ascending-node order for
 //!    *any* shard count.
 //!
-//! With one shard the caller's thread runs the three phases inline over a
-//! whole-network view; with more, a [`WorkerPool`] executes decide and
-//! apply. Its participants — the caller's thread (the *coordinator*,
+//! With one shard the caller's thread runs the pass inline over a
+//! whole-network view; with more, a [`WorkerPool`] runs the shards'
+//! passes. Its participants — the caller's thread (the *coordinator*,
 //! participant 0) plus `min(S, cores) − 1` long-lived worker threads —
 //! each have a *home run* of shards, a contiguous slice of `0..S`. A
 //! participant claims its home shards first and sweeps the other shards
-//! only after finishing its own; one claim covers a shard's decide *and*
-//! its apply. In steady state every shard is therefore decided and
-//! applied by the same thread pass after pass and its state never leaves
-//! that core's caches, while a parked, late or preempted worker never
-//! stalls a pass: whoever is running sweeps up what nobody claimed. The
-//! result depends only on the shard id, never on who ran it. The claim
-//! protocol ([`Board`]) is a handful of atomics and park/unpark — no
-//! per-cycle thread spawns, no lock on the hot path.
+//! only after finishing its own; one claim runs a shard's whole pass. In
+//! steady state every shard is therefore run by the same thread pass after
+//! pass and its state never leaves that core's caches, while a parked,
+//! late or preempted worker never stalls a pass: whoever is running sweeps
+//! up what nobody claimed. The result depends only on the shard id, never
+//! on who ran it. The claim protocol ([`Board`]) is a handful of atomics
+//! and park/unpark — no per-cycle thread spawns, no lock on the hot path.
 //!
 //! This is the one module of the crate allowed to contain `unsafe`: the
 //! [`Cells`] accessors, the lifetime-erasing per-shard view constructor
@@ -55,9 +51,9 @@
 //!
 //! The plan is runtime-only configuration: it is never serialized and
 //! never enters a checkpoint fingerprint, so a snapshot taken at S shards
-//! restores at any S′ by construction. The op buffers are preallocated at
-//! their per-cycle worst case, keeping the steady-state cycle pipeline
-//! allocation-free (see `tests/zero_alloc.rs`).
+//! restores at any S′ by construction. The stage lists and the pass copies
+//! are preallocated at their per-cycle worst case, keeping the steady-state
+//! cycle pipeline allocation-free (see `tests/zero_alloc.rs`).
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -70,41 +66,15 @@ use std::thread::JoinHandle;
 
 use crate::network::{Assign, InjState, Network};
 use crate::packet::{Flit, PacketCell, PacketId, PacketInfo};
-use crate::plane::{Slot, SwitchPlaneView};
+use crate::plane::SwitchPlaneView;
 use crate::ring::{FlitRingsView, IdRingView};
+use crate::routing::RouteTables;
 use crate::wheel::TimerWheelView;
+use faults::FaultPlan;
 
-/// One staged routing-stage decision. Ops are applied in staging order,
-/// which per node is: the arbiter cursor update, the winner's allocation
-/// (if it routed), then blocked-cycle accounting per losing requester.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RouteOp {
-    /// Demand-slotted round-robin cursor update of `node`'s arbiter.
-    Rr { node: u32, cursor: u8 },
-    /// The arbiter's winning feeder routed: perform the allocation tail
-    /// (output-VC claim, escape marking, injection start or VC
-    /// assignment + wheel enrollment).
-    Win {
-        node: u32,
-        feeder: u8,
-        assign: Assign,
-    },
-    /// A losing (or unroutable) requester accrues one blocked cycle.
-    Blocked { idx: u32 },
-}
-
-/// One staged switch-stage decision: output channel `port` of `node`
-/// moves one flit from feeder `pick`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SwitchOp {
-    pub node: u32,
-    pub port: u8,
-    pub pick: u8,
-}
-
-/// A handoff whose source half has been applied: `flit`, taken off its
-/// feeder by the source shard, waits for the sequential tail to `put` it
-/// into input VC `feeder` of `node` — another shard's.
+/// A handoff whose source half is done: `flit`, taken off its feeder by
+/// the source shard's pass, waits for the sequential tail to `put` it into
+/// input VC `feeder` of `node` — another shard's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Parked {
     pub node: u32,
@@ -112,43 +82,31 @@ pub(crate) struct Parked {
     pub flit: Flit,
 }
 
-/// Per-shard staging buffer: the mailbox decisions travel through between
-/// the decide phase and the apply, what the apply sets aside for the
-/// sequential tail, and the sink of the apply's deltas to global scalars.
+/// One shard's pass output: what the pass sets aside for the sequential
+/// tail, and the sink of its deltas to global scalars. Every list is empty
+/// between cycles (audited as [`crate::AuditKind::MailboxConservation`]).
 #[derive(Debug, Default)]
 pub(crate) struct ShardStage {
-    /// Ops staged by this shard's route decide, in node order.
-    pub route_ops: Vec<RouteOp>,
     /// The input VCs of requesters that tripped Disha's suspicion
-    /// predicate. The apply demotes them to `AwaitToken`; the fold commits
-    /// them to the recovery token queue (a single global FIFO) in staging
+    /// predicate. The pass demotes them to `AwaitToken`; the fold commits
+    /// them to the recovery token queue (a single global FIFO) in pass
     /// order.
     pub suspects: Vec<u32>,
-    /// Local hops staged by this shard's switch decide, in (node, port)
-    /// order: moves whose downstream VC lies in this shard's own range.
-    pub switch_ops: Vec<SwitchOp>,
-    /// Moves onto a delivery channel. The apply takes the flit off its
-    /// feeder into `delivered`.
-    pub deliveries: Vec<SwitchOp>,
-    /// Moves whose downstream VC belongs to another shard. The apply takes
-    /// the flit off its feeder into `parked`.
-    pub handoffs: Vec<SwitchOp>,
-    /// Taken handoffs awaiting the tail's `put` (empty between passes).
+    /// Taken handoffs awaiting the tail's `put`.
     pub parked: Vec<Parked>,
     /// Flits taken off delivery moves, consumed at their destination by
-    /// the fold — the global delivery-ring FIFO and packet release order
-    /// (empty between passes).
+    /// the fold — the global delivery-ring FIFO and packet release order.
     pub delivered: Vec<Flit>,
-    /// Routers this shard's route decide visited (counter delta, folded
+    /// Routers this shard's route pass visited (counter delta, folded
     /// into [`crate::counters::Counters`] after the pass).
     pub route_visits: u64,
-    /// Routers this shard's switch decide visited.
+    /// Routers this shard's switch pass visited.
     pub switch_visits: u64,
     /// Ready flits stalled on faulted links / hot delivery channels this
     /// cycle (counter deltas).
     pub link_stalls: u64,
     pub hotspot_stalls: u64,
-    /// Apply deltas, folded sequentially after the pass: escape
+    /// Pass deltas, folded sequentially after the pass: escape
     /// allocations and injected packets (counter sums), the net change to
     /// the full-buffer census, and whether any flit moved (advances
     /// `last_progress_at`).
@@ -156,38 +114,17 @@ pub(crate) struct ShardStage {
     pub injected: u64,
     pub full_delta: i32,
     pub progressed: bool,
-    /// Cumulative ops ever staged into / applied from this buffer, each
-    /// counted once (a handoff when the tail completes it). The audit's
-    /// mailbox-conservation invariant: between cycles the two are equal
-    /// and every vector is empty — every staged decision was applied, none
-    /// invented.
-    pub staged_total: u64,
-    pub applied_total: u64,
 }
 
 impl ShardStage {
-    /// Whether any staged op awaits its apply.
-    pub fn has_ops(&self) -> bool {
-        !(self.route_ops.is_empty()
-            && self.suspects.is_empty()
-            && self.switch_ops.is_empty()
-            && self.deliveries.is_empty()
-            && self.handoffs.is_empty())
-    }
-
     /// A stage for a shard of `span` nodes with `fpn` input-VC feeders and
-    /// `nports` output channels each, every buffer at its per-cycle worst
-    /// case: a router stages at most `fpn + 2` route ops (cursor, winner,
-    /// and one blocked entry or suspect per input feeder), one flit move
-    /// per output channel and one delivery.
+    /// `nports` output channels each, every list at its per-cycle worst
+    /// case: a router sets aside at most one suspect per input feeder, one
+    /// handoff per network port and one delivered flit.
     fn with_capacity(span: usize, fpn: usize, nports: usize) -> Self {
         ShardStage {
-            route_ops: Vec::with_capacity(span * (fpn + 2)),
             suspects: Vec::with_capacity(span * fpn),
-            switch_ops: Vec::with_capacity(span * nports),
-            deliveries: Vec::with_capacity(span),
-            handoffs: Vec::with_capacity(span * nports),
-            parked: Vec::with_capacity(span * nports),
+            parked: Vec::with_capacity(span * (nports - 1)),
             delivered: Vec::with_capacity(span),
             ..ShardStage::default()
         }
@@ -195,17 +132,30 @@ impl ShardStage {
 }
 
 /// The shard partition of one network: contiguous node ranges, the
-/// per-shard op buffers and (when sharded) the persistent worker pool.
-/// Runtime-only: never serialized, never fingerprinted.
+/// per-shard pass outputs, the per-pass copies and (when sharded) the
+/// persistent worker pool. Runtime-only: never serialized, never
+/// fingerprinted.
 #[derive(Debug)]
 pub(crate) struct ShardPlan {
     /// Shard `s` owns nodes `bounds[s]..bounds[s + 1]`. Ascending,
     /// `bounds[0] == 0`, last element == node count, every range
     /// non-empty.
     pub bounds: Vec<usize>,
-    /// Per-shard decision mailboxes.
+    /// Per-shard pass outputs.
     pub stages: Vec<ShardStage>,
-    /// Persistent workers executing the parallel phases (`None` with one
+    /// The routers the pass under way visits, as node-bitset words: those
+    /// holding a flit, plus an admitted injection (route pass) or an
+    /// active one (switch pass). Copied before the pass opens, so that a
+    /// router a `put` makes busy mid-pass stays unvisited — its flit is not
+    /// ready before `now + hop_latency` and would change nothing but the
+    /// visit count.
+    pub visit: Vec<u64>,
+    /// `vc_full` as the switch pass found it: the credit every router's
+    /// arbitration reads. A pop frees credit for the next cycle, never for
+    /// a router visited later in the same pass (credit return takes a
+    /// cycle).
+    pub credit: Vec<u64>,
+    /// Persistent workers running the shards' passes (`None` with one
     /// shard). Attached by `Network::set_shards`; dropping the plan joins
     /// the workers, so no thread outlives the network.
     pub pool: Option<WorkerPool>,
@@ -235,6 +185,8 @@ impl ShardPlan {
         ShardPlan {
             bounds,
             stages,
+            visit: vec![0; nodes.div_ceil(64)],
+            credit: vec![0; nodes],
             pool: None,
         }
     }
@@ -246,7 +198,7 @@ impl ShardPlan {
 }
 
 // ---------------------------------------------------------------------
-// Checked raw cells and the apply view
+// Checked raw cells and the pass view
 // ---------------------------------------------------------------------
 
 /// A borrowed slice seen as raw cells: pointer, length, and the index
@@ -324,7 +276,7 @@ impl<'a, T: Copy> Cells<'a, T> {
 }
 
 /// The ownership check's failure path, kept out of line: the check sits on
-/// every plain access of the apply hot path.
+/// every plain access of the pass hot path.
 #[cold]
 #[inline(never)]
 fn not_owned(i: usize, lo: usize, span: usize) -> ! {
@@ -347,7 +299,7 @@ impl Cells<'_, u64> {
     /// Sets bit `i` of the bitset these words pack. One word packs 64
     /// nodes and shard edges are not word-aligned, so the update is an
     /// atomic RMW (which commutes bit-for-bit) — skipped when the bit,
-    /// which only its owner's ops change, already reads set.
+    /// which only its owner's pass changes, already reads set.
     #[inline]
     pub(crate) fn insert_bit(&self, i: usize) {
         let (word, bit) = (self.atomic(i >> 6), 1u64 << (i & 63));
@@ -378,8 +330,8 @@ impl Cells<'_, bool> {
 impl Cells<'_, PacketInfo> {
     /// The fields of packet `id` a pass may touch. Packet ids are not
     /// range-owned — several flits of one worm can move in different
-    /// shards in one cycle — so the stamps are atomics; `len` is written
-    /// only when a packet is generated, never during a pass.
+    /// shards in one cycle — so the stamps are atomics; `len` and `dst`
+    /// are written only when a packet is generated, never during a pass.
     #[inline]
     pub(crate) fn packet(&self, id: PacketId) -> PacketCell<'_> {
         let p = self.shared(id as usize);
@@ -389,6 +341,7 @@ impl Cells<'_, PacketInfo> {
         unsafe {
             PacketCell {
                 len: (*p).len,
+                dst: (*p).dst,
                 last_move: AtomicU64::from_ptr(&raw mut (*p).last_move),
                 injected_at: AtomicU64::from_ptr(&raw mut (*p).injected_at),
             }
@@ -396,11 +349,11 @@ impl Cells<'_, PacketInfo> {
     }
 }
 
-/// A view of the network state the route/switch transition writes, over
-/// one node range: what `Network::apply_ctx` builds for the whole network
+/// A view of the network state a route/switch pass works on, over one
+/// node range: what `Network::apply_ctx` builds for the whole network
 /// from `&mut Network`, and what [`ApplyCtx::shard`] narrows to one
-/// shard. The transition itself (`impl ApplyCtx` in `network.rs`) is safe
-/// code over these accessors.
+/// shard. The passes and the state transition under them (`impl ApplyCtx`
+/// in `network.rs`) are safe code over these accessors.
 ///
 /// # The view contract
 ///
@@ -412,11 +365,15 @@ impl Cells<'_, PacketInfo> {
 ///   panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets and wheel bucket words (64 nodes/VCs per word, shard edges
-///   unaligned; each bit is changed only by its owner's ops), and the
+///   unaligned; each bit is changed only by its owner's pass), and the
 ///   packet-id-indexed `escaped` flags and `last_move`/`injected_at`
 ///   stamps (one writer per cycle, or several writing the same value).
+/// * **Read-only while a pass runs** — the pass copies (`visit`,
+///   `credit`), the cycle's injection allowances (`allow`), the route
+///   tables, the fault plan, and packet lengths and destinations. No pass
+///   writes them, so every shard reads them plainly.
 /// * **Deferred to the tail** — a handoff's `put` (its downstream VC is
-///   another shard's: the source shard's view `take`s, the tail's whole
+///   another shard's: the source shard's pass `take`s, the tail's whole
 ///   view `put`s), and everything globally ordered or global: the token
 ///   queue, the delivery ring and packet release, and the scalars
 ///   (`counters`, `full_buffers`, `last_progress_at`), which a view
@@ -455,9 +412,17 @@ pub(crate) struct ApplyCtx<'a> {
     pub packets: Cells<'a, PacketInfo>,
     pub wheel: TimerWheelView<'a>,
     pub plane: SwitchPlaneView<'a>,
-    /// [`crate::routing::RouteTables`]' slots of every output VC
-    /// (read-only).
-    pub out_slots: &'a [Slot],
+    /// The pass's visit copy ([`ShardPlan::visit`]).
+    pub visit: &'a [u64],
+    /// The switch pass's credit copy ([`ShardPlan::credit`]).
+    pub credit: &'a [u64],
+    /// The cycle's injection allowances, as node-bitset words.
+    pub allow: &'a [u64],
+    /// Output-channel selection rows and the switch-plane slots of every
+    /// output VC.
+    pub tables: &'a RouteTables,
+    /// The installed link/hotspot faults (`None` on a fault-free network).
+    pub faults: Option<&'a FaultPlan>,
 }
 
 impl ApplyCtx<'_> {
@@ -467,9 +432,8 @@ impl ApplyCtx<'_> {
     /// # Safety
     ///
     /// The storage `whole` was built over must stay alive and unmoved for
-    /// as long as the returned view is used; views in use at the same time
-    /// must cover disjoint node ranges; and no decide — no reader of the
-    /// same state through `&Network` — may run while any of them is used.
+    /// as long as the returned view is used, and views in use at the same
+    /// time must cover disjoint node ranges.
     pub(crate) unsafe fn shard(whole: &ApplyCtx<'_>, lo: usize, hi: usize) -> ApplyCtx<'static> {
         let vcs = lo * whole.fpn..hi * whole.fpn;
         let view = ApplyCtx {
@@ -508,51 +472,48 @@ impl ApplyCtx<'_> {
 // The persistent worker pool
 // ---------------------------------------------------------------------
 
-/// Which per-cycle pass a dispatch executes.
+/// Which per-cycle pass a dispatch runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pass {
     Route,
     Switch,
 }
 
-/// The two phases of a pass a claimed shard goes through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Phase {
-    Decide,
-    Apply,
-}
-
-/// One dispatched pass: everything a participant needs to execute shard
-/// work. Published into the pool's job slot before the pass opens; all
+/// One dispatched pass: everything a participant needs to run a shard's
+/// pass. Published into the pool's job slot before the pass opens; all
 /// pointers are valid for the duration of the pass (the coordinator stays
-/// in `WorkerPool::run` until every shard is applied, or every worker has
-/// been joined).
+/// in `WorkerPool::run` until every shard's pass is reported, or every
+/// worker has been joined).
 #[derive(Debug, Clone, Copy)]
 struct Job {
     kind: Pass,
-    net: *const Network,
     whole: ApplyCtx<'static>,
+    /// The plan's `bounds`: shard `t` runs nodes `bounds[t]..bounds[t + 1]`.
+    bounds: *const usize,
     stages: *mut ShardStage,
     now: u64,
 }
 
-/// Wall-clock split of the cycle pipeline's phases and the pool's claim
+/// Wall-clock split of the cycle pipeline's passes and the pool's claim
 /// tallies, accumulated only when explicitly enabled
-/// (`Network::set_phase_stats`) — the hot path pays one branch per phase
+/// (`Network::set_phase_stats`) — the hot path pays one branch per pass
 /// otherwise. Informational: feeds the repo benchmark's
 /// `netsim.phase_*` metrics, never simulation results.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseStats {
-    /// Nanoseconds the caller's thread spent in decide work.
+    /// Always 0. A pass has no separate decide phase any more — each
+    /// router arbitrates and moves in one sweep, timed as `apply_ns`; the
+    /// field stays for the readers of the old split.
     pub decide_ns: u64,
-    /// Nanoseconds spent applying (shard ops, handoff tails, folds).
+    /// Nanoseconds the caller's thread spent running passes (its own
+    /// shards', or the whole network's with one shard) and the sequential
+    /// tails and folds.
     pub apply_ns: u64,
     /// Nanoseconds the caller's thread spent in the claim protocol, mostly
-    /// waiting on its barriers for other participants (next to nothing
-    /// when the caller claims every shard itself).
+    /// waiting at the end of a pass for other participants' shards (next
+    /// to nothing when the caller claims every shard itself).
     pub barrier_ns: u64,
-    /// Shards claimed by the participant whose home run they belong to
-    /// (one claim covers a shard's decide and its apply).
+    /// Shards claimed by the participant whose home run they belong to.
     pub home_claims: u64,
     /// Shards swept up by some other participant.
     pub stolen_claims: u64,
@@ -563,7 +524,7 @@ pub struct PhaseStats {
 const ID_BITS: u32 = 16;
 
 /// The shared words of the claim protocol — who runs which shard of which
-/// pass, and the two barriers of a pass.
+/// pass, and how many shards' passes have landed.
 ///
 /// Passes are numbered from 1. The coordinator *opens* pass `e` by moving
 /// `epoch` on to `e` (after publishing the job). A participant that reads
@@ -571,10 +532,10 @@ const ID_BITS: u32 = 16;
 /// a tag of an earlier pass to `e << ID_BITS | me`; tags only grow, so
 /// exactly one participant wins each shard of each pass, and a straggler
 /// still holding an older `e` wins nothing. The winner runs the shard's
-/// decide, bumps `decided`, and — once `decided` reaches `e · shards`, the
-/// decide→apply barrier — runs the shard's apply and bumps `applied`. The
-/// pass is complete at `applied == e · shards`; only then may the
-/// coordinator publish the next job.
+/// pass at once and bumps `applied`. The pass is complete at `applied ==
+/// e · shards`; only then may the coordinator publish the next job. There
+/// is no barrier inside a pass: no shard's pass reads what another's
+/// writes (see [`ApplyCtx`]).
 ///
 /// Each participant walks the shards in its own *sweep order*: its home
 /// run first, then the rest, ascending and wrapping. All of the protocol's
@@ -586,7 +547,6 @@ struct Board {
     participants: usize,
     epoch: AtomicU64,
     claims: Box<[AtomicU64]>,
-    decided: AtomicU64,
     applied: AtomicU64,
 }
 
@@ -599,8 +559,6 @@ struct Cursor {
     pass: u64,
     /// Position in the sweep order.
     at: usize,
-    /// Shards claimed this pass whose apply has not been reported yet.
-    owed: usize,
     state: State,
 }
 
@@ -613,26 +571,21 @@ enum State {
     Peek,
     /// Try to replace the stale tag `seen` of the shard at `at`.
     Grab { seen: u64 },
-    /// Report that shard's decide as landed.
-    Decided,
-    /// Wait for every decide of the pass.
-    Barrier,
-    /// Look for the next shard carrying this participant's tag.
-    Scan,
-    /// Report that shard's apply as landed.
+    /// Report that shard's pass as landed (the participant holds the
+    /// claim until it does).
     Applied,
-    /// Coordinator only: wait for every apply of the pass.
+    /// Coordinator only: wait for every shard's pass.
     Finish,
 }
 
 /// What the caller of [`Board::step`] must do before stepping again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    /// Execute this phase of this shard.
-    Run(Phase, usize),
+    /// Run this shard's pass.
+    Run(usize),
     /// Nothing; step again.
     Next,
-    /// The step found its barrier closed and changed nothing.
+    /// The step found the pass incomplete and changed nothing.
     Wait,
     /// The participant is idle: its part of the last pass it saw is over
     /// and (for the coordinator) the pass complete.
@@ -647,7 +600,6 @@ impl Board {
             participants,
             epoch: AtomicU64::new(0),
             claims: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            decided: AtomicU64::new(0),
             applied: AtomicU64::new(0),
         }
     }
@@ -675,7 +627,6 @@ impl Board {
             me,
             pass: 0,
             at: 0,
-            owed: 0,
             state: State::Idle,
         }
     }
@@ -710,14 +661,6 @@ impl Board {
     /// behind, at any point without stalling anybody.
     fn step(&self, c: &mut Cursor) -> Action {
         let shard = self.shard_at(c.me, c.at);
-        let tag = c.pass << ID_BITS | c.me as u64;
-        let target = c.pass * self.shards as u64;
-        // Where a participant goes once it owes the pass nothing more.
-        let rest = if c.me == 0 {
-            State::Finish
-        } else {
-            State::Idle
-        };
         match c.state {
             State::Idle => {
                 // Acquire: a participant that joins pass `e` sees the job
@@ -729,7 +672,11 @@ impl Board {
                 (c.pass, c.at, c.state) = (epoch, 0, State::Peek);
             }
             State::Peek if c.at == self.shards => {
-                c.state = if c.owed == 0 { rest } else { State::Barrier };
+                c.state = if c.me == 0 {
+                    State::Finish
+                } else {
+                    State::Idle
+                };
             }
             State::Peek => {
                 let seen = self.claims[shard].load(Ordering::Relaxed);
@@ -740,51 +687,26 @@ impl Board {
                 }
             }
             State::Grab { seen } => {
+                let tag = c.pass << ID_BITS | c.me as u64;
                 let won = self.claims[shard]
                     .compare_exchange(seen, tag, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok();
                 if won {
-                    c.owed += 1;
-                    c.state = State::Decided;
-                    return Action::Run(Phase::Decide, shard);
-                }
-                c.at += 1;
-                c.state = State::Peek;
-            }
-            State::Decided => {
-                // Release: the barrier's acquire load orders this decide's
-                // reads of the network, and its writes to the stage,
-                // before every apply.
-                self.decided.fetch_add(1, Ordering::Release);
-                c.at += 1;
-                c.state = State::Peek;
-            }
-            State::Barrier => {
-                if self.decided.load(Ordering::Acquire) < target {
-                    return Action::Wait;
-                }
-                (c.at, c.state) = (0, State::Scan);
-            }
-            State::Scan if c.owed == 0 => c.state = rest,
-            State::Scan => {
-                // Tags of this pass are final: nobody overwrites one before
-                // the next pass opens, which waits for this apply.
-                if self.claims[shard].load(Ordering::Relaxed) == tag {
                     c.state = State::Applied;
-                    return Action::Run(Phase::Apply, shard);
+                    return Action::Run(shard);
                 }
                 c.at += 1;
+                c.state = State::Peek;
             }
             State::Applied => {
                 // Release: the coordinator's acquire load in `Finish`
-                // orders this apply's writes before its sequential tail.
+                // orders this pass's writes before its sequential tail.
                 self.applied.fetch_add(1, Ordering::Release);
-                c.owed -= 1;
                 c.at += 1;
-                c.state = State::Scan;
+                c.state = State::Peek;
             }
             State::Finish => {
-                if self.applied.load(Ordering::Acquire) < target {
+                if self.applied.load(Ordering::Acquire) < c.pass * self.shards as u64 {
                     return Action::Wait;
                 }
                 c.state = State::Idle;
@@ -796,19 +718,19 @@ impl Board {
 
 /// Shared state of one worker pool. The job slot is protected by the
 /// claim protocol, not a lock: a participant may read it only while it
-/// holds a claim of the current pass whose apply it has not reported yet.
-/// It won that claim after an acquire load of the epoch the coordinator
-/// stored *after* writing the slot, so the read is ordered after the
-/// write; and the coordinator overwrites the slot only once the pass is
-/// complete — every claim's apply reported, observed with `Acquire` — so
-/// every read is ordered before the next write.
+/// holds a claim of the current pass it has not reported yet. It won that
+/// claim after an acquire load of the epoch the coordinator stored *after*
+/// writing the slot, so the read is ordered after the write; and the
+/// coordinator overwrites the slot only once the pass is complete — every
+/// claim reported, observed with `Acquire` — so every read is ordered
+/// before the next write.
 #[derive(Debug)]
 struct PoolShared {
     board: Board,
     /// The current pass (see the struct docs for the access protocol).
     job: UnsafeCell<MaybeUninit<Job>>,
-    /// Tells workers to exit and barrier waits to give up: set when the
-    /// pool is dropped and when a participant panics.
+    /// Tells workers to exit and the coordinator's wait to give up: set
+    /// when the pool is dropped and when a participant panics.
     shutdown: AtomicBool,
     /// The first panic caught on any participant, re-raised on the
     /// coordinator once every worker is joined.
@@ -840,15 +762,14 @@ impl PoolShared {
 
 /// Iterations a worker spins on the epoch before parking.
 const SPIN_LIMIT: u32 = 1 << 14;
-/// Spins before a barrier wait starts yielding the CPU (when participants
-/// outnumber free cores, the one holding the claim needs the timeslice to
-/// finish).
+/// Spins before the coordinator's wait for the pass starts yielding the
+/// CPU (when participants outnumber free cores, the one holding a claim
+/// needs the timeslice to finish).
 const WAIT_SPINS: u32 = 128;
 
-/// The persistent worker threads executing parallel passes for one shard
-/// plan, plus the caller's thread as a full participant. See the module
-/// docs for the protocol. Dropping the pool shuts the workers down and
-/// joins them.
+/// The persistent worker threads running passes for one shard plan, plus
+/// the caller's thread as a full participant. See the module docs for the
+/// protocol. Dropping the pool shuts the workers down and joins them.
 #[derive(Debug)]
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
@@ -889,16 +810,16 @@ impl WorkerPool {
         }
     }
 
-    /// Executes one pass over `net` to completion: publishes the job,
-    /// opens the pass, wakes sleeping workers, participates from the
-    /// caller's thread, and returns once every shard's decide and apply
-    /// have landed. The sequential tail is the caller's job afterwards.
+    /// Runs one pass over `net` to completion: publishes the job, opens
+    /// the pass, wakes sleeping workers, participates from the caller's
+    /// thread, and returns once every shard's pass has landed. The
+    /// sequential tail is the caller's job afterwards.
     ///
     /// # Panics
     ///
     /// Re-raises, after joining every worker, the first panic of any
-    /// participant's decide or apply. The pass is then half applied: the
-    /// network must not be stepped again.
+    /// participant's pass. The pass is then half done: the network must
+    /// not be stepped again.
     pub(crate) fn run(
         &mut self,
         net: &mut Network,
@@ -925,18 +846,16 @@ impl WorkerPool {
     fn publish(&mut self, net: &mut Network, kind: Pass, now: u64, stages: &mut [ShardStage]) {
         let sh = &*self.shared;
         debug_assert_eq!(stages.len(), sh.board.shards);
-        // Every pointer the participants use — the shared decide reads and
-        // the apply views — derives from this one raw borrow, so none
-        // invalidates another; the decide→apply barrier keeps reads and
-        // writes of any location apart in time.
+        debug_assert_eq!(net.plan.bounds.len(), sh.board.shards + 1);
+        let bounds = net.plan.bounds.as_ptr();
         let net: *mut Network = net;
         let job = Job {
             kind,
-            net: net.cast_const(),
             // SAFETY: `net` is the caller's exclusive borrow, which
             // outlives the pass; the view is used only by claim holders,
             // whom `run` outwaits (or joins) before returning.
             whole: unsafe { (*net).apply_ctx() },
+            bounds,
             stages: stages.as_mut_ptr(),
             now,
         };
@@ -999,22 +918,22 @@ impl Drop for WorkerPool {
 /// Steps participant `cur` until it is idle: joins the open pass, if it
 /// has not yet, and sees its claims through. `false` if the pass was
 /// abandoned instead (a participant panicked, or the pool is shutting
-/// down), in which case its barriers will never open. With `stats`, the
-/// time goes to the phase it was spent in.
+/// down), in which case it will never complete. With `stats`, the time
+/// goes to the shard passes it ran or to the protocol.
 fn participate(sh: &PoolShared, cur: &mut Cursor, mut stats: Option<&mut PhaseStats>) -> bool {
     let mut clock = stats.is_some().then(std::time::Instant::now);
     let mut spins = 0u32;
     loop {
         let action = sh.board.step(cur);
         match action {
-            Action::Run(phase, shard) => {
+            Action::Run(shard) => {
                 spins = 0;
                 debug_assert_eq!(
                     sh.board.claims[shard].load(Ordering::Relaxed),
                     cur.pass << ID_BITS | cur.me as u64,
                     "running a shard another participant claimed"
                 );
-                execute(sh, phase, shard);
+                execute(sh, shard);
             }
             Action::Next => {}
             Action::Wait => {
@@ -1035,36 +954,28 @@ fn participate(sh: &PoolShared, cur: &mut Cursor, mut stats: Option<&mut PhaseSt
             let ns = (now - *since).as_nanos() as u64;
             *since = now;
             match action {
-                Action::Run(Phase::Decide, _) => st.decide_ns += ns,
-                Action::Run(Phase::Apply, _) => st.apply_ns += ns,
+                Action::Run(_) => st.apply_ns += ns,
                 _ => st.barrier_ns += ns,
             }
         }
     }
 }
 
-/// `phase` of shard `t`: its decide, or its apply.
-fn execute(sh: &PoolShared, phase: Phase, t: usize) {
+/// Shard `t`'s pass.
+fn execute(sh: &PoolShared, t: usize) {
     // SAFETY: the caller holds shard `t`'s claim of the current pass (see
     // `PoolShared` for why that orders this read of the slot). The claim
-    // is won exactly once per pass, so the stage is exclusive. `net` is
-    // only read — by the decides, and for the plan's bounds, which no pass
-    // writes.
-    let (job, net, stage) = unsafe {
+    // is won exactly once per pass, so the stage is exclusive; the bounds
+    // are only read, and nothing writes them while a pass runs.
+    let (job, stage, lo, hi) = unsafe {
         let job = (*sh.job.get()).assume_init_ref();
-        (job, &*job.net, &mut *job.stages.add(t))
+        let bounds = std::slice::from_raw_parts(job.bounds, t + 2);
+        (job, &mut *job.stages.add(t), bounds[t], bounds[t + 1])
     };
-    let (lo, hi) = (net.plan.bounds[t], net.plan.bounds[t + 1]);
-    match phase {
-        Phase::Decide => net.decide(job.kind, job.now, lo, hi, stage),
-        Phase::Apply => {
-            // SAFETY: the plan's ranges are disjoint, `run` keeps the
-            // network borrowed until the pass is over, and every decide
-            // has landed (the board's decide→apply barrier).
-            let view = unsafe { ApplyCtx::shard(&job.whole, lo, hi) };
-            view.apply(job.kind, job.now, stage);
-        }
-    }
+    // SAFETY: the plan's ranges are disjoint, and `run` keeps the network
+    // borrowed until every claim of the pass is reported.
+    let view = unsafe { ApplyCtx::shard(&job.whole, lo, hi) };
+    view.pass(job.kind, job.now, lo, hi, stage);
 }
 
 /// A worker's life: spin on the epoch, participate when a pass opens, park
@@ -1105,8 +1016,7 @@ fn worker_loop(sh: &PoolShared, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::NoControl;
-    use crate::difftest::{small_cfg, source};
+    use crate::plane::Slot;
     use std::collections::{HashMap, HashSet};
 
     #[test]
@@ -1199,39 +1109,38 @@ mod tests {
     /// under way.
     #[derive(Clone, PartialEq, Eq, Hash)]
     struct World {
-        /// `epoch`, `decided`, `applied`, then the claim words.
+        /// `epoch`, `applied`, then the claim words.
         words: Vec<u64>,
         cursors: Vec<Cursor>,
         /// The pass whose job sits in the job slot.
         job: u64,
         /// Passes the coordinator has yet to open.
         to_open: u64,
-        /// Per shard of the open pass: decide started, apply started.
-        started: Vec<(bool, bool)>,
-        /// Per participant: the phase it is executing, from the step that
-        /// returned it to the participant's next step.
-        running: Vec<Option<Phase>>,
+        /// Per shard of the open pass: whether its pass has started.
+        started: Vec<bool>,
+        /// Per participant: whether it is running a shard's pass, from the
+        /// step that returned it to the participant's next step.
+        running: Vec<bool>,
     }
 
     impl World {
         fn new(shards: usize, participants: usize, passes: u64) -> World {
             let board = Board::new(shards, participants);
             World {
-                words: vec![0; 3 + shards],
+                words: vec![0; 2 + shards],
                 cursors: (0..participants).map(|p| board.cursor(p)).collect(),
                 job: 0,
                 to_open: passes,
-                started: vec![(false, false); shards],
-                running: vec![None; participants],
+                started: vec![false; shards],
+                running: vec![false; participants],
             }
         }
 
         fn board(&self) -> Board {
-            let board = Board::new(self.words.len() - 3, self.cursors.len());
+            let board = Board::new(self.words.len() - 2, self.cursors.len());
             board.epoch.store(self.words[0], Ordering::Relaxed);
-            board.decided.store(self.words[1], Ordering::Relaxed);
-            board.applied.store(self.words[2], Ordering::Relaxed);
-            for (claim, &word) in board.claims.iter().zip(&self.words[3..]) {
+            board.applied.store(self.words[1], Ordering::Relaxed);
+            for (claim, &word) in board.claims.iter().zip(&self.words[2..]) {
                 claim.store(word, Ordering::Relaxed);
             }
             board
@@ -1239,9 +1148,8 @@ mod tests {
 
         fn keep(&mut self, board: &Board) {
             self.words[0] = board.epoch.load(Ordering::Relaxed);
-            self.words[1] = board.decided.load(Ordering::Relaxed);
-            self.words[2] = board.applied.load(Ordering::Relaxed);
-            for (word, claim) in self.words[3..].iter_mut().zip(board.claims.iter()) {
+            self.words[1] = board.applied.load(Ordering::Relaxed);
+            for (word, claim) in self.words[2..].iter_mut().zip(board.claims.iter()) {
                 *word = claim.load(Ordering::Relaxed);
             }
         }
@@ -1256,18 +1164,17 @@ mod tests {
         }
 
         /// Whether participant `p` is one the pass cannot complete without:
-        /// the coordinator, or a holder of a claim.
+        /// the coordinator, or a holder of an unreported claim.
         fn needed(&self, p: usize) -> bool {
-            p == 0 || self.cursors[p].owed > 0
+            p == 0 || self.cursors[p].state == State::Applied
         }
 
         /// The world after participant `p`'s next transition — `None` if
-        /// that changes nothing (an idle step, a closed barrier) — checked
-        /// against everything the pool relies on.
+        /// that changes nothing (an idle step, an incomplete pass) —
+        /// checked against everything the pool relies on.
         fn after(&self, p: usize) -> Option<World> {
             let mut next = self.clone();
             let board = self.board();
-            let shards = self.started.len();
             if p == 0 && self.between_passes() {
                 if self.to_open == 0 {
                     return None;
@@ -1275,52 +1182,33 @@ mod tests {
                 // `WorkerPool::publish` then `open`: the slot is written
                 // while nobody may read it, the pass behind it complete.
                 assert!(
-                    self.running.iter().all(Option::is_none),
+                    !self.running.contains(&true),
                     "job overwritten under a reader"
                 );
-                assert!(self.cursors.iter().all(|c| c.owed == 0));
+                assert!(self.cursors.iter().all(|c| c.state != State::Applied));
                 if self.job > 0 {
-                    assert!(
-                        self.started.iter().all(|&s| s == (true, true)),
-                        "pass left incomplete"
-                    );
+                    assert!(!self.started.contains(&false), "pass left incomplete");
                 }
                 next.job += 1;
                 next.to_open -= 1;
-                next.started.fill((false, false));
+                next.started.fill(false);
                 board.open();
                 next.keep(&board);
                 return Some(next);
             }
             let action = board.step(&mut next.cursors[p]);
             next.keep(&board);
-            next.running[p] = None;
-            if let Action::Run(phase, shard) = action {
+            next.running[p] = false;
+            if let Action::Run(shard) = action {
                 let pass = next.cursors[p].pass;
                 assert_eq!(
                     pass, self.job,
                     "participant {p} reads the job of another pass"
                 );
                 assert_eq!(pass, self.words[0], "participant {p} runs a closed pass");
-                next.running[p] = Some(phase);
-                let (decide, apply) = &mut next.started[shard];
-                match phase {
-                    Phase::Decide => {
-                        assert!(!*decide, "shard {shard} decided twice");
-                        assert!(self.started.iter().all(|s| !s.1), "a decide after an apply");
-                        *decide = true;
-                    }
-                    Phase::Apply => {
-                        assert!(!*apply, "shard {shard} applied twice");
-                        assert!(
-                            self.started.iter().all(|s| s.0)
-                                && !self.running.contains(&Some(Phase::Decide)),
-                            "shard {shard} applied before the last decide landed"
-                        );
-                        assert_eq!(self.words[1], pass * shards as u64);
-                        *apply = true;
-                    }
-                }
+                assert!(!self.started[shard], "shard {shard} ran twice in one pass");
+                next.running[p] = true;
+                next.started[shard] = true;
             }
             (next != *self).then_some(next)
         }
@@ -1376,20 +1264,17 @@ mod tests {
                 }
             }
         }
-        // Every schedule ends with the same count of landed decides and
-        // applies, whoever claimed what.
+        // Every schedule ends with every shard's pass landed, once per
+        // pass, whoever claimed what.
         assert!(!finals.is_empty());
         for words in &finals {
-            assert_eq!(
-                words[..3],
-                [passes, passes * shards as u64, passes * shards as u64]
-            );
+            assert_eq!(words[..2], [passes, passes * shards as u64]);
         }
         marks.len()
     }
 
     #[test]
-    fn every_schedule_of_one_pass_decides_and_applies_each_shard_once() {
+    fn every_schedule_of_one_pass_runs_each_shard_once() {
         for participants in 1..=3 {
             for shards in 1..=3 {
                 let states = explore(shards, participants, 1);
@@ -1418,32 +1303,13 @@ mod tests {
     const NODES: usize = 16;
     const MID: usize = NODES / 2;
 
-    fn small_net() -> Network {
-        Network::new(small_cfg()).unwrap()
-    }
-
-    /// The saturated mid-run network, stepped on to a cycle whose route
-    /// decide has something to stage and whose switch decide moves flits
-    /// of every class out of the upper half, ready for a hand-driven pass.
+    /// The saturated mid-run network, ready for a hand-driven pass. The
+    /// injection allowance is per-cycle scratch of the cycle that just
+    /// ended; a pass outside `cycle` must not act on it.
     fn hot_net() -> Network {
         let mut net = crate::difftest::hot_net();
-        let mut src = source(1, NODES, 60);
-        loop {
-            // The injection allowance is per-cycle scratch of the cycle
-            // that just ended; a decide outside `cycle` must not act on it.
-            net.allow_nodes.clear();
-            let (mut route, mut switch) = (stage(), stage());
-            net.decide(Pass::Route, net.now, 0, NODES, &mut route);
-            net.decide(Pass::Switch, net.now, MID, NODES, &mut switch);
-            if !(route.route_ops.is_empty()
-                || switch.switch_ops.is_empty()
-                || switch.deliveries.is_empty()
-                || switch.handoffs.is_empty())
-            {
-                return net;
-            }
-            net.cycle(&mut src, &mut NoControl);
-        }
+        net.allow_nodes.clear();
+        net
     }
 
     fn stage() -> ShardStage {
@@ -1457,54 +1323,54 @@ mod tests {
         unsafe { ApplyCtx::shard(&net.apply_ctx(), lo, hi) }
     }
 
-    /// The upper half's switch decide, keeping only the list `keep` picks,
-    /// applied through the lower half's view.
-    fn apply_upper_ops_through_the_lower_view(keep: fn(&mut ShardStage) -> &mut Vec<SwitchOp>) {
+    /// Re-points every network-port switch-plane slot of the lower half's
+    /// routed feeders one past the last input VC of node `MID - 1`: a
+    /// corrupted slot that classifies the move as a local hop of the lower
+    /// half while its `put` lands in node `MID`'s first input VC.
+    fn misfile_lower_hops(net: &mut Network) {
+        let d = net.torus().channels_per_node();
+        let fpn = d * net.config().vcs;
+        let view = net.plane.view();
+        for node in 0..MID {
+            let inj = u64::from(net.inj[node].active.is_some()) << fpn;
+            let mut mask = (net.vc_busy[node] & net.vc_switchable[node]) | inj;
+            while mask != 0 {
+                let at = node * (fpn + 1) + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let slot = view.slot(at);
+                if slot.port() != d {
+                    view.set_slot(at, Slot::new(slot.port(), MID - 1, fpn));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view's owned range")]
+    fn a_route_pass_over_foreign_routers_panics() {
         let mut net = hot_net();
-        let (now, mut st, mut kept) = (net.now, stage(), stage());
-        net.decide(Pass::Switch, now, MID, NODES, &mut st);
-        std::mem::swap(keep(&mut st), keep(&mut kept));
-        assert!(kept.has_ops(), "vacuous: nothing staged");
-        view_of(&mut net, 0, MID).apply(Pass::Switch, now, &mut kept);
+        assert!(net.take_pass_copies(Pass::Route));
+        let now = net.now;
+        view_of(&mut net, 0, MID).route_pass(now, MID, NODES, &mut stage());
     }
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
-    fn delivery_take_for_a_foreign_node_panics() {
-        apply_upper_ops_through_the_lower_view(|st| &mut st.deliveries);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the view's owned range")]
-    fn handoff_take_for_a_foreign_node_panics() {
-        apply_upper_ops_through_the_lower_view(|st| &mut st.handoffs);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the view's owned range")]
-    fn switch_op_into_a_foreign_vc_panics() {
+    fn a_switch_pass_over_foreign_routers_panics() {
         let mut net = hot_net();
-        let (now, mut st) = (net.now, stage());
-        net.decide(Pass::Switch, now, MID, NODES, &mut st);
-        // A cross-shard handoff, misfiled as a local hop: the `take` is in
-        // range, the `put` is not.
-        let op = st.handoffs[0];
-        let mut st = stage();
-        st.switch_ops.push(op);
-        view_of(&mut net, MID, NODES).apply(Pass::Switch, now, &mut st);
+        assert!(net.take_pass_copies(Pass::Switch));
+        let now = net.now;
+        view_of(&mut net, MID, NODES).switch_pass(now, 0, MID, &mut stage());
     }
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
-    fn route_win_for_a_foreign_node_panics() {
-        let mut net = small_net();
-        let mut st = stage();
-        st.route_ops.push(RouteOp::Win {
-            node: NODES as u32 - 1,
-            feeder: 0,
-            assign: Assign::Delivery,
-        });
-        view_of(&mut net, 0, MID).apply(Pass::Route, 0, &mut st);
+    fn a_hop_misfiled_as_local_panics_at_its_put() {
+        let mut net = hot_net();
+        misfile_lower_hops(&mut net);
+        assert!(net.take_pass_copies(Pass::Switch));
+        let now = net.now;
+        view_of(&mut net, 0, MID).switch_pass(now, 0, MID, &mut stage());
     }
 
     fn saved(net: &Network) -> Vec<u8> {
@@ -1514,9 +1380,9 @@ mod tests {
     }
 
     /// "Same code", independent of the pool: one route and one switch
-    /// pass applied through the whole-network view, and through a pair of
+    /// pass through the whole-network view, and through a pair of
     /// half-network views (in descending order, for good measure) that
-    /// take their handoffs and leave the whole view only the puts, leave
+    /// park their handoffs and leave the whole view only the puts, leave
     /// identical networks.
     #[test]
     fn whole_view_and_shard_views_compute_the_same_pass() {
@@ -1525,32 +1391,27 @@ mod tests {
         let now = whole.now;
         for kind in [Pass::Route, Pass::Switch] {
             let mut st = stage();
-            whole.decide(kind, now, 0, NODES, &mut st);
-            assert!(st.staged_total > 0, "vacuous: nothing staged");
-            assert!(st.handoffs.is_empty(), "one shard hands nothing off");
+            assert!(whole.take_pass_copies(kind));
             let view = whole.apply_ctx();
-            view.apply(kind, now, &mut st);
-            view.tail(now, &mut st);
+            view.pass(kind, now, 0, NODES, &mut st);
+            assert!(
+                st.route_visits + st.switch_visits > 0,
+                "vacuous: nothing visited"
+            );
+            assert!(st.parked.is_empty(), "one shard hands nothing off");
             whole.fold_stage(kind, now, &mut st);
-            assert_eq!(st.staged_total, st.applied_total);
 
             let (mut lo, mut hi) = (stage(), stage());
-            halves.decide(kind, now, 0, MID, &mut lo);
-            halves.decide(kind, now, MID, NODES, &mut hi);
-            let crossing = lo.handoffs.len() + hi.handoffs.len();
+            assert!(halves.take_pass_copies(kind));
+            view_of(&mut halves, MID, NODES).pass(kind, now, MID, NODES, &mut hi);
+            view_of(&mut halves, 0, MID).pass(kind, now, 0, MID, &mut lo);
+            let crossing = lo.parked.len() + hi.parked.len();
             assert!(kind == Pass::Route || crossing > 0, "vacuous: no handoff");
-            view_of(&mut halves, MID, NODES).apply(kind, now, &mut hi);
-            view_of(&mut halves, 0, MID).apply(kind, now, &mut lo);
-            // The half views took every handoff off its feeder; all that
-            // is left for the whole view is to put them downstream.
-            assert!(!(lo.has_ops() || hi.has_ops()));
-            assert_eq!(lo.parked.len() + hi.parked.len(), crossing);
             let view = halves.apply_ctx();
             view.tail(now, &mut lo);
             view.tail(now, &mut hi);
             for st in [&mut lo, &mut hi] {
                 halves.fold_stage(kind, now, st);
-                assert_eq!(st.staged_total, st.applied_total);
             }
         }
         assert_eq!(saved(&whole), saved(&halves));
@@ -1582,36 +1443,36 @@ mod tests {
         }
     }
 
-    /// A two-shard network taken apart for a hand-driven pass by a
-    /// coordinator and one worker (whatever the host's core count), with a
-    /// mis-owned op planted in shard `poisoned`'s route ops: a cursor
-    /// update for a node of the other shard.
-    fn poisoned_pass(poisoned: usize) -> (Network, WorkerPool, Vec<ShardStage>) {
-        let mut net = small_net();
+    /// A two-shard hot network (shards `0..MID` and `MID..NODES`) taken
+    /// apart for a hand-driven switch pass by a coordinator and one worker
+    /// (whatever the host's core count), with shard 0's local hops
+    /// misfiled ([`misfile_lower_hops`]): its pass `put`s into shard 1.
+    fn poisoned_pass() -> (Network, WorkerPool, Vec<ShardStage>) {
+        let mut net = hot_net();
         net.set_shards(2);
+        assert_eq!(net.plan.bounds, [0, MID, NODES]);
+        misfile_lower_hops(&mut net);
+        assert!(net.take_pass_copies(Pass::Switch));
         let pool = WorkerPool::new(2, 2);
-        let mut stages = std::mem::take(&mut net.plan.stages);
-        let foreign = net.plan.bounds[1 - poisoned] as u32;
-        stages[poisoned].route_ops.push(RouteOp::Rr {
-            node: foreign,
-            cursor: 0,
-        });
+        let stages = std::mem::take(&mut net.plan.stages);
         (net, pool, stages)
     }
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
-    fn mis_owned_op_on_a_worker_claim_panics_the_coordinator() {
+    fn mis_owned_access_on_a_worker_claim_panics_the_coordinator() {
         within_a_minute(|| {
-            let (mut net, mut pool, mut stages) = poisoned_pass(1);
-            pool.publish(&mut net, Pass::Route, 0, &mut stages);
+            let (mut net, mut pool, mut stages) = poisoned_pass();
+            let now = net.now;
+            pool.publish(&mut net, Pass::Switch, now, &mut stages);
             pool.open();
-            // The coordinator claims nothing: every shard is the worker's.
+            // The coordinator claims nothing: every shard is the worker's,
+            // the poisoned one swept up after its home shard 1.
             let sh = Arc::clone(&pool.shared);
             while !sh.shutdown.load(Ordering::Acquire) {
                 assert!(
                     sh.board.applied.load(Ordering::Acquire) < 2,
-                    "the mis-owned op was applied"
+                    "the misfiled hop was put"
                 );
                 std::thread::yield_now();
             }
@@ -1621,24 +1482,25 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
-    fn mis_owned_op_on_a_coordinator_claim_panics_past_a_waiting_worker() {
+    fn mis_owned_access_on_a_coordinator_claim_panics_after_joining_the_worker() {
         within_a_minute(|| {
-            let (mut net, mut pool, mut stages) = poisoned_pass(0);
-            pool.publish(&mut net, Pass::Route, 0, &mut stages);
+            let (mut net, mut pool, mut stages) = poisoned_pass();
+            let now = net.now;
+            pool.publish(&mut net, Pass::Switch, now, &mut stages);
             let sh = Arc::clone(&pool.shared);
             // This thread holds shard 0's claim of the pass about to open;
-            // the worker gets shard 1's, and sits at the decide→apply
-            // barrier until shard 0's decide lands — which it never does.
+            // the worker gets shard 1's, runs it, and goes idle — and must
+            // still be joined before the panic reaches the caller.
             sh.board.claims[0].store(1 << ID_BITS, Ordering::Relaxed);
             pool.open();
-            while sh.board.decided.load(Ordering::Acquire) < 1 {
+            while sh.board.applied.load(Ordering::Acquire) < 1 {
                 std::thread::yield_now();
             }
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                execute(&sh, Phase::Apply, 0);
+                execute(&sh, 0);
                 true
             }));
-            assert!(outcome.is_err(), "the mis-owned op was applied");
+            assert!(outcome.is_err(), "the misfiled hop was put");
             pool.close(outcome);
         });
     }

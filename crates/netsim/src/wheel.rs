@@ -168,7 +168,7 @@ impl TimerWheel {
     }
 
     /// The wheel as checked cells owning every VC's deadline — what
-    /// [`TimerWheel::schedule`] and the apply views
+    /// [`TimerWheel::schedule`] and the pass views
     /// ([`crate::shard::ApplyCtx`]) enroll through.
     #[inline]
     pub(crate) fn view(&mut self) -> TimerWheelView<'_> {

@@ -92,10 +92,11 @@ fn saturating_runner(nodes: usize) -> WorkloadRunner {
 fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, from_runner: bool) {
     let nodes = cfg.node_count();
     let mut net = Network::new(cfg).expect("valid config");
-    // Worker-pool spawn and per-shard op-buffer allocation are one-time
-    // costs paid here, before the warmup; the sharded steady state —
-    // claims and barriers, parallel decides and applies, park/unpark —
-    // must then be exactly as allocation-free as the inline path.
+    // Worker-pool spawn and the per-shard lists and pass copies are
+    // one-time costs paid here, before the warmup; the sharded steady
+    // state — claims, parallel passes, the wait for a pass's end,
+    // park/unpark — must then be exactly as allocation-free as the inline
+    // path.
     net.set_shards(shards);
     let mut src = saturating_source(nodes);
     let mut runner = saturating_runner(nodes);
@@ -162,10 +163,9 @@ fn steady_state_cycles_never_allocate() {
         true,
     );
     // Sharded stepping (the `STCC_SHARDS=4` configuration): the persistent
-    // worker pool's dispatch/claim/park cycle and the apply's hop,
-    // delivery, handoff and parked lists (preallocated per shard at one
-    // per node, or one per node and output channel) must allocate nothing
-    // once the pool is up.
+    // worker pool's dispatch/claim/park cycle and the passes' suspect,
+    // parked and delivered lists (preallocated per shard at one per input
+    // VC, network port or node) must allocate nothing once the pool is up.
     assert_zero_alloc_steady_state(
         "recovery@shards=4",
         NetConfig {

@@ -25,17 +25,17 @@
 #  12. kill-and-resume   (SIGKILL a sweep mid-run, finish it with --resume)
 #  13. audited sweep     (STCC_AUDIT=256 `fig fig2` run must still match golden)
 #  14. shard gate        (STCC_SHARDS=4 and =8 audited sweeps vs golden,
-#                         each leg's wall time printed, plus a SIGKILL at
-#                         STCC_SHARDS=8 resumed with --shards 8; then the
-#                         pool's shard-affinity test in a release build)
+#                         each leg's wall time printed, plus step 12's
+#                         kill-and-resume at --shards 8; then the pool's
+#                         shard-affinity test in a release build)
 #  15. chaos smoke       (fixed-seed chaos trials at random shard counts,
 #                         kill/resume determinism)
 #  16. campaign smoke    (orchestrator retry/quarantine + kill/resume)
 #  17. thread sanitizer  (netsim's shard tests — the claim protocol's
 #                         exhaustive schedules, the view-contract panics, the
-#                         pool's panic paths — and bit-identity tests, the
-#                         barrier stress and pool teardown under TSan; needs
-#                         nightly, loud skip otherwise)
+#                         pool's panic paths — bit-identity and credit-timing
+#                         tests, the pool stress and teardown under TSan;
+#                         needs nightly, loud skip otherwise)
 #  18. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
 #                         tenth of their length, every verification on)
 #  19. same-host perf    (the baseline commit's benchmark against this
@@ -216,16 +216,17 @@ step "parallel smoke (--jobs 4)" \
     cargo run --release -q -p experiments --bin fig -- fig2 \
     --scale tiny --net small --jobs 4 --out target/ci-smoke
 
-# Kill-and-resume: start the tiny fig4 sweep, SIGKILL it as soon as its
-# journal records the first completed point, then finish with --resume and
-# require the final CSV to be byte-identical to the committed golden. If
-# the run wins the race and completes before the kill lands, the resume
-# pass degenerates to a fresh run — the byte-compare still gates.
-resume_gate() {
-    out=target/ci-resume
+# Kill-and-resume at <shards> shards: start the tiny fig4 sweep, SIGKILL it
+# as soon as its journal records the first completed point, then finish
+# with --resume and require the final CSV to be byte-identical to the
+# committed golden. If the run wins the race and completes before the kill
+# lands, the resume pass degenerates to a fresh run — the byte-compare still
+# gates. Run unsharded here and at eight shards in the shard gate below.
+kill_and_resume() {
+    out=target/ci-resume-$1
     rm -rf "$out"
-    bin=target/release/fig
-    "$bin" fig4 --scale tiny --net small --jobs 1 --out "$out" >/dev/null 2>&1 &
+    sweep=(target/release/fig fig4 --shards "$1" --scale tiny --net small --jobs 1 --out "$out")
+    "${sweep[@]}" >/dev/null 2>&1 &
     pid=$!
     for _ in $(seq 1 500); do
         if [ -f "$out/fig4.tiny.journal" ] &&
@@ -238,19 +239,19 @@ resume_gate() {
         sleep 0.01
     done
     if kill -9 "$pid" 2>/dev/null; then
-        echo "  (killed sweep pid $pid mid-run)"
+        echo "  (killed sweep pid $pid at $1 shard(s) mid-run)"
     else
-        echo "  (sweep finished before the kill; resume runs fresh)"
+        echo "  (sweep at $1 shard(s) finished before the kill; resume runs fresh)"
     fi
     wait "$pid" 2>/dev/null || true
-    "$bin" fig4 --scale tiny --net small --jobs 1 --out "$out" --resume >/dev/null
+    "${sweep[@]}" --resume >/dev/null
     cmp "$out/fig4.tiny.csv" crates/experiments/tests/golden/fig4.tiny.csv
     if [ -f "$out/fig4.tiny.journal" ]; then
         echo "journal not cleaned up after a successful sweep" >&2
         return 1
     fi
 }
-step "kill-and-resume smoke" resume_gate
+step "kill-and-resume smoke" kill_and_resume 1
 
 # Audited sweep: the invariant audit layer (STCC_AUDIT, full-scan checks
 # every 256 cycles plus every checkpoint/restore boundary) must not change
@@ -267,14 +268,11 @@ step "audited sweep (STCC_AUDIT=256 vs golden)" audited_sweep
 # Shard gate: intra-network sharding must not change a single output byte.
 # First audited fig2 sweeps stepping every simulation across 4 and then 8
 # shards — byte-compared to the same golden the unsharded runs match, with
-# the audit's shard invariants (mailbox conservation including the parked
-# handoffs, partition disjointness) scanning every 256 cycles. Each leg
+# the audit's shard invariants (every pass's output consumed by the tail and
+# the fold, partition disjointness) scanning every 256 cycles. Each leg
 # prints its wall time: a pool runs min(shards, cores) threads, so eight
-# shards must not cost a multiple of four. Then the kill-and-resume
-# pattern at STCC_SHARDS=8: a journal
-# written by an unsharded run earlier in this script is interchangeable
-# with a sharded one, and vice versa, even at the widest shard count the
-# chaos harness draws.
+# shards must not cost a multiple of four. Then kill-and-resume at eight
+# shards, the widest count the chaos harness draws.
 shard_gate() {
     out=target/ci-shards
     for shards in 4 8; do
@@ -285,32 +283,9 @@ shard_gate() {
         echo "  (STCC_SHARDS=$shards leg: $((($(date +%s%N) - leg_start) / 1000000)) ms)"
         cmp "$out/fig2.tiny.csv" crates/experiments/tests/golden/fig2.tiny.csv
     done
-
-    bin=target/release/fig
-    STCC_SHARDS=8 "$bin" fig4 --scale tiny --net small --jobs 1 --out "$out" \
-        >/dev/null 2>&1 &
-    pid=$!
-    for _ in $(seq 1 500); do
-        if [ -f "$out/fig4.tiny.journal" ] &&
-            [ "$(wc -l <"$out/fig4.tiny.journal")" -ge 2 ]; then
-            break
-        fi
-        if ! kill -0 "$pid" 2>/dev/null; then
-            break
-        fi
-        sleep 0.01
-    done
-    if kill -9 "$pid" 2>/dev/null; then
-        echo "  (killed sharded sweep pid $pid mid-run)"
-    else
-        echo "  (sharded sweep finished before the kill; resume runs fresh)"
-    fi
-    wait "$pid" 2>/dev/null || true
-    "$bin" fig4 --shards 8 --scale tiny --net small --jobs 1 --out "$out" --resume \
-        >/dev/null
-    cmp "$out/fig4.tiny.csv" crates/experiments/tests/golden/fig4.tiny.csv
+    kill_and_resume 8
 }
-step "shard gate (STCC_SHARDS=4/8 vs golden, resume at --shards 8)" shard_gate
+step "shard gate (STCC_SHARDS=4/8 vs golden, kill-and-resume at 8 shards)" shard_gate
 
 # Shard affinity: with a core per participant, a shard must be claimed by
 # its home participant pass after pass. A timing property, so it is judged
@@ -432,13 +407,14 @@ EOF
 }
 step "campaign smoke (retry/quarantine, kill/resume determinism)" campaign_gate
 
-# Thread sanitizer: the sharded apply writes one network from several
+# Thread sanitizer: the sharded passes write one network from several
 # threads through range-checked views (DESIGN.md §4d); the range checks
-# catch a mis-owned index, TSan catches a missing barrier or a plain access
-# that should have been atomic. Runs netsim's shard unit tests (the claim
-# protocol walked through every schedule, the view contract's panics for
-# foreign hops, deliveries and handoffs, the pool's panic paths), its
-# bit-identity tests across shard counts, and the 10 K-cycle eight-shard
+# catch a mis-owned index, TSan catches a read of state another shard
+# writes or a plain access that should have been atomic. Runs netsim's
+# shard unit tests (the claim protocol walked through every schedule, the
+# view contract's panics for foreign routers and a misfiled hop, the pool's
+# panic paths), its bit-identity tests across shard counts, the credit
+# timing test, and the 10 K-cycle eight-shard
 # barrier stress with the workspace crates instrumented (the prebuilt std is not, hence the two suppressions
 # for libtest's own result channel in scripts/tsan.supp).
 # Any report from simulator code fails the step. Needs a nightly toolchain
@@ -449,7 +425,7 @@ tsan_gate() (
     export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp halt_on_error=1"
     export CARGO_TARGET_DIR=target/tsan
     cargo +nightly test --offline --target $target -p wormsim --lib -- \
-        shard bit_identical
+        shard bit_identical credit_freed
     cargo +nightly test --offline --target $target -p stcc --test shard_pool
 )
 if [ "$(uname -sm)" = "Linux x86_64" ] &&
@@ -459,7 +435,7 @@ if [ "$(uname -sm)" = "Linux x86_64" ] &&
     step "thread sanitizer (shard + bit-identity tests, barrier stress)" tsan_gate
 else
     echo "=== !!! SKIPPED: thread sanitizer leg — needs Linux x86_64, \`cargo +nightly\`"
-    echo "=== !!!          and its TSan runtime; the sharded apply is NOT race-checked here"
+    echo "=== !!!          and its TSan runtime; the sharded passes are NOT race-checked here"
 fi
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md) at a tenth of
