@@ -119,7 +119,8 @@ fn cores() -> usize {
     debug_assertions,
     ignore = "a debug build audits the whole network on the coordinator's thread after every \
               cycle, long enough for the worker to fall asleep: not the steady state this \
-              measures. Run with --release (scripts/ci.sh does)"
+              measures. Run `cargo test --release -p stcc --test shard_pool` \
+              (scripts/ci.sh's shard-affinity step)"
 )]
 fn claims_stay_home_when_there_is_a_core_per_participant() {
     const STRETCHES: u64 = 40;

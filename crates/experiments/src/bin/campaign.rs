@@ -10,7 +10,7 @@
 //! `--job IDX --attempt K` mode — with per-job budgets, deterministic
 //! retry backoff, quarantine, and a crash-safe ledger for `--resume`.
 //!
-//! Exit codes (the contract `scripts/ci.sh` and callers rely on):
+//! Exit codes (the contract `tests/campaign.rs` and callers rely on):
 //!
 //! | code | meaning |
 //! |------|---------|

@@ -20,7 +20,7 @@
 //! *or* any worker — replays finished jobs verbatim and re-runs quarantined
 //! ones. Because every job and every row rendering is deterministic, a
 //! resumed campaign's final report is byte-identical to an uninterrupted
-//! run (`tests/campaign.rs` and the CI gate prove it).
+//! run (`tests/campaign.rs` proves it).
 
 pub mod backoff;
 pub mod manifest;

@@ -5,8 +5,8 @@
 //!
 //! Each test drives the real binary (`CARGO_BIN_EXE_campaign`) in its own
 //! temp directory, so the worker-process supervision, the ledger, and the
-//! `STCC_CAMPAIGN_FAIL` crash rig are all exercised exactly as a user or
-//! `scripts/ci.sh` would.
+//! `STCC_CAMPAIGN_FAIL` crash rig are all exercised exactly as a user
+//! would.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -65,31 +65,36 @@ fn code(out: &Output) -> i32 {
 #[test]
 fn clean_campaign_exits_zero_and_retires_its_ledger() {
     let dir = scratch("clean");
-    let m = manifest(&dir, "");
-    let out_dir = dir.join("out");
-    let out = run(
-        &[
-            "--manifest",
-            m.to_str().unwrap(),
-            "--out",
-            out_dir.to_str().unwrap(),
-        ],
-        None,
-    );
-    assert_eq!(
-        code(&out),
-        0,
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // The small manifest, and the committed example: three schemes × two
+    // rates in clear weather, plus one job under a fault storm, at 2 shards.
+    let example = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.toml");
+    for (name, m, jobs) in [("small", manifest(&dir, ""), 2), ("example", example, 7)] {
+        let out_dir = dir.join(name);
+        let out = run(
+            &[
+                "--manifest",
+                m.to_str().unwrap(),
+                "--out",
+                out_dir.to_str().unwrap(),
+            ],
+            None,
+        );
+        assert_eq!(
+            code(&out),
+            0,
+            "{name} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
 
-    let report = fs::read_to_string(out_dir.join("campaign.report")).unwrap();
-    assert!(report.contains("jobs 2 | ok 2 | quarantined 0"), "{report}");
-    assert!(out_dir.join("campaign.csv").exists());
-    assert!(
-        !out_dir.join("campaign.ledger").exists(),
-        "a fully successful campaign must retire its ledger"
-    );
+        let report = fs::read_to_string(out_dir.join("campaign.report")).unwrap();
+        let want = format!("jobs {jobs} | ok {jobs} | quarantined 0");
+        assert!(report.contains(&want), "{report}");
+        assert!(out_dir.join("campaign.csv").exists());
+        assert!(
+            !out_dir.join("campaign.ledger").exists(),
+            "a fully successful campaign must retire its ledger ({name})"
+        );
+    }
 }
 
 #[test]
