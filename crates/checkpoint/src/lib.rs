@@ -40,7 +40,11 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 /// (Bernoulli sources draw geometric gaps into it); a v2 writer left it
 /// unused under Bernoulli, so a v2 snapshot would resume a different
 /// stream and is refused.
-pub const VERSION: u32 = 3;
+///
+/// v4: network payloads carry only ground truth. The starvation
+/// deadline array, the worklist words, the full-buffer census and the
+/// per-VC token-queue flags are gone; restore derives them.
+pub const VERSION: u32 = 4;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -682,7 +686,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&3u32.to_le_bytes());
+        want.extend_from_slice(&4u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);

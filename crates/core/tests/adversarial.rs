@@ -69,8 +69,8 @@ fn first_assignments(payload: &[u8], net: &NetConfig) -> (usize, usize) {
             dec.u8().unwrap();
         }
     };
-    // Clock, two progress markers, the census, sixteen counters.
-    skip(&mut dec, 3 * 8 + 4 + 16 * 8);
+    // Clock, two progress markers, sixteen counters.
+    skip(&mut dec, 3 * 8 + 16 * 8);
     let n_vcs = dec.usize().unwrap();
     assert_eq!(n_vcs, net.total_vc_buffers());
     let mut vc_assign = None;
@@ -81,7 +81,7 @@ fn first_assignments(payload: &[u8], net: &NetConfig) -> (usize, usize) {
         if dec.u8().unwrap() == 1 {
             skip(&mut dec, 2); // port, VC
         }
-        skip(&mut dec, 8 + 8 + 1); // routed-at, blocked count, queued flag
+        skip(&mut dec, 8 + 8); // routed-at, blocked count
     }
     skip(&mut dec, n_vcs); // output-VC allocation flags
     skip(&mut dec, 1 + 4 + 2); // node 0's injection: active, packet, sent

@@ -2,21 +2,21 @@
 //! build of this repository must keep restoring, byte for byte — or, across
 //! a deliberate `VERSION` bump, be refused with the typed version error.
 //!
-//! The `.v3.ckpt` fixtures were written by `Simulation::checkpoint` at the
-//! commit that introduced v3 (geometric inter-arrival gaps: the Bernoulli
-//! stream changed, the layout did not — every section is still laid out as
-//! the v2 fixtures of commits b367a73 and f33879a pinned it, and
-//! `small_recovery_c1588.v2.ckpt`, the first of those, is kept as the
-//! container this build must refuse).
+//! The `.v4.ckpt` fixtures were written by `Simulation::checkpoint` at the
+//! commit that introduced v4 (network payloads carry only ground truth: the
+//! starvation deadlines, worklist words, census and token-queue flags were
+//! dropped; the simulation's decisions did not change).
+//! `small_recovery_c1673.v3.ckpt`, the v3 writing of the recovery fixture,
+//! is kept as the container this build must refuse.
 //!
-//! `fixtures/small_recovery_c1673.v3.ckpt` is [`cfg`] stepped to cycle
+//! `fixtures/small_recovery_c1673.v4.ckpt` is [`cfg`] stepped to cycle
 //! 1673, the first cycle past 1500 with a Disha recovery drain holding the
 //! token and another VC queued behind it. To regenerate after a deliberate
 //! format change (a `VERSION` bump), step the same configuration until
 //! `now() >= 1500 && recovery_active() && token_queue_len() > 0` and write
 //! `checkpoint()` out.
 //!
-//! The four `small_<scheme>_c2501.v3.ckpt` fixtures pin the other
+//! The four `small_<scheme>_c2501.v4.ckpt` fixtures pin the other
 //! side-band controllers' state layouts: the same configuration with only
 //! the scheme swapped, stepped to cycle 2501 — off the gather grid, off
 //! every decision period, and past at least one decision of every law. To
@@ -39,27 +39,27 @@ struct Fixture {
 const FIXTURES: &[Fixture] = &[
     Fixture {
         scheme: "tune",
-        bytes: include_bytes!("fixtures/small_recovery_c1673.v3.ckpt"),
+        bytes: include_bytes!("fixtures/small_recovery_c1673.v4.ckpt"),
         cycle: 1673,
     },
     Fixture {
         scheme: "aimd",
-        bytes: include_bytes!("fixtures/small_aimd_c2501.v3.ckpt"),
+        bytes: include_bytes!("fixtures/small_aimd_c2501.v4.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "decbit",
-        bytes: include_bytes!("fixtures/small_decbit_c2501.v3.ckpt"),
+        bytes: include_bytes!("fixtures/small_decbit_c2501.v4.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "bbr",
-        bytes: include_bytes!("fixtures/small_bbr_c2501.v3.ckpt"),
+        bytes: include_bytes!("fixtures/small_bbr_c2501.v4.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "static-12",
-        bytes: include_bytes!("fixtures/small_static12_c2501.v3.ckpt"),
+        bytes: include_bytes!("fixtures/small_static12_c2501.v4.ckpt"),
         cycle: 2501,
     },
 ];
@@ -98,7 +98,7 @@ fn parent_written_checkpoint_restores_and_reserialises_byte_equal() {
         assert_eq!(
             sim.checkpoint(),
             f.bytes,
-            "{}: codec no longer writes v3 bytes",
+            "{}: codec no longer writes v4 bytes",
             f.scheme
         );
     }
@@ -133,14 +133,15 @@ fn parent_written_checkpoint_runs_on_like_an_uninterrupted_run() {
     }
 }
 
-/// A v2 container's `next_gen` array means nothing under a Bernoulli
-/// source any more: restoring one must fail typed, before anything decodes.
+/// A v3 container's network payload still carries the derived state v4
+/// dropped, so this build would misread it: restoring one must fail typed,
+/// before anything decodes.
 #[test]
-fn a_v2_container_is_refused_with_the_version_error() {
-    let v2 = include_bytes!("fixtures/small_recovery_c1588.v2.ckpt");
-    match Simulation::restore(cfg("tune"), None, v2) {
-        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 2 })) => {}
-        Err(other) => panic!("v2 container refused with the wrong error: {other}"),
-        Ok(_) => panic!("v2 container restored"),
+fn a_v3_container_is_refused_with_the_version_error() {
+    let v3 = include_bytes!("fixtures/small_recovery_c1673.v3.ckpt");
+    match Simulation::restore(cfg("tune"), None, v3) {
+        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 3 })) => {}
+        Err(other) => panic!("v3 container refused with the wrong error: {other}"),
+        Ok(_) => panic!("v3 container restored"),
     }
 }

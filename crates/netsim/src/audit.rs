@@ -1,16 +1,18 @@
 //! The invariant audit layer: full-scan ground truth vs. incremental state.
 //!
-//! PRs 4–5 layered derived state over the authoritative simulator state —
-//! activity bitsets and node summaries, assignment and occupancy
-//! bit-planes, a running full-buffer census, a starvation timer wheel and
-//! a quiescence predicate — all maintained incrementally on the hot path.
-//! [`Network::audit`] recomputes every one of those structures by full
-//! scan and diffs the result against the incremental copy, and layers
-//! conservation ledgers on top: every generated packet is accounted for
-//! (delivered or live), every emitted flit is somewhere (buffered in a VC,
-//! in a deadlock buffer, or delivered), every output-VC allocation has
-//! exactly one owner, and the token queue and recovery drain hold only
-//! what their mirror flags say they hold.
+//! Derived state sits over the authoritative simulator state — activity
+//! bitsets and node summaries, assignment and occupancy bit-planes, the
+//! switch plane, a running full-buffer census and a quiescence predicate —
+//! all maintained incrementally on the hot path. [`Network::audit`]
+//! recomputes those structures from ground truth, through the same
+//! derivation a checkpoint restore writes them with
+//! ([`Network::derive_node`], [`Network::derive_plane`]), and diffs the
+//! result against the incremental copy. It layers conservation ledgers on
+//! top: every generated packet is accounted for (delivered or live), every
+//! emitted flit is somewhere (buffered in a VC, in a deadlock buffer, or
+//! delivered), every output-VC allocation has exactly one owner, and the
+//! token queue and recovery drain hold only what their mirror flags say
+//! they hold.
 //!
 //! The audit is read-only and allocation-heavy by design: it runs off the
 //! hot path (every N cycles behind `STCC_AUDIT`, and at checkpoint/restore
@@ -18,8 +20,8 @@
 //! asserted, so callers — the chaos harness above all — can fail loudly
 //! with a minimized repro instead of a bare panic.
 
+use crate::activity::NodeSet;
 use crate::network::{Assign, Network};
-use crate::plane::{inj_movable_at, Slot};
 use core::fmt;
 
 /// Which invariant a violation broke. One variant per independently
@@ -56,10 +58,6 @@ pub enum AuditKind {
     SourceQueueLedger,
     /// Output-VC allocation flags vs. their actual owners.
     OutAllocOwnership,
-    /// A wheel deadline that is not a multiple of the timeout.
-    WheelDeadline,
-    /// An enrolled deadline whose bucket bit is missing.
-    WheelBucket,
     /// Token-queue contents vs. the `vc_queued` mirror flags.
     TokenQueue,
     /// Recovery job/drain-buffer consistency.
@@ -92,8 +90,6 @@ impl AuditKind {
             AuditKind::FlitLedger => "flit-ledger",
             AuditKind::SourceQueueLedger => "source-queue-ledger",
             AuditKind::OutAllocOwnership => "out-alloc-ownership",
-            AuditKind::WheelDeadline => "wheel-deadline",
-            AuditKind::WheelBucket => "wheel-bucket",
             AuditKind::TokenQueue => "token-queue",
             AuditKind::Recovery => "recovery",
             AuditKind::Quiescence => "quiescence",
@@ -169,7 +165,6 @@ impl Network {
         self.audit_worklists(&mut v);
         self.audit_ledgers(&mut v);
         self.audit_out_alloc(&mut v);
-        self.audit_wheel(&mut v);
         self.audit_token_queue(&mut v);
         self.audit_recovery(&mut v);
         self.audit_quiescence(&mut v);
@@ -180,153 +175,67 @@ impl Network {
         }
     }
 
-    /// Worklist bits, assignment/occupancy bit-planes, the switch plane,
-    /// node summaries and the census. (Debug builds also run this, with
-    /// [`Network::audit_shards`], after every cycle.)
+    /// The worklist, occupancy and assignment words, the node summaries
+    /// and the switch plane, each diffed against what
+    /// [`Network::derive_node`] and [`Network::derive_plane`] derive from
+    /// ground truth (one message per node, or per plane entry, and kind),
+    /// and the census against the occupancy words. Messages are formatted
+    /// only on a mismatch: debug builds run this, with
+    /// [`Network::audit_shards`], after every cycle under the
+    /// zero-allocation gate.
     ///
     /// The switch plane is checked where the switch pass can come to read
     /// it — the slot of every switchable input VC, the `movable_at`
     /// of those that hold a flit, both for every active injection; the
     /// rest of it is stale by design ([`crate::plane`]).
     pub(crate) fn audit_worklists(&self, v: &mut Vec<AuditViolation>) {
-        let (d, vcs) = (self.torus().channels_per_node(), self.config().vcs);
-        let fpn = d * vcs;
-        // An impossible output has no slot (and is `audit_out_alloc`'s to
-        // report).
-        let slot_of = |node: usize, a: Assign| match a {
-            Assign::Out { port, vc } if usize::from(port) >= d || usize::from(vc) >= vcs => None,
-            a => self.slot_of(node, a),
-        };
-        // What index `at` of the plane gets wrong, given what it must hold
-        // (formatted only on a mismatch: debug builds run this every cycle
-        // under the zero-allocation gate).
-        let plane_diff = |at: usize, slot: Slot, movable_at: Option<u64>| {
-            let (s, t) = (self.plane.slot(at), self.plane.movable_at(at));
-            if s != slot {
-                Some(format!("slot {s:?}, expected {slot:?}"))
-            } else if movable_at.is_some_and(|m| m != t) {
-                Some(format!("movable_at {t}, expected {movable_at:?}"))
-            } else {
-                None
-            }
-        };
-        let depth = self.config().buf_depth;
+        use AuditKind as K;
+        let fpn = self.torus().channels_per_node() * self.config().vcs;
+        let mut push = |kind, detail| v.push(AuditViolation { kind, detail });
+        let bit = |b: bool| u64::from(b);
         let mut census = 0u32;
-        for (node, &mask) in self.vc_busy.iter().enumerate() {
-            for f in 0..fpn {
-                let idx = node * fpn + f;
-                let busy = !self.vc_bufs.is_empty(idx);
-                if (mask >> f & 1 == 1) != busy {
-                    v.push(AuditViolation {
-                        kind: AuditKind::WorklistBit,
-                        detail: format!(
-                            "node {node} feeder {f}: worklist bit {} but buffer has {} flit(s)",
-                            mask >> f & 1,
-                            self.vc_bufs.len(idx)
-                        ),
-                    });
-                }
-                let full = self.vc_bufs.len(idx) >= depth;
-                if (self.vc_full[node] >> f & 1 == 1) != full {
-                    v.push(AuditViolation {
-                        kind: AuditKind::OccupancyBit,
-                        detail: format!(
-                            "node {node} feeder {f}: occupancy bit {} but len {} of depth {depth}",
-                            self.vc_full[node] >> f & 1,
-                            self.vc_bufs.len(idx)
-                        ),
-                    });
-                }
-                let (unrouted, switchable) = match self.vc_assign[idx] {
-                    Assign::None | Assign::AwaitToken => (true, false),
-                    Assign::Out { .. } | Assign::Delivery => (false, true),
-                    Assign::Recovery => (false, false),
-                };
-                if (self.vc_unrouted[node] >> f & 1 == 1) != unrouted {
-                    v.push(AuditViolation {
-                        kind: AuditKind::UnroutedBit,
-                        detail: format!(
-                            "node {node} feeder {f}: unrouted bit {} but assignment {:?}",
-                            self.vc_unrouted[node] >> f & 1,
-                            self.vc_assign[idx]
-                        ),
-                    });
-                }
-                if (self.vc_switchable[node] >> f & 1 == 1) != switchable {
-                    v.push(AuditViolation {
-                        kind: AuditKind::SwitchableBit,
-                        detail: format!(
-                            "node {node} feeder {f}: switchable bit {} but assignment {:?}",
-                            self.vc_switchable[node] >> f & 1,
-                            self.vc_assign[idx]
-                        ),
-                    });
-                }
-                if let Some(slot) = slot_of(node, self.vc_assign[idx]) {
-                    let at = node * (fpn + 1) + f;
-                    if let Some(diff) = plane_diff(at, slot, self.vc_front_movable_at(idx)) {
-                        v.push(AuditViolation {
-                            kind: AuditKind::SwitchPlane,
-                            detail: format!("node {node} feeder {f}: {diff}"),
-                        });
-                    }
+        for node in 0..self.vc_busy.len() {
+            let w = self.derive_node(node);
+            let has = |set: &NodeSet| bit(set.contains(node));
+            for (kind, got, want) in [
+                (K::WorklistBit, self.vc_busy[node], w.busy),
+                (K::OccupancyBit, self.vc_full[node], w.full),
+                (K::UnroutedBit, self.vc_unrouted[node], w.unrouted),
+                (K::SwitchableBit, self.vc_switchable[node], w.switchable),
+                (K::BusySummary, has(&self.busy_nodes), bit(w.busy != 0)),
+                (K::InjSummary, has(&self.inj_nodes), bit(w.injecting)),
+                (K::SrcqSummary, has(&self.srcq_nodes), bit(w.queued)),
+            ] {
+                if got != want {
+                    push(kind, format!("node {node}: {got:#x}, expected {want:#x}"));
                 }
             }
-            let inj = &self.inj[node];
-            if inj.active.is_some() {
-                let diff = match slot_of(node, inj.assign) {
-                    Some(slot) => {
-                        let movable_at = Some(inj_movable_at(inj.routed_at));
-                        plane_diff(node * (fpn + 1) + fpn, slot, movable_at)
+            for f in 0..=fpn {
+                let (slot, movable_at) = self.derive_plane(node, f);
+                let at = node * (fpn + 1) + f;
+                let (s, t) = (self.plane.slot(at), self.plane.movable_at(at));
+                let diff = match slot {
+                    _ if f == fpn && !w.injecting => None,
+                    None if f == fpn => {
+                        Some(format!("active but assigned {:?}", self.inj[node].assign))
                     }
-                    None => Some(format!("active but assigned {:?}", inj.assign)),
+                    Some(slot) if s != slot => Some(format!("slot {s:?}, expected {slot:?}")),
+                    Some(_) if movable_at.is_some_and(|m| m != t) => {
+                        Some(format!("movable_at {t}, expected {movable_at:?}"))
+                    }
+                    _ => None,
                 };
                 if let Some(diff) = diff {
-                    v.push(AuditViolation {
-                        kind: AuditKind::SwitchPlane,
-                        detail: format!("injector {node}: {diff}"),
-                    });
+                    push(K::SwitchPlane, format!("node {node} feeder {f}: {diff}"));
                 }
             }
             census += self.vc_full[node].count_ones();
-            if self.busy_nodes.contains(node) != (mask != 0) {
-                v.push(AuditViolation {
-                    kind: AuditKind::BusySummary,
-                    detail: format!(
-                        "node {node}: summary {} but worklist word {mask:#x}",
-                        self.busy_nodes.contains(node)
-                    ),
-                });
-            }
-            if self.inj_nodes.contains(node) != self.inj[node].active.is_some() {
-                v.push(AuditViolation {
-                    kind: AuditKind::InjSummary,
-                    detail: format!(
-                        "node {node}: summary {} but injection {:?}",
-                        self.inj_nodes.contains(node),
-                        self.inj[node].active
-                    ),
-                });
-            }
-            if self.srcq_nodes.contains(node) == self.source_q.is_empty(node) {
-                v.push(AuditViolation {
-                    kind: AuditKind::SrcqSummary,
-                    detail: format!(
-                        "node {node}: summary {} but source queue holds {} packet(s)",
-                        self.srcq_nodes.contains(node),
-                        self.source_q.len(node)
-                    ),
-                });
-            }
         }
-        if census != self.full_buffers {
-            v.push(AuditViolation {
-                kind: AuditKind::Census,
-                detail: format!(
-                    "running census {} but occupancy planes popcount to {census}",
-                    self.full_buffers
-                ),
-            });
+        let running = self.full_buffers;
+        if census != running {
+            let detail =
+                format!("running census {running} but occupancy planes popcount to {census}");
+            push(K::Census, detail);
         }
     }
 
@@ -566,39 +475,6 @@ impl Network {
         }
     }
 
-    /// Wheel enrollment: every non-stale deadline is a multiple of the
-    /// timeout and its bucket bit is set. (The converse — a set bucket bit
-    /// without a deadline — is legal: fired and re-parked entries go stale
-    /// in place and are lazily discarded.)
-    fn audit_wheel(&self, v: &mut Vec<AuditViolation>) {
-        if self.wheel.len() == 0 {
-            return; // Avoidance mode: no wheel.
-        }
-        let timeout = self.wheel.timeout();
-        for idx in 0..self.wheel.len() {
-            let dl = self.wheel.deadline(idx);
-            if dl == u64::MAX {
-                continue;
-            }
-            if timeout == 0 || !dl.is_multiple_of(timeout) {
-                v.push(AuditViolation {
-                    kind: AuditKind::WheelDeadline,
-                    detail: format!(
-                        "VC {idx}: deadline {dl} is not a multiple of timeout {timeout}"
-                    ),
-                });
-                continue;
-            }
-            let slot = self.wheel.slot_of(dl);
-            if self.wheel.slot_word(slot, idx >> 6) >> (idx & 63) & 1 != 1 {
-                v.push(AuditViolation {
-                    kind: AuditKind::WheelBucket,
-                    detail: format!("VC {idx}: deadline {dl} enrolled but slot {slot} bit clear"),
-                });
-            }
-        }
-    }
-
     /// Token-queue contents vs. the `vc_queued` mirror: each queued VC
     /// appears exactly once, everything else not at all.
     fn audit_token_queue(&self, v: &mut Vec<AuditViolation>) {
@@ -780,9 +656,10 @@ mod tests {
     use super::*;
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
-    use crate::difftest::{hot_net, source};
     use crate::packet::Flit;
+    use crate::plane::Slot;
     use crate::shard::{Parked, ShardStage};
+    use crate::testnet::{hot_net, source};
     use std::collections::BTreeSet;
 
     fn drive(net: &mut Network, seed: u64, load: u64, cycles: u64) {
@@ -899,26 +776,6 @@ mod tests {
             .expect("every VC queued");
         net.vc_queued[idx] = true;
         assert_exactly(&net, AuditKind::TokenQueue);
-    }
-
-    #[test]
-    fn detects_missing_wheel_bucket_bit() {
-        let mut net = hot_net();
-        let idx = (0..net.wheel.len())
-            .find(|&i| net.wheel.deadline(i) != u64::MAX)
-            .expect("no enrolled wheel entry in a saturated recovery net");
-        let slot = net.wheel.slot_of(net.wheel.deadline(idx));
-        net.wheel.set_slot_word(slot, idx >> 6, 0);
-        assert_exactly(&net, AuditKind::WheelBucket);
-    }
-
-    #[test]
-    fn detects_misaligned_wheel_deadline() {
-        let mut net = hot_net();
-        // Timeout is 8; deadline 9 is not a multiple. The raw poke skips
-        // `schedule`'s debug assertion and bucket insertion on purpose.
-        net.wheel.set_deadline_raw(0, 9);
-        assert_exactly(&net, AuditKind::WheelDeadline);
     }
 
     #[test]

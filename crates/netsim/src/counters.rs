@@ -33,8 +33,8 @@ pub struct Counters {
     /// Routing stage: nodes whose central arbiter actually ran (at least
     /// one routable header or an admitted injection).
     pub stage_route_visits: u64,
-    /// Starvation stage: timer-wheel entries whose deadline came due and
-    /// were evaluated against the starvation predicate.
+    /// Starvation stage: routed, non-empty input VCs the every-`timeout`
+    /// scan examined against the starvation predicate.
     pub stage_starvation_checks: u64,
     /// Switch stage: nodes whose output channels were arbitrated (buffered
     /// flits or an active injection).
@@ -53,7 +53,7 @@ pub struct StageCycles {
     pub inject: u64,
     /// Routing-arbiter runs.
     pub route: u64,
-    /// Timer-wheel deadline evaluations.
+    /// Input VCs the starvation scan examined.
     pub starvation: u64,
     /// Switch-stage node visits.
     pub switch: u64,

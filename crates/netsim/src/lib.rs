@@ -59,8 +59,6 @@ mod config;
 mod control;
 mod counters;
 mod deadlock;
-#[cfg(test)]
-mod difftest;
 mod network;
 mod packet;
 mod plane;
@@ -71,7 +69,8 @@ mod routing;
 #[allow(unsafe_code)]
 mod shard;
 mod snapshot;
-mod wheel;
+#[cfg(test)]
+mod testnet;
 
 pub use audit::{AuditKind, AuditReport, AuditViolation};
 pub use config::{

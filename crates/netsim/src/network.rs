@@ -7,7 +7,6 @@ use crate::plane::{inj_movable_at, rr_pick, vc_movable_at, Slot, SwitchPlane};
 use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, IdRing};
 use crate::routing::RouteTables;
 use crate::shard::{ApplyCtx, Cells, Parked, Pass, PhaseStats, ShardPlan, ShardStage, WorkerPool};
-use crate::wheel::TimerWheel;
 use faults::{FaultPlan, FaultPlanError};
 use kncube::{Dir, NodeId, Torus};
 use std::sync::atomic::Ordering;
@@ -52,6 +51,24 @@ impl InjState {
             routed_at: 0,
         }
     }
+}
+
+/// One router's derived words as its ground truth says they must read
+/// ([`Network::derive_node`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NodeWords {
+    /// `vc_busy`: input VCs holding a flit.
+    pub busy: u64,
+    /// `vc_full`: input VCs completely full.
+    pub full: u64,
+    /// `vc_unrouted`: `None`/`AwaitToken` assignments.
+    pub unrouted: u64,
+    /// `vc_switchable`: `Out`/`Delivery` assignments.
+    pub switchable: u64,
+    /// The `inj_nodes` bit: an active injection.
+    pub injecting: bool,
+    /// The `srcq_nodes` bit: a non-empty source queue.
+    pub queued: bool,
 }
 
 /// An in-progress Disha recovery: the token holder and its drain path.
@@ -111,7 +128,8 @@ pub struct Network {
     /// Consecutive cycles each VC's front header has been ready but
     /// unrouted (drives Disha's timeout detection).
     pub(crate) vc_blocked: Vec<u64>,
-    /// Whether each VC currently has an entry in the recovery token queue.
+    /// Whether each VC currently has an entry in the recovery token queue
+    /// (derived from the queue on restore).
     pub(crate) vc_queued: Vec<bool>,
     /// Output VC allocation flags, same indexing as the VC arrays (an
     /// output VC of node `u` is the upstream side of a neighbor's input VC).
@@ -178,8 +196,6 @@ pub struct Network {
     /// Scratch: nodes whose injection was admitted this cycle (rewritten
     /// by `decide_injection` every cycle, never serialized).
     pub(crate) allow_nodes: NodeSet,
-    /// Starvation-deadline timer wheel (disabled in avoidance mode).
-    pub(crate) wheel: TimerWheel,
     /// Delivered-packet records awaiting [`Network::drain_deliveries`]; a
     /// consumer draining every gather period bounds this at O(period).
     pub(crate) deliveries: DeliveryRing,
@@ -220,10 +236,6 @@ impl Network {
         let n_vcs = nodes * d * v;
         let max_path = torus.dimensions() * (cfg.radix / 2) + 1;
         let tables = RouteTables::build(&torus, v);
-        let wheel = match cfg.deadlock {
-            DeadlockMode::Recovery { timeout } => TimerWheel::new(n_vcs, timeout, cfg.hop_latency),
-            DeadlockMode::Avoidance => TimerWheel::disabled(),
-        };
         // All VCs start unassigned: every input-VC feeder bit is "unrouted".
         let all_feeders = (1u64 << (d * v)) - 1;
         Ok(Network {
@@ -261,7 +273,6 @@ impl Network {
             inj_nodes: NodeSet::new(nodes),
             srcq_nodes: NodeSet::new(nodes),
             allow_nodes: NodeSet::new(nodes),
-            wheel,
             deliveries: DeliveryRing::default(),
             token_queue: IdRing::new(1, n_vcs),
             last_delivery_at: 0,
@@ -398,9 +409,7 @@ impl Network {
     /// cycles. Callers must ensure the skip is observationally identical to
     /// stepping: the network is [`Network::quiescent`], every skipped
     /// source poll would have produced nothing (and had no side effects),
-    /// and the controller needed no `on_cycle` call in the window. Stale
-    /// timer-wheel bits from before the jump are lazily discarded by later
-    /// fires (their deadlines are in the past).
+    /// and the controller needed no `on_cycle` call in the window.
     ///
     /// # Panics
     ///
@@ -518,28 +527,63 @@ impl Network {
     }
 
     /// The switch-plane slot of a feeder of `node` assigned `a` (`None`
-    /// unless `a` is switchable).
-    #[inline]
+    /// unless `a` is switchable; `None` too for an output the router does
+    /// not have, which is the audit's to report).
     pub(crate) fn slot_of(&self, node: NodeId, a: Assign) -> Option<Slot> {
-        Slot::of(self.tables.out_slots(), self.d, self.v, node, a)
+        let (d, v) = (self.d, self.v);
+        match a {
+            Assign::Out { port, vc } if usize::from(port) >= d || usize::from(vc) >= v => None,
+            a => Slot::of(self.tables.out_slots(), d, v, node, a),
+        }
     }
 
-    /// The switch plane's `movable_at` of input VC `idx`, if it holds a
-    /// flit.
-    pub(crate) fn vc_front_movable_at(&self, idx: usize) -> Option<u64> {
-        let front = self.vc_bufs.front(idx)?;
-        Some(vc_movable_at(
-            front.idx,
-            front.ready_at,
-            self.vc_routed_at[idx],
-        ))
+    /// What ground truth — buffers, assignments, injection interface and
+    /// source queue — says `node`'s derived words hold: the one derivation
+    /// [`Network::rebuild_derived`] writes and the audit diffs against.
+    pub(crate) fn derive_node(&self, node: NodeId) -> NodeWords {
+        let fpn = self.d * self.v;
+        let mut w = NodeWords {
+            injecting: self.inj[node].active.is_some(),
+            queued: !self.source_q.is_empty(node),
+            ..NodeWords::default()
+        };
+        for f in 0..fpn {
+            let idx = node * fpn + f;
+            let len = self.vc_bufs.len(idx);
+            w.busy |= u64::from(len > 0) << f;
+            w.full |= u64::from(len >= self.depth) << f;
+            match self.vc_assign[idx] {
+                Assign::None | Assign::AwaitToken => w.unrouted |= 1u64 << f,
+                Assign::Out { .. } | Assign::Delivery => w.switchable |= 1u64 << f,
+                Assign::Recovery => {}
+            }
+        }
+        w
     }
 
-    /// Rebuilds every derived structure — the node summaries, the
-    /// assignment and occupancy bit-planes, the switch plane — from the
-    /// authoritative state they summarize. Called after a checkpoint
-    /// restore, which serializes only the ground truth (buffers,
-    /// assignments, queues).
+    /// The switch-plane entry of feeder `f` of `node` (`f = d * v` is the
+    /// injection interface) as ground truth says it must read: the slot,
+    /// `None` unless the assignment is switchable, and `movable_at`,
+    /// `None` for an empty input VC.
+    pub(crate) fn derive_plane(&self, node: NodeId, f: usize) -> (Option<Slot>, Option<u64>) {
+        let fpn = self.d * self.v;
+        if f == fpn {
+            let inj = &self.inj[node];
+            let movable_at = inj_movable_at(inj.routed_at);
+            return (self.slot_of(node, inj.assign), Some(movable_at));
+        }
+        let idx = node * fpn + f;
+        let routed_at = self.vc_routed_at[idx];
+        let front = self.vc_bufs.front(idx);
+        let movable_at = front.map(|fl| vc_movable_at(fl.idx, fl.ready_at, routed_at));
+        (self.slot_of(node, self.vc_assign[idx]), movable_at)
+    }
+
+    /// Rebuilds every derived structure — the worklist, occupancy and
+    /// assignment words, the node summaries, the census, the switch plane
+    /// and the token-queue flags — from the ground truth a checkpoint
+    /// carries, through [`Network::derive_node`] and
+    /// [`Network::derive_plane`]. Called after a restore.
     pub(crate) fn rebuild_derived(&mut self) {
         let fpn = self.d * self.v;
         let mut plane = SwitchPlane::new(self.vc_busy.len(), fpn);
@@ -547,42 +591,38 @@ impl Network {
         self.busy_nodes.clear();
         self.inj_nodes.clear();
         self.srcq_nodes.clear();
+        self.full_buffers = 0;
         for node in 0..self.vc_busy.len() {
-            if self.vc_busy[node] != 0 {
-                self.busy_nodes.insert(node);
-            }
-            if self.inj[node].active.is_some() {
-                self.inj_nodes.insert(node);
-            }
-            if !self.source_q.is_empty(node) {
-                self.srcq_nodes.insert(node);
-            }
-            let (mut unrouted, mut switchable, mut full) = (0u64, 0u64, 0u64);
-            for f in 0..fpn {
-                let idx = node * fpn + f;
-                match self.vc_assign[idx] {
-                    Assign::None | Assign::AwaitToken => unrouted |= 1u64 << f,
-                    Assign::Out { .. } | Assign::Delivery => switchable |= 1u64 << f,
-                    Assign::Recovery => {}
+            let w = self.derive_node(node);
+            for (set, member) in [
+                (&mut self.busy_nodes, w.busy != 0),
+                (&mut self.inj_nodes, w.injecting),
+                (&mut self.srcq_nodes, w.queued),
+            ] {
+                if member {
+                    set.insert(node);
                 }
-                full |= u64::from(self.vc_bufs.len(idx) >= self.depth) << f;
-                if let Some(slot) = self.slot_of(node, self.vc_assign[idx]) {
+            }
+            self.vc_busy[node] = w.busy;
+            self.vc_full[node] = w.full;
+            self.vc_unrouted[node] = w.unrouted;
+            self.vc_switchable[node] = w.switchable;
+            self.full_buffers += w.full.count_ones();
+            for f in 0..=fpn {
+                let (slot, movable_at) = self.derive_plane(node, f);
+                if let Some(slot) = slot {
                     view.set_slot(node * (fpn + 1) + f, slot);
                 }
-                if let Some(at) = self.vc_front_movable_at(idx) {
+                if let Some(at) = movable_at {
                     view.set_movable_at(node * (fpn + 1) + f, at);
                 }
             }
-            let inj = &self.inj[node];
-            if let Some(slot) = self.slot_of(node, inj.assign) {
-                view.set_slot(node * (fpn + 1) + fpn, slot);
-            }
-            view.set_movable_at(node * (fpn + 1) + fpn, inj_movable_at(inj.routed_at));
-            self.vc_unrouted[node] = unrouted;
-            self.vc_switchable[node] = switchable;
-            self.vc_full[node] = full;
         }
         self.plane = plane;
+        self.vc_queued.fill(false);
+        for i in 0..self.token_queue.len(0) {
+            self.vc_queued[self.token_queue.get(0, i) as usize] = true;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -755,74 +795,50 @@ impl Network {
     /// nothing on its allocated VC yet — the header is still here — so the
     /// allocation is released and the worm committed to the token queue.
     ///
-    /// Fires the due bucket of the deadline timer wheel ([`TimerWheel`])
-    /// instead of scanning every busy VC. Enrollment happens where the
-    /// only trip-enabling transition happens — [`ApplyCtx::route_win`]
-    /// assigning an output VC — and a due entry that no longer satisfies
-    /// the predicate is either dropped (header gone: any successor
-    /// re-enrolls through routing) or re-parked at the earliest cycle the
-    /// predicate could next hold. `difftest.rs` proves this wheel matches
-    /// the full scan it replaced decision-for-decision under random traffic.
+    /// Every `timeout` cycles, scans the routed input VCs that hold a flit
+    /// — `busy_nodes`, then each node's `vc_busy & vc_switchable` word —
+    /// in ascending VC order, so suspects join the token queue in VC
+    /// order. `stage_starvation_checks` counts the VCs examined.
     fn starvation_stage(&mut self, now: u64, timeout: u64) {
         if !now.is_multiple_of(timeout) {
             return;
         }
-        let slot = self.wheel.slot_of(now);
-        for w in 0..self.wheel.word_count() {
-            let mut word = self.wheel.slot_word(slot, w);
-            if word == 0 {
-                continue;
-            }
-            // Ascending bit order == ascending VC index == the reference
-            // scan's order, so recovery-token FIFO order is preserved.
-            let mut keep = 0u64;
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let idx = (w << 6) | b;
-                let d = self.wheel.deadline(idx);
-                if d == now {
-                    self.wheel.clear_deadline(idx);
+        let fpn = self.d * self.v;
+        for w in 0..self.busy_nodes.word_count() {
+            let mut nword = self.busy_nodes.word(w);
+            while nword != 0 {
+                let node = (w << 6) | nword.trailing_zeros() as usize;
+                nword &= nword - 1;
+                let mut mask = self.vc_busy[node] & self.vc_switchable[node];
+                while mask != 0 {
+                    let f = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
                     self.counters.stage_starvation_checks += 1;
-                    self.recheck_starved_head(now, timeout, idx);
-                } else if d > now && self.wheel.slot_of(d) == slot {
-                    // Live entry parked one wheel revolution ahead.
-                    keep |= 1u64 << b;
+                    self.check_starved_head(now, timeout, node, node * fpn + f);
                 }
-                // Anything else is a stale tag: drop the bit.
             }
-            self.wheel.set_slot_word(slot, w, keep);
         }
     }
 
-    /// Evaluates one due wheel entry against the starvation predicate:
-    /// trip (commit to the token queue), drop (the enrolled header is
-    /// gone), or re-park at the next cycle the predicate could hold.
-    fn recheck_starved_head(&mut self, now: u64, timeout: u64, idx: usize) {
+    /// The starvation predicate on input VC `idx` of `node`: an
+    /// `Out`-assigned header at the front, ready, its worm still for at
+    /// least `timeout` cycles. A VC that trips releases its output VC and
+    /// is committed to the token queue.
+    fn check_starved_head(&mut self, now: u64, timeout: u64, node: NodeId, idx: usize) {
         let Assign::Out { port, vc: ovc } = self.vc_assign[idx] else {
-            return; // header delivered/recovered/demoted: re-enrolls via route_win
+            return;
         };
-        if self.vc_bufs.is_empty(idx) || self.vc_bufs.front_idx(idx) != 0 {
-            return; // header already departed on its output VC
+        // Most fronts under load are body flits: test them before the
+        // packet-store lookup.
+        if self.vc_bufs.front_idx(idx) != 0 || self.vc_bufs.front_ready_at(idx) > now {
+            return;
         }
-        let ready = self.vc_bufs.front_ready_at(idx);
-        let pid = self.vc_bufs.front_packet(idx);
-        let last_move = self.packets.get(pid).last_move;
-        if ready <= now && now.saturating_sub(last_move) >= timeout {
-            let node = idx / (self.d * self.v);
+        let last_move = self.packets.get(self.vc_bufs.front_packet(idx)).last_move;
+        if now.saturating_sub(last_move) >= timeout {
             let oidx = self.vc_idx(node, usize::from(port), usize::from(ovc));
             debug_assert!(self.out_alloc[oidx]);
             self.out_alloc[oidx] = false;
             self.commit_suspect(idx);
-        } else {
-            // The worm progressed (or the header is in flight): the
-            // predicate cannot hold before both the staleness window
-            // re-elapses and the header is ready. Both bounds land within
-            // the wheel's horizon (see `TimerWheel::new`).
-            let d = (last_move + timeout)
-                .next_multiple_of(timeout)
-                .max(ready.next_multiple_of(timeout));
-            self.wheel.schedule(idx, d);
         }
     }
 
@@ -964,7 +980,6 @@ impl Network {
             vc_bufs: self.vc_bufs.view(),
             source_q: self.source_q.view(),
             packets: self.packets.view(),
-            wheel: self.wheel.view(),
             plane: self.plane.view(),
             visit: &self.plan.visit,
             credit: &self.plan.credit,
@@ -1309,8 +1324,7 @@ impl ApplyCtx<'_> {
     }
 
     /// Performs the allocation of a routing win: output-VC claim, escape
-    /// marking, and the injection start or VC assignment + timer-wheel
-    /// enrollment. The decision itself (`assign`) was made by
+    /// marking, and the injection start or VC assignment. The decision itself (`assign`) was made by
     /// [`ApplyCtx::route_pass`] just before.
     fn route_win(
         &self,
@@ -1362,18 +1376,6 @@ impl ApplyCtx<'_> {
             self.set_assign(node, feeder, assign);
             self.vc_routed_at.set(idx, now);
             self.vc_blocked.set(idx, 0);
-            // An input VC granted an output VC is the only thing the
-            // starvation stage can ever trip on: enroll it in the timer
-            // wheel at the earliest scan cycle the predicate could hold
-            // (the worm must sit motionless for a full timeout first).
-            if matches!(assign, Assign::Out { .. }) && self.recovery_timeout > 0 {
-                let timeout = self.recovery_timeout;
-                let last_move = self.packets.packet(pid).last_move.load(Ordering::Relaxed);
-                let d = (last_move + timeout)
-                    .next_multiple_of(timeout)
-                    .max(now.next_multiple_of(timeout));
-                self.wheel.schedule(idx, d);
-            }
         }
         // The winner's header was ready to request routing (an injection's
         // flits always are): the 1-cycle routing delay is all that holds it.
@@ -1516,7 +1518,8 @@ mod tests {
     /// Stepping under saturating random traffic must produce bit-identical
     /// state for every shard count: no router's pass reads what another's
     /// writes, and the tail commits in ascending-node order regardless of
-    /// the partition. Recovery exercises the token queue and the wheel;
+    /// the partition. Recovery exercises the token queue and the
+    /// starvation scan;
     /// avoidance the escape VCs, and (with most traffic delivered rather
     /// than recovered) the delivery slot's bit-63 credit encoding at nodes
     /// on both sides of unaligned shard edges. The fault plan stalls a
@@ -1650,6 +1653,60 @@ mod tests {
                 "{case}: UP moves on the credit next cycle"
             );
         }
+    }
+
+    /// The starvation predicate, poked directly on a hot network: every
+    /// packet is stamped as having just moved but one, the worm of a ready,
+    /// `Out`-assigned header. Still for `timeout − 1` cycles on a scan
+    /// cycle, it stays routed; still for `timeout`, it is committed — on a
+    /// scan cycle only.
+    #[test]
+    fn starvation_scan_commits_a_header_still_for_timeout_cycles() {
+        let timeout = 8;
+        let mut net = crate::testnet::hot_net();
+        assert_eq!(net.cfg.deadlock, DeadlockMode::Recovery { timeout });
+        let waiting = |net: &Network| {
+            (0..net.vc_assign.len()).find(|&i| {
+                let header = net.vc_bufs.front(i).is_some_and(|f| f.idx == 0);
+                header && !net.vc_queued[i] && matches!(net.vc_assign[i], Assign::Out { .. })
+            })
+        };
+        let mut src = crate::testnet::source(1, 16, 60);
+        while waiting(&net).is_none() && net.now < 10_000 {
+            net.cycle(&mut src, &mut NoControl);
+        }
+        let idx = waiting(&net).expect("no routed header waiting in a saturated net");
+        let Assign::Out { port, vc } = net.vc_assign[idx] else {
+            unreachable!()
+        };
+        let oidx = net.vc_idx(idx / (net.d * net.v), port.into(), vc.into());
+        let pid = net.vc_bufs.front_packet(idx);
+        let still_for = |net: &mut Network, cycles: u64, now: u64| {
+            for id in 0..net.packets.slot_count() as PacketId {
+                net.packets.get_mut(id).last_move = now;
+            }
+            net.packets.get_mut(pid).last_move = now - cycles;
+        };
+        // A scan cycle by which every front flit is ready.
+        let scan = (net.now + net.cfg.hop_latency).next_multiple_of(timeout);
+        let timeouts = net.counters.recovery_timeouts;
+        for (now, still) in [(scan, timeout - 1), (scan + 1, timeout)] {
+            still_for(&mut net, still, now);
+            net.starvation_stage(now, timeout);
+            assert_eq!(net.vc_assign[idx], Assign::Out { port, vc }, "cycle {now}");
+            assert_eq!(net.counters.recovery_timeouts, timeouts, "cycle {now}");
+        }
+        let now = scan + timeout;
+        still_for(&mut net, timeout, now);
+        net.starvation_stage(now, timeout);
+        assert_eq!(net.vc_assign[idx], Assign::AwaitToken);
+        assert!(!net.out_alloc[oidx], "output VC still allocated");
+        assert!(net.vc_queued[idx]);
+        let tail = net.token_queue.len(0) - 1;
+        assert_eq!(net.token_queue.get(0, tail), idx as u32);
+        assert_eq!(net.counters.recovery_timeouts, timeouts + 1);
+        let report = net.audit();
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! This is the one module of the crate allowed to contain `unsafe`: the
 //! [`Cells`] accessors, the lifetime-erasing per-shard view constructor
 //! [`ApplyCtx::shard`], and the pool's job slot. Everything built on them —
-//! the ring, wheel and packet views, the whole state transition — is safe
+//! the ring and packet views, the whole state transition — is safe
 //! code that panics on an index outside its view's range.
 //!
 //! The plan is runtime-only configuration: it is never serialized and
@@ -69,7 +69,6 @@ use crate::packet::{Flit, PacketCell, PacketId, PacketInfo};
 use crate::plane::SwitchPlaneView;
 use crate::ring::{FlitRingsView, IdRingView};
 use crate::routing::RouteTables;
-use crate::wheel::TimerWheelView;
 use faults::FaultPlan;
 
 /// A handoff whose source half is done: `flit`, taken off its feeder by
@@ -361,13 +360,12 @@ impl Cells<'_, PacketInfo> {
 ///   input/output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routed_at`,
 ///   `vc_blocked`, `out_alloc`, `inj`, the per-node `vc_*` bit-plane
 ///   words, the switch plane's slots and move cycles, the flit and source
-///   rings, wheel deadlines). An index outside the view's node range
-///   panics.
+///   rings). An index outside the view's node range panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
-///   bitsets and wheel bucket words (64 nodes/VCs per word, shard edges
-///   unaligned; each bit is changed only by its owner's pass), and the
-///   packet-id-indexed `escaped` flags and `last_move`/`injected_at`
-///   stamps (one writer per cycle, or several writing the same value).
+///   bitsets (64 nodes per word, shard edges unaligned; each bit is
+///   changed only by its owner's pass), and the packet-id-indexed
+///   `escaped` flags and `last_move`/`injected_at` stamps (one writer per
+///   cycle, or several writing the same value).
 /// * **Read-only while a pass runs** — the pass copies (`visit`,
 ///   `credit`), the cycle's injection allowances (`allow`), the route
 ///   tables, the fault plan, and packet lengths and destinations. No pass
@@ -390,7 +388,7 @@ pub(crate) struct ApplyCtx<'a> {
     pub depth: usize,
     pub escape_vcs: usize,
     pub hop_latency: u64,
-    /// Disha detection timeout; 0 in avoidance mode (no wheel).
+    /// Disha detection timeout; 0 in avoidance mode.
     pub recovery_timeout: u64,
     pub route_rr: Cells<'a, usize>,
     pub out_rr: Cells<'a, usize>,
@@ -410,7 +408,6 @@ pub(crate) struct ApplyCtx<'a> {
     pub vc_bufs: FlitRingsView<'a>,
     pub source_q: IdRingView<'a>,
     pub packets: Cells<'a, PacketInfo>,
-    pub wheel: TimerWheelView<'a>,
     pub plane: SwitchPlaneView<'a>,
     /// The pass's visit copy ([`ShardPlan::visit`]).
     pub visit: &'a [u64],
@@ -450,7 +447,6 @@ impl ApplyCtx<'_> {
             vc_full: whole.vc_full.narrow(lo, hi),
             vc_bufs: whole.vc_bufs.narrow(vcs.start, vcs.end),
             source_q: whole.source_q.narrow(lo, hi),
-            wheel: whole.wheel.narrow(vcs.start, vcs.end),
             plane: whole
                 .plane
                 .narrow(lo * (whole.fpn + 1), hi * (whole.fpn + 1)),
@@ -1307,7 +1303,7 @@ mod tests {
     /// injection allowance is per-cycle scratch of the cycle that just
     /// ended; a pass outside `cycle` must not act on it.
     fn hot_net() -> Network {
-        let mut net = crate::difftest::hot_net();
+        let mut net = crate::testnet::hot_net();
         net.allow_nodes.clear();
         net
     }

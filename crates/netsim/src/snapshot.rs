@@ -1,15 +1,19 @@
 //! Full-state capture of a [`Network`] for deterministic checkpoint/restore.
 //!
-//! The serialized state covers *everything* the cycle pipeline reads or
+//! The serialized state is the ground truth the cycle pipeline reads or
 //! writes: edge buffers and routing assignments of every input VC, output
 //! VC allocations, injection interfaces, source queues, the packet store
 //! (including free-list order, which determines future id assignment),
 //! sticky escape flags, the Disha deadlock buffers and in-progress recovery
-//! job, both round-robin cursor families, the active-VC worklist, counters
-//! and watchdog markers. Configuration (`NetConfig`, topology, installed
-//! fault plan) is *not* serialized: a snapshot is restored into a network
-//! freshly built from the same configuration, and the caller guards that
-//! with a configuration fingerprint at the container level.
+//! job, the token queue, both round-robin cursor families, counters and
+//! watchdog markers. Everything derived from it — the worklist, occupancy
+//! and assignment words, node summaries, the census, the switch plane and
+//! the token-queue flags — is not serialized: restore rebuilds it through
+//! the derivation the audit checks against ([`Network::derive_node`]).
+//! Configuration (`NetConfig`, topology, installed fault plan) is not
+//! serialized either: a snapshot is restored into a network freshly built
+//! from the same configuration, and the caller guards that with a
+//! configuration fingerprint at the container level.
 //!
 //! Queues live in ring-buffer arenas ([`crate::ring`]) but serialize as
 //! their *logical* FIFO contents (front to back), so the byte format is
@@ -18,10 +22,10 @@
 //!
 //! The golden property — restore + run to end is bit-identical to the
 //! uninterrupted run — holds because after [`Network::restore_state`] every
-//! field that influences any future cycle equals the original's. The only
-//! skipped fields are per-cycle scratch (the injection allowance, the
-//! recovery path's recycled backing storage), which the pipeline rewrites
-//! before reading.
+//! field that influences any future cycle equals the original's: derived
+//! state by derivation, the rest by decoding. The only other skipped fields
+//! are per-cycle scratch (the injection allowance, the recovery path's
+//! recycled backing storage), which the pipeline rewrites before reading.
 
 use crate::network::{Assign, InjState, Network, RecoveryJob};
 use crate::packet::{Flit, PacketStore};
@@ -133,8 +137,8 @@ impl Network {
             .recovery
             .as_ref()
             .map_or(0, |job| 4 + 8 + 8 * job.path.len() + 8 + 1);
-        (3 * 8 + 4 + Counters::ENCODED_LEN)
-            + (8 + vc_flits + n_vcs * (ASSIGN_MAX_LEN + 8 + 8 + 1))
+        (3 * 8 + Counters::ENCODED_LEN)
+            + (8 + vc_flits + n_vcs * (ASSIGN_MAX_LEN + 8 + 8))
             + self.out_alloc.len()
             + nodes * (1 + 4 + 2 + ASSIGN_MAX_LEN + 8)
             + queued
@@ -142,8 +146,7 @@ impl Network {
             + (8 + self.escaped.len())
             + dl_flits
             + (1 + recovery)
-            + 8 * (self.route_rr.len() + self.out_rr.len() + self.vc_busy.len())
-            + (8 + 8 * self.wheel.len())
+            + 8 * (self.route_rr.len() + self.out_rr.len())
             + (8 + 8 * self.token_queue.len(0))
             + (8 + self.deliveries.len() * DELIVERY_ENCODED_LEN)
     }
@@ -155,7 +158,6 @@ impl Network {
         enc.u64(self.now);
         enc.u64(self.last_delivery_at);
         enc.u64(self.last_progress_at);
-        enc.u32(self.full_buffers);
         self.counters.save_state(enc);
 
         let n_vcs = self.vc_assign.len();
@@ -165,7 +167,6 @@ impl Network {
             enc_assign(enc, self.vc_assign[idx]);
             enc.u64(self.vc_routed_at[idx]);
             enc.u64(self.vc_blocked[idx]);
-            enc.bool(self.vc_queued[idx]);
         }
         enc.bools(&self.out_alloc);
         for inj in &self.inj {
@@ -206,13 +207,6 @@ impl Network {
         for &c in &self.out_rr {
             enc.usize(c);
         }
-        enc.u64s(&self.vc_busy);
-        // Starvation timer wheel: only the authoritative deadline array is
-        // serialized (empty for deadlock-avoidance networks); bucket
-        // occupancy is derived and rebuilt on restore, so the byte format
-        // is independent of how far the wheel has revolved.
-        enc.usize(self.wheel.len());
-        enc.u64s(self.wheel.deadlines());
         enc.usize(self.token_queue.len(0));
         for i in 0..self.token_queue.len(0) {
             enc.usize(self.token_queue.get(0, i) as usize);
@@ -255,7 +249,6 @@ impl Network {
         let now = dec.u64()?;
         let last_delivery_at = dec.u64()?;
         let last_progress_at = dec.u64()?;
-        let full_buffers = dec.u32()?;
         let counters = Counters::restore_state(dec)?;
 
         if dec.usize()? != n_vcs {
@@ -265,13 +258,11 @@ impl Network {
         let mut vc_assign = Vec::with_capacity(n_vcs);
         let mut vc_routed_at = Vec::with_capacity(n_vcs);
         let mut vc_blocked = Vec::with_capacity(n_vcs);
-        let mut vc_queued = Vec::with_capacity(n_vcs);
         for idx in 0..n_vcs {
             dec_flit_ring(dec, &mut vc_bufs, idx, depth)?;
             vc_assign.push(dec_assign(dec, d, v)?);
             vc_routed_at.push(dec.u64()?);
             vc_blocked.push(dec.u64()?);
-            vc_queued.push(dec.bool()?);
         }
         let out_alloc = dec.bools(n_vcs)?;
         let mut inj = Vec::with_capacity(nodes);
@@ -344,21 +335,6 @@ impl Network {
         for _ in 0..n_out_rr {
             out_rr.push(dec.usize()?);
         }
-        let vc_busy = dec.u64s(nodes)?;
-        if dec.usize()? != self.wheel.len() {
-            return Err(CheckpointError::Corrupt("timer-wheel entry count mismatch"));
-        }
-        let wheel_timeout = match self.config().deadlock {
-            crate::config::DeadlockMode::Recovery { timeout } => timeout,
-            crate::config::DeadlockMode::Avoidance => 1, // wheel is empty
-        };
-        let wheel_deadlines = dec.u64s(self.wheel.len())?;
-        if wheel_deadlines
-            .iter()
-            .any(|&d| d != u64::MAX && !d.is_multiple_of(wheel_timeout))
-        {
-            return Err(CheckpointError::Corrupt("wheel deadline not a scan cycle"));
-        }
         let n_tok = dec.usize()?;
         if n_tok > n_vcs {
             return Err(CheckpointError::Corrupt("token queue implausibly long"));
@@ -391,13 +367,11 @@ impl Network {
         self.now = now;
         self.last_delivery_at = last_delivery_at;
         self.last_progress_at = last_progress_at;
-        self.full_buffers = full_buffers;
         self.counters = counters;
         self.vc_bufs = vc_bufs;
         self.vc_assign = vc_assign;
         self.vc_routed_at = vc_routed_at;
         self.vc_blocked = vc_blocked;
-        self.vc_queued = vc_queued;
         self.out_alloc = out_alloc;
         self.inj = inj;
         self.source_q = source_q;
@@ -407,15 +381,8 @@ impl Network {
         self.recovery = recovery;
         self.route_rr = route_rr;
         self.out_rr = out_rr;
-        self.vc_busy = vc_busy;
         self.token_queue = token_queue;
         self.deliveries = deliveries;
-        self.wheel.reset();
-        for (idx, &d) in wheel_deadlines.iter().enumerate() {
-            if d != u64::MAX {
-                self.wheel.schedule(idx, d);
-            }
-        }
         self.rebuild_derived();
         Ok(())
     }
@@ -425,7 +392,7 @@ impl Network {
 mod tests {
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
-    use crate::difftest::small_cfg;
+    use crate::testnet::{self, hot_net, small_cfg};
     use crate::Network;
     use checkpoint::{Dec, Enc};
 
@@ -502,45 +469,33 @@ mod tests {
         assert_eq!(snapshot(&a), snapshot(&b));
     }
 
-    /// Mirror of the wrapped-ring property for the starvation timer wheel:
-    /// after the wheel has revolved many times (its buckets full of a mix
-    /// of live and stale bits), the byte format must capture only the
-    /// authoritative deadlines, and a restored network — whose buckets are
-    /// rebuilt from those deadlines — must continue bit-identically,
-    /// including through future wheel fires.
+    /// A checkpoint carries only ground truth: the worklist, occupancy
+    /// words, census and token-queue flags a restored network derives equal
+    /// the ones the original maintained incrementally — taken while a VC
+    /// waits in the token queue, so the flags are not all clear.
     #[test]
-    fn wrapped_wheel_checkpoints_position_independently() {
-        let cfg = small_cfg(); // Recovery { timeout: 8 }: wheel revolution is 24 cycles
-        let mut src = source(2); // hot enough to keep headers routed and parked
-        let mut a = Network::new(cfg.clone()).unwrap();
-        // Snapshot mid-revolution (1003 is not a scan cycle), long after
-        // the wheel wrapped dozens of times.
-        for _ in 0..1_003 {
+    fn restore_derives_what_the_checkpoint_omits() {
+        let mut a = hot_net();
+        let mut src = testnet::source(1, 16, 60);
+        for _ in 0..5_000 {
+            if a.token_queue_len() > 0 {
+                break;
+            }
             a.cycle(&mut src, &mut NoControl);
         }
-        let enrolled = (0..a.wheel.len())
-            .filter(|&i| a.wheel.deadline(i) != u64::MAX)
-            .count();
-        assert!(enrolled > 0, "vacuous: no wheel entries live at snapshot");
+        assert!(
+            a.token_queue_len() > 0,
+            "vacuous: no VC queued for the token"
+        );
         let snap = snapshot(&a);
-        let mut b = Network::new(cfg).unwrap();
-        let mut dec = Dec::new(&snap);
-        b.restore_state(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(snapshot(&b), snap);
-        for idx in 0..a.wheel.len() {
-            assert_eq!(a.wheel.deadline(idx), b.wheel.deadline(idx));
-        }
-        // Continue both across several future scan cycles: rebuilt buckets
-        // must fire exactly like the originals.
-        let mut src_a = source(2);
-        let mut src_b = source(2);
-        for _ in 0..200 {
-            a.cycle(&mut src_a, &mut NoControl);
-            b.cycle(&mut src_b, &mut NoControl);
-        }
-        assert_eq!(snapshot(&a), snapshot(&b));
-        assert_eq!(a.counters(), b.counters());
+        let mut b = Network::new(small_cfg()).unwrap();
+        b.restore_state(&mut Dec::new(&snap)).unwrap();
+        let derived = |n: &Network| {
+            let words = (n.vc_busy.clone(), n.vc_full.clone(), n.vc_queued.clone());
+            (words, n.full_buffers)
+        };
+        assert_eq!(derived(&a), derived(&b));
+        assert!(b.audit().is_clean());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Architecture rules: properties of the source tree that no simulator test
 //! can see — where the process environment is read, which bench stack
 //! exists, where the side-band watchdog lives, how a stepping loop reaches
-//! the traffic sources and what math the traffic stream may call. Each rule
-//! documents the files it reads, what it forbids and why, and reports every
-//! offending line as `path:line: text`. Each runs twice: on the tree as it
-//! stands, and on a synthetic violation it must report (so a rule that
-//! silently matches nothing fails too).
+//! the traffic sources, what math the traffic stream may call and whether
+//! every test fixture still has a reader. Each rule documents the files it
+//! reads, what it forbids and why, and reports every offending line as
+//! `path:line: text` (an orphan fixture as `path: ...`). Each runs twice:
+//! on the tree as it stands, and on a synthetic violation it must report
+//! (so a rule that silently matches nothing fails too).
 //!
 //! The tree is read with `std` alone, no git: every file below the
 //! repository root except `.git/`, any `target/`, the paths the root
@@ -280,6 +281,39 @@ fn no_libm_on_the_stream(tree: &[File]) -> Vec<String> {
         .collect()
 }
 
+/// No orphan fixtures. Every file in a `crates/*/tests/fixtures/` directory
+/// is named by an `include_bytes!` of its own crate (a line holding
+/// `include_bytes!(` and `fixtures/<name>"`), so a fixture a format change
+/// supersedes leaves with its last reader instead of piling up. The walk
+/// skips binaries — every checkpoint fixture — so the rule lists the
+/// fixture directories below `root` itself.
+fn no_orphan_fixtures(root: &Path, tree: &[File]) -> Vec<String> {
+    let mut orphans = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("readable crates/") {
+        let krate = format!(
+            "crates/{}/",
+            krate.expect("readable entry").file_name().display()
+        );
+        let Ok(fixtures) = fs::read_dir(root.join(&krate).join("tests/fixtures")) else {
+            continue;
+        };
+        for fixture in fixtures {
+            let name = fixture.expect("readable fixture entry").file_name();
+            let needle = format!("fixtures/{}\"", name.display());
+            let named = tree.iter().filter(|f| f.path.starts_with(&krate)).any(|f| {
+                let reads = |l: &str| l.contains("include_bytes!(") && l.contains(&needle);
+                f.text.lines().any(reads)
+            });
+            if !named {
+                let path = format!("{krate}tests/fixtures/{}", name.display());
+                orphans.push(format!("{path}: named by no include_bytes!"));
+            }
+        }
+    }
+    orphans.sort();
+    orphans
+}
+
 fn assert_clean(found: Vec<String>, rule: &str) {
     assert!(
         found.is_empty(),
@@ -316,6 +350,12 @@ fn the_tree_has_no_per_node_poll_in_a_stepping_loop() {
 #[test]
 fn the_tree_has_no_libm_on_the_traffic_stream() {
     assert_clean(no_libm_on_the_stream(repo()), "no libm on the stream");
+}
+
+#[test]
+fn the_tree_has_no_orphan_fixtures() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert_clean(no_orphan_fixtures(root, repo()), "no orphan fixtures");
 }
 
 #[test]
@@ -428,6 +468,46 @@ fn libm_rule_reports_a_transcendental_above_the_tests() {
         ]
     );
     assert!(found[0].starts_with("crates/traffic/src/gaps.rs:1: "));
+}
+
+/// Fixtures on disk: one included from its crate's tests, one from its
+/// crate's `src` through `..`, one whose name only a comment mentions and
+/// one included only by a file of another crate, which resolves elsewhere.
+#[test]
+fn fixture_rule_reports_a_fixture_no_include_names() {
+    let root = std::env::temp_dir().join("stcc-architecture-fixtures");
+    let _ = fs::remove_dir_all(&root);
+    for (path, bytes) in [
+        ("crates/a/tests/fixtures/kept.v4.ckpt", &b"\0"[..]),
+        ("crates/a/tests/fixtures/old.v3.ckpt", b"\0"),
+        ("crates/b/tests/fixtures/seed.bin", b"\0"),
+        ("crates/c/tests/fixtures/stray.ckpt", b"\0"),
+        (
+            "crates/a/tests/compat.rs",
+            b"// old.v3.ckpt was superseded\nconst K: &[u8] = include_bytes!(\"fixtures/kept.v4.ckpt\");",
+        ),
+        (
+            "crates/b/src/lib.rs",
+            b"const S: &[u8] = include_bytes!(\"../tests/fixtures/seed.bin\");",
+        ),
+        (
+            "crates/b/tests/x.rs",
+            b"const T: &[u8] = include_bytes!(\"fixtures/stray.ckpt\");",
+        ),
+    ] {
+        let p = root.join(path);
+        fs::create_dir_all(p.parent().unwrap()).unwrap();
+        fs::write(p, bytes).unwrap();
+    }
+    let found = no_orphan_fixtures(&root, &walk(&root));
+    let _ = fs::remove_dir_all(&root);
+    assert_eq!(
+        paths(&found),
+        [
+            "crates/a/tests/fixtures/old.v3.ckpt",
+            "crates/c/tests/fixtures/stray.ckpt"
+        ]
+    );
 }
 
 #[test]
