@@ -44,7 +44,15 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 /// v4: network payloads carry only ground truth. The starvation
 /// deadline array, the worklist words, the full-buffer census and the
 /// per-VC token-queue flags are gone; restore derives them.
-pub const VERSION: u32 = 4;
+///
+/// v5: controller and simulation payloads carry only ground truth too.
+/// A side-band controller writes its scaffold frame as one block — the
+/// buffer count its law was sized with, the gate bit, the watchdog state
+/// and counters — ahead of the law's own fields. Gone: the snapshot-dedup
+/// cycle, every value a law's sizing computes from the buffer count, the
+/// DEC-bit verdict (a function of its window) and the simulation's
+/// warm-up flag (a function of the clock).
+pub const VERSION: u32 = 5;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -686,7 +694,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&4u32.to_le_bytes());
+        want.extend_from_slice(&5u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);

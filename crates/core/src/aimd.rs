@@ -1,4 +1,4 @@
-use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use crate::{ControllerCounters, Law, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::{SidebandConfig, Snapshot};
 
@@ -147,39 +147,25 @@ impl Law for AimdLaw {
         }
     }
 
-    fn save(&self, frame: &Frame, enc: &mut Enc) {
-        enc.f64(self.total_buffers);
+    fn save(&self, enc: &mut Enc) {
         enc.f64(self.threshold);
-        enc.f64(self.add);
         enc.u32(self.snaps_in_period);
         enc.u64(self.period_tput);
         enc.opt_u64(self.prev_period_tput);
-        frame.save_gate(enc);
-        frame.save_watchdog(enc);
         enc.u64(self.periods);
         enc.u64(self.raises);
         enc.u64(self.cuts);
-        frame.save_counters(enc);
     }
 
-    fn restore(
-        &mut self,
-        _cfg: &AimdConfig,
-        frame: &mut Frame,
-        dec: &mut Dec<'_>,
-    ) -> Result<(), CheckpointError> {
-        self.total_buffers = dec.f64()?;
+    fn restore(&mut self, _cfg: &AimdConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.threshold = dec.f64()?;
-        self.add = dec.f64()?;
         self.snaps_in_period = dec.u32()?;
         self.period_tput = dec.u64()?;
         self.prev_period_tput = dec.opt_u64()?;
-        frame.restore_gate(dec)?;
-        frame.restore_watchdog(dec)?;
         self.periods = dec.u64()?;
         self.raises = dec.u64()?;
         self.cuts = dec.u64()?;
-        frame.restore_counters(dec)
+        Ok(())
     }
 }
 

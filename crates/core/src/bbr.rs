@@ -1,4 +1,4 @@
-use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use crate::{ControllerCounters, Law, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::{SidebandConfig, Snapshot};
 
@@ -187,9 +187,7 @@ impl Law for BbrLaw {
         }
     }
 
-    fn save(&self, frame: &Frame, enc: &mut Enc) {
-        enc.f64(self.total_buffers);
-        enc.f64(self.floor);
+    fn save(&self, enc: &mut Enc) {
         enc.u64(self.seq);
         enc.u32(self.filter.len() as u32);
         for s in &self.filter {
@@ -198,21 +196,11 @@ impl Law for BbrLaw {
             enc.u32(s.census);
         }
         enc.f64(self.threshold);
-        frame.save_gate(enc);
-        frame.save_watchdog(enc);
         enc.u64(self.probes);
         enc.u64(self.drains);
-        frame.save_counters(enc);
     }
 
-    fn restore(
-        &mut self,
-        cfg: &BbrConfig,
-        frame: &mut Frame,
-        dec: &mut Dec<'_>,
-    ) -> Result<(), CheckpointError> {
-        self.total_buffers = dec.f64()?;
-        self.floor = dec.f64()?;
+    fn restore(&mut self, cfg: &BbrConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.seq = dec.u64()?;
         let len = dec.u32()?;
         if len > cfg.filter_gathers.max(1) {
@@ -227,11 +215,9 @@ impl Law for BbrLaw {
             });
         }
         self.threshold = dec.f64()?;
-        frame.restore_gate(dec)?;
-        frame.restore_watchdog(dec)?;
         self.probes = dec.u64()?;
         self.drains = dec.u64()?;
-        frame.restore_counters(dec)
+        Ok(())
     }
 }
 

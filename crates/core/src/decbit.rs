@@ -1,4 +1,4 @@
-use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use crate::{ControllerCounters, Law, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::{Sideband, SidebandConfig, Snapshot};
 use wormsim::Network;
@@ -85,7 +85,6 @@ impl DecBitLaw {
 impl Law for DecBitLaw {
     type Config = DecBitConfig;
     const NAME: &'static str = "decbit";
-    const SIZED_BY_BUFFERS: bool = false;
 
     fn sideband_config(cfg: &DecBitConfig) -> &SidebandConfig {
         &cfg.sideband
@@ -147,39 +146,29 @@ impl Law for DecBitLaw {
         }
     }
 
-    fn save(&self, frame: &Frame, enc: &mut Enc) {
+    fn save(&self, enc: &mut Enc) {
         enc.u32(self.window.len() as u32);
         for &c in &self.window {
             enc.u32(c);
         }
-        frame.save_gate(enc);
-        enc.bool(frame.frozen);
         enc.u64(self.snapshots);
         enc.u64(self.congested_verdicts);
         enc.u64(self.clear_verdicts);
-        frame.save_counters(enc);
     }
 
-    fn restore(
-        &mut self,
-        cfg: &DecBitConfig,
-        frame: &mut Frame,
-        dec: &mut Dec<'_>,
-    ) -> Result<(), CheckpointError> {
+    /// The verdict is a function of the window, so it is re-taken.
+    fn restore(&mut self, cfg: &DecBitConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         let len = dec.u32()?;
         if len > cfg.window_gathers.max(1) {
             return Err(CheckpointError::Corrupt("decbit window past its bound"));
         }
         self.window = (0..len).map(|_| dec.u32()).collect::<Result<_, _>>()?;
-        frame.restore_gate(dec)?;
-        // An armed gate is the verdict; a frozen one is open over an
-        // emptied window, whose verdict is also "clear".
-        self.congested = frame.throttling_now;
-        frame.frozen = dec.bool()?;
+        let nodes = f64::from(cfg.node_count());
+        self.congested = Self::window_congested(&self.window, cfg.congested_fraction, nodes);
         self.snapshots = dec.u64()?;
         self.congested_verdicts = dec.u64()?;
         self.clear_verdicts = dec.u64()?;
-        frame.restore_counters(dec)
+        Ok(())
     }
 }
 

@@ -71,7 +71,7 @@ pub use alo::AloControl;
 pub use bbr::{bbr_phase_gain, BbrConfig, BbrControl, BbrLaw};
 pub use controller::{Controller, ControllerCounters};
 pub use decbit::{DecBitConfig, DecBitControl, DecBitLaw};
-pub use scaffold::{Frame, Law, SidebandDriven};
+pub use scaffold::{Law, SidebandDriven};
 pub use scheme::{Control, Scheme};
 pub use sim::{
     BudgetKind, FaultReport, LivelockDiag, Observer, RunGuard, SimConfig, SimError, Simulation,

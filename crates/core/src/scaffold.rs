@@ -7,7 +7,7 @@ use wormsim::{CongestionControl, Network};
 /// A control law: everything that distinguishes one side-band-driven
 /// controller from another. The scaffold ([`SidebandDriven`]) owns the
 /// configuration, the gather, the snapshot dedup, the injection gate, the
-/// staleness watchdog and the checkpoint framing; a law is its state (at
+/// staleness watchdog and the checkpoint frame; a law is its state (at
 /// rest in [`Default`]), what it does with each snapshot, and what it
 /// forgets around an outage.
 pub trait Law: Default {
@@ -16,12 +16,6 @@ pub trait Law: Default {
 
     /// Short name used in experiment tables.
     const NAME: &'static str;
-
-    /// Whether the law has state proportional to the network's VC-buffer
-    /// count. Such a law is sized once, on the first observed cycle, and
-    /// its checkpoint opens with a flag saying whether that has happened;
-    /// a law without it is live from construction and writes no flag.
-    const SIZED_BY_BUFFERS: bool = true;
 
     /// The side-band the law's census travels over.
     fn sideband_config(cfg: &Self::Config) -> &SidebandConfig;
@@ -33,8 +27,10 @@ pub trait Law: Default {
         0
     }
 
-    /// Sizes buffer-count-dependent state (called once, before the first
-    /// observation, only when [`Law::SIZED_BY_BUFFERS`]).
+    /// Sizes buffer-count-dependent state on a default law: on the first
+    /// observed cycle, and on restore before [`Law::restore`]. Whatever it
+    /// sets is derived, so [`Law::save`] never writes it. Default: nothing
+    /// depends on the buffer count.
     fn size(&mut self, cfg: &Self::Config, total_buffers: f64) {
         let _ = (cfg, total_buffers);
     }
@@ -81,41 +77,40 @@ pub trait Law: Default {
         ControllerCounters::default()
     }
 
-    /// Serializes the law's state, calling the [`Frame`] group writers at
-    /// the positions its checkpoint layout stores them.
-    fn save(&self, frame: &Frame, enc: &mut Enc);
+    /// Serializes the law's ground truth: its state minus what
+    /// [`Law::size`] derives. The scaffold writes its own frame first.
+    /// Default: a stateless law writes nothing.
+    fn save(&self, enc: &mut Enc) {
+        let _ = enc;
+    }
 
-    /// Restores state written by [`Law::save`].
+    /// Restores state written by [`Law::save`] into a law [`Law::size`]
+    /// has just sized, re-deriving whatever the stream omits.
     ///
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] on a truncated or structurally invalid
     /// stream.
-    fn restore(
-        &mut self,
-        cfg: &Self::Config,
-        frame: &mut Frame,
-        dec: &mut Dec<'_>,
-    ) -> Result<(), CheckpointError>;
+    fn restore(&mut self, cfg: &Self::Config, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
+        let _ = (cfg, dec);
+        Ok(())
+    }
 }
 
-/// The scaffold's own runtime state. Every law's checkpoint layout stores
-/// it in three groups interleaved with the law's fields (the layouts
-/// predate the scaffold), so a law codec calls the group writers and
-/// readers in its layout's order. Two layouts store one field of a group
-/// without the rest (`static` only the gate bit, `decbit` only `frozen`),
-/// so those two fields are readable crate-wide.
+/// The scaffold's own runtime state, checkpointed as one block ahead of the
+/// law's.
 #[derive(Debug, Clone, Default)]
-pub struct Frame {
+struct Frame {
+    /// The buffer count the law was sized with (`None`: before the first
+    /// cycle). Restore re-sizes the law from it.
+    sized_with: Option<u32>,
     /// Injection is blocked network-wide this cycle.
-    pub(crate) throttling_now: bool,
-    /// `taken_at` of the newest snapshot already offered to the law.
-    last_snapshot_seen: Option<u64>,
+    throttling_now: bool,
     /// The law's threshold after its most recent rejection-free decision:
     /// what a watchdog trip restores.
     last_good: f64,
     /// Watchdog tripped: law frozen, gate open until a valid aggregate.
-    pub(crate) frozen: bool,
+    frozen: bool,
     /// Side-band rejection count already accounted for.
     rejected_seen: u64,
     watchdog_trips: u64,
@@ -123,57 +118,29 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Writes the gate group: `throttling_now`, `last_snapshot_seen`.
-    pub fn save_gate(&self, enc: &mut Enc) {
+    fn save(&self, enc: &mut Enc) {
+        enc.bool(self.sized_with.is_some());
+        enc.u32(self.sized_with.unwrap_or(0));
         enc.bool(self.throttling_now);
-        enc.opt_u64(self.last_snapshot_seen);
-    }
-
-    /// Reads the gate group.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] on a truncated or invalid stream.
-    pub fn restore_gate(&mut self, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
-        self.throttling_now = dec.bool()?;
-        self.last_snapshot_seen = dec.opt_u64()?;
-        Ok(())
-    }
-
-    /// Writes the watchdog group: `last_good`, `frozen`, `rejected_seen`.
-    pub fn save_watchdog(&self, enc: &mut Enc) {
         enc.f64(self.last_good);
         enc.bool(self.frozen);
         enc.u64(self.rejected_seen);
-    }
-
-    /// Reads the watchdog group.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] on a truncated or invalid stream.
-    pub fn restore_watchdog(&mut self, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
-        self.last_good = dec.f64()?;
-        self.frozen = dec.bool()?;
-        self.rejected_seen = dec.u64()?;
-        Ok(())
-    }
-
-    /// Writes the counter group: watchdog trips, re-arms.
-    pub fn save_counters(&self, enc: &mut Enc) {
         enc.u64(self.watchdog_trips);
         enc.u64(self.watchdog_rearms);
     }
 
-    /// Reads the counter group.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] on a truncated stream.
-    pub fn restore_counters(&mut self, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
-        self.watchdog_trips = dec.u64()?;
-        self.watchdog_rearms = dec.u64()?;
-        Ok(())
+    fn restore(dec: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+        let sized = dec.bool()?;
+        let buffers = dec.u32()?;
+        Ok(Frame {
+            sized_with: sized.then_some(buffers),
+            throttling_now: dec.bool()?,
+            last_good: dec.f64()?,
+            frozen: dec.bool()?,
+            rejected_seen: dec.u64()?,
+            watchdog_trips: dec.u64()?,
+            watchdog_rearms: dec.u64()?,
+        })
     }
 }
 
@@ -193,44 +160,36 @@ pub struct SidebandDriven<L: Law> {
     cfg: L::Config,
     law: L,
     sideband: Sideband,
-    /// The law is live (sized, if it needs sizing).
-    started: bool,
     frame: Frame,
 }
 
 impl<L: Law> SidebandDriven<L> {
-    /// Creates a controller; buffer-count-dependent state initializes on the
-    /// first [`CongestionControl::on_cycle`] call.
+    /// Creates a controller; the law is sized on the first
+    /// [`CongestionControl::on_cycle`] call.
     #[must_use]
     pub fn new(cfg: L::Config) -> Self {
-        let law = L::default();
         SidebandDriven {
             sideband: Sideband::new(L::sideband_config(&cfg).clone()),
-            started: !L::SIZED_BY_BUFFERS,
-            frame: Frame {
-                // A buffer-sized law overwrites this when it starts.
-                last_good: law.threshold(&cfg),
-                ..Frame::default()
-            },
-            law,
+            law: L::default(),
+            frame: Frame::default(),
             cfg,
         }
     }
 
-    fn start(&mut self, total_buffers: f64) {
-        self.law.size(&self.cfg, total_buffers);
+    fn start(&mut self, buffers: u32) {
+        self.law.size(&self.cfg, f64::from(buffers));
         self.frame.last_good = self.law.threshold(&self.cfg);
-        self.started = true;
+        self.frame.sized_with = Some(buffers);
     }
 }
 
 impl<L: Law> CongestionControl for SidebandDriven<L> {
     fn on_cycle(&mut self, now: u64, net: &Network) {
-        // Buffer-dependent state sizes from the network's own count; the
+        // The law sizes from the network's own buffer count; the
         // synthetic-census path (`observe_census` with no network) uses the
         // side-band configuration's identical formula instead.
-        if !self.started {
-            self.start(f64::from(net.total_vc_buffers()));
+        if self.frame.sized_with.is_none() {
+            self.start(net.total_vc_buffers());
         }
         self.observe_census(now, L::census(net), net.delivered_flits_cum());
     }
@@ -250,16 +209,18 @@ impl<L: Law> CongestionControl for SidebandDriven<L> {
 
 impl<L: Law> Controller for SidebandDriven<L> {
     fn observe_census(&mut self, now: u64, census: u32, delivered_cum: u64) {
-        if !self.started {
-            self.start(f64::from(self.sideband.max_full_buffers()));
+        if self.frame.sized_with.is_none() {
+            self.start(self.sideband.max_full_buffers());
         }
         let (cfg, law, f) = (&self.cfg, &mut self.law, &mut self.frame);
 
+        // Visible snapshots only ever advance, so one that appeared during
+        // this tick is new to the law.
+        let seen = self.sideband.latest().map(|s| s.taken_at);
         self.sideband.on_cycle(now, census, delivered_cum);
 
         if let Some(snap) = self.sideband.latest() {
-            if f.last_snapshot_seen != Some(snap.taken_at) {
-                f.last_snapshot_seen = Some(snap.taken_at);
+            if seen != Some(snap.taken_at) {
                 if f.frozen {
                     // A valid aggregate ends the outage: the law restarts
                     // from the restored threshold.
@@ -300,9 +261,9 @@ impl<L: Law> Controller for SidebandDriven<L> {
         self.frame.throttling_now
     }
 
-    /// `None` before the first cycle of a law that is sized by buffers.
+    /// `None` before the first cycle, when the law is not sized yet.
     fn threshold(&self) -> Option<f64> {
-        self.started.then(|| self.law.threshold(&self.cfg))
+        self.frame.sized_with.map(|_| self.law.threshold(&self.cfg))
     }
 
     fn set_faults(&mut self, plan: FaultPlan) {
@@ -325,26 +286,25 @@ impl<L: Law> Controller for SidebandDriven<L> {
         }
     }
 
+    /// The side-band, the frame, then — once sized — the law.
     fn save_state(&self, enc: &mut Enc) {
         self.sideband.save_state(enc);
-        if L::SIZED_BY_BUFFERS {
-            enc.bool(self.started);
-        }
-        if self.started {
-            self.law.save(&self.frame, enc);
+        self.frame.save(enc);
+        if self.frame.sized_with.is_some() {
+            self.law.save(enc);
         }
     }
 
     fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.sideband.restore_state(dec)?;
-        if L::SIZED_BY_BUFFERS {
-            self.started = dec.bool()?;
-        }
-        if self.started {
-            self.law.restore(&self.cfg, &mut self.frame, dec)
-        } else {
-            (self.law, self.frame) = (L::default(), Frame::default());
-            Ok(())
+        self.frame = Frame::restore(dec)?;
+        self.law = L::default();
+        match self.frame.sized_with {
+            Some(buffers) => {
+                self.law.size(&self.cfg, f64::from(buffers));
+                self.law.restore(&self.cfg, dec)
+            }
+            None => Ok(()),
         }
     }
 }
@@ -397,7 +357,6 @@ pub(crate) mod tests {
     impl Law for Stub {
         type Config = StubConfig;
         const NAME: &'static str = "stub";
-        const SIZED_BY_BUFFERS: bool = false;
 
         fn sideband_config(cfg: &StubConfig) -> &SidebandConfig {
             &cfg.sideband
@@ -419,17 +378,6 @@ pub(crate) mod tests {
         }
         fn on_rearm(&mut self) {
             self.rearms += 1;
-        }
-        fn save(&self, _frame: &Frame, _enc: &mut Enc) {
-            unimplemented!("the matrix never checkpoints")
-        }
-        fn restore(
-            &mut self,
-            _cfg: &StubConfig,
-            _frame: &mut Frame,
-            _dec: &mut Dec<'_>,
-        ) -> Result<(), CheckpointError> {
-            unimplemented!("the matrix never checkpoints")
         }
     }
 

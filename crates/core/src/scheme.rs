@@ -339,13 +339,15 @@ mod tests {
             radix: 8,
             ..SidebandConfig::paper()
         };
-        for name in ["tune", "aimd", "decbit", "bbr"] {
+        for &name in Scheme::registry_names() {
             let ctl = Scheme::by_name(name, &sb).unwrap().build();
-            let got = Controller::sideband(&ctl)
-                .unwrap_or_else(|| panic!("{name} has a side-band"))
-                .config()
-                .clone();
-            assert_eq!(got, sb, "{name} must run on the requested side-band");
+            match Controller::sideband(&ctl) {
+                Some(got) => assert_eq!(got.config(), &sb, "{name} must run on it"),
+                None => assert!(
+                    matches!(ctl, Control::Base(_) | Control::Alo(_)),
+                    "{name} has a side-band"
+                ),
+            }
         }
     }
 
@@ -357,15 +359,15 @@ mod tests {
             radix: 8,
             ..SidebandConfig::paper()
         };
-        let names = ["base", "alo", "tune", "aimd", "decbit", "bbr"];
-        for a in names {
+        let names = Scheme::registry_names();
+        for &a in names {
             let mut enc = checkpoint::Enc::new();
             Scheme::by_name(a, &sb)
                 .unwrap()
                 .build()
                 .save_state(&mut enc);
             let bytes = enc.into_vec();
-            for b in names {
+            for &b in names {
                 let mut ctl = Scheme::by_name(b, &sb).unwrap().build();
                 let mut dec = checkpoint::Dec::new(&bytes);
                 let result = ctl.restore_state(&mut dec);

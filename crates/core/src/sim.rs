@@ -307,15 +307,12 @@ pub struct FaultReport {
     /// Side-band loss/delay/corruption/rejection counters, when the scheme
     /// has a side-band (`None` for `Base` and `Alo`).
     pub sideband: Option<SidebandStats>,
-    /// Times the controller's staleness watchdog tripped (froze it).
-    pub watchdog_trips: u64,
-    /// Times a valid aggregate re-armed the tripped watchdog.
-    pub watchdog_rearms: u64,
     /// Whether the watchdog is tripped right now.
     pub watchdog_active: bool,
-    /// The controller's full decision/watchdog counters (raises, cuts,
-    /// resets, …), so degradation reports can show decision activity
-    /// alongside the fault counters without a second query.
+    /// The controller's decision and watchdog counters (raises, cuts,
+    /// resets, watchdog trips and re-arms), so degradation reports can show
+    /// decision activity alongside the fault counters without a second
+    /// query.
     pub controller: crate::ControllerCounters,
     /// Cycles flits stalled on faulted network links.
     pub link_stall_cycles: u64,
@@ -328,8 +325,8 @@ impl FaultReport {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.sideband.unwrap_or_default() == SidebandStats::default()
-            && self.watchdog_trips == 0
-            && self.watchdog_rearms == 0
+            && self.controller.watchdog_trips == 0
+            && self.controller.watchdog_rearms == 0
             && !self.watchdog_active
             && self.link_stall_cycles == 0
             && self.hotspot_stall_cycles == 0
@@ -356,7 +353,6 @@ pub struct Simulation {
     base_delivered_packets: u64,
     base_recovered: u64,
     base_throttled: u64,
-    warmup_snapped: bool,
     /// Packets delivered per source node during the measured window (for
     /// Jain's fairness index).
     src_delivered: Vec<u64>,
@@ -396,7 +392,6 @@ impl Simulation {
             base_delivered_packets: 0,
             base_recovered: 0,
             base_throttled: 0,
-            warmup_snapped: false,
             src_delivered: vec![0; nodes],
             audit_every: None,
         })
@@ -429,14 +424,14 @@ impl Simulation {
     /// network buffers undrained records in a ring that only grows while a
     /// consumer lets them pile up.
     pub fn step(&mut self) {
-        let now = self.net.now();
-        if !self.warmup_snapped && now >= self.cfg.warmup {
+        // The measured window opens with this cycle. Fast-forward never
+        // jumps past the warm-up boundary, so the step at it always runs.
+        if self.net.now() == self.cfg.warmup {
             let c = self.net.counters();
             self.base_delivered_flits = c.delivered_flits;
             self.base_delivered_packets = c.delivered_packets;
             self.base_recovered = c.recovered_packets;
             self.base_throttled = c.throttled_injections;
-            self.warmup_snapped = true;
         }
         let runner = &mut self.runner;
         self.net
@@ -481,7 +476,7 @@ impl Simulation {
             .cycles
             .min(self.runner.next_arrival(now))
             .min(self.ctl.next_wakeup(now));
-        if !self.warmup_snapped {
+        if now <= self.cfg.warmup {
             target = target.min(self.cfg.warmup);
         }
         (target > now).then_some(target)
@@ -602,7 +597,6 @@ impl Simulation {
             enc.u64(self.base_delivered_packets);
             enc.u64(self.base_recovered);
             enc.u64(self.base_throttled);
-            enc.bool(self.warmup_snapped);
             // Fixed length (one count per node): restore knows it from the
             // rebuilt topology, so no length prefix is needed.
             enc.u64s(&self.src_delivered);
@@ -640,7 +634,6 @@ impl Simulation {
         sim.base_delivered_packets = dec.u64()?;
         sim.base_recovered = dec.u64()?;
         sim.base_throttled = dec.u64()?;
-        sim.warmup_snapped = dec.bool()?;
         sim.src_delivered = dec.u64s(sim.src_delivered.len())?;
         dec.finish()?;
         // A restore boundary is always audited, flag or no flag: the codec
@@ -732,13 +725,10 @@ impl Simulation {
     #[must_use]
     pub fn fault_report(&self) -> FaultReport {
         let c = self.net.counters();
-        let counters = Controller::counters(&self.ctl);
         FaultReport {
             sideband: self.ctl.sideband_stats(),
-            watchdog_trips: counters.watchdog_trips,
-            watchdog_rearms: counters.watchdog_rearms,
             watchdog_active: Controller::watchdog_active(&self.ctl),
-            controller: counters,
+            controller: Controller::counters(&self.ctl),
             link_stall_cycles: c.link_stall_cycles,
             hotspot_stall_cycles: c.hotspot_stall_cycles,
         }
@@ -766,7 +756,7 @@ impl Simulation {
     /// Returns [`SummaryError::BeforeWarmup`] if called before the warm-up
     /// window has elapsed.
     pub fn summary(&self) -> Result<RunSummary, SummaryError> {
-        if !self.warmup_snapped {
+        if self.net.now() <= self.cfg.warmup {
             return Err(SummaryError::BeforeWarmup {
                 now: self.net.now(),
                 warmup: self.cfg.warmup,

@@ -1,5 +1,4 @@
-use crate::{Frame, Law, SidebandDriven};
-use checkpoint::{CheckpointError, Dec, Enc};
+use crate::{Law, SidebandDriven};
 use sideband::{SidebandConfig, Snapshot};
 
 /// Configuration of the fixed-threshold throttle.
@@ -23,14 +22,13 @@ pub struct StaticConfig {
 pub type StaticThreshold = SidebandDriven<StaticLaw>;
 
 /// The degenerate law behind [`StaticThreshold`]: no state, no decisions,
-/// no watchdog (its checkpoint is the side-band plus the gate bit).
+/// no watchdog and no codec (its checkpoint is the scaffold's).
 #[derive(Debug, Clone, Default)]
 pub struct StaticLaw;
 
 impl Law for StaticLaw {
     type Config = StaticConfig;
     const NAME: &'static str = "static";
-    const SIZED_BY_BUFFERS: bool = false;
 
     fn sideband_config(cfg: &StaticConfig) -> &SidebandConfig {
         &cfg.sideband
@@ -42,20 +40,6 @@ impl Law for StaticLaw {
 
     fn on_snapshot(&mut self, _cfg: &StaticConfig, _snap: Snapshot) -> bool {
         false
-    }
-
-    fn save(&self, frame: &Frame, enc: &mut Enc) {
-        enc.bool(frame.throttling_now);
-    }
-
-    fn restore(
-        &mut self,
-        _cfg: &StaticConfig,
-        frame: &mut Frame,
-        dec: &mut Dec<'_>,
-    ) -> Result<(), CheckpointError> {
-        frame.throttling_now = dec.bool()?;
-        Ok(())
     }
 }
 

@@ -1,4 +1,4 @@
-use crate::{ControllerCounters, Frame, Law, SidebandDriven};
+use crate::{ControllerCounters, Law, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::{SidebandConfig, Snapshot};
 
@@ -277,57 +277,41 @@ impl Law for TuneLaw {
         }
     }
 
-    fn save(&self, frame: &Frame, enc: &mut Enc) {
-        enc.f64(self.total_buffers);
+    fn save(&self, enc: &mut Enc) {
         enc.f64(self.threshold);
-        enc.f64(self.inc);
-        enc.f64(self.dec);
         enc.u32(self.snaps_in_period);
         enc.u64(self.period_tput);
         enc.f64(self.period_full_sum);
         enc.opt_u64(self.prev_period_tput);
         enc.u64(self.throttled_cycles_this_period);
         enc.u64(self.cycles_this_period);
-        frame.save_gate(enc);
         enc.u64(self.max_tput);
         enc.f64(self.n_max);
         enc.f64(self.t_max);
         enc.u32(self.consecutive_resets);
-        frame.save_watchdog(enc);
         enc.u64(self.tune_events);
         enc.u64(self.increments);
         enc.u64(self.decrements);
         enc.u64(self.resets);
-        frame.save_counters(enc);
     }
 
-    fn restore(
-        &mut self,
-        _cfg: &TuneConfig,
-        frame: &mut Frame,
-        dec: &mut Dec<'_>,
-    ) -> Result<(), CheckpointError> {
-        self.total_buffers = dec.f64()?;
+    fn restore(&mut self, _cfg: &TuneConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.threshold = dec.f64()?;
-        self.inc = dec.f64()?;
-        self.dec = dec.f64()?;
         self.snaps_in_period = dec.u32()?;
         self.period_tput = dec.u64()?;
         self.period_full_sum = dec.f64()?;
         self.prev_period_tput = dec.opt_u64()?;
         self.throttled_cycles_this_period = dec.u64()?;
         self.cycles_this_period = dec.u64()?;
-        frame.restore_gate(dec)?;
         self.max_tput = dec.u64()?;
         self.n_max = dec.f64()?;
         self.t_max = dec.f64()?;
         self.consecutive_resets = dec.u32()?;
-        frame.restore_watchdog(dec)?;
         self.tune_events = dec.u64()?;
         self.increments = dec.u64()?;
         self.decrements = dec.u64()?;
         self.resets = dec.u64()?;
-        frame.restore_counters(dec)
+        Ok(())
     }
 }
 

@@ -105,11 +105,15 @@ fn hostile_list_lengths(len: impl Fn(u32) -> u32) -> Vec<(SimConfig, Vec<u8>)> {
         sideband,
         ..DecBitConfig::paper()
     };
+    // The scaffold's frame between the side-band state and the law: the
+    // sizing record (flag, u32), the gate bit, `last_good`, `frozen`, the
+    // rejections seen and the two watchdog counters.
+    const FRAME: usize = 1 + 4 + 1 + 8 + 1 + 3 * 8;
     // (scheme, the list's capacity, bytes between the side-band state and
-    // the length: BBR's state flag, two f64s and the sample counter).
+    // the length: the frame, then BBR's sample counter).
     let cases = [
-        (Scheme::Bbr(bbr.clone()), bbr.filter_gathers, 1 + 3 * 8),
-        (Scheme::DecBit(decbit.clone()), decbit.window_gathers, 0),
+        (Scheme::Bbr(bbr.clone()), bbr.filter_gathers, FRAME + 8),
+        (Scheme::DecBit(decbit.clone()), decbit.window_gathers, FRAME),
     ];
     let mut built = Vec::new();
     for (scheme, capacity, law_head) in cases {

@@ -2,36 +2,40 @@
 //! build of this repository must keep restoring, byte for byte — or, across
 //! a deliberate `VERSION` bump, be refused with the typed version error.
 //!
-//! The `.v4.ckpt` fixtures were written by `Simulation::checkpoint` at the
-//! commit that introduced v4 (network payloads carry only ground truth: the
-//! starvation deadlines, worklist words, census and token-queue flags were
-//! dropped; the simulation's decisions did not change).
-//! `small_recovery_c1673.v3.ckpt`, the v3 writing of the recovery fixture,
-//! is kept as the container this build must refuse.
+//! The `.v5.ckpt` fixtures were written by `Simulation::checkpoint` at the
+//! commit that introduced v5 (controller and simulation payloads carry only
+//! ground truth: one scaffold frame block, no sized-from-buffers values, no
+//! DEC-bit verdict, no warm-up flag; the simulation's decisions did not
+//! change). `small_recovery_c1673.v4.ckpt`, the v4 writing of the recovery
+//! fixture, is kept as the container this build must refuse.
 //!
-//! `fixtures/small_recovery_c1673.v4.ckpt` is [`cfg`] stepped to cycle
+//! `fixtures/small_recovery_c1673.v5.ckpt` is [`cfg`] stepped to cycle
 //! 1673, the first cycle past 1500 with a Disha recovery drain holding the
-//! token and another VC queued behind it. To regenerate after a deliberate
-//! format change (a `VERSION` bump), step the same configuration until
-//! `now() >= 1500 && recovery_active() && token_queue_len() > 0` and write
-//! `checkpoint()` out.
+//! token and another VC queued behind it. The four
+//! `small_<scheme>_c2501.v5.ckpt` fixtures pin the other side-band
+//! controllers' state layouts: the same configuration with only the scheme
+//! swapped, stepped to cycle 2501 — off the gather grid, off every decision
+//! period, and past at least one decision of every law.
 //!
-//! The four `small_<scheme>_c2501.v4.ckpt` fixtures pin the other
-//! side-band controllers' state layouts: the same configuration with only
-//! the scheme swapped, stepped to cycle 2501 — off the gather grid, off
-//! every decision period, and past at least one decision of every law. To
-//! regenerate, step [`cfg`] with that scheme to cycle 2501 and write
-//! `checkpoint()` out.
+//! To regenerate after a deliberate format change (a `VERSION` bump):
+//! point the `include_bytes!`s at the new version's names, copy the old
+//! files to those names, and run this test file. The failing
+//! `this_build_writes_the_parent_checkpoint` writes this build's bytes for
+//! every fixture to `CARGO_TARGET_TMPDIR` and names each path; copy them
+//! over the fixtures. Keep the previous recovery file as the container to
+//! refuse and delete every other old file.
 
 use sideband::SidebandConfig;
-use stcc::{Scheme, SimConfig, SimError, Simulation};
+use stcc::{Controller, Scheme, SimConfig, SimError, Simulation, SummaryError};
+use std::path::Path;
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
 
-/// One earlier-written container: the scheme it was taken under and the
-/// cycle it was taken at.
+/// One earlier-written container: the scheme it was taken under, its file
+/// name under `fixtures/` and the cycle it was taken at.
 struct Fixture {
     scheme: &'static str,
+    file: &'static str,
     bytes: &'static [u8],
     cycle: u64,
 }
@@ -39,27 +43,32 @@ struct Fixture {
 const FIXTURES: &[Fixture] = &[
     Fixture {
         scheme: "tune",
-        bytes: include_bytes!("fixtures/small_recovery_c1673.v4.ckpt"),
+        file: "small_recovery_c1673.v5.ckpt",
+        bytes: include_bytes!("fixtures/small_recovery_c1673.v5.ckpt"),
         cycle: 1673,
     },
     Fixture {
         scheme: "aimd",
-        bytes: include_bytes!("fixtures/small_aimd_c2501.v4.ckpt"),
+        file: "small_aimd_c2501.v5.ckpt",
+        bytes: include_bytes!("fixtures/small_aimd_c2501.v5.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "decbit",
-        bytes: include_bytes!("fixtures/small_decbit_c2501.v4.ckpt"),
+        file: "small_decbit_c2501.v5.ckpt",
+        bytes: include_bytes!("fixtures/small_decbit_c2501.v5.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "bbr",
-        bytes: include_bytes!("fixtures/small_bbr_c2501.v4.ckpt"),
+        file: "small_bbr_c2501.v5.ckpt",
+        bytes: include_bytes!("fixtures/small_bbr_c2501.v5.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "static-12",
-        bytes: include_bytes!("fixtures/small_static12_c2501.v4.ckpt"),
+        file: "small_static12_c2501.v5.ckpt",
+        bytes: include_bytes!("fixtures/small_static12_c2501.v5.ckpt"),
         cycle: 2501,
     },
 ];
@@ -98,21 +107,34 @@ fn parent_written_checkpoint_restores_and_reserialises_byte_equal() {
         assert_eq!(
             sim.checkpoint(),
             f.bytes,
-            "{}: codec no longer writes v4 bytes",
+            "{}: codec no longer writes v5 bytes",
             f.scheme
         );
     }
 }
 
+/// On a mismatch this build's bytes are written next to the test binary,
+/// ready to become the new fixtures.
 #[test]
 fn this_build_writes_the_parent_checkpoint() {
+    let mut written = Vec::new();
     for f in FIXTURES {
         let mut sim = Simulation::new(cfg(f.scheme)).unwrap();
         while sim.now() < f.cycle {
             sim.step();
         }
-        assert_eq!(sim.checkpoint(), f.bytes, "{}", f.scheme);
+        let bytes = sim.checkpoint();
+        if bytes != f.bytes {
+            let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(f.file);
+            std::fs::write(&path, bytes).expect("this build's bytes are writable");
+            written.push(path.display().to_string());
+        }
     }
+    assert!(
+        written.is_empty(),
+        "this build writes other bytes than these fixtures; its own are in:\n{}",
+        written.join("\n")
+    );
 }
 
 #[test]
@@ -133,15 +155,83 @@ fn parent_written_checkpoint_runs_on_like_an_uninterrupted_run() {
     }
 }
 
-/// A v3 container's network payload still carries the derived state v4
+/// A v4 container's controller payload still carries the derived state v5
 /// dropped, so this build would misread it: restoring one must fail typed,
 /// before anything decodes.
 #[test]
-fn a_v3_container_is_refused_with_the_version_error() {
-    let v3 = include_bytes!("fixtures/small_recovery_c1673.v3.ckpt");
-    match Simulation::restore(cfg("tune"), None, v3) {
-        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 3 })) => {}
-        Err(other) => panic!("v3 container refused with the wrong error: {other}"),
-        Ok(_) => panic!("v3 container restored"),
+fn a_v4_container_is_refused_with_the_version_error() {
+    let v4 = include_bytes!("fixtures/small_recovery_c1673.v4.ckpt");
+    match Simulation::restore(cfg("tune"), None, v4) {
+        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 4 })) => {}
+        Err(other) => panic!("v4 container refused with the wrong error: {other}"),
+        Ok(_) => panic!("v4 container restored"),
+    }
+}
+
+/// A checkpoint carries only ground truth, so restore must re-derive the
+/// rest: for every registry scheme and a static threshold, a simulation
+/// restored off the gather grid and past a decision holds the controller
+/// the stepped one does — the law's sizes and DEC-bit's verdict included.
+/// A hotspot keeps most nodes congested, so that verdict is "throttle".
+#[test]
+fn restore_rederives_what_the_controller_checkpoint_omits() {
+    let hotspot = Pattern::Hotspot {
+        target: 9,
+        fraction: 0.3,
+    };
+    for name in Scheme::registry_names()
+        .iter()
+        .copied()
+        .chain(["static-12"])
+    {
+        let cfg = SimConfig {
+            workload: Workload::steady(hotspot.clone(), Process::bernoulli(0.3)),
+            ..cfg(name)
+        };
+        let mut sim = Simulation::new(cfg.clone()).unwrap();
+        while sim.now() < 2501 {
+            sim.step();
+        }
+        let ctl = sim.controller();
+        if name != "static-12" && Controller::sideband(ctl).is_some() {
+            assert!(sim.controller_counters().decisions > 0, "{name}: vacuous");
+        }
+        if name == "decbit" {
+            assert!(Controller::throttling(ctl), "decbit: vacuous verdict");
+        }
+        let restored = Simulation::restore(cfg, None, &sim.checkpoint()).unwrap();
+        assert_eq!(
+            format!("{:?}", restored.controller()),
+            format!("{ctl:?}"),
+            "{name}"
+        );
+    }
+}
+
+/// The measured window opens with the step at `warmup`, whether the
+/// simulation got there by stepping or by restoring a checkpoint taken
+/// there, and it measures that step's deliveries.
+#[test]
+fn the_measured_window_opens_one_step_past_warmup() {
+    let cfg = cfg("tune");
+    let mut stepped = Simulation::new(cfg.clone()).unwrap();
+    while stepped.now() < cfg.warmup {
+        stepped.step();
+    }
+    let before = stepped.network().counters().delivered_flits;
+    let restored = Simulation::restore(cfg.clone(), None, &stepped.checkpoint()).unwrap();
+    for mut sim in [stepped, restored] {
+        assert_eq!(
+            sim.summary(),
+            Err(SummaryError::BeforeWarmup {
+                now: cfg.warmup,
+                warmup: cfg.warmup
+            })
+        );
+        sim.step();
+        let summary = sim.summary().expect("one cycle is measured");
+        let after = sim.network().counters().delivered_flits;
+        assert_eq!(summary.measured_cycles, 1);
+        assert_eq!(summary.delivered_flits, after - before);
     }
 }

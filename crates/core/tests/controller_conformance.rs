@@ -239,7 +239,7 @@ fn blackout_storm_trips_watchdogs_and_fails_open() {
         }
         if e.has_watchdog {
             assert!(
-                rep.watchdog_trips >= 1,
+                rep.controller.watchdog_trips >= 1,
                 "{}: watchdog never tripped",
                 e.name
             );
@@ -254,7 +254,11 @@ fn blackout_storm_trips_watchdogs_and_fails_open() {
                 e.name
             );
         } else {
-            assert_eq!(rep.watchdog_trips, 0, "{}: phantom watchdog", e.name);
+            assert_eq!(
+                rep.controller.watchdog_trips, 0,
+                "{}: phantom watchdog",
+                e.name
+            );
             assert!(!rep.watchdog_active, "{}: phantom watchdog", e.name);
         }
     }

@@ -186,8 +186,12 @@ fn draw_trial(seed: u64, trial: u64) -> Trial {
 
     // Draw from the full controller registry: the checkpoint-split and
     // audit properties must hold for every scheme, not just the paper's.
+    // The side-band describes the drawn network: its VC count bounds the
+    // receivers' range check, the quantizer scale and the extrapolation.
     let sideband = SidebandConfig {
-        radix: RADIX,
+        radix: net.radix,
+        dimensions: net.dimensions,
+        vcs: net.vcs,
         ..SidebandConfig::paper()
     };
     let scheme = match rng.below(7) {

@@ -19,7 +19,8 @@ fn main() {
         Some(name) => match Scheme::by_name(name, &sideband::SidebandConfig::paper()) {
             Some(s) => s,
             None => bail(&format!(
-                "unknown scheme '{name}' (base|alo|tune|aimd|decbit|bbr|static-<N>)"
+                "unknown scheme '{name}' ({}|static-<N>)",
+                Scheme::registry_names().join("|")
             )),
         },
     };

@@ -223,8 +223,8 @@ fn run_job_metrics(spec: &JobSpec, m: &Manifest, ctx: &SweepCtx) -> Result<Vec<S
         fnum(p.latency),
         fnum(p.fairness),
         p.throttled.to_string(),
-        f.watchdog_trips.to_string(),
-        f.watchdog_rearms.to_string(),
+        c.watchdog_trips.to_string(),
+        c.watchdog_rearms.to_string(),
         c.raises.to_string(),
         c.cuts.to_string(),
     ])

@@ -111,7 +111,8 @@ impl Cli {
             let resolve = |name: &str| {
                 Scheme::by_name(name, &sideband).ok_or_else(|| {
                     format!(
-                        "unknown controller '{name}' (base|alo|tune|aimd|decbit|bbr|static-<N>)"
+                        "unknown controller '{name}' ({}|static-<N>)",
+                        Scheme::registry_names().join("|")
                     )
                 })
             };
@@ -308,6 +309,16 @@ mod tests {
             .unwrap_err()
             .contains("'warp'"));
         assert!(parse(&["--controllers"], &[]).is_err());
+    }
+
+    /// The unknown-controller message lists the registry as it stands.
+    #[test]
+    fn unknown_controller_names_every_registry_entry() {
+        let msg = parse(&["--controllers", "warp"], &[]).unwrap_err();
+        for name in Scheme::registry_names() {
+            assert!(msg.contains(name), "{name} missing from: {msg}");
+        }
+        assert!(msg.contains("static-<N>"), "{msg}");
     }
 
     #[test]

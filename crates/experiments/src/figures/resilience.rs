@@ -103,8 +103,8 @@ pub fn generate_on(net: NetPreset, scale: Scale, ctx: &SweepCtx) -> Result<Table
                 p.throttled.to_string(),
                 sb.lost_snapshots.to_string(),
                 sb.rejected().to_string(),
-                f.watchdog_trips.to_string(),
-                f.watchdog_rearms.to_string(),
+                f.controller.watchdog_trips.to_string(),
+                f.controller.watchdog_rearms.to_string(),
                 f.controller.raises.to_string(),
                 f.controller.cuts.to_string(),
             ]])

@@ -52,11 +52,11 @@ fn total_sideband_blackout_degrades_gracefully() {
     });
 
     assert!(
-        tuned_report.watchdog_trips >= 1,
+        tuned_report.controller.watchdog_trips >= 1,
         "watchdog must trip during a blackout"
     );
     assert!(tuned_report.watchdog_active, "the outage never ends");
-    assert_eq!(tuned_report.watchdog_rearms, 0);
+    assert_eq!(tuned_report.controller.watchdog_rearms, 0);
     let sb = tuned_report.sideband.expect("tuned has a side-band");
     assert!(sb.lost_snapshots > 0, "losses must be counted");
     let sb_static = static_report.sideband.expect("static has a side-band");
