@@ -52,7 +52,16 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 /// cycle, every value a law's sizing computes from the buffer count, the
 /// DEC-bit verdict (a function of its window) and the simulation's
 /// warm-up flag (a function of the clock).
-pub const VERSION: u32 = 5;
+///
+/// v6: the packet store writes what it holds, not its slot array. The
+/// free list comes first and a freed slot writes nothing (`alloc`
+/// overwrites it whole). A live packet still exactly as `offer` wrote it
+/// is a tag, `src` and `dst` (`u32`) and its generation cycle: 17 bytes,
+/// where v5 wrote 44 for every slot. Any other live packet is a tag
+/// carrying its sticky escape bit, then its fields. Gone: every packet's
+/// length (always the configured one) and the separate escape-flag array.
+/// Undrained delivery records write node ids as `u32` and no length.
+pub const VERSION: u32 = 6;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -137,57 +146,68 @@ impl Enc {
 
     /// Number of bytes written so far.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether nothing has been written yet.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a `u16`, little-endian.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `usize` as a `u64` (platform-independent layout).
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Writes an `f64` via [`f64::to_bits`] (bit-exact, NaN-safe).
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Writes a `bool` as one byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// Reserves room for at least `additional` more bytes, so an array
     /// writer grows the buffer at most once however many elements follow.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
 
+    #[inline]
     fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
@@ -218,6 +238,7 @@ impl Enc {
     }
 }
 
+#[inline]
 fn bool_of(byte: u8) -> Result<bool, CheckpointError> {
     match byte {
         0 => Ok(false),
@@ -242,10 +263,12 @@ impl<'a> Dec<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let at = self.pos;
         let end = at
@@ -261,6 +284,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] if the stream is exhausted.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
@@ -270,6 +294,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] if the stream is exhausted.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CheckpointError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
     }
@@ -279,6 +304,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] if the stream is exhausted.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
     }
@@ -288,6 +314,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] if the stream is exhausted.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
@@ -299,6 +326,7 @@ impl<'a> Dec<'a> {
     /// [`CheckpointError::Truncated`] on a short stream;
     /// [`CheckpointError::Corrupt`] if the value overflows this platform's
     /// `usize`.
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, CheckpointError> {
         usize::try_from(self.u64()?).map_err(|_| CheckpointError::Corrupt("usize overflow"))
     }
@@ -308,6 +336,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] if the stream is exhausted.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -318,6 +347,7 @@ impl<'a> Dec<'a> {
     ///
     /// [`CheckpointError::Truncated`] on a short stream;
     /// [`CheckpointError::Corrupt`] on a byte other than 0 or 1.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CheckpointError> {
         bool_of(self.u8()?)
     }
@@ -414,14 +444,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The reflected CRC-32 polynomial (IEEE 802.3).
 const CRC_POLY: u32 = 0xedb8_8320;
 
-/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
-/// `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by `k`
-/// zero bytes, so eight table reads advance the register over eight input
-/// bytes with no dependency between the reads.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+/// Input bytes one table step of [`crc32`] consumes.
+const SLICE: usize = 16;
 
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by `k`
+/// zero bytes, so sixteen table reads advance the register over sixteen
+/// input bytes with no dependency between the reads.
+static CRC_TABLES: [[u32; 256]; SLICE] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; SLICE] {
+    let mut t = [[0u32; 256]; SLICE];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -434,7 +467,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         b += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < SLICE {
         let mut b = 0;
         while b < 256 {
             let prev = t[k - 1][b];
@@ -446,25 +479,21 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step.
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, sixteen bytes per step.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][(lo >> 8 & 0xff) as usize]
-            ^ t[5][(lo >> 16 & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][(hi >> 8 & 0xff) as usize]
-            ^ t[1][(hi >> 16 & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut blocks = bytes.chunks_exact(SLICE);
+    for block in &mut blocks {
+        let mut x = [0u8; SLICE];
+        x.copy_from_slice(block);
+        let head = crc ^ u32::from_le_bytes([x[0], x[1], x[2], x[3]]);
+        x[..4].copy_from_slice(&head.to_le_bytes());
+        // Byte `i` is followed by `SLICE - 1 - i` more in the block.
+        crc = (0..SLICE).fold(0, |acc, i| acc ^ t[SLICE - 1 - i][usize::from(x[i])]);
     }
-    for &b in words.remainder() {
+    for &b in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
@@ -634,10 +663,10 @@ mod tests {
 
     #[test]
     fn table_crc_matches_bitwise_reference() {
-        // Every length across the 8-byte step and its tail, at every
+        // Every length across the 16-byte step and its tail, at every
         // alignment of the slice start.
         let buf = random_bytes(80, 1);
-        for offset in 0..8 {
+        for offset in 0..16 {
             for len in 0..=64 {
                 let s = &buf[offset..offset + len];
                 assert_eq!(crc32(s), crc32_bitwise(s), "offset {offset} len {len}");
@@ -694,7 +723,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&5u32.to_le_bytes());
+        want.extend_from_slice(&6u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);

@@ -58,15 +58,27 @@ fn snapshot_under(scheme: Scheme) -> (SimConfig, Vec<u8>) {
     (cfg, snap)
 }
 
-/// Byte offsets, in a simulation payload (which the network state opens),
-/// of the routing assignment of input VC 0 and of node 0's injection
-/// interface.
-fn first_assignments(payload: &[u8], net: &NetConfig) -> (usize, usize) {
+/// Byte offsets, in a simulation payload (which the network state opens).
+struct Offsets {
+    /// The routing assignment of input VC 0.
+    vc_assign: usize,
+    /// The routing assignment of node 0's injection interface.
+    inj_assign: usize,
+    /// The first live packet's record in the packet store.
+    first_packet: usize,
+}
+
+fn offsets(payload: &[u8], net: &NetConfig) -> Offsets {
     let mut dec = checkpoint::Dec::new(payload);
     let at = |dec: &checkpoint::Dec<'_>| payload.len() - dec.remaining();
     let skip = |dec: &mut checkpoint::Dec<'_>, bytes: usize| {
         for _ in 0..bytes {
             dec.u8().unwrap();
+        }
+    };
+    let skip_assign = |dec: &mut checkpoint::Dec<'_>| {
+        if dec.u8().unwrap() == 1 {
+            skip(dec, 2); // port, VC
         }
     };
     // Clock, two progress markers, sixteen counters.
@@ -78,14 +90,30 @@ fn first_assignments(payload: &[u8], net: &NetConfig) -> (usize, usize) {
         let flits = dec.usize().unwrap();
         skip(&mut dec, flits * (4 + 2 + 8));
         vc_assign.get_or_insert(at(&dec));
-        if dec.u8().unwrap() == 1 {
-            skip(&mut dec, 2); // port, VC
-        }
+        skip_assign(&mut dec);
         skip(&mut dec, 8 + 8); // routed-at, blocked count
     }
     skip(&mut dec, n_vcs); // output-VC allocation flags
-    skip(&mut dec, 1 + 4 + 2); // node 0's injection: active, packet, sent
-    (vc_assign.unwrap(), at(&dec))
+    let nodes = net.node_count();
+    let mut inj_assign = None;
+    for _ in 0..nodes {
+        skip(&mut dec, 1 + 4 + 2); // active, packet, sent
+        inj_assign.get_or_insert(at(&dec));
+        skip_assign(&mut dec);
+        skip(&mut dec, 8); // routed-at
+    }
+    for _ in 0..nodes {
+        let queued = dec.usize().unwrap();
+        skip(&mut dec, 4 * queued);
+    }
+    skip(&mut dec, 8); // slot count
+    let freed = dec.usize().unwrap();
+    skip(&mut dec, 4 * freed);
+    Offsets {
+        vc_assign: vc_assign.unwrap(),
+        inj_assign: inj_assign.unwrap(),
+        first_packet: at(&dec),
+    }
 }
 
 /// Hand-built: snapshots under the two laws whose state carries a
@@ -200,9 +228,9 @@ fn restore_survives_payload_mutations_without_panicking() {
     // have — a port past `d` on an input VC, a VC past `v` on an injection
     // interface. Restore rebuilds the switch plane from the assignments, so
     // these must die in the decoder, not reach it.
-    let (vc_assign, inj_assign) = first_assignments(&payload, &cfg.net);
+    let at = offsets(&payload, &cfg.net);
     let (d, v) = (2 * cfg.net.dimensions as u8, cfg.net.vcs as u8);
-    for (at, out) in [(vc_assign, [1, d, 0]), (inj_assign, [1, 0, v])] {
+    for (at, out) in [(at.vc_assign, [1, d, 0]), (at.inj_assign, [1, 0, v])] {
         let old_len = if payload[at] == 1 { 3 } else { 1 };
         let mut built = payload[..at].to_vec();
         built.extend_from_slice(&out);
@@ -216,6 +244,27 @@ fn restore_survives_payload_mutations_without_panicking() {
                 )))
             ),
             "out-of-range assignment {out:?} at byte {at}: {:?}",
+            outcome.err()
+        );
+    }
+
+    // Hand-built: a live packet whose source or destination is no node.
+    // The next step would index the routing digits or the per-source
+    // delivery counts with it, so restore must refuse it, typed.
+    let record = offsets(&payload, &cfg.net).first_packet;
+    assert!(payload[record] <= 2, "not a packet record tag");
+    for field in [record + 1, record + 5] {
+        let mut built = payload.clone();
+        built[field..field + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        let outcome = Simulation::restore(cfg.clone(), None, &checkpoint::seal(fp, &built));
+        assert!(
+            matches!(
+                outcome,
+                Err(SimError::Checkpoint(checkpoint::CheckpointError::Corrupt(
+                    _
+                )))
+            ),
+            "packet endpoint 1000000 at byte {field}: {:?}",
             outcome.err()
         );
     }

@@ -241,11 +241,25 @@ impl Network {
 
     /// Conservation ledgers: packets, injections, per-packet flits and
     /// source-queue membership, cross-checked against a full scan of every
-    /// buffer, queue and injection interface.
+    /// buffer, queue and injection interface; and every live packet's
+    /// endpoints are nodes of the network.
     fn audit_ledgers(&self, v: &mut Vec<AuditViolation>) {
+        /// What the scan found holding one packet slot.
+        #[derive(Clone, Copy)]
+        struct Seen {
+            /// Flits in input VCs and deadlock buffers.
+            buffered: u32,
+            /// Source-queue entries.
+            queued: u32,
+            /// The node of its last source-queue entry, or [`NONE`].
+            queued_at: u32,
+            /// The node whose injection interface streams it, or [`NONE`].
+            injecting: u32,
+        }
+        const NONE: u32 = u32::MAX;
         let slots = self.packets.slot_count();
         let nodes = self.torus().node_count();
-        let n_vcs = self.vc_assign.len();
+        let mut push = |kind, detail| v.push(AuditViolation { kind, detail });
 
         // Slot liveness from the free list (the ground truth `live()`
         // summarizes). An out-of-range free id is itself ledger corruption.
@@ -253,174 +267,154 @@ impl Network {
         for &id in self.packets.free_ids() {
             match live.get_mut(id as usize) {
                 Some(l) => *l = false,
-                None => v.push(AuditViolation {
-                    kind: AuditKind::PacketLedger,
-                    detail: format!("free list holds out-of-range packet id {id} (slots {slots})"),
-                }),
+                None => push(
+                    AuditKind::PacketLedger,
+                    format!("free list holds out-of-range packet id {id} (slots {slots})"),
+                ),
             }
         }
-        let live_count = live.iter().filter(|&&l| l).count() as u64;
+        let is_live = |pid: usize| live.get(pid).copied().unwrap_or(false);
+        let mut seen = vec![
+            Seen {
+                buffered: 0,
+                queued: 0,
+                queued_at: NONE,
+                injecting: NONE,
+            };
+            slots
+        ];
 
         // Where every buffered flit lives, per packet.
-        let mut buffered = vec![0u32; slots];
-        for idx in 0..n_vcs {
-            for i in 0..self.vc_bufs.len(idx) {
-                let f = self.vc_bufs.get(idx, i);
+        let buffers = (0..self.vc_assign.len())
+            .map(|idx| (&self.vc_bufs, idx, "VC"))
+            .chain((0..nodes).map(|node| (&self.dl_bufs, node, "deadlock buffer")));
+        for (rings, r, what) in buffers {
+            for i in 0..rings.len(r) {
+                let f = rings.get(r, i);
                 let pid = f.packet as usize;
-                if pid >= slots || !live[pid] {
-                    v.push(AuditViolation {
-                        kind: AuditKind::FlitLedger,
-                        detail: format!("VC {idx} buffers flit {} of dead packet {pid}", f.idx),
-                    });
+                if is_live(pid) {
+                    seen[pid].buffered += 1;
                 } else {
-                    buffered[pid] += 1;
-                }
-            }
-        }
-        for node in 0..nodes {
-            for i in 0..self.dl_bufs.len(node) {
-                let f = self.dl_bufs.get(node, i);
-                let pid = f.packet as usize;
-                if pid >= slots || !live[pid] {
-                    v.push(AuditViolation {
-                        kind: AuditKind::FlitLedger,
-                        detail: format!(
-                            "deadlock buffer {node} holds flit {} of dead packet {pid}",
-                            f.idx
-                        ),
-                    });
-                } else {
-                    buffered[pid] += 1;
+                    let detail = format!("{what} {r} buffers flit {} of dead packet {pid}", f.idx);
+                    push(AuditKind::FlitLedger, detail);
                 }
             }
         }
 
         // Which packet each injection interface is streaming.
-        let mut inj_node = vec![None::<usize>; slots];
         for (node, inj) in self.inj.iter().enumerate() {
             let Some(pid) = inj.active else { continue };
             let pid = pid as usize;
-            if pid >= slots || !live[pid] {
-                v.push(AuditViolation {
-                    kind: AuditKind::FlitLedger,
-                    detail: format!("node {node} is injecting dead packet {pid}"),
-                });
+            if !is_live(pid) {
+                let detail = format!("node {node} is injecting dead packet {pid}");
+                push(AuditKind::FlitLedger, detail);
                 continue;
             }
-            if let Some(other) = inj_node[pid] {
-                v.push(AuditViolation {
-                    kind: AuditKind::FlitLedger,
-                    detail: format!("packet {pid} is injecting at both node {other} and {node}"),
-                });
+            let other = seen[pid].injecting;
+            if other != NONE {
+                let detail = format!("packet {pid} is injecting at both node {other} and {node}");
+                push(AuditKind::FlitLedger, detail);
             }
-            inj_node[pid] = Some(node);
+            seen[pid].injecting = node as u32;
         }
 
-        // Source-queue occurrences per packet.
-        let mut queued = vec![0u32; slots];
+        // Source-queue occurrences per packet (checked against the packet's
+        // source in the per-packet pass, which reads the store in order).
         for node in 0..nodes {
             for i in 0..self.source_q.len(node) {
                 let pid = self.source_q.get(node, i) as usize;
-                if pid >= slots || !live[pid] {
-                    v.push(AuditViolation {
-                        kind: AuditKind::SourceQueueLedger,
-                        detail: format!("node {node} queues dead packet {pid}"),
-                    });
+                if !is_live(pid) {
+                    let detail = format!("node {node} queues dead packet {pid}");
+                    push(AuditKind::SourceQueueLedger, detail);
                     continue;
                 }
-                if self.packets.get(pid as u32).src != node {
-                    v.push(AuditViolation {
-                        kind: AuditKind::SourceQueueLedger,
-                        detail: format!(
-                            "packet {pid} queued at node {node} but its source is {}",
-                            self.packets.get(pid as u32).src
-                        ),
-                    });
-                }
-                queued[pid] += 1;
+                seen[pid].queued += 1;
+                seen[pid].queued_at = node as u32;
             }
         }
 
         // Per-packet flit conservation: every flit the network has taken in
         // is buffered somewhere or delivered, no more and no less.
-        let mut injected_live = 0u64;
-        for (pid, &alive) in live.iter().enumerate() {
-            if !alive {
+        let (mut live_count, mut injected_live) = (0u64, 0u64);
+        for (pid, seen) in seen.iter().enumerate() {
+            if !live[pid] {
                 continue;
             }
+            live_count += 1;
             let p = self.packets.get(pid as u32);
-            if p.injected_at != u64::MAX {
-                injected_live += 1;
+            if p.src >= nodes || p.dst >= nodes {
+                let detail = format!(
+                    "live packet {pid} runs {} -> {} outside the {nodes}-node network",
+                    p.src, p.dst
+                );
+                push(AuditKind::PacketLedger, detail);
             }
-            let emitted = if let Some(node) = inj_node[pid] {
+            if seen.queued_at != NONE && seen.queued_at as usize != p.src {
+                let detail = format!(
+                    "packet {pid} queued at node {} but its source is {}",
+                    seen.queued_at, p.src
+                );
+                push(AuditKind::SourceQueueLedger, detail);
+            }
+            let injected = p.injected_at != u64::MAX;
+            injected_live += u64::from(injected);
+            let emitted = if seen.injecting != NONE {
                 // Streaming in: `sent` flits are in the network so far. The
                 // first flit's move is what stamps `injected_at`.
-                let inj = &self.inj[node];
-                if (inj.sent > 0) != (p.injected_at != u64::MAX) {
-                    v.push(AuditViolation {
-                        kind: AuditKind::FlitLedger,
-                        detail: format!(
-                            "packet {pid}: {} flits sent but injected_at {:?}",
-                            inj.sent,
-                            (p.injected_at != u64::MAX).then_some(p.injected_at)
-                        ),
-                    });
+                let inj = &self.inj[seen.injecting as usize];
+                if (inj.sent > 0) != injected {
+                    let detail = format!(
+                        "packet {pid}: {} flits sent but injected_at {:?}",
+                        inj.sent,
+                        injected.then_some(p.injected_at)
+                    );
+                    push(AuditKind::FlitLedger, detail);
                 }
                 u32::from(inj.sent)
-            } else if p.injected_at == u64::MAX {
-                0 // Still waiting in a source queue.
-            } else {
+            } else if injected {
                 u32::from(p.len) // Fully inside the network.
+            } else {
+                0 // Still waiting in a source queue.
             };
-            let expect_queued = u32::from(inj_node[pid].is_none() && p.injected_at == u64::MAX);
-            if queued[pid] != expect_queued {
-                v.push(AuditViolation {
-                    kind: AuditKind::SourceQueueLedger,
-                    detail: format!(
-                        "packet {pid}: {} source-queue entries, expected {expect_queued}",
-                        queued[pid]
-                    ),
-                });
+            let expect_queued = u32::from(seen.injecting == NONE && !injected);
+            if seen.queued != expect_queued {
+                let detail = format!(
+                    "packet {pid}: {} source-queue entries, expected {expect_queued}",
+                    seen.queued
+                );
+                push(AuditKind::SourceQueueLedger, detail);
             }
             if p.delivered_flits >= p.len {
-                v.push(AuditViolation {
-                    kind: AuditKind::FlitLedger,
-                    detail: format!(
-                        "live packet {pid} already delivered {}/{} flits",
-                        p.delivered_flits, p.len
-                    ),
-                });
+                let detail = format!(
+                    "live packet {pid} already delivered {}/{} flits",
+                    p.delivered_flits, p.len
+                );
+                push(AuditKind::FlitLedger, detail);
             }
-            let present = buffered[pid] + u32::from(p.delivered_flits);
+            let present = seen.buffered + u32::from(p.delivered_flits);
             if emitted != present {
-                v.push(AuditViolation {
-                    kind: AuditKind::FlitLedger,
-                    detail: format!(
-                        "packet {pid}: emitted {emitted} flits but {} buffered + {} delivered",
-                        buffered[pid], p.delivered_flits
-                    ),
-                });
+                let detail = format!(
+                    "packet {pid}: emitted {emitted} flits but {} buffered + {} delivered",
+                    seen.buffered, p.delivered_flits
+                );
+                push(AuditKind::FlitLedger, detail);
             }
         }
 
         let c = &self.counters;
         if c.generated_packets != c.delivered_packets + live_count {
-            v.push(AuditViolation {
-                kind: AuditKind::PacketLedger,
-                detail: format!(
-                    "generated {} != delivered {} + live {live_count}",
-                    c.generated_packets, c.delivered_packets
-                ),
-            });
+            let detail = format!(
+                "generated {} != delivered {} + live {live_count}",
+                c.generated_packets, c.delivered_packets
+            );
+            push(AuditKind::PacketLedger, detail);
         }
         if c.injected_packets != c.delivered_packets + injected_live {
-            v.push(AuditViolation {
-                kind: AuditKind::InjectionLedger,
-                detail: format!(
-                    "injected {} != delivered {} + live-injected {injected_live}",
-                    c.injected_packets, c.delivered_packets
-                ),
-            });
+            let detail = format!(
+                "injected {} != delivered {} + live-injected {injected_live}",
+                c.injected_packets, c.delivered_packets
+            );
+            push(AuditKind::InjectionLedger, detail);
         }
     }
 
@@ -432,27 +426,34 @@ impl Network {
         let fpn = d * vpc;
         let n_vcs = self.vc_assign.len();
         let mut owners = vec![0u32; n_vcs];
-        let mut claim =
-            |v: &mut Vec<AuditViolation>, node: usize, port: u8, vc: u8, who: String| {
-                let (port, vc) = (usize::from(port), usize::from(vc));
-                if port >= d || vc >= vpc {
-                    v.push(AuditViolation {
-                        kind: AuditKind::OutAllocOwnership,
-                        detail: format!("{who} assigned impossible output (port {port}, vc {vc})"),
-                    });
-                    return;
-                }
-                owners[(node * d + port) * vpc + vc] += 1;
-            };
+        // `who` names the claimant, formatted only for a violation.
+        let mut claim = |v: &mut Vec<AuditViolation>,
+                         node: usize,
+                         port: u8,
+                         vc: u8,
+                         who: &dyn Fn() -> String| {
+            let (port, vc) = (usize::from(port), usize::from(vc));
+            if port >= d || vc >= vpc {
+                v.push(AuditViolation {
+                    kind: AuditKind::OutAllocOwnership,
+                    detail: format!(
+                        "{} assigned impossible output (port {port}, vc {vc})",
+                        who()
+                    ),
+                });
+                return;
+            }
+            owners[(node * d + port) * vpc + vc] += 1;
+        };
         for (idx, a) in self.vc_assign.iter().enumerate() {
             if let Assign::Out { port, vc } = *a {
-                claim(v, idx / fpn, port, vc, format!("input VC {idx}"));
+                claim(v, idx / fpn, port, vc, &|| format!("input VC {idx}"));
             }
         }
         for (node, inj) in self.inj.iter().enumerate() {
             if inj.active.is_some() {
                 if let Assign::Out { port, vc } = inj.assign {
-                    claim(v, node, port, vc, format!("injector {node}"));
+                    claim(v, node, port, vc, &|| format!("injector {node}"));
                 }
             }
         }
@@ -783,6 +784,29 @@ mod tests {
         let mut net = hot_net();
         net.counters.generated_packets += 1;
         assert_exactly(&net, AuditKind::PacketLedger);
+    }
+
+    /// A live packet whose source or destination is not a node — queued or
+    /// already in the network — is a packet-ledger violation, and only that.
+    #[test]
+    fn detects_a_live_packet_outside_the_network() {
+        let net = hot_net();
+        let queued = (0..net.inj.len())
+            .find(|&n| !net.source_q.is_empty(n))
+            .map(|n| net.source_q.front(n))
+            .expect("no queued packet in a saturated net");
+        let moving = (0..net.vc_assign.len())
+            .find(|&r| !net.vc_bufs.is_empty(r))
+            .map(|r| net.vc_bufs.front_packet(r))
+            .expect("no buffered flit in a saturated net");
+        // A queued packet's source is checked against its queue too, so only
+        // its destination is moved out.
+        for (id, src) in [(queued, false), (moving, false), (moving, true)] {
+            let mut net = hot_net();
+            let p = net.packets.get_mut(id);
+            *(if src { &mut p.src } else { &mut p.dst }) = 1_000_000;
+            assert_exactly(&net, AuditKind::PacketLedger);
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub struct Network {
     /// VCs per physical channel.
     v: usize,
     depth: usize,
-    packet_len: u16,
+    pub(crate) packet_len: u16,
     /// Longest possible recovery drain path (torus diameter + 1), the
     /// capacity floor kept on `path_scratch`.
     pub(crate) max_path: usize,
@@ -723,15 +723,9 @@ impl Network {
             self.counters.refused_generations += 1;
             return;
         }
-        let id = self.packets.alloc(PacketInfo {
-            src: node,
-            dst,
-            generated_at: now,
-            injected_at: u64::MAX,
-            len: self.packet_len,
-            delivered_flits: 0,
-            last_move: now,
-        });
+        let id = self
+            .packets
+            .alloc(PacketInfo::offered(node, dst, now, self.packet_len));
         if self.escaped.len() <= id as usize {
             self.escaped.resize(id as usize + 1, false);
         }

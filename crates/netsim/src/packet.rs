@@ -50,10 +50,51 @@ pub struct PacketInfo {
 }
 
 impl PacketInfo {
-    /// Bytes of one serialized slot: the seven fields in declaration
-    /// order, node ids as `u64`.
-    pub(crate) const ENCODED_LEN: usize = 4 * 8 + 2 * 2 + 8;
+    /// Bytes of an untouched packet's record in [`PacketStore::save_state`]:
+    /// tag, `src` and `dst` (`u32`), `generated_at`.
+    pub(crate) const OFFERED_LEN: usize = 1 + 2 * 4 + 8;
+    /// Bytes of any other live packet's record: tag, `src`, `dst`,
+    /// `generated_at`, `injected_at`, `delivered_flits`, `last_move`.
+    pub(crate) const MOVED_LEN: usize = 1 + 2 * 4 + 2 * 8 + 2 + 8;
+
+    /// The record `Network::offer` writes for a packet `src` generated at
+    /// `now` for `dst`: queued, nothing sent, nothing delivered.
+    #[must_use]
+    pub(crate) fn offered(src: NodeId, dst: NodeId, now: u64, len: u16) -> Self {
+        PacketInfo {
+            src,
+            dst,
+            generated_at: now,
+            injected_at: u64::MAX,
+            len,
+            delivered_flits: 0,
+            last_move: now,
+        }
+    }
+
+    /// Whether this record is still exactly what `offer` wrote, on a packet
+    /// that never took an escape VC: then `src`, `dst` and `generated_at`
+    /// are all a checkpoint needs of it.
+    fn untouched(&self, escaped: bool) -> bool {
+        !escaped && *self == PacketInfo::offered(self.src, self.dst, self.generated_at, self.len)
+    }
+
+    /// Bytes of this live packet's record.
+    fn encoded_len(&self, escaped: bool) -> usize {
+        if self.untouched(escaped) {
+            PacketInfo::OFFERED_LEN
+        } else {
+            PacketInfo::MOVED_LEN
+        }
+    }
 }
+
+/// Tag of a live packet's record: still what `offer` wrote.
+const OFFERED: u8 = 0;
+/// Tag of any other live packet's record, never escaped.
+const MOVED: u8 = 1;
+/// Tag of any other live packet's record, sticky-escaped.
+const MOVED_ESCAPED: u8 = 2;
 
 /// Record emitted when a packet's tail is consumed at its destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,74 +198,119 @@ impl PacketStore {
         Cells::new(&mut self.slots)
     }
 
-    /// Serializes the whole store — live slots, recycled slots and the free
-    /// list order (which determines future id assignment) — into `enc`.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        enc.reserve(self.encoded_len());
+    /// Serializes what the store holds: the slot count, the free list in
+    /// order (which determines future id assignment), then one record per
+    /// live slot, ascending. A freed slot writes nothing — [`PacketStore::alloc`]
+    /// overwrites it whole — and no record writes `len`, which is the
+    /// network's packet length for every packet. `escaped` is the network's
+    /// sticky escape flag per slot; a live packet's rides in its record's tag.
+    pub fn save_state(&self, enc: &mut checkpoint::Enc, escaped: &[bool]) {
+        let start = enc.len();
         enc.usize(self.slots.len());
-        for p in &self.slots {
-            let at = enc.len();
-            enc.usize(p.src);
-            enc.usize(p.dst);
-            enc.u64(p.generated_at);
-            enc.u64(p.injected_at);
-            enc.u16(p.len);
-            enc.u16(p.delivered_flits);
-            enc.u64(p.last_move);
-            debug_assert_eq!(enc.len() - at, PacketInfo::ENCODED_LEN);
-        }
         enc.usize(self.free.len());
         for &id in &self.free {
             enc.u32(id);
         }
+        let mut freed = self.free.clone();
+        freed.sort_unstable();
+        let mut freed = freed.into_iter().peekable();
+        for (id, p) in self.slots.iter().enumerate() {
+            if freed.next_if_eq(&(id as PacketId)).is_some() {
+                continue;
+            }
+            let untouched = p.untouched(escaped[id]);
+            enc.u8(match (untouched, escaped[id]) {
+                (true, _) => OFFERED,
+                (false, false) => MOVED,
+                (false, true) => MOVED_ESCAPED,
+            });
+            // Node ids fit `u32`: config validation caps the node count.
+            enc.u32(p.src as u32);
+            enc.u32(p.dst as u32);
+            enc.u64(p.generated_at);
+            if !untouched {
+                enc.u64(p.injected_at);
+                enc.u16(p.delivered_flits);
+                enc.u64(p.last_move);
+            }
+        }
+        debug_assert_eq!(enc.len() - start, self.encoded_len(escaped));
     }
 
-    /// Bytes [`PacketStore::save_state`] writes for the current store.
-    pub(crate) fn encoded_len(&self) -> usize {
-        8 + self.slots.len() * PacketInfo::ENCODED_LEN + 8 + self.free.len() * 4
+    /// Bytes [`PacketStore::save_state`] writes for the current store: every
+    /// slot's record, less the freed slots'.
+    pub(crate) fn encoded_len(&self, escaped: &[bool]) -> usize {
+        let record = |id: usize| self.slots[id].encoded_len(escaped[id]);
+        let all: usize = (0..self.slots.len()).map(record).sum();
+        let freed: usize = self.free.iter().map(|&id| record(id as usize)).sum();
+        8 + 8 + 4 * self.free.len() + all - freed
     }
 
-    /// Reads a store serialized with [`PacketStore::save_state`].
+    /// Reads a store serialized with [`PacketStore::save_state`] on a
+    /// network of `nodes` nodes and `len`-flit packets, with its sticky
+    /// escape flags. A freed slot comes back as an offered record of
+    /// node 0; nothing reads it before `alloc` overwrites it.
     ///
     /// # Errors
     ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated stream or a
-    /// free-list entry outside the slot range.
+    /// Returns a [`checkpoint::CheckpointError`] on a truncated stream, a
+    /// free list that is longer than the slot array, names a slot outside
+    /// it or names one twice, an unknown record tag, or a packet whose
+    /// source or destination is not a node of the network.
     pub fn restore_state(
         dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<Self, checkpoint::CheckpointError> {
+        nodes: usize,
+        len: u16,
+    ) -> Result<(Self, Vec<bool>), checkpoint::CheckpointError> {
+        use checkpoint::CheckpointError::Corrupt;
         let nslots = dec.usize()?;
-        // A hostile count cannot force an allocation beyond what the stream
-        // could actually satisfy.
-        let mut slots = Vec::with_capacity(nslots.min(dec.remaining() / PacketInfo::ENCODED_LEN));
-        for _ in 0..nslots {
-            slots.push(PacketInfo {
-                src: dec.usize()?,
-                dst: dec.usize()?,
-                generated_at: dec.u64()?,
-                injected_at: dec.u64()?,
-                len: dec.u16()?,
-                delivered_flits: dec.u16()?,
-                last_move: dec.u64()?,
-            });
-        }
         let nfree = dec.usize()?;
         if nfree > nslots {
-            return Err(checkpoint::CheckpointError::Corrupt(
-                "free list longer than slot array",
-            ));
+            return Err(Corrupt("free list longer than slot array"));
         }
-        let mut free = Vec::with_capacity(nfree);
+        // A hostile count cannot force an allocation beyond what the stream
+        // could actually satisfy: a free id is four bytes, a live record at
+        // least `OFFERED_LEN`.
+        let mut free = Vec::with_capacity(nfree.min(dec.remaining() / 4));
         for _ in 0..nfree {
             let id = dec.u32()?;
             if id as usize >= nslots {
-                return Err(checkpoint::CheckpointError::Corrupt(
-                    "free list entry out of range",
-                ));
+                return Err(Corrupt("free list entry out of range"));
             }
             free.push(id);
         }
-        Ok(PacketStore { slots, free })
+        let mut freed = free.clone();
+        freed.sort_unstable();
+        if freed.windows(2).any(|w| w[0] == w[1]) {
+            return Err(Corrupt("free list names a slot twice"));
+        }
+        let cap = nslots.min(nfree + dec.remaining() / PacketInfo::OFFERED_LEN);
+        let (mut slots, mut escaped) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut freed = freed.into_iter().peekable();
+        for id in 0..nslots {
+            if freed.next_if_eq(&(id as PacketId)).is_some() {
+                slots.push(PacketInfo::offered(0, 0, 0, len));
+                escaped.push(false);
+                continue;
+            }
+            let tag = dec.u8()?;
+            if tag > MOVED_ESCAPED {
+                return Err(Corrupt("unknown packet record tag"));
+            }
+            let (src, dst) = (dec.u32()? as usize, dec.u32()? as usize);
+            if src >= nodes || dst >= nodes {
+                return Err(Corrupt("packet endpoint outside the network"));
+            }
+            let mut p = PacketInfo::offered(src, dst, dec.u64()?, len);
+            if tag != OFFERED {
+                p.injected_at = dec.u64()?;
+                p.delivered_flits = dec.u16()?;
+                p.last_move = dec.u64()?;
+            }
+            slots.push(p);
+            escaped.push(tag == MOVED_ESCAPED);
+        }
+        Ok((PacketStore { slots, free }, escaped))
     }
 }
 
@@ -250,15 +336,7 @@ mod tests {
     use super::*;
 
     fn info(src: NodeId) -> PacketInfo {
-        PacketInfo {
-            src,
-            dst: 0,
-            generated_at: 0,
-            injected_at: u64::MAX,
-            len: 16,
-            delivered_flits: 0,
-            last_move: 0,
-        }
+        PacketInfo::offered(src, 0, 0, 16)
     }
 
     #[test]
@@ -274,6 +352,104 @@ mod tests {
         assert_eq!(c, a, "released slot should be reused");
         assert_eq!(s.get(c).src, 3);
         assert_eq!(s.live(), 2);
+    }
+
+    /// Slots 0..4: offered, freed, moved, moved and escaped — freed last
+    /// pushed, so it is the next `alloc`'s.
+    fn mixed_store() -> (PacketStore, Vec<bool>) {
+        let mut s = PacketStore::new();
+        for src in 0..4 {
+            s.alloc(PacketInfo::offered(src, 7, 10 + src as u64, 16));
+        }
+        s.release(1);
+        for id in [2, 3] {
+            let p = s.get_mut(id);
+            p.injected_at = 20;
+            p.delivered_flits = 3;
+            p.last_move = 25;
+        }
+        (s, vec![false, true, false, true])
+    }
+
+    fn save(s: &PacketStore, escaped: &[bool]) -> Vec<u8> {
+        let mut enc = checkpoint::Enc::new();
+        s.save_state(&mut enc, escaped);
+        enc.into_vec()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<(PacketStore, Vec<bool>), checkpoint::CheckpointError> {
+        let mut dec = checkpoint::Dec::new(bytes);
+        let out = PacketStore::restore_state(&mut dec, 8, 16)?;
+        dec.finish()?;
+        Ok(out)
+    }
+
+    #[test]
+    fn records_round_trip_at_their_sizes() {
+        let (s, escaped) = mixed_store();
+        let bytes = save(&s, &escaped);
+        // Counts, one free id, one offered and two moved records.
+        let want = 8 + 8 + 4 + PacketInfo::OFFERED_LEN + 2 * PacketInfo::MOVED_LEN;
+        assert_eq!((bytes.len(), s.encoded_len(&escaped)), (want, want));
+        let (back, back_escaped) = restore(&bytes).unwrap();
+        for id in [0, 2, 3] {
+            assert_eq!(back.get(id), s.get(id), "slot {id}");
+            assert_eq!(back_escaped[id as usize], escaped[id as usize], "slot {id}");
+        }
+        assert_eq!(back.free_ids(), s.free_ids());
+        assert_eq!(save(&back, &back_escaped), bytes);
+    }
+
+    #[test]
+    fn restore_refuses_what_no_store_writes() {
+        use checkpoint::CheckpointError::{Corrupt, Truncated};
+        let (s, escaped) = mixed_store();
+        let good = save(&s, &escaped);
+        let with = |at: usize, bytes: &[u8]| {
+            let mut built = good.clone();
+            built[at..at + bytes.len()].copy_from_slice(bytes);
+            built
+        };
+        let first_record = 8 + 8 + 4;
+        let cases = [
+            (
+                "unknown tag",
+                with(first_record, &[3]),
+                "unknown packet record tag",
+            ),
+            (
+                "destination past the nodes",
+                with(first_record + 5, &8u32.to_le_bytes()),
+                "packet endpoint outside the network",
+            ),
+            (
+                "free id past the slots",
+                with(16, &4u32.to_le_bytes()),
+                "free list entry out of range",
+            ),
+            (
+                "more free ids than slots",
+                with(8, &5u64.to_le_bytes()),
+                "free list longer than slot array",
+            ),
+        ];
+        for (what, bytes, why) in cases {
+            assert_eq!(restore(&bytes).err(), Some(Corrupt(why)), "{what}");
+        }
+        // One slot freed twice (and so never written) is refused however the
+        // list got there.
+        let mut twice = with(8, &2u64.to_le_bytes());
+        twice.splice(20..20, 1u32.to_le_bytes());
+        assert_eq!(
+            restore(&twice).err(),
+            Some(Corrupt("free list names a slot twice"))
+        );
+        // A hostile slot count allocates nothing the stream cannot fill.
+        let hostile = with(0, &(1u64 << 40).to_le_bytes());
+        assert!(matches!(restore(&hostile), Err(Truncated { .. })));
+        for cut in 0..good.len() {
+            assert!(restore(&good[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The serialized state is the ground truth the cycle pipeline reads or
 //! writes: edge buffers and routing assignments of every input VC, output
-//! VC allocations, injection interfaces, source queues, the packet store
-//! (including free-list order, which determines future id assignment),
-//! sticky escape flags, the Disha deadlock buffers and in-progress recovery
+//! VC allocations, injection interfaces, source queues, the packet store's
+//! live records with their sticky escape flags (and its free-list order,
+//! which determines future id assignment; [`PacketStore::save_state`] has
+//! the record layout), the Disha deadlock buffers and in-progress recovery
 //! job, the token queue, both round-robin cursor families, counters and
 //! watchdog markers. Everything derived from it — the worklist, occupancy
 //! and assignment words, node summaries, the census, the switch plane and
@@ -37,8 +38,9 @@ use crate::counters::Counters;
 /// Most bytes [`enc_assign`] writes (the `Out` variant's tag, port, VC).
 const ASSIGN_MAX_LEN: usize = 3;
 
-/// Bytes of one serialized [`crate::packet::DeliveredRecord`].
-const DELIVERY_ENCODED_LEN: usize = 5 * 8 + 2 + 1;
+/// Bytes of one serialized [`crate::packet::DeliveredRecord`]: `src` and
+/// `dst` (`u32`), three cycle stamps, the recovered flag.
+const DELIVERY_ENCODED_LEN: usize = 2 * 4 + 3 * 8 + 1;
 
 fn enc_assign(enc: &mut Enc, a: Assign) {
     match a {
@@ -142,8 +144,7 @@ impl Network {
             + self.out_alloc.len()
             + nodes * (1 + 4 + 2 + ASSIGN_MAX_LEN + 8)
             + queued
-            + self.packets.encoded_len()
-            + (8 + self.escaped.len())
+            + self.packets.encoded_len(&self.escaped)
             + dl_flits
             + (1 + recovery)
             + 8 * (self.route_rr.len() + self.out_rr.len())
@@ -182,9 +183,7 @@ impl Network {
                 enc.u32(self.source_q.get(node, i));
             }
         }
-        self.packets.save_state(enc);
-        enc.usize(self.escaped.len());
-        enc.bools(&self.escaped);
+        self.packets.save_state(enc, &self.escaped);
         for node in 0..self.inj.len() {
             enc_flit_ring(enc, &self.dl_bufs, node);
         }
@@ -214,12 +213,12 @@ impl Network {
         enc.usize(self.deliveries.len());
         for i in 0..self.deliveries.len() {
             let d = self.deliveries.get(i);
-            enc.usize(d.src);
-            enc.usize(d.dst);
+            // Node ids fit `u32`: config validation caps the node count.
+            enc.u32(d.src as u32);
+            enc.u32(d.dst as u32);
             enc.u64(d.generated_at);
             enc.u64(d.injected_at);
             enc.u64(d.delivered_at);
-            enc.u16(d.len);
             enc.bool(d.recovered);
         }
         let (written, bound) = (enc.len() - start, self.state_len_bound());
@@ -287,14 +286,7 @@ impl Network {
                 source_q.push_back(node, dec.u32()?);
             }
         }
-        let packets = PacketStore::restore_state(dec)?;
-        let n_escaped = dec.usize()?;
-        if n_escaped > u32::MAX as usize {
-            return Err(CheckpointError::Corrupt("escape flag count implausible"));
-        }
-        // `Dec::bools` allocates no more than the stream holds, so a
-        // hostile count cannot OOM before the decode hits `Truncated`.
-        let escaped = dec.bools(n_escaped)?;
+        let (packets, escaped) = PacketStore::restore_state(dec, nodes, self.packet_len)?;
         let mut dl_bufs = FlitRings::new(nodes, crate::network::DL_DEPTH);
         for node in 0..nodes {
             dec_flit_ring(dec, &mut dl_bufs, node, crate::network::DL_DEPTH)?;
@@ -353,13 +345,19 @@ impl Network {
         }
         let mut deliveries = DeliveryRing::default();
         for _ in 0..n_del {
+            let (src, dst) = (dec.u32()? as usize, dec.u32()? as usize);
+            if src >= nodes || dst >= nodes {
+                return Err(CheckpointError::Corrupt(
+                    "delivery endpoint outside the network",
+                ));
+            }
             deliveries.push(crate::packet::DeliveredRecord {
-                src: dec.usize()?,
-                dst: dec.usize()?,
+                src,
+                dst,
                 generated_at: dec.u64()?,
                 injected_at: dec.u64()?,
                 delivered_at: dec.u64()?,
-                len: dec.u16()?,
+                len: self.packet_len,
                 recovered: dec.bool()?,
             });
         }
@@ -392,9 +390,10 @@ impl Network {
 mod tests {
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
+    use crate::packet::PacketInfo;
     use crate::testnet::{self, hot_net, small_cfg};
     use crate::Network;
-    use checkpoint::{Dec, Enc};
+    use checkpoint::{CheckpointError, Dec, Enc};
 
     /// A deterministic little traffic source: every node sends to the
     /// opposite node every `interval` cycles.
@@ -496,6 +495,88 @@ mod tests {
         };
         assert_eq!(derived(&a), derived(&b));
         assert!(b.audit().is_clean());
+    }
+
+    /// A freed slot is not ground truth: `alloc` overwrites it whole and
+    /// nothing reads it before, so scribbling over its fields and escape
+    /// flag changes no byte of the checkpoint.
+    #[test]
+    fn a_freed_slot_writes_nothing() {
+        let mut net = hot_net();
+        let before = snapshot(&net);
+        let &id = net
+            .packets
+            .free_ids()
+            .first()
+            .expect("vacuous: no freed slot");
+        *net.packets.get_mut(id) = PacketInfo {
+            src: 3,
+            dst: 1_000_000,
+            generated_at: 77,
+            injected_at: 5,
+            len: 1,
+            delivered_flits: 9,
+            last_move: 123,
+        };
+        net.escaped[id as usize] ^= true;
+        assert_eq!(snapshot(&net), before);
+    }
+
+    /// A packet still in its source queue costs its 17-byte record plus its
+    /// 4-byte queue id: deterministic bytes, so this pins the size without
+    /// timing anything.
+    #[test]
+    fn an_offered_packet_costs_its_record_and_its_queue_id() {
+        let mut net = Network::new(small_cfg()).unwrap();
+        net.offer(0, 3, 5);
+        let one = snapshot(&net);
+        net.offer(0, 4, 6);
+        let two = snapshot(&net);
+        assert_eq!(PacketInfo::OFFERED_LEN, 17);
+        assert_eq!(two.len() - one.len(), 17 + 4);
+    }
+
+    /// Restores `net`'s snapshot into a fresh network and returns the
+    /// decoder's complaint.
+    fn corrupt_reason(net: &Network) -> &'static str {
+        let snap = snapshot(net);
+        let mut fresh = Network::new(small_cfg()).unwrap();
+        match fresh.restore_state(&mut Dec::new(&snap)) {
+            Err(CheckpointError::Corrupt(why)) => why,
+            other => panic!("restored an out-of-range endpoint: {other:?}"),
+        }
+    }
+
+    /// A live packet or an undrained delivery whose source or destination
+    /// is not a node would index past the routing digits or the per-source
+    /// counts on the next step: the decoder refuses it, typed.
+    #[test]
+    fn restore_rejects_endpoints_outside_the_network() {
+        let net = hot_net();
+        let queued = (0..16)
+            .find(|&n| !net.source_q.is_empty(n))
+            .map(|n| net.source_q.front(n))
+            .expect("vacuous: no queued packet");
+        let moving = (0..net.vc_assign.len())
+            .find(|&r| !net.vc_bufs.is_empty(r))
+            .map(|r| net.vc_bufs.front_packet(r))
+            .expect("vacuous: no buffered flit");
+        for (id, src) in [(queued, false), (moving, true), (queued, true)] {
+            let mut net = hot_net();
+            let p = net.packets.get_mut(id);
+            *(if src { &mut p.src } else { &mut p.dst }) = 1_000_000;
+            assert_eq!(corrupt_reason(&net), "packet endpoint outside the network");
+        }
+        for src in [false, true] {
+            let mut net = hot_net();
+            let mut rec = net.drain_deliveries().next().expect("vacuous: no delivery");
+            *(if src { &mut rec.src } else { &mut rec.dst }) = 16;
+            net.deliveries.push(rec);
+            assert_eq!(
+                corrupt_reason(&net),
+                "delivery endpoint outside the network"
+            );
+        }
     }
 
     #[test]

@@ -25,9 +25,10 @@
 #   9. repo benchmark    (benchmark/run.sh --quick: all six workloads at a
 #                         tenth of their length, every verification on)
 #  10. same-host perf    (the baseline commit's benchmark against this
-#                         tree's in 5 alternating pairs of sat_tune and
-#                         light_tune; a median beyond its BENCHMARK.json
-#                         bound, a fail line or a failed op fails)
+#                         tree's in 5 alternating pairs of sat_tune,
+#                         light_tune and resume_storm; a median beyond its
+#                         BENCHMARK.json bound, a fail line or a failed op
+#                         fails)
 # Everything is hermetic — no network access is required (see README,
 # "Hermetic build"). Each step reports its wall time.
 set -eu
@@ -181,8 +182,9 @@ step "repo benchmark (--quick, verifications only)" bash benchmark/run.sh --quic
 # machine decides. Baseline: HEAD while the tree has uncommitted changes,
 # else HEAD~1, `git archive`d into target/bench-baseline/ and built by its
 # own run.sh into its own target dir; this side reuses the step above's
-# build. sat_tune and light_tune read steady to a few % at 0.5 s; 5 pairs
-# each, who goes first flipping every pair.
+# build. sat_tune and light_tune read steady to a few % at 0.5 s, and
+# resume_storm holds the checkpoint cadence (a round trip every 250 cycles);
+# 5 pairs each, who goes first flipping every pair.
 
 # Judges the runs <dir>/<base|change>.<workload>.<pair>: fails on a `fail`
 # line, a failed op, or a change median worse than the base's by more than
@@ -283,7 +285,7 @@ perf_gate() {
     for side in base change; do perf_run $side sat_tune >/dev/null; done
     runs=target/perf-gate
     rm -rf "$runs" && mkdir -p "$runs"
-    for w in sat_tune light_tune; do
+    for w in sat_tune light_tune resume_storm; do
         for pair in 1 2 3 4 5; do
             sides="base change" && [ $((pair % 2)) -eq 1 ] || sides="change base"
             for side in $sides; do
