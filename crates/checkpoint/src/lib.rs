@@ -61,7 +61,14 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 /// carrying its sticky escape bit, then its fields. Gone: every packet's
 /// length (always the configured one) and the separate escape-flag array.
 /// Undrained delivery records write node ids as `u32` and no length.
-pub const VERSION: u32 = 6;
+///
+/// v7: a side-band controller's frame carries the tuning period being
+/// folded (delivered flits, the previous period's, the census sum, the
+/// gathers and the gate-closed and total cycles) and the decision tallies
+/// (`decisions`, `raises`, `cuts`, `resets`) ahead of the watchdog
+/// counters; the laws no longer write either. BBR's filter samples are
+/// `u64`s.
+pub const VERSION: u32 = 7;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -723,7 +730,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&6u32.to_le_bytes());
+        want.extend_from_slice(&7u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);

@@ -1,6 +1,6 @@
-use crate::{ControllerCounters, Law, SidebandDriven};
+use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
-use sideband::{SidebandConfig, Snapshot};
+use sideband::SidebandConfig;
 
 /// Configuration of the AIMD injection-threshold controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,39 +59,6 @@ pub struct AimdLaw {
     total_buffers: f64,
     threshold: f64,
     add: f64,
-    snaps_in_period: u32,
-    period_tput: u64,
-    prev_period_tput: Option<u64>,
-    periods: u64,
-    raises: u64,
-    cuts: u64,
-}
-
-impl AimdLaw {
-    /// One AIMD decision (runs once per tuning period): additive raise when
-    /// throughput held up, multiplicative cut when it dropped.
-    fn tune(&mut self, cfg: &AimdConfig) {
-        let tput = self.period_tput;
-        self.periods += 1;
-        let congested = self
-            .prev_period_tput
-            .is_some_and(|prev| (tput as f64) < cfg.drop_fraction * prev as f64);
-        if congested {
-            self.threshold *= cfg.cut_factor;
-            self.cuts += 1;
-        } else {
-            self.threshold += self.add;
-            self.raises += 1;
-        }
-        self.threshold = self.threshold.clamp(self.add, self.total_buffers);
-        self.prev_period_tput = Some(tput);
-        self.reset_period();
-    }
-
-    fn reset_period(&mut self) {
-        self.period_tput = 0;
-        self.snaps_in_period = 0;
-    }
 }
 
 impl Law for AimdLaw {
@@ -106,6 +73,10 @@ impl Law for AimdLaw {
         cfg.watchdog_gathers
     }
 
+    fn period_gathers(cfg: &AimdConfig) -> u32 {
+        cfg.tune_gathers
+    }
+
     fn size(&mut self, cfg: &AimdConfig, total_buffers: f64) {
         self.total_buffers = total_buffers;
         self.threshold = cfg.initial_threshold_frac * total_buffers;
@@ -116,55 +87,30 @@ impl Law for AimdLaw {
         self.threshold
     }
 
-    fn on_snapshot(&mut self, cfg: &AimdConfig, snap: Snapshot) -> bool {
-        self.period_tput += u64::from(snap.delivered_flits);
-        self.snaps_in_period += 1;
-        let period_complete = self.snaps_in_period >= cfg.tune_gathers;
-        if period_complete {
-            self.tune(cfg);
-        }
-        period_complete
+    /// Additive raise when throughput held up, multiplicative cut when it
+    /// dropped.
+    fn on_period(&mut self, cfg: &AimdConfig, p: &Period) -> Option<Action> {
+        let action = if p.dropped(cfg.drop_fraction) {
+            self.threshold *= cfg.cut_factor;
+            Action::Cut
+        } else {
+            self.threshold += self.add;
+            Action::Raise
+        };
+        self.threshold = self.threshold.clamp(self.add, self.total_buffers);
+        Some(action)
     }
 
-    /// Period throughput is not comparable across an outage: the period
-    /// clock restarts on either side of it.
     fn on_trip(&mut self, last_good: f64) {
         self.threshold = last_good;
-        self.on_rearm();
-    }
-
-    fn on_rearm(&mut self) {
-        self.prev_period_tput = None;
-        self.reset_period();
-    }
-
-    fn tally(&self) -> ControllerCounters {
-        ControllerCounters {
-            decisions: self.periods,
-            raises: self.raises,
-            cuts: self.cuts,
-            ..ControllerCounters::default()
-        }
     }
 
     fn save(&self, enc: &mut Enc) {
         enc.f64(self.threshold);
-        enc.u32(self.snaps_in_period);
-        enc.u64(self.period_tput);
-        enc.opt_u64(self.prev_period_tput);
-        enc.u64(self.periods);
-        enc.u64(self.raises);
-        enc.u64(self.cuts);
     }
 
     fn restore(&mut self, _cfg: &AimdConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.threshold = dec.f64()?;
-        self.snaps_in_period = dec.u32()?;
-        self.period_tput = dec.u64()?;
-        self.prev_period_tput = dec.opt_u64()?;
-        self.periods = dec.u64()?;
-        self.raises = dec.u64()?;
-        self.cuts = dec.u64()?;
         Ok(())
     }
 }
@@ -183,6 +129,17 @@ mod tests {
         law
     }
 
+    /// A period delivering `delivered` flits after one that delivered
+    /// `prev`.
+    fn period(delivered: u64, prev: Option<u64>) -> Period {
+        Period {
+            delivered,
+            prev_delivered: prev,
+            gathers: 1,
+            ..Period::default()
+        }
+    }
+
     #[test]
     fn paper_constants() {
         let st = state(3072.0);
@@ -198,18 +155,16 @@ mod tests {
             let c = cfg();
             let mut st = state(3072.0);
             st.threshold = 1000.0;
-            st.prev_period_tput = Some(1000);
-            st.period_tput = tput;
-            st.tune(&c);
+            let action = st.on_period(&c, &period(tput, Some(1000)));
             if expects_cut {
                 assert_eq!(st.threshold, 500.0, "tput={tput}: multiplicative cut");
-                assert_eq!((st.cuts, st.raises), (1, 0));
+                assert_eq!(action, Some(Action::Cut));
             } else {
                 assert!(
                     (st.threshold - (1000.0 + st.add)).abs() < 1e-9,
                     "tput={tput}: additive raise"
                 );
-                assert_eq!((st.cuts, st.raises), (0, 1));
+                assert_eq!(action, Some(Action::Raise));
             }
         }
     }
@@ -221,11 +176,9 @@ mod tests {
         let c = cfg();
         let mut st = state(3072.0);
         st.threshold = 2048.0;
-        st.prev_period_tput = Some(1000);
-        st.period_tput = 0;
-        st.tune(&c);
+        st.on_period(&c, &period(0, Some(1000)));
         assert_eq!(st.threshold, 1024.0);
-        st.tune(&c); // 0 == 0.75·0: not a further drop → raise
+        st.on_period(&c, &period(0, Some(0))); // 0 == 0.75·0: not a further drop → raise
         assert!((st.threshold - (1024.0 + st.add)).abs() < 1e-9);
     }
 
@@ -235,11 +188,10 @@ mod tests {
     fn first_period_raises() {
         let c = cfg();
         let mut st = state(3072.0);
-        st.period_tput = 0;
         let before = st.threshold;
-        st.tune(&c);
+        let action = st.on_period(&c, &period(0, None));
         assert!((st.threshold - before - st.add).abs() < 1e-9);
-        assert_eq!(st.raises, 1);
+        assert_eq!(action, Some(Action::Raise));
     }
 
     #[test]
@@ -247,14 +199,10 @@ mod tests {
         let c = cfg();
         let mut st = state(3072.0);
         st.threshold = st.add; // at the floor
-        st.prev_period_tput = Some(1000);
-        st.period_tput = 0;
-        st.tune(&c);
+        st.on_period(&c, &period(0, Some(1000)));
         assert_eq!(st.threshold, st.add, "floor holds under repeated cuts");
         st.threshold = 3072.0;
-        st.prev_period_tput = Some(1);
-        st.period_tput = 1;
-        st.tune(&c);
+        st.on_period(&c, &period(1, Some(1)));
         assert_eq!(st.threshold, 3072.0, "ceiling holds under repeated raises");
     }
 }

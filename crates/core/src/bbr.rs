@@ -1,6 +1,6 @@
-use crate::{ControllerCounters, Law, SidebandDriven};
+use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
-use sideband::{SidebandConfig, Snapshot};
+use sideband::SidebandConfig;
 
 /// Configuration of the BBR-flavored delivery-rate controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,13 +58,20 @@ impl BbrConfig {
 /// ```
 #[must_use]
 pub fn bbr_phase_gain(seq: u64, cfg: &BbrConfig) -> f64 {
-    if cfg.cycle_gathers == 0 {
-        return 1.0;
-    }
-    match seq % u64::from(cfg.cycle_gathers) {
-        0 => cfg.probe_gain,
-        1 => cfg.drain_gain,
+    match bbr_phase(seq, cfg) {
+        Action::Raise => cfg.probe_gain,
+        Action::Cut => cfg.drain_gain,
         _ => 1.0,
+    }
+}
+
+/// Sample `seq`'s phase as the action it takes: a probe raises, a drain
+/// cuts, cruising (and a zero-length cycle) holds.
+fn bbr_phase(seq: u64, cfg: &BbrConfig) -> Action {
+    match seq.checked_rem(u64::from(cfg.cycle_gathers)) {
+        Some(0) => Action::Raise,
+        Some(1) => Action::Cut,
+        _ => Action::Hold,
     }
 }
 
@@ -74,10 +81,10 @@ struct RateSample {
     /// Sample sequence number (snapshots observed before it).
     seq: u64,
     /// Flits delivered network-wide in the sample's gather window.
-    rate: u32,
+    rate: u64,
     /// Full-buffer census at the sample's snapshot — the operating point
     /// that produced this rate.
-    census: u32,
+    census: u64,
 }
 
 /// **BBR-flavored** delivery-rate control (Cardwell et al., "BBR:
@@ -104,14 +111,12 @@ pub struct BbrLaw {
     /// Windowed-max filter: samples in rate-decreasing order, front = max.
     filter: Vec<RateSample>,
     threshold: f64,
-    probes: u64,
-    drains: u64,
 }
 
 impl BbrLaw {
     /// Folds one delivery-rate sample into the max filter and recomputes
     /// the threshold from the filtered operating point and the phase gain.
-    fn sample(&mut self, cfg: &BbrConfig, rate: u32, census: u32) {
+    fn sample(&mut self, cfg: &BbrConfig, rate: u64, census: u64) -> Action {
         let seq = self.seq;
         self.seq += 1;
         // Expire samples older than the filter window, then maintain the
@@ -124,18 +129,11 @@ impl BbrLaw {
         }
         self.filter.push(RateSample { seq, rate, census });
 
-        let gain = bbr_phase_gain(seq, cfg);
-        if cfg.cycle_gathers > 0 {
-            match seq % u64::from(cfg.cycle_gathers) {
-                0 => self.probes += 1,
-                1 => self.drains += 1,
-                _ => {}
-            }
-        }
-        let operating_point = f64::from(self.filter[0].census);
-        self.threshold = (gain * operating_point)
+        let operating_point = self.filter[0].census as f64;
+        self.threshold = (bbr_phase_gain(seq, cfg) * operating_point)
             .max(self.floor)
             .min(self.total_buffers);
+        bbr_phase(seq, cfg)
     }
 }
 
@@ -163,28 +161,15 @@ impl Law for BbrLaw {
 
     /// Every snapshot is one rate sample, and every sample re-derives the
     /// threshold.
-    fn on_snapshot(&mut self, cfg: &BbrConfig, snap: Snapshot) -> bool {
-        self.sample(cfg, snap.delivered_flits, snap.full_buffers);
-        true
+    fn on_period(&mut self, cfg: &BbrConfig, p: &Period) -> Option<Action> {
+        Some(self.sample(cfg, p.delivered, p.census_sum))
     }
 
+    /// Rate samples spanning the outage are garbage: restore the threshold
+    /// and empty the filter, which nothing reads before the re-arm.
     fn on_trip(&mut self, last_good: f64) {
         self.threshold = last_good;
-    }
-
-    /// Rate samples spanning the outage are garbage: re-arm with an empty
-    /// filter at the restored threshold.
-    fn on_rearm(&mut self) {
         self.filter.clear();
-    }
-
-    fn tally(&self) -> ControllerCounters {
-        ControllerCounters {
-            decisions: self.seq,
-            raises: self.probes,
-            cuts: self.drains,
-            ..ControllerCounters::default()
-        }
     }
 
     fn save(&self, enc: &mut Enc) {
@@ -192,12 +177,10 @@ impl Law for BbrLaw {
         enc.u32(self.filter.len() as u32);
         for s in &self.filter {
             enc.u64(s.seq);
-            enc.u32(s.rate);
-            enc.u32(s.census);
+            enc.u64(s.rate);
+            enc.u64(s.census);
         }
         enc.f64(self.threshold);
-        enc.u64(self.probes);
-        enc.u64(self.drains);
     }
 
     fn restore(&mut self, cfg: &BbrConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
@@ -210,13 +193,11 @@ impl Law for BbrLaw {
         for _ in 0..len {
             self.filter.push(RateSample {
                 seq: dec.u64()?,
-                rate: dec.u32()?,
-                census: dec.u32()?,
+                rate: dec.u64()?,
+                census: dec.u64()?,
             });
         }
         self.threshold = dec.f64()?;
-        self.probes = dec.u64()?;
-        self.drains = dec.u64()?;
         Ok(())
     }
 }
@@ -297,14 +278,15 @@ mod tests {
     fn gains_scale_the_operating_point() {
         let c = cfg();
         let mut st = state(&c);
-        st.sample(&c, 100, 800); // seq 0: probe
+        let probe = st.sample(&c, 100, 800); // seq 0: probe
         assert_eq!(st.threshold, 800.0 * c.probe_gain);
-        assert_eq!(st.probes, 1);
-        st.sample(&c, 100, 800); // seq 1: drain (tie, newer)
+        assert_eq!(probe, Action::Raise);
+        let drain = st.sample(&c, 100, 800); // seq 1: drain (tie, newer)
         assert_eq!(st.threshold, 800.0 * c.drain_gain);
-        assert_eq!(st.drains, 1);
-        st.sample(&c, 100, 800); // seq 2: cruise
+        assert_eq!(drain, Action::Cut);
+        let cruise = st.sample(&c, 100, 800); // seq 2: cruise
         assert_eq!(st.threshold, 800.0);
+        assert_eq!(cruise, Action::Hold);
     }
 
     #[test]

@@ -5,19 +5,22 @@ use wormsim::{CongestionControl, NoControl};
 /// Typed event counters every controller reports (all zero where a hook
 /// does not apply — e.g. `Base` never tunes and `Alo` has no watchdog).
 ///
-/// The names map onto each controller's decision vocabulary: the
-/// self-tuner's Table 1 increments/decrements, AIMD's additive raises and
-/// multiplicative cuts, DEC-bit's clear/congested window verdicts and
-/// BBR's probe/drain phase entries all land in `raises`/`cuts`, so
-/// experiments can report decision activity uniformly across the zoo.
+/// For a side-band controller the scaffold ([`crate::SidebandDriven`])
+/// keeps them, tallying each [`crate::Action`] its law returns, so every
+/// law's verdicts land in the same fields: the self-tuner's Table 1
+/// increments and decrements, AIMD's additive raises and multiplicative
+/// cuts, DEC-bit's clear and congested window verdicts and BBR's probe and
+/// drain samples are `raises` and `cuts`; a cruising BBR sample or Table
+/// 1's "no change" is a decision in neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerCounters {
-    /// Decision periods evaluated (tuning periods, filter windows, or
-    /// gather-rate samples, per the controller's clock).
+    /// Decisions taken: tuning periods (`tune`, `aimd`) or gather samples
+    /// (`decbit`, `bbr`); never for a fixed threshold.
     pub decisions: u64,
     /// Decisions that raised the threshold / relaxed the gate.
     pub raises: u64,
-    /// Decisions that cut the threshold / tightened the gate.
+    /// Decisions that cut the threshold / tightened the gate, a reset's
+    /// Table 1 decrement included.
     pub cuts: u64,
     /// Local-maximum-avoidance resets (self-tuned only).
     pub resets: u64,

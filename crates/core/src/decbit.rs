@@ -1,6 +1,6 @@
-use crate::{ControllerCounters, Law, SidebandDriven};
+use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
-use sideband::{Sideband, SidebandConfig, Snapshot};
+use sideband::{Sideband, SidebandConfig};
 use wormsim::Network;
 
 /// Configuration of the DEC-bit-style controller.
@@ -63,9 +63,6 @@ pub struct DecBitLaw {
     /// The filter's verdict on the current window: the gate. Moves only
     /// when the window does (a new snapshot, or a trip emptying it).
     congested: bool,
-    snapshots: u64,
-    congested_verdicts: u64,
-    clear_verdicts: u64,
 }
 
 impl DecBitLaw {
@@ -106,23 +103,25 @@ impl Law for DecBitLaw {
         cfg.congested_fraction * f64::from(cfg.node_count())
     }
 
-    /// Slides the window and takes a verdict. The threshold is fixed, so
-    /// there is never a new one for the scaffold to remember.
-    fn on_snapshot(&mut self, cfg: &DecBitConfig, snap: Snapshot) -> bool {
-        self.window.push(snap.full_buffers);
+    /// Slides the window over the period's one snapshot and takes a
+    /// verdict: a cut when congested, a raise when clear. The threshold is
+    /// fixed, so the last-known-good one never moves.
+    fn on_period(&mut self, cfg: &DecBitConfig, p: &Period) -> Option<Action> {
+        // One gather per period: the sum is one snapshot's `u32` census. A
+        // larger sum (only a tampered checkpoint holds one) saturates.
+        let census = u32::try_from(p.census_sum).unwrap_or(u32::MAX);
+        self.window.push(census);
         let max = cfg.window_gathers.max(1) as usize;
         if self.window.len() > max {
             self.window.drain(..self.window.len() - max);
         }
-        self.snapshots += 1;
         let nodes = f64::from(cfg.node_count());
         self.congested = Self::window_congested(&self.window, cfg.congested_fraction, nodes);
-        if self.congested {
-            self.congested_verdicts += 1;
+        Some(if self.congested {
+            Action::Cut
         } else {
-            self.clear_verdicts += 1;
-        }
-        false
+            Action::Raise
+        })
     }
 
     /// Feedback bits stopped arriving: the window is fiction. Discard it;
@@ -137,23 +136,11 @@ impl Law for DecBitLaw {
         self.congested
     }
 
-    fn tally(&self) -> ControllerCounters {
-        ControllerCounters {
-            decisions: self.snapshots,
-            raises: self.clear_verdicts,
-            cuts: self.congested_verdicts,
-            ..ControllerCounters::default()
-        }
-    }
-
     fn save(&self, enc: &mut Enc) {
         enc.u32(self.window.len() as u32);
         for &c in &self.window {
             enc.u32(c);
         }
-        enc.u64(self.snapshots);
-        enc.u64(self.congested_verdicts);
-        enc.u64(self.clear_verdicts);
     }
 
     /// The verdict is a function of the window, so it is re-taken.
@@ -165,9 +152,6 @@ impl Law for DecBitLaw {
         self.window = (0..len).map(|_| dec.u32()).collect::<Result<_, _>>()?;
         let nodes = f64::from(cfg.node_count());
         self.congested = Self::window_congested(&self.window, cfg.congested_fraction, nodes);
-        self.snapshots = dec.u64()?;
-        self.congested_verdicts = dec.u64()?;
-        self.clear_verdicts = dec.u64()?;
         Ok(())
     }
 }

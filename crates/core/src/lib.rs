@@ -71,14 +71,14 @@ pub use alo::AloControl;
 pub use bbr::{bbr_phase_gain, BbrConfig, BbrControl, BbrLaw};
 pub use controller::{Controller, ControllerCounters};
 pub use decbit::{DecBitConfig, DecBitControl, DecBitLaw};
-pub use scaffold::{Law, SidebandDriven};
+pub use scaffold::{Action, Law, Period, SidebandDriven};
 pub use scheme::{Control, Scheme};
 pub use sim::{
     BudgetKind, FaultReport, LivelockDiag, Observer, RunGuard, SimConfig, SimError, Simulation,
     SummaryError, DEFAULT_LIVELOCK_WINDOW,
 };
 pub use statik::{StaticConfig, StaticLaw, StaticThreshold};
-pub use tuned::{decide, SelfTuned, TuneAction, TuneConfig, TuneLaw};
+pub use tuned::{decide, SelfTuned, TuneConfig, TuneLaw};
 // The audit layer's types, so `SimError::Audit` and `Simulation::audit`
 // are usable without importing `wormsim` directly.
 pub use wormsim::{AuditKind, AuditReport, AuditViolation, PhaseStats};

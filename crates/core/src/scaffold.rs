@@ -1,15 +1,74 @@
 use crate::{Controller, ControllerCounters};
 use checkpoint::{CheckpointError, Dec, Enc};
 use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig, Snapshot};
+use sideband::{Sideband, SidebandConfig};
 use wormsim::{CongestionControl, Network};
+
+/// What a law did with one period. The scaffold tallies it into the
+/// [`ControllerCounters`]; Table 1 ([`crate::decide`]) speaks the first
+/// three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Raised the threshold, or relaxed the gate.
+    Raise,
+    /// Cut the threshold, or tightened the gate.
+    Cut,
+    /// Left the threshold where it was.
+    Hold,
+    /// Restored the conditions of the best period seen (local-maximum
+    /// avoidance, §4.2).
+    Reset {
+        /// The reset also took Table 1's "drop in bandwidth" cut.
+        cut: bool,
+    },
+}
+
+/// One tuning period, folded by the scaffold from [`Law::period_gathers`]
+/// consecutive snapshots: what a law decides on. The counts are integers,
+/// so Table 1's `2·closed ≥ cycles` is exact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Period {
+    /// Flits delivered network-wide over the period's gather windows.
+    pub delivered: u64,
+    /// The previous period's `delivered`: `None` on the first period and on
+    /// the first after a watchdog trip or re-arm, since throughput is not
+    /// comparable across an outage.
+    pub prev_delivered: Option<u64>,
+    /// Sum of the period's snapshot censuses.
+    pub census_sum: u64,
+    /// Snapshots folded into the period.
+    pub gathers: u32,
+    /// Of `cycles`, those with the gate closed. A cycle counts once its
+    /// gate is set, so the cycle a period's last snapshot arrives on counts
+    /// toward the next period.
+    pub closed_cycles: u64,
+    /// Cycles the period spanned.
+    pub cycles: u64,
+}
+
+impl Period {
+    /// Whether delivery fell strictly below `fraction` of the previous
+    /// period's (never on a first period).
+    #[must_use]
+    pub fn dropped(&self, fraction: f64) -> bool {
+        self.prev_delivered
+            .is_some_and(|prev| (self.delivered as f64) < fraction * prev as f64)
+    }
+
+    /// Table 1's "currently throttling?": the gate was closed for at least
+    /// half the period's cycles (calibration decision 4).
+    #[must_use]
+    pub fn throttling(&self) -> bool {
+        self.cycles > 0 && 2 * self.closed_cycles >= self.cycles
+    }
+}
 
 /// A control law: everything that distinguishes one side-band-driven
 /// controller from another. The scaffold ([`SidebandDriven`]) owns the
-/// configuration, the gather, the snapshot dedup, the injection gate, the
-/// staleness watchdog and the checkpoint frame; a law is its state (at
-/// rest in [`Default`]), what it does with each snapshot, and what it
-/// forgets around an outage.
+/// configuration, the gather, the snapshot dedup, the tuning period, the
+/// decision tallies, the injection gate, the staleness watchdog and the
+/// checkpoint frame; a law is its state (at rest in [`Default`]) and a map
+/// from a [`Period`] to an [`Action`].
 pub trait Law: Default {
     /// The law's configuration (what a [`crate::Scheme`] variant carries).
     type Config;
@@ -25,6 +84,12 @@ pub trait Law: Default {
     fn watchdog_gathers(cfg: &Self::Config) -> u32 {
         let _ = cfg;
         0
+    }
+
+    /// Snapshots per period (default 1: the law sees every gather).
+    fn period_gathers(cfg: &Self::Config) -> u32 {
+        let _ = cfg;
+        1
     }
 
     /// Sizes buffer-count-dependent state on a default law: on the first
@@ -44,37 +109,26 @@ pub trait Law: Default {
     /// The injection-gate threshold, in census units.
     fn threshold(&self, cfg: &Self::Config) -> f64;
 
-    /// Folds one newly visible snapshot (each is offered exactly once).
-    /// Returns whether the law settled its threshold on it — the scaffold
-    /// then records that threshold as last-known-good, provided receivers
-    /// rejected nothing since the previous settled threshold.
-    fn on_snapshot(&mut self, cfg: &Self::Config, snap: Snapshot) -> bool;
+    /// Decides on one completed period. `Some` is a decision: the scaffold
+    /// tallies it and records the threshold it leaves as last-known-good,
+    /// provided receivers rejected nothing since the previous decision.
+    /// Default: a law that never decides.
+    fn on_period(&mut self, cfg: &Self::Config, period: &Period) -> Option<Action> {
+        let _ = (cfg, period);
+        None
+    }
 
     /// The watchdog tripped: fall back to `last_good` and forget whatever
-    /// the outage makes incomparable. Default: nothing to restore or forget.
+    /// the outage makes incomparable (nothing reads the law again before
+    /// the re-arm). Default: nothing to restore or forget.
     fn on_trip(&mut self, last_good: f64) {
         let _ = last_good;
     }
-
-    /// The first accepted aggregate after a trip re-armed the watchdog
-    /// (called before that snapshot is folded). Default: nothing to forget.
-    fn on_rearm(&mut self) {}
 
     /// Whether to block injection this cycle; not consulted while the
     /// watchdog holds the controller frozen (a frozen gate is open).
     fn gate(&self, cfg: &Self::Config, sideband: &Sideband, now: u64) -> bool {
         sideband.estimate(now) > self.threshold(cfg)
-    }
-
-    /// Told the gate's final state every cycle, frozen ones included.
-    fn note_gate(&mut self, closed: bool) {
-        let _ = closed;
-    }
-
-    /// The law's `decisions`/`raises`/`cuts`/`resets`; the scaffold fills
-    /// in the watchdog counters. Default: a law that never decides.
-    fn tally(&self) -> ControllerCounters {
-        ControllerCounters::default()
     }
 
     /// Serializes the law's ground truth: its state minus what
@@ -113,11 +167,27 @@ struct Frame {
     frozen: bool,
     /// Side-band rejection count already accounted for.
     rejected_seen: u64,
-    watchdog_trips: u64,
-    watchdog_rearms: u64,
+    /// The period being folded.
+    period: Period,
+    /// Decision tallies and watchdog counters.
+    counters: ControllerCounters,
 }
 
 impl Frame {
+    fn tally(&mut self, action: Action) {
+        let c = &mut self.counters;
+        c.decisions += 1;
+        match action {
+            Action::Raise => c.raises += 1,
+            Action::Cut => c.cuts += 1,
+            Action::Hold => {}
+            Action::Reset { cut } => {
+                c.resets += 1;
+                c.cuts += u64::from(cut);
+            }
+        }
+    }
+
     fn save(&self, enc: &mut Enc) {
         enc.bool(self.sized_with.is_some());
         enc.u32(self.sized_with.unwrap_or(0));
@@ -125,8 +195,19 @@ impl Frame {
         enc.f64(self.last_good);
         enc.bool(self.frozen);
         enc.u64(self.rejected_seen);
-        enc.u64(self.watchdog_trips);
-        enc.u64(self.watchdog_rearms);
+        let (p, c) = (&self.period, &self.counters);
+        enc.u64(p.delivered);
+        enc.opt_u64(p.prev_delivered);
+        enc.u64(p.census_sum);
+        enc.u32(p.gathers);
+        enc.u64(p.closed_cycles);
+        enc.u64(p.cycles);
+        enc.u64(c.decisions);
+        enc.u64(c.raises);
+        enc.u64(c.cuts);
+        enc.u64(c.resets);
+        enc.u64(c.watchdog_trips);
+        enc.u64(c.watchdog_rearms);
     }
 
     fn restore(dec: &mut Dec<'_>) -> Result<Self, CheckpointError> {
@@ -138,8 +219,22 @@ impl Frame {
             last_good: dec.f64()?,
             frozen: dec.bool()?,
             rejected_seen: dec.u64()?,
-            watchdog_trips: dec.u64()?,
-            watchdog_rearms: dec.u64()?,
+            period: Period {
+                delivered: dec.u64()?,
+                prev_delivered: dec.opt_u64()?,
+                census_sum: dec.u64()?,
+                gathers: dec.u32()?,
+                closed_cycles: dec.u64()?,
+                cycles: dec.u64()?,
+            },
+            counters: ControllerCounters {
+                decisions: dec.u64()?,
+                raises: dec.u64()?,
+                cuts: dec.u64()?,
+                resets: dec.u64()?,
+                watchdog_trips: dec.u64()?,
+                watchdog_rearms: dec.u64()?,
+            },
         })
     }
 }
@@ -150,11 +245,13 @@ impl Frame {
 /// (side-band-delayed) view and gate, so one instance controls the whole
 /// network, exactly as the paper's replicated per-node state would.
 ///
-/// Each cycle the scaffold ticks the [`Sideband`], offers a newly visible
-/// snapshot to the law exactly once, runs the staleness watchdog — after
-/// [`Law::watchdog_gathers`] consecutive missed gathers the estimate is
-/// fiction, so it freezes the law, restores the last-known-good threshold
-/// and fails *open* until a valid aggregate re-arms it — and sets the gate.
+/// Each cycle the scaffold ticks the [`Sideband`] and folds a newly visible
+/// snapshot into the period exactly once, handing the law each completed
+/// [`Period`] and tallying its [`Action`]; it runs the staleness watchdog —
+/// after [`Law::watchdog_gathers`] consecutive missed gathers the estimate
+/// is fiction, so it freezes the law, restores the last-known-good
+/// threshold and fails *open* until a valid aggregate re-arms it — then
+/// sets the gate and counts it toward the period.
 #[derive(Debug, Clone)]
 pub struct SidebandDriven<L: Law> {
     cfg: L::Config,
@@ -223,21 +320,30 @@ impl<L: Law> Controller for SidebandDriven<L> {
             if seen != Some(snap.taken_at) {
                 if f.frozen {
                     // A valid aggregate ends the outage: the law restarts
-                    // from the restored threshold.
+                    // from the restored threshold, on a fresh period.
                     f.frozen = false;
-                    f.watchdog_rearms += 1;
+                    f.counters.watchdog_rearms += 1;
                     f.rejected_seen = self.sideband.stats().rejected();
-                    law.on_rearm();
+                    f.period = Period::default();
                 }
-                if law.on_snapshot(cfg, snap) {
-                    // A decision during which receivers rejected nothing is
-                    // trustworthy: remember where it left the threshold as
-                    // the watchdog's fallback point.
-                    let rejected = self.sideband.stats().rejected();
-                    if rejected == f.rejected_seen {
-                        f.last_good = law.threshold(cfg);
+                let p = &mut f.period;
+                p.delivered += u64::from(snap.delivered_flits);
+                p.census_sum += u64::from(snap.full_buffers);
+                p.gathers += 1;
+                if p.gathers >= L::period_gathers(cfg) {
+                    let done = std::mem::take(p);
+                    p.prev_delivered = Some(done.delivered);
+                    if let Some(action) = law.on_period(cfg, &done) {
+                        f.tally(action);
+                        // A decision during which receivers rejected
+                        // nothing is trustworthy: remember where it left
+                        // the threshold as the watchdog's fallback point.
+                        let rejected = self.sideband.stats().rejected();
+                        if rejected == f.rejected_seen {
+                            f.last_good = law.threshold(cfg);
+                        }
+                        f.rejected_seen = rejected;
                     }
-                    f.rejected_seen = rejected;
                 }
             }
         }
@@ -249,12 +355,14 @@ impl<L: Law> Controller for SidebandDriven<L> {
         let horizon = L::watchdog_gathers(cfg);
         if !f.frozen && horizon > 0 && self.sideband.gathers_overdue(now) >= u64::from(horizon) {
             f.frozen = true;
-            f.watchdog_trips += 1;
+            f.counters.watchdog_trips += 1;
+            f.period = Period::default();
             law.on_trip(f.last_good);
         }
 
         f.throttling_now = !f.frozen && law.gate(cfg, &self.sideband, now);
-        law.note_gate(f.throttling_now);
+        f.period.cycles += 1;
+        f.period.closed_cycles += u64::from(f.throttling_now);
     }
 
     fn throttling(&self) -> bool {
@@ -279,11 +387,7 @@ impl<L: Law> Controller for SidebandDriven<L> {
     }
 
     fn counters(&self) -> ControllerCounters {
-        ControllerCounters {
-            watchdog_trips: self.frame.watchdog_trips,
-            watchdog_rearms: self.frame.watchdog_rearms,
-            ..self.law.tally()
-        }
+        self.frame.counters
     }
 
     /// The side-band, the frame, then — once sized — the law.
@@ -313,6 +417,7 @@ impl<L: Law> Controller for SidebandDriven<L> {
 pub(crate) mod tests {
     use super::*;
     use faults::SidebandFaults;
+    use sideband::Snapshot;
     use wormsim::{DeadlockMode, NetConfig};
 
     /// The side-band of the 64-node `NetConfig::small` networks.
@@ -342,16 +447,18 @@ pub(crate) mod tests {
     struct StubConfig {
         sideband: SidebandConfig,
         watchdog_gathers: u32,
+        period_gathers: u32,
+        /// Also shut the gate on every cycle a snapshot arrives on.
+        shut_on_arrival: bool,
     }
 
-    /// The smallest law with a watchdog: every snapshot is a decision that
-    /// moves the threshold to `100 + decisions`, and the hooks count calls.
+    /// The smallest law with a watchdog: every period is a decision that
+    /// raises the threshold to `100 + decisions` and is kept for inspection.
     #[derive(Default)]
     struct Stub {
         threshold: f64,
-        decisions: u64,
+        periods: Vec<Period>,
         trips: u64,
-        rearms: u64,
     }
 
     impl Law for Stub {
@@ -364,20 +471,29 @@ pub(crate) mod tests {
         fn watchdog_gathers(cfg: &StubConfig) -> u32 {
             cfg.watchdog_gathers
         }
+        fn period_gathers(cfg: &StubConfig) -> u32 {
+            cfg.period_gathers
+        }
+        fn size(&mut self, _cfg: &StubConfig, _total_buffers: f64) {
+            self.threshold = 100.0;
+        }
         fn threshold(&self, _cfg: &StubConfig) -> f64 {
             self.threshold
         }
-        fn on_snapshot(&mut self, _cfg: &StubConfig, _snap: Snapshot) -> bool {
-            self.decisions += 1;
-            self.threshold = 100.0 + self.decisions as f64;
-            true
+        fn on_period(&mut self, _cfg: &StubConfig, period: &Period) -> Option<Action> {
+            self.periods.push(*period);
+            self.threshold = 100.0 + self.periods.len() as f64;
+            Some(Action::Raise)
         }
         fn on_trip(&mut self, last_good: f64) {
             self.trips += 1;
             self.threshold = last_good;
         }
-        fn on_rearm(&mut self) {
-            self.rearms += 1;
+        /// Shut while the estimate exceeds the threshold, and — if so
+        /// configured — on the cycle a snapshot arrives.
+        fn gate(&self, cfg: &StubConfig, sideband: &Sideband, now: u64) -> bool {
+            (cfg.shut_on_arrival && sideband.latest().is_some_and(|s| s.available_at == now))
+                || sideband.estimate(now) > self.threshold
         }
     }
 
@@ -399,6 +515,8 @@ pub(crate) mod tests {
             let mut ctl = SidebandDriven::<Stub>::new(StubConfig {
                 sideband: small_sideband(),
                 watchdog_gathers: horizon,
+                period_gathers: 1,
+                shut_on_arrival: false,
             });
             assert_eq!(ctl.sideband.gather_period(), P);
             let mut now = 0;
@@ -422,7 +540,7 @@ pub(crate) mod tests {
             let trip_at = (10 + w.max(2)) * P;
             step(&mut ctl, trip_at);
             assert_eq!(ctl.sideband.stats().rejected(), 1, "h={horizon}");
-            assert_eq!((ctl.law.decisions, ctl.law.threshold), (8, 108.0));
+            assert_eq!((ctl.law.periods.len(), ctl.law.threshold), (8, 108.0));
             assert!(!ctl.watchdog_active(), "h={horizon}: tripped early");
             assert!(ctl.throttling(), "h={horizon}: armed gate is shut");
             assert_eq!(ctl.counters().watchdog_trips, 0);
@@ -455,12 +573,133 @@ pub(crate) mod tests {
                 "h={horizon}: first aggregate re-arms"
             );
             assert!(ctl.throttling(), "h={horizon}: gate shuts again");
-            assert_eq!(ctl.law.decisions, 9);
+            assert_eq!(ctl.law.periods.len(), 9);
+            let after = ctl.law.periods[8].prev_delivered;
+            assert_eq!(
+                after.is_none(),
+                horizon > 0,
+                "h={horizon}: the outage forgets"
+            );
             step(&mut ctl, silence_ends + 10 * P);
             let c = ctl.counters();
             assert_eq!((c.watchdog_trips, c.watchdog_rearms), (tripped, tripped));
-            assert_eq!(ctl.law.rearms, tripped, "re-arm hook runs exactly once");
+            assert_eq!(c.decisions, ctl.law.periods.len() as u64);
+            assert!(ctl.law.periods[0].prev_delivered.is_none());
             assert!(!ctl.watchdog_active());
+        }
+    }
+
+    /// Steps `ctl` to `upto` on a small census and a rising delivery count,
+    /// recording each snapshot offered to the scaffold with the cycle it
+    /// arrived on.
+    fn run(
+        ctl: &mut SidebandDriven<Stub>,
+        now: &mut u64,
+        upto: u64,
+        seen: &mut Vec<(u64, Snapshot)>,
+    ) {
+        while *now < upto {
+            let before = ctl.sideband.latest().map(|s| s.taken_at);
+            ctl.observe_census(*now, (*now % 7) as u32, 2 * *now + *now / 3);
+            if let Some(s) = ctl.sideband.latest().filter(|s| before != Some(s.taken_at)) {
+                seen.push((*now, s));
+            }
+            *now += 1;
+        }
+    }
+
+    /// The period contract, over a three-gather period: a period's sums
+    /// are its three snapshots'; `prev_delivered` is `None` on the first
+    /// period and on the first after a trip and re-arm; and the gate of the
+    /// cycle a snapshot arrives on (the stub shuts it exactly then) counts
+    /// toward the next period.
+    #[test]
+    fn period_contract() {
+        const P: u64 = 16;
+        let mut ctl = SidebandDriven::<Stub>::new(StubConfig {
+            sideband: small_sideband(),
+            watchdog_gathers: 2,
+            period_gathers: 3,
+            shut_on_arrival: true,
+        });
+        let (mut now, mut seen) = (0, Vec::new());
+        run(&mut ctl, &mut now, 20 * P, &mut seen);
+        ctl.set_faults(FaultPlan::sideband_only(
+            1,
+            SidebandFaults {
+                loss_rate: 1.0,
+                ..SidebandFaults::none()
+            },
+        ));
+        run(&mut ctl, &mut now, 30 * P, &mut seen);
+        assert!(ctl.watchdog_active());
+        let (decided, before_rearm) = (ctl.law.periods.len(), seen.len());
+        ctl.set_faults(FaultPlan::none(0));
+        run(&mut ctl, &mut now, 45 * P, &mut seen);
+        assert!(!ctl.watchdog_active());
+
+        // The periods before the outage start at snapshot 0, the ones
+        // after it at the re-arming snapshot; a partial period is dropped.
+        let starts = (0..decided)
+            .map(|i| 3 * i)
+            .chain((decided..ctl.law.periods.len()).map(|i| before_rearm + 3 * (i - decided)));
+        let mut last_end = 0;
+        for (i, (p, first)) in ctl.law.periods.iter().zip(starts).enumerate() {
+            let window = &seen[first..first + 3];
+            let delivered: u64 = window
+                .iter()
+                .map(|(_, s)| u64::from(s.delivered_flits))
+                .sum();
+            let census: u64 = window.iter().map(|(_, s)| u64::from(s.full_buffers)).sum();
+            assert_eq!(
+                (p.delivered, p.census_sum, p.gathers),
+                (delivered, census, 3),
+                "#{i}"
+            );
+            let fresh = i == 0 || i == decided;
+            let prev = (!fresh).then(|| ctl.law.periods[i - 1].delivered);
+            assert_eq!(p.prev_delivered, prev, "#{i}");
+            // The period spans the cycles from its predecessor's last
+            // arrival (or the re-arm, or cycle 0) up to its own last one.
+            let start = if i == 0 {
+                0
+            } else if fresh {
+                seen[first].0
+            } else {
+                last_end
+            };
+            last_end = window[2].0;
+            assert_eq!(p.cycles, last_end - start, "#{i}");
+            // The gate shuts on arrival cycles only: a period counts its
+            // first two arrivals, plus its predecessor's last one unless it
+            // is fresh — never its own last.
+            let arrivals_counted = if fresh { 2 } else { 3 };
+            assert_eq!(p.closed_cycles, arrivals_counted, "#{i}");
+        }
+        assert!(decided >= 4 && ctl.law.periods.len() >= decided + 2);
+        assert_eq!(ctl.counters().decisions, ctl.law.periods.len() as u64);
+    }
+
+    /// Each action bumps exactly its tallies.
+    #[test]
+    fn each_action_bumps_its_tallies() {
+        for (action, [decisions, raises, cuts, resets]) in [
+            (Action::Raise, [1, 1, 0, 0]),
+            (Action::Cut, [1, 0, 1, 0]),
+            (Action::Hold, [1, 0, 0, 0]),
+            (Action::Reset { cut: false }, [1, 0, 0, 1]),
+            (Action::Reset { cut: true }, [1, 0, 1, 1]),
+        ] {
+            let mut f = Frame::default();
+            f.tally(action);
+            let want = ControllerCounters {
+                decisions,
+                raises,
+                cuts,
+                resets,
+                ..ControllerCounters::default()
+            };
+            assert_eq!(f.counters, want, "{action:?}");
         }
     }
 }

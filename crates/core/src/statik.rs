@@ -1,5 +1,5 @@
 use crate::{Law, SidebandDriven};
-use sideband::{SidebandConfig, Snapshot};
+use sideband::SidebandConfig;
 
 /// Configuration of the fixed-threshold throttle.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,10 +36,6 @@ impl Law for StaticLaw {
 
     fn threshold(&self, cfg: &StaticConfig) -> f64 {
         f64::from(cfg.threshold)
-    }
-
-    fn on_snapshot(&mut self, _cfg: &StaticConfig, _snap: Snapshot) -> bool {
-        false
     }
 }
 

@@ -1,19 +1,10 @@
-use crate::{ControllerCounters, Law, SidebandDriven};
+use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
-use sideband::{SidebandConfig, Snapshot};
+use sideband::SidebandConfig;
 
-/// The action the tuning decision table prescribes for one tuning period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuneAction {
-    /// Lower the threshold by the decrement step.
-    Decrement,
-    /// Raise the threshold by the increment step.
-    Increment,
-    /// Leave the threshold unchanged.
-    NoChange,
-}
-
-/// The paper's tuning decision table (Table 1).
+/// The paper's tuning decision table (Table 1): decrement is
+/// [`Action::Cut`], increment [`Action::Raise`], no change
+/// [`Action::Hold`].
 ///
 /// | drop in BW? | throttling? | action    |
 /// |-------------|-------------|-----------|
@@ -23,18 +14,18 @@ pub enum TuneAction {
 /// | no          | no          | no change |
 ///
 /// ```
-/// use stcc::{decide, TuneAction};
-/// assert_eq!(decide(true, true), TuneAction::Decrement);
-/// assert_eq!(decide(true, false), TuneAction::Decrement);
-/// assert_eq!(decide(false, true), TuneAction::Increment);
-/// assert_eq!(decide(false, false), TuneAction::NoChange);
+/// use stcc::{decide, Action};
+/// assert_eq!(decide(true, true), Action::Cut);
+/// assert_eq!(decide(true, false), Action::Cut);
+/// assert_eq!(decide(false, true), Action::Raise);
+/// assert_eq!(decide(false, false), Action::Hold);
 /// ```
 #[must_use]
-pub fn decide(bandwidth_drop: bool, throttling: bool) -> TuneAction {
+pub fn decide(bandwidth_drop: bool, throttling: bool) -> Action {
     match (bandwidth_drop, throttling) {
-        (true, _) => TuneAction::Decrement,
-        (false, true) => TuneAction::Increment,
-        (false, false) => TuneAction::NoChange,
+        (true, _) => Action::Cut,
+        (false, true) => Action::Raise,
+        (false, false) => Action::Hold,
     }
 }
 
@@ -111,104 +102,11 @@ pub struct TuneLaw {
     threshold: f64,
     inc: f64,
     dec: f64,
-    /// Visible gather windows accumulated into the current tuning period.
-    snaps_in_period: u32,
-    period_tput: u64,
-    /// Sum of the period's snapshot full-buffer counts (for the period
-    /// average that `N_max` remembers).
-    period_full_sum: f64,
-    prev_period_tput: Option<u64>,
-    throttled_cycles_this_period: u64,
-    cycles_this_period: u64,
     // -- local-maximum avoidance (§4.2) --
     max_tput: u64,
     n_max: f64,
     t_max: f64,
     consecutive_resets: u32,
-    // -- instrumentation --
-    tune_events: u64,
-    increments: u64,
-    decrements: u64,
-    resets: u64,
-}
-
-impl TuneLaw {
-    /// One tuning decision (runs once per tuning period).
-    /// `period_full_buffers` is the period-average full-buffer count.
-    fn tune(&mut self, cfg: &TuneConfig, period_full_buffers: f64) {
-        let tput = self.period_tput;
-        self.tune_events += 1;
-
-        // Track the conditions of the best period seen (§4.2).
-        if tput > self.max_tput {
-            self.max_tput = tput;
-            self.n_max = period_full_buffers;
-            self.t_max = self.threshold;
-        }
-
-        let significant_drop_below_max = cfg.avoid_local_maxima
-            && self.max_tput > 0
-            && (tput as f64) < cfg.reset_fraction * self.max_tput as f64;
-        let drop = self
-            .prev_period_tput
-            .is_some_and(|prev| (tput as f64) < cfg.drop_fraction * prev as f64);
-
-        if significant_drop_below_max {
-            // Recreate the conditions of the best period. If even that value
-            // keeps failing for `r` consecutive periods, the remembered max
-            // is stale (e.g. the communication pattern changed): forget it.
-            // A reset period during which throughput is still *recovering*
-            // (rising period over period) does not count as failing — a
-            // deeply saturated network takes more than one period to drain
-            // even at the right threshold.
-            // Never raise the threshold on a reset, and keep honoring the
-            // decision table's first row ("a drop in bandwidth always
-            // decrements") so a knot that the anchor itself cannot clear
-            // still ratchets the threshold downwards.
-            self.threshold = self.threshold.min(self.t_max.min(self.n_max));
-            if drop {
-                self.threshold -= self.dec;
-                self.decrements += 1;
-            }
-            self.resets += 1;
-            self.consecutive_resets += 1;
-            if self.consecutive_resets >= cfg.max_stale_resets {
-                self.max_tput = 0;
-                self.consecutive_resets = 0;
-            }
-        } else {
-            self.consecutive_resets = 0;
-            // "Currently throttling" = the gate was closed for most of the
-            // period; a few throttled cycles at the stability boundary do
-            // not count (otherwise the optimistic increment ratchets the
-            // threshold into saturation).
-            let throttling = self.cycles_this_period > 0
-                && self.throttled_cycles_this_period * 2 >= self.cycles_this_period;
-            match decide(drop, throttling) {
-                TuneAction::Decrement => {
-                    self.threshold -= self.dec;
-                    self.decrements += 1;
-                }
-                TuneAction::Increment => {
-                    self.threshold += self.inc;
-                    self.increments += 1;
-                }
-                TuneAction::NoChange => {}
-            }
-        }
-        self.threshold = self.threshold.clamp(self.inc, self.total_buffers);
-        self.prev_period_tput = Some(tput);
-        self.reset_period();
-    }
-
-    /// Clears the per-tuning-period accumulators.
-    fn reset_period(&mut self) {
-        self.period_tput = 0;
-        self.period_full_sum = 0.0;
-        self.snaps_in_period = 0;
-        self.throttled_cycles_this_period = 0;
-        self.cycles_this_period = 0;
-    }
 }
 
 impl Law for TuneLaw {
@@ -223,6 +121,10 @@ impl Law for TuneLaw {
         cfg.watchdog_gathers
     }
 
+    fn period_gathers(cfg: &TuneConfig) -> u32 {
+        cfg.tune_gathers
+    }
+
     fn size(&mut self, cfg: &TuneConfig, total_buffers: f64) {
         self.total_buffers = total_buffers;
         self.threshold = cfg.initial_threshold_frac * total_buffers;
@@ -234,83 +136,75 @@ impl Law for TuneLaw {
         self.threshold
     }
 
-    /// Folds the gather window into the tuning period; decides when the
-    /// period is complete.
-    fn on_snapshot(&mut self, cfg: &TuneConfig, snap: Snapshot) -> bool {
-        self.period_tput += u64::from(snap.delivered_flits);
-        self.period_full_sum += f64::from(snap.full_buffers);
-        self.snaps_in_period += 1;
-        let period_complete = self.snaps_in_period >= cfg.tune_gathers;
-        if period_complete {
-            let avg_full = self.period_full_sum / f64::from(self.snaps_in_period);
-            self.tune(cfg, avg_full);
+    /// One tuning decision.
+    fn on_period(&mut self, cfg: &TuneConfig, p: &Period) -> Option<Action> {
+        let tput = p.delivered;
+        // Track the conditions of the best period seen (§4.2).
+        if tput > self.max_tput {
+            self.max_tput = tput;
+            self.n_max = p.census_sum as f64 / f64::from(p.gathers);
+            self.t_max = self.threshold;
         }
-        period_complete
+
+        let significant_drop_below_max = cfg.avoid_local_maxima
+            && self.max_tput > 0
+            && (tput as f64) < cfg.reset_fraction * self.max_tput as f64;
+        let drop = p.dropped(cfg.drop_fraction);
+
+        let action = if significant_drop_below_max {
+            // Recreate the conditions of the best period. If even that value
+            // keeps failing for `r` consecutive periods, the remembered max
+            // is stale (e.g. the communication pattern changed): forget it.
+            // A reset period during which throughput is still *recovering*
+            // (rising period over period) does not count as failing — a
+            // deeply saturated network takes more than one period to drain
+            // even at the right threshold.
+            // Never raise the threshold on a reset, and keep honoring the
+            // decision table's first row ("a drop in bandwidth always
+            // decrements") so a knot that the anchor itself cannot clear
+            // still ratchets the threshold downwards.
+            self.threshold = self.threshold.min(self.t_max.min(self.n_max));
+            self.consecutive_resets += 1;
+            if self.consecutive_resets >= cfg.max_stale_resets {
+                self.max_tput = 0;
+                self.consecutive_resets = 0;
+            }
+            Action::Reset { cut: drop }
+        } else {
+            self.consecutive_resets = 0;
+            // "Currently throttling" = the gate was closed for most of the
+            // period; a few throttled cycles at the stability boundary do
+            // not count (otherwise the optimistic increment ratchets the
+            // threshold into saturation).
+            decide(drop, p.throttling())
+        };
+        match action {
+            Action::Cut | Action::Reset { cut: true } => self.threshold -= self.dec,
+            Action::Raise => self.threshold += self.inc,
+            Action::Hold | Action::Reset { cut: false } => {}
+        }
+        self.threshold = self.threshold.clamp(self.inc, self.total_buffers);
+        Some(action)
     }
 
-    /// The pre-outage period throughput is not comparable across the gap:
-    /// tuning restarts from scratch on either side of it.
     fn on_trip(&mut self, last_good: f64) {
         self.threshold = last_good;
-        self.on_rearm();
-    }
-
-    fn on_rearm(&mut self) {
-        self.prev_period_tput = None;
-        self.reset_period();
-    }
-
-    /// Table 1's "throttling?" column: counts the period's gate-closed
-    /// cycles.
-    fn note_gate(&mut self, closed: bool) {
-        self.cycles_this_period += 1;
-        self.throttled_cycles_this_period += u64::from(closed);
-    }
-
-    fn tally(&self) -> ControllerCounters {
-        ControllerCounters {
-            decisions: self.tune_events,
-            raises: self.increments,
-            cuts: self.decrements,
-            resets: self.resets,
-            ..ControllerCounters::default()
-        }
     }
 
     fn save(&self, enc: &mut Enc) {
         enc.f64(self.threshold);
-        enc.u32(self.snaps_in_period);
-        enc.u64(self.period_tput);
-        enc.f64(self.period_full_sum);
-        enc.opt_u64(self.prev_period_tput);
-        enc.u64(self.throttled_cycles_this_period);
-        enc.u64(self.cycles_this_period);
         enc.u64(self.max_tput);
         enc.f64(self.n_max);
         enc.f64(self.t_max);
         enc.u32(self.consecutive_resets);
-        enc.u64(self.tune_events);
-        enc.u64(self.increments);
-        enc.u64(self.decrements);
-        enc.u64(self.resets);
     }
 
     fn restore(&mut self, _cfg: &TuneConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.threshold = dec.f64()?;
-        self.snaps_in_period = dec.u32()?;
-        self.period_tput = dec.u64()?;
-        self.period_full_sum = dec.f64()?;
-        self.prev_period_tput = dec.opt_u64()?;
-        self.throttled_cycles_this_period = dec.u64()?;
-        self.cycles_this_period = dec.u64()?;
         self.max_tput = dec.u64()?;
         self.n_max = dec.f64()?;
         self.t_max = dec.f64()?;
         self.consecutive_resets = dec.u32()?;
-        self.tune_events = dec.u64()?;
-        self.increments = dec.u64()?;
-        self.decrements = dec.u64()?;
-        self.resets = dec.u64()?;
         Ok(())
     }
 }
@@ -329,6 +223,20 @@ mod tests {
         law
     }
 
+    /// A one-gather, 96-cycle period delivering `delivered` flits after one
+    /// that delivered `prev`, at census `census`, with the gate closed for
+    /// `closed` of its cycles.
+    fn period(delivered: u64, prev: Option<u64>, census: u64, closed: u64) -> Period {
+        Period {
+            delivered,
+            prev_delivered: prev,
+            census_sum: census,
+            gathers: 1,
+            closed_cycles: closed,
+            cycles: 96,
+        }
+    }
+
     #[test]
     fn paper_constants() {
         let c = cfg();
@@ -342,13 +250,13 @@ mod tests {
 
     #[test]
     fn decision_table_matches_table_1() {
-        assert_eq!(decide(true, true), TuneAction::Decrement);
-        assert_eq!(decide(true, false), TuneAction::Decrement);
-        assert_eq!(decide(false, true), TuneAction::Increment);
-        assert_eq!(decide(false, false), TuneAction::NoChange);
+        assert_eq!(decide(true, true), Action::Cut);
+        assert_eq!(decide(true, false), Action::Cut);
+        assert_eq!(decide(false, true), Action::Raise);
+        assert_eq!(decide(false, false), Action::Hold);
     }
 
-    /// All four Table 1 rows exercised through `tune` itself on the
+    /// All four Table 1 rows exercised through the law itself on the
     /// paper's 3072-buffer network: the threshold must move by exactly
     /// ±1% / ±4% of 3072 (30.72 / 122.88 full buffers) per row.
     #[test]
@@ -366,15 +274,13 @@ mod tests {
             let mut st = state(3072.0);
             st.threshold = 1000.0;
             let prev = 1000u64;
-            st.prev_period_tput = Some(prev);
             // 74% of the previous period is a drop; 100% is not.
-            st.period_tput = if drop { prev * 74 / 100 } else { prev };
+            let tput = if drop { prev * 74 / 100 } else { prev };
             // Keep the avoidance path quiet: the remembered max equals the
             // period, so the reset condition can't fire.
-            st.max_tput = st.period_tput;
-            st.cycles_this_period = 96;
-            st.throttled_cycles_this_period = if throttling { 96 } else { 0 };
-            st.tune(&c, 100.0);
+            st.max_tput = tput;
+            let closed = if throttling { 96 } else { 0 };
+            st.on_period(&c, &period(tput, Some(prev), 100, closed));
             assert!(
                 (st.threshold - (1000.0 + delta)).abs() < 1e-9,
                 "row (drop={drop}, throttling={throttling}): expected delta {delta}, \
@@ -392,12 +298,10 @@ mod tests {
             let c = cfg();
             let mut st = state(3072.0);
             st.threshold = 1000.0;
-            st.prev_period_tput = Some(1000);
-            st.period_tput = tput;
             st.max_tput = 1000;
             st.n_max = 2000.0; // anchor above threshold: reset can't lower it
             st.t_max = 2000.0;
-            st.tune(&c, 100.0);
+            st.on_period(&c, &period(tput, Some(1000), 100, 0));
             let moved = (st.threshold - 1000.0).abs() > 1e-9;
             assert_eq!(moved, is_drop, "tput={tput}: drop must be strict <");
         }
@@ -411,12 +315,8 @@ mod tests {
             let c = cfg();
             let mut st = state(3072.0);
             st.threshold = 1000.0;
-            st.prev_period_tput = Some(1000);
-            st.period_tput = 1000;
             st.max_tput = 1000;
-            st.cycles_this_period = 96;
-            st.throttled_cycles_this_period = throttled;
-            st.tune(&c, 100.0);
+            st.on_period(&c, &period(1000, Some(1000), 100, throttled));
             let incremented = st.threshold > 1000.0;
             assert_eq!(
                 incremented, expects_increment,
@@ -437,11 +337,10 @@ mod tests {
             st.max_tput = 1000;
             st.t_max = 500.0;
             st.n_max = 400.0;
-            st.period_tput = tput;
             // No prev period: the decision table sees "no drop" either way.
-            st.prev_period_tput = None;
-            st.tune(&c, 100.0);
-            assert_eq!(st.resets, u64::from(expects_reset), "tput={tput}");
+            let action = st.on_period(&c, &period(tput, None, 100, 0));
+            let reset = action == Some(Action::Reset { cut: false });
+            assert_eq!(reset, expects_reset, "tput={tput}");
             if expects_reset {
                 assert_eq!(st.threshold, 400.0, "reset to min(t_max, n_max)");
             }
@@ -452,12 +351,8 @@ mod tests {
     fn increment_when_throttling_without_drop() {
         let c = cfg();
         let mut st = state(3072.0);
-        st.prev_period_tput = Some(1000);
-        st.period_tput = 1000;
-        st.throttled_cycles_this_period = 96;
-        st.cycles_this_period = 96;
         let before = st.threshold;
-        st.tune(&c, 100.0);
+        st.on_period(&c, &period(1000, Some(1000), 100, 96));
         assert!((st.threshold - before - st.inc).abs() < 1e-9);
     }
 
@@ -466,10 +361,9 @@ mod tests {
         let c = cfg();
         let mut st = state(3072.0);
         st.threshold = 500.0;
-        st.max_tput = 0; // no remembered max yet
-        st.prev_period_tput = Some(1000);
-        st.period_tput = 700; // < 75% of 1000, but not < 50% (no reset)
-        st.tune(&c, 100.0);
+        // No remembered max yet; 700 < 75% of 1000, but not < 50% (no reset).
+        st.max_tput = 0;
+        st.on_period(&c, &period(700, Some(1000), 100, 0));
         assert!((st.threshold - (500.0 - st.dec)).abs() < 1e-9);
     }
 
@@ -477,12 +371,10 @@ mod tests {
     fn no_change_when_stable_and_unthrottled() {
         let c = cfg();
         let mut st = state(3072.0);
-        st.prev_period_tput = Some(1000);
-        st.period_tput = 1000;
         // Keep the max consistent so the reset path stays quiet.
         st.max_tput = 1000;
         let before = st.threshold;
-        st.tune(&c, 100.0);
+        st.on_period(&c, &period(1000, Some(1000), 100, 0));
         assert_eq!(st.threshold, before);
     }
 
@@ -494,12 +386,12 @@ mod tests {
         st.t_max = 500.0;
         st.n_max = 260.0;
         st.threshold = 900.0;
-        st.period_tput = 300; // far below the remembered max
-        st.tune(&c, 100.0);
+        // Far below the remembered max.
+        let action = st.on_period(&c, &period(300, None, 100, 0));
         assert_eq!(st.threshold, 260.0, "min(t_max, n_max)");
         assert!(st.threshold <= 900.0, "resets never raise the threshold");
         assert_eq!(st.consecutive_resets, 1);
-        assert_eq!(st.resets, 1);
+        assert_eq!(action, Some(Action::Reset { cut: false }));
     }
 
     #[test]
@@ -510,8 +402,7 @@ mod tests {
         st.t_max = 500.0;
         st.n_max = 400.0;
         for i in 1..=c.max_stale_resets {
-            st.period_tput = 100;
-            st.tune(&c, 100.0);
+            st.on_period(&c, &period(100, (i > 1).then_some(100), 100, 0));
             if i < c.max_stale_resets {
                 assert_eq!(st.consecutive_resets, i);
                 assert_eq!(st.max_tput, 10_000);
@@ -528,12 +419,10 @@ mod tests {
         st.max_tput = 1000;
         st.t_max = 500.0;
         st.n_max = 400.0;
-        st.period_tput = 100;
-        st.tune(&c, 50.0);
+        st.on_period(&c, &period(100, None, 50, 0));
         assert_eq!(st.consecutive_resets, 1);
         // A record-breaking period updates the max and avoids the reset.
-        st.period_tput = 2000;
-        st.tune(&c, 220.0);
+        st.on_period(&c, &period(2000, Some(100), 220, 0));
         assert_eq!(st.consecutive_resets, 0);
         assert_eq!(st.max_tput, 2000);
         assert_eq!(st.n_max, 220.0);
@@ -545,17 +434,12 @@ mod tests {
         let mut st = state(3072.0);
         st.threshold = st.inc; // already at the floor
         st.max_tput = 0;
-        st.prev_period_tput = Some(1000);
-        st.period_tput = 0; // catastrophic drop
-        st.tune(&c, 0.0);
+        // A catastrophic drop.
+        st.on_period(&c, &period(0, Some(1000), 0, 0));
         assert_eq!(st.threshold, st.inc, "floor holds");
         st.threshold = 3072.0;
-        st.prev_period_tput = Some(1);
-        st.period_tput = 1;
         st.max_tput = 1;
-        st.throttled_cycles_this_period = 96;
-        st.cycles_this_period = 96;
-        st.tune(&c, 0.0);
+        st.on_period(&c, &period(1, Some(1), 0, 96));
         assert_eq!(st.threshold, 3072.0, "ceiling holds");
     }
 
@@ -603,11 +487,10 @@ mod tests {
         st.max_tput = 10_000;
         st.t_max = 100.0;
         st.n_max = 100.0;
-        st.prev_period_tput = Some(1000);
-        st.period_tput = 900; // below max but not a 25% period drop
         let before = st.threshold;
-        st.tune(&c, 50.0);
+        // Below max but not a 25% period drop.
+        let action = st.on_period(&c, &period(900, Some(1000), 50, 0));
         assert_eq!(st.threshold, before, "hill-climbing only: no reset");
-        assert_eq!(st.resets, 0);
+        assert_eq!(action, Some(Action::Hold));
     }
 }

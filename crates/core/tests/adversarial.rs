@@ -135,8 +135,10 @@ fn hostile_list_lengths(len: impl Fn(u32) -> u32) -> Vec<(SimConfig, Vec<u8>)> {
     };
     // The scaffold's frame between the side-band state and the law: the
     // sizing record (flag, u32), the gate bit, `last_good`, `frozen`, the
-    // rejections seen and the two watchdog counters.
-    const FRAME: usize = 1 + 4 + 1 + 8 + 1 + 3 * 8;
+    // rejections seen, the period being folded (delivered, the previous
+    // period's as flag + u64, the census sum, the gathers, the gate-closed
+    // and total cycles) and the six counters.
+    const FRAME: usize = 1 + 4 + 1 + 8 + 1 + 8 + (8 + 9 + 8 + 4 + 2 * 8) + 6 * 8;
     // (scheme, the list's capacity, bytes between the side-band state and
     // the length: the frame, then BBR's sample counter).
     let cases = [

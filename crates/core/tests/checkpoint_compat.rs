@@ -2,18 +2,17 @@
 //! build of this repository must keep restoring, byte for byte — or, across
 //! a deliberate `VERSION` bump, be refused with the typed version error.
 //!
-//! The `.v6.ckpt` fixtures were written by `Simulation::checkpoint` at the
-//! commit that introduced v6 (the packet store writes what it holds: the
-//! free list first, nothing for a freed slot, a 17-byte record for a packet
-//! still as `offer` wrote it, the escape flag in a record's tag, no packet
-//! length; the simulation's decisions did not change).
-//! `small_recovery_c1673.v5.ckpt`, the v5 writing of the recovery fixture,
+//! The `.v7.ckpt` fixtures were written by `Simulation::checkpoint` at the
+//! commit that introduced v7 (a side-band controller's frame carries the
+//! tuning period and the decision tallies, which the laws no longer write;
+//! the simulation's decisions did not change).
+//! `small_recovery_c1673.v6.ckpt`, the v6 writing of the recovery fixture,
 //! is kept as the container this build must refuse.
 //!
-//! `fixtures/small_recovery_c1673.v6.ckpt` is [`cfg`] stepped to cycle
+//! `fixtures/small_recovery_c1673.v7.ckpt` is [`cfg`] stepped to cycle
 //! 1673, the first cycle past 1500 with a Disha recovery drain holding the
 //! token and another VC queued behind it. The four
-//! `small_<scheme>_c2501.v6.ckpt` fixtures pin the other side-band
+//! `small_<scheme>_c2501.v7.ckpt` fixtures pin the other side-band
 //! controllers' state layouts: the same configuration with only the scheme
 //! swapped, stepped to cycle 2501 — off the gather grid, off every decision
 //! period, and past at least one decision of every law.
@@ -44,32 +43,32 @@ struct Fixture {
 const FIXTURES: &[Fixture] = &[
     Fixture {
         scheme: "tune",
-        file: "small_recovery_c1673.v6.ckpt",
-        bytes: include_bytes!("fixtures/small_recovery_c1673.v6.ckpt"),
+        file: "small_recovery_c1673.v7.ckpt",
+        bytes: include_bytes!("fixtures/small_recovery_c1673.v7.ckpt"),
         cycle: 1673,
     },
     Fixture {
         scheme: "aimd",
-        file: "small_aimd_c2501.v6.ckpt",
-        bytes: include_bytes!("fixtures/small_aimd_c2501.v6.ckpt"),
+        file: "small_aimd_c2501.v7.ckpt",
+        bytes: include_bytes!("fixtures/small_aimd_c2501.v7.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "decbit",
-        file: "small_decbit_c2501.v6.ckpt",
-        bytes: include_bytes!("fixtures/small_decbit_c2501.v6.ckpt"),
+        file: "small_decbit_c2501.v7.ckpt",
+        bytes: include_bytes!("fixtures/small_decbit_c2501.v7.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "bbr",
-        file: "small_bbr_c2501.v6.ckpt",
-        bytes: include_bytes!("fixtures/small_bbr_c2501.v6.ckpt"),
+        file: "small_bbr_c2501.v7.ckpt",
+        bytes: include_bytes!("fixtures/small_bbr_c2501.v7.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "static-12",
-        file: "small_static12_c2501.v6.ckpt",
-        bytes: include_bytes!("fixtures/small_static12_c2501.v6.ckpt"),
+        file: "small_static12_c2501.v7.ckpt",
+        bytes: include_bytes!("fixtures/small_static12_c2501.v7.ckpt"),
         cycle: 2501,
     },
 ];
@@ -108,7 +107,7 @@ fn parent_written_checkpoint_restores_and_reserialises_byte_equal() {
         assert_eq!(
             sim.checkpoint(),
             f.bytes,
-            "{}: codec no longer writes v6 bytes",
+            "{}: codec no longer writes v7 bytes",
             f.scheme
         );
     }
@@ -156,16 +155,16 @@ fn parent_written_checkpoint_runs_on_like_an_uninterrupted_run() {
     }
 }
 
-/// A v5 container's packet store writes every slot in full, with a
-/// separate escape-flag array, so this build would misread it: restoring
-/// one must fail typed, before anything decodes.
+/// A v6 container's controller frame has no tuning period or tallies and
+/// its laws write their own, so this build would misread it: restoring one
+/// must fail typed, before anything decodes.
 #[test]
-fn a_v5_container_is_refused_with_the_version_error() {
-    let v5 = include_bytes!("fixtures/small_recovery_c1673.v5.ckpt");
-    match Simulation::restore(cfg("tune"), None, v5) {
-        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 5 })) => {}
-        Err(other) => panic!("v5 container refused with the wrong error: {other}"),
-        Ok(_) => panic!("v5 container restored"),
+fn a_v6_container_is_refused_with_the_version_error() {
+    let v6 = include_bytes!("fixtures/small_recovery_c1673.v6.ckpt");
+    match Simulation::restore(cfg("tune"), None, v6) {
+        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 6 })) => {}
+        Err(other) => panic!("v6 container refused with the wrong error: {other}"),
+        Ok(_) => panic!("v6 container restored"),
     }
 }
 

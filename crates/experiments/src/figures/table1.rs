@@ -5,7 +5,7 @@
 //! so the artifact can be diffed against the paper's Table 1 directly.
 
 use crate::Table;
-use stcc::{decide, TuneAction};
+use stcc::{decide, Action};
 
 /// Tabulates the implemented decision table.
 #[must_use]
@@ -17,9 +17,10 @@ pub fn generate() -> Table {
     for drop in [true, false] {
         for throttling in [true, false] {
             let action = match decide(drop, throttling) {
-                TuneAction::Decrement => "decrement",
-                TuneAction::Increment => "increment",
-                TuneAction::NoChange => "no change",
+                Action::Cut => "decrement",
+                Action::Raise => "increment",
+                Action::Hold => "no change",
+                Action::Reset { .. } => unreachable!("Table 1 never resets"),
             };
             t.push(vec![
                 if drop { "yes" } else { "no" }.to_owned(),

@@ -155,6 +155,13 @@ fn has_word(line: &str, word: &str) -> bool {
     })
 }
 
+/// Whether `needle` occurs in `line` with no identifier character before it
+/// (`resets +=` in `self.resets += 1`, not in `consecutive_resets += 1`).
+fn starts_word(line: &str, needle: &str) -> bool {
+    line.match_indices(needle)
+        .any(|(at, _)| !line[..at].ends_with(is_ident))
+}
+
 /// `.rs` files directly in `dir` (no subdirectories).
 fn rs_in(path: &str, dir: &str) -> bool {
     path.strip_prefix(dir)
@@ -237,19 +244,37 @@ fn one_measurement_system(tree: &[File]) -> Vec<String> {
     )
 }
 
-/// One scaffold. The side-band staleness watchdog and its counters are
-/// written once, in `crates/core/src/scaffold.rs`, for every law; a law file
-/// that grows its own copy reopens the drift between copies the scaffold
-/// removed (DESIGN.md §6).
+/// One scaffold. The side-band staleness watchdog and its counters, the
+/// tuning period (its accumulators and the previous period's throughput)
+/// and the decision tallies are written once, in
+/// `crates/core/src/scaffold.rs`, for every law: a law maps a `Period` to
+/// an `Action` and the scaffold counts it. A law file that grows its own
+/// copy reopens the drift between copies the scaffold removed (DESIGN.md
+/// §6). The needles are the scaffold's period vocabulary (and the names it
+/// replaced) written to, not read: a law's tests may build a `Period`
+/// literal. A needle counts only at the start of a name, so a law's own
+/// `consecutive_resets` is not a tally.
 fn one_scaffold(tree: &[File]) -> Vec<String> {
+    const NEEDLES: [&str; 14] = [
+        "gathers_overdue(",
+        "watchdog_trips +=",
+        "watchdog_rearms +=",
+        "prev_period",
+        "snaps_in_period",
+        "period_tput",
+        "prev_delivered =",
+        "closed_cycles +=",
+        "census_sum +=",
+        "gathers +=",
+        "decisions +=",
+        "raises +=",
+        "cuts +=",
+        "resets +=",
+    ];
     scan_tree(
         tree,
         |p| rs_in(p, "crates/core/src/") && p != "crates/core/src/scaffold.rs",
-        any_of(&[
-            "gathers_overdue(",
-            "watchdog_trips +=",
-            "watchdog_rearms +=",
-        ]),
+        |l| NEEDLES.iter().any(|n| starts_word(l, n)),
     )
 }
 
@@ -266,14 +291,24 @@ fn no_per_node_poll(tree: &[File]) -> Vec<String> {
     )
 }
 
-/// No libm on the traffic stream. The stream must be bit-identical on every
-/// platform and libm's transcendentals are not correctly rounded, so none
-/// may appear in `crates/traffic/src` above a file's `#[cfg(test)]` module
-/// (the tests check the integer gap sampler *against* `powf`; `offered_rate`
-/// and the like only divide).
+/// No libm on the stream. Goldens must be bit-identical on every platform
+/// and libm's transcendentals are not correctly rounded, so none may appear
+/// above a file's `#[cfg(test)]` module in the crates a simulation's
+/// outputs flow through: the traffic stream (`crates/traffic/src`; its
+/// tests check the integer gap sampler *against* `powf`, and `offered_rate`
+/// and the like only divide), the controllers (`crates/core/src`), the
+/// side-band (`crates/sideband/src`) and the network (`crates/netsim/src`).
+/// A controller that needs a root (CUBIC's cube root) computes it exactly,
+/// on integers.
 fn no_libm_on_the_stream(tree: &[File]) -> Vec<String> {
+    const DIRS: [&str; 4] = [
+        "crates/traffic/src/",
+        "crates/core/src/",
+        "crates/sideband/src/",
+        "crates/netsim/src/",
+    ];
     tree.iter()
-        .filter(|f| rs_in(&f.path, "crates/traffic/src/"))
+        .filter(|f| DIRS.iter().any(|d| rs_in(&f.path, d)))
         .flat_map(|f| {
             let libm = any_of(&[".ln(", ".exp(", ".powf(", ".powi(", ".log"]);
             scan(&f.path, above_tests(&f.text), libm)
@@ -422,11 +457,27 @@ fn scaffold_rule_reports_a_watchdog_in_a_law_file() {
         file("crates/core/src/scaffold.rs", watchdog),
         file("crates/core/src/aimd.rs", "f.watchdog_rearms += 1;"),
         file("crates/core/src/bbr.rs", watchdog),
+        file("crates/core/src/decbit.rs", "self.raises += 1;"),
+        file("crates/core/src/tuned.rs", "self.prev_period_tput = None;"),
+        file(
+            "crates/core/src/statik.rs",
+            "self.consecutive_resets += 1;\nlet p = Period { prev_delivered: None, ..p };",
+        ),
+        file(
+            "crates/core/src/cubic.rs",
+            "self.closed_cycles += u64::from(shut);",
+        ),
         file("crates/core/tests/controller_conformance.rs", watchdog),
     ];
     assert_eq!(
         paths(&one_scaffold(&tree)),
-        ["crates/core/src/aimd.rs", "crates/core/src/bbr.rs"]
+        [
+            "crates/core/src/aimd.rs",
+            "crates/core/src/bbr.rs",
+            "crates/core/src/decbit.rs",
+            "crates/core/src/tuned.rs",
+            "crates/core/src/cubic.rs"
+        ]
     );
 }
 
@@ -458,13 +509,20 @@ fn libm_rule_reports_a_transcendental_above_the_tests() {
         file("crates/traffic/src/pattern.rs", "let bits = x.log2();"),
         file("crates/traffic/src/workload.rs", "let r = x.expect(\"rate\") / n as f64;"),
         file("crates/traffic/src/sub/extra.rs", "x.exp()"),
+        file("crates/core/src/cubic.rs", "let k = (w / c).powf(1.0 / 3.0);"),
+        file("crates/sideband/src/gather.rs", "let e = (-t).exp();"),
+        file("crates/netsim/src/network.rs", "let b = n.log2();"),
+        file("crates/experiments/src/figures/fig2.rs", "let y = x.ln();"),
     ];
     let found = no_libm_on_the_stream(&tree);
     assert_eq!(
         paths(&found),
         [
             "crates/traffic/src/gaps.rs",
-            "crates/traffic/src/pattern.rs"
+            "crates/traffic/src/pattern.rs",
+            "crates/core/src/cubic.rs",
+            "crates/sideband/src/gather.rs",
+            "crates/netsim/src/network.rs"
         ]
     );
     assert!(found[0].starts_with("crates/traffic/src/gaps.rs:1: "));
