@@ -34,14 +34,16 @@
 //! # Quick start
 //!
 //! ```
-//! use stcc::{Scheme, SimConfig, Simulation};
+//! use stcc::{Scheme, SimConfig, Simulation, TuneConfig};
 //! use traffic::{Pattern, Process, Workload};
 //! use wormsim::{DeadlockMode, NetConfig};
 //!
+//! let net = NetConfig::small(DeadlockMode::Avoidance);
 //! let cfg = SimConfig {
-//!     net: NetConfig::small(DeadlockMode::Avoidance),
+//!     // The tuner's side-band gathers over the network it runs on.
+//!     scheme: Scheme::Tuned(TuneConfig::for_net(&net)),
+//!     net,
 //!     workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.005)),
-//!     scheme: Scheme::tuned_paper(),
 //!     cycles: 20_000,
 //!     warmup: 4_000,
 //!     seed: 1,

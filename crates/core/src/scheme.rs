@@ -95,6 +95,20 @@ impl Scheme {
         }
     }
 
+    /// The side-band the scheme's controller gathers over (`None` for the
+    /// locally informed `Base` and `Alo`).
+    #[must_use]
+    pub fn sideband(&self) -> Option<&SidebandConfig> {
+        match self {
+            Scheme::Base | Scheme::Alo => None,
+            Scheme::Static { sideband, .. } => Some(sideband),
+            Scheme::Tuned(cfg) => Some(&cfg.sideband),
+            Scheme::Aimd(cfg) => Some(&cfg.sideband),
+            Scheme::DecBit(cfg) => Some(&cfg.sideband),
+            Scheme::Bbr(cfg) => Some(&cfg.sideband),
+        }
+    }
+
     /// Instantiates the controller.
     #[must_use]
     pub fn build(&self) -> Control {

@@ -44,6 +44,15 @@ pub enum SimError {
         /// Requested total cycles.
         cycles: u64,
     },
+    /// The scheme's side-band describes another network: its radix,
+    /// dimension count or VC count — which set the gather period and the
+    /// census range — differ from the network's.
+    SidebandShape {
+        /// The side-band's `[radix, dimensions, vcs]`.
+        sideband: [usize; 3],
+        /// The network's `[radix, dimensions, vcs]`.
+        net: [usize; 3],
+    },
     /// Invalid fault plan (only from [`Simulation::with_faults`]).
     Faults(FaultPlanError),
     /// A guarded run detected a livelock: live packets exist but no flit
@@ -83,6 +92,10 @@ impl fmt::Display for SimError {
                     "warm-up ({warmup}) must be shorter than the run ({cycles})"
                 )
             }
+            SimError::SidebandShape { sideband, net } => write!(
+                f,
+                "side-band [radix, dimensions, vcs] {sideband:?} does not match the network's {net:?}"
+            ),
             SimError::Faults(e) => write!(f, "fault plan: {e}"),
             SimError::Livelock(d) => write!(f, "livelock: {d}"),
             SimError::DeadlineExceeded { at_cycle, kind } => {
@@ -101,6 +114,7 @@ impl std::error::Error for SimError {
             SimError::Net(e) => Some(e),
             SimError::Traffic(e) => Some(e),
             SimError::WarmupTooLong { .. }
+            | SimError::SidebandShape { .. }
             | SimError::Livelock(_)
             | SimError::DeadlineExceeded { .. }
             | SimError::Cancelled { .. }
@@ -377,6 +391,16 @@ impl Simulation {
             });
         }
         let net = Network::new(cfg.net.clone())?;
+        if let Some(sb) = cfg.scheme.sideband() {
+            let sideband = [sb.radix, sb.dimensions, sb.vcs];
+            let shape = [cfg.net.radix, cfg.net.dimensions, cfg.net.vcs];
+            if sideband != shape {
+                return Err(SimError::SidebandShape {
+                    sideband,
+                    net: shape,
+                });
+            }
+        }
         let nodes = net.torus().node_count();
         let runner = WorkloadRunner::new(&cfg.workload, nodes, cfg.seed)?;
         let ctl = cfg.scheme.build();
@@ -869,7 +893,9 @@ mod tests {
         let cfg = SimConfig {
             net: NetConfig::small(DeadlockMode::Avoidance),
             workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.02)),
-            scheme: Scheme::tuned_paper(),
+            scheme: Scheme::Tuned(TuneConfig::for_net(&NetConfig::small(
+                DeadlockMode::Avoidance,
+            ))),
             cycles: 5_000,
             warmup: 1_000,
             seed: 3,
@@ -879,6 +905,39 @@ mod tests {
         let t = sim.tuned().expect("tuned scheme");
         assert!(t.threshold().unwrap() > 0.0);
         assert!(t.counters().decisions > 10);
+    }
+
+    /// A side-band sized for another network is refused: it would gather
+    /// over the wrong period and range-check the wrong census.
+    #[test]
+    fn sideband_must_match_the_network() {
+        let net = NetConfig::small(DeadlockMode::Avoidance);
+        let cfg = |scheme| SimConfig {
+            net: net.clone(),
+            workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.01)),
+            scheme,
+            cycles: 1_000,
+            warmup: 100,
+            seed: 0,
+        };
+        let two_vcs = NetConfig {
+            vcs: 2,
+            ..net.clone()
+        };
+        for (scheme, sideband) in [
+            (Scheme::tuned_paper(), [16, 2, 3]),
+            (Scheme::Tuned(TuneConfig::for_net(&two_vcs)), [8, 2, 2]),
+        ] {
+            assert_eq!(
+                Simulation::new(cfg(scheme)).err(),
+                Some(SimError::SidebandShape {
+                    sideband,
+                    net: [8, 2, 3],
+                })
+            );
+        }
+        Simulation::new(cfg(Scheme::Tuned(TuneConfig::for_net(&net)))).unwrap();
+        Simulation::new(cfg(Scheme::Base)).unwrap();
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::SidebandConfig;
+use wormsim::NetConfig;
 
 /// The paper's tuning decision table (Table 1): decrement is
 /// [`Action::Cut`], increment [`Action::Raise`], no change
@@ -79,6 +80,22 @@ impl TuneConfig {
             initial_threshold_frac: 0.01,
             avoid_local_maxima: true,
             watchdog_gathers: 8,
+        }
+    }
+
+    /// The paper's parameters with the side-band sized for `net`: its
+    /// radix, dimension count and VC count, which set the gather period and
+    /// the census range.
+    #[must_use]
+    pub fn for_net(net: &NetConfig) -> Self {
+        TuneConfig {
+            sideband: SidebandConfig {
+                radix: net.radix,
+                dimensions: net.dimensions,
+                vcs: net.vcs,
+                ..SidebandConfig::paper()
+            },
+            ..TuneConfig::paper()
         }
     }
 

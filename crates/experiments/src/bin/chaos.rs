@@ -12,21 +12,27 @@
 //! final checkpoints fails the run loudly with a one-line minimized repro
 //! (`--seed S --trial T` reproduces exactly that trial and nothing else).
 //!
-//! The harness is crash-safe the same way the figure sweeps are: completed
-//! trials are journaled, `--resume` skips them after a kill, and the final
-//! report (`<out>/chaos.report`) is byte-identical for a given seed whether
-//! the run was interrupted or not — which is itself part of what CI checks.
+//! The harness enters through the same front door as the figure sweeps
+//! ([`FrontDoor`]): each trial is one job, completed trials are journaled,
+//! `--resume` skips them after a kill, and the final report
+//! (`<out>/chaos.report`) is byte-identical for a given seed whether the
+//! run was interrupted or not — which is itself part of what CI checks.
 //!
 //! Usage: `chaos [--seed N] [--trials N] [--audit-every N] [--out DIR]
 //! [--trial T] [--resume]`.
+//!
+//! Exit codes: 0 every trial passed, 1 a trial failed (its repro line is
+//! printed) or an I/O failure, 2 usage, 130 interrupted (`--resume`
+//! continues).
 
-use experiments::journal::Journal;
-use experiments::sigint;
+use experiments::journal::Rows;
+use experiments::sweep::{write_atomic, FrontDoor};
+use experiments::{JobError, Pool, RuntimeOptions, SweepCtx, SweepError};
 use faults::{FaultPlan, HotspotFault, LinkFault, SidebandFaults};
 use sideband::SidebandConfig;
 use stcc::{AimdConfig, BbrConfig, DecBitConfig, Scheme, SimConfig, Simulation, TuneConfig};
-use std::path::{Path, PathBuf};
-use traffic::{Pattern, Process, Workload};
+use std::path::PathBuf;
+use traffic::{splitmix64, Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
 
 /// 16 nodes: big enough for every deadlock mode and pattern, small enough
@@ -97,21 +103,22 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// SplitMix64: the same generator the traffic crate uses, re-derived here
-/// so the harness owns its stream and a repro depends on nothing else.
+/// The harness's own SplitMix64 stream ([`splitmix64`]), seeded per trial,
+/// so a repro depends on nothing but the seed and the trial.
 struct Rng(u64);
 
 impl Rng {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+    fn new(seed: u64, trial: u64) -> Rng {
+        let mut key = seed ^ trial.wrapping_mul(0xa076_1d64_78bd_642f);
+        let mut state = splitmix64(&mut key);
+        // The stream starts one step past the mixed key; every report and
+        // repro pins the draws that follow from there.
+        let _ = splitmix64(&mut state);
+        Rng(state)
     }
 
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        Self::mix(self.0)
+        splitmix64(&mut self.0)
     }
 
     /// Uniform draw in `0..n`.
@@ -144,7 +151,7 @@ struct Trial {
 }
 
 fn draw_trial(seed: u64, trial: u64) -> Trial {
-    let mut rng = Rng(Rng::mix(seed ^ trial.wrapping_mul(0xa076_1d64_78bd_642f)));
+    let mut rng = Rng::new(seed, trial);
 
     let deadlock = if rng.chance(0.5) {
         DeadlockMode::Avoidance
@@ -307,54 +314,33 @@ fn draw_trial(seed: u64, trial: u64) -> Trial {
     }
 }
 
-/// Steps `sim` to `until`, running a full audit every `audit_every` cycles.
-/// Returns the first violation report instead of panicking, so the harness
-/// can print a repro line and keep its journal intact.
-fn step_audited(sim: &mut Simulation, until: u64, audit_every: u64) -> Result<(), String> {
+/// Steps `sim` to cycle `until`. Its audit cadence is on, so an audit
+/// violation panics; the pool turns that into a typed error.
+fn step_to(sim: &mut Simulation, until: u64) {
     while sim.now() < until {
         sim.step();
-        if sim.now().is_multiple_of(audit_every) {
-            let report = sim.audit();
-            if !report.is_clean() {
-                return Err(format!("{report}"));
-            }
-        }
     }
-    Ok(())
 }
 
-/// Runs one trial end to end; `Err` carries a human-readable cause
-/// (boxed: the scenario rides along for the repro line).
-fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Trial, Box<(Trial, String)>> {
+/// Runs one trial end to end under an audit every `audit_every` cycles (and
+/// at every checkpoint) and returns its report line; `Err` names the cause.
+fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Rows, JobError> {
     let t = draw_trial(seed, trial);
-    let fail = |t: Trial, msg: String| Err(Box::new((t, msg)));
-
     let mut sim = match &t.plan {
         Some(p) => Simulation::with_faults(t.cfg.clone(), p.clone()),
         None => Simulation::new(t.cfg.clone()),
     }
-    .map_err(|e| {
-        Box::new((
-            draw_trial(seed, trial),
-            format!("scenario rejected by validation: {e}"),
-        ))
-    })?;
-    // The harness audits manually (`step_audited`), so a violation yields a
-    // repro line, not a panic.
+    .map_err(|e| format!("scenario rejected by validation: {e}"))?;
     sim.set_shards(t.shards.0);
-
-    let mid = t.cfg.cycles / 2;
-    if let Err(v) = step_audited(&mut sim, mid, audit_every) {
-        return fail(t, format!("audit violation before midpoint: {v}"));
-    }
+    sim.set_audit_every(Some(audit_every));
+    step_to(&mut sim, t.cfg.cycles / 2);
 
     // Fork at the midpoint: the restored half must replay bit-identically.
     let snap = sim.checkpoint();
-    let mut twin = match Simulation::restore(t.cfg.clone(), t.plan.clone(), &snap) {
-        Ok(s) => s,
-        Err(e) => return fail(t, format!("restore of own checkpoint failed: {e}")),
-    };
+    let mut twin = Simulation::restore(t.cfg.clone(), t.plan.clone(), &snap)
+        .map_err(|e| format!("restore of own checkpoint failed: {e}"))?;
     twin.set_shards(t.shards.1);
+    twin.set_audit_every(Some(audit_every));
     // Bounce the original's shard count mid-trial: the persistent worker
     // pool must tear down (join its workers) and rebuild cleanly with
     // traffic in flight. Returning to `shards.0` keeps the back half a
@@ -362,51 +348,45 @@ fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Trial, Box<(Tria
     sim.set_shards(t.shards.1);
     sim.set_shards(t.shards.0);
 
-    let end = t.cfg.cycles;
-    if let Err(v) = step_audited(&mut sim, end, audit_every) {
-        return fail(t, format!("audit violation after midpoint (original): {v}"));
-    }
-    if let Err(v) = step_audited(&mut twin, end, audit_every) {
-        return fail(t, format!("audit violation after midpoint (restored): {v}"));
-    }
+    step_to(&mut sim, t.cfg.cycles);
+    step_to(&mut twin, t.cfg.cycles);
+    // Both checkpoints audit their network first.
     if sim.checkpoint() != twin.checkpoint() {
-        return fail(
-            t,
-            "restored run diverged from original: final checkpoints differ".to_owned(),
-        );
+        let diverged = "restored run diverged from original: final checkpoints differ";
+        return Err(JobError::Failed(diverged.to_owned()));
     }
-    let report = sim.audit();
-    if !report.is_clean() {
-        return fail(t, format!("final audit: {report}"));
-    }
-    Ok(t)
-}
-
-fn report_line(trial: u64, t: &Trial) -> String {
-    format!(
+    let line = format!(
         "trial {trial:3} fp={:016x} {} ok",
         t.fingerprint, t.describe
-    )
-}
-
-/// Writes the report atomically (temp + rename) so a kill mid-write can't
-/// leave a torn file for the determinism comparison to trip over.
-fn write_report(path: &Path, lines: &[String]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension("report.tmp");
-    std::fs::write(&tmp, lines.join("\n") + "\n")?;
-    std::fs::rename(&tmp, path)
-}
-
-fn fail_loudly(args: &Args, trial: u64, t: &Trial, cause: &str) -> ! {
-    eprintln!(
-        "CHAOS FAILURE: seed={} trial={trial} fp={:016x} [{}]\n  cause: {cause}\n  \
-         repro: cargo run --release -p experiments --bin chaos -- --seed {} --trial {trial}",
-        args.seed, t.fingerprint, t.describe, args.seed,
     );
-    std::process::exit(1);
+    eprintln!("{line}");
+    Ok(vec![vec![line]])
+}
+
+/// Runs `trials` as jobs of `ctx` and returns their report lines. A failing
+/// trial prints its [`failure_report`] before its error is returned.
+fn run_trials(ctx: &SweepCtx, args: &Args, trials: Vec<u64>) -> Result<Rows, SweepError> {
+    let (seed, audit_every) = (args.seed, args.audit_every);
+    ctx.try_run_rows(trials, u64::to_string, |trial| {
+        run_trial(seed, trial, audit_every)
+    })
+    .inspect_err(|e| {
+        if e.error != JobError::Interrupted {
+            eprintln!("{}", failure_report(seed, e));
+        }
+    })
+}
+
+/// What a failed trial prints: its scenario, the cause and a one-line
+/// repro (`--seed S --trial T` re-runs exactly that trial).
+fn failure_report(seed: u64, e: &SweepError) -> String {
+    let trial: u64 = e.label.parse().expect("a trial's label is its number");
+    let t = draw_trial(seed, trial);
+    format!(
+        "CHAOS FAILURE: seed={seed} trial={trial} fp={:016x} [{}]\n  cause: {}\n  \
+         repro: cargo run --release -p experiments --bin chaos -- --seed {seed} --trial {trial}",
+        t.fingerprint, t.describe, e.error,
+    )
 }
 
 fn main() {
@@ -417,21 +397,17 @@ fn main() {
             std::process::exit(2);
         }
     };
-    sigint::install();
 
     // Repro mode: one trial, no journal, no report.
     if let Some(trial) = args.trial {
-        match run_trial(args.seed, trial, args.audit_every) {
-            Ok(t) => {
-                println!("{}", report_line(trial, &t));
-                println!("trial {trial} passed");
-            }
-            Err(e) => fail_loudly(&args, trial, &e.0, &e.1),
+        let ctx = SweepCtx::bare(Pool::new(1));
+        if run_trials(&ctx, &args, vec![trial]).is_err() {
+            std::process::exit(1);
         }
+        println!("trial {trial} passed");
         return;
     }
 
-    let journal_path = args.out.join("chaos.journal");
     let fingerprint = checkpoint::fnv1a64(
         format!(
             "chaos|{}|{}|{}|{}",
@@ -442,57 +418,53 @@ fn main() {
         )
         .as_bytes(),
     );
-    let (mut journal, load) = match Journal::begin(&journal_path, fingerprint, args.resume) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("chaos: cannot open journal {}: {e}", journal_path.display());
-            std::process::exit(1);
-        }
-    };
-    if args.resume && !load.done.is_empty() {
-        eprintln!("[resuming: {} completed trials journaled]", load.done.len());
-    }
-
-    let mut lines: Vec<String> = Vec::with_capacity(args.trials as usize);
-    for trial in 0..args.trials {
-        if sigint::interrupted() {
-            eprintln!(
-                "chaos: interrupted after {} trials; re-run with --resume to continue",
-                lines.len()
-            );
-            std::process::exit(experiments::sigint::EXIT_INTERRUPTED);
-        }
-        if let Some(rows) = load.done.get(&trial) {
-            // Journaled line from a previous run: reuse verbatim so the
-            // resumed report is byte-identical to an uninterrupted one.
-            lines.push(rows[0][0].clone());
-            continue;
-        }
-        match run_trial(args.seed, trial, args.audit_every) {
-            Ok(t) => {
-                let line = report_line(trial, &t);
-                eprintln!("{line}");
-                if let Err(e) = journal.append(trial, &vec![vec![line.clone()]]) {
-                    eprintln!("chaos: cannot journal trial {trial}: {e}");
-                    std::process::exit(1);
-                }
-                lines.push(line);
-            }
-            Err(e) => fail_loudly(&args, trial, &e.0, &e.1),
-        }
-    }
-
-    let report_path = args.out.join("chaos.report");
-    if let Err(e) = write_report(&report_path, &lines) {
-        eprintln!("chaos: cannot write {}: {e}", report_path.display());
-        std::process::exit(1);
-    }
-    let _ = std::fs::remove_file(&journal_path);
-    println!(
-        "chaos: {} trials passed (seed={}, audit every {} cycles) -> {}",
-        args.trials,
-        args.seed,
-        args.audit_every,
-        report_path.display()
+    let door = FrontDoor::new(
+        "chaos",
+        args.out.join("chaos.journal"),
+        fingerprint,
+        args.resume,
     );
+    let generate = |ctx: &SweepCtx| run_trials(ctx, &args, (0..args.trials).collect());
+    let code = door.run(Pool::new(1), RuntimeOptions::default(), generate, |lines| {
+        let report: String = lines.iter().map(|l| format!("{}\n", l[0])).collect();
+        let report_path = args.out.join("chaos.report");
+        if let Err(e) = write_atomic(&report_path, report.as_bytes()) {
+            eprintln!("chaos: cannot write {}: {e}", report_path.display());
+            return 1;
+        }
+        println!(
+            "chaos: {} trials passed (seed={}, audit every {} cycles) -> {}",
+            args.trials,
+            args.seed,
+            args.audit_every,
+            report_path.display()
+        );
+        0
+    });
+    std::process::exit(code);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A failed trial's report names its scenario and the command that
+    /// re-runs exactly that trial.
+    #[test]
+    fn a_failure_prints_its_repro() {
+        let e = SweepError {
+            label: "3".to_owned(),
+            error: JobError::Panicked("audit: 1 violation".to_owned()),
+        };
+        let report = failure_report(6, &e);
+        let t = draw_trial(6, 3);
+        assert!(report.starts_with(&format!(
+            "CHAOS FAILURE: seed=6 trial=3 fp={:016x} [{}]",
+            t.fingerprint, t.describe
+        )));
+        assert!(report.contains("cause: job panicked: audit: 1 violation"));
+        assert!(report.ends_with(
+            "repro: cargo run --release -p experiments --bin chaos -- --seed 6 --trial 3"
+        ));
+    }
 }

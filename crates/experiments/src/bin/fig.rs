@@ -45,5 +45,5 @@ fn main() {
             "--controllers is the controllers figure's flag, not {name}'s"
         ));
     }
-    cli.run_sweep(fig.stem, |ctx| (fig.generate)(&cli, ctx));
+    std::process::exit(cli.run_sweep(fig.stem, |ctx| (fig.generate)(&cli, ctx)));
 }

@@ -1,9 +1,14 @@
-//! Ad-hoc probe: windowed throughput over time for one configuration.
-//! Usage: `probe <scheme> <rate> <recovery|avoidance> <cycles>`
+//! Ad-hoc probe: windowed throughput over time for one configuration on
+//! the paper's network.
+//! Usage: `probe [scheme] [rate] [recovery|avoidance] [cycles]` (defaults:
+//! `base 0.05 recovery 100000`). Exit codes: 0 done, 2 a malformed argument
+//! or `STCC_*` value or an invalid configuration.
 use experiments::{Pool, RuntimeOptions, SweepCtx};
 use stcc::{Scheme, SimConfig};
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
+
+const USAGE: &str = "usage: probe [scheme] [rate] [recovery|avoidance] [cycles]";
 
 /// Reports a usage/configuration error and exits (probe is ad-hoc tooling,
 /// but it must fail with a message, not a panic backtrace).
@@ -12,24 +17,45 @@ fn bail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The positional arguments, each defaulted when absent and refused when
+/// present but malformed.
+fn parse(args: &[String]) -> Result<(Scheme, f64, DeadlockMode, u64), String> {
+    if args.len() > 4 {
+        return Err(format!("too many arguments ({USAGE})"));
+    }
+    let arg = |i: usize| args.get(i).map(String::as_str);
+    let scheme = match arg(0) {
+        None => Scheme::Base,
+        Some(name) => {
+            Scheme::by_name(name, &sideband::SidebandConfig::paper()).ok_or_else(|| {
+                format!(
+                    "unknown scheme '{name}' ({}|static-<N>)",
+                    Scheme::registry_names().join("|")
+                )
+            })?
+        }
+    };
+    let rate = match arg(1) {
+        None => 0.05,
+        Some(v) => v.parse().map_err(|_| format!("bad rate '{v}' ({USAGE})"))?,
+    };
+    let deadlock = match arg(2) {
+        None | Some("recovery") => DeadlockMode::PAPER_RECOVERY,
+        Some("avoidance") => DeadlockMode::Avoidance,
+        Some(v) => return Err(format!("unknown mode '{v}' (recovery|avoidance)")),
+    };
+    let cycles = match arg(3) {
+        None => 100_000,
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("bad cycle count '{v}' ({USAGE})"))?,
+    };
+    Ok((scheme, rate, deadlock, cycles))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scheme = match args.first().map(String::as_str) {
-        None => Scheme::Base,
-        Some(name) => match Scheme::by_name(name, &sideband::SidebandConfig::paper()) {
-            Some(s) => s,
-            None => bail(&format!(
-                "unknown scheme '{name}' ({}|static-<N>)",
-                Scheme::registry_names().join("|")
-            )),
-        },
-    };
-    let rate: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.05);
-    let deadlock = match args.get(2).map(String::as_str) {
-        Some("avoidance") => DeadlockMode::Avoidance,
-        _ => DeadlockMode::PAPER_RECOVERY,
-    };
-    let cycles: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(100_000);
+    let (scheme, rate, deadlock, cycles) = parse(&args).unwrap_or_else(|msg| bail(&msg));
     let cfg = SimConfig {
         net: NetConfig::paper(deadlock),
         workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(rate)),

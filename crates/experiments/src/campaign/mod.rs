@@ -15,18 +15,24 @@
 //! - **quarantine**: a job failing every attempt is recorded with its
 //!   typed failure and the campaign continues.
 //!
-//! Completed jobs land in a crash-safe ledger (the crc-checked append-only
-//! [`crate::journal`]), so `--resume` after a SIGKILL — of the orchestrator
-//! *or* any worker — replays finished jobs verbatim and re-runs quarantined
-//! ones. Because every job and every row rendering is deterministic, a
-//! resumed campaign's final report is byte-identical to an uninterrupted
-//! run (`tests/campaign.rs` proves it).
+//! The orchestrator is one more tool behind the [`FrontDoor`]: each job's
+//! whole retry loop is one job of [`SweepCtx::try_run_rows`], so the rows
+//! it ends with land in the crash-safe ledger (the crc-checked append-only
+//! [`crate::journal`]), and `--resume` after a SIGKILL — of the
+//! orchestrator *or* any worker — replays finished jobs verbatim. A
+//! quarantined job is journaled the same way, as its row with status
+//! `quarantined` and the tally of its failed attempts; the front door
+//! drops such rows from the replay set on `--resume`, so the job is
+//! retried from its first attempt. Because every job and every row
+//! rendering is deterministic, a resumed campaign's final report is
+//! byte-identical to an uninterrupted run (`tests/campaign.rs` proves it).
 
 pub mod backoff;
 pub mod manifest;
 
-use crate::journal::{FailureKind, Journal};
+use crate::journal::{FailureKind, Rows};
 use crate::runner::{JobError, Pool};
+use crate::sweep::{write_atomic, FrontDoor};
 use crate::table::fnum;
 use crate::{steady_config, JobBudget, NetPreset, RuntimeOptions, Scale, SweepCtx, Table};
 use faults::{FaultPlan, HotspotFault, LinkFault, SidebandFaults};
@@ -35,7 +41,6 @@ use stcc::Scheme;
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use traffic::{Pattern, SimRng};
 use wormsim::DeadlockMode;
@@ -512,14 +517,6 @@ fn compose_row(
     row
 }
 
-/// How one job of the campaign ended.
-enum JobOutcome {
-    Done(Vec<String>),
-    Quarantined(Vec<String>),
-    Interrupted,
-    LedgerError(String),
-}
-
 /// Options of one orchestrator invocation.
 #[derive(Debug, Clone)]
 pub struct CampaignOpts {
@@ -549,194 +546,106 @@ fn backoff_sleep(d: Duration) -> bool {
     }
 }
 
-/// Runs the whole campaign: expansion, supervision, ledger, report.
-/// Returns the process exit code.
-///
-/// # Panics
-///
-/// Panics only on a poisoned internal lock (a worker thread panicked,
-/// which the pool prevents).
+/// Whether a job's row is a quarantined one. It is journaled like any
+/// other row, and a resume re-runs the job.
+fn quarantined(row: &[String]) -> bool {
+    row.get(COL_STATUS).is_some_and(|s| s == "quarantined")
+}
+
+/// Runs one job under supervision: attempt after attempt, with backoff in
+/// between, until one succeeds or the retries run out and the job is
+/// quarantined. Either way the job's row is its result.
+fn supervise_job(spec: &JobSpec, m: &Manifest, manifest_path: &Path) -> Result<Rows, JobError> {
+    let mut tally = Tally::default();
+    for attempt in 0..=m.retries {
+        let wait = if attempt == 0 {
+            Duration::ZERO
+        } else {
+            backoff::delay(m.seed, spec.idx, attempt, m.backoff_ms)
+        };
+        if !backoff_sleep(wait) {
+            return Err(JobError::Interrupted);
+        }
+        match supervise_attempt(spec, attempt, m, manifest_path) {
+            AttemptOutcome::Ok(metrics) => {
+                let status = if attempt == 0 { "ok" } else { "ok-retried" };
+                let row = compose_row(spec, status, attempt + 1, &tally, &metrics);
+                return Ok(vec![row]);
+            }
+            AttemptOutcome::Interrupted => return Err(JobError::Interrupted),
+            AttemptOutcome::Failed(kind, message) => {
+                eprintln!(
+                    "[{}: attempt {}/{} failed ({kind}): {message}]",
+                    spec.label(),
+                    attempt + 1,
+                    m.retries + 1
+                );
+                tally.record(kind, message);
+            }
+        }
+    }
+    let row = compose_row(spec, "quarantined", m.retries + 1, &tally, &[]);
+    Ok(vec![row])
+}
+
+/// Runs the whole campaign through the [`FrontDoor`]: expansion,
+/// supervision, ledger, report. Returns the process exit code.
 #[must_use]
 pub fn orchestrate(manifest_text: &str, m: &Manifest, opts: &CampaignOpts) -> i32 {
-    crate::sigint::install();
     let jobs = expand(m);
     let fingerprint = checkpoint::fnv1a64(
         format!("campaign|{manifest_text}|{}", env!("CARGO_PKG_VERSION")).as_bytes(),
     );
-    let ledger_path = opts.out.join("campaign.ledger");
-    let (ledger, load) = match Journal::begin(&ledger_path, fingerprint, opts.resume) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!(
-                "campaign: cannot open ledger {}: {e}",
-                ledger_path.display()
-            );
+    let ledger = opts.out.join("campaign.ledger");
+    let door = FrontDoor::new("campaign", ledger, fingerprint, opts.resume)
+        .rerunning(|rows| rows.iter().any(|r| quarantined(r)));
+    let pool = Pool::new(opts.workers.unwrap_or(m.workers)).with_progress(true);
+    let generate = |ctx: &SweepCtx| {
+        let replayed = ctx.resumed_jobs();
+        eprintln!(
+            "[campaign '{}': {} jobs ({replayed} replayed from ledger, {} to run) on {} workers]",
+            m.name,
+            jobs.len(),
+            jobs.len() - replayed,
+            ctx.pool().jobs()
+        );
+        ctx.try_run_rows(jobs, JobSpec::label, |spec| {
+            supervise_job(&spec, m, &opts.manifest)
+        })
+    };
+    door.run(pool, RuntimeOptions::default(), generate, |rows| {
+        let mut table = Table::new(format!("Campaign '{}'", m.name), COLUMNS);
+        table.extend(rows.clone());
+        let report = render_report(m, fingerprint, &table, &rows);
+        let csv_path = opts.out.join("campaign.csv");
+        let report_path = opts.out.join("campaign.report");
+        let written = table
+            .write_csv(&csv_path)
+            .map_err(|e| (&csv_path, e))
+            .and_then(|()| {
+                write_atomic(&report_path, report.as_bytes()).map_err(|e| (&report_path, e))
+            });
+        if let Err((path, e)) = written {
+            eprintln!("campaign: cannot write {}: {e}", path.display());
             return 1;
         }
-    };
-    if opts.resume && (!load.done.is_empty() || !load.failed.is_empty()) {
+        print!("{report}");
         eprintln!(
-            "[resuming: {} completed jobs in the ledger, {} quarantined/failed jobs to re-run]",
-            load.done.len(),
-            load.failed.len()
+            "[wrote {} and {}]",
+            csv_path.display(),
+            report_path.display()
         );
-    }
-    let ledger = Mutex::new(ledger);
-
-    // Jobs whose rows are already in the ledger are replayed verbatim;
-    // everything else (including previously quarantined jobs — their
-    // failure records are not rows) runs fresh.
-    let mut slots: Vec<Option<Vec<String>>> = Vec::with_capacity(jobs.len());
-    let mut pending: Vec<JobSpec> = Vec::new();
-    for job in &jobs {
-        if let Some(rows) = load.done.get(&job.idx) {
-            slots.push(rows.first().cloned());
-        } else {
-            slots.push(None);
-            pending.push(job.clone());
-        }
-    }
-
-    let workers = opts.workers.unwrap_or(m.workers);
-    let pool = Pool::new(workers).with_progress(true);
-    let fresh_count = pending.len();
-    eprintln!(
-        "[campaign '{}': {} jobs ({} replayed from ledger, {} to run) on {} workers]",
-        m.name,
-        jobs.len(),
-        jobs.len() - fresh_count,
-        fresh_count,
-        pool.jobs()
-    );
-
-    let outcomes = pool.run(pending, JobSpec::label, |spec| {
-        let mut tally = Tally::default();
-        let mut attempt: u32 = 0;
-        loop {
-            if crate::sigint::interrupted() {
-                return Ok::<_, JobError>((spec.idx, JobOutcome::Interrupted));
-            }
-            if attempt > 0
-                && !backoff_sleep(backoff::delay(m.seed, spec.idx, attempt, m.backoff_ms))
-            {
-                return Ok((spec.idx, JobOutcome::Interrupted));
-            }
-            match supervise_attempt(&spec, attempt, m, &opts.manifest) {
-                AttemptOutcome::Ok(metrics) => {
-                    let status = if attempt == 0 { "ok" } else { "ok-retried" };
-                    let row = compose_row(&spec, status, attempt + 1, &tally, &metrics);
-                    let append = ledger
-                        .lock()
-                        .expect("ledger lock")
-                        .append(spec.idx, &vec![row.clone()]);
-                    if let Err(e) = append {
-                        return Ok((spec.idx, JobOutcome::LedgerError(e.to_string())));
-                    }
-                    return Ok((spec.idx, JobOutcome::Done(row)));
-                }
-                AttemptOutcome::Interrupted => return Ok((spec.idx, JobOutcome::Interrupted)),
-                AttemptOutcome::Failed(kind, message) => {
-                    eprintln!(
-                        "[{}: attempt {}/{} failed ({kind}): {message}]",
-                        spec.label(),
-                        attempt + 1,
-                        m.retries + 1
-                    );
-                    tally.record(kind, message);
-                    if attempt >= m.retries {
-                        // Quarantine: the row carries the tally; the ledger
-                        // gets a failure record (NOT a row), so a resume
-                        // re-runs this job.
-                        let (kind, message) =
-                            tally.last_error.clone().expect("at least one failure");
-                        let _ = ledger
-                            .lock()
-                            .expect("ledger lock")
-                            .append_failure(spec.idx, kind, &message);
-                        let row = compose_row(&spec, "quarantined", attempt + 1, &tally, &[]);
-                        return Ok((spec.idx, JobOutcome::Quarantined(row)));
-                    }
-                    attempt += 1;
-                }
+        match rows.iter().filter(|r| quarantined(r)).count() {
+            0 => EXIT_OK,
+            n => {
+                eprintln!(
+                    "campaign: {n} job(s) quarantined — see the degradation section; \
+                     --resume will retry them"
+                );
+                EXIT_QUARANTINED
             }
         }
-    });
-
-    let mut interrupted = false;
-    let mut quarantined: Vec<u64> = Vec::new();
-    let mut ledger_error: Option<String> = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok((idx, JobOutcome::Done(row))) => slots[idx as usize] = Some(row),
-            Ok((idx, JobOutcome::Quarantined(row))) => {
-                slots[idx as usize] = Some(row);
-                quarantined.push(idx);
-            }
-            Ok((_, JobOutcome::Interrupted)) => interrupted = true,
-            Ok((_, JobOutcome::LedgerError(e))) => ledger_error = Some(e),
-            Err(e) if e.error == JobError::Interrupted => interrupted = true,
-            Err(e) => ledger_error = Some(e.to_string()),
-        }
-    }
-    if interrupted {
-        eprintln!(
-            "campaign: interrupted; completed jobs are in {} — re-run with --resume",
-            ledger_path.display()
-        );
-        return crate::sigint::EXIT_INTERRUPTED;
-    }
-    if let Some(e) = ledger_error {
-        eprintln!("campaign: ledger failure: {e} — re-run with --resume");
-        return 1;
-    }
-
-    let rows: Vec<Vec<String>> = slots
-        .into_iter()
-        .map(|s| s.expect("every job replayed, done or quarantined"))
-        .collect();
-    let mut table = Table::new(format!("Campaign '{}'", m.name), COLUMNS);
-    table.extend(rows.clone());
-    let csv_path = opts.out.join("campaign.csv");
-    if let Err(e) = table.write_csv(&csv_path) {
-        eprintln!("campaign: cannot write {}: {e}", csv_path.display());
-        return 1;
-    }
-    let report = render_report(m, fingerprint, &table, &rows);
-    let report_path = opts.out.join("campaign.report");
-    if let Err(e) = write_atomic(&report_path, &report) {
-        eprintln!("campaign: cannot write {}: {e}", report_path.display());
-        return 1;
-    }
-    print!("{report}");
-    eprintln!(
-        "[wrote {} and {}]",
-        csv_path.display(),
-        report_path.display()
-    );
-
-    if quarantined.is_empty() {
-        // Fully clean: the ledger has served its purpose.
-        let _ = std::fs::remove_file(&ledger_path);
-        EXIT_OK
-    } else {
-        // Keep the ledger so a later --resume replays the good jobs and
-        // retries only the quarantined ones.
-        eprintln!(
-            "campaign: {} job(s) quarantined — see the degradation section; \
-             --resume will retry them",
-            quarantined.len()
-        );
-        EXIT_QUARANTINED
-    }
-}
-
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension("report.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    })
 }
 
 fn cell_u64(row: &[String], col: usize) -> u64 {
@@ -804,10 +713,7 @@ fn render_report(m: &Manifest, fingerprint: u64, table: &Table, rows: &[Vec<Stri
         .iter()
         .filter(|r| r[COL_STATUS].starts_with("ok"))
         .count();
-    let quarantined: Vec<&Vec<String>> = rows
-        .iter()
-        .filter(|r| r[COL_STATUS] == "quarantined")
-        .collect();
+    let quarantined: Vec<&Vec<String>> = rows.iter().filter(|r| quarantined(r)).collect();
     let sum = |col: usize| rows.iter().map(|r| cell_u64(r, col)).sum::<u64>();
     let retries: u64 = rows
         .iter()

@@ -1,6 +1,6 @@
-use crate::journal::Journal;
 use crate::options::process_env;
-use crate::runner::{JobError, Pool, SweepError};
+use crate::runner::{Pool, SweepError};
+use crate::sweep::FrontDoor;
 use crate::{NetPreset, RuntimeOptions, Scale, SweepCtx, Table};
 use stcc::Scheme;
 use std::path::PathBuf;
@@ -149,16 +149,6 @@ impl Cli {
         Pool::new(jobs).with_progress(true)
     }
 
-    /// Prints `table` and writes it to `<out>/<stem>.<scale>.csv`.
-    fn emit(&self, stem: &str, table: &Table) {
-        print!("{}", table.to_text());
-        let path = self.out.join(format!("{stem}.{}.csv", self.scale.label()));
-        match table.write_csv(&path) {
-            Ok(()) => eprintln!("[wrote {}]", path.display()),
-            Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
-        }
-    }
-
     /// Where this sweep's resume journal lives: next to its CSV.
     #[must_use]
     pub fn journal_path(&self, stem: &str) -> PathBuf {
@@ -183,67 +173,30 @@ impl Cli {
         )
     }
 
-    /// Runs one figure's sweep crash-safely: installs the SIGINT handler,
-    /// opens the journal (honoring `--resume`), hands `generate` a
-    /// [`SweepCtx`], and emits the table. On success the journal is removed;
-    /// on SIGINT the process exits 130 with a `--resume` hint (the journal
-    /// keeps every completed point); on any other failure it exits 1.
+    /// Runs one figure's sweep through the [`FrontDoor`] and returns the
+    /// exit code: `generate` gets a journaling [`SweepCtx`], and its table
+    /// is printed and written to `<out>/<stem>.<scale>.csv`.
+    #[must_use]
     pub fn run_sweep(
         &self,
         stem: &str,
         generate: impl FnOnce(&SweepCtx) -> Result<Table, SweepError>,
-    ) {
-        crate::sigint::install();
-        let journal_path = self.journal_path(stem);
-        let ctx = match Journal::begin(&journal_path, self.sweep_fingerprint(stem), self.resume) {
-            Ok((journal, load)) => {
-                if self.resume && (!load.done.is_empty() || !load.failed.is_empty()) {
-                    eprintln!(
-                        "[resuming: {} completed points journaled, {} failed points to retry]",
-                        load.done.len(),
-                        load.failed.len()
-                    );
-                    for (idx, failure) in &load.failed {
-                        eprintln!(
-                            "[retrying point {idx}: {} — {}]",
-                            failure.kind, failure.message
-                        );
-                    }
-                }
-                SweepCtx::with_journal(self.pool(), journal, load).with_options(self.opts.clone())
+    ) -> i32 {
+        let door = FrontDoor::new(
+            stem,
+            self.journal_path(stem),
+            self.sweep_fingerprint(stem),
+            self.resume,
+        );
+        door.run(self.pool(), self.opts.clone(), generate, |table| {
+            print!("{}", table.to_text());
+            let path = self.out.join(format!("{stem}.{}.csv", self.scale.label()));
+            match table.write_csv(&path) {
+                Ok(()) => eprintln!("[wrote {}]", path.display()),
+                Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
             }
-            Err(e) => {
-                eprintln!(
-                    "{stem}: cannot open journal {}: {e}",
-                    journal_path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        match generate(&ctx) {
-            Ok(t) => {
-                self.emit(stem, &t);
-                let _ = std::fs::remove_file(&journal_path);
-            }
-            Err(SweepError {
-                label,
-                error: JobError::Interrupted,
-            }) => {
-                eprintln!(
-                    "{stem}: interrupted ({label}); completed points are journaled — \
-                     re-run with --resume to continue"
-                );
-                std::process::exit(crate::sigint::EXIT_INTERRUPTED);
-            }
-            Err(e) => {
-                eprintln!(
-                    "{stem}: {e}\n[completed points remain in {}; failed points carry \
-                     typed records and will be retried — re-run with --resume]",
-                    journal_path.display()
-                );
-                std::process::exit(1);
-            }
-        }
+            0
+        })
     }
 }
 

@@ -1,4 +1,5 @@
 use crate::runner::{JobError, Pool};
+use crate::sweep::write_atomic;
 use crate::{Scale, SweepCtx};
 use core::ops::ControlFlow;
 use faults::FaultPlan;
@@ -6,10 +7,7 @@ use sideband::SidebandConfig;
 use simstats::{GaugeSeries, RunSummary, WindowSeries};
 use stcc::{Controller, FaultReport, Observer, RunGuard, Scheme, SimConfig, SimError};
 use stcc::{Simulation, TuneConfig};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use std::{fs, io};
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
 
@@ -55,25 +53,6 @@ pub struct SeriesResult {
     pub latency_total: f64,
     /// Packets recovered via the deadlock network.
     pub recovered: u64,
-}
-
-/// Atomically writes this job's snapshot (one file per job, keyed by a hash
-/// of its label; overwritten at every cadence point). The temp name is
-/// unique per process and writer so that two jobs whose labels collide
-/// (e.g. fig4's two tuner variants share a point label) can never
-/// interleave bytes in one temp file — each rename publishes a complete
-/// snapshot, last writer wins.
-fn write_checkpoint(dir: &Path, label: &str, sim: &Simulation) -> io::Result<()> {
-    static WRITER: AtomicU64 = AtomicU64::new(0);
-    fs::create_dir_all(dir)?;
-    let key = checkpoint::fnv1a64(label.as_bytes());
-    let tmp = dir.join(format!(
-        "ckpt-{key:016x}.{}-{}.tmp",
-        std::process::id(),
-        WRITER.fetch_add(1, Ordering::Relaxed)
-    ));
-    fs::write(&tmp, sim.checkpoint())?;
-    fs::rename(&tmp, dir.join(format!("ckpt-{key:016x}.bin")))
 }
 
 impl SweepCtx {
@@ -131,7 +110,13 @@ impl SweepCtx {
             }
             if let Some((every, dir)) = &opts.checkpoint {
                 if sim.now().is_multiple_of(*every) && sim.now() < cycles {
-                    if let Err(e) = write_checkpoint(dir, label, sim) {
+                    // One file per job, keyed by a hash of its label and
+                    // overwritten at every cadence point. Two jobs whose
+                    // labels collide (fig4's two tuner variants share a
+                    // point label) each publish a whole snapshot.
+                    let key = checkpoint::fnv1a64(label.as_bytes());
+                    let path = dir.join(format!("ckpt-{key:016x}.bin"));
+                    if let Err(e) = write_atomic(&path, &sim.checkpoint()) {
                         return ControlFlow::Break(JobError::Failed(format!(
                             "{label}: checkpoint write: {e}"
                         )));
@@ -396,6 +381,7 @@ pub fn steady_config(
 mod tests {
     use super::*;
     use crate::{JobBudget, RuntimeOptions};
+    use std::fs;
 
     fn tiny_cfg() -> SimConfig {
         crate::figures::fig4::sim_config(NetPreset::Small, Scale::Tiny, true)

@@ -1,20 +1,28 @@
-//! Resumable sweep execution: a [`Pool`], the run's [`RuntimeOptions`] and
-//! an optional journal of completed points.
+//! Resumable runs: a [`Pool`], the run's [`RuntimeOptions`], an optional
+//! journal of completed jobs, and the one front door that `fig`, `campaign`
+//! and `chaos` all enter through.
 //!
-//! Figure modules render their final row strings *inside* the worker
-//! closure and fan out through [`SweepCtx::try_run_rows`]; each finished
-//! job's rows are journaled (fsync'd) before the job counts as done, and on
-//! `--resume` journaled jobs are replayed from disk instead of
-//! re-simulated. Jobs are numbered by a context-global counter in issue
-//! order, so a binary that runs several sweeps (e.g. `fig7`) gets stable
-//! indices across runs.
+//! A tool renders its final rows *inside* the worker closure and fans its
+//! jobs out through [`SweepCtx::try_run_rows`]; each finished job's rows
+//! are journaled (fsync'd) before the job counts as done, and on `--resume`
+//! journaled jobs are replayed from disk instead of re-run. Jobs are
+//! numbered by a context-global counter in issue order, so a binary that
+//! runs several sweeps (e.g. `fig7`) gets stable indices across runs.
+//!
+//! [`FrontDoor::run`] is the only place a run installs the SIGINT handler,
+//! opens its journal, prints the resume banner, exits 130 when interrupted
+//! and retires its journal; [`write_atomic`] is the only way an output file
+//! is written.
 
 use crate::journal::{FailureKind, Journal, JournalLoad, Rows};
 use crate::runner::{JobError, Pool, SweepError};
+use crate::sigint::EXIT_INTERRUPTED;
 use crate::RuntimeOptions;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::{fs, io};
 
 /// Execution context of one sweep binary: worker pool, runtime options,
 /// resume state and the journal of completed points.
@@ -177,10 +185,142 @@ impl SweepCtx {
     }
 }
 
+/// One resumable run's identity: what it is called, where its journal
+/// lives, which run wrote that journal and whether to resume from it.
+#[derive(Debug)]
+pub struct FrontDoor {
+    name: String,
+    journal: PathBuf,
+    fingerprint: u64,
+    resume: bool,
+    rerun: fn(&Rows) -> bool,
+}
+
+impl FrontDoor {
+    /// The run called `name` (the prefix of its messages), journaling to
+    /// `journal` under `fingerprint` — a journal another run wrote is
+    /// ignored — and replaying it when `resume` is set.
+    #[must_use]
+    pub fn new(name: &str, journal: PathBuf, fingerprint: u64, resume: bool) -> FrontDoor {
+        FrontDoor {
+            name: name.to_owned(),
+            journal,
+            fingerprint,
+            resume,
+            rerun: |_| false,
+        }
+    }
+
+    /// Re-runs on resume every journaled job whose rows `rerun` picks, as
+    /// if it had never completed (a quarantined campaign job).
+    #[must_use]
+    pub fn rerunning(mut self, rerun: fn(&Rows) -> bool) -> FrontDoor {
+        self.rerun = rerun;
+        self
+    }
+
+    /// Runs the tool crash-safely and returns its exit code: installs the
+    /// SIGINT handler, opens the journal (resuming it when asked), hands
+    /// `generate` a journaling [`SweepCtx`] over `pool` and `opts`, and
+    /// passes its output to `finish`, whose code is the run's.
+    ///
+    /// The journal is removed once `finish` returns 0, and kept for a
+    /// `--resume` otherwise. An interrupted run exits 130 and a failed job
+    /// 1, both with a `--resume` hint; failed jobs carry typed journal
+    /// records and re-run on resume.
+    pub fn run<T>(
+        &self,
+        pool: Pool,
+        opts: RuntimeOptions,
+        generate: impl FnOnce(&SweepCtx) -> Result<T, SweepError>,
+        finish: impl FnOnce(T) -> i32,
+    ) -> i32 {
+        crate::sigint::install();
+        let name = &self.name;
+        let (journal, mut load) = match Journal::begin(&self.journal, self.fingerprint, self.resume)
+        {
+            Ok(opened) => opened,
+            Err(e) => {
+                eprintln!(
+                    "{name}: cannot open journal {}: {e}",
+                    self.journal.display()
+                );
+                return 1;
+            }
+        };
+        let journaled = load.done.len();
+        load.done.retain(|_, rows| !(self.rerun)(rows));
+        let rerun = journaled - load.done.len() + load.failed.len();
+        if journaled + load.failed.len() > 0 {
+            eprintln!(
+                "[resuming: {} completed jobs journaled, {rerun} to re-run]",
+                load.done.len()
+            );
+            for (idx, failure) in &load.failed {
+                eprintln!(
+                    "[retrying job {idx}: {} — {}]",
+                    failure.kind, failure.message
+                );
+            }
+        }
+        let ctx = SweepCtx::with_journal(pool, journal, load).with_options(opts);
+        match generate(&ctx) {
+            Ok(output) => {
+                let code = finish(output);
+                if code == 0 {
+                    let _ = fs::remove_file(&self.journal);
+                }
+                code
+            }
+            Err(SweepError {
+                label,
+                error: JobError::Interrupted,
+            }) => {
+                eprintln!(
+                    "{name}: interrupted ({label}); completed jobs are journaled — \
+                     re-run with --resume to continue"
+                );
+                EXIT_INTERRUPTED
+            }
+            Err(e) => {
+                eprintln!(
+                    "{name}: {e}\n[completed jobs remain in {}; failed jobs carry typed \
+                     records and will be retried — re-run with --resume]",
+                    self.journal.display()
+                );
+                1
+            }
+        }
+    }
+}
+
+/// Writes `bytes` to `path` atomically, creating parent directories: a temp
+/// file beside it, then a rename, so a reader sees the previous file or the
+/// new one and a writer killed mid-write never leaves a torn one. The temp name is unique per
+/// process and call, so writers racing on one path each publish a whole
+/// file (the last rename wins).
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static WRITER: AtomicU64 = AtomicU64::new(0);
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        WRITER.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
 
     fn rowset(tag: &str) -> Rows {
         vec![vec![tag.to_owned(), "1".to_owned()]]
@@ -319,5 +459,44 @@ mod tests {
         assert_eq!(load.done.len(), 4);
         assert!(load.failed.is_empty());
         fs::remove_file(&path).unwrap();
+    }
+
+    /// The front door replays what its journal holds except the rows it is
+    /// told to re-run, and retires the journal only on exit code 0.
+    #[test]
+    fn front_door_reruns_picked_rows_and_retires_the_journal_on_zero() {
+        let path = std::env::temp_dir().join("stcc-sweep-test-door/d.journal");
+        let (mut j, _) = Journal::begin(&path, 3, false).unwrap();
+        j.append(0, &rowset("kept")).unwrap();
+        j.append(1, &rowset("redo")).unwrap();
+        drop(j);
+        let door =
+            FrontDoor::new("d", path.clone(), 3, true).rerunning(|rows| rows[0][0] == "redo");
+        let run = |code: i32| {
+            let generate = |ctx: &SweepCtx| {
+                assert_eq!(ctx.resumed_jobs(), 1);
+                ctx.try_run_rows(
+                    vec![0, 1],
+                    |j| j.to_string(),
+                    |j| {
+                        assert_eq!(j, 1, "only the picked row re-runs");
+                        Ok::<_, String>(rowset("redone"))
+                    },
+                )
+            };
+            door.run(Pool::new(1), RuntimeOptions::default(), generate, |rows| {
+                assert_eq!(rows, [rowset("kept"), rowset("redone")].concat());
+                code
+            })
+        };
+        // A nonzero code keeps the journal (now holding the re-run row, so
+        // rewrite it to be picked again), a zero code retires it.
+        assert_eq!(run(4), 4);
+        assert!(path.exists());
+        let (mut j, _) = Journal::begin(&path, 3, true).unwrap();
+        j.append(1, &rowset("redo")).unwrap();
+        drop(j);
+        assert_eq!(run(0), 0);
+        assert!(!path.exists());
     }
 }

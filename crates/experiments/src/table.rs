@@ -1,5 +1,4 @@
 use std::fmt::Write as _;
-use std::fs;
 use std::io;
 use std::path::Path;
 
@@ -124,24 +123,15 @@ impl Table {
         out
     }
 
-    /// Writes the CSV rendering to `path` atomically (temp file in the same
-    /// directory, then rename), creating parent directories. A crash mid-run
-    /// can therefore never leave a truncated CSV behind: readers see either
-    /// the previous complete file or the new one.
+    /// Writes the CSV rendering to `path` through
+    /// [`crate::sweep::write_atomic`], creating parent directories: a run
+    /// killed mid-write never leaves a truncated CSV behind.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        fs::write(&tmp, self.to_csv())?;
-        fs::rename(&tmp, path)
+        crate::sweep::write_atomic(path.as_ref(), self.to_csv().as_bytes())
     }
 }
 

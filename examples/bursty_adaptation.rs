@@ -13,10 +13,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let phase = 6_000u64;
     let workload = Workload::bursty(phase, 1_500, 15);
     let cycles = 9 * phase;
+    let net = NetConfig::small(DeadlockMode::PAPER_RECOVERY);
     let cfg = SimConfig {
-        net: NetConfig::small(DeadlockMode::PAPER_RECOVERY),
+        // The tuner's side-band gathers over the network it runs on.
+        scheme: Scheme::Tuned(TuneConfig::for_net(&net)),
+        net,
         workload: workload.clone(),
-        scheme: Scheme::tuned_paper(),
         cycles,
         warmup: phase / 2,
         seed: 99,

@@ -28,9 +28,12 @@ fn hotspot_source(rng: &mut SimRng, nodes: usize, node: usize) -> Option<usize> 
     }
 }
 
+fn net_config() -> NetConfig {
+    NetConfig::small(DeadlockMode::PAPER_RECOVERY)
+}
+
 fn run(ctl: &mut dyn CongestionControl) -> (f64, u64) {
-    let mut net =
-        Network::new(NetConfig::small(DeadlockMode::PAPER_RECOVERY)).expect("valid small network");
+    let mut net = Network::new(net_config()).expect("valid small network");
     let nodes = net.torus().node_count();
     let mut rng = SimRng::seed_from_u64(0x407);
     let cycles = 30_000u64;
@@ -50,7 +53,8 @@ fn main() {
     println!("{:<10} {tput:>14.4} {thr:>12}", "base");
     let (tput, thr) = run(&mut AloControl::new());
     println!("{:<10} {tput:>14.4} {thr:>12}", "alo");
-    let mut tuned = SelfTuned::new(TuneConfig::paper());
+    // The tuner's side-band gathers over the network it runs on.
+    let mut tuned = SelfTuned::new(TuneConfig::for_net(&net_config()));
     let (tput, thr) = run(&mut tuned);
     println!("{:<10} {tput:>14.4} {thr:>12}", "tune");
     println!(

@@ -12,10 +12,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An 8-ary 2-cube (64 nodes) with Disha deadlock recovery, uniform
     // random traffic at 0.02 packets/node/cycle — comfortably beyond this
     // network's saturation point, where an uncontrolled network collapses.
+    let net = NetConfig::small(DeadlockMode::PAPER_RECOVERY);
     let cfg = SimConfig {
-        net: NetConfig::small(DeadlockMode::PAPER_RECOVERY),
+        // The tuner's side-band gathers over the network it runs on.
+        scheme: Scheme::Tuned(TuneConfig::for_net(&net)),
+        net,
         workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.02)),
-        scheme: Scheme::tuned_paper(),
         cycles: 30_000,
         warmup: 5_000,
         seed: 42,

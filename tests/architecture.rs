@@ -1,8 +1,9 @@
 //! Architecture rules: properties of the source tree that no simulator test
-//! can see — where the process environment is read, which bench stack
-//! exists, where the side-band watchdog lives, how a stepping loop reaches
-//! the traffic sources, what math the traffic stream may call and whether
-//! every test fixture still has a reader. Each rule documents the files it
+//! can see — where the process environment is read and a resumable run
+//! opens its journal, which bench stack exists, where the side-band
+//! watchdog lives, how a stepping loop reaches the traffic sources, what
+//! math the traffic stream may call and whether every test fixture still
+//! has a reader. Each rule documents the files it
 //! reads, what it forbids and why, and reports every offending line as
 //! `path:line: text` (an orphan fixture as `path: ...`). Each runs twice:
 //! on the tree as it stands, and on a synthetic violation it must report
@@ -179,6 +180,9 @@ const FRONT_DOOR: &str = "crates/experiments/src/options.rs";
 const SET_VAR: &str = concat!("set", "_var");
 const REMOVE_VAR: &str = concat!("remove", "_var");
 
+/// The one non-test source file a resumable run enters through.
+const RUN_DOOR: &str = "crates/experiments/src/sweep.rs";
+
 /// One front door. A run's configuration is a value, `RuntimeOptions`,
 /// resolved once from argv and the `STCC_*` variables and passed down, so:
 /// - the environment is read (`env::var`, `vars`, `var_os`, `vars_os`) in
@@ -187,6 +191,13 @@ const REMOVE_VAR: &str = concat!("remove", "_var");
 ///   either, which run on parallel threads;
 /// - `crates/core` never names `std::env` at all: a simulation reads only
 ///   what its caller passes.
+///
+/// A resumable run (`fig`, `campaign`, `chaos`) enters through one door
+/// too, `FrontDoor::run`: above its tests, no source file of
+/// `crates/*/src` or `src` but [`RUN_DOOR`] opens a journal
+/// (`Journal::begin(`) or installs the SIGINT handler
+/// (`sigint::install(`), so no tool grows its own replay loop, resume
+/// banner or exit path again.
 ///
 /// `benchmark/` is its own workspace and keeps its own scrub.
 fn one_front_door(tree: &[File]) -> Vec<String> {
@@ -216,6 +227,12 @@ fn one_front_door(tree: &[File]) -> Vec<String> {
         |p| p.starts_with("crates/core/src/"),
         any_of(&["std::env", "env::"]),
     ));
+    let doors = any_of(&["Journal::begin(", "sigint::install("]);
+    found.extend(
+        tree.iter()
+            .filter(|f| (crate_src(&f.path) || f.path.starts_with("src/")) && f.path != RUN_DOOR)
+            .flat_map(|f| scan(&f.path, above_tests(&f.text), &doors)),
+    );
     found
 }
 
@@ -419,6 +436,29 @@ fn front_door_reports_a_second_reader_a_writer_and_env_in_core() {
             "crates/experiments/tests/resume.rs",
             "tests/faults.rs",
             "crates/core/src/sim.rs",
+        ]
+    );
+}
+
+#[test]
+fn front_door_reports_a_second_journal_loop_and_signal_handler() {
+    let begin = "let (journal, load) = Journal::begin(&path, fp, resume)?;";
+    let install = "experiments::sigint::install();";
+    let tests_only = format!("pub fn begin() {{}}\n\n#[cfg(test)]\nmod tests {{\n    {begin}\n}}");
+    let tree = [
+        file(RUN_DOOR, &format!("{begin}\n{install}")),
+        file("crates/experiments/src/campaign/mod.rs", begin),
+        file("crates/experiments/src/bin/chaos.rs", install),
+        file("src/main.rs", begin),
+        file("crates/experiments/src/journal.rs", &tests_only),
+        file("crates/experiments/tests/resume.rs", begin),
+    ];
+    assert_eq!(
+        paths(&one_front_door(&tree)),
+        [
+            "crates/experiments/src/campaign/mod.rs",
+            "crates/experiments/src/bin/chaos.rs",
+            "src/main.rs",
         ]
     );
 }

@@ -4,6 +4,13 @@
 use stcc::prelude::*;
 use stcc::Simulation;
 
+/// The self-tuned scheme with its side-band sized for [`sim`]'s network.
+fn small_tuned() -> Scheme {
+    Scheme::Tuned(TuneConfig::for_net(&NetConfig::small(
+        DeadlockMode::Avoidance,
+    )))
+}
+
 fn sim(scheme: Scheme, deadlock: DeadlockMode, rate: f64, cycles: u64, seed: u64) -> Simulation {
     Simulation::new(SimConfig {
         net: NetConfig::small(deadlock),
@@ -19,7 +26,7 @@ fn sim(scheme: Scheme, deadlock: DeadlockMode, rate: f64, cycles: u64, seed: u64
 #[test]
 fn light_load_is_fully_accepted_under_all_schemes_and_modes() {
     for deadlock in [DeadlockMode::Avoidance, DeadlockMode::PAPER_RECOVERY] {
-        for scheme in [Scheme::Base, Scheme::Alo, Scheme::tuned_paper()] {
+        for scheme in [Scheme::Base, Scheme::Alo, small_tuned()] {
             let mut s = sim(scheme.clone(), deadlock, 0.002, 15_000, 1);
             s.run_to_end();
             let sum = s.summary().unwrap();
@@ -175,7 +182,7 @@ fn self_addressed_packets_are_delivered_locally() {
 fn whole_stack_is_deterministic() {
     let run = || {
         let mut s = sim(
-            Scheme::tuned_paper(),
+            small_tuned(),
             DeadlockMode::PAPER_RECOVERY,
             0.03,
             20_000,

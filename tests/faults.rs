@@ -17,6 +17,13 @@ fn cfg(scheme: Scheme, net: NetConfig, rate: f64, cycles: u64, seed: u64) -> Sim
     }
 }
 
+/// The self-tuned scheme with its side-band sized for the small network.
+fn small_tuned() -> Scheme {
+    Scheme::Tuned(TuneConfig::for_net(&NetConfig::small(
+        DeadlockMode::PAPER_RECOVERY,
+    )))
+}
+
 fn blackout(seed: u64) -> FaultPlan {
     FaultPlan::sideband_only(
         seed,
@@ -76,7 +83,7 @@ fn total_sideband_blackout_degrades_gracefully() {
 #[test]
 fn quiet_plan_is_bit_identical_to_no_plan() {
     let c = cfg(
-        Scheme::tuned_paper(),
+        small_tuned(),
         NetConfig::small(DeadlockMode::PAPER_RECOVERY),
         0.03,
         20_000,
@@ -133,7 +140,7 @@ fn faulty_runs_are_deterministic() {
     let run = || {
         let mut sim = Simulation::with_faults(
             cfg(
-                Scheme::tuned_paper(),
+                small_tuned(),
                 NetConfig::small(DeadlockMode::PAPER_RECOVERY),
                 0.03,
                 20_000,

@@ -99,7 +99,8 @@ fn controllers_never_lose_packets() {
         let mode = mode_for(splitmix64(&mut s));
         let rate = 0.005 + (splitmix64(&mut s) % 1000) as f64 / 1000.0 * 0.075;
         let seed = splitmix64(&mut s);
-        for scheme in [Scheme::Alo, Scheme::tuned_paper()] {
+        let tuned = Scheme::Tuned(TuneConfig::for_net(&NetConfig::small(mode)));
+        for scheme in [Scheme::Alo, tuned] {
             let mut sim = Simulation::new(SimConfig {
                 net: NetConfig::small(mode),
                 workload: Workload::steady(Pattern::UniformRandom, Process::bernoulli(rate)),
