@@ -612,7 +612,7 @@ impl Simulation {
         // size the container once.
         let hint = self.net.state_len_bound() + 16 * self.src_delivered.len() + 4096;
         checkpoint::seal_with(self.fingerprint, hint, |enc| {
-            self.net.save_state(enc);
+            self.net.save_state_presized(enc);
             self.runner.save_state(enc);
             self.ctl.save_state(enc);
             self.net_latency.save_state(enc);

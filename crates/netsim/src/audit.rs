@@ -22,6 +22,7 @@
 
 use crate::activity::NodeSet;
 use crate::network::{Assign, Network};
+use crate::shard::Parked;
 use core::fmt;
 
 /// Which invariant a violation broke. One variant per independently
@@ -64,8 +65,9 @@ pub enum AuditKind {
     Recovery,
     /// Incremental quiescence predicate vs. a full scan.
     Quiescence,
-    /// A shard's pass output left over between cycles: a suspect not
-    /// committed, a handoff not put or a delivered flit not consumed.
+    /// A shard's pass output left over between cycles: a suspect or
+    /// starvation trip not committed, a handoff not put or a delivered
+    /// flit not consumed.
     MailboxConservation,
     /// Shard partition not a disjoint ascending cover of the node range.
     ShardPartition,
@@ -584,8 +586,9 @@ impl Network {
 
     /// Shard-plan invariants: the partition is a disjoint ascending cover
     /// of the node range, and every shard's pass output was consumed by
-    /// the tail and the fold (`suspects`, `parked` and `delivered` empty
-    /// between cycles).
+    /// the handoff passes and the fold (`suspects`, `starved`, every
+    /// `outbound` and `inbound` list and `delivered` empty between
+    /// cycles).
     pub(crate) fn audit_shards(&self, v: &mut Vec<AuditViolation>) {
         let nodes = self.torus().node_count();
         let shards = self.plan.shards();
@@ -611,17 +614,20 @@ impl Network {
                 });
             }
             let stage = &self.plan.stages[s];
-            if !(stage.suspects.is_empty() && stage.parked.is_empty() && stage.delivered.is_empty())
-            {
+            let parked = |lists: &[Vec<Parked>]| lists.iter().map(Vec::len).sum::<usize>();
+            let left = [
+                ("suspect(s)", stage.suspects.len()),
+                ("starvation trip(s)", stage.starved.len()),
+                ("outbound handoff(s)", parked(&stage.outbound)),
+                ("inbound handoff(s)", parked(&stage.inbound)),
+                ("delivered flit(s)", stage.delivered.len()),
+            ];
+            if left.iter().any(|&(_, n)| n != 0) {
+                let left: Vec<String> =
+                    left.iter().map(|(what, n)| format!("{n} {what}")).collect();
                 v.push(AuditViolation {
                     kind: AuditKind::MailboxConservation,
-                    detail: format!(
-                        "shard {s}: left in the mailbox: {} suspect(s), {} parked and {} \
-                         delivered flit(s)",
-                        stage.suspects.len(),
-                        stage.parked.len(),
-                        stage.delivered.len()
-                    ),
+                    detail: format!("shard {s}: left in the mailbox: {}", left.join(", ")),
                 });
             }
         }
@@ -846,18 +852,20 @@ mod tests {
             idx: 0,
             ready_at: 0,
         };
-        // A suspect the fold never committed to the token queue; a flit a
-        // pass took off its feeder that the sequential tail never put
-        // downstream, or the fold never consumed: one strand per list.
-        let strands: [&dyn Fn(&mut ShardStage); 3] = [
+        let parked = Parked {
+            node: 0,
+            feeder: 0,
+            flit,
+        };
+        // A suspect or a starvation trip the fold never committed to the
+        // token queue; a flit a switch pass took off its feeder that no
+        // handoff pass put downstream — still outbound, or already handed
+        // to its owner — or the fold never consumed: one strand per list.
+        let strands: [&dyn Fn(&mut ShardStage); 5] = [
             &|st| st.suspects.push(0),
-            &|st| {
-                st.parked.push(Parked {
-                    node: 0,
-                    feeder: 0,
-                    flit,
-                });
-            },
+            &|st| st.starved.push(0),
+            &|st| st.outbound[0].push(parked),
+            &|st| st.inbound[0].push(parked),
             &|st| st.delivered.push(flit),
         ];
         for strand in strands {

@@ -138,6 +138,9 @@ impl Network {
                     }
                     let mut full_delta = 0;
                     view.note_vc_popped(node, f, &mut full_delta);
+                    // The route pass took this cycle's credit copy already:
+                    // write the pop through, for the switch pass to see.
+                    view.credit.set(node, view.vc_full.get(node));
                     self.full_buffers = self.full_buffers.wrapping_add_signed(full_delta);
                     flit.ready_at = now + 1;
                     self.dl_bufs.push_back(entry, flit);

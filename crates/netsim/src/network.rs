@@ -6,7 +6,9 @@ use crate::packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore};
 use crate::plane::{inj_movable_at, rr_pick, vc_movable_at, Slot, SwitchPlane};
 use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, IdRing};
 use crate::routing::RouteTables;
-use crate::shard::{ApplyCtx, Cells, Parked, Pass, PhaseStats, ShardPlan, ShardStage, WorkerPool};
+use crate::shard::{
+    post_handoffs, ApplyCtx, Cells, Parked, Pass, PhaseStats, ShardPlan, ShardStage, WorkerPool,
+};
 use faults::{FaultPlan, FaultPlanError};
 use kncube::{Dir, NodeId, Torus};
 use std::sync::atomic::Ordering;
@@ -288,7 +290,7 @@ impl Network {
     /// parallel stepping (clamped to `[1, nodes]`). Results are
     /// bit-identical for every shard count: no router's pass reads what
     /// another router's pass of the same cycle writes, and the sequential
-    /// tail commits globally ordered results in ascending-node order
+    /// fold commits globally ordered results in ascending-node order
     /// regardless of the partition. The partition is runtime-only
     /// configuration — never serialized, so a checkpoint moves freely
     /// between shard counts. Call between cycles.
@@ -660,10 +662,13 @@ impl Network {
         ctl.on_cycle(now, self);
         self.decide_injection(now, ctl);
         self.route_phase(now);
-        if let DeadlockMode::Recovery { timeout } = self.cfg.deadlock {
-            self.starvation_stage(now, timeout);
+        if matches!(self.cfg.deadlock, DeadlockMode::Recovery { .. }) {
             self.recovery_stage(now);
         }
+        debug_assert!(
+            self.plan.credit == self.vc_full,
+            "the switch pass's credit copy is not `vc_full` as the pass starts"
+        );
         self.switch_phase(now);
         #[cfg(debug_assertions)]
         {
@@ -757,83 +762,22 @@ impl Network {
 
     /// Routing + VC allocation: each router's central arbiter routes at
     /// most one header per cycle, demand-slotted round-robin over
-    /// requesters ([`ApplyCtx::route_pass`], over the shard partition —
-    /// see [`Network::run_pass`]).
+    /// requesters, and on a scan cycle its starvation scan runs
+    /// ([`ApplyCtx::route_pass`], over the shard partition — see
+    /// [`Network::run_pass`]).
     pub(crate) fn route_phase(&mut self, now: u64) {
         self.run_pass(now, Pass::Route);
     }
 
-    /// Commits a suspected-deadlocked VC to the recovery token queue (what
-    /// the starvation stage does to a header that trips; a route pass's
-    /// suspect takes the same two steps in [`ApplyCtx::route_pass`] and
-    /// [`Network::fold_stage`]).
-    pub(crate) fn commit_suspect(&mut self, idx: usize) {
-        self.apply_ctx().suspect(idx);
-        self.enqueue_suspect(idx);
-    }
-
-    /// The global half of committing a suspect: its token-queue entry.
+    /// The global half of committing a suspect — a route-pass suspect or
+    /// a starvation trip, which the pass has demoted already: its
+    /// token-queue entry.
     fn enqueue_suspect(&mut self, idx: usize) {
         if !self.vc_queued[idx] {
             self.vc_queued[idx] = true;
             self.token_queue.push_back(0, idx as u32);
         }
         self.counters.recovery_timeouts += 1;
-    }
-
-    /// Detects deadlocked worms whose header is *routed* but has been
-    /// credit-starved at the front of its buffer for `timeout` cycles with
-    /// the whole worm inactive. (The routing stage only watches unrouted
-    /// headers; a cycle can also form among headers that already hold an
-    /// output VC and wait forever for buffer space.) Such a header has sent
-    /// nothing on its allocated VC yet — the header is still here — so the
-    /// allocation is released and the worm committed to the token queue.
-    ///
-    /// Every `timeout` cycles, scans the routed input VCs that hold a flit
-    /// — `busy_nodes`, then each node's `vc_busy & vc_switchable` word —
-    /// in ascending VC order, so suspects join the token queue in VC
-    /// order. `stage_starvation_checks` counts the VCs examined.
-    fn starvation_stage(&mut self, now: u64, timeout: u64) {
-        if !now.is_multiple_of(timeout) {
-            return;
-        }
-        let fpn = self.d * self.v;
-        for w in 0..self.busy_nodes.word_count() {
-            let mut nword = self.busy_nodes.word(w);
-            while nword != 0 {
-                let node = (w << 6) | nword.trailing_zeros() as usize;
-                nword &= nword - 1;
-                let mut mask = self.vc_busy[node] & self.vc_switchable[node];
-                while mask != 0 {
-                    let f = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    self.counters.stage_starvation_checks += 1;
-                    self.check_starved_head(now, timeout, node, node * fpn + f);
-                }
-            }
-        }
-    }
-
-    /// The starvation predicate on input VC `idx` of `node`: an
-    /// `Out`-assigned header at the front, ready, its worm still for at
-    /// least `timeout` cycles. A VC that trips releases its output VC and
-    /// is committed to the token queue.
-    fn check_starved_head(&mut self, now: u64, timeout: u64, node: NodeId, idx: usize) {
-        let Assign::Out { port, vc: ovc } = self.vc_assign[idx] else {
-            return;
-        };
-        // Most fronts under load are body flits: test them before the
-        // packet-store lookup.
-        if self.vc_bufs.front_idx(idx) != 0 || self.vc_bufs.front_ready_at(idx) > now {
-            return;
-        }
-        let last_move = self.packets.get(self.vc_bufs.front_packet(idx)).last_move;
-        if now.saturating_sub(last_move) >= timeout {
-            let oidx = self.vc_idx(node, usize::from(port), usize::from(ovc));
-            debug_assert!(self.out_alloc[oidx]);
-            self.out_alloc[oidx] = false;
-            self.commit_suspect(idx);
-        }
     }
 
     /// Switch + link traversal: each output channel (network ports and the
@@ -845,10 +789,12 @@ impl Network {
     }
 
     /// Runs one stage as a pass per shard through a view of that shard's
-    /// node range, then the sequential tail. With one shard the caller's
-    /// thread runs the pass inline over the whole-network view; otherwise
-    /// the persistent worker pool's participants run the shards' passes
-    /// (see [`crate::shard::WorkerPool`]) — the same code either way.
+    /// node range — after a switch pass that parked handoffs, a handoff
+    /// pass per shard too — then the sequential fold. With one shard the
+    /// caller's thread runs the pass inline over the whole-network view,
+    /// which hands nothing off; otherwise the persistent worker pool's
+    /// participants run the shards' passes (see
+    /// [`crate::shard::WorkerPool`]) — the same code either way.
     fn run_pass(&mut self, now: u64, kind: Pass) {
         if !self.take_pass_copies(kind) {
             return;
@@ -858,27 +804,17 @@ impl Network {
         let mut clock = stats.as_ref().map(|_| std::time::Instant::now());
         if let Some(mut pool) = self.plan.pool.take() {
             pool.run(self, kind, now, &mut stages, stats.as_deref_mut());
+            if kind == Pass::Switch && post_handoffs(&mut stages) {
+                pool.run(self, Pass::Handoff, now, &mut stages, stats.as_deref_mut());
+            }
             self.plan.pool = Some(pool);
-            // `run` booked the caller's share of the pass itself.
+            // `run` booked the caller's share of the passes itself.
             clock = clock.map(|_| std::time::Instant::now());
         } else {
             let nodes = self.torus.node_count();
             self.apply_ctx().pass(kind, now, 0, nodes, &mut stages[0]);
         }
-        // Sequential from here, in ascending shard (= ascending node)
-        // order — which visits the FIFO-ordered structures in global
-        // ascending-node order at any shard count: the downstream half of
-        // the handoffs, then the global half of each shard's results and
-        // its deltas.
-        if stages.iter().any(|stage| !stage.parked.is_empty()) {
-            let view = self.apply_ctx();
-            for stage in &mut stages {
-                view.tail(now, stage);
-            }
-        }
-        for stage in &mut stages {
-            self.fold_stage(kind, now, stage);
-        }
+        self.fold_stages(kind, now, &mut stages);
         if let (Some(st), Some(since)) = (stats.as_deref_mut(), clock) {
             st.apply_ns += since.elapsed().as_nanos() as u64;
         }
@@ -886,54 +822,61 @@ impl Network {
         self.plan.stages = stages;
     }
 
-    /// Takes the copies a pass reads in place of state it also writes: the
-    /// routers to visit — those holding a flit, plus an admitted injection
-    /// to route or an active one to switch — and, for the switch pass, the
-    /// credit words. `false` (and no credit copy) when no router has
-    /// anything to do (one OR per 64 nodes).
+    /// Takes the visit copy a pass reads in place of state it also
+    /// writes: the routers to visit — those holding a flit, plus an
+    /// admitted injection to route or an active one to switch. `false`
+    /// when no router has anything to do (one OR per 64 nodes). A skipped
+    /// route pass copies no credit, but then no input VC holds a flit, so
+    /// no `vc_full` bit is set: the credit copy is cleared to match.
     pub(crate) fn take_pass_copies(&mut self, kind: Pass) -> bool {
-        let also = match kind {
-            Pass::Route => &self.allow_nodes,
-            Pass::Switch => &self.inj_nodes,
+        let also = if kind == Pass::Route {
+            &self.allow_nodes
+        } else {
+            &self.inj_nodes
         };
         let mut any = 0;
         for (w, visit) in self.plan.visit.iter_mut().enumerate() {
             *visit = self.busy_nodes.word(w) | also.word(w);
             any |= *visit;
         }
-        if any != 0 && kind == Pass::Switch {
-            self.plan.credit.copy_from_slice(&self.vc_full);
+        if any == 0 && kind == Pass::Route {
+            self.plan.credit.fill(0);
         }
         any != 0
     }
 
-    /// Folds one shard's results of a pass: the deltas to global scalars,
-    /// and the global half of its suspects and deliveries — suspects join
-    /// the token queue, delivered flits are consumed — in pass order.
-    pub(crate) fn fold_stage(&mut self, kind: Pass, now: u64, stage: &mut ShardStage) {
-        match kind {
-            Pass::Route => {
-                let c = &mut self.counters;
+    /// Folds the shards' results of a pass, in ascending shard order: the
+    /// deltas to global scalars, and the global half of their suspects,
+    /// starvation trips and deliveries — suspects and then trips join the
+    /// token queue, delivered flits are consumed — each in pass order.
+    pub(crate) fn fold_stages(&mut self, kind: Pass, now: u64, stages: &mut [ShardStage]) {
+        for stage in stages.iter_mut() {
+            let c = &mut self.counters;
+            if kind == Pass::Route {
                 c.stage_route_visits += std::mem::take(&mut stage.route_visits);
+                c.stage_starvation_checks += std::mem::take(&mut stage.starvation_checks);
                 c.escape_allocations += std::mem::take(&mut stage.escape_allocs);
                 for idx in stage.suspects.drain(..) {
                     self.enqueue_suspect(idx as usize);
                 }
+                continue;
             }
-            Pass::Switch => {
-                let c = &mut self.counters;
-                c.stage_switch_visits += std::mem::take(&mut stage.switch_visits);
-                c.hotspot_stall_cycles += std::mem::take(&mut stage.hotspot_stalls);
-                c.link_stall_cycles += std::mem::take(&mut stage.link_stalls);
-                c.injected_packets += std::mem::take(&mut stage.injected);
-                let full_delta = std::mem::take(&mut stage.full_delta);
-                self.full_buffers = self.full_buffers.wrapping_add_signed(full_delta);
-                if std::mem::take(&mut stage.progressed) {
-                    self.last_progress_at = now;
-                }
-                for flit in stage.delivered.drain(..) {
-                    self.deliver_flit(now, flit, false);
-                }
+            c.stage_switch_visits += std::mem::take(&mut stage.switch_visits);
+            c.hotspot_stall_cycles += std::mem::take(&mut stage.hotspot_stalls);
+            c.link_stall_cycles += std::mem::take(&mut stage.link_stalls);
+            c.injected_packets += std::mem::take(&mut stage.injected);
+            let full_delta = std::mem::take(&mut stage.full_delta);
+            self.full_buffers = self.full_buffers.wrapping_add_signed(full_delta);
+            if std::mem::take(&mut stage.progressed) {
+                self.last_progress_at = now;
+            }
+            for flit in stage.delivered.drain(..) {
+                self.deliver_flit(now, flit, false);
+            }
+        }
+        for stage in stages.iter_mut() {
+            for idx in stage.starved.drain(..) {
+                self.enqueue_suspect(idx as usize);
             }
         }
     }
@@ -976,7 +919,8 @@ impl Network {
             packets: self.packets.view(),
             plane: self.plane.view(),
             visit: &self.plan.visit,
-            credit: &self.plan.credit,
+            credit: Cells::new(&mut self.plan.credit),
+            bounds: &self.plan.bounds,
             allow: self.allow_nodes.words(),
             tables: &self.tables,
             faults: self.faults.as_ref(),
@@ -1022,24 +966,28 @@ impl Network {
     }
 }
 
-/// The route and switch passes and the state transition under them,
-/// written once over the checked view: a pool participant runs a pass on
-/// its shard's node range, the caller's thread on the whole network (the
-/// single-shard pass, the handoff tail, the starvation and recovery
-/// stages). Every access lands inside the view's range or panics.
+/// The route, switch and handoff passes and the state transition under
+/// them, written once over the checked view: a pool participant runs a
+/// pass on its shard's node range, the caller's thread on the whole
+/// network (the single-shard pass, the recovery stage). Every access lands
+/// inside the view's range or panics.
 impl ApplyCtx<'_> {
     /// One shard's pass of `kind` over the routers `lo..hi` of this view.
     pub(crate) fn pass(&self, kind: Pass, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
         match kind {
             Pass::Route => self.route_pass(now, lo, hi, stage),
             Pass::Switch => self.switch_pass(now, lo, hi, stage),
+            Pass::Handoff => self.handoff_pass(now, stage),
         }
     }
 
     /// The route stage over the routers `lo..hi`, ascending: each router's
     /// central arbiter picks at most one header, demand-slotted
     /// round-robin over its requesters, and at once performs the
-    /// allocation, the cursor update and the blocked-cycle accounting.
+    /// allocation, the cursor update and the blocked-cycle accounting; on
+    /// a scan cycle the router's starvation scan follows
+    /// ([`ApplyCtx::starvation_scan`]). First the pass copies the range's
+    /// `vc_full` words into the credit copy the switch pass reads.
     ///
     /// The outcome is the same for every partition and router order,
     /// because nothing a router reads is written by another router's pass:
@@ -1050,99 +998,160 @@ impl ApplyCtx<'_> {
     /// to a packet whose header it holds, which no other router routes (and
     /// `last_move` changes only in the switch and recovery stages).
     pub(crate) fn route_pass(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
-        let inj_feeder = self.fpn;
-        let timeout = match self.recovery_timeout {
-            0 => u64::MAX,
-            t => t,
-        };
+        for node in lo..hi {
+            self.credit.set(node, self.vc_full.get(node));
+        }
+        let scan = self.is_scan_cycle(now);
         for w in (lo >> 6)..hi.div_ceil(64) {
             let mut nword = self.visit[w] & range_word_mask(w, lo, hi);
             while nword != 0 {
                 let b = nword.trailing_zeros() as usize;
                 let node = (w << 6) | b;
                 nword &= nword - 1;
-                // Requesters are busy VCs still awaiting an assignment; the
-                // bit-plane intersection prunes already-routed worms
-                // without touching their per-VC state.
-                let cand = self.vc_busy.get(node) & self.vc_unrouted.get(node);
-                let allow = self.allow[w] >> b & 1 == 1;
-                if cand == 0 && !allow {
+                self.route_router(now, node, self.allow[w] >> b & 1 == 1, stage);
+                if scan {
+                    self.starvation_scan(now, node, stage);
+                }
+            }
+        }
+    }
+
+    /// Whether `now` is a cycle of the starvation scan: every `timeout`
+    /// cycles in recovery mode, never in avoidance mode.
+    #[inline]
+    pub(crate) fn is_scan_cycle(&self, now: u64) -> bool {
+        self.recovery_timeout != 0 && now.is_multiple_of(self.recovery_timeout)
+    }
+
+    /// One router's routing arbitration and allocation (see
+    /// [`ApplyCtx::route_pass`]); `allow` says whether its injection was
+    /// admitted this cycle.
+    #[inline(always)]
+    fn route_router(&self, now: u64, node: NodeId, allow: bool, stage: &mut ShardStage) {
+        let inj_feeder = self.fpn;
+        let timeout = match self.recovery_timeout {
+            0 => u64::MAX,
+            t => t,
+        };
+        // Requesters are busy VCs still awaiting an assignment; the
+        // bit-plane intersection prunes already-routed worms without
+        // touching their per-VC state.
+        let cand = self.vc_busy.get(node) & self.vc_unrouted.get(node);
+        if cand == 0 && !allow {
+            return;
+        }
+        stage.route_visits += 1;
+        // Gather routing requests from occupied input VCs into a
+        // requester bitmask.
+        let mut requests = u64::from(allow) << inj_feeder;
+        let base = node * self.fpn;
+        let mut mask = cand;
+        while mask != 0 {
+            let f = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            // Unrouted headers request routing; suspected (token-queued)
+            // headers keep requesting too — only capturing the token
+            // commits a packet to the recovery path, so a transiently
+            // congested packet resumes normal routing when a channel
+            // frees. Truly deadlocked packets never see a free channel.
+            let front = self.vc_bufs.front(base + f);
+            requests |= u64::from(front.idx == 0 && front.ready_at <= now) << f;
+        }
+        if requests == 0 {
+            return;
+        }
+        // Demand-slotted RR: the first requester at or after the cursor
+        // position.
+        let winner = rr_pick(requests, self.route_rr.get(node));
+        self.route_rr.set(node, winner + 1);
+
+        // Routing decision for the winner.
+        let pid = if winner == inj_feeder {
+            self.source_q.front(node)
+        } else {
+            self.vc_bufs.front_packet(base + winner)
+        };
+        let dst = self.packets.packet(pid).dst;
+        let assign = if dst == node {
+            Some(Assign::Delivery)
+        } else {
+            self.choose_output(node, dst, pid)
+        };
+        if let Some(assign) = assign {
+            self.route_win(now, node, winner, assign, stage);
+        }
+
+        // Blocked-cycle accounting for every input-VC requester that did
+        // not end up routed this cycle (drives Disha detection). Queued
+        // packets hold no resources — not deadlockable — so the injection
+        // feeder is masked out.
+        let routed = u64::from(assign.is_some()) << winner;
+        let mut blocked = requests & !(1u64 << inj_feeder) & !routed;
+        while blocked != 0 {
+            let f = blocked.trailing_zeros() as usize;
+            blocked &= blocked - 1;
+            let idx = base + f;
+            if self.vc_assign.get(idx) != Assign::None {
+                continue;
+            }
+            // Disha suspicion: the header has starved for `timeout` cycles
+            // AND no flit of the whole worm has moved for `timeout` cycles
+            // (transient contention keeps body flits crawling and does not
+            // trip this). A suspected packet queues for the recovery token
+            // but keeps retrying normal routing until the token is
+            // captured; the token-queue commit is globally FIFO-ordered,
+            // the fold's.
+            let starved = self.vc_blocked.get(idx) + 1;
+            if starved >= timeout {
+                let packet = self.packets.packet(self.vc_bufs.front_packet(idx));
+                if now.saturating_sub(packet.last_move.load(Ordering::Relaxed)) >= timeout {
+                    self.suspect(idx);
+                    stage.suspects.push(idx as u32);
                     continue;
                 }
-                stage.route_visits += 1;
-                // Gather routing requests from occupied input VCs into a
-                // requester bitmask.
-                let mut requests = u64::from(allow) << inj_feeder;
-                let base = node * self.fpn;
-                let mut mask = cand;
-                while mask != 0 {
-                    let f = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    // Unrouted headers request routing; suspected
-                    // (token-queued) headers keep requesting too — only
-                    // capturing the token commits a packet to the recovery
-                    // path, so a transiently congested packet resumes
-                    // normal routing when a channel frees. Truly
-                    // deadlocked packets never see a free channel.
-                    let front = self.vc_bufs.front(base + f);
-                    requests |= u64::from(front.idx == 0 && front.ready_at <= now) << f;
-                }
-                if requests == 0 {
-                    continue;
-                }
-                // Demand-slotted RR: the first requester at or after the
-                // cursor position.
-                let winner = rr_pick(requests, self.route_rr.get(node));
-                self.route_rr.set(node, winner + 1);
+            }
+            self.vc_blocked.set(idx, starved);
+        }
+    }
 
-                // Routing decision for the winner.
-                let pid = if winner == inj_feeder {
-                    self.source_q.front(node)
-                } else {
-                    self.vc_bufs.front_packet(base + winner)
-                };
-                let dst = self.packets.packet(pid).dst;
-                let assign = if dst == node {
-                    Some(Assign::Delivery)
-                } else {
-                    self.choose_output(node, dst, pid)
-                };
-                if let Some(assign) = assign {
-                    self.route_win(now, node, winner, assign, stage);
-                }
-
-                // Blocked-cycle accounting for every input-VC requester
-                // that did not end up routed this cycle (drives Disha
-                // detection). Queued packets hold no resources — not
-                // deadlockable — so the injection feeder is masked out.
-                let routed = u64::from(assign.is_some()) << winner;
-                let mut blocked = requests & !(1u64 << inj_feeder) & !routed;
-                while blocked != 0 {
-                    let f = blocked.trailing_zeros() as usize;
-                    blocked &= blocked - 1;
-                    let idx = base + f;
-                    if self.vc_assign.get(idx) != Assign::None {
-                        continue;
-                    }
-                    // Disha suspicion: the header has starved for
-                    // `timeout` cycles AND no flit of the whole worm has
-                    // moved for `timeout` cycles (transient contention
-                    // keeps body flits crawling and does not trip this). A
-                    // suspected packet queues for the recovery token but
-                    // keeps retrying normal routing until the token is
-                    // captured; the token-queue commit is globally
-                    // FIFO-ordered, the fold's.
-                    let starved = self.vc_blocked.get(idx) + 1;
-                    if starved >= timeout {
-                        let packet = self.packets.packet(self.vc_bufs.front_packet(idx));
-                        if now.saturating_sub(packet.last_move.load(Ordering::Relaxed)) >= timeout {
-                            self.suspect(idx);
-                            stage.suspects.push(idx as u32);
-                            continue;
-                        }
-                    }
-                    self.vc_blocked.set(idx, starved);
-                }
+    /// The starvation scan of `node`, run by the route pass right after
+    /// routing it on a scan cycle: detects deadlocked worms whose header
+    /// is *routed* but has been credit-starved at the front of its buffer
+    /// for `timeout` cycles with the whole worm inactive. (Routing only
+    /// watches unrouted headers; a cycle can also form among headers that
+    /// already hold an output VC and wait forever for buffer space.) Such
+    /// a header has sent nothing on its allocated VC yet — the header is
+    /// still here — so the allocation is released, the VC demoted, and its
+    /// token-queue entry left to the fold.
+    ///
+    /// Examines the routed input VCs that hold a flit — `vc_busy &
+    /// vc_switchable` — in ascending order, so trips join the token queue
+    /// in VC order; `starvation_checks` counts them. It reads only the
+    /// router's own state and the `last_move` stamps, which no route pass
+    /// writes.
+    pub(crate) fn starvation_scan(&self, now: u64, node: NodeId, stage: &mut ShardStage) {
+        let timeout = self.recovery_timeout;
+        let mut mask = self.vc_busy.get(node) & self.vc_switchable.get(node);
+        while mask != 0 {
+            let f = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            stage.starvation_checks += 1;
+            let idx = node * self.fpn + f;
+            let assign = self.vc_assign.get(idx);
+            if !matches!(assign, Assign::Out { .. }) {
+                continue;
+            }
+            // Most fronts under load are body flits: test them before the
+            // packet-store lookup.
+            let front = self.vc_bufs.front(idx);
+            if front.idx != 0 || front.ready_at > now {
+                continue;
+            }
+            let last_move = self.packets.packet(front.packet).last_move;
+            if now.saturating_sub(last_move.load(Ordering::Relaxed)) >= timeout {
+                self.release_output(node, assign);
+                self.suspect(idx);
+                stage.starved.push(idx as u32);
             }
         }
     }
@@ -1151,14 +1160,14 @@ impl ApplyCtx<'_> {
     /// channel of a router moves at most one flit, round-robin over the
     /// feeders that are candidates for it, and the move is made at once —
     /// a local hop `put` downstream, a delivery set aside for the fold, a
-    /// handoff parked for the tail.
+    /// handoff parked for the handoff pass of the shard it is headed into.
     ///
     /// A feeder is a candidate when its front flit may move this cycle and
     /// the downstream buffer has credit *as the pass found it*: the credit
-    /// copy, never the live `vc_full` a router visited earlier may just
-    /// have popped (credit return takes a cycle). Every other read is the
-    /// router's own state (switch-plane entries, candidate masks, `out_rr`
-    /// cursors) or the visit copy. A flit pushed this pass is not ready
+    /// copy the route passes took, never the live `vc_full` a router
+    /// visited earlier may just have popped (credit return takes a cycle).
+    /// Every other read is the router's own state (switch-plane entries,
+    /// candidate masks, `out_rr` cursors) or the visit copy. A flit pushed this pass is not ready
     /// before `now + hop_latency` (validated ≥ 1), so it is never a
     /// candidate this pass, and the visit copy keeps a router a push made
     /// busy unvisited. The moves are overflow-free: each downstream VC has
@@ -1191,8 +1200,9 @@ impl ApplyCtx<'_> {
                     let f = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
                     let slot = self.plane.slot(base + f);
-                    let ok = (self.plane.movable_at(base + f) <= now)
-                        & (self.credit[slot.dnode()] >> slot.dbit() & 1 == 0);
+                    let credit = self.credit.atomic(slot.dnode()).load(Ordering::Relaxed);
+                    let ok =
+                        (self.plane.movable_at(base + f) <= now) & (credit >> slot.dbit() & 1 == 0);
                     cands[slot.port()] |= u64::from(ok) << f;
                     ports |= u32::from(ok) << slot.port();
                 }
@@ -1224,7 +1234,8 @@ impl ApplyCtx<'_> {
                     } else if lo <= dnode && dnode < hi {
                         self.put(now, (dnode, dbit), flit, &mut stage.full_delta);
                     } else {
-                        stage.parked.push(Parked {
+                        let owner = self.bounds.partition_point(|&b| b <= dnode) - 1;
+                        stage.outbound[owner].push(Parked {
                             node: dnode as u32,
                             feeder: dbit as u8,
                             flit,
@@ -1300,13 +1311,17 @@ impl ApplyCtx<'_> {
         *full_delta -= (full >> f & 1) as i32;
     }
 
-    /// The downstream half of one shard's handoffs, in pass order: the
-    /// flits its pass parked arrive in their — another shard's — input
-    /// VCs.
-    pub(crate) fn tail(&self, now: u64, stage: &mut ShardStage) {
-        for Parked { node, feeder, flit } in stage.parked.drain(..) {
-            let dest = (node as usize, usize::from(feeder));
-            self.put(now, dest, flit, &mut stage.full_delta);
+    /// The downstream half of the handoffs into this shard's range: the
+    /// flits other shards' switch passes parked arrive in their input VCs.
+    /// The order of these `put`s cannot matter: each downstream VC
+    /// receives at most one flit a cycle, from its one upstream channel;
+    /// the node-word updates are ORs and the census deltas sums.
+    fn handoff_pass(&self, now: u64, stage: &mut ShardStage) {
+        for inbound in &mut stage.inbound {
+            for Parked { node, feeder, flit } in inbound.drain(..) {
+                let dest = (node as usize, usize::from(feeder));
+                self.put(now, dest, flit, &mut stage.full_delta);
+            }
         }
     }
 
@@ -1509,6 +1524,26 @@ mod tests {
     use super::*;
     use crate::control::NoControl;
 
+    impl Network {
+        /// The starvation scan alone, as the route pass runs it on a scan
+        /// cycle — over every router, through the whole-network view —
+        /// and its fold: a test's handle on the scan without the routing
+        /// around it.
+        fn starvation_stage(&mut self, now: u64, timeout: u64) {
+            assert_eq!(self.cfg.deadlock, DeadlockMode::Recovery { timeout });
+            let nodes = self.torus.node_count();
+            let mut stages = std::mem::take(&mut self.plan.stages);
+            let view = self.apply_ctx();
+            if view.is_scan_cycle(now) {
+                for node in 0..nodes {
+                    view.starvation_scan(now, node, &mut stages[0]);
+                }
+            }
+            self.fold_stages(Pass::Route, now, &mut stages);
+            self.plan.stages = stages;
+        }
+    }
+
     /// Stepping under saturating random traffic must produce bit-identical
     /// state for every shard count: no router's pass reads what another's
     /// writes, and the tail commits in ascending-node order regardless of
@@ -1701,6 +1736,118 @@ mod tests {
         assert_eq!(net.counters.recovery_timeouts, timeouts + 1);
         let report = net.audit();
         assert!(report.is_clean(), "{report}");
+    }
+
+    /// One scan cycle of a saturated recovery network in which every worm
+    /// has been still for the timeout and every blocked unrouted header is
+    /// one cycle from suspicion: route-pass suspects and starvation trips
+    /// both come from several shards at 2, 3 and 8 shards, and at every
+    /// shard count the trips join the token queue after every suspect, in
+    /// ascending VC order, leaving the same queue and the same checkpoint
+    /// bytes.
+    #[test]
+    fn starvation_trips_join_the_token_queue_after_every_suspect_at_any_shard_count() {
+        let timeout = 8;
+        let cfg = NetConfig {
+            radix: 4,
+            dimensions: 3,
+            ..NetConfig::small(DeadlockMode::Recovery { timeout })
+        };
+        const SHARDS: [usize; 3] = [2, 3, 8];
+        // Whether `vcs` lie in at least two shards at every count.
+        let spread = |net: &Network, vcs: &[u32]| {
+            let (nodes, fpn) = (net.torus.node_count(), net.d * net.v);
+            SHARDS.iter().all(|&shards| {
+                let bounds = ShardPlan::new(shards, nodes, fpn, net.d + 1).bounds;
+                let mut hit: Vec<usize> = vcs
+                    .iter()
+                    .map(|&i| bounds.partition_point(|&b| b <= i as usize / fpn))
+                    .collect();
+                hit.dedup();
+                hit.len() >= 2
+            })
+        };
+        // The unqueued VCs this cycle's scan trips — routed, a ready header
+        // at the front — and one ready unrouted header of every router
+        // with two, of which routing leaves at least one to suspicion.
+        let candidates = |net: &Network| {
+            let now = net.now;
+            let fpn = net.d * net.v;
+            let header = |i: usize| {
+                let front = net.vc_bufs.front(i);
+                front.is_some_and(|f| f.idx == 0 && f.ready_at <= now)
+            };
+            let trips: Vec<u32> = (0..net.vc_assign.len())
+                .filter(|&i| header(i) && !net.vc_queued[i])
+                .filter(|&i| matches!(net.vc_assign[i], Assign::Out { .. }))
+                .map(|i| i as u32)
+                .collect();
+            let contested: Vec<u32> = (0..net.torus.node_count())
+                .filter_map(|n| {
+                    let mut unrouted = (n * fpn..(n + 1) * fpn)
+                        .filter(|&i| header(i) && net.vc_assign[i] == Assign::None);
+                    unrouted.nth(1).map(|i| i as u32)
+                })
+                .collect();
+            (trips, contested)
+        };
+        let run = |shards: usize| {
+            let mut net = Network::new(cfg.clone()).unwrap();
+            net.set_shards(shards);
+            let mut src = crate::testnet::source(1, 64, 60);
+            // A scan cycle with the token held — no grant pops the queue —
+            // and work for the scan and the suspicion in several shards.
+            loop {
+                assert!(net.now < 20_000, "no scan cycle fit the test");
+                if net.now > 1_000 && net.now.is_multiple_of(timeout) && net.recovery.is_some() {
+                    let (trips, contested) = candidates(&net);
+                    if spread(&net, &trips) && spread(&net, &contested) {
+                        break;
+                    }
+                }
+                net.cycle(&mut src, &mut NoControl);
+            }
+            let now = net.now;
+            for id in 0..net.packets.slot_count() as PacketId {
+                net.packets.get_mut(id).last_move = now - timeout;
+            }
+            for idx in 0..net.vc_assign.len() {
+                if net.vc_assign[idx] == Assign::None {
+                    net.vc_blocked[idx] = timeout - 1;
+                }
+            }
+            let routed: Vec<bool> = net
+                .vc_assign
+                .iter()
+                .map(|a| matches!(a, Assign::Out { .. }))
+                .collect();
+            let queued = net.token_queue.len(0);
+            net.cycle(&mut src, &mut NoControl);
+            let queue: Vec<u32> = (0..net.token_queue.len(0))
+                .map(|i| net.token_queue.get(0, i))
+                .collect();
+            // A trip's header was routed before the cycle or in its route
+            // pass; a suspect's is still unrouted. Each kind is in VC
+            // order, every suspect before every trip.
+            let tripped = |&i: &u32| routed[i as usize] || net.vc_routed_at[i as usize] == now;
+            let fresh = &queue[queued..];
+            let (suspects, trips) =
+                fresh.split_at(fresh.iter().take_while(|i| !tripped(i)).count());
+            assert!(trips.iter().all(tripped), "shards={shards}: {fresh:?}");
+            for (what, vcs) in [("suspects", suspects), ("trips", trips)] {
+                assert!(vcs.is_sorted(), "shards={shards}: {what} {vcs:?}");
+                assert!(spread(&net, vcs), "vacuous: {what} {vcs:?}");
+            }
+            let report = net.audit();
+            assert!(report.is_clean(), "shards={shards}: {report}");
+            let mut enc = checkpoint::Enc::new();
+            net.save_state(&mut enc);
+            (queue, enc.into_vec())
+        };
+        let base = run(1);
+        for shards in SHARDS {
+            assert!(run(shards) == base, "shards={shards} diverged from 1");
+        }
     }
 
     #[test]

@@ -149,12 +149,6 @@ impl FlitRings {
         self.slot(r, 0).ready
     }
 
-    /// `idx` of the front flit (ring must be non-empty).
-    #[inline]
-    pub(crate) fn front_idx(&self, r: usize) -> u16 {
-        self.slot(r, 0).idx
-    }
-
     /// Owning packet of the front flit (ring must be non-empty).
     #[inline]
     pub(crate) fn front_packet(&self, r: usize) -> PacketId {
@@ -582,7 +576,6 @@ mod tests {
                 assert_eq!(arena.front(r), model[r].front().copied());
                 if let Some(&front) = model[r].front() {
                     assert_eq!(arena.front_ready_at(r), front.ready_at);
-                    assert_eq!(arena.front_idx(r), front.idx);
                     assert_eq!(arena.front_packet(r), front.packet);
                 }
                 for (i, &f) in model[r].iter().enumerate() {
@@ -726,7 +719,7 @@ mod tests {
         arena.push_back(0, extreme);
         arena.push_back(0, flit(3));
         assert_eq!(arena.front_ready_at(0), u64::MAX);
-        assert_eq!(arena.front_idx(0), u16::MAX);
+        assert_eq!(arena.front(0).map(|f| f.idx), Some(u16::MAX));
         assert_eq!(arena.front_packet(0), PacketId::MAX);
         assert_eq!(arena.view().front_ready_at(0), u64::MAX);
         assert_eq!(arena.pop_front(0), extreme);

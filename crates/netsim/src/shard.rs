@@ -4,27 +4,34 @@
 //!
 //! One [`crate::Network`] is stepped across a fixed set of *shards* —
 //! contiguous node ranges. The route and switch stages each run as a
-//! **pass** and a **tail**, at every shard count:
+//! **pass** per shard and a sequential **fold**, at every shard count:
 //!
 //! 1. **Pass** (parallel): each shard visits the routers of its own node
 //!    range in ascending order through an [`ApplyCtx`] view of that range,
 //!    and each router arbitrates and then at once performs what it
 //!    decided. Nothing a router's arbitration reads is written by another
 //!    router's pass: its own state, plus what the view contract lists as
-//!    read-only — among it two copies `Network::run_pass` takes before the
-//!    pass opens, the routers to visit and the switch pass's credit words.
-//!    So the outcome is the same for every partition and every order in
-//!    which shards run, and no shard ever waits for another inside a pass.
-//!    A flit move goes by where its downstream half lands: a **local hop**
-//!    (downstream VC in the shard's own range) is `put` at once, a
-//!    **delivery** is set aside in the stage (`delivered`), and a
-//!    **handoff** (downstream VC in another shard) is taken off its feeder
-//!    and parked (`parked`).
-//! 2. **Tail** (sequential): the caller's thread `put`s the parked
-//!    handoffs into their downstream VCs through a whole-network view and
-//!    folds each shard's deltas and globally ordered results — suspects
-//!    into the token queue, delivered flits into the delivery ring — in
-//!    ascending shard order, within a shard in pass (ascending node)
+//!    read-only — among it the visit copy `Network::run_pass` takes before
+//!    the pass opens, and the credit words each shard's route pass copied
+//!    for its own range. So the outcome is the same for every partition
+//!    and every order in which shards run, and no shard ever waits for
+//!    another inside a pass. On a scan cycle the route pass also runs the
+//!    starvation scan of each router it visits, right after routing it,
+//!    and sets its trips aside (`starved`). A flit move goes by where its
+//!    downstream half lands: a **local hop** (downstream VC in the shard's
+//!    own range) is `put` at once, a **delivery** is set aside in the stage
+//!    (`delivered`), and a **handoff** (downstream VC in another shard) is
+//!    taken off its feeder and parked for the shard that owns that VC
+//!    (`outbound`). After a switch pass that parked any, the coordinator
+//!    hands each parked list to its owner (`inbound`, a swap of list
+//!    headers) and a **handoff pass** lets every shard `put` the flits
+//!    headed into its own range. Their order cannot matter: each
+//!    downstream VC receives at most one flit a cycle, the node-word
+//!    updates are ORs and the census deltas sums.
+//! 2. **Fold** (sequential): the caller's thread folds each shard's deltas
+//!    and globally ordered results — route-pass suspects, then starvation
+//!    trips, into the token queue; delivered flits into the delivery ring
+//!    — in ascending shard order, within a shard in pass (ascending node)
 //!    order. Because shards are contiguous ascending ranges, that visits
 //!    the globally ordered structures in global ascending-node order for
 //!    *any* shard count.
@@ -72,8 +79,8 @@ use crate::routing::RouteTables;
 use faults::FaultPlan;
 
 /// A handoff whose source half is done: `flit`, taken off its feeder by
-/// the source shard's pass, waits for the sequential tail to `put` it into
-/// input VC `feeder` of `node` — another shard's.
+/// the source shard's switch pass, waits for the handoff pass of the shard
+/// that owns input VC `feeder` of `node` to `put` it there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Parked {
     pub node: u32,
@@ -81,9 +88,10 @@ pub(crate) struct Parked {
     pub flit: Flit,
 }
 
-/// One shard's pass output: what the pass sets aside for the sequential
-/// tail, and the sink of its deltas to global scalars. Every list is empty
-/// between cycles (audited as [`crate::AuditKind::MailboxConservation`]).
+/// One shard's pass output: what its passes set aside for the sequential
+/// fold or for another shard's handoff pass, and the sink of its deltas to
+/// global scalars. Every list is empty between cycles (audited as
+/// [`crate::AuditKind::MailboxConservation`]).
 #[derive(Debug, Default)]
 pub(crate) struct ShardStage {
     /// The input VCs of requesters that tripped Disha's suspicion
@@ -91,14 +99,26 @@ pub(crate) struct ShardStage {
     /// them to the recovery token queue (a single global FIFO) in pass
     /// order.
     pub suspects: Vec<u32>,
-    /// Taken handoffs awaiting the tail's `put`.
-    pub parked: Vec<Parked>,
+    /// The input VCs whose routed header the starvation scan found still
+    /// for the timeout. The route pass releases their output VC and
+    /// demotes them; the fold commits them after every shard's
+    /// `suspects`, in pass order.
+    pub starved: Vec<u32>,
+    /// Taken handoffs, by the shard that owns their downstream VC
+    /// (`outbound[t]`; this shard's own slot stays empty).
+    pub outbound: Vec<Vec<Parked>>,
+    /// Handoffs into this shard's range, by the shard that took them
+    /// (`inbound[s]` is shard `s`'s `outbound[this]`, swapped in after the
+    /// switch pass), awaiting this shard's handoff pass.
+    pub inbound: Vec<Vec<Parked>>,
     /// Flits taken off delivery moves, consumed at their destination by
     /// the fold — the global delivery-ring FIFO and packet release order.
     pub delivered: Vec<Flit>,
     /// Routers this shard's route pass visited (counter delta, folded
     /// into [`crate::counters::Counters`] after the pass).
     pub route_visits: u64,
+    /// Input VCs this shard's starvation scan examined.
+    pub starvation_checks: u64,
     /// Routers this shard's switch pass visited.
     pub switch_visits: u64,
     /// Ready flits stalled on faulted links / hot delivery channels this
@@ -115,19 +135,22 @@ pub(crate) struct ShardStage {
     pub progressed: bool,
 }
 
-impl ShardStage {
-    /// A stage for a shard of `span` nodes with `fpn` input-VC feeders and
-    /// `nports` output channels each, every list at its per-cycle worst
-    /// case: a router sets aside at most one suspect per input feeder, one
-    /// handoff per network port and one delivered flit.
-    fn with_capacity(span: usize, fpn: usize, nports: usize) -> Self {
-        ShardStage {
-            suspects: Vec::with_capacity(span * fpn),
-            parked: Vec::with_capacity(span * (nports - 1)),
-            delivered: Vec::with_capacity(span),
-            ..ShardStage::default()
+/// Hands every list of handoffs a switch pass parked to the stage of the
+/// shard that owns their downstream VCs — a swap of list headers, no flit
+/// copied — and says whether there is any to put.
+pub(crate) fn post_handoffs(stages: &mut [ShardStage]) -> bool {
+    let mut any = false;
+    for s in 0..stages.len() {
+        for t in 0..stages.len() {
+            if stages[s].outbound[t].is_empty() {
+                continue;
+            }
+            any = true;
+            let parked = std::mem::take(&mut stages[s].outbound[t]);
+            stages[s].outbound[t] = std::mem::replace(&mut stages[t].inbound[s], parked);
         }
     }
+    any
 }
 
 /// The shard partition of one network: contiguous node ranges, the
@@ -149,10 +172,12 @@ pub(crate) struct ShardPlan {
     /// ready before `now + hop_latency` and would change nothing but the
     /// visit count.
     pub visit: Vec<u64>,
-    /// `vc_full` as the switch pass found it: the credit every router's
-    /// arbitration reads. A pop frees credit for the next cycle, never for
-    /// a router visited later in the same pass (credit return takes a
-    /// cycle).
+    /// `vc_full` as the switch pass finds it: the credit every router's
+    /// arbitration reads. Each shard's route pass copies its own range;
+    /// nothing moves a flit between then and the switch pass but the
+    /// recovery drain, which writes the word it pops through. A pop frees
+    /// credit for the next cycle, never for a router visited later in the
+    /// same pass (credit return takes a cycle).
     pub credit: Vec<u64>,
     /// Persistent workers running the shards' passes (`None` with one
     /// shard). Attached by `Network::set_shards`; dropping the plan joins
@@ -168,18 +193,34 @@ impl ShardPlan {
     /// workers mask bitset words at range edges).
     ///
     /// `fpn` is input-VC feeders per node (`d * v`), `nports` output
-    /// channels per node (`d + 1`); both size the stages' worst-case
-    /// per-cycle capacity ([`ShardStage::with_capacity`]). No worker pool
-    /// is attached here — `Network::set_shards` does that, so plan
-    /// construction in tests stays thread-free.
+    /// channels per node (`d + 1`); both size the stages' lists at their
+    /// per-cycle worst case: a router sets aside at most one suspect or
+    /// starvation trip per input feeder, one handoff per network port and
+    /// one delivered flit. No worker pool is attached here —
+    /// `Network::set_shards` does that, so plan construction in tests
+    /// stays thread-free.
     pub fn new(shards: usize, nodes: usize, fpn: usize, nports: usize) -> Self {
         let shards = shards.clamp(1, nodes.max(1));
         let mut bounds = Vec::with_capacity(shards + 1);
         for s in 0..=shards {
             bounds.push(s * nodes / shards);
         }
+        let span = |s: usize| bounds[s + 1] - bounds[s];
+        // Shard `s`'s handoffs into shard `t`: one list, swapped between
+        // the two stages, so both ends hold the same worst case.
+        let mail = |s: usize, t: usize| {
+            let cap = if s == t { 0 } else { span(s) * (nports - 1) };
+            Vec::with_capacity(cap)
+        };
         let stages = (0..shards)
-            .map(|s| ShardStage::with_capacity(bounds[s + 1] - bounds[s], fpn, nports))
+            .map(|s| ShardStage {
+                suspects: Vec::with_capacity(span(s) * fpn),
+                starved: Vec::with_capacity(span(s) * fpn),
+                outbound: (0..shards).map(|t| mail(s, t)).collect(),
+                inbound: (0..shards).map(|t| mail(t, s)).collect(),
+                delivered: Vec::with_capacity(span(s)),
+                ..ShardStage::default()
+            })
             .collect();
         ShardPlan {
             bounds,
@@ -291,7 +332,9 @@ impl Cells<'_, u64> {
     pub(crate) fn atomic(&self, w: usize) -> &AtomicU64 {
         // SAFETY: `shared` bounds-checked `w`; `u64` storage is
         // `AtomicU64`-aligned on every 64-bit target; words reached this
-        // way are never accessed plainly while a pass runs.
+        // way are never accessed plainly in the pass that reaches them so
+        // (the credit words a route pass writes plainly, a switch pass
+        // only loads).
         unsafe { AtomicU64::from_ptr(self.shared(w)) }
     }
 
@@ -363,20 +406,22 @@ impl Cells<'_, PacketInfo> {
 ///   rings). An index outside the view's node range panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets (64 nodes per word, shard edges unaligned; each bit is
-///   changed only by its owner's pass), and the packet-id-indexed
-///   `escaped` flags and `last_move`/`injected_at` stamps (one writer per
-///   cycle, or several writing the same value).
-/// * **Read-only while a pass runs** — the pass copies (`visit`,
-///   `credit`), the cycle's injection allowances (`allow`), the route
-///   tables, the fault plan, and packet lengths and destinations. No pass
-///   writes them, so every shard reads them plainly.
-/// * **Deferred to the tail** — a handoff's `put` (its downstream VC is
-///   another shard's: the source shard's pass `take`s, the tail's whole
-///   view `put`s), and everything globally ordered or global: the token
-///   queue, the delivery ring and packet release, and the scalars
-///   (`counters`, `full_buffers`, `last_progress_at`), which a view
-///   reaches only as [`ShardStage`] lists and deltas folded after the
-///   pass.
+///   changed only by its owner's pass), the packet-id-indexed `escaped`
+///   flags and `last_move`/`injected_at` stamps (one writer per cycle, or
+///   several writing the same value), and the switch pass's reads of the
+///   credit copy, which each shard's route pass writes for its own range.
+/// * **Read-only while a pass runs** — the visit copy, the cycle's
+///   injection allowances (`allow`), the plan's bounds, the route tables,
+///   the fault plan, and packet lengths and destinations. No pass writes
+///   them, so every shard reads them plainly.
+/// * **Deferred to the handoff pass** — a handoff's `put`: its downstream
+///   VC is another shard's, so the source shard's switch pass `take`s and
+///   parks it, and the owner's handoff pass `put`s.
+/// * **Deferred to the fold** — everything globally ordered or global:
+///   the token queue, the delivery ring and packet release, and the
+///   scalars (`counters`, `full_buffers`, `last_progress_at`), which a
+///   view reaches only as [`ShardStage`] lists and deltas folded after
+///   the pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ApplyCtx<'a> {
     pub d: usize,
@@ -411,8 +456,12 @@ pub(crate) struct ApplyCtx<'a> {
     pub plane: SwitchPlaneView<'a>,
     /// The pass's visit copy ([`ShardPlan::visit`]).
     pub visit: &'a [u64],
-    /// The switch pass's credit copy ([`ShardPlan::credit`]).
-    pub credit: &'a [u64],
+    /// The switch pass's credit copy ([`ShardPlan::credit`]), written by
+    /// the route pass.
+    pub credit: Cells<'a, u64>,
+    /// The shard partition ([`ShardPlan::bounds`]): where a handoff's
+    /// downstream VC is owned.
+    pub bounds: &'a [usize],
     /// The cycle's injection allowances, as node-bitset words.
     pub allow: &'a [u64],
     /// Output-channel selection rows and the switch-plane slots of every
@@ -445,6 +494,7 @@ impl ApplyCtx<'_> {
             vc_unrouted: whole.vc_unrouted.narrow(lo, hi),
             vc_switchable: whole.vc_switchable.narrow(lo, hi),
             vc_full: whole.vc_full.narrow(lo, hi),
+            credit: whole.credit.narrow(lo, hi),
             vc_bufs: whole.vc_bufs.narrow(vcs.start, vcs.end),
             source_q: whole.source_q.narrow(lo, hi),
             plane: whole
@@ -473,6 +523,8 @@ impl ApplyCtx<'_> {
 pub(crate) enum Pass {
     Route,
     Switch,
+    /// The downstream half of a sharded switch pass's handoffs.
+    Handoff,
 }
 
 /// One dispatched pass: everything a participant needs to run a shard's
@@ -501,17 +553,21 @@ pub struct PhaseStats {
     /// router arbitrates and moves in one sweep, timed as `apply_ns`; the
     /// field stays for the readers of the old split.
     pub decide_ns: u64,
-    /// Nanoseconds the caller's thread spent running passes (its own
-    /// shards', or the whole network's with one shard) and the sequential
-    /// tails and folds.
+    /// Nanoseconds the caller's thread spent running passes — route,
+    /// switch and handoff, its own shards' or, with one shard, the whole
+    /// network's — and the sequential folds.
     pub apply_ns: u64,
     /// Nanoseconds the caller's thread spent in the claim protocol, mostly
     /// waiting at the end of a pass for other participants' shards (next
     /// to nothing when the caller claims every shard itself).
     pub barrier_ns: u64,
-    /// Shards claimed by the participant whose home run they belong to.
+    /// Shards of a route or switch pass claimed by the participant whose
+    /// home run they belong to. (A handoff pass runs only on cycles that
+    /// hand flits off; its claims are not tallied, so the tally is two
+    /// passes a cycle.)
     pub home_claims: u64,
-    /// Shards swept up by some other participant.
+    /// Shards of a route or switch pass swept up by some other
+    /// participant.
     pub stolen_claims: u64,
 }
 
@@ -696,7 +752,8 @@ impl Board {
             }
             State::Applied => {
                 // Release: the coordinator's acquire load in `Finish`
-                // orders this pass's writes before its sequential tail.
+                // orders this pass's writes before its fold and the next
+                // pass.
                 self.applied.fetch_add(1, Ordering::Release);
                 c.at += 1;
                 c.state = State::Peek;
@@ -809,7 +866,7 @@ impl WorkerPool {
     /// Runs one pass over `net` to completion: publishes the job, opens
     /// the pass, wakes sleeping workers, participates from the caller's
     /// thread, and returns once every shard's pass has landed. The
-    /// sequential tail is the caller's job afterwards.
+    /// sequential fold is the caller's job afterwards.
     ///
     /// # Panics
     ///
@@ -830,7 +887,8 @@ impl WorkerPool {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             participate(sh, cursor, stats.as_deref_mut())
         }));
-        if let (Some(st), Ok(true)) = (stats, &outcome) {
+        let tallied = kind != Pass::Handoff; // see `PhaseStats::home_claims`
+        if let (Some(st), Ok(true), true) = (stats, &outcome, tallied) {
             let (home, stolen) = sh.board.claim_split(cursor.pass);
             st.home_claims += home;
             st.stolen_claims += stolen;
@@ -1308,8 +1366,16 @@ mod tests {
         net
     }
 
+    /// The stage of a one-shard plan over [`NODES`] nodes.
     fn stage() -> ShardStage {
-        ShardStage::with_capacity(NODES, 64, 8)
+        ShardPlan::new(1, NODES, 64, 8).stages.remove(0)
+    }
+
+    /// The switch pass's copies, the credit copy taken as the cycle's
+    /// route passes would have.
+    fn take_switch_copies(net: &mut Network) {
+        assert!(net.take_pass_copies(Pass::Switch));
+        net.plan.credit.copy_from_slice(&net.vc_full);
     }
 
     /// The view of `net`'s nodes `lo..hi`, for use on this thread.
@@ -1354,7 +1420,7 @@ mod tests {
     #[should_panic(expected = "outside the view's owned range")]
     fn a_switch_pass_over_foreign_routers_panics() {
         let mut net = hot_net();
-        assert!(net.take_pass_copies(Pass::Switch));
+        take_switch_copies(&mut net);
         let now = net.now;
         view_of(&mut net, MID, NODES).switch_pass(now, 0, MID, &mut stage());
     }
@@ -1364,7 +1430,7 @@ mod tests {
     fn a_hop_misfiled_as_local_panics_at_its_put() {
         let mut net = hot_net();
         misfile_lower_hops(&mut net);
-        assert!(net.take_pass_copies(Pass::Switch));
+        take_switch_copies(&mut net);
         let now = net.now;
         view_of(&mut net, 0, MID).switch_pass(now, 0, MID, &mut stage());
     }
@@ -1377,38 +1443,41 @@ mod tests {
 
     /// "Same code", independent of the pool: one route and one switch
     /// pass through the whole-network view, and through a pair of
-    /// half-network views (in descending order, for good measure) that
-    /// park their handoffs and leave the whole view only the puts, leave
-    /// identical networks.
+    /// half-network views (in descending order, for good measure) whose
+    /// switch passes park their handoffs for the other half's handoff
+    /// pass, leave identical networks.
     #[test]
     fn whole_view_and_shard_views_compute_the_same_pass() {
         let (mut whole, mut halves) = (hot_net(), hot_net());
         assert_eq!(saved(&whole), saved(&halves));
+        let d = halves.torus().channels_per_node();
+        halves.plan = ShardPlan::new(2, NODES, d * halves.config().vcs, d + 1);
         let now = whole.now;
         for kind in [Pass::Route, Pass::Switch] {
-            let mut st = stage();
+            let mut stages = std::mem::take(&mut whole.plan.stages);
             assert!(whole.take_pass_copies(kind));
-            let view = whole.apply_ctx();
-            view.pass(kind, now, 0, NODES, &mut st);
+            whole.apply_ctx().pass(kind, now, 0, NODES, &mut stages[0]);
+            let st = &stages[0];
             assert!(
                 st.route_visits + st.switch_visits > 0,
                 "vacuous: nothing visited"
             );
-            assert!(st.parked.is_empty(), "one shard hands nothing off");
-            whole.fold_stage(kind, now, &mut st);
+            assert!(!post_handoffs(&mut stages), "one shard hands nothing off");
+            whole.fold_stages(kind, now, &mut stages);
+            whole.plan.stages = stages;
 
-            let (mut lo, mut hi) = (stage(), stage());
+            let mut stages = std::mem::take(&mut halves.plan.stages);
             assert!(halves.take_pass_copies(kind));
-            view_of(&mut halves, MID, NODES).pass(kind, now, MID, NODES, &mut hi);
-            view_of(&mut halves, 0, MID).pass(kind, now, 0, MID, &mut lo);
-            let crossing = lo.parked.len() + hi.parked.len();
-            assert!(kind == Pass::Route || crossing > 0, "vacuous: no handoff");
-            let view = halves.apply_ctx();
-            view.tail(now, &mut lo);
-            view.tail(now, &mut hi);
-            for st in [&mut lo, &mut hi] {
-                halves.fold_stage(kind, now, st);
-            }
+            let (lo, hi) = stages.split_at_mut(1);
+            view_of(&mut halves, MID, NODES).pass(kind, now, MID, NODES, &mut hi[0]);
+            view_of(&mut halves, 0, MID).pass(kind, now, 0, MID, &mut lo[0]);
+            let crossing = post_handoffs(&mut stages);
+            assert!(kind == Pass::Route || crossing, "vacuous: no handoff");
+            let (lo, hi) = stages.split_at_mut(1);
+            view_of(&mut halves, MID, NODES).pass(Pass::Handoff, now, MID, NODES, &mut hi[0]);
+            view_of(&mut halves, 0, MID).pass(Pass::Handoff, now, 0, MID, &mut lo[0]);
+            halves.fold_stages(kind, now, &mut stages);
+            halves.plan.stages = stages;
         }
         assert_eq!(saved(&whole), saved(&halves));
         for net in [&whole, &halves] {
@@ -1448,7 +1517,7 @@ mod tests {
         net.set_shards(2);
         assert_eq!(net.plan.bounds, [0, MID, NODES]);
         misfile_lower_hops(&mut net);
-        assert!(net.take_pass_copies(Pass::Switch));
+        take_switch_copies(&mut net);
         let pool = WorkerPool::new(2, 2);
         let stages = std::mem::take(&mut net.plan.stages);
         (net, pool, stages)

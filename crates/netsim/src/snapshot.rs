@@ -152,10 +152,19 @@ impl Network {
             + (8 + self.deliveries.len() * DELIVERY_ENCODED_LEN)
     }
 
-    /// Serializes the complete mutable state into `enc`.
+    /// Serializes the complete mutable state into `enc`, sized for it
+    /// first.
     pub fn save_state(&self, enc: &mut Enc) {
-        let start = enc.len();
         enc.reserve(self.state_len_bound());
+        self.save_state_presized(enc);
+    }
+
+    /// [`Network::save_state`] into an `enc` the caller has already sized
+    /// with [`Network::state_len_bound`] — one walk of the state for a
+    /// whole checkpoint.
+    pub fn save_state_presized(&self, enc: &mut Enc) {
+        #[cfg(debug_assertions)]
+        let start = enc.len();
         enc.u64(self.now);
         enc.u64(self.last_delivery_at);
         enc.u64(self.last_progress_at);
@@ -221,12 +230,15 @@ impl Network {
             enc.u64(d.delivered_at);
             enc.bool(d.recovered);
         }
-        let (written, bound) = (enc.len() - start, self.state_len_bound());
-        let narrow_assigns = self.vc_assign.len() + self.inj.len();
-        debug_assert!(
-            written <= bound && bound - written <= (ASSIGN_MAX_LEN - 1) * narrow_assigns,
-            "state_len_bound {bound} out of step with the {written} bytes written"
-        );
+        #[cfg(debug_assertions)]
+        {
+            let (written, bound) = (enc.len() - start, self.state_len_bound());
+            let narrow_assigns = self.vc_assign.len() + self.inj.len();
+            debug_assert!(
+                written <= bound && bound - written <= (ASSIGN_MAX_LEN - 1) * narrow_assigns,
+                "state_len_bound {bound} out of step with the {written} bytes written"
+            );
+        }
     }
 
     /// Restores state captured with [`Network::save_state`] into a network

@@ -182,8 +182,11 @@ step "repo benchmark (--quick, verifications only)" bash benchmark/run.sh --quic
 # machine decides. Baseline: HEAD while the tree has uncommitted changes,
 # else HEAD~1, `git archive`d into target/bench-baseline/ and built by its
 # own run.sh into its own target dir; this side reuses the step above's
-# build. sat_tune and light_tune read steady to a few % at 0.5 s, and
-# resume_storm holds the checkpoint cadence (a round trip every 250 cycles);
+# build. sat_tune and light_tune read steady to a few % at 0.5 s,
+# resume_storm holds the checkpoint cadence (a round trip every 250 cycles),
+# and cube3_tune_s2 holds the sharded pipeline: 10 same-commit pairs of it
+# at 0.5 s on a 2-vCPU host spread sim_cycles_per_s by -12..+18 % a pair and
+# 2 % between the medians of 5 (setup_s 4 %), inside the 25 % bound;
 # 5 pairs each, who goes first flipping every pair.
 
 # Judges the runs <dir>/<base|change>.<workload>.<pair>: fails on a `fail`
@@ -285,7 +288,7 @@ perf_gate() {
     for side in base change; do perf_run $side sat_tune >/dev/null; done
     runs=target/perf-gate
     rm -rf "$runs" && mkdir -p "$runs"
-    for w in sat_tune light_tune resume_storm; do
+    for w in sat_tune light_tune resume_storm cube3_tune_s2; do
         for pair in 1 2 3 4 5; do
             sides="base change" && [ $((pair % 2)) -eq 1 ] || sides="change base"
             for side in $sides; do
