@@ -64,8 +64,8 @@ mod packet;
 mod plane;
 mod ring;
 mod routing;
-// The one module allowed `unsafe`: the checked raw cells, the per-shard
-// view constructor and the worker pool's job slot.
+// The one module allowed `unsafe`: the checked raw cells, the packet-field
+// projection and the worker pool's one detach of a shard's view.
 #[allow(unsafe_code)]
 mod shard;
 mod snapshot;

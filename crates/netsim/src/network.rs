@@ -140,8 +140,6 @@ pub struct Network {
     /// Per-node source queues of waiting packet ids (ring `node`).
     pub(crate) source_q: IdRing,
     pub(crate) packets: PacketStore,
-    /// Whether each packet ever took an escape VC (sticky escape).
-    pub(crate) escaped: Vec<bool>,
 
     /// Per-router Disha deadlock buffers (ring `node`, depth [`DL_DEPTH`];
     /// recovery mode only).
@@ -238,6 +236,7 @@ impl Network {
         let n_vcs = nodes * d * v;
         let max_path = torus.dimensions() * (cfg.radix / 2) + 1;
         let tables = RouteTables::build(&torus, v);
+        let plan = ShardPlan::new(1, &torus, v);
         // All VCs start unassigned: every input-VC feeder bit is "unrouted".
         let all_feeders = (1u64 << (d * v)) - 1;
         Ok(Network {
@@ -256,7 +255,6 @@ impl Network {
             inj: vec![InjState::idle(); nodes],
             source_q: IdRing::new(nodes, cfg.source_queue_cap),
             packets: PacketStore::new(),
-            escaped: Vec::new(),
             dl_bufs: FlitRings::new(nodes, DL_DEPTH),
             recovery: None,
             path_scratch: Vec::with_capacity(max_path),
@@ -281,7 +279,7 @@ impl Network {
             last_progress_at: 0,
             faults: None,
             phase_stats: None,
-            plan: ShardPlan::new(1, nodes, d * v, d + 1),
+            plan,
             cfg,
         })
     }
@@ -299,8 +297,7 @@ impl Network {
     /// the caller's among them: more shards than cores buys no more
     /// threads, and on one core the caller's thread steps every shard.
     pub fn set_shards(&mut self, shards: usize) {
-        let nodes = self.torus.node_count();
-        let mut plan = ShardPlan::new(shards, nodes, self.d * self.v, self.d + 1);
+        let mut plan = ShardPlan::new(shards, &self.torus, self.v);
         if plan.shards() > 1 {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             plan.pool = Some(WorkerPool::new(plan.shards(), cores));
@@ -731,10 +728,6 @@ impl Network {
         let id = self
             .packets
             .alloc(PacketInfo::offered(node, dst, now, self.packet_len));
-        if self.escaped.len() <= id as usize {
-            self.escaped.resize(id as usize + 1, false);
-        }
-        self.escaped[id as usize] = false;
         self.source_q.push_back(node, id);
         self.srcq_nodes.insert(node);
         self.counters.generated_packets += 1;
@@ -883,7 +876,7 @@ impl Network {
 
     /// The whole-network view. The exclusive borrow is what makes it safe:
     /// nothing else can touch the state while the view lives. (Rebuilt
-    /// per use — `offer` may grow `packets`/`escaped` between cycles.)
+    /// per use — `offer` may grow `packets` between cycles.)
     #[inline]
     pub(crate) fn apply_ctx(&mut self) -> ApplyCtx<'_> {
         let recovery_timeout = match self.cfg.deadlock {
@@ -906,7 +899,6 @@ impl Network {
             vc_blocked: Cells::new(&mut self.vc_blocked),
             out_alloc: Cells::new(&mut self.out_alloc),
             inj: Cells::new(&mut self.inj),
-            escaped: Cells::new(&mut self.escaped),
             vc_busy: Cells::new(&mut self.vc_busy),
             vc_unrouted: Cells::new(&mut self.vc_unrouted),
             vc_switchable: Cells::new(&mut self.vc_switchable),
@@ -1235,7 +1227,9 @@ impl ApplyCtx<'_> {
                         self.put(now, (dnode, dbit), flit, &mut stage.full_delta);
                     } else {
                         let owner = self.bounds.partition_point(|&b| b <= dnode) - 1;
-                        stage.outbound[owner].push(Parked {
+                        let list = &mut stage.outbound[owner];
+                        debug_assert!(list.len() < list.capacity(), "more handoffs than channels");
+                        list.push(Parked {
                             node: dnode as u32,
                             feeder: dbit as u8,
                             flit,
@@ -1357,8 +1351,9 @@ impl ApplyCtx<'_> {
             self.out_alloc.set(oidx, true);
             if usize::from(vc) < self.escape_vcs {
                 // At most one routing win per packet per cycle.
-                self.escaped
-                    .atomic(pid as usize)
+                self.packets
+                    .packet(pid)
+                    .escaped
                     .store(true, Ordering::Relaxed);
                 stage.escape_allocs += 1;
             }
@@ -1756,9 +1751,9 @@ mod tests {
         const SHARDS: [usize; 3] = [2, 3, 8];
         // Whether `vcs` lie in at least two shards at every count.
         let spread = |net: &Network, vcs: &[u32]| {
-            let (nodes, fpn) = (net.torus.node_count(), net.d * net.v);
+            let fpn = net.d * net.v;
             SHARDS.iter().all(|&shards| {
-                let bounds = ShardPlan::new(shards, nodes, fpn, net.d + 1).bounds;
+                let bounds = ShardPlan::new(shards, &net.torus, net.v).bounds;
                 let mut hit: Vec<usize> = vcs
                     .iter()
                     .map(|&i| bounds.partition_point(|&b| b <= i as usize / fpn))
@@ -1848,6 +1843,53 @@ mod tests {
         for shards in SHARDS {
             assert!(run(shards) == base, "shards={shards} diverged from 1");
         }
+    }
+
+    /// Escape is sticky for a packet, not for its slot. Once a packet that
+    /// took an escape VC is delivered, the packet `offer` writes into its
+    /// slot is not escaped, and alone on its links it routes adaptively.
+    #[test]
+    fn a_recycled_slot_is_not_escaped() {
+        let cfg = NetConfig {
+            radix: 4,
+            dimensions: 2,
+            ..NetConfig::small(DeadlockMode::Avoidance)
+        };
+        let mut net = Network::new(cfg).unwrap();
+        let nodes = net.torus.node_count();
+        net.run(
+            1_500,
+            &mut crate::testnet::source(1, nodes, 60),
+            &mut NoControl,
+        );
+        net.run(2_000, &mut |_, _| None, &mut NoControl);
+        assert_eq!(net.packets.live(), 0, "the network did not drain");
+        let escapes = net.counters.escape_allocations;
+        assert!(escapes > 0, "vacuous: nothing escaped");
+        // One-hop packets, one per output channel, never contend for an
+        // output VC; offer them until one lands in a slot an escaped packet
+        // left.
+        let recycled = (0..2)
+            .flat_map(|dim| [Dir::Plus, Dir::Minus].map(|dir| (dim, dir)))
+            .flat_map(|hop| (0..nodes).map(move |src| (src, hop)))
+            .find_map(|(src, (dim, dir))| {
+                let &id = net.packets.free_ids().last()?;
+                let was_escaped = net.packets.get(id).escaped;
+                net.offer(net.now, src, net.torus.neighbor(src, dim, dir));
+                was_escaped.then_some(id)
+            });
+        let id = recycled.expect("vacuous: no escaped slot recycled");
+        assert!(!net.packets.get(id).escaped, "the recycled slot is escaped");
+        net.run(200, &mut |_, _| None, &mut NoControl);
+        assert_eq!(
+            net.packets.live(),
+            0,
+            "the offered packets were not delivered"
+        );
+        assert_eq!(
+            net.counters.escape_allocations, escapes,
+            "a packet alone on its links took an escape VC"
+        );
     }
 
     #[test]

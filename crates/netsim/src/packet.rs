@@ -1,4 +1,4 @@
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 
 use crate::shard::Cells;
 use kncube::NodeId;
@@ -47,7 +47,13 @@ pub struct PacketInfo {
     /// Cycle any flit of this packet last moved (drives Disha's
     /// whole-worm-inactive deadlock detection).
     pub last_move: u64,
+    /// Whether the packet ever took an escape VC: escape is sticky, so it
+    /// then routes on the escape sub-network to its destination.
+    pub escaped: bool,
 }
+
+// The escape flag rides in what was padding.
+const _: () = assert!(std::mem::size_of::<PacketInfo>() <= 48);
 
 impl PacketInfo {
     /// Bytes of an untouched packet's record in [`PacketStore::save_state`]:
@@ -69,19 +75,19 @@ impl PacketInfo {
             len,
             delivered_flits: 0,
             last_move: now,
+            escaped: false,
         }
     }
 
-    /// Whether this record is still exactly what `offer` wrote, on a packet
-    /// that never took an escape VC: then `src`, `dst` and `generated_at`
-    /// are all a checkpoint needs of it.
-    fn untouched(&self, escaped: bool) -> bool {
-        !escaped && *self == PacketInfo::offered(self.src, self.dst, self.generated_at, self.len)
+    /// Whether this record is still exactly what `offer` wrote: then
+    /// `src`, `dst` and `generated_at` are all a checkpoint needs of it.
+    fn untouched(&self) -> bool {
+        *self == PacketInfo::offered(self.src, self.dst, self.generated_at, self.len)
     }
 
     /// Bytes of this live packet's record.
-    fn encoded_len(&self, escaped: bool) -> usize {
-        if self.untouched(escaped) {
+    fn encoded_len(&self) -> usize {
+        if self.untouched() {
             PacketInfo::OFFERED_LEN
         } else {
             PacketInfo::MOVED_LEN
@@ -202,9 +208,9 @@ impl PacketStore {
     /// order (which determines future id assignment), then one record per
     /// live slot, ascending. A freed slot writes nothing — [`PacketStore::alloc`]
     /// overwrites it whole — and no record writes `len`, which is the
-    /// network's packet length for every packet. `escaped` is the network's
-    /// sticky escape flag per slot; a live packet's rides in its record's tag.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc, escaped: &[bool]) {
+    /// network's packet length for every packet. A live packet's escape
+    /// flag rides in its record's tag.
+    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
         let start = enc.len();
         enc.usize(self.slots.len());
         enc.usize(self.free.len());
@@ -218,8 +224,8 @@ impl PacketStore {
             if freed.next_if_eq(&(id as PacketId)).is_some() {
                 continue;
             }
-            let untouched = p.untouched(escaped[id]);
-            enc.u8(match (untouched, escaped[id]) {
+            let untouched = p.untouched();
+            enc.u8(match (untouched, p.escaped) {
                 (true, _) => OFFERED,
                 (false, false) => MOVED,
                 (false, true) => MOVED_ESCAPED,
@@ -234,22 +240,22 @@ impl PacketStore {
                 enc.u64(p.last_move);
             }
         }
-        debug_assert_eq!(enc.len() - start, self.encoded_len(escaped));
+        debug_assert_eq!(enc.len() - start, self.encoded_len());
     }
 
     /// Bytes [`PacketStore::save_state`] writes for the current store: every
     /// slot's record, less the freed slots'.
-    pub(crate) fn encoded_len(&self, escaped: &[bool]) -> usize {
-        let record = |id: usize| self.slots[id].encoded_len(escaped[id]);
+    pub(crate) fn encoded_len(&self) -> usize {
+        let record = |id: usize| self.slots[id].encoded_len();
         let all: usize = (0..self.slots.len()).map(record).sum();
         let freed: usize = self.free.iter().map(|&id| record(id as usize)).sum();
         8 + 8 + 4 * self.free.len() + all - freed
     }
 
     /// Reads a store serialized with [`PacketStore::save_state`] on a
-    /// network of `nodes` nodes and `len`-flit packets, with its sticky
-    /// escape flags. A freed slot comes back as an offered record of
-    /// node 0; nothing reads it before `alloc` overwrites it.
+    /// network of `nodes` nodes and `len`-flit packets. A freed slot comes
+    /// back as an offered record of node 0; nothing reads it before `alloc`
+    /// overwrites it.
     ///
     /// # Errors
     ///
@@ -261,7 +267,7 @@ impl PacketStore {
         dec: &mut checkpoint::Dec<'_>,
         nodes: usize,
         len: u16,
-    ) -> Result<(Self, Vec<bool>), checkpoint::CheckpointError> {
+    ) -> Result<Self, checkpoint::CheckpointError> {
         use checkpoint::CheckpointError::Corrupt;
         let nslots = dec.usize()?;
         let nfree = dec.usize()?;
@@ -285,12 +291,11 @@ impl PacketStore {
             return Err(Corrupt("free list names a slot twice"));
         }
         let cap = nslots.min(nfree + dec.remaining() / PacketInfo::OFFERED_LEN);
-        let (mut slots, mut escaped) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut slots = Vec::with_capacity(cap);
         let mut freed = freed.into_iter().peekable();
         for id in 0..nslots {
             if freed.next_if_eq(&(id as PacketId)).is_some() {
                 slots.push(PacketInfo::offered(0, 0, 0, len));
-                escaped.push(false);
                 continue;
             }
             let tag = dec.u8()?;
@@ -307,16 +312,17 @@ impl PacketStore {
                 p.delivered_flits = dec.u16()?;
                 p.last_move = dec.u64()?;
             }
+            p.escaped = tag == MOVED_ESCAPED;
             slots.push(p);
-            escaped.push(tag == MOVED_ESCAPED);
         }
-        Ok((PacketStore { slots, free }, escaped))
+        Ok(PacketStore { slots, free })
     }
 }
 
 /// What a route/switch pass may touch of one in-flight packet (built by
-/// [`Cells::packet`]): its immutable length and destination and its two
-/// stamps. Delivery accounting and release are boundary work, done
+/// [`Cells::packet`]): its immutable length and destination, its escape
+/// flag and its two stamps. Delivery accounting and release are boundary
+/// work, done
 /// sequentially through [`PacketStore`] itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PacketCell<'a> {
@@ -324,6 +330,9 @@ pub(crate) struct PacketCell<'a> {
     pub len: u16,
     /// [`PacketInfo::dst`].
     pub dst: NodeId,
+    /// [`PacketInfo::escaped`], set by the route win that takes an escape
+    /// VC and read by the routing of the packet's header — one router's.
+    pub escaped: &'a AtomicBool,
     /// [`PacketInfo::last_move`]. Several flits of one worm can move at
     /// routers of different shards in one cycle, all storing that cycle.
     pub last_move: &'a AtomicU64,
@@ -356,11 +365,12 @@ mod tests {
 
     /// Slots 0..4: offered, freed, moved, moved and escaped — freed last
     /// pushed, so it is the next `alloc`'s.
-    fn mixed_store() -> (PacketStore, Vec<bool>) {
+    fn mixed_store() -> PacketStore {
         let mut s = PacketStore::new();
         for src in 0..4 {
             s.alloc(PacketInfo::offered(src, 7, 10 + src as u64, 16));
         }
+        s.get_mut(1).escaped = true;
         s.release(1);
         for id in [2, 3] {
             let p = s.get_mut(id);
@@ -368,16 +378,17 @@ mod tests {
             p.delivered_flits = 3;
             p.last_move = 25;
         }
-        (s, vec![false, true, false, true])
+        s.get_mut(3).escaped = true;
+        s
     }
 
-    fn save(s: &PacketStore, escaped: &[bool]) -> Vec<u8> {
+    fn save(s: &PacketStore) -> Vec<u8> {
         let mut enc = checkpoint::Enc::new();
-        s.save_state(&mut enc, escaped);
+        s.save_state(&mut enc);
         enc.into_vec()
     }
 
-    fn restore(bytes: &[u8]) -> Result<(PacketStore, Vec<bool>), checkpoint::CheckpointError> {
+    fn restore(bytes: &[u8]) -> Result<PacketStore, checkpoint::CheckpointError> {
         let mut dec = checkpoint::Dec::new(bytes);
         let out = PacketStore::restore_state(&mut dec, 8, 16)?;
         dec.finish()?;
@@ -386,25 +397,23 @@ mod tests {
 
     #[test]
     fn records_round_trip_at_their_sizes() {
-        let (s, escaped) = mixed_store();
-        let bytes = save(&s, &escaped);
+        let s = mixed_store();
+        let bytes = save(&s);
         // Counts, one free id, one offered and two moved records.
         let want = 8 + 8 + 4 + PacketInfo::OFFERED_LEN + 2 * PacketInfo::MOVED_LEN;
-        assert_eq!((bytes.len(), s.encoded_len(&escaped)), (want, want));
-        let (back, back_escaped) = restore(&bytes).unwrap();
+        assert_eq!((bytes.len(), s.encoded_len()), (want, want));
+        let back = restore(&bytes).unwrap();
         for id in [0, 2, 3] {
             assert_eq!(back.get(id), s.get(id), "slot {id}");
-            assert_eq!(back_escaped[id as usize], escaped[id as usize], "slot {id}");
         }
         assert_eq!(back.free_ids(), s.free_ids());
-        assert_eq!(save(&back, &back_escaped), bytes);
+        assert_eq!(save(&back), bytes);
     }
 
     #[test]
     fn restore_refuses_what_no_store_writes() {
         use checkpoint::CheckpointError::{Corrupt, Truncated};
-        let (s, escaped) = mixed_store();
-        let good = save(&s, &escaped);
+        let good = save(&mixed_store());
         let with = |at: usize, bytes: &[u8]| {
             let mut built = good.clone();
             built[at..at + bytes.len()].copy_from_slice(bytes);

@@ -205,7 +205,7 @@ impl ApplyCtx<'_> {
         let free =
             |port: usize, vc: usize| !self.out_alloc.get((node * self.d + port) * self.v + vc);
         let sticky_escaped =
-            escape_vcs > 0 && self.escaped.atomic(pid as usize).load(Ordering::Relaxed);
+            escape_vcs > 0 && self.packets.packet(pid).escaped.load(Ordering::Relaxed);
 
         if !sticky_escaped {
             // First free adaptive VC in fixed (dimension, direction, VC)

@@ -50,11 +50,13 @@
 //! on who ran it. The claim protocol ([`Board`]) is a handful of atomics
 //! and park/unpark — no per-cycle thread spawns, no lock on the hot path.
 //!
-//! This is the one module of the crate allowed to contain `unsafe`: the
-//! [`Cells`] accessors, the lifetime-erasing per-shard view constructor
-//! [`ApplyCtx::shard`], and the pool's job slot. Everything built on them —
-//! the ring and packet views, the whole state transition — is safe
-//! code that panics on an index outside its view's range.
+//! This is the one module of the crate allowed to contain `unsafe`, on five
+//! lines: the two [`Cells`] primitives (a range-checked cell, a shared
+//! word as an atomic), the packet-field projection, and the one detach in
+//! [`WorkerPool::run`] with the `Send` it needs. Everything built on them —
+//! the ring and packet views, the whole state transition, the pool's
+//! mutex-guarded job slots — is safe code that panics on an index outside
+//! its view's range.
 //!
 //! The plan is runtime-only configuration: it is never serialized and
 //! never enters a checkpoint fingerprint, so a snapshot taken at S shards
@@ -63,12 +65,11 @@
 //! cycle pipeline allocation-free (see `tests/zero_alloc.rs`).
 
 use std::any::Any;
-use std::cell::UnsafeCell;
+use std::cell::Cell;
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::network::{Assign, InjState, Network};
@@ -77,6 +78,7 @@ use crate::plane::SwitchPlaneView;
 use crate::ring::{FlitRingsView, IdRingView};
 use crate::routing::RouteTables;
 use faults::FaultPlan;
+use kncube::{Dir, Torus};
 
 /// A handoff whose source half is done: `flit`, taken off its feeder by
 /// the source shard's switch pass, waits for the handoff pass of the shard
@@ -185,33 +187,48 @@ pub(crate) struct ShardPlan {
     pub pool: Option<WorkerPool>,
 }
 
+/// Shard `s` of a `shards`-way split of `nodes` owns nodes `bounds[s] ..
+/// bounds[s + 1]`: contiguous, near-equal ranges, clamped to `[1, nodes]`
+/// shards. The `s * nodes / shards` split keeps every shard non-empty and
+/// sizes within one node of each other (ranges are *not* word-aligned —
+/// passes mask bitset words at range edges).
+fn split(shards: usize, nodes: usize) -> Vec<usize> {
+    let shards = shards.clamp(1, nodes.max(1));
+    (0..=shards).map(|s| s * nodes / shards).collect()
+}
+
 impl ShardPlan {
-    /// Builds a plan with `shards` contiguous, near-equal node ranges.
-    /// The effective shard count is clamped to `[1, nodes]`; ranges use
-    /// the `s * nodes / shards` split so every shard is non-empty and
-    /// sizes differ by at most one node (ranges are *not* word-aligned —
-    /// workers mask bitset words at range edges).
-    ///
-    /// `fpn` is input-VC feeders per node (`d * v`), `nports` output
-    /// channels per node (`d + 1`); both size the stages' lists at their
-    /// per-cycle worst case: a router sets aside at most one suspect or
-    /// starvation trip per input feeder, one handoff per network port and
-    /// one delivered flit. No worker pool is attached here —
+    /// Builds a plan with `shards` contiguous node ranges of `torus`
+    /// ([`split`]), `v` VCs per channel. The stages' lists are sized at
+    /// their per-cycle worst case: a router sets aside at most one suspect
+    /// or starvation trip per input feeder and one delivered flit, and
+    /// each torus channel from shard `s` into shard `t` hands off at most
+    /// one flit a cycle. No worker pool is attached here —
     /// `Network::set_shards` does that, so plan construction in tests
     /// stays thread-free.
-    pub fn new(shards: usize, nodes: usize, fpn: usize, nports: usize) -> Self {
-        let shards = shards.clamp(1, nodes.max(1));
-        let mut bounds = Vec::with_capacity(shards + 1);
-        for s in 0..=shards {
-            bounds.push(s * nodes / shards);
-        }
+    pub fn new(shards: usize, torus: &Torus, v: usize) -> Self {
+        let nodes = torus.node_count();
+        let fpn = torus.channels_per_node() * v;
+        let bounds = split(shards, nodes);
+        let shards = bounds.len() - 1;
         let span = |s: usize| bounds[s + 1] - bounds[s];
+        // `crossing[s * shards + t]`: the channels from shard `s` into
+        // shard `t`, `t != s` (a lone shard has none to count).
+        let mut crossing = vec![0; shards * shards];
+        let owner = |node: usize| bounds.partition_point(|&b| b <= node) - 1;
+        if shards > 1 {
+            for node in 0..nodes {
+                for dim in 0..torus.dimensions() {
+                    for dir in [Dir::Plus, Dir::Minus] {
+                        let (s, t) = (owner(node), owner(torus.neighbor(node, dim, dir)));
+                        crossing[s * shards + t] += usize::from(s != t);
+                    }
+                }
+            }
+        }
         // Shard `s`'s handoffs into shard `t`: one list, swapped between
         // the two stages, so both ends hold the same worst case.
-        let mail = |s: usize, t: usize| {
-            let cap = if s == t { 0 } else { span(s) * (nports - 1) };
-            Vec::with_capacity(cap)
-        };
+        let mail = |s: usize, t: usize| Vec::with_capacity(crossing[s * shards + t]);
         let stages = (0..shards)
             .map(|s| ShardStage {
                 suspects: Vec::with_capacity(span(s) * fpn),
@@ -248,8 +265,7 @@ impl ShardPlan {
 /// through the relaxed-atomic accessors instead. A handle is neither
 /// `Send` nor `Sync`: on one thread, any number of copies over one borrow
 /// are as harmless as `&[Cell<T>]`, and the only way a copy reaches
-/// another thread is the pool's job slot, under [`ApplyCtx::shard`]'s
-/// contract.
+/// another thread is the detach in [`WorkerPool::run`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cells<'a, T> {
     ptr: *mut T,
@@ -286,32 +302,34 @@ impl<'a, T: Copy> Cells<'a, T> {
         }
     }
 
+    /// Index `i` as a cell, which this handle must own.
     #[inline]
-    fn owned(&self, i: usize) -> *mut T {
+    fn cell(&self, i: usize) -> &Cell<T> {
         if i.wrapping_sub(self.lo) >= self.span {
             not_owned(i, self.lo, self.span);
         }
-        self.ptr.wrapping_add(i)
-    }
-
-    #[inline]
-    fn shared(&self, i: usize) -> *mut T {
-        assert!(i < self.len, "index {i} is out of bounds ({})", self.len);
-        self.ptr.wrapping_add(i)
+        // SAFETY: owned ranges lie inside `0..len`, so `i` is in bounds;
+        // the borrow `'a` keeps the storage alive; `Cell<T>` has `T`'s
+        // layout (the cast `Cell::from_mut` makes); and no other thread
+        // touches an index this handle owns (see the struct docs).
+        unsafe { &*self.ptr.add(i).cast::<Cell<T>>() }
     }
 
     #[inline]
     pub(crate) fn get(&self, i: usize) -> T {
-        // SAFETY: `owned` bounds-checked `i` (owned ranges lie inside
-        // `0..len`), the borrow `'a` keeps the storage alive, and no other
-        // thread touches an index this handle owns (see the struct docs).
-        unsafe { *self.owned(i) }
+        self.cell(i).get()
     }
 
     #[inline]
     pub(crate) fn set(&self, i: usize, v: T) {
-        // SAFETY: as in `get`.
-        unsafe { *self.owned(i) = v }
+        self.cell(i).set(v);
+    }
+
+    /// Index `i`, whoever owns it, for the atomic accessors below.
+    #[inline]
+    fn shared(&self, i: usize) -> *mut T {
+        assert!(i < self.len, "index {i} is out of bounds ({})", self.len);
+        self.ptr.wrapping_add(i)
     }
 }
 
@@ -360,30 +378,23 @@ impl Cells<'_, u64> {
     }
 }
 
-impl Cells<'_, bool> {
-    /// Flag `i`, whoever owns it, as an atomic.
-    #[inline]
-    pub(crate) fn atomic(&self, i: usize) -> &AtomicBool {
-        // SAFETY: as in `Cells::<u64>::atomic`.
-        unsafe { AtomicBool::from_ptr(self.shared(i)) }
-    }
-}
-
 impl Cells<'_, PacketInfo> {
     /// The fields of packet `id` a pass may touch. Packet ids are not
     /// range-owned — several flits of one worm can move in different
-    /// shards in one cycle — so the stamps are atomics; `len` and `dst`
-    /// are written only when a packet is generated, never during a pass.
+    /// shards in one cycle — so the escape flag and the stamps are
+    /// atomics; `len` and `dst` are written only when a packet is
+    /// generated, never during a pass.
     #[inline]
     pub(crate) fn packet(&self, id: PacketId) -> PacketCell<'_> {
         let p = self.shared(id as usize);
         // SAFETY: `shared` bounds-checked `id`; the field projections
-        // create no reference to the whole slot, and the two stamps are
-        // only ever accessed atomically while a pass runs.
+        // create no reference to the whole slot, and the flag and the two
+        // stamps are only ever accessed atomically while a pass runs.
         unsafe {
             PacketCell {
                 len: (*p).len,
                 dst: (*p).dst,
+                escaped: AtomicBool::from_ptr(&raw mut (*p).escaped),
                 last_move: AtomicU64::from_ptr(&raw mut (*p).last_move),
                 injected_at: AtomicU64::from_ptr(&raw mut (*p).injected_at),
             }
@@ -393,9 +404,11 @@ impl Cells<'_, PacketInfo> {
 
 /// A view of the network state a route/switch pass works on, over one
 /// node range: what `Network::apply_ctx` builds for the whole network
-/// from `&mut Network`, and what [`ApplyCtx::shard`] narrows to one
+/// from `&mut Network`, and what [`ApplyCtx::narrow`] narrows to one
 /// shard. The passes and the state transition under them (`impl ApplyCtx`
-/// in `network.rs`) are safe code over these accessors.
+/// in `network.rs`) are safe code over these accessors. A view is as
+/// thread-bound as its [`Cells`]; [`WorkerPool::run`] alone detaches one
+/// per shard to hand it to a pool participant.
 ///
 /// # The view contract
 ///
@@ -406,7 +419,7 @@ impl Cells<'_, PacketInfo> {
 ///   rings). An index outside the view's node range panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets (64 nodes per word, shard edges unaligned; each bit is
-///   changed only by its owner's pass), the packet-id-indexed `escaped`
+///   changed only by its owner's pass), the packet records' `escaped`
 ///   flags and `last_move`/`injected_at` stamps (one writer per cycle, or
 ///   several writing the same value), and the switch pass's reads of the
 ///   credit copy, which each shard's route pass writes for its own range.
@@ -442,7 +455,6 @@ pub(crate) struct ApplyCtx<'a> {
     pub vc_blocked: Cells<'a, u64>,
     pub out_alloc: Cells<'a, bool>,
     pub inj: Cells<'a, InjState>,
-    pub escaped: Cells<'a, bool>,
     pub vc_busy: Cells<'a, u64>,
     pub vc_unrouted: Cells<'a, u64>,
     pub vc_switchable: Cells<'a, u64>,
@@ -471,46 +483,34 @@ pub(crate) struct ApplyCtx<'a> {
     pub faults: Option<&'a FaultPlan>,
 }
 
-impl ApplyCtx<'_> {
-    /// `whole` narrowed to the nodes `lo..hi`, detached from the borrow it
-    /// was built under so that it can cross to a pool participant.
-    ///
-    /// # Safety
-    ///
-    /// The storage `whole` was built over must stay alive and unmoved for
-    /// as long as the returned view is used, and views in use at the same
-    /// time must cover disjoint node ranges.
-    pub(crate) unsafe fn shard(whole: &ApplyCtx<'_>, lo: usize, hi: usize) -> ApplyCtx<'static> {
-        let vcs = lo * whole.fpn..hi * whole.fpn;
-        let view = ApplyCtx {
-            route_rr: whole.route_rr.narrow(lo, hi),
-            out_rr: whole.out_rr.narrow(lo * whole.nports, hi * whole.nports),
-            vc_assign: whole.vc_assign.narrow(vcs.start, vcs.end),
-            vc_routed_at: whole.vc_routed_at.narrow(vcs.start, vcs.end),
-            vc_blocked: whole.vc_blocked.narrow(vcs.start, vcs.end),
-            out_alloc: whole.out_alloc.narrow(vcs.start, vcs.end),
-            inj: whole.inj.narrow(lo, hi),
-            vc_busy: whole.vc_busy.narrow(lo, hi),
-            vc_unrouted: whole.vc_unrouted.narrow(lo, hi),
-            vc_switchable: whole.vc_switchable.narrow(lo, hi),
-            vc_full: whole.vc_full.narrow(lo, hi),
-            credit: whole.credit.narrow(lo, hi),
-            vc_bufs: whole.vc_bufs.narrow(vcs.start, vcs.end),
-            source_q: whole.source_q.narrow(lo, hi),
-            plane: whole
-                .plane
-                .narrow(lo * (whole.fpn + 1), hi * (whole.fpn + 1)),
+impl<'a> ApplyCtx<'a> {
+    /// This view narrowed to the nodes `lo..hi`, which it must own. Like
+    /// any copy of a view, the narrowed one stays on this thread.
+    pub(crate) fn narrow(&self, lo: usize, hi: usize) -> ApplyCtx<'a> {
+        let vcs = lo * self.fpn..hi * self.fpn;
+        ApplyCtx {
+            route_rr: self.route_rr.narrow(lo, hi),
+            out_rr: self.out_rr.narrow(lo * self.nports, hi * self.nports),
+            vc_assign: self.vc_assign.narrow(vcs.start, vcs.end),
+            vc_routed_at: self.vc_routed_at.narrow(vcs.start, vcs.end),
+            vc_blocked: self.vc_blocked.narrow(vcs.start, vcs.end),
+            out_alloc: self.out_alloc.narrow(vcs.start, vcs.end),
+            inj: self.inj.narrow(lo, hi),
+            vc_busy: self.vc_busy.narrow(lo, hi),
+            vc_unrouted: self.vc_unrouted.narrow(lo, hi),
+            vc_switchable: self.vc_switchable.narrow(lo, hi),
+            vc_full: self.vc_full.narrow(lo, hi),
+            credit: self.credit.narrow(lo, hi),
+            vc_bufs: self.vc_bufs.narrow(vcs.start, vcs.end),
+            source_q: self.source_q.narrow(lo, hi),
+            plane: self.plane.narrow(lo * (self.fpn + 1), hi * (self.fpn + 1)),
             // Owned by no node range: atomic access only.
-            escaped: whole.escaped.narrow(0, 0),
-            busy_nodes: whole.busy_nodes.narrow(0, 0),
-            inj_nodes: whole.inj_nodes.narrow(0, 0),
-            srcq_nodes: whole.srcq_nodes.narrow(0, 0),
-            packets: whole.packets.narrow(0, 0),
-            ..*whole
-        };
-        // SAFETY: only the lifetime changes; the caller keeps the storage
-        // alive (see above).
-        unsafe { std::mem::transmute::<ApplyCtx<'_>, ApplyCtx<'static>>(view) }
+            busy_nodes: self.busy_nodes.narrow(0, 0),
+            inj_nodes: self.inj_nodes.narrow(0, 0),
+            srcq_nodes: self.srcq_nodes.narrow(0, 0),
+            packets: self.packets.narrow(0, 0),
+            ..*self
+        }
     }
 }
 
@@ -527,19 +527,32 @@ pub(crate) enum Pass {
     Handoff,
 }
 
-/// One dispatched pass: everything a participant needs to run a shard's
-/// pass. Published into the pool's job slot before the pass opens; all
-/// pointers are valid for the duration of the pass (the coordinator stays
-/// in `WorkerPool::run` until every shard's pass is reported, or every
-/// worker has been joined).
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    kind: Pass,
-    whole: ApplyCtx<'static>,
-    /// The plan's `bounds`: shard `t` runs nodes `bounds[t]..bounds[t + 1]`.
-    bounds: *const usize,
-    stages: *mut ShardStage,
-    now: u64,
+/// One shard's view, detached from the borrow of the network it was built
+/// under so that it can reach a pool participant. Only
+/// [`WorkerPool::run`] builds one, and it outwaits every use.
+#[derive(Debug)]
+struct ShardView(ApplyCtx<'static>);
+
+// SAFETY: the one field is a view, whose cells may be used on another
+// thread under the argument stated at the detach in `WorkerPool::run`,
+// where every `ShardView` is built.
+unsafe impl Send for ShardView {}
+
+/// One shard's job slot: the pass it runs next — kind, cycle, node range
+/// and view, loaded by [`WorkerPool::run`] and taken by the claim holder —
+/// and its stage, which `run` swaps in for the pass and back out after it.
+#[derive(Debug, Default)]
+struct Slot {
+    job: Option<(Pass, u64, usize, usize, ShardView)>,
+    stage: ShardStage,
+}
+
+/// A slot, even one a panicking pass poisoned. Only an abandoned pass
+/// leaves a poisoned slot, and all that is done with it then is dropping
+/// its job; the panic itself reaches the caller, message and all, through
+/// [`PoolShared::record_panic`].
+fn lock(slot: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Wall-clock split of the cycle pipeline's passes and the pool's claim
@@ -579,13 +592,13 @@ const ID_BITS: u32 = 16;
 /// pass, and how many shards' passes have landed.
 ///
 /// Passes are numbered from 1. The coordinator *opens* pass `e` by moving
-/// `epoch` on to `e` (after publishing the job). A participant that reads
+/// `epoch` on to `e` (after loading the job slots). A participant that reads
 /// `epoch == e` claims shard `s` for pass `e` by swapping `claims[s]` from
 /// a tag of an earlier pass to `e << ID_BITS | me`; tags only grow, so
 /// exactly one participant wins each shard of each pass, and a straggler
 /// still holding an older `e` wins nothing. The winner runs the shard's
 /// pass at once and bumps `applied`. The pass is complete at `applied ==
-/// e · shards`; only then may the coordinator publish the next job. There
+/// e · shards`; only then may the coordinator load the next jobs. There
 /// is no barrier inside a pass: no shard's pass reads what another's
 /// writes (see [`ApplyCtx`]).
 ///
@@ -684,11 +697,11 @@ impl Board {
     }
 
     /// Opens the next pass. Coordinator only, with the previous pass
-    /// complete and the job slot written.
+    /// complete and the job slots loaded.
     fn open(&self) {
         // SeqCst for the park handshake (see `worker_loop`); as a release
-        // store it also publishes the job and everything the coordinator
-        // did to the network since the last pass.
+        // store it also publishes everything the coordinator did to the
+        // network since the last pass.
         self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -715,8 +728,8 @@ impl Board {
         let shard = self.shard_at(c.me, c.at);
         match c.state {
             State::Idle => {
-                // Acquire: a participant that joins pass `e` sees the job
-                // published for it, and all the coordinator did before.
+                // Acquire: a participant that joins pass `e` sees all the
+                // coordinator did before opening it.
                 let epoch = self.epoch.load(Ordering::Acquire);
                 if epoch == c.pass {
                     return Action::Idle;
@@ -769,19 +782,14 @@ impl Board {
     }
 }
 
-/// Shared state of one worker pool. The job slot is protected by the
-/// claim protocol, not a lock: a participant may read it only while it
-/// holds a claim of the current pass it has not reported yet. It won that
-/// claim after an acquire load of the epoch the coordinator stored *after*
-/// writing the slot, so the read is ordered after the write; and the
-/// coordinator overwrites the slot only once the pass is complete — every
-/// claim reported, observed with `Acquire` — so every read is ordered
-/// before the next write.
+/// Shared state of one worker pool. A slot is locked by the holder of its
+/// shard's claim while it runs the pass, and by the coordinator only
+/// between passes, so no lock is ever contended on the hot path.
 #[derive(Debug)]
 struct PoolShared {
     board: Board,
-    /// The current pass (see the struct docs for the access protocol).
-    job: UnsafeCell<MaybeUninit<Job>>,
+    /// One job slot per shard.
+    slots: Box<[Mutex<Slot>]>,
     /// Tells workers to exit and the coordinator's wait to give up: set
     /// when the pool is dropped and when a participant panics.
     shutdown: AtomicBool,
@@ -792,14 +800,6 @@ struct PoolShared {
     /// for workers that are spinning.
     parked: Vec<AtomicBool>,
 }
-
-// SAFETY: the job slot — whose pointers and views make it neither — is
-// accessed only under the claim protocol documented on the struct, which
-// orders every read after the write it observes and gives each claim
-// holder a shard (stage + node range) nobody else touches; everything else
-// is atomic or behind the mutex.
-unsafe impl Sync for PoolShared {}
-unsafe impl Send for PoolShared {}
 
 impl PoolShared {
     /// Records a participant's panic (the first one wins) and abandons
@@ -841,7 +841,7 @@ impl WorkerPool {
         let participants = participants.clamp(1, shards.min(1 << ID_BITS));
         let shared = Arc::new(PoolShared {
             board: Board::new(shards, participants),
-            job: UnsafeCell::new(MaybeUninit::uninit()),
+            slots: (0..shards).map(|_| Mutex::default()).collect(),
             shutdown: AtomicBool::new(false),
             panic: Mutex::new(None),
             parked: (1..participants).map(|_| AtomicBool::new(false)).collect(),
@@ -863,10 +863,11 @@ impl WorkerPool {
         }
     }
 
-    /// Runs one pass over `net` to completion: publishes the job, opens
-    /// the pass, wakes sleeping workers, participates from the caller's
-    /// thread, and returns once every shard's pass has landed. The
-    /// sequential fold is the caller's job afterwards.
+    /// Runs one pass over `net` to completion: loads each shard's slot
+    /// with its job and its stage, opens the pass, wakes sleeping workers,
+    /// participates from the caller's thread, and once every shard's pass
+    /// has landed moves the stages back into `stages`. The sequential fold
+    /// is the caller's job afterwards.
     ///
     /// # Panics
     ///
@@ -881,7 +882,26 @@ impl WorkerPool {
         stages: &mut [ShardStage],
         mut stats: Option<&mut PhaseStats>,
     ) {
-        self.publish(net, kind, now, stages);
+        let whole = net.apply_ctx();
+        debug_assert_eq!(stages.len(), self.shared.slots.len());
+        for (t, (slot, stage)) in self.shared.slots.iter().zip(stages.iter_mut()).enumerate() {
+            let (lo, hi) = (whole.bounds[t], whole.bounds[t + 1]);
+            // SAFETY: the whole argument of sharded stepping. A detached
+            // view leaves this thread only through its slot, and only the
+            // holder of its shard's claim of this pass takes it out and
+            // uses it. `run` outwaits every claim of the pass — or, if a
+            // participant panics, joins every worker — before it returns,
+            // so no use outlives the borrow of `net`, which nothing else
+            // touches meanwhile. The plan's ranges are disjoint, so views
+            // in use together own disjoint indices, and what no range owns
+            // they reach only through atomics (the view contract).
+            let view = unsafe {
+                std::mem::transmute::<ApplyCtx<'_>, ApplyCtx<'static>>(whole.narrow(lo, hi))
+            };
+            let mut slot = lock(slot);
+            slot.job = Some((kind, now, lo, hi, ShardView(view)));
+            std::mem::swap(&mut slot.stage, stage);
+        }
         self.open();
         let (sh, cursor) = (&*self.shared, &mut self.cursor);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -894,32 +914,12 @@ impl WorkerPool {
             st.stolen_claims += stolen;
         }
         self.close(outcome);
+        for (slot, stage) in self.shared.slots.iter().zip(stages) {
+            std::mem::swap(&mut lock(slot).stage, stage);
+        }
     }
 
-    /// Writes the pass into the job slot; the pass stays closed.
-    fn publish(&mut self, net: &mut Network, kind: Pass, now: u64, stages: &mut [ShardStage]) {
-        let sh = &*self.shared;
-        debug_assert_eq!(stages.len(), sh.board.shards);
-        debug_assert_eq!(net.plan.bounds.len(), sh.board.shards + 1);
-        let bounds = net.plan.bounds.as_ptr();
-        let net: *mut Network = net;
-        let job = Job {
-            kind,
-            // SAFETY: `net` is the caller's exclusive borrow, which
-            // outlives the pass; the view is used only by claim holders,
-            // whom `run` outwaits (or joins) before returning.
-            whole: unsafe { (*net).apply_ctx() },
-            bounds,
-            stages: stages.as_mut_ptr(),
-            now,
-        };
-        // SAFETY: the previous pass is complete, so nobody holds a claim;
-        // nobody can win one — and with it the right to read the slot —
-        // until `open` moves the epoch on.
-        unsafe { (*sh.job.get()).write(job) };
-    }
-
-    /// Opens the published pass and unparks the workers that sleep.
+    /// Opens the loaded pass and unparks the workers that sleep.
     fn open(&mut self) {
         self.shared.board.open();
         for (h, parked) in self.handles.iter().zip(&self.shared.parked) {
@@ -933,8 +933,8 @@ impl WorkerPool {
     }
 
     /// Ends a pass: returns if it completed, otherwise joins every worker
-    /// (none may outlive the borrows the job points into) and re-raises
-    /// the panic that abandoned it.
+    /// (none may outlive the borrow the views point into), drops the views
+    /// nobody claimed and re-raises the panic that abandoned the pass.
     fn close(&mut self, outcome: std::thread::Result<bool>) {
         match outcome {
             Ok(true) => return,
@@ -942,6 +942,9 @@ impl WorkerPool {
             Err(payload) => self.shared.record_panic(payload),
         }
         self.join();
+        for slot in &self.shared.slots {
+            lock(slot).job = None;
+        }
         let payload = self
             .shared
             .panic
@@ -1015,21 +1018,12 @@ fn participate(sh: &PoolShared, cur: &mut Cursor, mut stats: Option<&mut PhaseSt
     }
 }
 
-/// Shard `t`'s pass.
+/// Shard `t`'s pass, run by the holder of its claim.
 fn execute(sh: &PoolShared, t: usize) {
-    // SAFETY: the caller holds shard `t`'s claim of the current pass (see
-    // `PoolShared` for why that orders this read of the slot). The claim
-    // is won exactly once per pass, so the stage is exclusive; the bounds
-    // are only read, and nothing writes them while a pass runs.
-    let (job, stage, lo, hi) = unsafe {
-        let job = (*sh.job.get()).assume_init_ref();
-        let bounds = std::slice::from_raw_parts(job.bounds, t + 2);
-        (job, &mut *job.stages.add(t), bounds[t], bounds[t + 1])
-    };
-    // SAFETY: the plan's ranges are disjoint, and `run` keeps the network
-    // borrowed until every claim of the pass is reported.
-    let view = unsafe { ApplyCtx::shard(&job.whole, lo, hi) };
-    view.pass(job.kind, job.now, lo, hi, stage);
+    let mut slot = lock(&sh.slots[t]);
+    let Slot { job, stage } = &mut *slot;
+    let (kind, now, lo, hi, ShardView(view)) = job.take().expect("a claimed shard has its job");
+    view.pass(kind, now, lo, hi, stage);
 }
 
 /// A worker's life: spin on the epoch, participate when a pass opens, park
@@ -1077,13 +1071,13 @@ mod tests {
     fn partition_covers_all_nodes_exactly_once() {
         for nodes in [1usize, 2, 63, 64, 65, 256] {
             for shards in [1usize, 2, 3, 4, 7, 300] {
-                let plan = ShardPlan::new(shards, nodes, 8, 5);
-                assert_eq!(plan.bounds[0], 0);
-                assert_eq!(*plan.bounds.last().unwrap(), nodes);
-                assert_eq!(plan.shards(), shards.min(nodes));
-                for s in 0..plan.shards() {
+                let bounds = split(shards, nodes);
+                assert_eq!(bounds[0], 0);
+                assert_eq!(*bounds.last().unwrap(), nodes);
+                assert_eq!(bounds.len() - 1, shards.min(nodes));
+                for s in 0..bounds.len() - 1 {
                     assert!(
-                        plan.bounds[s] < plan.bounds[s + 1],
+                        bounds[s] < bounds[s + 1],
                         "empty shard {s} of {shards} over {nodes} nodes"
                     );
                 }
@@ -1096,14 +1090,40 @@ mod tests {
         // A 64-node network must genuinely split at 4 shards (ranges are
         // not word-aligned), so shard-invariance tests on tiny presets
         // are not vacuous.
-        let plan = ShardPlan::new(4, 64, 8, 5);
-        assert_eq!(plan.bounds, vec![0, 16, 32, 48, 64]);
+        assert_eq!(split(4, 64), vec![0, 16, 32, 48, 64]);
     }
 
     #[test]
     fn plan_construction_spawns_no_threads() {
-        let plan = ShardPlan::new(8, 64, 8, 5);
+        let plan = ShardPlan::new(8, &Torus::new(8, 2).unwrap(), 2);
         assert!(plan.pool.is_none(), "pool attachment is set_shards' job");
+    }
+
+    /// Each ordered shard pair's handoff list holds exactly the torus
+    /// channels between them, counted by hand.
+    #[test]
+    fn handoff_lists_hold_the_boundary_channels() {
+        let cap = |plan: &ShardPlan, s: usize, t: usize| {
+            let out = plan.stages[s].outbound[t].capacity();
+            assert_eq!(out, plan.stages[t].inbound[s].capacity(), "{s} → {t}");
+            out
+        };
+        // 12-ary 3-cube in halves at the z = 6 plane: each way, the two
+        // 144-node z-faces z = 5 → 6 and z = 0 → 11 (or back) cross.
+        let plan = ShardPlan::new(2, &Torus::new(12, 3).unwrap(), 3);
+        assert_eq!(
+            [0, 1, 2, 3].map(|st| cap(&plan, st / 2, st % 2)),
+            [0, 288, 288, 0]
+        );
+        // 8-ary 2-cube in four two-row shards, a ring of them: one 8-node
+        // row face to each neighbouring shard, none to the opposite one.
+        let plan = ShardPlan::new(4, &Torus::new(8, 2).unwrap(), 3);
+        for s in 0..4 {
+            for t in 0..4 {
+                let want = if (t + 4 - s) % 2 == 1 { 8 } else { 0 };
+                assert_eq!(cap(&plan, s, t), want, "{s} → {t}");
+            }
+        }
     }
 
     #[test]
@@ -1233,8 +1253,9 @@ mod tests {
                 if self.to_open == 0 {
                     return None;
                 }
-                // `WorkerPool::publish` then `open`: the slot is written
-                // while nobody may read it, the pass behind it complete.
+                // `WorkerPool::run` loads the slots, then `open`s: a slot is
+                // written while nobody may read it, the pass behind it
+                // complete.
                 assert!(
                     !self.running.contains(&true),
                     "job overwritten under a reader"
@@ -1366,9 +1387,12 @@ mod tests {
         net
     }
 
-    /// The stage of a one-shard plan over [`NODES`] nodes.
+    /// The stage of a one-shard plan over the [`NODES`]-node test net.
     fn stage() -> ShardStage {
-        ShardPlan::new(1, NODES, 64, 8).stages.remove(0)
+        let cfg = crate::testnet::small_cfg();
+        ShardPlan::new(1, &cfg.torus().unwrap(), cfg.vcs)
+            .stages
+            .remove(0)
     }
 
     /// The switch pass's copies, the credit copy taken as the cycle's
@@ -1378,11 +1402,9 @@ mod tests {
         net.plan.credit.copy_from_slice(&net.vc_full);
     }
 
-    /// The view of `net`'s nodes `lo..hi`, for use on this thread.
-    fn view_of(net: &mut Network, lo: usize, hi: usize) -> ApplyCtx<'static> {
-        // SAFETY: the tests use the view while `net` is alive and not
-        // otherwise touched, beside views of disjoint ranges only.
-        unsafe { ApplyCtx::shard(&net.apply_ctx(), lo, hi) }
+    /// The view of `net`'s nodes `lo..hi`.
+    fn view_of(net: &mut Network, lo: usize, hi: usize) -> ApplyCtx<'_> {
+        net.apply_ctx().narrow(lo, hi)
     }
 
     /// Re-points every network-port switch-plane slot of the lower half's
@@ -1450,8 +1472,7 @@ mod tests {
     fn whole_view_and_shard_views_compute_the_same_pass() {
         let (mut whole, mut halves) = (hot_net(), hot_net());
         assert_eq!(saved(&whole), saved(&halves));
-        let d = halves.torus().channels_per_node();
-        halves.plan = ShardPlan::new(2, NODES, d * halves.config().vcs, d + 1);
+        halves.plan = ShardPlan::new(2, halves.torus(), halves.config().vcs);
         let now = whole.now;
         for kind in [Pass::Route, Pass::Switch] {
             let mut stages = std::mem::take(&mut whole.plan.stages);
@@ -1509,64 +1530,57 @@ mod tests {
     }
 
     /// A two-shard hot network (shards `0..MID` and `MID..NODES`) taken
-    /// apart for a hand-driven switch pass by a coordinator and one worker
-    /// (whatever the host's core count), with shard 0's local hops
+    /// apart for a hand-driven switch pass, with shard 0's local hops
     /// misfiled ([`misfile_lower_hops`]): its pass `put`s into shard 1.
-    fn poisoned_pass() -> (Network, WorkerPool, Vec<ShardStage>) {
+    fn poisoned_pass() -> (Network, Vec<ShardStage>) {
         let mut net = hot_net();
         net.set_shards(2);
         assert_eq!(net.plan.bounds, [0, MID, NODES]);
         misfile_lower_hops(&mut net);
         take_switch_copies(&mut net);
-        let pool = WorkerPool::new(2, 2);
         let stages = std::mem::take(&mut net.plan.stages);
-        (net, pool, stages)
+        (net, stages)
+    }
+
+    /// Runs `poisoned_pass`'s switch pass through `pool` and re-raises its
+    /// panic once it has checked that the pass joined the worker.
+    fn run_poisoned(mut pool: WorkerPool) {
+        let (mut net, mut stages) = poisoned_pass();
+        let now = net.now;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&mut net, Pass::Switch, now, &mut stages, None);
+        }));
+        assert!(
+            pool.handles.is_empty(),
+            "the worker outlived the failed pass"
+        );
+        resume_unwind(outcome.expect_err("the misfiled hop was put"));
     }
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
     fn mis_owned_access_on_a_worker_claim_panics_the_coordinator() {
         within_a_minute(|| {
-            let (mut net, mut pool, mut stages) = poisoned_pass();
-            let now = net.now;
-            pool.publish(&mut net, Pass::Switch, now, &mut stages);
-            pool.open();
-            // The coordinator claims nothing: every shard is the worker's,
-            // the poisoned one swept up after its home shard 1.
-            let sh = Arc::clone(&pool.shared);
-            while !sh.shutdown.load(Ordering::Acquire) {
-                assert!(
-                    sh.board.applied.load(Ordering::Acquire) < 2,
-                    "the misfiled hop was put"
-                );
-                std::thread::yield_now();
-            }
-            pool.close(Ok(false));
+            let mut pool = WorkerPool::new(2, 2);
+            // The coordinator goes straight to waiting for pass 1, claiming
+            // nothing: every shard is the worker's, the poisoned one swept
+            // up after its home shard 1.
+            pool.cursor = Cursor {
+                pass: 1,
+                at: 2,
+                state: State::Finish,
+                ..pool.cursor
+            };
+            run_poisoned(pool);
         });
     }
 
     #[test]
     #[should_panic(expected = "outside the view's owned range")]
     fn mis_owned_access_on_a_coordinator_claim_panics_after_joining_the_worker() {
-        within_a_minute(|| {
-            let (mut net, mut pool, mut stages) = poisoned_pass();
-            let now = net.now;
-            pool.publish(&mut net, Pass::Switch, now, &mut stages);
-            let sh = Arc::clone(&pool.shared);
-            // This thread holds shard 0's claim of the pass about to open;
-            // the worker gets shard 1's, runs it, and goes idle — and must
-            // still be joined before the panic reaches the caller.
-            sh.board.claims[0].store(1 << ID_BITS, Ordering::Relaxed);
-            pool.open();
-            while sh.board.applied.load(Ordering::Acquire) < 1 {
-                std::thread::yield_now();
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                execute(&sh, 0);
-                true
-            }));
-            assert!(outcome.is_err(), "the misfiled hop was put");
-            pool.close(outcome);
-        });
+        // The coordinator claims its home shard 0, the poisoned one, at
+        // once; the worker gets shard 1, runs it, and goes idle — and must
+        // still be joined before the panic reaches the caller.
+        within_a_minute(|| run_poisoned(WorkerPool::new(2, 2)));
     }
 }

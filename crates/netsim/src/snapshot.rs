@@ -144,7 +144,7 @@ impl Network {
             + self.out_alloc.len()
             + nodes * (1 + 4 + 2 + ASSIGN_MAX_LEN + 8)
             + queued
-            + self.packets.encoded_len(&self.escaped)
+            + self.packets.encoded_len()
             + dl_flits
             + (1 + recovery)
             + 8 * (self.route_rr.len() + self.out_rr.len())
@@ -192,7 +192,7 @@ impl Network {
                 enc.u32(self.source_q.get(node, i));
             }
         }
-        self.packets.save_state(enc, &self.escaped);
+        self.packets.save_state(enc);
         for node in 0..self.inj.len() {
             enc_flit_ring(enc, &self.dl_bufs, node);
         }
@@ -298,7 +298,7 @@ impl Network {
                 source_q.push_back(node, dec.u32()?);
             }
         }
-        let (packets, escaped) = PacketStore::restore_state(dec, nodes, self.packet_len)?;
+        let packets = PacketStore::restore_state(dec, nodes, self.packet_len)?;
         let mut dl_bufs = FlitRings::new(nodes, crate::network::DL_DEPTH);
         for node in 0..nodes {
             dec_flit_ring(dec, &mut dl_bufs, node, crate::network::DL_DEPTH)?;
@@ -386,7 +386,6 @@ impl Network {
         self.inj = inj;
         self.source_q = source_q;
         self.packets = packets;
-        self.escaped = escaped;
         self.dl_bufs = dl_bufs;
         self.recovery = recovery;
         self.route_rr = route_rr;
@@ -510,8 +509,8 @@ mod tests {
     }
 
     /// A freed slot is not ground truth: `alloc` overwrites it whole and
-    /// nothing reads it before, so scribbling over its fields and escape
-    /// flag changes no byte of the checkpoint.
+    /// nothing reads it before, so scribbling over its fields, escape flag
+    /// included, changes no byte of the checkpoint.
     #[test]
     fn a_freed_slot_writes_nothing() {
         let mut net = hot_net();
@@ -529,8 +528,8 @@ mod tests {
             len: 1,
             delivered_flits: 9,
             last_move: 123,
+            escaped: !net.packets.get(id).escaped,
         };
-        net.escaped[id as usize] ^= true;
         assert_eq!(snapshot(&net), before);
     }
 

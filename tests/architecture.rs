@@ -2,8 +2,8 @@
 //! can see — where the process environment is read and a resumable run
 //! opens its journal, which bench stack exists, where the side-band
 //! watchdog lives, how a stepping loop reaches the traffic sources, what
-//! math the traffic stream may call and whether every test fixture still
-//! has a reader. Each rule documents the files it
+//! math the traffic stream may call, whether every test fixture still
+//! has a reader and where `unsafe` may appear. Each rule documents the files it
 //! reads, what it forbids and why, and reports every offending line as
 //! `path:line: text` (an orphan fixture as `path: ...`). Each runs twice:
 //! on the tree as it stands, and on a synthetic violation it must report
@@ -366,6 +366,44 @@ fn no_orphan_fixtures(root: &Path, tree: &[File]) -> Vec<String> {
     orphans
 }
 
+// Spelled in pieces so the synthetic violations below do not flag this file.
+const UNSAFE: &str = concat!("un", "safe");
+/// The one module of `wormsim` allowed `unsafe`.
+const UNSAFE_MODULE: &str = "crates/netsim/src/shard.rs";
+/// Code lines of [`UNSAFE_MODULE`], above its tests, that may say `unsafe`.
+const UNSAFE_LINES: usize = 5;
+
+/// `unsafe` small enough to argue about. Outside comments, the word
+/// appears in three `.rs` files only:
+/// - [`UNSAFE_MODULE`], on at most [`UNSAFE_LINES`] lines above its test
+///   module — the two checked-cell primitives, the packet-field
+///   projection, the worker pool's one detach of a shard's view and the
+///   `Send` that detach needs, all resting on one stated argument — and on
+///   none inside it, where views come from the safe `narrow`;
+/// - `crates/experiments/src/sigint.rs`, the signal handler;
+/// - `crates/netsim/tests/zero_alloc.rs`, the counting allocator.
+///
+/// The compiler already forbids `unsafe_code` in every other crate and
+/// denies it in every other `wormsim` module; this rule keeps the count. A
+/// line's comment starts at its first `//`.
+fn unsafe_stays_small(tree: &[File]) -> Vec<String> {
+    let code = |line: &str| has_word(line.split("//").next().unwrap_or_default(), UNSAFE);
+    let mut found = Vec::new();
+    for f in tree.iter().filter(|f| f.path.ends_with(".rs")) {
+        let lines = scan(&f.path, &f.text, code);
+        match f.path.as_str() {
+            "crates/experiments/src/sigint.rs" | "crates/netsim/tests/zero_alloc.rs" => {}
+            UNSAFE_MODULE => {
+                let above = scan(&f.path, above_tests(&f.text), code).len();
+                found.extend(lines.iter().take(above).skip(UNSAFE_LINES).cloned());
+                found.extend(lines.into_iter().skip(above));
+            }
+            _ => found.extend(lines),
+        }
+    }
+    found
+}
+
 fn assert_clean(found: Vec<String>, rule: &str) {
     assert!(
         found.is_empty(),
@@ -408,6 +446,12 @@ fn the_tree_has_no_libm_on_the_traffic_stream() {
 fn the_tree_has_no_orphan_fixtures() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert_clean(no_orphan_fixtures(root, repo()), "no orphan fixtures");
+}
+
+#[test]
+fn the_tree_keeps_unsafe_small() {
+    let rule = format!("{UNSAFE} small enough to argue about");
+    assert_clean(unsafe_stays_small(repo()), &rule);
 }
 
 #[test]
@@ -642,5 +686,44 @@ fn walk_skips_git_targets_ignored_paths_and_binaries() {
     assert_eq!(
         walked,
         [".gitignore", "a.rs", "file/out", "sub/anchored/b.rs"]
+    );
+}
+
+/// Six `unsafe` lines above `shard.rs`'s tests (the sixth reported), one
+/// inside them and one in `network.rs`; none for the exempt files, a
+/// comment, a doc line or `forbid(unsafe_code)`.
+#[test]
+fn unsafe_rule_reports_a_sixth_line_one_in_tests_and_one_elsewhere() {
+    let block = format!("    {UNSAFE} {{ p.read() }}");
+    let shard = format!(
+        "//! {UNSAFE} lives here\n{}\n// SAFETY: {UNSAFE}\n\n#[cfg(test)]\nmod tests {{\n{block}\n}}",
+        [block.as_str(); 6].join("\n")
+    );
+    let tree = [
+        file(UNSAFE_MODULE, &shard),
+        file(
+            "crates/netsim/src/network.rs",
+            &format!("/// not {UNSAFE}\n{block}"),
+        ),
+        file("crates/netsim/tests/zero_alloc.rs", &block),
+        file("crates/experiments/src/sigint.rs", &block),
+        file(
+            "crates/core/src/lib.rs",
+            &format!("#![forbid({UNSAFE}_code)]"),
+        ),
+        file("README.md", &block),
+    ];
+    let found = unsafe_stays_small(&tree);
+    assert_eq!(
+        paths(&found),
+        [UNSAFE_MODULE, UNSAFE_MODULE, "crates/netsim/src/network.rs"]
+    );
+    assert!(
+        found[0].starts_with("crates/netsim/src/shard.rs:7: "),
+        "{found:?}"
+    );
+    assert!(
+        found[1].starts_with("crates/netsim/src/shard.rs:12: "),
+        "{found:?}"
     );
 }
