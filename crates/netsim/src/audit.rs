@@ -67,7 +67,7 @@ pub enum AuditKind {
     Quiescence,
     /// A shard's pass output left over between cycles: a suspect or
     /// starvation trip not committed, a handoff not put or a delivered
-    /// flit not consumed.
+    /// tail not finished.
     MailboxConservation,
     /// Shard partition not a disjoint ascending cover of the node range.
     ShardPartition,
@@ -374,7 +374,7 @@ impl Network {
                 }
                 u32::from(inj.sent)
             } else if injected {
-                u32::from(p.len) // Fully inside the network.
+                u32::from(self.packet_len) // Fully inside the network.
             } else {
                 0 // Still waiting in a source queue.
             };
@@ -386,10 +386,10 @@ impl Network {
                 );
                 push(AuditKind::SourceQueueLedger, detail);
             }
-            if p.delivered_flits >= p.len {
+            if p.delivered_flits >= self.packet_len {
                 let detail = format!(
                     "live packet {pid} already delivered {}/{} flits",
-                    p.delivered_flits, p.len
+                    p.delivered_flits, self.packet_len
                 );
                 push(AuditKind::FlitLedger, detail);
             }
@@ -620,7 +620,7 @@ impl Network {
                 ("starvation trip(s)", stage.starved.len()),
                 ("outbound handoff(s)", parked(&stage.outbound)),
                 ("inbound handoff(s)", parked(&stage.inbound)),
-                ("delivered flit(s)", stage.delivered.len()),
+                ("delivered tail(s)", stage.delivered.len()),
             ];
             if left.iter().any(|&(_, n)| n != 0) {
                 let left: Vec<String> =
@@ -857,16 +857,22 @@ mod tests {
             feeder: 0,
             flit,
         };
+        // Only a tail reaches the fold's list.
+        let tail = Flit {
+            idx: crate::testnet::small_cfg().packet_len as u16 - 1,
+            ..flit
+        };
         // A suspect or a starvation trip the fold never committed to the
         // token queue; a flit a switch pass took off its feeder that no
         // handoff pass put downstream — still outbound, or already handed
-        // to its owner — or the fold never consumed: one strand per list.
+        // to its owner — or a delivered tail the fold never finished: one
+        // strand per list.
         let strands: [&dyn Fn(&mut ShardStage); 5] = [
             &|st| st.suspects.push(0),
             &|st| st.starved.push(0),
             &|st| st.outbound[0].push(parked),
             &|st| st.inbound[0].push(parked),
-            &|st| st.delivered.push(flit),
+            &|st| st.delivered.push(tail),
         ];
         for strand in strands {
             let mut net = hot_net();

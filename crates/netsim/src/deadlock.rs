@@ -103,11 +103,14 @@ impl Network {
                     self.counters.hotspot_stall_cycles += 1;
                     continue;
                 }
+                // The switch pass's delivery, both halves at once.
                 let flit = self.dl_bufs.pop_front(r);
-                let is_tail = flit.idx + 1 == self.packets.get(flit.packet).len;
-                self.deliver_flit(now, flit, true);
-                if is_tail {
-                    finished = true;
+                finished = self.apply_ctx().consume(flit);
+                self.counters.delivered_flits += 1;
+                self.last_delivery_at = now;
+                self.last_progress_at = now;
+                if finished {
+                    self.finish_packet(now, flit.packet, true);
                 }
             } else {
                 let next = job.path[i + 1];
@@ -132,7 +135,7 @@ impl Network {
                     let view = self.apply_ctx();
                     let (node, f) = (src / view.fpn, src % view.fpn);
                     let mut flit = view.vc_bufs.pop_front(src);
-                    if flit.idx + 1 == view.packets.packet(flit.packet).len {
+                    if flit.idx + 1 == view.packet_len {
                         view.set_assign(node, f, Assign::None);
                         job.tail_in = true;
                     }

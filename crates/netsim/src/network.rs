@@ -725,9 +725,7 @@ impl Network {
             self.counters.refused_generations += 1;
             return;
         }
-        let id = self
-            .packets
-            .alloc(PacketInfo::offered(node, dst, now, self.packet_len));
+        let id = self.packets.alloc(PacketInfo::offered(node, dst, now));
         self.source_q.push_back(node, id);
         self.srcq_nodes.insert(node);
         self.counters.generated_packets += 1;
@@ -840,8 +838,9 @@ impl Network {
 
     /// Folds the shards' results of a pass, in ascending shard order: the
     /// deltas to global scalars, and the global half of their suspects,
-    /// starvation trips and deliveries — suspects and then trips join the
-    /// token queue, delivered flits are consumed — each in pass order.
+    /// starvation trips and delivered tails — suspects and then trips join
+    /// the token queue, tails finish ([`Network::finish_packet`]) — each in
+    /// pass order.
     pub(crate) fn fold_stages(&mut self, kind: Pass, now: u64, stages: &mut [ShardStage]) {
         for stage in stages.iter_mut() {
             let c = &mut self.counters;
@@ -863,8 +862,18 @@ impl Network {
             if std::mem::take(&mut stage.progressed) {
                 self.last_progress_at = now;
             }
+            let flits = std::mem::take(&mut stage.delivered_flits);
+            if flits > 0 {
+                c.delivered_flits += flits;
+                self.last_delivery_at = now;
+            }
             for flit in stage.delivered.drain(..) {
-                self.deliver_flit(now, flit, false);
+                debug_assert_eq!(
+                    flit.idx + 1,
+                    self.packet_len,
+                    "a body flit reached the fold"
+                );
+                self.finish_packet(now, flit.packet, false);
             }
         }
         for stage in stages.iter_mut() {
@@ -891,6 +900,7 @@ impl Network {
             depth: self.depth,
             escape_vcs: self.cfg.escape_vcs(),
             hop_latency: self.cfg.hop_latency,
+            packet_len: self.packet_len,
             recovery_timeout,
             route_rr: Cells::new(&mut self.route_rr),
             out_rr: Cells::new(&mut self.out_rr),
@@ -929,32 +939,23 @@ impl Network {
             .is_some_and(|plan| plan.delivery_down(node, now))
     }
 
-    /// Consumes a flit at its destination's delivery channel.
-    pub(crate) fn deliver_flit(&mut self, now: u64, flit: Flit, via_recovery: bool) {
-        self.counters.delivered_flits += 1;
-        self.last_delivery_at = now;
-        self.last_progress_at = now;
-        let len = {
-            let p = self.packets.get_mut(flit.packet);
-            p.delivered_flits += 1;
-            p.len
-        };
-        if flit.idx + 1 == len {
-            let p = *self.packets.get(flit.packet);
-            debug_assert_eq!(p.delivered_flits, len, "flits delivered out of order");
-            self.deliveries.push(DeliveredRecord {
-                src: p.src,
-                dst: p.dst,
-                generated_at: p.generated_at,
-                injected_at: p.injected_at,
-                delivered_at: now,
-                len,
-                recovered: via_recovery,
-            });
-            self.counters.delivered_packets += 1;
-            self.counters.recovered_packets += u64::from(via_recovery);
-            self.packets.release(flit.packet);
-        }
+    /// The tail half of a delivery, run sequentially once the tail of
+    /// packet `id` was consumed ([`ApplyCtx::consume`]): its delivery
+    /// record joins the ring and its slot the free list.
+    pub(crate) fn finish_packet(&mut self, now: u64, id: PacketId, via_recovery: bool) {
+        let p = *self.packets.get(id);
+        self.deliveries.push(DeliveredRecord {
+            src: p.src,
+            dst: p.dst,
+            generated_at: p.generated_at,
+            injected_at: p.injected_at,
+            delivered_at: now,
+            len: self.packet_len,
+            recovered: via_recovery,
+        });
+        self.counters.delivered_packets += 1;
+        self.counters.recovered_packets += u64::from(via_recovery);
+        self.packets.release(id);
     }
 }
 
@@ -1151,8 +1152,9 @@ impl ApplyCtx<'_> {
     /// The switch stage over the routers `lo..hi`, ascending: every output
     /// channel of a router moves at most one flit, round-robin over the
     /// feeders that are candidates for it, and the move is made at once —
-    /// a local hop `put` downstream, a delivery set aside for the fold, a
-    /// handoff parked for the handoff pass of the shard it is headed into.
+    /// a local hop `put` downstream, a delivery consumed (a tail set aside
+    /// for the fold), a handoff parked for the handoff pass of the shard
+    /// it is headed into.
     ///
     /// A feeder is a candidate when its front flit may move this cycle and
     /// the downstream buffer has credit *as the pass found it*: the credit
@@ -1222,7 +1224,10 @@ impl ApplyCtx<'_> {
                     let (flit, slot) = self.take(now, node, port, pick, stage);
                     let (dnode, dbit) = (slot.dnode(), slot.dbit());
                     if port == self.d {
-                        stage.delivered.push(flit);
+                        stage.delivered_flits += 1;
+                        if self.consume(flit) {
+                            stage.delivered.push(flit);
+                        }
                     } else if lo <= dnode && dnode < hi {
                         self.put(now, (dnode, dbit), flit, &mut stage.full_delta);
                     } else {
@@ -1404,8 +1409,9 @@ impl ApplyCtx<'_> {
         self.out_rr.set(node * self.nports + port, f + 1);
         let slot = self.plane.slot(node * (self.fpn + 1) + f);
         debug_assert_eq!(slot.port(), port, "stale switch-plane slot");
-        // One `packets.packet` lookup per move: the tail test and the
-        // `last_move` stamp share it.
+        // The tail test reads the configured packet length, so a move's
+        // one touch of the packet record is the `last_move` store (and the
+        // header's `injected_at`).
         let (flit, packet) = if f == self.fpn {
             let mut inj = self.inj.get(node);
             let pid = inj.active.expect("injection feeder has active packet");
@@ -1416,7 +1422,7 @@ impl ApplyCtx<'_> {
                 packet.injected_at.store(now, Ordering::Relaxed);
                 stage.injected += 1;
             }
-            if inj.sent == packet.len {
+            if inj.sent == self.packet_len {
                 self.release_output(node, inj.assign);
                 inj = InjState::idle();
                 self.inj_nodes.remove_bit(node);
@@ -1432,7 +1438,7 @@ impl ApplyCtx<'_> {
             let idx = node * self.fpn + f;
             let flit = self.vc_bufs.pop_front(idx);
             let packet = self.packets.packet(flit.packet);
-            if flit.idx + 1 == packet.len {
+            if flit.idx + 1 == self.packet_len {
                 self.release_output(node, self.vc_assign.get(idx));
                 self.set_assign(node, f, Assign::None);
             }
@@ -1442,6 +1448,23 @@ impl ApplyCtx<'_> {
         packet.last_move.store(now, Ordering::Relaxed);
         stage.progressed = true;
         (flit, slot)
+    }
+
+    /// The per-flit half of a delivery: `flit`, taken off its feeder at its
+    /// destination, is consumed there. Flits arrive in order, so the
+    /// packet's delivered count becomes the flit's index + 1 — a store by
+    /// the destination's pass, the count's only writer. Returns whether the
+    /// flit was the tail, which [`Network::finish_packet`] then finishes.
+    #[inline]
+    pub(crate) fn consume(&self, flit: Flit) -> bool {
+        let delivered = self.packets.packet(flit.packet).delivered;
+        debug_assert_eq!(
+            delivered.load(Ordering::Relaxed),
+            flit.idx,
+            "flits delivered out of order"
+        );
+        delivered.store(flit.idx + 1, Ordering::Relaxed);
+        flit.idx + 1 == self.packet_len
     }
 
     /// Frees the output VC a worm assigned `a` held, once its tail has
@@ -1612,6 +1635,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Deliveries finish the same cycle at every shard count, not merely by
+    /// the end of the run: a saturated recovery network with a hotspot is
+    /// stepped at 1, 2, 3 and 8 shards side by side, and after every cycle
+    /// each sharded twin must have drained the same delivery records —
+    /// some finished through the recovery drain — and agree on the
+    /// cumulative delivered flits, `last_delivery_at` and
+    /// `last_progress_at`. The end-state bytes cannot see a one-cycle slip
+    /// of `last_delivery_at` that a later delivery overwrites; this can,
+    /// and it also holds `last_delivery_at` to the cycle of every flit
+    /// delivered, body flit or tail.
+    #[test]
+    fn deliveries_finish_in_lockstep_at_every_shard_count() {
+        use faults::HotspotFault;
+        let cfg = NetConfig {
+            radix: 4,
+            dimensions: 3,
+            ..NetConfig::small(DeadlockMode::Recovery { timeout: 8 })
+        };
+        let plan = FaultPlan {
+            hotspots: vec![HotspotFault {
+                node: 21,
+                start: 200,
+                end: 600,
+            }],
+            ..FaultPlan::none(0)
+        };
+        let mut nets: Vec<Network> = [1, 2, 3, 8]
+            .into_iter()
+            .map(|shards| {
+                let mut net = Network::new(cfg.clone()).unwrap();
+                net.install_faults(plan.clone()).unwrap();
+                net.set_shards(shards);
+                net
+            })
+            .collect();
+        let nodes = nets[0].torus.node_count();
+        let mut src = crate::testnet::source(3, nodes, 55);
+        let (mut recovered, mut body_only) = (0, 0);
+        for _ in 0..1_200 {
+            let mut seen = Vec::new();
+            for net in &mut nets {
+                let (now, flits) = (net.now, net.delivered_flits_cum());
+                net.cycle(&mut src, &mut NoControl);
+                let records: Vec<DeliveredRecord> = net.drain_deliveries().collect();
+                let delivered = net.delivered_flits_cum() - flits;
+                if delivered > 0 {
+                    assert_eq!(net.last_delivery_at(), now, "shards={}", net.shards());
+                }
+                let state = (
+                    records,
+                    net.delivered_flits_cum(),
+                    net.last_delivery_at(),
+                    net.last_progress_at(),
+                );
+                match seen.first() {
+                    None => {
+                        recovered += state.0.iter().filter(|r| r.recovered).count();
+                        body_only += usize::from(delivered > 0 && state.0.is_empty());
+                    }
+                    Some(base) => assert!(
+                        state == *base,
+                        "cycle {now}: shards={} diverged from 1",
+                        net.shards()
+                    ),
+                }
+                seen.push(state);
+            }
+        }
+        assert!(recovered > 0, "vacuous: nothing finished through recovery");
+        assert!(body_only > 0, "vacuous: no cycle delivered only body flits");
+        let c = nets[0].counters();
+        assert!(
+            c.hotspot_stall_cycles > 0,
+            "vacuous: the hotspot stalled nothing"
+        );
     }
 
     /// Credit freed by a pop is usable the next cycle, whatever order the

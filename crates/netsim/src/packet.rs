@@ -1,4 +1,4 @@
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64};
 
 use crate::shard::Cells;
 use kncube::NodeId;
@@ -10,8 +10,9 @@ pub type PacketId = u32;
 /// One flit of a packet.
 ///
 /// All flits of a packet are identical except for their index: index 0 is
-/// the header (carries routing information), index `len - 1` is the tail
-/// (releases resources as it passes).
+/// the header (carries routing information), index `packet_len - 1` (the
+/// network's [`crate::NetConfig::packet_len`]) is the tail (releases
+/// resources as it passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Owning packet.
@@ -28,7 +29,11 @@ impl Flit {
     pub(crate) const ENCODED_LEN: usize = 4 + 2 + 8;
 }
 
-/// Metadata of an in-flight packet.
+/// Metadata of an in-flight packet. Every packet has the network's
+/// [`crate::NetConfig::packet_len`] flits, so the record carries no length:
+/// a flit move tests for the tail against the configured value and touches
+/// the record only to store its `last_move` stamp — and, at the
+/// destination, its delivered count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketInfo {
     /// Source node.
@@ -40,9 +45,8 @@ pub struct PacketInfo {
     /// Cycle the header flit left the source (entered the network), or
     /// `u64::MAX` while still queued.
     pub injected_at: u64,
-    /// Packet length in flits.
-    pub len: u16,
-    /// Flits already consumed at the destination.
+    /// Flits already consumed at the destination. Flits arrive in order,
+    /// so a delivery stores its flit's index + 1.
     pub delivered_flits: u16,
     /// Cycle any flit of this packet last moved (drives Disha's
     /// whole-worm-inactive deadlock detection).
@@ -66,13 +70,12 @@ impl PacketInfo {
     /// The record `Network::offer` writes for a packet `src` generated at
     /// `now` for `dst`: queued, nothing sent, nothing delivered.
     #[must_use]
-    pub(crate) fn offered(src: NodeId, dst: NodeId, now: u64, len: u16) -> Self {
+    pub(crate) fn offered(src: NodeId, dst: NodeId, now: u64) -> Self {
         PacketInfo {
             src,
             dst,
             generated_at: now,
             injected_at: u64::MAX,
-            len,
             delivered_flits: 0,
             last_move: now,
             escaped: false,
@@ -82,7 +85,7 @@ impl PacketInfo {
     /// Whether this record is still exactly what `offer` wrote: then
     /// `src`, `dst` and `generated_at` are all a checkpoint needs of it.
     fn untouched(&self) -> bool {
-        *self == PacketInfo::offered(self.src, self.dst, self.generated_at, self.len)
+        *self == PacketInfo::offered(self.src, self.dst, self.generated_at)
     }
 
     /// Bytes of this live packet's record.
@@ -207,8 +210,8 @@ impl PacketStore {
     /// Serializes what the store holds: the slot count, the free list in
     /// order (which determines future id assignment), then one record per
     /// live slot, ascending. A freed slot writes nothing — [`PacketStore::alloc`]
-    /// overwrites it whole — and no record writes `len`, which is the
-    /// network's packet length for every packet. A live packet's escape
+    /// overwrites it whole — and no record holds a length: every packet
+    /// has the network's packet length. A live packet's escape
     /// flag rides in its record's tag.
     pub fn save_state(&self, enc: &mut checkpoint::Enc) {
         let start = enc.len();
@@ -253,7 +256,7 @@ impl PacketStore {
     }
 
     /// Reads a store serialized with [`PacketStore::save_state`] on a
-    /// network of `nodes` nodes and `len`-flit packets. A freed slot comes
+    /// network of `nodes` nodes. A freed slot comes
     /// back as an offered record of node 0; nothing reads it before `alloc`
     /// overwrites it.
     ///
@@ -266,7 +269,6 @@ impl PacketStore {
     pub fn restore_state(
         dec: &mut checkpoint::Dec<'_>,
         nodes: usize,
-        len: u16,
     ) -> Result<Self, checkpoint::CheckpointError> {
         use checkpoint::CheckpointError::Corrupt;
         let nslots = dec.usize()?;
@@ -295,7 +297,7 @@ impl PacketStore {
         let mut freed = freed.into_iter().peekable();
         for id in 0..nslots {
             if freed.next_if_eq(&(id as PacketId)).is_some() {
-                slots.push(PacketInfo::offered(0, 0, 0, len));
+                slots.push(PacketInfo::offered(0, 0, 0));
                 continue;
             }
             let tag = dec.u8()?;
@@ -306,7 +308,7 @@ impl PacketStore {
             if src >= nodes || dst >= nodes {
                 return Err(Corrupt("packet endpoint outside the network"));
             }
-            let mut p = PacketInfo::offered(src, dst, dec.u64()?, len);
+            let mut p = PacketInfo::offered(src, dst, dec.u64()?);
             if tag != OFFERED {
                 p.injected_at = dec.u64()?;
                 p.delivered_flits = dec.u16()?;
@@ -320,14 +322,11 @@ impl PacketStore {
 }
 
 /// What a route/switch pass may touch of one in-flight packet (built by
-/// [`Cells::packet`]): its immutable length and destination, its escape
-/// flag and its two stamps. Delivery accounting and release are boundary
-/// work, done
-/// sequentially through [`PacketStore`] itself.
+/// [`Cells::packet`]): its immutable destination, its escape flag, its two
+/// stamps and its delivered count. The delivery record and the slot's
+/// release are a tail's, done sequentially through [`PacketStore`] itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PacketCell<'a> {
-    /// [`PacketInfo::len`].
-    pub len: u16,
     /// [`PacketInfo::dst`].
     pub dst: NodeId,
     /// [`PacketInfo::escaped`], set by the route win that takes an escape
@@ -338,6 +337,9 @@ pub(crate) struct PacketCell<'a> {
     pub last_move: &'a AtomicU64,
     /// [`PacketInfo::injected_at`], stored once, by the source node's op.
     pub injected_at: &'a AtomicU64,
+    /// [`PacketInfo::delivered_flits`], stored by each delivery move — the
+    /// destination's, so one shard's pass is its only writer.
+    pub delivered: &'a AtomicU16,
 }
 
 #[cfg(test)]
@@ -345,7 +347,7 @@ mod tests {
     use super::*;
 
     fn info(src: NodeId) -> PacketInfo {
-        PacketInfo::offered(src, 0, 0, 16)
+        PacketInfo::offered(src, 0, 0)
     }
 
     #[test]
@@ -368,7 +370,7 @@ mod tests {
     fn mixed_store() -> PacketStore {
         let mut s = PacketStore::new();
         for src in 0..4 {
-            s.alloc(PacketInfo::offered(src, 7, 10 + src as u64, 16));
+            s.alloc(PacketInfo::offered(src, 7, 10 + src as u64));
         }
         s.get_mut(1).escaped = true;
         s.release(1);
@@ -390,7 +392,7 @@ mod tests {
 
     fn restore(bytes: &[u8]) -> Result<PacketStore, checkpoint::CheckpointError> {
         let mut dec = checkpoint::Dec::new(bytes);
-        let out = PacketStore::restore_state(&mut dec, 8, 16)?;
+        let out = PacketStore::restore_state(&mut dec, 8)?;
         dec.finish()?;
         Ok(out)
     }

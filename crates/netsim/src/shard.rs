@@ -19,22 +19,25 @@
 //!    starvation scan of each router it visits, right after routing it,
 //!    and sets its trips aside (`starved`). A flit move goes by where its
 //!    downstream half lands: a **local hop** (downstream VC in the shard's
-//!    own range) is `put` at once, a **delivery** is set aside in the stage
-//!    (`delivered`), and a **handoff** (downstream VC in another shard) is
-//!    taken off its feeder and parked for the shard that owns that VC
-//!    (`outbound`). After a switch pass that parked any, the coordinator
-//!    hands each parked list to its owner (`inbound`, a swap of list
-//!    headers) and a **handoff pass** lets every shard `put` the flits
-//!    headed into its own range. Their order cannot matter: each
+//!    own range) is `put` at once, a **delivery** is consumed at once — the
+//!    destination lies in the shard's range, so its pass is the only
+//!    writer of the packet's delivered count — and only a tail is set
+//!    aside in the stage (`delivered`), and a **handoff** (downstream VC in
+//!    another shard) is taken off its feeder and parked for the shard that
+//!    owns that VC (`outbound`). After a switch pass that parked any, the
+//!    coordinator hands each parked list to its owner (`inbound`, a swap of
+//!    list headers) and a **handoff pass** lets every shard `put` the
+//!    flits headed into its own range. Their order cannot matter: each
 //!    downstream VC receives at most one flit a cycle, the node-word
 //!    updates are ORs and the census deltas sums.
 //! 2. **Fold** (sequential): the caller's thread folds each shard's deltas
 //!    and globally ordered results — route-pass suspects, then starvation
-//!    trips, into the token queue; delivered flits into the delivery ring
-//!    — in ascending shard order, within a shard in pass (ascending node)
-//!    order. Because shards are contiguous ascending ranges, that visits
-//!    the globally ordered structures in global ascending-node order for
-//!    *any* shard count.
+//!    trips, into the token queue; the delivered-flit count into the
+//!    counters; each delivered tail's record into the delivery ring and
+//!    its packet slot back to the free list — in ascending shard order,
+//!    within a shard in pass (ascending node) order. Because shards are
+//!    contiguous ascending ranges, that visits the globally ordered
+//!    structures in global ascending-node order for *any* shard count.
 //!
 //! With one shard the caller's thread runs the pass inline over a
 //! whole-network view; with more, a [`WorkerPool`] runs the shards'
@@ -68,7 +71,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -113,8 +116,11 @@ pub(crate) struct ShardStage {
     /// (`inbound[s]` is shard `s`'s `outbound[this]`, swapped in after the
     /// switch pass), awaiting this shard's handoff pass.
     pub inbound: Vec<Vec<Parked>>,
-    /// Flits taken off delivery moves, consumed at their destination by
-    /// the fold — the global delivery-ring FIFO and packet release order.
+    /// The tails among this shard's delivery moves, in pass order. The
+    /// move itself consumed each flit at its destination (the packet's
+    /// delivered count); the fold pushes each tail's delivery record and
+    /// releases its packet — the global delivery-ring FIFO and packet
+    /// release order.
     pub delivered: Vec<Flit>,
     /// Routers this shard's route pass visited (counter delta, folded
     /// into [`crate::counters::Counters`] after the pass).
@@ -123,6 +129,8 @@ pub(crate) struct ShardStage {
     pub starvation_checks: u64,
     /// Routers this shard's switch pass visited.
     pub switch_visits: u64,
+    /// Flits this shard's switch pass delivered, tails included.
+    pub delivered_flits: u64,
     /// Ready flits stalled on faulted links / hot delivery channels this
     /// cycle (counter deltas).
     pub link_stalls: u64,
@@ -135,6 +143,11 @@ pub(crate) struct ShardStage {
     pub injected: u64,
     pub full_delta: i32,
     pub progressed: bool,
+    /// Wall time of this shard's last pass, booked only when phase stats
+    /// are on, for [`WorkerPool::run`] to fold into
+    /// [`PhaseStats::slowest_shard_ns`] and
+    /// [`PhaseStats::fastest_shard_ns`].
+    pub pass_ns: u64,
 }
 
 /// Hands every list of handoffs a switch pass parked to the stage of the
@@ -201,7 +214,7 @@ impl ShardPlan {
     /// Builds a plan with `shards` contiguous node ranges of `torus`
     /// ([`split`]), `v` VCs per channel. The stages' lists are sized at
     /// their per-cycle worst case: a router sets aside at most one suspect
-    /// or starvation trip per input feeder and one delivered flit, and
+    /// or starvation trip per input feeder and one delivered tail, and
     /// each torus channel from shard `s` into shard `t` hands off at most
     /// one flit a cycle. No worker pool is attached here —
     /// `Network::set_shards` does that, so plan construction in tests
@@ -381,22 +394,23 @@ impl Cells<'_, u64> {
 impl Cells<'_, PacketInfo> {
     /// The fields of packet `id` a pass may touch. Packet ids are not
     /// range-owned — several flits of one worm can move in different
-    /// shards in one cycle — so the escape flag and the stamps are
-    /// atomics; `len` and `dst` are written only when a packet is
+    /// shards in one cycle — so the escape flag, the stamps and the
+    /// delivered count are atomics; `dst` is written only when a packet is
     /// generated, never during a pass.
     #[inline]
     pub(crate) fn packet(&self, id: PacketId) -> PacketCell<'_> {
         let p = self.shared(id as usize);
         // SAFETY: `shared` bounds-checked `id`; the field projections
-        // create no reference to the whole slot, and the flag and the two
-        // stamps are only ever accessed atomically while a pass runs.
+        // create no reference to the whole slot; the flag, the two stamps
+        // and the delivered count are only ever accessed atomically while
+        // a pass runs, and `u16` storage is `AtomicU16`-aligned.
         unsafe {
             PacketCell {
-                len: (*p).len,
                 dst: (*p).dst,
                 escaped: AtomicBool::from_ptr(&raw mut (*p).escaped),
                 last_move: AtomicU64::from_ptr(&raw mut (*p).last_move),
                 injected_at: AtomicU64::from_ptr(&raw mut (*p).injected_at),
+                delivered: AtomicU16::from_ptr(&raw mut (*p).delivered_flits),
             }
         }
     }
@@ -420,21 +434,24 @@ impl Cells<'_, PacketInfo> {
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets (64 nodes per word, shard edges unaligned; each bit is
 ///   changed only by its owner's pass), the packet records' `escaped`
-///   flags and `last_move`/`injected_at` stamps (one writer per cycle, or
-///   several writing the same value), and the switch pass's reads of the
-///   credit copy, which each shard's route pass writes for its own range.
+///   flags, `last_move`/`injected_at` stamps and delivered counts (one
+///   writer per cycle, or several writing the same value; a delivered
+///   count only by its destination's pass), and the switch pass's reads of
+///   the credit copy, which each shard's route pass writes for its own
+///   range.
 /// * **Read-only while a pass runs** — the visit copy, the cycle's
 ///   injection allowances (`allow`), the plan's bounds, the route tables,
-///   the fault plan, and packet lengths and destinations. No pass writes
-///   them, so every shard reads them plainly.
+///   the fault plan, and packet destinations. No pass writes them, so
+///   every shard reads them plainly. A packet's length is no state at
+///   all: every packet has the view's `packet_len` flits.
 /// * **Deferred to the handoff pass** — a handoff's `put`: its downstream
 ///   VC is another shard's, so the source shard's switch pass `take`s and
 ///   parks it, and the owner's handoff pass `put`s.
 /// * **Deferred to the fold** — everything globally ordered or global:
-///   the token queue, the delivery ring and packet release, and the
-///   scalars (`counters`, `full_buffers`, `last_progress_at`), which a
-///   view reaches only as [`ShardStage`] lists and deltas folded after
-///   the pass.
+///   the token queue, a tail's delivery record and packet release, and
+///   the scalars (`counters`, `full_buffers`, `last_progress_at`,
+///   `last_delivery_at`), which a view reaches only as [`ShardStage`]
+///   lists and deltas folded after the pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ApplyCtx<'a> {
     pub d: usize,
@@ -446,6 +463,9 @@ pub(crate) struct ApplyCtx<'a> {
     pub depth: usize,
     pub escape_vcs: usize,
     pub hop_latency: u64,
+    /// Flits per packet ([`crate::NetConfig::packet_len`]): flit
+    /// `packet_len - 1` is the tail.
+    pub packet_len: u16,
     /// Disha detection timeout; 0 in avoidance mode.
     pub recovery_timeout: u64,
     pub route_rr: Cells<'a, usize>,
@@ -538,12 +558,13 @@ struct ShardView(ApplyCtx<'static>);
 // where every `ShardView` is built.
 unsafe impl Send for ShardView {}
 
-/// One shard's job slot: the pass it runs next — kind, cycle, node range
-/// and view, loaded by [`WorkerPool::run`] and taken by the claim holder —
-/// and its stage, which `run` swaps in for the pass and back out after it.
+/// One shard's job slot: the pass it runs next — kind, cycle, node range,
+/// whether to time it ([`ShardStage::pass_ns`]) and view, loaded by
+/// [`WorkerPool::run`] and taken by the claim holder — and its stage, which
+/// `run` swaps in for the pass and back out after it.
 #[derive(Debug, Default)]
 struct Slot {
-    job: Option<(Pass, u64, usize, usize, ShardView)>,
+    job: Option<(Pass, u64, usize, usize, bool, ShardView)>,
     stage: ShardStage,
 }
 
@@ -582,6 +603,13 @@ pub struct PhaseStats {
     /// Shards of a route or switch pass swept up by some other
     /// participant.
     pub stolen_claims: u64,
+    /// Nanoseconds of the slowest shard's own pass, summed over the route
+    /// and switch passes: the shard every other participant waits for at
+    /// the end of the pass. 0 with one shard, which has no pool.
+    pub slowest_shard_ns: u64,
+    /// Nanoseconds of the fastest shard's own pass, summed likewise; its
+    /// gap to `slowest_shard_ns` is the load imbalance between shards.
+    pub fastest_shard_ns: u64,
 }
 
 /// Low bits of a claim word naming the claimant; the pass number sits
@@ -883,6 +911,8 @@ impl WorkerPool {
         mut stats: Option<&mut PhaseStats>,
     ) {
         let whole = net.apply_ctx();
+        // Only route and switch passes: see `PhaseStats::home_claims`.
+        let timed = stats.is_some() && kind != Pass::Handoff;
         debug_assert_eq!(stages.len(), self.shared.slots.len());
         for (t, (slot, stage)) in self.shared.slots.iter().zip(stages.iter_mut()).enumerate() {
             let (lo, hi) = (whole.bounds[t], whole.bounds[t + 1]);
@@ -899,7 +929,7 @@ impl WorkerPool {
                 std::mem::transmute::<ApplyCtx<'_>, ApplyCtx<'static>>(whole.narrow(lo, hi))
             };
             let mut slot = lock(slot);
-            slot.job = Some((kind, now, lo, hi, ShardView(view)));
+            slot.job = Some((kind, now, lo, hi, timed, ShardView(view)));
             std::mem::swap(&mut slot.stage, stage);
         }
         self.open();
@@ -907,15 +937,19 @@ impl WorkerPool {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             participate(sh, cursor, stats.as_deref_mut())
         }));
-        let tallied = kind != Pass::Handoff; // see `PhaseStats::home_claims`
-        if let (Some(st), Ok(true), true) = (stats, &outcome, tallied) {
-            let (home, stolen) = sh.board.claim_split(cursor.pass);
+        self.close(outcome);
+        for (slot, stage) in self.shared.slots.iter().zip(stages.iter_mut()) {
+            std::mem::swap(&mut lock(slot).stage, stage);
+        }
+        if let (Some(st), true) = (stats, timed) {
+            let (home, stolen) = self.shared.board.claim_split(self.cursor.pass);
             st.home_claims += home;
             st.stolen_claims += stolen;
-        }
-        self.close(outcome);
-        for (slot, stage) in self.shared.slots.iter().zip(stages) {
-            std::mem::swap(&mut lock(slot).stage, stage);
+            let times = stages.iter_mut().map(|s| std::mem::take(&mut s.pass_ns));
+            let (slowest, fastest) =
+                times.fold((0, u64::MAX), |(hi, lo), ns| (hi.max(ns), lo.min(ns)));
+            st.slowest_shard_ns += slowest;
+            st.fastest_shard_ns += fastest;
         }
     }
 
@@ -1018,12 +1052,20 @@ fn participate(sh: &PoolShared, cur: &mut Cursor, mut stats: Option<&mut PhaseSt
     }
 }
 
-/// Shard `t`'s pass, run by the holder of its claim.
+/// Shard `t`'s pass, run by the holder of its claim, and timed into its
+/// stage if the job says so.
 fn execute(sh: &PoolShared, t: usize) {
     let mut slot = lock(&sh.slots[t]);
     let Slot { job, stage } = &mut *slot;
-    let (kind, now, lo, hi, ShardView(view)) = job.take().expect("a claimed shard has its job");
-    view.pass(kind, now, lo, hi, stage);
+    let (kind, now, lo, hi, timed, ShardView(view)) =
+        job.take().expect("a claimed shard has its job");
+    if timed {
+        let since = std::time::Instant::now();
+        view.pass(kind, now, lo, hi, stage);
+        stage.pass_ns = since.elapsed().as_nanos() as u64;
+    } else {
+        view.pass(kind, now, lo, hi, stage);
+    }
 }
 
 /// A worker's life: spin on the epoch, participate when a pass opens, park
@@ -1504,6 +1546,30 @@ mod tests {
         for net in [&whole, &halves] {
             let report = net.audit();
             assert!(report.is_clean(), "{report}");
+        }
+    }
+
+    /// With phase stats on, a sharded network books its slowest and its
+    /// fastest shard's pass time for every route and switch pass; one
+    /// shard has no pool and books neither.
+    #[test]
+    fn phase_stats_time_the_slowest_and_the_fastest_shard() {
+        for shards in [1, 2] {
+            let mut net = hot_net();
+            net.set_shards(shards);
+            net.set_phase_stats(true);
+            net.run(
+                200,
+                &mut crate::testnet::source(2, NODES, 60),
+                &mut crate::NoControl,
+            );
+            let st = net.phase_stats().unwrap();
+            let (slowest, fastest) = (st.slowest_shard_ns, st.fastest_shard_ns);
+            if shards == 1 {
+                assert_eq!((slowest, fastest), (0, 0));
+            } else {
+                assert!(slowest >= fastest && fastest > 0, "{st:?}");
+            }
         }
     }
 

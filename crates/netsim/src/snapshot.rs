@@ -298,7 +298,7 @@ impl Network {
                 source_q.push_back(node, dec.u32()?);
             }
         }
-        let packets = PacketStore::restore_state(dec, nodes, self.packet_len)?;
+        let packets = PacketStore::restore_state(dec, nodes)?;
         let mut dl_bufs = FlitRings::new(nodes, crate::network::DL_DEPTH);
         for node in 0..nodes {
             dec_flit_ring(dec, &mut dl_bufs, node, crate::network::DL_DEPTH)?;
@@ -525,7 +525,6 @@ mod tests {
             dst: 1_000_000,
             generated_at: 77,
             injected_at: 5,
-            len: 1,
             delivered_flits: 9,
             last_move: 123,
             escaped: !net.packets.get(id).escaped,

@@ -143,10 +143,13 @@ step "kill-and-resume (fig at 1 and 8 shards, chaos)" kill_and_resume
 # writes or a plain access that should have been atomic. Runs netsim's
 # shard unit tests (the claim protocol walked through every schedule, the
 # view contract's panics for foreign routers and a misfiled hop, the pool's
-# panic paths), its bit-identity tests across shard counts, the credit
-# timing test, and the 10 K-cycle eight-shard barrier stress with the
-# workspace crates instrumented (the prebuilt std is not, hence the two
-# suppressions for libtest's own result channel in scripts/tsan.supp). Any
+# panic paths), its bit-identity tests across shard counts, the delivery
+# lockstep test (`deliveries_finish_in_lockstep_at_every_shard_count`: the
+# packet record's delivered count is stored by the destination shard's
+# pass), the credit timing test, and the 10 K-cycle eight-shard barrier
+# stress with the workspace crates instrumented (the prebuilt std is not,
+# hence the two suppressions for libtest's own result channel in
+# scripts/tsan.supp). Any
 # report from simulator code fails the step. Needs a nightly toolchain with
 # the TSan runtime for this host.
 tsan_gate() (
