@@ -286,7 +286,9 @@ impl Network {
             slots
         ];
 
-        // Where every buffered flit lives, per packet.
+        // Where every buffered flit lives, per packet. A ring holds in-order
+        // runs: its flits' indices follow from ring order, so a packet may
+        // change only at a header.
         let buffers = (0..self.vc_assign.len())
             .map(|idx| (&self.vc_bufs, idx, "VC"))
             .chain((0..nodes).map(|node| (&self.dl_bufs, node, "deadlock buffer")));
@@ -300,6 +302,14 @@ impl Network {
                     let detail = format!("{what} {r} buffers flit {} of dead packet {pid}", f.idx);
                     push(AuditKind::FlitLedger, detail);
                 }
+            }
+            if let Some(i) = rings.run_break(r) {
+                let (f, prev) = (rings.get(r, i), rings.get(r, i - 1).packet);
+                let detail = format!(
+                    "{what} {r} buffers flit {} of packet {} behind packet {prev}",
+                    f.idx, f.packet
+                );
+                push(AuditKind::FlitLedger, detail);
             }
         }
 
@@ -813,6 +823,30 @@ mod tests {
             *(if src { &mut p.src } else { &mut p.dst }) = 1_000_000;
             assert_exactly(&net, AuditKind::PacketLedger);
         }
+    }
+
+    /// A ring holds in-order runs: a body flit of another packet planted in
+    /// the middle of one is a flit-ledger violation, even when every
+    /// packet's flit count still adds up — two VCs trade the packet ids of
+    /// a body flit.
+    #[test]
+    fn detects_a_flit_planted_out_of_its_run() {
+        let mut net = hot_net();
+        let runs: Vec<usize> = (0..net.vc_assign.len())
+            .filter(|&r| net.vc_bufs.len(r) >= 2 && net.vc_bufs.get(r, 1).idx != 0)
+            .filter(|&r| net.vc_assign[r] != Assign::Recovery)
+            .collect();
+        let (a, b) = runs
+            .iter()
+            .flat_map(|&a| runs.iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| net.vc_bufs.front_packet(a) != net.vc_bufs.front_packet(b))
+            .expect("vacuous: no two VCs hold body runs of different packets");
+        let (pa, pb) = (net.vc_bufs.front_packet(a), net.vc_bufs.front_packet(b));
+        net.vc_bufs.set_packet(a, 1, pb);
+        net.vc_bufs.set_packet(b, 1, pa);
+        assert_exactly(&net, AuditKind::FlitLedger);
+        let report = net.audit();
+        assert!(report.to_string().contains("behind packet"), "{report}");
     }
 
     #[test]

@@ -1,10 +1,15 @@
 use core::fmt;
 use kncube::{TopologyError, Torus};
 
-/// Deepest supported VC edge buffer, in flits. The flit arenas index ring
-/// slots with `u32` cursors, and real router buffers are orders of
-/// magnitude shallower.
+/// Deepest supported VC edge buffer, in flits. A flit ring's cursor word
+/// keeps its head and length in 24 bits each, and real router buffers are
+/// orders of magnitude shallower.
 pub const MAX_BUF_DEPTH: usize = 1 << 16;
+
+/// Longest supported hop latency, in cycles. A buffered flit keeps the low
+/// 32 bits of its ready cycle, which tell the next `hop_latency` cycles
+/// from the past ones only while `hop_latency` is far below 2³¹.
+pub const MAX_HOP_LATENCY: u64 = 1 << 16;
 
 /// Largest supported source queue, in packets. Source queues are
 /// fixed-capacity rings allocated eagerly per node, so an absurd capacity
@@ -136,6 +141,11 @@ impl NetConfig {
         if self.hop_latency == 0 {
             return Err(ConfigError::ZeroHopLatency);
         }
+        if self.hop_latency > MAX_HOP_LATENCY {
+            return Err(ConfigError::HopLatencyTooLong {
+                latency: self.hop_latency,
+            });
+        }
         if self.source_queue_cap == 0 {
             return Err(ConfigError::ZeroSourceQueue);
         }
@@ -216,6 +226,11 @@ pub enum ConfigError {
     },
     /// Hop latency must be nonzero.
     ZeroHopLatency,
+    /// Hop latency is capped at [`MAX_HOP_LATENCY`] cycles.
+    HopLatencyTooLong {
+        /// The rejected latency.
+        latency: u64,
+    },
     /// Source queues must hold at least one packet.
     ZeroSourceQueue,
     /// Source queues are capped at [`MAX_SOURCE_QUEUE_CAP`] packets.
@@ -250,6 +265,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadPacketLen { len } => write!(f, "packet length {len} out of range"),
             ConfigError::ZeroHopLatency => f.write_str("hop latency must be nonzero"),
+            ConfigError::HopLatencyTooLong { latency } => {
+                write!(f, "hop latency {latency} exceeds {MAX_HOP_LATENCY}")
+            }
             ConfigError::ZeroSourceQueue => f.write_str("source queue capacity must be nonzero"),
             ConfigError::SourceQueueTooLarge { cap } => {
                 write!(
@@ -351,6 +369,14 @@ mod tests {
             }
             .validate(),
             Err(ConfigError::ZeroHopLatency)
+        ));
+        assert!(matches!(
+            NetConfig {
+                hop_latency: MAX_HOP_LATENCY + 1,
+                ..base.clone()
+            }
+            .validate(),
+            Err(ConfigError::HopLatencyTooLong { .. })
         ));
         assert!(matches!(
             NetConfig {

@@ -74,7 +74,8 @@ mod testnet;
 
 pub use audit::{AuditKind, AuditReport, AuditViolation};
 pub use config::{
-    ConfigError, DeadlockMode, NetConfig, MAX_BUF_DEPTH, MAX_NODES, MAX_SOURCE_QUEUE_CAP,
+    ConfigError, DeadlockMode, NetConfig, MAX_BUF_DEPTH, MAX_HOP_LATENCY, MAX_NODES,
+    MAX_SOURCE_QUEUE_CAP,
 };
 pub use control::{CongestionControl, NoControl};
 pub use counters::{Counters, StageCycles};

@@ -239,14 +239,15 @@ impl Network {
         let plan = ShardPlan::new(1, &torus, v);
         // All VCs start unassigned: every input-VC feeder bit is "unrouted".
         let all_feeders = (1u64 << (d * v)) - 1;
+        let packet_len = cfg.packet_len as u16;
         Ok(Network {
             torus,
             d,
             v,
             depth: cfg.buf_depth,
-            packet_len: cfg.packet_len as u16,
+            packet_len,
             max_path,
-            vc_bufs: FlitRings::new(n_vcs, cfg.buf_depth),
+            vc_bufs: FlitRings::new(n_vcs, cfg.buf_depth, packet_len, cfg.hop_latency),
             vc_assign: vec![Assign::None; n_vcs],
             vc_routed_at: vec![0; n_vcs],
             vc_blocked: vec![0; n_vcs],
@@ -255,7 +256,7 @@ impl Network {
             inj: vec![InjState::idle(); nodes],
             source_q: IdRing::new(nodes, cfg.source_queue_cap),
             packets: PacketStore::new(),
-            dl_bufs: FlitRings::new(nodes, DL_DEPTH),
+            dl_bufs: FlitRings::new(nodes, DL_DEPTH, packet_len, cfg.hop_latency),
             recovery: None,
             path_scratch: Vec::with_capacity(max_path),
             tables,
@@ -416,7 +417,26 @@ impl Network {
     pub fn fast_forward(&mut self, to: u64) {
         assert!(to >= self.now, "fast_forward into the past");
         assert!(self.quiescent(), "fast_forward on a non-quiescent network");
-        self.now = to;
+        self.set_now(to);
+    }
+
+    /// Sets the clock, the flit arenas' with it. A flit the arenas
+    /// re-stamp ([`FlitRings::set_now`]) may be a ring's front, so the
+    /// switch plane's `movable_at` is derived afresh for every non-empty
+    /// input VC then (once per 2³¹ cycles at most).
+    pub(crate) fn set_now(&mut self, now: u64) {
+        self.now = now;
+        self.dl_bufs.set_now(now);
+        if self.vc_bufs.set_now(now) {
+            let fpn = self.d * self.v;
+            for node in 0..self.inj.len() {
+                for f in 0..fpn {
+                    if let (_, Some(at)) = self.derive_plane(node, f) {
+                        self.plane.view().set_movable_at(node * (fpn + 1) + f, at);
+                    }
+                }
+            }
+        }
     }
 
     /// Total number of VC buffers (the denominator for threshold
@@ -674,7 +694,7 @@ impl Network {
             self.audit_shards(&mut violations);
             debug_assert!(violations.is_empty(), "{violations:?}");
         }
-        self.now = now + 1;
+        self.set_now(now + 1);
     }
 
     /// Advances the network by one cycle, polling a per-node source: the
@@ -1047,8 +1067,7 @@ impl ApplyCtx<'_> {
             // commits a packet to the recovery path, so a transiently
             // congested packet resumes normal routing when a channel
             // frees. Truly deadlocked packets never see a free channel.
-            let front = self.vc_bufs.front(base + f);
-            requests |= u64::from(front.idx == 0 && front.ready_at <= now) << f;
+            requests |= u64::from(self.vc_bufs.ready_header(base + f)) << f;
         }
         if requests == 0 {
             return;
@@ -1134,13 +1153,15 @@ impl ApplyCtx<'_> {
             if !matches!(assign, Assign::Out { .. }) {
                 continue;
             }
-            // Most fronts under load are body flits: test them before the
-            // packet-store lookup.
-            let front = self.vc_bufs.front(idx);
-            if front.idx != 0 || front.ready_at > now {
+            // Most fronts under load are body flits, which the ring's
+            // cursor tells apart before any slot or packet-store read.
+            if !self.vc_bufs.ready_header(idx) {
                 continue;
             }
-            let last_move = self.packets.packet(front.packet).last_move;
+            let last_move = self
+                .packets
+                .packet(self.vc_bufs.front_packet(idx))
+                .last_move;
             if now.saturating_sub(last_move.load(Ordering::Relaxed)) >= timeout {
                 self.release_output(node, assign);
                 self.suspect(idx);

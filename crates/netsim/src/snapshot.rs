@@ -106,7 +106,10 @@ fn flit_ring_len(rings: &FlitRings, r: usize) -> usize {
     8 + rings.len(r) * Flit::ENCODED_LEN
 }
 
-/// Decodes a flit queue into ring `r` of a (freshly reset) arena.
+/// Decodes a flit queue into ring `r` of a (freshly reset) arena whose
+/// clock is the checkpoint's. A ring buffers in-order runs of packets ready
+/// within one hop latency ([`FlitRings::admit`]); a queue that is not is
+/// refused.
 fn dec_flit_ring(
     dec: &mut Dec<'_>,
     rings: &mut FlitRings,
@@ -118,7 +121,8 @@ fn dec_flit_ring(
         return Err(CheckpointError::Corrupt("flit queue exceeds capacity"));
     }
     for _ in 0..n {
-        rings.push_back(r, dec_flit(dec)?);
+        let f = rings.admit(r, dec_flit(dec)?);
+        rings.push_back(r, f.map_err(CheckpointError::Corrupt)?);
     }
     Ok(())
 }
@@ -256,6 +260,7 @@ impl Network {
         let n_vcs = self.vc_assign.len();
         let depth = self.config().buf_depth;
         let (d, v) = (self.torus().channels_per_node(), self.config().vcs);
+        let (plen, hop) = (self.packet_len, self.config().hop_latency);
 
         let now = dec.u64()?;
         let last_delivery_at = dec.u64()?;
@@ -265,7 +270,8 @@ impl Network {
         if dec.usize()? != n_vcs {
             return Err(CheckpointError::Corrupt("input VC count mismatch"));
         }
-        let mut vc_bufs = FlitRings::new(n_vcs, depth);
+        let mut vc_bufs = FlitRings::new(n_vcs, depth, plen, hop);
+        vc_bufs.set_now(now);
         let mut vc_assign = Vec::with_capacity(n_vcs);
         let mut vc_routed_at = Vec::with_capacity(n_vcs);
         let mut vc_blocked = Vec::with_capacity(n_vcs);
@@ -299,7 +305,8 @@ impl Network {
             }
         }
         let packets = PacketStore::restore_state(dec, nodes)?;
-        let mut dl_bufs = FlitRings::new(nodes, crate::network::DL_DEPTH);
+        let mut dl_bufs = FlitRings::new(nodes, crate::network::DL_DEPTH, plen, hop);
+        dl_bufs.set_now(now);
         for node in 0..nodes {
             dec_flit_ring(dec, &mut dl_bufs, node, crate::network::DL_DEPTH)?;
         }
@@ -401,7 +408,9 @@ impl Network {
 mod tests {
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
-    use crate::packet::PacketInfo;
+    use crate::counters::Counters;
+    use crate::network::Assign;
+    use crate::packet::{Flit, PacketInfo};
     use crate::testnet::{self, hot_net, small_cfg};
     use crate::Network;
     use checkpoint::{CheckpointError, Dec, Enc};
@@ -549,11 +558,16 @@ mod tests {
     /// Restores `net`'s snapshot into a fresh network and returns the
     /// decoder's complaint.
     fn corrupt_reason(net: &Network) -> &'static str {
-        let snap = snapshot(net);
+        refusal(&snapshot(net))
+    }
+
+    /// Restores `snap` into a fresh network and returns the decoder's
+    /// complaint.
+    fn refusal(snap: &[u8]) -> &'static str {
         let mut fresh = Network::new(small_cfg()).unwrap();
-        match fresh.restore_state(&mut Dec::new(&snap)) {
+        match fresh.restore_state(&mut Dec::new(snap)) {
             Err(CheckpointError::Corrupt(why)) => why,
-            other => panic!("restored an out-of-range endpoint: {other:?}"),
+            other => panic!("restored a corrupt checkpoint: {other:?}"),
         }
     }
 
@@ -587,6 +601,89 @@ mod tests {
                 "delivery endpoint outside the network"
             );
         }
+    }
+
+    /// Byte offset of flit `i` of input VC `r` in `net`'s snapshot: past
+    /// the clock, the progress markers, the counters and the VC count, and
+    /// every earlier VC's queue, assignment and two stamps.
+    fn flit_offset(net: &Network, r: usize, i: usize) -> usize {
+        let earlier: usize = (0..r)
+            .map(|idx| {
+                let assign = if matches!(net.vc_assign[idx], Assign::Out { .. }) {
+                    3
+                } else {
+                    1
+                };
+                8 + net.vc_bufs.len(idx) * Flit::ENCODED_LEN + assign + 16
+            })
+            .sum();
+        3 * 8 + Counters::ENCODED_LEN + 8 + earlier + 8 + i * Flit::ENCODED_LEN
+    }
+
+    /// A checkpoint's flit queues are what the slot does not store — each
+    /// flit's index and a `ready_at` past the stamp window — so the decoder
+    /// refuses, typed, any queue the simulator cannot buffer: an index
+    /// past the packet, a gap in a run's indices, a packet change inside a
+    /// run, and a flit ready later than one hop latency from the clock.
+    /// One hand-built payload per refusal.
+    #[test]
+    fn restore_refuses_flits_outside_an_in_order_run() {
+        let net = hot_net();
+        let plen = net.packet_len;
+        // A VC whose first two flits are one packet's body run.
+        let r = (0..net.vc_assign.len())
+            .find(|&r| net.vc_bufs.len(r) >= 2 && net.vc_bufs.get(r, 1).idx != 0)
+            .expect("vacuous: no buffered body run");
+        let other = (0..net.vc_assign.len())
+            .filter_map(|q| net.vc_bufs.front(q))
+            .map(|f| f.packet)
+            .find(|&p| p != net.vc_bufs.front_packet(r))
+            .expect("vacuous: one packet buffered");
+        let snap = snapshot(&net);
+        let (first, second) = (flit_offset(&net, r, 0), flit_offset(&net, r, 1));
+        assert_eq!(
+            snap[first..first + 4],
+            net.vc_bufs.front_packet(r).to_le_bytes(),
+            "not the flit's packet id"
+        );
+        let idx_at = |at: usize| at + 4;
+        let ready_at = |at: usize| at + 6;
+        let gap = (net.vc_bufs.get(r, 1).idx + 1) % plen;
+        let too_late = net.now() + net.config().hop_latency + 1;
+        let cases: [(usize, Vec<u8>, &str); 4] = [
+            (
+                idx_at(first),
+                plen.to_le_bytes().to_vec(),
+                "flit index past the packet length",
+            ),
+            (
+                idx_at(second),
+                gap.to_le_bytes().to_vec(),
+                "buffered flits out of packet order",
+            ),
+            (
+                second,
+                other.to_le_bytes().to_vec(),
+                "buffered flits out of packet order",
+            ),
+            (
+                ready_at(first),
+                too_late.to_le_bytes().to_vec(),
+                "flit ready beyond one hop latency",
+            ),
+        ];
+        for (at, bytes, why) in cases {
+            let mut built = snap.clone();
+            built[at..at + bytes.len()].copy_from_slice(&bytes);
+            assert_eq!(refusal(&built), why, "{bytes:?} at byte {at}");
+        }
+        // The latest stamp the window allows restores.
+        let mut built = snap.clone();
+        let latest = too_late - 1;
+        built[ready_at(first)..ready_at(first) + 8].copy_from_slice(&latest.to_le_bytes());
+        let mut fresh = Network::new(small_cfg()).unwrap();
+        fresh.restore_state(&mut Dec::new(&built)).unwrap();
+        assert_eq!(fresh.vc_bufs.front_ready_at(r), latest);
     }
 
     #[test]
