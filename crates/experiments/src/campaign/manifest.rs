@@ -112,10 +112,6 @@ pub struct Manifest {
     pub cycle_budget: Option<u64>,
     /// Concurrent worker processes.
     pub workers: usize,
-    /// Step-loop shard count inside every worker (overrides the worker's
-    /// own `RuntimeOptions::shards`; results are bit-identical for any
-    /// value).
-    pub shards: usize,
     /// The scenarios, in manifest order.
     pub scenarios: Vec<Scenario>,
 }
@@ -608,7 +604,6 @@ impl Manifest {
             "timeout_s",
             "cycle_budget",
             "workers",
-            "shards",
         ];
         for (key, _, line) in &campaign.keys {
             if !CAMPAIGN_KEYS.contains(&key.as_str()) {
@@ -639,8 +634,6 @@ impl Manifest {
             .transpose()?;
         #[allow(clippy::cast_possible_truncation)]
         let workers = (uint_or("workers", 2)?.clamp(1, 64)) as usize;
-        #[allow(clippy::cast_possible_truncation)]
-        let shards = (uint_or("shards", 1)?.clamp(1, 64)) as usize;
 
         if scenarios.is_empty() {
             return Err(ManifestError::NoScenarios);
@@ -657,7 +650,6 @@ impl Manifest {
             timeout_s,
             cycle_budget,
             workers,
-            shards,
             scenarios,
         })
     }
@@ -676,7 +668,6 @@ retries = 1
 backoff_ms = 10
 timeout_s = 30
 workers = 3
-shards = 2
 
 [scenario.alpha]
 net = "small"
@@ -702,7 +693,6 @@ rates = [0.01]
         assert_eq!(m.timeout_s, 30);
         assert_eq!(m.cycle_budget, None);
         assert_eq!(m.workers, 3);
-        assert_eq!(m.shards, 2);
         assert_eq!(m.scenarios.len(), 2);
         let a = &m.scenarios[0];
         assert_eq!(a.id, "alpha");
@@ -721,12 +711,6 @@ rates = [0.01]
     }
 
     #[test]
-    fn shards_defaults_to_one() {
-        let text = GOOD.replace("shards = 2\n", "");
-        assert_eq!(Manifest::parse(&text).unwrap().shards, 1);
-    }
-
-    #[test]
     fn rejects_unknown_key() {
         let text = GOOD.replace("workers = 3", "wrokers = 3");
         assert!(matches!(
@@ -734,6 +718,15 @@ rates = [0.01]
             Err(ManifestError::UnknownKey { section, key, .. })
                 if section == "campaign" && key == "wrokers"
         ));
+        // The shard count is no manifest key: it is refused, not ignored.
+        let text = GOOD.replace("workers = 3", "workers = 3\nshards = 2");
+        let err = Manifest::parse(&text).unwrap_err();
+        assert!(
+            matches!(&err, ManifestError::UnknownKey { section, key, .. }
+                if section == "campaign" && key == "shards"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("shards"), "{err}");
         let text = GOOD.replace("scale = \"tiny\"", "scalee = \"tiny\"");
         assert!(matches!(
             Manifest::parse(&text),

@@ -240,9 +240,7 @@ fn run_job_metrics(spec: &JobSpec, m: &Manifest, ctx: &SweepCtx) -> Result<Vec<S
 /// `STCC-JOB-ERR <kind> <message>`). Returns the process exit code.
 ///
 /// `opts` is the worker's own environment, resolved; the manifest it was
-/// handed overrides what it is authoritative for — the shard count and the
-/// per-job budget (results are bit-identical at any shard count, so that
-/// only sets the thread layout).
+/// handed overrides what it is authoritative for, the per-job budget.
 #[must_use]
 pub fn worker_main(m: &Manifest, job_idx: u64, attempt: u32, opts: RuntimeOptions) -> i32 {
     let jobs = expand(m);
@@ -259,7 +257,6 @@ pub fn worker_main(m: &Manifest, job_idx: u64, attempt: u32, opts: RuntimeOption
         std::process::exit(7);
     }
     let ctx = SweepCtx::bare(Pool::new(1)).with_options(RuntimeOptions {
-        shards: m.shards,
         budget: JobBudget {
             wall: (m.timeout_s > 0).then(|| Duration::from_secs(m.timeout_s)),
             cycles: m.cycle_budget,

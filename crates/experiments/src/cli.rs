@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 /// The `fig` binary's usage line.
 pub const USAGE: &str = "usage: fig <name> [--scale paper|reduced|smoke|tiny] [--net paper|small] \
-                     [--jobs N] [--shards N] [--out DIR] [--seed N] [--resume] \
+                     [--jobs N] [--out DIR] [--seed N] [--resume] \
                      [--controllers name,name,...]   (fig --list names the figures)";
 
 /// The command line of the `fig` binary after its figure name.
@@ -28,7 +28,7 @@ pub struct Cli {
     /// names as in [`Scheme::by_name`]), resolved on [`Cli::net`]'s
     /// side-band.
     pub controllers: Option<Vec<Scheme>>,
-    /// `--jobs`, `--shards` and every `STCC_*` variable, resolved. None of
+    /// `--jobs` and every `STCC_*` variable, resolved. None of
     /// it changes an output byte, so it is deliberately absent from
     /// [`Cli::sweep_fingerprint`].
     pub opts: RuntimeOptions,
@@ -71,7 +71,7 @@ impl Cli {
         env: impl Fn(&str) -> Option<String>,
     ) -> Result<Cli, String> {
         let mut cli = Cli::default();
-        let (mut jobs, mut shards, mut controllers) = (None, None, None);
+        let (mut jobs, mut controllers) = (None, None);
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -87,7 +87,6 @@ impl Cli {
                     cli.net = Some(net);
                 }
                 "--jobs" => jobs = Some(count("--jobs", it.next())?),
-                "--shards" => shards = Some(count("--shards", it.next())?),
                 "--out" => {
                     cli.out = PathBuf::from(it.next().ok_or("--out needs a value")?);
                 }
@@ -118,7 +117,7 @@ impl Cli {
             };
             cli.controllers = Some(list.split(',').map(resolve).collect::<Result<_, _>>()?);
         }
-        cli.opts = RuntimeOptions::resolve(jobs, shards, env)?;
+        cli.opts = RuntimeOptions::resolve(jobs, env)?;
         Ok(cli)
     }
 
@@ -299,33 +298,32 @@ mod tests {
             &["--jobs", "0"],
             &["--jobs", "many"],
             &["--net", "huge"],
-            &["--shards", "0"],
-            &["--shards", "lots"],
+            &["--shards", "2"],
         ] {
             assert!(parse(bad, &[]).is_err(), "{bad:?}");
         }
+        // The shard count is no option: the flag is an unknown argument.
+        let msg = parse(&["--shards", "2"], &[]).unwrap_err();
+        assert!(msg.contains("unknown argument '--shards'"), "{msg}");
         // The environment is checked by the same call.
         let msg = parse(&["--scale", "tiny"], &[("STCC_AUDIT", "banana")]).unwrap_err();
         assert!(msg.contains("STCC_AUDIT=banana"), "{msg}");
     }
 
     /// Runtime options must not enter the sweep fingerprint: a journal
-    /// written at one shard count resumes at any other (results are
-    /// identical).
+    /// written at one job count or audit cadence resumes at any other
+    /// (results are identical).
     #[test]
     fn fingerprint_ignores_runtime_options() {
         let a = parse(&["--scale", "tiny"], &[]).unwrap();
-        let b = parse(
-            &["--scale", "tiny", "--shards", "4", "--jobs", "3"],
-            &[("STCC_AUDIT", "64")],
-        )
-        .unwrap();
+        let b = parse(&["--scale", "tiny", "--jobs", "3"], &[("STCC_AUDIT", "64")]).unwrap();
         assert_eq!(a.sweep_fingerprint("fig4"), b.sweep_fingerprint("fig4"));
     }
 
     /// The whole path, argv and environment to a constructed simulation:
-    /// `--shards`/`STCC_SHARDS`, `--jobs`/`STCC_JOBS` and `STCC_AUDIT` each
-    /// given by flag, by variable, by both (the flag wins) and not at all.
+    /// `--jobs`/`STCC_JOBS` and `STCC_AUDIT` each given by flag, by
+    /// variable, by both (the flag wins) and not at all; every tool
+    /// simulation steps at one shard.
     #[test]
     fn options_reach_the_simulation() {
         let built = |args: &[&str], env: &[(&str, &str)]| {
@@ -338,19 +336,16 @@ mod tests {
         };
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         assert_eq!(built(&[], &[]), (1, cores, None));
-        assert_eq!(built(&["--shards", "4"], &[]), (4, cores, None));
-        assert_eq!(built(&[], &[("STCC_SHARDS", "2")]), (2, cores, None));
-        assert_eq!(built(&["--shards", "4"], &[("STCC_SHARDS", "2")]).0, 4);
         assert_eq!(built(&["--jobs", "3"], &[]).1, 3);
         assert_eq!(built(&[], &[("STCC_JOBS", "5")]).1, 5);
         assert_eq!(built(&["--jobs", "3"], &[("STCC_JOBS", "5")]).1, 3);
         assert_eq!(built(&[], &[("STCC_AUDIT", "64")]).2, Some(64));
         assert_eq!(
             built(
-                &["--shards", "8", "--jobs", "2"],
-                &[("STCC_AUDIT", "256"), ("STCC_SHARDS", "3")]
+                &["--jobs", "2"],
+                &[("STCC_AUDIT", "256"), ("STCC_JOBS", "5")]
             ),
-            (8, 2, Some(256))
+            (1, 2, Some(256))
         );
     }
 }

@@ -1,12 +1,12 @@
 use crate::runner::{JobError, Pool};
-use crate::sweep::write_atomic;
 use crate::{Scale, SweepCtx};
+use core::convert::Infallible;
 use core::ops::ControlFlow;
 use faults::FaultPlan;
 use sideband::SidebandConfig;
 use simstats::{GaugeSeries, RunSummary, WindowSeries};
 use stcc::{Controller, FaultReport, Observer, RunGuard, Scheme, SimConfig, SimError};
-use stcc::{Simulation, TuneConfig};
+use stcc::{Simulation, TuneConfig, DEFAULT_LIVELOCK_WINDOW};
 use std::time::Instant;
 use traffic::{Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
@@ -81,55 +81,36 @@ impl SweepCtx {
 
     /// Runs `sim` to its configured end through
     /// [`Simulation::run_guarded`], supplying what the harness adds to that
-    /// loop: the guard from the context's options (watchdog window, job
+    /// loop: the guard (the default livelock window and the context's job
     /// budget) with SIGINT as its cancellation flag, `sample` after every
-    /// cycle (series sampling), the checkpoint cadence, and the
-    /// [`SimError`] → [`JobError`] mapping.
+    /// cycle (series sampling), and the [`SimError`] → [`JobError`]
+    /// mapping.
     ///
-    /// With neither a sampler nor a cadence nothing observes the cycles and
-    /// the loop may fast-forward. A drive that completes is bit-identical to
+    /// Without a sampler nothing observes the cycles and the loop may
+    /// fast-forward. A drive that completes is bit-identical to
     /// [`Simulation::run_to_end`] either way.
     pub(crate) fn drive(
         &self,
         sim: &mut Simulation,
         label: &str,
-        mut sample: Option<&mut dyn FnMut(&Simulation)>,
+        sample: Option<&mut dyn FnMut(&Simulation)>,
     ) -> Result<(), JobError> {
-        let opts = self.options();
+        let budget = self.options().budget;
         let guard = RunGuard {
-            livelock_window: opts.livelock_window,
-            max_cycles: opts.budget.cycles,
-            deadline: opts.budget.wall.map(|w| Instant::now() + w),
+            livelock_window: Some(DEFAULT_LIVELOCK_WINDOW),
+            max_cycles: budget.cycles,
+            deadline: budget.wall.map(|w| Instant::now() + w),
             cancel: Some(crate::sigint::flag()),
         };
-        let cycles = sim.config().cycles;
-        let observed = sample.is_some() || opts.checkpoint.is_some();
-        let mut observe = |sim: &Simulation| {
-            if let Some(sample) = sample.as_mut() {
+        let mut observe = sample.map(|sample| {
+            move |sim: &Simulation| -> ControlFlow<Infallible> {
                 sample(sim);
+                ControlFlow::Continue(())
             }
-            if let Some((every, dir)) = &opts.checkpoint {
-                if sim.now().is_multiple_of(*every) && sim.now() < cycles {
-                    // One file per job, keyed by a hash of its label and
-                    // overwritten at every cadence point. Two jobs whose
-                    // labels collide (fig4's two tuner variants share a
-                    // point label) each publish a whole snapshot.
-                    let key = checkpoint::fnv1a64(label.as_bytes());
-                    let path = dir.join(format!("ckpt-{key:016x}.bin"));
-                    if let Err(e) = write_atomic(&path, &sim.checkpoint()) {
-                        return ControlFlow::Break(JobError::Failed(format!(
-                            "{label}: checkpoint write: {e}"
-                        )));
-                    }
-                }
-            }
-            ControlFlow::Continue(())
-        };
-        let observer: Option<Observer<'_, JobError>> =
-            if observed { Some(&mut observe) } else { None };
+        });
+        let observer = observe.as_mut().map(|f| f as Observer<'_, Infallible>);
         match sim.run_guarded(&guard, observer) {
-            Ok(ControlFlow::Continue(())) => Ok(()),
-            Ok(ControlFlow::Break(e)) => Err(e),
+            Ok(_) => Ok(()),
             Err(SimError::Cancelled { .. }) => Err(JobError::Interrupted),
             Err(e) => Err(JobError::TimedOut(format!("{label}: {e}"))),
         }
@@ -381,7 +362,6 @@ pub fn steady_config(
 mod tests {
     use super::*;
     use crate::{JobBudget, RuntimeOptions};
-    use std::fs;
 
     fn tiny_cfg() -> SimConfig {
         crate::figures::fig4::sim_config(NetPreset::Small, Scale::Tiny, true)
@@ -408,29 +388,20 @@ mod tests {
         }
     }
 
-    /// The checkpoint cadence only observes: same result with it on, and
-    /// the snapshot it leaves restores into the configuration that wrote it.
+    /// The shard pin and the audit cadence only change how a point runs,
+    /// never its result.
     #[test]
-    fn checkpoint_cadence_observes_without_perturbing() {
-        let dir = std::env::temp_dir().join("stcc-run-test-cadence");
-        let _ = fs::remove_dir_all(&dir);
+    fn shards_and_audit_leave_the_point_unchanged() {
         let plain = ctx(RuntimeOptions::default())
             .try_run_point(tiny_cfg())
             .unwrap();
-        let snapped = ctx(RuntimeOptions {
-            checkpoint: Some((2_000, dir.clone())),
+        let pinned = ctx(RuntimeOptions {
             audit_every: Some(500),
             shards: 2,
             ..RuntimeOptions::default()
         })
         .try_run_point(tiny_cfg())
         .unwrap();
-        assert_eq!(plain, snapped);
-        let files: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap()).collect();
-        assert_eq!(files.len(), 1, "one snapshot per job label, no temp left");
-        let bytes = fs::read(files[0].path()).unwrap();
-        let restored = Simulation::restore(tiny_cfg(), None, &bytes).unwrap();
-        assert_eq!(restored.now(), 4_000, "last cadence point before the end");
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(plain, pinned);
     }
 }

@@ -67,7 +67,7 @@ impl SweepCtx {
     }
 
     /// Replaces the runtime options every simulation of this sweep runs
-    /// under (shards, audit and checkpoint cadence, watchdog, budget).
+    /// under (the shard pin, audit cadence, budget).
     #[must_use]
     pub fn with_options(mut self, opts: RuntimeOptions) -> SweepCtx {
         self.opts = opts;

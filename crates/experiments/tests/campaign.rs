@@ -66,7 +66,7 @@ fn code(out: &Output) -> i32 {
 fn clean_campaign_exits_zero_and_retires_its_ledger() {
     let dir = scratch("clean");
     // The small manifest, and the committed example: three schemes × two
-    // rates in clear weather, plus one job under a fault storm, at 2 shards.
+    // rates in clear weather, plus one job under a fault storm.
     let example = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.toml");
     for (name, m, jobs) in [("small", manifest(&dir, ""), 2), ("example", example, 7)] {
         let out_dir = dir.join(name);

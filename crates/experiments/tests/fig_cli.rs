@@ -1,8 +1,8 @@
 //! The `fig` binary's front door, driven as a user would: the registry
 //! listing, the exit-2 contract for everything it refuses (an unknown
 //! figure, `--net` or `--controllers` on a figure that does not take it, a
-//! malformed `STCC_*` value), and a real sweep steered by flag and
-//! variable together.
+//! malformed `STCC_*` value, a removed flag), and a real sweep steered by
+//! flag and variable together.
 
 use std::process::{Command, Output};
 
@@ -11,15 +11,7 @@ const BIN: &str = env!("CARGO_BIN_EXE_fig");
 fn fig(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(BIN);
     cmd.args(args);
-    for var in [
-        "STCC_JOBS",
-        "STCC_SHARDS",
-        "STCC_AUDIT",
-        "STCC_CKPT_EVERY",
-        "STCC_CKPT_DIR",
-        "STCC_LIVELOCK_WINDOW",
-        "STCC_CAMPAIGN_FAIL",
-    ] {
+    for var in ["STCC_JOBS", "STCC_AUDIT", "STCC_CAMPAIGN_FAIL"] {
         cmd.env_remove(var);
     }
     cmd.envs(env.iter().copied());
@@ -73,16 +65,18 @@ fn flags_a_figure_does_not_take_are_refused_by_name() {
         &fig(&["controllers", "--controllers", "warp"], &[]),
         "unknown controller 'warp'",
     );
+    refused(
+        &fig(&["fig4", "--shards", "2"], &[]),
+        "unknown argument '--shards'",
+    );
 }
 
 #[test]
 fn malformed_variable_is_a_usage_error_naming_it() {
     for (var, value) in [
         ("STCC_AUDIT", "banana"),
-        ("STCC_SHARDS", "lots"),
         ("STCC_JOBS", "many"),
-        ("STCC_CKPT_EVERY", "often"),
-        ("STCC_LIVELOCK_WINDOW", "forever"),
+        ("STCC_CAMPAIGN_FAIL", "flaky"),
     ] {
         refused(
             &fig(&["table1"], &[(var, value)]),
@@ -91,10 +85,10 @@ fn malformed_variable_is_a_usage_error_naming_it() {
     }
 }
 
-/// One sharded, audited sweep through the binary — `--shards` by flag,
-/// the audit by variable — still lands on the committed golden.
+/// One audited sweep through the binary — `--jobs` by flag, the audit by
+/// variable — still lands on the committed golden.
 #[test]
-fn sharded_audited_sweep_matches_golden() {
+fn audited_sweep_matches_golden() {
     let out_dir = std::env::temp_dir().join("stcc-fig-cli-test");
     let _ = std::fs::remove_dir_all(&out_dir);
     let out = fig(
@@ -104,14 +98,12 @@ fn sharded_audited_sweep_matches_golden() {
             "tiny",
             "--net",
             "small",
-            "--shards",
-            "4",
             "--jobs",
             "2",
             "--out",
             out_dir.to_str().unwrap(),
         ],
-        &[("STCC_AUDIT", "512"), ("STCC_SHARDS", "2")],
+        &[("STCC_AUDIT", "512")],
     );
     assert_eq!(
         out.status.code(),

@@ -90,9 +90,9 @@ fn resilience_matches_golden_at_every_job_count() {
 
 /// Shard invariance, end to end: every figure's tiny CSV must be
 /// byte-identical to the committed golden when each simulation steps
-/// across 2, 4 or 8 intra-network shards — the `--shards` option, handed
-/// to the sweep context the way the binary hands it, the analogue of the
-/// `--jobs` axis above. One shard is the default every `check` above runs.
+/// across 2, 4 or 8 intra-network shards — the library's shard pin,
+/// handed to the sweep context, the analogue of the `--jobs` axis above.
+/// One shard is the default every `check` above runs.
 #[test]
 fn every_figure_matches_golden_at_every_shard_count() {
     for shards in [2usize, 4, 8] {

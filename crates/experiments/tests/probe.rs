@@ -8,7 +8,6 @@ const BIN: &str = env!("CARGO_BIN_EXE_probe");
 fn probe(args: &[&str]) -> Output {
     Command::new(BIN)
         .args(args)
-        .env_remove("STCC_SHARDS")
         .env_remove("STCC_AUDIT")
         .output()
         .expect("spawn probe")

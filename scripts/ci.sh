@@ -12,13 +12,15 @@
 #                         package's tests, tests/architecture.rs's source
 #                         rules among them)
 #   5. workspace tests   (every other package once: the goldens at every
-#                         --jobs and --shards count, audited in debug after
-#                         every cycle; controller conformance; zero-alloc;
+#                         --jobs count and library shard pin, audited in
+#                         debug after every cycle; controller conformance;
+#                         zero-alloc;
 #                         the fig CLI; campaign retry, quarantine and
 #                         kill/resume)
 #   6. shard affinity    (the pool's timing test, judged in a release build)
-#   7. kill-and-resume   (SIGKILL `fig fig4` mid-run at 1 and 8 shards and the
-#                         chaos harness mid-run; --resume must reproduce the
+#   7. kill-and-resume   (SIGKILL `fig fig4 --jobs 1` mid-run and the chaos
+#                         harness, whose trials draw 1 to 8 shards on each side
+#                         of a restore, mid-run; --resume must reproduce the
 #                         golden CSV / the uninterrupted report)
 #   8. thread sanitizer  (the shard tests and the pool stress under TSan;
 #                         needs nightly, loud skip otherwise)
@@ -95,13 +97,13 @@ kill_mid_run() {
     echo "  (SIGKILLed $1 with $(wc -l <"$file") lines in $file)"
 }
 
-# The tiny fig4 sweep at <shards> shards, killed once its journal records
-# the first completed point, then finished with --resume: the CSV must be
-# the committed golden byte for byte, and the journal must be gone.
+# The tiny fig4 sweep, killed once its journal records the first completed
+# point, then finished with --resume: the CSV must be the committed golden
+# byte for byte, and the journal must be gone.
 fig_kill_and_resume() {
-    out=target/ci-resume-$1
+    out=target/ci-resume
     rm -rf "$out"
-    sweep=(target/release/fig fig4 --shards "$1" --scale tiny --net small --jobs 1 --out "$out")
+    sweep=(target/release/fig fig4 --scale tiny --net small --jobs 1 --out "$out")
     kill_mid_run "$out/fig4.tiny.journal" 2 "${sweep[@]}"
     "${sweep[@]}" --resume >/dev/null
     cmp "$out/fig4.tiny.csv" crates/experiments/tests/golden/fig4.tiny.csv
@@ -129,13 +131,11 @@ chaos_kill_and_resume() {
     fi
 }
 
-# Unsharded, and at eight shards, the widest count the chaos harness draws.
 kill_and_resume() {
-    fig_kill_and_resume 1
-    fig_kill_and_resume 8
+    fig_kill_and_resume
     chaos_kill_and_resume
 }
-step "kill-and-resume (fig at 1 and 8 shards, chaos)" kill_and_resume
+step "kill-and-resume (fig, chaos)" kill_and_resume
 
 # Thread sanitizer: the sharded passes write one network from several
 # threads through range-checked views (DESIGN.md §4d); the range checks

@@ -404,6 +404,116 @@ fn unsafe_stays_small(tree: &[File]) -> Vec<String> {
     found
 }
 
+/// The file that parses the `fig` command line.
+const CLI: &str = "crates/experiments/src/cli.rs";
+/// The documents that may name an `STCC_*` variable; README.md holds the
+/// table.
+const OPTION_DOCS: [&str; 4] = [
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// The `STCC_*` names in `line`: `STCC_` and at least one more uppercase
+/// letter, digit or `_`, with no identifier character before it.
+fn stcc_names(line: &str) -> Vec<&str> {
+    let name_char = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+    line.match_indices("STCC_")
+        .filter(|(at, _)| !line[..*at].ends_with(is_ident))
+        .map(|(at, _)| {
+            let rest = &line[at..];
+            &rest[..rest.find(|c| !name_char(c)).unwrap_or(rest.len())]
+        })
+        .filter(|name| name.len() > "STCC_".len())
+        .collect()
+}
+
+/// The `--flag` words in `line`.
+fn flags(line: &str) -> Vec<&str> {
+    let flag_char = |c: char| c.is_ascii_lowercase() || c == '-';
+    line.match_indices("--")
+        .filter(|(at, _)| {
+            !line[..*at].ends_with(|c| is_ident(c) || c == '-')
+                && line[at + 2..].starts_with(|c: char| c.is_ascii_lowercase())
+        })
+        .map(|(at, _)| {
+            let rest = &line[at + 2..];
+            &line[at..at + 2 + rest.find(|c| !flag_char(c)).unwrap_or(rest.len())]
+        })
+        .collect()
+}
+
+/// Options and their docs cannot drift. README.md's "Runtime options"
+/// section is where a runtime option is documented, so:
+/// - every `STCC_*` name [`FRONT_DOOR`] reads (a string literal above its
+///   tests) is a row of the section's table;
+/// - no other `STCC_*` name appears in any of [`OPTION_DOCS`], so a
+///   deleted variable leaves the docs with its reader;
+/// - every flag `Cli` parses (a match arm of [`CLI`] above its tests) is
+///   named in the section — in the table if it steers how a run executes,
+///   in the sentence after it if it chooses what is computed — and the
+///   section names no flag `Cli` does not parse.
+///
+/// `benchmark/` (its own workspace, which may clear names it never sets)
+/// and `CHANGES.md` (the history) are not read.
+fn options_match_their_docs(tree: &[File]) -> Vec<String> {
+    let text = |path: &str| {
+        tree.iter()
+            .find(|f| f.path == path)
+            .map_or("", |f| f.text.as_str())
+    };
+    let door = above_tests(text(FRONT_DOOR));
+    let mut read: Vec<&str> = stcc_names(door)
+        .into_iter()
+        .filter(|name| door.contains(&format!("\"{name}\"")))
+        .collect();
+    read.sort_unstable();
+    read.dedup();
+    let parsed: Vec<&str> = above_tests(text(CLI))
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix('"'))
+        .filter(|arm| arm.starts_with("--") && arm.contains("=>"))
+        .map(|arm| &arm[..arm.find('"').unwrap_or(arm.len())])
+        .collect();
+    let readme = text("README.md");
+    let heading = |l: &str| l.starts_with("## ") || l.starts_with("### ");
+    let section: Vec<(usize, &str)> = readme
+        .lines()
+        .enumerate()
+        .skip_while(|(_, l)| *l != "### Runtime options")
+        .skip(1)
+        .take_while(|(_, l)| !heading(l))
+        .collect();
+
+    let mut found = Vec::new();
+    for name in &read {
+        let row = |l: &&str| l.starts_with('|') && stcc_names(l).contains(name);
+        if !section.iter().map(|(_, l)| l).any(row) {
+            found.push(format!("README.md: no \"Runtime options\" row for {name}"));
+        }
+    }
+    found.extend(scan_tree(
+        tree,
+        |p| OPTION_DOCS.contains(&p),
+        |l| stcc_names(l).iter().any(|name| !read.contains(name)),
+    ));
+    for flag in &parsed {
+        if !section.iter().any(|(_, l)| flags(l).contains(flag)) {
+            found.push(format!(
+                "README.md: \"Runtime options\" does not name {flag}"
+            ));
+        }
+    }
+    found.extend(
+        section
+            .iter()
+            .filter(|(_, l)| flags(l).iter().any(|flag| !parsed.contains(flag)))
+            .map(|(i, l)| format!("README.md:{}: {}", i + 1, l.trim())),
+    );
+    found
+}
+
 fn assert_clean(found: Vec<String>, rule: &str) {
     assert!(
         found.is_empty(),
@@ -435,6 +545,11 @@ fn the_tree_has_one_scaffold() {
 #[test]
 fn the_tree_has_no_per_node_poll_in_a_stepping_loop() {
     assert_clean(no_per_node_poll(repo()), "no per-node poll");
+}
+
+#[test]
+fn the_tree_has_options_that_match_their_docs() {
+    assert_clean(options_match_their_docs(repo()), "options match their docs");
 }
 
 #[test]
@@ -725,5 +840,44 @@ fn unsafe_rule_reports_a_sixth_line_one_in_tests_and_one_elsewhere() {
     assert!(
         found[1].starts_with("crates/netsim/src/shard.rs:12: "),
         "{found:?}"
+    );
+}
+
+/// A variable read but not tabled, one tabled but not read, a stale name in
+/// another document, an undocumented flag and a documented flag nobody
+/// parses; none for `STCC_*`, the exempt files or a variable a test reads.
+#[test]
+fn options_rule_reports_a_drift_either_way() {
+    let door = "let jobs = var(&env, \"STCC_JOBS\", number)?;\n\
+                let audit = var(&env, \"STCC_AUDIT\", number)?;\n\n\
+                #[cfg(test)]\nmod tests {\n    env(&[(\"STCC_GONE\", \"1\")]);\n}";
+    let cli = "match arg {\n    \"--jobs\" => jobs = Some(n),\n    \"--scale\" => {}\n    \
+               \"--out\" => {}\n    other => return Err(\"bad --jobs\"),\n}";
+    let readme = "# stcc\n\nSet `STCC_*` first.\n\n### Runtime options\n\n\
+                  | option | flag | environment |\n|---|---|---|\n\
+                  | workers | `--jobs N` | `STCC_JOBS` |\n\
+                  | shards | `--shards N` | `STCC_SHARDS` |\n\n\
+                  `--scale` chooses what is computed.\n\n\
+                  ### Next\n\n`--out DIR` and `STCC_AUDIT` are documented here.\n";
+    let stale = "STCC_CKPT_EVERY=2000 fig fig4";
+    let tree = [
+        file(FRONT_DOOR, door),
+        file(CLI, cli),
+        file("README.md", readme),
+        file("EXPERIMENTS.md", stale),
+        file("DESIGN.md", "every `STCC_*` variable"),
+        file("CHANGES.md", stale),
+        file("benchmark/src/main.rs", stale),
+    ];
+    let found = options_match_their_docs(&tree);
+    assert_eq!(
+        found,
+        [
+            "README.md: no \"Runtime options\" row for STCC_AUDIT",
+            "README.md:10: | shards | `--shards N` | `STCC_SHARDS` |",
+            "EXPERIMENTS.md:1: STCC_CKPT_EVERY=2000 fig fig4",
+            "README.md: \"Runtime options\" does not name --out",
+            "README.md:10: | shards | `--shards N` | `STCC_SHARDS` |",
+        ]
     );
 }
