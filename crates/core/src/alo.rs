@@ -96,7 +96,7 @@ impl Controller for AloControl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormsim::{DeadlockMode, NetConfig, Network, NoControl};
+    use wormsim::{DeadlockMode, NetConfig, Network, NoControl, Offer};
 
     #[test]
     fn allows_injection_on_an_idle_network() {
@@ -126,8 +126,14 @@ mod tests {
             seed
         };
         let nodes = net.torus().node_count();
-        let mut source = move |_now: u64, _node: usize| Some((rng() as usize) % nodes);
-        net.run(3_000, &mut source, &mut NoControl);
+        let mut source = move |_now: u64, offer: &mut Offer<'_>| {
+            for node in 0..nodes {
+                offer(node, (rng() as usize) % nodes);
+            }
+        };
+        for _ in 0..3_000 {
+            net.cycle_from(&mut source, &mut NoControl);
+        }
         let mut alo = AloControl::new();
         let denied = (0..nodes)
             .filter(|&n| {

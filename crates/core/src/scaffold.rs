@@ -240,8 +240,8 @@ impl Frame {
 }
 
 /// A globally informed source throttle: one [`Law`] behind the machinery
-/// every such controller shares. Plug into [`wormsim::Network::cycle`] as
-/// the congestion-control policy; all nodes share the same
+/// every such controller shares. Plug into [`wormsim::Network::cycle_from`]
+/// as the congestion-control policy; all nodes share the same
 /// (side-band-delayed) view and gate, so one instance controls the whole
 /// network, exactly as the paper's replicated per-node state would.
 ///
@@ -418,7 +418,7 @@ pub(crate) mod tests {
     use super::*;
     use faults::SidebandFaults;
     use sideband::Snapshot;
-    use wormsim::{DeadlockMode, NetConfig};
+    use wormsim::{DeadlockMode, NetConfig, Offer};
 
     /// The side-band of the 64-node `NetConfig::small` networks.
     pub(crate) fn small_sideband() -> SidebandConfig {
@@ -434,12 +434,14 @@ pub(crate) mod tests {
         let mut net = Network::new(NetConfig::small(DeadlockMode::PAPER_RECOVERY)).unwrap();
         let nodes = net.torus().node_count();
         let mut i = 0usize;
-        let mut source = move |_now: u64, node: usize| {
-            i = i.wrapping_add(node + 1);
-            Some((node + 1 + i) % nodes)
+        let mut source = move |_now: u64, offer: &mut Offer<'_>| {
+            for node in 0..nodes {
+                i = i.wrapping_add(node + 1);
+                offer(node, (node + 1 + i) % nodes);
+            }
         };
         for _ in 0..cycles {
-            net.cycle(&mut source, ctl);
+            net.cycle_from(&mut source, ctl);
         }
         net
     }

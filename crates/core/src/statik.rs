@@ -68,9 +68,8 @@ mod tests {
         let cfg = NetConfig::small(DeadlockMode::Avoidance);
         let mut net = Network::new(cfg).unwrap();
         let mut ctl = small(50);
-        let mut source = |_now: u64, _node: usize| None;
         for _ in 0..2_000 {
-            net.cycle(&mut source, &mut ctl);
+            net.cycle_from(&mut |_, _| {}, &mut ctl);
         }
         assert!(!ctl.throttling());
         assert_eq!(net.counters().throttled_injections, 0);

@@ -676,12 +676,14 @@ mod tests {
     use crate::packet::Flit;
     use crate::plane::Slot;
     use crate::shard::{Parked, ShardStage};
-    use crate::testnet::{hot_net, source};
+    use crate::testnet::{arrivals, hot_net};
     use std::collections::BTreeSet;
 
     fn drive(net: &mut Network, seed: u64, load: u64, cycles: u64) {
-        let mut src = source(seed, net.torus().node_count(), load);
-        net.run(cycles, &mut src, &mut NoControl);
+        let mut src = arrivals(seed, net.torus().node_count(), load);
+        for _ in 0..cycles {
+            net.cycle_from(&mut src, &mut NoControl);
+        }
     }
 
     fn kinds(net: &Network) -> BTreeSet<&'static str> {

@@ -23,28 +23,30 @@
 //! [`Network::delivered_flits_cum`]) plus the local state the ALO baseline
 //! inspects ([`Network::output_vc_allocated`]).
 //!
-//! Traffic enters once per cycle: [`Network::cycle_from`] asks its source
-//! for the cycle's arrivals in one pass (an [`Offer`] call per generated
-//! packet, nodes ascending — `traffic::WorkloadRunner::arrivals` is the
-//! matching source), so generation costs the cycle's traffic rather than a
-//! call per node. [`Network::cycle`] / [`Network::run`] adapt a per-node
-//! source closure onto the same entry.
+//! Traffic enters once per cycle, through the one stepping entry:
+//! [`Network::cycle_from`] asks its source for the cycle's arrivals in one
+//! pass (an [`Offer`] call per generated packet, nodes ascending —
+//! `traffic::WorkloadRunner::arrivals` is the matching source), so
+//! generation costs the cycle's traffic rather than a call per node. A
+//! hand-written source is a closure that offers exactly its packets.
 //!
 //! # Examples
 //!
-//! Run light uniform traffic with no congestion control and watch every
-//! packet arrive:
+//! Send one packet with no congestion control and watch it arrive:
 //!
 //! ```
-//! use wormsim::{DeadlockMode, NetConfig, Network, NoControl};
+//! use wormsim::{DeadlockMode, NetConfig, Network, NoControl, Offer};
 //!
 //! let mut net = Network::new(NetConfig::small(DeadlockMode::Avoidance))?;
 //! // One packet from node 0 to node 9 at cycle 0.
-//! let mut one_shot = Some(9);
-//! let mut source = move |_now: u64, node: usize| {
-//!     if node == 0 { one_shot.take() } else { None }
+//! let mut arrivals = |now: u64, offer: &mut Offer<'_>| {
+//!     if now == 0 {
+//!         offer(0, 9);
+//!     }
 //! };
-//! net.run(500, &mut source, &mut NoControl);
+//! for _ in 0..500 {
+//!     net.cycle_from(&mut arrivals, &mut NoControl);
+//! }
 //! assert_eq!(net.counters().delivered_packets, 1);
 //! let rec = net.drain_deliveries().next().unwrap();
 //! assert_eq!((rec.src, rec.dst), (0, 9));

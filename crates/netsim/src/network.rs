@@ -102,8 +102,7 @@ pub type Offer<'a> = dyn FnMut(NodeId, NodeId) + 'a;
 /// allocator enforces this (`tests/zero_alloc.rs`), and DESIGN.md
 /// ("Simulator memory layout") documents the invariants.
 ///
-/// Drive it with [`Network::cycle_from`] (or [`Network::cycle`], its
-/// per-node-closure adapter); read results with
+/// Drive it with [`Network::cycle_from`]; read results with
 /// [`Network::drain_deliveries`] and [`Network::counters`].
 #[derive(Debug)]
 pub struct Network {
@@ -358,7 +357,7 @@ impl Network {
         &self.torus
     }
 
-    /// The current cycle (number of completed [`Network::cycle`] calls).
+    /// The current cycle (number of completed [`Network::cycle_from`] calls).
     #[must_use]
     pub fn now(&self) -> u64 {
         self.now
@@ -697,10 +696,12 @@ impl Network {
         self.set_now(now + 1);
     }
 
-    /// Advances the network by one cycle, polling a per-node source: the
-    /// closure-shaped adapter of [`Network::cycle_from`]. `source(now,
-    /// node)` is called once per node, ascending, and returns the
-    /// destination of a newly generated packet, if any.
+    /// Advances the network by one cycle, polling a per-node source:
+    /// `source(now, node)` is called once per node, ascending, and returns
+    /// the destination of a newly generated packet, if any. It exists only
+    /// for the repo benchmark's traced pass (`benchmark/src/traced.rs`) and
+    /// is deleted once that pass steps through `cycle_from`; everything
+    /// else steps through [`Network::cycle_from`].
     pub fn cycle(
         &mut self,
         source: &mut dyn FnMut(u64, NodeId) -> Option<NodeId>,
@@ -715,18 +716,6 @@ impl Network {
             }
         };
         self.cycle_from(&mut poll_all, ctl);
-    }
-
-    /// Runs `cycles` cycles (convenience wrapper over [`Network::cycle`]).
-    pub fn run(
-        &mut self,
-        cycles: u64,
-        source: &mut dyn FnMut(u64, NodeId) -> Option<NodeId>,
-        ctl: &mut dyn CongestionControl,
-    ) {
-        for _ in 0..cycles {
-            self.cycle(source, ctl);
-        }
     }
 
     /// Enqueues a packet generated at `now` by `node` for `dst` in
@@ -1627,12 +1616,19 @@ mod tests {
                 net.set_shards(shards);
                 assert_eq!(net.shards(), shards);
                 let nodes = net.torus().node_count();
-                let mut src = move |now: u64, node: usize| {
-                    let mut x = (now + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (node as u64) << 17;
-                    x ^= x >> 29;
-                    (x % 100 < 55).then(|| (x >> 32) as usize % nodes)
+                let mut src = move |now: u64, offer: &mut Offer<'_>| {
+                    for node in 0..nodes {
+                        let mut x =
+                            (now + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (node as u64) << 17;
+                        x ^= x >> 29;
+                        if x % 100 < 55 {
+                            offer(node, (x >> 32) as usize % nodes);
+                        }
+                    }
                 };
-                net.run(1_200, &mut src, &mut NoControl);
+                for _ in 0..1_200 {
+                    net.cycle_from(&mut src, &mut NoControl);
+                }
                 let mut enc = checkpoint::Enc::new();
                 net.save_state(&mut enc);
                 (enc.into_vec(), *net.counters())
@@ -1694,13 +1690,13 @@ mod tests {
             })
             .collect();
         let nodes = nets[0].torus.node_count();
-        let mut src = crate::testnet::source(3, nodes, 55);
+        let mut src = crate::testnet::arrivals(3, nodes, 55);
         let (mut recovered, mut body_only) = (0, 0);
         for _ in 0..1_200 {
             let mut seen = Vec::new();
             for net in &mut nets {
                 let (now, flits) = (net.now, net.delivered_flits_cum());
-                net.cycle(&mut src, &mut NoControl);
+                net.cycle_from(&mut src, &mut NoControl);
                 let records: Vec<DeliveredRecord> = net.drain_deliveries().collect();
                 let delivered = net.delivered_flits_cum() - flits;
                 if delivered > 0 {
@@ -1772,9 +1768,14 @@ mod tests {
                 assert!(net.plan.bounds[1] <= UP && DOWN < net.plan.bounds[1]);
                 net.plan.pool = Some(WorkerPool::new(shards, participants));
             }
-            let mut one = Some(DOWN);
-            let mut src = move |_: u64, node: usize| if node == UP { one.take() } else { None };
-            net.run(LIFT, &mut src, &mut NoControl);
+            let mut src = |now: u64, offer: &mut Offer<'_>| {
+                if now == 0 {
+                    offer(UP, DOWN);
+                }
+            };
+            for _ in 0..LIFT {
+                net.cycle_from(&mut src, &mut NoControl);
+            }
             let fpn = net.d * net.v;
             let vc = (DOWN * fpn..(DOWN + 1) * fpn)
                 .find(|&idx| !net.vc_bufs.is_empty(idx))
@@ -1784,14 +1785,14 @@ mod tests {
             assert!(sent < net.packet_len, "UP has flits left to send");
 
             let case = format!("{shards} shard(s), {participants} participant(s)");
-            net.cycle(&mut src, &mut NoControl);
+            net.cycle_from(&mut src, &mut NoControl);
             assert_eq!(net.counters.delivered_flits, 1, "{case}: DOWN pops");
             assert_eq!(
                 net.inj[UP].sent, sent,
                 "{case}: UP moved on credit freed this cycle"
             );
             assert_eq!(net.vc_bufs.len(vc), net.depth - 1, "{case}");
-            net.cycle(&mut src, &mut NoControl);
+            net.cycle_from(&mut src, &mut NoControl);
             assert_eq!(
                 net.inj[UP].sent,
                 sent + 1,
@@ -1816,9 +1817,9 @@ mod tests {
                 header && !net.vc_queued[i] && matches!(net.vc_assign[i], Assign::Out { .. })
             })
         };
-        let mut src = crate::testnet::source(1, 16, 60);
+        let mut src = crate::testnet::arrivals(1, 16, 60);
         while waiting(&net).is_none() && net.now < 10_000 {
-            net.cycle(&mut src, &mut NoControl);
+            net.cycle_from(&mut src, &mut NoControl);
         }
         let idx = waiting(&net).expect("no routed header waiting in a saturated net");
         let Assign::Out { port, vc } = net.vc_assign[idx] else {
@@ -1910,7 +1911,7 @@ mod tests {
         let run = |shards: usize| {
             let mut net = Network::new(cfg.clone()).unwrap();
             net.set_shards(shards);
-            let mut src = crate::testnet::source(1, 64, 60);
+            let mut src = crate::testnet::arrivals(1, 64, 60);
             // A scan cycle with the token held — no grant pops the queue —
             // and work for the scan and the suspicion in several shards.
             loop {
@@ -1921,7 +1922,7 @@ mod tests {
                         break;
                     }
                 }
-                net.cycle(&mut src, &mut NoControl);
+                net.cycle_from(&mut src, &mut NoControl);
             }
             let now = net.now;
             for id in 0..net.packets.slot_count() as PacketId {
@@ -1938,7 +1939,7 @@ mod tests {
                 .map(|a| matches!(a, Assign::Out { .. }))
                 .collect();
             let queued = net.token_queue.len(0);
-            net.cycle(&mut src, &mut NoControl);
+            net.cycle_from(&mut src, &mut NoControl);
             let queue: Vec<u32> = (0..net.token_queue.len(0))
                 .map(|i| net.token_queue.get(0, i))
                 .collect();
@@ -1978,12 +1979,13 @@ mod tests {
         };
         let mut net = Network::new(cfg).unwrap();
         let nodes = net.torus.node_count();
-        net.run(
-            1_500,
-            &mut crate::testnet::source(1, nodes, 60),
-            &mut NoControl,
-        );
-        net.run(2_000, &mut |_, _| None, &mut NoControl);
+        let mut src = crate::testnet::arrivals(1, nodes, 60);
+        for _ in 0..1_500 {
+            net.cycle_from(&mut src, &mut NoControl);
+        }
+        for _ in 0..2_000 {
+            net.cycle_from(&mut |_, _| {}, &mut NoControl);
+        }
         assert_eq!(net.packets.live(), 0, "the network did not drain");
         let escapes = net.counters.escape_allocations;
         assert!(escapes > 0, "vacuous: nothing escaped");
@@ -2001,7 +2003,9 @@ mod tests {
             });
         let id = recycled.expect("vacuous: no escaped slot recycled");
         assert!(!net.packets.get(id).escaped, "the recycled slot is escaped");
-        net.run(200, &mut |_, _| None, &mut NoControl);
+        for _ in 0..200 {
+            net.cycle_from(&mut |_, _| {}, &mut NoControl);
+        }
         assert_eq!(
             net.packets.live(),
             0,

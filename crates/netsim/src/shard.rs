@@ -1558,11 +1558,10 @@ mod tests {
             let mut net = hot_net();
             net.set_shards(shards);
             net.set_phase_stats(true);
-            net.run(
-                200,
-                &mut crate::testnet::source(2, NODES, 60),
-                &mut crate::NoControl,
-            );
+            let mut src = crate::testnet::arrivals(2, NODES, 60);
+            for _ in 0..200 {
+                net.cycle_from(&mut src, &mut crate::NoControl);
+            }
             let st = net.phase_stats().unwrap();
             let (slowest, fastest) = (st.slowest_shard_ns, st.fastest_shard_ns);
             if shards == 1 {

@@ -412,17 +412,19 @@ mod tests {
     use crate::network::Assign;
     use crate::packet::{Flit, PacketInfo};
     use crate::testnet::{self, hot_net, small_cfg};
-    use crate::Network;
+    use crate::{Network, Offer};
     use checkpoint::{CheckpointError, Dec, Enc};
 
     /// A deterministic little traffic source: every node sends to the
     /// opposite node every `interval` cycles.
-    fn source(interval: u64) -> impl FnMut(u64, usize) -> Option<usize> {
-        move |now, node| {
-            (now % interval == node as u64 % interval).then_some({
-                let nodes = 16usize;
-                (node + nodes / 2) % nodes
-            })
+    fn source(interval: u64) -> impl FnMut(u64, &mut Offer<'_>) {
+        move |now, offer| {
+            let nodes = 16usize;
+            for node in 0..nodes {
+                if now % interval == node as u64 % interval {
+                    offer(node, (node + nodes / 2) % nodes);
+                }
+            }
         }
     }
 
@@ -438,7 +440,7 @@ mod tests {
         let mut src_a = source(3);
         let mut a = Network::new(cfg.clone()).unwrap();
         for _ in 0..500 {
-            a.cycle(&mut src_a, &mut NoControl);
+            a.cycle_from(&mut src_a, &mut NoControl);
         }
         let snap = snapshot(&a);
 
@@ -453,8 +455,8 @@ mod tests {
         // The source is a pure function of (now, node); fast-forward needs
         // nothing, but keep the closures separate to prove independence.
         for _ in 0..500 {
-            a.cycle(&mut src_a, &mut NoControl);
-            b.cycle(&mut src_b, &mut NoControl);
+            a.cycle_from(&mut src_a, &mut NoControl);
+            b.cycle_from(&mut src_b, &mut NoControl);
         }
         assert_eq!(snapshot(&a), snapshot(&b), "diverged after restore");
         assert_eq!(a.counters(), b.counters());
@@ -470,7 +472,7 @@ mod tests {
         let mut src = source(2); // heavy traffic: rings wrap many times
         let mut a = Network::new(cfg.clone()).unwrap();
         for _ in 0..2_000 {
-            a.cycle(&mut src, &mut NoControl);
+            a.cycle_from(&mut src, &mut NoControl);
         }
         let snap = snapshot(&a);
         let mut b = Network::new(cfg).unwrap();
@@ -482,8 +484,8 @@ mod tests {
         let mut src_a = source(2);
         let mut src_b = source(2);
         for _ in 0..300 {
-            a.cycle(&mut src_a, &mut NoControl);
-            b.cycle(&mut src_b, &mut NoControl);
+            a.cycle_from(&mut src_a, &mut NoControl);
+            b.cycle_from(&mut src_b, &mut NoControl);
         }
         assert_eq!(snapshot(&a), snapshot(&b));
     }
@@ -495,12 +497,12 @@ mod tests {
     #[test]
     fn restore_derives_what_the_checkpoint_omits() {
         let mut a = hot_net();
-        let mut src = testnet::source(1, 16, 60);
+        let mut src = testnet::arrivals(1, 16, 60);
         for _ in 0..5_000 {
             if a.token_queue_len() > 0 {
                 break;
             }
-            a.cycle(&mut src, &mut NoControl);
+            a.cycle_from(&mut src, &mut NoControl);
         }
         assert!(
             a.token_queue_len() > 0,
@@ -691,7 +693,7 @@ mod tests {
         let mut a = Network::new(small_cfg()).unwrap();
         let mut src = source(3);
         for _ in 0..100 {
-            a.cycle(&mut src, &mut NoControl);
+            a.cycle_from(&mut src, &mut NoControl);
         }
         let snap = snapshot(&a);
         // A network with a different radix has different vector shapes.

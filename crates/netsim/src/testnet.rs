@@ -1,9 +1,10 @@
 //! Fixtures the crate's unit tests share: a 16-node recovery configuration,
-//! a seeded Bernoulli source and a saturated network stopped mid-run.
+//! a seeded Bernoulli arrival source and a saturated network stopped
+//! mid-run.
 
 use crate::config::{DeadlockMode, NetConfig};
 use crate::control::NoControl;
-use crate::network::Network;
+use crate::network::{Network, Offer};
 
 /// SplitMix64: a pure hash of (seed, now, node), so two networks fed the
 /// same source see the exact same traffic without sharing closure state.
@@ -14,22 +15,18 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A Bernoulli source at `load`% per node-cycle, uniform destinations.
-pub(crate) fn source(
-    seed: u64,
-    nodes: usize,
-    load: u64,
-) -> impl FnMut(u64, usize) -> Option<usize> {
-    move |now, node| {
-        let r = mix(seed ^ mix(now) ^ mix(node as u64).rotate_left(17));
-        (r % 100 < load).then(|| {
-            let dst = (r >> 32) as usize % nodes;
-            if dst == node {
-                (dst + 1) % nodes
-            } else {
-                dst
+/// A Bernoulli source at `load`% per node-cycle, uniform destinations: each
+/// cycle it walks the nodes ascending and offers each node's packet, if it
+/// drew one.
+pub(crate) fn arrivals(seed: u64, nodes: usize, load: u64) -> impl FnMut(u64, &mut Offer<'_>) {
+    move |now, offer| {
+        for node in 0..nodes {
+            let r = mix(seed ^ mix(now) ^ mix(node as u64).rotate_left(17));
+            if r % 100 < load {
+                let dst = (r >> 32) as usize % nodes;
+                offer(node, if dst == node { (dst + 1) % nodes } else { dst });
             }
-        })
+        }
     }
 }
 
@@ -47,7 +44,10 @@ pub(crate) fn small_cfg() -> NetConfig {
 /// builds the same network.
 pub(crate) fn hot_net() -> Network {
     let mut net = Network::new(small_cfg()).unwrap();
-    net.run(1_500, &mut source(1, 16, 60), &mut NoControl);
+    let mut src = arrivals(1, 16, 60);
+    for _ in 0..1_500 {
+        net.cycle_from(&mut src, &mut NoControl);
+    }
     let report = net.audit();
     assert!(report.is_clean(), "hot_net is not clean: {report}");
     assert!(net.packets.live() > 0, "hot_net drained: nothing to poke");

@@ -8,22 +8,35 @@ fn small(deadlock: DeadlockMode) -> Network {
 
 #[test]
 fn body_flits_stream_one_per_cycle_behind_the_header() {
-    // One long packet on an idle network: delivery consumes the tail
-    // exactly len-1 cycles after it could first have consumed the header.
-    let mut net = small(DeadlockMode::Avoidance);
-    let mut one = Some(9usize);
-    let mut src = move |_: u64, node: usize| if node == 0 { one.take() } else { None };
-    net.run(400, &mut src, &mut NoControl);
-    let rec = net.drain_deliveries().next().expect("delivered");
-    let dist = net.torus().distance(0, 9) as u64;
-    // Tail time = header pipeline (3 cycles/hop + injection/delivery edges)
-    // + (len-1) cycles of streaming. Anything longer means the worm stalled.
-    let header_pipeline = 3 * dist + 4;
-    assert!(
-        rec.network_latency() <= header_pipeline + 15,
-        "zero-load worm stalled: latency {} for distance {dist}",
-        rec.network_latency()
-    );
+    // Zero-load latency is exact (DESIGN.md §4): the header takes 3 cycles
+    // a hop (1 routing + a 2-cycle crossbar and link), the body streams
+    // one flit a cycle behind it, and the packet leaves its source queue
+    // one routing cycle after it was generated. Every pair, both modes; a
+    // pair faster than this is a bug, one slower a stalled worm.
+    for deadlock in [DeadlockMode::Avoidance, DeadlockMode::PAPER_RECOVERY] {
+        let mut net = small(deadlock);
+        let nodes = net.torus().node_count();
+        let len = net.config().packet_len as u64;
+        for src in 0..nodes {
+            for dst in 0..nodes {
+                net.cycle_from(&mut |_, offer| offer(src, dst), &mut NoControl);
+                drain(&mut net, 1_000);
+                assert_eq!(net.live_packets(), 0, "{src} → {dst} never arrived");
+                let rec = net.drain_deliveries().next().expect("delivered");
+                let d = net.torus().distance(src, dst) as u64;
+                assert_eq!(
+                    rec.network_latency(),
+                    3 * d + len - 1,
+                    "{deadlock:?}: {src} → {dst}, distance {d}"
+                );
+                assert_eq!(
+                    rec.total_latency(),
+                    rec.network_latency() + 1,
+                    "{deadlock:?}: {src} → {dst}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -31,9 +44,16 @@ fn delivery_channel_consumes_at_most_one_flit_per_cycle() {
     // Flood one destination from every other node; the sink's delivery
     // channel is the bottleneck: delivered flits <= elapsed cycles.
     let mut net = small(DeadlockMode::Avoidance);
-    let mut src = |now: u64, node: usize| (node != 0 && now.is_multiple_of(8)).then_some(0);
+    let nodes = net.torus().node_count();
+    let mut src = |now: u64, offer: &mut Offer<'_>| {
+        if now.is_multiple_of(8) {
+            (1..nodes).for_each(|node| offer(node, 0));
+        }
+    };
     let cycles = 4_000u64;
-    net.run(cycles, &mut src, &mut NoControl);
+    for _ in 0..cycles {
+        net.cycle_from(&mut src, &mut NoControl);
+    }
     let delivered = net.counters().delivered_flits;
     assert!(delivered > 0);
     assert!(
@@ -53,8 +73,9 @@ fn source_queue_cap_refuses_generations() {
     cfg.source_queue_cap = 2;
     let mut net = Network::new(cfg).unwrap();
     // Node 0 generates every cycle to a fixed far destination: queue fills.
-    let mut src = |_: u64, node: usize| (node == 0).then_some(36);
-    net.run(2_000, &mut src, &mut NoControl);
+    for _ in 0..2_000 {
+        net.cycle_from(&mut |_, offer| offer(0, 36), &mut NoControl);
+    }
     let c = net.counters();
     assert!(
         c.refused_generations > 0,
@@ -68,11 +89,15 @@ fn escape_channels_engage_under_avoidance_load() {
     let mut net = small(DeadlockMode::Avoidance);
     let nodes = net.torus().node_count();
     let mut x = 1usize;
-    let mut src = move |_: u64, node: usize| {
-        x = x.wrapping_mul(48271).wrapping_add(node);
-        Some(x % nodes)
+    let mut src = move |_: u64, offer: &mut Offer<'_>| {
+        for node in 0..nodes {
+            x = x.wrapping_mul(48271).wrapping_add(node);
+            offer(node, x % nodes);
+        }
     };
-    net.run(5_000, &mut src, &mut NoControl);
+    for _ in 0..5_000 {
+        net.cycle_from(&mut src, &mut NoControl);
+    }
     assert!(
         net.counters().escape_allocations > 0,
         "heavy load must push some headers onto the escape VC"
@@ -89,11 +114,15 @@ fn recovery_suspicions_and_recoveries_fire_under_recovery_load() {
     let mut net = small(DeadlockMode::PAPER_RECOVERY);
     let nodes = net.torus().node_count();
     let mut x = 7usize;
-    let mut src = move |_: u64, node: usize| {
-        x = x.wrapping_mul(48271).wrapping_add(node);
-        Some(x % nodes)
+    let mut src = move |_: u64, offer: &mut Offer<'_>| {
+        for node in 0..nodes {
+            x = x.wrapping_mul(48271).wrapping_add(node);
+            offer(node, x % nodes);
+        }
     };
-    net.run(20_000, &mut src, &mut NoControl);
+    for _ in 0..20_000 {
+        net.cycle_from(&mut src, &mut NoControl);
+    }
     let c = net.counters();
     assert!(
         c.recovery_timeouts > 0,
@@ -125,8 +154,14 @@ fn gate_denials_are_counted_and_block_injection() {
         }
     }
     let mut net = small(DeadlockMode::Avoidance);
-    let mut src = |now: u64, node: usize| (node == 0 && now == 0).then_some(5);
-    net.run(100, &mut src, &mut DenyAll);
+    let mut src = |now: u64, offer: &mut Offer<'_>| {
+        if now == 0 {
+            offer(0, 5);
+        }
+    };
+    for _ in 0..100 {
+        net.cycle_from(&mut src, &mut DenyAll);
+    }
     let c = net.counters();
     assert_eq!(c.injected_packets, 0, "a closed gate must admit nothing");
     assert_eq!(c.delivered_packets, 0);
@@ -145,13 +180,18 @@ fn single_flit_packets_work_end_to_end() {
     let mut net = Network::new(cfg).unwrap();
     let nodes = net.torus().node_count();
     let mut x = 3usize;
-    let mut src = move |now: u64, node: usize| {
-        x = x.wrapping_mul(48271).wrapping_add(node);
-        (now < 2_000 && x.is_multiple_of(4)).then_some(x % nodes)
+    let mut src = move |_: u64, offer: &mut Offer<'_>| {
+        for node in 0..nodes {
+            x = x.wrapping_mul(48271).wrapping_add(node);
+            if x.is_multiple_of(4) {
+                offer(node, x % nodes);
+            }
+        }
     };
-    net.run(2_000, &mut src, &mut NoControl);
-    let mut silent = |_: u64, _: usize| None;
-    net.run(50_000, &mut silent, &mut NoControl);
+    for _ in 0..2_000 {
+        net.cycle_from(&mut src, &mut NoControl);
+    }
+    drain(&mut net, 50_000);
     let c = net.counters();
     assert!(c.generated_packets > 100);
     assert_eq!(c.generated_packets, c.delivered_packets);
@@ -167,23 +207,43 @@ fn deep_buffers_and_many_vcs_also_work() {
     let mut net = Network::new(cfg).unwrap();
     let nodes = net.torus().node_count();
     let mut x = 11usize;
-    let mut src = move |now: u64, node: usize| {
-        x = x.wrapping_mul(48271).wrapping_add(node);
-        (now < 3_000 && x.is_multiple_of(3)).then_some(x % nodes)
+    let mut src = move |_: u64, offer: &mut Offer<'_>| {
+        for node in 0..nodes {
+            x = x.wrapping_mul(48271).wrapping_add(node);
+            if x.is_multiple_of(3) {
+                offer(node, x % nodes);
+            }
+        }
     };
-    net.run(3_000, &mut src, &mut NoControl);
-    let mut silent = |_: u64, _: usize| None;
-    net.run(60_000, &mut silent, &mut NoControl);
+    for _ in 0..3_000 {
+        net.cycle_from(&mut src, &mut NoControl);
+    }
+    drain(&mut net, 60_000);
     let c = net.counters();
     assert_eq!(c.generated_packets, c.delivered_packets);
     assert_eq!(c.delivered_flits, 5 * c.delivered_packets);
 }
 
+/// Steps `net` with no new traffic until it is empty, for at most `budget`
+/// cycles.
+fn drain(net: &mut Network, budget: u64) {
+    let end = net.now() + budget;
+    while net.live_packets() > 0 && net.now() < end {
+        net.cycle_from(&mut |_, _| {}, &mut NoControl);
+    }
+}
+
 #[test]
 fn counters_track_undelivered_inventory() {
     let mut net = small(DeadlockMode::Avoidance);
-    let mut src = |now: u64, node: usize| (node < 4 && now < 64).then_some(node + 8);
-    net.run(30, &mut src, &mut NoControl);
+    let mut src = |now: u64, offer: &mut Offer<'_>| {
+        if now < 64 {
+            (0..4).for_each(|node| offer(node, node + 8));
+        }
+    };
+    for _ in 0..30 {
+        net.cycle_from(&mut src, &mut NoControl);
+    }
     let c = *net.counters();
     assert_eq!(
         c.undelivered(),
@@ -192,7 +252,7 @@ fn counters_track_undelivered_inventory() {
     );
 }
 
-/// Steps `net` one cycle through the batched entry with exactly `offers`.
+/// Steps `net` one cycle with exactly `offers`.
 fn offer_all(net: &mut Network, offers: &[(usize, usize)]) {
     let mut arrivals = |_: u64, offer: &mut Offer<'_>| {
         for &(node, dst) in offers {
@@ -204,23 +264,32 @@ fn offer_all(net: &mut Network, offers: &[(usize, usize)]) {
 
 #[test]
 fn batched_arrivals_enqueue_like_the_per_node_source() {
-    // The same offers through both entries: same counters, same queues —
-    // including a refusal once node 3's source queue is full.
+    // The same offers as a list and from a source that walks every node:
+    // same counters, same queues — including a refusal once node 3's
+    // source queue is full.
     let cfg = NetConfig {
         source_queue_cap: 2,
         ..NetConfig::small(DeadlockMode::Avoidance)
     };
+    let nodes = cfg.node_count();
     let mut batched = Network::new(cfg.clone()).unwrap();
     let mut polled = Network::new(cfg).unwrap();
+    let mut src = |_: u64, offer: &mut Offer<'_>| {
+        for node in 0..nodes {
+            let dst = match node {
+                3 => Some(40),
+                7 => Some(7),
+                60 => Some(1),
+                _ => None,
+            };
+            if let Some(dst) = dst {
+                offer(node, dst);
+            }
+        }
+    };
     for _ in 0..6 {
         offer_all(&mut batched, &[(3, 40), (7, 7), (60, 1)]);
-        let mut src = |_: u64, node: usize| match node {
-            3 => Some(40),
-            7 => Some(7),
-            60 => Some(1),
-            _ => None,
-        };
-        polled.cycle(&mut src, &mut NoControl);
+        polled.cycle_from(&mut src, &mut NoControl);
     }
     assert!(batched.counters().refused_generations > 0, "vacuous");
     assert_eq!(batched.counters(), polled.counters());
@@ -244,9 +313,9 @@ fn an_offer_to_a_node_past_the_network_panics_with_a_message() {
     offer_all(&mut small(DeadlockMode::Avoidance), &[(0, 64)]);
 }
 
-/// At most one packet per node per cycle, nodes ascending: the rule the
-/// per-node closure enforces by shape is a debug assertion on the batched
-/// entry.
+/// At most one packet per node per cycle, nodes ascending: the rule a
+/// source walking the nodes in order keeps by shape is a debug assertion
+/// on `cycle_from`.
 #[test]
 #[cfg(debug_assertions)]
 #[should_panic(expected = "arrivals must ascend within a cycle")]

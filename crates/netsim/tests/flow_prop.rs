@@ -10,7 +10,7 @@
 //! cargo test -p wormsim --features slow-proptests
 //! ```
 
-use wormsim::{DeadlockMode, NetConfig, Network, NoControl};
+use wormsim::{DeadlockMode, NetConfig, Network, NoControl, Offer};
 
 const CASES: u64 = if cfg!(feature = "slow-proptests") {
     32
@@ -73,21 +73,24 @@ fn any_configuration_conserves_and_drains() {
         let nodes = net.torus().node_count();
         let mut x = rc.seed;
         let modulus = rc.modulus;
-        let mut src = move |_: u64, node: usize| {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(node + 1);
-            ((x >> 17).is_multiple_of(modulus)).then_some((x >> 33) % nodes)
-        };
-        net.run(rc.burst_cycles, &mut src, &mut NoControl);
-        // Drain in bounded chunks instead of a fixed 600k-cycle run: most
-        // configurations empty within a few thousand cycles.
-        let mut silent = |_: u64, _: usize| None;
-        for _ in 0..60 {
-            if net.live_packets() == 0 {
-                break;
+        let mut src = move |_: u64, offer: &mut Offer<'_>| {
+            for node in 0..nodes {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(node + 1);
+                if (x >> 17).is_multiple_of(modulus) {
+                    offer(node, (x >> 33) % nodes);
+                }
             }
-            net.run(10_000, &mut silent, &mut NoControl);
+        };
+        for _ in 0..rc.burst_cycles {
+            net.cycle_from(&mut src, &mut NoControl);
+        }
+        // Drain until empty, within a 600k-cycle budget: most
+        // configurations empty within a few thousand cycles.
+        let end = net.now() + 600_000;
+        while net.live_packets() > 0 && net.now() < end {
+            net.cycle_from(&mut |_, _| {}, &mut NoControl);
         }
 
         let c = net.counters();

@@ -49,16 +49,18 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
-/// A saturating deterministic uniform-random source (every node offers a
-/// packet most cycles). The closure captures only a `u64` seed: polling it
-/// never allocates.
-fn saturating_source(nodes: usize) -> impl FnMut(u64, usize) -> Option<usize> {
+/// A saturating deterministic uniform-random source: every node offers a
+/// packet every cycle, walked in node order. The closure captures only a
+/// `u64` seed: asking it for a cycle's arrivals never allocates.
+fn saturating_arrivals(nodes: usize) -> impl FnMut(u64, &mut Offer<'_>) {
     let mut x = 0x5EED_0BAD_F00Du64;
-    move |_now, node| {
-        x = x
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(node as u64 + 1);
-        Some(((x >> 33) as usize) % nodes)
+    move |_now, offer| {
+        for node in 0..nodes {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(node as u64 + 1);
+            offer(node, ((x >> 33) as usize) % nodes);
+        }
     }
 }
 
@@ -86,11 +88,13 @@ fn saturating_runner(nodes: usize) -> WorkloadRunner {
 /// drained every 32 cycles during measurement — the drain itself must be
 /// allocation-free too — and every 64 during warmup, so the delivery
 /// ring's warmed capacity upper-bounds any measurement-window backlog.
-/// `from_runner` steps through the batched arrival entry fed by a
-/// [`WorkloadRunner`] (what `Simulation::step` does) instead of the
-/// per-node closure.
-fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, from_runner: bool) {
-    let nodes = cfg.node_count();
+/// Every cycle steps through `Network::cycle_from`, fed by `arrivals`.
+fn assert_zero_alloc_steady_state(
+    label: &str,
+    cfg: NetConfig,
+    shards: usize,
+    arrivals: &mut dyn FnMut(u64, &mut Offer<'_>),
+) {
     let mut net = Network::new(cfg).expect("valid config");
     // Worker-pool spawn and the per-shard lists and pass copies are
     // one-time costs paid here, before the warmup; the sharded steady
@@ -98,18 +102,8 @@ fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, fr
     // park/unpark — must then be exactly as allocation-free as the inline
     // path.
     net.set_shards(shards);
-    let mut src = saturating_source(nodes);
-    let mut runner = saturating_runner(nodes);
-    let mut cycle = |net: &mut Network| {
-        if from_runner {
-            let mut arrivals = |now: u64, offer: &mut Offer<'_>| runner.arrivals(now, offer);
-            net.cycle_from(&mut arrivals, &mut NoControl);
-        } else {
-            net.cycle(&mut src, &mut NoControl);
-        }
-    };
     for c in 0..20_000u64 {
-        cycle(&mut net);
+        net.cycle_from(arrivals, &mut NoControl);
         if c.is_multiple_of(64) {
             net.drain_deliveries().for_each(drop);
         }
@@ -118,7 +112,7 @@ fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, fr
 
     let before = alloc_calls();
     for c in 0..4_000u64 {
-        cycle(&mut net);
+        net.cycle_from(arrivals, &mut NoControl);
         if c.is_multiple_of(32) {
             net.drain_deliveries().for_each(drop);
         }
@@ -138,41 +132,41 @@ fn assert_zero_alloc_steady_state(label: &str, cfg: NetConfig, shards: usize, fr
 
 #[test]
 fn steady_state_cycles_never_allocate() {
+    let recovery = NetConfig {
+        source_queue_cap: 4,
+        ..NetConfig::small(DeadlockMode::PAPER_RECOVERY)
+    };
+    let avoidance = NetConfig {
+        source_queue_cap: 4,
+        ..NetConfig::small(DeadlockMode::Avoidance)
+    };
+    let nodes = recovery.node_count();
     // Disha recovery: exercises timeout detection, the token queue, the
     // recovery drain and its recycled path scratch.
     assert_zero_alloc_steady_state(
         "recovery",
-        NetConfig {
-            source_queue_cap: 4,
-            ..NetConfig::small(DeadlockMode::PAPER_RECOVERY)
-        },
+        recovery.clone(),
         1,
-        false,
+        &mut saturating_arrivals(nodes),
     );
     // Duato avoidance: exercises escape-channel allocation and the sticky
-    // escape flags — stepped through the batched arrival entry
-    // (`Network::cycle_from`) from the workload runner's arrival path, as
-    // `Simulation::step` does.
+    // escape flags — fed by the workload runner's arrival path, as
+    // `Simulation::step` is.
+    let mut runner = saturating_runner(nodes);
     assert_zero_alloc_steady_state(
         "avoidance, runner arrivals",
-        NetConfig {
-            source_queue_cap: 4,
-            ..NetConfig::small(DeadlockMode::Avoidance)
-        },
+        avoidance,
         1,
-        true,
+        &mut |now, offer| runner.arrivals(now, offer),
     );
-    // Sharded stepping (the `STCC_SHARDS=4` configuration): the persistent
+    // Sharded stepping (the library shard pin at 4): the persistent
     // worker pool's dispatch/claim/park cycle and the passes' suspect,
     // parked and delivered lists (preallocated per shard at one per input
     // VC, network port or node) must allocate nothing once the pool is up.
     assert_zero_alloc_steady_state(
         "recovery@shards=4",
-        NetConfig {
-            source_queue_cap: 4,
-            ..NetConfig::small(DeadlockMode::PAPER_RECOVERY)
-        },
+        recovery,
         4,
-        false,
+        &mut saturating_arrivals(nodes),
     );
 }

@@ -19,11 +19,9 @@
 //!   process, a geometric variate (integer-only, platform-exact) for a
 //!   Bernoulli one. The simulator asks the runner once per cycle for that
 //!   cycle's arrivals ([`WorkloadRunner::arrivals`]: one slot of a deadline
-//!   wheel, one callback per generated packet, nodes ascending);
-//!   [`WorkloadRunner::poll`] is the same body one node at a time, for
-//!   drivers shaped as a per-node source closure. Both consume the one
-//!   seeded [`SimRng`] in the same order, so they are interchangeable cycle
-//!   by cycle, and [`WorkloadRunner::next_arrival`] names exactly the
+//!   wheel, one callback per generated packet, nodes ascending, all draws
+//!   from the one seeded [`SimRng`]) — the one way a simulation reaches
+//!   its traffic — and [`WorkloadRunner::next_arrival`] names exactly the
 //!   cycles an idle driver may skip.
 //!
 //! # Examples

@@ -261,9 +261,9 @@ impl WorkloadRunner {
     /// The stream contract: on entering a phase one draw per node, in node
     /// order (none under `Silent` or a zero rate); then per due node, in
     /// node order, the destination draw and — Bernoulli only — the gap
-    /// draw, all from the one [`SimRng`]. That is the order
-    /// [`WorkloadRunner::poll`] over `0..nodes` consumes it in, so the two
-    /// entries are interchangeable cycle by cycle.
+    /// draw, all from the one [`SimRng`]. The per-node `poll` over
+    /// `0..nodes` consumes it in that order too, so the two are
+    /// interchangeable cycle by cycle.
     ///
     /// Call with nondecreasing `now` for deterministic replay. Cycles at
     /// which nothing is due ([`WorkloadRunner::next_arrival`]) may be
@@ -290,8 +290,10 @@ impl WorkloadRunner {
     /// Polls node `node` at cycle `now`: returns the destination of a newly
     /// generated packet, if any. The per-node form of
     /// [`WorkloadRunner::arrivals`] — one compare against the node's
-    /// deadline — for drivers shaped as a per-node source closure; a
-    /// stepping loop should ask for the cycle's arrivals instead.
+    /// deadline. It exists only for the repo benchmark's traced pass
+    /// (`benchmark/src/traced.rs`) and goes once that pass asks for the
+    /// cycle's arrivals too; this crate's tests keep it as the reference
+    /// `arrivals` is checked against.
     ///
     /// Callers must poll nodes `0..nodes` in order within a cycle, and cycles
     /// in nondecreasing order, for deterministic replay.

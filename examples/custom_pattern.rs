@@ -3,8 +3,12 @@
 //! controllers plugged in via the `CongestionControl` trait.
 //!
 //! Demonstrates the substrate-level API (everything below the `Simulation`
-//! facade): you provide a source closure and a controller, the network does
-//! the rest.
+//! facade): you provide an arrival closure and a controller, the network
+//! does the rest. Each cycle `Network::cycle_from` asks the closure for that
+//! cycle's arrivals, and the closure calls `offer(node, dst)` once per new
+//! packet, nodes ascending. This one walks every node, so its cost is a
+//! draw per node per cycle; a source that knows when each node fires next
+//! (as `traffic::WorkloadRunner::arrivals` does) can skip the idle ones.
 //!
 //! ```sh
 //! cargo run --release --example custom_pattern
@@ -12,7 +16,7 @@
 
 use stcc::{AloControl, Controller, SelfTuned, TuneConfig};
 use traffic::SimRng;
-use wormsim::{CongestionControl, DeadlockMode, NetConfig, Network, NoControl};
+use wormsim::{CongestionControl, DeadlockMode, NetConfig, Network, NoControl, Offer};
 
 /// 30% of packets target node 0; the rest go to uniformly random nodes.
 fn hotspot_source(rng: &mut SimRng, nodes: usize, node: usize) -> Option<usize> {
@@ -37,8 +41,16 @@ fn run(ctl: &mut dyn CongestionControl) -> (f64, u64) {
     let nodes = net.torus().node_count();
     let mut rng = SimRng::seed_from_u64(0x407);
     let cycles = 30_000u64;
-    let mut source = move |_now: u64, node: usize| hotspot_source(&mut rng, nodes, node);
-    net.run(cycles, &mut source, ctl);
+    let mut arrivals = move |_now: u64, offer: &mut Offer<'_>| {
+        for node in 0..nodes {
+            if let Some(dst) = hotspot_source(&mut rng, nodes, node) {
+                offer(node, dst);
+            }
+        }
+    };
+    for _ in 0..cycles {
+        net.cycle_from(&mut arrivals, ctl);
+    }
     let tput = net.counters().delivered_flits as f64 / (cycles as f64 * nodes as f64);
     (tput, net.counters().throttled_injections)
 }

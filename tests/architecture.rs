@@ -295,17 +295,33 @@ fn one_scaffold(tree: &[File]) -> Vec<String> {
     )
 }
 
-/// No per-node poll in a stepping loop. `Simulation::step` and every
-/// experiment driver reach the sources through `Network::cycle_from` and the
-/// batched `WorkloadRunner::arrivals`, which cost a cycle's arrivals; a
-/// `.poll(` per node costs the node count (DESIGN.md §4c). Tests and the
-/// `Network::cycle` adapter are where `.poll(` belongs.
+/// The one file allowed the per-node adapter: the repo benchmark's traced
+/// pass, until it steps through `Network::cycle_from` too.
+const TRACED_PASS: &str = "benchmark/src/traced.rs";
+
+/// One stepping path. `Simulation::step`, every experiment driver, test
+/// and example reach the network through `Network::cycle_from` and a
+/// batched arrival source — `WorkloadRunner::arrivals`, or a closure that
+/// offers exactly its packets — which costs a cycle's arrivals; a per-node
+/// `WorkloadRunner::poll` costs the node count (DESIGN.md §4c). So no Rust
+/// file in the tree calls `poll` or the per-node adapter `Network::cycle`,
+/// save [`TRACED_PASS`] and the test module of
+/// `crates/traffic/src/workload.rs`, where `poll` is the reference
+/// `arrivals` is checked against. The needles are spelled in pieces so
+/// this file's own test inputs do not match.
 fn no_per_node_poll(tree: &[File]) -> Vec<String> {
-    scan_tree(
-        tree,
-        |p| p == "crates/core/src/sim.rs" || p.starts_with("crates/experiments/src/"),
-        |l| l.contains(".poll("),
-    )
+    let needles = [concat!(".poll", "("), concat!(".cycle", "(&mut")];
+    tree.iter()
+        .filter(|f| f.path.ends_with(".rs") && f.path != TRACED_PASS)
+        .flat_map(|f| {
+            let text = if f.path == "crates/traffic/src/workload.rs" {
+                above_tests(&f.text)
+            } else {
+                &f.text
+            };
+            scan(&f.path, text, any_of(&needles))
+        })
+        .collect()
 }
 
 /// No libm on the stream. Goldens must be bit-identical on every platform
@@ -682,18 +698,29 @@ fn scaffold_rule_reports_a_watchdog_in_a_law_file() {
 
 #[test]
 fn poll_rule_reports_a_stepping_loop_that_polls_per_node() {
-    let poll = "for n in 0..nodes { runner.poll(now, n); }";
+    let poll = concat!("for n in 0..nodes { runner.poll", "(now, n); }");
+    let cycle = concat!("net.cycle", "(&mut src, &mut NoControl);");
+    let tested = format!("pub fn poll() {{}}\n\n#[cfg(test)]\nmod tests {{\n    {poll}\n}}");
     let tree = [
         file("crates/core/src/sim.rs", poll),
         file("crates/experiments/src/figures/fig2.rs", poll),
-        file("crates/traffic/src/workload.rs", poll),
+        file("crates/traffic/src/workload.rs", &tested),
         file("crates/netsim/src/network.rs", poll),
+        file("crates/netsim/tests/behavior.rs", cycle),
+        file("examples/custom_pattern.rs", poll),
+        file("benchmark/src/run.rs", cycle),
+        file(TRACED_PASS, &format!("{cycle}\n{poll}")),
+        file("README.md", poll),
     ];
     assert_eq!(
         paths(&no_per_node_poll(&tree)),
         [
             "crates/core/src/sim.rs",
-            "crates/experiments/src/figures/fig2.rs"
+            "crates/experiments/src/figures/fig2.rs",
+            "crates/netsim/src/network.rs",
+            "crates/netsim/tests/behavior.rs",
+            "examples/custom_pattern.rs",
+            "benchmark/src/run.rs"
         ]
     );
 }

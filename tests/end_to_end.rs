@@ -3,6 +3,7 @@
 
 use stcc::prelude::*;
 use stcc::Simulation;
+use wormsim::Offer;
 
 /// The self-tuned scheme with its side-band sized for [`sim`]'s network.
 fn small_tuned() -> Scheme {
@@ -52,9 +53,10 @@ fn flits_are_conserved_after_drain() {
     )
     .unwrap();
     let mut ctl = wormsim::NoControl;
-    net.run(5_000, &mut |now, node| runner.poll(now, node), &mut ctl);
-    let mut silent = |_: u64, _: usize| None;
-    net.run(20_000, &mut silent, &mut ctl);
+    for _ in 0..5_000 {
+        net.cycle_from(&mut |now, offer| runner.arrivals(now, offer), &mut ctl);
+    }
+    drain(&mut net, 20_000);
     let c = net.counters();
     assert_eq!(
         c.generated_packets, c.delivered_packets,
@@ -84,10 +86,11 @@ fn recovery_mode_also_drains_completely() {
     )
     .unwrap();
     let mut ctl = wormsim::NoControl;
-    net.run(8_000, &mut |now, node| runner.poll(now, node), &mut ctl);
-    let mut silent = |_: u64, _: usize| None;
+    for _ in 0..8_000 {
+        net.cycle_from(&mut |now, offer| runner.arrivals(now, offer), &mut ctl);
+    }
     // Deep saturation drains serially through the token: allow plenty.
-    net.run(400_000, &mut silent, &mut ctl);
+    drain(&mut net, 400_000);
     let c = net.counters();
     assert_eq!(c.generated_packets, c.delivered_packets);
     assert_eq!(net.live_packets(), 0);
@@ -107,7 +110,9 @@ fn avoidance_mode_never_stalls() {
     .unwrap();
     let mut ctl = wormsim::NoControl;
     for _ in 0..400 {
-        net.run(100, &mut |now, node| runner.poll(now, node), &mut ctl);
+        for _ in 0..100 {
+            net.cycle_from(&mut |now, offer| runner.arrivals(now, offer), &mut ctl);
+        }
         assert!(
             !net.progress_stalled(20_000),
             "avoidance network stalled at cycle {}",
@@ -163,16 +168,14 @@ fn base_collapses_past_saturation_under_recovery() {
 #[test]
 fn self_addressed_packets_are_delivered_locally() {
     let mut net = wormsim::Network::new(NetConfig::small(DeadlockMode::Avoidance)).unwrap();
-    let mut sent = false;
-    let mut src = move |_: u64, node: usize| {
-        if node == 3 && !sent {
-            sent = true;
-            Some(3)
-        } else {
-            None
+    let mut src = |now: u64, offer: &mut Offer<'_>| {
+        if now == 0 {
+            offer(3, 3);
         }
     };
-    net.run(200, &mut src, &mut wormsim::NoControl);
+    for _ in 0..200 {
+        net.cycle_from(&mut src, &mut wormsim::NoControl);
+    }
     assert_eq!(net.counters().delivered_packets, 1);
     let rec = net.drain_deliveries().next().unwrap();
     assert_eq!((rec.src, rec.dst), (3, 3));
@@ -203,20 +206,35 @@ fn whole_stack_is_deterministic() {
 
 #[test]
 fn zero_load_latency_matches_the_pipeline_model() {
-    // A single packet across a known distance: 3 cycles per hop for the
-    // header (1 routing + 1 crossbar + 1 link) plus one cycle per remaining
-    // flit at the delivery channel, plus injection/delivery serialization.
-    let mut net = wormsim::Network::new(NetConfig::small(DeadlockMode::Avoidance)).unwrap();
-    let mut one = Some(5usize); // distance 5 along dimension 0? node 5 is 5 hops... use it
-    let mut src = move |_: u64, node: usize| if node == 0 { one.take() } else { None };
-    net.run(500, &mut src, &mut wormsim::NoControl);
-    let rec = net.drain_deliveries().next().expect("delivered");
-    let dist = net.torus().distance(0, 5) as u64;
-    let lat = rec.network_latency();
-    let floor = 3 * dist + 15; // header pipeline + body flits
-    assert!(
-        lat >= floor && lat <= floor + 3 * dist + 10,
-        "zero-load latency {lat} outside [{floor}, {}]",
-        floor + 3 * dist + 10
-    );
+    // One packet at a time from node 0 to every node of the paper's
+    // 16-ary 2-cube: 3 cycles per hop for the header (1 routing + 1
+    // crossbar + 1 link), one cycle per remaining flit at the delivery
+    // channel, and one routing cycle in the source queue — exactly
+    // (DESIGN.md §4). A packet faster than this is a bug.
+    for deadlock in [DeadlockMode::Avoidance, DeadlockMode::PAPER_RECOVERY] {
+        let mut net = wormsim::Network::new(NetConfig::paper(deadlock)).unwrap();
+        let len = net.config().packet_len as u64;
+        for dst in 0..net.torus().node_count() {
+            net.cycle_from(&mut |_, offer| offer(0, dst), &mut wormsim::NoControl);
+            drain(&mut net, 1_000);
+            assert_eq!(net.live_packets(), 0, "0 → {dst} never arrived");
+            let rec = net.drain_deliveries().next().expect("delivered");
+            let d = net.torus().distance(0, dst) as u64;
+            assert_eq!(
+                rec.network_latency(),
+                3 * d + len - 1,
+                "{deadlock:?}: 0 → {dst}, distance {d}"
+            );
+            assert_eq!(rec.total_latency(), rec.network_latency() + 1);
+        }
+    }
+}
+
+/// Steps `net` with no new traffic until it is empty, for at most `budget`
+/// cycles.
+fn drain(net: &mut wormsim::Network, budget: u64) {
+    let end = net.now() + budget;
+    while net.live_packets() > 0 && net.now() < end {
+        net.cycle_from(&mut |_, _| {}, &mut wormsim::NoControl);
+    }
 }

@@ -200,9 +200,14 @@ fn network_faults_stall_then_recover() {
     )
     .unwrap();
     let mut ctl = wormsim::NoControl;
-    net.run(3_000, &mut |now, node| runner.poll(now, node), &mut ctl);
-    let mut silent = |_: u64, _: usize| None;
-    net.run(30_000, &mut silent, &mut ctl);
+    for _ in 0..3_000 {
+        net.cycle_from(&mut |now, offer| runner.arrivals(now, offer), &mut ctl);
+    }
+    // Drain until empty, within a 30k-cycle budget.
+    let end = net.now() + 30_000;
+    while net.live_packets() > 0 && net.now() < end {
+        net.cycle_from(&mut |_, _| {}, &mut ctl);
+    }
     let c = net.counters();
     assert!(
         c.link_stall_cycles > 0,
