@@ -76,8 +76,8 @@ pub use decbit::{DecBitConfig, DecBitControl, DecBitLaw};
 pub use scaffold::{Action, Law, Period, SidebandDriven};
 pub use scheme::{Control, Scheme};
 pub use sim::{
-    BudgetKind, FaultReport, LivelockDiag, Observer, RunGuard, SimConfig, SimError, Simulation,
-    SummaryError, DEFAULT_LIVELOCK_WINDOW,
+    FaultReport, LivelockDiag, Observer, RunGuard, SimConfig, SimError, Simulation, SummaryError,
+    DEFAULT_LIVELOCK_WINDOW,
 };
 pub use statik::{StaticConfig, StaticLaw, StaticThreshold};
 pub use tuned::{decide, SelfTuned, TuneConfig, TuneLaw};

@@ -58,13 +58,11 @@ pub enum SimError {
     /// A guarded run detected a livelock: live packets exist but no flit
     /// moved anywhere for the guard's window (see [`RunGuard`]).
     Livelock(LivelockDiag),
-    /// A guarded run exhausted its cycle budget or wall-clock deadline
-    /// before reaching the configured end.
+    /// A guarded run passed its wall-clock deadline
+    /// ([`RunGuard::deadline`]) before reaching the configured end.
     DeadlineExceeded {
-        /// Simulation cycle when the budget ran out.
+        /// Simulation cycle when the deadline was seen to have passed.
         at_cycle: u64,
-        /// Which budget was exhausted.
-        kind: BudgetKind,
     },
     /// A guarded run saw its cancellation flag raised
     /// ([`RunGuard::cancel`]) and stopped between cycles.
@@ -98,8 +96,8 @@ impl fmt::Display for SimError {
             ),
             SimError::Faults(e) => write!(f, "fault plan: {e}"),
             SimError::Livelock(d) => write!(f, "livelock: {d}"),
-            SimError::DeadlineExceeded { at_cycle, kind } => {
-                write!(f, "{kind} budget exhausted at cycle {at_cycle}")
+            SimError::DeadlineExceeded { at_cycle } => {
+                write!(f, "wall-clock budget exhausted at cycle {at_cycle}")
             }
             SimError::Cancelled { at_cycle } => write!(f, "cancelled at cycle {at_cycle}"),
             SimError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
@@ -134,25 +132,6 @@ impl From<FaultPlanError> for SimError {
 impl From<CheckpointError> for SimError {
     fn from(e: CheckpointError) -> Self {
         SimError::Checkpoint(e)
-    }
-}
-
-/// Which budget a guarded run exhausted (see
-/// [`SimError::DeadlineExceeded`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetKind {
-    /// The per-run cycle budget ([`RunGuard::max_cycles`]).
-    Cycles,
-    /// The wall-clock deadline ([`RunGuard::deadline`]).
-    WallClock,
-}
-
-impl fmt::Display for BudgetKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BudgetKind::Cycles => write!(f, "cycle"),
-            BudgetKind::WallClock => write!(f, "wall-clock"),
-        }
     }
 }
 
@@ -234,9 +213,6 @@ pub struct RunGuard {
     /// Declare [`SimError::Livelock`] when live packets exist but no flit
     /// has moved anywhere for this many cycles (`None` disables).
     pub livelock_window: Option<u64>,
-    /// Maximum cycles this call may step before
-    /// [`SimError::DeadlineExceeded`] (`None` disables).
-    pub max_cycles: Option<u64>,
     /// Wall-clock deadline, checked every 1024 cycles (`None` disables).
     pub deadline: Option<Instant>,
     /// Cooperative cancellation: a flag someone else raises (a signal
@@ -249,7 +225,6 @@ impl RunGuard {
     /// The guard that never trips.
     pub const NONE: RunGuard = RunGuard {
         livelock_window: None,
-        max_cycles: None,
         deadline: None,
         cancel: None,
     };
@@ -516,7 +491,7 @@ impl Simulation {
     }
 
     /// The one stepping loop: runs until `cfg.cycles` cycles have elapsed,
-    /// until `guard` declares a livelock, an exhausted budget or a
+    /// until `guard` declares a livelock, a passed deadline or a
     /// cancellation, or until `observer` breaks.
     ///
     /// `observer`, when installed, is called after *every* cycle — so
@@ -531,9 +506,8 @@ impl Simulation {
     ///
     /// Returns [`SimError::Livelock`] (with a [`LivelockDiag`]) when live
     /// packets exist but no flit has moved for the guard's window,
-    /// [`SimError::DeadlineExceeded`] when the cycle budget or wall-clock
-    /// deadline runs out first, or [`SimError::Cancelled`] once the
-    /// guard's flag is up.
+    /// [`SimError::DeadlineExceeded`] when the wall-clock deadline passes
+    /// first, or [`SimError::Cancelled`] once the guard's flag is up.
     pub fn run_guarded<B>(
         &mut self,
         guard: &RunGuard,
@@ -543,30 +517,20 @@ impl Simulation {
         let mut next_poll: u64 = 0;
         while self.net.now() < self.cfg.cycles {
             let at_cycle = self.net.now();
-            if guard.max_cycles.is_some_and(|max| stepped >= max) {
-                return Err(SimError::DeadlineExceeded {
-                    at_cycle,
-                    kind: BudgetKind::Cycles,
-                });
-            }
             if stepped >= next_poll {
                 next_poll = stepped + POLL_EVERY;
                 if guard.cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
                     return Err(SimError::Cancelled { at_cycle });
                 }
                 if guard.deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(SimError::DeadlineExceeded {
-                        at_cycle,
-                        kind: BudgetKind::WallClock,
-                    });
+                    return Err(SimError::DeadlineExceeded { at_cycle });
                 }
             }
             if observer.is_none() {
                 if let Some(to) = self.fast_forward_target() {
-                    // Skipped cycles still count against the cycle budget
-                    // (the guard limits simulated time, not work
-                    // performed), and a quiescent network cannot be
-                    // livelocked, so the checks stay equivalent to stepping.
+                    // Skipped cycles count towards the next poll, and a
+                    // quiescent network cannot be livelocked, so the checks
+                    // stay equivalent to stepping.
                     stepped = stepped.saturating_add(to - at_cycle);
                     self.net.fast_forward(to);
                     continue;
@@ -1326,24 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_budget_trips_deadline() {
-        let cfg = ckpt_cfg(0.02);
-        let mut sim = Simulation::new(cfg).unwrap();
-        let guard = RunGuard {
-            max_cycles: Some(100),
-            ..RunGuard::default()
-        };
-        assert_eq!(
-            guarded(&mut sim, &guard),
-            Err(SimError::DeadlineExceeded {
-                at_cycle: 100,
-                kind: BudgetKind::Cycles
-            })
-        );
-        assert_eq!(sim.now(), 100, "the run stops where the budget ran out");
-    }
-
-    #[test]
     fn wall_clock_deadline_trips() {
         let cfg = ckpt_cfg(0.02);
         let mut sim = Simulation::new(cfg).unwrap();
@@ -1351,13 +1297,10 @@ mod tests {
             deadline: Some(Instant::now()),
             ..RunGuard::default()
         };
-        assert!(matches!(
+        assert_eq!(
             guarded(&mut sim, &guard),
-            Err(SimError::DeadlineExceeded {
-                kind: BudgetKind::WallClock,
-                ..
-            })
-        ));
+            Err(SimError::DeadlineExceeded { at_cycle: 0 })
+        );
     }
 
     #[test]

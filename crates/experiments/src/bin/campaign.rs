@@ -1,7 +1,7 @@
 //! `campaign` — the supervised campaign orchestrator.
 //!
 //! ```text
-//! campaign --manifest FILE [--out DIR] [--resume] [--workers N]
+//! campaign --manifest FILE [--out DIR] [--resume] [--jobs N]
 //! ```
 //!
 //! Parses and validates the declarative manifest (see `EXPERIMENTS.md`,
@@ -9,6 +9,8 @@
 //! isolated worker process — this same binary re-invoked in the hidden
 //! `--job IDX --attempt K` mode — with per-job budgets, deterministic
 //! retry backoff, quarantine, and a crash-safe ledger for `--resume`.
+//! `--jobs N` (else `STCC_JOBS`, else the machine's available parallelism)
+//! is how many worker processes run at once; it changes no output byte.
 //!
 //! Exit codes (the contract `tests/campaign.rs` and callers rely on):
 //!
@@ -24,16 +26,17 @@
 use experiments::campaign::{
     manifest::Manifest, orchestrate, worker_main, CampaignOpts, EXIT_MANIFEST, EXIT_USAGE,
 };
+use experiments::options::jobs_flag;
 use experiments::RuntimeOptions;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: campaign --manifest FILE [--out DIR] [--resume] [--workers N]";
+const USAGE: &str = "usage: campaign --manifest FILE [--out DIR] [--resume] [--jobs N]";
 
 struct Args {
     manifest: PathBuf,
     out: PathBuf,
     resume: bool,
-    workers: Option<usize>,
+    jobs: Option<usize>,
     job: Option<u64>,
     attempt: u32,
 }
@@ -42,7 +45,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut manifest: Option<PathBuf> = None;
     let mut out = PathBuf::from("results/campaign");
     let mut resume = false;
-    let mut workers = None;
+    let mut jobs = None;
     let mut job = None;
     let mut attempt = 0;
     let mut it = args.into_iter();
@@ -53,14 +56,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "--resume" => resume = true,
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad worker count '{v}'"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".to_owned());
-                }
-                workers = Some(n);
-            }
+            "--jobs" => jobs = Some(jobs_flag(it.next())?),
             "--job" => {
                 let v = it.next().ok_or("--job needs a value")?;
                 job = Some(v.parse().map_err(|_| format!("bad job index '{v}'"))?);
@@ -78,7 +74,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         manifest,
         out,
         resume,
-        workers,
+        jobs,
         job,
         attempt,
     })
@@ -88,8 +84,8 @@ fn main() {
     // Orchestrator and worker alike resolve the environment up front: a
     // malformed value is a usage error here, not a quarantined job later.
     let parsed = parse_args(std::env::args().skip(1))
-        .and_then(|args| Ok((args, RuntimeOptions::from_env()?)));
-    let (args, opts) = match parsed {
+        .and_then(|args| Ok((RuntimeOptions::from_env(args.jobs)?, args)));
+    let (opts, args) = match parsed {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}");
@@ -114,11 +110,10 @@ fn main() {
         // Hidden worker mode: run exactly one job in this process.
         std::process::exit(worker_main(&manifest, idx, args.attempt, opts));
     }
-    let opts = CampaignOpts {
+    let campaign = CampaignOpts {
         manifest: args.manifest,
         out: args.out,
         resume: args.resume,
-        workers: args.workers,
     };
-    std::process::exit(orchestrate(&text, &manifest, &opts));
+    std::process::exit(orchestrate(&text, &manifest, &campaign, opts));
 }

@@ -18,8 +18,8 @@
 //! (`<out>/chaos.report`) is byte-identical for a given seed whether the
 //! run was interrupted or not — which is itself part of what CI checks.
 //!
-//! Usage: `chaos [--seed N] [--trials N] [--audit-every N] [--out DIR]
-//! [--trial T] [--resume]`.
+//! Usage: `chaos [--seed N] [--trials N] [--out DIR] [--trial T]
+//! [--resume]`.
 //!
 //! Exit codes: 0 every trial passed, 1 a trial failed (its repro line is
 //! printed) or an I/O failure, 2 usage, 130 interrupted (`--resume`
@@ -40,12 +40,14 @@ use wormsim::{DeadlockMode, NetConfig};
 const RADIX: usize = 4;
 const DIMENSIONS: usize = 2;
 const NODES: usize = 16;
+/// Cycles between two full-scan audits of a trial (every checkpoint is
+/// audited too).
+const AUDIT_EVERY: u64 = 32;
 
 #[derive(Debug, Clone)]
 struct Args {
     seed: u64,
     trials: u64,
-    audit_every: u64,
     out: PathBuf,
     /// Run exactly this one trial (minimized repro mode).
     trial: Option<u64>,
@@ -57,7 +59,6 @@ impl Default for Args {
         Args {
             seed: 1,
             trials: 16,
-            audit_every: 32,
             out: PathBuf::from("results"),
             trial: None,
             resume: false,
@@ -81,19 +82,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     return Err("--trials must be at least 1".to_owned());
                 }
             }
-            "--audit-every" => {
-                args.audit_every = num("--audit-every")?;
-                if args.audit_every == 0 {
-                    return Err("--audit-every must be at least 1".to_owned());
-                }
-            }
             "--trial" => args.trial = Some(num("--trial")?),
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "--resume" => args.resume = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: chaos [--seed N] [--trials N] [--audit-every N] [--out DIR] \
-                     [--trial T] [--resume]"
+                    "usage: chaos [--seed N] [--trials N] [--out DIR] [--trial T] [--resume]"
                         .to_owned(),
                 )
             }
@@ -322,9 +316,10 @@ fn step_to(sim: &mut Simulation, until: u64) {
     }
 }
 
-/// Runs one trial end to end under an audit every `audit_every` cycles (and
-/// at every checkpoint) and returns its report line; `Err` names the cause.
-fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Rows, JobError> {
+/// Runs one trial end to end under an audit every [`AUDIT_EVERY`] cycles
+/// (and at every checkpoint) and returns its report line; `Err` names the
+/// cause.
+fn run_trial(seed: u64, trial: u64) -> Result<Rows, JobError> {
     let t = draw_trial(seed, trial);
     let mut sim = match &t.plan {
         Some(p) => Simulation::with_faults(t.cfg.clone(), p.clone()),
@@ -332,7 +327,7 @@ fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Rows, JobError> 
     }
     .map_err(|e| format!("scenario rejected by validation: {e}"))?;
     sim.set_shards(t.shards.0);
-    sim.set_audit_every(Some(audit_every));
+    sim.set_audit_every(Some(AUDIT_EVERY));
     step_to(&mut sim, t.cfg.cycles / 2);
 
     // Fork at the midpoint: the restored half must replay bit-identically.
@@ -340,7 +335,7 @@ fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Rows, JobError> 
     let mut twin = Simulation::restore(t.cfg.clone(), t.plan.clone(), &snap)
         .map_err(|e| format!("restore of own checkpoint failed: {e}"))?;
     twin.set_shards(t.shards.1);
-    twin.set_audit_every(Some(audit_every));
+    twin.set_audit_every(Some(AUDIT_EVERY));
     // Bounce the original's shard count mid-trial: the persistent worker
     // pool must tear down (join its workers) and rebuild cleanly with
     // traffic in flight. Returning to `shards.0` keeps the back half a
@@ -366,15 +361,13 @@ fn run_trial(seed: u64, trial: u64, audit_every: u64) -> Result<Rows, JobError> 
 /// Runs `trials` as jobs of `ctx` and returns their report lines. A failing
 /// trial prints its [`failure_report`] before its error is returned.
 fn run_trials(ctx: &SweepCtx, args: &Args, trials: Vec<u64>) -> Result<Rows, SweepError> {
-    let (seed, audit_every) = (args.seed, args.audit_every);
-    ctx.try_run_rows(trials, u64::to_string, |trial| {
-        run_trial(seed, trial, audit_every)
-    })
-    .inspect_err(|e| {
-        if e.error != JobError::Interrupted {
-            eprintln!("{}", failure_report(seed, e));
-        }
-    })
+    let seed = args.seed;
+    ctx.try_run_rows(trials, u64::to_string, |trial| run_trial(seed, trial))
+        .inspect_err(|e| {
+            if e.error != JobError::Interrupted {
+                eprintln!("{}", failure_report(seed, e));
+            }
+        })
 }
 
 /// What a failed trial prints: its scenario, the cause and a one-line
@@ -410,10 +403,9 @@ fn main() {
 
     let fingerprint = checkpoint::fnv1a64(
         format!(
-            "chaos|{}|{}|{}|{}",
+            "chaos|{}|{}|{AUDIT_EVERY}|{}",
             args.seed,
             args.trials,
-            args.audit_every,
             env!("CARGO_PKG_VERSION"),
         )
         .as_bytes(),
@@ -433,10 +425,9 @@ fn main() {
             return 1;
         }
         println!(
-            "chaos: {} trials passed (seed={}, audit every {} cycles) -> {}",
+            "chaos: {} trials passed (seed={}, audit every {AUDIT_EVERY} cycles) -> {}",
             args.trials,
             args.seed,
-            args.audit_every,
             report_path.display()
         );
         0

@@ -64,7 +64,7 @@ fn main() {
         warmup: cycles / 6,
         seed: 42,
     };
-    let opts = RuntimeOptions::from_env().unwrap_or_else(|msg| bail(&msg));
+    let opts = RuntimeOptions::from_env(None).unwrap_or_else(|msg| bail(&msg));
     let ctx = SweepCtx::bare(Pool::new(1)).with_options(opts);
     let r = match ctx.try_run_series(cfg, 4000) {
         Ok(r) => r,

@@ -3,8 +3,9 @@
 //! A manifest names a campaign and lays out a **scenario matrix** — every
 //! `[scenario.<id>]` section is the cross product of its `schemes` ×
 //! `patterns` × `rates` × `faults` axes — plus the campaign-wide execution
-//! policy (per-job budgets, retry count, backoff base, worker count). The
-//! grammar is the small, line-oriented TOML subset the examples use:
+//! policy (per-job wall budget, retry count, backoff base). How many jobs
+//! run at once is the `campaign --jobs` runtime option, not a manifest key.
+//! The grammar is the small, line-oriented TOML subset the examples use:
 //!
 //! ```toml
 //! [campaign]
@@ -13,8 +14,6 @@
 //! retries = 2             # extra attempts after the first failure
 //! backoff_ms = 50         # base of the exponential backoff
 //! timeout_s = 60          # per-job wall budget (orchestrator-enforced)
-//! cycle_budget = 500000   # optional per-job simulated-cycle budget
-//! workers = 2             # concurrent worker processes
 //!
 //! [scenario.sweep]
 //! net = "small"           # paper | small
@@ -108,10 +107,6 @@ pub struct Manifest {
     /// Per-job wall-clock budget in seconds, enforced cooperatively inside
     /// the worker and with a hard kill by the orchestrator.
     pub timeout_s: u64,
-    /// Optional per-job simulated-cycle budget.
-    pub cycle_budget: Option<u64>,
-    /// Concurrent worker processes.
-    pub workers: usize,
     /// The scenarios, in manifest order.
     pub scenarios: Vec<Scenario>,
 }
@@ -596,15 +591,7 @@ impl Manifest {
             }
         }
 
-        const CAMPAIGN_KEYS: &[&str] = &[
-            "name",
-            "seed",
-            "retries",
-            "backoff_ms",
-            "timeout_s",
-            "cycle_budget",
-            "workers",
-        ];
+        const CAMPAIGN_KEYS: &[&str] = &["name", "seed", "retries", "backoff_ms", "timeout_s"];
         for (key, _, line) in &campaign.keys {
             if !CAMPAIGN_KEYS.contains(&key.as_str()) {
                 return Err(ManifestError::UnknownKey {
@@ -628,12 +615,6 @@ impl Manifest {
         let retries = uint_or("retries", 2)?.min(u64::from(u32::MAX)) as u32;
         let backoff_ms = uint_or("backoff_ms", 50)?;
         let timeout_s = uint_or("timeout_s", 60)?;
-        let cycle_budget = campaign
-            .take("cycle_budget")
-            .map(|(v, line)| expect_uint(v, "cycle_budget", line))
-            .transpose()?;
-        #[allow(clippy::cast_possible_truncation)]
-        let workers = (uint_or("workers", 2)?.clamp(1, 64)) as usize;
 
         if scenarios.is_empty() {
             return Err(ManifestError::NoScenarios);
@@ -648,8 +629,6 @@ impl Manifest {
             retries,
             backoff_ms,
             timeout_s,
-            cycle_budget,
-            workers,
             scenarios,
         })
     }
@@ -667,7 +646,6 @@ seed = 9
 retries = 1
 backoff_ms = 10
 timeout_s = 30
-workers = 3
 
 [scenario.alpha]
 net = "small"
@@ -691,8 +669,6 @@ rates = [0.01]
         assert_eq!(m.retries, 1);
         assert_eq!(m.backoff_ms, 10);
         assert_eq!(m.timeout_s, 30);
-        assert_eq!(m.cycle_budget, None);
-        assert_eq!(m.workers, 3);
         assert_eq!(m.scenarios.len(), 2);
         let a = &m.scenarios[0];
         assert_eq!(a.id, "alpha");
@@ -712,21 +688,28 @@ rates = [0.01]
 
     #[test]
     fn rejects_unknown_key() {
-        let text = GOOD.replace("workers = 3", "wrokers = 3");
+        let text = GOOD.replace("timeout_s = 30", "timeout_s = 30\nwrokers = 3");
         assert!(matches!(
             Manifest::parse(&text),
             Err(ManifestError::UnknownKey { section, key, .. })
                 if section == "campaign" && key == "wrokers"
         ));
-        // The shard count is no manifest key: it is refused, not ignored.
-        let text = GOOD.replace("workers = 3", "workers = 3\nshards = 2");
-        let err = Manifest::parse(&text).unwrap_err();
-        assert!(
-            matches!(&err, ManifestError::UnknownKey { section, key, .. }
-                if section == "campaign" && key == "shards"),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("shards"), "{err}");
+        // The shard count, the worker count and the cycle budget are no
+        // manifest keys: each is refused by name, not ignored.
+        for (key, line) in [
+            ("shards", "shards = 2"),
+            ("workers", "workers = 2"),
+            ("cycle_budget", "cycle_budget = 10"),
+        ] {
+            let text = GOOD.replace("timeout_s = 30", &format!("timeout_s = 30\n{line}"));
+            let err = Manifest::parse(&text).unwrap_err();
+            assert!(
+                matches!(&err, ManifestError::UnknownKey { section, key: k, .. }
+                    if section == "campaign" && k == key),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(key), "{err}");
+        }
         let text = GOOD.replace("scale = \"tiny\"", "scalee = \"tiny\"");
         assert!(matches!(
             Manifest::parse(&text),

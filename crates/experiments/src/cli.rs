@@ -1,5 +1,5 @@
-use crate::options::process_env;
-use crate::runner::{Pool, SweepError};
+use crate::options::{jobs_flag, process_env};
+use crate::runner::SweepError;
 use crate::sweep::FrontDoor;
 use crate::{NetPreset, RuntimeOptions, Scale, SweepCtx, Table};
 use stcc::Scheme;
@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 /// The `fig` binary's usage line.
 pub const USAGE: &str = "usage: fig <name> [--scale paper|reduced|smoke|tiny] [--net paper|small] \
-                     [--jobs N] [--out DIR] [--seed N] [--resume] \
+                     [--jobs N] [--out DIR] [--resume] \
                      [--controllers name,name,...]   (fig --list names the figures)";
 
 /// The command line of the `fig` binary after its figure name.
@@ -20,8 +20,6 @@ pub struct Cli {
     pub net: Option<NetPreset>,
     /// Output directory for CSV files (default: `results/`).
     pub out: PathBuf,
-    /// Base seed override.
-    pub seed: u64,
     /// Resume from this sweep's journal, skipping completed points.
     pub resume: bool,
     /// The `controllers` figure's roster filter (`--controllers a,b,c`,
@@ -40,21 +38,10 @@ impl Default for Cli {
             scale: Scale::Reduced,
             net: None,
             out: PathBuf::from("results"),
-            seed: 1,
             resume: false,
             controllers: None,
             opts: RuntimeOptions::default(),
         }
-    }
-}
-
-/// A flag's positive integer value.
-fn count(flag: &str, v: Option<String>) -> Result<usize, String> {
-    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
-    match v.parse() {
-        Ok(0) => Err(format!("{flag} must be at least 1")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("bad {flag} value '{v}'")),
     }
 }
 
@@ -86,13 +73,9 @@ impl Cli {
                         .ok_or_else(|| format!("unknown net preset '{v}' (paper|small)"))?;
                     cli.net = Some(net);
                 }
-                "--jobs" => jobs = Some(count("--jobs", it.next())?),
+                "--jobs" => jobs = Some(jobs_flag(it.next())?),
                 "--out" => {
                     cli.out = PathBuf::from(it.next().ok_or("--out needs a value")?);
-                }
-                "--seed" => {
-                    let v = it.next().ok_or("--seed needs a value")?;
-                    cli.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
                 }
                 "--resume" => cli.resume = true,
                 "--controllers" => {
@@ -137,17 +120,6 @@ impl Cli {
         self.net.unwrap_or_default()
     }
 
-    /// The worker pool this invocation asked for: `--jobs`, else
-    /// `STCC_JOBS`, else the machine's available parallelism. Progress
-    /// lines go to stderr.
-    #[must_use]
-    pub fn pool(&self) -> Pool {
-        let jobs = self.opts.jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        Pool::new(jobs).with_progress(true)
-    }
-
     /// Where this sweep's resume journal lives: next to its CSV.
     #[must_use]
     pub fn journal_path(&self, stem: &str) -> PathBuf {
@@ -156,16 +128,15 @@ impl Cli {
     }
 
     /// Identity of this sweep for journal matching: a resumed run must have
-    /// the same figure, scale, network, seed and harness version, otherwise
+    /// the same figure, scale, network and harness version, otherwise
     /// its journaled rows describe a different experiment and are ignored.
     #[must_use]
     pub fn sweep_fingerprint(&self, stem: &str) -> u64 {
         checkpoint::fnv1a64(
             format!(
-                "{stem}|{}|{}|{}|{}",
+                "{stem}|{}|{}|{}",
                 self.scale.label(),
                 self.net().label(),
-                self.seed,
                 env!("CARGO_PKG_VERSION"),
             )
             .as_bytes(),
@@ -187,7 +158,7 @@ impl Cli {
             self.sweep_fingerprint(stem),
             self.resume,
         );
-        door.run(self.pool(), self.opts.clone(), generate, |table| {
+        door.run(self.opts.pool(), self.opts.clone(), generate, |table| {
             print!("{}", table.to_text());
             let path = self.out.join(format!("{stem}.{}.csv", self.scale.label()));
             match table.write_csv(&path) {
@@ -226,17 +197,15 @@ mod tests {
     fn parses_flags() {
         let cli = parse(
             &[
-                "--scale", "smoke", "--out", "/tmp/x", "--seed", "9", "--jobs", "4", "--net",
-                "small", "--resume",
+                "--scale", "smoke", "--out", "/tmp/x", "--jobs", "4", "--net", "small", "--resume",
             ],
             &[],
         )
         .unwrap();
         assert_eq!(cli.scale, Scale::Smoke);
         assert_eq!(cli.out, PathBuf::from("/tmp/x"));
-        assert_eq!(cli.seed, 9);
         assert_eq!(cli.net, Some(NetPreset::Small));
-        assert_eq!(cli.pool().jobs(), 4);
+        assert_eq!(cli.opts.pool().jobs(), 4);
         assert!(cli.resume);
         assert_eq!(cli.opts.shards, 1);
     }
@@ -276,7 +245,7 @@ mod tests {
     #[test]
     fn fingerprint_separates_sweeps() {
         let a = parse(&["--scale", "tiny"], &[]).unwrap();
-        let b = parse(&["--scale", "tiny", "--seed", "2"], &[]).unwrap();
+        let b = parse(&["--scale", "smoke"], &[]).unwrap();
         assert_ne!(a.sweep_fingerprint("fig4"), a.sweep_fingerprint("fig5"));
         assert_ne!(a.sweep_fingerprint("fig4"), b.sweep_fingerprint("fig4"));
         assert_eq!(a.sweep_fingerprint("fig4"), a.sweep_fingerprint("fig4"));
@@ -299,12 +268,16 @@ mod tests {
             &["--jobs", "many"],
             &["--net", "huge"],
             &["--shards", "2"],
+            &["--seed", "2"],
         ] {
             assert!(parse(bad, &[]).is_err(), "{bad:?}");
         }
-        // The shard count is no option: the flag is an unknown argument.
-        let msg = parse(&["--shards", "2"], &[]).unwrap_err();
-        assert!(msg.contains("unknown argument '--shards'"), "{msg}");
+        // The shard count and the seed are no options: each flag is an
+        // unknown argument.
+        for flag in ["--shards", "--seed"] {
+            let msg = parse(&[flag, "2"], &[]).unwrap_err();
+            assert!(msg.contains(&format!("unknown argument '{flag}'")), "{msg}");
+        }
         // The environment is checked by the same call.
         let msg = parse(&["--scale", "tiny"], &[("STCC_AUDIT", "banana")]).unwrap_err();
         assert!(msg.contains("STCC_AUDIT=banana"), "{msg}");
@@ -328,7 +301,7 @@ mod tests {
     fn options_reach_the_simulation() {
         let built = |args: &[&str], env: &[(&str, &str)]| {
             let cli = parse(args, env).unwrap();
-            let ctx = SweepCtx::bare(cli.pool()).with_options(cli.opts.clone());
+            let ctx = SweepCtx::bare(cli.opts.pool()).with_options(cli.opts.clone());
             let cfg: SimConfig =
                 crate::figures::fig4::sim_config(NetPreset::Small, Scale::Tiny, true);
             let sim = ctx.simulation(cfg, None, "test").unwrap();

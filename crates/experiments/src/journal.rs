@@ -45,7 +45,7 @@ const FAIL_TAG: &str = "fail";
 /// persisting; `Interrupted` jobs never ran, so they are not recorded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The job's watchdog fired: livelock or an exhausted cycle/wall budget.
+    /// The job's watchdog fired: livelock or an exhausted wall budget.
     TimedOut,
     /// The job (or its worker process) panicked or crashed.
     Panicked,

@@ -16,8 +16,8 @@
 //!
 //! Sweeps are crash-safe: the binary journals completed points
 //! ([`journal`]), accepts `--resume` to skip them after a kill, writes its
-//! CSV atomically, and guards each job against livelock and blown budgets
-//! (see `EXPERIMENTS.md`, "Interrupting and resuming sweeps").
+//! CSV atomically, and guards each job against livelock and a blown wall
+//! budget (see `EXPERIMENTS.md`, "Interrupting and resuming sweeps").
 
 pub mod campaign;
 pub mod cli;
@@ -32,7 +32,7 @@ pub mod sweep;
 pub mod table;
 
 pub use cli::Cli;
-pub use options::{JobBudget, RuntimeOptions};
+pub use options::RuntimeOptions;
 pub use run::{
     steady_config, sweep_rates_for, try_run_point_instrumented, NetPreset, PointResult,
     SeriesResult,

@@ -12,18 +12,9 @@
 //! is a library-only pin, the second the campaign worker fills in from its
 //! manifest.
 
+use crate::runner::Pool;
 use std::str::FromStr;
 use std::time::Duration;
-
-/// Per-job soft deadlines, enforced cooperatively by the run guard of
-/// whichever worker runs the job.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobBudget {
-    /// Wall-clock limit per job, measured from when its simulation starts.
-    pub wall: Option<Duration>,
-    /// Simulated-cycle limit per job.
-    pub cycles: Option<u64>,
-}
 
 /// The campaign crash-test rig (`STCC_CAMPAIGN_FAIL`): comma-separated
 /// `scenario:<k>` / `scenario:all` entries naming which worker attempts
@@ -71,8 +62,9 @@ pub struct RuntimeOptions {
     pub shards: usize,
     /// Full invariant audit every this many cycles and at every checkpoint.
     pub audit_every: Option<u64>,
-    /// Per-job wall/cycle budget.
-    pub budget: JobBudget,
+    /// Per-job wall-clock budget, measured from when the job's simulation
+    /// starts and enforced cooperatively by its run guard.
+    pub budget: Option<Duration>,
     /// Campaign crash-test rig.
     pub crash_rig: CrashRig,
 }
@@ -83,7 +75,7 @@ impl Default for RuntimeOptions {
             jobs: None,
             shards: 1,
             audit_every: None,
-            budget: JobBudget::default(),
+            budget: None,
             crash_rig: CrashRig::default(),
         }
     }
@@ -128,14 +120,38 @@ impl RuntimeOptions {
         })
     }
 
-    /// [`RuntimeOptions::resolve`] with no flag, against the process
-    /// environment (binaries without `--jobs`).
+    /// [`RuntimeOptions::resolve`] against the process environment.
     ///
     /// # Errors
     ///
     /// As [`RuntimeOptions::resolve`].
-    pub fn from_env() -> Result<RuntimeOptions, String> {
-        RuntimeOptions::resolve(None, process_env)
+    pub fn from_env(jobs: Option<usize>) -> Result<RuntimeOptions, String> {
+        RuntimeOptions::resolve(jobs, process_env)
+    }
+
+    /// The worker pool these options ask for: `--jobs`, else `STCC_JOBS`,
+    /// else the machine's available parallelism. Progress lines go to
+    /// stderr.
+    #[must_use]
+    pub fn pool(&self) -> Pool {
+        let jobs = self.jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        });
+        Pool::new(jobs).with_progress(true)
+    }
+}
+
+/// The value of a `--jobs N` flag: a positive integer.
+///
+/// # Errors
+///
+/// Returns a usage message when the value is missing, zero or not a number.
+pub fn jobs_flag(v: Option<String>) -> Result<usize, String> {
+    let v = v.ok_or("--jobs needs a value")?;
+    match v.parse() {
+        Ok(0) => Err("--jobs must be at least 1".to_owned()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad --jobs value '{v}'")),
     }
 }
 

@@ -81,10 +81,11 @@ impl SweepCtx {
 
     /// Runs `sim` to its configured end through
     /// [`Simulation::run_guarded`], supplying what the harness adds to that
-    /// loop: the guard (the default livelock window and the context's job
+    /// loop: the guard (the default livelock window and the context's wall
     /// budget) with SIGINT as its cancellation flag, `sample` after every
     /// cycle (series sampling), and the [`SimError`] → [`JobError`]
-    /// mapping.
+    /// mapping. A blown wall budget reads the same wherever the host was
+    /// when it fired; a livelock keeps its (deterministic) diagnosis.
     ///
     /// Without a sampler nothing observes the cycles and the loop may
     /// fast-forward. A drive that completes is bit-identical to
@@ -98,8 +99,7 @@ impl SweepCtx {
         let budget = self.options().budget;
         let guard = RunGuard {
             livelock_window: Some(DEFAULT_LIVELOCK_WINDOW),
-            max_cycles: budget.cycles,
-            deadline: budget.wall.map(|w| Instant::now() + w),
+            deadline: budget.map(|w| Instant::now() + w),
             cancel: Some(crate::sigint::flag()),
         };
         let mut observe = sample.map(|sample| {
@@ -112,6 +112,10 @@ impl SweepCtx {
         match sim.run_guarded(&guard, observer) {
             Ok(_) => Ok(()),
             Err(SimError::Cancelled { .. }) => Err(JobError::Interrupted),
+            Err(SimError::DeadlineExceeded { .. }) => Err(JobError::TimedOut(format!(
+                "{label}: exceeded its {:?} wall budget",
+                budget.unwrap_or_default()
+            ))),
             Err(e) => Err(JobError::TimedOut(format!("{label}: {e}"))),
         }
     }
@@ -123,7 +127,7 @@ impl SweepCtx {
     ///
     /// Returns a typed [`JobError`] naming the offending point on an invalid
     /// configuration, a summary taken before warm-up, a tripped
-    /// livelock/budget guard ([`JobError::TimedOut`]) or SIGINT
+    /// livelock/wall-budget guard ([`JobError::TimedOut`]) or SIGINT
     /// ([`JobError::Interrupted`]); the error crosses
     /// [`crate::runner::Pool`] worker threads untouched.
     pub fn try_run_point(&self, cfg: SimConfig) -> Result<PointResult, JobError> {
@@ -361,7 +365,8 @@ pub fn steady_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JobBudget, RuntimeOptions};
+    use crate::RuntimeOptions;
+    use std::time::Duration;
 
     fn tiny_cfg() -> SimConfig {
         crate::figures::fig4::sim_config(NetPreset::Small, Scale::Tiny, true)
@@ -371,18 +376,18 @@ mod tests {
         SweepCtx::bare(Pool::new(1)).with_options(opts)
     }
 
+    /// A spent wall budget trips at the guard's first poll, and its message
+    /// names no cycle: where the host was when it fired is not a result.
     #[test]
     fn budget_in_the_options_times_the_job_out() {
         let budgeted = ctx(RuntimeOptions {
-            budget: JobBudget {
-                wall: None,
-                cycles: Some(100),
-            },
+            budget: Some(Duration::ZERO),
             ..RuntimeOptions::default()
         });
         match budgeted.try_run_point(tiny_cfg()) {
             Err(JobError::TimedOut(msg)) => {
-                assert!(msg.contains("cycle budget exhausted at cycle 100"), "{msg}");
+                assert!(msg.ends_with(": exceeded its 0ns wall budget"), "{msg}");
+                assert!(!msg.contains("cycle"), "{msg}");
             }
             other => panic!("expected a timeout, got {other:?}"),
         }

@@ -29,8 +29,8 @@ pub enum JobError {
     /// The job panicked; the payload is the panic message.
     Panicked(String),
     /// The job's watchdog fired: a livelocked simulation or an exhausted
-    /// cycle/wall-clock budget (see [`crate::JobBudget`]); the payload is
-    /// the diagnostic.
+    /// wall-clock budget ([`crate::RuntimeOptions::budget`]); the payload
+    /// is the diagnostic.
     TimedOut(String),
     /// The sweep was interrupted (SIGINT) before this job ran; completed
     /// points are journaled, so the sweep can be resumed with `--resume`.

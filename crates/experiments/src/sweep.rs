@@ -32,7 +32,6 @@ pub struct SweepCtx {
     opts: RuntimeOptions,
     journal: Option<Mutex<Journal>>,
     done: BTreeMap<u64, Rows>,
-    retried: usize,
     next_id: AtomicU64,
 }
 
@@ -46,7 +45,6 @@ impl SweepCtx {
             opts: RuntimeOptions::default(),
             journal: None,
             done: BTreeMap::new(),
-            retried: 0,
             next_id: AtomicU64::new(0),
         }
     }
@@ -61,13 +59,12 @@ impl SweepCtx {
             opts: RuntimeOptions::default(),
             journal: Some(Mutex::new(journal)),
             done: load.done,
-            retried: load.failed.len(),
             next_id: AtomicU64::new(0),
         }
     }
 
     /// Replaces the runtime options every simulation of this sweep runs
-    /// under (the shard pin, audit cadence, budget).
+    /// under (the shard pin, audit cadence, wall budget).
     #[must_use]
     pub fn with_options(mut self, opts: RuntimeOptions) -> SweepCtx {
         self.opts = opts;
@@ -91,13 +88,6 @@ impl SweepCtx {
     #[must_use]
     pub fn resumed_jobs(&self) -> usize {
         self.done.len()
-    }
-
-    /// Number of journaled *failed* jobs this context resumed with — they
-    /// are re-run, not replayed.
-    #[must_use]
-    pub fn retried_jobs(&self) -> usize {
-        self.retried
     }
 
     /// Runs `work(job)` for every job not already journaled, fanned across
@@ -439,7 +429,6 @@ mod tests {
         assert!(load.failed[&2].message.contains("worker exploded"));
         let ctx = SweepCtx::with_journal(Pool::new(2), j, load);
         assert_eq!(ctx.resumed_jobs(), 2);
-        assert_eq!(ctx.retried_jobs(), 2);
         let rows = ctx
             .try_run_rows(
                 vec!["a", "b", "p", "c"],

@@ -32,7 +32,6 @@ seed = 11
 retries = 1
 backoff_ms = 1
 timeout_s = 60
-workers = 2
 
 [scenario.steady]
 net = "small"
@@ -197,9 +196,84 @@ fn manifest_and_usage_errors_use_their_contracted_exit_codes() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("warp-drive"), "{err}");
 
-    // Bad flags → 2.
+    // A removed policy key → 3, naming it.
+    let good = manifest(&dir, "");
+    for key in ["workers", "cycle_budget"] {
+        let old = dir.join("old.toml");
+        let text = fs::read_to_string(&good).unwrap();
+        fs::write(
+            &old,
+            text.replace("[scenario", &format!("{key} = 2\n[scenario")),
+        )
+        .unwrap();
+        let out = run(&["--manifest", old.to_str().unwrap()], None);
+        assert_eq!(code(&out), 3);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown key '{key}'")), "{err}");
+    }
+
+    // Bad flags → 2; `--workers` is gone (`--jobs` sizes the pool).
     assert_eq!(code(&run(&["--bogus"], None)), 2);
     assert_eq!(code(&run(&[], None)), 2);
+    let out = run(
+        &["--manifest", good.to_str().unwrap(), "--workers", "2"],
+        None,
+    );
+    assert_eq!(code(&out), 2);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown argument '--workers'"), "{err}");
+    assert_eq!(
+        code(&run(
+            &["--manifest", good.to_str().unwrap(), "--jobs", "0"],
+            None
+        )),
+        2
+    );
+}
+
+/// The number of worker processes is a runtime option: `--jobs 1`,
+/// `--jobs 2` and `STCC_JOBS=2` write the same report and CSV, and the
+/// banner names the count each one ran on.
+#[test]
+fn job_count_changes_no_output_byte() {
+    let dir = scratch("jobs");
+    let example = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.toml");
+    for (name, m) in [("small", manifest(&dir, "")), ("example", example)] {
+        let mut outputs = Vec::new();
+        for (leg, flag, var, workers) in [
+            ("flag1", Some("1"), None, 1),
+            ("flag2", Some("2"), None, 2),
+            ("var2", None, Some("2"), 2),
+        ] {
+            let out_dir = dir.join(format!("{name}-{leg}"));
+            let mut cmd = Command::new(BIN);
+            cmd.args(["--manifest", m.to_str().unwrap()])
+                .args(["--out", out_dir.to_str().unwrap()])
+                .env_remove("STCC_CAMPAIGN_FAIL")
+                .env_remove("STCC_JOBS");
+            if let Some(n) = flag {
+                cmd.args(["--jobs", n]);
+            }
+            if let Some(n) = var {
+                cmd.env("STCC_JOBS", n);
+            }
+            let out = cmd.output().expect("spawn campaign binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(code(&out), 0, "{name}/{leg} stderr: {stderr}");
+            assert!(
+                stderr.contains(&format!(" on {workers} workers]")),
+                "{name}/{leg}: {stderr}"
+            );
+            outputs.push((
+                fs::read(out_dir.join("campaign.report")).unwrap(),
+                fs::read(out_dir.join("campaign.csv")).unwrap(),
+            ));
+        }
+        assert!(
+            outputs.windows(2).all(|w| w[0] == w[1]),
+            "{name}: the job count changed an output byte"
+        );
+    }
 }
 
 #[test]

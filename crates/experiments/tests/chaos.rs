@@ -1,6 +1,7 @@
 //! The `chaos` binary resumed from a journal cut to its first trial: the
 //! journaled trial replays instead of re-running, the report is
-//! byte-identical to a fresh run's, and the journal is retired.
+//! byte-identical to a fresh run's, and the journal is retired. A removed
+//! flag is a usage error.
 
 use experiments::journal::Journal;
 use std::fs;
@@ -68,4 +69,23 @@ fn resume_from_a_cut_journal_reproduces_the_report() {
     assert!(!journal.exists(), "a finished run retires its journal");
     let _ = fs::remove_dir_all(&fresh);
     let _ = fs::remove_dir_all(&cut);
+}
+
+/// The audit cadence is a constant of the harness: `--audit-every` is an
+/// unknown argument (exit 2), and the run does not start.
+#[test]
+fn audit_every_is_no_flag() {
+    let out = scratch("audit-every");
+    let run = Command::new(BIN)
+        .args(["--audit-every", "8", "--out"])
+        .arg(&out)
+        .output()
+        .expect("spawn chaos");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument '--audit-every'"),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "a refused run writes nothing");
 }

@@ -69,6 +69,10 @@ fn flags_a_figure_does_not_take_are_refused_by_name() {
         &fig(&["fig4", "--shards", "2"], &[]),
         "unknown argument '--shards'",
     );
+    refused(
+        &fig(&["fig2", "--seed", "2"], &[]),
+        "unknown argument '--seed'",
+    );
 }
 
 #[test]

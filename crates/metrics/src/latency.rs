@@ -121,17 +121,6 @@ impl LatencyStats {
         }
         Some(self.max)
     }
-
-    /// Merges another collector into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,19 +160,6 @@ mod tests {
         assert!(p50 <= p99);
         assert!((256..=1024).contains(&p50), "p50 bucket edge: {p50}");
         assert!(p99 <= 1000);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = LatencyStats::new();
-        a.record(10);
-        let mut b = LatencyStats::new();
-        b.record(30);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), Some(20.0));
-        assert_eq!(a.min(), Some(10));
-        assert_eq!(a.max(), Some(30));
     }
 
     #[test]

@@ -89,15 +89,6 @@ impl GaugeSeries {
     pub fn last(&self) -> Option<(u64, f64)> {
         self.points.last().copied()
     }
-
-    /// Largest sampled value.
-    #[must_use]
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +129,5 @@ mod tests {
         g.sample(192, 2.0);
         assert_eq!(g.points().len(), 3);
         assert_eq!(g.last(), Some((192, 2.0)));
-        assert_eq!(g.max_value(), Some(3.0));
-        assert_eq!(GaugeSeries::new().max_value(), None);
     }
 }

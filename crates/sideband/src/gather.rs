@@ -431,31 +431,6 @@ impl Sideband {
         (self.node_count() * 2 * self.cfg.dimensions * self.cfg.vcs) as u32
     }
 
-    /// The largest full-buffer count one node can contribute to the
-    /// dimension-wise reduction (`2n * vcs` input VCs per router): the
-    /// quantization scale of a single node's side-band message.
-    #[must_use]
-    pub fn max_full_buffers_per_node(&self) -> u32 {
-        (2 * self.cfg.dimensions * self.cfg.vcs) as u32
-    }
-
-    /// Quantizes one node's local contribution — the popcount of its
-    /// occupancy bit-plane (`Network::full_buffers_at` in the simulator) —
-    /// exactly as the narrow side-band would transmit it. Identity without
-    /// a configured [`Quantizer`].
-    ///
-    /// The aggregate census the receivers see is the sum of these per-node
-    /// popcounts; the global feed ([`Sideband::on_cycle`]) carries that sum
-    /// maintained incrementally, and the simulator's debug audit pins the
-    /// two views equal every cycle.
-    #[must_use]
-    pub fn quantize_node_census(&self, popcount: u32) -> u32 {
-        match &self.cfg.quantizer {
-            Some(q) => q.quantize(popcount, self.max_full_buffers_per_node()),
-            None => popcount,
-        }
-    }
-
     /// How many gathers overdue the receivers' newest visible aggregate is
     /// at cycle `now`: 0 on a healthy side-band, and grows by one per gather
     /// period while aggregates fail to arrive. Drives the staleness
@@ -511,13 +486,6 @@ impl Sideband {
             }
         }
     }
-
-    /// Flits delivered network-wide in the most recent visible gather
-    /// window (the throughput feedback used by the self-tuner).
-    #[must_use]
-    pub fn window_throughput(&self) -> Option<u32> {
-        self.latest().map(|s| s.delivered_flits)
-    }
 }
 
 #[cfg(test)]
@@ -554,27 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn per_node_census_quantizes_on_the_node_scale() {
-        // Paper network: 2n*vcs = 12 full buffers per node -> 4 bits needed.
-        let sb = Sideband::new(SidebandConfig::paper());
-        assert_eq!(sb.max_full_buffers_per_node(), 12);
-        assert_eq!(
-            sb.max_full_buffers(),
-            sb.max_full_buffers_per_node() * 256,
-            "global ceiling is the per-node ceiling summed over all nodes"
-        );
-        // Without a quantizer the popcount passes through.
-        assert_eq!(sb.quantize_node_census(7), 7);
-        // A 2-bit side-band keeps the high 2 of the 4 needed bits.
-        let sb = Sideband::new(SidebandConfig {
-            quantizer: Some(Quantizer::new(2)),
-            ..SidebandConfig::paper()
-        });
-        assert_eq!(sb.quantize_node_census(7), 4);
-        assert_eq!(sb.quantize_node_census(12), 12);
-    }
-
-    #[test]
     fn snapshots_arrive_exactly_one_gather_late() {
         let mut sb = Sideband::new(SidebandConfig::paper());
         drive(&mut sb, 63, |_| 100, 0);
@@ -595,7 +542,6 @@ mod tests {
         let s = sb.latest().expect("snapshot visible");
         assert_eq!(s.taken_at, 64);
         assert_eq!(s.delivered_flits, 32 * 5);
-        assert_eq!(sb.window_throughput(), Some(160));
     }
 
     #[test]

@@ -21,34 +21,6 @@ pub fn bits_for_max(max: u32) -> u32 {
     }
 }
 
-/// Side-band width requirements for a network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SidebandWidth {
-    /// Bits for the network-wide full-buffer count.
-    pub congestion_bits: u32,
-    /// Bits for the per-window delivered-flit count.
-    pub throughput_bits: u32,
-}
-
-impl SidebandWidth {
-    /// Computes the widths for a network with `total_buffers` VC buffers,
-    /// `nodes` nodes and gather period `g` (max throughput = `g * nodes`
-    /// flits per window at 1 flit/node/cycle).
-    #[must_use]
-    pub fn for_network(total_buffers: u32, nodes: u32, gather_period: u64) -> Self {
-        SidebandWidth {
-            congestion_bits: bits_for_max(total_buffers),
-            throughput_bits: bits_for_max((gather_period * u64::from(nodes)) as u32),
-        }
-    }
-
-    /// Total side-band bits.
-    #[must_use]
-    pub fn total_bits(&self) -> u32 {
-        self.congestion_bits + self.throughput_bits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,14 +28,14 @@ mod tests {
     #[test]
     fn paper_network_needs_25_bits() {
         // 3072 buffers (12 bits to count all of them: values 0..=3072 fit in
-        // 12 bits) and 8192 max flits/window.
-        let w = SidebandWidth::for_network(3072, 256, 32);
-        assert_eq!(w.congestion_bits, 12);
+        // 12 bits) and 32 * 256 = 8192 max flits/window.
+        let congestion_bits = bits_for_max(3072);
+        assert_eq!(congestion_bits, 12);
         // 8192 = 2^13 needs 14 bits for 0..=8192 inclusive; the paper quotes
         // 13 bits for the count 0..8192. We follow the paper's arithmetic for
         // the *quoted* total by checking the exclusive bound too.
-        assert_eq!(bits_for_max(8191), 13);
-        assert_eq!(w.congestion_bits + bits_for_max(8191), 25);
+        assert_eq!(bits_for_max(32 * 256 - 1), 13);
+        assert_eq!(congestion_bits + bits_for_max(32 * 256 - 1), 25);
     }
 
     #[test]

@@ -22,25 +22,6 @@ pub struct Coords {
 }
 
 impl Coords {
-    /// Builds coordinates from a slice (dimension 0 first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts.len()` exceeds [`MAX_DIMS`] or a coordinate exceeds
-    /// `u16::MAX`.
-    #[must_use]
-    pub fn from_slice(parts: &[usize]) -> Self {
-        assert!(parts.len() <= MAX_DIMS, "too many dimensions");
-        let mut c = [0u16; MAX_DIMS];
-        for (slot, &p) in c.iter_mut().zip(parts) {
-            *slot = u16::try_from(p).expect("coordinate exceeds u16::MAX");
-        }
-        Coords {
-            c,
-            n: parts.len() as u8,
-        }
-    }
-
     pub(crate) fn new_zero(n: usize) -> Self {
         Coords {
             c: [0; MAX_DIMS],
@@ -100,11 +81,11 @@ impl core::fmt::Display for Coords {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Torus;
 
     #[test]
-    fn from_slice_round_trips() {
-        let c = Coords::from_slice(&[3, 1, 4]);
+    fn coords_round_trip() {
+        let c = Torus::new(10, 3).unwrap().coords(413);
         assert_eq!(c.len(), 3);
         assert_eq!(c.as_slice(), &[3, 1, 4]);
         assert_eq!(c[2], 4);
@@ -112,13 +93,7 @@ mod tests {
 
     #[test]
     fn display_is_tuple_like() {
-        let c = Coords::from_slice(&[5, 9]);
+        let c = Torus::new(10, 2).unwrap().coords(95);
         assert_eq!(c.to_string(), "(5,9)");
-    }
-
-    #[test]
-    #[should_panic(expected = "too many dimensions")]
-    fn too_many_dimensions_panics() {
-        let _ = Coords::from_slice(&[0; MAX_DIMS + 1]);
     }
 }

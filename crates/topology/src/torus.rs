@@ -217,15 +217,8 @@ impl Torus {
         self.node(c)
     }
 
-    /// Minimal-routing information for one dimension of the pair
-    /// `(cur, dst)`.
-    #[must_use]
-    pub fn dim_route(&self, cur: NodeId, dst: NodeId, dim: usize) -> DimRoute {
-        let a = usize::from(self.coords(cur)[dim]);
-        let b = usize::from(self.coords(dst)[dim]);
-        self.dim_route_coords(a, b)
-    }
-
+    /// Minimal-routing information for one dimension whose coordinates are
+    /// `a` (here) and `b` (the destination).
     fn dim_route_coords(&self, a: usize, b: usize) -> DimRoute {
         if a == b {
             return DimRoute::ALIGNED;
@@ -372,12 +365,12 @@ mod tests {
     #[test]
     fn dim_route_tie_breaks_towards_plus() {
         let t = t16();
-        let r = t.dim_route(0, 8, 0);
+        let r = t.dim_route_coords(0, 8);
         assert_eq!(r.hops, 8);
         assert!(r.plus && !r.minus);
-        let r = t.dim_route(0, 3, 0);
+        let r = t.dim_route_coords(0, 3);
         assert!(r.plus && !r.minus);
-        let r = t.dim_route(0, 13, 0);
+        let r = t.dim_route_coords(0, 13);
         assert!(!r.plus && r.minus);
     }
 

@@ -28,9 +28,9 @@
 #                         tenth of their length, every verification on)
 #  10. same-host perf    (the baseline commit's benchmark against this
 #                         tree's in 5 alternating pairs of sat_tune,
-#                         light_tune and resume_storm; a median beyond its
-#                         BENCHMARK.json bound, a fail line or a failed op
-#                         fails)
+#                         light_tune, resume_storm and cube3_tune_s2; a
+#                         median beyond its BENCHMARK.json bound, a fail
+#                         line or a failed op fails)
 # Everything is hermetic — no network access is required (see README,
 # "Hermetic build"). Each step reports its wall time.
 set -eu
