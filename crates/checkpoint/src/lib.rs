@@ -68,7 +68,15 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 /// (`decisions`, `raises`, `cuts`, `resets`) ahead of the watchdog
 /// counters; the laws no longer write either. BBR's filter samples are
 /// `u64`s.
-pub const VERSION: u32 = 7;
+///
+/// v8: a queued packet is a source-queue entry, not a packet record. A
+/// source queue writes each entry as its destination (`u32`) and
+/// generation cycle: 12 bytes, where v7 wrote a 4-byte id plus a 17-byte
+/// record. A packet gets its record when its injection wins routing, so
+/// every record is a tag carrying the sticky escape bit, then `src`,
+/// `dst`, the generation and injection cycles, the delivered count and
+/// `last_move` (v7's tag 0, a record still as `offer` wrote it, is gone).
+pub const VERSION: u32 = 8;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -730,7 +738,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&7u32.to_le_bytes());
+        want.extend_from_slice(&8u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);

@@ -482,7 +482,8 @@ impl Simulation {
     }
 
     /// Runs until `cfg.cycles` cycles have elapsed, fast-forwarding over
-    /// provably empty stretches (see [`Simulation::fast_forward_target`]):
+    /// provably empty stretches (a quiescent network, no arrival due and a
+    /// controller that needs no per-cycle hook):
     /// [`Simulation::run_guarded`] with nothing guarding and nothing
     /// observing.
     pub fn run_to_end(&mut self) {

@@ -64,6 +64,9 @@ struct Offsets {
     vc_assign: usize,
     /// The routing assignment of node 0's injection interface.
     inj_assign: usize,
+    /// The first queued packet's entry in a source queue: its
+    /// destination, then its generation cycle.
+    first_queued: usize,
     /// The first live packet's record in the packet store.
     first_packet: usize,
 }
@@ -102,9 +105,13 @@ fn offsets(payload: &[u8], net: &NetConfig) -> Offsets {
         skip_assign(&mut dec);
         skip(&mut dec, 8); // routed-at
     }
+    let mut first_queued = None;
     for _ in 0..nodes {
         let queued = dec.usize().unwrap();
-        skip(&mut dec, 4 * queued);
+        if queued > 0 {
+            first_queued.get_or_insert(at(&dec));
+        }
+        skip(&mut dec, (4 + 8) * queued); // destination, generation cycle
     }
     skip(&mut dec, 8); // slot count
     let freed = dec.usize().unwrap();
@@ -112,6 +119,7 @@ fn offsets(payload: &[u8], net: &NetConfig) -> Offsets {
     Offsets {
         vc_assign: vc_assign.unwrap(),
         inj_assign: inj_assign.unwrap(),
+        first_queued: first_queued.expect("vacuous: no queued packet"),
         first_packet: at(&dec),
     }
 }
@@ -250,12 +258,14 @@ fn restore_survives_payload_mutations_without_panicking() {
         );
     }
 
-    // Hand-built: a live packet whose source or destination is no node.
-    // The next step would index the routing digits or the per-source
-    // delivery counts with it, so restore must refuse it, typed.
-    let record = offsets(&payload, &cfg.net).first_packet;
-    assert!(payload[record] <= 2, "not a packet record tag");
-    for field in [record + 1, record + 5] {
+    // Hand-built: a queued packet whose destination is no node, or a live
+    // packet record whose source or destination is none. The next step
+    // would index the routing digits or the per-source delivery counts
+    // with it, so restore must refuse it, typed.
+    let at = offsets(&payload, &cfg.net);
+    let record = at.first_packet;
+    assert!(payload[record] <= 1, "not a packet record tag");
+    for field in [at.first_queued, record + 1, record + 5] {
         let mut built = payload.clone();
         built[field..field + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
         let outcome = Simulation::restore(cfg.clone(), None, &checkpoint::seal(fp, &built));

@@ -2,17 +2,17 @@
 //! build of this repository must keep restoring, byte for byte — or, across
 //! a deliberate `VERSION` bump, be refused with the typed version error.
 //!
-//! The `.v7.ckpt` fixtures were written by `Simulation::checkpoint` at the
-//! commit that introduced v7 (a side-band controller's frame carries the
-//! tuning period and the decision tallies, which the laws no longer write;
-//! the simulation's decisions did not change).
-//! `small_recovery_c1673.v6.ckpt`, the v6 writing of the recovery fixture,
+//! The `.v8.ckpt` fixtures were written by `Simulation::checkpoint` at the
+//! commit that introduced v8 (a queued packet is a source-queue entry and
+//! gets its packet record only when its injection wins routing; the
+//! simulation's decisions did not change).
+//! `small_recovery_c1673.v7.ckpt`, the v7 writing of the recovery fixture,
 //! is kept as the container this build must refuse.
 //!
-//! `fixtures/small_recovery_c1673.v7.ckpt` is [`cfg`] stepped to cycle
+//! `fixtures/small_recovery_c1673.v8.ckpt` is [`cfg`] stepped to cycle
 //! 1673, the first cycle past 1500 with a Disha recovery drain holding the
 //! token and another VC queued behind it. The four
-//! `small_<scheme>_c2501.v7.ckpt` fixtures pin the other side-band
+//! `small_<scheme>_c2501.v8.ckpt` fixtures pin the other side-band
 //! controllers' state layouts: the same configuration with only the scheme
 //! swapped, stepped to cycle 2501 — off the gather grid, off every decision
 //! period, and past at least one decision of every law.
@@ -43,32 +43,32 @@ struct Fixture {
 const FIXTURES: &[Fixture] = &[
     Fixture {
         scheme: "tune",
-        file: "small_recovery_c1673.v7.ckpt",
-        bytes: include_bytes!("fixtures/small_recovery_c1673.v7.ckpt"),
+        file: "small_recovery_c1673.v8.ckpt",
+        bytes: include_bytes!("fixtures/small_recovery_c1673.v8.ckpt"),
         cycle: 1673,
     },
     Fixture {
         scheme: "aimd",
-        file: "small_aimd_c2501.v7.ckpt",
-        bytes: include_bytes!("fixtures/small_aimd_c2501.v7.ckpt"),
+        file: "small_aimd_c2501.v8.ckpt",
+        bytes: include_bytes!("fixtures/small_aimd_c2501.v8.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "decbit",
-        file: "small_decbit_c2501.v7.ckpt",
-        bytes: include_bytes!("fixtures/small_decbit_c2501.v7.ckpt"),
+        file: "small_decbit_c2501.v8.ckpt",
+        bytes: include_bytes!("fixtures/small_decbit_c2501.v8.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "bbr",
-        file: "small_bbr_c2501.v7.ckpt",
-        bytes: include_bytes!("fixtures/small_bbr_c2501.v7.ckpt"),
+        file: "small_bbr_c2501.v8.ckpt",
+        bytes: include_bytes!("fixtures/small_bbr_c2501.v8.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "static-12",
-        file: "small_static12_c2501.v7.ckpt",
-        bytes: include_bytes!("fixtures/small_static12_c2501.v7.ckpt"),
+        file: "small_static12_c2501.v8.ckpt",
+        bytes: include_bytes!("fixtures/small_static12_c2501.v8.ckpt"),
         cycle: 2501,
     },
 ];
@@ -107,7 +107,7 @@ fn parent_written_checkpoint_restores_and_reserialises_byte_equal() {
         assert_eq!(
             sim.checkpoint(),
             f.bytes,
-            "{}: codec no longer writes v7 bytes",
+            "{}: codec no longer writes v8 bytes",
             f.scheme
         );
     }
@@ -155,16 +155,16 @@ fn parent_written_checkpoint_runs_on_like_an_uninterrupted_run() {
     }
 }
 
-/// A v6 container's controller frame has no tuning period or tallies and
-/// its laws write their own, so this build would misread it: restoring one
-/// must fail typed, before anything decodes.
+/// A v7 container's source queues hold packet ids into a store that
+/// holds queued packets' records too, so this build would misread it:
+/// restoring one must fail typed, before anything decodes.
 #[test]
-fn a_v6_container_is_refused_with_the_version_error() {
-    let v6 = include_bytes!("fixtures/small_recovery_c1673.v6.ckpt");
-    match Simulation::restore(cfg("tune"), None, v6) {
-        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 6 })) => {}
-        Err(other) => panic!("v6 container refused with the wrong error: {other}"),
-        Ok(_) => panic!("v6 container restored"),
+fn a_v7_container_is_refused_with_the_version_error() {
+    let v7 = include_bytes!("fixtures/small_recovery_c1673.v7.ckpt");
+    match Simulation::restore(cfg("tune"), None, v7) {
+        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 7 })) => {}
+        Err(other) => panic!("v7 container refused with the wrong error: {other}"),
+        Ok(_) => panic!("v7 container restored"),
     }
 }
 

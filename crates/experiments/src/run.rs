@@ -120,8 +120,9 @@ impl SweepCtx {
         }
     }
 
-    /// Runs one simulation (guarded; see [`SweepCtx::drive`]) and condenses
-    /// its summary.
+    /// Runs one simulation, guarded by [`stcc::Simulation::run_guarded`]
+    /// against livelock and this context's wall budget, and condenses its
+    /// summary.
     ///
     /// # Errors
     ///

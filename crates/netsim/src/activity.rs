@@ -51,6 +51,11 @@ impl NodeSet {
     }
 
     #[inline]
+    pub fn remove(&mut self, node: usize) {
+        self.words[node >> 6] &= !(1u64 << (node & 63));
+    }
+
+    #[inline]
     pub fn contains(&self, node: usize) -> bool {
         self.words[node >> 6] >> (node & 63) & 1 == 1
     }

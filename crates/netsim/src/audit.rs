@@ -8,11 +8,11 @@
 //! derivation a checkpoint restore writes them with
 //! ([`Network::derive_node`], [`Network::derive_plane`]), and diffs the
 //! result against the incremental copy. It layers conservation ledgers on
-//! top: every generated packet is accounted for (delivered or live), every
-//! emitted flit is somewhere (buffered in a VC, in a deadlock buffer, or
-//! delivered), every output-VC allocation has exactly one owner, and the
-//! token queue and recovery drain hold only what their mirror flags say
-//! they hold.
+//! top: every generated packet is accounted for (delivered, a packet record
+//! or a source-queue entry), every emitted flit is somewhere (buffered in a
+//! VC, in a deadlock buffer, or delivered), every output-VC allocation has
+//! exactly one owner, and the token queue and recovery drain hold only what
+//! their mirror flags say they hold.
 //!
 //! The audit is read-only and allocation-heavy by design: it runs off the
 //! hot path (every N cycles behind `STCC_AUDIT`, and at checkpoint/restore
@@ -22,6 +22,7 @@
 
 use crate::activity::NodeSet;
 use crate::network::{Assign, Network};
+use crate::packet::QueueEntry;
 use crate::shard::Parked;
 use core::fmt;
 
@@ -49,13 +50,16 @@ pub enum AuditKind {
     SrcqSummary,
     /// Running census `full_buffers` vs. the popcount of the planes.
     Census,
-    /// Generated ≠ delivered + live packets.
+    /// Generated ≠ delivered + packet records + queued entries, or a
+    /// packet (queued or recorded) for a node outside the network.
     PacketLedger,
     /// Injected ≠ delivered + live-and-injected packets.
     InjectionLedger,
     /// Per-packet flit conservation: emitted ≠ buffered + delivered.
     FlitLedger,
-    /// Source-queue membership vs. packet state.
+    /// Source queues vs. the records they become: entries generated in
+    /// ascending cycles before the current one, and a record that has
+    /// sent no flit is the injection its source streams.
     SourceQueueLedger,
     /// Output-VC allocation flags vs. their actual owners.
     OutAllocOwnership,
@@ -65,9 +69,9 @@ pub enum AuditKind {
     Recovery,
     /// Incremental quiescence predicate vs. a full scan.
     Quiescence,
-    /// A shard's pass output left over between cycles: a suspect or
-    /// starvation trip not committed, a handoff not put or a delivered
-    /// tail not finished.
+    /// A shard's pass output left over between cycles: an injection win
+    /// without its record, a suspect or starvation trip not committed, a
+    /// handoff not put or a delivered tail not finished.
     MailboxConservation,
     /// Shard partition not a disjoint ascending cover of the node range.
     ShardPartition,
@@ -241,20 +245,16 @@ impl Network {
         }
     }
 
-    /// Conservation ledgers: packets, injections, per-packet flits and
-    /// source-queue membership, cross-checked against a full scan of every
-    /// buffer, queue and injection interface; and every live packet's
-    /// endpoints are nodes of the network.
+    /// Conservation ledgers: packets (queued, recorded and delivered),
+    /// injections, per-packet flits and the source queues, cross-checked
+    /// against a full scan of every buffer, queue and injection interface;
+    /// and every packet's endpoints are nodes of the network.
     fn audit_ledgers(&self, v: &mut Vec<AuditViolation>) {
         /// What the scan found holding one packet slot.
         #[derive(Clone, Copy)]
         struct Seen {
             /// Flits in input VCs and deadlock buffers.
             buffered: u32,
-            /// Source-queue entries.
-            queued: u32,
-            /// The node of its last source-queue entry, or [`NONE`].
-            queued_at: u32,
             /// The node whose injection interface streams it, or [`NONE`].
             injecting: u32,
         }
@@ -279,8 +279,6 @@ impl Network {
         let mut seen = vec![
             Seen {
                 buffered: 0,
-                queued: 0,
-                queued_at: NONE,
                 injecting: NONE,
             };
             slots
@@ -330,23 +328,37 @@ impl Network {
             seen[pid].injecting = node as u32;
         }
 
-        // Source-queue occurrences per packet (checked against the packet's
-        // source in the per-packet pass, which reads the store in order).
+        // The source queues: each entry a packet for a node of the
+        // network, generated before the current cycle and after every
+        // entry ahead of it (a node queues at most one packet a cycle).
+        let mut queued = 0u64;
         for node in 0..nodes {
+            let mut ahead: Option<u64> = None;
             for i in 0..self.source_q.len(node) {
-                let pid = self.source_q.get(node, i) as usize;
-                if !is_live(pid) {
-                    let detail = format!("node {node} queues dead packet {pid}");
-                    push(AuditKind::SourceQueueLedger, detail);
-                    continue;
+                let QueueEntry { dst, generated_at } = self.source_q.get(node, i);
+                queued += 1;
+                if dst as usize >= nodes {
+                    let detail = format!(
+                        "node {node} queues a packet for {dst} outside the {nodes}-node network"
+                    );
+                    push(AuditKind::PacketLedger, detail);
                 }
-                seen[pid].queued += 1;
-                seen[pid].queued_at = node as u32;
+                if generated_at >= self.now || ahead.is_some_and(|at| at >= generated_at) {
+                    let detail = format!(
+                        "node {node} queues a packet generated at cycle {generated_at} behind \
+                         one of cycle {ahead:?} (now {})",
+                        self.now
+                    );
+                    push(AuditKind::SourceQueueLedger, detail);
+                }
+                ahead = Some(generated_at);
             }
         }
 
         // Per-packet flit conservation: every flit the network has taken in
-        // is buffered somewhere or delivered, no more and no less.
+        // is buffered somewhere or delivered, no more and no less. A record
+        // is made when its packet's injection wins routing, so one that has
+        // sent nothing is the injection its source streams.
         let (mut live_count, mut injected_live) = (0u64, 0u64);
         for (pid, seen) in seen.iter().enumerate() {
             if !live[pid] {
@@ -361,19 +373,17 @@ impl Network {
                 );
                 push(AuditKind::PacketLedger, detail);
             }
-            if seen.queued_at != NONE && seen.queued_at as usize != p.src {
-                let detail = format!(
-                    "packet {pid} queued at node {} but its source is {}",
-                    seen.queued_at, p.src
-                );
-                push(AuditKind::SourceQueueLedger, detail);
-            }
             let injected = p.injected_at != u64::MAX;
             injected_live += u64::from(injected);
             let emitted = if seen.injecting != NONE {
                 // Streaming in: `sent` flits are in the network so far. The
                 // first flit's move is what stamps `injected_at`.
-                let inj = &self.inj[seen.injecting as usize];
+                let node = seen.injecting as usize;
+                if node != p.src {
+                    let detail = format!("node {node} streams packet {pid} of source {}", p.src);
+                    push(AuditKind::SourceQueueLedger, detail);
+                }
+                let inj = &self.inj[node];
                 if (inj.sent > 0) != injected {
                     let detail = format!(
                         "packet {pid}: {} flits sent but injected_at {:?}",
@@ -386,16 +396,10 @@ impl Network {
             } else if injected {
                 u32::from(self.packet_len) // Fully inside the network.
             } else {
-                0 // Still waiting in a source queue.
-            };
-            let expect_queued = u32::from(seen.injecting == NONE && !injected);
-            if seen.queued != expect_queued {
-                let detail = format!(
-                    "packet {pid}: {} source-queue entries, expected {expect_queued}",
-                    seen.queued
-                );
+                let detail = format!("packet {pid} has a record but no injection streams it");
                 push(AuditKind::SourceQueueLedger, detail);
-            }
+                0
+            };
             if p.delivered_flits >= self.packet_len {
                 let detail = format!(
                     "live packet {pid} already delivered {}/{} flits",
@@ -414,10 +418,17 @@ impl Network {
         }
 
         let c = &self.counters;
-        if c.generated_packets != c.delivered_packets + live_count {
+        if c.generated_packets != c.delivered_packets + live_count + queued {
             let detail = format!(
-                "generated {} != delivered {} + live {live_count}",
+                "generated {} != delivered {} + records {live_count} + queued {queued}",
                 c.generated_packets, c.delivered_packets
+            );
+            push(AuditKind::PacketLedger, detail);
+        }
+        if self.source_q.total() as u64 != queued {
+            let detail = format!(
+                "source queues count {} entries but hold {queued}",
+                self.source_q.total()
             );
             push(AuditKind::PacketLedger, detail);
         }
@@ -596,7 +607,7 @@ impl Network {
 
     /// Shard-plan invariants: the partition is a disjoint ascending cover
     /// of the node range, and every shard's pass output was consumed by
-    /// the handoff passes and the fold (`suspects`, `starved`, every
+    /// the handoff passes and the fold (`started`, `suspects`, `starved`, every
     /// `outbound` and `inbound` list and `delivered` empty between
     /// cycles).
     pub(crate) fn audit_shards(&self, v: &mut Vec<AuditViolation>) {
@@ -626,6 +637,7 @@ impl Network {
             let stage = &self.plan.stages[s];
             let parked = |lists: &[Vec<Parked>]| lists.iter().map(Vec::len).sum::<usize>();
             let left = [
+                ("injection start(s)", stage.started.len()),
                 ("suspect(s)", stage.suspects.len()),
                 ("starvation trip(s)", stage.starved.len()),
                 ("outbound handoff(s)", parked(&stage.outbound)),
@@ -673,7 +685,7 @@ mod tests {
     use super::*;
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
-    use crate::packet::Flit;
+    use crate::packet::{Flit, PacketInfo};
     use crate::plane::Slot;
     use crate::shard::{Parked, ShardStage};
     use crate::testnet::{arrivals, hot_net};
@@ -804,27 +816,108 @@ mod tests {
         assert_exactly(&net, AuditKind::PacketLedger);
     }
 
-    /// A live packet whose source or destination is not a node — queued or
-    /// already in the network — is a packet-ledger violation, and only that.
+    /// A packet whose source or destination is not a node — a queued
+    /// packet's destination, or a record's either endpoint — is a
+    /// packet-ledger violation, and only that. (A queued packet's source is
+    /// its queue's node.)
     #[test]
     fn detects_a_live_packet_outside_the_network() {
-        let net = hot_net();
-        let queued = (0..net.inj.len())
+        let mut net = hot_net();
+        let node = (0..net.inj.len())
             .find(|&n| !net.source_q.is_empty(n))
-            .map(|n| net.source_q.front(n))
             .expect("no queued packet in a saturated net");
+        let q = net.source_q.front(node);
+        let far = QueueEntry {
+            dst: 1_000_000,
+            ..q
+        };
+        net.source_q.set(node, 0, far);
+        assert_exactly(&net, AuditKind::PacketLedger);
+        // A packet wholly in the network: its source's interface no longer
+        // streams it, so no source-queue check sees its source moved out.
+        let streamed: Vec<_> = net.inj.iter().filter_map(|inj| inj.active).collect();
         let moving = (0..net.vc_assign.len())
-            .find(|&r| !net.vc_bufs.is_empty(r))
+            .filter(|&r| !net.vc_bufs.is_empty(r))
             .map(|r| net.vc_bufs.front_packet(r))
-            .expect("no buffered flit in a saturated net");
-        // A queued packet's source is checked against its queue too, so only
-        // its destination is moved out.
-        for (id, src) in [(queued, false), (moving, false), (moving, true)] {
+            .find(|pid| !streamed.contains(pid))
+            .expect("no packet wholly in a saturated net");
+        for src in [false, true] {
             let mut net = hot_net();
-            let p = net.packets.get_mut(id);
+            let p = net.packets.get_mut(moving);
             *(if src { &mut p.src } else { &mut p.dst }) = 1_000_000;
             assert_exactly(&net, AuditKind::PacketLedger);
         }
+    }
+
+    /// A node with `len` or more queued packets whose last entry was
+    /// generated before the previous cycle, so an entry can follow it.
+    fn queue_with_room(net: &Network, len: usize) -> usize {
+        (0..net.inj.len())
+            .find(|&n| {
+                let q = &net.source_q;
+                q.len(n) >= len
+                    && !q.is_full(n)
+                    && q.get(n, q.len(n) - 1).generated_at + 1 < net.now
+            })
+            .expect("vacuous: no queue to append to")
+    }
+
+    /// Every generated packet is delivered, a record or a queued entry: an
+    /// entry no generation counted breaks that conservation — and nothing
+    /// else, for it sits well-ordered behind the entries of a queue that
+    /// was not empty.
+    #[test]
+    fn detects_a_queued_packet_no_generation_counted() {
+        let mut net = hot_net();
+        let node = queue_with_room(&net, 1);
+        let phantom = QueueEntry {
+            dst: 0,
+            generated_at: net.now - 1,
+        };
+        net.source_q.push_back(node, phantom);
+        assert_exactly(&net, AuditKind::PacketLedger);
+        let report = net.audit();
+        assert!(report.to_string().contains("queued"), "{report}");
+    }
+
+    /// The source-queue ledger, three ways, each from a fresh network: two
+    /// entries of one queue out of generation order; a queued entry turned
+    /// into a record no injection streams (the packet count still adds
+    /// up); and an injection streaming a packet of another source.
+    #[test]
+    fn detects_source_queue_ledger_breaks() {
+        let mut net = hot_net();
+        let node = queue_with_room(&net, 2);
+        let (a, b) = (net.source_q.get(node, 0), net.source_q.get(node, 1));
+        net.source_q.set(node, 0, b);
+        net.source_q.set(node, 1, a);
+        assert_exactly(&net, AuditKind::SourceQueueLedger);
+
+        let mut net = hot_net();
+        let node = queue_with_room(&net, 2);
+        let q = net.source_q.pop_front(node);
+        net.packets.alloc(PacketInfo::injecting(node, q, false));
+        assert_exactly(&net, AuditKind::SourceQueueLedger);
+
+        let mut net = hot_net();
+        let pid = (0..net.inj.len())
+            .find_map(|n| net.inj[n].active)
+            .expect("no active injection in a saturated net");
+        let p = net.packets.get_mut(pid);
+        p.src = (p.src + 1) % 16;
+        assert_exactly(&net, AuditKind::SourceQueueLedger);
+    }
+
+    /// A `srcq_nodes` bit clear over a non-empty source queue is a summary
+    /// violation, and only that.
+    #[test]
+    fn detects_a_cleared_source_queue_summary_bit() {
+        let mut net = hot_net();
+        let node = (0..net.inj.len())
+            .find(|&n| !net.source_q.is_empty(n))
+            .expect("no queued packet in a saturated net");
+        net.srcq_nodes.remove(node);
+        assert_exactly(&net, AuditKind::SrcqSummary);
     }
 
     /// A ring holds in-order runs: a body flit of another packet planted in
@@ -898,12 +991,13 @@ mod tests {
             idx: crate::testnet::small_cfg().packet_len as u16 - 1,
             ..flit
         };
-        // A suspect or a starvation trip the fold never committed to the
-        // token queue; a flit a switch pass took off its feeder that no
+        // An injection win the fold never gave its record; a suspect or a
+        // starvation trip the fold never committed to the token queue; a flit a switch pass took off its feeder that no
         // handoff pass put downstream — still outbound, or already handed
         // to its owner — or a delivered tail the fold never finished: one
         // strand per list.
-        let strands: [&dyn Fn(&mut ShardStage); 5] = [
+        let strands: [&dyn Fn(&mut ShardStage); 6] = [
+            &|st| st.started.push(0),
             &|st| st.suspects.push(0),
             &|st| st.starved.push(0),
             &|st| st.outbound[0].push(parked),

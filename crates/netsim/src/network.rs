@@ -2,9 +2,9 @@ use crate::activity::NodeSet;
 use crate::config::{DeadlockMode, NetConfig};
 use crate::control::CongestionControl;
 use crate::counters::Counters;
-use crate::packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore};
+use crate::packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore, QueueEntry};
 use crate::plane::{inj_movable_at, rr_pick, vc_movable_at, Slot, SwitchPlane};
-use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, IdRing};
+use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, Rings};
 use crate::routing::RouteTables;
 use crate::shard::{
     post_handoffs, ApplyCtx, Cells, Parked, Pass, PhaseStats, ShardPlan, ShardStage, WorkerPool,
@@ -38,6 +38,8 @@ pub(crate) enum Assign {
 /// source queue into the router.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InjState {
+    /// The streaming packet's record; `None` while idle, and from the route
+    /// win that starts an injection until the fold gives it its record.
     pub active: Option<PacketId>,
     pub sent: u16,
     pub assign: Assign,
@@ -96,8 +98,8 @@ pub type Offer<'a> = dyn FnMut(NodeId, NodeId) + 'a;
 /// The simulated wormhole network: all router state, flat for speed.
 ///
 /// All per-cycle queues live in flat arenas allocated
-/// once at construction ([`crate::ring`]), and routing decisions come from
-/// tables precomputed at construction ([`RouteTables`]), so the steady-state
+/// once at construction, and routing decisions come from tables
+/// precomputed at construction, so the steady-state
 /// cycle pipeline performs **zero heap allocations** — a counting test
 /// allocator enforces this (`tests/zero_alloc.rs`), and DESIGN.md
 /// ("Simulator memory layout") documents the invariants.
@@ -136,8 +138,12 @@ pub struct Network {
     /// output VC of node `u` is the upstream side of a neighbor's input VC).
     pub(crate) out_alloc: Vec<bool>,
     pub(crate) inj: Vec<InjState>,
-    /// Per-node source queues of waiting packet ids (ring `node`).
-    pub(crate) source_q: IdRing,
+    /// Per-node source queues (ring `node`) of [`QueueEntry`]s: a packet
+    /// has no record until its injection wins routing, when the route
+    /// pass's fold pops its entry.
+    pub(crate) source_q: Rings<QueueEntry>,
+    /// The records of the packets past their source queue: injecting, in
+    /// the network, or draining through recovery.
     pub(crate) packets: PacketStore,
 
     /// Per-router Disha deadlock buffers (ring `node`, depth [`DL_DEPTH`];
@@ -200,7 +206,7 @@ pub struct Network {
     pub(crate) deliveries: DeliveryRing,
     /// FIFO of suspected-deadlocked input VCs awaiting the recovery token
     /// (single ring; `vc_queued` caps it at one entry per VC).
-    pub(crate) token_queue: IdRing,
+    pub(crate) token_queue: Rings<u32>,
     /// Cycle of the most recent flit delivery (watchdog aid).
     pub(crate) last_delivery_at: u64,
     /// Cycle any flit last moved anywhere — normal hops, injections,
@@ -253,7 +259,7 @@ impl Network {
             vc_queued: vec![false; n_vcs],
             out_alloc: vec![false; n_vcs],
             inj: vec![InjState::idle(); nodes],
-            source_q: IdRing::new(nodes, cfg.source_queue_cap),
+            source_q: Rings::new(nodes, cfg.source_queue_cap),
             packets: PacketStore::new(),
             dl_bufs: FlitRings::new(nodes, DL_DEPTH, packet_len, cfg.hop_latency),
             recovery: None,
@@ -274,7 +280,7 @@ impl Network {
             srcq_nodes: NodeSet::new(nodes),
             allow_nodes: NodeSet::new(nodes),
             deliveries: DeliveryRing::default(),
-            token_queue: IdRing::new(1, n_vcs),
+            token_queue: Rings::new(1, n_vcs),
             last_delivery_at: 0,
             last_progress_at: 0,
             faults: None,
@@ -393,15 +399,15 @@ impl Network {
         &self.vc_full
     }
 
-    /// Whether the network holds no work at all: no live packets (hence no
-    /// buffered flits, active injections or queued sources), no pending
-    /// recovery suspects and no active recovery drain. A quiescent network
-    /// stepped with a silent source and a passive controller is a no-op
-    /// except for `now` advancing — the precondition
+    /// Whether the network holds no work at all: no queued packets and no
+    /// packet records (hence no buffered flits or active injections), no
+    /// pending recovery suspects and no active recovery drain. A quiescent
+    /// network stepped with a silent source and a passive controller is a
+    /// no-op except for `now` advancing — the precondition
     /// [`Network::fast_forward`] exploits.
     #[must_use]
     pub fn quiescent(&self) -> bool {
-        self.packets.live() == 0 && self.token_queue.is_empty(0) && self.recovery.is_none()
+        self.live_packets() == 0 && self.token_queue.is_empty(0) && self.recovery.is_none()
     }
 
     /// Jumps `now` forward to `to` without simulating the intervening
@@ -464,10 +470,25 @@ impl Network {
         self.source_q.len(node)
     }
 
-    /// Number of packets generated but not yet fully delivered.
+    /// Number of packets generated but not yet fully delivered: the
+    /// queued ones and the [records](Network::packet_records).
     #[must_use]
     pub fn live_packets(&self) -> usize {
+        self.source_q.total() + self.packets.live()
+    }
+
+    /// Number of packet records: packets whose injection has won routing
+    /// and that are not yet delivered. A queued packet has none.
+    #[must_use]
+    pub fn packet_records(&self) -> usize {
         self.packets.live()
+    }
+
+    /// Slots of the packet-record store, live and recycled: the most
+    /// records the network has held at once.
+    #[must_use]
+    pub fn packet_record_slots(&self) -> usize {
+        self.packets.slot_count()
     }
 
     /// Takes the records of packets delivered since the last drain.
@@ -484,7 +505,7 @@ impl Network {
     /// functioning configuration always makes progress).
     #[must_use]
     pub fn progress_stalled(&self, window: u64) -> bool {
-        self.packets.live() > 0 && self.now.saturating_sub(self.last_delivery_at) >= window
+        self.live_packets() > 0 && self.now.saturating_sub(self.last_delivery_at) >= window
     }
 
     /// Cycle any flit of any packet last moved — a normal hop, an
@@ -508,7 +529,7 @@ impl Network {
     /// delivery channel stalled by a permanent hotspot fault).
     #[must_use]
     pub fn livelocked(&self, window: u64) -> bool {
-        self.packets.live() > 0 && self.now.saturating_sub(self.last_progress_at) >= window
+        self.live_packets() > 0 && self.now.saturating_sub(self.last_progress_at) >= window
     }
 
     /// Number of suspected-deadlocked VCs waiting for the recovery token.
@@ -734,8 +755,11 @@ impl Network {
             self.counters.refused_generations += 1;
             return;
         }
-        let id = self.packets.alloc(PacketInfo::offered(node, dst, now));
-        self.source_q.push_back(node, id);
+        let q = QueueEntry {
+            dst: dst as u32,
+            generated_at: now,
+        };
+        self.source_q.push_back(node, q);
         self.srcq_nodes.insert(node);
         self.counters.generated_packets += 1;
     }
@@ -750,7 +774,7 @@ impl Network {
                 let node = (w << 6) | word.trailing_zeros() as usize;
                 word &= word - 1;
                 self.counters.stage_inject_visits += 1;
-                let dst = self.packets.get(self.source_q.front(node)).dst;
+                let dst = self.source_q.front(node).dst as NodeId;
                 let ok = ctl.allow_injection(now, node, dst, self);
                 self.counters.throttled_injections += u64::from(!ok);
                 if ok {
@@ -846,10 +870,12 @@ impl Network {
     }
 
     /// Folds the shards' results of a pass, in ascending shard order: the
-    /// deltas to global scalars, and the global half of their suspects,
-    /// starvation trips and delivered tails — suspects and then trips join
-    /// the token queue, tails finish ([`Network::finish_packet`]) — each in
-    /// pass order.
+    /// deltas to global scalars, and the global half of their injection
+    /// wins, suspects, starvation trips and delivered tails — a won
+    /// injection gets its record ([`Network::start_packet`]), suspects and
+    /// then trips join the token queue, tails finish
+    /// ([`Network::finish_packet`]) — each in pass order. Pass order is
+    /// ascending node order, so packet ids do not depend on the partition.
     pub(crate) fn fold_stages(&mut self, kind: Pass, now: u64, stages: &mut [ShardStage]) {
         for stage in stages.iter_mut() {
             let c = &mut self.counters;
@@ -857,6 +883,9 @@ impl Network {
                 c.stage_route_visits += std::mem::take(&mut stage.route_visits);
                 c.stage_starvation_checks += std::mem::take(&mut stage.starvation_checks);
                 c.escape_allocations += std::mem::take(&mut stage.escape_allocs);
+                for node in stage.started.drain(..) {
+                    self.start_packet(node as NodeId);
+                }
                 for idx in stage.suspects.drain(..) {
                     self.enqueue_suspect(idx as usize);
                 }
@@ -924,9 +953,8 @@ impl Network {
             vc_full: Cells::new(&mut self.vc_full),
             busy_nodes: Cells::new(self.busy_nodes.words_mut()),
             inj_nodes: Cells::new(self.inj_nodes.words_mut()),
-            srcq_nodes: Cells::new(self.srcq_nodes.words_mut()),
             vc_bufs: self.vc_bufs.view(),
-            source_q: self.source_q.view(),
+            source_q: &self.source_q,
             packets: self.packets.view(),
             plane: self.plane.view(),
             visit: &self.plan.visit,
@@ -946,6 +974,22 @@ impl Network {
         self.faults
             .as_ref()
             .is_some_and(|plan| plan.delivery_down(node, now))
+    }
+
+    /// The global half of an injection's routing win at `node`, whose
+    /// pass already set up the injection interface: the front of the
+    /// source queue leaves it and becomes a packet record, escaped if the
+    /// won output VC is an escape VC, which the interface then streams.
+    fn start_packet(&mut self, node: NodeId) {
+        let q = self.source_q.pop_front(node);
+        if self.source_q.is_empty(node) {
+            self.srcq_nodes.remove(node);
+        }
+        let inj = &mut self.inj[node];
+        let escaped = matches!(inj.assign,
+            Assign::Out { vc, .. } if usize::from(vc) < self.cfg.escape_vcs());
+        debug_assert!(inj.active.is_none(), "a won injection already streams");
+        inj.active = Some(self.packets.alloc(PacketInfo::injecting(node, q, escaped)));
     }
 
     /// The tail half of a delivery, run sequentially once the tail of
@@ -995,8 +1039,9 @@ impl ApplyCtx<'_> {
     /// because nothing a router reads is written by another router's pass:
     /// its requester fronts, `route_rr`, `vc_blocked`, `vc_assign` and its
     /// own outputs' `out_alloc` are its own; the visit copy, the cycle's
-    /// injection allowances and packet destinations are written by no
-    /// pass; and the `escaped` flag and `last_move` stamp it reads belong
+    /// injection allowances, the source queues and packet destinations are
+    /// written by no pass (a won injection's entry leaves its queue in the
+    /// fold); and the `escaped` flag and `last_move` stamp it reads belong
     /// to a packet whose header it holds, which no other router routes (and
     /// `last_move` changes only in the switch and recovery stages).
     pub(crate) fn route_pass(&self, now: u64, lo: usize, hi: usize, stage: &mut ShardStage) {
@@ -1066,17 +1111,20 @@ impl ApplyCtx<'_> {
         let winner = rr_pick(requests, self.route_rr.get(node));
         self.route_rr.set(node, winner + 1);
 
-        // Routing decision for the winner.
-        let pid = if winner == inj_feeder {
-            self.source_q.front(node)
+        // Routing decision for the winner. A queued packet has no record
+        // yet, and has never escaped.
+        let (dst, escaped) = if winner == inj_feeder {
+            (self.source_q.front(node).dst as NodeId, false)
         } else {
-            self.vc_bufs.front_packet(base + winner)
+            let packet = self
+                .packets
+                .packet(self.vc_bufs.front_packet(base + winner));
+            (packet.dst, packet.escaped.load(Ordering::Relaxed))
         };
-        let dst = self.packets.packet(pid).dst;
         let assign = if dst == node {
             Some(Assign::Delivery)
         } else {
-            self.choose_output(node, dst, pid)
+            self.choose_output(node, dst, escaped)
         };
         if let Some(assign) = assign {
             self.route_win(now, node, winner, assign, stage);
@@ -1342,8 +1390,11 @@ impl ApplyCtx<'_> {
     }
 
     /// Performs the allocation of a routing win: output-VC claim, escape
-    /// marking, and the injection start or VC assignment. The decision itself (`assign`) was made by
-    /// [`ApplyCtx::route_pass`] just before.
+    /// marking, and the injection start or VC assignment. The decision
+    /// itself (`assign`) was made by [`ApplyCtx::route_pass`] just before.
+    /// A won injection's packet is still a source-queue entry: the
+    /// interface starts with no packet, and the fold pops the entry into a
+    /// record ([`Network::start_packet`]), escaped if `assign` is.
     fn route_win(
         &self,
         now: u64,
@@ -1355,35 +1406,27 @@ impl ApplyCtx<'_> {
         let idx = node * self.fpn + feeder;
         let at = node * (self.fpn + 1) + feeder;
         let is_inj = feeder == self.fpn;
-        let pid = if is_inj {
-            self.source_q.front(node)
-        } else {
-            self.vc_bufs.front_packet(idx)
-        };
         if let Assign::Out { port, vc } = assign {
             let oidx = (node * self.d + usize::from(port)) * self.v + usize::from(vc);
             debug_assert!(!self.out_alloc.get(oidx), "allocating an owned VC");
             self.out_alloc.set(oidx, true);
             if usize::from(vc) < self.escape_vcs {
-                // At most one routing win per packet per cycle.
-                self.packets
-                    .packet(pid)
-                    .escaped
-                    .store(true, Ordering::Relaxed);
+                if !is_inj {
+                    // At most one routing win per packet per cycle.
+                    let pid = self.vc_bufs.front_packet(idx);
+                    let escaped = self.packets.packet(pid).escaped;
+                    escaped.store(true, Ordering::Relaxed);
+                }
                 stage.escape_allocs += 1;
             }
         }
         if is_inj {
-            let id = self.source_q.pop_front(node);
-            debug_assert_eq!(id, pid);
-            if self.source_q.is_empty(node) {
-                self.srcq_nodes.remove_bit(node);
-            }
+            stage.started.push(node as u32);
             self.inj_nodes.insert_bit(node);
             self.inj.set(
                 node,
                 InjState {
-                    active: Some(id),
+                    active: None,
                     sent: 0,
                     assign,
                     routed_at: now,
@@ -1582,7 +1625,10 @@ mod tests {
     /// on both sides of unaligned shard edges. The fault plan stalls a
     /// delivery channel and a link next to shard edges, so deliveries and
     /// handoffs are withheld by the pass and `take`n by the shards' own
-    /// passes around them. Seven and eight shards are more than most
+    /// passes around them. The source queues run full, so every cycle
+    /// injections win routing in several shards and the fold gives their
+    /// packets records: the ids, which the checkpoint bytes hold, are the
+    /// same at every count. Seven and eight shards are more than most
     /// hosts' cores give threads to.
     #[test]
     fn stepping_is_bit_identical_across_shard_counts() {
@@ -1629,12 +1675,14 @@ mod tests {
                 for _ in 0..1_200 {
                     net.cycle_from(&mut src, &mut NoControl);
                 }
+                let full = (0..nodes).filter(|&n| net.source_q.is_full(n)).count();
                 let mut enc = checkpoint::Enc::new();
                 net.save_state(&mut enc);
-                (enc.into_vec(), *net.counters())
+                (enc.into_vec(), *net.counters(), full)
             };
-            let (base, c) = run(1);
+            let (base, c, full) = run(1);
             assert!(c.delivered_packets > 0, "vacuous: nothing was delivered");
+            assert!(full > 1, "vacuous: {full} source queue(s) full");
             assert!(
                 c.hotspot_stall_cycles > 0 && c.link_stall_cycles > 0,
                 "vacuous: the faults stalled nothing"
@@ -1968,8 +2016,9 @@ mod tests {
     }
 
     /// Escape is sticky for a packet, not for its slot. Once a packet that
-    /// took an escape VC is delivered, the packet `offer` writes into its
-    /// slot is not escaped, and alone on its links it routes adaptively.
+    /// took an escape VC is delivered, the record the next won injection
+    /// gets in its slot is not escaped, and alone on its links that packet
+    /// routes adaptively.
     #[test]
     fn a_recycled_slot_is_not_escaped() {
         let cfg = NetConfig {
@@ -1986,31 +2035,31 @@ mod tests {
         for _ in 0..2_000 {
             net.cycle_from(&mut |_, _| {}, &mut NoControl);
         }
-        assert_eq!(net.packets.live(), 0, "the network did not drain");
+        assert_eq!(net.live_packets(), 0, "the network did not drain");
         let escapes = net.counters.escape_allocations;
         assert!(escapes > 0, "vacuous: nothing escaped");
-        // One-hop packets, one per output channel, never contend for an
-        // output VC; offer them until one lands in a slot an escaped packet
-        // left.
-        let recycled = (0..2)
-            .flat_map(|dim| [Dir::Plus, Dir::Minus].map(|dir| (dim, dir)))
-            .flat_map(|hop| (0..nodes).map(move |src| (src, hop)))
-            .find_map(|(src, (dim, dir))| {
-                let &id = net.packets.free_ids().last()?;
-                let was_escaped = net.packets.get(id).escaped;
-                net.offer(net.now, src, net.torus.neighbor(src, dim, dir));
-                was_escaped.then_some(id)
-            });
-        let id = recycled.expect("vacuous: no escaped slot recycled");
+        // Put a slot an escaped packet left on top of the free list, where
+        // the next won injection takes it, and send a one-hop packet.
+        let at = net
+            .packets
+            .free_ids()
+            .iter()
+            .position(|&id| net.packets.get(id).escaped);
+        let free = net.packets.free_ids_mut();
+        let id = free.remove(at.expect("vacuous: no escaped slot freed"));
+        free.push(id);
+        let (src, dst) = (0, net.torus.neighbor(0, 0, Dir::Plus));
+        net.cycle_from(&mut |_, offer| offer(src, dst), &mut NoControl);
+        assert_eq!(
+            net.inj[src].active,
+            Some(id),
+            "the injection took another slot"
+        );
         assert!(!net.packets.get(id).escaped, "the recycled slot is escaped");
         for _ in 0..200 {
             net.cycle_from(&mut |_, _| {}, &mut NoControl);
         }
-        assert_eq!(
-            net.packets.live(),
-            0,
-            "the offered packets were not delivered"
-        );
+        assert_eq!(net.live_packets(), 0, "the packet was not delivered");
         assert_eq!(
             net.counters.escape_allocations, escapes,
             "a packet alone on its links took an escape VC"

@@ -29,12 +29,14 @@ impl Flit {
     pub(crate) const ENCODED_LEN: usize = 4 + 2 + 8;
 }
 
-/// Metadata of an in-flight packet. Every packet has the network's
-/// [`crate::NetConfig::packet_len`] flits, so the record carries no length:
-/// a flit move tests for the tail against the configured value and touches
-/// the record only to store its `last_move` stamp — and, at the
+/// Metadata of a packet in the network. A packet gets its record only when
+/// its injection wins routing; until then it is an entry of its source
+/// queue, a destination and a generation cycle. Every packet has the
+/// network's [`crate::NetConfig::packet_len`] flits, so the record carries
+/// no length: a flit move tests for the tail against the configured value
+/// and touches the record only to store its `last_move` stamp — and, at the
 /// destination, its delivered count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketInfo {
     /// Source node.
     pub src: NodeId,
@@ -43,13 +45,14 @@ pub struct PacketInfo {
     /// Cycle the packet was generated (entered the source queue).
     pub generated_at: u64,
     /// Cycle the header flit left the source (entered the network), or
-    /// `u64::MAX` while still queued.
+    /// `u64::MAX` until it has.
     pub injected_at: u64,
     /// Flits already consumed at the destination. Flits arrive in order,
     /// so a delivery stores its flit's index + 1.
     pub delivered_flits: u16,
     /// Cycle any flit of this packet last moved (drives Disha's
-    /// whole-worm-inactive deadlock detection).
+    /// whole-worm-inactive deadlock detection); the generation cycle until
+    /// the header moves.
     pub last_move: u64,
     /// Whether the packet ever took an escape VC: escape is sticky, so it
     /// then routes on the escape sub-network to its destination.
@@ -60,50 +63,52 @@ pub struct PacketInfo {
 const _: () = assert!(std::mem::size_of::<PacketInfo>() <= 48);
 
 impl PacketInfo {
-    /// Bytes of an untouched packet's record in [`PacketStore::save_state`]:
-    /// tag, `src` and `dst` (`u32`), `generated_at`.
-    pub(crate) const OFFERED_LEN: usize = 1 + 2 * 4 + 8;
-    /// Bytes of any other live packet's record: tag, `src`, `dst`,
-    /// `generated_at`, `injected_at`, `delivered_flits`, `last_move`.
-    pub(crate) const MOVED_LEN: usize = 1 + 2 * 4 + 2 * 8 + 2 + 8;
+    /// Bytes of a live packet's record in [`PacketStore::save_state`]: tag,
+    /// `src`, `dst` (`u32`), `generated_at`, `injected_at`,
+    /// `delivered_flits`, `last_move`.
+    pub(crate) const ENCODED_LEN: usize = 1 + 2 * 4 + 2 * 8 + 2 + 8;
 
-    /// The record `Network::offer` writes for a packet `src` generated at
-    /// `now` for `dst`: queued, nothing sent, nothing delivered.
+    /// The record the route pass's fold creates for the packet `q` whose
+    /// injection at `src` won routing, onto an escape VC or not: nothing
+    /// sent, nothing delivered.
     #[must_use]
-    pub(crate) fn offered(src: NodeId, dst: NodeId, now: u64) -> Self {
+    pub(crate) fn injecting(src: NodeId, q: QueueEntry, escaped: bool) -> Self {
         PacketInfo {
             src,
-            dst,
-            generated_at: now,
+            dst: q.dst as NodeId,
+            generated_at: q.generated_at,
             injected_at: u64::MAX,
             delivered_flits: 0,
-            last_move: now,
-            escaped: false,
-        }
-    }
-
-    /// Whether this record is still exactly what `offer` wrote: then
-    /// `src`, `dst` and `generated_at` are all a checkpoint needs of it.
-    fn untouched(&self) -> bool {
-        *self == PacketInfo::offered(self.src, self.dst, self.generated_at)
-    }
-
-    /// Bytes of this live packet's record.
-    fn encoded_len(&self) -> usize {
-        if self.untouched() {
-            PacketInfo::OFFERED_LEN
-        } else {
-            PacketInfo::MOVED_LEN
+            last_move: q.generated_at,
+            escaped,
         }
     }
 }
 
-/// Tag of a live packet's record: still what `offer` wrote.
-const OFFERED: u8 = 0;
-/// Tag of any other live packet's record, never escaped.
-const MOVED: u8 = 1;
-/// Tag of any other live packet's record, sticky-escaped.
-const MOVED_ESCAPED: u8 = 2;
+/// Tag of a live packet's record, never escaped.
+const PLAIN: u8 = 0;
+/// Tag of a live packet's record, sticky-escaped.
+const ESCAPED: u8 = 1;
+
+/// A packet waiting in its source queue: all a queued packet is, since
+/// nothing reads more of it than its destination (the injection gate, the
+/// route arbiter) and its generation cycle (its record, once it wins). The
+/// source is the queue's node. Packed to 12 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C, packed(4))]
+pub(crate) struct QueueEntry {
+    /// Destination node. Node ids fit `u32`: config validation caps the
+    /// node count.
+    pub dst: u32,
+    pub generated_at: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<QueueEntry>() == 12);
+
+impl QueueEntry {
+    /// Bytes of one serialized entry: `dst` (`u32`), `generated_at`.
+    pub(crate) const ENCODED_LEN: usize = 4 + 8;
+}
 
 /// Record emitted when a packet's tail is consumed at its destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,6 +205,12 @@ impl PacketStore {
         &self.free
     }
 
+    /// The free list, to reorder: which slot the next `alloc` takes.
+    #[cfg(test)]
+    pub(crate) fn free_ids_mut(&mut self) -> &mut Vec<PacketId> {
+        &mut self.free
+    }
+
     /// The slot array as checked cells, for the pass views
     /// ([`crate::shard::ApplyCtx`]), which reach a packet only through
     /// [`Cells::packet`].
@@ -227,38 +238,26 @@ impl PacketStore {
             if freed.next_if_eq(&(id as PacketId)).is_some() {
                 continue;
             }
-            let untouched = p.untouched();
-            enc.u8(match (untouched, p.escaped) {
-                (true, _) => OFFERED,
-                (false, false) => MOVED,
-                (false, true) => MOVED_ESCAPED,
-            });
+            enc.u8(if p.escaped { ESCAPED } else { PLAIN });
             // Node ids fit `u32`: config validation caps the node count.
             enc.u32(p.src as u32);
             enc.u32(p.dst as u32);
             enc.u64(p.generated_at);
-            if !untouched {
-                enc.u64(p.injected_at);
-                enc.u16(p.delivered_flits);
-                enc.u64(p.last_move);
-            }
+            enc.u64(p.injected_at);
+            enc.u16(p.delivered_flits);
+            enc.u64(p.last_move);
         }
         debug_assert_eq!(enc.len() - start, self.encoded_len());
     }
 
-    /// Bytes [`PacketStore::save_state`] writes for the current store: every
-    /// slot's record, less the freed slots'.
+    /// Bytes [`PacketStore::save_state`] writes for the current store.
     pub(crate) fn encoded_len(&self) -> usize {
-        let record = |id: usize| self.slots[id].encoded_len();
-        let all: usize = (0..self.slots.len()).map(record).sum();
-        let freed: usize = self.free.iter().map(|&id| record(id as usize)).sum();
-        8 + 8 + 4 * self.free.len() + all - freed
+        8 + 8 + 4 * self.free.len() + self.live() * PacketInfo::ENCODED_LEN
     }
 
     /// Reads a store serialized with [`PacketStore::save_state`] on a
-    /// network of `nodes` nodes. A freed slot comes
-    /// back as an offered record of node 0; nothing reads it before `alloc`
-    /// overwrites it.
+    /// network of `nodes` nodes. A freed slot comes back as a default
+    /// record; nothing reads it before `alloc` overwrites it.
     ///
     /// # Errors
     ///
@@ -277,8 +276,8 @@ impl PacketStore {
             return Err(Corrupt("free list longer than slot array"));
         }
         // A hostile count cannot force an allocation beyond what the stream
-        // could actually satisfy: a free id is four bytes, a live record at
-        // least `OFFERED_LEN`.
+        // could actually satisfy: a free id is four bytes, a live record
+        // `ENCODED_LEN`.
         let mut free = Vec::with_capacity(nfree.min(dec.remaining() / 4));
         for _ in 0..nfree {
             let id = dec.u32()?;
@@ -292,30 +291,31 @@ impl PacketStore {
         if freed.windows(2).any(|w| w[0] == w[1]) {
             return Err(Corrupt("free list names a slot twice"));
         }
-        let cap = nslots.min(nfree + dec.remaining() / PacketInfo::OFFERED_LEN);
+        let cap = nslots.min(nfree + dec.remaining() / PacketInfo::ENCODED_LEN);
         let mut slots = Vec::with_capacity(cap);
         let mut freed = freed.into_iter().peekable();
         for id in 0..nslots {
             if freed.next_if_eq(&(id as PacketId)).is_some() {
-                slots.push(PacketInfo::offered(0, 0, 0));
+                slots.push(PacketInfo::default());
                 continue;
             }
             let tag = dec.u8()?;
-            if tag > MOVED_ESCAPED {
+            if tag > ESCAPED {
                 return Err(Corrupt("unknown packet record tag"));
             }
             let (src, dst) = (dec.u32()? as usize, dec.u32()? as usize);
             if src >= nodes || dst >= nodes {
                 return Err(Corrupt("packet endpoint outside the network"));
             }
-            let mut p = PacketInfo::offered(src, dst, dec.u64()?);
-            if tag != OFFERED {
-                p.injected_at = dec.u64()?;
-                p.delivered_flits = dec.u16()?;
-                p.last_move = dec.u64()?;
-            }
-            p.escaped = tag == MOVED_ESCAPED;
-            slots.push(p);
+            slots.push(PacketInfo {
+                src,
+                dst,
+                generated_at: dec.u64()?,
+                injected_at: dec.u64()?,
+                delivered_flits: dec.u16()?,
+                last_move: dec.u64()?,
+                escaped: tag == ESCAPED,
+            });
         }
         Ok(PacketStore { slots, free })
     }
@@ -347,7 +347,7 @@ mod tests {
     use super::*;
 
     fn info(src: NodeId) -> PacketInfo {
-        PacketInfo::offered(src, 0, 0)
+        PacketInfo::injecting(src, QueueEntry::default(), false)
     }
 
     #[test]
@@ -365,12 +365,16 @@ mod tests {
         assert_eq!(s.live(), 2);
     }
 
-    /// Slots 0..4: offered, freed, moved, moved and escaped — freed last
+    /// Slots 0..4: just won, freed, moved, moved and escaped — freed last
     /// pushed, so it is the next `alloc`'s.
     fn mixed_store() -> PacketStore {
         let mut s = PacketStore::new();
         for src in 0..4 {
-            s.alloc(PacketInfo::offered(src, 7, 10 + src as u64));
+            let q = QueueEntry {
+                dst: 7,
+                generated_at: 10 + src as u64,
+            };
+            s.alloc(PacketInfo::injecting(src, q, false));
         }
         s.get_mut(1).escaped = true;
         s.release(1);
@@ -401,8 +405,8 @@ mod tests {
     fn records_round_trip_at_their_sizes() {
         let s = mixed_store();
         let bytes = save(&s);
-        // Counts, one free id, one offered and two moved records.
-        let want = 8 + 8 + 4 + PacketInfo::OFFERED_LEN + 2 * PacketInfo::MOVED_LEN;
+        // Counts, one free id, three live records.
+        let want = 8 + 8 + 4 + 3 * PacketInfo::ENCODED_LEN;
         assert_eq!((bytes.len(), s.encoded_len()), (want, want));
         let back = restore(&bytes).unwrap();
         for id in [0, 2, 3] {
@@ -425,7 +429,7 @@ mod tests {
         let cases = [
             (
                 "unknown tag",
-                with(first_record, &[3]),
+                with(first_record, &[2]),
                 "unknown packet record tag",
             ),
             (

@@ -26,9 +26,10 @@
 //!   Every access the pipeline makes is a pop, a push or a front peek, so
 //!   a flit move touches one slot and one cursor word per ring, and telling
 //!   a header from a body flit reads the cursor alone.
-//! * [`IdRing`] — the same shape for `u32` payloads (source queues of
-//!   `PacketId`, the recovery token queue of VC indices), with a
-//!   `head | len << 32` cursor word per ring.
+//! * [`Rings`] — FIFOs of small values touched only between the passes
+//!   (the source queues' entries, the recovery token queue's VC indices),
+//!   laid out slot-major so that shallow rings stay in the arena's first
+//!   rows, the only ones ever written.
 //! * [`DeliveryRing`] — the drained delivery-record queue. Capacity grows
 //!   (amortized doubling) only while the consumer is *not* draining; a
 //!   consumer that drains every gather period bounds it to O(period), and
@@ -505,29 +506,44 @@ impl FlitRingsView<'_> {
     }
 }
 
-/// An id ring's cursor word: `head | len << 32`.
+/// A [`Rings`] cursor word: `head | len << 32`.
 #[inline]
-fn id_cursor(head: u32, len: u32) -> u64 {
+fn fifo_cursor(head: u32, len: u32) -> u64 {
     u64::from(head) | u64::from(len) << 32
 }
 
-/// Arena of `rings` fixed-capacity `u32` FIFOs (packet ids, VC indices).
-#[derive(Debug, Clone)]
-pub(crate) struct IdRing {
+/// Arena of fixed-capacity FIFOs of small `W` values, touched only between
+/// the passes: the source queues (`W` = a 12-byte
+/// [`QueueEntry`](crate::packet::QueueEntry)) and the token queue (a VC
+/// index). One `head | len << 32` cursor word per ring, and a running count
+/// of the entries of all rings.
+///
+/// Slot `i` of ring `r` is entry `i * rings + r`, and a ring that empties
+/// restarts at slot 0. A ring that stays shallow then only ever uses the
+/// arena's first rows. The arena's capacity is reserved whole at
+/// construction, but its rows are written (and so made resident) only as
+/// the first push reaches each: a row no ring reached costs no memory, and
+/// growing within the reserved capacity never allocates.
+#[derive(Debug)]
+pub(crate) struct Rings<W> {
     cap: u32,
     /// Per ring, `head | len << 32`.
     cursors: Vec<u64>,
-    data: Vec<u32>,
+    /// The rows reached so far, of the `rings * cap` entries reserved.
+    data: Vec<W>,
+    /// Entries in all rings.
+    total: usize,
 }
 
-impl IdRing {
+impl<W: Copy + Default> Rings<W> {
     /// An arena of `rings` empty rings of `cap` entries each.
     pub(crate) fn new(rings: usize, cap: usize) -> Self {
         let cap32 = u32::try_from(cap).expect("ring capacity fits u32");
-        IdRing {
+        Rings {
             cap: cap32,
             cursors: vec![0; rings],
-            data: vec![0; rings * cap],
+            data: Vec::with_capacity(rings * cap),
+            total: 0,
         }
     }
 
@@ -546,104 +562,73 @@ impl IdRing {
         self.len(r) == self.cap as usize
     }
 
+    /// Entries in all rings together.
+    #[inline]
+    pub(crate) fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Where logical position `i` of ring `r` sits in the arena.
+    #[inline]
+    fn at(&self, r: usize, i: u32) -> usize {
+        let head = self.cursors[r] as u32;
+        wrap(self.cap, head, i) as usize * self.cursors.len() + r
+    }
+
     /// The entry at logical position `i` (0 = front) of ring `r`.
     #[inline]
-    pub(crate) fn get(&self, r: usize, i: usize) -> u32 {
+    pub(crate) fn get(&self, r: usize, i: usize) -> W {
         debug_assert!(i < self.len(r), "ring position out of range");
-        let head = self.cursors[r] as u32;
-        self.data[r * self.cap as usize + wrap(self.cap, head, i as u32) as usize]
+        self.data[self.at(r, i as u32)]
     }
 
     /// The front entry of ring `r` (ring must be non-empty).
     #[inline]
-    pub(crate) fn front(&self, r: usize) -> u32 {
+    pub(crate) fn front(&self, r: usize) -> W {
         self.get(r, 0)
     }
 
     /// Appends `v` to ring `r`.
     #[inline]
-    pub(crate) fn push_back(&mut self, r: usize, v: u32) {
-        self.view().push_back(r, v);
-    }
-
-    /// Removes and returns the front entry of ring `r`.
-    #[inline]
-    pub(crate) fn pop_front(&mut self, r: usize) -> u32 {
-        self.view().pop_front(r)
-    }
-
-    /// Empties ring `r`, resetting its head to slot 0.
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self, r: usize) {
-        self.cursors[r] = 0;
-    }
-
-    /// The arena as checked cells owning every ring; see
-    /// [`FlitRings::view`].
-    #[inline]
-    pub(crate) fn view(&mut self) -> IdRingView<'_> {
-        IdRingView {
-            cap: self.cap,
-            cursors: Cells::new(&mut self.cursors),
-            data: Cells::new(&mut self.data),
-        }
-    }
-}
-
-/// An [`IdRing`] arena as checked cells over a range of its rings; see
-/// [`FlitRingsView`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IdRingView<'a> {
-    cap: u32,
-    cursors: Cells<'a, u64>,
-    data: Cells<'a, u32>,
-}
-
-impl IdRingView<'_> {
-    /// The same arena owning only rings `lo..hi`.
-    pub(crate) fn narrow(self, lo: usize, hi: usize) -> Self {
-        let cap = self.cap as usize;
-        IdRingView {
-            cap: self.cap,
-            cursors: self.cursors.narrow(lo, hi),
-            data: self.data.narrow(lo * cap, hi * cap),
-        }
-    }
-
-    /// See [`IdRing::is_empty`].
-    #[inline]
-    pub(crate) fn is_empty(&self, r: usize) -> bool {
-        self.cursors.get(r) >> 32 == 0
-    }
-
-    /// See [`IdRing::front`].
-    #[inline]
-    pub(crate) fn front(&self, r: usize) -> u32 {
-        let c = self.cursors.get(r);
-        debug_assert!(c >> 32 != 0, "front of empty id ring");
-        self.data.get(r * self.cap as usize + c as u32 as usize)
-    }
-
-    /// See [`IdRing::push_back`].
-    #[inline]
-    pub(crate) fn push_back(&self, r: usize, v: u32) {
-        let c = self.cursors.get(r);
+    pub(crate) fn push_back(&mut self, r: usize, v: W) {
+        let c = self.cursors[r];
         let (head, len) = (c as u32, (c >> 32) as u32);
-        debug_assert!(len < self.cap, "id ring overflow");
-        let pos = wrap(self.cap, head, len);
-        self.data.set(r * self.cap as usize + pos as usize, v);
-        self.cursors.set(r, id_cursor(head, len + 1));
+        debug_assert!(len < self.cap, "ring overflow");
+        let at = self.at(r, len);
+        if at >= self.data.len() {
+            self.reach_row(at / self.cursors.len());
+        }
+        self.data[at] = v;
+        self.cursors[r] = fifo_cursor(head, len + 1);
+        self.total += 1;
     }
 
-    /// See [`IdRing::pop_front`].
+    /// Writes the arena's rows up to `row`, inside the reserved capacity.
+    #[cold]
+    fn reach_row(&mut self, row: usize) {
+        self.data
+            .resize((row + 1) * self.cursors.len(), W::default());
+    }
+
+    /// Removes and returns the front entry of ring `r`; a ring left empty
+    /// restarts at slot 0.
     #[inline]
-    pub(crate) fn pop_front(&self, r: usize) -> u32 {
+    pub(crate) fn pop_front(&mut self, r: usize) -> W {
         let v = self.front(r);
-        let c = self.cursors.get(r);
+        let c = self.cursors[r];
         let (head, len) = (c as u32, (c >> 32) as u32);
-        self.cursors
-            .set(r, id_cursor(wrap(self.cap, head, 1), len - 1));
+        let head = if len == 1 { 0 } else { wrap(self.cap, head, 1) };
+        self.cursors[r] = fifo_cursor(head, len - 1);
+        self.total -= 1;
         v
+    }
+
+    /// Overwrites the entry at logical position `i` of ring `r`.
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, r: usize, i: usize, v: W) {
+        debug_assert!(i < self.len(r), "ring position out of range");
+        let at = self.at(r, i as u32);
+        self.data[at] = v;
     }
 }
 
@@ -866,13 +851,13 @@ mod tests {
         }
     }
 
-    /// Same model property for the u32 rings.
+    /// Same model property for the word rings, and their running total.
     #[test]
-    fn id_ring_matches_vecdeque_model() {
+    fn rings_match_vecdeque_model() {
         for case in 0..CASES {
             let mut rng = 0x1D00_0000 + case;
             let cap = 1 + (mix(&mut rng) as usize) % 7;
-            let mut ring = IdRing::new(2, cap);
+            let mut ring = Rings::new(2, cap);
             let mut model: Vec<VecDeque<u32>> = vec![VecDeque::new(); 2];
             for step in 0..1_500u32 {
                 let r = (mix(&mut rng) as usize) % 2;
@@ -884,11 +869,33 @@ mod tests {
                 }
                 assert_eq!(ring.len(r), model[r].len());
                 assert_eq!(ring.is_full(r), model[r].len() == cap);
+                assert_eq!(ring.total(), model[0].len() + model[1].len());
                 for (i, &v) in model[r].iter().enumerate() {
                     assert_eq!(ring.get(r, i), v);
                 }
             }
         }
+    }
+
+    /// Rings that never hold more than two entries reach only the arena's
+    /// first two rows, however often they cycle: an emptied ring restarts
+    /// at slot 0, and slot `i` of every ring shares row `i`.
+    #[test]
+    fn shallow_rings_stay_in_the_first_rows() {
+        let (rings, cap) = (5, 8);
+        let mut ring = Rings::new(rings, cap);
+        let reserved = ring.data.capacity();
+        for step in 0..1_000u32 {
+            let r = step as usize % rings;
+            ring.push_back(r, step);
+            if ring.len(r) == 2 || step % 3 == 0 {
+                while !ring.is_empty(r) {
+                    ring.pop_front(r);
+                }
+            }
+        }
+        assert_eq!(ring.data.len(), 2 * rings, "a deep row written");
+        assert!(reserved >= cap * rings && ring.data.capacity() == reserved);
     }
 
     fn rec(tag: u64) -> DeliveredRecord {
@@ -1028,14 +1035,6 @@ mod tests {
         assert!(arena.is_empty(0));
         arena.push_back(0, flit(7));
         assert_eq!(arena.get(0, 0), flit(7));
-
-        let mut ids = IdRing::new(1, 3);
-        ids.push_back(0, 1);
-        ids.push_back(0, 2);
-        ids.pop_front(0);
-        ids.push_back(0, 3);
-        ids.reset(0);
-        assert!(ids.is_empty(0));
     }
 
     /// A stamp keeps 32 bits of `ready_at`, yet every read is exact: across

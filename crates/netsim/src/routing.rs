@@ -3,11 +3,9 @@
 //! next-hop tables precomputed once at network construction.
 
 use crate::network::{dim_dir_of, port_of, Assign};
-use crate::packet::PacketId;
 use crate::plane::Slot;
 use crate::shard::ApplyCtx;
 use kncube::{Dir, NodeId, Torus};
-use std::sync::atomic::Ordering;
 
 /// Sentinel in the mesh next-hop rows for equal coordinates (no hop in
 /// that dimension).
@@ -181,9 +179,9 @@ fn productive_mask_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> u16 {
 
 impl ApplyCtx<'_> {
     /// Chooses an output virtual channel for a header at `node` destined for
-    /// `dst` (`dst != node`; local delivery is handled by the caller). Reads
-    /// `node`'s own output allocations and the escape flag of packet `pid`,
-    /// whose header this router holds.
+    /// `dst` (`dst != node`; local delivery is handled by the caller) whose
+    /// packet has `escaped` already or not. Reads `node`'s own output
+    /// allocations.
     ///
     /// Policy, following the paper's §5.1 configurations:
     ///
@@ -199,13 +197,12 @@ impl ApplyCtx<'_> {
     ///   channel-dependency graph acyclic on the torus.
     ///
     /// Returns `None` when no candidate channel is free this cycle.
-    pub(crate) fn choose_output(&self, node: NodeId, dst: NodeId, pid: PacketId) -> Option<Assign> {
+    pub(crate) fn choose_output(&self, node: NodeId, dst: NodeId, escaped: bool) -> Option<Assign> {
         debug_assert_ne!(node, dst);
         let escape_vcs = self.escape_vcs;
         let free =
             |port: usize, vc: usize| !self.out_alloc.get((node * self.d + port) * self.v + vc);
-        let sticky_escaped =
-            escape_vcs > 0 && self.packets.packet(pid).escaped.load(Ordering::Relaxed);
+        let sticky_escaped = escape_vcs > 0 && escaped;
 
         if !sticky_escaped {
             // First free adaptive VC in fixed (dimension, direction, VC)

@@ -31,8 +31,9 @@
 //!    downstream VC receives at most one flit a cycle, the node-word
 //!    updates are ORs and the census deltas sums.
 //! 2. **Fold** (sequential): the caller's thread folds each shard's deltas
-//!    and globally ordered results — route-pass suspects, then starvation
-//!    trips, into the token queue; the delivered-flit count into the
+//!    and globally ordered results — each won injection's source-queue
+//!    entry into a new packet record (so ids are assigned in node order);
+//!    route-pass suspects, then starvation trips, into the token queue; the delivered-flit count into the
 //!    counters; each delivered tail's record into the delivery ring and
 //!    its packet slot back to the free list — in ascending shard order,
 //!    within a shard in pass (ascending node) order. Because shards are
@@ -76,9 +77,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::network::{Assign, InjState, Network};
+use crate::packet::QueueEntry;
 use crate::packet::{Flit, PacketCell, PacketId, PacketInfo};
 use crate::plane::SwitchPlaneView;
-use crate::ring::{FlitRingsView, IdRingView};
+use crate::ring::{FlitRingsView, Rings};
 use crate::routing::RouteTables;
 use faults::FaultPlan;
 use kncube::{Dir, Torus};
@@ -99,6 +101,10 @@ pub(crate) struct Parked {
 /// [`crate::AuditKind::MailboxConservation`]).
 #[derive(Debug, Default)]
 pub(crate) struct ShardStage {
+    /// The routers whose injection won routing, in pass order. The pass
+    /// sets up the injection interface; the fold pops the source-queue
+    /// entry into a packet record — the store's global id order.
+    pub started: Vec<u32>,
     /// The input VCs of requesters that tripped Disha's suspicion
     /// predicate. The pass demotes them to `AwaitToken`; the fold commits
     /// them to the recovery token queue (a single global FIFO) in pass
@@ -213,8 +219,9 @@ fn split(shards: usize, nodes: usize) -> Vec<usize> {
 impl ShardPlan {
     /// Builds a plan with `shards` contiguous node ranges of `torus`
     /// ([`split`]), `v` VCs per channel. The stages' lists are sized at
-    /// their per-cycle worst case: a router sets aside at most one suspect
-    /// or starvation trip per input feeder and one delivered tail, and
+    /// their per-cycle worst case: a router sets aside at most one injection
+    /// win, one suspect or starvation trip per input feeder and one
+    /// delivered tail, and
     /// each torus channel from shard `s` into shard `t` hands off at most
     /// one flit a cycle. No worker pool is attached here —
     /// `Network::set_shards` does that, so plan construction in tests
@@ -244,6 +251,7 @@ impl ShardPlan {
         let mail = |s: usize, t: usize| Vec::with_capacity(crossing[s * shards + t]);
         let stages = (0..shards)
             .map(|s| ShardStage {
+                started: Vec::with_capacity(span(s)),
                 suspects: Vec::with_capacity(span(s) * fpn),
                 starved: Vec::with_capacity(span(s) * fpn),
                 outbound: (0..shards).map(|t| mail(s, t)).collect(),
@@ -429,8 +437,8 @@ impl Cells<'_, PacketInfo> {
 /// * **Owned-range plain access** — everything indexed by node or by
 ///   input/output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routed_at`,
 ///   `vc_blocked`, `out_alloc`, `inj`, the per-node `vc_*` bit-plane
-///   words, the switch plane's slots and move cycles, the flit and source
-///   rings). An index outside the view's node range panics.
+///   words, the switch plane's slots and move cycles, the flit rings). An
+///   index outside the view's node range panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets (64 nodes per word, shard edges unaligned; each bit is
 ///   changed only by its owner's pass), the packet records' `escaped`
@@ -440,15 +448,17 @@ impl Cells<'_, PacketInfo> {
 ///   the credit copy, which each shard's route pass writes for its own
 ///   range.
 /// * **Read-only while a pass runs** — the visit copy, the cycle's
-///   injection allowances (`allow`), the plan's bounds, the route tables,
-///   the fault plan, and packet destinations. No pass writes them, so
+///   injection allowances (`allow`), the source queues, the plan's bounds,
+///   the route tables, the fault plan, and packet destinations. No pass
+///   writes them, so
 ///   every shard reads them plainly. A packet's length is no state at
 ///   all: every packet has the view's `packet_len` flits.
 /// * **Deferred to the handoff pass** — a handoff's `put`: its downstream
 ///   VC is another shard's, so the source shard's switch pass `take`s and
 ///   parks it, and the owner's handoff pass `put`s.
 /// * **Deferred to the fold** — everything globally ordered or global:
-///   the token queue, a tail's delivery record and packet release, and
+///   a won injection's queue pop and packet record, the token queue, a
+///   tail's delivery record and packet release, and
 ///   the scalars (`counters`, `full_buffers`, `last_progress_at`,
 ///   `last_delivery_at`), which a view reaches only as [`ShardStage`]
 ///   lists and deltas folded after the pass.
@@ -481,9 +491,9 @@ pub(crate) struct ApplyCtx<'a> {
     pub vc_full: Cells<'a, u64>,
     pub busy_nodes: Cells<'a, u64>,
     pub inj_nodes: Cells<'a, u64>,
-    pub srcq_nodes: Cells<'a, u64>,
     pub vc_bufs: FlitRingsView<'a>,
-    pub source_q: IdRingView<'a>,
+    /// The source queues, read-only: only the fold pops an entry.
+    pub source_q: &'a Rings<QueueEntry>,
     pub packets: Cells<'a, PacketInfo>,
     pub plane: SwitchPlaneView<'a>,
     /// The pass's visit copy ([`ShardPlan::visit`]).
@@ -522,12 +532,10 @@ impl<'a> ApplyCtx<'a> {
             vc_full: self.vc_full.narrow(lo, hi),
             credit: self.credit.narrow(lo, hi),
             vc_bufs: self.vc_bufs.narrow(vcs.start, vcs.end),
-            source_q: self.source_q.narrow(lo, hi),
             plane: self.plane.narrow(lo * (self.fpn + 1), hi * (self.fpn + 1)),
             // Owned by no node range: atomic access only.
             busy_nodes: self.busy_nodes.narrow(0, 0),
             inj_nodes: self.inj_nodes.narrow(0, 0),
-            srcq_nodes: self.srcq_nodes.narrow(0, 0),
             packets: self.packets.narrow(0, 0),
             ..*self
         }

@@ -2,12 +2,13 @@
 //!
 //! The serialized state is the ground truth the cycle pipeline reads or
 //! writes: edge buffers and routing assignments of every input VC, output
-//! VC allocations, injection interfaces, source queues, the packet store's
-//! live records with their sticky escape flags (and its free-list order,
-//! which determines future id assignment; [`PacketStore::save_state`] has
-//! the record layout), the Disha deadlock buffers and in-progress recovery
-//! job, the token queue, both round-robin cursor families, counters and
-//! watchdog markers. Everything derived from it — the worklist, occupancy
+//! VC allocations, injection interfaces, source queues (each entry a
+//! destination and a generation cycle: a queued packet has no record), the
+//! packet store's live records with their sticky escape flags (and its
+//! free-list order, which determines future id assignment;
+//! [`PacketStore::save_state`] has the record layout), the Disha deadlock
+//! buffers and in-progress recovery job, the token queue, both round-robin
+//! cursor families, counters and watchdog markers. Everything derived from it — the worklist, occupancy
 //! and assignment words, node summaries, the census, the switch plane and
 //! the token-queue flags — is not serialized: restore rebuilds it through
 //! the derivation the audit checks against ([`Network::derive_node`]).
@@ -29,8 +30,8 @@
 //! recycled backing storage), which the pipeline rewrites before reading.
 
 use crate::network::{Assign, InjState, Network, RecoveryJob};
-use crate::packet::{Flit, PacketStore};
-use crate::ring::{DeliveryRing, FlitRings, IdRing};
+use crate::packet::{Flit, PacketStore, QueueEntry};
+use crate::ring::{DeliveryRing, FlitRings, Rings};
 use checkpoint::{CheckpointError, Dec, Enc};
 
 use crate::counters::Counters;
@@ -138,7 +139,7 @@ impl Network {
         let n_vcs = self.vc_assign.len();
         let vc_flits: usize = (0..n_vcs).map(|r| flit_ring_len(&self.vc_bufs, r)).sum();
         let dl_flits: usize = (0..nodes).map(|r| flit_ring_len(&self.dl_bufs, r)).sum();
-        let queued: usize = (0..nodes).map(|n| 8 + 4 * self.source_q.len(n)).sum();
+        let queued = nodes * 8 + self.source_q.total() * QueueEntry::ENCODED_LEN;
         let recovery = self
             .recovery
             .as_ref()
@@ -193,7 +194,9 @@ impl Network {
         for node in 0..self.inj.len() {
             enc.usize(self.source_q.len(node));
             for i in 0..self.source_q.len(node) {
-                enc.u32(self.source_q.get(node, i));
+                let q = self.source_q.get(node, i);
+                enc.u32(q.dst);
+                enc.u64(q.generated_at);
             }
         }
         self.packets.save_state(enc);
@@ -294,14 +297,21 @@ impl Network {
             });
         }
         let cap = self.config().source_queue_cap;
-        let mut source_q = IdRing::new(nodes, cap);
+        let mut source_q = Rings::new(nodes, cap);
         for node in 0..nodes {
             let n = dec.usize()?;
             if n > cap {
                 return Err(CheckpointError::Corrupt("source queue exceeds capacity"));
             }
             for _ in 0..n {
-                source_q.push_back(node, dec.u32()?);
+                let dst = dec.u32()?;
+                if dst as usize >= nodes {
+                    return Err(CheckpointError::Corrupt(
+                        "packet endpoint outside the network",
+                    ));
+                }
+                let generated_at = dec.u64()?;
+                source_q.push_back(node, QueueEntry { dst, generated_at });
             }
         }
         let packets = PacketStore::restore_state(dec, nodes)?;
@@ -350,7 +360,7 @@ impl Network {
         if n_tok > n_vcs {
             return Err(CheckpointError::Corrupt("token queue implausibly long"));
         }
-        let mut token_queue = IdRing::new(1, n_vcs);
+        let mut token_queue = Rings::new(1, n_vcs);
         for _ in 0..n_tok {
             let idx = dec.usize()?;
             if idx >= n_vcs {
@@ -410,7 +420,7 @@ mod tests {
     use crate::control::NoControl;
     use crate::counters::Counters;
     use crate::network::Assign;
-    use crate::packet::{Flit, PacketInfo};
+    use crate::packet::{Flit, PacketInfo, QueueEntry};
     use crate::testnet::{self, hot_net, small_cfg};
     use crate::{Network, Offer};
     use checkpoint::{CheckpointError, Dec, Enc};
@@ -543,18 +553,26 @@ mod tests {
         assert_eq!(snapshot(&net), before);
     }
 
-    /// A packet still in its source queue costs its 17-byte record plus its
-    /// 4-byte queue id: deterministic bytes, so this pins the size without
-    /// timing anything.
+    /// A packet still in its source queue costs its 12-byte entry and no
+    /// record: deterministic bytes, so this pins the size without timing
+    /// anything.
     #[test]
-    fn an_offered_packet_costs_its_record_and_its_queue_id() {
+    fn a_queued_packet_costs_its_queue_entry_alone() {
         let mut net = Network::new(small_cfg()).unwrap();
         net.offer(0, 3, 5);
         let one = snapshot(&net);
         net.offer(0, 4, 6);
         let two = snapshot(&net);
-        assert_eq!(PacketInfo::OFFERED_LEN, 17);
-        assert_eq!(two.len() - one.len(), 17 + 4);
+        assert_eq!(QueueEntry::ENCODED_LEN, 12);
+        assert_eq!(two.len() - one.len(), 12);
+        assert_eq!((net.live_packets(), net.packet_records()), (2, 0));
+    }
+
+    /// [`hot_net`] with `poke` applied.
+    fn net_with(poke: impl FnOnce(&mut Network)) -> Network {
+        let mut net = hot_net();
+        poke(&mut net);
+        net
     }
 
     /// Restores `net`'s snapshot into a fresh network and returns the
@@ -581,17 +599,26 @@ mod tests {
         let net = hot_net();
         let queued = (0..16)
             .find(|&n| !net.source_q.is_empty(n))
-            .map(|n| net.source_q.front(n))
             .expect("vacuous: no queued packet");
         let moving = (0..net.vc_assign.len())
             .find(|&r| !net.vc_bufs.is_empty(r))
             .map(|r| net.vc_bufs.front_packet(r))
             .expect("vacuous: no buffered flit");
-        for (id, src) in [(queued, false), (moving, true), (queued, true)] {
-            let mut net = hot_net();
-            let p = net.packets.get_mut(id);
-            *(if src { &mut p.src } else { &mut p.dst }) = 1_000_000;
-            assert_eq!(corrupt_reason(&net), "packet endpoint outside the network");
+        let mut far = net_with(|net| {
+            let q = net.source_q.front(queued);
+            let far = QueueEntry {
+                dst: 1_000_000,
+                ..q
+            };
+            net.source_q.set(queued, 0, far);
+        });
+        assert_eq!(corrupt_reason(&far), "packet endpoint outside the network");
+        for src in [false, true] {
+            far = net_with(|net| {
+                let p = net.packets.get_mut(moving);
+                *(if src { &mut p.src } else { &mut p.dst }) = 1_000_000;
+            });
+            assert_eq!(corrupt_reason(&far), "packet endpoint outside the network");
         }
         for src in [false, true] {
             let mut net = hot_net();

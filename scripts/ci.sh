@@ -7,7 +7,8 @@
 #   2. lints             (cargo clippy, warnings are errors; that includes
 #                         the default large_enum_variant lint, which keeps an
 #                         oversized variant off the by-value hot path)
-#   3. rustdoc audit     (broken intra-doc links are errors)
+#   3. rustdoc audit     (every rustdoc warning is an error: broken and
+#                         private intra-doc links among them)
 #   4. tier-1 verify     (cargo build --release && cargo test -q: the root
 #                         package's tests, tests/architecture.rs's source
 #                         rules among them)
@@ -28,7 +29,8 @@
 #                         tenth of their length, every verification on)
 #  10. same-host perf    (the baseline commit's benchmark against this
 #                         tree's in 5 alternating pairs of sat_tune,
-#                         light_tune, resume_storm and cube3_tune_s2; a
+#                         sat_base_avoid, light_tune, resume_storm and
+#                         cube3_tune_s2; a
 #                         median beyond its BENCHMARK.json bound, a fail
 #                         line or a failed op fails)
 # Everything is hermetic — no network access is required (see README,
@@ -49,9 +51,10 @@ step "fmt" cargo fmt --all --check
 
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
-# Rustdoc audit: a placeholder or rotted intra-doc link is a build error.
+# Rustdoc audit: any rustdoc warning — a placeholder or rotted intra-doc
+# link, a public item's doc linking a private one — is a build error.
 rustdoc_audit() {
-    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    RUSTDOCFLAGS="-D warnings" \
         cargo doc --workspace --no-deps --quiet
 }
 step "rustdoc audit" rustdoc_audit
@@ -186,6 +189,8 @@ step "repo benchmark (--quick, verifications only)" bash benchmark/run.sh --quic
 # else HEAD~1, `git archive`d into target/bench-baseline/ and built by its
 # own run.sh into its own target dir; this side reuses the step above's
 # build. sat_tune and light_tune read steady to a few % at 0.5 s,
+# sat_base_avoid is the saturated net without the controller (a change to
+# the switch, route or source queues moves it as much as sat_tune),
 # resume_storm holds the checkpoint cadence (a round trip every 250 cycles),
 # and cube3_tune_s2 holds the sharded pipeline: 10 same-commit pairs of it
 # at 0.5 s on a 2-vCPU host spread sim_cycles_per_s by -12..+18 % a pair and
@@ -291,7 +296,7 @@ perf_gate() {
     for side in base change; do perf_run $side sat_tune >/dev/null; done
     runs=target/perf-gate
     rm -rf "$runs" && mkdir -p "$runs"
-    for w in sat_tune light_tune resume_storm cube3_tune_s2; do
+    for w in sat_tune sat_base_avoid light_tune resume_storm cube3_tune_s2; do
         for pair in 1 2 3 4 5; do
             sides="base change" && [ $((pair % 2)) -eq 1 ] || sides="change base"
             for side in $sides; do

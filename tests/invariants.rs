@@ -147,3 +147,49 @@ fn census_is_bounded() {
         }
     }
 }
+
+/// At saturation the source queues fill, and a queued packet is a queue
+/// entry with no packet record: every generated, undelivered packet is a
+/// record or a queued entry, and the record store never holds more slots
+/// than packets can be inside the network — one injecting per node, at
+/// most two per input VC (a tail and the next header: a packet is longer
+/// than a buffer) and one draining through the deadlock buffers — however
+/// many wait in the queues.
+#[test]
+fn queued_packets_hold_no_packet_record() {
+    for mode in [DeadlockMode::Avoidance, DeadlockMode::PAPER_RECOVERY] {
+        let cfg = NetConfig::small(mode);
+        assert!(cfg.packet_len > cfg.buf_depth, "two packets per VC at most");
+        let mut net = Network::new(cfg.clone()).unwrap();
+        let nodes = net.torus().node_count();
+        let wl = Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.1));
+        let mut runner = WorkloadRunner::new(&wl, nodes, 5).unwrap();
+        let in_network = nodes + 2 * net.total_vc_buffers() as usize + 1;
+        let mut queued = 0;
+        for _ in 0..20 {
+            for _ in 0..100 {
+                net.cycle_from(
+                    &mut |now, offer| runner.arrivals(now, offer),
+                    &mut NoControl,
+                );
+            }
+            queued = (0..nodes).map(|n| net.source_queue_len(n)).sum::<usize>();
+            let c = net.counters();
+            assert_eq!(
+                net.live_packets(),
+                net.packet_records() + queued,
+                "{mode:?}"
+            );
+            assert_eq!(
+                c.generated_packets - c.delivered_packets,
+                net.live_packets() as u64,
+                "{mode:?}"
+            );
+            assert!(net.packet_record_slots() <= in_network, "{mode:?}");
+        }
+        assert!(
+            queued > in_network,
+            "{mode:?}: vacuous, the queues hold only {queued} packets"
+        );
+    }
+}
