@@ -1,16 +1,15 @@
-//! `campaign` — the supervised campaign orchestrator.
+//! `campaign` — runs a declarative scenario matrix.
 //!
 //! ```text
 //! campaign --manifest FILE [--out DIR] [--resume] [--jobs N]
 //! ```
 //!
-//! Parses and validates the declarative manifest (see `EXPERIMENTS.md`,
-//! "Campaigns"), expands its scenario matrix, and executes every job as an
-//! isolated worker process — this same binary re-invoked in the hidden
-//! `--job IDX --attempt K` mode — with per-job budgets, deterministic
-//! retry backoff, quarantine, and a crash-safe ledger for `--resume`.
-//! `--jobs N` (else `STCC_JOBS`, else the machine's available parallelism)
-//! is how many worker processes run at once; it changes no output byte.
+//! Parses and validates the manifest (see `EXPERIMENTS.md`, "Campaigns"),
+//! expands its scenario matrix and runs every job in this process, as `fig`
+//! runs its sweep points: each under the manifest's per-job wall budget,
+//! with a crash-safe ledger for `--resume`. `--jobs N` (else `STCC_JOBS`,
+//! else the machine's available parallelism) is how many jobs run at once;
+//! it changes no output byte.
 //!
 //! Exit codes (the contract `tests/campaign.rs` and callers rely on):
 //!
@@ -20,11 +19,11 @@
 //! | 1    | internal/IO failure (ledger, report write) |
 //! | 2    | usage error (bad flags, malformed `STCC_*` value) |
 //! | 3    | manifest failed to load or validate |
-//! | 4    | campaign completed but quarantined at least one job |
+//! | 4    | campaign completed but at least one job failed |
 //! | 130  | interrupted by SIGINT/SIGTERM (resume with `--resume`) |
 
 use experiments::campaign::{
-    manifest::Manifest, orchestrate, worker_main, CampaignOpts, EXIT_MANIFEST, EXIT_USAGE,
+    manifest::Manifest, orchestrate, CampaignOpts, EXIT_MANIFEST, EXIT_USAGE,
 };
 use experiments::options::jobs_flag;
 use experiments::RuntimeOptions;
@@ -37,8 +36,6 @@ struct Args {
     out: PathBuf,
     resume: bool,
     jobs: Option<usize>,
-    job: Option<u64>,
-    attempt: u32,
 }
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -46,8 +43,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut out = PathBuf::from("results/campaign");
     let mut resume = false;
     let mut jobs = None;
-    let mut job = None;
-    let mut attempt = 0;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -57,14 +52,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => out = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "--resume" => resume = true,
             "--jobs" => jobs = Some(jobs_flag(it.next())?),
-            "--job" => {
-                let v = it.next().ok_or("--job needs a value")?;
-                job = Some(v.parse().map_err(|_| format!("bad job index '{v}'"))?);
-            }
-            "--attempt" => {
-                let v = it.next().ok_or("--attempt needs a value")?;
-                attempt = v.parse().map_err(|_| format!("bad attempt '{v}'"))?;
-            }
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other => return Err(format!("unknown argument '{other}' ({USAGE})")),
         }
@@ -75,14 +62,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         out,
         resume,
         jobs,
-        job,
-        attempt,
     })
 }
 
 fn main() {
-    // Orchestrator and worker alike resolve the environment up front: a
-    // malformed value is a usage error here, not a quarantined job later.
+    // The environment is resolved up front: a malformed value is a usage
+    // error here, not a failed job later.
     let parsed = parse_args(std::env::args().skip(1))
         .and_then(|args| Ok((RuntimeOptions::from_env(args.jobs)?, args)));
     let (opts, args) = match parsed {
@@ -106,12 +91,7 @@ fn main() {
             std::process::exit(EXIT_MANIFEST);
         }
     };
-    if let Some(idx) = args.job {
-        // Hidden worker mode: run exactly one job in this process.
-        std::process::exit(worker_main(&manifest, idx, args.attempt, opts));
-    }
     let campaign = CampaignOpts {
-        manifest: args.manifest,
         out: args.out,
         resume: args.resume,
     };

@@ -2,18 +2,16 @@
 //!
 //! A manifest names a campaign and lays out a **scenario matrix** — every
 //! `[scenario.<id>]` section is the cross product of its `schemes` ×
-//! `patterns` × `rates` × `faults` axes — plus the campaign-wide execution
-//! policy (per-job wall budget, retry count, backoff base). How many jobs
-//! run at once is the `campaign --jobs` runtime option, not a manifest key.
+//! `patterns` × `rates` × `faults` axes — plus the per-job wall budget.
+//! How many jobs run at once is the `campaign --jobs` runtime option, not a
+//! manifest key.
 //! The grammar is the small, line-oriented TOML subset the examples use:
 //!
 //! ```toml
 //! [campaign]
 //! name = "nightly"        # strings are double-quoted, no escapes
 //! seed = 42               # non-negative integers
-//! retries = 2             # extra attempts after the first failure
-//! backoff_ms = 50         # base of the exponential backoff
-//! timeout_s = 60          # per-job wall budget (orchestrator-enforced)
+//! timeout_s = 60          # per-job wall budget (the run guard's)
 //!
 //! [scenario.sweep]
 //! net = "small"           # paper | small
@@ -33,6 +31,7 @@
 use crate::{NetPreset, Scale};
 use stcc::Scheme;
 use traffic::Pattern;
+use wormsim::DeadlockMode;
 
 /// A fault axis entry of a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +41,7 @@ pub enum FaultSpec {
     /// Side-band snapshot loss at the given probability (`loss-<p>`).
     Loss(f64),
     /// A deterministic storm of `k` link stalls plus a hotspot, drawn from
-    /// the campaign seed (`storm-<k>`).
+    /// the campaign seed (`storm-<k>`, `k` at most the net's link count).
     Storm(u64),
 }
 
@@ -57,7 +56,9 @@ impl FaultSpec {
         }
     }
 
-    fn parse(s: &str) -> Option<FaultSpec> {
+    /// Parses a spelling, refusing a storm of more stalls than the net has
+    /// links: `k` is a count of stall records, allocated up front.
+    fn parse(s: &str, links: u64) -> Option<FaultSpec> {
         if s == "none" {
             return Some(FaultSpec::None);
         }
@@ -67,7 +68,7 @@ impl FaultSpec {
         }
         if let Some(k) = s.strip_prefix("storm-") {
             let k: u64 = k.parse().ok()?;
-            return (k > 0).then_some(FaultSpec::Storm(k));
+            return (1..=links).contains(&k).then_some(FaultSpec::Storm(k));
         }
         None
     }
@@ -97,15 +98,10 @@ pub struct Scenario {
 pub struct Manifest {
     /// Campaign name (report header only).
     pub name: String,
-    /// Campaign seed: the root of every job seed and every backoff jitter.
+    /// Campaign seed: the root of every job seed and storm.
     pub seed: u64,
-    /// Retries after the first failed attempt (`retries = 2` ⇒ up to 3
-    /// attempts per job).
-    pub retries: u32,
-    /// Base of the exponential retry backoff, in milliseconds.
-    pub backoff_ms: u64,
-    /// Per-job wall-clock budget in seconds, enforced cooperatively inside
-    /// the worker and with a hard kill by the orchestrator.
+    /// Per-job wall-clock budget in seconds (`0`: none), enforced by the
+    /// job's run guard.
     pub timeout_s: u64,
     /// The scenarios, in manifest order.
     pub scenarios: Vec<Scenario>,
@@ -180,12 +176,15 @@ pub enum ManifestError {
         /// The rejected value.
         value: f64,
     },
-    /// A fault spec that is not `none`, `loss-<p>` or `storm-<k>`.
+    /// A fault spec that is not `none`, `loss-<p>` or `storm-<k>` with `k`
+    /// from 1 to the net's link count.
     BadFault {
         /// The scenario id.
         scenario: String,
         /// The rejected spec.
         spec: String,
+        /// The scenario net's link count, the largest storm it takes.
+        links: u64,
     },
     /// A matrix axis with no entries.
     EmptyList {
@@ -231,10 +230,14 @@ impl std::fmt::Display for ManifestError {
             ManifestError::BadRate { scenario, value } => {
                 write!(f, "scenario '{scenario}': rate {value} out of range (0, 1]")
             }
-            ManifestError::BadFault { scenario, spec } => write!(
+            ManifestError::BadFault {
+                scenario,
+                spec,
+                links,
+            } => write!(
                 f,
-                "scenario '{scenario}': bad fault spec '{spec}' \
-                 (expected none, loss-<p> or storm-<k>)"
+                "scenario '{scenario}': bad fault spec '{spec}' (expected none, loss-<p> \
+                 or storm-<k> with k from 1 to the net's {links} links)"
             ),
             ManifestError::EmptyList { scenario, key } => {
                 write!(f, "scenario '{scenario}': '{key}' must not be empty")
@@ -451,13 +454,18 @@ fn finalize_scenario(id: &str, raw: &RawSection) -> Result<Scenario, ManifestErr
     let patterns = expect_str_list(v, "patterns", line)?;
     let (v, line) = require("rates")?;
     let rates = expect_num_list(v, "rates", line)?;
+    let links = {
+        let net = net.net(DeadlockMode::PAPER_RECOVERY);
+        (net.node_count() * 2 * net.dimensions) as u64
+    };
     let faults = match raw.take("faults") {
         Some((v, line)) => expect_str_list(v, "faults", line)?
             .iter()
             .map(|s| {
-                FaultSpec::parse(s).ok_or_else(|| ManifestError::BadFault {
+                FaultSpec::parse(s, links).ok_or_else(|| ManifestError::BadFault {
                     scenario: scenario.clone(),
                     spec: s.clone(),
+                    links,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?,
@@ -591,7 +599,7 @@ impl Manifest {
             }
         }
 
-        const CAMPAIGN_KEYS: &[&str] = &["name", "seed", "retries", "backoff_ms", "timeout_s"];
+        const CAMPAIGN_KEYS: &[&str] = &["name", "seed", "timeout_s"];
         for (key, _, line) in &campaign.keys {
             if !CAMPAIGN_KEYS.contains(&key.as_str()) {
                 return Err(ManifestError::UnknownKey {
@@ -611,9 +619,6 @@ impl Manifest {
                 .map_or(Ok(default), |(v, line)| expect_uint(v, key, line))
         };
         let seed = uint_or("seed", 1)?;
-        #[allow(clippy::cast_possible_truncation)]
-        let retries = uint_or("retries", 2)?.min(u64::from(u32::MAX)) as u32;
-        let backoff_ms = uint_or("backoff_ms", 50)?;
         let timeout_s = uint_or("timeout_s", 60)?;
 
         if scenarios.is_empty() {
@@ -626,8 +631,6 @@ impl Manifest {
         Ok(Manifest {
             name,
             seed,
-            retries,
-            backoff_ms,
             timeout_s,
             scenarios,
         })
@@ -643,8 +646,6 @@ mod tests {
 [campaign]
 name = "unit"    # trailing comment
 seed = 9
-retries = 1
-backoff_ms = 10
 timeout_s = 30
 
 [scenario.alpha]
@@ -666,8 +667,6 @@ rates = [0.01]
         let m = Manifest::parse(GOOD).unwrap();
         assert_eq!(m.name, "unit");
         assert_eq!(m.seed, 9);
-        assert_eq!(m.retries, 1);
-        assert_eq!(m.backoff_ms, 10);
         assert_eq!(m.timeout_s, 30);
         assert_eq!(m.scenarios.len(), 2);
         let a = &m.scenarios[0];
@@ -694,12 +693,14 @@ rates = [0.01]
             Err(ManifestError::UnknownKey { section, key, .. })
                 if section == "campaign" && key == "wrokers"
         ));
-        // The shard count, the worker count and the cycle budget are no
-        // manifest keys: each is refused by name, not ignored.
+        // The shard count, the worker count, the cycle budget and the retry
+        // policy are no manifest keys: each is refused by name, not ignored.
         for (key, line) in [
             ("shards", "shards = 2"),
             ("workers", "workers = 2"),
             ("cycle_budget", "cycle_budget = 10"),
+            ("retries", "retries = 2"),
+            ("backoff_ms", "backoff_ms = 50"),
         ] {
             let text = GOOD.replace("timeout_s = 30", &format!("timeout_s = 30\n{line}"));
             let err = Manifest::parse(&text).unwrap_err();
@@ -818,11 +819,22 @@ rates = [0.01]
             Manifest::parse(&text),
             Err(ManifestError::BadFault { ref spec, .. }) if spec == "loss-nan"
         ));
-        let text = GOOD.replace("\"storm-2\"", "\"storm-0\"");
-        assert!(matches!(
-            Manifest::parse(&text),
-            Err(ManifestError::BadFault { ref spec, .. }) if spec == "storm-0"
-        ));
+        // A storm takes 1 to the net's link count of stalls: the small net
+        // has 64 nodes × 4 ports = 256 links.
+        for spec in ["storm-0", "storm-257", "storm-18446744073709551615"] {
+            let text = GOOD.replace("\"storm-2\"", &format!("\"{spec}\""));
+            let err = Manifest::parse(&text).unwrap_err();
+            assert!(
+                matches!(&err, ManifestError::BadFault { spec: s, links: 256, .. } if s == spec),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("the net's 256 links"), "{err}");
+        }
+        let text = GOOD.replace("\"storm-2\"", "\"storm-256\"");
+        assert!(
+            Manifest::parse(&text).is_ok(),
+            "the bound itself is a storm"
+        );
     }
 
     #[test]

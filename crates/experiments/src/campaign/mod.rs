@@ -1,47 +1,34 @@
-//! Supervised campaign runner: a declarative scenario matrix executed by a
-//! fault-tolerant multi-process orchestrator.
+//! Campaign runner: a declarative scenario matrix run in-process on the
+//! `--jobs` pool, the way `fig` runs its sweep points.
 //!
 //! A campaign ([`manifest::Manifest`]) expands to a deterministic job list
-//! (the cross product of every scenario's axes, in manifest order). The
-//! orchestrator runs each job in an **isolated OS process** — the
-//! `campaign` binary re-invoked in its hidden `--job` mode — so a worker
-//! that panics, blows its budget, or is killed takes down one job, never
-//! the campaign. Each job is supervised with:
+//! (the cross product of every scenario's axes, in manifest order). Every
+//! job is one guarded simulation, run through [`SweepCtx::try_run_rows`]
+//! behind the [`FrontDoor`] with the manifest's `timeout_s` as the run
+//! guard's wall budget ([`RuntimeOptions::budget`]). A job is
+//! deterministic, so a failed one is not retried: its timeout, panic or
+//! error becomes its row — status `timeout`, `panic` or `failed`, the
+//! message under `error` — and the campaign carries on.
 //!
-//! - a per-job wall budget, enforced cooperatively inside the worker (the
-//!   run guard) and by a hard kill from the orchestrator as a backstop;
-//! - bounded retries with deterministic exponential [`backoff`] (seeded
-//!   jitter — the full retry schedule is a pure function of the manifest);
-//! - **quarantine**: a job failing every attempt is recorded with its
-//!   typed failure and the campaign continues.
-//!
-//! The orchestrator is one more tool behind the [`FrontDoor`]: each job's
-//! whole retry loop is one job of [`SweepCtx::try_run_rows`], so the rows
-//! it ends with land in the crash-safe ledger (the crc-checked append-only
-//! [`crate::journal`]), and `--resume` after a SIGKILL — of the
-//! orchestrator *or* any worker — replays finished jobs verbatim. A
-//! quarantined job is journaled the same way, as its row with status
-//! `quarantined` and the tally of its failed attempts; the front door
-//! drops such rows from the replay set on `--resume`, so the job is
-//! retried from its first attempt. Because every job and every row
-//! rendering is deterministic, a resumed campaign's final report is
+//! Each finished job's row lands in the crash-safe ledger (the crc-checked
+//! append-only [`crate::journal`]), so `--resume` after a SIGKILL replays
+//! finished jobs verbatim. The front door drops failed rows from the replay
+//! set, so a resume re-runs those jobs. Because every job and every row
+//! rendering is deterministic, a resumed campaign's report is
 //! byte-identical to an uninterrupted run (`tests/campaign.rs` proves it).
 
-pub mod backoff;
 pub mod manifest;
 
 use crate::journal::{FailureKind, Rows};
-use crate::runner::{JobError, Pool};
+use crate::runner::{contain, JobError};
 use crate::sweep::{write_atomic, FrontDoor};
 use crate::table::fnum;
 use crate::{steady_config, NetPreset, RuntimeOptions, Scale, SweepCtx, Table};
 use faults::{FaultPlan, HotspotFault, LinkFault, SidebandFaults};
 use manifest::{FaultSpec, Manifest};
 use stcc::Scheme;
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
+use std::time::Duration;
 use traffic::{Pattern, SimRng};
 use wormsim::DeadlockMode;
 
@@ -51,13 +38,8 @@ pub const EXIT_OK: i32 = 0;
 pub const EXIT_USAGE: i32 = 2;
 /// The manifest failed to load or validate.
 pub const EXIT_MANIFEST: i32 = 3;
-/// The campaign completed but quarantined at least one job.
-pub const EXIT_QUARANTINED: i32 = 4;
-/// A worker failed in its hidden `--job` mode (typed failure on stdout).
-pub const EXIT_WORKER_FAILED: i32 = 6;
-
-const OK_TAG: &str = "STCC-JOB-OK";
-const ERR_TAG: &str = "STCC-JOB-ERR";
+/// The campaign completed but at least one job failed.
+pub const EXIT_JOBS_FAILED: i32 = 4;
 
 /// One fully resolved job of the campaign matrix.
 #[derive(Debug, Clone)]
@@ -198,9 +180,8 @@ pub fn fault_plan(spec: &JobSpec, campaign_seed: u64) -> Option<FaultPlan> {
     }
 }
 
-/// The metric cells a worker reports for one completed job, already
-/// formatted (formatting happens worker-side so a replayed ledger row is
-/// byte-identical to a fresh one).
+/// The metric cells of one completed job, already formatted, so a
+/// replayed ledger row is byte-identical to a fresh one.
 fn run_job_metrics(spec: &JobSpec, m: &Manifest, ctx: &SweepCtx) -> Result<Vec<String>, JobError> {
     let sideband = spec.net.sideband();
     let scheme = Scheme::by_name(&spec.scheme, &sideband)
@@ -235,190 +216,6 @@ fn run_job_metrics(spec: &JobSpec, m: &Manifest, ctx: &SweepCtx) -> Result<Vec<S
     ])
 }
 
-/// The hidden `--job` mode: runs one job in this process and speaks the
-/// one-line stdout protocol (`STCC-JOB-OK <crc> <cells>` or
-/// `STCC-JOB-ERR <kind> <message>`). Returns the process exit code.
-///
-/// `opts` is the worker's own environment, resolved; the manifest it was
-/// handed overrides what it is authoritative for, the per-job budget.
-#[must_use]
-pub fn worker_main(m: &Manifest, job_idx: u64, attempt: u32, opts: RuntimeOptions) -> i32 {
-    let jobs = expand(m);
-    let Some(spec) = jobs.iter().find(|j| j.idx == job_idx) else {
-        println!(
-            "{ERR_TAG} failed {}",
-            crate::journal::escape_cell(&format!("job index {job_idx} out of range"))
-        );
-        return EXIT_WORKER_FAILED;
-    };
-    if opts.crash_rig.crashes(&spec.scenario, attempt) {
-        // Crash-test rig (`STCC_CAMPAIGN_FAIL`): die like a real defect
-        // would — plain `exit(7)`, no protocol line.
-        std::process::exit(7);
-    }
-    let ctx = SweepCtx::bare(Pool::new(1)).with_options(RuntimeOptions {
-        budget: (m.timeout_s > 0).then(|| Duration::from_secs(m.timeout_s)),
-        ..opts
-    });
-    // Through the (single-worker) pool so a panic comes back typed.
-    let outcome = ctx
-        .pool()
-        .try_run(vec![spec.clone()], JobSpec::label, |spec| {
-            run_job_metrics(&spec, m, &ctx)
-        })
-        .map(|mut v| v.pop().expect("one job in, one result out"));
-    match outcome {
-        Ok(cells) => {
-            let payload = crate::journal::escape_rows(&vec![cells]);
-            let crc = checkpoint::crc32(payload.as_bytes());
-            println!("{OK_TAG} {crc:08x} {payload}");
-            EXIT_OK
-        }
-        Err(e) => {
-            let kind = FailureKind::of(&e.error).unwrap_or(FailureKind::Failed);
-            println!(
-                "{ERR_TAG} {} {}",
-                kind.label(),
-                crate::journal::escape_cell(&format!("{}: {}", e.label, e.error))
-            );
-            EXIT_WORKER_FAILED
-        }
-    }
-}
-
-/// What one supervised attempt of one job produced.
-enum AttemptOutcome {
-    Ok(Vec<String>),
-    Failed(FailureKind, String),
-    Interrupted,
-}
-
-/// Spawns and supervises one worker process for `(job, attempt)`.
-fn supervise_attempt(
-    spec: &JobSpec,
-    attempt: u32,
-    m: &Manifest,
-    manifest_path: &Path,
-) -> AttemptOutcome {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => return AttemptOutcome::Failed(FailureKind::Failed, format!("current_exe: {e}")),
-    };
-    let child = Command::new(exe)
-        .arg("--manifest")
-        .arg(manifest_path)
-        .arg("--job")
-        .arg(spec.idx.to_string())
-        .arg("--attempt")
-        .arg(attempt.to_string())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn();
-    let mut child = match child {
-        Ok(c) => c,
-        Err(e) => return AttemptOutcome::Failed(FailureKind::Failed, format!("spawn: {e}")),
-    };
-    // Hard-kill backstop: the worker enforces the wall budget cooperatively
-    // and should exit on its own with a typed timeout; a worker wedged so
-    // hard its guard never fires is killed at twice the budget (plus grace
-    // for process startup).
-    let hard_deadline =
-        (m.timeout_s > 0).then(|| Instant::now() + Duration::from_secs(2 * m.timeout_s + 5));
-    let mut hard_killed = false;
-    let status = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break status,
-            Ok(None) => {}
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return AttemptOutcome::Failed(FailureKind::Failed, format!("wait: {e}"));
-            }
-        }
-        if crate::sigint::interrupted() {
-            let _ = child.kill();
-            let _ = child.wait();
-            return AttemptOutcome::Interrupted;
-        }
-        if hard_deadline.is_some_and(|d| Instant::now() >= d) {
-            hard_killed = true;
-            let _ = child.kill();
-            match child.wait() {
-                Ok(status) => break status,
-                Err(e) => return AttemptOutcome::Failed(FailureKind::Failed, format!("wait: {e}")),
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
-    let mut stdout = String::new();
-    if let Some(mut pipe) = child.stdout.take() {
-        let _ = pipe.read_to_string(&mut stdout);
-    }
-    if hard_killed {
-        // Deterministic text: the report must not depend on where the
-        // worker happened to be when it was shot.
-        return AttemptOutcome::Failed(
-            FailureKind::TimedOut,
-            format!(
-                "worker ignored its {}s wall budget and was killed",
-                m.timeout_s
-            ),
-        );
-    }
-    classify(&stdout, status.code())
-}
-
-/// Classifies a finished worker from its stdout protocol line and exit
-/// status. A failure keeps the worker's own message: every message a
-/// worker prints is free of host timing (see [`SweepCtx::drive`]'s
-/// wall-budget text), so the report stays byte-stable.
-fn classify(stdout: &str, code: Option<i32>) -> AttemptOutcome {
-    for line in stdout.lines() {
-        if let Some(rest) = line.strip_prefix(OK_TAG) {
-            let mut parts = rest.trim_start().splitn(2, ' ');
-            let (Some(crc), Some(payload)) = (parts.next(), parts.next()) else {
-                continue;
-            };
-            let Ok(crc) = u32::from_str_radix(crc, 16) else {
-                continue;
-            };
-            if checkpoint::crc32(payload.as_bytes()) != crc {
-                return AttemptOutcome::Failed(
-                    FailureKind::Failed,
-                    "worker result failed its crc check".to_owned(),
-                );
-            }
-            if let Some(rows) = crate::journal::unescape_rows(payload) {
-                if let Some(cells) = rows.into_iter().next() {
-                    return AttemptOutcome::Ok(cells);
-                }
-            }
-            return AttemptOutcome::Failed(
-                FailureKind::Failed,
-                "worker result payload was malformed".to_owned(),
-            );
-        }
-        if let Some(rest) = line.strip_prefix(ERR_TAG) {
-            let mut parts = rest.trim_start().splitn(2, ' ');
-            let kind = parts
-                .next()
-                .and_then(FailureKind::parse)
-                .unwrap_or(FailureKind::Failed);
-            let message = parts
-                .next()
-                .and_then(crate::journal::unescape_cell)
-                .unwrap_or_else(|| "worker reported an unreadable error".to_owned());
-            return AttemptOutcome::Failed(kind, message);
-        }
-    }
-    // No protocol line: the worker crashed (panic, rigged exit, signal).
-    let how = match code {
-        Some(c) => format!("worker crashed with exit code {c}"),
-        None => "worker was killed by a signal".to_owned(),
-    };
-    AttemptOutcome::Failed(FailureKind::Panicked, how)
-}
-
 /// Report table column layout (shared by fresh rows, ledger replay and the
 /// degradation summary).
 const COLUMNS: &[&str] = &[
@@ -428,10 +225,6 @@ const COLUMNS: &[&str] = &[
     "rate",
     "fault",
     "status",
-    "attempts",
-    "timeouts",
-    "crashes",
-    "errors",
     "tput_flits",
     "latency",
     "fairness",
@@ -440,50 +233,18 @@ const COLUMNS: &[&str] = &[
     "wd_rearms",
     "raises",
     "cuts",
-    "last_error",
+    "error",
 ];
 const COL_STATUS: usize = 5;
-const COL_ATTEMPTS: usize = 6;
-const COL_TIMEOUTS: usize = 7;
-const COL_CRASHES: usize = 8;
-const COL_ERRORS: usize = 9;
-const COL_TPUT: usize = 10;
-const COL_LATENCY: usize = 11;
-const COL_FAIRNESS: usize = 12;
-const COL_WD_TRIPS: usize = 14;
-const COL_LAST_ERROR: usize = 18;
+const COL_TPUT: usize = 6;
+const COL_LATENCY: usize = 7;
+const COL_FAIRNESS: usize = 8;
+const COL_WD_TRIPS: usize = 10;
+const COL_ERROR: usize = 14;
 
-/// Per-attempt failure tally of one job.
-#[derive(Debug, Default, Clone)]
-struct Tally {
-    timeouts: u32,
-    crashes: u32,
-    errors: u32,
-    last_error: Option<(FailureKind, String)>,
-}
-
-impl Tally {
-    fn record(&mut self, kind: FailureKind, message: String) {
-        match kind {
-            FailureKind::TimedOut => self.timeouts += 1,
-            FailureKind::Panicked => self.crashes += 1,
-            FailureKind::Failed => self.errors += 1,
-        }
-        self.last_error = Some((kind, message));
-    }
-}
-
-fn compose_row(
-    spec: &JobSpec,
-    status: &str,
-    attempts: u32,
-    tally: &Tally,
-    metrics: &[String],
-) -> Vec<String> {
-    let last_error = tally
-        .last_error
-        .as_ref()
-        .map_or_else(|| "-".to_owned(), |(k, msg)| format!("{k}: {msg}"));
+/// The job's report row: its coordinates, `status`, the metric cells (`-`
+/// for a failed job) and the failure's message (`-` for none).
+fn job_row(spec: &JobSpec, status: &str, metrics: &[String], error: &str) -> Vec<String> {
     let mut row = vec![
         spec.scenario.clone(),
         spec.scheme.clone(),
@@ -491,93 +252,53 @@ fn compose_row(
         fnum(spec.rate),
         spec.fault.label(),
         status.to_owned(),
-        attempts.to_string(),
-        tally.timeouts.to_string(),
-        tally.crashes.to_string(),
-        tally.errors.to_string(),
     ];
     if metrics.is_empty() {
         row.extend(std::iter::repeat_n("-".to_owned(), 8));
     } else {
-        row.extend(metrics.iter().cloned());
+        row.extend_from_slice(metrics);
     }
-    row.push(last_error);
+    row.push(error.to_owned());
     row
 }
 
-/// Options of one orchestrator invocation.
+/// Runs one job and renders its row. A timeout, panic or error is the
+/// job's row too; only an interrupt is an error, and the job re-runs on
+/// `--resume`.
+fn run_job(
+    spec: &JobSpec,
+    ctx: &SweepCtx,
+    job: &impl Fn(&JobSpec, &SweepCtx) -> Result<Vec<String>, JobError>,
+) -> Result<Rows, JobError> {
+    let error = match contain(|| job(spec, ctx)) {
+        Ok(metrics) => return Ok(vec![job_row(spec, "ok", &metrics, "-")]),
+        Err(error) => error,
+    };
+    let Some(kind) = FailureKind::of(&error) else {
+        return Err(error);
+    };
+    eprintln!("[{}: {error}]", spec.label());
+    Ok(vec![job_row(spec, kind.label(), &[], &error.to_string())])
+}
+
+/// Options of one campaign run.
 #[derive(Debug, Clone)]
 pub struct CampaignOpts {
-    /// Path of the manifest file (re-read by every worker).
-    pub manifest: PathBuf,
     /// Output directory (ledger, CSV, report).
     pub out: PathBuf,
     /// Resume from the campaign ledger.
     pub resume: bool,
 }
 
-/// Sleeps the backoff delay in small slices so a SIGINT is honored
-/// promptly; returns false if interrupted.
-fn backoff_sleep(d: Duration) -> bool {
-    let deadline = Instant::now() + d;
-    loop {
-        if crate::sigint::interrupted() {
-            return false;
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10).min(left));
-    }
+/// Whether a job's row is a failed one. It is journaled like any other
+/// row, and a resume re-runs the job.
+fn failed(row: &[String]) -> bool {
+    row.get(COL_STATUS).is_some_and(|s| s != "ok")
 }
 
-/// Whether a job's row is a quarantined one. It is journaled like any
-/// other row, and a resume re-runs the job.
-fn quarantined(row: &[String]) -> bool {
-    row.get(COL_STATUS).is_some_and(|s| s == "quarantined")
-}
-
-/// Runs one job under supervision: attempt after attempt, with backoff in
-/// between, until one succeeds or the retries run out and the job is
-/// quarantined. Either way the job's row is its result.
-fn supervise_job(spec: &JobSpec, m: &Manifest, manifest_path: &Path) -> Result<Rows, JobError> {
-    let mut tally = Tally::default();
-    for attempt in 0..=m.retries {
-        let wait = if attempt == 0 {
-            Duration::ZERO
-        } else {
-            backoff::delay(m.seed, spec.idx, attempt, m.backoff_ms)
-        };
-        if !backoff_sleep(wait) {
-            return Err(JobError::Interrupted);
-        }
-        match supervise_attempt(spec, attempt, m, manifest_path) {
-            AttemptOutcome::Ok(metrics) => {
-                let status = if attempt == 0 { "ok" } else { "ok-retried" };
-                let row = compose_row(spec, status, attempt + 1, &tally, &metrics);
-                return Ok(vec![row]);
-            }
-            AttemptOutcome::Interrupted => return Err(JobError::Interrupted),
-            AttemptOutcome::Failed(kind, message) => {
-                eprintln!(
-                    "[{}: attempt {}/{} failed ({kind}): {message}]",
-                    spec.label(),
-                    attempt + 1,
-                    m.retries + 1
-                );
-                tally.record(kind, message);
-            }
-        }
-    }
-    let row = compose_row(spec, "quarantined", m.retries + 1, &tally, &[]);
-    Ok(vec![row])
-}
-
-/// Runs the whole campaign through the [`FrontDoor`]: expansion,
-/// supervision, ledger, report, with as many jobs in flight as
-/// `runtime`'s [`RuntimeOptions::pool`] has workers. Returns the process
-/// exit code.
+/// Runs the whole campaign through the [`FrontDoor`]: expansion, the jobs
+/// on `runtime`'s [`RuntimeOptions::pool`], ledger and report. Returns the
+/// process exit code.
 #[must_use]
 pub fn orchestrate(
     manifest_text: &str,
@@ -585,13 +306,31 @@ pub fn orchestrate(
     opts: &CampaignOpts,
     runtime: RuntimeOptions,
 ) -> i32 {
+    run_campaign(manifest_text, m, opts, runtime, |spec, ctx| {
+        run_job_metrics(spec, m, ctx)
+    })
+}
+
+/// [`orchestrate`] with each job's metric cells computed by `job`, the
+/// seam a test uses to make chosen jobs fail.
+fn run_campaign(
+    manifest_text: &str,
+    m: &Manifest,
+    opts: &CampaignOpts,
+    runtime: RuntimeOptions,
+    job: impl Fn(&JobSpec, &SweepCtx) -> Result<Vec<String>, JobError> + Sync,
+) -> i32 {
     let jobs = expand(m);
     let fingerprint = checkpoint::fnv1a64(
         format!("campaign|{manifest_text}|{}", env!("CARGO_PKG_VERSION")).as_bytes(),
     );
     let ledger = opts.out.join("campaign.ledger");
     let door = FrontDoor::new("campaign", ledger, fingerprint, opts.resume)
-        .rerunning(|rows| rows.iter().any(|r| quarantined(r)));
+        .rerunning(|rows| rows.iter().any(|r| failed(r)));
+    let runtime = RuntimeOptions {
+        budget: (m.timeout_s > 0).then(|| Duration::from_secs(m.timeout_s)),
+        ..runtime
+    };
     let generate = |ctx: &SweepCtx| {
         let replayed = ctx.resumed_jobs();
         eprintln!(
@@ -601,9 +340,7 @@ pub fn orchestrate(
             jobs.len() - replayed,
             ctx.pool().jobs()
         );
-        ctx.try_run_rows(jobs, JobSpec::label, |spec| {
-            supervise_job(&spec, m, &opts.manifest)
-        })
+        ctx.try_run_rows(jobs, JobSpec::label, |spec| run_job(&spec, ctx, &job))
     };
     door.run(runtime.pool(), runtime, generate, |rows| {
         let mut table = Table::new(format!("Campaign '{}'", m.name), COLUMNS);
@@ -627,14 +364,14 @@ pub fn orchestrate(
             csv_path.display(),
             report_path.display()
         );
-        match rows.iter().filter(|r| quarantined(r)).count() {
+        match rows.iter().filter(|r| failed(r)).count() {
             0 => EXIT_OK,
             n => {
                 eprintln!(
-                    "campaign: {n} job(s) quarantined — see the degradation section; \
-                     --resume will retry them"
+                    "campaign: {n} job(s) failed — see the degradation section; \
+                     --resume will re-run them"
                 );
-                EXIT_QUARANTINED
+                EXIT_JOBS_FAILED
             }
         }
     })
@@ -649,22 +386,21 @@ fn cell_f64(row: &[String], col: usize) -> Option<f64> {
 }
 
 /// Renders the merged campaign report: header, the metric table, per-scheme
-/// summary, and the degradation section (retries, quarantines, timeouts,
-/// watchdog trips). Pure function of the rows — a resumed campaign renders
+/// summary, and the degradation section (failures by kind, watchdog trips,
+/// the failed jobs). Pure function of the rows — a resumed campaign renders
 /// the identical report.
 fn render_report(m: &Manifest, fingerprint: u64, table: &Table, rows: &[Vec<String>]) -> String {
     use std::fmt::Write as _;
+    let text = table.to_text();
+    // The table's title line heads the report; its grid follows the header.
+    let (title, grid) = text.split_once('\n').unwrap_or((&text, ""));
     let mut out = String::new();
-    let _ = writeln!(out, "# Campaign '{}'", m.name);
+    let _ = writeln!(out, "{title}");
     let _ = writeln!(out, "manifest fingerprint: {fingerprint:016x}");
-    let _ = writeln!(
-        out,
-        "seed {} | retries {} | backoff {} ms | timeout {} s",
-        m.seed, m.retries, m.backoff_ms, m.timeout_s
-    );
+    let _ = writeln!(out, "seed {} | timeout {} s", m.seed, m.timeout_s);
     let _ = writeln!(out, "jobs: {}", rows.len());
     out.push('\n');
-    out.push_str(&table.to_text());
+    out.push_str(grid);
     out.push('\n');
 
     // Per-scheme summary over jobs that produced metrics.
@@ -675,7 +411,7 @@ fn render_report(m: &Manifest, fingerprint: u64, table: &Table, rows: &[Vec<Stri
     for scheme in schemes {
         let done: Vec<&Vec<String>> = rows
             .iter()
-            .filter(|r| r[1] == scheme && r[COL_STATUS].starts_with("ok"))
+            .filter(|r| r[1] == scheme && !failed(r))
             .collect();
         if done.is_empty() {
             let _ = writeln!(out, "- {scheme}: no completed jobs");
@@ -701,47 +437,34 @@ fn render_report(m: &Manifest, fingerprint: u64, table: &Table, rows: &[Vec<Stri
     out.push('\n');
 
     // Degradation: everything that went wrong on the way to this report.
-    let ok = rows
-        .iter()
-        .filter(|r| r[COL_STATUS].starts_with("ok"))
-        .count();
-    let quarantined: Vec<&Vec<String>> = rows.iter().filter(|r| quarantined(r)).collect();
+    let count = |status: &str| rows.iter().filter(|r| r[COL_STATUS] == status).count();
     let sum = |col: usize| rows.iter().map(|r| cell_u64(r, col)).sum::<u64>();
-    let retries: u64 = rows
-        .iter()
-        .map(|r| cell_u64(r, COL_ATTEMPTS).saturating_sub(1))
-        .sum();
     let _ = writeln!(out, "## Degradation");
-    let _ = writeln!(
-        out,
-        "jobs {} | ok {} | quarantined {}",
-        rows.len(),
-        ok,
-        quarantined.len()
-    );
-    let _ = writeln!(
-        out,
-        "retries {} | timeouts {} | crashes {} | errors {}",
-        retries,
-        sum(COL_TIMEOUTS),
-        sum(COL_CRASHES),
-        sum(COL_ERRORS)
-    );
+    let _ = write!(out, "jobs {} | ok {}", rows.len(), count("ok"));
+    for kind in [
+        FailureKind::TimedOut,
+        FailureKind::Panicked,
+        FailureKind::Failed,
+    ] {
+        let _ = write!(out, " | {kind} {}", count(kind.label()));
+    }
+    out.push('\n');
     let _ = writeln!(
         out,
         "watchdog trips {} | rearms {}",
         sum(COL_WD_TRIPS),
         sum(COL_WD_TRIPS + 1)
     );
-    if quarantined.is_empty() {
-        let _ = writeln!(out, "quarantined jobs: none");
+    let failures: Vec<&Vec<String>> = rows.iter().filter(|r| failed(r)).collect();
+    if failures.is_empty() {
+        let _ = writeln!(out, "failed jobs: none");
     } else {
-        let _ = writeln!(out, "quarantined jobs:");
-        for r in quarantined {
+        let _ = writeln!(out, "failed jobs:");
+        for r in failures {
             let _ = writeln!(
                 out,
-                "- {}/{}/{}@{}+{}: {}",
-                r[0], r[1], r[2], r[3], r[4], r[COL_LAST_ERROR]
+                "- {}/{}/{}@{}+{}: {}: {}",
+                r[0], r[1], r[2], r[3], r[4], r[COL_STATUS], r[COL_ERROR]
             );
         }
     }
@@ -823,45 +546,82 @@ rates = [0.01]
         assert_ne!(p1, p3);
     }
 
+    /// A job that panics is a row, not a lost campaign: exit 4, the report
+    /// names the job and its panic, and the ledger stays. A resume under
+    /// the same fault re-runs the job and reproduces the report byte for
+    /// byte; a resume that runs clean exits 0 and retires the ledger.
     #[test]
-    fn rows_round_trip_through_the_protocol() {
-        let cells = vec!["0.1234".to_owned(), "tab\there".to_owned(), "-".to_owned()];
-        let payload = crate::journal::escape_rows(&vec![cells.clone()]);
-        let crc = checkpoint::crc32(payload.as_bytes());
-        let line = format!("{OK_TAG} {crc:08x} {payload}");
-        match classify(&line, Some(0)) {
-            AttemptOutcome::Ok(got) => assert_eq!(got, cells),
-            _ => panic!("valid OK line must classify as success"),
-        }
-        // A corrupted payload fails the crc and is not trusted.
-        let bad = format!("{OK_TAG} {crc:08x} {payload}x");
-        assert!(matches!(
-            classify(&bad, Some(0)),
-            AttemptOutcome::Failed(FailureKind::Failed, _)
-        ));
-        // Typed failure lines come back typed, their message unchanged: a
-        // livelock keeps its diagnosis.
-        let livelock = "x: job timed out: base @ 0.1: livelock: no flit moved for 200000 cycles";
-        let line = format!(
-            "{ERR_TAG} timeout {}",
-            crate::journal::escape_cell(livelock)
+    fn doomed_job_is_a_failed_row_and_resume_reruns_it() {
+        let text = r#"
+[campaign]
+name = "it"
+seed = 11
+
+[scenario.steady]
+net = "small"
+scale = "tiny"
+schemes = ["base", "tune"]
+patterns = ["uniform-random"]
+rates = [0.005]
+
+[scenario.doomed]
+net = "small"
+scale = "tiny"
+schemes = ["alo"]
+patterns = ["transpose"]
+rates = [0.005]
+"#;
+        let m = Manifest::parse(text).unwrap();
+        let out = std::env::temp_dir().join("stcc-campaign-unit-doomed");
+        let _ = std::fs::remove_dir_all(&out);
+        let run = |resume: bool, doomed: bool| {
+            let opts = CampaignOpts {
+                out: out.clone(),
+                resume,
+            };
+            let runtime = RuntimeOptions {
+                jobs: Some(2),
+                ..RuntimeOptions::default()
+            };
+            run_campaign(text, &m, &opts, runtime, |spec, ctx| {
+                assert!(!(doomed && spec.scenario == "doomed"), "rigged to fail");
+                run_job_metrics(spec, &m, ctx)
+            })
+        };
+        let report = || std::fs::read_to_string(out.join("campaign.report")).unwrap();
+        let ledger = out.join("campaign.ledger");
+
+        assert_eq!(run(false, true), EXIT_JOBS_FAILED);
+        let first = report();
+        assert!(
+            first.contains(
+                "- doomed/alo/transpose@0.00500+none: panic: job panicked: rigged to fail"
+            ),
+            "{first}"
         );
-        match classify(&line, Some(EXIT_WORKER_FAILED)) {
-            AttemptOutcome::Failed(FailureKind::TimedOut, msg) => assert_eq!(msg, livelock),
-            _ => panic!("ERR line must classify as its kind"),
-        }
-        // No marker at all: a crash.
-        assert!(matches!(
-            classify("", Some(7)),
-            AttemptOutcome::Failed(FailureKind::Panicked, _)
-        ));
+        assert!(
+            first.contains("jobs 3 | ok 2 | timeout 0 | panic 1 | failed 0"),
+            "{first}"
+        );
+        assert!(
+            ledger.exists(),
+            "a failed job keeps the ledger for --resume"
+        );
+
+        assert_eq!(run(true, true), EXIT_JOBS_FAILED);
+        assert_eq!(report(), first, "resume must reproduce the report");
+
+        assert_eq!(run(true, false), EXIT_OK);
+        assert!(report().contains("jobs 3 | ok 3 | timeout 0 | panic 0 | failed 0"));
+        assert!(report().contains("failed jobs: none"));
+        assert!(!ledger.exists(), "a clean campaign retires its ledger");
+        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
     fn report_is_a_pure_function_of_rows() {
         let m = manifest();
         let specs = expand(&m);
-        let tally = Tally::default();
         let metrics: Vec<String> = vec![
             "0.5".into(),
             "20.0".into(),
@@ -874,15 +634,16 @@ rates = [0.01]
         ];
         let rows: Vec<Vec<String>> = specs
             .iter()
-            .map(|s| compose_row(s, "ok", 1, &tally, &metrics))
+            .map(|s| job_row(s, "ok", &metrics, "-"))
             .collect();
-        let mut table = Table::new("t", COLUMNS);
+        let mut table = Table::new("Campaign 't'", COLUMNS);
         table.extend(rows.clone());
         let a = render_report(&m, 0xAB, &table, &rows);
         let b = render_report(&m, 0xAB, &table, &rows);
         assert_eq!(a, b);
         assert!(a.contains("## Degradation"));
-        assert!(a.contains("quarantined jobs: none"));
+        assert!(a.contains("failed jobs: none"));
         assert!(a.contains("## Scheme summary"));
+        assert_eq!(a.matches("# Campaign 't'").count(), 1, "one title: {a}");
     }
 }

@@ -47,7 +47,7 @@ const FAIL_TAG: &str = "fail";
 pub enum FailureKind {
     /// The job's watchdog fired: livelock or an exhausted wall budget.
     TimedOut,
-    /// The job (or its worker process) panicked or crashed.
+    /// The job panicked.
     Panicked,
     /// The job returned a typed error (e.g. an invalid configuration).
     Failed,
@@ -275,7 +275,7 @@ fn parse_checked(line: &str) -> Option<(u64, &str)> {
     Some((idx, payload))
 }
 
-pub(crate) fn escape_cell(cell: &str) -> String {
+fn escape_cell(cell: &str) -> String {
     let mut out = String::with_capacity(cell.len());
     for c in cell.chars() {
         match c {
@@ -289,7 +289,7 @@ pub(crate) fn escape_cell(cell: &str) -> String {
     out
 }
 
-pub(crate) fn escape_rows(rows: &Rows) -> String {
+fn escape_rows(rows: &Rows) -> String {
     rows.iter()
         .map(|row| {
             row.iter()
@@ -301,7 +301,7 @@ pub(crate) fn escape_rows(rows: &Rows) -> String {
         .join("\x0b")
 }
 
-pub(crate) fn unescape_cell(cell: &str) -> Option<String> {
+fn unescape_cell(cell: &str) -> Option<String> {
     let mut out = String::with_capacity(cell.len());
     let mut chars = cell.chars();
     while let Some(c) = chars.next() {
@@ -320,7 +320,7 @@ pub(crate) fn unescape_cell(cell: &str) -> Option<String> {
     Some(out)
 }
 
-pub(crate) fn unescape_rows(payload: &str) -> Option<Rows> {
+fn unescape_rows(payload: &str) -> Option<Rows> {
     payload
         .split('\x0b')
         .map(|row| {

@@ -9,46 +9,11 @@
 //! default. Anything that does not parse is a usage error naming the
 //! variable and the value — nothing is skipped with a warning. The shard
 //! count and the per-job budget have no spelling of their own: the first
-//! is a library-only pin, the second the campaign worker fills in from its
-//! manifest.
+//! is a library-only pin, the second `campaign` fills in from its manifest.
 
 use crate::runner::Pool;
 use std::str::FromStr;
 use std::time::Duration;
-
-/// The campaign crash-test rig (`STCC_CAMPAIGN_FAIL`): comma-separated
-/// `scenario:<k>` / `scenario:all` entries naming which worker attempts
-/// must die.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CrashRig(Vec<(String, Option<u32>)>);
-
-impl CrashRig {
-    fn parse(text: &str) -> Option<CrashRig> {
-        text.split(',')
-            .map(|entry| {
-                let (id, upto) = entry.trim().split_once(':')?;
-                let upto = match upto {
-                    "all" => None,
-                    k => Some(k.parse().ok()?),
-                };
-                Some((id.to_owned(), upto))
-            })
-            .collect::<Option<_>>()
-            .map(CrashRig)
-    }
-
-    /// Whether this attempt of a job of `scenario` must crash. Keyed on the
-    /// attempt number, so the rig is fully deterministic: `flaky:2` crashes
-    /// attempts 0 and 1 and lets attempt 2 succeed, in every run and every
-    /// resume.
-    #[must_use]
-    pub fn crashes(&self, scenario: &str, attempt: u32) -> bool {
-        self.0
-            .iter()
-            .find(|(id, _)| id == scenario)
-            .is_some_and(|(_, upto)| upto.is_none_or(|k| attempt < k))
-    }
-}
 
 /// The resolved options (see the [module documentation](self) for the
 /// rules).
@@ -65,8 +30,6 @@ pub struct RuntimeOptions {
     /// Per-job wall-clock budget, measured from when the job's simulation
     /// starts and enforced cooperatively by its run guard.
     pub budget: Option<Duration>,
-    /// Campaign crash-test rig.
-    pub crash_rig: CrashRig,
 }
 
 impl Default for RuntimeOptions {
@@ -76,7 +39,6 @@ impl Default for RuntimeOptions {
             shards: 1,
             audit_every: None,
             budget: None,
-            crash_rig: CrashRig::default(),
         }
     }
 }
@@ -115,7 +77,6 @@ impl RuntimeOptions {
         Ok(RuntimeOptions {
             jobs: jobs.or(env_jobs),
             audit_every: var(&env, "STCC_AUDIT", number::<u64>)?.filter(|&n| n > 0),
-            crash_rig: var(&env, "STCC_CAMPAIGN_FAIL", CrashRig::parse)?.unwrap_or_default(),
             ..RuntimeOptions::default()
         })
     }
@@ -200,24 +161,11 @@ mod tests {
 
     #[test]
     fn well_formed_values_land_in_their_fields() {
-        let o = RuntimeOptions::resolve(
-            None,
-            env(&[
-                ("STCC_JOBS", "3"),
-                ("STCC_AUDIT", "64"),
-                ("STCC_CAMPAIGN_FAIL", "flaky:2, doomed:all"),
-            ]),
-        )
-        .unwrap();
+        let o = RuntimeOptions::resolve(None, env(&[("STCC_JOBS", "3"), ("STCC_AUDIT", "64")]))
+            .unwrap();
         assert_eq!(o.jobs, Some(3));
         assert_eq!(o.shards, 1);
         assert_eq!(o.audit_every, Some(64));
-        assert!(o.crash_rig.crashes("flaky", 0));
-        assert!(o.crash_rig.crashes("flaky", 1));
-        assert!(!o.crash_rig.crashes("flaky", 2));
-        assert!(o.crash_rig.crashes("doomed", 0));
-        assert!(o.crash_rig.crashes("doomed", 99));
-        assert!(!o.crash_rig.crashes("steady", 0));
     }
 
     /// The one malformed-value rule: every variable, same treatment — an
@@ -229,9 +177,6 @@ mod tests {
             ("STCC_JOBS", "-1"),
             ("STCC_AUDIT", "banana"),
             ("STCC_AUDIT", "yes"),
-            ("STCC_CAMPAIGN_FAIL", "flaky"),
-            ("STCC_CAMPAIGN_FAIL", "flaky:soon"),
-            ("STCC_CAMPAIGN_FAIL", "flaky:1,,doomed:all"),
         ] {
             let msg = RuntimeOptions::resolve(None, env(&[(name, value)]))
                 .expect_err(&format!("{name}={value} must be rejected"));

@@ -145,14 +145,7 @@ impl Pool {
                         .expect("job cell lock")
                         .take()
                         .expect("each job index is claimed once");
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| work(job))) {
-                        Ok(Ok(r)) => Ok(r),
-                        Ok(Err(e)) => Err(e.into()),
-                        // `&*payload`, not `&payload`: a `&Box<dyn Any>`
-                        // would itself coerce to `&dyn Any` and hide the
-                        // real payload behind a second indirection.
-                        Err(payload) => Err(JobError::Panicked(panic_message(&*payload))),
-                    };
+                    let outcome = contain(|| work(job));
                     *slots[i].lock().expect("result slot lock") = Some(outcome);
                     let k = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if self.progress {
@@ -196,6 +189,22 @@ impl Pool {
         E: Into<JobError>,
     {
         self.run(jobs, label, work).into_iter().collect()
+    }
+}
+
+/// Runs `work` with a panic caught: its message comes back as
+/// [`JobError::Panicked`], so a panicking job fails alone. The one place a
+/// job's panic is caught ([`Pool::run`] and a campaign job both call it).
+pub(crate) fn contain<R, E: Into<JobError>>(
+    work: impl FnOnce() -> Result<R, E>,
+) -> Result<R, JobError> {
+    match catch_unwind(AssertUnwindSafe(work)) {
+        Ok(Ok(r)) => Ok(r),
+        Ok(Err(e)) => Err(e.into()),
+        // `&*payload`, not `&payload`: a `&Box<dyn Any>` would itself
+        // coerce to `&dyn Any` and hide the real payload behind a second
+        // indirection.
+        Err(payload) => Err(JobError::Panicked(panic_message(&*payload))),
     }
 }
 

@@ -202,7 +202,7 @@ impl FrontDoor {
     }
 
     /// Re-runs on resume every journaled job whose rows `rerun` picks, as
-    /// if it had never completed (a quarantined campaign job).
+    /// if it had never completed (a failed campaign job).
     #[must_use]
     pub fn rerunning(mut self, rerun: fn(&Rows) -> bool) -> FrontDoor {
         self.rerun = rerun;

@@ -1,12 +1,13 @@
-//! End-to-end tests of the `campaign` orchestrator binary: the exit-code
-//! contract, retry/quarantine supervision, and the crash-safety guarantee —
-//! a campaign SIGKILLed mid-flight and resumed must produce a report
+//! End-to-end tests of the `campaign` binary: the exit-code contract, the
+//! job count changing no output byte, and the crash-safety guarantee — a
+//! campaign SIGKILLed mid-flight and resumed must produce a report
 //! byte-identical to an uninterrupted run (see EXPERIMENTS.md, "Campaigns").
+//! A failed job's row and its re-run on `--resume` are the unit test
+//! `campaign::tests::doomed_job_is_a_failed_row_and_resume_reruns_it`.
 //!
 //! Each test drives the real binary (`CARGO_BIN_EXE_campaign`) in its own
-//! temp directory, so the worker-process supervision, the ledger, and the
-//! `STCC_CAMPAIGN_FAIL` crash rig are all exercised exactly as a user
-//! would.
+//! temp directory, so the pool, the ledger and the report are exercised
+//! exactly as a user would.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -29,8 +30,6 @@ fn manifest(dir: &Path, extra_scenarios: &str) -> PathBuf {
         r#"[campaign]
 name = "it"
 seed = 11
-retries = 1
-backoff_ms = 1
 timeout_s = 60
 
 [scenario.steady]
@@ -45,14 +44,12 @@ rates = [0.005]
     path
 }
 
-fn run(args: &[&str], rig: Option<&str>) -> Output {
+/// Runs the binary with the ambient `STCC_AUDIT` replaced by `audit`.
+fn run(args: &[&str], audit: Option<&str>) -> Output {
     let mut cmd = Command::new(BIN);
-    cmd.args(args);
-    // Scrub any rig inherited from the ambient environment, then apply the
-    // test's own (the orchestrator passes its env down to every worker).
-    cmd.env_remove("STCC_CAMPAIGN_FAIL");
-    if let Some(rig) = rig {
-        cmd.env("STCC_CAMPAIGN_FAIL", rig);
+    cmd.args(args).env_remove("STCC_AUDIT");
+    if let Some(audit) = audit {
+        cmd.env("STCC_AUDIT", audit);
     }
     cmd.output().expect("spawn campaign binary")
 }
@@ -86,7 +83,7 @@ fn clean_campaign_exits_zero_and_retires_its_ledger() {
         );
 
         let report = fs::read_to_string(out_dir.join("campaign.report")).unwrap();
-        let want = format!("jobs {jobs} | ok {jobs} | quarantined 0");
+        let want = format!("jobs {jobs} | ok {jobs} | timeout 0 | panic 0 | failed 0");
         assert!(report.contains(&want), "{report}");
         assert!(out_dir.join("campaign.csv").exists());
         assert!(
@@ -94,83 +91,6 @@ fn clean_campaign_exits_zero_and_retires_its_ledger() {
             "a fully successful campaign must retire its ledger ({name})"
         );
     }
-}
-
-#[test]
-fn flaky_job_is_retried_to_success() {
-    let dir = scratch("flaky");
-    let m = manifest(&dir, "");
-    let out_dir = dir.join("out");
-    // The rig crashes every `steady` worker on attempt 0; the retry (attempt
-    // 1) runs clean, so the campaign still succeeds end to end.
-    let out = run(
-        &[
-            "--manifest",
-            m.to_str().unwrap(),
-            "--out",
-            out_dir.to_str().unwrap(),
-        ],
-        Some("steady:1"),
-    );
-    assert_eq!(
-        code(&out),
-        0,
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let report = fs::read_to_string(out_dir.join("campaign.report")).unwrap();
-    assert!(report.contains("ok-retried"), "{report}");
-    assert!(report.contains("retries 2"), "{report}");
-    assert!(report.contains("quarantined 0"), "{report}");
-}
-
-#[test]
-fn doomed_job_is_quarantined_and_resume_reproduces_the_report() {
-    let dir = scratch("doomed");
-    let m = manifest(
-        &dir,
-        r#"
-[scenario.doomed]
-net = "small"
-scale = "tiny"
-schemes = ["alo"]
-patterns = ["transpose"]
-rates = [0.005]
-"#,
-    );
-    let out_dir = dir.join("out");
-    let args = [
-        "--manifest",
-        m.to_str().unwrap(),
-        "--out",
-        out_dir.to_str().unwrap(),
-    ];
-    let out = run(&args, Some("doomed:all"));
-    assert_eq!(
-        code(&out),
-        4,
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let report = fs::read_to_string(out_dir.join("campaign.report")).unwrap();
-    assert!(report.contains("quarantined 1"), "{report}");
-    assert!(report.contains("doomed/alo/transpose"), "{report}");
-    assert!(
-        out_dir.join("campaign.ledger").exists(),
-        "a quarantining campaign must keep its ledger for --resume"
-    );
-
-    // Resuming replays the completed jobs verbatim and re-runs the
-    // quarantined one; under the same rig the report is byte-identical.
-    let resume = run(&[&args[..], &["--resume"]].concat(), Some("doomed:all"));
-    assert_eq!(code(&resume), 4);
-    let report2 = fs::read_to_string(out_dir.join("campaign.report")).unwrap();
-    assert_eq!(
-        report, report2,
-        "resume must reproduce the report byte-for-byte"
-    );
 }
 
 #[test]
@@ -198,7 +118,7 @@ fn manifest_and_usage_errors_use_their_contracted_exit_codes() {
 
     // A removed policy key → 3, naming it.
     let good = manifest(&dir, "");
-    for key in ["workers", "cycle_budget"] {
+    for key in ["workers", "cycle_budget", "retries", "backoff_ms"] {
         let old = dir.join("old.toml");
         let text = fs::read_to_string(&good).unwrap();
         fs::write(
@@ -212,16 +132,21 @@ fn manifest_and_usage_errors_use_their_contracted_exit_codes() {
         assert!(err.contains(&format!("unknown key '{key}'")), "{err}");
     }
 
-    // Bad flags → 2; `--workers` is gone (`--jobs` sizes the pool).
+    // Bad flags → 2; `--workers` is gone (`--jobs` sizes the pool), and so
+    // are the hidden single-job `--job`/`--attempt` flags.
     assert_eq!(code(&run(&["--bogus"], None)), 2);
     assert_eq!(code(&run(&[], None)), 2);
-    let out = run(
-        &["--manifest", good.to_str().unwrap(), "--workers", "2"],
-        None,
-    );
+    for flag in ["--workers", "--job", "--attempt"] {
+        let out = run(&["--manifest", good.to_str().unwrap(), flag, "0"], None);
+        assert_eq!(code(&out), 2);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown argument '{flag}'")), "{err}");
+    }
+    // A malformed variable → 2, naming it.
+    let out = run(&["--manifest", good.to_str().unwrap()], Some("banana"));
     assert_eq!(code(&out), 2);
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown argument '--workers'"), "{err}");
+    assert!(err.contains("STCC_AUDIT=banana"), "{err}");
     assert_eq!(
         code(&run(
             &["--manifest", good.to_str().unwrap(), "--jobs", "0"],

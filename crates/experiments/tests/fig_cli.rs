@@ -11,7 +11,7 @@ const BIN: &str = env!("CARGO_BIN_EXE_fig");
 fn fig(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(BIN);
     cmd.args(args);
-    for var in ["STCC_JOBS", "STCC_AUDIT", "STCC_CAMPAIGN_FAIL"] {
+    for var in ["STCC_JOBS", "STCC_AUDIT"] {
         cmd.env_remove(var);
     }
     cmd.envs(env.iter().copied());
@@ -77,11 +77,7 @@ fn flags_a_figure_does_not_take_are_refused_by_name() {
 
 #[test]
 fn malformed_variable_is_a_usage_error_naming_it() {
-    for (var, value) in [
-        ("STCC_AUDIT", "banana"),
-        ("STCC_JOBS", "many"),
-        ("STCC_CAMPAIGN_FAIL", "flaky"),
-    ] {
+    for (var, value) in [("STCC_AUDIT", "banana"), ("STCC_JOBS", "many")] {
         refused(
             &fig(&["table1"], &[(var, value)]),
             &format!("{var}={value}"),

@@ -16,7 +16,7 @@
 #                         --jobs count and library shard pin, audited in
 #                         debug after every cycle; controller conformance;
 #                         zero-alloc;
-#                         the fig CLI; campaign retry, quarantine and
+#                         the fig CLI; campaign failed-job rows and
 #                         kill/resume)
 #   6. shard affinity    (the pool's timing test, judged in a release build)
 #   7. kill-and-resume   (SIGKILL `fig fig4 --jobs 1` mid-run and the chaos

@@ -3,7 +3,8 @@
 //! opens its journal, which bench stack exists, where the side-band
 //! watchdog lives, how a stepping loop reaches the traffic sources, what
 //! math the traffic stream may call, whether every test fixture still
-//! has a reader and where `unsafe` may appear. Each rule documents the files it
+//! has a reader, where `unsafe` may appear and whether a tool spawns a
+//! child process. Each rule documents the files it
 //! reads, what it forbids and why, and reports every offending line as
 //! `path:line: text` (an orphan fixture as `path: ...`). Each runs twice:
 //! on the tree as it stands, and on a synthetic violation it must report
@@ -169,6 +170,17 @@ fn rs_in(path: &str, dir: &str) -> bool {
         .is_some_and(|rest| !rest.contains('/') && rest.ends_with(".rs"))
 }
 
+/// Whether `path` is library or binary source: below `crates/*/src` or
+/// `src`.
+fn is_source(path: &str) -> bool {
+    let mut parts = path.split('/');
+    match parts.next() {
+        Some("src") => true,
+        Some("crates") => parts.next().is_some() && parts.next() == Some("src"),
+        _ => false,
+    }
+}
+
 /// The part of a source file above its `#[cfg(test)]` module.
 fn above_tests(text: &str) -> &str {
     text.find("\n#[cfg(test)]").map_or(text, |at| &text[..at])
@@ -201,10 +213,6 @@ const RUN_DOOR: &str = "crates/experiments/src/sweep.rs";
 ///
 /// `benchmark/` is its own workspace and keeps its own scrub.
 fn one_front_door(tree: &[File]) -> Vec<String> {
-    let crate_src = |p: &str| {
-        let mut parts = p.split('/');
-        parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
-    };
     let reads = |line: &str| {
         line.match_indices("env::").any(|(at, m)| {
             let rest = &line[at + m.len()..];
@@ -212,11 +220,7 @@ fn one_front_door(tree: &[File]) -> Vec<String> {
             matches!(name, "var" | "vars" | "var_os" | "vars_os")
         })
     };
-    let mut found = scan_tree(
-        tree,
-        |p| (crate_src(p) || p.starts_with("src/")) && p != FRONT_DOOR,
-        reads,
-    );
+    let mut found = scan_tree(tree, |p| is_source(p) && p != FRONT_DOOR, reads);
     found.extend(scan_tree(
         tree,
         |p| p.starts_with("crates/") || p.starts_with("src/") || p.starts_with("tests/"),
@@ -230,10 +234,25 @@ fn one_front_door(tree: &[File]) -> Vec<String> {
     let doors = any_of(&["Journal::begin(", "sigint::install("]);
     found.extend(
         tree.iter()
-            .filter(|f| (crate_src(&f.path) || f.path.starts_with("src/")) && f.path != RUN_DOOR)
+            .filter(|f| is_source(&f.path) && f.path != RUN_DOOR)
             .flat_map(|f| scan(&f.path, above_tests(&f.text), &doors)),
     );
     found
+}
+
+/// No supervisor. Every job a tool runs is a deterministic simulation, so a
+/// retry fails the same way and a child process per job buys nothing:
+/// `fig`, `campaign` and `chaos` run their jobs in-process on the `--jobs`
+/// pool, where `runner::contain` turns a panic into a typed failure. So
+/// above its tests no source file of `crates/*/src` or `src` spawns a
+/// child process (`Command::new`, `current_exe`); a test may, to drive a
+/// binary as a user would.
+fn no_child_processes(tree: &[File]) -> Vec<String> {
+    let spawns = any_of(&["Command::new", "current_exe"]);
+    tree.iter()
+        .filter(|f| is_source(&f.path))
+        .flat_map(|f| scan(&f.path, above_tests(&f.text), &spawns))
+        .collect()
 }
 
 /// The names of the deleted second bench stack: its crate, its binary and
@@ -564,6 +583,11 @@ fn the_tree_has_no_per_node_poll_in_a_stepping_loop() {
 }
 
 #[test]
+fn the_tree_spawns_no_child_process() {
+    assert_clean(no_child_processes(repo()), "no child processes");
+}
+
+#[test]
 fn the_tree_has_options_that_match_their_docs() {
     assert_clean(options_match_their_docs(repo()), "options match their docs");
 }
@@ -633,6 +657,34 @@ fn front_door_reports_a_second_journal_loop_and_signal_handler() {
         [
             "crates/experiments/src/campaign/mod.rs",
             "crates/experiments/src/bin/chaos.rs",
+            "src/main.rs",
+        ]
+    );
+}
+
+#[test]
+fn spawn_rule_reports_a_child_process_above_the_tests() {
+    let spawn = "let child = Command::new(std::env::current_exe()?).arg(\"--job\").spawn()?;";
+    let tested = format!("pub fn run() {{}}\n\n#[cfg(test)]\nmod tests {{\n    {spawn}\n}}");
+    let tree = [
+        file("crates/experiments/src/campaign/mod.rs", spawn),
+        file(
+            "crates/experiments/src/bin/campaign.rs",
+            "let exe = std::env::current_exe();",
+        ),
+        file(
+            "src/main.rs",
+            "std::process::Command::new(\"sh\").status();",
+        ),
+        file("crates/experiments/src/runner.rs", &tested),
+        file("crates/experiments/tests/campaign.rs", spawn),
+        file("benchmark/src/main.rs", spawn),
+    ];
+    assert_eq!(
+        paths(&no_child_processes(&tree)),
+        [
+            "crates/experiments/src/campaign/mod.rs",
+            "crates/experiments/src/bin/campaign.rs",
             "src/main.rs",
         ]
     );
