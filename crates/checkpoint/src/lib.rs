@@ -6,8 +6,9 @@
 //! restore + run to end ≡ uninterrupted run, bit for bit*. This crate
 //! provides the byte-level plumbing every state-owning crate shares:
 //!
-//! * [`Enc`] / [`Dec`] — little-endian primitive writers/readers with
-//!   typed, non-panicking decode errors ([`CheckpointError`]),
+//! * [`Enc`] / [`Dec`] — little-endian primitive writers/readers and one
+//!   canonical LEB128 varint pair ([`Enc::varint`] / [`Dec::varint`]),
+//!   with typed, non-panicking decode errors ([`CheckpointError`]),
 //! * [`seal`] / [`seal_with`] / [`open`] — a self-describing container:
 //!   magic, format version, a caller-supplied *configuration fingerprint*
 //!   (so a snapshot is never restored into a simulation built from a
@@ -76,7 +77,29 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 /// every record is a tag carrying the sticky escape bit, then `src`,
 /// `dst`, the generation and injection cycles, the delivered count and
 /// `last_move` (v7's tag 0, a record still as `offer` wrote it, is gone).
-pub const VERSION: u32 = 8;
+///
+/// v9: a section writes what its state holds, not the network's shape.
+/// Counts, ids, nodes and cycle stamps are [`Enc::varint`]s, and every
+/// stamp is an offset back from the checkpoint's clock. An input VC is a
+/// tag byte (assignment kind, ring non-empty, blocked count non-zero)
+/// followed only by what that state reads, so an idle VC is one byte; a
+/// ring writes its front index and each packet run's id once. A source
+/// queue entry's generation cycle is its gap from the entry before it;
+/// output-VC allocation is one bit per VC, a round-robin cursor one byte,
+/// an idle injection interface one byte.
+pub const VERSION: u32 = 9;
+
+/// Most bytes [`Enc::varint`] writes: ⌈64 / 7⌉.
+pub const VARINT_MAX_LEN: usize = 10;
+
+/// Bytes [`Enc::varint`] writes for `v`: one per started group of seven
+/// bits, one for zero.
+#[must_use]
+#[inline]
+pub const fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -215,6 +238,19 @@ impl Enc {
         self.u8(u8::from(v));
     }
 
+    /// Writes `v` as an unsigned LEB128 varint: seven bits a byte, least
+    /// significant group first, the high bit set on every byte but the
+    /// last. The encoding is the shortest one, so each value has exactly
+    /// one ([`Dec::varint`] refuses any other).
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Reserves room for at least `additional` more bytes, so an array
     /// writer grows the buffer at most once however many elements follow.
     #[inline]
@@ -235,11 +271,6 @@ impl Enc {
         }
     }
 
-    /// Writes every element as [`Enc::bool`] would, growing at most once.
-    pub fn bools(&mut self, vs: &[bool]) {
-        self.buf.extend(vs.iter().map(|&v| u8::from(v)));
-    }
-
     /// Writes an `Option<u64>` as a presence byte plus the value.
     pub fn opt_u64(&mut self, v: Option<u64>) {
         self.bool(v.is_some());
@@ -250,15 +281,6 @@ impl Enc {
     pub fn opt_f64(&mut self, v: Option<f64>) {
         self.bool(v.is_some());
         self.f64(v.unwrap_or(0.0));
-    }
-}
-
-#[inline]
-fn bool_of(byte: u8) -> Result<bool, CheckpointError> {
-    match byte {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(CheckpointError::Corrupt("bool out of range")),
     }
 }
 
@@ -364,7 +386,43 @@ impl<'a> Dec<'a> {
     /// [`CheckpointError::Corrupt`] on a byte other than 0 or 1.
     #[inline]
     pub fn bool(&mut self) -> Result<bool, CheckpointError> {
-        bool_of(self.u8()?)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CheckpointError::Corrupt("bool out of range")),
+        }
+    }
+
+    /// Reads a varint written by [`Enc::varint`].
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] at the varint's start if the stream
+    /// ends inside it; [`CheckpointError::Corrupt`] on an encoding longer
+    /// than the shortest (a zero last byte after the first) or one that
+    /// does not fit a `u64` (past ten bytes, or bits past the 64th).
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, CheckpointError> {
+        let at = self.pos;
+        let mut v = 0u64;
+        for i in 0..VARINT_MAX_LEN {
+            let Some(&b) = self.buf.get(self.pos) else {
+                return Err(CheckpointError::Truncated { at });
+            };
+            self.pos += 1;
+            let group = u64::from(b & 0x7f);
+            if i == VARINT_MAX_LEN - 1 && group > 1 {
+                break;
+            }
+            v |= group << (7 * i);
+            if b < 0x80 {
+                if b == 0 && i > 0 {
+                    return Err(CheckpointError::Corrupt("overlong varint"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(CheckpointError::Corrupt("varint overflows u64"))
     }
 
     /// Reads `n` values written by [`Enc::u64s`] (or `n` calls of
@@ -387,27 +445,6 @@ impl<'a> Dec<'a> {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("len 8")))
             .collect())
-    }
-
-    /// Reads `n` values written by [`Enc::bools`] (or `n` calls of
-    /// [`Enc::bool`]). Allocates no more than the stream holds.
-    ///
-    /// # Errors
-    ///
-    /// What `n` calls of [`Dec::bool`] would report: the first byte other
-    /// than 0 or 1 is [`CheckpointError::Corrupt`]; a stream that ends
-    /// first is [`CheckpointError::Truncated`] at its end.
-    pub fn bools(&mut self, n: usize) -> Result<Vec<bool>, CheckpointError> {
-        let have = n.min(self.remaining());
-        let out = self
-            .take(have)?
-            .iter()
-            .map(|&b| bool_of(b))
-            .collect::<Result<Vec<bool>, _>>()?;
-        if have < n {
-            return Err(CheckpointError::Truncated { at: self.pos });
-        }
-        Ok(out)
     }
 
     /// Reads an `Option<u64>` written by [`Enc::opt_u64`].
@@ -605,9 +642,18 @@ pub fn open(bytes: &[u8], fingerprint: u64) -> Result<&[u8], CheckpointError> {
 mod tests {
     use super::*;
 
+    /// Varint inputs: each group boundary, the top bit alone and the
+    /// largest value.
+    const VARINTS: [u64; 7] = [0, 1, 127, 128, 16_383, 1 << 63, u64::MAX];
+
     #[test]
     fn primitives_round_trip() {
         let mut e = Enc::new();
+        for v in VARINTS {
+            let at = e.len();
+            e.varint(v);
+            assert_eq!(e.len() - at, varint_len(v), "varint {v}");
+        }
         e.u8(0xab);
         e.u16(0xbeef);
         e.u32(0xdead_beef);
@@ -622,7 +668,11 @@ mod tests {
         e.opt_f64(Some(2.5));
         e.opt_f64(None);
         let bytes = e.into_vec();
+        assert_eq!(bytes[..6], [0, 1, 0x7f, 0x80, 0x01, 0xff]);
         let mut d = Dec::new(&bytes);
+        for v in VARINTS {
+            assert_eq!(d.varint().unwrap(), v);
+        }
         assert_eq!(d.u8().unwrap(), 0xab);
         assert_eq!(d.u16().unwrap(), 0xbeef);
         assert_eq!(d.u32().unwrap(), 0xdead_beef);
@@ -646,12 +696,41 @@ mod tests {
         let bytes = e.into_vec();
         let mut d = Dec::new(&bytes[..5]);
         assert_eq!(d.u64(), Err(CheckpointError::Truncated { at: 0 }));
+        // A varint cut at any byte is truncated at its start.
+        for v in VARINTS {
+            let mut e = Enc::new();
+            e.u8(0xee);
+            e.varint(v);
+            let bytes = e.into_vec();
+            for cut in 1..bytes.len() {
+                let mut d = Dec::new(&bytes[..cut]);
+                d.u8().unwrap();
+                assert_eq!(d.varint(), Err(CheckpointError::Truncated { at: 1 }));
+            }
+        }
     }
 
     #[test]
-    fn bad_bool_is_corrupt() {
+    fn bad_primitives_are_corrupt() {
         let mut d = Dec::new(&[7]);
         assert!(matches!(d.bool(), Err(CheckpointError::Corrupt(_))));
+        // A varint has one encoding: neither padded with an empty last
+        // group (zero, and one) nor past 64 bits (a tenth byte above 1, an
+        // eleventh byte).
+        for bytes in [
+            &[0x80, 0x00][..],
+            &[0x81, 0x80, 0x00],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x81, 0x00,
+            ],
+        ] {
+            let got = Dec::new(bytes).varint();
+            assert!(
+                matches!(got, Err(CheckpointError::Corrupt(_))),
+                "{bytes:?} read as {got:?}"
+            );
+        }
     }
 
     /// The bit-at-a-time definition the tables are derived from.
@@ -738,7 +817,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&8u32.to_le_bytes());
+        want.extend_from_slice(&9u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);
@@ -770,23 +849,17 @@ mod tests {
     #[test]
     fn slice_helpers_write_the_per_element_bytes() {
         let words = [0u64, 1, u64::MAX, 0x0102_0304_0506_0708, 7];
-        let flags = [true, false, false, true, true, false];
         let mut one_by_one = Enc::new();
         for &w in &words {
             one_by_one.u64(w);
         }
-        for &f in &flags {
-            one_by_one.bool(f);
-        }
         let mut sliced = Enc::new();
         sliced.u64s(&words);
-        sliced.bools(&flags);
         let bytes = sliced.into_vec();
         assert_eq!(bytes, one_by_one.into_vec());
 
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u64s(words.len()).unwrap(), words);
-        assert_eq!(d.bools(flags.len()).unwrap(), flags);
         d.finish().unwrap();
     }
 
@@ -817,20 +890,6 @@ mod tests {
             Dec::new(&words).u64s(usize::MAX),
             Err(CheckpointError::Truncated { at: 24 })
         );
-
-        let flags = [1u8, 0, 1, 1];
-        for cut in 0..flags.len() {
-            let short = &flags[..cut];
-            let want = looped(&mut Dec::new(short), 4, Dec::bool);
-            assert_eq!(want, Err(CheckpointError::Truncated { at: cut }));
-            assert_eq!(Dec::new(short).bools(4), want, "stream cut at {cut}");
-        }
-        // A bad byte ahead of the cut wins, as it does one element at a time.
-        let bad = [1u8, 2, 0];
-        let want = looped(&mut Dec::new(&bad), 4, Dec::bool);
-        assert!(matches!(want, Err(CheckpointError::Corrupt(_))));
-        assert_eq!(Dec::new(&bad).bools(4), want);
-        assert_eq!(Dec::new(&bad).bools(usize::MAX), want);
     }
 
     #[test]

@@ -573,10 +573,12 @@ impl Simulation {
             assert!(report.is_clean(), "pre-checkpoint {report}");
         }
         // The network is all but a few KB of the payload: its bound, the
-        // two per-node arrays and slack for the controller and statistics
-        // size the container once.
-        let hint = self.net.state_len_bound() + 16 * self.src_delivered.len() + 4096;
-        checkpoint::seal_with(self.fingerprint, hint, |enc| {
+        // two per-node varint arrays at their widest and slack for the
+        // controller and statistics size the container once.
+        let hint = self.net.state_len_bound()
+            + 2 * checkpoint::VARINT_MAX_LEN * self.src_delivered.len()
+            + 4096;
+        let sealed = checkpoint::seal_with(self.fingerprint, hint, |enc| {
             self.net.save_state_presized(enc);
             self.runner.save_state(enc);
             self.ctl.save_state(enc);
@@ -588,8 +590,14 @@ impl Simulation {
             enc.u64(self.base_throttled);
             // Fixed length (one count per node): restore knows it from the
             // rebuilt topology, so no length prefix is needed.
-            enc.u64s(&self.src_delivered);
-        })
+            for &n in &self.src_delivered {
+                enc.varint(n);
+            }
+        });
+        // The hint bounds the payload, so the buffer never regrew: the
+        // container is the payload plus a 28-byte header and a 4-byte CRC.
+        debug_assert!(sealed.len() <= hint + 32, "checkpoint outgrew its hint");
+        sealed
     }
 
     /// Rebuilds a simulation from `cfg` (+ optional fault plan) and restores
@@ -623,7 +631,9 @@ impl Simulation {
         sim.base_delivered_packets = dec.u64()?;
         sim.base_recovered = dec.u64()?;
         sim.base_throttled = dec.u64()?;
-        sim.src_delivered = dec.u64s(sim.src_delivered.len())?;
+        for n in &mut sim.src_delivered {
+            *n = dec.varint()?;
+        }
         dec.finish()?;
         // A restore boundary is always audited, flag or no flag: the codec
         // validates structure (counts, tags, ranges) but only the invariant

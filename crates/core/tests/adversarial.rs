@@ -60,18 +60,29 @@ fn snapshot_under(scheme: Scheme) -> (SimConfig, Vec<u8>) {
 
 /// Byte offsets, in a simulation payload (which the network state opens).
 struct Offsets {
-    /// The routing assignment of input VC 0.
-    vc_assign: usize,
-    /// The routing assignment of node 0's injection interface.
-    inj_assign: usize,
+    /// Input VC 0: its tag byte through its last flit.
+    vc0: std::ops::Range<usize>,
+    /// Node 0's injection interface: its tag byte through its routed-at
+    /// stamp.
+    inj0: std::ops::Range<usize>,
     /// The first queued packet's entry in a source queue: its
-    /// destination, then its generation cycle.
+    /// destination, then its generation gap (varints).
     first_queued: usize,
-    /// The first live packet's record in the packet store.
+    /// The first live packet's record in the packet store: its tag, then
+    /// `src` and `dst` (varints).
     first_packet: usize,
 }
 
+/// Walks the network state at the head of `payload` the way the decoder
+/// reads it: tag bytes, and the varints each tag says follow.
 fn offsets(payload: &[u8], net: &NetConfig) -> Offsets {
+    // Tag bits: the assignment kind (1 = `Out`, which writes a port and a
+    // VC, 2 = delivery), a busy ring, a blocked count; on an injection
+    // interface, an active packet and a started interface.
+    const KIND: u8 = 0b111;
+    const BUSY: u8 = 1 << 3;
+    const BLOCKED: u8 = 1 << 4;
+    const ACTIVE: u8 = 1 << 3;
     let mut dec = checkpoint::Dec::new(payload);
     let at = |dec: &checkpoint::Dec<'_>| payload.len() - dec.remaining();
     let skip = |dec: &mut checkpoint::Dec<'_>, bytes: usize| {
@@ -79,49 +90,85 @@ fn offsets(payload: &[u8], net: &NetConfig) -> Offsets {
             dec.u8().unwrap();
         }
     };
-    let skip_assign = |dec: &mut checkpoint::Dec<'_>| {
-        if dec.u8().unwrap() == 1 {
-            skip(dec, 2); // port, VC
-        }
-    };
+    let varint = |dec: &mut checkpoint::Dec<'_>| dec.varint().unwrap();
     // Clock, two progress markers, sixteen counters.
-    skip(&mut dec, 3 * 8 + 16 * 8);
-    let n_vcs = dec.usize().unwrap();
+    dec.u64().unwrap();
+    varint(&mut dec);
+    varint(&mut dec);
+    skip(&mut dec, 16 * 8);
+    let n_vcs = varint(&mut dec) as usize;
     assert_eq!(n_vcs, net.total_vc_buffers());
-    let mut vc_assign = None;
+    let plen = u64::from(net.packet_len as u16);
+    let mut vc0 = None;
     for _ in 0..n_vcs {
-        let flits = dec.usize().unwrap();
-        skip(&mut dec, flits * (4 + 2 + 8));
-        vc_assign.get_or_insert(at(&dec));
-        skip_assign(&mut dec);
-        skip(&mut dec, 8 + 8); // routed-at, blocked count
+        let tag_at = at(&dec);
+        let tag = dec.u8().unwrap();
+        if tag & KIND == 1 {
+            skip(&mut dec, 2); // port, VC
+        }
+        if matches!(tag & KIND, 1 | 2) {
+            varint(&mut dec); // routed-at
+        }
+        if tag & BLOCKED != 0 {
+            varint(&mut dec);
+        }
+        if tag & BUSY != 0 {
+            let (len, front) = (varint(&mut dec), varint(&mut dec));
+            for i in 0..len {
+                if i == 0 || (front + i).is_multiple_of(plen) {
+                    varint(&mut dec); // packet id
+                }
+                varint(&mut dec); // ready offset
+            }
+        }
+        vc0.get_or_insert(tag_at..at(&dec));
     }
-    skip(&mut dec, n_vcs); // output-VC allocation flags
+    skip(&mut dec, n_vcs.div_ceil(8)); // output-VC allocation bits
     let nodes = net.node_count();
-    let mut inj_assign = None;
+    let mut inj0 = None;
     for _ in 0..nodes {
-        skip(&mut dec, 1 + 4 + 2); // active, packet, sent
-        inj_assign.get_or_insert(at(&dec));
-        skip_assign(&mut dec);
-        skip(&mut dec, 8); // routed-at
+        let tag_at = at(&dec);
+        let tag = dec.u8().unwrap();
+        if tag != 0 {
+            if tag & ACTIVE != 0 {
+                varint(&mut dec); // packet id
+            }
+            varint(&mut dec); // sent
+            if tag & KIND == 1 {
+                skip(&mut dec, 2);
+            }
+            varint(&mut dec); // routed-at
+        }
+        inj0.get_or_insert(tag_at..at(&dec));
     }
     let mut first_queued = None;
     for _ in 0..nodes {
-        let queued = dec.usize().unwrap();
+        let queued = varint(&mut dec);
         if queued > 0 {
             first_queued.get_or_insert(at(&dec));
         }
-        skip(&mut dec, (4 + 8) * queued); // destination, generation cycle
+        for _ in 0..2 * queued {
+            varint(&mut dec); // destination, generation gap
+        }
     }
-    skip(&mut dec, 8); // slot count
-    let freed = dec.usize().unwrap();
-    skip(&mut dec, 4 * freed);
+    varint(&mut dec); // slot count
+    let freed = varint(&mut dec);
+    for _ in 0..freed {
+        varint(&mut dec);
+    }
     Offsets {
-        vc_assign: vc_assign.unwrap(),
-        inj_assign: inj_assign.unwrap(),
+        vc0: vc0.unwrap(),
+        inj0: inj0.unwrap(),
         first_queued: first_queued.expect("vacuous: no queued packet"),
         first_packet: at(&dec),
     }
+}
+
+/// `payload` with the bytes in `span` replaced by `with`.
+fn spliced(payload: &[u8], span: std::ops::Range<usize>, with: &[u8]) -> Vec<u8> {
+    let mut built = payload.to_vec();
+    built.splice(span, with.iter().copied());
+    built
 }
 
 /// Hand-built: snapshots under the two laws whose state carries a
@@ -236,25 +283,27 @@ fn restore_survives_payload_mutations_without_panicking() {
     }
     // Hand-built: an assignment naming an output the router does not
     // have — a port past `d` on an input VC, a VC past `v` on an injection
-    // interface. Restore rebuilds the switch plane from the assignments, so
-    // these must die in the decoder, not reach it.
+    // interface (a started one, sending nothing yet). Restore rebuilds the
+    // switch plane from the assignments, so these must die in the decoder,
+    // not reach it.
     let at = offsets(&payload, &cfg.net);
     let (d, v) = (2 * cfg.net.dimensions as u8, cfg.net.vcs as u8);
-    for (at, out) in [(at.vc_assign, [1, d, 0]), (at.inj_assign, [1, 0, v])] {
-        let old_len = if payload[at] == 1 { 3 } else { 1 };
-        let mut built = payload[..at].to_vec();
-        built.extend_from_slice(&out);
-        built.extend_from_slice(&payload[at + old_len..]);
-        let outcome = Simulation::restore(cfg.clone(), None, &checkpoint::seal(fp, &built));
-        assert!(
-            matches!(
-                outcome,
-                Err(SimError::Checkpoint(checkpoint::CheckpointError::Corrupt(
-                    _
-                )))
-            ),
-            "out-of-range assignment {out:?} at byte {at}: {:?}",
-            outcome.err()
+    let corrupt = |built: &[u8]| {
+        let outcome = Simulation::restore(cfg.clone(), None, &checkpoint::seal(fp, built));
+        match outcome {
+            Err(SimError::Checkpoint(checkpoint::CheckpointError::Corrupt(why))) => Ok(why),
+            other => Err(format!("{:?}", other.err())),
+        }
+    };
+    for (span, out) in [
+        (at.vc0.clone(), vec![1, d, 0, 1]),
+        (at.inj0.clone(), vec![0x10 | 1, 0, 0, v, 1]),
+    ] {
+        let outcome = corrupt(&spliced(&payload, span.clone(), &out));
+        assert_eq!(
+            outcome,
+            Ok("assigned output out of range"),
+            "out-of-range assignment {out:?} at bytes {span:?}"
         );
     }
 
@@ -262,24 +311,30 @@ fn restore_survives_payload_mutations_without_panicking() {
     // packet record whose source or destination is none. The next step
     // would index the routing digits or the per-source delivery counts
     // with it, so restore must refuse it, typed.
-    let at = offsets(&payload, &cfg.net);
     let record = at.first_packet;
-    assert!(payload[record] <= 1, "not a packet record tag");
-    for field in [at.first_queued, record + 1, record + 5] {
-        let mut built = payload.clone();
-        built[field..field + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
-        let outcome = Simulation::restore(cfg.clone(), None, &checkpoint::seal(fp, &built));
-        assert!(
-            matches!(
-                outcome,
-                Err(SimError::Checkpoint(checkpoint::CheckpointError::Corrupt(
-                    _
-                )))
-            ),
-            "packet endpoint 1000000 at byte {field}: {:?}",
-            outcome.err()
+    assert!(payload[record] <= 3, "not a packet record tag");
+    let mut far = checkpoint::Enc::new();
+    far.varint(1_000_000);
+    let far = far.into_vec();
+    for field in [at.first_queued, record + 1, record + 2] {
+        assert!(payload[field] < 0x80, "not a one-byte node id");
+        let outcome = corrupt(&spliced(&payload, field..field + 1, &far));
+        assert_eq!(
+            outcome,
+            Ok("packet endpoint outside the network"),
+            "packet endpoint 1000000 at byte {field}"
         );
     }
+    // Hand-built: the same destination written one byte longer than it
+    // takes. A varint has one encoding, so the decoder refuses it.
+    let field = at.first_queued;
+    let overlong = [payload[field] | 0x80, 0];
+    let outcome = corrupt(&spliced(&payload, field..field + 1, &overlong));
+    assert_eq!(
+        outcome,
+        Ok("overlong varint"),
+        "{overlong:?} at byte {field}"
+    );
 
     // Hand-built: a filter or window length past what the configuration
     // allows — one entry too many, and the 64 GB `u32::MAX` entries would
@@ -330,45 +385,49 @@ fn workload_restore_commits_nothing_on_failure() {
         donor.arrivals(now, |_, _| {});
     }
     let good = save(&donor);
-    let (phase_at, start_at) = (good.len() - 16, good.len() - 8);
-    assert_eq!(
-        good[phase_at..],
-        [1u64.to_le_bytes(), 100u64.to_le_bytes()].concat()
-    );
+    // The phase tracking closes the payload, a varint each.
+    let phase_at = good.len() - 2;
+    assert_eq!(good[phase_at..], [1, 100]);
     let with = |at: usize, bytes: &[u8]| {
         let mut built = good.clone();
         built[at..at + bytes.len()].copy_from_slice(bytes);
         built
     };
+    let varint = |v: u64| {
+        let mut enc = checkpoint::Enc::new();
+        enc.varint(v);
+        enc.into_vec()
+    };
+    let tracking =
+        |phase: u64, start: u64| [&good[..phase_at], &varint(phase), &varint(start)].concat();
+    // Node 0's deadline follows the generator and the node count, as its
+    // cycle plus one.
+    let deadline_at = 32 + 1;
+    let deadline_len = {
+        let mut dec = checkpoint::Dec::new(&good[deadline_at..]);
+        dec.varint().unwrap();
+        good.len() - deadline_at - dec.remaining()
+    };
+    let deadline = |cycle: u64| {
+        [
+            &good[..deadline_at],
+            &varint(cycle + 1),
+            &good[deadline_at + deadline_len..],
+        ]
+        .concat()
+    };
     use checkpoint::CheckpointError::{Corrupt, Truncated};
     let cases = [
         (
             "cut inside the phase start",
-            good[..good.len() - 3].to_vec(),
+            good[..good.len() - 1].to_vec(),
             false,
         ),
         ("all-zero generator", with(0, &[0; 32]), true),
-        (
-            "phase 1 cannot start at 150",
-            with(start_at, &150u64.to_le_bytes()),
-            true,
-        ),
-        (
-            "cycle 100 is phase 1's, not 3's",
-            with(phase_at, &3u64.to_le_bytes()),
-            true,
-        ),
-        (
-            "phase past the schedule",
-            with(phase_at, &9u64.to_le_bytes()),
-            true,
-        ),
-        (
-            // Node 0's deadline follows the generator and the node count.
-            "a deadline from before phase 1 began",
-            with(32 + 8, &99u64.to_le_bytes()),
-            true,
-        ),
+        ("phase 1 cannot start at 150", tracking(1, 150), true),
+        ("cycle 100 is phase 1's, not 3's", tracking(3, 100), true),
+        ("phase past the schedule", tracking(9, 100), true),
+        ("a deadline from before phase 1 began", deadline(99), true),
     ];
     let mut victim = WorkloadRunner::new(&wl, NODES, 8).unwrap();
     for now in 0..40 {

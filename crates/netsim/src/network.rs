@@ -36,7 +36,7 @@ pub(crate) enum Assign {
 
 /// Per-node injection interface: the packet currently streaming from the
 /// source queue into the router.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct InjState {
     /// The streaming packet's record; `None` while idle, and from the route
     /// win that starts an injection until the fold gives it its record.

@@ -1,6 +1,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64};
 
 use crate::shard::Cells;
+use crate::snapshot::{dec_back, enc_back};
+use checkpoint::{varint_len, VARINT_MAX_LEN};
 use kncube::NodeId;
 
 /// Identifier of an in-flight packet (an index into the packet store; slots
@@ -22,11 +24,6 @@ pub struct Flit {
     /// First cycle at which this flit is usable at its current location
     /// (models crossbar + link pipeline latency).
     pub ready_at: u64,
-}
-
-impl Flit {
-    /// Bytes of one serialized flit: packet id, index, ready cycle.
-    pub(crate) const ENCODED_LEN: usize = 4 + 2 + 8;
 }
 
 /// Metadata of a packet in the network. A packet gets its record only when
@@ -63,10 +60,10 @@ pub struct PacketInfo {
 const _: () = assert!(std::mem::size_of::<PacketInfo>() <= 48);
 
 impl PacketInfo {
-    /// Bytes of a live packet's record in [`PacketStore::save_state`]: tag,
-    /// `src`, `dst` (`u32`), `generated_at`, `injected_at`,
-    /// `delivered_flits`, `last_move`.
-    pub(crate) const ENCODED_LEN: usize = 1 + 2 * 4 + 2 * 8 + 2 + 8;
+    /// Fewest bytes a live packet's record takes in
+    /// [`PacketStore::save_state`]: the tag, then one-byte varints for
+    /// `src`, `dst`, `generated_at`, `delivered_flits` and `last_move`.
+    pub(crate) const MIN_ENCODED_LEN: usize = 6;
 
     /// The record the route pass's fold creates for the packet `q` whose
     /// injection at `src` won routing, onto an escape VC or not: nothing
@@ -85,10 +82,11 @@ impl PacketInfo {
     }
 }
 
-/// Tag of a live packet's record, never escaped.
-const PLAIN: u8 = 0;
-/// Tag of a live packet's record, sticky-escaped.
+/// Tag bit of a live packet's record: sticky-escaped.
 const ESCAPED: u8 = 1;
+/// Tag bit of a live packet's record: its header has left the source
+/// (`injected_at` is written).
+const INJECTED: u8 = 2;
 
 /// A packet waiting in its source queue: all a queued packet is, since
 /// nothing reads more of it than its destination (the injection gate, the
@@ -104,11 +102,6 @@ pub(crate) struct QueueEntry {
 }
 
 const _: () = assert!(std::mem::size_of::<QueueEntry>() == 12);
-
-impl QueueEntry {
-    /// Bytes of one serialized entry: `dst` (`u32`), `generated_at`.
-    pub(crate) const ENCODED_LEN: usize = 4 + 8;
-}
 
 /// Record emitted when a packet's tail is consumed at its destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,18 +211,22 @@ impl PacketStore {
         Cells::new(&mut self.slots)
     }
 
-    /// Serializes what the store holds: the slot count, the free list in
-    /// order (which determines future id assignment), then one record per
-    /// live slot, ascending. A freed slot writes nothing — [`PacketStore::alloc`]
-    /// overwrites it whole — and no record holds a length: every packet
-    /// has the network's packet length. A live packet's escape
-    /// flag rides in its record's tag.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
+    /// Serializes what the store holds at cycle `now`: the slot count, the
+    /// free list in order (which determines future id assignment), then
+    /// one record per live slot, ascending — a tag (the escape flag, and
+    /// whether the header has left the source), `src` and `dst`, then
+    /// `generated_at`, `injected_at` (only once the header has left),
+    /// `delivered_flits` and `last_move`, each stamp back from `now`. All
+    /// but the tag are varints. A freed slot writes nothing —
+    /// [`PacketStore::alloc`] overwrites it whole — and no record holds a
+    /// length: every packet has the network's packet length.
+    pub fn save_state(&self, enc: &mut checkpoint::Enc, now: u64) {
+        #[cfg(debug_assertions)]
         let start = enc.len();
-        enc.usize(self.slots.len());
-        enc.usize(self.free.len());
+        enc.varint(self.slots.len() as u64);
+        enc.varint(self.free.len() as u64);
         for &id in &self.free {
-            enc.u32(id);
+            enc.varint(u64::from(id));
         }
         let mut freed = self.free.clone();
         freed.sort_unstable();
@@ -238,60 +235,72 @@ impl PacketStore {
             if freed.next_if_eq(&(id as PacketId)).is_some() {
                 continue;
             }
-            enc.u8(if p.escaped { ESCAPED } else { PLAIN });
-            // Node ids fit `u32`: config validation caps the node count.
-            enc.u32(p.src as u32);
-            enc.u32(p.dst as u32);
-            enc.u64(p.generated_at);
-            enc.u64(p.injected_at);
-            enc.u16(p.delivered_flits);
-            enc.u64(p.last_move);
+            let injected = p.injected_at != u64::MAX;
+            enc.u8((u8::from(p.escaped) * ESCAPED) | (u8::from(injected) * INJECTED));
+            enc.varint(p.src as u64);
+            enc.varint(p.dst as u64);
+            enc_back(enc, now, p.generated_at);
+            if injected {
+                enc_back(enc, now, p.injected_at);
+            }
+            enc.varint(u64::from(p.delivered_flits));
+            enc_back(enc, now, p.last_move);
         }
-        debug_assert_eq!(enc.len() - start, self.encoded_len());
+        #[cfg(debug_assertions)]
+        debug_assert!(enc.len() - start <= self.len_bound(now));
     }
 
-    /// Bytes [`PacketStore::save_state`] writes for the current store.
-    pub(crate) fn encoded_len(&self) -> usize {
-        8 + 8 + 4 * self.free.len() + self.live() * PacketInfo::ENCODED_LEN
+    /// Most bytes [`PacketStore::save_state`] writes for the current store
+    /// at cycle `now`.
+    pub(crate) fn len_bound(&self, now: u64) -> usize {
+        let w_id = varint_len(self.slots.len() as u64);
+        let w_node = varint_len(u64::from(u32::MAX));
+        let record = 1 + 2 * w_node + 3 * varint_len(now) + varint_len(u64::from(u16::MAX));
+        2 * VARINT_MAX_LEN + self.free.len() * w_id + self.live() * record
     }
 
-    /// Reads a store serialized with [`PacketStore::save_state`] on a
-    /// network of `nodes` nodes. A freed slot comes back as a default
-    /// record; nothing reads it before `alloc` overwrites it.
+    /// Reads a store serialized with [`PacketStore::save_state`] at cycle
+    /// `now` on a network of `nodes` nodes. A freed slot comes back as a
+    /// default record; nothing reads it before `alloc` overwrites it.
     ///
     /// # Errors
     ///
     /// Returns a [`checkpoint::CheckpointError`] on a truncated stream, a
     /// free list that is longer than the slot array, names a slot outside
-    /// it or names one twice, an unknown record tag, or a packet whose
-    /// source or destination is not a node of the network.
+    /// it or names one twice, an unknown record tag, a packet whose
+    /// source or destination is not a node of the network, a stamp before
+    /// cycle 0 or a delivered count past `u16`.
     pub fn restore_state(
         dec: &mut checkpoint::Dec<'_>,
         nodes: usize,
+        now: u64,
     ) -> Result<Self, checkpoint::CheckpointError> {
         use checkpoint::CheckpointError::Corrupt;
-        let nslots = dec.usize()?;
-        let nfree = dec.usize()?;
+        let count = |dec: &mut checkpoint::Dec<'_>| {
+            usize::try_from(dec.varint()?).map_err(|_| Corrupt("usize overflow"))
+        };
+        let nslots = count(dec)?;
+        let nfree = count(dec)?;
         if nfree > nslots {
             return Err(Corrupt("free list longer than slot array"));
         }
         // A hostile count cannot force an allocation beyond what the stream
-        // could actually satisfy: a free id is four bytes, a live record
-        // `ENCODED_LEN`.
-        let mut free = Vec::with_capacity(nfree.min(dec.remaining() / 4));
+        // could actually satisfy: a free id takes at least a byte, a live
+        // record `MIN_ENCODED_LEN`.
+        let mut free = Vec::with_capacity(nfree.min(dec.remaining()));
         for _ in 0..nfree {
-            let id = dec.u32()?;
-            if id as usize >= nslots {
+            let id = count(dec)?;
+            if id >= nslots {
                 return Err(Corrupt("free list entry out of range"));
             }
-            free.push(id);
+            free.push(id as PacketId);
         }
         let mut freed = free.clone();
         freed.sort_unstable();
         if freed.windows(2).any(|w| w[0] == w[1]) {
             return Err(Corrupt("free list names a slot twice"));
         }
-        let cap = nslots.min(nfree + dec.remaining() / PacketInfo::ENCODED_LEN);
+        let cap = nslots.min(nfree + dec.remaining() / PacketInfo::MIN_ENCODED_LEN);
         let mut slots = Vec::with_capacity(cap);
         let mut freed = freed.into_iter().peekable();
         for id in 0..nslots {
@@ -300,21 +309,29 @@ impl PacketStore {
                 continue;
             }
             let tag = dec.u8()?;
-            if tag > ESCAPED {
+            if tag & !(ESCAPED | INJECTED) != 0 {
                 return Err(Corrupt("unknown packet record tag"));
             }
-            let (src, dst) = (dec.u32()? as usize, dec.u32()? as usize);
+            let (src, dst) = (count(dec)?, count(dec)?);
             if src >= nodes || dst >= nodes {
                 return Err(Corrupt("packet endpoint outside the network"));
             }
+            let generated_at = dec_back(dec, now)?;
+            let injected_at = if tag & INJECTED != 0 {
+                dec_back(dec, now)?
+            } else {
+                u64::MAX
+            };
+            let delivered_flits = u16::try_from(dec.varint()?)
+                .map_err(|_| Corrupt("delivered count out of range"))?;
             slots.push(PacketInfo {
                 src,
                 dst,
-                generated_at: dec.u64()?,
-                injected_at: dec.u64()?,
-                delivered_flits: dec.u16()?,
-                last_move: dec.u64()?,
-                escaped: tag == ESCAPED,
+                generated_at,
+                injected_at,
+                delivered_flits,
+                last_move: dec_back(dec, now)?,
+                escaped: tag & ESCAPED != 0,
             });
         }
         Ok(PacketStore { slots, free })
@@ -388,26 +405,37 @@ mod tests {
         s
     }
 
+    /// The cycle [`mixed_store`] is saved at.
+    const NOW: u64 = 30;
+
     fn save(s: &PacketStore) -> Vec<u8> {
         let mut enc = checkpoint::Enc::new();
-        s.save_state(&mut enc);
+        s.save_state(&mut enc, NOW);
         enc.into_vec()
     }
 
-    fn restore(bytes: &[u8]) -> Result<PacketStore, checkpoint::CheckpointError> {
+    fn restore_at(bytes: &[u8], now: u64) -> Result<PacketStore, checkpoint::CheckpointError> {
         let mut dec = checkpoint::Dec::new(bytes);
-        let out = PacketStore::restore_state(&mut dec, 8)?;
+        let out = PacketStore::restore_state(&mut dec, 8, now)?;
         dec.finish()?;
         Ok(out)
+    }
+
+    fn restore(bytes: &[u8]) -> Result<PacketStore, checkpoint::CheckpointError> {
+        restore_at(bytes, NOW)
     }
 
     #[test]
     fn records_round_trip_at_their_sizes() {
         let s = mixed_store();
         let bytes = save(&s);
-        // Counts, one free id, three live records.
-        let want = 8 + 8 + 4 + 3 * PacketInfo::ENCODED_LEN;
-        assert_eq!((bytes.len(), s.encoded_len()), (want, want));
+        // Counts and one free id, a byte each; a record not yet injected
+        // (tag, `src`, `dst`, three one-byte fields), two injected ones
+        // (one more stamp).
+        assert_eq!(bytes.len(), 3 + 6 + 2 * 7);
+        assert_eq!(bytes[3..9], [0, 0, 7, 20, 0, 20]);
+        assert_eq!(bytes[9..16], [INJECTED, 2, 7, 18, 10, 3, 5]);
+        assert!(bytes.len() <= s.len_bound(NOW));
         let back = restore(&bytes).unwrap();
         for id in [0, 2, 3] {
             assert_eq!(back.get(id), s.get(id), "slot {id}");
@@ -425,42 +453,54 @@ mod tests {
             built[at..at + bytes.len()].copy_from_slice(bytes);
             built
         };
-        let first_record = 8 + 8 + 4;
+        let first_record = 3;
         let cases = [
             (
                 "unknown tag",
-                with(first_record, &[2]),
+                with(first_record, &[4]),
                 "unknown packet record tag",
             ),
             (
                 "destination past the nodes",
-                with(first_record + 5, &8u32.to_le_bytes()),
+                with(first_record + 2, &[8]),
                 "packet endpoint outside the network",
             ),
             (
                 "free id past the slots",
-                with(16, &4u32.to_le_bytes()),
+                with(2, &[4]),
                 "free list entry out of range",
             ),
             (
                 "more free ids than slots",
-                with(8, &5u64.to_le_bytes()),
+                with(1, &[5]),
                 "free list longer than slot array",
+            ),
+            (
+                "a delivered count past u16",
+                with(9 + 5, &[0x80, 0x80, 0x04]),
+                "delivered count out of range",
             ),
         ];
         for (what, bytes, why) in cases {
             assert_eq!(restore(&bytes).err(), Some(Corrupt(why)), "{what}");
         }
+        // A stamp is an offset back from the clock: read at a clock it
+        // predates, it is refused.
+        assert_eq!(
+            restore_at(&good, 19).err(),
+            Some(Corrupt("cycle stamp before cycle 0"))
+        );
         // One slot freed twice (and so never written) is refused however the
         // list got there.
-        let mut twice = with(8, &2u64.to_le_bytes());
-        twice.splice(20..20, 1u32.to_le_bytes());
+        let mut twice = with(1, &[2]);
+        twice.insert(3, 1);
         assert_eq!(
             restore(&twice).err(),
             Some(Corrupt("free list names a slot twice"))
         );
         // A hostile slot count allocates nothing the stream cannot fill.
-        let hostile = with(0, &(1u64 << 40).to_le_bytes());
+        let mut hostile = good.clone();
+        hostile.splice(0..1, [0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
         assert!(matches!(restore(&hostile), Err(Truncated { .. })));
         for cut in 0..good.len() {
             assert!(restore(&good[..cut]).is_err(), "cut at {cut}");

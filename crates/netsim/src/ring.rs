@@ -245,32 +245,11 @@ impl FlitRings {
         changed
     }
 
-    /// Checks `f` as the next flit of ring `r` read from outside the
-    /// simulator (a checkpoint), and returns it as the ring would buffer
-    /// it: its index continues the ring's run — consecutive modulo the
-    /// packet length, a new packet only at index 0 — and it is ready no
-    /// later than `now + hop_latency`. A flit ready for longer than a
-    /// re-stamp allows is re-stamped as [`FlitRings::set_now`] would.
-    pub(crate) fn admit(&self, r: usize, f: Flit) -> Result<Flit, &'static str> {
-        let clock = self.clock;
-        if f.idx >= clock.packet_len {
-            return Err("flit index past the packet length");
-        }
-        let len = self.len(r);
-        if len > 0 {
-            let last = self.get(r, len - 1);
-            let next = next_idx(last.idx, clock.packet_len);
-            if f.idx != next || (f.idx != 0 && f.packet != last.packet) {
-                return Err("buffered flits out of packet order");
-            }
-        }
-        if f.ready_at > clock.now + u64::from(clock.hop) {
-            return Err("flit ready beyond one hop latency");
-        }
-        Ok(Flit {
-            ready_at: clock.restamped(f.ready_at),
-            ..f
-        })
+    /// `ready_at` as the arena buffers a flit read from outside the
+    /// simulator (a checkpoint): a flit ready for longer than a re-stamp
+    /// allows is re-stamped as [`FlitRings::set_now`] would.
+    pub(crate) fn restamped(&self, ready_at: u64) -> u64 {
+        self.clock.restamped(ready_at)
     }
 
     /// The first position of ring `r` whose flit is not in its

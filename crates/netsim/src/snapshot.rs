@@ -17,6 +17,20 @@
 //! from the same configuration, and the caller guards that with a
 //! configuration fingerprint at the container level.
 //!
+//! Each section writes what its state holds, not the network's shape
+//! (format v9). Counts, ids and nodes are varints, and every cycle stamp
+//! is a varint offset back from the clock (`now`; `now + hop_latency` for
+//! a flit's `ready_at`), so a stamp costs what its age takes. An input VC
+//! is one tag byte — assignment kind, ring non-empty, blocked count
+//! non-zero — followed only by what that state reads: the `Out` port and
+//! VC, `vc_routed_at` for a switchable VC (the only kind whose switch-plane
+//! entry reads it), the blocked count of an unrouted VC holding a header,
+//! and the ring. An idle VC is one byte: its `vc_routed_at` is read by
+//! nothing, and its blocked count is zero (a count grows only under a
+//! waiting header and restarts when that header routes). A ring writes its
+//! length, its front flit's index (the rest follow in ring order), the
+//! packet id once per packet run and each flit's ready offset.
+//!
 //! Queues live in ring-buffer arenas ([`crate::ring`]) but serialize as
 //! their *logical* FIFO contents (front to back), so the byte format is
 //! independent of each ring's physical head position — a restored ring
@@ -29,39 +43,49 @@
 //! are per-cycle scratch (the injection allowance, the recovery path's
 //! recycled backing storage), which the pipeline rewrites before reading.
 
-use crate::network::{Assign, InjState, Network, RecoveryJob};
+use crate::counters::Counters;
+use crate::network::{Assign, InjState, Network, RecoveryJob, DL_DEPTH};
 use crate::packet::{Flit, PacketStore, QueueEntry};
 use crate::ring::{DeliveryRing, FlitRings, Rings};
-use checkpoint::{CheckpointError, Dec, Enc};
+use checkpoint::{varint_len, CheckpointError, Dec, Enc, VARINT_MAX_LEN};
+use std::ops::RangeInclusive;
 
-use crate::counters::Counters;
+/// Low three bits of an input-VC or injection tag: the assignment kind
+/// ([`kind_of`]).
+const KIND: u8 = 0b111;
+/// Input-VC tag bit: the ring holds a flit (and is written).
+const BUSY: u8 = 1 << 3;
+/// Input-VC tag bit: the blocked count is non-zero (and is written).
+const BLOCKED: u8 = 1 << 4;
+/// Injection tag bit: the interface streams a packet (its id is written).
+const ACTIVE: u8 = 1 << 3;
+/// Injection tag bit: the interface is not idle (its fields are written).
+const STARTED: u8 = 1 << 4;
 
-/// Most bytes [`enc_assign`] writes (the `Out` variant's tag, port, VC).
-const ASSIGN_MAX_LEN: usize = 3;
-
-/// Bytes of one serialized [`crate::packet::DeliveredRecord`]: `src` and
-/// `dst` (`u32`), three cycle stamps, the recovered flag.
-const DELIVERY_ENCODED_LEN: usize = 2 * 4 + 3 * 8 + 1;
-
-fn enc_assign(enc: &mut Enc, a: Assign) {
+/// The assignment kind a tag's [`KIND`] bits hold.
+fn kind_of(a: Assign) -> u8 {
     match a {
-        Assign::None => enc.u8(0),
-        Assign::Out { port, vc } => {
-            enc.u8(1);
-            enc.u8(port);
-            enc.u8(vc);
-        }
-        Assign::Delivery => enc.u8(2),
-        Assign::AwaitToken => enc.u8(3),
-        Assign::Recovery => enc.u8(4),
+        Assign::None => 0,
+        Assign::Out { .. } => 1,
+        Assign::Delivery => 2,
+        Assign::AwaitToken => 3,
+        Assign::Recovery => 4,
     }
 }
 
-/// Decodes an assignment on a router with `d` network ports of `v` VCs
-/// each. An `Out` naming a port or VC the router does not have is rejected
-/// here: restore indexes the output-slot table with it.
-fn dec_assign(dec: &mut Dec<'_>, d: usize, v: usize) -> Result<Assign, CheckpointError> {
-    Ok(match dec.u8()? {
+/// Writes what an assignment holds beyond its kind: an `Out`'s port and VC.
+fn enc_out(enc: &mut Enc, a: Assign) {
+    if let Assign::Out { port, vc } = a {
+        enc.u8(port);
+        enc.u8(vc);
+    }
+}
+
+/// Decodes an assignment of kind `kind` on a router with `d` network ports
+/// of `v` VCs each. An `Out` naming a port or VC the router does not have
+/// is rejected here: restore indexes the output-slot table with it.
+fn dec_assign(dec: &mut Dec<'_>, kind: u8, d: usize, v: usize) -> Result<Assign, CheckpointError> {
+    Ok(match kind {
         0 => Assign::None,
         1 => {
             let (port, vc) = (dec.u8()?, dec.u8()?);
@@ -77,84 +101,165 @@ fn dec_assign(dec: &mut Dec<'_>, d: usize, v: usize) -> Result<Assign, Checkpoin
     })
 }
 
-fn enc_flit(enc: &mut Enc, f: Flit) {
-    let at = enc.len();
-    enc.u32(f.packet);
-    enc.u16(f.idx);
-    enc.u64(f.ready_at);
-    debug_assert_eq!(enc.len() - at, Flit::ENCODED_LEN);
+/// Writes `stamp` as its offset back from `from`.
+#[inline]
+pub(crate) fn enc_back(enc: &mut Enc, from: u64, stamp: u64) {
+    debug_assert!(stamp <= from, "stamp {stamp} past the clock {from}");
+    enc.varint(from.wrapping_sub(stamp));
 }
 
-fn dec_flit(dec: &mut Dec<'_>) -> Result<Flit, CheckpointError> {
-    Ok(Flit {
-        packet: dec.u32()?,
-        idx: dec.u16()?,
-        ready_at: dec.u64()?,
-    })
+/// Reads a stamp written by [`enc_back`] against the same `from`.
+#[inline]
+pub(crate) fn dec_back(dec: &mut Dec<'_>, from: u64) -> Result<u64, CheckpointError> {
+    from.checked_sub(dec.varint()?)
+        .ok_or(CheckpointError::Corrupt("cycle stamp before cycle 0"))
+}
+
+/// Reads a varint that must be below `end` (a count, index or id bounded
+/// by the configuration), refusing anything else as `what`.
+#[inline]
+fn dec_below(dec: &mut Dec<'_>, end: usize, what: &'static str) -> Result<usize, CheckpointError> {
+    usize::try_from(dec.varint()?)
+        .ok()
+        .filter(|&x| x < end)
+        .ok_or(CheckpointError::Corrupt(what))
+}
+
+/// Reads a packet id (a `u32`).
+#[inline]
+fn dec_packet(dec: &mut Dec<'_>) -> Result<u32, CheckpointError> {
+    u32::try_from(dec.varint()?).map_err(|_| CheckpointError::Corrupt("packet id out of range"))
 }
 
 /// Serializes ring `r` of a flit arena as its logical front-to-back
-/// contents (the same bytes a `VecDeque` walk would produce).
-fn enc_flit_ring(enc: &mut Enc, rings: &FlitRings, r: usize) {
-    enc.usize(rings.len(r));
-    for i in 0..rings.len(r) {
-        enc_flit(enc, rings.get(r, i));
+/// contents: its length, then, if it holds any, the front flit's index,
+/// and per flit its packet id where a packet run starts (the front, and
+/// every index 0) and its `ready_at` back from `ready_base`, the clock plus
+/// one hop latency.
+fn enc_flits(enc: &mut Enc, rings: &FlitRings, r: usize, ready_base: u64) {
+    let len = rings.len(r);
+    enc.varint(len as u64);
+    for i in 0..len {
+        let f = rings.get(r, i);
+        if i == 0 {
+            enc.varint(u64::from(f.idx));
+        }
+        if i == 0 || f.idx == 0 {
+            enc.varint(u64::from(f.packet));
+        }
+        enc_back(enc, ready_base, f.ready_at);
     }
 }
 
-/// Bytes [`enc_flit_ring`] writes for ring `r`.
-fn flit_ring_len(rings: &FlitRings, r: usize) -> usize {
-    8 + rings.len(r) * Flit::ENCODED_LEN
+/// Most bytes [`enc_flits`] writes for a ring of `len` flits, with packet
+/// ids of at most `w_pid` bytes and ready offsets of at most `w_ready`.
+fn flits_len_bound(len: usize, w_pid: usize, w_ready: usize) -> usize {
+    let front_idx = if len == 0 {
+        0
+    } else {
+        varint_len(u64::from(u16::MAX))
+    };
+    varint_len(len as u64) + front_idx + len * (w_pid + w_ready)
 }
 
-/// Decodes a flit queue into ring `r` of a (freshly reset) arena whose
-/// clock is the checkpoint's. A ring buffers in-order runs of packets ready
-/// within one hop latency ([`FlitRings::admit`]); a queue that is not is
-/// refused.
-fn dec_flit_ring(
+/// Decodes a flit queue of a length in `lens` into ring `r` of a (freshly
+/// reset) arena whose clock is the checkpoint's, for packets of `plen`
+/// flits. The indices follow from the front's in ring order, so every
+/// queue decodes as in-order packet runs; a front index past the packet
+/// is refused.
+fn dec_flits(
     dec: &mut Dec<'_>,
     rings: &mut FlitRings,
     r: usize,
-    max: usize,
+    lens: RangeInclusive<usize>,
+    plen: u16,
+    ready_base: u64,
 ) -> Result<(), CheckpointError> {
-    let n = dec.usize()?;
-    if n > max {
-        return Err(CheckpointError::Corrupt("flit queue exceeds capacity"));
+    let len = usize::try_from(dec.varint()?)
+        .ok()
+        .filter(|n| lens.contains(n))
+        .ok_or(CheckpointError::Corrupt("flit queue length out of range"))?;
+    if len == 0 {
+        return Ok(());
     }
-    for _ in 0..n {
-        let f = rings.admit(r, dec_flit(dec)?);
-        rings.push_back(r, f.map_err(CheckpointError::Corrupt)?);
+    let front = dec_below(dec, usize::from(plen), "flit index past the packet length")?;
+    let mut packet = 0;
+    for i in 0..len {
+        let idx = ((front + i) % usize::from(plen)) as u16;
+        if i == 0 || idx == 0 {
+            packet = dec_packet(dec)?;
+        }
+        let ready_at = rings.restamped(dec_back(dec, ready_base)?);
+        rings.push_back(
+            r,
+            Flit {
+                packet,
+                idx,
+                ready_at,
+            },
+        );
     }
     Ok(())
 }
 
 impl Network {
     /// An upper bound on the bytes [`Network::save_state`] writes for the
-    /// current state, so a caller can size its buffer once. Exact but for
-    /// the routing assignments (one per input VC and injection interface),
-    /// which are counted at their widest.
+    /// current state, so a caller can size its buffer once: every varint
+    /// at the width of the largest value its field can hold now.
     #[must_use]
     pub fn state_len_bound(&self) -> usize {
         let nodes = self.inj.len();
         let n_vcs = self.vc_assign.len();
-        let vc_flits: usize = (0..n_vcs).map(|r| flit_ring_len(&self.vc_bufs, r)).sum();
-        let dl_flits: usize = (0..nodes).map(|r| flit_ring_len(&self.dl_bufs, r)).sum();
-        let queued = nodes * 8 + self.source_q.total() * QueueEntry::ENCODED_LEN;
-        let recovery = self
-            .recovery
-            .as_ref()
-            .map_or(0, |job| 4 + 8 + 8 * job.path.len() + 8 + 1);
-        (3 * 8 + Counters::ENCODED_LEN)
-            + (8 + vc_flits + n_vcs * (ASSIGN_MAX_LEN + 8 + 8))
-            + self.out_alloc.len()
-            + nodes * (1 + 4 + 2 + ASSIGN_MAX_LEN + 8)
+        let fpn = n_vcs / nodes;
+        let w_now = varint_len(self.now);
+        let w_ready = varint_len(self.ready_base());
+        let w_pid = varint_len(self.packets.slot_count() as u64);
+        let w_node = varint_len(nodes as u64);
+        let w_vc = varint_len(n_vcs as u64);
+        // Input VCs: a tag each; an `Out` port and VC and a routed-at
+        // stamp per switchable VC; a blocked count and a ring per busy one.
+        let mut vcs = w_vc + n_vcs;
+        for node in 0..nodes {
+            let busy = self.vc_busy[node];
+            vcs += (2 + w_now) * self.vc_switchable[node].count_ones() as usize;
+            vcs += VARINT_MAX_LEN * (busy & self.vc_unrouted[node]).count_ones() as usize;
+            let mut rest = busy;
+            while rest != 0 {
+                let f = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let len = self.vc_bufs.len(node * fpn + f);
+                vcs += flits_len_bound(len, w_pid, w_ready);
+            }
+        }
+        let dl: usize = (0..nodes)
+            .map(|r| flits_len_bound(self.dl_bufs.len(r), w_pid, w_ready))
+            .sum();
+        let inj = nodes * (1 + w_pid + 3 + 2 + w_now);
+        let queued = nodes * varint_len(self.config().source_queue_cap as u64)
+            + self.source_q.total() * (w_node + w_now);
+        let recovery = self.recovery.as_ref().map_or(0, |job| {
+            w_pid + varint_len(job.path.len() as u64) + job.path.len() * w_node + w_vc + 1
+        });
+        let n_tok = self.token_queue.len(0);
+        let n_del = self.deliveries.len();
+        (8 + 2 * w_now + Counters::ENCODED_LEN)
+            + vcs
+            + n_vcs.div_ceil(8)
+            + inj
             + queued
-            + self.packets.encoded_len()
-            + dl_flits
+            + self.packets.len_bound(self.now)
+            + dl
             + (1 + recovery)
-            + 8 * (self.route_rr.len() + self.out_rr.len())
-            + (8 + 8 * self.token_queue.len(0))
-            + (8 + self.deliveries.len() * DELIVERY_ENCODED_LEN)
+            + self.route_rr.len()
+            + self.out_rr.len()
+            + (varint_len(n_tok as u64) + n_tok * w_vc)
+            + (varint_len(n_del as u64) + n_del * (2 * w_node + 3 * w_now + 1))
+    }
+
+    /// The base a buffered flit's `ready_at` is written back from: no flit
+    /// is ready later than one hop latency past the clock.
+    fn ready_base(&self) -> u64 {
+        self.now.saturating_add(self.config().hop_latency)
     }
 
     /// Serializes the complete mutable state into `enc`, sized for it
@@ -170,80 +275,123 @@ impl Network {
     pub fn save_state_presized(&self, enc: &mut Enc) {
         #[cfg(debug_assertions)]
         let start = enc.len();
-        enc.u64(self.now);
-        enc.u64(self.last_delivery_at);
-        enc.u64(self.last_progress_at);
+        let now = self.now;
+        let ready_base = self.ready_base();
+        enc.u64(now);
+        enc_back(enc, now, self.last_delivery_at);
+        enc_back(enc, now, self.last_progress_at);
         self.counters.save_state(enc);
 
         let n_vcs = self.vc_assign.len();
-        enc.usize(n_vcs);
+        enc.varint(n_vcs as u64);
         for idx in 0..n_vcs {
-            enc_flit_ring(enc, &self.vc_bufs, idx);
-            enc_assign(enc, self.vc_assign[idx]);
-            enc.u64(self.vc_routed_at[idx]);
-            enc.u64(self.vc_blocked[idx]);
-        }
-        enc.bools(&self.out_alloc);
-        for inj in &self.inj {
-            enc.bool(inj.active.is_some());
-            enc.u32(inj.active.unwrap_or(0));
-            enc.u16(inj.sent);
-            enc_assign(enc, inj.assign);
-            enc.u64(inj.routed_at);
-        }
-        for node in 0..self.inj.len() {
-            enc.usize(self.source_q.len(node));
-            for i in 0..self.source_q.len(node) {
-                let q = self.source_q.get(node, i);
-                enc.u32(q.dst);
-                enc.u64(q.generated_at);
+            let a = self.vc_assign[idx];
+            let busy = !self.vc_bufs.is_empty(idx);
+            let unrouted = matches!(a, Assign::None | Assign::AwaitToken);
+            let blocked = if unrouted && busy {
+                self.vc_blocked[idx]
+            } else {
+                0
+            };
+            let mut tag = kind_of(a);
+            if busy {
+                tag |= BUSY;
+            }
+            if blocked != 0 {
+                tag |= BLOCKED;
+            }
+            enc.u8(tag);
+            enc_out(enc, a);
+            if matches!(a, Assign::Out { .. } | Assign::Delivery) {
+                enc_back(enc, now, self.vc_routed_at[idx]);
+            }
+            if blocked != 0 {
+                enc.varint(blocked);
+            }
+            if busy {
+                enc_flits(enc, &self.vc_bufs, idx, ready_base);
             }
         }
-        self.packets.save_state(enc);
+        for flags in self.out_alloc.chunks(8) {
+            let byte = flags
+                .iter()
+                .enumerate()
+                .fold(0u8, |b, (i, &set)| b | u8::from(set) << i);
+            enc.u8(byte);
+        }
+        for inj in &self.inj {
+            if *inj == InjState::idle() {
+                enc.u8(0);
+                continue;
+            }
+            let active = if inj.active.is_some() { ACTIVE } else { 0 };
+            enc.u8(STARTED | active | kind_of(inj.assign));
+            if let Some(id) = inj.active {
+                enc.varint(u64::from(id));
+            }
+            enc.varint(u64::from(inj.sent));
+            enc_out(enc, inj.assign);
+            enc_back(enc, now, inj.routed_at);
+        }
         for node in 0..self.inj.len() {
-            enc_flit_ring(enc, &self.dl_bufs, node);
+            let n = self.source_q.len(node);
+            enc.varint(n as u64);
+            // The first entry's generation cycle back from the clock, each
+            // later one's as the gap from the entry before it.
+            let mut prev = now;
+            for i in 0..n {
+                let q = self.source_q.get(node, i);
+                let generated_at = q.generated_at;
+                enc.varint(u64::from(q.dst));
+                if i == 0 {
+                    enc_back(enc, now, generated_at);
+                } else {
+                    enc.varint(generated_at - prev);
+                }
+                prev = generated_at;
+            }
+        }
+        self.packets.save_state(enc, now);
+        for node in 0..self.inj.len() {
+            enc_flits(enc, &self.dl_bufs, node, ready_base);
         }
         match &self.recovery {
             None => enc.bool(false),
             Some(job) => {
                 enc.bool(true);
-                enc.u32(job.packet);
-                enc.usize(job.path.len());
+                enc.varint(u64::from(job.packet));
+                enc.varint(job.path.len() as u64);
                 for &n in &job.path {
-                    enc.usize(n);
+                    enc.varint(n as u64);
                 }
-                enc.usize(job.src_vc);
+                enc.varint(job.src_vc as u64);
                 enc.bool(job.tail_in);
             }
         }
-        for &c in &self.route_rr {
-            enc.usize(c);
+        // A cursor is at most the feeder count plus one (`fpn + 1 <= 64`).
+        for &c in self.route_rr.iter().chain(&self.out_rr) {
+            enc.u8(c as u8);
         }
-        for &c in &self.out_rr {
-            enc.usize(c);
-        }
-        enc.usize(self.token_queue.len(0));
+        enc.varint(self.token_queue.len(0) as u64);
         for i in 0..self.token_queue.len(0) {
-            enc.usize(self.token_queue.get(0, i) as usize);
+            enc.varint(u64::from(self.token_queue.get(0, i)));
         }
-        enc.usize(self.deliveries.len());
+        enc.varint(self.deliveries.len() as u64);
         for i in 0..self.deliveries.len() {
             let d = self.deliveries.get(i);
-            // Node ids fit `u32`: config validation caps the node count.
-            enc.u32(d.src as u32);
-            enc.u32(d.dst as u32);
-            enc.u64(d.generated_at);
-            enc.u64(d.injected_at);
-            enc.u64(d.delivered_at);
+            enc.varint(d.src as u64);
+            enc.varint(d.dst as u64);
+            enc_back(enc, now, d.generated_at);
+            enc_back(enc, now, d.injected_at);
+            enc_back(enc, now, d.delivered_at);
             enc.bool(d.recovered);
         }
         #[cfg(debug_assertions)]
         {
             let (written, bound) = (enc.len() - start, self.state_len_bound());
-            let narrow_assigns = self.vc_assign.len() + self.inj.len();
             debug_assert!(
-                written <= bound && bound - written <= (ASSIGN_MAX_LEN - 1) * narrow_assigns,
-                "state_len_bound {bound} out of step with the {written} bytes written"
+                written <= bound,
+                "state_len_bound {bound} below the {written} bytes written"
             );
         }
     }
@@ -259,6 +407,7 @@ impl Network {
     /// structurally impossible value, or a shape mismatch against this
     /// network's configuration.
     pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
+        use CheckpointError::Corrupt;
         let nodes = self.torus().node_count();
         let n_vcs = self.vc_assign.len();
         let depth = self.config().buf_depth;
@@ -266,126 +415,152 @@ impl Network {
         let (plen, hop) = (self.packet_len, self.config().hop_latency);
 
         let now = dec.u64()?;
-        let last_delivery_at = dec.u64()?;
-        let last_progress_at = dec.u64()?;
+        let ready_base = now.saturating_add(hop);
+        let last_delivery_at = dec_back(dec, now)?;
+        let last_progress_at = dec_back(dec, now)?;
         let counters = Counters::restore_state(dec)?;
 
-        if dec.usize()? != n_vcs {
-            return Err(CheckpointError::Corrupt("input VC count mismatch"));
+        if dec.varint()? != n_vcs as u64 {
+            return Err(Corrupt("input VC count mismatch"));
         }
         let mut vc_bufs = FlitRings::new(n_vcs, depth, plen, hop);
         vc_bufs.set_now(now);
         let mut vc_assign = Vec::with_capacity(n_vcs);
-        let mut vc_routed_at = Vec::with_capacity(n_vcs);
-        let mut vc_blocked = Vec::with_capacity(n_vcs);
+        let mut vc_routed_at = vec![0; n_vcs];
+        let mut vc_blocked = vec![0; n_vcs];
         for idx in 0..n_vcs {
-            dec_flit_ring(dec, &mut vc_bufs, idx, depth)?;
-            vc_assign.push(dec_assign(dec, d, v)?);
-            vc_routed_at.push(dec.u64()?);
-            vc_blocked.push(dec.u64()?);
+            let tag = dec.u8()?;
+            if tag & !(KIND | BUSY | BLOCKED) != 0 {
+                return Err(Corrupt("bad input VC tag"));
+            }
+            let a = dec_assign(dec, tag & KIND, d, v)?;
+            vc_assign.push(a);
+            if matches!(a, Assign::Out { .. } | Assign::Delivery) {
+                vc_routed_at[idx] = dec_back(dec, now)?;
+            }
+            if tag & BLOCKED != 0 {
+                let unrouted = matches!(a, Assign::None | Assign::AwaitToken);
+                vc_blocked[idx] = dec.varint()?;
+                if !unrouted || tag & BUSY == 0 || vc_blocked[idx] == 0 {
+                    return Err(Corrupt("blocked count where no header waits"));
+                }
+            }
+            if tag & BUSY != 0 {
+                dec_flits(dec, &mut vc_bufs, idx, 1..=depth, plen, ready_base)?;
+            }
         }
-        let out_alloc = dec.bools(n_vcs)?;
+        let mut out_alloc = Vec::with_capacity(n_vcs);
+        for _ in 0..n_vcs.div_ceil(8) {
+            let byte = dec.u8()?;
+            let bits = (n_vcs - out_alloc.len()).min(8);
+            if u16::from(byte) >> bits != 0 {
+                return Err(Corrupt("output VC flag past the last VC"));
+            }
+            out_alloc.extend((0..bits).map(|i| byte >> i & 1 == 1));
+        }
         let mut inj = Vec::with_capacity(nodes);
         for _ in 0..nodes {
-            let some = dec.bool()?;
-            let id = dec.u32()?;
+            let tag = dec.u8()?;
+            if tag == 0 {
+                inj.push(InjState::idle());
+                continue;
+            }
+            if tag & STARTED == 0 || tag & !(KIND | ACTIVE | STARTED) != 0 {
+                return Err(Corrupt("bad injection tag"));
+            }
+            let active = if tag & ACTIVE != 0 {
+                Some(dec_packet(dec)?)
+            } else {
+                None
+            };
+            let sent = dec_below(dec, usize::from(plen), "injection past the packet length")?;
             inj.push(InjState {
-                active: some.then_some(id),
-                sent: dec.u16()?,
-                assign: dec_assign(dec, d, v)?,
-                routed_at: dec.u64()?,
+                active,
+                sent: sent as u16,
+                assign: dec_assign(dec, tag & KIND, d, v)?,
+                routed_at: dec_back(dec, now)?,
             });
         }
         let cap = self.config().source_queue_cap;
         let mut source_q = Rings::new(nodes, cap);
         for node in 0..nodes {
-            let n = dec.usize()?;
-            if n > cap {
-                return Err(CheckpointError::Corrupt("source queue exceeds capacity"));
-            }
-            for _ in 0..n {
-                let dst = dec.u32()?;
-                if dst as usize >= nodes {
-                    return Err(CheckpointError::Corrupt(
-                        "packet endpoint outside the network",
-                    ));
-                }
-                let generated_at = dec.u64()?;
+            let n = dec_below(dec, cap + 1, "source queue exceeds capacity")?;
+            let mut prev = now;
+            for i in 0..n {
+                let dst = dec_below(dec, nodes, "packet endpoint outside the network")? as u32;
+                let generated_at = if i == 0 {
+                    dec_back(dec, now)?
+                } else {
+                    prev.checked_add(dec.varint()?)
+                        .filter(|&g| g <= now)
+                        .ok_or(Corrupt("queued packet generated after the checkpoint"))?
+                };
+                prev = generated_at;
                 source_q.push_back(node, QueueEntry { dst, generated_at });
             }
         }
-        let packets = PacketStore::restore_state(dec, nodes)?;
-        let mut dl_bufs = FlitRings::new(nodes, crate::network::DL_DEPTH, plen, hop);
+        let packets = PacketStore::restore_state(dec, nodes, now)?;
+        let mut dl_bufs = FlitRings::new(nodes, DL_DEPTH, plen, hop);
         dl_bufs.set_now(now);
         for node in 0..nodes {
-            dec_flit_ring(dec, &mut dl_bufs, node, crate::network::DL_DEPTH)?;
+            dec_flits(dec, &mut dl_bufs, node, 0..=DL_DEPTH, plen, ready_base)?;
         }
         let recovery = if dec.bool()? {
-            let packet = dec.u32()?;
-            let path_len = dec.usize()?;
-            if path_len == 0 || path_len > nodes {
-                return Err(CheckpointError::Corrupt("recovery path length"));
+            let packet = dec_packet(dec)?;
+            let path_len = dec_below(dec, nodes + 1, "recovery path length")?;
+            if path_len == 0 {
+                return Err(Corrupt("recovery path length"));
             }
             let mut path = Vec::with_capacity(path_len);
             for _ in 0..path_len {
-                let n = dec.usize()?;
-                if n >= nodes {
-                    return Err(CheckpointError::Corrupt("recovery path node"));
-                }
-                path.push(n);
-            }
-            let src_vc = dec.usize()?;
-            if src_vc >= n_vcs {
-                return Err(CheckpointError::Corrupt("recovery source VC"));
+                path.push(dec_below(dec, nodes, "recovery path node")?);
             }
             Some(RecoveryJob {
                 packet,
                 path,
-                src_vc,
+                src_vc: dec_below(dec, n_vcs, "recovery source VC")?,
                 tail_in: dec.bool()?,
             })
         } else {
             None
         };
-        let mut route_rr = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            route_rr.push(dec.usize()?);
-        }
-        let n_out_rr = self.out_rr.len();
-        let mut out_rr = Vec::with_capacity(n_out_rr);
-        for _ in 0..n_out_rr {
-            out_rr.push(dec.usize()?);
-        }
-        let n_tok = dec.usize()?;
-        if n_tok > n_vcs {
-            return Err(CheckpointError::Corrupt("token queue implausibly long"));
-        }
+        let fpn = d * v;
+        let mut cursor = || -> Result<usize, CheckpointError> {
+            let c = usize::from(dec.u8()?);
+            if c > fpn + 1 {
+                return Err(Corrupt("round-robin cursor out of range"));
+            }
+            Ok(c)
+        };
+        let route_rr = (0..nodes)
+            .map(|_| cursor())
+            .collect::<Result<Vec<_>, _>>()?;
+        let out_rr = (0..self.out_rr.len())
+            .map(|_| cursor())
+            .collect::<Result<Vec<_>, _>>()?;
+        let n_tok = dec_below(dec, n_vcs + 1, "token queue implausibly long")?;
         let mut token_queue = Rings::new(1, n_vcs);
         for _ in 0..n_tok {
-            let idx = dec.usize()?;
-            if idx >= n_vcs {
-                return Err(CheckpointError::Corrupt("token queue entry out of range"));
-            }
+            let idx = dec_below(dec, n_vcs, "token queue entry out of range")?;
             token_queue.push_back(0, idx as u32);
         }
-        let n_del = dec.usize()?;
-        if n_del > counters.delivered_packets as usize {
-            return Err(CheckpointError::Corrupt("undrained delivery count"));
-        }
+        let n_del = usize::try_from(dec.varint()?)
+            .ok()
+            .filter(|&n| n as u64 <= counters.delivered_packets)
+            .ok_or(Corrupt("undrained delivery count"))?;
         let mut deliveries = DeliveryRing::default();
         for _ in 0..n_del {
-            let (src, dst) = (dec.u32()? as usize, dec.u32()? as usize);
-            if src >= nodes || dst >= nodes {
-                return Err(CheckpointError::Corrupt(
-                    "delivery endpoint outside the network",
-                ));
-            }
+            let endpoint = "delivery endpoint outside the network";
+            let (src, dst) = (
+                dec_below(dec, nodes, endpoint)?,
+                dec_below(dec, nodes, endpoint)?,
+            );
             deliveries.push(crate::packet::DeliveredRecord {
                 src,
                 dst,
-                generated_at: dec.u64()?,
-                injected_at: dec.u64()?,
-                delivered_at: dec.u64()?,
+                generated_at: dec_back(dec, now)?,
+                injected_at: dec_back(dec, now)?,
+                delivered_at: dec_back(dec, now)?,
                 len: self.packet_len,
                 recovered: dec.bool()?,
             });
@@ -416,11 +591,12 @@ impl Network {
 
 #[cfg(test)]
 mod tests {
+    use super::{BLOCKED, BUSY, KIND};
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
     use crate::counters::Counters;
     use crate::network::Assign;
-    use crate::packet::{Flit, PacketInfo, QueueEntry};
+    use crate::packet::{PacketInfo, QueueEntry};
     use crate::testnet::{self, hot_net, small_cfg};
     use crate::{Network, Offer};
     use checkpoint::{CheckpointError, Dec, Enc};
@@ -553,9 +729,47 @@ mod tests {
         assert_eq!(snapshot(&net), before);
     }
 
-    /// A packet still in its source queue costs its 12-byte entry and no
-    /// record: deterministic bytes, so this pins the size without timing
-    /// anything.
+    /// An idle input VC's routed-at stamp and blocked count are not ground
+    /// truth: only a switchable VC's switch-plane entry reads the stamp,
+    /// and a count grows only under a waiting header and restarts when it
+    /// routes. So scribbling over both changes no byte of the checkpoint,
+    /// which writes the VC as its tag alone.
+    #[test]
+    fn a_stale_vc_field_writes_nothing() {
+        let mut net = hot_net();
+        let before = snapshot(&net);
+        let idx = (0..net.vc_assign.len())
+            .find(|&i| net.vc_assign[i] == Assign::None && net.vc_bufs.is_empty(i))
+            .expect("vacuous: no idle VC");
+        net.vc_routed_at[idx] = 12_345;
+        net.vc_blocked[idx] = 7;
+        assert_eq!(snapshot(&net), before);
+        let (tag_at, ring_at, end) = vc_span(&before, &net, idx);
+        assert_eq!((before[tag_at], ring_at, end), (0, tag_at + 1, tag_at + 1));
+    }
+
+    /// A checkpoint's size follows the live state, not the network's
+    /// shape: a freshly built 12-ary 3-cube (31,104 input VCs, all idle)
+    /// writes a tag byte per VC and little else, where a fixed-width
+    /// layout of 25 bytes per VC wrote about 1 MB.
+    #[test]
+    fn an_idle_network_checkpoints_in_a_byte_per_vc() {
+        let cfg = NetConfig {
+            radix: 12,
+            dimensions: 3,
+            ..NetConfig::paper(DeadlockMode::PAPER_RECOVERY)
+        };
+        let net = Network::new(cfg).unwrap();
+        let bytes = snapshot(&net);
+        assert_eq!(net.vc_assign.len(), 31_104);
+        assert!(bytes.len() < 100_000, "{} bytes", bytes.len());
+        assert!(bytes.len() <= net.state_len_bound());
+    }
+
+    /// A packet still in its source queue costs its entry and no record:
+    /// its destination and its generation cycle back from the clock, a
+    /// byte each here. Deterministic bytes, so this pins the size without
+    /// timing anything.
     #[test]
     fn a_queued_packet_costs_its_queue_entry_alone() {
         let mut net = Network::new(small_cfg()).unwrap();
@@ -563,8 +777,7 @@ mod tests {
         let one = snapshot(&net);
         net.offer(0, 4, 6);
         let two = snapshot(&net);
-        assert_eq!(QueueEntry::ENCODED_LEN, 12);
-        assert_eq!(two.len() - one.len(), 12);
+        assert_eq!(two.len() - one.len(), 2);
         assert_eq!((net.live_packets(), net.packet_records()), (2, 0));
     }
 
@@ -632,87 +845,117 @@ mod tests {
         }
     }
 
-    /// Byte offset of flit `i` of input VC `r` in `net`'s snapshot: past
-    /// the clock, the progress markers, the counters and the VC count, and
-    /// every earlier VC's queue, assignment and two stamps.
-    fn flit_offset(net: &Network, r: usize, i: usize) -> usize {
-        let earlier: usize = (0..r)
-            .map(|idx| {
-                let assign = if matches!(net.vc_assign[idx], Assign::Out { .. }) {
-                    3
-                } else {
-                    1
-                };
-                8 + net.vc_bufs.len(idx) * Flit::ENCODED_LEN + assign + 16
-            })
-            .sum();
-        3 * 8 + Counters::ENCODED_LEN + 8 + earlier + 8 + i * Flit::ENCODED_LEN
+    /// Where input VC `r` sits in `net`'s snapshot `snap`: its tag byte,
+    /// the start of its ring (past the tag, the `Out` port and VC, the
+    /// routed-at stamp and the blocked count) and the end of that ring.
+    /// Walks the VC section the way the decoder reads it.
+    fn vc_span(snap: &[u8], net: &Network, r: usize) -> (usize, usize, usize) {
+        let mut dec = Dec::new(snap);
+        let at = |dec: &Dec<'_>| snap.len() - dec.remaining();
+        dec.u64().unwrap();
+        dec.varint().unwrap();
+        dec.varint().unwrap();
+        Counters::restore_state(&mut dec).unwrap();
+        assert_eq!(dec.varint().unwrap() as usize, net.vc_assign.len());
+        let plen = u64::from(net.packet_len);
+        for idx in 0.. {
+            let tag_at = at(&dec);
+            let tag = dec.u8().unwrap();
+            let kind = tag & KIND;
+            if kind == 1 {
+                dec.u16().unwrap(); // port, VC
+            }
+            if kind == 1 || kind == 2 {
+                dec.varint().unwrap(); // routed-at
+            }
+            if tag & BLOCKED != 0 {
+                dec.varint().unwrap();
+            }
+            let ring_at = at(&dec);
+            if tag & BUSY != 0 {
+                let len = dec.varint().unwrap();
+                let front = dec.varint().unwrap();
+                for i in 0..len {
+                    if i == 0 || (front + i).is_multiple_of(plen) {
+                        dec.varint().unwrap(); // packet id
+                    }
+                    dec.varint().unwrap(); // ready offset
+                }
+            }
+            if idx == r {
+                return (tag_at, ring_at, at(&dec));
+            }
+        }
+        unreachable!()
     }
 
-    /// A checkpoint's flit queues are what the slot does not store — each
-    /// flit's index and a `ready_at` past the stamp window — so the decoder
-    /// refuses, typed, any queue the simulator cannot buffer: an index
-    /// past the packet, a gap in a run's indices, a packet change inside a
-    /// run, and a flit ready later than one hop latency from the clock.
-    /// One hand-built payload per refusal.
+    /// A checkpoint's flit queue is a length, the front's index and per
+    /// flit a ready offset (a packet id where a run starts), so every
+    /// queue it can express is in-order packet runs; the decoder refuses,
+    /// typed, the rest of what the simulator cannot buffer: a busy VC with
+    /// no flit or more than its depth, a front index past the packet, a
+    /// packet id past `u32`, a flit ready before cycle 0, and a tag or
+    /// blocked count no VC writes. One hand-built payload per refusal.
     #[test]
-    fn restore_refuses_flits_outside_an_in_order_run() {
+    fn restore_refuses_flit_queues_no_ring_holds() {
         let net = hot_net();
-        let plen = net.packet_len;
-        // A VC whose first two flits are one packet's body run.
+        let (plen, depth) = (u64::from(net.packet_len), net.config().buf_depth as u64);
         let r = (0..net.vc_assign.len())
-            .find(|&r| net.vc_bufs.len(r) >= 2 && net.vc_bufs.get(r, 1).idx != 0)
-            .expect("vacuous: no buffered body run");
-        let other = (0..net.vc_assign.len())
-            .filter_map(|q| net.vc_bufs.front(q))
-            .map(|f| f.packet)
-            .find(|&p| p != net.vc_bufs.front_packet(r))
-            .expect("vacuous: one packet buffered");
+            .find(|&r| !net.vc_bufs.is_empty(r))
+            .expect("vacuous: no buffered flit");
+        let idle = (0..net.vc_assign.len())
+            .find(|&i| net.vc_assign[i] == Assign::None && net.vc_bufs.is_empty(i))
+            .expect("vacuous: no idle VC");
         let snap = snapshot(&net);
-        let (first, second) = (flit_offset(&net, r, 0), flit_offset(&net, r, 1));
-        assert_eq!(
-            snap[first..first + 4],
-            net.vc_bufs.front_packet(r).to_le_bytes(),
-            "not the flit's packet id"
-        );
-        let idx_at = |at: usize| at + 4;
-        let ready_at = |at: usize| at + 6;
-        let gap = (net.vc_bufs.get(r, 1).idx + 1) % plen;
-        let too_late = net.now() + net.config().hop_latency + 1;
-        let cases: [(usize, Vec<u8>, &str); 4] = [
+        let (_, ring_at, end) = vc_span(&snap, &net, r);
+        let ready_base = net.now() + net.config().hop_latency;
+        // VC `r`'s ring replaced by `ring`, varints each.
+        let with_ring = |ring: &[u64]| {
+            let mut enc = Enc::new();
+            for &v in ring {
+                enc.varint(v);
+            }
+            let mut built = snap[..ring_at].to_vec();
+            built.extend(enc.into_vec());
+            built.extend_from_slice(&snap[end..]);
+            built
+        };
+        let (tag_at, _, _) = vc_span(&snap, &net, idle);
+        let with_tag = |tag: u8, extra: &[u8]| {
+            let mut built = snap.clone();
+            built[tag_at] = tag;
+            built.splice(tag_at + 1..tag_at + 1, extra.iter().copied());
+            built
+        };
+        let too_long: Vec<u64> = [depth + 1, 0, 1].into_iter().chain([1; 9]).collect();
+        let cases: [(Vec<u8>, &str); 7] = [
+            (with_ring(&[0]), "flit queue length out of range"),
+            (with_ring(&too_long), "flit queue length out of range"),
             (
-                idx_at(first),
-                plen.to_le_bytes().to_vec(),
+                with_ring(&[1, plen, 1, 1]),
                 "flit index past the packet length",
             ),
+            (with_ring(&[1, 0, 1 << 32, 1]), "packet id out of range"),
             (
-                idx_at(second),
-                gap.to_le_bytes().to_vec(),
-                "buffered flits out of packet order",
+                with_ring(&[1, 0, 1, ready_base + 1]),
+                "cycle stamp before cycle 0",
             ),
+            (with_tag(1 << 5, &[]), "bad input VC tag"),
             (
-                second,
-                other.to_le_bytes().to_vec(),
-                "buffered flits out of packet order",
-            ),
-            (
-                ready_at(first),
-                too_late.to_le_bytes().to_vec(),
-                "flit ready beyond one hop latency",
+                with_tag(BLOCKED, &[1]),
+                "blocked count where no header waits",
             ),
         ];
-        for (at, bytes, why) in cases {
-            let mut built = snap.clone();
-            built[at..at + bytes.len()].copy_from_slice(&bytes);
-            assert_eq!(refusal(&built), why, "{bytes:?} at byte {at}");
+        for (built, why) in cases {
+            assert_eq!(refusal(&built), why);
         }
-        // The latest stamp the window allows restores.
-        let mut built = snap.clone();
-        let latest = too_late - 1;
-        built[ready_at(first)..ready_at(first) + 8].copy_from_slice(&latest.to_le_bytes());
+        // The latest stamp the offsets allow, one hop latency past the
+        // clock, restores.
+        let packet = net.vc_bufs.front_packet(r);
+        let built = with_ring(&[1, 0, u64::from(packet), 0]);
         let mut fresh = Network::new(small_cfg()).unwrap();
         fresh.restore_state(&mut Dec::new(&built)).unwrap();
-        assert_eq!(fresh.vc_bufs.front_ready_at(r), latest);
+        assert_eq!(fresh.vc_bufs.front_ready_at(r), ready_base);
     }
 
     #[test]

@@ -342,15 +342,18 @@ impl WorkloadRunner {
     }
 
     /// Serializes the runtime state (RNG, per-node deadlines, phase
-    /// tracking) into `enc`. The workload and node count are configuration
-    /// and are not written; restore into a runner built from the same
-    /// workload.
+    /// tracking) into `enc`. The workload is configuration and is not
+    /// written; restore into a runner built from the same workload. All
+    /// but the generator are varints, a deadline as its cycle plus one so
+    /// that "never" (`u64::MAX`) is the one-byte 0.
     pub fn save_state(&self, enc: &mut checkpoint::Enc) {
         enc.u64s(&self.rng.state());
-        enc.usize(self.next_gen.len());
-        enc.u64s(&self.next_gen);
-        enc.usize(self.cur_phase);
-        enc.u64(self.phase_start);
+        enc.varint(self.next_gen.len() as u64);
+        for &next in &self.next_gen {
+            enc.varint(next.wrapping_add(1));
+        }
+        enc.varint(self.cur_phase as u64);
+        enc.varint(self.phase_start);
     }
 
     /// Restores state captured with [`WorkloadRunner::save_state`] into a
@@ -374,12 +377,14 @@ impl WorkloadRunner {
         for w in &mut s {
             *w = dec.u64()?;
         }
-        if dec.usize()? != self.nodes {
+        if dec.varint()? != self.nodes as u64 {
             return Err(Corrupt("workload node count mismatch"));
         }
-        let next_gen = dec.u64s(self.nodes)?;
-        let cur_phase = dec.usize()?;
-        let phase_start = dec.u64()?;
+        let next_gen = (0..self.nodes)
+            .map(|_| Ok(dec.varint()?.wrapping_sub(1)))
+            .collect::<Result<Vec<u64>, checkpoint::CheckpointError>>()?;
+        let cur_phase = usize::try_from(dec.varint()?).unwrap_or(usize::MAX);
+        let phase_start = dec.varint()?;
         if s == [0; 4] {
             return Err(Corrupt("workload generator state is all zero"));
         }
