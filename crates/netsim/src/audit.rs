@@ -73,8 +73,13 @@ pub enum AuditKind {
     /// without its record, a suspect or starvation trip not committed, a
     /// handoff not put or a delivered tail not finished.
     MailboxConservation,
-    /// Shard partition not a disjoint ascending cover of the node range.
+    /// Shard partition not a disjoint ascending cover of the node range,
+    /// or the input-VC flit pools not the shards' VC ranges.
     ShardPartition,
+    /// A flit arena's line pools: a ring holds a line outside its pool or
+    /// past the pool's mark, or the held lines and the free list are not
+    /// the lines below each mark, each exactly once.
+    PoolLedger,
 }
 
 impl AuditKind {
@@ -101,6 +106,7 @@ impl AuditKind {
             AuditKind::Quiescence => "quiescence",
             AuditKind::MailboxConservation => "mailbox-conservation",
             AuditKind::ShardPartition => "shard-partition",
+            AuditKind::PoolLedger => "pool-ledger",
         }
     }
 }
@@ -185,7 +191,8 @@ impl Network {
     /// and the switch plane, each diffed against what
     /// [`Network::derive_node`] and [`Network::derive_plane`] derive from
     /// ground truth (one message per node, or per plane entry, and kind),
-    /// and the census against the occupancy words. Messages are formatted
+    /// the census against the occupancy words, and the flit arenas' pool
+    /// ledgers ([`crate::ring::FlitRings::pool_faults`]). Messages are formatted
     /// only on a mismatch: debug builds run this, with
     /// [`Network::audit_shards`], after every cycle under the
     /// zero-allocation gate.
@@ -242,6 +249,9 @@ impl Network {
             let detail =
                 format!("running census {running} but occupancy planes popcount to {census}");
             push(K::Census, detail);
+        }
+        for (rings, what) in [(&self.vc_bufs, "VC"), (&self.dl_bufs, "deadlock buffer")] {
+            rings.pool_faults(|fault| push(K::PoolLedger, format!("{what} arena: {fault}")));
         }
     }
 
@@ -606,7 +616,8 @@ impl Network {
     }
 
     /// Shard-plan invariants: the partition is a disjoint ascending cover
-    /// of the node range, and every shard's pass output was consumed by
+    /// of the node range whose VC ranges are the input-VC flit pools, and
+    /// every shard's pass output was consumed by
     /// the handoff passes and the fold (`started`, `suspects`, `starved`, every
     /// `outbound` and `inbound` list and `delivered` empty between
     /// cycles).
@@ -625,6 +636,14 @@ impl Network {
                 ),
             });
             return; // Everything below indexes through the plan's shape.
+        }
+        if !self.pools_match_plan() {
+            let pools: Vec<usize> = self.vc_bufs.pool_bounds().collect();
+            let ranges: Vec<usize> = self.vc_pool_bounds().collect();
+            v.push(AuditViolation {
+                kind: AuditKind::ShardPartition,
+                detail: format!("flit pools start at VCs {pools:?}, the shards at {ranges:?}"),
+            });
         }
         for s in 0..shards {
             let (lo, hi) = (self.plan.bounds[s], self.plan.bounds[s + 1]);
@@ -687,7 +706,7 @@ mod tests {
     use crate::control::NoControl;
     use crate::packet::{Flit, PacketInfo};
     use crate::plane::Slot;
-    use crate::shard::{Parked, ShardStage};
+    use crate::shard::{Parked, ShardPlan, ShardStage};
     use crate::testnet::{arrivals, hot_net};
     use std::collections::BTreeSet;
 
@@ -1020,6 +1039,95 @@ mod tests {
         // second: still a cover of the right shape, no longer ascending.
         net.plan.bounds[1] = net.plan.bounds[2];
         assert_exactly(&net, AuditKind::ShardPartition);
+    }
+
+    /// A sound two-shard plan over an arena still split as one pool: both
+    /// shards' passes would take lines from it at once.
+    #[test]
+    fn detects_flit_pools_that_are_not_the_shards() {
+        let mut net = hot_net();
+        net.plan = ShardPlan::new(2, net.torus(), net.config().vcs);
+        assert_exactly(&net, AuditKind::ShardPartition);
+        assert!(net
+            .audit()
+            .to_string()
+            .contains("flit pools start at VCs [0, "));
+    }
+
+    /// Asserts that the audit reports pool-ledger breaches alone, one of
+    /// them naming `what`.
+    fn assert_pool_fault(net: &Network, what: &str) {
+        assert_exactly(net, AuditKind::PoolLedger);
+        let report = net.audit();
+        assert!(
+            report.violations.iter().any(|v| v.detail.contains(what)),
+            "no violation says {what:?}: {report}"
+        );
+    }
+
+    /// Two rings holding one line: an empty ring inside a worm, which
+    /// reads nothing from its line, pointed at a busy ring's. Its own line
+    /// is then leaked too.
+    #[test]
+    fn detects_a_line_held_twice() {
+        let mut net = Network::new(crate::testnet::small_cfg()).unwrap();
+        let rings = 0..net.vc_assign.len();
+        let mut src = arrivals(5, 16, 20);
+        let idle = loop {
+            net.cycle_from(&mut src, &mut NoControl);
+            let idle = rings
+                .clone()
+                .find(|&r| net.vc_bufs.is_empty(r) && net.vc_bufs.line(r).is_some());
+            if let Some(r) = idle.filter(|_| net.packets.live() > 1) {
+                break r;
+            }
+            assert!(net.now < 5_000, "no VC emptied inside a worm");
+        };
+        let busy = rings.clone().find(|&r| !net.vc_bufs.is_empty(r)).unwrap();
+        let line = net.vc_bufs.line(busy).unwrap();
+        net.vc_bufs.set_line(idle, line);
+        assert_pool_fault(&net, &format!("line {line} of pool 0 is held twice"));
+    }
+
+    #[test]
+    fn detects_a_leaked_line() {
+        let mut net = hot_net();
+        let line = net.vc_bufs.leak_line(0);
+        assert_pool_fault(
+            &net,
+            &format!("line {line} of pool 0 is below its mark but neither"),
+        );
+    }
+
+    /// A ring of shard 1 holding a line of shard 0's pool (its flits
+    /// moved there, its own line freed): each pass would then write
+    /// another shard's memory.
+    #[test]
+    fn detects_a_line_outside_its_shards_pool() {
+        let mut net = hot_net();
+        net.set_shards(2);
+        let second = net.vc_pool_bounds().nth(1).unwrap();
+        let r = (second..net.vc_assign.len())
+            .find(|&r| !net.vc_bufs.is_empty(r))
+            .expect("shard 1 holds a flit");
+        let (own, foreign) = (net.vc_bufs.line(r).unwrap(), net.vc_bufs.leak_line(0));
+        net.vc_bufs.set_line(r, foreign);
+        net.vc_bufs.free_line(r, own);
+        assert_pool_fault(
+            &net,
+            &format!("ring {r} holds line {foreign}, outside pool 1"),
+        );
+    }
+
+    #[test]
+    fn detects_a_free_line_also_held() {
+        let mut net = hot_net();
+        let r = (0..net.vc_assign.len())
+            .find(|&r| !net.vc_bufs.is_empty(r))
+            .unwrap();
+        let line = net.vc_bufs.line(r).unwrap();
+        net.vc_bufs.free_line(r, line);
+        assert_pool_fault(&net, &format!("free line {line} of pool 0 is also held"));
     }
 
     #[test]

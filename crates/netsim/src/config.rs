@@ -1,10 +1,11 @@
 use core::fmt;
 use kncube::{TopologyError, Torus};
 
-/// Deepest supported VC edge buffer, in flits. A flit ring's cursor word
-/// keeps its head and length in 24 bits each, and real router buffers are
-/// orders of magnitude shallower.
-pub const MAX_BUF_DEPTH: usize = 1 << 16;
+/// Deepest supported VC edge buffer, in flits: 2¹⁰ − 1. A flit ring's
+/// cursor word keeps its head and length in 10 bits each, beside the line
+/// it holds and its front flit's index (DESIGN.md §4b), and real router
+/// buffers are far shallower.
+pub const MAX_BUF_DEPTH: usize = (1 << 10) - 1;
 
 /// Longest supported hop latency, in cycles. A buffered flit keeps the low
 /// 32 bits of its ready cycle, which tell the next `hop_latency` cycles

@@ -81,6 +81,6 @@ pub use config::{
 };
 pub use control::{CongestionControl, NoControl};
 pub use counters::{Counters, StageCycles};
-pub use network::{Network, Offer};
+pub use network::{FlitLines, Network, Offer};
 pub use packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore};
 pub use shard::PhaseStats;

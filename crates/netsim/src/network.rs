@@ -90,6 +90,18 @@ pub(crate) struct RecoveryJob {
     pub tail_in: bool,
 }
 
+/// The input-VC flit arena's use of its lines ([`Network::flit_lines`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlitLines {
+    /// Lines in the arena: one per input VC.
+    pub total: usize,
+    /// Lines handed out at least once, the arena's written part: memory
+    /// follows this, not `total`.
+    pub reached: usize,
+    /// Lines the input VCs hold now.
+    pub held: usize,
+}
+
 /// What a cycle's arrival pass calls once per newly generated packet:
 /// `offer(node, dst)` enqueues a packet from `node` for `dst` (see
 /// [`Network::cycle_from`]).
@@ -308,10 +320,45 @@ impl Network {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             plan.pool = Some(WorkerPool::new(plan.shards(), cores));
         }
+        self.set_plan(plan);
+    }
+
+    /// Installs a shard plan and splits the input-VC flit arena into one
+    /// pool per shard, moving every held line into its shard's pool, so
+    /// that each shard's pass takes and gives back lines alone.
+    pub(crate) fn set_plan(&mut self, plan: ShardPlan) {
         // Replacing the plan drops any previous pool, which shuts down and
         // joins its workers — no worker thread ever outlives the partition
         // (or the network) it was spawned for.
         self.plan = plan;
+        let bounds: Vec<usize> = self.vc_pool_bounds().collect();
+        self.vc_bufs.set_pools(&bounds);
+    }
+
+    /// The shard plan's input-VC ranges: the first VC of every shard, then
+    /// the VC count — the pools the input-VC arena must have.
+    pub(crate) fn vc_pool_bounds(&self) -> impl Iterator<Item = usize> + '_ {
+        let fpn = self.d * self.v;
+        self.plan.bounds.iter().map(move |&node| node * fpn)
+    }
+
+    /// Whether the input-VC arena's pools are the shard plan's VC ranges,
+    /// which a sharded pass relies on ([`crate::shard::WorkerPool::run`]).
+    pub(crate) fn pools_match_plan(&self) -> bool {
+        self.vc_bufs.pool_bounds().eq(self.vc_pool_bounds())
+    }
+
+    /// How much of the input-VC flit arena the run has used (DESIGN.md
+    /// §4b). A line is one VC's buffer; there is one per input VC, but a
+    /// VC holds one only while a worm occupies it.
+    #[must_use]
+    pub fn flit_lines(&self) -> FlitLines {
+        let (reached, held) = self.vc_bufs.lines();
+        FlitLines {
+            total: self.vc_assign.len(),
+            reached,
+            held,
+        }
     }
 
     /// The current shard count (1 unless [`Network::set_shards`] raised it).
@@ -1613,6 +1660,43 @@ mod tests {
             self.fold_stages(Pass::Route, now, &mut stages);
             self.plan.stages = stages;
         }
+    }
+
+    /// Re-sharding a busy network mid-run moves every held flit line into
+    /// its new shard's pool and changes nothing else: a recovery-mode
+    /// 4-ary 3-cube under hot Bernoulli load, re-split 1 → 3 → 2 → 8 → 1
+    /// while its rings hold flits, audits clean after every split and ends
+    /// in the checkpoint bytes of a run at one shard throughout.
+    #[test]
+    fn set_shards_mid_run_moves_lines_and_keeps_the_run() {
+        let cfg = NetConfig {
+            radix: 4,
+            dimensions: 3,
+            ..NetConfig::small(DeadlockMode::Recovery { timeout: 8 })
+        };
+        let run = |splits: &[(u64, usize)]| {
+            let mut net = Network::new(cfg.clone()).unwrap();
+            let mut src = crate::testnet::arrivals(9, 64, 40);
+            for &(at, shards) in splits {
+                while net.now < at {
+                    net.cycle_from(&mut src, &mut NoControl);
+                }
+                let held = net.flit_lines().held;
+                assert!(held > 0, "vacuous: no ring holds a line at cycle {at}");
+                net.set_shards(shards);
+                assert_eq!((net.shards(), net.flit_lines().held), (shards, held));
+                let report = net.audit();
+                assert!(report.is_clean(), "{shards} shards at {at}: {report}");
+            }
+            for _ in 0..300 {
+                net.cycle_from(&mut src, &mut NoControl);
+            }
+            let mut enc = checkpoint::Enc::new();
+            net.save_state(&mut enc);
+            enc.into_vec()
+        };
+        let splits = [(300, 3), (500, 2), (700, 8), (900, 1)];
+        assert_eq!(run(&splits), run(&[(900, 1)]));
     }
 
     /// Stepping under saturating random traffic must produce bit-identical

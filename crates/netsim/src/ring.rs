@@ -6,12 +6,18 @@
 //! allocated once at [`Network`](crate::Network) construction:
 //!
 //! * [`FlitRings`] — all flit edge buffers of one family (the input VCs, or
-//!   the Disha deadlock buffers) as one flat arena of 8-byte slots, plus one
-//!   `head | len << 24 | front_idx << 48` cursor word per ring. Ring `r`
-//!   owns slots `r * cap .. (r + 1) * cap`, and slot 0 sits on a 64-byte
-//!   boundary, so a ring of the paper's depth 8 is exactly one cache line.
-//!   A slot holds a flit's packet id and the low 32 bits of its `ready_at`;
-//!   the rest of the [`Flit`] is derived (DESIGN.md §4b):
+//!   the Disha deadlock buffers) as a pool of *lines* of `cap` 8-byte slots,
+//!   one per ring at most, plus one `head | len << 10 | line << 20 |
+//!   front_idx << 48` cursor word per ring. A ring holds a line only while
+//!   a worm occupies it: a push into an empty ring takes one, a pop that
+//!   empties the ring behind a tail gives it back. Lines are handed out
+//!   from the bottom of the arena (of each shard's range of it), so a line
+//!   no ring ever needed is never written and never resident, and the
+//!   arena's memory follows the traffic, not the network's size
+//!   (DESIGN.md §4b). Line 0 sits on a 64-byte boundary, so a line of the
+//!   paper's depth 8 is exactly one cache line. A slot holds a flit's
+//!   packet id and the low 32 bits of its `ready_at`; the rest of the
+//!   [`Flit`] is derived:
 //!   - *its index from ring order.* A worm enters a VC header first and
 //!     leaves in order, so flit `i` of a ring has index `front_idx + i`
 //!     modulo the packet length. A pop advances `front_idx` (to 0 after a
@@ -80,22 +86,43 @@ fn slot_stamp(s: FlitSlot) -> u32 {
     (s >> 32) as u32
 }
 
-/// A flit ring's cursor word: `head | len << 24 | front_idx << 48`. Head
-/// and length cover [`crate::MAX_BUF_DEPTH`]; `front_idx` is the front
-/// flit's index (the next pushed flit's, on an empty ring).
+/// Width of a flit cursor's head and length fields, which cover
+/// [`crate::MAX_BUF_DEPTH`].
+const DEPTH_BITS: u32 = 10;
+
+/// Width of a flit cursor's line field: a line per ring of the largest
+/// network ([`crate::MAX_NODES`] routers of at most 63 input VCs each is
+/// under 2²⁷ rings).
+const LINE_BITS: u32 = 28;
+
+const _: () = assert!(crate::MAX_BUF_DEPTH < 1 << DEPTH_BITS);
+const _: () = assert!(2 * DEPTH_BITS + LINE_BITS == 48);
+
+/// A flit ring's cursor word: `head | len << 10 | line << 20 | front_idx <<
+/// 48`. `front_idx` is the front flit's index (the next pushed flit's, on
+/// an empty ring). A ring holds its line while it is non-empty or inside a
+/// worm (`front_idx != 0`), and a ring without a line has the cursor 0.
 #[inline]
-fn cursor(head: u32, len: u32, front_idx: u16) -> u64 {
-    u64::from(head) | u64::from(len) << 24 | u64::from(front_idx) << 48
+fn cursor(head: u32, len: u32, line: u32, front_idx: u16) -> u64 {
+    u64::from(head)
+        | u64::from(len) << DEPTH_BITS
+        | u64::from(line) << (2 * DEPTH_BITS)
+        | u64::from(front_idx) << 48
 }
 
 #[inline]
 fn head_of(cursor: u64) -> u32 {
-    cursor as u32 & 0xFF_FFFF
+    cursor as u32 & ((1 << DEPTH_BITS) - 1)
 }
 
 #[inline]
 fn len_of(cursor: u64) -> u32 {
-    (cursor >> 24) as u32 & 0xFF_FFFF
+    (cursor >> DEPTH_BITS) as u32 & ((1 << DEPTH_BITS) - 1)
+}
+
+#[inline]
+fn line_of(cursor: u64) -> u32 {
+    (cursor >> (2 * DEPTH_BITS)) as u32 & ((1 << LINE_BITS) - 1)
 }
 
 #[inline]
@@ -175,28 +202,64 @@ impl Clock {
     }
 }
 
-/// Arena of `rings` fixed-capacity flit FIFOs: one 64-byte-aligned slot
-/// array and one dense cursor array (the node-ordered passes stream it).
+/// One pool of a [`FlitRings`] arena: rings `lo..hi` take their lines from
+/// lines `lo..hi` — first off the pool's LIFO free list, kept in `free[lo
+/// .. lo + spare]` of the arena, then at `mark`, below which every line
+/// has been handed out at least once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pool {
+    lo: u32,
+    hi: u32,
+    mark: u32,
+    spare: u32,
+}
+
+impl Pool {
+    fn new(lo: usize, hi: usize) -> Self {
+        let lo = u32::try_from(lo).expect("ring index fits u32");
+        Pool {
+            lo,
+            hi: u32::try_from(hi).expect("ring index fits u32"),
+            mark: lo,
+            spare: 0,
+        }
+    }
+}
+
+/// Arena of `rings` fixed-capacity flit FIFOs over a pool of lines: one
+/// 64-byte-aligned slot array of a line per ring, one dense cursor array
+/// (the node-ordered passes stream it), and the pools' free lists. The
+/// arena is one pool until [`FlitRings::set_pools`] splits it by shard.
 #[derive(Debug)]
 pub(crate) struct FlitRings {
     cap: u32,
     clock: Clock,
-    /// Per ring, `head | len << 24 | front_idx << 48`.
+    /// Per ring, `head | len << 10 | line << 20 | front_idx << 48`, or 0.
     cursors: Vec<u64>,
-    /// The slots from `base` on, `LINE_SLOTS - 1` spare words ahead of
-    /// them so that `base` can be a 64-byte boundary.
+    /// Line `l` is slots `base + l * cap ..`, `LINE_SLOTS - 1` spare words
+    /// ahead of line 0 so that `base` can be a 64-byte boundary. Zeroed at
+    /// allocation: a line is first written when a ring takes it.
     words: Vec<FlitSlot>,
     base: usize,
+    /// The pools' free lists, pool `p`'s in `free[p.lo..p.hi]`.
+    free: Vec<u32>,
+    /// Ascending, covering the rings: pool `p` owns rings and lines
+    /// `p.lo..p.hi`.
+    pools: Vec<Pool>,
 }
 
 impl FlitRings {
     /// An arena of `rings` empty rings of `cap` flits each, for packets of
     /// `packet_len` flits that wait `hop_latency` cycles per hop, at cycle
-    /// 0.
+    /// 0, as one pool.
     pub(crate) fn new(rings: usize, cap: usize, packet_len: u16, hop_latency: u64) -> Self {
         assert!(
             cap <= crate::MAX_BUF_DEPTH,
             "ring capacity exceeds MAX_BUF_DEPTH"
+        );
+        assert!(
+            rings <= 1 << LINE_BITS,
+            "more rings than lines a cursor names"
         );
         assert!(packet_len > 0, "empty packets");
         let words = vec![0; rings * cap + LINE_SLOTS - 1];
@@ -210,10 +273,12 @@ impl FlitRings {
             cursors: vec![0; rings],
             base: line_offset(&words),
             words,
+            free: vec![0; rings],
+            pools: vec![Pool::new(0, rings)],
         }
     }
 
-    /// The slots, ring 0's first.
+    /// The slots, line 0's first.
     fn slots(&self) -> &[FlitSlot] {
         &self.words[self.base..self.base + self.cursors.len() * self.cap as usize]
     }
@@ -232,9 +297,10 @@ impl FlitRings {
         }
         let cap = self.cap as usize;
         let mut changed = false;
-        for (r, &c) in self.cursors.iter().enumerate() {
+        for &c in &self.cursors {
             for i in 0..len_of(c) {
-                let at = self.base + r * cap + wrap(self.cap, head_of(c), i) as usize;
+                let at =
+                    self.base + line_of(c) as usize * cap + wrap(self.cap, head_of(c), i) as usize;
                 let s = self.words[at];
                 let ready_at = was.ready_at(slot_stamp(s));
                 let kept = self.clock.restamped(ready_at);
@@ -252,6 +318,151 @@ impl FlitRings {
         self.clock.restamped(ready_at)
     }
 
+    /// Splits the arena into pools, pool `p` owning rings and lines
+    /// `bounds[p]..bounds[p + 1]`, and moves every held line into its
+    /// ring's new pool: each pool hands its lines out afresh from its
+    /// bottom, in ring order, a ring's flits copied in ring order to the
+    /// front of its new line. Where a line sits is layout: no flit, index
+    /// or stamp changes. Not a pipeline operation — it allocates a copy of
+    /// the buffered flits.
+    pub(crate) fn set_pools(&mut self, bounds: &[usize]) {
+        assert!(
+            bounds.first() == Some(&0)
+                && bounds.last() == Some(&self.cursors.len())
+                && bounds.is_sorted(),
+            "pools must cover the rings in order"
+        );
+        let rings = 0..self.cursors.len();
+        let flits: Vec<FlitSlot> = rings
+            .clone()
+            .flat_map(|r| (0..len_of(self.cursors[r])).map(move |i| (r, i)))
+            .map(|(r, i)| self.slot(r, i))
+            .collect();
+        let mut flits = flits.into_iter();
+        self.pools = bounds.windows(2).map(|b| Pool::new(b[0], b[1])).collect();
+        let (cap, mut p) = (self.cap as usize, 0);
+        for r in rings {
+            let c = self.cursors[r];
+            if c == 0 {
+                continue;
+            }
+            while self.pools[p].hi as usize <= r {
+                p += 1;
+            }
+            let line = self.pools[p].mark;
+            self.pools[p].mark += 1;
+            let at = self.base + line as usize * cap;
+            for (i, s) in flits.by_ref().take(len_of(c) as usize).enumerate() {
+                self.words[at + i] = s;
+            }
+            self.cursors[r] = cursor(0, len_of(c), line, front_idx_of(c));
+        }
+    }
+
+    /// The first ring of every pool, then the number of rings: the
+    /// partition [`FlitRings::set_pools`] last set.
+    pub(crate) fn pool_bounds(&self) -> impl Iterator<Item = usize> + '_ {
+        let last = self.pools.last().map(|p| p.hi as usize);
+        self.pools.iter().map(|p| p.lo as usize).chain(last)
+    }
+
+    /// Lines handed out at least once — the arena's written, resident
+    /// part — and lines rings hold now, over all pools.
+    pub(crate) fn lines(&self) -> (usize, usize) {
+        self.pools.iter().fold((0, 0), |(reached, held), p| {
+            let used = (p.mark - p.lo) as usize;
+            (reached + used, held + used - p.spare as usize)
+        })
+    }
+
+    /// The line ring `r` holds, if any.
+    pub(crate) fn line(&self, r: usize) -> Option<usize> {
+        let c = self.cursors[r];
+        (c != 0).then_some(line_of(c) as usize)
+    }
+
+    /// Checks the pool ledger and calls `fault` once per breach: the pools
+    /// cover the rings in order, every line a ring holds is below its own
+    /// pool's mark, and the free list and the held lines together are the
+    /// lines below the mark, each exactly once. Formats only on a breach
+    /// and otherwise allocates nothing (the per-cycle audit of debug
+    /// builds runs it): a stack bitmap, one pass over a pool's rings per
+    /// 4 096 lines below its mark.
+    pub(crate) fn pool_faults(&self, mut fault: impl FnMut(String)) {
+        const WINDOW: usize = 64 * 64;
+        let mut at = 0;
+        for (p, pool) in self.pools.iter().enumerate() {
+            let (lo, hi, mark) = (pool.lo as usize, pool.hi as usize, pool.mark as usize);
+            if lo != at || hi < lo || !(lo..=hi).contains(&mark) || pool.spare as usize > mark - lo
+            {
+                fault(format!(
+                    "pool {p} {lo}..{hi} (mark {mark}, {} free) after ring {at}",
+                    pool.spare
+                ));
+                return;
+            }
+            at = hi;
+            let free = &self.free[lo..lo + pool.spare as usize];
+            for r in lo..hi {
+                match self.line(r) {
+                    Some(line) if !(lo..mark).contains(&line) => fault(format!(
+                        "ring {r} holds line {line}, outside pool {p}'s lines {lo}..{mark}"
+                    )),
+                    _ => {}
+                }
+            }
+            for &line in free {
+                if !(lo..mark).contains(&(line as usize)) {
+                    fault(format!(
+                        "free line {line} outside pool {p}'s lines {lo}..{mark}"
+                    ));
+                }
+            }
+            for w in (lo..mark).step_by(WINDOW) {
+                let end = (w + WINDOW).min(mark);
+                let bit = |line: usize| ((line - w) / 64, 1u64 << ((line - w) % 64));
+                let (mut held, mut freed) = ([0u64; WINDOW / 64], [0u64; WINDOW / 64]);
+                for r in lo..hi {
+                    let Some(line) = self.line(r).filter(|l| (w..end).contains(l)) else {
+                        continue;
+                    };
+                    let (word, b) = bit(line);
+                    if held[word] & b != 0 {
+                        fault(format!(
+                            "line {line} of pool {p} is held twice, by ring {r} too"
+                        ));
+                    }
+                    held[word] |= b;
+                }
+                for &line in free {
+                    let line = line as usize;
+                    if !(w..end).contains(&line) {
+                        continue;
+                    }
+                    let (word, b) = bit(line);
+                    if held[word] & b != 0 {
+                        fault(format!("free line {line} of pool {p} is also held"));
+                    }
+                    if freed[word] & b != 0 {
+                        fault(format!("line {line} of pool {p} is on the free list twice"));
+                    }
+                    freed[word] |= b;
+                }
+                for line in w..end {
+                    let (word, b) = bit(line);
+                    if (held[word] | freed[word]) & b == 0 {
+                        fault(format!(
+                            "line {line} of pool {p} is below its mark but neither held nor free"
+                        ));
+                    }
+                }
+            }
+        }
+        if at != self.cursors.len() {
+            fault(format!("pools end at ring {at} of {}", self.cursors.len()));
+        }
+    }
+
     /// The first position of ring `r` whose flit is not in its
     /// predecessor's packet although its (derived) index is not 0, if any:
     /// what the audit's flit ledger reports.
@@ -262,12 +473,18 @@ impl FlitRings {
         })
     }
 
+    /// Where logical position `i` of ring `r`, whose cursor word is `c`,
+    /// sits in the slots.
+    #[inline]
+    fn at(&self, c: u64, i: u32) -> usize {
+        debug_assert!(i < len_of(c), "ring position out of range");
+        line_of(c) as usize * self.cap as usize + wrap(self.cap, head_of(c), i) as usize
+    }
+
     /// The slot at logical position `i` of ring `r`.
     #[inline]
     fn slot(&self, r: usize, i: u32) -> FlitSlot {
-        let c = self.cursors[r];
-        debug_assert!(i < len_of(c), "ring position out of range");
-        self.slots()[r * self.cap as usize + wrap(self.cap, head_of(c), i) as usize]
+        self.slots()[self.at(self.cursors[r], i)]
     }
 
     /// Number of flits currently in ring `r`.
@@ -333,9 +550,12 @@ impl FlitRings {
         self.view().pop_front(r)
     }
 
-    /// Empties ring `r`, resetting its head to slot 0.
+    /// Empties ring `r`, giving back its line.
     #[cfg(test)]
     pub(crate) fn reset(&mut self, r: usize) {
+        if let Some(line) = self.line(r) {
+            self.view().give_line(r, line as u32);
+        }
         self.cursors[r] = 0;
     }
 
@@ -343,13 +563,13 @@ impl FlitRings {
     /// stamp kept: how a test plants an out-of-run flit.
     #[cfg(test)]
     pub(crate) fn set_packet(&mut self, r: usize, i: usize, packet: PacketId) {
-        let c = self.cursors[r];
-        let at = self.base + r * self.cap as usize + wrap(self.cap, head_of(c), i as u32) as usize;
+        let at = self.base + self.at(self.cursors[r], i as u32);
         self.words[at] = u64::from(packet) | self.words[at] & !0xFFFF_FFFF;
     }
 
-    /// The arena as checked cells owning every ring — what the mutators
-    /// above and the pass views ([`crate::shard::ApplyCtx`]) write through.
+    /// The arena as checked cells owning every ring and every pool — what
+    /// the mutators above and the pass views ([`crate::shard::ApplyCtx`])
+    /// write through.
     #[inline]
     pub(crate) fn view(&mut self) -> FlitRingsView<'_> {
         let n = self.cursors.len() * self.cap as usize;
@@ -358,7 +578,37 @@ impl FlitRings {
             clock: self.clock,
             cursors: Cells::new(&mut self.cursors),
             slots: Cells::new(&mut self.words[self.base..self.base + n]),
+            free: Cells::new(&mut self.free),
+            pools: Cells::new(&mut self.pools),
+            first_pool: 0,
         }
+    }
+}
+
+/// Corruptions of the pool ledger, for the audit's tests.
+#[cfg(test)]
+impl FlitRings {
+    /// Points ring `r`, which holds a line, at `line` instead, its flits
+    /// moved there.
+    pub(crate) fn set_line(&mut self, r: usize, line: usize) {
+        let c = self.cursors[r];
+        for i in 0..len_of(c) {
+            let s = self.slot(r, i);
+            let pos = self.at(c, i) - line_of(c) as usize * self.cap as usize;
+            self.words[self.base + line * self.cap as usize + pos] = s;
+        }
+        let field = ((1u64 << LINE_BITS) - 1) << (2 * DEPTH_BITS);
+        self.cursors[r] = c & !field | (line as u64) << (2 * DEPTH_BITS);
+    }
+
+    /// Takes a line off ring `r`'s pool for no ring: a leak.
+    pub(crate) fn leak_line(&mut self, r: usize) -> usize {
+        self.view().take_line(r) as usize
+    }
+
+    /// Puts `line` on the free list of ring `r`'s pool.
+    pub(crate) fn free_line(&mut self, r: usize, line: usize) {
+        self.view().give_line(r, line as u32);
     }
 }
 
@@ -367,51 +617,88 @@ fn line_offset(words: &[FlitSlot]) -> usize {
     (words.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<FlitSlot>()
 }
 
-/// A copy is aligned afresh: its slots start at its own allocation's first
-/// 64-byte boundary, wherever that falls.
-impl Clone for FlitRings {
-    fn clone(&self) -> Self {
-        let mut words = vec![0; self.words.len()];
-        let base = line_offset(&words);
-        let n = self.slots().len();
-        words[base..base + n].copy_from_slice(self.slots());
-        FlitRings {
-            cap: self.cap,
-            clock: self.clock,
-            cursors: self.cursors.clone(),
-            words,
-            base,
-        }
-    }
-}
-
-/// A [`FlitRings`] arena as checked cells over a range of its rings: the
-/// one implementation of its mutators. Touching a ring outside the range
-/// panics.
+/// A [`FlitRings`] arena as checked cells over a range of its rings and
+/// the pools they take lines from: the one implementation of its mutators.
+/// Touching a ring, a line, a free-list entry or a pool outside the range
+/// panics. A view owns whole pools, so two views over rings of one pool
+/// must never be used on two threads at once; the shard passes' views are
+/// narrowed to the shard plan's ranges, which are the pools'.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlitRingsView<'a> {
     cap: u32,
     clock: Clock,
     cursors: Cells<'a, u64>,
     slots: Cells<'a, FlitSlot>,
+    free: Cells<'a, u32>,
+    pools: Cells<'a, Pool>,
+    /// The view's first pool, its first ring's.
+    first_pool: usize,
 }
 
 impl FlitRingsView<'_> {
-    /// The same arena owning only rings `lo..hi`.
+    /// The same arena owning only rings `lo..hi` (non-empty) and the pools
+    /// they lie in.
     pub(crate) fn narrow(self, lo: usize, hi: usize) -> Self {
+        let (first, last) = (self.pool_of(lo), self.pool_of(hi - 1));
+        let lines = self.pools.get(first).lo as usize..self.pools.get(last).hi as usize;
         let cap = self.cap as usize;
         FlitRingsView {
             cursors: self.cursors.narrow(lo, hi),
-            slots: self.slots.narrow(lo * cap, hi * cap),
+            slots: self.slots.narrow(lines.start * cap, lines.end * cap),
+            free: self.free.narrow(lines.start, lines.end),
+            pools: self.pools.narrow(first, last + 1),
+            first_pool: first,
             ..self
         }
     }
 
-    /// The front slot of ring `r`, whose cursor word is `c`.
+    /// The pool ring `r` takes its lines from.
     #[inline]
-    fn front_slot(&self, r: usize, c: u64) -> FlitSlot {
+    fn pool_of(&self, r: usize) -> usize {
+        let mut p = self.first_pool;
+        while self.pools.get(p).hi as usize <= r {
+            p += 1;
+        }
+        p
+    }
+
+    /// A line for ring `r`: the one its pool freed last, else the pool's
+    /// first never-used line. Out of line: a move takes a line at about one
+    /// pop in thirty, and keeping it out of `push_back` keeps the move short.
+    #[inline(never)]
+    fn take_line(&self, r: usize) -> u32 {
+        let p = self.pool_of(r);
+        let mut pool = self.pools.get(p);
+        let line = if pool.spare > 0 {
+            pool.spare -= 1;
+            self.free.get((pool.lo + pool.spare) as usize)
+        } else {
+            // Each ring holds one line at most, and this one holds none.
+            debug_assert!(pool.mark < pool.hi, "flit pool {p} has no line left");
+            pool.mark += 1;
+            pool.mark - 1
+        };
+        self.pools.set(p, pool);
+        line
+    }
+
+    /// Gives ring `r`'s `line` back to its pool (out of line, like
+    /// [`FlitRingsView::take_line`]).
+    #[inline(never)]
+    fn give_line(&self, r: usize, line: u32) {
+        let p = self.pool_of(r);
+        let mut pool = self.pools.get(p);
+        self.free.set((pool.lo + pool.spare) as usize, line);
+        pool.spare += 1;
+        self.pools.set(p, pool);
+    }
+
+    /// The front slot of the ring whose cursor word is `c`.
+    #[inline]
+    fn front_slot(&self, c: u64) -> FlitSlot {
         debug_assert!(len_of(c) != 0, "front of empty flit ring");
-        self.slots.get(r * self.cap as usize + head_of(c) as usize)
+        self.slots
+            .get(line_of(c) as usize * self.cap as usize + head_of(c) as usize)
     }
 
     /// See [`FlitRings::len`].
@@ -426,27 +713,27 @@ impl FlitRingsView<'_> {
     #[inline]
     pub(crate) fn ready_header(&self, r: usize) -> bool {
         let c = self.cursors.get(r);
-        front_idx_of(c) == 0 && self.clock.is_ready(slot_stamp(self.front_slot(r, c)))
+        front_idx_of(c) == 0 && self.clock.is_ready(slot_stamp(self.front_slot(c)))
     }
 
     /// See [`FlitRings::front_packet`].
     #[inline]
     pub(crate) fn front_packet(&self, r: usize) -> PacketId {
-        slot_packet(self.front_slot(r, self.cursors.get(r)))
+        slot_packet(self.front_slot(self.cursors.get(r)))
     }
 
     /// See [`FlitRings::front_ready_at`].
     #[inline]
     pub(crate) fn front_ready_at(&self, r: usize) -> u64 {
-        let c = self.cursors.get(r);
-        self.clock.ready_at(slot_stamp(self.front_slot(r, c)))
+        self.clock
+            .ready_at(slot_stamp(self.front_slot(self.cursors.get(r))))
     }
 
-    /// See [`FlitRings::push_back`].
+    /// See [`FlitRings::push_back`]. A ring without a line takes one.
     #[inline]
     pub(crate) fn push_back(&self, r: usize, f: Flit) {
         let c = self.cursors.get(r);
-        let (head, len, clock) = (head_of(c), len_of(c), self.clock);
+        let (len, clock) = (len_of(c), self.clock);
         debug_assert!(len < self.cap, "flit ring overflow");
         debug_assert!(
             len == 0 || f.idx == idx_at(front_idx_of(c), len, clock.packet_len),
@@ -460,27 +747,36 @@ impl FlitRingsView<'_> {
             f.ready_at,
             clock.now
         );
+        let (head, line) = if c == 0 {
+            (0, self.take_line(r))
+        } else {
+            (head_of(c), line_of(c))
+        };
         let front_idx = if len == 0 { f.idx } else { front_idx_of(c) };
         let pos = wrap(self.cap, head, len);
         self.slots.set(
-            r * self.cap as usize + pos as usize,
+            line as usize * self.cap as usize + pos as usize,
             slot(f.packet, f.ready_at),
         );
-        self.cursors.set(r, cursor(head, len + 1, front_idx));
+        self.cursors.set(r, cursor(head, len + 1, line, front_idx));
     }
 
-    /// See [`FlitRings::pop_front`].
+    /// See [`FlitRings::pop_front`]. A pop that empties the ring behind a
+    /// tail gives its line back; a ring emptied inside a worm keeps it.
     #[inline]
     pub(crate) fn pop_front(&self, r: usize) -> Flit {
         let c = self.cursors.get(r);
         debug_assert!(len_of(c) != 0, "pop from empty flit ring");
         let idx = front_idx_of(c);
-        let f = self.clock.flit(self.front_slot(r, c), idx);
-        let next = next_idx(idx, self.clock.packet_len);
-        self.cursors.set(
-            r,
-            cursor(wrap(self.cap, head_of(c), 1), len_of(c) - 1, next),
-        );
+        let f = self.clock.flit(self.front_slot(c), idx);
+        let (len, next) = (len_of(c) - 1, next_idx(idx, self.clock.packet_len));
+        let after = if len == 0 && next == 0 {
+            self.give_line(r, line_of(c));
+            0
+        } else {
+            cursor(wrap(self.cap, head_of(c), 1), len, line_of(c), next)
+        };
+        self.cursors.set(r, after);
         f
     }
 }
@@ -775,21 +1071,40 @@ mod tests {
         }
     }
 
-    /// Property: a FlitRings ring behaves exactly like a capacity-checked
-    /// VecDeque under a random push/pop interleaving (wrap-around included:
-    /// the sequences are much longer than the capacity). Each ring is fed
-    /// what a VC buffers — in-order runs of packets, every flit ready within
-    /// the stamp window — while the arena's clock runs, so reads
-    /// reconstruct past and future stamps alike.
+    /// Property: every ring of a FlitRings arena behaves exactly like a
+    /// capacity-checked VecDeque under a random push/pop interleaving
+    /// (wrap-around included: the sequences are much longer than the
+    /// capacity). Each ring is fed what a VC buffers — in-order runs of
+    /// packets, every flit ready within the stamp window — while the
+    /// arena's clock runs, so reads reconstruct past and future stamps
+    /// alike. The rings share their lines through pools, which the arena
+    /// is split into afresh every few hundred steps, and a model of the
+    /// pools predicts every line: a ring holds one exactly while it is
+    /// non-empty or inside a worm, takes the line its pool freed last or
+    /// else the pool's mark, and a re-split hands each pool's lines out
+    /// from its bottom in ring order.
     #[test]
     fn flit_ring_matches_vecdeque_model() {
+        /// The model of one pool: its rings, its mark and its free list.
+        struct PoolModel {
+            rings: std::ops::Range<usize>,
+            mark: usize,
+            free: Vec<usize>,
+        }
         for case in 0..CASES {
             let mut rng = 0xF117_0000 + case;
             let cap = 1 + (mix(&mut rng) as usize) % 9; // 1..=9
             let packet_len = [1, 2, 3, 5, 16][(mix(&mut rng) % 5) as usize];
-            let rings = 3;
+            let rings = 2 + (mix(&mut rng) as usize) % 11; // 2..=12
             let mut arena = FlitRings::new(rings, cap, packet_len, HOP);
             let mut model: Vec<VecDeque<Flit>> = vec![VecDeque::new(); rings];
+            let mut pools = vec![PoolModel {
+                rings: 0..rings,
+                mark: 0,
+                free: Vec::new(),
+            }];
+            // The last flit each ring took in, and whether a worm is
+            // inside it (the next flit it takes in is not a header).
             let mut last = vec![
                 Flit {
                     packet: 0,
@@ -798,24 +1113,71 @@ mod tests {
                 };
                 rings
             ];
-            for step in 0..2_000u64 {
+            let mut in_worm = vec![false; rings];
+            for step in 0..3_000u64 {
                 let now = step / 3;
                 arena.set_now(now);
+                if step % 500 == 499 {
+                    let mut bounds = vec![0, rings];
+                    bounds.extend((0..mix(&mut rng) % 4).map(|_| mix(&mut rng) as usize % rings));
+                    bounds.sort_unstable();
+                    bounds.dedup();
+                    arena.set_pools(&bounds);
+                    pools = bounds
+                        .windows(2)
+                        .map(|b| {
+                            let held = (b[0]..b[1]).filter(|&r| arena.line(r).is_some());
+                            PoolModel {
+                                rings: b[0]..b[1],
+                                mark: b[0] + held.count(),
+                                free: Vec::new(),
+                            }
+                        })
+                        .collect();
+                    let mut next = bounds[..bounds.len() - 1].to_vec();
+                    for r in 0..rings {
+                        if !model[r].is_empty() || in_worm[r] {
+                            let p = pools.iter().position(|p| p.rings.contains(&r)).unwrap();
+                            assert_eq!(arena.line(r), Some(next[p]), "ring {r} re-pooled");
+                            next[p] += 1;
+                        }
+                    }
+                }
                 let r = (mix(&mut rng) as usize) % rings;
+                let pool = pools.iter_mut().find(|p| p.rings.contains(&r)).unwrap();
                 if mix(&mut rng).is_multiple_of(2) && model[r].len() < cap {
                     let ready_at =
                         now.saturating_sub(mix(&mut rng) % 7) + mix(&mut rng) % (HOP + 1);
                     let f = after(last[r], packet_len, step as PacketId, ready_at);
+                    let taken = arena.line(r).is_none();
                     last[r] = f;
                     arena.push_back(r, f);
                     model[r].push_back(f);
+                    if taken {
+                        let want = pool.free.pop().unwrap_or_else(|| {
+                            pool.mark += 1;
+                            pool.mark - 1
+                        });
+                        assert_eq!(arena.line(r), Some(want), "ring {r} took a line");
+                    }
                 } else if !model[r].is_empty() {
-                    assert_eq!(arena.pop_front(r), model[r].pop_front().unwrap());
+                    let line = arena.line(r).expect("a non-empty ring holds a line");
+                    let f = model[r].pop_front().unwrap();
+                    assert_eq!(arena.pop_front(r), f);
+                    in_worm[r] = next_idx(f.idx, packet_len) != 0;
+                    if model[r].is_empty() && !in_worm[r] {
+                        pool.free.push(line);
+                    }
                 }
                 assert_eq!(arena.len(r), model[r].len());
                 assert_eq!(arena.is_empty(r), model[r].is_empty());
                 assert_eq!(arena.is_full(r), model[r].len() == cap);
                 assert_eq!(arena.front(r), model[r].front().copied());
+                assert_eq!(
+                    arena.line(r).is_some(),
+                    !model[r].is_empty() || in_worm[r],
+                    "ring {r} holds a line exactly inside a worm"
+                );
                 if let Some(&front) = model[r].front() {
                     assert_eq!(arena.front_ready_at(r), front.ready_at);
                     assert_eq!(arena.front_packet(r), front.packet);
@@ -826,6 +1188,10 @@ mod tests {
                     assert_eq!(arena.get(r, i), f);
                 }
                 assert_eq!(arena.run_break(r), None);
+                let held = (0..rings).filter(|&r| arena.line(r).is_some()).count();
+                let reached = pools.iter().map(|p| p.mark - p.rings.start).sum();
+                assert_eq!(arena.lines(), (reached, held));
+                arena.pool_faults(|fault| panic!("step {step}: {fault}"));
             }
         }
     }
@@ -943,34 +1309,35 @@ mod tests {
         assert!(arena.is_empty(0), "the neighbour ring was never touched");
     }
 
-    /// The arena's last ring wraps inside its own slots — the last slot of
-    /// the array, then back to the ring's first — and never into a
-    /// neighbour's.
+    /// The arena's last line wraps inside itself — its final slot, the
+    /// array's, then back to its first — and never into a neighbour's, and
+    /// a view narrowed to the ring holding it reaches all of it.
     #[test]
-    fn the_last_ring_wraps_within_the_arena() {
+    fn the_last_line_wraps_within_the_arena() {
         let (rings, cap) = (3, 3);
         let mut arena = arena(rings, cap);
-        let last = rings - 1;
-        arena.push_back(last - 1, flit(77));
-        for step in 0..2 {
-            arena.push_back(last, flit(step));
+        // Rings 1 and 0 take lines 0 and 1; ring 2 takes the last.
+        arena.push_back(1, flit(77));
+        arena.push_back(0, flit(78));
+        for step in 0..3 {
+            arena.push_back(2, flit(step));
         }
-        arena.pop_front(last);
-        arena.pop_front(last); // head = 2: the array's final slot
-        for step in 10..13 {
-            arena.push_back(last, flit(step));
+        assert_eq!(arena.line(2), Some(rings - 1));
+        arena.pop_front(2);
+        arena.pop_front(2); // head = 2: the array's final slot
+        for step in 10..12 {
+            arena.push_back(2, flit(step));
         }
-        assert!(arena.is_full(last));
-        // A narrowed view owning only the last ring reaches all of it.
-        let view = arena.view().narrow(last, rings);
-        assert_eq!(view.len(last), cap);
-        assert_eq!(view.front_packet(last), flit(10).packet);
-        assert_eq!(view.front_ready_at(last), flit(10).ready_at);
-        for step in 10..13 {
-            assert_eq!(view.pop_front(last), flit(step));
+        assert!(arena.is_full(2));
+        let view = arena.view().narrow(2, rings);
+        assert_eq!(view.len(2), cap);
+        assert_eq!(view.front_packet(2), flit(2).packet);
+        assert_eq!(view.front_ready_at(2), flit(2).ready_at);
+        for step in [2, 10, 11] {
+            assert_eq!(view.pop_front(2), flit(step));
         }
-        assert_eq!(arena.get(last - 1, 0), flit(77));
-        assert_eq!(arena.len(last - 1), 1);
+        assert_eq!(arena.get(1, 0), flit(77));
+        assert_eq!(arena.get(0, 0), flit(78));
     }
 
     /// Every field survives a slot at its extreme value: the largest
@@ -1091,7 +1458,9 @@ mod tests {
     fn indices_follow_ring_order_across_a_tail() {
         for packet_len in [1u16, 2, 16] {
             let mut arena = FlitRings::new(1, 4, packet_len, HOP);
-            // Three flits through the ring leave its head at slot 3.
+            // Three flits through the ring leave its head at slot 3 for
+            // 16-flit packets; a shorter packet's tail empties the ring,
+            // which gives its line back, and the run starts a line afresh.
             let mut f = Flit {
                 packet: 5,
                 idx: 0,
@@ -1128,48 +1497,29 @@ mod tests {
         }
     }
 
-    /// The ring a depth-8 arena's slot `r` starts: its address must be a
-    /// 64-byte boundary and 64 bytes past ring `r - 1`'s.
-    fn assert_one_line_per_ring(arena: &FlitRings) {
+    /// Every line of a depth-8 arena must start on a 64-byte boundary,
+    /// 64 bytes past the line before.
+    fn assert_one_aligned_line_per_ring(arena: &FlitRings) {
         assert_eq!(arena.cap, 8);
         assert_eq!(std::mem::size_of::<FlitSlot>(), 8);
         let slots = arena.slots();
         assert_eq!(slots.len(), arena.cursors.len() * 8);
-        for r in 0..arena.cursors.len() {
-            let line = slots[r * 8..(r + 1) * 8].as_ptr() as usize;
-            assert_eq!(line % 64, 0, "ring {r} straddles a line");
+        for line in 0..arena.cursors.len() {
+            let at = slots[line * 8..(line + 1) * 8].as_ptr() as usize;
+            assert_eq!(at % 64, 0, "line {line} straddles a cache line");
         }
     }
 
-    /// A buffered flit is one 8-byte slot, and every ring of a depth-8
-    /// arena is exactly one 64-byte-aligned cache line — in a new arena,
-    /// in a copy (whose allocation falls wherever it falls), and in a
-    /// network's input VCs after a checkpoint restore.
+    /// A buffered flit is one 8-byte slot, and every line of a depth-8
+    /// arena is exactly one 64-byte-aligned cache line — in a new arena and
+    /// in a network's input VCs after a checkpoint restore, whose
+    /// allocation falls wherever it falls.
     #[test]
-    fn a_depth_8_ring_is_one_aligned_line() {
-        let mut arena = FlitRings::new(37, 8, 16, HOP);
-        assert_one_line_per_ring(&arena);
-        for (r, i) in [(0, 0u16), (36, 3)] {
-            arena.push_back(
-                r,
-                Flit {
-                    packet: 1,
-                    idx: i,
-                    ready_at: 0,
-                },
-            );
-        }
-        // Copies kept alive side by side land at differing offsets from
-        // a line; every one must be re-aligned and read the same flits.
-        let copies: Vec<FlitRings> = (0..8).map(|_| arena.clone()).collect();
-        for copy in &copies {
-            assert_one_line_per_ring(copy);
-            assert!((0..37).all(|r| copy.front(r) == arena.front(r)));
-        }
-
+    fn a_depth_8_line_is_one_aligned_cache_line() {
+        assert_one_aligned_line_per_ring(&FlitRings::new(37, 8, 16, HOP));
         let net = crate::testnet::hot_net();
         assert_eq!(net.config().buf_depth, 8);
-        assert_one_line_per_ring(&net.vc_bufs);
+        assert_one_aligned_line_per_ring(&net.vc_bufs);
         let mut enc = checkpoint::Enc::new();
         net.save_state(&mut enc);
         let snap = enc.into_vec();
@@ -1177,7 +1527,7 @@ mod tests {
         restored
             .restore_state(&mut checkpoint::Dec::new(&snap))
             .unwrap();
-        assert_one_line_per_ring(&restored.vc_bufs);
+        assert_one_aligned_line_per_ring(&restored.vc_bufs);
         let fronts = |n: &crate::Network| {
             (0..n.vc_assign.len())
                 .map(|r| n.vc_bufs.front(r))

@@ -437,8 +437,10 @@ impl Cells<'_, PacketInfo> {
 /// * **Owned-range plain access** — everything indexed by node or by
 ///   input/output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routed_at`,
 ///   `vc_blocked`, `out_alloc`, `inj`, the per-node `vc_*` bit-plane
-///   words, the switch plane's slots and move cycles, the flit rings). An
-///   index outside the view's node range panics.
+///   words, the switch plane's slots and move cycles, the flit rings and
+///   the pool their lines come from: its lines, free list and mark, which
+///   `Network::set_plan` makes the shard's own). An index outside the
+///   view's node range panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets (64 nodes per word, shard edges unaligned; each bit is
 ///   changed only by its owner's pass), the packet records' `escaped`
@@ -918,6 +920,12 @@ impl WorkerPool {
         stages: &mut [ShardStage],
         mut stats: Option<&mut PhaseStats>,
     ) {
+        // Each shard's view owns its pool of input-VC lines, so a pass
+        // takes and gives back lines in its own range alone.
+        assert!(
+            net.pools_match_plan(),
+            "the flit pools are not the shard plan's ranges"
+        );
         let whole = net.apply_ctx();
         // Only route and switch passes: see `PhaseStats::home_claims`.
         let timed = stats.is_some() && kind != Pass::Handoff;
@@ -930,9 +938,10 @@ impl WorkerPool {
             // uses it. `run` outwaits every claim of the pass — or, if a
             // participant panics, joins every worker — before it returns,
             // so no use outlives the borrow of `net`, which nothing else
-            // touches meanwhile. The plan's ranges are disjoint, so views
-            // in use together own disjoint indices, and what no range owns
-            // they reach only through atomics (the view contract).
+            // touches meanwhile. The plan's ranges are disjoint, and so are
+            // the flit pools asserted above to be those ranges, so views in
+            // use together own disjoint indices, and what no range owns they
+            // reach only through atomics (the view contract).
             let view = unsafe {
                 std::mem::transmute::<ApplyCtx<'_>, ApplyCtx<'static>>(whole.narrow(lo, hi))
             };
@@ -1522,7 +1531,7 @@ mod tests {
     fn whole_view_and_shard_views_compute_the_same_pass() {
         let (mut whole, mut halves) = (hot_net(), hot_net());
         assert_eq!(saved(&whole), saved(&halves));
-        halves.plan = ShardPlan::new(2, halves.torus(), halves.config().vcs);
+        halves.set_plan(ShardPlan::new(2, halves.torus(), halves.config().vcs));
         let now = whole.now;
         for kind in [Pass::Route, Pass::Switch] {
             let mut stages = std::mem::take(&mut whole.plan.stages);

@@ -424,6 +424,7 @@ impl Network {
             return Err(Corrupt("input VC count mismatch"));
         }
         let mut vc_bufs = FlitRings::new(n_vcs, depth, plen, hop);
+        vc_bufs.set_pools(&self.vc_pool_bounds().collect::<Vec<_>>());
         vc_bufs.set_now(now);
         let mut vc_assign = Vec::with_capacity(n_vcs);
         let mut vc_routed_at = vec![0; n_vcs];

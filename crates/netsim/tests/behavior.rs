@@ -322,3 +322,42 @@ fn an_offer_to_a_node_past_the_network_panics_with_a_message() {
 fn offers_out_of_node_order_are_caught_in_debug_builds() {
     offer_all(&mut small(DeadlockMode::Avoidance), &[(5, 1), (5, 2)]);
 }
+
+/// The input-VC flit arena's memory follows its traffic: a VC holds a line
+/// only while a worm occupies it, so below the knee few lines are ever
+/// handed out (DESIGN.md §4b). The benchmark's 12-ary 3-cube at Bernoulli
+/// 0.012, where about a fifth of the 31 104 VCs hold flits at once, must
+/// write at most a quarter of its lines in 3 000 cycles, at one shard and
+/// at two, whose pools hand lines out separately (19–20 % read). A fixed
+/// line per VC fails this at once.
+#[test]
+fn below_the_knee_most_flit_lines_are_never_written() {
+    use traffic::{Pattern, Process, Workload, WorkloadRunner};
+    for shards in [1, 2] {
+        let mut net = Network::new(NetConfig {
+            radix: 12,
+            dimensions: 3,
+            ..NetConfig::paper(DeadlockMode::PAPER_RECOVERY)
+        })
+        .unwrap();
+        net.set_shards(shards);
+        let nodes = net.torus().node_count();
+        let workload = Workload::steady(Pattern::UniformRandom, Process::bernoulli(0.012));
+        let mut runner = WorkloadRunner::new(&workload, nodes, 7).unwrap();
+        for _ in 0..3_000 {
+            net.cycle_from(
+                &mut |now, offer| runner.arrivals(now, offer),
+                &mut NoControl,
+            );
+        }
+        let lines = net.flit_lines();
+        assert_eq!(lines.total, 31_104);
+        assert!(lines.held > 0, "vacuous: no VC holds a flit");
+        assert!(
+            lines.reached * 4 <= lines.total,
+            "{shards} shard(s): {} of {} lines written",
+            lines.reached,
+            lines.total
+        );
+    }
+}

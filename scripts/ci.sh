@@ -149,12 +149,15 @@ step "kill-and-resume (fig, chaos)" kill_and_resume
 # panic paths), its bit-identity tests across shard counts, the delivery
 # lockstep test (`deliveries_finish_in_lockstep_at_every_shard_count`: the
 # packet record's delivered count is stored by the destination shard's
-# pass), the credit timing test, and the 10 K-cycle eight-shard barrier
-# stress with the workspace crates instrumented (the prebuilt std is not,
-# hence the two suppressions for libtest's own result channel in
-# scripts/tsan.supp). Any
-# report from simulator code fails the step. Needs a nightly toolchain with
-# the TSan runtime for this host.
+# pass), the credit timing test, the mid-run re-shard test
+# (`set_shards_mid_run_moves_lines_and_keeps_the_run`: `set_shards` moves
+# the flit lines rings hold into the new shards' pools, which each shard's
+# pass then takes lines from alone; the `shard` filter selects it), and the
+# 10 K-cycle eight-shard barrier stress with the workspace crates
+# instrumented (the prebuilt std is not, hence the two suppressions for
+# libtest's own result channel in scripts/tsan.supp). Any report from
+# simulator code fails the step. Needs a nightly toolchain with the TSan
+# runtime for this host.
 tsan_gate() (
     target=x86_64-unknown-linux-gnu
     export RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer"

@@ -3,8 +3,9 @@
 //! opens its journal, which bench stack exists, where the side-band
 //! watchdog lives, how a stepping loop reaches the traffic sources, what
 //! math the traffic stream may call, whether every test fixture still
-//! has a reader, where `unsafe` may appear and whether a tool spawns a
-//! child process. Each rule documents the files it
+//! has a reader, where `unsafe` may appear, whether a tool spawns a
+//! child process and whether every perf record names every benchmark
+//! workload. Each rule documents the files it
 //! reads, what it forbids and why, and reports every offending line as
 //! `path:line: text` (an orphan fixture as `path: ...`). Each runs twice:
 //! on the tree as it stands, and on a synthetic violation it must report
@@ -549,6 +550,187 @@ fn options_match_their_docs(tree: &[File]) -> Vec<String> {
     found
 }
 
+/// A JSON value, parsed just far enough for the perf-record rule: strings
+/// keep their escapes raw, and numbers and literals are checked, not kept.
+enum Json {
+    Scalar,
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parses `text` as one JSON value, or says where it stops being one.
+    fn parse(text: &str) -> Result<Json, String> {
+        let mut p = JsonParser {
+            s: text.as_bytes(),
+            at: 0,
+        };
+        let v = p.value()?;
+        p.ws();
+        match p.at == p.s.len() {
+            true => Ok(v),
+            false => p.fail("text after the value"),
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+}
+
+struct JsonParser<'a> {
+    s: &'a [u8],
+    at: usize,
+}
+
+impl JsonParser<'_> {
+    fn ws(&mut self) {
+        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    /// Skips whitespace, then `c` if it is next.
+    fn eat(&mut self, c: u8) -> bool {
+        self.ws();
+        let hit = self.s.get(self.at) == Some(&c);
+        self.at += usize::from(hit);
+        hit
+    }
+
+    fn fail<T>(&self, what: &str) -> Result<T, String> {
+        Err(format!("{what} at byte {}", self.at))
+    }
+
+    /// The items of an array or object after its opening bracket, up to
+    /// `close`.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut items = Vec::new();
+        if self.eat(close) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.eat(close) {
+                return Ok(items);
+            }
+            if !self.eat(b',') {
+                return self.fail("expected a comma");
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat(b'"') {
+            return self.fail("expected a string");
+        }
+        let start = self.at;
+        while let Some(&c) = self.s.get(self.at) {
+            self.at += 1;
+            match c {
+                b'"' => return Ok(String::from_utf8_lossy(&self.s[start..self.at - 1]).into()),
+                b'\\' => self.at += 1,
+                _ => {}
+            }
+        }
+        self.fail("unterminated string")
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        match self.s.get(self.at) {
+            Some(b'{') => {
+                self.at += 1;
+                let fields = self.items(b'}', |p| {
+                    let key = p.string()?;
+                    match p.eat(b':') {
+                        true => Ok((key, p.value()?)),
+                        false => p.fail("expected a colon"),
+                    }
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(b'[') => {
+                self.at += 1;
+                Ok(Json::Arr(self.items(b']', Self::value)?))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            _ => {
+                let start = self.at;
+                let scalar = |c: &u8| c.is_ascii_alphanumeric() || b"+-.".contains(c);
+                while self.s.get(self.at).is_some_and(scalar) {
+                    self.at += 1;
+                }
+                let word = std::str::from_utf8(&self.s[start..self.at]).unwrap_or("");
+                match ["true", "false", "null"].contains(&word) || word.parse::<f64>().is_ok() {
+                    true => Ok(Json::Scalar),
+                    false => self.fail("expected a value"),
+                }
+            }
+        }
+    }
+}
+
+/// Whether `path` is a perf record: `BENCH_<n>.json` at the root.
+fn is_perf_record(path: &str) -> bool {
+    path.starts_with("BENCH_") && path.ends_with(".json") && !path.contains('/')
+}
+
+/// Every perf record names every workload. `scripts/bench_record.sh`
+/// writes `BENCH_<n>.json` at the root: the benchmark's results, an object
+/// per workload under `benchmark`, and the paper figures' walls under
+/// `figures`. A record must parse as JSON and hold every workload
+/// `BENCHMARK.json` names and a non-empty `figures.wall_s`, so a broken or
+/// partial record fails here, not when a later change tries to cite it.
+fn perf_records_name_every_workload(tree: &[File]) -> Vec<String> {
+    let spec = tree
+        .iter()
+        .find(|f| f.path == "BENCHMARK.json")
+        .map(|f| Json::parse(&f.text));
+    let workloads: Vec<&str> = match &spec {
+        Some(Ok(spec)) => match spec.get("workloads") {
+            Some(Json::Arr(ws)) => ws
+                .iter()
+                .filter_map(|w| match w.get("name") {
+                    Some(Json::Str(name)) => Some(name.as_str()),
+                    _ => None,
+                })
+                .collect(),
+            _ => return vec!["BENCHMARK.json: no workloads".into()],
+        },
+        _ => return vec!["BENCHMARK.json: missing or not JSON".into()],
+    };
+    let mut found = Vec::new();
+    for f in tree.iter().filter(|f| is_perf_record(&f.path)) {
+        let record = match Json::parse(&f.text) {
+            Ok(record) => record,
+            Err(e) => {
+                found.push(format!("{}: not JSON: {e}", f.path));
+                continue;
+            }
+        };
+        let bench = record.get("benchmark");
+        for w in &workloads {
+            if !matches!(bench.and_then(|b| b.get(w)), Some(Json::Obj(_))) {
+                found.push(format!("{}: no results for workload {w}", f.path));
+            }
+        }
+        let walls = record.get("figures").and_then(|f| f.get("wall_s"));
+        if !matches!(walls, Some(Json::Obj(walls)) if !walls.is_empty()) {
+            found.push(format!("{}: no figure walls", f.path));
+        }
+    }
+    found
+}
+
 fn assert_clean(found: Vec<String>, rule: &str) {
     assert!(
         found.is_empty(),
@@ -601,6 +783,18 @@ fn the_tree_has_no_libm_on_the_traffic_stream() {
 fn the_tree_has_no_orphan_fixtures() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert_clean(no_orphan_fixtures(root, repo()), "no orphan fixtures");
+}
+
+#[test]
+fn the_tree_has_perf_records_that_name_every_workload() {
+    assert!(
+        repo().iter().any(|f| is_perf_record(&f.path)),
+        "vacuous: no BENCH_*.json at the root"
+    );
+    assert_clean(
+        perf_records_name_every_workload(repo()),
+        "perf records name every workload",
+    );
 }
 
 #[test]
@@ -804,6 +998,42 @@ fn libm_rule_reports_a_transcendental_above_the_tests() {
         ]
     );
     assert!(found[0].starts_with("crates/traffic/src/gaps.rs:1: "));
+}
+
+/// A spec of two workloads and records of each kind of fault: a missing
+/// workload, text cut short, a bad number and empty figure walls. A
+/// `BENCH_*.json` below the root is not a record.
+#[test]
+fn perf_record_rule_reports_a_missing_workload_a_broken_record_and_no_walls() {
+    let spec = r#"{"command": ["x"], "workloads": [{"name": "a", "why": "\"q\""},
+        {"name": "b", "why": ""}], "run_seconds": 5, "ok": true}"#;
+    let good = r#"{"commit": "c", "benchmark": {"a": {"m": {"median": 1.5e3}},
+        "b": {"m": null}}, "figures": {"wall_s": {"fig1": 36.9}}}"#;
+    let tree = [
+        file("BENCHMARK.json", spec),
+        file("BENCH_1.json", good),
+        file("BENCH_2.json", &good.replace(r#""b": "#, r#""c": "#)),
+        file("BENCH_3.json", &good[..good.len() - 1]),
+        file("BENCH_4.json", &good.replace("36.9", "")),
+        file("BENCH_5.json", &good.replace(r#"{"fig1": 36.9}"#, "{}")),
+        file("docs/BENCH_6.json", "not a record"),
+    ];
+    let found = perf_records_name_every_workload(&tree);
+    assert_eq!(
+        paths(&found),
+        [
+            "BENCH_2.json",
+            "BENCH_3.json",
+            "BENCH_4.json",
+            "BENCH_5.json"
+        ],
+        "{found:#?}"
+    );
+    assert!(
+        found[0].ends_with("no results for workload b"),
+        "{found:#?}"
+    );
+    assert!(found[3].ends_with("no figure walls"), "{found:#?}");
 }
 
 /// Fixtures on disk: one included from its crate's tests, one from its
