@@ -90,16 +90,7 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 pub const VERSION: u32 = 9;
 
 /// Most bytes [`Enc::varint`] writes: ⌈64 / 7⌉.
-pub const VARINT_MAX_LEN: usize = 10;
-
-/// Bytes [`Enc::varint`] writes for `v`: one per started group of seven
-/// bits, one for zero.
-#[must_use]
-#[inline]
-pub const fn varint_len(v: u64) -> usize {
-    let bits = 64 - (v | 1).leading_zeros() as usize;
-    bits.div_ceil(7)
-}
+const VARINT_MAX_LEN: usize = 10;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.
@@ -182,20 +173,6 @@ impl Enc {
         self.buf
     }
 
-    /// Number of bytes written so far.
-    #[must_use]
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    #[must_use]
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes one byte.
     #[inline]
     pub fn u8(&mut self, v: u8) {
@@ -251,13 +228,6 @@ impl Enc {
         self.buf.push(v as u8);
     }
 
-    /// Reserves room for at least `additional` more bytes, so an array
-    /// writer grows the buffer at most once however many elements follow.
-    #[inline]
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
     #[inline]
     fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -265,7 +235,7 @@ impl Enc {
 
     /// Writes every element as [`Enc::u64`] would, after one `reserve`.
     pub fn u64s(&mut self, vs: &[u64]) {
-        self.reserve(vs.len() * 8);
+        self.buf.reserve(vs.len() * 8);
         for &v in vs {
             self.u64(v);
         }
@@ -556,14 +526,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 const HEADER_LEN: usize = MAGIC.len() + 4 + 8 + 8;
 
 /// Builds a sealed container in one buffer: the header, whatever `write`
-/// encodes as the payload, then the CRC-32 of everything prior.
-/// `payload_hint` pre-sizes the buffer; a hint at or above the payload's
-/// length means the buffer never regrows (a low one costs only a regrow).
+/// encodes as the payload, then the CRC-32 of everything prior. The
+/// buffer grows as `write` appends, as a `Vec` does.
 #[must_use]
-pub fn seal_with(fingerprint: u64, payload_hint: usize, write: impl FnOnce(&mut Enc)) -> Vec<u8> {
-    let mut e = Enc {
-        buf: Vec::with_capacity(HEADER_LEN + payload_hint + 4),
-    };
+pub fn seal_with(fingerprint: u64, write: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::new();
     e.bytes(&MAGIC);
     e.u32(VERSION);
     e.u64(fingerprint);
@@ -580,7 +547,7 @@ pub fn seal_with(fingerprint: u64, payload_hint: usize, write: impl FnOnce(&mut 
 /// `fingerprint`, payload length, payload, CRC-32 of everything prior.
 #[must_use]
 pub fn seal(fingerprint: u64, payload: &[u8]) -> Vec<u8> {
-    seal_with(fingerprint, payload.len(), |e| e.bytes(payload))
+    seal_with(fingerprint, |e| e.bytes(payload))
 }
 
 /// Reads the configuration fingerprint out of a sealed container without
@@ -650,9 +617,7 @@ mod tests {
     fn primitives_round_trip() {
         let mut e = Enc::new();
         for v in VARINTS {
-            let at = e.len();
             e.varint(v);
-            assert_eq!(e.len() - at, varint_len(v), "varint {v}");
         }
         e.u8(0xab);
         e.u16(0xbeef);
@@ -824,15 +789,13 @@ mod tests {
         let crc = crc32_bitwise(&want);
         want.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(seal(0x0123_4567_89ab_cdef, payload), want);
-        // The in-place writer produces the same bytes whatever its hint.
-        for hint in [0, payload.len(), 1 << 12] {
-            let sealed = seal_with(0x0123_4567_89ab_cdef, hint, |e| {
-                e.u16(u16::from_le_bytes([payload[0], payload[1]]));
-                e.bytes(&payload[2..]);
-            });
-            assert_eq!(sealed, want, "hint {hint}");
-        }
-        assert_eq!(seal(9, b""), seal_with(9, 0, |_| {}));
+        // The in-place writer produces the same bytes.
+        let sealed = seal_with(0x0123_4567_89ab_cdef, |e| {
+            e.u16(u16::from_le_bytes([payload[0], payload[1]]));
+            e.bytes(&payload[2..]);
+        });
+        assert_eq!(sealed, want);
+        assert_eq!(seal(9, b""), seal_with(9, |_| {}));
     }
 
     #[test]

@@ -420,8 +420,8 @@ impl Simulation {
     /// Draining the network's delivery queue *every* step is what bounds a
     /// long (guarded or not) run's memory at the per-cycle delivery
     /// high-water mark instead of the whole run's delivery count: the
-    /// network buffers undrained records in a ring that only grows while a
-    /// consumer lets them pile up.
+    /// network buffers undrained records in a queue that only grows while
+    /// a consumer lets them pile up.
     pub fn step(&mut self) {
         // The measured window opens with this cycle. Fast-forward never
         // jumps past the warm-up boundary, so the step at it always runs.
@@ -572,14 +572,8 @@ impl Simulation {
             let report = self.net.audit();
             assert!(report.is_clean(), "pre-checkpoint {report}");
         }
-        // The network is all but a few KB of the payload: its bound, the
-        // two per-node varint arrays at their widest and slack for the
-        // controller and statistics size the container once.
-        let hint = self.net.state_len_bound()
-            + 2 * checkpoint::VARINT_MAX_LEN * self.src_delivered.len()
-            + 4096;
-        let sealed = checkpoint::seal_with(self.fingerprint, hint, |enc| {
-            self.net.save_state_presized(enc);
+        checkpoint::seal_with(self.fingerprint, |enc| {
+            self.net.save_state(enc);
             self.runner.save_state(enc);
             self.ctl.save_state(enc);
             self.net_latency.save_state(enc);
@@ -593,11 +587,7 @@ impl Simulation {
             for &n in &self.src_delivered {
                 enc.varint(n);
             }
-        });
-        // The hint bounds the payload, so the buffer never regrew: the
-        // container is the payload plus a 28-byte header and a 4-byte CRC.
-        debug_assert!(sealed.len() <= hint + 32, "checkpoint outgrew its hint");
-        sealed
+        })
     }
 
     /// Rebuilds a simulation from `cfg` (+ optional fault plan) and restores

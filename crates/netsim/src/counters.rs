@@ -88,9 +88,6 @@ impl Counters {
         self.generated_packets - self.delivered_packets
     }
 
-    /// Bytes [`Counters::save_state`] writes: sixteen `u64` counters.
-    pub(crate) const ENCODED_LEN: usize = 16 * 8;
-
     /// Serializes every counter into `enc` (for checkpointing). Field
     /// order is part of the checkpoint format.
     pub fn save_state(&self, enc: &mut checkpoint::Enc) {

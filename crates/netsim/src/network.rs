@@ -4,7 +4,7 @@ use crate::control::CongestionControl;
 use crate::counters::Counters;
 use crate::packet::{DeliveredRecord, Flit, PacketId, PacketInfo, PacketStore, QueueEntry};
 use crate::plane::{inj_movable_at, rr_pick, vc_movable_at, Slot, SwitchPlane};
-use crate::ring::{DeliveryDrain, DeliveryRing, FlitRings, Rings};
+use crate::ring::{FlitRings, Rings};
 use crate::routing::RouteTables;
 use crate::shard::{
     post_handoffs, ApplyCtx, Cells, Parked, Pass, PhaseStats, ShardPlan, ShardStage, WorkerPool,
@@ -200,7 +200,7 @@ pub struct Network {
     /// Occupancy bit-planes: bit `f` of `vc_full[node]` iff input VC
     /// `node*d*v + f` is completely full. `full_buffers` (the side-band's
     /// census input) is the popcount sum of these planes, maintained
-    /// incrementally; [`Network::full_buffers_at`] popcounts one node.
+    /// incrementally ([`Network::full_buffer_planes`]).
     pub(crate) vc_full: Vec<u64>,
     /// Node-level activity summaries (top level of the worklist
     /// hierarchy): nodes with any busy input VC...
@@ -213,9 +213,11 @@ pub struct Network {
     /// Scratch: nodes whose injection was admitted this cycle (rewritten
     /// by `decide_injection` every cycle, never serialized).
     pub(crate) allow_nodes: NodeSet,
-    /// Delivered-packet records awaiting [`Network::drain_deliveries`]; a
-    /// consumer draining every gather period bounds this at O(period).
-    pub(crate) deliveries: DeliveryRing,
+    /// Delivered-packet records awaiting [`Network::drain_deliveries`], in
+    /// delivery order. A drain keeps the capacity, so a consumer draining
+    /// every gather period bounds it at O(period) and pushes stop
+    /// allocating once it has seen its high-water mark.
+    pub(crate) deliveries: Vec<DeliveredRecord>,
     /// FIFO of suspected-deadlocked input VCs awaiting the recovery token
     /// (single ring; `vc_queued` caps it at one entry per VC).
     pub(crate) token_queue: Rings<u32>,
@@ -291,7 +293,7 @@ impl Network {
             inj_nodes: NodeSet::new(nodes),
             srcq_nodes: NodeSet::new(nodes),
             allow_nodes: NodeSet::new(nodes),
-            deliveries: DeliveryRing::default(),
+            deliveries: Vec::new(),
             token_queue: Rings::new(1, n_vcs),
             last_delivery_at: 0,
             last_progress_at: 0,
@@ -431,13 +433,6 @@ impl Network {
         self.full_buffers
     }
 
-    /// Count of completely full input VC buffers at `node` — the per-router
-    /// quantized census a side-band gather tree sums. One popcount.
-    #[must_use]
-    pub fn full_buffers_at(&self, node: NodeId) -> u32 {
-        self.vc_full[node].count_ones()
-    }
-
     /// Per-node full-buffer occupancy bit-planes: bit `port*vcs + vc` of
     /// word `node` is set iff that input VC buffer is completely full.
     /// `full_buffer_count()` equals the popcount sum over these words.
@@ -538,13 +533,15 @@ impl Network {
         self.packets.slot_count()
     }
 
-    /// Takes the records of packets delivered since the last drain.
+    /// Takes the records of packets delivered since the last drain, in
+    /// delivery order. Records the iterator does not yield are still
+    /// removed when it drops.
     ///
     /// Draining regularly (the simulation driver drains every cycle) bounds
     /// the undrained backlog — and thus this queue's memory — at the
     /// between-drain high-water mark rather than the whole run's deliveries.
-    pub fn drain_deliveries(&mut self) -> DeliveryDrain<'_> {
-        self.deliveries.drain()
+    pub fn drain_deliveries(&mut self) -> std::vec::Drain<'_, DeliveredRecord> {
+        self.deliveries.drain(..)
     }
 
     /// Whether the network has had traffic in flight but delivered nothing
@@ -1041,7 +1038,7 @@ impl Network {
 
     /// The tail half of a delivery, run sequentially once the tail of
     /// packet `id` was consumed ([`ApplyCtx::consume`]): its delivery
-    /// record joins the ring and its slot the free list.
+    /// record joins the queue and its slot the free list.
     pub(crate) fn finish_packet(&mut self, now: u64, id: PacketId, via_recovery: bool) {
         let p = *self.packets.get(id);
         self.deliveries.push(DeliveredRecord {
@@ -1050,7 +1047,6 @@ impl Network {
             generated_at: p.generated_at,
             injected_at: p.injected_at,
             delivered_at: now,
-            len: self.packet_len,
             recovered: via_recovery,
         });
         self.counters.delivered_packets += 1;

@@ -2,7 +2,6 @@ use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64};
 
 use crate::shard::Cells;
 use crate::snapshot::{dec_back, enc_back};
-use checkpoint::{varint_len, VARINT_MAX_LEN};
 use kncube::NodeId;
 
 /// Identifier of an in-flight packet (an index into the packet store; slots
@@ -116,8 +115,6 @@ pub struct DeliveredRecord {
     pub injected_at: u64,
     /// Delivery cycle (tail consumed).
     pub delivered_at: u64,
-    /// Packet length in flits.
-    pub len: u16,
     /// Whether the packet finished through the Disha recovery network.
     pub recovered: bool,
 }
@@ -221,8 +218,6 @@ impl PacketStore {
     /// [`PacketStore::alloc`] overwrites it whole — and no record holds a
     /// length: every packet has the network's packet length.
     pub fn save_state(&self, enc: &mut checkpoint::Enc, now: u64) {
-        #[cfg(debug_assertions)]
-        let start = enc.len();
         enc.varint(self.slots.len() as u64);
         enc.varint(self.free.len() as u64);
         for &id in &self.free {
@@ -246,17 +241,6 @@ impl PacketStore {
             enc.varint(u64::from(p.delivered_flits));
             enc_back(enc, now, p.last_move);
         }
-        #[cfg(debug_assertions)]
-        debug_assert!(enc.len() - start <= self.len_bound(now));
-    }
-
-    /// Most bytes [`PacketStore::save_state`] writes for the current store
-    /// at cycle `now`.
-    pub(crate) fn len_bound(&self, now: u64) -> usize {
-        let w_id = varint_len(self.slots.len() as u64);
-        let w_node = varint_len(u64::from(u32::MAX));
-        let record = 1 + 2 * w_node + 3 * varint_len(now) + varint_len(u64::from(u16::MAX));
-        2 * VARINT_MAX_LEN + self.free.len() * w_id + self.live() * record
     }
 
     /// Reads a store serialized with [`PacketStore::save_state`] at cycle
@@ -435,7 +419,6 @@ mod tests {
         assert_eq!(bytes.len(), 3 + 6 + 2 * 7);
         assert_eq!(bytes[3..9], [0, 0, 7, 20, 0, 20]);
         assert_eq!(bytes[9..16], [INJECTED, 2, 7, 18, 10, 3, 5]);
-        assert!(bytes.len() <= s.len_bound(NOW));
         let back = restore(&bytes).unwrap();
         for id in [0, 2, 3] {
             assert_eq!(back.get(id), s.get(id), "slot {id}");
@@ -515,7 +498,6 @@ mod tests {
             generated_at: 10,
             injected_at: 25,
             delivered_at: 100,
-            len: 16,
             recovered: false,
         };
         assert_eq!(r.network_latency(), 75);

@@ -36,15 +36,11 @@
 //!   (the source queues' entries, the recovery token queue's VC indices),
 //!   laid out slot-major so that shallow rings stay in the arena's first
 //!   rows, the only ones ever written.
-//! * [`DeliveryRing`] — the drained delivery-record queue. Capacity grows
-//!   (amortized doubling) only while the consumer is *not* draining; a
-//!   consumer that drains every gather period bounds it to O(period), and
-//!   the steady-state push path never allocates.
 //!
 //! All rings are FIFO and preserve exactly the ordering semantics of the
 //! `VecDeque`s they replaced, so simulation results are bit-identical.
 
-use crate::packet::{DeliveredRecord, Flit, PacketId};
+use crate::packet::{Flit, PacketId};
 use crate::shard::Cells;
 
 /// Position `i` past `head` in a circular buffer of `cap` slots
@@ -907,118 +903,6 @@ impl<W: Copy + Default> Rings<W> {
     }
 }
 
-/// The delivery-record queue: a circular buffer drained by the consumer.
-///
-/// Pushing never allocates while spare capacity exists; when the ring is
-/// full it doubles (the only allocation), so a consumer that drains every
-/// gather period pins the capacity at the per-period high-water mark —
-/// memory is O(period), not O(run length).
-#[derive(Debug, Default)]
-pub(crate) struct DeliveryRing {
-    buf: Vec<DeliveredRecord>,
-    head: usize,
-    len: usize,
-}
-
-impl DeliveryRing {
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The record at logical position `i` (0 = oldest undrained).
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> DeliveredRecord {
-        debug_assert!(i < self.len, "delivery ring position out of range");
-        let mut pos = self.head + i;
-        if pos >= self.buf.len() {
-            pos -= self.buf.len();
-        }
-        self.buf[pos]
-    }
-
-    /// Appends a record, doubling the backing storage only when full.
-    pub(crate) fn push(&mut self, rec: DeliveredRecord) {
-        if self.len == self.buf.len() {
-            self.grow();
-        }
-        let mut pos = self.head + self.len;
-        if pos >= self.buf.len() {
-            pos -= self.buf.len();
-        }
-        self.buf[pos] = rec;
-        self.len += 1;
-    }
-
-    #[cold]
-    fn grow(&mut self) {
-        let new_cap = (self.buf.len() * 2).max(64);
-        let mut buf = Vec::with_capacity(new_cap);
-        for i in 0..self.len {
-            buf.push(self.get(i));
-        }
-        buf.resize(
-            new_cap,
-            DeliveredRecord {
-                src: 0,
-                dst: 0,
-                generated_at: 0,
-                injected_at: 0,
-                delivered_at: 0,
-                len: 0,
-                recovered: false,
-            },
-        );
-        self.buf = buf;
-        self.head = 0;
-    }
-
-    /// Drains every record in FIFO order. Records not consumed by the
-    /// returned iterator are still removed when it drops (the semantics of
-    /// the `Vec::drain` this replaces).
-    pub(crate) fn drain(&mut self) -> DeliveryDrain<'_> {
-        DeliveryDrain { ring: self }
-    }
-}
-
-/// Draining iterator over a [`DeliveryRing`]; see [`DeliveryRing::drain`].
-#[derive(Debug)]
-pub struct DeliveryDrain<'a> {
-    ring: &'a mut DeliveryRing,
-}
-
-impl Iterator for DeliveryDrain<'_> {
-    type Item = DeliveredRecord;
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.ring.len == 0 {
-            return None;
-        }
-        let rec = self.ring.get(0);
-        self.ring.head += 1;
-        if self.ring.head >= self.ring.buf.len() {
-            self.ring.head = 0;
-        }
-        self.ring.len -= 1;
-        Some(rec)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.ring.len, Some(self.ring.len))
-    }
-}
-
-impl ExactSizeIterator for DeliveryDrain<'_> {}
-
-impl Drop for DeliveryDrain<'_> {
-    fn drop(&mut self) {
-        // Unconsumed records are removed, as with `Vec::drain(..)`.
-        self.ring.head = 0;
-        self.ring.len = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1241,50 +1125,6 @@ mod tests {
         }
         assert_eq!(ring.data.len(), 2 * rings, "a deep row written");
         assert!(reserved >= cap * rings && ring.data.capacity() == reserved);
-    }
-
-    fn rec(tag: u64) -> DeliveredRecord {
-        DeliveredRecord {
-            src: (tag & 0xFF) as usize,
-            dst: ((tag >> 8) & 0xFF) as usize,
-            generated_at: tag,
-            injected_at: tag + 1,
-            delivered_at: tag + 2,
-            len: 16,
-            recovered: tag.is_multiple_of(5),
-        }
-    }
-
-    /// The delivery ring preserves FIFO order across partial drains and
-    /// growth, and a dropped drain discards the remainder.
-    #[test]
-    fn delivery_ring_drains_fifo_across_growth() {
-        for case in 0..CASES {
-            let mut rng = 0xDE11_0000 + case;
-            let mut ring = DeliveryRing::default();
-            let mut model: VecDeque<DeliveredRecord> = VecDeque::new();
-            for step in 0..800u64 {
-                if !mix(&mut rng).is_multiple_of(4) {
-                    ring.push(rec(step));
-                    model.push_back(rec(step));
-                } else {
-                    let drained: Vec<_> = ring.drain().collect();
-                    let expect: Vec<_> = model.drain(..).collect();
-                    assert_eq!(drained, expect);
-                }
-                assert_eq!(ring.len(), model.len());
-            }
-            // A partially consumed drain still removes everything.
-            ring.drain().for_each(drop);
-            for step in 0..10u64 {
-                ring.push(rec(step));
-            }
-            let mut d = ring.drain();
-            assert_eq!(d.next(), Some(rec(0)));
-            assert_eq!(d.len(), 9);
-            drop(d);
-            assert_eq!(ring.len(), 0);
-        }
     }
 
     #[test]

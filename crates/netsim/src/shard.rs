@@ -34,7 +34,7 @@
 //!    and globally ordered results — each won injection's source-queue
 //!    entry into a new packet record (so ids are assigned in node order);
 //!    route-pass suspects, then starvation trips, into the token queue; the delivered-flit count into the
-//!    counters; each delivered tail's record into the delivery ring and
+//!    counters; each delivered tail's record into the delivery queue and
 //!    its packet slot back to the free list — in ascending shard order,
 //!    within a shard in pass (ascending node) order. Because shards are
 //!    contiguous ascending ranges, that visits the globally ordered

@@ -45,9 +45,9 @@
 
 use crate::counters::Counters;
 use crate::network::{Assign, InjState, Network, RecoveryJob, DL_DEPTH};
-use crate::packet::{Flit, PacketStore, QueueEntry};
-use crate::ring::{DeliveryRing, FlitRings, Rings};
-use checkpoint::{varint_len, CheckpointError, Dec, Enc, VARINT_MAX_LEN};
+use crate::packet::{DeliveredRecord, Flit, PacketStore, QueueEntry};
+use crate::ring::{FlitRings, Rings};
+use checkpoint::{CheckpointError, Dec, Enc};
 use std::ops::RangeInclusive;
 
 /// Low three bits of an input-VC or injection tag: the assignment kind
@@ -151,17 +151,6 @@ fn enc_flits(enc: &mut Enc, rings: &FlitRings, r: usize, ready_base: u64) {
     }
 }
 
-/// Most bytes [`enc_flits`] writes for a ring of `len` flits, with packet
-/// ids of at most `w_pid` bytes and ready offsets of at most `w_ready`.
-fn flits_len_bound(len: usize, w_pid: usize, w_ready: usize) -> usize {
-    let front_idx = if len == 0 {
-        0
-    } else {
-        varint_len(u64::from(u16::MAX))
-    };
-    varint_len(len as u64) + front_idx + len * (w_pid + w_ready)
-}
-
 /// Decodes a flit queue of a length in `lens` into ring `r` of a (freshly
 /// reset) arena whose clock is the checkpoint's, for packets of `plen`
 /// flits. The indices follow from the front's in ring order, so every
@@ -203,78 +192,14 @@ fn dec_flits(
 }
 
 impl Network {
-    /// An upper bound on the bytes [`Network::save_state`] writes for the
-    /// current state, so a caller can size its buffer once: every varint
-    /// at the width of the largest value its field can hold now.
-    #[must_use]
-    pub fn state_len_bound(&self) -> usize {
-        let nodes = self.inj.len();
-        let n_vcs = self.vc_assign.len();
-        let fpn = n_vcs / nodes;
-        let w_now = varint_len(self.now);
-        let w_ready = varint_len(self.ready_base());
-        let w_pid = varint_len(self.packets.slot_count() as u64);
-        let w_node = varint_len(nodes as u64);
-        let w_vc = varint_len(n_vcs as u64);
-        // Input VCs: a tag each; an `Out` port and VC and a routed-at
-        // stamp per switchable VC; a blocked count and a ring per busy one.
-        let mut vcs = w_vc + n_vcs;
-        for node in 0..nodes {
-            let busy = self.vc_busy[node];
-            vcs += (2 + w_now) * self.vc_switchable[node].count_ones() as usize;
-            vcs += VARINT_MAX_LEN * (busy & self.vc_unrouted[node]).count_ones() as usize;
-            let mut rest = busy;
-            while rest != 0 {
-                let f = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let len = self.vc_bufs.len(node * fpn + f);
-                vcs += flits_len_bound(len, w_pid, w_ready);
-            }
-        }
-        let dl: usize = (0..nodes)
-            .map(|r| flits_len_bound(self.dl_bufs.len(r), w_pid, w_ready))
-            .sum();
-        let inj = nodes * (1 + w_pid + 3 + 2 + w_now);
-        let queued = nodes * varint_len(self.config().source_queue_cap as u64)
-            + self.source_q.total() * (w_node + w_now);
-        let recovery = self.recovery.as_ref().map_or(0, |job| {
-            w_pid + varint_len(job.path.len() as u64) + job.path.len() * w_node + w_vc + 1
-        });
-        let n_tok = self.token_queue.len(0);
-        let n_del = self.deliveries.len();
-        (8 + 2 * w_now + Counters::ENCODED_LEN)
-            + vcs
-            + n_vcs.div_ceil(8)
-            + inj
-            + queued
-            + self.packets.len_bound(self.now)
-            + dl
-            + (1 + recovery)
-            + self.route_rr.len()
-            + self.out_rr.len()
-            + (varint_len(n_tok as u64) + n_tok * w_vc)
-            + (varint_len(n_del as u64) + n_del * (2 * w_node + 3 * w_now + 1))
-    }
-
     /// The base a buffered flit's `ready_at` is written back from: no flit
     /// is ready later than one hop latency past the clock.
     fn ready_base(&self) -> u64 {
         self.now.saturating_add(self.config().hop_latency)
     }
 
-    /// Serializes the complete mutable state into `enc`, sized for it
-    /// first.
+    /// Serializes the complete mutable state into `enc`.
     pub fn save_state(&self, enc: &mut Enc) {
-        enc.reserve(self.state_len_bound());
-        self.save_state_presized(enc);
-    }
-
-    /// [`Network::save_state`] into an `enc` the caller has already sized
-    /// with [`Network::state_len_bound`] — one walk of the state for a
-    /// whole checkpoint.
-    pub fn save_state_presized(&self, enc: &mut Enc) {
-        #[cfg(debug_assertions)]
-        let start = enc.len();
         let now = self.now;
         let ready_base = self.ready_base();
         enc.u64(now);
@@ -377,22 +302,13 @@ impl Network {
             enc.varint(u64::from(self.token_queue.get(0, i)));
         }
         enc.varint(self.deliveries.len() as u64);
-        for i in 0..self.deliveries.len() {
-            let d = self.deliveries.get(i);
+        for d in &self.deliveries {
             enc.varint(d.src as u64);
             enc.varint(d.dst as u64);
             enc_back(enc, now, d.generated_at);
             enc_back(enc, now, d.injected_at);
             enc_back(enc, now, d.delivered_at);
             enc.bool(d.recovered);
-        }
-        #[cfg(debug_assertions)]
-        {
-            let (written, bound) = (enc.len() - start, self.state_len_bound());
-            debug_assert!(
-                written <= bound,
-                "state_len_bound {bound} below the {written} bytes written"
-            );
         }
     }
 
@@ -549,20 +465,19 @@ impl Network {
             .ok()
             .filter(|&n| n as u64 <= counters.delivered_packets)
             .ok_or(Corrupt("undrained delivery count"))?;
-        let mut deliveries = DeliveryRing::default();
+        let mut deliveries = Vec::with_capacity(n_del.min(dec.remaining()));
         for _ in 0..n_del {
             let endpoint = "delivery endpoint outside the network";
             let (src, dst) = (
                 dec_below(dec, nodes, endpoint)?,
                 dec_below(dec, nodes, endpoint)?,
             );
-            deliveries.push(crate::packet::DeliveredRecord {
+            deliveries.push(DeliveredRecord {
                 src,
                 dst,
                 generated_at: dec_back(dec, now)?,
                 injected_at: dec_back(dec, now)?,
                 delivered_at: dec_back(dec, now)?,
-                len: self.packet_len,
                 recovered: dec.bool()?,
             });
         }
@@ -764,7 +679,6 @@ mod tests {
         let bytes = snapshot(&net);
         assert_eq!(net.vc_assign.len(), 31_104);
         assert!(bytes.len() < 100_000, "{} bytes", bytes.len());
-        assert!(bytes.len() <= net.state_len_bound());
     }
 
     /// A packet still in its source queue costs its entry and no record:
@@ -836,7 +750,12 @@ mod tests {
         }
         for src in [false, true] {
             let mut net = hot_net();
-            let mut rec = net.drain_deliveries().next().expect("vacuous: no delivery");
+            let mut drain = net.drain_deliveries();
+            let mut rec = drain.next().expect("vacuous: no delivery");
+            assert!(drain.len() > 0, "vacuous: a single delivery");
+            drop(drain);
+            // A dropped drain removes what it did not yield.
+            assert_eq!(net.drain_deliveries().next(), None);
             *(if src { &mut rec.src } else { &mut rec.dst }) = 16;
             net.deliveries.push(rec);
             assert_eq!(

@@ -4,8 +4,9 @@
 //! watchdog lives, how a stepping loop reaches the traffic sources, what
 //! math the traffic stream may call, whether every test fixture still
 //! has a reader, where `unsafe` may appear, whether a tool spawns a
-//! child process and whether every perf record names every benchmark
-//! workload. Each rule documents the files it
+//! child process, whether every perf record names every benchmark
+//! workload and whether a checkpoint is written in one walk. Each rule
+//! documents the files it
 //! reads, what it forbids and why, and reports every offending line as
 //! `path:line: text` (an orphan fixture as `path: ...`). Each runs twice:
 //! on the tree as it stands, and on a synthetic violation it must report
@@ -313,6 +314,26 @@ fn one_scaffold(tree: &[File]) -> Vec<String> {
         |p| rs_in(p, "crates/core/src/") && p != "crates/core/src/scaffold.rs",
         |l| NEEDLES.iter().any(|n| starts_word(l, n)),
     )
+}
+
+/// One codec walk. A checkpoint section is written by its `save_state`
+/// and read by its `restore_state`; the encoder appends to the buffer
+/// `checkpoint::seal_with` hands it, which grows as a `Vec` does. A third
+/// walk that predicts each field's width to pre-size that buffer has to
+/// change in step with every layout change and measurably bought nothing
+/// (DESIGN.md §4e, "One buffer"), so no file below `crates/*/src`, above
+/// its tests, defines or calls one. The needles are the names the deleted
+/// size oracle was built on: `len_bound` and `varint_len` anywhere in a
+/// name (`state_len_bound`, `flits_len_bound`), `ENCODED_LEN` only at the
+/// start of one, because a decoder's allocation guard against a hostile
+/// count (`MIN_ENCODED_LEN`) is not a prediction.
+fn one_codec_walk(tree: &[File]) -> Vec<String> {
+    let oracle = |l: &str| any_of(&["len_bound", "varint_len"])(l) || starts_word(l, "ENCODED_LEN");
+    tree.iter()
+        .filter(|f| f.path.starts_with("crates/") && is_source(&f.path))
+        .filter(|f| f.path.ends_with(".rs"))
+        .flat_map(|f| scan(&f.path, above_tests(&f.text), oracle))
+        .collect()
 }
 
 /// The one file allowed the per-node adapter: the repo benchmark's traced
@@ -760,6 +781,11 @@ fn the_tree_has_one_scaffold() {
 }
 
 #[test]
+fn the_tree_has_one_codec_walk() {
+    assert_clean(one_codec_walk(repo()), "one codec walk");
+}
+
+#[test]
 fn the_tree_has_no_per_node_poll_in_a_stepping_loop() {
     assert_clean(no_per_node_poll(repo()), "no per-node poll");
 }
@@ -938,6 +964,36 @@ fn scaffold_rule_reports_a_watchdog_in_a_law_file() {
             "crates/core/src/decbit.rs",
             "crates/core/src/tuned.rs",
             "crates/core/src/cubic.rs"
+        ]
+    );
+}
+
+#[test]
+fn codec_walk_rule_reports_a_size_oracle_but_not_a_decoder_guard() {
+    let oracle = "pub fn state_len_bound(&self) -> usize {";
+    let tested = format!("pub fn save() {{}}\n\n#[cfg(test)]\nmod tests {{\n    {oracle}\n}}");
+    let tree = [
+        file("crates/netsim/src/snapshot.rs", oracle),
+        file("crates/checkpoint/src/lib.rs", "let w = varint_len(now);"),
+        file(
+            "crates/netsim/src/counters.rs",
+            "pub(crate) const ENCODED_LEN: usize = 128;",
+        ),
+        file(
+            "crates/netsim/src/packet.rs",
+            "let cap = dec.remaining() / PacketInfo::MIN_ENCODED_LEN;",
+        ),
+        file("crates/core/src/sim.rs", &tested),
+        file("crates/netsim/tests/behavior.rs", oracle),
+        file("src/lib.rs", oracle),
+        file("DESIGN.md", oracle),
+    ];
+    assert_eq!(
+        paths(&one_codec_walk(&tree)),
+        [
+            "crates/netsim/src/snapshot.rs",
+            "crates/checkpoint/src/lib.rs",
+            "crates/netsim/src/counters.rs"
         ]
     );
 }

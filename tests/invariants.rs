@@ -74,6 +74,7 @@ fn delivery_records_are_causal_and_conserved() {
         assert_eq!(net.live_packets(), 0);
         assert_eq!(records.len() as u64, c.delivered_packets);
         let torus = net.torus();
+        let len = net.config().packet_len as u64;
         for r in &records {
             assert!(r.generated_at <= r.injected_at);
             assert!(r.injected_at < r.delivered_at);
@@ -81,7 +82,7 @@ fn delivery_records_are_causal_and_conserved() {
             // The exact zero-load latency (DESIGN.md §4): the header takes
             // 3 cycles a hop (routing, crossbar, link), the body 1 flit a
             // cycle behind it; contention only adds.
-            let floor = 3 * dist + u64::from(r.len) - 1;
+            let floor = 3 * dist + len - 1;
             assert!(
                 r.network_latency() >= floor,
                 "latency {} under physical floor {floor} (dist {dist}, case {case})",
