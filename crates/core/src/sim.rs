@@ -359,41 +359,7 @@ impl Simulation {
     /// Returns [`SimError`] for invalid network, workload or window
     /// parameters.
     pub fn new(cfg: SimConfig) -> Result<Self, SimError> {
-        if cfg.warmup >= cfg.cycles {
-            return Err(SimError::WarmupTooLong {
-                warmup: cfg.warmup,
-                cycles: cfg.cycles,
-            });
-        }
-        let net = Network::new(cfg.net.clone())?;
-        if let Some(sb) = cfg.scheme.sideband() {
-            let sideband = [sb.radix, sb.dimensions, sb.vcs];
-            let shape = [cfg.net.radix, cfg.net.dimensions, cfg.net.vcs];
-            if sideband != shape {
-                return Err(SimError::SidebandShape {
-                    sideband,
-                    net: shape,
-                });
-            }
-        }
-        let nodes = net.torus().node_count();
-        let runner = WorkloadRunner::new(&cfg.workload, nodes, cfg.seed)?;
-        let ctl = cfg.scheme.build();
-        Ok(Simulation {
-            fingerprint: Self::fingerprint(&cfg, None),
-            cfg,
-            net,
-            runner,
-            ctl,
-            net_latency: LatencyStats::new(),
-            total_latency: LatencyStats::new(),
-            base_delivered_flits: 0,
-            base_delivered_packets: 0,
-            base_recovered: 0,
-            base_throttled: 0,
-            src_delivered: vec![0; nodes],
-            audit_every: None,
-        })
+        Self::build(cfg, None, Self::empty_network).map(|(sim, ())| sim)
     }
 
     /// Builds the simulation with a fault plan installed on the network and
@@ -408,11 +374,69 @@ impl Simulation {
     /// that names nodes or ports outside the configured topology
     /// ([`SimError::Faults`]).
     pub fn with_faults(cfg: SimConfig, plan: FaultPlan) -> Result<Self, SimError> {
-        let mut sim = Simulation::new(cfg)?;
-        sim.fingerprint = Self::fingerprint(&sim.cfg, Some(&plan));
-        sim.net.install_faults(plan.clone())?;
-        sim.ctl.set_faults(plan);
-        Ok(sim)
+        Self::build(cfg, Some(plan), Self::empty_network).map(|(sim, ())| sim)
+    }
+
+    /// The network of a run that starts empty, for [`Simulation::build`].
+    fn empty_network(net: &NetConfig, _fingerprint: u64) -> Result<(Network, ()), SimError> {
+        Ok((Network::new(net.clone())?, ()))
+    }
+
+    /// The one constructor: checks `cfg`, computes the fingerprint of `cfg`
+    /// and `faults`, has `network` build the network from `cfg.net` and
+    /// that fingerprint, then wires the workload, controller and statistics
+    /// around it and installs `faults` on the network and the controller.
+    /// Returns the simulation and what `network` returned beside the
+    /// network.
+    fn build<T>(
+        cfg: SimConfig,
+        faults: Option<FaultPlan>,
+        network: impl FnOnce(&NetConfig, u64) -> Result<(Network, T), SimError>,
+    ) -> Result<(Self, T), SimError> {
+        if cfg.warmup >= cfg.cycles {
+            return Err(SimError::WarmupTooLong {
+                warmup: cfg.warmup,
+                cycles: cfg.cycles,
+            });
+        }
+        // Before `network` runs: a bad configuration is reported as one, not
+        // as a container that does not fit it.
+        cfg.net.validate()?;
+        if let Some(sb) = cfg.scheme.sideband() {
+            let sideband = [sb.radix, sb.dimensions, sb.vcs];
+            let shape = [cfg.net.radix, cfg.net.dimensions, cfg.net.vcs];
+            if sideband != shape {
+                return Err(SimError::SidebandShape {
+                    sideband,
+                    net: shape,
+                });
+            }
+        }
+        let fingerprint = Self::fingerprint(&cfg, faults.as_ref());
+        let (mut net, rest) = network(&cfg.net, fingerprint)?;
+        let nodes = net.torus().node_count();
+        let runner = WorkloadRunner::new(&cfg.workload, nodes, cfg.seed)?;
+        let mut ctl = cfg.scheme.build();
+        if let Some(plan) = faults {
+            net.install_faults(plan.clone())?;
+            ctl.set_faults(plan);
+        }
+        let sim = Simulation {
+            fingerprint,
+            cfg,
+            net,
+            runner,
+            ctl,
+            net_latency: LatencyStats::new(),
+            total_latency: LatencyStats::new(),
+            base_delivered_flits: 0,
+            base_delivered_packets: 0,
+            base_recovered: 0,
+            base_throttled: 0,
+            src_delivered: vec![0; nodes],
+            audit_every: None,
+        };
+        Ok((sim, rest))
     }
 
     /// Advances one cycle and folds deliveries into the statistics.
@@ -592,7 +616,8 @@ impl Simulation {
 
     /// Rebuilds a simulation from `cfg` (+ optional fault plan) and restores
     /// the state captured by [`Simulation::checkpoint`] on an identically
-    /// configured run.
+    /// configured run. The network is built once, by the decoder
+    /// ([`Network::restore`]): no empty one is built first and dropped.
     ///
     /// # Errors
     ///
@@ -606,13 +631,10 @@ impl Simulation {
         faults: Option<FaultPlan>,
         bytes: &[u8],
     ) -> Result<Self, SimError> {
-        let mut sim = match faults {
-            Some(plan) => Simulation::with_faults(cfg, plan)?,
-            None => Simulation::new(cfg)?,
-        };
-        let payload = checkpoint::open(bytes, sim.fingerprint)?;
-        let mut dec = checkpoint::Dec::new(payload);
-        sim.net.restore_state(&mut dec)?;
+        let (mut sim, mut dec) = Self::build(cfg, faults, |net, fingerprint| {
+            let mut dec = checkpoint::Dec::new(checkpoint::open(bytes, fingerprint)?);
+            Ok((Network::restore(net.clone(), &mut dec)?, dec))
+        })?;
         sim.runner.restore_state(&mut dec)?;
         sim.ctl.restore_state(&mut dec)?;
         sim.net_latency = LatencyStats::restore_state(&mut dec)?;

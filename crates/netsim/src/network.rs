@@ -247,6 +247,19 @@ impl Network {
     ///
     /// Returns the configuration error, if any.
     pub fn new(cfg: NetConfig) -> Result<Self, crate::config::ConfigError> {
+        Network::build(cfg, true)
+    }
+
+    /// A network of `cfg`'s shape — torus, route tables, an unsharded plan
+    /// and its derived state, sized and reading as an empty network's —
+    /// holding the ground truth of an empty network if `with_state`
+    /// ([`Network::new`]), else none: a shell whose every ground-truth
+    /// container is unallocated, for [`Network::restore`] to decode into.
+    /// A shell is never stepped as it is.
+    pub(crate) fn build(
+        cfg: NetConfig,
+        with_state: bool,
+    ) -> Result<Self, crate::config::ConfigError> {
         cfg.validate()?;
         let torus = cfg.torus().expect("validated");
         let nodes = torus.node_count();
@@ -259,6 +272,8 @@ impl Network {
         // All VCs start unassigned: every input-VC feeder bit is "unrouted".
         let all_feeders = (1u64 << (d * v)) - 1;
         let packet_len = cfg.packet_len as u16;
+        // The ground truth's per-node and per-VC lengths.
+        let (tn, tv) = if with_state { (nodes, n_vcs) } else { (0, 0) };
         Ok(Network {
             torus,
             d,
@@ -266,21 +281,21 @@ impl Network {
             depth: cfg.buf_depth,
             packet_len,
             max_path,
-            vc_bufs: FlitRings::new(n_vcs, cfg.buf_depth, packet_len, cfg.hop_latency),
-            vc_assign: vec![Assign::None; n_vcs],
-            vc_routed_at: vec![0; n_vcs],
-            vc_blocked: vec![0; n_vcs],
+            vc_bufs: FlitRings::new(tv, cfg.buf_depth, packet_len, cfg.hop_latency),
+            vc_assign: vec![Assign::None; tv],
+            vc_routed_at: vec![0; tv],
+            vc_blocked: vec![0; tv],
             vc_queued: vec![false; n_vcs],
-            out_alloc: vec![false; n_vcs],
-            inj: vec![InjState::idle(); nodes],
-            source_q: Rings::new(nodes, cfg.source_queue_cap),
+            out_alloc: vec![false; tv],
+            inj: vec![InjState::idle(); tn],
+            source_q: Rings::new(tn, cfg.source_queue_cap),
             packets: PacketStore::new(),
-            dl_bufs: FlitRings::new(nodes, DL_DEPTH, packet_len, cfg.hop_latency),
+            dl_bufs: FlitRings::new(tn, DL_DEPTH, packet_len, cfg.hop_latency),
             recovery: None,
             path_scratch: Vec::with_capacity(max_path),
             tables,
-            route_rr: vec![0; nodes],
-            out_rr: vec![0; nodes * (d + 1)],
+            route_rr: vec![0; tn],
+            out_rr: vec![0; tn * (d + 1)],
             now: 0,
             counters: Counters::default(),
             full_buffers: 0,
@@ -294,7 +309,7 @@ impl Network {
             srcq_nodes: NodeSet::new(nodes),
             allow_nodes: NodeSet::new(nodes),
             deliveries: Vec::new(),
-            token_queue: Rings::new(1, n_vcs),
+            token_queue: Rings::new(1, tv),
             last_delivery_at: 0,
             last_progress_at: 0,
             faults: None,
@@ -666,10 +681,12 @@ impl Network {
     /// assignment words, the node summaries, the census, the switch plane
     /// and the token-queue flags — from the ground truth a checkpoint
     /// carries, through [`Network::derive_node`] and
-    /// [`Network::derive_plane`]. Called after a restore.
+    /// [`Network::derive_plane`], in place: nothing is allocated. A
+    /// switch-plane entry the derivation says nothing about keeps what it
+    /// held, which no pass reads ([`crate::plane`]). Called after a restore.
     pub(crate) fn rebuild_derived(&mut self) {
         let fpn = self.d * self.v;
-        let mut plane = SwitchPlane::new(self.vc_busy.len(), fpn);
+        let mut plane = std::mem::take(&mut self.plane);
         let view = plane.view();
         self.busy_nodes.clear();
         self.inj_nodes.clear();

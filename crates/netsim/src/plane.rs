@@ -135,7 +135,7 @@ pub(crate) fn rr_pick(mask: u64, cursor: usize) -> usize {
 }
 
 /// The plane's storage; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct SwitchPlane {
     slot: Vec<Slot>,
     movable_at: Vec<u64>,

@@ -13,8 +13,10 @@
 //! the token-queue flags — is not serialized: restore rebuilds it through
 //! the derivation the audit checks against ([`Network::derive_node`]).
 //! Configuration (`NetConfig`, topology, installed fault plan) is not
-//! serialized either: a snapshot is restored into a network freshly built
-//! from the same configuration, and the caller guards that with a
+//! serialized either: a snapshot is restored under the configuration that
+//! took it — into a network built from it ([`Network::restore_state`]), or
+//! as the network [`Network::restore`] builds from it, which allocates
+//! every arena once, in the decoder — and the caller guards that with a
 //! configuration fingerprint at the container level.
 //!
 //! Each section writes what its state holds, not the network's shape
@@ -43,6 +45,7 @@
 //! are per-cycle scratch (the injection allowance, the recovery path's
 //! recycled backing storage), which the pipeline rewrites before reading.
 
+use crate::config::NetConfig;
 use crate::counters::Counters;
 use crate::network::{Assign, InjState, Network, RecoveryJob, DL_DEPTH};
 use crate::packet::{DeliveredRecord, Flit, PacketStore, QueueEntry};
@@ -312,10 +315,31 @@ impl Network {
         }
     }
 
+    /// Builds a network of `cfg` holding the state [`Network::save_state`]
+    /// wrote under the same configuration: unsharded, fault-free, phase
+    /// stats off. Every arena is the decoder's, allocated once, and the
+    /// derived state is rebuilt in place — no empty network is built first
+    /// and dropped, so a restore's peak heap is the restored network's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Network::restore_state`]; and `Corrupt` when `cfg` does not
+    /// validate ([`NetConfig::validate`] says why): no checkpoint holds
+    /// the state of a network that cannot be built.
+    pub fn restore(cfg: NetConfig, dec: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+        let mut net = Network::build(cfg, false)
+            .map_err(|_| CheckpointError::Corrupt("network configuration does not validate"))?;
+        net.restore_state(dec)?;
+        Ok(net)
+    }
+
     /// Restores state captured with [`Network::save_state`] into a network
     /// built from the *same* configuration (same radix, dimensions, VCs,
-    /// buffer depth). Any installed fault plan is left untouched. A failed
-    /// restore leaves the network unmodified.
+    /// buffer depth). The network's shard plan, installed fault plan and
+    /// phase stats are its own and stay: the decoded flit lines go into the
+    /// plan's pools. A failed restore leaves the network unmodified. This
+    /// is the one decode body; [`Network::restore`] runs it on a network
+    /// with no state yet.
     ///
     /// # Errors
     ///
@@ -325,9 +349,9 @@ impl Network {
     pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         use CheckpointError::Corrupt;
         let nodes = self.torus().node_count();
-        let n_vcs = self.vc_assign.len();
-        let depth = self.config().buf_depth;
         let (d, v) = (self.torus().channels_per_node(), self.config().vcs);
+        let n_vcs = nodes * d * v;
+        let depth = self.config().buf_depth;
         let (plen, hop) = (self.packet_len, self.config().hop_latency);
 
         let now = dec.u64()?;
@@ -452,7 +476,7 @@ impl Network {
         let route_rr = (0..nodes)
             .map(|_| cursor())
             .collect::<Result<Vec<_>, _>>()?;
-        let out_rr = (0..self.out_rr.len())
+        let out_rr = (0..nodes * (d + 1))
             .map(|_| cursor())
             .collect::<Result<Vec<_>, _>>()?;
         let n_tok = dec_below(dec, n_vcs + 1, "token queue implausibly long")?;
@@ -876,6 +900,86 @@ mod tests {
         let mut fresh = Network::new(small_cfg()).unwrap();
         fresh.restore_state(&mut Dec::new(&built)).unwrap();
         assert_eq!(fresh.vc_bufs.front_ready_at(r), ready_base);
+    }
+
+    /// A restore is all or nothing and the receiver's own settings stay. A
+    /// refused container — cut short by its last byte, or with a tag no VC
+    /// writes — leaves a busy receiver's bytes as they were, at one shard
+    /// and at three, with a fault plan installed: it then steps exactly as
+    /// its twin that was never asked, across the plan's hotspot. A good
+    /// container restored into a three-shard network keeps the plan and
+    /// splits its flit lines into the plan's pools, and 500 cycles on it
+    /// end in the bytes of [`Network::restore`]'s unsharded network.
+    #[test]
+    fn restore_writes_all_or_nothing_and_keeps_the_receiver() {
+        use faults::{FaultPlan, HotspotFault};
+        let faults = FaultPlan {
+            hotspots: vec![HotspotFault {
+                node: 5,
+                start: 1_600,
+                end: 1_800,
+            }],
+            ..FaultPlan::none(3)
+        };
+        let hot = hot_net();
+        let snap = snapshot(&hot);
+        let idle = (0..hot.vc_assign.len())
+            .find(|&i| hot.vc_assign[i] == Assign::None && hot.vc_bufs.is_empty(i))
+            .expect("vacuous: no idle VC");
+        let (tag_at, _, _) = vc_span(&snap, &hot, idle);
+        let mut bad_tag = snap.clone();
+        bad_tag[tag_at] = 1 << 5;
+        let truncated = &snap[..snap.len() - 1];
+
+        // A busy network unlike the snapshot's, at `shards`, faulted.
+        let receiver = |shards: usize| {
+            let mut net = Network::new(small_cfg()).unwrap();
+            net.install_faults(faults.clone()).unwrap();
+            net.set_shards(shards);
+            let mut src = testnet::arrivals(2, 16, 40);
+            for _ in 0..1_550 {
+                net.cycle_from(&mut src, &mut NoControl);
+            }
+            net
+        };
+        // `net` stepped across the hotspot; its bytes and its counters.
+        let step = |mut net: Network, seed: u64| {
+            let mut src = testnet::arrivals(seed, 16, 60);
+            for _ in 0..500 {
+                net.cycle_from(&mut src, &mut NoControl);
+            }
+            assert!(net.audit().is_clean());
+            (snapshot(&net), *net.counters())
+        };
+        for shards in [1, 3] {
+            let mut net = receiver(shards);
+            let before = snapshot(&net);
+            assert!(net.restore_state(&mut Dec::new(truncated)).is_err());
+            assert!(matches!(
+                net.restore_state(&mut Dec::new(&bad_tag)),
+                Err(CheckpointError::Corrupt("bad input VC tag"))
+            ));
+            assert_eq!(snapshot(&net), before, "a refused restore wrote");
+            assert_eq!(net.shards(), shards);
+            let (bytes, counters) = step(net, 2);
+            assert!(counters.hotspot_stall_cycles > 0, "vacuous: no stall");
+            assert_eq!((bytes, counters), step(receiver(shards), 2));
+        }
+
+        let mut sharded = receiver(3);
+        sharded.restore_state(&mut Dec::new(&snap)).unwrap();
+        assert_eq!(snapshot(&sharded), snap);
+        assert_eq!(sharded.shards(), 3);
+        assert!(sharded.pools_match_plan(), "lines outside the plan's pools");
+        assert!(sharded.audit().is_clean());
+        let mut dec = Dec::new(&snap);
+        let mut unsharded = Network::restore(small_cfg(), &mut dec).unwrap();
+        dec.finish().unwrap();
+        unsharded.install_faults(faults.clone()).unwrap();
+        assert_eq!(unsharded.shards(), 1);
+        let (bytes, counters) = step(sharded, 1);
+        assert!(counters.hotspot_stall_cycles > 0, "vacuous: no stall");
+        assert_eq!((bytes, counters), step(unsharded, 1));
     }
 
     #[test]

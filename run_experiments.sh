@@ -1,7 +1,8 @@
 #!/bin/bash
 # Regenerates every recorded artifact under results/ (see DESIGN.md S5).
-# Scales are chosen for single-core wall-clock economy; pass your own
-# --scale to the binaries for paper-scale runs.
+# Scales are chosen to keep the whole regeneration short; each figure runs
+# its points on the `fig` worker pool (`STCC_JOBS`, default: every core).
+# Pass your own --scale to the binaries for paper-scale runs.
 set -u
 cd "$(dirname "$0")"
 FIG=target/release/fig

@@ -431,14 +431,16 @@ const UNSAFE_MODULE: &str = "crates/netsim/src/shard.rs";
 const UNSAFE_LINES: usize = 5;
 
 /// `unsafe` small enough to argue about. Outside comments, the word
-/// appears in three `.rs` files only:
+/// appears in four `.rs` files only:
 /// - [`UNSAFE_MODULE`], on at most [`UNSAFE_LINES`] lines above its test
 ///   module — the two checked-cell primitives, the packet-field
 ///   projection, the worker pool's one detach of a shard's view and the
 ///   `Send` that detach needs, all resting on one stated argument — and on
 ///   none inside it, where views come from the safe `narrow`;
 /// - `crates/experiments/src/sigint.rs`, the signal handler;
-/// - `crates/netsim/tests/zero_alloc.rs`, the counting allocator.
+/// - `crates/netsim/tests/zero_alloc.rs` and
+///   `crates/core/tests/restore_alloc.rs`, the counting allocators (a
+///   `#[global_allocator]` is an `unsafe impl` calling the system's).
 ///
 /// The compiler already forbids `unsafe_code` in every other crate and
 /// denies it in every other `wormsim` module; this rule keeps the count. A
@@ -449,7 +451,9 @@ fn unsafe_stays_small(tree: &[File]) -> Vec<String> {
     for f in tree.iter().filter(|f| f.path.ends_with(".rs")) {
         let lines = scan(&f.path, &f.text, code);
         match f.path.as_str() {
-            "crates/experiments/src/sigint.rs" | "crates/netsim/tests/zero_alloc.rs" => {}
+            "crates/experiments/src/sigint.rs"
+            | "crates/netsim/tests/zero_alloc.rs"
+            | "crates/core/tests/restore_alloc.rs" => {}
             UNSAFE_MODULE => {
                 let above = scan(&f.path, above_tests(&f.text), code).len();
                 found.extend(lines.iter().take(above).skip(UNSAFE_LINES).cloned());
@@ -1186,6 +1190,7 @@ fn unsafe_rule_reports_a_sixth_line_one_in_tests_and_one_elsewhere() {
             &format!("/// not {UNSAFE}\n{block}"),
         ),
         file("crates/netsim/tests/zero_alloc.rs", &block),
+        file("crates/core/tests/restore_alloc.rs", &block),
         file("crates/experiments/src/sigint.rs", &block),
         file(
             "crates/core/src/lib.rs",
