@@ -1,4 +1,5 @@
-//! Proves a restore builds the simulation it returns and nothing beside it.
+//! Proves a restore builds the simulation it returns and nothing beside it,
+//! and pins the dense per-VC footprint of a fresh network.
 //!
 //! A counting global allocator wraps the system allocator and keeps the
 //! live heap and its high-water mark. A saturated paper-net run is
@@ -11,6 +12,14 @@
 //! network it returns peaks at 1.02×, the decoder's scratch above it. The
 //! simulation is deterministic, so the ratio is the same on every run.
 //!
+//! A second phase builds a fresh 12-ary 3-cube `Network` (31 104 input
+//! VCs) and counts the heap it keeps, less the two arenas whose memory
+//! follows the traffic rather than the network's size: the flit lines (a
+//! line of 8-byte slots per input VC, written only as rings take lines)
+//! and the source queues' reserved entries (rows written only as queues
+//! reach them). What is left is what every VC costs whether or not a worm
+//! ever enters it: at most [`MAX_DENSE_BYTES_PER_VC`] per input VC.
+//!
 //! Everything lives in one `#[test]` because the counters are
 //! process-global: a second test running concurrently would pollute them.
 
@@ -19,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stcc::{Scheme, SimConfig, Simulation};
 use traffic::{Pattern, Process, Workload};
-use wormsim::{DeadlockMode, NetConfig};
+use wormsim::{DeadlockMode, NetConfig, Network};
 
 struct CountingAlloc;
 
@@ -76,6 +85,19 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// restored simulation keeps.
 const MAX_PEAK_OVER_KEPT: f64 = 1.25;
 
+/// The most heap a fresh network may keep per input VC beside its flit
+/// lines and source-queue entries; 48.8 B is kept. About 30 B of it is a
+/// VC's own state: its ring cursor and its routing word (8 B each), its
+/// switch-plane entry (8 B, and a 19th feeder's per 18 VCs), its
+/// assignment (3 B), two flags and its share of the arbiter cursors (a
+/// byte per output channel). Per-node words add ~6 B, and reservations
+/// the pipeline writes only under recovery traffic add 12 B: the token
+/// queue and the route pass's suspect and trip lists, 4 B per VC each.
+/// Separate routing-cycle and blocked-count words, a 64-bit move cycle,
+/// an output-slot table, a free-line array and word-wide cursors kept
+/// 72.3 B.
+const MAX_DENSE_BYTES_PER_VC: f64 = 52.0;
+
 #[test]
 fn a_restore_peaks_at_the_simulation_it_keeps() {
     // The paper net under the self-tuned throttle, offered past its
@@ -111,4 +133,28 @@ fn a_restore_peaks_at_the_simulation_it_keeps() {
         "a restore peaked at {peak} B above its caller's heap to keep {kept} B \
          ({ratio:.2}×, at most {MAX_PEAK_OVER_KEPT}× allowed)"
     );
+    drop((restored, sim));
+
+    // The dense footprint of a fresh 12-ary 3-cube.
+    let cube = NetConfig {
+        radix: 12,
+        dimensions: 3,
+        ..NetConfig::paper(DeadlockMode::PAPER_RECOVERY)
+    };
+    let before = LIVE.load(Ordering::Relaxed);
+    let net = Network::new(cube.clone()).expect("valid config");
+    let kept = LIVE.load(Ordering::Relaxed) - before;
+    let vcs = net.flit_lines().total;
+    assert_eq!(vcs, 31_104);
+    let dense = kept
+        .checked_sub(net.sparse_arena_bytes())
+        .expect("the sparse arenas' reservations are part of the heap the network keeps");
+    let per_vc = dense as f64 / vcs as f64;
+    assert!(
+        per_vc <= MAX_DENSE_BYTES_PER_VC,
+        "a fresh 12-ary 3-cube keeps {kept} B, {dense} B of it beside its flit lines \
+         and source queues: {per_vc:.1} B per input VC, at most \
+         {MAX_DENSE_BYTES_PER_VC} allowed"
+    );
+    drop(net);
 }

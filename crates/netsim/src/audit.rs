@@ -42,6 +42,11 @@ pub enum AuditKind {
     /// Switch-plane slot or `movable_at` vs. the assignment, ring front
     /// and routing timestamp it summarizes.
     SwitchPlane,
+    /// An input VC's `vc_routing` word vs. its assignment: a routed VC's
+    /// routing cycle after the current one, or a blocked count on a VC
+    /// that holds no header assigned `None` (an idle, suspected or
+    /// recovering VC's word is 0).
+    RoutingWord,
     /// `busy_nodes` summary vs. the per-node worklist word.
     BusySummary,
     /// `inj_nodes` summary vs. the injection interfaces.
@@ -92,6 +97,7 @@ impl AuditKind {
             AuditKind::UnroutedBit => "unrouted-bit",
             AuditKind::SwitchableBit => "switchable-bit",
             AuditKind::SwitchPlane => "switch-plane",
+            AuditKind::RoutingWord => "routing-word",
             AuditKind::BusySummary => "busy-summary",
             AuditKind::InjSummary => "inj-summary",
             AuditKind::SrcqSummary => "srcq-summary",
@@ -175,6 +181,7 @@ impl Network {
     pub fn audit(&self) -> AuditReport {
         let mut v: Vec<AuditViolation> = Vec::new();
         self.audit_worklists(&mut v);
+        self.audit_routing_words(&mut v);
         self.audit_ledgers(&mut v);
         self.audit_out_alloc(&mut v);
         self.audit_token_queue(&mut v);
@@ -200,13 +207,17 @@ impl Network {
     /// The switch plane is checked where the switch pass can come to read
     /// it — the slot of every switchable input VC, the `movable_at`
     /// of those that hold a flit, both for every active injection; the
-    /// rest of it is stale by design ([`crate::plane`]).
+    /// rest of it is stale by design ([`crate::plane`]). A `movable_at`
+    /// stamp must read as the derived cycle, or — for a cycle a re-stamp
+    /// may have moved — as a past cycle after it
+    /// ([`crate::ring::Clock::reads_as`]).
     pub(crate) fn audit_worklists(&self, v: &mut Vec<AuditViolation>) {
         use AuditKind as K;
         let fpn = self.torus().channels_per_node() * self.config().vcs;
         let mut push = |kind, detail| v.push(AuditViolation { kind, detail });
         let bit = |b: bool| u64::from(b);
         let mut census = 0u32;
+        let clock = self.vc_bufs.clock();
         for node in 0..self.vc_busy.len() {
             let w = self.derive_node(node);
             let has = |set: &NodeSet| bit(set.contains(node));
@@ -226,16 +237,17 @@ impl Network {
             for f in 0..=fpn {
                 let (slot, movable_at) = self.derive_plane(node, f);
                 let at = node * (fpn + 1) + f;
-                let (s, t) = (self.plane.slot(at), self.plane.movable_at(at));
+                let (s, t) = (self.plane.slot(at), self.plane.movable_stamp(at));
                 let diff = match slot {
                     _ if f == fpn && !w.injecting => None,
                     None if f == fpn => {
                         Some(format!("active but assigned {:?}", self.inj[node].assign))
                     }
                     Some(slot) if s != slot => Some(format!("slot {s:?}, expected {slot:?}")),
-                    Some(_) if movable_at.is_some_and(|m| m != t) => {
-                        Some(format!("movable_at {t}, expected {movable_at:?}"))
-                    }
+                    Some(_) if movable_at.is_some_and(|m| !clock.reads_as(t, m)) => Some(format!(
+                        "movable_at reads {}, expected {movable_at:?}",
+                        clock.ready_at(t)
+                    )),
                     _ => None,
                 };
                 if let Some(diff) = diff {
@@ -252,6 +264,32 @@ impl Network {
         }
         for (rings, what) in [(&self.vc_bufs, "VC"), (&self.dl_bufs, "deadlock buffer")] {
             rings.pool_faults(|fault| push(K::PoolLedger, format!("{what} arena: {fault}")));
+        }
+    }
+
+    /// Every input VC's `vc_routing` word against its assignment: a routed
+    /// VC's routing cycle is not after the current one; an unrouted VC's
+    /// word is its blocked count, 0 unless the VC holds a header assigned
+    /// `None`; a recovering VC's is 0. Formats only on a breach: debug
+    /// builds run this after every cycle, with the worklist audit.
+    pub(crate) fn audit_routing_words(&self, v: &mut Vec<AuditViolation>) {
+        for (idx, (&a, &word)) in self.vc_assign.iter().zip(&self.vc_routing).enumerate() {
+            let fault = match a {
+                Assign::Out { .. } | Assign::Delivery => word > self.now,
+                Assign::None => word != 0 && self.vc_bufs.is_empty(idx),
+                Assign::AwaitToken | Assign::Recovery => word != 0,
+            };
+            if fault {
+                v.push(AuditViolation {
+                    kind: AuditKind::RoutingWord,
+                    detail: format!(
+                        "VC {idx} assigned {a:?} holding {} flit(s): routing word {word} \
+                         (now {})",
+                        self.vc_bufs.len(idx),
+                        self.now
+                    ),
+                });
+            }
         }
     }
 
@@ -704,6 +742,7 @@ mod tests {
     use super::*;
     use crate::config::{DeadlockMode, NetConfig};
     use crate::control::NoControl;
+    use crate::network::opposite_port;
     use crate::packet::{Flit, PacketInfo};
     use crate::plane::Slot;
     use crate::shard::{Parked, ShardPlan, ShardStage};
@@ -794,7 +833,8 @@ mod tests {
                 })
                 .expect("no busy routed VC in a saturated net")
         };
-        let wrong_port = |slot: Slot| Slot::new(slot.port() ^ 1, slot.dnode(), slot.dbit());
+        let wrong_port =
+            |slot: Slot| Slot::new(opposite_port(slot.port()), slot.dnode(), slot.dbit());
 
         let mut net = hot_net();
         let at = vc_at(&net);
@@ -804,8 +844,8 @@ mod tests {
 
         let mut net = hot_net();
         let at = vc_at(&net);
-        let movable_at = net.plane.movable_at(at);
-        net.plane.view().set_movable_at(at, movable_at + 1);
+        let stamp = net.plane.movable_stamp(at);
+        net.plane.view().set_movable_at(at, u64::from(stamp) + 1);
         assert_exactly(&net, AuditKind::SwitchPlane);
 
         let mut net = hot_net();
@@ -816,6 +856,34 @@ mod tests {
         let slot = net.plane.slot(at);
         net.plane.view().set_slot(at, wrong_port(slot));
         assert_exactly(&net, AuditKind::SwitchPlane);
+    }
+
+    /// A routing word where none may be: a blocked count on an idle VC,
+    /// and on a VC draining through recovery, each a routing-word
+    /// violation alone.
+    #[test]
+    fn detects_a_blocked_count_no_header_holds() {
+        let mut net = hot_net();
+        let idle = (0..net.vc_assign.len())
+            .find(|&i| net.vc_assign[i] == Assign::None && net.vc_bufs.is_empty(i))
+            .expect("vacuous: no idle VC");
+        net.vc_routing[idle] = 3;
+        assert_exactly(&net, AuditKind::RoutingWord);
+
+        let mut net = hot_net();
+        let mut src = arrivals(1, 16, 60);
+        let recovering = loop {
+            if let Some(i) =
+                (0..net.vc_assign.len()).find(|&i| net.vc_assign[i] == Assign::Recovery)
+            {
+                break i;
+            }
+            assert!(net.now < 10_000, "vacuous: no VC recovers");
+            net.cycle_from(&mut src, &mut NoControl);
+        };
+        assert!(net.audit().is_clean());
+        net.vc_routing[recovering] = 1;
+        assert_exactly(&net, AuditKind::RoutingWord);
     }
 
     #[test]
@@ -1065,24 +1133,28 @@ mod tests {
         );
     }
 
-    /// Two rings holding one line: an empty ring inside a worm, which
-    /// reads nothing from its line, pointed at a busy ring's. Its own line
-    /// is then leaked too.
-    #[test]
-    fn detects_a_line_held_twice() {
+    /// A network with an empty ring inside a worm — it holds a line but
+    /// reads nothing from it — and that ring.
+    fn net_with_an_empty_held_line() -> (Network, usize) {
         let mut net = Network::new(crate::testnet::small_cfg()).unwrap();
-        let rings = 0..net.vc_assign.len();
         let mut src = arrivals(5, 16, 20);
-        let idle = loop {
+        loop {
             net.cycle_from(&mut src, &mut NoControl);
-            let idle = rings
-                .clone()
+            let idle = (0..net.vc_assign.len())
                 .find(|&r| net.vc_bufs.is_empty(r) && net.vc_bufs.line(r).is_some());
             if let Some(r) = idle.filter(|_| net.packets.live() > 1) {
-                break r;
+                return (net, r);
             }
             assert!(net.now < 5_000, "no VC emptied inside a worm");
-        };
+        }
+    }
+
+    /// Two rings holding one line: an empty ring inside a worm pointed at a
+    /// busy ring's. Its own line is then leaked too.
+    #[test]
+    fn detects_a_line_held_twice() {
+        let (mut net, idle) = net_with_an_empty_held_line();
+        let rings = 0..net.vc_assign.len();
         let busy = rings.clone().find(|&r| !net.vc_bufs.is_empty(r)).unwrap();
         let line = net.vc_bufs.line(busy).unwrap();
         net.vc_bufs.set_line(idle, line);
@@ -1119,15 +1191,49 @@ mod tests {
         );
     }
 
+    /// A chain entry a ring also holds: the line of an empty ring inside
+    /// a worm pushed onto the free chain, its first slot — read by no flit
+    /// — now the chain's link.
     #[test]
     fn detects_a_free_line_also_held() {
-        let mut net = hot_net();
-        let r = (0..net.vc_assign.len())
-            .find(|&r| !net.vc_bufs.is_empty(r))
-            .unwrap();
+        let (mut net, r) = net_with_an_empty_held_line();
         let line = net.vc_bufs.line(r).unwrap();
         net.vc_bufs.free_line(r, line);
         assert_pool_fault(&net, &format!("free line {line} of pool 0 is also held"));
+    }
+
+    /// A free chain whose second line links back to its first: the walk
+    /// meets the first line twice, and the lines past the loop are lost.
+    #[test]
+    fn detects_a_cycle_in_the_free_chain() {
+        let mut net = hot_net();
+        let free = net.vc_bufs.free_lines(0);
+        assert!(free.len() >= 3, "vacuous: {} free lines", free.len());
+        net.vc_bufs.set_free_link(free[1], free[0]);
+        assert_pool_fault(
+            &net,
+            &format!("line {} of pool 0 is on the free list twice", free[0]),
+        );
+        assert_pool_fault(
+            &net,
+            &format!("line {} of pool 0 is below its mark", free[2]),
+        );
+    }
+
+    /// A free chain linking to the pool's mark, a line no ring has taken
+    /// yet: the walk stops there, and the chain's tail is lost.
+    #[test]
+    fn detects_a_free_chain_entry_above_the_mark() {
+        let mut net = hot_net();
+        let free = net.vc_bufs.free_lines(0);
+        assert!(free.len() >= 2, "vacuous: {} free lines", free.len());
+        let mark = net.flit_lines().reached;
+        assert!(mark < net.vc_assign.len(), "vacuous: every line reached");
+        net.vc_bufs.set_free_link(free[0], mark);
+        assert_pool_fault(
+            &net,
+            &format!("free line {mark} outside pool 0's lines 0..{mark}"),
+        );
     }
 
     #[test]

@@ -59,8 +59,8 @@ impl Network {
             .packet;
         let view = self.apply_ctx();
         let (node, f) = (idx / view.fpn, idx % view.fpn);
+        // A suspect's blocked count is 0 already, as a recovering VC's is.
         view.set_assign(node, f, Assign::Recovery);
-        self.vc_blocked[idx] = 0;
         let dst = self.packets.get(pid).dst;
         // The scratch vector is kept at diameter+1 capacity, so building the
         // path allocates nothing in steady state.

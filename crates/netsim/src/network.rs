@@ -137,12 +137,13 @@ pub struct Network {
     pub(crate) vc_bufs: FlitRings,
     /// Routing assignment of the packet at the front of each input VC.
     pub(crate) vc_assign: Vec<Assign>,
-    /// Cycle each VC's current assignment was made (headers move one cycle
-    /// later: the paper's 1-cycle routing delay).
-    pub(crate) vc_routed_at: Vec<u64>,
-    /// Consecutive cycles each VC's front header has been ready but
-    /// unrouted (drives Disha's timeout detection).
-    pub(crate) vc_blocked: Vec<u64>,
+    /// One word per input VC, read by its assignment. `Out`/`Delivery`:
+    /// the cycle the worm was routed (its header moves one cycle later:
+    /// the paper's 1-cycle routing delay). `None`/`AwaitToken`/`Recovery`:
+    /// the consecutive cycles the front header has been ready but unrouted
+    /// (drives Disha's timeout detection), which is 0 unless the VC holds
+    /// a header assigned `None` — a tail's release resets the word.
+    pub(crate) vc_routing: Vec<u64>,
     /// Whether each VC currently has an entry in the recovery token queue
     /// (derived from the queue on restore).
     pub(crate) vc_queued: Vec<bool>,
@@ -166,13 +167,14 @@ pub struct Network {
     /// `max_path` so granting the token never allocates in steady state.
     pub(crate) path_scratch: Vec<NodeId>,
 
-    /// Precomputed per-dimension routing rows and output-VC slots.
+    /// Precomputed per-dimension routing rows and coordinate digits.
     pub(crate) tables: RouteTables,
 
-    /// Demand-slotted round-robin cursor of each router's routing arbiter.
-    pub(crate) route_rr: Vec<usize>,
+    /// Demand-slotted round-robin cursor of each router's routing arbiter
+    /// (at most the feeder count, `fpn + 1 <= 64`).
+    pub(crate) route_rr: Vec<u8>,
     /// Round-robin cursor per output channel (network ports + delivery).
-    pub(crate) out_rr: Vec<usize>,
+    pub(crate) out_rr: Vec<u8>,
 
     pub(crate) now: u64,
     pub(crate) counters: Counters,
@@ -195,7 +197,7 @@ pub struct Network {
     pub(crate) vc_switchable: Vec<u64>,
     /// Per-feeder output port, credit bit and earliest move cycle: what
     /// the switch pass reads instead of chasing `vc_assign`, the ring
-    /// fronts and `vc_routed_at` ([`crate::plane`]). Derived state.
+    /// fronts and the routing cycles ([`crate::plane`]). Derived state.
     pub(crate) plane: SwitchPlane,
     /// Occupancy bit-planes: bit `f` of `vc_full[node]` iff input VC
     /// `node*d*v + f` is completely full. `full_buffers` (the side-band's
@@ -267,7 +269,7 @@ impl Network {
         let v = cfg.vcs;
         let n_vcs = nodes * d * v;
         let max_path = torus.dimensions() * (cfg.radix / 2) + 1;
-        let tables = RouteTables::build(&torus, v);
+        let tables = RouteTables::build(&torus);
         let plan = ShardPlan::new(1, &torus, v);
         // All VCs start unassigned: every input-VC feeder bit is "unrouted".
         let all_feeders = (1u64 << (d * v)) - 1;
@@ -283,8 +285,7 @@ impl Network {
             max_path,
             vc_bufs: FlitRings::new(tv, cfg.buf_depth, packet_len, cfg.hop_latency),
             vc_assign: vec![Assign::None; tv],
-            vc_routed_at: vec![0; tv],
-            vc_blocked: vec![0; tv],
+            vc_routing: vec![0; tv],
             vc_queued: vec![false; n_vcs],
             out_alloc: vec![false; tv],
             inj: vec![InjState::idle(); tn],
@@ -376,6 +377,16 @@ impl Network {
             reached,
             held,
         }
+    }
+
+    /// The heap reserved by the two arenas whose memory follows the traffic
+    /// rather than the network's size: the input-VC flit lines and the
+    /// source queues' entries, written (and so made resident) only as
+    /// rings reach them. The rest of the heap is what every VC and node
+    /// costs whether or not a worm ever enters it (DESIGN.md §4b).
+    #[must_use]
+    pub fn sparse_arena_bytes(&self) -> usize {
+        self.vc_bufs.line_bytes() + self.source_q.reserved_bytes()
     }
 
     /// The current shard count (1 unless [`Network::set_shards`] raised it).
@@ -482,18 +493,18 @@ impl Network {
         self.set_now(to);
     }
 
-    /// Sets the clock, the flit arenas' with it. A flit the arenas
-    /// re-stamp ([`FlitRings::set_now`]) may be a ring's front, so the
-    /// switch plane's `movable_at` is derived afresh for every non-empty
-    /// input VC then (once per 2³¹ cycles at most).
+    /// Sets the clock, the flit arenas' with it. Crossing a multiple of
+    /// 2³¹ re-stamps the arenas' flits ([`FlitRings::set_now`]) and the
+    /// switch plane's `movable_at` stamps, which are derived afresh from
+    /// the re-stamped fronts (once per 2³¹ cycles at most).
     pub(crate) fn set_now(&mut self, now: u64) {
         self.now = now;
         self.dl_bufs.set_now(now);
         if self.vc_bufs.set_now(now) {
             let fpn = self.d * self.v;
             for node in 0..self.inj.len() {
-                for f in 0..fpn {
-                    if let (_, Some(at)) = self.derive_plane(node, f) {
+                for f in 0..=fpn {
+                    if let Some(at) = self.plane_stamp(node, f) {
                         self.plane.view().set_movable_at(node * (fpn + 1) + f, at);
                     }
                 }
@@ -628,10 +639,13 @@ impl Network {
     /// unless `a` is switchable; `None` too for an output the router does
     /// not have, which is the audit's to report).
     pub(crate) fn slot_of(&self, node: NodeId, a: Assign) -> Option<Slot> {
-        let (d, v) = (self.d, self.v);
         match a {
-            Assign::Out { port, vc } if usize::from(port) >= d || usize::from(vc) >= v => None,
-            a => Slot::of(self.tables.out_slots(), d, v, node, a),
+            Assign::Out { port, vc }
+                if usize::from(port) >= self.d || usize::from(vc) >= self.v =>
+            {
+                None
+            }
+            a => Slot::of(&self.tables, self.v, node, a),
         }
     }
 
@@ -671,10 +685,18 @@ impl Network {
             return (self.slot_of(node, inj.assign), Some(movable_at));
         }
         let idx = node * fpn + f;
-        let routed_at = self.vc_routed_at[idx];
+        let routed_at = self.vc_routing[idx];
         let front = self.vc_bufs.front(idx);
         let movable_at = front.map(|fl| vc_movable_at(fl.idx, fl.ready_at, routed_at));
         (self.slot_of(node, self.vc_assign[idx]), movable_at)
+    }
+
+    /// The `movable_at` [`Network::derive_plane`] derives for feeder `f`
+    /// of `node`, as the switch plane stamps it now: re-stamped, as a flit
+    /// buffered now is ([`crate::ring::Clock::restamped`]).
+    fn plane_stamp(&self, node: NodeId, f: usize) -> Option<u64> {
+        let (_, movable_at) = self.derive_plane(node, f);
+        movable_at.map(|at| self.vc_bufs.clock().restamped(at))
     }
 
     /// Rebuilds every derived structure — the worklist, occupancy and
@@ -709,11 +731,10 @@ impl Network {
             self.vc_switchable[node] = w.switchable;
             self.full_buffers += w.full.count_ones();
             for f in 0..=fpn {
-                let (slot, movable_at) = self.derive_plane(node, f);
-                if let Some(slot) = slot {
+                if let (Some(slot), _) = self.derive_plane(node, f) {
                     view.set_slot(node * (fpn + 1) + f, slot);
                 }
-                if let Some(at) = movable_at {
+                if let Some(at) = self.plane_stamp(node, f) {
                     view.set_movable_at(node * (fpn + 1) + f, at);
                 }
             }
@@ -772,6 +793,7 @@ impl Network {
         {
             let mut violations = Vec::new();
             self.audit_worklists(&mut violations);
+            self.audit_routing_words(&mut violations);
             self.audit_shards(&mut violations);
             debug_assert!(violations.is_empty(), "{violations:?}");
         }
@@ -1004,8 +1026,7 @@ impl Network {
             route_rr: Cells::new(&mut self.route_rr),
             out_rr: Cells::new(&mut self.out_rr),
             vc_assign: Cells::new(&mut self.vc_assign),
-            vc_routed_at: Cells::new(&mut self.vc_routed_at),
-            vc_blocked: Cells::new(&mut self.vc_blocked),
+            vc_routing: Cells::new(&mut self.vc_routing),
             out_alloc: Cells::new(&mut self.out_alloc),
             inj: Cells::new(&mut self.inj),
             vc_busy: Cells::new(&mut self.vc_busy),
@@ -1097,7 +1118,7 @@ impl ApplyCtx<'_> {
     ///
     /// The outcome is the same for every partition and router order,
     /// because nothing a router reads is written by another router's pass:
-    /// its requester fronts, `route_rr`, `vc_blocked`, `vc_assign` and its
+    /// its requester fronts, `route_rr`, `vc_routing`, `vc_assign` and its
     /// own outputs' `out_alloc` are its own; the visit copy, the cycle's
     /// injection allowances, the source queues and packet destinations are
     /// written by no pass (a won injection's entry leaves its queue in the
@@ -1168,8 +1189,8 @@ impl ApplyCtx<'_> {
         }
         // Demand-slotted RR: the first requester at or after the cursor
         // position.
-        let winner = rr_pick(requests, self.route_rr.get(node));
-        self.route_rr.set(node, winner + 1);
+        let winner = rr_pick(requests, usize::from(self.route_rr.get(node)));
+        self.route_rr.set(node, winner as u8 + 1);
 
         // Routing decision for the winner. A queued packet has no record
         // yet, and has never escaped.
@@ -1210,7 +1231,7 @@ impl ApplyCtx<'_> {
             // but keeps retrying normal routing until the token is
             // captured; the token-queue commit is globally FIFO-ordered,
             // the fold's.
-            let starved = self.vc_blocked.get(idx) + 1;
+            let starved = self.vc_routing.get(idx) + 1;
             if starved >= timeout {
                 let packet = self.packets.packet(self.vc_bufs.front_packet(idx));
                 if now.saturating_sub(packet.last_move.load(Ordering::Relaxed)) >= timeout {
@@ -1219,7 +1240,7 @@ impl ApplyCtx<'_> {
                     continue;
                 }
             }
-            self.vc_blocked.set(idx, starved);
+            self.vc_routing.set(idx, starved);
         }
     }
 
@@ -1291,6 +1312,7 @@ impl ApplyCtx<'_> {
         // (sized by the slot's 5-bit port field). Every word a router sets
         // is taken back to zero when its channel is arbitrated.
         let mut cands = [0u64; 32];
+        let clock = self.vc_bufs.clock();
         for w in (lo >> 6)..hi.div_ceil(64) {
             // A router's injection bit changes only in its own pass, so the
             // word is exact for every router of this shard not yet visited.
@@ -1313,8 +1335,8 @@ impl ApplyCtx<'_> {
                     mask &= mask - 1;
                     let slot = self.plane.slot(base + f);
                     let credit = self.credit.atomic(slot.dnode()).load(Ordering::Relaxed);
-                    let ok =
-                        (self.plane.movable_at(base + f) <= now) & (credit >> slot.dbit() & 1 == 0);
+                    let movable = clock.is_ready(self.plane.movable_stamp(base + f));
+                    let ok = movable & (credit >> slot.dbit() & 1 == 0);
                     cands[slot.port()] |= u64::from(ok) << f;
                     ports |= u32::from(ok) << slot.port();
                 }
@@ -1338,7 +1360,8 @@ impl ApplyCtx<'_> {
                             continue;
                         }
                     }
-                    let pick = rr_pick(feeders, self.out_rr.get(node * self.nports + port));
+                    let cursor = self.out_rr.get(node * self.nports + port);
+                    let pick = rr_pick(feeders, usize::from(cursor));
                     let (flit, slot) = self.take(now, node, port, pick, stage);
                     let (dnode, dbit) = (slot.dnode(), slot.dbit());
                     if port == self.d {
@@ -1388,7 +1411,7 @@ impl ApplyCtx<'_> {
     /// unless `a` is switchable).
     #[inline]
     fn slot_of(&self, node: NodeId, a: Assign) -> Option<Slot> {
-        Slot::of(self.tables.out_slots(), self.d, self.v, node, a)
+        Slot::of(self.tables, self.v, node, a)
     }
 
     /// Marks input VC `f` of `node` — now holding `len` flits — non-empty
@@ -1446,7 +1469,7 @@ impl ApplyCtx<'_> {
     /// it waits for the token, its blocked count restarts.
     pub(crate) fn suspect(&self, idx: usize) {
         self.set_assign(idx / self.fpn, idx % self.fpn, Assign::AwaitToken);
-        self.vc_blocked.set(idx, 0);
+        self.vc_routing.set(idx, 0);
     }
 
     /// Performs the allocation of a routing win: output-VC claim, escape
@@ -1496,8 +1519,7 @@ impl ApplyCtx<'_> {
             self.plane.set_slot(at, slot);
         } else {
             self.set_assign(node, feeder, assign);
-            self.vc_routed_at.set(idx, now);
-            self.vc_blocked.set(idx, 0);
+            self.vc_routing.set(idx, now);
         }
         // The winner's header was ready to request routing (an injection's
         // flits always are): the 1-cycle routing delay is all that holds it.
@@ -1519,7 +1541,7 @@ impl ApplyCtx<'_> {
         f: usize,
         stage: &mut ShardStage,
     ) -> (Flit, Slot) {
-        self.out_rr.set(node * self.nports + port, f + 1);
+        self.out_rr.set(node * self.nports + port, f as u8 + 1);
         let slot = self.plane.slot(node * (self.fpn + 1) + f);
         debug_assert_eq!(slot.port(), port, "stale switch-plane slot");
         // The tail test reads the configured packet length, so a move's
@@ -1554,6 +1576,8 @@ impl ApplyCtx<'_> {
             if flit.idx + 1 == self.packet_len {
                 self.release_output(node, self.vc_assign.get(idx));
                 self.set_assign(node, f, Assign::None);
+                // The routing cycle gives way to a blocked count of 0.
+                self.vc_routing.set(idx, 0);
             }
             self.note_vc_popped(node, f, &mut stage.full_delta);
             (flit, packet)
@@ -1634,6 +1658,15 @@ fn range_word_mask(w: usize, lo: usize, hi: usize) -> u64 {
 #[must_use]
 pub(crate) fn port_of(dim: usize, dir: Dir) -> usize {
     dim * 2 + usize::from(dir == Dir::Minus)
+}
+
+/// The port at the other end of `port`'s channel: the same dimension, the
+/// opposite direction.
+#[inline]
+#[must_use]
+pub(crate) fn opposite_port(port: usize) -> usize {
+    let (dim, dir) = dim_dir_of(port);
+    port_of(dim, dir.opposite())
 }
 
 /// Inverse of [`port_of`].
@@ -2073,9 +2106,10 @@ mod tests {
             for id in 0..net.packets.slot_count() as PacketId {
                 net.packets.get_mut(id).last_move = now - timeout;
             }
+            // Every header assigned `None`; an idle VC's count stays 0.
             for idx in 0..net.vc_assign.len() {
-                if net.vc_assign[idx] == Assign::None {
-                    net.vc_blocked[idx] = timeout - 1;
+                if net.vc_assign[idx] == Assign::None && !net.vc_bufs.is_empty(idx) {
+                    net.vc_routing[idx] = timeout - 1;
                 }
             }
             let routed: Vec<bool> = net
@@ -2089,9 +2123,16 @@ mod tests {
                 .map(|i| net.token_queue.get(0, i))
                 .collect();
             // A trip's header was routed before the cycle or in its route
-            // pass; a suspect's is still unrouted. Each kind is in VC
+            // pass — whose win stamped it movable at `now + 1`, where a
+            // suspect's ready header stands movable since it came to the
+            // front — and a suspect's is still unrouted. Each kind is in VC
             // order, every suspect before every trip.
-            let tripped = |&i: &u32| routed[i as usize] || net.vc_routed_at[i as usize] == now;
+            let fpn = net.d * net.v;
+            let routed_now = |i: usize| {
+                let at = i / fpn * (fpn + 1) + i % fpn;
+                net.plane.movable_stamp(at) == (now + 1) as u32
+            };
+            let tripped = |&i: &u32| routed[i as usize] || routed_now(i as usize);
             let fresh = &queue[queued..];
             let (suspects, trips) =
                 fresh.split_at(fresh.iter().take_while(|i| !tripped(i)).count());
@@ -2161,6 +2202,46 @@ mod tests {
             net.counters.escape_allocations, escapes,
             "a packet alone on its links took an escape VC"
         );
+    }
+
+    /// A move stamp keeps 32 bits of `movable_at`, yet a busy network
+    /// stepped across the 2³² wrap of the cycle — a multiple of 2³¹, where
+    /// flits and move stamps are re-stamped — moves every flit exactly as
+    /// the same network does far from it: restored with its clock moved
+    /// by a multiple of the scan period to 4 cycles short of 2³², fed the
+    /// same arrivals, it writes the same checkpoint past the clock after
+    /// 12 cycles (every stamp there is an offset back from `now`), and
+    /// the debug build's per-cycle audit checks the plane on the way.
+    #[test]
+    fn a_busy_network_steps_across_the_cycle_wrap_as_anywhere() {
+        let mut net = crate::testnet::hot_net();
+        let snapshot = |net: &Network| {
+            let mut enc = checkpoint::Enc::new();
+            net.save_state(&mut enc);
+            enc.into_vec()
+        };
+        let bytes = snapshot(&net);
+        let shift = (1u64 << 32) - 4 - net.now;
+        assert!(shift.is_multiple_of(8), "the scan cycles move");
+        let mut moved = bytes.clone();
+        moved[..8].copy_from_slice(&(net.now + shift).to_le_bytes());
+        let mut far = Network::new(net.config().clone()).unwrap();
+        far.restore_state(&mut checkpoint::Dec::new(&moved))
+            .unwrap();
+        assert_eq!(snapshot(&far)[8..], bytes[8..]);
+        let mut src = crate::testnet::arrivals(1, 16, 60);
+        let mut far_src = crate::testnet::arrivals(1, 16, 60);
+        for _ in 0..12 {
+            net.cycle_from(&mut src, &mut NoControl);
+            far.cycle_from(
+                &mut |now, offer| far_src(now - shift, offer),
+                &mut NoControl,
+            );
+        }
+        assert_eq!(far.now, (1 << 32) + 8);
+        assert_eq!(snapshot(&far)[8..], snapshot(&net)[8..]);
+        assert_eq!(far.counters(), net.counters());
+        assert!(far.audit().is_clean());
     }
 
     #[test]

@@ -16,11 +16,17 @@
 //!   switch: `max(front.ready_at, routed_at + 1)` for a routed header (the
 //!   1-cycle routing delay), `front.ready_at` for a body flit,
 //!   `routed_at + 1` for the injection interface (its flits are always
-//!   ready).
+//!   ready). It is kept as a flit's `ready_at` is ([`crate::ring`]): its
+//!   low 32 bits, read against the input-VC arena's clock
+//!   ([`crate::ring::Clock::is_ready`]) — no entry the switch pass reads
+//!   is due later than `now + hop_latency` — and re-stamped where flits
+//!   are, at each multiple of 2³¹ cycles and on restore. An entry is 8
+//!   bytes: the slot and the stamp.
 //!
 //! The plane is **derived, never serialised**: [`Network::rebuild_derived`]
-//! recomputes it from `vc_assign`, the ring fronts, `vc_routed_at` and
-//! `inj` on restore, and it is written only where that state changes —
+//! recomputes it from `vc_assign`, the ring fronts, the routing cycles in
+//! `vc_routing` and `inj` on restore, and it is written only where that
+//! state changes —
 //! `ApplyCtx::set_assign` and the injection start in `route_win` (slot, and
 //! `movable_at = now + 1`), `take` (the new front after a pop) and `put`
 //! (a push into an empty ring).
@@ -36,7 +42,8 @@
 //! [`Network::rebuild_derived`]: crate::Network
 
 use crate::config::MAX_NODES;
-use crate::network::Assign;
+use crate::network::{opposite_port, Assign};
+use crate::routing::RouteTables;
 use crate::shard::Cells;
 
 /// One feeder's packed switch-plane entry: `dbit` in bits 0–5, the output
@@ -81,22 +88,20 @@ impl Slot {
         (self.0 & 63) as usize
     }
 
-    /// The slot of a feeder of `node` assigned `a`, `None` unless `a` is
-    /// switchable. `out_slots` is [`crate::routing::RouteTables`]' table of
-    /// the slots of every output VC.
+    /// The slot of a feeder of `node` assigned `a` on a network of `v` VCs
+    /// per channel, `None` unless `a` is switchable: an output VC feeds
+    /// input VC `vc` of the neighbour's opposite port, the neighbour
+    /// `tables` derives from `node`'s coordinate digits. Computed where an
+    /// assignment is made, never per flit.
     #[inline]
-    pub(crate) fn of(
-        out_slots: &[Slot],
-        d: usize,
-        v: usize,
-        node: usize,
-        a: Assign,
-    ) -> Option<Slot> {
+    pub(crate) fn of(tables: &RouteTables, v: usize, node: usize, a: Assign) -> Option<Slot> {
         match a {
             Assign::Out { port, vc } => {
-                Some(out_slots[(node * d + usize::from(port)) * v + usize::from(vc)])
+                let port = usize::from(port);
+                let dbit = opposite_port(port) * v + usize::from(vc);
+                Some(Slot::new(port, tables.neighbor(node, port), dbit))
             }
-            Assign::Delivery => Some(Slot::delivery(node, d)),
+            Assign::Delivery => Some(Slot::delivery(node, tables.ports())),
             Assign::None | Assign::AwaitToken | Assign::Recovery => None,
         }
     }
@@ -138,7 +143,8 @@ pub(crate) fn rr_pick(mask: u64, cursor: usize) -> usize {
 #[derive(Debug, Default)]
 pub(crate) struct SwitchPlane {
     slot: Vec<Slot>,
-    movable_at: Vec<u64>,
+    /// Per entry, the low 32 bits of `movable_at`.
+    movable_at: Vec<u32>,
 }
 
 impl SwitchPlane {
@@ -156,8 +162,10 @@ impl SwitchPlane {
         self.slot[i]
     }
 
+    /// Entry `i`'s `movable_at` stamp, read against the input-VC arena's
+    /// [`crate::ring::Clock`].
     #[inline]
-    pub(crate) fn movable_at(&self, i: usize) -> u64 {
+    pub(crate) fn movable_stamp(&self, i: usize) -> u32 {
         self.movable_at[i]
     }
 
@@ -177,7 +185,7 @@ impl SwitchPlane {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SwitchPlaneView<'a> {
     slot: Cells<'a, Slot>,
-    movable_at: Cells<'a, u64>,
+    movable_at: Cells<'a, u32>,
 }
 
 impl SwitchPlaneView<'_> {
@@ -194,8 +202,9 @@ impl SwitchPlaneView<'_> {
         self.slot.get(i)
     }
 
+    /// See [`SwitchPlane::movable_stamp`].
     #[inline]
-    pub(crate) fn movable_at(&self, i: usize) -> u64 {
+    pub(crate) fn movable_stamp(&self, i: usize) -> u32 {
         self.movable_at.get(i)
     }
 
@@ -204,9 +213,11 @@ impl SwitchPlaneView<'_> {
         self.slot.set(i, s);
     }
 
+    /// Stamps entry `i` movable at cycle `at`, which must lie within 2³²
+    /// of the clock it is read against.
     #[inline]
     pub(crate) fn set_movable_at(&self, i: usize, at: u64) {
-        self.movable_at.set(i, at);
+        self.movable_at.set(i, at as u32);
     }
 }
 

@@ -14,8 +14,10 @@
 //!   from the bottom of the arena (of each shard's range of it), so a line
 //!   no ring ever needed is never written and never resident, and the
 //!   arena's memory follows the traffic, not the network's size
-//!   (DESIGN.md §4b). Line 0 sits on a 64-byte boundary, so a line of the
-//!   paper's depth 8 is exactly one cache line. A slot holds a flit's
+//!   (DESIGN.md §4b). A free line's first slot names the next free line,
+//!   so the free lists cost no memory beside the lines. Line 0 sits on a
+//!   64-byte boundary, so a line of the paper's depth 8 is exactly one
+//!   cache line. A slot holds a flit's
 //!   packet id and the low 32 bits of its `ready_at`; the rest of the
 //!   [`Flit`] is derived:
 //!   - *its index from ring order.* A worm enters a VC header first and
@@ -143,9 +145,10 @@ fn idx_at(front_idx: u16, i: u32, packet_len: u16) -> u16 {
     ((u32::from(front_idx) + i) % u32::from(packet_len)) as u16
 }
 
-/// The arena's clock and the constants a flit's derived fields need.
+/// The arena's clock and the constants a flit's derived fields need. The
+/// switch plane's move stamps ([`crate::plane`]) are read against it too.
 #[derive(Debug, Clone, Copy)]
-struct Clock {
+pub(crate) struct Clock {
     now: u64,
     hop: u32,
     packet_len: u16,
@@ -161,7 +164,7 @@ impl Clock {
     /// Whether the flit stamped `stamp` is ready: it is not when the stamp
     /// names one of the next `hop` cycles.
     #[inline]
-    fn is_ready(self, stamp: u32) -> bool {
+    pub(crate) fn is_ready(self, stamp: u32) -> bool {
         self.back(stamp).wrapping_add(self.hop) >= self.hop
     }
 
@@ -169,7 +172,7 @@ impl Clock {
     /// bits it is, or — one 2³² on — one of the next `hop` cycles. Without
     /// a branch: this is on every flit move.
     #[inline]
-    fn ready_at(self, stamp: u32) -> u64 {
+    pub(crate) fn ready_at(self, stamp: u32) -> u64 {
         let ahead = u64::from(!self.is_ready(stamp)) << 32;
         self.now
             .wrapping_sub(u64::from(self.back(stamp)))
@@ -180,12 +183,26 @@ impl Clock {
     /// than `EPOCH - hop` cycles is re-stamped ready now, so its stamp
     /// stays exact until the next multiple of `EPOCH`.
     #[inline]
-    fn restamped(self, ready_at: u64) -> u64 {
+    pub(crate) fn restamped(self, ready_at: u64) -> u64 {
         if self.now.saturating_sub(ready_at) > EPOCH - u64::from(self.hop) {
             self.now
         } else {
             ready_at
         }
+    }
+
+    /// Whether `stamp` stands for cycle `at`: it reads as `at`, or, where a
+    /// re-stamp may have moved `at` ([`Clock::restamped`]), as any past
+    /// cycle after it — a re-stamp leaves a past stamp past.
+    pub(crate) fn reads_as(self, stamp: u32, at: u64) -> bool {
+        let read = self.ready_at(stamp);
+        read == at || (self.restamped(at) != at && at < read && read <= self.now)
+    }
+
+    /// Whether moving the clock from `was` to `now` crosses a multiple of
+    /// 2³¹, where every stamp read against it is re-stamped.
+    pub(crate) fn crosses_epoch(was: u64, now: u64) -> bool {
+        now / EPOCH != was / EPOCH
     }
 
     #[inline]
@@ -199,15 +216,22 @@ impl Clock {
 }
 
 /// One pool of a [`FlitRings`] arena: rings `lo..hi` take their lines from
-/// lines `lo..hi` — first off the pool's LIFO free list, kept in `free[lo
-/// .. lo + spare]` of the arena, then at `mark`, below which every line
-/// has been handed out at least once.
+/// lines `lo..hi` — first off the pool's LIFO free list of `spare` lines,
+/// chained from `head` through each free line's first slot, which names
+/// the next, then at `mark`, below which every line has been handed out
+/// at least once. Each pool has a cache line of its own: the shards' passes
+/// take and give lines at once, each from its own pool, and records that
+/// shared a line would bounce it between their cores (in process, a
+/// 12-ary 3-cube at two shards stepped 5 % slower per cycle with them
+/// packed).
 #[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
 pub(crate) struct Pool {
     lo: u32,
     hi: u32,
     mark: u32,
     spare: u32,
+    head: u32,
 }
 
 impl Pool {
@@ -218,14 +242,16 @@ impl Pool {
             hi: u32::try_from(hi).expect("ring index fits u32"),
             mark: lo,
             spare: 0,
+            head: 0,
         }
     }
 }
 
 /// Arena of `rings` fixed-capacity flit FIFOs over a pool of lines: one
 /// 64-byte-aligned slot array of a line per ring, one dense cursor array
-/// (the node-ordered passes stream it), and the pools' free lists. The
-/// arena is one pool until [`FlitRings::set_pools`] splits it by shard.
+/// (the node-ordered passes stream it), and the pools, whose free lists
+/// are chained through the free lines themselves. The arena is one pool
+/// until [`FlitRings::set_pools`] splits it by shard.
 #[derive(Debug)]
 pub(crate) struct FlitRings {
     cap: u32,
@@ -237,8 +263,6 @@ pub(crate) struct FlitRings {
     /// allocation: a line is first written when a ring takes it.
     words: Vec<FlitSlot>,
     base: usize,
-    /// The pools' free lists, pool `p`'s in `free[p.lo..p.hi]`.
-    free: Vec<u32>,
     /// Ascending, covering the rings: pool `p` owns rings and lines
     /// `p.lo..p.hi`.
     pools: Vec<Pool>,
@@ -269,7 +293,6 @@ impl FlitRings {
             cursors: vec![0; rings],
             base: line_offset(&words),
             words,
-            free: vec![0; rings],
             pools: vec![Pool::new(0, rings)],
         }
     }
@@ -283,28 +306,27 @@ impl FlitRings {
     /// then on reconstructs `ready_at` at. Crossing a multiple of 2³¹
     /// re-stamps every flit ready for more than `2³¹ - hop_latency` cycles
     /// ready at `now` — once per ~2·10⁹ cycles, over the buffered flits.
-    /// Returns whether a re-stamp changed any flit.
+    /// Returns whether the move crossed such a multiple
+    /// ([`Clock::crosses_epoch`]), where stamps read against the arena's
+    /// clock from outside it are re-stamped too.
     pub(crate) fn set_now(&mut self, now: u64) -> bool {
         let was = self.clock;
         debug_assert!(now >= was.now, "the arena's clock runs backwards");
         self.clock.now = now;
-        if now / EPOCH == was.now / EPOCH {
+        if !Clock::crosses_epoch(was.now, now) {
             return false;
         }
         let cap = self.cap as usize;
-        let mut changed = false;
         for &c in &self.cursors {
             for i in 0..len_of(c) {
                 let at =
                     self.base + line_of(c) as usize * cap + wrap(self.cap, head_of(c), i) as usize;
                 let s = self.words[at];
-                let ready_at = was.ready_at(slot_stamp(s));
-                let kept = self.clock.restamped(ready_at);
-                changed |= kept != ready_at;
+                let kept = self.clock.restamped(was.ready_at(slot_stamp(s)));
                 self.words[at] = slot(slot_packet(s), kept);
             }
         }
-        changed
+        true
     }
 
     /// `ready_at` as the arena buffers a flit read from outside the
@@ -371,19 +393,45 @@ impl FlitRings {
         })
     }
 
+    /// The heap reserved for the lines, each first written when a ring
+    /// takes it.
+    pub(crate) fn line_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<FlitSlot>()
+    }
+
     /// The line ring `r` holds, if any.
     pub(crate) fn line(&self, r: usize) -> Option<usize> {
         let c = self.cursors[r];
         (c != 0).then_some(line_of(c) as usize)
     }
 
+    /// The arena's clock.
+    #[inline]
+    pub(crate) fn clock(&self) -> Clock {
+        self.clock
+    }
+
+    /// The free list of `pool`, walked from its head: `spare` lines, each
+    /// free line's first slot naming the next — or fewer, ending at the
+    /// first line outside the pool's lines below its mark, whose slot is
+    /// not read.
+    fn free_chain(&self, pool: Pool) -> impl Iterator<Item = usize> + '_ {
+        let (lines, cap) = (pool.lo as usize..pool.mark as usize, self.cap as usize);
+        std::iter::successors(Some(pool.head as usize), move |&line| {
+            lines
+                .contains(&line)
+                .then(|| usize::try_from(self.slots()[line * cap]).unwrap_or(usize::MAX))
+        })
+        .take(pool.spare as usize)
+    }
+
     /// Checks the pool ledger and calls `fault` once per breach: the pools
     /// cover the rings in order, every line a ring holds is below its own
-    /// pool's mark, and the free list and the held lines together are the
+    /// pool's mark, and the free chain and the held lines together are the
     /// lines below the mark, each exactly once. Formats only on a breach
     /// and otherwise allocates nothing (the per-cycle audit of debug
-    /// builds runs it): a stack bitmap, one pass over a pool's rings per
-    /// 4 096 lines below its mark.
+    /// builds runs it): a stack bitmap, one pass over a pool's rings and
+    /// one walk of its chain per 4 096 lines below its mark.
     pub(crate) fn pool_faults(&self, mut fault: impl FnMut(String)) {
         const WINDOW: usize = 64 * 64;
         let mut at = 0;
@@ -398,7 +446,6 @@ impl FlitRings {
                 return;
             }
             at = hi;
-            let free = &self.free[lo..lo + pool.spare as usize];
             for r in lo..hi {
                 match self.line(r) {
                     Some(line) if !(lo..mark).contains(&line) => fault(format!(
@@ -407,8 +454,8 @@ impl FlitRings {
                     _ => {}
                 }
             }
-            for &line in free {
-                if !(lo..mark).contains(&(line as usize)) {
+            for line in self.free_chain(*pool) {
+                if !(lo..mark).contains(&line) {
                     fault(format!(
                         "free line {line} outside pool {p}'s lines {lo}..{mark}"
                     ));
@@ -430,8 +477,7 @@ impl FlitRings {
                     }
                     held[word] |= b;
                 }
-                for &line in free {
-                    let line = line as usize;
+                for line in self.free_chain(*pool) {
                     if !(w..end).contains(&line) {
                         continue;
                     }
@@ -574,7 +620,6 @@ impl FlitRings {
             clock: self.clock,
             cursors: Cells::new(&mut self.cursors),
             slots: Cells::new(&mut self.words[self.base..self.base + n]),
-            free: Cells::new(&mut self.free),
             pools: Cells::new(&mut self.pools),
             first_pool: 0,
         }
@@ -606,6 +651,17 @@ impl FlitRings {
     pub(crate) fn free_line(&mut self, r: usize, line: usize) {
         self.view().give_line(r, line as u32);
     }
+
+    /// The free lines of pool `p`, head first.
+    pub(crate) fn free_lines(&self, p: usize) -> Vec<usize> {
+        self.free_chain(self.pools[p]).collect()
+    }
+
+    /// Points free `line`'s link at `next`: a chain that loops or leaves
+    /// its pool.
+    pub(crate) fn set_free_link(&mut self, line: usize, next: usize) {
+        self.words[self.base + line * self.cap as usize] = next as FlitSlot;
+    }
 }
 
 /// Words from the start of `words` to its first 64-byte boundary.
@@ -615,17 +671,16 @@ fn line_offset(words: &[FlitSlot]) -> usize {
 
 /// A [`FlitRings`] arena as checked cells over a range of its rings and
 /// the pools they take lines from: the one implementation of its mutators.
-/// Touching a ring, a line, a free-list entry or a pool outside the range
-/// panics. A view owns whole pools, so two views over rings of one pool
-/// must never be used on two threads at once; the shard passes' views are
-/// narrowed to the shard plan's ranges, which are the pools'.
+/// Touching a ring, a line or a pool outside the range panics. A view
+/// owns whole pools, so two views over rings of one pool must never be
+/// used on two threads at once; the shard passes' views are narrowed to
+/// the shard plan's ranges, which are the pools'.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlitRingsView<'a> {
     cap: u32,
     clock: Clock,
     cursors: Cells<'a, u64>,
     slots: Cells<'a, FlitSlot>,
-    free: Cells<'a, u32>,
     pools: Cells<'a, Pool>,
     /// The view's first pool, its first ring's.
     first_pool: usize,
@@ -641,7 +696,6 @@ impl FlitRingsView<'_> {
         FlitRingsView {
             cursors: self.cursors.narrow(lo, hi),
             slots: self.slots.narrow(lines.start * cap, lines.end * cap),
-            free: self.free.narrow(lines.start, lines.end),
             pools: self.pools.narrow(first, last + 1),
             first_pool: first,
             ..self
@@ -658,6 +712,12 @@ impl FlitRingsView<'_> {
         p
     }
 
+    /// The arena's clock.
+    #[inline]
+    pub(crate) fn clock(&self) -> Clock {
+        self.clock
+    }
+
     /// A line for ring `r`: the one its pool freed last, else the pool's
     /// first never-used line. Out of line: a move takes a line at about one
     /// pop in thirty, and keeping it out of `push_back` keeps the move short.
@@ -667,7 +727,10 @@ impl FlitRingsView<'_> {
         let mut pool = self.pools.get(p);
         let line = if pool.spare > 0 {
             pool.spare -= 1;
-            self.free.get((pool.lo + pool.spare) as usize)
+            let line = pool.head;
+            // The link names a line of the pool, which fits `u32`.
+            pool.head = self.slots.get(line as usize * self.cap as usize) as u32;
+            line
         } else {
             // Each ring holds one line at most, and this one holds none.
             debug_assert!(pool.mark < pool.hi, "flit pool {p} has no line left");
@@ -678,13 +741,15 @@ impl FlitRingsView<'_> {
         line
     }
 
-    /// Gives ring `r`'s `line` back to its pool (out of line, like
-    /// [`FlitRingsView::take_line`]).
+    /// Gives ring `r`'s `line` back to its pool, on top of its free chain
+    /// (out of line, like [`FlitRingsView::take_line`]).
     #[inline(never)]
     fn give_line(&self, r: usize, line: u32) {
         let p = self.pool_of(r);
         let mut pool = self.pools.get(p);
-        self.free.set((pool.lo + pool.spare) as usize, line);
+        self.slots
+            .set(line as usize * self.cap as usize, FlitSlot::from(pool.head));
+        pool.head = line;
         pool.spare += 1;
         self.pools.set(p, pool);
     }
@@ -837,6 +902,12 @@ impl<W: Copy + Default> Rings<W> {
     #[inline]
     pub(crate) fn total(&self) -> usize {
         self.total
+    }
+
+    /// The heap reserved for entries, each row first written when a push
+    /// reaches it.
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.data.capacity() * size_of::<W>()
     }
 
     /// Where logical position `i` of ring `r` sits in the arena.
@@ -1244,8 +1315,8 @@ mod tests {
             arena.push_back(0, f);
         }
         for now in [WRAP - 1, WRAP, WRAP + 1, WRAP + 5, WRAP + EPOCH - 1] {
-            let restamped = arena.set_now(now);
-            assert!(!restamped, "cycle {now}: nothing is old enough");
+            assert_eq!(arena.set_now(now), now == WRAP, "cycle {now}");
+            // Nothing is old enough to be re-stamped at WRAP.
             for (i, &ready_at) in run.iter().enumerate() {
                 assert_eq!(arena.get(0, i).ready_at, ready_at, "cycle {now}");
             }
@@ -1268,8 +1339,12 @@ mod tests {
             ..old
         };
         arena.push_back(0, recent);
-        assert!(arena.set_now(EPOCH), "the old flit is re-stamped");
-        assert_eq!(arena.get(0, 0).ready_at, EPOCH);
+        assert!(arena.set_now(EPOCH), "the move crosses a multiple");
+        assert_eq!(
+            arena.get(0, 0).ready_at,
+            EPOCH,
+            "the old flit is re-stamped"
+        );
         assert_eq!(arena.get(0, 1).ready_at, EPOCH - 1, "a recent one is kept");
         for now in [EPOCH + 1, WRAP - 1] {
             assert!(!arena.set_now(now));

@@ -3,7 +3,6 @@
 //! next-hop tables precomputed once at network construction.
 
 use crate::network::{dim_dir_of, port_of, Assign};
-use crate::plane::Slot;
 use crate::shard::ApplyCtx;
 use kncube::{Dir, NodeId, Torus};
 
@@ -30,11 +29,10 @@ const NO_HOP: u8 = 0xFF;
 ///   between the same two nodes (the escape routing function),
 ///   [`NO_HOP`] when `a == b`. The mesh hop of a pair is the hop of its
 ///   lowest unaligned dimension.
-/// * `digits[node * n + dim]` — the node's coordinate in `dim`.
-/// * `out_slots[(node * d + port) * v + vc]` — the switch-plane [`Slot`] of
-///   a worm assigned that output VC: the port, and the neighbor input VC
-///   it feeds as (node, feeder), replacing a coordinate decomposition
-///   (`div`/`mod` per dimension) on every flit hop.
+/// * `digits[node * n + dim]` — the node's coordinate in `dim`; with the
+///   per-dimension `strides` it also names a node's neighbour on a port
+///   ([`RouteTables::neighbor`]), which the switch-plane slot of a won
+///   output VC needs (once per route win, not per flit).
 ///
 /// The `*_dyn` functions are private to this module: the rows' builder
 /// and the tests' oracle are their only callers, so no second hot path can
@@ -46,31 +44,21 @@ pub(crate) struct RouteTables {
     productive: Vec<u16>,
     mesh_next: Vec<u8>,
     digits: Vec<u16>,
-    out_slots: Vec<Slot>,
+    /// Node-index distance between neighbours in each dimension: `k^dim`.
+    strides: Vec<usize>,
 }
 
 impl RouteTables {
-    /// Builds the tables for `torus` with `vcs` virtual channels per
-    /// physical channel, asking the `*_dyn` functions about the `k` nodes
-    /// along each axis through node 0.
-    pub(crate) fn build(torus: &Torus, vcs: usize) -> Self {
+    /// Builds the tables for `torus`, asking the `*_dyn` functions about
+    /// the `k` nodes along each axis through node 0.
+    pub(crate) fn build(torus: &Torus) -> Self {
         let (k, n, nodes) = (torus.radix(), torus.dimensions(), torus.node_count());
-        let d = torus.channels_per_node();
-        let mut out_slots = Vec::with_capacity(nodes * d * vcs);
-        for node in 0..nodes {
-            for port in 0..d {
-                let (dim, dir) = dim_dir_of(port);
-                let nb = torus.neighbor(node, dim, dir);
-                let in_port = port_of(dim, dir.opposite());
-                for vc in 0..vcs {
-                    out_slots.push(Slot::new(port, nb, in_port * vcs + vc));
-                }
-            }
-        }
         let mut productive = Vec::with_capacity(n * k * k);
         let mut mesh_next = Vec::with_capacity(n * k * k);
+        let mut strides = Vec::with_capacity(n);
         let mut stride = 1; // dimension 0 is the least-significant digit
         for _ in 0..n {
+            strides.push(stride);
             for a in 0..k {
                 for b in 0..k {
                     let (cur, dst) = (a * stride, b * stride);
@@ -93,15 +81,30 @@ impl RouteTables {
             productive,
             mesh_next,
             digits,
-            out_slots,
+            strides,
         }
     }
 
-    /// The switch-plane slots of every output VC (global index), for
-    /// [`Slot::of`].
+    /// Network ports per router (`2n`).
     #[inline]
-    pub(crate) fn out_slots(&self) -> &[Slot] {
-        &self.out_slots
+    pub(crate) fn ports(&self) -> usize {
+        2 * self.n
+    }
+
+    /// The node `port` of `node` links to: one step along the port's
+    /// dimension, wrapping, from the node's digit there.
+    #[inline]
+    pub(crate) fn neighbor(&self, node: NodeId, port: usize) -> NodeId {
+        let (dim, dir) = dim_dir_of(port);
+        let (k, stride) = (self.k, self.strides[dim]);
+        let digit = usize::from(self.digits[node * self.n + dim]);
+        let next = match dir {
+            Dir::Plus if digit + 1 == k => 0,
+            Dir::Plus => digit + 1,
+            Dir::Minus if digit == 0 => k - 1,
+            Dir::Minus => digit - 1,
+        };
+        node - digit * stride + next * stride
     }
 
     /// The row index of each dimension's entry for the pair `(cur, dst)`,
@@ -280,12 +283,12 @@ mod tests {
     /// for the Tiny (4-ary), Small (8-ary) and paper (16-ary) presets: the
     /// mesh next hop and productive-port mask looked up in the
     /// per-dimension rows must agree with the coordinate computation
-    /// everywhere, and the output-slot table must agree with the topology's
-    /// neighbor function for every output VC. The shapes where a
-    /// dimension-by-dimension lookup could go wrong are here too: three
-    /// dimensions, an odd radix (no tie), radix 2 (every unaligned
-    /// dimension ties, and both directions reach one neighbor), and the
-    /// 12-ary 3-cube (1728 nodes) of the repo benchmark.
+    /// everywhere, and the neighbour an output VC's switch-plane slot
+    /// derives from the coordinate digits must be the topology's. The
+    /// shapes where a dimension-by-dimension lookup could go wrong are here
+    /// too: three dimensions, an odd radix (no tie), radix 2 (every
+    /// unaligned dimension ties, and both directions reach one neighbor),
+    /// and the 12-ary 3-cube (1728 nodes) of the repo benchmark.
     #[test]
     fn route_tables_match_dynamic_everywhere() {
         let shaped = |radix, dimensions| NetConfig {

@@ -435,12 +435,12 @@ impl Cells<'_, PacketInfo> {
 /// # The view contract
 ///
 /// * **Owned-range plain access** — everything indexed by node or by
-///   input/output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routed_at`,
-///   `vc_blocked`, `out_alloc`, `inj`, the per-node `vc_*` bit-plane
-///   words, the switch plane's slots and move cycles, the flit rings and
-///   the pool their lines come from: its lines, free list and mark, which
-///   `Network::set_plan` makes the shard's own). An index outside the
-///   view's node range panics.
+///   input/output VC (`route_rr`, `out_rr`, `vc_assign`, `vc_routing`,
+///   `out_alloc`, `inj`, the per-node `vc_*` bit-plane words, the switch
+///   plane's slots and move stamps, the flit rings and the pool their
+///   lines come from: its lines, the free chain through them and its
+///   mark, which `Network::set_plan` makes the shard's own). An index
+///   outside the view's node range panics.
 /// * **Relaxed atomics** — state no node range owns: the node-summary
 ///   bitsets (64 nodes per word, shard edges unaligned; each bit is
 ///   changed only by its owner's pass), the packet records' `escaped`
@@ -480,11 +480,10 @@ pub(crate) struct ApplyCtx<'a> {
     pub packet_len: u16,
     /// Disha detection timeout; 0 in avoidance mode.
     pub recovery_timeout: u64,
-    pub route_rr: Cells<'a, usize>,
-    pub out_rr: Cells<'a, usize>,
+    pub route_rr: Cells<'a, u8>,
+    pub out_rr: Cells<'a, u8>,
     pub vc_assign: Cells<'a, Assign>,
-    pub vc_routed_at: Cells<'a, u64>,
-    pub vc_blocked: Cells<'a, u64>,
+    pub vc_routing: Cells<'a, u64>,
     pub out_alloc: Cells<'a, bool>,
     pub inj: Cells<'a, InjState>,
     pub vc_busy: Cells<'a, u64>,
@@ -508,8 +507,8 @@ pub(crate) struct ApplyCtx<'a> {
     pub bounds: &'a [usize],
     /// The cycle's injection allowances, as node-bitset words.
     pub allow: &'a [u64],
-    /// Output-channel selection rows and the switch-plane slots of every
-    /// output VC.
+    /// Output-channel selection rows and the coordinate digits a won
+    /// output VC's switch-plane slot derives its neighbour from.
     pub tables: &'a RouteTables,
     /// The installed link/hotspot faults (`None` on a fault-free network).
     pub faults: Option<&'a FaultPlan>,
@@ -524,8 +523,7 @@ impl<'a> ApplyCtx<'a> {
             route_rr: self.route_rr.narrow(lo, hi),
             out_rr: self.out_rr.narrow(lo * self.nports, hi * self.nports),
             vc_assign: self.vc_assign.narrow(vcs.start, vcs.end),
-            vc_routed_at: self.vc_routed_at.narrow(vcs.start, vcs.end),
-            vc_blocked: self.vc_blocked.narrow(vcs.start, vcs.end),
+            vc_routing: self.vc_routing.narrow(vcs.start, vcs.end),
             out_alloc: self.out_alloc.narrow(vcs.start, vcs.end),
             inj: self.inj.narrow(lo, hi),
             vc_busy: self.vc_busy.narrow(lo, hi),

@@ -25,11 +25,11 @@
 //! a flit's `ready_at`), so a stamp costs what its age takes. An input VC
 //! is one tag byte — assignment kind, ring non-empty, blocked count
 //! non-zero — followed only by what that state reads: the `Out` port and
-//! VC, `vc_routed_at` for a switchable VC (the only kind whose switch-plane
-//! entry reads it), the blocked count of an unrouted VC holding a header,
-//! and the ring. An idle VC is one byte: its `vc_routed_at` is read by
-//! nothing, and its blocked count is zero (a count grows only under a
-//! waiting header and restarts when that header routes). A ring writes its
+//! VC, its `vc_routing` word — the routing cycle of a switchable VC (the
+//! only kind whose switch-plane entry reads it), the blocked count of a
+//! VC holding a header assigned `None` — and the ring. An idle VC is one
+//! byte: its blocked count is zero (a count grows only under a waiting
+//! header and restarts when that header routes or is suspected). A ring writes its
 //! length, its front flit's index (the rest follow in ring order), the
 //! packet id once per packet run and each flit's ready offset.
 //!
@@ -86,7 +86,7 @@ fn enc_out(enc: &mut Enc, a: Assign) {
 
 /// Decodes an assignment of kind `kind` on a router with `d` network ports
 /// of `v` VCs each. An `Out` naming a port or VC the router does not have
-/// is rejected here: restore indexes the output-slot table with it.
+/// is rejected here: restore derives a switch-plane slot from it.
 fn dec_assign(dec: &mut Dec<'_>, kind: u8, d: usize, v: usize) -> Result<Assign, CheckpointError> {
     Ok(match kind {
         0 => Assign::None,
@@ -217,7 +217,7 @@ impl Network {
             let busy = !self.vc_bufs.is_empty(idx);
             let unrouted = matches!(a, Assign::None | Assign::AwaitToken);
             let blocked = if unrouted && busy {
-                self.vc_blocked[idx]
+                self.vc_routing[idx]
             } else {
                 0
             };
@@ -231,7 +231,7 @@ impl Network {
             enc.u8(tag);
             enc_out(enc, a);
             if matches!(a, Assign::Out { .. } | Assign::Delivery) {
-                enc_back(enc, now, self.vc_routed_at[idx]);
+                enc_back(enc, now, self.vc_routing[idx]);
             }
             if blocked != 0 {
                 enc.varint(blocked);
@@ -298,7 +298,7 @@ impl Network {
         }
         // A cursor is at most the feeder count plus one (`fpn + 1 <= 64`).
         for &c in self.route_rr.iter().chain(&self.out_rr) {
-            enc.u8(c as u8);
+            enc.u8(c);
         }
         enc.varint(self.token_queue.len(0) as u64);
         for i in 0..self.token_queue.len(0) {
@@ -367,9 +367,8 @@ impl Network {
         vc_bufs.set_pools(&self.vc_pool_bounds().collect::<Vec<_>>());
         vc_bufs.set_now(now);
         let mut vc_assign = Vec::with_capacity(n_vcs);
-        let mut vc_routed_at = vec![0; n_vcs];
-        let mut vc_blocked = vec![0; n_vcs];
-        for idx in 0..n_vcs {
+        let mut vc_routing = vec![0; n_vcs];
+        for (idx, routing) in vc_routing.iter_mut().enumerate() {
             let tag = dec.u8()?;
             if tag & !(KIND | BUSY | BLOCKED) != 0 {
                 return Err(Corrupt("bad input VC tag"));
@@ -377,12 +376,13 @@ impl Network {
             let a = dec_assign(dec, tag & KIND, d, v)?;
             vc_assign.push(a);
             if matches!(a, Assign::Out { .. } | Assign::Delivery) {
-                vc_routed_at[idx] = dec_back(dec, now)?;
+                *routing = dec_back(dec, now)?;
             }
             if tag & BLOCKED != 0 {
-                let unrouted = matches!(a, Assign::None | Assign::AwaitToken);
-                vc_blocked[idx] = dec.varint()?;
-                if !unrouted || tag & BUSY == 0 || vc_blocked[idx] == 0 {
+                // Only a header assigned `None` counts: a suspect's count
+                // restarted when it was suspected.
+                *routing = dec.varint()?;
+                if a != Assign::None || tag & BUSY == 0 || *routing == 0 {
                     return Err(Corrupt("blocked count where no header waits"));
                 }
             }
@@ -466,9 +466,9 @@ impl Network {
             None
         };
         let fpn = d * v;
-        let mut cursor = || -> Result<usize, CheckpointError> {
-            let c = usize::from(dec.u8()?);
-            if c > fpn + 1 {
+        let mut cursor = || -> Result<u8, CheckpointError> {
+            let c = dec.u8()?;
+            if usize::from(c) > fpn + 1 {
                 return Err(Corrupt("round-robin cursor out of range"));
             }
             Ok(c)
@@ -512,8 +512,7 @@ impl Network {
         self.counters = counters;
         self.vc_bufs = vc_bufs;
         self.vc_assign = vc_assign;
-        self.vc_routed_at = vc_routed_at;
-        self.vc_blocked = vc_blocked;
+        self.vc_routing = vc_routing;
         self.out_alloc = out_alloc;
         self.inj = inj;
         self.source_q = source_q;
@@ -669,11 +668,12 @@ mod tests {
         assert_eq!(snapshot(&net), before);
     }
 
-    /// An idle input VC's routed-at stamp and blocked count are not ground
-    /// truth: only a switchable VC's switch-plane entry reads the stamp,
-    /// and a count grows only under a waiting header and restarts when it
-    /// routes. So scribbling over both changes no byte of the checkpoint,
-    /// which writes the VC as its tag alone.
+    /// An idle input VC's routing word is 0 — the routing cycle gave way
+    /// to a blocked count when its last tail left, and a count grows only
+    /// under a waiting header — and its switch-plane entry is stale by
+    /// design: only a switchable VC's entry is read. So the VC writes its
+    /// tag alone, and scribbling over its plane entry changes no byte of
+    /// the checkpoint.
     #[test]
     fn a_stale_vc_field_writes_nothing() {
         let mut net = hot_net();
@@ -681,8 +681,12 @@ mod tests {
         let idx = (0..net.vc_assign.len())
             .find(|&i| net.vc_assign[i] == Assign::None && net.vc_bufs.is_empty(i))
             .expect("vacuous: no idle VC");
-        net.vc_routed_at[idx] = 12_345;
-        net.vc_blocked[idx] = 7;
+        assert_eq!(net.vc_routing[idx], 0);
+        let fpn = net.vc_assign.len() / net.torus().node_count();
+        let at = idx / fpn * (fpn + 1) + idx % fpn;
+        let view = net.plane.view();
+        view.set_movable_at(at, 12_345);
+        view.set_slot(at, crate::plane::Slot::delivery(3, 1));
         assert_eq!(snapshot(&net), before);
         let (tag_at, ring_at, end) = vc_span(&before, &net, idx);
         assert_eq!((before[tag_at], ring_at, end), (0, tag_at + 1, tag_at + 1));
@@ -839,7 +843,8 @@ mod tests {
     /// typed, the rest of what the simulator cannot buffer: a busy VC with
     /// no flit or more than its depth, a front index past the packet, a
     /// packet id past `u32`, a flit ready before cycle 0, and a tag or
-    /// blocked count no VC writes. One hand-built payload per refusal.
+    /// blocked count no VC writes (on an idle VC, on a suspect). One
+    /// hand-built payload per refusal.
     #[test]
     fn restore_refuses_flit_queues_no_ring_holds() {
         let net = hot_net();
@@ -871,8 +876,19 @@ mod tests {
             built.splice(tag_at + 1..tag_at + 1, extra.iter().copied());
             built
         };
+        // A waiting header turned suspect (kind 3) keeping a count, which
+        // restarts when a header is suspected.
+        let waiting = (0..net.vc_assign.len())
+            .find(|&i| net.vc_assign[i] == Assign::None && !net.vc_bufs.is_empty(i))
+            .expect("vacuous: no waiting header");
+        let (waiting_at, waiting_ring, _) = vc_span(&snap, &net, waiting);
+        let mut counted = snap.clone();
+        if counted[waiting_at] & BLOCKED == 0 {
+            counted.insert(waiting_ring, 1);
+        }
+        counted[waiting_at] = 3 | BUSY | BLOCKED;
         let too_long: Vec<u64> = [depth + 1, 0, 1].into_iter().chain([1; 9]).collect();
-        let cases: [(Vec<u8>, &str); 7] = [
+        let cases: [(Vec<u8>, &str); 8] = [
             (with_ring(&[0]), "flit queue length out of range"),
             (with_ring(&too_long), "flit queue length out of range"),
             (
@@ -889,6 +905,7 @@ mod tests {
                 with_tag(BLOCKED, &[1]),
                 "blocked count where no header waits",
             ),
+            (counted, "blocked count where no header waits"),
         ];
         for (built, why) in cases {
             assert_eq!(refusal(&built), why);
