@@ -106,9 +106,6 @@ fn offsets(payload: &[u8], net: &NetConfig) -> Offsets {
         if tag & KIND == 1 {
             skip(&mut dec, 2); // port, VC
         }
-        if matches!(tag & KIND, 1 | 2) {
-            varint(&mut dec); // routed-at
-        }
         if tag & BLOCKED != 0 {
             varint(&mut dec);
         }
@@ -119,6 +116,9 @@ fn offsets(payload: &[u8], net: &NetConfig) -> Offsets {
                     varint(&mut dec); // packet id
                 }
                 varint(&mut dec); // ready offset
+            }
+            if front == 0 && matches!(tag & KIND, 1 | 2) {
+                varint(&mut dec); // a routed header's routed-at
             }
         }
         vc0.get_or_insert(tag_at..at(&dec));
@@ -296,7 +296,7 @@ fn restore_survives_payload_mutations_without_panicking() {
         }
     };
     for (span, out) in [
-        (at.vc0.clone(), vec![1, d, 0, 1]),
+        (at.vc0.clone(), vec![1, d, 0]),
         (at.inj0.clone(), vec![0x10 | 1, 0, 0, v, 1]),
     ] {
         let outcome = corrupt(&spliced(&payload, span.clone(), &out));

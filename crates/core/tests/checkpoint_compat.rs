@@ -2,17 +2,18 @@
 //! build of this repository must keep restoring, byte for byte — or, across
 //! a deliberate `VERSION` bump, be refused with the typed version error.
 //!
-//! The `.v9.ckpt` fixtures were written by `Simulation::checkpoint` at the
-//! commit that introduced v9 (each section writes what its state holds:
-//! varints, stamps as offsets back from the clock, a tag byte per input
-//! VC; the simulation's decisions did not change).
-//! `small_recovery_c1673.v8.ckpt`, the v8 writing of the recovery fixture,
+//! The `.v10.ckpt` fixtures were written by `Simulation::checkpoint` at the
+//! commit that introduced v10 (only state something reads: a latency
+//! statistic is its count and sum, a delivery record has no recovery
+//! flag, a routing cycle is written under a header alone; the
+//! simulation's decisions did not change).
+//! `small_recovery_c1673.v9.ckpt`, the v9 writing of the recovery fixture,
 //! is kept as the container this build must refuse.
 //!
-//! `fixtures/small_recovery_c1673.v9.ckpt` is [`cfg`] stepped to cycle
+//! `fixtures/small_recovery_c1673.v10.ckpt` is [`cfg`] stepped to cycle
 //! 1673, the first cycle past 1500 with a Disha recovery drain holding the
 //! token and another VC queued behind it. The four
-//! `small_<scheme>_c2501.v9.ckpt` fixtures pin the other side-band
+//! `small_<scheme>_c2501.v10.ckpt` fixtures pin the other side-band
 //! controllers' state layouts: the same configuration with only the scheme
 //! swapped, stepped to cycle 2501 — off the gather grid, off every decision
 //! period, and past at least one decision of every law.
@@ -43,32 +44,32 @@ struct Fixture {
 const FIXTURES: &[Fixture] = &[
     Fixture {
         scheme: "tune",
-        file: "small_recovery_c1673.v9.ckpt",
-        bytes: include_bytes!("fixtures/small_recovery_c1673.v9.ckpt"),
+        file: "small_recovery_c1673.v10.ckpt",
+        bytes: include_bytes!("fixtures/small_recovery_c1673.v10.ckpt"),
         cycle: 1673,
     },
     Fixture {
         scheme: "aimd",
-        file: "small_aimd_c2501.v9.ckpt",
-        bytes: include_bytes!("fixtures/small_aimd_c2501.v9.ckpt"),
+        file: "small_aimd_c2501.v10.ckpt",
+        bytes: include_bytes!("fixtures/small_aimd_c2501.v10.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "decbit",
-        file: "small_decbit_c2501.v9.ckpt",
-        bytes: include_bytes!("fixtures/small_decbit_c2501.v9.ckpt"),
+        file: "small_decbit_c2501.v10.ckpt",
+        bytes: include_bytes!("fixtures/small_decbit_c2501.v10.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "bbr",
-        file: "small_bbr_c2501.v9.ckpt",
-        bytes: include_bytes!("fixtures/small_bbr_c2501.v9.ckpt"),
+        file: "small_bbr_c2501.v10.ckpt",
+        bytes: include_bytes!("fixtures/small_bbr_c2501.v10.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "static-12",
-        file: "small_static12_c2501.v9.ckpt",
-        bytes: include_bytes!("fixtures/small_static12_c2501.v9.ckpt"),
+        file: "small_static12_c2501.v10.ckpt",
+        bytes: include_bytes!("fixtures/small_static12_c2501.v10.ckpt"),
         cycle: 2501,
     },
 ];
@@ -107,7 +108,7 @@ fn parent_written_checkpoint_restores_and_reserialises_byte_equal() {
         assert_eq!(
             sim.checkpoint(),
             f.bytes,
-            "{}: codec no longer writes v9 bytes",
+            "{}: codec no longer writes v10 bytes",
             f.scheme
         );
     }
@@ -155,16 +156,17 @@ fn parent_written_checkpoint_runs_on_like_an_uninterrupted_run() {
     }
 }
 
-/// A v8 container writes fixed-width fields where this build reads
-/// varints and tag bytes, so this build would misread it: restoring one
-/// must fail typed, before anything decodes.
+/// A v9 container writes a latency histogram, a recovery flag per
+/// delivery record and a routing cycle under every routed VC, where this
+/// build reads none of them, so this build would misread it: restoring
+/// one must fail typed, before anything decodes.
 #[test]
-fn a_v8_container_is_refused_with_the_version_error() {
-    let v8 = include_bytes!("fixtures/small_recovery_c1673.v8.ckpt");
-    match Simulation::restore(cfg("tune"), None, v8) {
-        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 8 })) => {}
-        Err(other) => panic!("v8 container refused with the wrong error: {other}"),
-        Ok(_) => panic!("v8 container restored"),
+fn a_v9_container_is_refused_with_the_version_error() {
+    let v9 = include_bytes!("fixtures/small_recovery_c1673.v9.ckpt");
+    match Simulation::restore(cfg("tune"), None, v9) {
+        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 9 })) => {}
+        Err(other) => panic!("v9 container refused with the wrong error: {other}"),
+        Ok(_) => panic!("v9 container restored"),
     }
 }
 

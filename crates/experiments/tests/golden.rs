@@ -2,7 +2,7 @@
 //! are the reference outputs of `fig` fig2/fig4/fig5/controllers/resilience
 //! on the small network preset (8-ary 2-cube) at tiny scale. Each test re-simulates and
 //! asserts the CSV rendering is **byte-identical** to the snapshot —
-//! at `--jobs 1`, `2` and `8`, and at 1, 2, 4 and 8 intra-network shards —
+//! at `--jobs 1`, `2` and `8`, and at 1, 2 and 8 intra-network shards —
 //! which is the determinism guarantee the parallel runner advertises.
 //!
 //! Regenerate after an intentional simulator change with:
@@ -90,12 +90,19 @@ fn resilience_matches_golden_at_every_job_count() {
 
 /// Shard invariance, end to end: every figure's tiny CSV must be
 /// byte-identical to the committed golden when each simulation steps
-/// across 2, 4 or 8 intra-network shards — the library's shard pin,
-/// handed to the sweep context, the analogue of the `--jobs` axis above.
-/// One shard is the default every `check` above runs.
+/// across 2 or 8 intra-network shards — the library's shard pin, handed
+/// to the sweep context, the analogue of the `--jobs` axis above. One
+/// shard is the default every `check` above runs.
+///
+/// There is no 4-shard leg: on the 64-node small net the 4-shard
+/// boundaries (nodes 16, 32 and 48) are all 8-shard boundaries too, so a
+/// 4-shard split has no shard edge, and no handoff across one, that the
+/// 8-shard split lacks. Four shards stay covered by `wormsim`'s
+/// `stepping_is_bit_identical_across_shard_counts` (one shard against
+/// 2, 3, 4, 7 and 8) and its 4-shard `zero_alloc` legs.
 #[test]
 fn every_figure_matches_golden_at_every_shard_count() {
-    for shards in [2usize, 4, 8] {
+    for shards in [2usize, 8] {
         for fig in with_golden() {
             let want = golden(fig);
             let ctx = SweepCtx::bare(Pool::new(2)).with_options(RuntimeOptions {

@@ -45,6 +45,12 @@ pub enum DeadlockMode {
 impl DeadlockMode {
     /// The paper's recovery configuration (Disha, 8-cycle timeout).
     pub const PAPER_RECOVERY: DeadlockMode = DeadlockMode::Recovery { timeout: 8 };
+
+    /// Whether the mode suspects blocked headers, trips starved ones and
+    /// queues them for the token: recovery does, avoidance never.
+    pub(crate) fn recovers(self) -> bool {
+        matches!(self, DeadlockMode::Recovery { .. })
+    }
 }
 
 /// Static configuration of the simulated network (§5.1 of the paper).

@@ -270,7 +270,7 @@ impl Network {
         let n_vcs = nodes * d * v;
         let max_path = torus.dimensions() * (cfg.radix / 2) + 1;
         let tables = RouteTables::build(&torus);
-        let plan = ShardPlan::new(1, &torus, v);
+        let plan = ShardPlan::new(1, &torus, v, cfg.deadlock);
         // All VCs start unassigned: every input-VC feeder bit is "unrouted".
         let all_feeders = (1u64 << (d * v)) - 1;
         let packet_len = cfg.packet_len as u16;
@@ -310,7 +310,7 @@ impl Network {
             srcq_nodes: NodeSet::new(nodes),
             allow_nodes: NodeSet::new(nodes),
             deliveries: Vec::new(),
-            token_queue: Rings::new(1, tv),
+            token_queue: Rings::new(1, if cfg.deadlock.recovers() { tv } else { 0 }),
             last_delivery_at: 0,
             last_progress_at: 0,
             faults: None,
@@ -333,7 +333,7 @@ impl Network {
     /// the caller's among them: more shards than cores buys no more
     /// threads, and on one core the caller's thread steps every shard.
     pub fn set_shards(&mut self, shards: usize) {
-        let mut plan = ShardPlan::new(shards, &self.torus, self.v);
+        let mut plan = ShardPlan::new(shards, &self.torus, self.v, self.cfg.deadlock);
         if plan.shards() > 1 {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             plan.pool = Some(WorkerPool::new(plan.shards(), cores));
@@ -781,7 +781,7 @@ impl Network {
         ctl.on_cycle(now, self);
         self.decide_injection(now, ctl);
         self.route_phase(now);
-        if matches!(self.cfg.deadlock, DeadlockMode::Recovery { .. }) {
+        if self.cfg.deadlock.recovers() {
             self.recovery_stage(now);
         }
         debug_assert!(
@@ -1085,7 +1085,6 @@ impl Network {
             generated_at: p.generated_at,
             injected_at: p.injected_at,
             delivered_at: now,
-            recovered: via_recovery,
         });
         self.counters.delivered_packets += 1;
         self.counters.recovered_packets += u64::from(via_recovery);
@@ -1835,9 +1834,9 @@ mod tests {
     /// Deliveries finish the same cycle at every shard count, not merely by
     /// the end of the run: a saturated recovery network with a hotspot is
     /// stepped at 1, 2, 3 and 8 shards side by side, and after every cycle
-    /// each sharded twin must have drained the same delivery records —
-    /// some finished through the recovery drain — and agree on the
-    /// cumulative delivered flits, `last_delivery_at` and
+    /// each sharded twin must have drained the same delivery records and
+    /// agree on the cumulative delivered flits, the packets finished
+    /// through the recovery drain (some are), `last_delivery_at` and
     /// `last_progress_at`. The end-state bytes cannot see a one-cycle slip
     /// of `last_delivery_at` that a later delivery overwrites; this can,
     /// and it also holds `last_delivery_at` to the cycle of every flit
@@ -1869,7 +1868,7 @@ mod tests {
             .collect();
         let nodes = nets[0].torus.node_count();
         let mut src = crate::testnet::arrivals(3, nodes, 55);
-        let (mut recovered, mut body_only) = (0, 0);
+        let mut body_only = 0;
         for _ in 0..1_200 {
             let mut seen = Vec::new();
             for net in &mut nets {
@@ -1883,14 +1882,12 @@ mod tests {
                 let state = (
                     records,
                     net.delivered_flits_cum(),
+                    net.counters().recovered_packets,
                     net.last_delivery_at(),
                     net.last_progress_at(),
                 );
                 match seen.first() {
-                    None => {
-                        recovered += state.0.iter().filter(|r| r.recovered).count();
-                        body_only += usize::from(delivered > 0 && state.0.is_empty());
-                    }
+                    None => body_only += usize::from(delivered > 0 && state.0.is_empty()),
                     Some(base) => assert!(
                         state == *base,
                         "cycle {now}: shards={} diverged from 1",
@@ -1900,9 +1897,12 @@ mod tests {
                 seen.push(state);
             }
         }
-        assert!(recovered > 0, "vacuous: nothing finished through recovery");
-        assert!(body_only > 0, "vacuous: no cycle delivered only body flits");
         let c = nets[0].counters();
+        assert!(
+            c.recovered_packets > 0,
+            "vacuous: nothing finished through recovery"
+        );
+        assert!(body_only > 0, "vacuous: no cycle delivered only body flits");
         assert!(
             c.hotspot_stall_cycles > 0,
             "vacuous: the hotspot stalled nothing"
@@ -2053,7 +2053,7 @@ mod tests {
         let spread = |net: &Network, vcs: &[u32]| {
             let fpn = net.d * net.v;
             SHARDS.iter().all(|&shards| {
-                let bounds = ShardPlan::new(shards, &net.torus, net.v).bounds;
+                let bounds = ShardPlan::new(shards, &net.torus, net.v, net.cfg.deadlock).bounds;
                 let mut hit: Vec<usize> = vcs
                     .iter()
                     .map(|&i| bounds.partition_point(|&b| b <= i as usize / fpn))

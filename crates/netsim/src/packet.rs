@@ -115,8 +115,6 @@ pub struct DeliveredRecord {
     pub injected_at: u64,
     /// Delivery cycle (tail consumed).
     pub delivered_at: u64,
-    /// Whether the packet finished through the Disha recovery network.
-    pub recovered: bool,
 }
 
 impl DeliveredRecord {
@@ -498,7 +496,6 @@ mod tests {
             generated_at: 10,
             injected_at: 25,
             delivered_at: 100,
-            recovered: false,
         };
         assert_eq!(r.network_latency(), 75);
         assert_eq!(r.total_latency(), 90);

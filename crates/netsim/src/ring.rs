@@ -979,13 +979,8 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
-    /// Case count, widened under the `slow-proptests` feature (repo
-    /// convention; see `tests/flow_prop.rs`).
-    const CASES: u64 = if cfg!(feature = "slow-proptests") {
-        64
-    } else {
-        8
-    };
+    /// Seeded cases per property.
+    const CASES: u64 = 8;
 
     fn mix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -76,6 +76,7 @@ use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
+use crate::config::DeadlockMode;
 use crate::network::{Assign, InjState, Network};
 use crate::packet::QueueEntry;
 use crate::packet::{Flit, PacketCell, PacketId, PacketInfo};
@@ -149,11 +150,6 @@ pub(crate) struct ShardStage {
     pub injected: u64,
     pub full_delta: i32,
     pub progressed: bool,
-    /// Wall time of this shard's last pass, booked only when phase stats
-    /// are on, for [`WorkerPool::run`] to fold into
-    /// [`PhaseStats::slowest_shard_ns`] and
-    /// [`PhaseStats::fastest_shard_ns`].
-    pub pass_ns: u64,
 }
 
 /// Hands every list of handoffs a switch pass parked to the stage of the
@@ -218,17 +214,19 @@ fn split(shards: usize, nodes: usize) -> Vec<usize> {
 
 impl ShardPlan {
     /// Builds a plan with `shards` contiguous node ranges of `torus`
-    /// ([`split`]), `v` VCs per channel. The stages' lists are sized at
-    /// their per-cycle worst case: a router sets aside at most one injection
-    /// win, one suspect or starvation trip per input feeder and one
+    /// ([`split`]), `v` VCs per channel, stepped under `mode`. The stages'
+    /// lists are sized at their per-cycle worst case: a router sets aside
+    /// at most one injection win, one suspect or starvation trip per input
+    /// feeder (none under avoidance, which suspects nothing) and one
     /// delivered tail, and
     /// each torus channel from shard `s` into shard `t` hands off at most
     /// one flit a cycle. No worker pool is attached here —
     /// `Network::set_shards` does that, so plan construction in tests
     /// stays thread-free.
-    pub fn new(shards: usize, torus: &Torus, v: usize) -> Self {
+    pub fn new(shards: usize, torus: &Torus, v: usize, mode: DeadlockMode) -> Self {
         let nodes = torus.node_count();
         let fpn = torus.channels_per_node() * v;
+        let watched = if mode.recovers() { fpn } else { 0 };
         let bounds = split(shards, nodes);
         let shards = bounds.len() - 1;
         let span = |s: usize| bounds[s + 1] - bounds[s];
@@ -252,8 +250,8 @@ impl ShardPlan {
         let stages = (0..shards)
             .map(|s| ShardStage {
                 started: Vec::with_capacity(span(s)),
-                suspects: Vec::with_capacity(span(s) * fpn),
-                starved: Vec::with_capacity(span(s) * fpn),
+                suspects: Vec::with_capacity(span(s) * watched),
+                starved: Vec::with_capacity(span(s) * watched),
                 outbound: (0..shards).map(|t| mail(s, t)).collect(),
                 inbound: (0..shards).map(|t| mail(t, s)).collect(),
                 delivered: Vec::with_capacity(span(s)),
@@ -566,13 +564,12 @@ struct ShardView(ApplyCtx<'static>);
 // where every `ShardView` is built.
 unsafe impl Send for ShardView {}
 
-/// One shard's job slot: the pass it runs next — kind, cycle, node range,
-/// whether to time it ([`ShardStage::pass_ns`]) and view, loaded by
-/// [`WorkerPool::run`] and taken by the claim holder — and its stage, which
-/// `run` swaps in for the pass and back out after it.
+/// One shard's job slot: the pass it runs next — kind, cycle, node range
+/// and view, loaded by [`WorkerPool::run`] and taken by the claim holder —
+/// and its stage, which `run` swaps in for the pass and back out after it.
 #[derive(Debug, Default)]
 struct Slot {
-    job: Option<(Pass, u64, usize, usize, bool, ShardView)>,
+    job: Option<(Pass, u64, usize, usize, ShardView)>,
     stage: ShardStage,
 }
 
@@ -611,13 +608,6 @@ pub struct PhaseStats {
     /// Shards of a route or switch pass swept up by some other
     /// participant.
     pub stolen_claims: u64,
-    /// Nanoseconds of the slowest shard's own pass, summed over the route
-    /// and switch passes: the shard every other participant waits for at
-    /// the end of the pass. 0 with one shard, which has no pool.
-    pub slowest_shard_ns: u64,
-    /// Nanoseconds of the fastest shard's own pass, summed likewise; its
-    /// gap to `slowest_shard_ns` is the load imbalance between shards.
-    pub fastest_shard_ns: u64,
 }
 
 /// Low bits of a claim word naming the claimant; the pass number sits
@@ -925,8 +915,6 @@ impl WorkerPool {
             "the flit pools are not the shard plan's ranges"
         );
         let whole = net.apply_ctx();
-        // Only route and switch passes: see `PhaseStats::home_claims`.
-        let timed = stats.is_some() && kind != Pass::Handoff;
         debug_assert_eq!(stages.len(), self.shared.slots.len());
         for (t, (slot, stage)) in self.shared.slots.iter().zip(stages.iter_mut()).enumerate() {
             let (lo, hi) = (whole.bounds[t], whole.bounds[t + 1]);
@@ -944,7 +932,7 @@ impl WorkerPool {
                 std::mem::transmute::<ApplyCtx<'_>, ApplyCtx<'static>>(whole.narrow(lo, hi))
             };
             let mut slot = lock(slot);
-            slot.job = Some((kind, now, lo, hi, timed, ShardView(view)));
+            slot.job = Some((kind, now, lo, hi, ShardView(view)));
             std::mem::swap(&mut slot.stage, stage);
         }
         self.open();
@@ -956,15 +944,11 @@ impl WorkerPool {
         for (slot, stage) in self.shared.slots.iter().zip(stages.iter_mut()) {
             std::mem::swap(&mut lock(slot).stage, stage);
         }
-        if let (Some(st), true) = (stats, timed) {
+        // Only route and switch passes: see `PhaseStats::home_claims`.
+        if let Some(st) = stats.filter(|_| kind != Pass::Handoff) {
             let (home, stolen) = self.shared.board.claim_split(self.cursor.pass);
             st.home_claims += home;
             st.stolen_claims += stolen;
-            let times = stages.iter_mut().map(|s| std::mem::take(&mut s.pass_ns));
-            let (slowest, fastest) =
-                times.fold((0, u64::MAX), |(hi, lo), ns| (hi.max(ns), lo.min(ns)));
-            st.slowest_shard_ns += slowest;
-            st.fastest_shard_ns += fastest;
         }
     }
 
@@ -1067,20 +1051,12 @@ fn participate(sh: &PoolShared, cur: &mut Cursor, mut stats: Option<&mut PhaseSt
     }
 }
 
-/// Shard `t`'s pass, run by the holder of its claim, and timed into its
-/// stage if the job says so.
+/// Shard `t`'s pass, run by the holder of its claim.
 fn execute(sh: &PoolShared, t: usize) {
     let mut slot = lock(&sh.slots[t]);
     let Slot { job, stage } = &mut *slot;
-    let (kind, now, lo, hi, timed, ShardView(view)) =
-        job.take().expect("a claimed shard has its job");
-    if timed {
-        let since = std::time::Instant::now();
-        view.pass(kind, now, lo, hi, stage);
-        stage.pass_ns = since.elapsed().as_nanos() as u64;
-    } else {
-        view.pass(kind, now, lo, hi, stage);
-    }
+    let (kind, now, lo, hi, ShardView(view)) = job.take().expect("a claimed shard has its job");
+    view.pass(kind, now, lo, hi, stage);
 }
 
 /// A worker's life: spin on the epoch, participate when a pass opens, park
@@ -1152,8 +1128,26 @@ mod tests {
 
     #[test]
     fn plan_construction_spawns_no_threads() {
-        let plan = ShardPlan::new(8, &Torus::new(8, 2).unwrap(), 2);
+        let plan = ShardPlan::new(8, &Torus::new(8, 2).unwrap(), 2, DeadlockMode::Avoidance);
         assert!(plan.pool.is_none(), "pool attachment is set_shards' job");
+    }
+
+    /// A stage reserves a suspect and a trip per input feeder under
+    /// recovery and none under avoidance, which never suspects a VC.
+    #[test]
+    fn suspect_lists_are_reserved_under_recovery_alone() {
+        // Two 32-node shards of 12 input feeders a node.
+        let torus = Torus::new(8, 2).unwrap();
+        for stage in ShardPlan::new(2, &torus, 3, DeadlockMode::PAPER_RECOVERY).stages {
+            assert!(stage.suspects.capacity() >= 32 * 12);
+            assert!(stage.starved.capacity() >= 32 * 12);
+        }
+        for stage in ShardPlan::new(2, &torus, 3, DeadlockMode::Avoidance).stages {
+            assert_eq!(
+                (stage.suspects.capacity(), stage.starved.capacity()),
+                (0, 0)
+            );
+        }
     }
 
     /// Each ordered shard pair's handoff list holds exactly the torus
@@ -1167,14 +1161,15 @@ mod tests {
         };
         // 12-ary 3-cube in halves at the z = 6 plane: each way, the two
         // 144-node z-faces z = 5 → 6 and z = 0 → 11 (or back) cross.
-        let plan = ShardPlan::new(2, &Torus::new(12, 3).unwrap(), 3);
+        let recovery = DeadlockMode::PAPER_RECOVERY;
+        let plan = ShardPlan::new(2, &Torus::new(12, 3).unwrap(), 3, recovery);
         assert_eq!(
             [0, 1, 2, 3].map(|st| cap(&plan, st / 2, st % 2)),
             [0, 288, 288, 0]
         );
         // 8-ary 2-cube in four two-row shards, a ring of them: one 8-node
         // row face to each neighbouring shard, none to the opposite one.
-        let plan = ShardPlan::new(4, &Torus::new(8, 2).unwrap(), 3);
+        let plan = ShardPlan::new(4, &Torus::new(8, 2).unwrap(), 3, recovery);
         for s in 0..4 {
             for t in 0..4 {
                 let want = if (t + 4 - s) % 2 == 1 { 8 } else { 0 };
@@ -1447,7 +1442,7 @@ mod tests {
     /// The stage of a one-shard plan over the [`NODES`]-node test net.
     fn stage() -> ShardStage {
         let cfg = crate::testnet::small_cfg();
-        ShardPlan::new(1, &cfg.torus().unwrap(), cfg.vcs)
+        ShardPlan::new(1, &cfg.torus().unwrap(), cfg.vcs, cfg.deadlock)
             .stages
             .remove(0)
     }
@@ -1529,7 +1524,8 @@ mod tests {
     fn whole_view_and_shard_views_compute_the_same_pass() {
         let (mut whole, mut halves) = (hot_net(), hot_net());
         assert_eq!(saved(&whole), saved(&halves));
-        halves.set_plan(ShardPlan::new(2, halves.torus(), halves.config().vcs));
+        let (vcs, mode) = (halves.config().vcs, halves.config().deadlock);
+        halves.set_plan(ShardPlan::new(2, halves.torus(), vcs, mode));
         let now = whole.now;
         for kind in [Pass::Route, Pass::Switch] {
             let mut stages = std::mem::take(&mut whole.plan.stages);
@@ -1561,29 +1557,6 @@ mod tests {
         for net in [&whole, &halves] {
             let report = net.audit();
             assert!(report.is_clean(), "{report}");
-        }
-    }
-
-    /// With phase stats on, a sharded network books its slowest and its
-    /// fastest shard's pass time for every route and switch pass; one
-    /// shard has no pool and books neither.
-    #[test]
-    fn phase_stats_time_the_slowest_and_the_fastest_shard() {
-        for shards in [1, 2] {
-            let mut net = hot_net();
-            net.set_shards(shards);
-            net.set_phase_stats(true);
-            let mut src = crate::testnet::arrivals(2, NODES, 60);
-            for _ in 0..200 {
-                net.cycle_from(&mut src, &mut crate::NoControl);
-            }
-            let st = net.phase_stats().unwrap();
-            let (slowest, fastest) = (st.slowest_shard_ns, st.fastest_shard_ns);
-            if shards == 1 {
-                assert_eq!((slowest, fastest), (0, 0));
-            } else {
-                assert!(slowest >= fastest && fastest > 0, "{st:?}");
-            }
         }
     }
 

@@ -20,14 +20,15 @@
 //! configuration fingerprint at the container level.
 //!
 //! Each section writes what its state holds, not the network's shape
-//! (format v9). Counts, ids and nodes are varints, and every cycle stamp
+//! (formats v9 and v10). Counts, ids and nodes are varints, and every cycle stamp
 //! is a varint offset back from the clock (`now`; `now + hop_latency` for
 //! a flit's `ready_at`), so a stamp costs what its age takes. An input VC
 //! is one tag byte — assignment kind, ring non-empty, blocked count
 //! non-zero — followed only by what that state reads: the `Out` port and
-//! VC, its `vc_routing` word — the routing cycle of a switchable VC (the
-//! only kind whose switch-plane entry reads it), the blocked count of a
-//! VC holding a header assigned `None` — and the ring. An idle VC is one
+//! VC, the blocked count of a VC holding a header assigned `None`, the
+//! ring, and last the routing cycle of a switchable VC whose front is a
+//! header (the only front whose switch-plane entry reads it; elsewhere
+//! the word is stale and a restore leaves it 0). An idle VC is one
 //! byte: its blocked count is zero (a count grows only under a waiting
 //! header and restarts when that header routes or is suspected). A ring writes its
 //! length, its front flit's index (the rest follow in ring order), the
@@ -74,6 +75,15 @@ fn kind_of(a: Assign) -> u8 {
         Assign::AwaitToken => 3,
         Assign::Recovery => 4,
     }
+}
+
+/// Whether VC `idx`'s routing cycle is written: the VC is switchable and
+/// its front flit is a header, the only front whose switch-plane entry
+/// reads the cycle ([`crate::plane::vc_movable_at`]). Anywhere else the
+/// word is stale and a restore leaves it 0.
+fn routed_header(rings: &FlitRings, idx: usize, a: Assign) -> bool {
+    matches!(a, Assign::Out { .. } | Assign::Delivery)
+        && rings.front(idx).is_some_and(|f| f.idx == 0)
 }
 
 /// Writes what an assignment holds beyond its kind: an `Out`'s port and VC.
@@ -230,14 +240,14 @@ impl Network {
             }
             enc.u8(tag);
             enc_out(enc, a);
-            if matches!(a, Assign::Out { .. } | Assign::Delivery) {
-                enc_back(enc, now, self.vc_routing[idx]);
-            }
             if blocked != 0 {
                 enc.varint(blocked);
             }
             if busy {
                 enc_flits(enc, &self.vc_bufs, idx, ready_base);
+            }
+            if routed_header(&self.vc_bufs, idx, a) {
+                enc_back(enc, now, self.vc_routing[idx]);
             }
         }
         for flags in self.out_alloc.chunks(8) {
@@ -311,7 +321,6 @@ impl Network {
             enc_back(enc, now, d.generated_at);
             enc_back(enc, now, d.injected_at);
             enc_back(enc, now, d.delivered_at);
-            enc.bool(d.recovered);
         }
     }
 
@@ -375,9 +384,6 @@ impl Network {
             }
             let a = dec_assign(dec, tag & KIND, d, v)?;
             vc_assign.push(a);
-            if matches!(a, Assign::Out { .. } | Assign::Delivery) {
-                *routing = dec_back(dec, now)?;
-            }
             if tag & BLOCKED != 0 {
                 // Only a header assigned `None` counts: a suspect's count
                 // restarted when it was suspected.
@@ -388,6 +394,9 @@ impl Network {
             }
             if tag & BUSY != 0 {
                 dec_flits(dec, &mut vc_bufs, idx, 1..=depth, plen, ready_base)?;
+            }
+            if routed_header(&vc_bufs, idx, a) {
+                *routing = dec_back(dec, now)?;
             }
         }
         let mut out_alloc = Vec::with_capacity(n_vcs);
@@ -479,8 +488,14 @@ impl Network {
         let out_rr = (0..nodes * (d + 1))
             .map(|_| cursor())
             .collect::<Result<Vec<_>, _>>()?;
-        let n_tok = dec_below(dec, n_vcs + 1, "token queue implausibly long")?;
-        let mut token_queue = Rings::new(1, n_vcs);
+        // Avoidance queues nothing for the token and reserves no queue.
+        let tok_cap = if self.config().deadlock.recovers() {
+            n_vcs
+        } else {
+            0
+        };
+        let n_tok = dec_below(dec, tok_cap + 1, "token queue implausibly long")?;
+        let mut token_queue = Rings::new(1, tok_cap);
         for _ in 0..n_tok {
             let idx = dec_below(dec, n_vcs, "token queue entry out of range")?;
             token_queue.push_back(0, idx as u32);
@@ -502,7 +517,6 @@ impl Network {
                 generated_at: dec_back(dec, now)?,
                 injected_at: dec_back(dec, now)?,
                 delivered_at: dec_back(dec, now)?,
-                recovered: dec.bool()?,
             });
         }
 
@@ -692,6 +706,31 @@ mod tests {
         assert_eq!((before[tag_at], ring_at, end), (0, tag_at + 1, tag_at + 1));
     }
 
+    /// A switchable VC's routing cycle is read only while its front is a
+    /// header ([`crate::plane::vc_movable_at`]), so it is written there
+    /// alone: scribbling over the word of a routed VC whose header has
+    /// left changes no byte of the checkpoint, and over a routed header's
+    /// it does.
+    #[test]
+    fn a_routing_cycle_is_written_under_a_header_alone() {
+        let mut net = hot_net();
+        let before = snapshot(&net);
+        let switchable = |net: &Network, header: bool| {
+            (0..net.vc_assign.len())
+                .find(|&i| {
+                    matches!(net.vc_assign[i], Assign::Out { .. } | Assign::Delivery)
+                        && net.vc_bufs.front(i).is_some_and(|f| f.idx == 0) == header
+                })
+                .expect("vacuous: no such switchable VC")
+        };
+        let (body, header) = (switchable(&net, false), switchable(&net, true));
+        assert_ne!(net.vc_routing[body], 0, "vacuous: no stale routing cycle");
+        net.vc_routing[body] = 0;
+        assert_eq!(snapshot(&net), before);
+        net.vc_routing[header] = u64::from(net.vc_routing[header] == 0);
+        assert_ne!(snapshot(&net), before);
+    }
+
     /// A checkpoint's size follows the live state, not the network's
     /// shape: a freshly built 12-ary 3-cube (31,104 input VCs, all idle)
     /// writes a tag byte per VC and little else, where a fixed-width
@@ -794,9 +833,9 @@ mod tests {
     }
 
     /// Where input VC `r` sits in `net`'s snapshot `snap`: its tag byte,
-    /// the start of its ring (past the tag, the `Out` port and VC, the
-    /// routed-at stamp and the blocked count) and the end of that ring.
-    /// Walks the VC section the way the decoder reads it.
+    /// the start of its ring (past the tag, the `Out` port and VC and the
+    /// blocked count) and the end of that ring, ahead of any routed-at
+    /// stamp. Walks the VC section the way the decoder reads it.
     fn vc_span(snap: &[u8], net: &Network, r: usize) -> (usize, usize, usize) {
         let mut dec = Dec::new(snap);
         let at = |dec: &Dec<'_>| snap.len() - dec.remaining();
@@ -813,16 +852,15 @@ mod tests {
             if kind == 1 {
                 dec.u16().unwrap(); // port, VC
             }
-            if kind == 1 || kind == 2 {
-                dec.varint().unwrap(); // routed-at
-            }
             if tag & BLOCKED != 0 {
                 dec.varint().unwrap();
             }
             let ring_at = at(&dec);
+            let mut header = false;
             if tag & BUSY != 0 {
                 let len = dec.varint().unwrap();
                 let front = dec.varint().unwrap();
+                header = front == 0;
                 for i in 0..len {
                     if i == 0 || (front + i).is_multiple_of(plen) {
                         dec.varint().unwrap(); // packet id
@@ -830,8 +868,12 @@ mod tests {
                     dec.varint().unwrap(); // ready offset
                 }
             }
+            let end = at(&dec);
+            if header && (kind == 1 || kind == 2) {
+                dec.varint().unwrap(); // routed-at
+            }
             if idx == r {
-                return (tag_at, ring_at, at(&dec));
+                return (tag_at, ring_at, end);
             }
         }
         unreachable!()
@@ -849,9 +891,11 @@ mod tests {
     fn restore_refuses_flit_queues_no_ring_holds() {
         let net = hot_net();
         let (plen, depth) = (u64::from(net.packet_len), net.config().buf_depth as u64);
+        // A header waiting to route: no routed-at stamp follows its ring,
+        // whatever ring replaces it.
         let r = (0..net.vc_assign.len())
-            .find(|&r| !net.vc_bufs.is_empty(r))
-            .expect("vacuous: no buffered flit");
+            .find(|&i| net.vc_assign[i] == Assign::None && !net.vc_bufs.is_empty(i))
+            .expect("vacuous: no waiting header");
         let idle = (0..net.vc_assign.len())
             .find(|&i| net.vc_assign[i] == Assign::None && net.vc_bufs.is_empty(i))
             .expect("vacuous: no idle VC");
@@ -876,12 +920,9 @@ mod tests {
             built.splice(tag_at + 1..tag_at + 1, extra.iter().copied());
             built
         };
-        // A waiting header turned suspect (kind 3) keeping a count, which
-        // restarts when a header is suspected.
-        let waiting = (0..net.vc_assign.len())
-            .find(|&i| net.vc_assign[i] == Assign::None && !net.vc_bufs.is_empty(i))
-            .expect("vacuous: no waiting header");
-        let (waiting_at, waiting_ring, _) = vc_span(&snap, &net, waiting);
+        // The waiting header turned suspect (kind 3) keeping a count,
+        // which restarts when a header is suspected.
+        let (waiting_at, waiting_ring, _) = vc_span(&snap, &net, r);
         let mut counted = snap.clone();
         if counted[waiting_at] & BLOCKED == 0 {
             counted.insert(waiting_ring, 1);

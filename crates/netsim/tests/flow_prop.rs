@@ -4,19 +4,11 @@
 //!
 //! Formerly written with `proptest`; rewritten as seeded in-tree case
 //! generation so the workspace builds with no network access (see README
-//! "Hermetic build"). Enable `slow-proptests` for a wider sweep:
-//!
-//! ```sh
-//! cargo test -p wormsim --features slow-proptests
-//! ```
+//! "Hermetic build").
 
 use wormsim::{DeadlockMode, NetConfig, Network, NoControl, Offer};
 
-const CASES: u64 = if cfg!(feature = "slow-proptests") {
-    32
-} else {
-    8
-};
+const CASES: u64 = 8;
 
 fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -155,17 +155,24 @@ fn steady_state_cycles_never_allocate() {
     let mut runner = saturating_runner(nodes);
     assert_zero_alloc_steady_state(
         "avoidance, runner arrivals",
-        avoidance,
+        avoidance.clone(),
         1,
         &mut |now, offer| runner.arrivals(now, offer),
     );
     // Sharded stepping (the library shard pin at 4): the persistent
     // worker pool's dispatch/claim/park cycle and the passes' suspect,
     // parked and delivered lists (preallocated per shard at one per input
-    // VC, network port or node) must allocate nothing once the pool is up.
+    // VC, network port or node; no suspect list under avoidance) must
+    // allocate nothing once the pool is up.
     assert_zero_alloc_steady_state(
         "recovery@shards=4",
         recovery,
+        4,
+        &mut saturating_arrivals(nodes),
+    );
+    assert_zero_alloc_steady_state(
+        "avoidance@shards=4",
+        avoidance,
         4,
         &mut saturating_arrivals(nodes),
     );

@@ -3,21 +3,12 @@
 //!
 //! Like `wormsim`'s flow properties, these are in-tree seeded case
 //! generators rather than `proptest` strategies, so the workspace builds
-//! with no network access (README, "Hermetic build"). Enable
-//! `slow-proptests` for a wider sweep:
-//!
-//! ```sh
-//! cargo test -p sideband --features slow-proptests
-//! ```
+//! with no network access (README, "Hermetic build").
 
 use sideband::width::bits_for_max;
 use sideband::{Quantizer, Sideband, SidebandConfig};
 
-const CASES: u64 = if cfg!(feature = "slow-proptests") {
-    20_000
-} else {
-    2_000
-};
+const CASES: u64 = 2_000;
 
 fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -2,22 +2,13 @@
 //!
 //! Formerly written with `proptest`; rewritten as seeded in-tree sweeps so
 //! the workspace builds with no network access (see README "Hermetic
-//! build"). The default sweep is small and fast; enable the
-//! `slow-proptests` feature to widen it:
-//!
-//! ```sh
-//! cargo test -p kncube --features slow-proptests
-//! ```
+//! build"). The sweep is small and fast.
 
 use kncube::{Dir, Torus};
 
 /// Cases per property: every (radix, dimensions) shape times `CASE_SEEDS`
 /// node samples.
-const CASE_SEEDS: u64 = if cfg!(feature = "slow-proptests") {
-    64
-} else {
-    8
-};
+const CASE_SEEDS: u64 = 8;
 
 /// SplitMix64: deterministic, platform-independent case generator.
 fn mix(state: &mut u64) -> u64 {

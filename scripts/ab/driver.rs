@@ -26,13 +26,16 @@
 //! report gives each pair's median ratio, its quartiles and the share of
 //! rounds the second side was faster; a change whose median ratio lies
 //! inside the control's spread is not resolved from noise. Every chunk
-//! must deliver the same flits on all three, and at the end the
-//! checkpoints must be byte-identical when both trees write the same
-//! checkpoint version. Set-up time and peak memory are out of reach (one
+//! must deliver the same flits on all three, and at the end all three
+//! must agree on the network's counters, its full-buffer census and its
+//! live packets — a comparison that holds across a checkpoint version
+//! bump — and, when both trees write the same checkpoint version, on the
+//! checkpoint bytes. Set-up time and peak memory are out of reach (one
 //! process holds every side); the sequential benchmark keeps those.
 //!
 //! The driver speaks only `SimConfig`, `Simulation::new`/`set_shards`/
-//! `step`/`checkpoint`/`network` and the presets: a change to that surface
+//! `step`/`checkpoint`/`network`, `Network::counters`/
+//! `full_buffer_count`/`live_packets` and the presets: a change to that surface
 //! edits the `side!` body below in the same change.
 
 use std::time::Instant;
@@ -42,6 +45,9 @@ trait Side {
     /// Steps `cycles` cycles; returns the flits delivered meanwhile.
     fn step(&mut self, cycles: u64) -> u64;
     fn checkpoint(&self) -> Vec<u8>;
+    /// The network's counters, full-buffer census and live packets, in a
+    /// rendering no checkpoint version changes.
+    fn end_state(&self) -> String;
 }
 
 macro_rules! side {
@@ -102,6 +108,16 @@ macro_rules! side {
 
                 fn checkpoint(&self) -> Vec<u8> {
                     self.0.checkpoint()
+                }
+
+                fn end_state(&self) -> String {
+                    let net = self.0.network();
+                    format!(
+                        "{:?} full_buffers={} live_packets={}",
+                        net.counters(),
+                        net.full_buffer_count(),
+                        net.live_packets()
+                    )
                 }
             }
         }
@@ -205,6 +221,13 @@ fn main() {
     );
     report("change / base", &mut change);
     report("control / base", &mut control);
+    let state = sides[0].end_state();
+    assert!(
+        sides[1].end_state() == state && sides[2].end_state() == state,
+        "the end states differ:\n  base    {state}\n  change  {}\n  control {}",
+        sides[1].end_state(),
+        sides[2].end_state()
+    );
     let bytes = sides[0].checkpoint();
     if base::VERSION == change::VERSION {
         assert!(
@@ -212,14 +235,17 @@ fn main() {
             "the final checkpoints differ"
         );
         println!(
-            "  every chunk delivered alike; final checkpoints equal ({} B)",
+            "  every chunk delivered alike; end counters equal; final checkpoints equal ({} B)",
             bytes.len()
         );
     } else {
         println!(
-            "  every chunk delivered alike; checkpoint version {} -> {}: bytes not compared",
+            "  every chunk delivered alike; end counters equal; checkpoint version {} -> {}: \
+             bytes not compared ({} -> {} B)",
             base::VERSION,
-            change::VERSION
+            change::VERSION,
+            bytes.len(),
+            sides[1].checkpoint().len()
         );
     }
 }

@@ -3,18 +3,14 @@
 //!
 //! Formerly written with `proptest`; rewritten as seeded in-tree sweeps so
 //! the workspace builds with no network access (see README "Hermetic
-//! build"). Enable the root `slow-proptests` feature for a wider sweep.
+//! build").
 
 use stcc::prelude::*;
 use stcc::Simulation;
 use traffic::{splitmix64, WorkloadRunner};
 use wormsim::{Network, NoControl};
 
-const CASES: u64 = if cfg!(feature = "slow-proptests") {
-    24
-} else {
-    6
-};
+const CASES: u64 = 6;
 
 fn pattern_for(idx: u64) -> Pattern {
     match idx % 6 {
