@@ -1,45 +1,7 @@
+use crate::scaffold::INITIAL_THRESHOLD_FRAC;
 use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::SidebandConfig;
-
-/// Configuration of the AIMD injection-threshold controller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AimdConfig {
-    /// Side-band gather network parameters (defines the gather period `g`).
-    pub sideband: SidebandConfig,
-    /// Tuning period, in gathers (3, matching the self-tuner's clock).
-    pub tune_gathers: u32,
-    /// Additive raise per uncongested period, as a fraction of all VC
-    /// buffers (1%).
-    pub additive_frac: f64,
-    /// Multiplicative threshold cut on a congested period (0.5).
-    pub cut_factor: f64,
-    /// A period counts as *congested* when its throughput falls below this
-    /// fraction of the previous period's (75%, the paper's drop test).
-    pub drop_fraction: f64,
-    /// Initial threshold as a fraction of all VC buffers (1%).
-    pub initial_threshold_frac: f64,
-    /// Staleness watchdog horizon, in gathers (0 disables it; see
-    /// [`crate::TuneConfig::watchdog_gathers`]).
-    pub watchdog_gathers: u32,
-}
-
-impl AimdConfig {
-    /// Defaults matching the self-tuner's clock and step sizes on the
-    /// paper's network.
-    #[must_use]
-    pub fn paper() -> Self {
-        AimdConfig {
-            sideband: SidebandConfig::paper(),
-            tune_gathers: 3,
-            additive_frac: 0.01,
-            cut_factor: 0.5,
-            drop_fraction: 0.75,
-            initial_threshold_frac: 0.01,
-            watchdog_gathers: 8,
-        }
-    }
-}
 
 /// **AIMD** on the injection threshold: the classic additive-increase /
 /// multiplicative-decrease rule (Chiu & Jain) transplanted from window-based
@@ -61,37 +23,44 @@ pub struct AimdLaw {
     add: f64,
 }
 
+impl AimdLaw {
+    /// Tuning period, in gathers (3, matching the self-tuner's clock).
+    const PERIOD_GATHERS: u32 = 3;
+    /// Additive raise per uncongested period, as a fraction of all VC
+    /// buffers (1%).
+    const ADDITIVE_FRAC: f64 = 0.01;
+    /// Multiplicative threshold cut on a congested period.
+    const CUT_FACTOR: f64 = 0.5;
+}
+
 impl Law for AimdLaw {
-    type Config = AimdConfig;
+    type Config = SidebandConfig;
     const NAME: &'static str = "aimd";
+    const WATCHDOG_GATHERS: u32 = 8;
 
-    fn sideband_config(cfg: &AimdConfig) -> &SidebandConfig {
-        &cfg.sideband
+    fn sideband_config(cfg: &SidebandConfig) -> &SidebandConfig {
+        cfg
     }
 
-    fn watchdog_gathers(cfg: &AimdConfig) -> u32 {
-        cfg.watchdog_gathers
+    fn period_gathers(_cfg: &SidebandConfig) -> u32 {
+        Self::PERIOD_GATHERS
     }
 
-    fn period_gathers(cfg: &AimdConfig) -> u32 {
-        cfg.tune_gathers
-    }
-
-    fn size(&mut self, cfg: &AimdConfig, total_buffers: f64) {
+    fn size(&mut self, _cfg: &SidebandConfig, total_buffers: f64) {
         self.total_buffers = total_buffers;
-        self.threshold = cfg.initial_threshold_frac * total_buffers;
-        self.add = cfg.additive_frac * total_buffers;
+        self.threshold = INITIAL_THRESHOLD_FRAC * total_buffers;
+        self.add = Self::ADDITIVE_FRAC * total_buffers;
     }
 
-    fn threshold(&self, _cfg: &AimdConfig) -> f64 {
+    fn threshold(&self, _cfg: &SidebandConfig) -> f64 {
         self.threshold
     }
 
-    /// Additive raise when throughput held up, multiplicative cut when it
-    /// dropped.
-    fn on_period(&mut self, cfg: &AimdConfig, p: &Period) -> Option<Action> {
-        let action = if p.dropped(cfg.drop_fraction) {
-            self.threshold *= cfg.cut_factor;
+    /// Additive raise when throughput held up (no 25 % drop, the paper's
+    /// test), multiplicative cut when it dropped.
+    fn on_period(&mut self, _cfg: &SidebandConfig, p: &Period) -> Option<Action> {
+        let action = if p.dropped() {
+            self.threshold *= Self::CUT_FACTOR;
             Action::Cut
         } else {
             self.threshold += self.add;
@@ -109,7 +78,7 @@ impl Law for AimdLaw {
         enc.f64(self.threshold);
     }
 
-    fn restore(&mut self, _cfg: &AimdConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
+    fn restore(&mut self, _cfg: &SidebandConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.threshold = dec.f64()?;
         Ok(())
     }
@@ -119,8 +88,8 @@ impl Law for AimdLaw {
 mod tests {
     use super::*;
 
-    fn cfg() -> AimdConfig {
-        AimdConfig::paper()
+    fn cfg() -> SidebandConfig {
+        SidebandConfig::paper()
     }
 
     fn state(total: f64) -> AimdLaw {
@@ -169,7 +138,7 @@ mod tests {
         }
     }
 
-    /// A cut is exactly multiplicative (threshold × cut_factor), never a
+    /// A cut is exactly multiplicative (threshold × `CUT_FACTOR`), never a
     /// fixed step.
     #[test]
     fn cut_is_exactly_multiplicative() {

@@ -1,76 +1,33 @@
+use crate::scaffold::INITIAL_THRESHOLD_FRAC;
 use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::SidebandConfig;
-
-/// Configuration of the BBR-flavored delivery-rate controller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BbrConfig {
-    /// Side-band gather network parameters. Each snapshot's
-    /// `delivered_flits` is one delivery-rate sample (flits per gather
-    /// window).
-    pub sideband: SidebandConfig,
-    /// Length of the max-delivery-rate filter, in gathers (samples older
-    /// than this fall out of the max).
-    pub filter_gathers: u32,
-    /// Length of the gain cycle, in gathers: each cycle starts with one
-    /// probe sample (threshold raised above the operating point), then one
-    /// drain sample (lowered below it), then cruising at gain 1.
-    pub cycle_gathers: u32,
-    /// Threshold gain during the probe phase (1.25, BBR's probe_bw up
-    /// gain).
-    pub probe_gain: f64,
-    /// Threshold gain during the drain phase (0.75, mirroring the probe).
-    pub drain_gain: f64,
-    /// Threshold floor as a fraction of all VC buffers (1%) — keeps the
-    /// gate from pinning shut before the filter has a real operating point.
-    pub initial_threshold_frac: f64,
-    /// Staleness watchdog horizon, in gathers (0 disables it).
-    pub watchdog_gathers: u32,
-}
-
-impl BbrConfig {
-    /// Defaults on the paper's network: an eight-gather filter and gain
-    /// cycle with BBR's 1.25/0.75 probe/drain gains.
-    #[must_use]
-    pub fn paper() -> Self {
-        BbrConfig {
-            sideband: SidebandConfig::paper(),
-            filter_gathers: 8,
-            cycle_gathers: 8,
-            probe_gain: 1.25,
-            drain_gain: 0.75,
-            initial_threshold_frac: 0.01,
-            watchdog_gathers: 8,
-        }
-    }
-}
 
 /// The threshold gain for delivery-rate sample number `seq` (0-based):
 /// sample 0 of each gain cycle probes, sample 1 drains, the rest cruise.
 ///
 /// ```
-/// use stcc::{bbr_phase_gain, BbrConfig};
-/// let c = BbrConfig::paper();
-/// assert_eq!(bbr_phase_gain(0, &c), 1.25);
-/// assert_eq!(bbr_phase_gain(1, &c), 0.75);
-/// assert_eq!(bbr_phase_gain(2, &c), 1.0);
-/// assert_eq!(bbr_phase_gain(8, &c), 1.25);
+/// use stcc::bbr_phase_gain;
+/// assert_eq!(bbr_phase_gain(0), 1.25);
+/// assert_eq!(bbr_phase_gain(1), 0.75);
+/// assert_eq!(bbr_phase_gain(2), 1.0);
+/// assert_eq!(bbr_phase_gain(8), 1.25);
 /// ```
 #[must_use]
-pub fn bbr_phase_gain(seq: u64, cfg: &BbrConfig) -> f64 {
-    match bbr_phase(seq, cfg) {
-        Action::Raise => cfg.probe_gain,
-        Action::Cut => cfg.drain_gain,
+pub fn bbr_phase_gain(seq: u64) -> f64 {
+    match bbr_phase(seq) {
+        Action::Raise => BbrLaw::PROBE_GAIN,
+        Action::Cut => BbrLaw::DRAIN_GAIN,
         _ => 1.0,
     }
 }
 
 /// Sample `seq`'s phase as the action it takes: a probe raises, a drain
-/// cuts, cruising (and a zero-length cycle) holds.
-fn bbr_phase(seq: u64, cfg: &BbrConfig) -> Action {
-    match seq.checked_rem(u64::from(cfg.cycle_gathers)) {
-        Some(0) => Action::Raise,
-        Some(1) => Action::Cut,
+/// cuts, cruising holds.
+fn bbr_phase(seq: u64) -> Action {
+    match seq % BbrLaw::CYCLE_GATHERS {
+        0 => Action::Raise,
+        1 => Action::Cut,
         _ => Action::Hold,
     }
 }
@@ -101,7 +58,9 @@ struct RateSample {
 /// the queues the probe built.
 pub type BbrControl = SidebandDriven<BbrLaw>;
 
-/// The BBR-flavored control law behind [`BbrControl`].
+/// The BBR-flavored control law behind [`BbrControl`]. Each side-band
+/// snapshot's `delivered_flits` is one delivery-rate sample (flits per
+/// gather window).
 #[derive(Debug, Clone, Default)]
 pub struct BbrLaw {
     total_buffers: f64,
@@ -114,15 +73,27 @@ pub struct BbrLaw {
 }
 
 impl BbrLaw {
+    /// Length of the max-delivery-rate filter, in gathers (samples older
+    /// than this fall out of the max).
+    pub const FILTER_GATHERS: u32 = 8;
+    /// Length of the gain cycle, in gathers: each cycle starts with one
+    /// probe sample (threshold raised above the operating point), then one
+    /// drain sample (lowered below it), then cruising at gain 1.
+    const CYCLE_GATHERS: u64 = 8;
+    /// Threshold gain during the probe phase (BBR's probe_bw up gain).
+    const PROBE_GAIN: f64 = 1.25;
+    /// Threshold gain during the drain phase (mirroring the probe).
+    const DRAIN_GAIN: f64 = 0.75;
+
     /// Folds one delivery-rate sample into the max filter and recomputes
     /// the threshold from the filtered operating point and the phase gain.
-    fn sample(&mut self, cfg: &BbrConfig, rate: u64, census: u64) -> Action {
+    fn sample(&mut self, rate: u64, census: u64) -> Action {
         let seq = self.seq;
         self.seq += 1;
         // Expire samples older than the filter window, then maintain the
         // rate-decreasing deque invariant (ties go to the newer sample, so
         // the operating point tracks current conditions).
-        let horizon = u64::from(cfg.filter_gathers.max(1));
+        let horizon = u64::from(Self::FILTER_GATHERS);
         self.filter.retain(|s| s.seq + horizon > seq);
         while self.filter.last().is_some_and(|s| s.rate <= rate) {
             self.filter.pop();
@@ -130,39 +101,39 @@ impl BbrLaw {
         self.filter.push(RateSample { seq, rate, census });
 
         let operating_point = self.filter[0].census as f64;
-        self.threshold = (bbr_phase_gain(seq, cfg) * operating_point)
+        self.threshold = (bbr_phase_gain(seq) * operating_point)
             .max(self.floor)
             .min(self.total_buffers);
-        bbr_phase(seq, cfg)
+        bbr_phase(seq)
     }
 }
 
 impl Law for BbrLaw {
-    type Config = BbrConfig;
+    type Config = SidebandConfig;
     const NAME: &'static str = "bbr";
+    const WATCHDOG_GATHERS: u32 = 8;
 
-    fn sideband_config(cfg: &BbrConfig) -> &SidebandConfig {
-        &cfg.sideband
+    fn sideband_config(cfg: &SidebandConfig) -> &SidebandConfig {
+        cfg
     }
 
-    fn watchdog_gathers(cfg: &BbrConfig) -> u32 {
-        cfg.watchdog_gathers
-    }
-
-    fn size(&mut self, cfg: &BbrConfig, total_buffers: f64) {
+    /// The threshold's floor is the tuning laws' initial threshold: it
+    /// keeps the gate from pinning shut before the filter has a real
+    /// operating point.
+    fn size(&mut self, _cfg: &SidebandConfig, total_buffers: f64) {
         self.total_buffers = total_buffers;
-        self.floor = cfg.initial_threshold_frac * total_buffers;
+        self.floor = INITIAL_THRESHOLD_FRAC * total_buffers;
         self.threshold = self.floor;
     }
 
-    fn threshold(&self, _cfg: &BbrConfig) -> f64 {
+    fn threshold(&self, _cfg: &SidebandConfig) -> f64 {
         self.threshold
     }
 
     /// Every snapshot is one rate sample, and every sample re-derives the
     /// threshold.
-    fn on_period(&mut self, cfg: &BbrConfig, p: &Period) -> Option<Action> {
-        Some(self.sample(cfg, p.delivered, p.census_sum))
+    fn on_period(&mut self, _cfg: &SidebandConfig, p: &Period) -> Option<Action> {
+        Some(self.sample(p.delivered, p.census_sum))
     }
 
     /// Rate samples spanning the outage are garbage: restore the threshold
@@ -183,10 +154,10 @@ impl Law for BbrLaw {
         enc.f64(self.threshold);
     }
 
-    fn restore(&mut self, cfg: &BbrConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
+    fn restore(&mut self, _cfg: &SidebandConfig, dec: &mut Dec<'_>) -> Result<(), CheckpointError> {
         self.seq = dec.u64()?;
         let len = dec.u32()?;
-        if len > cfg.filter_gathers.max(1) {
+        if len > Self::FILTER_GATHERS {
             return Err(CheckpointError::Corrupt("bbr filter past its bound"));
         }
         self.filter.clear();
@@ -206,14 +177,10 @@ impl Law for BbrLaw {
 mod tests {
     use super::*;
 
-    fn cfg() -> BbrConfig {
-        BbrConfig::paper()
-    }
-
     /// The law sized for the paper's 3072-buffer network.
-    fn state(cfg: &BbrConfig) -> BbrLaw {
+    fn state() -> BbrLaw {
         let mut law = BbrLaw::default();
-        law.size(cfg, 3072.0);
+        law.size(&SidebandConfig::paper(), 3072.0);
         law
     }
 
@@ -221,25 +188,13 @@ mod tests {
     /// 1, cruise otherwise — for every sample of the first three cycles.
     #[test]
     fn probe_phase_scheduling() {
-        let c = cfg();
         for cycle in 0..3u64 {
-            let base = cycle * u64::from(c.cycle_gathers);
-            assert_eq!(bbr_phase_gain(base, &c), c.probe_gain, "cycle {cycle}");
-            assert_eq!(bbr_phase_gain(base + 1, &c), c.drain_gain);
-            for s in 2..u64::from(c.cycle_gathers) {
-                assert_eq!(bbr_phase_gain(base + s, &c), 1.0, "cruise sample {s}");
+            let base = cycle * BbrLaw::CYCLE_GATHERS;
+            assert_eq!(bbr_phase_gain(base), BbrLaw::PROBE_GAIN, "cycle {cycle}");
+            assert_eq!(bbr_phase_gain(base + 1), BbrLaw::DRAIN_GAIN);
+            for s in 2..BbrLaw::CYCLE_GATHERS {
+                assert_eq!(bbr_phase_gain(base + s), 1.0, "cruise sample {s}");
             }
-        }
-    }
-
-    #[test]
-    fn zero_length_cycle_always_cruises() {
-        let c = BbrConfig {
-            cycle_gathers: 0,
-            ..cfg()
-        };
-        for seq in 0..16 {
-            assert_eq!(bbr_phase_gain(seq, &c), 1.0);
         }
     }
 
@@ -248,25 +203,24 @@ mod tests {
     /// sample.
     #[test]
     fn max_filter_tracks_operating_point() {
-        let c = cfg();
-        let mut st = state(&c);
+        let mut st = state();
         // Cruise-phase sample indices would complicate the gain; use
         // sample 2 (gain 1.0) by discarding the first two.
-        st.sample(&c, 10, 100);
-        st.sample(&c, 50, 300);
-        st.sample(&c, 20, 900);
+        st.sample(10, 100);
+        st.sample(50, 300);
+        st.sample(20, 900);
         // Max rate is 50 at census 300: the cruise threshold sits there.
         assert_eq!(st.filter[0].rate, 50);
         assert_eq!(st.threshold, 300.0);
         // A tie replaces the older sample (newer census wins).
-        st.sample(&c, 50, 400);
+        st.sample(50, 400);
         assert_eq!(st.threshold, 400.0);
         // Age the max out of the eight-sample window: the best survivor
         // (rate 20, census 900) becomes the operating point. The last
         // sample lands on seq 11, a cruise phase, so the threshold sits
         // exactly at the surviving census.
         for _ in 0..8 {
-            st.sample(&c, 20, 900);
+            st.sample(20, 900);
         }
         assert_eq!(st.filter[0].rate, 20);
         assert_eq!(st.threshold, 900.0);
@@ -276,25 +230,23 @@ mod tests {
     /// gains; the floor backstops an empty-ish filter.
     #[test]
     fn gains_scale_the_operating_point() {
-        let c = cfg();
-        let mut st = state(&c);
-        let probe = st.sample(&c, 100, 800); // seq 0: probe
-        assert_eq!(st.threshold, 800.0 * c.probe_gain);
+        let mut st = state();
+        let probe = st.sample(100, 800); // seq 0: probe
+        assert_eq!(st.threshold, 800.0 * BbrLaw::PROBE_GAIN);
         assert_eq!(probe, Action::Raise);
-        let drain = st.sample(&c, 100, 800); // seq 1: drain (tie, newer)
-        assert_eq!(st.threshold, 800.0 * c.drain_gain);
+        let drain = st.sample(100, 800); // seq 1: drain (tie, newer)
+        assert_eq!(st.threshold, 800.0 * BbrLaw::DRAIN_GAIN);
         assert_eq!(drain, Action::Cut);
-        let cruise = st.sample(&c, 100, 800); // seq 2: cruise
+        let cruise = st.sample(100, 800); // seq 2: cruise
         assert_eq!(st.threshold, 800.0);
         assert_eq!(cruise, Action::Hold);
     }
 
     #[test]
     fn threshold_floor_holds() {
-        let c = cfg();
-        let mut st = state(&c);
+        let mut st = state();
         st.seq = 2; // cruise phase
-        st.sample(&c, 5, 0); // idle network: census 0
+        st.sample(5, 0); // idle network: census 0
         assert_eq!(st.threshold, st.floor, "floor backstops a zero census");
     }
 }

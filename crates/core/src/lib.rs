@@ -68,11 +68,11 @@ mod sim;
 mod statik;
 mod tuned;
 
-pub use aimd::{AimdConfig, AimdControl, AimdLaw};
+pub use aimd::{AimdControl, AimdLaw};
 pub use alo::AloControl;
-pub use bbr::{bbr_phase_gain, BbrConfig, BbrControl, BbrLaw};
+pub use bbr::{bbr_phase_gain, BbrControl, BbrLaw};
 pub use controller::{Controller, ControllerCounters};
-pub use decbit::{DecBitConfig, DecBitControl, DecBitLaw};
+pub use decbit::{DecBitControl, DecBitLaw};
 pub use scaffold::{Action, Law, Period, SidebandDriven};
 pub use scheme::{Control, Scheme};
 pub use sim::{

@@ -46,13 +46,22 @@ pub struct Period {
     pub cycles: u64,
 }
 
+/// A period is a *bandwidth drop* when its throughput falls below this
+/// fraction of the previous period's (the paper's 25 % drop test: Table 1's
+/// "drop in bandwidth").
+const DROP_FRACTION: f64 = 0.75;
+
+/// The initial threshold of the tuning laws, as a fraction of all VC
+/// buffers (1 %): tuning starts from the safe, over-throttled side.
+pub(crate) const INITIAL_THRESHOLD_FRAC: f64 = 0.01;
+
 impl Period {
-    /// Whether delivery fell strictly below `fraction` of the previous
-    /// period's (never on a first period).
+    /// Whether delivery fell strictly below 75 % of the previous period's
+    /// (`DROP_FRACTION`; never on a first period).
     #[must_use]
-    pub fn dropped(&self, fraction: f64) -> bool {
+    pub fn dropped(&self) -> bool {
         self.prev_delivered
-            .is_some_and(|prev| (self.delivered as f64) < fraction * prev as f64)
+            .is_some_and(|prev| (self.delivered as f64) < DROP_FRACTION * prev as f64)
     }
 
     /// Table 1's "currently throttling?": the gate was closed for at least
@@ -81,10 +90,7 @@ pub trait Law: Default {
 
     /// Staleness-watchdog horizon: consecutive overdue gathers after which
     /// the scaffold trips (0, the default, means no watchdog).
-    fn watchdog_gathers(cfg: &Self::Config) -> u32 {
-        let _ = cfg;
-        0
-    }
+    const WATCHDOG_GATHERS: u32 = 0;
 
     /// Snapshots per period (default 1: the law sees every gather).
     fn period_gathers(cfg: &Self::Config) -> u32 {
@@ -248,7 +254,7 @@ impl Frame {
 /// Each cycle the scaffold ticks the [`Sideband`] and folds a newly visible
 /// snapshot into the period exactly once, handing the law each completed
 /// [`Period`] and tallying its [`Action`]; it runs the staleness watchdog —
-/// after [`Law::watchdog_gathers`] consecutive missed gathers the estimate
+/// after [`Law::WATCHDOG_GATHERS`] consecutive missed gathers the estimate
 /// is fiction, so it freezes the law, restores the last-known-good
 /// threshold and fails *open* until a valid aggregate re-arms it — then
 /// sets the gate and counts it toward the period.
@@ -349,11 +355,11 @@ impl<L: Law> Controller for SidebandDriven<L> {
         }
 
         // Staleness watchdog: when aggregates stop arriving for
-        // `watchdog_gathers` consecutive gathers, the estimate is fiction.
+        // `WATCHDOG_GATHERS` consecutive gathers, the estimate is fiction.
         // Freeze the law, fall back to the last-known-good threshold, and
         // fail open (stop throttling) until real data returns.
-        let horizon = L::watchdog_gathers(cfg);
-        if !f.frozen && horizon > 0 && self.sideband.gathers_overdue(now) >= u64::from(horizon) {
+        let horizon = u64::from(L::WATCHDOG_GATHERS);
+        if !f.frozen && horizon > 0 && self.sideband.gathers_overdue(now) >= horizon {
             f.frozen = true;
             f.counters.watchdog_trips += 1;
             f.period = Period::default();
@@ -448,30 +454,28 @@ pub(crate) mod tests {
 
     struct StubConfig {
         sideband: SidebandConfig,
-        watchdog_gathers: u32,
         period_gathers: u32,
         /// Also shut the gate on every cycle a snapshot arrives on.
         shut_on_arrival: bool,
     }
 
-    /// The smallest law with a watchdog: every period is a decision that
-    /// raises the threshold to `100 + decisions` and is kept for inspection.
+    /// The smallest law with a watchdog of horizon `H`: every period is a
+    /// decision that raises the threshold to `100 + decisions` and is kept
+    /// for inspection.
     #[derive(Default)]
-    struct Stub {
+    struct Stub<const H: u32> {
         threshold: f64,
         periods: Vec<Period>,
         trips: u64,
     }
 
-    impl Law for Stub {
+    impl<const H: u32> Law for Stub<H> {
         type Config = StubConfig;
         const NAME: &'static str = "stub";
+        const WATCHDOG_GATHERS: u32 = H;
 
         fn sideband_config(cfg: &StubConfig) -> &SidebandConfig {
             &cfg.sideband
-        }
-        fn watchdog_gathers(cfg: &StubConfig) -> u32 {
-            cfg.watchdog_gathers
         }
         fn period_gathers(cfg: &StubConfig) -> u32 {
             cfg.period_gathers
@@ -505,6 +509,14 @@ pub(crate) mod tests {
     /// from cycle 160 and clean data again 5 gathers after the trip.
     #[test]
     fn watchdog_matrix() {
+        watchdog_contract::<0>();
+        watchdog_contract::<2>();
+        watchdog_contract::<3>();
+        watchdog_contract::<8>();
+    }
+
+    /// One horizon's leg of [`watchdog_matrix`]: the stub law's `H`.
+    fn watchdog_contract<const H: u32>() {
         const P: u64 = 16;
         let blackout = FaultPlan::sideband_only(
             1,
@@ -513,89 +525,87 @@ pub(crate) mod tests {
                 ..SidebandFaults::none()
             },
         );
-        for horizon in [0u32, 2, 3, 8] {
-            let mut ctl = SidebandDriven::<Stub>::new(StubConfig {
-                sideband: small_sideband(),
-                watchdog_gathers: horizon,
-                period_gathers: 1,
-                shut_on_arrival: false,
-            });
-            assert_eq!(ctl.sideband.gather_period(), P);
-            let mut now = 0;
-            let mut step = |ctl: &mut SidebandDriven<Stub>, upto: u64| {
-                while now < upto {
-                    // The gather taken at 8P carries an impossible census.
-                    let census = if now == 8 * P { 769 } else { 700 };
-                    ctl.observe_census(now, census, 8 * now);
-                    now += 1;
-                }
-            };
-            let w = u64::from(horizon);
-
-            // Healthy start: gathers 1P..=7P decide cleanly (threshold 107),
-            // 8P is rejected, so the decision on 9P — visible at 10P — is
-            // not rejection-free and must not become the fallback point.
-            step(&mut ctl, 10 * P);
-            ctl.set_faults(blackout.clone());
-            // The newest aggregate stays 9P; the one from (9 + w)P is the
-            // w-th overdue at cycle (10 + w)P. One cycle earlier: nothing.
-            let trip_at = (10 + w.max(2)) * P;
-            step(&mut ctl, trip_at);
-            assert_eq!(ctl.sideband.stats().rejected(), 1, "h={horizon}");
-            assert_eq!((ctl.law.periods.len(), ctl.law.threshold), (8, 108.0));
-            assert!(!ctl.watchdog_active(), "h={horizon}: tripped early");
-            assert!(ctl.throttling(), "h={horizon}: armed gate is shut");
-            assert_eq!(ctl.counters().watchdog_trips, 0);
-
-            // The trip cycle, then five more gathers of silence.
-            let silence_ends = trip_at + 5 * P;
-            for upto in trip_at + 1..=silence_ends {
-                step(&mut ctl, upto);
-                if horizon == 0 {
-                    assert!(!ctl.watchdog_active(), "no watchdog, no trip");
-                    assert!(ctl.throttling(), "and the gate keeps its estimate");
-                    continue;
-                }
-                assert!(ctl.watchdog_active(), "h={horizon} @{upto}");
-                assert!(!ctl.throttling(), "h={horizon}: frozen fails open");
-                assert_eq!(ctl.law.threshold, 107.0, "last clean decision");
+        let horizon = H;
+        let mut ctl = SidebandDriven::<Stub<H>>::new(StubConfig {
+            sideband: small_sideband(),
+            period_gathers: 1,
+            shut_on_arrival: false,
+        });
+        assert_eq!(ctl.sideband.gather_period(), P);
+        let mut now = 0;
+        let mut step = |ctl: &mut SidebandDriven<Stub<H>>, upto: u64| {
+            while now < upto {
+                // The gather taken at 8P carries an impossible census.
+                let census = if now == 8 * P { 769 } else { 700 };
+                ctl.observe_census(now, census, 8 * now);
+                now += 1;
             }
-            let tripped = u64::from(horizon > 0);
-            assert_eq!(ctl.counters().watchdog_trips, tripped, "one outage");
-            assert_eq!(ctl.law.trips, tripped);
+        };
+        let w = u64::from(horizon);
 
-            // Data returns: the gather taken at `silence_ends` is visible
-            // one period later, re-arms once, and is folded as a decision.
-            ctl.set_faults(FaultPlan::none(0));
-            step(&mut ctl, silence_ends + P);
-            assert_eq!(ctl.watchdog_active(), horizon > 0, "not before it arrives");
-            step(&mut ctl, silence_ends + P + 1);
-            assert!(
-                !ctl.watchdog_active(),
-                "h={horizon}: first aggregate re-arms"
-            );
-            assert!(ctl.throttling(), "h={horizon}: gate shuts again");
-            assert_eq!(ctl.law.periods.len(), 9);
-            let after = ctl.law.periods[8].prev_delivered;
-            assert_eq!(
-                after.is_none(),
-                horizon > 0,
-                "h={horizon}: the outage forgets"
-            );
-            step(&mut ctl, silence_ends + 10 * P);
-            let c = ctl.counters();
-            assert_eq!((c.watchdog_trips, c.watchdog_rearms), (tripped, tripped));
-            assert_eq!(c.decisions, ctl.law.periods.len() as u64);
-            assert!(ctl.law.periods[0].prev_delivered.is_none());
-            assert!(!ctl.watchdog_active());
+        // Healthy start: gathers 1P..=7P decide cleanly (threshold 107),
+        // 8P is rejected, so the decision on 9P — visible at 10P — is
+        // not rejection-free and must not become the fallback point.
+        step(&mut ctl, 10 * P);
+        ctl.set_faults(blackout);
+        // The newest aggregate stays 9P; the one from (9 + w)P is the
+        // w-th overdue at cycle (10 + w)P. One cycle earlier: nothing.
+        let trip_at = (10 + w.max(2)) * P;
+        step(&mut ctl, trip_at);
+        assert_eq!(ctl.sideband.stats().rejected(), 1, "h={horizon}");
+        assert_eq!((ctl.law.periods.len(), ctl.law.threshold), (8, 108.0));
+        assert!(!ctl.watchdog_active(), "h={horizon}: tripped early");
+        assert!(ctl.throttling(), "h={horizon}: armed gate is shut");
+        assert_eq!(ctl.counters().watchdog_trips, 0);
+
+        // The trip cycle, then five more gathers of silence.
+        let silence_ends = trip_at + 5 * P;
+        for upto in trip_at + 1..=silence_ends {
+            step(&mut ctl, upto);
+            if horizon == 0 {
+                assert!(!ctl.watchdog_active(), "no watchdog, no trip");
+                assert!(ctl.throttling(), "and the gate keeps its estimate");
+                continue;
+            }
+            assert!(ctl.watchdog_active(), "h={horizon} @{upto}");
+            assert!(!ctl.throttling(), "h={horizon}: frozen fails open");
+            assert_eq!(ctl.law.threshold, 107.0, "last clean decision");
         }
+        let tripped = u64::from(horizon > 0);
+        assert_eq!(ctl.counters().watchdog_trips, tripped, "one outage");
+        assert_eq!(ctl.law.trips, tripped);
+
+        // Data returns: the gather taken at `silence_ends` is visible
+        // one period later, re-arms once, and is folded as a decision.
+        ctl.set_faults(FaultPlan::none(0));
+        step(&mut ctl, silence_ends + P);
+        assert_eq!(ctl.watchdog_active(), horizon > 0, "not before it arrives");
+        step(&mut ctl, silence_ends + P + 1);
+        assert!(
+            !ctl.watchdog_active(),
+            "h={horizon}: first aggregate re-arms"
+        );
+        assert!(ctl.throttling(), "h={horizon}: gate shuts again");
+        assert_eq!(ctl.law.periods.len(), 9);
+        let after = ctl.law.periods[8].prev_delivered;
+        assert_eq!(
+            after.is_none(),
+            horizon > 0,
+            "h={horizon}: the outage forgets"
+        );
+        step(&mut ctl, silence_ends + 10 * P);
+        let c = ctl.counters();
+        assert_eq!((c.watchdog_trips, c.watchdog_rearms), (tripped, tripped));
+        assert_eq!(c.decisions, ctl.law.periods.len() as u64);
+        assert!(ctl.law.periods[0].prev_delivered.is_none());
+        assert!(!ctl.watchdog_active());
     }
 
     /// Steps `ctl` to `upto` on a small census and a rising delivery count,
     /// recording each snapshot offered to the scaffold with the cycle it
     /// arrived on.
     fn run(
-        ctl: &mut SidebandDriven<Stub>,
+        ctl: &mut SidebandDriven<Stub<2>>,
         now: &mut u64,
         upto: u64,
         seen: &mut Vec<(u64, Snapshot)>,
@@ -618,9 +628,8 @@ pub(crate) mod tests {
     #[test]
     fn period_contract() {
         const P: u64 = 16;
-        let mut ctl = SidebandDriven::<Stub>::new(StubConfig {
+        let mut ctl = SidebandDriven::<Stub<2>>::new(StubConfig {
             sideband: small_sideband(),
-            watchdog_gathers: 2,
             period_gathers: 3,
             shut_on_arrival: true,
         });

@@ -1,6 +1,6 @@
 use crate::{
-    AimdConfig, AimdControl, AloControl, BbrConfig, BbrControl, Controller, ControllerCounters,
-    DecBitConfig, DecBitControl, SelfTuned, StaticConfig, StaticThreshold, TuneConfig,
+    AimdControl, AloControl, BbrControl, Controller, ControllerCounters, DecBitControl, SelfTuned,
+    StaticConfig, StaticThreshold, TuneConfig,
 };
 use faults::FaultPlan;
 use sideband::{Sideband, SidebandConfig};
@@ -15,20 +15,16 @@ pub enum Scheme {
     /// The At-Least-One local baseline.
     Alo,
     /// Globally informed throttling with a fixed threshold (Figure 5).
-    Static {
-        /// Threshold in full buffers.
-        threshold: u32,
-        /// Side-band parameters.
-        sideband: SidebandConfig,
-    },
+    Static(StaticConfig),
     /// The paper's self-tuned scheme.
     Tuned(TuneConfig),
-    /// Additive-increase / multiplicative-decrease on the threshold.
-    Aimd(AimdConfig),
-    /// DEC-bit-style windowed congestion-bit feedback.
-    DecBit(DecBitConfig),
-    /// BBR-flavored delivery-rate operating point.
-    Bbr(BbrConfig),
+    /// Additive-increase / multiplicative-decrease on the threshold, over
+    /// this side-band.
+    Aimd(SidebandConfig),
+    /// DEC-bit-style windowed congestion-bit feedback, over this side-band.
+    DecBit(SidebandConfig),
+    /// BBR-flavored delivery-rate operating point, over this side-band.
+    Bbr(SidebandConfig),
 }
 
 impl Scheme {
@@ -51,24 +47,15 @@ impl Scheme {
                 sideband: sideband.clone(),
                 ..TuneConfig::paper()
             })),
-            "aimd" => Some(Scheme::Aimd(AimdConfig {
-                sideband: sideband.clone(),
-                ..AimdConfig::paper()
-            })),
-            "decbit" => Some(Scheme::DecBit(DecBitConfig {
-                sideband: sideband.clone(),
-                ..DecBitConfig::paper()
-            })),
-            "bbr" => Some(Scheme::Bbr(BbrConfig {
-                sideband: sideband.clone(),
-                ..BbrConfig::paper()
-            })),
+            "aimd" => Some(Scheme::Aimd(sideband.clone())),
+            "decbit" => Some(Scheme::DecBit(sideband.clone())),
+            "bbr" => Some(Scheme::Bbr(sideband.clone())),
             _ => {
                 let threshold = name.strip_prefix("static-")?.parse().ok()?;
-                Some(Scheme::Static {
+                Some(Scheme::Static(StaticConfig {
                     threshold,
                     sideband: sideband.clone(),
-                })
+                }))
             }
         }
     }
@@ -87,7 +74,7 @@ impl Scheme {
         match self {
             Scheme::Base => "base".to_owned(),
             Scheme::Alo => "alo".to_owned(),
-            Scheme::Static { threshold, .. } => format!("static-{threshold}"),
+            Scheme::Static(cfg) => format!("static-{}", cfg.threshold),
             Scheme::Tuned(_) => "tune".to_owned(),
             Scheme::Aimd(_) => "aimd".to_owned(),
             Scheme::DecBit(_) => "decbit".to_owned(),
@@ -101,11 +88,11 @@ impl Scheme {
     pub fn sideband(&self) -> Option<&SidebandConfig> {
         match self {
             Scheme::Base | Scheme::Alo => None,
-            Scheme::Static { sideband, .. } => Some(sideband),
+            Scheme::Static(cfg) => Some(&cfg.sideband),
             Scheme::Tuned(cfg) => Some(&cfg.sideband),
-            Scheme::Aimd(cfg) => Some(&cfg.sideband),
-            Scheme::DecBit(cfg) => Some(&cfg.sideband),
-            Scheme::Bbr(cfg) => Some(&cfg.sideband),
+            Scheme::Aimd(sideband) | Scheme::DecBit(sideband) | Scheme::Bbr(sideband) => {
+                Some(sideband)
+            }
         }
     }
 
@@ -115,13 +102,7 @@ impl Scheme {
         match self {
             Scheme::Base => Control::Base(NoControl),
             Scheme::Alo => Control::Alo(AloControl::new()),
-            Scheme::Static {
-                threshold,
-                sideband,
-            } => Control::Static(StaticThreshold::new(StaticConfig {
-                threshold: *threshold,
-                sideband: sideband.clone(),
-            })),
+            Scheme::Static(cfg) => Control::Static(StaticThreshold::new(cfg.clone())),
             Scheme::Tuned(cfg) => Control::Tuned(SelfTuned::new(cfg.clone())),
             Scheme::Aimd(cfg) => Control::Aimd(AimdControl::new(cfg.clone())),
             Scheme::DecBit(cfg) => Control::DecBit(DecBitControl::new(cfg.clone())),
@@ -281,18 +262,19 @@ mod tests {
     fn labels() {
         assert_eq!(Scheme::Base.label(), "base");
         assert_eq!(Scheme::Alo.label(), "alo");
+        let sb = SidebandConfig::paper();
         assert_eq!(
-            Scheme::Static {
+            Scheme::Static(StaticConfig {
                 threshold: 250,
-                sideband: SidebandConfig::paper()
-            }
+                sideband: sb.clone()
+            })
             .label(),
             "static-250"
         );
         assert_eq!(Scheme::tuned_paper().label(), "tune");
-        assert_eq!(Scheme::Aimd(AimdConfig::paper()).label(), "aimd");
-        assert_eq!(Scheme::DecBit(DecBitConfig::paper()).label(), "decbit");
-        assert_eq!(Scheme::Bbr(BbrConfig::paper()).label(), "bbr");
+        assert_eq!(Scheme::Aimd(sb.clone()).label(), "aimd");
+        assert_eq!(Scheme::DecBit(sb.clone()).label(), "decbit");
+        assert_eq!(Scheme::Bbr(sb).label(), "bbr");
     }
 
     #[test]
@@ -303,18 +285,13 @@ mod tests {
         assert!(tuned.as_tuned().is_some());
         assert_eq!(tuned.name(), "tune");
         assert!(Scheme::Base.build().as_tuned().is_none());
+        let sb = SidebandConfig::paper();
+        assert!(matches!(Scheme::Aimd(sb.clone()).build(), Control::Aimd(_)));
         assert!(matches!(
-            Scheme::Aimd(AimdConfig::paper()).build(),
-            Control::Aimd(_)
-        ));
-        assert!(matches!(
-            Scheme::DecBit(DecBitConfig::paper()).build(),
+            Scheme::DecBit(sb.clone()).build(),
             Control::DecBit(_)
         ));
-        assert!(matches!(
-            Scheme::Bbr(BbrConfig::paper()).build(),
-            Control::Bbr(_)
-        ));
+        assert!(matches!(Scheme::Bbr(sb).build(), Control::Bbr(_)));
     }
 
     #[test]
@@ -336,10 +313,10 @@ mod tests {
         let sb = SidebandConfig::paper();
         assert_eq!(
             Scheme::by_name("static-250", &sb),
-            Some(Scheme::Static {
+            Some(Scheme::Static(StaticConfig {
                 threshold: 250,
                 sideband: sb.clone()
-            })
+            }))
         );
         assert_eq!(Scheme::by_name("static-", &sb), None);
         assert_eq!(Scheme::by_name("static-x", &sb), None);

@@ -1,3 +1,4 @@
+use crate::scaffold::INITIAL_THRESHOLD_FRAC;
 use crate::{Action, Law, Period, SidebandDriven};
 use checkpoint::{CheckpointError, Dec, Enc};
 use sideband::SidebandConfig;
@@ -31,7 +32,9 @@ pub fn decide(bandwidth_drop: bool, throttling: bool) -> Action {
 }
 
 /// Configuration of the self-tuned controller (§4 defaults in
-/// [`TuneConfig::paper`]).
+/// [`TuneConfig::paper`]): the settings the ablations and Figure 4 vary.
+/// The law's other constants are fixed by the paper and live on
+/// [`TuneLaw`] and in the scaffold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneConfig {
     /// Side-band gather network parameters (defines the gather period `g`).
@@ -42,27 +45,9 @@ pub struct TuneConfig {
     pub increment_frac: f64,
     /// Threshold decrement as a fraction of all VC buffers (4%).
     pub decrement_frac: f64,
-    /// A period counts as a *bandwidth drop* when its throughput falls below
-    /// this fraction of the previous period's (75%).
-    pub drop_fraction: f64,
-    /// The local-maximum-avoidance reset fires when a period's throughput
-    /// falls *significantly* below the best period seen — below this
-    /// fraction of it (50%; period-to-period noise must not trigger it).
-    pub reset_fraction: f64,
-    /// Forget the remembered maximum after this many consecutive resets
-    /// (`r = 5`).
-    pub max_stale_resets: u32,
-    /// Initial threshold as a fraction of all VC buffers (1%): tuning
-    /// starts from the safe (over-throttled) side and climbs.
-    pub initial_threshold_frac: f64,
     /// Enable the local-maximum-avoidance mechanism of §4.2 (disable to
     /// reproduce the "hill climbing only" curves of Figure 4).
     pub avoid_local_maxima: bool,
-    /// Staleness watchdog: after this many consecutive missed gathers the
-    /// controller freezes tuning, restores the last-known-good threshold
-    /// and stops throttling on the stale estimate, re-arming on the next
-    /// valid aggregate (0 disables the watchdog).
-    pub watchdog_gathers: u32,
 }
 
 impl TuneConfig {
@@ -74,12 +59,7 @@ impl TuneConfig {
             tune_gathers: 3,
             increment_frac: 0.01,
             decrement_frac: 0.04,
-            drop_fraction: 0.75,
-            reset_fraction: 0.5,
-            max_stale_resets: 5,
-            initial_threshold_frac: 0.01,
             avoid_local_maxima: true,
-            watchdog_gathers: 8,
         }
     }
 
@@ -126,16 +106,23 @@ pub struct TuneLaw {
     consecutive_resets: u32,
 }
 
+impl TuneLaw {
+    /// The local-maximum-avoidance reset fires when a period's throughput
+    /// falls *significantly* below the best period seen — below this
+    /// fraction of it (50%; period-to-period noise must not trigger it).
+    const RESET_FRACTION: f64 = 0.5;
+    /// Forget the remembered maximum after this many consecutive resets
+    /// (`r = 5`).
+    const MAX_STALE_RESETS: u32 = 5;
+}
+
 impl Law for TuneLaw {
     type Config = TuneConfig;
     const NAME: &'static str = "tune";
+    const WATCHDOG_GATHERS: u32 = 8;
 
     fn sideband_config(cfg: &TuneConfig) -> &SidebandConfig {
         &cfg.sideband
-    }
-
-    fn watchdog_gathers(cfg: &TuneConfig) -> u32 {
-        cfg.watchdog_gathers
     }
 
     fn period_gathers(cfg: &TuneConfig) -> u32 {
@@ -144,7 +131,7 @@ impl Law for TuneLaw {
 
     fn size(&mut self, cfg: &TuneConfig, total_buffers: f64) {
         self.total_buffers = total_buffers;
-        self.threshold = cfg.initial_threshold_frac * total_buffers;
+        self.threshold = INITIAL_THRESHOLD_FRAC * total_buffers;
         self.inc = cfg.increment_frac * total_buffers;
         self.dec = cfg.decrement_frac * total_buffers;
     }
@@ -165,8 +152,8 @@ impl Law for TuneLaw {
 
         let significant_drop_below_max = cfg.avoid_local_maxima
             && self.max_tput > 0
-            && (tput as f64) < cfg.reset_fraction * self.max_tput as f64;
-        let drop = p.dropped(cfg.drop_fraction);
+            && (tput as f64) < Self::RESET_FRACTION * self.max_tput as f64;
+        let drop = p.dropped();
 
         let action = if significant_drop_below_max {
             // Recreate the conditions of the best period. If even that value
@@ -182,7 +169,7 @@ impl Law for TuneLaw {
             // still ratchets the threshold downwards.
             self.threshold = self.threshold.min(self.t_max.min(self.n_max));
             self.consecutive_resets += 1;
-            if self.consecutive_resets >= cfg.max_stale_resets {
+            if self.consecutive_resets >= Self::MAX_STALE_RESETS {
                 self.max_tput = 0;
                 self.consecutive_resets = 0;
             }
@@ -343,7 +330,7 @@ mod tests {
     }
 
     /// The local-maximum-avoidance trigger is strict: a period at exactly
-    /// `reset_fraction` of the remembered max does not reset; one flit
+    /// `RESET_FRACTION` of the remembered max does not reset; one flit
     /// less does.
     #[test]
     fn reset_trigger_boundary_is_strict() {
@@ -418,9 +405,9 @@ mod tests {
         st.max_tput = 10_000;
         st.t_max = 500.0;
         st.n_max = 400.0;
-        for i in 1..=c.max_stale_resets {
+        for i in 1..=TuneLaw::MAX_STALE_RESETS {
             st.on_period(&c, &period(100, (i > 1).then_some(100), 100, 0));
-            if i < c.max_stale_resets {
+            if i < TuneLaw::MAX_STALE_RESETS {
                 assert_eq!(st.consecutive_resets, i);
                 assert_eq!(st.max_tput, 10_000);
             }

@@ -16,7 +16,7 @@
 //!    (`SimError::Audit`); genuinely benign mutations may succeed.
 
 use sideband::SidebandConfig;
-use stcc::{BbrConfig, Controller, DecBitConfig, Scheme, SimConfig, SimError, Simulation};
+use stcc::{BbrLaw, Controller, DecBitLaw, Scheme, SimConfig, SimError, Simulation};
 use traffic::{Pattern, Process, Workload, WorkloadRunner};
 use wormsim::{DeadlockMode, NetConfig};
 
@@ -180,14 +180,6 @@ fn hostile_list_lengths(len: impl Fn(u32) -> u32) -> Vec<(SimConfig, Vec<u8>)> {
         vcs: 2,
         ..SidebandConfig::paper()
     };
-    let bbr = BbrConfig {
-        sideband: sideband.clone(),
-        ..BbrConfig::paper()
-    };
-    let decbit = DecBitConfig {
-        sideband,
-        ..DecBitConfig::paper()
-    };
     // The scaffold's frame between the side-band state and the law: the
     // sizing record (flag, u32), the gate bit, `last_good`, `frozen`, the
     // rejections seen, the period being folded (delivered, the previous
@@ -197,8 +189,12 @@ fn hostile_list_lengths(len: impl Fn(u32) -> u32) -> Vec<(SimConfig, Vec<u8>)> {
     // (scheme, the list's capacity, bytes between the side-band state and
     // the length: the frame, then BBR's sample counter).
     let cases = [
-        (Scheme::Bbr(bbr.clone()), bbr.filter_gathers, FRAME + 8),
-        (Scheme::DecBit(decbit.clone()), decbit.window_gathers, FRAME),
+        (
+            Scheme::Bbr(sideband.clone()),
+            BbrLaw::FILTER_GATHERS,
+            FRAME + 8,
+        ),
+        (Scheme::DecBit(sideband), DecBitLaw::WINDOW_GATHERS, FRAME),
     ];
     let mut built = Vec::new();
     for (scheme, capacity, law_head) in cases {

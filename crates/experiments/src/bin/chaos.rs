@@ -30,7 +30,7 @@ use experiments::sweep::{write_atomic, FrontDoor};
 use experiments::{JobError, Pool, RuntimeOptions, SweepCtx, SweepError};
 use faults::{FaultPlan, HotspotFault, LinkFault, SidebandFaults};
 use sideband::SidebandConfig;
-use stcc::{AimdConfig, BbrConfig, DecBitConfig, Scheme, SimConfig, Simulation, TuneConfig};
+use stcc::{Scheme, SimConfig, Simulation, StaticConfig, TuneConfig};
 use std::path::PathBuf;
 use traffic::{splitmix64, Pattern, Process, Workload};
 use wormsim::{DeadlockMode, NetConfig};
@@ -198,22 +198,13 @@ fn draw_trial(seed: u64, trial: u64) -> Trial {
     let scheme = match rng.below(7) {
         0 => Scheme::Base,
         1 => Scheme::Alo,
-        2 => Scheme::Static {
+        2 => Scheme::Static(StaticConfig {
             threshold: 2 + rng.below(40) as u32,
             sideband,
-        },
-        3 => Scheme::Aimd(AimdConfig {
-            sideband,
-            ..AimdConfig::paper()
         }),
-        4 => Scheme::DecBit(DecBitConfig {
-            sideband,
-            ..DecBitConfig::paper()
-        }),
-        5 => Scheme::Bbr(BbrConfig {
-            sideband,
-            ..BbrConfig::paper()
-        }),
+        3 => Scheme::Aimd(sideband),
+        4 => Scheme::DecBit(sideband),
+        5 => Scheme::Bbr(sideband),
         _ => Scheme::Tuned(TuneConfig {
             sideband,
             ..TuneConfig::paper()

@@ -220,10 +220,10 @@ mod tests {
             cli.controllers,
             Some(vec![
                 NetPreset::Small.tuned(),
-                Scheme::Static {
+                Scheme::Static(stcc::StaticConfig {
                     threshold: 9,
                     sideband
-                }
+                })
             ])
         );
         assert!(parse(&["--controllers", "tune,warp"], &[])

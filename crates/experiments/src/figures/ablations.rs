@@ -58,7 +58,7 @@ pub fn extrapolation(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> 
         for (est, est_name) in [
             (Estimator::LastSnapshot, "last-snapshot"),
             (Estimator::LinearExtrapolation, "linear-extrapolation"),
-            (Estimator::Ewma { alpha: 0.5 }, "ewma-0.5"),
+            (Estimator::Ewma, "ewma-0.5"),
         ] {
             jobs.push((mode, mode_name, est, est_name));
         }
@@ -158,7 +158,7 @@ pub fn sideband_bits(scale: Scale, ctx: &SweepCtx) -> Result<Table, SweepError> 
         &["sideband_bits", "tput_flits", "net_latency"],
     );
     let rows = ctx.try_run_rows(
-        vec![(25u32, None), (9, Some(Quantizer::new(9)))],
+        vec![(25u32, None), (Quantizer::BITS, Some(Quantizer))],
         |&(bits, _)| format!("X4 bits={bits}"),
         |(bits, quant)| {
             let mut tune = TuneConfig::paper();

@@ -11,7 +11,7 @@
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
 use crate::{steady_config, sweep_rates_for, NetPreset, Scale, SweepCtx, Table};
-use stcc::Scheme;
+use stcc::{Scheme, StaticConfig};
 use traffic::Pattern;
 use wormsim::DeadlockMode;
 
@@ -42,10 +42,10 @@ pub fn roster(net: NetPreset) -> Vec<Scheme> {
         .iter()
         .map(|name| Scheme::by_name(name, &sideband).expect("registry names resolve"))
         .collect();
-    schemes.push(Scheme::Static {
+    schemes.push(Scheme::Static(StaticConfig {
         threshold: net.static_thresholds()[0],
         sideband,
-    });
+    }));
     schemes
 }
 

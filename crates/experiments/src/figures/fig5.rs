@@ -9,7 +9,7 @@
 use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
 use crate::{steady_config, sweep_rates_for, NetPreset, Scale, SweepCtx, Table};
-use stcc::Scheme;
+use stcc::{Scheme, StaticConfig};
 use traffic::Pattern;
 use wormsim::DeadlockMode;
 
@@ -33,14 +33,12 @@ pub fn generate_on(net: NetPreset, scale: Scale, ctx: &SweepCtx) -> Result<Table
     );
     let schemes: Vec<Scheme> = [Scheme::Base]
         .into_iter()
-        .chain(
-            net.static_thresholds()
-                .into_iter()
-                .map(|threshold| Scheme::Static {
-                    threshold,
-                    sideband: net.sideband(),
-                }),
-        )
+        .chain(net.static_thresholds().into_iter().map(|threshold| {
+            Scheme::Static(StaticConfig {
+                threshold,
+                sideband: net.sideband(),
+            })
+        }))
         .chain([net.tuned()])
         .collect();
     let mut jobs = Vec::new();

@@ -17,7 +17,7 @@ use crate::runner::{JobError, SweepError};
 use crate::table::fnum;
 use crate::{steady_config, NetPreset, Scale, SweepCtx, Table};
 use faults::{FaultPlan, SidebandFaults};
-use stcc::Scheme;
+use stcc::{Scheme, StaticConfig};
 use traffic::Pattern;
 use wormsim::DeadlockMode;
 
@@ -37,10 +37,10 @@ pub const LOAD: f64 = 0.028;
 pub fn schemes_on(net: NetPreset) -> Vec<Scheme> {
     vec![
         Scheme::Base,
-        Scheme::Static {
+        Scheme::Static(StaticConfig {
             threshold: net.static_thresholds()[0],
             sideband: net.sideband(),
-        },
+        }),
         net.tuned(),
     ]
 }

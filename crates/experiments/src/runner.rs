@@ -168,28 +168,6 @@ impl Pool {
             })
             .collect()
     }
-
-    /// Like [`Pool::run`], but fails the whole sweep on the first (lowest
-    /// input index) failing job.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing point's [`SweepError`].
-    pub fn try_run<J, R, F, L, E>(
-        &self,
-        jobs: Vec<J>,
-        label: L,
-        work: F,
-    ) -> Result<Vec<R>, SweepError>
-    where
-        J: Send,
-        R: Send,
-        F: Fn(J) -> Result<R, E> + Sync,
-        L: Fn(&J) -> String + Sync,
-        E: Into<JobError>,
-    {
-        self.run(jobs, label, work).into_iter().collect()
-    }
 }
 
 /// Runs `work` with a panic caught: its message comes back as
@@ -225,31 +203,27 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         let pool = Pool::new(4);
-        let out = pool
-            .try_run(
-                (0..100u64).collect(),
-                |j| format!("job{j}"),
-                |j| {
-                    // Stagger completion so scheduling order differs from
-                    // input order.
-                    std::thread::sleep(std::time::Duration::from_micros(100 - j));
-                    Ok::<_, String>(j * 2)
-                },
-            )
-            .unwrap();
-        assert_eq!(out, (0..100).map(|j| j * 2).collect::<Vec<_>>());
+        let out = pool.run(
+            (0..100u64).collect(),
+            |j| format!("job{j}"),
+            |j| {
+                // Stagger completion so scheduling order differs from
+                // input order.
+                std::thread::sleep(std::time::Duration::from_micros(100 - j));
+                Ok::<_, String>(j * 2)
+            },
+        );
+        assert_eq!(out, (0..100).map(|j| Ok(j * 2)).collect::<Vec<_>>());
     }
 
     #[test]
     fn identical_across_pool_sizes() {
         let run = |jobs| {
-            Pool::new(jobs)
-                .try_run(
-                    (0..37u64).collect(),
-                    |j| j.to_string(),
-                    |j| Ok::<_, String>(j.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                )
-                .unwrap()
+            Pool::new(jobs).run(
+                (0..37u64).collect(),
+                |j| j.to_string(),
+                |j| Ok::<_, String>(j.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            )
         };
         let one = run(1);
         assert_eq!(one, run(2));
@@ -275,23 +249,26 @@ mod tests {
     }
 
     #[test]
-    fn failure_surfaces_first_failing_index() {
+    fn each_failure_stays_in_its_slot() {
         let pool = Pool::new(3);
-        let err = pool
-            .try_run(
-                vec![0, 1, 2, 3],
-                |j| format!("p{j}"),
-                |j| {
-                    if j % 2 == 1 {
-                        Err(format!("odd {j}"))
-                    } else {
-                        Ok(j)
-                    }
-                },
-            )
-            .unwrap_err();
-        assert_eq!(err.label, "p1");
-        assert_eq!(err.error, JobError::Failed("odd 1".to_owned()));
+        let out = pool.run(
+            vec![0, 1, 2, 3],
+            |j| format!("p{j}"),
+            |j| {
+                if j % 2 == 1 {
+                    Err(format!("odd {j}"))
+                } else {
+                    Ok(j)
+                }
+            },
+        );
+        assert_eq!(out[0], Ok(0));
+        assert_eq!(out[2], Ok(2));
+        for (i, slot) in [(1, &out[1]), (3, &out[3])] {
+            let err = slot.as_ref().unwrap_err();
+            assert_eq!(err.label, format!("p{i}"));
+            assert_eq!(err.error, JobError::Failed(format!("odd {i}")));
+        }
     }
 
     #[test]
@@ -301,22 +278,19 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        let out: Vec<u32> = Pool::new(4)
-            .try_run(Vec::<u32>::new(), |_| String::new(), Ok::<u32, String>)
-            .unwrap();
+        let out = Pool::new(4).run(Vec::<u32>::new(), |_| String::new(), Ok::<u32, String>);
         assert!(out.is_empty());
     }
 
     #[test]
     fn typed_errors_pass_through_untouched() {
         let pool = Pool::new(2);
-        let err = pool
-            .try_run(
-                vec![0u32],
-                |j| format!("t{j}"),
-                |_| Err::<u32, _>(JobError::TimedOut("wedged".into())),
-            )
-            .unwrap_err();
+        let out = pool.run(
+            vec![0u32],
+            |j| format!("t{j}"),
+            |_| Err::<u32, _>(JobError::TimedOut("wedged".into())),
+        );
+        let err = out[0].as_ref().unwrap_err();
         assert_eq!(err.error, JobError::TimedOut("wedged".into()));
     }
 }

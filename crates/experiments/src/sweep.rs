@@ -128,8 +128,8 @@ impl SweepCtx {
             }
         }
         let ids: Vec<u64> = pending.iter().map(|(id, _, _)| *id).collect();
-        // `run`, not `try_run`: every job's outcome is needed so each
-        // failure (not just the first) gets its typed journal record.
+        // Every job's outcome is needed, so that each failure (not just the
+        // first) gets its typed journal record.
         let outcomes = self.pool.run(
             pending,
             |(_, _, job)| label(job),

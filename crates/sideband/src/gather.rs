@@ -15,15 +15,14 @@ pub enum Estimator {
     /// default; §3.1 reports it is worth 3–5% of throughput).
     #[default]
     LinearExtrapolation,
-    /// Exponentially weighted moving average over snapshots with smoothing
-    /// factor `alpha` in `(0, 1]` (1 degenerates to
-    /// [`Estimator::LastSnapshot`]). Smooths census noise at the cost of
-    /// extra lag — the opposite trade to extrapolation.
-    Ewma {
-        /// Weight of the newest snapshot.
-        alpha: f64,
-    },
+    /// Exponentially weighted moving average over snapshots, the newest
+    /// weighted one half. Smooths census noise at the cost of extra lag —
+    /// the opposite trade to extrapolation.
+    Ewma,
 }
+
+/// Weight of the newest snapshot in [`Estimator::Ewma`].
+const EWMA_ALPHA: f64 = 0.5;
 
 /// Configuration of the side-band gather network.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +57,12 @@ impl SidebandConfig {
             estimator: Estimator::LinearExtrapolation,
             quantizer: None,
         }
+    }
+
+    /// Nodes in the `k`-ary `n`-cube: `k^n`.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.radix.pow(self.dimensions as u32)
     }
 
     /// The gather duration `g = ceil(k/2) * h * n`, in cycles.
@@ -320,7 +325,7 @@ impl Sideband {
                 Some(quant) => quant.quantize(v, max),
                 None => v,
             };
-            let max_tput = (self.period * self.node_count() as u64) as u32;
+            let max_tput = (self.period * self.cfg.node_count() as u64) as u32;
             let mut snap = Snapshot {
                 taken_at: now,
                 available_at: now + self.period,
@@ -382,16 +387,16 @@ impl Sideband {
         // window delivers more than one flit per node per cycle. Corrupted
         // counts outside those bounds are detectably impossible.
         if snap.full_buffers > self.max_full_buffers()
-            || u64::from(snap.delivered_flits) > self.period * self.node_count() as u64
+            || u64::from(snap.delivered_flits) > self.period * self.cfg.node_count() as u64
         {
             self.stats.rejected_range += 1;
             return;
         }
         self.visible = [Some(snap), self.visible[0]];
-        if let Estimator::Ewma { alpha } = self.cfg.estimator {
+        if self.cfg.estimator == Estimator::Ewma {
             let v = f64::from(snap.full_buffers);
             self.ewma = Some(match self.ewma {
-                Some(prev) => alpha * v + (1.0 - alpha) * prev,
+                Some(prev) => EWMA_ALPHA * v + (1.0 - EWMA_ALPHA) * prev,
                 None => v,
             });
         }
@@ -411,16 +416,12 @@ impl Sideband {
     ) -> u32 {
         let needed = crate::width::bits_for_max(max);
         match quantizer {
-            Some(q) if needed > q.bits() => {
-                let shift = needed - q.bits();
-                plan.corrupt_count(taken_at, field, value >> shift, q.bits()) << shift
+            Some(_) if needed > Quantizer::BITS => {
+                let shift = needed - Quantizer::BITS;
+                plan.corrupt_count(taken_at, field, value >> shift, Quantizer::BITS) << shift
             }
             _ => plan.corrupt_count(taken_at, field, value, needed),
         }
-    }
-
-    fn node_count(&self) -> usize {
-        self.cfg.radix.pow(self.cfg.dimensions as u32)
     }
 
     /// The largest possible full-buffer census for the configured network
@@ -428,7 +429,7 @@ impl Sideband {
     /// bound and the extrapolation ceiling.
     #[must_use]
     pub fn max_full_buffers(&self) -> u32 {
-        (self.node_count() * 2 * self.cfg.dimensions * self.cfg.vcs) as u32
+        (self.cfg.node_count() * 2 * self.cfg.dimensions * self.cfg.vcs) as u32
     }
 
     /// How many gathers overdue the receivers' newest visible aggregate is
@@ -473,7 +474,7 @@ impl Sideband {
         match (self.visible[0], self.visible[1], self.cfg.estimator) {
             (None, _, _) => 0.0,
             (Some(s0), _, Estimator::LastSnapshot) => f64::from(s0.full_buffers),
-            (Some(s0), _, Estimator::Ewma { .. }) => {
+            (Some(s0), _, Estimator::Ewma) => {
                 self.ewma.unwrap_or_else(|| f64::from(s0.full_buffers))
             }
             (Some(s0), None, Estimator::LinearExtrapolation) => f64::from(s0.full_buffers),
@@ -579,33 +580,23 @@ mod tests {
         assert_eq!(sb.estimate(40), 0.0);
     }
 
+    /// Snapshots alternate 1000 / 0 per gather window; at cycle 400 the
+    /// eleven taken at 32..=352 are visible, the newest 1000. Weighting the
+    /// newest by one half lands between the extremes, on the exact value
+    /// that weight gives: 1000 · (2/3) · (1 + 2^-11).
     #[test]
     fn ewma_smooths_and_lags() {
         let mut cfg = SidebandConfig::paper();
-        cfg.estimator = Estimator::Ewma { alpha: 0.5 };
+        cfg.estimator = Estimator::Ewma;
         let mut sb = Sideband::new(cfg);
-        // Alternating census 0 / 1000 per gather window.
         drive(
             &mut sb,
             400,
             |now| if (now / 32) % 2 == 0 { 0 } else { 1000 },
             0,
         );
-        let est = sb.estimate(400);
-        assert!(
-            (200.0..800.0).contains(&est),
-            "EWMA should land between the extremes, got {est}"
-        );
-        // alpha = 1 degenerates to last-snapshot behavior.
-        let mut cfg = SidebandConfig::paper();
-        cfg.estimator = Estimator::Ewma { alpha: 1.0 };
-        let mut sb1 = Sideband::new(cfg);
-        let mut cfg = SidebandConfig::paper();
-        cfg.estimator = Estimator::LastSnapshot;
-        let mut sb2 = Sideband::new(cfg);
-        drive(&mut sb1, 300, |now| (3 * now) as u32, 0);
-        drive(&mut sb2, 300, |now| (3 * now) as u32, 0);
-        assert_eq!(sb1.estimate(300), sb2.estimate(300));
+        assert_eq!(sb.latest().map(|s| s.taken_at), Some(352));
+        assert_eq!(sb.estimate(400), 666.992_187_5);
     }
 
     #[test]
@@ -728,7 +719,7 @@ mod tests {
     #[test]
     fn corruption_composes_with_the_quantizer() {
         let mut cfg = SidebandConfig::paper();
-        cfg.quantizer = Some(Quantizer::new(9));
+        cfg.quantizer = Some(Quantizer);
         let mut sb = Sideband::new(cfg);
         sb.set_faults(plan(SidebandFaults {
             corrupt_rate: 1.0,

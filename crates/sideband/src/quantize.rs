@@ -1,6 +1,6 @@
-/// Models a narrow side-band: counts are truncated to `bits` bits by
-/// dropping low-order bits before transmission and scaled back up at the
-/// receiver.
+/// Models a narrow side-band: counts are truncated to [`Quantizer::BITS`]
+/// bits by dropping low-order bits before transmission and scaled back up
+/// at the receiver.
 ///
 /// The companion technical report shows the paper's 25 side-band bits can be
 /// squeezed into 9-bit channels "with very little performance degradation";
@@ -11,48 +11,28 @@
 ///
 /// ```
 /// use sideband::Quantizer;
-/// let q = Quantizer::new(4);
-/// // A 12-bit count squeezed into 4 bits keeps the high nibble.
-/// assert_eq!(q.quantize(0xABC, 0xFFF), 0xA00);
-/// // Values that already fit are untouched.
-/// assert_eq!(q.quantize(9, 15), 9);
+/// // A 12-bit count squeezed into 9 bits loses its low 3 bits.
+/// assert_eq!(Quantizer.quantize(0xABC, 0xFFF), 0xAB8);
+/// // Values whose range already fits are untouched.
+/// assert_eq!(Quantizer.quantize(300, 511), 300);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quantizer {
-    bits: u32,
-}
+pub struct Quantizer;
 
 impl Quantizer {
-    /// A quantizer transmitting `bits` bits per count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 32.
-    #[must_use]
-    pub fn new(bits: u32) -> Self {
-        assert!(
-            (1..=32).contains(&bits),
-            "quantizer width must be 1..=32 bits"
-        );
-        Quantizer { bits }
-    }
-
-    /// The transmitted width in bits.
-    #[must_use]
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
+    /// The transmitted width in bits: the TR's 9-bit side-band channel.
+    pub const BITS: u32 = 9;
 
     /// Quantizes `value` (whose maximum possible value is `max`) to the
     /// representable grid: the receiver sees `value` with the low
-    /// `needed_bits(max) - bits` bits cleared.
+    /// `needed_bits(max) - BITS` bits cleared.
     #[must_use]
-    pub fn quantize(&self, value: u32, max: u32) -> u32 {
+    pub fn quantize(self, value: u32, max: u32) -> u32 {
         let needed = crate::width::bits_for_max(max);
-        if needed <= self.bits {
+        if needed <= Self::BITS {
             return value;
         }
-        let shift = needed - self.bits;
+        let shift = needed - Self::BITS;
         (value >> shift) << shift
     }
 }
@@ -63,11 +43,10 @@ mod tests {
 
     #[test]
     fn quantization_error_is_bounded() {
-        let q = Quantizer::new(9);
         let max = 3072u32; // 12 bits
         let step = 1u32 << (12 - 9);
         for v in [0u32, 1, 7, 8, 100, 1000, 3072] {
-            let out = q.quantize(v, max);
+            let out = Quantizer.quantize(v, max);
             assert!(out <= v);
             assert!(v - out < step, "error too large for {v}: {out}");
         }
@@ -75,17 +54,10 @@ mod tests {
 
     #[test]
     fn identity_when_wide_enough() {
-        let q = Quantizer::new(13);
-        for v in [0u32, 1, 4095, 8191] {
-            assert_eq!(q.quantize(v, 8191), v);
+        for v in [0u32, 1, 255, 511] {
+            assert_eq!(Quantizer.quantize(v, 511), v);
         }
-        // 8192 needs 14 bits, so a 13-bit channel halves the resolution.
-        assert_eq!(Quantizer::new(13).quantize(4095, 8192), 4094);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantizer width")]
-    fn zero_bits_rejected() {
-        let _ = Quantizer::new(0);
+        // 512 needs 10 bits, so a 9-bit channel halves the resolution.
+        assert_eq!(Quantizer.quantize(255, 512), 254);
     }
 }

@@ -18,11 +18,11 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One random (bits, max, value) triple with `value <= max`.
-fn quant_case(case: u64) -> (u32, u32, u32) {
+/// One random (max, value) pair with `value <= max`, for the side-band's
+/// fixed `Quantizer::BITS`-bit channel.
+fn quant_case(case: u64) -> (u32, u32) {
     let mut rng = 0x0FA_17D0_u64 ^ case;
-    let bits = 1 + (mix(&mut rng) % 32) as u32; // 1..=32
-                                                // Mix tiny, paper-sized and huge ranges.
+    // Mix tiny, paper-sized and huge ranges.
     let max = match mix(&mut rng) % 4 {
         0 => (mix(&mut rng) % 16) as u32,     // degenerate: 0..=15
         1 => 3072,                            // the paper's census range
@@ -34,7 +34,7 @@ fn quant_case(case: u64) -> (u32, u32, u32) {
     } else {
         (mix(&mut rng) % (u64::from(max) + 1)) as u32
     };
-    (bits, max, value)
+    (max, value)
 }
 
 /// The receiver's error is strictly below one quantization step, and the
@@ -42,9 +42,10 @@ fn quant_case(case: u64) -> (u32, u32, u32) {
 /// the throttle must never see *more* congestion reported than exists).
 #[test]
 fn quantizer_error_is_bounded_by_one_step() {
+    let bits = Quantizer::BITS;
     for case in 0..CASES {
-        let (bits, max, value) = quant_case(case);
-        let q = Quantizer::new(bits).quantize(value, max);
+        let (max, value) = quant_case(case);
+        let q = Quantizer.quantize(value, max);
         assert!(q <= value, "case {case}: q({value})={q} grew");
         let needed = bits_for_max(max);
         if needed <= bits {
@@ -53,7 +54,7 @@ fn quantizer_error_is_bounded_by_one_step() {
             let step = 1u32 << (needed - bits);
             assert!(
                 value - q < step,
-                "case {case}: error {} >= step {step} (bits={bits}, max={max}, v={value})",
+                "case {case}: error {} >= step {step} (max={max}, v={value})",
                 value - q
             );
         }
@@ -66,7 +67,7 @@ fn quantizer_error_is_bounded_by_one_step() {
 #[test]
 fn quantizer_is_monotonic() {
     for case in 0..CASES {
-        let (bits, max, v1) = quant_case(case);
+        let (max, v1) = quant_case(case);
         let mut rng = 0x0_0DE2 ^ case;
         let v2 = if max == 0 {
             0
@@ -74,10 +75,10 @@ fn quantizer_is_monotonic() {
             (mix(&mut rng) % (u64::from(max) + 1)) as u32
         };
         let (lo, hi) = (v1.min(v2), v1.max(v2));
-        let q = Quantizer::new(bits);
+        let q = Quantizer;
         assert!(
             q.quantize(lo, max) <= q.quantize(hi, max),
-            "case {case}: quantize not monotonic (bits={bits}, max={max}, {lo} vs {hi})"
+            "case {case}: quantize not monotonic (max={max}, {lo} vs {hi})"
         );
     }
 }
@@ -87,8 +88,8 @@ fn quantizer_is_monotonic() {
 #[test]
 fn quantizer_is_idempotent() {
     for case in 0..CASES {
-        let (bits, max, value) = quant_case(case);
-        let q = Quantizer::new(bits);
+        let (max, value) = quant_case(case);
+        let q = Quantizer;
         let once = q.quantize(value, max);
         assert_eq!(q.quantize(once, max), once, "case {case}");
     }

@@ -39,15 +39,6 @@ impl DimRoute {
         minus: false,
     };
 
-    /// Whether `dir` is a productive direction for this dimension.
-    #[must_use]
-    pub fn allows(&self, dir: Dir) -> bool {
-        match dir {
-            Dir::Plus => self.plus,
-            Dir::Minus => self.minus,
-        }
-    }
-
     /// The preferred deterministic direction: `Plus` on ties.
     ///
     /// Returns `None` when the dimension is aligned.

@@ -11,12 +11,12 @@
 #
 # <base-rev> defaults to HEAD while the tree has uncommitted changes, else
 # HEAD~1 (as the CI perf gate picks its baseline). Configs default to
-# `recovery avoidance light cube3 cube3s2`. The base is `git archive`d into
-# target/ab/base with its `[workspace.package] version` set to 0.0.1, so
-# that one driver crate, generated in target/ab/driver, can depend on both
-# trees' `stcc`, `wormsim`, `traffic` and `checkpoint` through `package =`
-# renames. Builds offline with nothing but the toolchain; the first build
-# takes about a minute.
+# `recovery avoidance light cube3 cube3s2 resume`. The base is `git
+# archive`d into target/ab/base with its `[workspace.package] version` set
+# to 0.0.1, so that one driver crate, generated in target/ab/driver, can
+# depend on both trees' `stcc`, `wormsim`, `traffic` and `checkpoint`
+# through `package =` renames. Builds offline with nothing but the
+# toolchain; the first build takes about a minute.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -29,12 +29,14 @@ fi
 base=$(git rev-parse --verify "$ref^{commit}")
 shift || true
 configs=("$@")
-[ ${#configs[@]} -gt 0 ] || configs=(recovery avoidance light cube3 cube3s2)
+[ ${#configs[@]} -gt 0 ] || configs=(recovery avoidance light cube3 cube3s2 resume)
 
 dir=$root/target/ab
 if [ "$(cat "$dir/base.commit" 2>/dev/null)" != "$base" ]; then
     rm -rf "$dir/base" && mkdir -p "$dir/base"
-    git archive "$base" | tar -x -C "$dir/base"
+    # `-m`: stamp the files now, not at the commit's time, or Cargo would
+    # take an older base for the build it already has of a newer one.
+    git archive "$base" | tar -x -m -C "$dir/base"
     # The first `version` after `[workspace.package]` becomes 0.0.1.
     awk '/^\[workspace\.package\]/ { pkg = 1 }
          pkg && /^version *=/ { sub(/=.*/, "= \"0.0.1\""); pkg = 0 }

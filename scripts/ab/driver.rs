@@ -13,7 +13,10 @@
 //! throttle at 0.001, below the knee (`light_tune`); `cube3` — the 12-ary
 //! 3-cube at 0.012 under the
 //! throttle (`cube3_tune_s2`'s net and load) at one shard; `cube3s2` — the
-//! same at two shards, as `cube3_tune_s2` steps it.
+//! same at two shards, as `cube3_tune_s2` steps it; `resume` — `recovery`'s
+//! net and load, with every side taking a checkpoint and restoring it into
+//! a fresh simulation every 250 cycles (`resume_storm`'s cadence), so the
+//! codec, the rebuild and the restore audit are inside the timed chunks.
 //!
 //! Three simulations of the configuration are built from one seed: the
 //! base's, the change's and a second base one, the control. All three are
@@ -33,8 +36,8 @@
 //! checkpoint bytes. Set-up time and peak memory are out of reach (one
 //! process holds every side); the sequential benchmark keeps those.
 //!
-//! The driver speaks only `SimConfig`, `Simulation::new`/`set_shards`/
-//! `step`/`checkpoint`/`network`, `Network::counters`/
+//! The driver speaks only `SimConfig`, `Simulation::new`/`restore`/
+//! `set_shards`/`step`/`now`/`checkpoint`/`network`, `Network::counters`/
 //! `full_buffer_count`/`live_packets` and the presets: a change to that surface
 //! edits the `side!` body below in the same change.
 
@@ -59,7 +62,9 @@ macro_rules! side {
 
             pub const VERSION: u32 = $checkpoint::VERSION;
 
-            pub struct Sim(Simulation);
+            /// A simulation, the configuration it restores under and
+            /// its checkpoint cadence (`None`: it never restores).
+            pub struct Sim(Simulation, SimConfig, Option<u64>);
 
             /// The simulation of `config` from `seed`, run for `cycles`.
             pub fn new(config: &str, seed: u64, cycles: u64) -> Sim {
@@ -70,13 +75,13 @@ macro_rules! side {
                     ..NetConfig::paper(recovery)
                 };
                 let (net, rate, tuned, shards) = match config {
-                    "recovery" => (NetConfig::paper(recovery), 0.1, true, 1),
+                    "recovery" | "resume" => (NetConfig::paper(recovery), 0.1, true, 1),
                     "avoidance" => (NetConfig::paper(DeadlockMode::Avoidance), 0.1, false, 1),
                     "light" => (NetConfig::paper(recovery), 0.001, true, 1),
                     "cube3" => (cube3, 0.012, true, 1),
                     "cube3s2" => (cube3, 0.012, true, 2),
                     other => {
-                        panic!("no configuration {other:?}: recovery, avoidance, light, cube3, cube3s2")
+                        panic!("no configuration {other:?}: recovery, avoidance, light, cube3, cube3s2, resume")
                     }
                 };
                 let scheme = if tuned {
@@ -92,9 +97,10 @@ macro_rules! side {
                     warmup: 0,
                     seed,
                 };
-                let mut sim = Simulation::new(cfg).expect("a valid configuration");
+                let mut sim = Simulation::new(cfg.clone()).expect("a valid configuration");
                 sim.set_shards(shards);
-                Sim(sim)
+                let every = (config == "resume").then_some(super::ROUNDTRIP_EVERY);
+                Sim(sim, cfg, every)
             }
 
             impl super::Side for Sim {
@@ -102,6 +108,11 @@ macro_rules! side {
                     let before = self.0.network().delivered_flits_cum();
                     for _ in 0..cycles {
                         self.0.step();
+                        if self.2.is_some_and(|every| self.0.now() % every == 0) {
+                            let bytes = self.0.checkpoint();
+                            self.0 = Simulation::restore(self.1.clone(), None, &bytes)
+                                .expect("a checkpoint restores into its own configuration");
+                        }
                     }
                     self.0.network().delivered_flits_cum() - before
                 }
@@ -135,6 +146,9 @@ side!(
 
 /// Seed of every simulation.
 const SEED: u64 = 7;
+/// The `resume` configuration checkpoints and restores every this many
+/// cycles (the benchmark's `resume_storm` cadence).
+const ROUNDTRIP_EVERY: u64 = 250;
 /// Cycles each side steps before the first timed chunk.
 const WARMUP: u64 = 2_000;
 /// Timed rounds: one chunk of each side per round.
@@ -153,10 +167,12 @@ const ORDERS: [[usize; 3]; 6] = [
 /// The chunk length of `config`: a few milliseconds on a 2-vCPU host,
 /// long enough to time and short enough that the host's slow phases fall
 /// on both sides of a round alike. Longer chunks read the same spread
-/// there (250 cycles on the paper net, 100 on the 12-ary 3-cube).
+/// there (250 cycles on the paper net, 100 on the 12-ary 3-cube). A
+/// `resume` chunk is one round-trip period, so each holds one round trip.
 fn chunk_of(config: &str) -> u64 {
     match config {
         "light" => 1_000,
+        "resume" => ROUNDTRIP_EVERY,
         "cube3" | "cube3s2" => 50,
         _ => 100,
     }

@@ -4,7 +4,7 @@
 
 use faults::{FaultPlan, HotspotFault, LinkFault, SidebandFaults};
 use stcc::prelude::*;
-use stcc::{SimError, Simulation};
+use stcc::{SimError, Simulation, StaticConfig};
 
 fn cfg(scheme: Scheme, net: NetConfig, rate: f64, cycles: u64, seed: u64) -> SimConfig {
     SimConfig {
@@ -53,10 +53,10 @@ fn total_sideband_blackout_degrades_gracefully() {
         )
     };
     let (tuned_tput, tuned_report) = run(Scheme::tuned_paper());
-    let (static_tput, static_report) = run(Scheme::Static {
+    let (static_tput, static_report) = run(Scheme::Static(StaticConfig {
         threshold: 250,
         sideband: sideband::SidebandConfig::paper(),
-    });
+    }));
 
     assert!(
         tuned_report.controller.watchdog_trips >= 1,
