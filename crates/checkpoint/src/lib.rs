@@ -100,7 +100,13 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 /// configuration prints fewer fields and hashes differently; a v10
 /// container would be refused as a configuration mismatch, so it is
 /// refused by version instead.
-pub const VERSION: u32 = 11;
+///
+/// v12: an in-progress Disha recovery writes no drain path. The path is
+/// the route tables' dimension-order walk from the source VC's router to
+/// the packet's destination, so a restore derives it from the job's packet
+/// and source VC, and a container can no longer steer a drain off that
+/// walk. A restore refuses a job whose packet is not live.
+pub const VERSION: u32 = 12;
 
 /// Most bytes [`Enc::varint`] writes: ⌈64 / 7⌉.
 const VARINT_MAX_LEN: usize = 10;
@@ -774,7 +780,7 @@ mod tests {
     fn seal_matches_hand_assembled_container() {
         let payload = b"some payload bytes";
         let mut want = b"STCCKPT\0".to_vec();
-        want.extend_from_slice(&11u32.to_le_bytes());
+        want.extend_from_slice(&12u32.to_le_bytes());
         want.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         want.extend_from_slice(payload);

@@ -13,10 +13,12 @@ use wormsim::{CongestionControl, Network};
 ///   free,
 ///
 /// where *useful* means an output channel that can be used without violating
-/// the minimal-routing constraint. Because it relies on local symptoms of
-/// congestion (back-pressure filling up the source router's channels), ALO
-/// reacts later than the paper's globally informed scheme — which is exactly
-/// the comparison Figures 3 and 7 make.
+/// the minimal-routing constraint: a set bit of
+/// [`Network::productive_ports`], the mask the adaptive router reads.
+/// Because it relies on local symptoms of congestion (back-pressure filling
+/// up the source router's channels), ALO reacts later than the paper's
+/// globally informed scheme — which is exactly the comparison Figures 3 and
+/// 7 make.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AloControl {
     throttled_last_cycle: bool,
@@ -36,16 +38,18 @@ impl CongestionControl for AloControl {
     }
 
     fn allow_injection(&mut self, _now: u64, node: usize, dst: usize, net: &Network) -> bool {
-        let hops = net.torus().productive_hops(node, dst);
-        if hops.is_empty() {
+        let mut useful = net.productive_ports(node, dst);
+        if useful == 0 {
             return true; // local delivery consumes no network channels
         }
         let vcs = net.config().vcs;
         let mut every_channel_has_a_free_vc = true;
         let mut some_channel_fully_free = false;
-        for (dim, dir) in hops.iter() {
+        while useful != 0 {
+            let port = useful.trailing_zeros() as usize;
+            useful &= useful - 1;
             let free = (0..vcs)
-                .filter(|&vc| !net.output_vc_allocated(node, dim, dir, vc))
+                .filter(|&vc| !net.output_vc_allocated(node, port, vc))
                 .count();
             if free == 0 {
                 every_channel_has_a_free_vc = false;

@@ -2,17 +2,16 @@
 //! build of this repository must keep restoring, byte for byte — or, across
 //! a deliberate `VERSION` bump, be refused with the typed version error.
 //!
-//! The `.v11.ckpt` fixtures were written by `Simulation::checkpoint` at the
-//! commit that introduced v11 (no layout change: the controllers'
-//! one-valued settings became constants of their laws, which changed the
-//! configuration fingerprint; the simulation's decisions did not change).
-//! `small_recovery_c1673.v10.ckpt`, the v10 writing of the recovery
-//! fixture, is kept as the container this build must refuse.
+//! The `.v12.ckpt` fixtures were written by `Simulation::checkpoint` at the
+//! commit that introduced v12 (a recovery job writes no drain path: a
+//! restore derives it from the route tables; the simulation's decisions
+//! did not change). `small_recovery_c1673.v11.ckpt`, the v11 writing of
+//! the recovery fixture, is kept as the container this build must refuse.
 //!
-//! `fixtures/small_recovery_c1673.v11.ckpt` is [`cfg`] stepped to cycle
+//! `fixtures/small_recovery_c1673.v12.ckpt` is [`cfg`] stepped to cycle
 //! 1673, the first cycle past 1500 with a Disha recovery drain holding the
 //! token and another VC queued behind it. The four
-//! `small_<scheme>_c2501.v11.ckpt` fixtures pin the other side-band
+//! `small_<scheme>_c2501.v12.ckpt` fixtures pin the other side-band
 //! controllers' state layouts: the same configuration with only the scheme
 //! swapped, stepped to cycle 2501 — off the gather grid, off every decision
 //! period, and past at least one decision of every law.
@@ -43,32 +42,32 @@ struct Fixture {
 const FIXTURES: &[Fixture] = &[
     Fixture {
         scheme: "tune",
-        file: "small_recovery_c1673.v11.ckpt",
-        bytes: include_bytes!("fixtures/small_recovery_c1673.v11.ckpt"),
+        file: "small_recovery_c1673.v12.ckpt",
+        bytes: include_bytes!("fixtures/small_recovery_c1673.v12.ckpt"),
         cycle: 1673,
     },
     Fixture {
         scheme: "aimd",
-        file: "small_aimd_c2501.v11.ckpt",
-        bytes: include_bytes!("fixtures/small_aimd_c2501.v11.ckpt"),
+        file: "small_aimd_c2501.v12.ckpt",
+        bytes: include_bytes!("fixtures/small_aimd_c2501.v12.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "decbit",
-        file: "small_decbit_c2501.v11.ckpt",
-        bytes: include_bytes!("fixtures/small_decbit_c2501.v11.ckpt"),
+        file: "small_decbit_c2501.v12.ckpt",
+        bytes: include_bytes!("fixtures/small_decbit_c2501.v12.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "bbr",
-        file: "small_bbr_c2501.v11.ckpt",
-        bytes: include_bytes!("fixtures/small_bbr_c2501.v11.ckpt"),
+        file: "small_bbr_c2501.v12.ckpt",
+        bytes: include_bytes!("fixtures/small_bbr_c2501.v12.ckpt"),
         cycle: 2501,
     },
     Fixture {
         scheme: "static-12",
-        file: "small_static12_c2501.v11.ckpt",
-        bytes: include_bytes!("fixtures/small_static12_c2501.v11.ckpt"),
+        file: "small_static12_c2501.v12.ckpt",
+        bytes: include_bytes!("fixtures/small_static12_c2501.v12.ckpt"),
         cycle: 2501,
     },
 ];
@@ -107,7 +106,7 @@ fn parent_written_checkpoint_restores_and_reserialises_byte_equal() {
         assert_eq!(
             sim.checkpoint(),
             f.bytes,
-            "{}: codec no longer writes v11 bytes",
+            "{}: codec no longer writes v12 bytes",
             f.scheme
         );
     }
@@ -155,17 +154,16 @@ fn parent_written_checkpoint_runs_on_like_an_uninterrupted_run() {
     }
 }
 
-/// A v10 container is laid out as this build's, but it fingerprints its
-/// configuration with the settings v11 made constants, so it would fail
-/// as a configuration mismatch: restoring one must fail typed, with the
-/// version error, before anything decodes.
+/// A v11 container writes a recovery job's drain path, which v12 derives
+/// instead, so its recovery section would misparse: restoring one must
+/// fail typed, with the version error, before anything decodes.
 #[test]
-fn a_v10_container_is_refused_with_the_version_error() {
-    let v10 = include_bytes!("fixtures/small_recovery_c1673.v10.ckpt");
-    match Simulation::restore(cfg("tune"), None, v10) {
-        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 10 })) => {}
-        Err(other) => panic!("v10 container refused with the wrong error: {other}"),
-        Ok(_) => panic!("v10 container restored"),
+fn a_v11_container_is_refused_with_the_version_error() {
+    let v11 = include_bytes!("fixtures/small_recovery_c1673.v11.ckpt");
+    match Simulation::restore(cfg("tune"), None, v11) {
+        Err(SimError::Checkpoint(checkpoint::CheckpointError::BadVersion { found: 11 })) => {}
+        Err(other) => panic!("v11 container refused with the wrong error: {other}"),
+        Ok(_) => panic!("v11 container restored"),
     }
 }
 

@@ -1114,7 +1114,7 @@ mod tests {
     #[test]
     fn detects_flit_pools_that_are_not_the_shards() {
         let mut net = hot_net();
-        net.plan = ShardPlan::new(2, net.torus(), net.config().vcs, net.config().deadlock);
+        net.plan = ShardPlan::new(2, &net.tables, net.config().vcs, net.config().deadlock);
         assert_exactly(&net, AuditKind::ShardPartition);
         assert!(net
             .audit()

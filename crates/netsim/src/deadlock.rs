@@ -65,14 +65,8 @@ impl Network {
         // The scratch vector is kept at diameter+1 capacity, so building the
         // path allocates nothing in steady state.
         let mut path = std::mem::take(&mut self.path_scratch);
-        path.clear();
         path.reserve(self.max_path);
-        path.push(node);
-        let mut cur = node;
-        while let Some((dim, dir)) = self.torus().dimension_order_hop(cur, dst) {
-            cur = self.torus().neighbor(cur, dim, dir);
-            path.push(cur);
-        }
+        self.tables.dimension_order_walk(node, dst, &mut path);
         self.recovery = Some(RecoveryJob {
             packet: pid,
             path,

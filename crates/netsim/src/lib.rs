@@ -21,7 +21,8 @@
 //! trait; the network itself exposes the two global quantities the paper's
 //! side-band distributes ([`Network::full_buffer_count`] and
 //! [`Network::delivered_flits_cum`]) plus the local state the ALO baseline
-//! inspects ([`Network::output_vc_allocated`]).
+//! inspects ([`Network::productive_ports`], read from the route tables the
+//! router reads, and [`Network::output_vc_allocated`]).
 //!
 //! Traffic enters once per cycle, through the one stepping entry:
 //! [`Network::cycle_from`] asks its source for the cycle's arrivals in one

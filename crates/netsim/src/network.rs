@@ -270,7 +270,7 @@ impl Network {
         let n_vcs = nodes * d * v;
         let max_path = torus.dimensions() * (cfg.radix / 2) + 1;
         let tables = RouteTables::build(&torus);
-        let plan = ShardPlan::new(1, &torus, v, cfg.deadlock);
+        let plan = ShardPlan::new(1, &tables, v, cfg.deadlock);
         // All VCs start unassigned: every input-VC feeder bit is "unrouted".
         let all_feeders = (1u64 << (d * v)) - 1;
         let packet_len = cfg.packet_len as u16;
@@ -333,7 +333,7 @@ impl Network {
     /// the caller's among them: more shards than cores buys no more
     /// threads, and on one core the caller's thread steps every shard.
     pub fn set_shards(&mut self, shards: usize) {
-        let mut plan = ShardPlan::new(shards, &self.torus, self.v, self.cfg.deadlock);
+        let mut plan = ShardPlan::new(shards, &self.tables, self.v, self.cfg.deadlock);
         if plan.shards() > 1 {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             plan.pool = Some(WorkerPool::new(plan.shards(), cores));
@@ -525,11 +525,24 @@ impl Network {
         self.counters.delivered_flits
     }
 
-    /// Whether the output VC `(dim, dir, vc)` of `node` is currently
-    /// allocated to a packet (used by the ALO baseline's "free VC" test).
+    /// The output ports of `node` that minimal routing may take towards
+    /// `dst`, as a mask: bit `port` is set for each productive port, where
+    /// port `2*dim` is dimension `dim`'s `Plus` channel and `2*dim + 1` its
+    /// `Minus` one. A dimension offers at most one: the shorter way round
+    /// its ring, `Plus` on a `k/2` tie. Zero iff `node == dst`. Read from
+    /// the route tables the adaptive router reads (the ALO baseline's
+    /// *useful* channels).
     #[must_use]
-    pub fn output_vc_allocated(&self, node: NodeId, dim: usize, dir: Dir, vc: usize) -> bool {
-        self.out_alloc[self.vc_idx(node, port_of(dim, dir), vc)]
+    pub fn productive_ports(&self, node: NodeId, dst: NodeId) -> u16 {
+        self.tables.productive_mask(node, dst)
+    }
+
+    /// Whether output VC `vc` on output `port` of `node` (numbered as in
+    /// [`Network::productive_ports`]) is currently allocated to a packet
+    /// (the ALO baseline's "free VC" test).
+    #[must_use]
+    pub fn output_vc_allocated(&self, node: NodeId, port: usize, vc: usize) -> bool {
+        self.out_alloc[self.vc_idx(node, port, vc)]
     }
 
     /// Number of packets waiting in `node`'s source queue.
@@ -2053,7 +2066,7 @@ mod tests {
         let spread = |net: &Network, vcs: &[u32]| {
             let fpn = net.d * net.v;
             SHARDS.iter().all(|&shards| {
-                let bounds = ShardPlan::new(shards, &net.torus, net.v, net.cfg.deadlock).bounds;
+                let bounds = ShardPlan::new(shards, &net.tables, net.v, net.cfg.deadlock).bounds;
                 let mut hit: Vec<usize> = vcs
                     .iter()
                     .map(|&i| bounds.partition_point(|&b| b <= i as usize / fpn))
@@ -2186,7 +2199,7 @@ mod tests {
         let free = net.packets.free_ids_mut();
         let id = free.remove(at.expect("vacuous: no escaped slot freed"));
         free.push(id);
-        let (src, dst) = (0, net.torus.neighbor(0, 0, Dir::Plus));
+        let (src, dst) = (0, net.tables.neighbor(0, port_of(0, Dir::Plus)));
         net.cycle_from(&mut |_, offer| offer(src, dst), &mut NoControl);
         assert_eq!(
             net.inj[src].active,

@@ -1,42 +1,48 @@
-//! Output-channel selection for headers (adaptive routing with either
-//! escape channels or full adaptivity, per the deadlock mode), backed by
-//! next-hop tables precomputed once at network construction.
+//! The one place a route is computed: next-hop tables precomputed once at
+//! network construction from the ring rule ([`RouteTables`]), and the
+//! output-channel selection for headers that reads them (adaptive routing
+//! with either escape channels or full adaptivity, per the deadlock mode).
+//! `kncube` knows only the torus's shape; the ALO baseline's useful
+//! channels, the Disha drain path and the shard plan read these tables.
 
 use crate::network::{dim_dir_of, port_of, Assign};
 use crate::shard::ApplyCtx;
 use kncube::{Dir, NodeId, Torus};
 
-/// Sentinel in the mesh next-hop rows for equal coordinates (no hop in
-/// that dimension).
+/// Sentinel in the mesh next-hop rows for equal digits (no hop in that
+/// dimension).
 const NO_HOP: u8 = 0xFF;
 
-/// Routing lookup tables, built once per [`crate::Network`].
+/// Routing lookup tables, built once per [`crate::Network`]: the one
+/// place a route is computed. The adaptive and escape routing functions,
+/// the ALO baseline's useful channels ([`crate::Network::productive_ports`]),
+/// the Disha drain path ([`RouteTables::dimension_order_walk`]), the shard
+/// plan's crossing channels and the switch plane's downstream slots all
+/// read these tables.
 ///
 /// Both routing functions decide dimension by dimension from that
-/// dimension's two coordinates alone, so a pair of nodes is routed from
+/// dimension's two digits alone, so a pair of nodes is routed from
 /// per-dimension `k × k` rows — `O(n·k²)` entries for any network size —
-/// indexed through a per-node coordinate-digit array (`O(nodes·n)`):
+/// indexed through a per-node digit array (`O(nodes·n)`):
 ///
-/// * `productive[(dim * k + a) * k + b]` — [`productive_mask_dyn`] between
-///   two nodes at coordinates `a` and `b` in `dim`, equal elsewhere. The
-///   productive mask of a pair is the union over dimensions. The torus
-///   offers at most one productive direction per dimension (ties break
-///   `Plus`), so iterating set bits in ascending port order reproduces
-///   exactly the ascending-dimension hop order of
-///   [`Torus::productive_hops`]. A port index is `2*dim + (dir == Minus)`,
-///   so 16 ports at most (`MAX_DIMS = 8`) and a `u16` always fits.
-/// * `mesh_next[(dim * k + a) * k + b]` — [`mesh_dor_hop_dyn`]'s port
-///   between the same two nodes (the escape routing function),
-///   [`NO_HOP`] when `a == b`. The mesh hop of a pair is the hop of its
-///   lowest unaligned dimension.
-/// * `digits[node * n + dim]` — the node's coordinate in `dim`; with the
-///   per-dimension `strides` it also names a node's neighbour on a port
-///   ([`RouteTables::neighbor`]), which the switch-plane slot of a won
-///   output VC needs (once per route win, not per flit).
-///
-/// The `*_dyn` functions are private to this module: the rows' builder
-/// and the tests' oracle are their only callers, so no second hot path can
-/// grow on them.
+/// * `productive[(dim * k + a) * k + b]` — the productive-port mask
+///   between two nodes at digits `a` and `b` in `dim`, equal elsewhere:
+///   the ring rule, the shorter way round with ties (`b - a = k/2`) to
+///   `Plus`, empty when `a == b`. The productive mask of a pair is the
+///   union over dimensions. A dimension offers at most one productive
+///   direction, so the lowest set bit is the dimension-order hop (the
+///   lowest unaligned dimension), and iterating set bits in ascending port
+///   order visits dimensions in ascending order. A port index is
+///   `2*dim + (dir == Minus)`, so 16 ports at most (`MAX_DIMS = 8`) and a
+///   `u16` always fits.
+/// * `mesh_next[(dim * k + a) * k + b]` — the mesh hop's port between the
+///   same two digits (the escape routing function): towards the
+///   destination's digit, never across the wraparound link; [`NO_HOP`]
+///   when `a == b`. The mesh hop of a pair is the hop of its lowest
+///   unaligned dimension.
+/// * `digits[node * n + dim]` — the node's digit in `dim`, `node / k^dim %
+///   k`; with the per-dimension `strides` it also names a node's neighbour
+///   on a port ([`RouteTables::neighbor`]).
 #[derive(Debug)]
 pub(crate) struct RouteTables {
     k: usize,
@@ -49,31 +55,34 @@ pub(crate) struct RouteTables {
 }
 
 impl RouteTables {
-    /// Builds the tables for `torus`, asking the `*_dyn` functions about
-    /// the `k` nodes along each axis through node 0.
+    /// Builds the tables for `torus`: each dimension's rows from the ring
+    /// rule over every pair of digits, each node's digits by division.
     pub(crate) fn build(torus: &Torus) -> Self {
         let (k, n, nodes) = (torus.radix(), torus.dimensions(), torus.node_count());
         let mut productive = Vec::with_capacity(n * k * k);
         let mut mesh_next = Vec::with_capacity(n * k * k);
-        let mut strides = Vec::with_capacity(n);
-        let mut stride = 1; // dimension 0 is the least-significant digit
-        for _ in 0..n {
-            strides.push(stride);
+        for dim in 0..n {
+            let (plus, minus) = (port_of(dim, Dir::Plus), port_of(dim, Dir::Minus));
             for a in 0..k {
                 for b in 0..k {
-                    let (cur, dst) = (a * stride, b * stride);
-                    productive.push(productive_mask_dyn(torus, cur, dst));
-                    mesh_next.push(
-                        mesh_dor_hop_dyn(torus, cur, dst)
-                            .map_or(NO_HOP, |(dim, dir)| port_of(dim, dir) as u8),
-                    );
+                    if a == b {
+                        productive.push(0);
+                        mesh_next.push(NO_HOP);
+                        continue;
+                    }
+                    let fwd = (b + k - a) % k; // hops going Plus
+                    productive.push(1 << if fwd <= k - fwd { plus } else { minus });
+                    mesh_next.push(if b > a { plus } else { minus } as u8);
                 }
             }
-            stride *= k;
         }
+        // Dimension 0 is the least-significant digit.
+        let strides: Vec<usize> = std::iter::successors(Some(1), |s| Some(s * k))
+            .take(n)
+            .collect();
         let mut digits = Vec::with_capacity(nodes * n);
         for node in 0..nodes {
-            digits.extend(torus.coords(node).iter());
+            digits.extend(strides.iter().map(|s| (node / s % k) as u16));
         }
         RouteTables {
             k,
@@ -83,6 +92,12 @@ impl RouteTables {
             digits,
             strides,
         }
+    }
+
+    /// Nodes of the network (`k^n`).
+    #[inline]
+    pub(crate) fn nodes(&self) -> usize {
+        self.digits.len() / self.n
     }
 
     /// Network ports per router (`2n`).
@@ -139,45 +154,25 @@ impl RouteTables {
             .map(usize::from)
     }
 
-    /// Dimension-order next hop on the *mesh* sub-network (never crosses a
-    /// wraparound link): the escape routing function. (The hot path uses
-    /// [`RouteTables::mesh_next_port`] directly; this `(dim, dir)` view
-    /// exists for the routing tests.)
-    #[cfg(test)]
-    pub(crate) fn mesh_dor_hop(&self, cur: NodeId, dst: NodeId) -> Option<(usize, Dir)> {
-        self.mesh_next_port(cur, dst).map(dim_dir_of)
-    }
-}
-
-/// Dimension-order next hop on the *mesh* sub-network (never crosses a
-/// wraparound link): the escape routing function, computed from
-/// coordinates. [`RouteTables::mesh_next_port`] serves the same answer from
-/// the precomputed rows.
-fn mesh_dor_hop_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> Option<(usize, Dir)> {
-    let ca = torus.coords(cur);
-    let cb = torus.coords(dst);
-    for dim in 0..torus.dimensions() {
-        if ca[dim] != cb[dim] {
-            let dir = if cb[dim] > ca[dim] {
-                Dir::Plus
-            } else {
-                Dir::Minus
-            };
-            return Some((dim, dir));
+    /// Writes the torus dimension-order walk from `from` to `dst` into
+    /// `path`, both ends included: each step takes the lowest productive
+    /// port — the lowest unaligned dimension, the shorter way round, ties
+    /// to `Plus` — so the walk is `distance + 1` routers long. The Disha
+    /// drain path; `path` is cleared first and allocates nothing while its
+    /// capacity holds a diameter's walk.
+    pub(crate) fn dimension_order_walk(&self, from: NodeId, dst: NodeId, path: &mut Vec<NodeId>) {
+        path.clear();
+        path.push(from);
+        let mut cur = from;
+        loop {
+            let mask = self.productive_mask(cur, dst);
+            if mask == 0 {
+                break;
+            }
+            cur = self.neighbor(cur, mask.trailing_zeros() as usize);
+            path.push(cur);
         }
     }
-    None
-}
-
-/// Productive-port bitmask computed from coordinates;
-/// [`RouteTables::productive_mask`] serves the same answer from the
-/// precomputed rows.
-fn productive_mask_dyn(torus: &Torus, cur: NodeId, dst: NodeId) -> u16 {
-    let mut mask = 0u16;
-    for (dim, dir) in torus.productive_hops(cur, dst).iter() {
-        mask |= 1 << port_of(dim, dir);
-    }
-    mask
 }
 
 impl ApplyCtx<'_> {
@@ -209,8 +204,8 @@ impl ApplyCtx<'_> {
 
         if !sticky_escaped {
             // First free adaptive VC in fixed (dimension, direction, VC)
-            // order — ascending set bits of the productive-port mask visit
-            // dimensions in exactly the order `productive_hops` yields them.
+            // order: ascending set bits of the productive-port mask visit
+            // dimensions in ascending order.
             let mut mask = self.tables.productive_mask(node, dst);
             while mask != 0 {
                 let port = mask.trailing_zeros() as usize;
@@ -242,35 +237,41 @@ impl ApplyCtx<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{mesh_dor_hop_dyn, productive_mask_dyn};
     use crate::config::{DeadlockMode, NetConfig};
     use crate::network::Network;
     use crate::network::{dim_dir_of, port_of};
     use kncube::Dir;
+
+    /// The digit of `node` in `dim` on a `k`-ary torus, by its definition.
+    fn digit(node: usize, dim: usize, k: usize) -> usize {
+        node / k.pow(dim as u32) % k
+    }
+
+    /// The mesh hop from `cur` towards `dst` as a `(dimension, direction)`.
+    fn mesh_hop(net: &Network, cur: usize, dst: usize) -> Option<(usize, Dir)> {
+        net.tables.mesh_next_port(cur, dst).map(dim_dir_of)
+    }
 
     #[test]
     fn mesh_dor_never_wraps() {
         let net = Network::new(NetConfig::small(DeadlockMode::Avoidance)).unwrap();
         // Node 0 to node 7 (same row): torus-minimal is one hop Minus (wrap),
         // but the mesh escape must walk +x without wrapping.
-        let (dim, dir) = net.tables.mesh_dor_hop(0, 7).unwrap();
-        assert_eq!((dim, dir), (0, Dir::Plus));
+        assert_eq!(mesh_hop(&net, 0, 7), Some((0, Dir::Plus)));
         // And from 7 back to 0 it walks -x.
-        let (dim, dir) = net.tables.mesh_dor_hop(7, 0).unwrap();
-        assert_eq!((dim, dir), (0, Dir::Minus));
-        assert_eq!(net.tables.mesh_dor_hop(5, 5), None);
+        assert_eq!(mesh_hop(&net, 7, 0), Some((0, Dir::Minus)));
+        assert_eq!(mesh_hop(&net, 5, 5), None);
     }
 
     #[test]
     fn mesh_dor_walk_terminates_everywhere() {
         let net = Network::new(NetConfig::small(DeadlockMode::Avoidance)).unwrap();
-        let t = net.torus().clone();
         for src in [0usize, 7, 32, 63] {
-            for dst in 0..t.node_count() {
+            for dst in 0..net.torus().node_count() {
                 let mut cur = src;
                 let mut steps = 0;
-                while let Some((dim, dir)) = net.tables.mesh_dor_hop(cur, dst) {
-                    cur = t.neighbor(cur, dim, dir);
+                while let Some(port) = net.tables.mesh_next_port(cur, dst) {
+                    cur = net.tables.neighbor(cur, port);
                     steps += 1;
                     assert!(steps < 100, "mesh DOR walk diverged");
                 }
@@ -279,18 +280,37 @@ mod tests {
         }
     }
 
-    /// Exhaustive rows-vs-dynamic equivalence over every (cur, dst) pair
-    /// for the Tiny (4-ary), Small (8-ary) and paper (16-ary) presets: the
-    /// mesh next hop and productive-port mask looked up in the
-    /// per-dimension rows must agree with the coordinate computation
-    /// everywhere, and the neighbour an output VC's switch-plane slot
-    /// derives from the coordinate digits must be the topology's. The
-    /// shapes where a dimension-by-dimension lookup could go wrong are here
-    /// too: three dimensions, an odd radix (no tie), radix 2 (every
-    /// unaligned dimension ties, and both directions reach one neighbor),
-    /// and the 12-ary 3-cube (1728 nodes) of the repo benchmark.
+    /// The tie ALO reads: on the 8-ary 2-cube, node 4 is `k/2` hops from
+    /// node 0 both ways round dimension 0, and only `Plus` is productive.
     #[test]
-    fn route_tables_match_dynamic_everywhere() {
+    fn a_half_ring_tie_is_plus_alone() {
+        let net = Network::new(NetConfig::small(DeadlockMode::Avoidance)).unwrap();
+        assert_eq!(net.torus().radix(), 8);
+        assert_eq!(net.productive_ports(0, 4), 1 << port_of(0, Dir::Plus));
+        assert_eq!(net.productive_ports(4, 0), 1 << port_of(0, Dir::Plus));
+        assert_eq!(net.productive_ports(0, 5), 1 << port_of(0, Dir::Minus));
+        assert_eq!(net.productive_ports(3, 3), 0);
+    }
+
+    /// The tables against the definition of minimality, over every pair
+    /// of nodes of nine shapes: the Tiny (4-ary), Small (8-ary) and paper
+    /// (16-ary) presets, three dimensions, an odd radix (no tie), radix 2
+    /// (every unaligned dimension ties, and both directions reach one
+    /// neighbour) and the 12-ary 3-cube (1728 nodes) of the repo benchmark.
+    ///
+    /// * A neighbour differs from its node in exactly the port's digit, by
+    ///   one step in the port's direction modulo `k`; the opposite port
+    ///   leads back; and an output VC's downstream slot is that
+    ///   neighbour's opposite input port.
+    /// * A port is productive exactly when its neighbour is one hop closer
+    ///   by [`kncube::Torus::distance`], except that where both directions
+    ///   of a dimension are (a `k/2` tie) only `Plus` is.
+    /// * The mesh hop is in the lowest unaligned dimension, towards the
+    ///   destination's digit, so it never wraps.
+    /// * The dimension-order walk reaches the destination in `distance`
+    ///   hops.
+    #[test]
+    fn route_tables_are_minimal_everywhere() {
         let shaped = |radix, dimensions| NetConfig {
             radix,
             dimensions,
@@ -310,47 +330,58 @@ mod tests {
             shaped(2, 3),
             shaped(12, 3),
         ];
+        let mut path = Vec::new();
         for cfg in cfgs {
             let vcs = cfg.vcs;
             let net = Network::new(cfg).unwrap();
             let t = net.torus().clone();
-            let nodes = t.node_count();
-            let d = t.channels_per_node();
+            let (k, n, nodes) = (t.radix(), t.dimensions(), t.node_count());
+            let tables = &net.tables;
+            let at = |cur, dst| format!("({cur}, {dst}) on the {k}-ary {n}-cube");
             for cur in 0..nodes {
-                for dst in 0..nodes {
-                    assert_eq!(
-                        net.tables.mesh_dor_hop(cur, dst),
-                        mesh_dor_hop_dyn(&t, cur, dst),
-                        "mesh table diverges at ({cur}, {dst}), k={}",
-                        t.radix()
-                    );
-                    assert_eq!(
-                        net.tables.productive_mask(cur, dst),
-                        productive_mask_dyn(&t, cur, dst),
-                        "productive table diverges at ({cur}, {dst}), k={}",
-                        t.radix()
-                    );
-                    // Mask bit order must reproduce the HopSet hop order.
-                    let mut mask = net.tables.productive_mask(cur, dst);
-                    let mut from_mask = Vec::new();
-                    while mask != 0 {
-                        let port = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        from_mask.push(dim_dir_of(port));
-                    }
-                    let from_hops: Vec<_> = t.productive_hops(cur, dst).iter().collect();
-                    assert_eq!(from_mask, from_hops, "hop order diverges at ({cur}, {dst})");
-                }
-                for port in 0..d {
+                for port in 0..2 * n {
                     let (dim, dir) = dim_dir_of(port);
-                    let nb = t.neighbor(cur, dim, dir);
+                    let nb = tables.neighbor(cur, port);
+                    let step = if dir == Dir::Plus { 1 } else { k - 1 };
+                    for d in 0..n {
+                        let want = (digit(cur, d, k) + if d == dim { step } else { 0 }) % k;
+                        assert_eq!(digit(nb, d, k), want, "neighbour of {}", at(cur, port));
+                    }
+                    let back = port_of(dim, dir.opposite());
+                    assert_eq!(tables.neighbor(nb, back), cur, "{}", at(cur, port));
                     for vc in 0..vcs {
                         assert_eq!(
                             net.downstream_idx(cur, port, vc),
-                            net.vc_idx(nb, port_of(dim, dir.opposite()), vc),
-                            "downstream table diverges at node {cur} port {port} vc {vc}"
+                            net.vc_idx(nb, back, vc),
+                            "downstream slot of {} vc {vc}",
+                            at(cur, port)
                         );
                     }
+                }
+                for dst in 0..nodes {
+                    let dist = t.distance(cur, dst);
+                    let closer = |port| t.distance(tables.neighbor(cur, port), dst) + 1 == dist;
+                    let mut want = 0u16;
+                    for dim in 0..n {
+                        let (plus, minus) = (port_of(dim, Dir::Plus), port_of(dim, Dir::Minus));
+                        if closer(plus) {
+                            want |= 1 << plus;
+                        } else if closer(minus) {
+                            want |= 1 << minus;
+                        }
+                    }
+                    assert_eq!(net.productive_ports(cur, dst), want, "{}", at(cur, dst));
+
+                    let unaligned = (0..n).find(|&d| digit(cur, d, k) != digit(dst, d, k));
+                    let mesh = unaligned.map(|d| {
+                        let plus = digit(dst, d, k) > digit(cur, d, k);
+                        (d, if plus { Dir::Plus } else { Dir::Minus })
+                    });
+                    assert_eq!(mesh_hop(&net, cur, dst), mesh, "mesh hop {}", at(cur, dst));
+
+                    tables.dimension_order_walk(cur, dst, &mut path);
+                    assert_eq!(path.len(), dist + 1, "walk {}", at(cur, dst));
+                    assert_eq!(path.last(), Some(&dst), "walk {}", at(cur, dst));
                 }
             }
         }

@@ -84,7 +84,6 @@ use crate::plane::SwitchPlaneView;
 use crate::ring::{FlitRingsView, Rings};
 use crate::routing::RouteTables;
 use faults::FaultPlan;
-use kncube::{Dir, Torus};
 
 /// A handoff whose source half is done: `flit`, taken off its feeder by
 /// the source shard's switch pass, waits for the handoff pass of the shard
@@ -213,19 +212,18 @@ fn split(shards: usize, nodes: usize) -> Vec<usize> {
 }
 
 impl ShardPlan {
-    /// Builds a plan with `shards` contiguous node ranges of `torus`
-    /// ([`split`]), `v` VCs per channel, stepped under `mode`. The stages'
-    /// lists are sized at their per-cycle worst case: a router sets aside
-    /// at most one injection win, one suspect or starvation trip per input
-    /// feeder (none under avoidance, which suspects nothing) and one
-    /// delivered tail, and
-    /// each torus channel from shard `s` into shard `t` hands off at most
-    /// one flit a cycle. No worker pool is attached here —
-    /// `Network::set_shards` does that, so plan construction in tests
-    /// stays thread-free.
-    pub fn new(shards: usize, torus: &Torus, v: usize, mode: DeadlockMode) -> Self {
-        let nodes = torus.node_count();
-        let fpn = torus.channels_per_node() * v;
+    /// Builds a plan with `shards` contiguous node ranges of the network
+    /// `tables` route ([`split`]), `v` VCs per channel, stepped under
+    /// `mode`. The stages' lists are sized at their per-cycle worst case: a
+    /// router sets aside at most one injection win, one suspect or
+    /// starvation trip per input feeder (none under avoidance, which
+    /// suspects nothing) and one delivered tail, and each torus channel
+    /// from shard `s` into shard `t` hands off at most one flit a cycle. No
+    /// worker pool is attached here — `Network::set_shards` does that, so
+    /// plan construction in tests stays thread-free.
+    pub fn new(shards: usize, tables: &RouteTables, v: usize, mode: DeadlockMode) -> Self {
+        let nodes = tables.nodes();
+        let fpn = tables.ports() * v;
         let watched = if mode.recovers() { fpn } else { 0 };
         let bounds = split(shards, nodes);
         let shards = bounds.len() - 1;
@@ -236,11 +234,9 @@ impl ShardPlan {
         let owner = |node: usize| bounds.partition_point(|&b| b <= node) - 1;
         if shards > 1 {
             for node in 0..nodes {
-                for dim in 0..torus.dimensions() {
-                    for dir in [Dir::Plus, Dir::Minus] {
-                        let (s, t) = (owner(node), owner(torus.neighbor(node, dim, dir)));
-                        crossing[s * shards + t] += usize::from(s != t);
-                    }
+                for port in 0..tables.ports() {
+                    let (s, t) = (owner(node), owner(tables.neighbor(node, port)));
+                    crossing[s * shards + t] += usize::from(s != t);
                 }
             }
         }
@@ -1098,7 +1094,13 @@ fn worker_loop(sh: &PoolShared, me: usize) {
 mod tests {
     use super::*;
     use crate::plane::Slot;
+    use kncube::Torus;
     use std::collections::{HashMap, HashSet};
+
+    /// The route tables of the `k`-ary `n`-cube.
+    fn tables(k: usize, n: usize) -> RouteTables {
+        RouteTables::build(&Torus::new(k, n).unwrap())
+    }
 
     #[test]
     fn partition_covers_all_nodes_exactly_once() {
@@ -1128,7 +1130,7 @@ mod tests {
 
     #[test]
     fn plan_construction_spawns_no_threads() {
-        let plan = ShardPlan::new(8, &Torus::new(8, 2).unwrap(), 2, DeadlockMode::Avoidance);
+        let plan = ShardPlan::new(8, &tables(8, 2), 2, DeadlockMode::Avoidance);
         assert!(plan.pool.is_none(), "pool attachment is set_shards' job");
     }
 
@@ -1137,12 +1139,12 @@ mod tests {
     #[test]
     fn suspect_lists_are_reserved_under_recovery_alone() {
         // Two 32-node shards of 12 input feeders a node.
-        let torus = Torus::new(8, 2).unwrap();
-        for stage in ShardPlan::new(2, &torus, 3, DeadlockMode::PAPER_RECOVERY).stages {
+        let tables = tables(8, 2);
+        for stage in ShardPlan::new(2, &tables, 3, DeadlockMode::PAPER_RECOVERY).stages {
             assert!(stage.suspects.capacity() >= 32 * 12);
             assert!(stage.starved.capacity() >= 32 * 12);
         }
-        for stage in ShardPlan::new(2, &torus, 3, DeadlockMode::Avoidance).stages {
+        for stage in ShardPlan::new(2, &tables, 3, DeadlockMode::Avoidance).stages {
             assert_eq!(
                 (stage.suspects.capacity(), stage.starved.capacity()),
                 (0, 0)
@@ -1162,14 +1164,14 @@ mod tests {
         // 12-ary 3-cube in halves at the z = 6 plane: each way, the two
         // 144-node z-faces z = 5 → 6 and z = 0 → 11 (or back) cross.
         let recovery = DeadlockMode::PAPER_RECOVERY;
-        let plan = ShardPlan::new(2, &Torus::new(12, 3).unwrap(), 3, recovery);
+        let plan = ShardPlan::new(2, &tables(12, 3), 3, recovery);
         assert_eq!(
             [0, 1, 2, 3].map(|st| cap(&plan, st / 2, st % 2)),
             [0, 288, 288, 0]
         );
         // 8-ary 2-cube in four two-row shards, a ring of them: one 8-node
         // row face to each neighbouring shard, none to the opposite one.
-        let plan = ShardPlan::new(4, &Torus::new(8, 2).unwrap(), 3, recovery);
+        let plan = ShardPlan::new(4, &tables(8, 2), 3, recovery);
         for s in 0..4 {
             for t in 0..4 {
                 let want = if (t + 4 - s) % 2 == 1 { 8 } else { 0 };
@@ -1442,7 +1444,8 @@ mod tests {
     /// The stage of a one-shard plan over the [`NODES`]-node test net.
     fn stage() -> ShardStage {
         let cfg = crate::testnet::small_cfg();
-        ShardPlan::new(1, &cfg.torus().unwrap(), cfg.vcs, cfg.deadlock)
+        let tables = RouteTables::build(&cfg.torus().unwrap());
+        ShardPlan::new(1, &tables, cfg.vcs, cfg.deadlock)
             .stages
             .remove(0)
     }
@@ -1525,7 +1528,7 @@ mod tests {
         let (mut whole, mut halves) = (hot_net(), hot_net());
         assert_eq!(saved(&whole), saved(&halves));
         let (vcs, mode) = (halves.config().vcs, halves.config().deadlock);
-        halves.set_plan(ShardPlan::new(2, halves.torus(), vcs, mode));
+        halves.set_plan(ShardPlan::new(2, &halves.tables, vcs, mode));
         let now = whole.now;
         for kind in [Pass::Route, Pass::Switch] {
             let mut stages = std::mem::take(&mut whole.plan.stages);

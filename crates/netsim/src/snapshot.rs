@@ -7,7 +7,10 @@
 //! packet store's live records with their sticky escape flags (and its
 //! free-list order, which determines future id assignment;
 //! [`PacketStore::save_state`] has the record layout), the Disha deadlock
-//! buffers and in-progress recovery job, the token queue, both round-robin
+//! buffers and in-progress recovery job (its packet, source VC and whether
+//! the tail has left it; v12 writes no drain path, which a restore derives
+//! as the route tables' walk from the source VC's router to the packet's
+//! destination, as the token grant did), the token queue, both round-robin
 //! cursor families, counters and watchdog markers. Everything derived from it — the worklist, occupancy
 //! and assignment words, node summaries, the census, the switch plane and
 //! the token-queue flags — is not serialized: restore rebuilds it through
@@ -297,11 +300,9 @@ impl Network {
             None => enc.bool(false),
             Some(job) => {
                 enc.bool(true);
+                // The drain path is the table walk from the source VC's
+                // router to the packet's destination: a restore derives it.
                 enc.varint(u64::from(job.packet));
-                enc.varint(job.path.len() as u64);
-                for &n in &job.path {
-                    enc.varint(n as u64);
-                }
                 enc.varint(job.src_vc as u64);
                 enc.bool(job.tail_in);
             }
@@ -457,18 +458,19 @@ impl Network {
         }
         let recovery = if dec.bool()? {
             let packet = dec_packet(dec)?;
-            let path_len = dec_below(dec, nodes + 1, "recovery path length")?;
-            if path_len == 0 {
-                return Err(Corrupt("recovery path length"));
+            if packet as usize >= packets.slot_count() || packets.free_ids().contains(&packet) {
+                return Err(Corrupt("recovery drains no live packet"));
             }
-            let mut path = Vec::with_capacity(path_len);
-            for _ in 0..path_len {
-                path.push(dec_below(dec, nodes, "recovery path node")?);
-            }
+            let src_vc = dec_below(dec, n_vcs, "recovery source VC")?;
+            // The path `grant_token` walked, from the same two inputs.
+            let mut path = Vec::with_capacity(self.max_path);
+            let dst = packets.get(packet).dst;
+            self.tables
+                .dimension_order_walk(src_vc / (d * v), dst, &mut path);
             Some(RecoveryJob {
                 packet,
                 path,
-                src_vc: dec_below(dec, n_vcs, "recovery source VC")?,
+                src_vc,
                 tail_in: dec.bool()?,
             })
         } else {
@@ -655,6 +657,41 @@ mod tests {
             (words, n.full_buffers)
         };
         assert_eq!(derived(&a), derived(&b));
+        assert!(b.audit().is_clean());
+    }
+
+    /// A checkpoint writes no drain path: a restored mid-drain job's path
+    /// is the route tables' walk from its source VC's router to its
+    /// packet's destination, `distance + 1` routers, one hop apart, in
+    /// storage that a diameter's walk fits — the path the grant built.
+    #[test]
+    fn a_restored_drain_path_is_the_table_walk() {
+        let mut a = hot_net();
+        let mut src = testnet::arrivals(1, 16, 60);
+        for _ in 0..20_000 {
+            if a.recovery.as_ref().is_some_and(|job| job.path.len() > 2) {
+                break;
+            }
+            a.cycle_from(&mut src, &mut NoControl);
+        }
+        let job = a.recovery.as_ref().expect("vacuous: no drain under way");
+        assert!(job.path.len() > 2, "vacuous: a drain of one hop at most");
+        let snap = snapshot(&a);
+        let b = Network::restore(small_cfg(), &mut Dec::new(&snap)).unwrap();
+        let restored = b.recovery.as_ref().expect("the drain restores");
+        assert_eq!(restored.path, job.path);
+        let dst = b.packets.get(restored.packet).dst;
+        let t = b.torus();
+        let fpn = t.channels_per_node() * b.config().vcs;
+        assert_eq!(restored.path[0], restored.src_vc / fpn);
+        assert_eq!(restored.path.len(), t.distance(restored.path[0], dst) + 1);
+        assert_eq!(restored.path.last(), Some(&dst));
+        assert!(restored
+            .path
+            .windows(2)
+            .all(|w| t.distance(w[0], w[1]) == 1));
+        assert!(restored.path.capacity() >= b.max_path);
+        assert_eq!(snapshot(&b), snap);
         assert!(b.audit().is_clean());
     }
 

@@ -1,10 +1,8 @@
-//! k-ary n-cube (torus) topology math.
-//!
-//! This crate provides the coordinate arithmetic that every other crate in
-//! the reproduction builds on: node numbering, per-dimension minimal
-//! directions with torus wraparound, dimension-order (deterministic) hops for
-//! escape/recovery paths, and the set of *productive* (minimal) hops used by
-//! adaptive routing and by the ALO congestion-control baseline.
+//! The shape of a k-ary n-cube (torus): its radix, its dimension count,
+//! its node count and numbering, its channels per node and the minimal hop
+//! distance between two nodes. Routes are not computed here: the network
+//! crate (`wormsim`) fills its route tables from the ring rule and every
+//! routing decision, useful channel and drain path reads those tables.
 //!
 //! The paper evaluates a 16-ary 2-cube (256 nodes); everything here is
 //! generic over radix `k >= 2` and dimension count `1 <= n <= MAX_DIMS`.
@@ -12,7 +10,7 @@
 //! # Examples
 //!
 //! ```
-//! use kncube::{Torus, Dir};
+//! use kncube::Torus;
 //!
 //! let t = Torus::new(16, 2)?;
 //! assert_eq!(t.node_count(), 256);
@@ -25,19 +23,18 @@
 
 #![forbid(unsafe_code)]
 
-mod coords;
 mod error;
 mod torus;
 
-pub use coords::Coords;
 pub use error::TopologyError;
-pub use torus::{DimRoute, Torus};
+pub use torus::Torus;
 
 /// Index of a node in the network, in `0..Torus::node_count()`.
 ///
-/// Node `id` has coordinates `(..., id / k % k, id % k)`; the
-/// least-significant coordinate is dimension 0, matching the paper's
-/// "lowest dimension" used first by the side-band gather.
+/// Node `id` has the base-`k` digits `(..., id / k % k, id % k)`: its
+/// coordinate in dimension `d` is `id / k^d % k`, so the least-significant
+/// digit is dimension 0, matching the paper's "lowest dimension" used
+/// first by the side-band gather.
 pub type NodeId = usize;
 
 /// A direction along one torus dimension.
@@ -80,5 +77,6 @@ impl core::fmt::Display for Dir {
 /// Maximum supported number of torus dimensions.
 ///
 /// Eight dimensions is far beyond anything the paper (n = 2) or plausible
-/// extensions (n = 3, 4) need, while letting [`Coords`] live on the stack.
+/// extensions (n = 3, 4) need, while a router's `2n` ports fit a 16-bit
+/// mask.
 pub const MAX_DIMS: usize = 8;

@@ -11,7 +11,7 @@
 #
 # <base-rev> defaults to HEAD while the tree has uncommitted changes, else
 # HEAD~1 (as the CI perf gate picks its baseline). Configs default to
-# `recovery avoidance light cube3 cube3s2 resume`. The base is `git
+# `recovery avoidance light cube3 cube3s2 resume alo`. The base is `git
 # archive`d into target/ab/base with its `[workspace.package] version` set
 # to 0.0.1, so that one driver crate, generated in target/ab/driver, can
 # depend on both trees' `stcc`, `wormsim`, `traffic` and `checkpoint`
@@ -29,7 +29,7 @@ fi
 base=$(git rev-parse --verify "$ref^{commit}")
 shift || true
 configs=("$@")
-[ ${#configs[@]} -gt 0 ] || configs=(recovery avoidance light cube3 cube3s2 resume)
+[ ${#configs[@]} -gt 0 ] || configs=(recovery avoidance light cube3 cube3s2 resume alo)
 
 dir=$root/target/ab
 if [ "$(cat "$dir/base.commit" 2>/dev/null)" != "$base" ]; then

@@ -16,7 +16,10 @@
 //! same at two shards, as `cube3_tune_s2` steps it; `resume` — `recovery`'s
 //! net and load, with every side taking a checkpoint and restoring it into
 //! a fresh simulation every 250 cycles (`resume_storm`'s cadence), so the
-//! codec, the rebuild and the restore audit are inside the timed chunks.
+//! codec, the rebuild and the restore audit are inside the timed chunks;
+//! `alo` — `recovery`'s net and load under the ALO baseline, whose gate
+//! reads the useful channels on every injection attempt (no benchmark
+//! workload isolates it).
 //!
 //! Three simulations of the configuration are built from one seed: the
 //! base's, the change's and a second base one, the control. All three are
@@ -24,7 +27,12 @@
 //! runs through the six permutations of the three: every side takes every
 //! place equally often, and in each pair each side goes first in half the
 //! rounds (a side timed right after another can pay for it: a sharded
-//! simulation's workers spin a while after its chunk). A round's ratio is
+//! simulation's workers spin a while after its chunk). Across a round's
+//! end too no side is timed twice in a row, and every side follows each
+//! other side equally often: a side timed right after itself finds its
+//! own workers still spinning and its lines in cache, and an order cycle
+//! that gave the control that twice as often as the others read it 1–2 %
+//! fast at two shards. A round's ratio is
 //! the second side's chunk time over the base's. The
 //! report gives each pair's median ratio, its quartiles and the share of
 //! rounds the second side was faster; a change whose median ratio lies
@@ -36,7 +44,7 @@
 //! checkpoint bytes. Set-up time and peak memory are out of reach (one
 //! process holds every side); the sequential benchmark keeps those.
 //!
-//! The driver speaks only `SimConfig`, `Simulation::new`/`restore`/
+//! The driver speaks only `SimConfig`, `Scheme`, `Simulation::new`/`restore`/
 //! `set_shards`/`step`/`now`/`checkpoint`/`network`, `Network::counters`/
 //! `full_buffer_count`/`live_packets` and the presets: a change to that surface
 //! edits the `side!` body below in the same change.
@@ -74,20 +82,21 @@ macro_rules! side {
                     dimensions: 3,
                     ..NetConfig::paper(recovery)
                 };
-                let (net, rate, tuned, shards) = match config {
-                    "recovery" | "resume" => (NetConfig::paper(recovery), 0.1, true, 1),
-                    "avoidance" => (NetConfig::paper(DeadlockMode::Avoidance), 0.1, false, 1),
-                    "light" => (NetConfig::paper(recovery), 0.001, true, 1),
-                    "cube3" => (cube3, 0.012, true, 1),
-                    "cube3s2" => (cube3, 0.012, true, 2),
+                let (net, rate, law, shards) = match config {
+                    "recovery" | "resume" => (NetConfig::paper(recovery), 0.1, "tune", 1),
+                    "avoidance" => (NetConfig::paper(DeadlockMode::Avoidance), 0.1, "base", 1),
+                    "light" => (NetConfig::paper(recovery), 0.001, "tune", 1),
+                    "cube3" => (cube3, 0.012, "tune", 1),
+                    "cube3s2" => (cube3, 0.012, "tune", 2),
+                    "alo" => (NetConfig::paper(recovery), 0.1, "alo", 1),
                     other => {
-                        panic!("no configuration {other:?}: recovery, avoidance, light, cube3, cube3s2, resume")
+                        panic!("no configuration {other:?}: recovery, avoidance, light, cube3, cube3s2, resume, alo")
                     }
                 };
-                let scheme = if tuned {
-                    Scheme::Tuned(TuneConfig::for_net(&net))
-                } else {
-                    Scheme::Base
+                let scheme = match law {
+                    "tune" => Scheme::Tuned(TuneConfig::for_net(&net)),
+                    "alo" => Scheme::Alo,
+                    _ => Scheme::Base,
                 };
                 let cfg = SimConfig {
                     net,
@@ -154,14 +163,16 @@ const WARMUP: u64 = 2_000;
 /// Timed rounds: one chunk of each side per round.
 const ROUNDS: u64 = 600;
 /// The order of base (0), change (1) and control (2) in a round, by round
-/// modulo 6: every permutation once.
+/// modulo 6: every permutation once, in a cycle whose round ends (each
+/// order's last side, then the next order's first) are the six ordered
+/// pairs of distinct sides, so no side is timed twice in a row.
 const ORDERS: [[usize; 3]; 6] = [
     [0, 1, 2],
+    [0, 2, 1],
     [2, 1, 0],
     [1, 0, 2],
-    [2, 0, 1],
-    [0, 2, 1],
     [1, 2, 0],
+    [2, 0, 1],
 ];
 
 /// The chunk length of `config`: a few milliseconds on a 2-vCPU host,

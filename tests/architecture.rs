@@ -5,7 +5,8 @@
 //! math the traffic stream may call, whether every test fixture still
 //! has a reader, where `unsafe` may appear, whether a tool spawns a
 //! child process, whether every perf record names every benchmark
-//! workload and whether a checkpoint is written in one walk. Each rule
+//! workload, whether a checkpoint is written in one walk and where a
+//! route is computed. Each rule
 //! documents the files it
 //! reads, what it forbids and why, and reports every offending line as
 //! `path:line: text` (an orphan fixture as `path: ...`). Each runs twice:
@@ -333,6 +334,52 @@ fn one_codec_walk(tree: &[File]) -> Vec<String> {
         .filter(|f| f.path.starts_with("crates/") && is_source(&f.path))
         .filter(|f| f.path.ends_with(".rs"))
         .flat_map(|f| scan(&f.path, above_tests(&f.text), oracle))
+        .collect()
+}
+
+/// The one file that computes a route.
+const ROUTING: &str = "crates/netsim/src/routing.rs";
+
+/// The routing items `kncube` and `routing.rs` no longer have: the
+/// coordinate type, the per-dimension route and hop-set types, the torus's
+/// hop functions and the coordinate functions that filled the route tables, whole
+/// names; and calls of the deleted `Torus` methods that decomposed a node
+/// or named a neighbour. Spelled in pieces so this file does not match
+/// itself.
+const DELETED_ROUTING_NAMES: [&str; 7] = [
+    concat!("Coo", "rds"),
+    concat!("Dim", "Route"),
+    concat!("Hop", "Set"),
+    concat!("productive", "_hops"),
+    concat!("dimension_order", "_hop"),
+    concat!("productive_mask", "_dyn"),
+    concat!("mesh_dor_hop", "_dyn"),
+];
+const DELETED_ROUTING_CALLS: [&str; 5] = [
+    concat!(".coo", "rds("),
+    concat!("torus.neigh", "bor("),
+    concat!("torus().neigh", "bor("),
+    concat!("torus.no", "de("),
+    concat!("torus().no", "de("),
+];
+
+/// One routing authority. A route — a minimal direction, a
+/// dimension-order hop, a node's neighbour on a port — is computed in
+/// [`ROUTING`] alone, once, into the route tables the adaptive router, the
+/// ALO baseline's useful channels (`Network::productive_ports`), the
+/// Disha drain path, the shard plan and the switch plane all read
+/// (DESIGN.md §4b). `kncube` keeps only the torus's shape. A second
+/// implementation of the ring rule is one a static deadlock walk over the
+/// tables would not see, so above its tests no Rust file but [`ROUTING`]
+/// names a routing item that was deleted for it
+/// ([`DELETED_ROUTING_NAMES`], [`DELETED_ROUTING_CALLS`]).
+fn one_routing_authority(tree: &[File]) -> Vec<String> {
+    let names = |l: &str| {
+        DELETED_ROUTING_NAMES.iter().any(|n| has_word(l, n)) || any_of(&DELETED_ROUTING_CALLS)(l)
+    };
+    tree.iter()
+        .filter(|f| f.path.ends_with(".rs") && f.path != ROUTING)
+        .flat_map(|f| scan(&f.path, above_tests(&f.text), names))
         .collect()
 }
 
@@ -790,6 +837,11 @@ fn the_tree_has_one_codec_walk() {
 }
 
 #[test]
+fn the_tree_has_one_routing_authority() {
+    assert_clean(one_routing_authority(repo()), "one routing authority");
+}
+
+#[test]
 fn the_tree_has_no_per_node_poll_in_a_stepping_loop() {
     assert_clean(no_per_node_poll(repo()), "no per-node poll");
 }
@@ -968,6 +1020,54 @@ fn scaffold_rule_reports_a_watchdog_in_a_law_file() {
             "crates/core/src/decbit.rs",
             "crates/core/src/tuned.rs",
             "crates/core/src/cubic.rs"
+        ]
+    );
+}
+
+#[test]
+fn routing_rule_reports_a_planted_call_but_not_the_tables_or_a_test() {
+    let [coords, _, hop_set, hops, dor, ..] = DELETED_ROUTING_NAMES;
+    let [_, neighbor, ..] = DELETED_ROUTING_CALLS;
+    let planted = format!("let hops = net.torus().{hops}(node, dst);");
+    let tested = format!("pub fn grant() {{}}\n\n#[cfg(test)]\nmod tests {{\n    {planted}\n}}");
+    let tree = [
+        file("crates/core/src/alo.rs", &planted),
+        file(
+            "crates/netsim/src/deadlock.rs",
+            &format!("while let Some((dim, dir)) = self.torus().{dor}(cur, dst) {{"),
+        ),
+        file(
+            "crates/netsim/src/shard.rs",
+            &format!("let t = owner({neighbor}node, dim, dir));"),
+        ),
+        file(
+            "benchmark/src/traced.rs",
+            &format!("let c: kncube::{coords} = t.origin();"),
+        ),
+        file(
+            "crates/topology/src/lib.rs",
+            &format!("pub use torus::{{{hop_set}, Torus}};"),
+        ),
+        file(ROUTING, &planted),
+        file(
+            "crates/netsim/src/plane.rs",
+            "Slot::new(port, tables.neighbor(node, port), dbit)",
+        ),
+        file("crates/netsim/src/network.rs", &tested),
+        file(
+            "crates/core/src/alo_hops_of.rs",
+            "let useful_hops = productive_hop_count;",
+        ),
+        file("DESIGN.md", &planted),
+    ];
+    assert_eq!(
+        paths(&one_routing_authority(&tree)),
+        [
+            "crates/core/src/alo.rs",
+            "crates/netsim/src/deadlock.rs",
+            "crates/netsim/src/shard.rs",
+            "benchmark/src/traced.rs",
+            "crates/topology/src/lib.rs"
         ]
     );
 }
